@@ -43,7 +43,7 @@ from typing import Any, Callable, List, Optional, Set
 
 from repro.batching.controllers import BatchSizeController
 from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.containers.replica import ContainerReplica
+from repro.containers.replica import Replica
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import BatchStats
@@ -58,7 +58,7 @@ class ReplicaDispatcher:
 
     def __init__(
         self,
-        replica: ContainerReplica,
+        replica: Replica,
         queue: BatchingQueue,
         controller: BatchSizeController,
         batch_wait_timeout_ms: float = 0.0,

@@ -16,12 +16,12 @@ The pieces:
 * :mod:`repro.cluster.worker` — the worker daemon.  One process hosting
   model containers built from a named factory registry, serving each over
   the container RPC protocol (tcp, or same-host shared-memory rings).
-* :mod:`repro.cluster.remote` — :class:`RemoteReplica` /
-  :class:`RemoteReplicaSet` / :class:`WorkerPlacer`: drop-in replacements
-  for the in-process replica machinery that place container replicas on
-  live workers, so the existing batching dispatchers, health monitor and
-  admin verbs (deploy/scale/rollout/canary) drive cluster placements
-  unchanged.
+* :mod:`repro.cluster.remote` — :class:`RemoteReplica` (a
+  :class:`~repro.containers.replica.Replica` launched on a worker) and
+  :class:`WorkerPlacer` (the placement callable that spreads a deployment's
+  replicas over live workers), so the existing batching dispatchers, health
+  monitor and admin verbs (deploy/scale/rollout/canary) drive cluster
+  placements unchanged.
 * :mod:`repro.cluster.ingress` — builds/runs the ingress tier process.
 * :mod:`repro.cluster.supervisor` — spawns N workers + 1 ingress,
   restarts dead workers, drains everything on SIGTERM
@@ -35,7 +35,6 @@ _EXPORTS = {
     "WorkerAnnouncement": "repro.cluster.registry",
     "WorkerRegistry": "repro.cluster.registry",
     "RemoteReplica": "repro.cluster.remote",
-    "RemoteReplicaSet": "repro.cluster.remote",
     "WorkerPlacer": "repro.cluster.remote",
     "Supervisor": "repro.cluster.supervisor",
     "WorkerDaemon": "repro.cluster.worker",
@@ -53,7 +52,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "RemoteReplica",
-    "RemoteReplicaSet",
     "Supervisor",
     "WorkerAnnouncement",
     "WorkerDaemon",

@@ -1,14 +1,15 @@
 """The ingress tier: HTTP edge + Clipper over remote worker replicas.
 
 The ingress is an ordinary single-application serving stack — ``Clipper``
-behind the query/management frontends behind ``HttpApiServer`` — with one
-twist: a replica-placement hook (see
-:meth:`~repro.core.clipper.Clipper.set_replica_set_factory`) that turns
-every deployment carrying a ``factory_name`` into a
-:class:`~repro.cluster.remote.RemoteReplicaSet` placed across the live
-workers of a shared :class:`~repro.cluster.registry.WorkerRegistry`.  All
-admin verbs — deploy, scale, rollout, canary — arrive over the same REST
-surface as before and transparently drive cluster placements.
+behind the query/management frontends behind ``HttpApiServer`` — whose
+``Clipper`` is constructed with the cluster's placement callable,
+:meth:`~repro.cluster.remote.WorkerPlacer.replica_set`: every deployment
+carrying a ``factory_name`` gets a
+:class:`~repro.containers.replica.ReplicaSet` of
+:class:`~repro.cluster.remote.RemoteReplica` spread across the live workers
+of a shared :class:`~repro.cluster.registry.WorkerRegistry`.  All admin
+verbs — deploy, scale, rollout, canary — arrive over the same REST surface
+as before and transparently drive cluster placements.
 
 Run one with ``python -m repro.cluster.ingress --cluster-dir DIR``; it
 writes ``<cluster_dir>/ingress.json`` (host, port, pid) once the listener
@@ -24,12 +25,12 @@ import json
 import os
 import signal
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.api.http import HttpApiServer, create_server
 from repro.cluster.factories import FactoryMap, default_factories, load_factories
 from repro.cluster.registry import DEFAULT_TTL_S, WorkerRegistry
-from repro.cluster.remote import RemoteReplicaSet, WorkerPlacer
+from repro.cluster.remote import WorkerPlacer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig
 from repro.core.frontend import QueryFrontend
@@ -37,31 +38,6 @@ from repro.management.frontend import ManagementFrontend
 
 #: File the running ingress drops into the cluster dir for discovery.
 INGRESS_FILE = "ingress.json"
-
-
-def make_replica_set_factory(
-    placer: WorkerPlacer, rpc_timeout_s: Optional[float] = 30.0
-) -> Callable:
-    """The placement hook installed on the ingress's Clipper.
-
-    Deployments that name their container factory place remotely; ones that
-    only carry a bare callable (no name a worker could resolve) fall back to
-    the in-process default by returning ``None``.
-    """
-
-    def factory(deployment, model_id):
-        if not deployment.factory_name:
-            return None
-        return RemoteReplicaSet(
-            model_id=model_id,
-            factory_name=deployment.factory_name,
-            placer=placer,
-            num_replicas=deployment.num_replicas,
-            transport=deployment.transport,
-            rpc_timeout_s=rpc_timeout_s,
-        )
-
-    return factory
 
 
 class IngressTier:
@@ -81,8 +57,7 @@ class IngressTier:
         self.registry = WorkerRegistry(cluster_dir)
         self.placer = WorkerPlacer(self.registry, ttl_s=ttl_s)
         self.config = config or ClipperConfig(app_name=app_name, allow_empty_start=True)
-        self.clipper = Clipper(self.config)
-        self.clipper.set_replica_set_factory(make_replica_set_factory(self.placer))
+        self.clipper = Clipper(self.config, placement=self.placer.replica_set)
         self.query = QueryFrontend()
         self.query.register_application(self.clipper)
         self.admin = ManagementFrontend(health_kwargs=health_kwargs)

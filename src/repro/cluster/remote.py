@@ -1,19 +1,20 @@
-"""Remote replica placement: the cluster-side twin of the replica machinery.
+"""Remote replica placement: replicas that run on worker daemons.
 
-:class:`RemoteReplica` and :class:`RemoteReplicaSet` duck-type
-:class:`~repro.containers.replica.ContainerReplica` /
-:class:`~repro.containers.replica.ReplicaSet` exactly, so the batching
-dispatchers, the health monitor, and every admin verb (deploy / scale /
-rollout / canary) drive cluster placements without change.  The difference
-is where the container lives: instead of building one in-process, a remote
-replica asks a live worker daemon (resolved from the shared
-:class:`~repro.cluster.registry.WorkerRegistry` by :class:`WorkerPlacer`)
-to launch the container from a *named* factory, then speaks the ordinary
-container RPC protocol to it over tcp — or, same-host, over shared-memory
-rings negotiated automatically.
+:class:`RemoteReplica` is a :class:`~repro.containers.replica.Replica` whose
+RPC client comes from a *launch*: it asks a live worker daemon (resolved from
+the shared :class:`~repro.cluster.registry.WorkerRegistry` by
+:class:`WorkerPlacer`) to build the container from a *named* factory, then
+speaks the ordinary container RPC protocol to it over tcp — or, same-host,
+over shared-memory rings negotiated automatically.  Everything else a
+replica does, and every membership rule of a replica set, is the shared
+code in :mod:`repro.containers.replica`, so the batching dispatchers, the
+health monitor and every admin verb (deploy / scale / rollout / canary)
+drive cluster placements through the same classes as local ones.
+:meth:`WorkerPlacer.replica_set` is the placement callable the ingress
+gives its :class:`~repro.core.clipper.Clipper`.
 
-Failure semantics mirror the local set where the health monitor depends on
-them: membership errors raise :class:`~repro.core.exceptions.ContainerError`
+Failure classes are the ones the health monitor's recovery loop depends on:
+membership errors raise :class:`~repro.core.exceptions.ContainerError`
 (``_recover`` treats that as "scaled away" and aborts), while *placement*
 failure — no live worker in the registry — raises
 :class:`~repro.core.exceptions.RpcError`, which ``_recover`` treats as
@@ -23,13 +24,18 @@ transient and retries with backoff until a worker comes back.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, List, Optional, Sequence
+from typing import Sequence
 
 from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegistry
+from repro.containers.replica import (
+    RPC_TIMEOUT_S,
+    Replica,
+    ReplicaSet,
+    place_locally,
+)
 from repro.core.exceptions import ContainerError, RpcError
 from repro.core.types import ModelId
 from repro.rpc.client import RpcClient
-from repro.rpc.protocol import RpcResponse
 from repro.rpc.shm import HAS_SHARED_MEMORY, attach_shm_endpoint
 from repro.rpc.transport import TcpTransport
 
@@ -62,6 +68,30 @@ class WorkerPlacer:
         self._round_robin += 1
         return worker
 
+    def replica_set(self, deployment, model_id: ModelId) -> ReplicaSet:
+        """Placement callable: spread a deployment's replicas over the workers.
+
+        Deployments that name their container factory place remotely; ones
+        that only carry a bare callable (no name a worker could resolve) are
+        placed in this process.  A replacement replica avoids the worker of
+        the replica it replaces — when a worker dies, recovery naturally
+        migrates its replicas onto the survivors.
+        """
+        if not deployment.factory_name:
+            return place_locally(deployment, model_id)
+
+        def build(replica_id: int, avoid: Sequence[Replica]) -> RemoteReplica:
+            worker = self.place(exclude=[sick.worker.worker_id for sick in avoid])
+            return RemoteReplica(
+                model_id,
+                replica_id,
+                worker,
+                deployment.factory_name,
+                transport=deployment.transport,
+            )
+
+        return ReplicaSet(model_id, build, deployment.num_replicas)
+
 
 def _resolve_lane(worker: WorkerAnnouncement, preference: str) -> tuple:
     """(lane, forced) for a replica placed on ``worker``.
@@ -85,16 +115,13 @@ def _resolve_lane(worker: WorkerAnnouncement, preference: str) -> tuple:
     return ("shm", False) if shm_ok else ("tcp", False)
 
 
-class RemoteReplica:
+class RemoteReplica(Replica):
     """One replica of a model, hosted by a worker daemon in another process.
 
-    Duck-types :class:`~repro.containers.replica.ContainerReplica`:
-    ``start`` / ``stop`` / ``predict_batch`` / ``check_health`` /
-    ``started`` / ``name`` / ``model_id`` / ``replica_id``.  ``start``
-    connects to the worker's control port, asks it to launch the container
-    from ``factory_name``, and keeps the resulting connection as the data
-    lane; ``stop`` simply closes it — the worker tears the container down
-    when its end of the lane goes quiet.
+    ``start`` connects to the worker's control port, asks it to launch the
+    container from ``factory_name``, and keeps the resulting connection as
+    the data lane; ``stop`` simply closes it — the worker tears the
+    container down when its end of the lane goes quiet.
     """
 
     def __init__(
@@ -104,17 +131,17 @@ class RemoteReplica:
         worker: WorkerAnnouncement,
         factory_name: str,
         transport: str = "inprocess",
-        rpc_timeout_s: Optional[float] = 30.0,
     ) -> None:
-        self.model_id = model_id
-        self.replica_id = replica_id
+        if not factory_name:
+            raise ContainerError(
+                str(model_id),
+                "remote placement needs a named container factory "
+                "(deployment.factory_name) the worker can resolve",
+            )
+        super().__init__(model_id, replica_id)
         self.worker = worker
         self.factory_name = factory_name
-        self._model_key = str(model_id)
         self._lane, self._forced = _resolve_lane(worker, transport)
-        self._rpc_timeout_s = rpc_timeout_s
-        self.client: Optional[RpcClient] = None
-        self._started = False
 
     @property
     def transport_lane(self) -> str:
@@ -155,14 +182,11 @@ class RemoteReplica:
         else:
             # The control connection *is* the data connection on the tcp lane.
             data = control
-        return RpcClient(data, timeout_s=self._rpc_timeout_s)
+        return RpcClient(data, timeout_s=RPC_TIMEOUT_S)
 
-    async def start(self) -> None:
-        """Launch the container on the worker and open the data lane."""
-        if self._started:
-            return
+    async def _open(self) -> RpcClient:
         try:
-            self.client = await self._launch(self._lane)
+            return await self._launch(self._lane)
         except RpcError:
             if self._lane != "shm" or self._forced:
                 raise
@@ -170,151 +194,16 @@ class RemoteReplica:
             # race, ...) — fall back to the tcp lane rather than fail the
             # replica, matching the cross-host behaviour.
             self._lane = "tcp"
-            self.client = await self._launch("tcp")
-        self._started = True
+            return await self._launch("tcp")
 
-    async def stop(self) -> None:
-        """Close the data lane; the worker reaps the container on hangup."""
-        if self._started:
-            self._started = False
-            await self.client.close()
-
-    async def predict_batch(
-        self,
-        inputs: Sequence[Any],
-        trace: Optional[List[Any]] = None,
-        span_log: Optional[list] = None,
-        deadlines: Optional[List[float]] = None,
-    ) -> RpcResponse:
-        """Evaluate one batch on the remote container (pipelining-safe)."""
-        if not self._started:
-            raise ContainerError(self._model_key, "replica is not started")
-        inputs = inputs if isinstance(inputs, list) else list(inputs)
-        return await self.client.predict(
-            self._model_key, inputs, trace=trace, span_log=span_log,
-            deadlines=deadlines,
-        )
-
-    async def check_health(self, timeout_s: Optional[float] = None) -> bool:
-        """Heartbeat the remote container; False on any failure path."""
-        if not self._started:
-            return False
-        try:
-            return await self.client.heartbeat(timeout_s=timeout_s)
-        except RpcError:
-            return False
-
-    @property
-    def started(self) -> bool:
-        return self._started
+    # The same function, bound under this class's own name so that per-class
+    # instrumentation (the benchmark's tracer wraps it) times remote batches
+    # without touching local replicas.
+    predict_batch = Replica.predict_batch
 
     @property
     def name(self) -> str:
         return f"{self.model_id}[{self.replica_id}]@{self.worker.worker_id}"
 
 
-class RemoteReplicaSet:
-    """All remote replicas of one deployed model, spread across workers.
-
-    Mirrors :class:`~repro.containers.replica.ReplicaSet`'s contract:
-    monotonic replica ids, ``remove_replica`` refuses to empty the set,
-    ``replace_replica`` returns an *unstarted* fresh replica with the same
-    id — but the fresh replica is re-placed, preferring a worker other
-    than the one the sick replica ran on.
-    """
-
-    def __init__(
-        self,
-        model_id: ModelId,
-        factory_name: str,
-        placer: WorkerPlacer,
-        num_replicas: int = 1,
-        transport: str = "inprocess",
-        rpc_timeout_s: Optional[float] = 30.0,
-    ) -> None:
-        if num_replicas < 1:
-            raise ContainerError(str(model_id), "num_replicas must be >= 1")
-        if not factory_name:
-            raise ContainerError(
-                str(model_id),
-                "remote placement needs a named container factory "
-                "(deployment.factory_name) the worker can resolve",
-            )
-        self.model_id = model_id
-        self.factory_name = factory_name
-        self._placer = placer
-        self._transport = transport
-        self._rpc_timeout_s = rpc_timeout_s
-        self._next_replica_id = 0
-        self.replicas: List[RemoteReplica] = []
-        for _ in range(num_replicas):
-            self.add_replica()
-
-    def _build_replica(
-        self, replica_id: int, exclude: Sequence[str] = ()
-    ) -> RemoteReplica:
-        worker = self._placer.place(exclude=exclude)
-        return RemoteReplica(
-            model_id=self.model_id,
-            replica_id=replica_id,
-            worker=worker,
-            factory_name=self.factory_name,
-            transport=self._transport,
-            rpc_timeout_s=self._rpc_timeout_s,
-        )
-
-    def add_replica(self) -> RemoteReplica:
-        """Place (but do not start) one more replica and return it."""
-        replica = self._build_replica(self._next_replica_id)
-        self._next_replica_id += 1
-        self.replicas.append(replica)
-        return replica
-
-    def remove_replica(self, replica: RemoteReplica) -> None:
-        """Remove a replica from the set (the caller stops it)."""
-        if len(self.replicas) <= 1:
-            raise ContainerError(str(self.model_id), "cannot remove the last replica")
-        try:
-            self.replicas.remove(replica)
-        except ValueError:
-            raise ContainerError(
-                str(self.model_id), f"{replica.name} is not a member of this replica set"
-            ) from None
-
-    async def replace_replica(self, replica: RemoteReplica) -> RemoteReplica:
-        """Swap a sick replica for a fresh one with the same id, re-placed.
-
-        The replacement prefers a worker other than the sick replica's —
-        when a worker dies, recovery naturally migrates its replicas onto
-        the survivors.  Raises :class:`RpcError` (retryable) when no worker
-        is live, so the health monitor keeps trying.
-        """
-        try:
-            index = self.replicas.index(replica)
-        except ValueError:
-            raise ContainerError(
-                str(self.model_id), f"{replica.name} is not a member of this replica set"
-            ) from None
-        fresh = self._build_replica(
-            replica.replica_id, exclude=(replica.worker.worker_id,)
-        )
-        await replica.stop()
-        self.replicas[index] = fresh
-        return fresh
-
-    async def start(self) -> None:
-        for replica in self.replicas:
-            await replica.start()
-
-    async def stop(self) -> None:
-        for replica in self.replicas:
-            await replica.stop()
-
-    def __len__(self) -> int:
-        return len(self.replicas)
-
-    def __iter__(self):
-        return iter(self.replicas)
-
-
-__all__ = ["LAUNCH_TIMEOUT_S", "RemoteReplica", "RemoteReplicaSet", "WorkerPlacer"]
+__all__ = ["LAUNCH_TIMEOUT_S", "RemoteReplica", "WorkerPlacer"]

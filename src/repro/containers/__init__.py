@@ -9,7 +9,12 @@ from repro.containers.overhead import (
     LanguageOverheadContainer,
     SimulatedLatencyContainer,
 )
-from repro.containers.replica import ContainerReplica, ReplicaSet
+from repro.containers.replica import (
+    ContainerReplica,
+    Replica,
+    ReplicaSet,
+    place_locally,
+)
 
 __all__ = [
     "ModelContainer",
@@ -24,5 +29,7 @@ __all__ = [
     "LanguageOverheadContainer",
     "SimulatedLatencyContainer",
     "ContainerReplica",
+    "Replica",
     "ReplicaSet",
+    "place_locally",
 ]

@@ -1,11 +1,26 @@
-"""Container replicas and replica sets.
+"""Replicas and replica sets: the one seam between serving and containers.
 
 Each deployed model can be replicated (paper §4.4.1); every replica gets its
 own RPC connection and — in the batching layer — its own adaptive batching
 queue, because "different replicas can have different performance
-characteristics".  A :class:`ContainerReplica` bundles one container
-instance with its RPC server/client pair; a :class:`ReplicaSet` owns all
-replicas of one model.
+characteristics".  The layers above (batching dispatchers, health monitor,
+admin verbs) see exactly two classes:
+
+* :class:`Replica` — one running copy of a model behind the batch-predict
+  RPC interface.  Everything a caller uses (``start`` / ``stop`` /
+  ``predict_batch`` / ``check_health`` / ``started`` / ``name``) is written
+  here once; a subclass supplies only *how the RPC client comes to exist*.
+  :class:`ContainerReplica` builds the container in this process (in-process,
+  shared-memory or loopback-tcp lane);
+  :class:`~repro.cluster.remote.RemoteReplica` asks a worker daemon to.
+* :class:`ReplicaSet` — all replicas of one model.  Its membership rules are
+  written once and parameterised by the function that builds replica *i*.
+
+Where a deployment's replicas live is decided by a *placement* callable,
+``placement(deployment, model_id) -> ReplicaSet``, given to
+:class:`~repro.core.clipper.Clipper` at construction: :func:`place_locally`
+is the default, :meth:`repro.cluster.remote.WorkerPlacer.replica_set` the
+cluster's.
 """
 
 from __future__ import annotations
@@ -25,109 +40,46 @@ from repro.rpc.transport import InProcessTransport, TcpListener, TcpTransport
 #: RPC lanes a replica can run on (see :class:`repro.core.config.ModelDeployment`).
 TRANSPORT_KINDS = ("inprocess", "shm", "tcp")
 
+#: How long a replica's RPC client waits for one batch response.
+RPC_TIMEOUT_S = 30.0
 
-class ContainerReplica:
-    """One running replica: container + RPC server + RPC client.
 
-    Parameters
-    ----------
-    model_id:
-        The deployed model this replica serves.
-    replica_id:
-        Index of the replica within its replica set.
-    container:
-        The model container instance owned exclusively by this replica.
-    use_executor:
-        Run container evaluation in the default thread-pool executor so
-        CPU-heavy batches overlap with the event loop (the analogue of the
-        paper's per-container worker threads).
-    serialize_messages:
-        Whether the in-process RPC round-trips through the binary serializer
-        (True charges realistic serialization overhead).  Ignored by the shm
-        and tcp lanes, which always serialize.
-    transport:
-        RPC lane for this replica: ``"inprocess"`` (asyncio queues, the
-        default), ``"shm"`` (same-host shared-memory rings) or ``"tcp"``
-        (loopback sockets, connected lazily in :meth:`start`).
+class Replica:
+    """One replica of a deployed model behind the batch-predict interface.
+
+    Subclasses implement :meth:`_open` (bring the container up wherever it
+    lives and return a connected :class:`RpcClient`) and, when bringing it
+    up acquired more than the client, :meth:`_close`.
     """
 
-    def __init__(
-        self,
-        model_id: ModelId,
-        replica_id: int,
-        container: ModelContainer,
-        use_executor: bool = True,
-        serialize_messages: bool = True,
-        rpc_timeout_s: Optional[float] = 30.0,
-        transport: str = "inprocess",
-    ) -> None:
-        if transport not in TRANSPORT_KINDS:
-            raise ContainerError(
-                str(model_id),
-                f"unknown transport '{transport}', expected one of {TRANSPORT_KINDS}",
-            )
+    def __init__(self, model_id: ModelId, replica_id: int) -> None:
         self.model_id = model_id
+        #: Index of the replica within its replica set.
         self.replica_id = replica_id
-        self.container = container
         # The wire model name is rendered once: replicas send it with every
         # batch and str(ModelId) is measurable at high batch rates.
         self._model_key = str(model_id)
-        self._transport_kind = transport
-        self._use_executor = use_executor
-        self._rpc_timeout_s = rpc_timeout_s
-        self._server: Optional[ContainerRpcServer] = None
         self.client: Optional[RpcClient] = None
-        if transport == "inprocess":
-            pair = InProcessTransport(serialize_messages=serialize_messages)
-        elif transport == "shm":
-            if not HAS_SHARED_MEMORY:
-                raise ContainerError(
-                    self._model_key,
-                    "transport 'shm' requires multiprocessing.shared_memory, "
-                    "which is unavailable on this platform",
-                )
-            pair = ShmRingPair()
-        else:
-            # The tcp lane needs a running event loop to bind and connect;
-            # the endpoints are built in start().
-            pair = None
-        if pair is not None:
-            self._server = ContainerRpcServer(
-                container, pair.server_side, use_executor=use_executor
-            )
-            self.client = RpcClient(pair.client_side, timeout_s=rpc_timeout_s)
         self._started = False
 
-    async def _connect_tcp(self) -> None:
-        """Bind a loopback listener, cross-connect, and build server+client."""
-        listener = TcpListener()
-        await listener.start()
-        try:
-            client_transport, server_transport = await asyncio.gather(
-                TcpTransport.connect(listener.host, listener.port),
-                listener.accept(),
-            )
-        finally:
-            await listener.close()
-        self._server = ContainerRpcServer(
-            self.container, server_transport, use_executor=self._use_executor
-        )
-        self.client = RpcClient(client_transport, timeout_s=self._rpc_timeout_s)
+    async def _open(self) -> RpcClient:
+        raise NotImplementedError
+
+    async def _close(self) -> None:
+        """Release whatever :meth:`_open` acquired besides the client."""
 
     async def start(self) -> None:
-        """Start the container-side RPC serving loop."""
+        """Bring the container up and open the RPC lane to it (idempotent)."""
         if not self._started:
-            if self._server is None:
-                await self._connect_tcp()
-            self._server.start()
+            self.client = await self._open()
             self._started = True
 
     async def stop(self) -> None:
-        """Stop the RPC server and close the client transport."""
+        """Close the RPC lane and release the container."""
         if self._started:
-            await self.client.close()
-            await self._server.stop()
             self._started = False
+            await self.client.close()
+            await self._close()
 
     async def predict_batch(
         self,
@@ -179,90 +131,142 @@ class ContainerReplica:
         return f"{self.model_id}[{self.replica_id}]"
 
 
+class ContainerReplica(Replica):
+    """A replica whose container runs in this process.
+
+    Parameters
+    ----------
+    container:
+        The model container instance owned exclusively by this replica.
+        Evaluation runs in the default thread-pool executor so CPU-heavy
+        batches overlap with the event loop (the analogue of the paper's
+        per-container worker threads).
+    serialize_messages:
+        Whether the in-process RPC round-trips through the binary serializer
+        (True charges realistic serialization overhead).  Ignored by the shm
+        and tcp lanes, which always serialize.
+    transport:
+        RPC lane for this replica: ``"inprocess"`` (asyncio queues, the
+        default), ``"shm"`` (same-host shared-memory rings) or ``"tcp"``
+        (loopback sockets).
+    """
+
+    def __init__(
+        self,
+        model_id: ModelId,
+        replica_id: int,
+        container: ModelContainer,
+        serialize_messages: bool = True,
+        transport: str = "inprocess",
+    ) -> None:
+        if transport not in TRANSPORT_KINDS:
+            raise ContainerError(
+                str(model_id),
+                f"unknown transport '{transport}', expected one of {TRANSPORT_KINDS}",
+            )
+        if transport == "shm" and not HAS_SHARED_MEMORY:
+            raise ContainerError(
+                str(model_id),
+                "transport 'shm' requires multiprocessing.shared_memory, "
+                "which is unavailable on this platform",
+            )
+        super().__init__(model_id, replica_id)
+        self.container = container
+        self._transport_kind = transport
+        self._serialize_messages = serialize_messages
+        self._server: Optional[ContainerRpcServer] = None
+
+    async def _open(self) -> RpcClient:
+        if self._transport_kind == "tcp":
+            # Bind a loopback listener and cross-connect the two ends.
+            listener = TcpListener()
+            await listener.start()
+            try:
+                client_side, server_side = await asyncio.gather(
+                    TcpTransport.connect(listener.host, listener.port),
+                    listener.accept(),
+                )
+            finally:
+                await listener.close()
+        else:
+            if self._transport_kind == "shm":
+                pair = ShmRingPair()
+            else:
+                pair = InProcessTransport(serialize_messages=self._serialize_messages)
+            client_side, server_side = pair.client_side, pair.server_side
+        self._server = ContainerRpcServer(self.container, server_side, use_executor=True)
+        self._server.start()
+        return RpcClient(client_side, timeout_s=RPC_TIMEOUT_S)
+
+    async def _close(self) -> None:
+        await self._server.stop()
+
+
+#: Builds replica ``replica_id`` of a set.  ``avoid`` lists replicas whose
+#: host the new one should not share when there is a choice — the replica
+#: being replaced, for placements that span hosts; local builders ignore it.
+ReplicaBuilder = Callable[[int, Sequence[Replica]], Replica]
+
+
 class ReplicaSet:
     """All replicas of one deployed model.
 
     Membership is dynamic: the management plane adds and removes replicas on
     a live set (`add_replica` / `remove_replica`) for runtime scaling, and
     replaces a sick replica in place (`replace_replica`) when health-driven
-    recovery restarts it with a fresh container from the stored factory.
+    recovery restarts it through the stored builder.
     """
 
     def __init__(
-        self,
-        model_id: ModelId,
-        container_factory: Callable[[], ModelContainer],
-        num_replicas: int = 1,
-        use_executor: bool = True,
-        serialize_messages: bool = True,
-        transport: str = "inprocess",
+        self, model_id: ModelId, build_replica: ReplicaBuilder, num_replicas: int = 1
     ) -> None:
         if num_replicas < 1:
             raise ContainerError(str(model_id), "num_replicas must be >= 1")
         self.model_id = model_id
-        self._container_factory = container_factory
-        self._use_executor = use_executor
-        self._serialize_messages = serialize_messages
-        self._transport = transport
+        self._build_replica = build_replica
         self._next_replica_id = 0
-        self.replicas: List[ContainerReplica] = []
+        self.replicas: List[Replica] = []
         for _ in range(num_replicas):
             self.add_replica()
 
-    def _build_replica(self, replica_id: int) -> ContainerReplica:
-        container = self._container_factory()
-        if not isinstance(container, ModelContainer):
-            raise ContainerError(
-                str(self.model_id),
-                f"container factory returned {type(container).__name__}, "
-                "expected a ModelContainer",
-            )
-        return ContainerReplica(
-            model_id=self.model_id,
-            replica_id=replica_id,
-            container=container,
-            use_executor=self._use_executor,
-            serialize_messages=self._serialize_messages,
-            transport=self._transport,
-        )
-
-    def add_replica(self) -> ContainerReplica:
+    def add_replica(self) -> Replica:
         """Create (but do not start) one more replica and return it.
 
         Replica ids increase monotonically across the set's lifetime so a
         restarted or newly added replica is never confused with a removed
         one in metrics or health records.
         """
-        replica = self._build_replica(self._next_replica_id)
+        replica = self._build_replica(self._next_replica_id, ())
         self._next_replica_id += 1
         self.replicas.append(replica)
         return replica
 
-    def remove_replica(self, replica: ContainerReplica) -> None:
+    def _index_of(self, replica: Replica) -> int:
+        try:
+            return self.replicas.index(replica)
+        except ValueError:
+            raise ContainerError(
+                str(self.model_id), f"{replica.name} is not a member of this replica set"
+            ) from None
+
+    def remove_replica(self, replica: Replica) -> None:
         """Remove a replica from the set (the caller stops it)."""
         if len(self.replicas) <= 1:
             raise ContainerError(str(self.model_id), "cannot remove the last replica")
-        try:
-            self.replicas.remove(replica)
-        except ValueError:
-            raise ContainerError(
-                str(self.model_id), f"{replica.name} is not a member of this replica set"
-            ) from None
+        del self.replicas[self._index_of(replica)]
 
-    async def replace_replica(self, replica: ContainerReplica) -> ContainerReplica:
+    async def replace_replica(self, replica: Replica) -> Replica:
         """Swap a (presumed sick) replica for a fresh one with the same id.
 
-        The old replica is stopped and a new container is built from the
-        stored factory.  The replacement is returned unstarted so the caller
-        can start and health-check it before routing traffic to it.
+        The old replica is stopped and a new one is built with the old one
+        as the ``avoid`` hint, so a placement that spans hosts migrates off
+        the sick replica's.  The replacement is returned unstarted so the
+        caller can start and health-check it before routing traffic to it.
+        Builder errors propagate: :class:`RpcError` is the retryable class
+        (e.g. no live worker), which health-driven recovery retries.
         """
-        try:
-            index = self.replicas.index(replica)
-        except ValueError:
-            raise ContainerError(
-                str(self.model_id), f"{replica.name} is not a member of this replica set"
-            ) from None
-        fresh = self._build_replica(replica.replica_id)
+        index = self._index_of(replica)
+        fresh = self._build_replica(replica.replica_id, (replica,))
         await replica.stop()
         self.replicas[index] = fresh
         return fresh
@@ -280,3 +284,25 @@ class ReplicaSet:
 
     def __iter__(self):
         return iter(self.replicas)
+
+
+def place_locally(deployment, model_id: ModelId) -> ReplicaSet:
+    """The default placement: every replica's container is built in-process."""
+
+    def build(replica_id: int, avoid: Sequence[Replica]) -> ContainerReplica:
+        container = deployment.container_factory()
+        if not isinstance(container, ModelContainer):
+            raise ContainerError(
+                str(model_id),
+                f"container factory returned {type(container).__name__}, "
+                "expected a ModelContainer",
+            )
+        return ContainerReplica(
+            model_id,
+            replica_id,
+            container,
+            serialize_messages=deployment.serialize_rpc,
+            transport=deployment.transport,
+        )
+
+    return ReplicaSet(model_id, build, deployment.num_replicas)

@@ -11,6 +11,19 @@ single application:
   (§5.2.2), and the feedback path that joins application feedback with
   cached predictions to update the policy.
 
+:class:`Clipper` itself is the selection layer; the model abstraction layer
+is its :class:`~repro.core.deployed.ModelLayer`, and the one call between
+them — under both ``predict`` and ``feedback`` — is
+:meth:`~repro.core.deployed.ModelLayer.resolve`: "each of these models'
+output for this input" (cache fetch → submit → await → detach → cache
+put).  Two seams keep that path ignorant of where and whether work runs: a
+**placement** callable given at construction decides where each
+deployment's :class:`~repro.containers.replica.ReplicaSet` lives (in this
+process by default, on worker daemons in the cluster), and one
+:class:`~repro.overload.OverloadControl` owns every admission, shed and
+circuit-breaker decision, handing each query that leaves the cache a ticket
+that ``resolve`` settles on every exit path.
+
 The public surface is intentionally small::
 
     clipper = Clipper(ClipperConfig(app_name="demo", latency_slo_ms=20))
@@ -44,16 +57,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.batching.controllers import make_controller
-from repro.batching.dispatcher import ReplicaDispatcher
-from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.cache.prediction_cache import PredictionCache
-from repro.containers.replica import ReplicaSet
+from repro.containers.replica import ReplicaSet, place_locally
 from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.deployed import DeployedModel, ModelLayer
 from repro.core.exceptions import (
     ClipperError,
     DeploymentError,
@@ -62,108 +70,13 @@ from repro.core.exceptions import (
 )
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query
-from repro.observability.tracing import (
-    TRACE_ERROR,
-    TRACE_STRAGGLER,
-    Tracer,
-)
-from repro.overload import AdmissionController, CircuitBreaker
+from repro.observability.tracing import Tracer
+from repro.overload import UNGUARDED, OverloadControl
 from repro.routing.split import TrafficSplit
 from repro.routing.table import RoutePlan, RoutingTable, parse_namespace_keys
 from repro.selection.manager import SelectionStateManager
 from repro.selection.policy import make_policy
 from repro.state.kvstore import KeyValueStore
-
-
-#: Sentinel resolved into a pending model future when its straggler deadline
-#: passes before the container answers.  A sentinel (not an exception) keeps
-#: abandoned futures from logging "exception was never retrieved" and lets
-#: the dispatcher distinguish "timed out, late-fill the cache when the real
-#: output lands" from genuine failures.
-DEADLINE_MISS = object()
-
-#: Granularity of the straggler-deadline sweep.  Queries whose deadlines
-#: fall into the same tick share one event-loop timer instead of paying a
-#: ``call_later`` + cancel each; a straggler may be declared up to this much
-#: late, which is far below scheduling jitter at serving load.
-_SWEEP_GRAIN_S = 0.001
-
-
-def _detach_output(output: Any) -> Any:
-    """An output safe to retain long-term (e.g. in the prediction cache).
-
-    The RPC decoder returns ndarray outputs as zero-copy views into the
-    whole received frame; caching such a view would pin the entire
-    batch-response buffer for the lifetime of one cache entry.  Views are
-    copied once here; owning arrays and scalars pass through.
-    """
-    if isinstance(output, np.ndarray) and output.base is not None:
-        return output.copy()
-    return output
-
-
-class _DeadlineSweeper:
-    """Resolves pending futures with :data:`DEADLINE_MISS` at their deadline.
-
-    Futures are bucketed by deadline tick; each bucket owns a single
-    ``loop.call_at`` timer.  On the serving hot path this replaces one timer
-    creation + cancellation per query with a dict probe and a list append —
-    the timer count collapses from per-query to per-millisecond.
-    """
-
-    __slots__ = ("_buckets", "_loop")
-
-    def __init__(self) -> None:
-        self._buckets: Dict[int, List[asyncio.Future]] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-
-    def register(self, future: asyncio.Future, deadline: float) -> None:
-        """Arrange for ``future`` to resolve by ``deadline`` (monotonic)."""
-        loop = asyncio.get_running_loop()
-        if loop is not self._loop:
-            # The owning Clipper moved to a new event loop (sync-wrapper
-            # usage); the old loop's timers died with it.
-            self._buckets = {}
-            self._loop = loop
-        tick = int(deadline / _SWEEP_GRAIN_S) + 1
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = []
-            self._buckets[tick] = bucket
-            loop.call_at(tick * _SWEEP_GRAIN_S, self._fire, tick)
-        bucket.append(future)
-
-    def _fire(self, tick: int) -> None:
-        for future in self._buckets.pop(tick, ()):
-            if not future.done():
-                future.set_result(DEADLINE_MISS)
-
-
-class _DeployedModel:
-    """Internal record of one deployed model version and its serving machinery."""
-
-    def __init__(
-        self,
-        deployment: ModelDeployment,
-        replica_set: ReplicaSet,
-        queue: BatchingQueue,
-        dispatchers: List[ReplicaDispatcher],
-    ) -> None:
-        self.deployment = deployment
-        self.replica_set = replica_set
-        self.queue = queue
-        self.dispatchers = dispatchers
-
-    @property
-    def model_id(self) -> ModelId:
-        return self.replica_set.model_id
-
-    def dispatcher_for(self, replica) -> Optional[ReplicaDispatcher]:
-        """The dispatcher currently draining the queue into ``replica``."""
-        for dispatcher in self.dispatchers:
-            if dispatcher.replica is replica:
-                return dispatcher
-        return None
 
 
 class Clipper:
@@ -173,14 +86,25 @@ class Clipper:
         self,
         config: Optional[ClipperConfig] = None,
         state_store: Optional[KeyValueStore] = None,
+        placement: Callable[[ModelDeployment, ModelId], ReplicaSet] = place_locally,
     ) -> None:
         self.config = config or ClipperConfig()
         self.metrics = MetricsRegistry()
-        self.cache = PredictionCache(
-            capacity=self.config.cache_size, eviction=self.config.cache_eviction
+        # The tracing layer follows the metric-handle discipline below:
+        # ``begin`` is bound once, and an untraced query's total tracing cost
+        # is that one call returning None plus per-site ``is not None`` checks.
+        self.tracer = Tracer(
+            self.config.tracing, metrics=self.metrics, component="engine"
         )
+        self._trace_begin = self.tracer.begin
+        # The model abstraction layer.  ``placement`` builds the replica set
+        # of each deployment — where its replicas live; the cluster ingress
+        # passes one that places on workers.
+        self._layer = ModelLayer(self.config, self.metrics, self.tracer, placement)
+        self._resolve = self._layer.resolve
+        self.cache = self._layer.cache
+        self._models = self._layer.versions
         self.state_store = state_store or KeyValueStore()
-        self._models: Dict[str, _DeployedModel] = {}
         # All version-resolution lives in the routing table: which version of
         # each model name serves traffic (possibly split across a canary),
         # and the previously-active version kept for rollback.  Versions
@@ -192,18 +116,11 @@ class Clipper:
             scope=self.config.app_name,
         )
         self._admin_lock = asyncio.Lock()
-        # Straggler deadlines are enforced by a shared bucketed sweep (one
-        # timer per millisecond tick) instead of one timer per query.
-        self._sweeper = _DeadlineSweeper()
         # One selection-state manager per routed serving-set combination,
         # keyed by the routing plan's namespace and built lazily.
         self._selection_managers: Dict[str, SelectionStateManager] = {}
         self._started = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Optional replica-placement seam: when set (the cluster ingress
-        # installs one), each deployment may build its replica set somewhere
-        # other than in-process — see :meth:`set_replica_set_factory`.
-        self._replica_set_factory = None
         # Metric handles are resolved once here instead of per call: registry
         # lookups take a lock and a dict probe, which is measurable on the
         # cache-hit path that does no other work.
@@ -211,157 +128,47 @@ class Clipper:
         self._throughput_meter = self.metrics.meter("predict.throughput")
         self._predict_counter = self.metrics.counter("predict.count")
         self._default_counter = self.metrics.counter("predict.defaults")
-        self._straggler_counter = self.metrics.counter("predict.stragglers")
-        self._container_error_counter = self.metrics.counter("predict.container_errors")
         self._feedback_counter = self.metrics.counter("feedback.count")
         self._feedback_meter = self.metrics.meter("feedback.throughput")
-        self._unavailable_counter = self.metrics.counter("predict.unavailable_models")
-        # Overload layer.  With no OverloadConfig the admission gate is None
-        # and no breaker dict entries exist, so the serve path's only cost is
-        # a couple of attribute reads per query — and the cache-hit fast path
-        # pays nothing at all (the gate is consulted only at a cache miss).
-        overload_cfg = self.config.overload
-        self._admission = (
-            AdmissionController(overload_cfg) if overload_cfg is not None else None
-        )
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_transition_family = None
-        self._breaker_fastfail_counter = None
-        if self._admission is not None:
-            shed_family = self.metrics.counter_family("overload.shed", label="policy")
-            self._shed_counters = {
-                "reject": shed_family.labels("reject"),
-                "degrade": shed_family.labels("degrade"),
-                "drop-oldest": shed_family.labels("drop-oldest"),
-            }
-            self.metrics.gauge("overload.saturation", fn=self._admission.saturation)
-        else:
-            self._shed_counters = None
-        # The tracing layer follows the same handle discipline: ``begin`` is
-        # bound once, and an untraced query's total tracing cost is that one
-        # call returning None plus per-site ``is not None`` checks.
-        self.tracer = Tracer(
-            self.config.tracing, metrics=self.metrics, component="engine"
-        )
-        self._trace_begin = self.tracer.begin
-        # Shadow (tail-capture) contexts attach only when a query leaves the
-        # cache-hit path; None when tail capture can never trigger.
-        self._trace_shadow = (
-            self.tracer.shadow
-            if self.tracer.active and self.tracer.tail_capture
-            else None
-        )
+        #: Every admission / shed / circuit-breaker decision.  Consulted
+        #: only when a query leaves the cache, so the cache-hit fast path is
+        #: identical to an instance with no overload control configured.
+        self.overload = OverloadControl(self.config, self.metrics, self.tracer)
 
     # -- deployment -----------------------------------------------------------
 
-    def set_replica_set_factory(self, factory) -> None:
-        """Install a replica-placement hook for subsequent deployments.
-
-        ``factory(deployment, model_id)`` returns a ReplicaSet-compatible
-        object — e.g. a :class:`~repro.cluster.remote.RemoteReplicaSet`
-        placing containers on worker daemons — or ``None`` to fall back to
-        the in-process default for that deployment.  Already-deployed models
-        are unaffected.
-        """
-        self._replica_set_factory = factory
-
     def _register_model(
         self, deployment: ModelDeployment, activate: Optional[bool]
-    ) -> _DeployedModel:
-        """Build the serving machinery for one model version (not started)."""
+    ) -> Tuple[DeployedModel, Optional[tuple]]:
+        """Build and register one model version's serving machinery (not started).
+
+        Returns the record and, when registering changed the name's routing,
+        the ``(split, rollback target)`` it had before — what
+        :meth:`_bring_up` reinstalls if the version then fails to start.
+        """
         model_id = ModelId(deployment.name, deployment.version)
         key = str(model_id)
         if key in self._models:
             raise DeploymentError(f"model '{key}' is already deployed")
 
-        replica_set = None
-        if self._replica_set_factory is not None:
-            replica_set = self._replica_set_factory(deployment, model_id)
-        if replica_set is None:
-            replica_set = ReplicaSet(
-                model_id=model_id,
-                container_factory=deployment.container_factory,
-                num_replicas=deployment.num_replicas,
-                serialize_messages=deployment.serialize_rpc,
-                transport=deployment.transport,
-            )
-        queue = BatchingQueue(name=key, maxsize=deployment.batching.max_queue_depth)
-        record = _DeployedModel(deployment, replica_set, queue, [])
-        record.dispatchers = [
-            self._make_dispatcher(record, replica) for replica in replica_set
-        ]
+        record = self._layer.build(deployment, model_id)
         self._models[key] = record
-        # Pressure observability: callback gauges read the queue only at
-        # scrape/snapshot time, so the enqueue path pays nothing.  ``bind``
-        # repoints an existing gauge at the new queue when a key is
-        # redeployed after an undeploy (metrics are never removed).
-        self.metrics.gauge(f'queue.saturation{{model="{key}"}}').bind(queue.saturation)
-        self.metrics.gauge(f'queue.depth{{model="{key}"}}').bind(queue.qsize)
-        breaker_config = deployment.circuit_breaker or self.config.breaker
-        if breaker_config is not None:
-            self._breakers[key] = self._make_breaker(key, breaker_config)
+        self.overload.add_model(key, record.queue, deployment.circuit_breaker)
+        name = deployment.name
         if activate is None:
             # Default: the first version of a name serves immediately; later
             # versions come up staged and wait for an explicit rollout.
-            activate = self.routing.active_key(deployment.name) is None
-        if activate:
-            had_canary = self.routing.canary_key(deployment.name) is not None
-            self.routing.activate(deployment.name, key)
-            if had_canary:
-                # The forced activation discarded an in-flight canary; its
-                # mixed serving-set state is unreachable now.
-                self._prune_selection_state()
-        return record
-
-    def _make_breaker(self, model_key: str, config) -> CircuitBreaker:
-        """Build one model's circuit breaker wired into metrics + tracing."""
-        if self._breaker_transition_family is None:
-            self._breaker_transition_family = self.metrics.counter_family(
-                "breaker.transitions", label="state"
-            )
-            self._breaker_fastfail_counter = self.metrics.counter(
-                "overload.breaker_fastfail"
-            )
-        family = self._breaker_transition_family
-
-        def on_transition(old_state: str, new_state: str) -> None:
-            family.labels(new_state).increment()
-            self.tracer.capture_event(
-                "breaker.transition",
-                meta={"model": model_key, "from": old_state, "to": new_state},
-                component="overload",
-            )
-
-        return CircuitBreaker(config, on_transition=on_transition)
-
-    def _make_dispatcher(
-        self, record: _DeployedModel, replica
-    ) -> ReplicaDispatcher:
-        controller = make_controller(
-            record.deployment.batching, slo_ms=self.config.batch_latency_budget_ms
-        )
-        model_key = str(record.model_id)
-
-        def late_result_sink(item: PendingQuery, output: Any) -> None:
-            # A query that missed its straggler deadline still populates the
-            # prediction cache when its container output finally lands, so
-            # the feedback path can join against it (§4.2 / §5.2.2).
-            if item.input_hash is not None:
-                self.cache.put_by_hash(
-                    model_key, item.input_hash, _detach_output(output)
-                )
-
-        return ReplicaDispatcher(
-            replica=replica,
-            queue=record.queue,
-            controller=controller,
-            batch_wait_timeout_ms=record.deployment.batching.batch_wait_timeout_ms,
-            metrics=self.metrics,
-            max_retries=record.deployment.max_batch_retries,
-            pipeline_window=record.deployment.batching.pipeline_window,
-            late_result_sink=late_result_sink,
-            tracer=self.tracer,
-        )
+            activate = self.routing.active_key(name) is None
+        if not activate:
+            return record, None
+        routing_before = (self.routing.split_for(name), self.routing.previous_key(name))
+        had_canary = self.routing.canary_key(name) is not None
+        self.routing.activate(name, key)
+        if had_canary:
+            # The forced activation discarded an in-flight canary; its
+            # mixed serving-set state is unreachable now.
+            self._prune_selection_state()
+        return record, routing_before
 
     def deploy_model(
         self, deployment: ModelDeployment, activate: Optional[bool] = None
@@ -375,19 +182,18 @@ class Clipper:
         unless ``activate=True`` forces an immediate switch.  Returns the
         assigned :class:`ModelId`.
         """
-        record = self._register_model(deployment, activate)
+        record, routing_before = self._register_model(deployment, activate)
         if self._started:
+            bring_up = self._bring_up(record, routing_before)
             try:
                 running_loop = asyncio.get_running_loop()
             except RuntimeError:
-                running_loop = None
-            if running_loop is not None:
+                self._run_coroutine_now(bring_up)
+            else:
                 # Deployment from async code while serving: bring the model up
                 # as a background task; queries queued before it finishes wait
                 # in the model's batching queue.
-                running_loop.create_task(self._start_model(record))
-            else:
-                self._run_coroutine_now(self._start_model(record))
+                running_loop.create_task(bring_up)
         return record.model_id
 
     async def deploy_model_async(
@@ -397,13 +203,38 @@ class Clipper:
 
         This is the management plane's entry point: when it returns, the new
         version's replicas and dispatchers are running (on a started
-        instance) and the version is serving or staged as requested.
+        instance) and the version is serving or staged as requested.  When a
+        replica fails to start the error propagates and the deployment is
+        unwound, so the same key can be deployed again.
         """
         async with self._admin_lock:
-            record = self._register_model(deployment, activate)
+            record, routing_before = self._register_model(deployment, activate)
             if self._started:
-                await self._start_model(record)
+                await self._bring_up(record, routing_before)
             return record.model_id
+
+    async def _bring_up(
+        self, record: DeployedModel, routing_before: Optional[tuple]
+    ) -> None:
+        """Start a just-registered version; a failed start unregisters it.
+
+        Left registered, a version whose replicas never started would keep
+        receiving routed queries that nothing dispatches (each one a
+        straggler) and could not be redeployed ("already deployed").
+        """
+        try:
+            await record.start()
+        except BaseException as error:
+            key = str(record.model_id)
+            del self._models[key]
+            self.overload.remove_model(key)
+            if routing_before is not None:
+                self.routing.restore(record.model_id.name, *routing_before)
+            # Whatever queued up while the version looked deployed fails now.
+            record.fail_queued(
+                DeploymentError(f"model '{key}' failed to start: {error}")
+            )
+            raise
 
     async def undeploy_model(self, model: str) -> ModelId:
         """Remove a model version from a (possibly running) instance.
@@ -434,47 +265,23 @@ class Clipper:
             elif self.routing.previous_key(name) == key:
                 self.routing.drop_previous(name)
             del self._models[key]
-            self._breakers.pop(key, None)
+            self.overload.remove_model(key)
             self._prune_selection_state()
             if self._started:
-                record.queue.close()
-                await self._drain_queue(record)
-                for dispatcher in record.dispatchers:
-                    await dispatcher.stop()
-                await record.replica_set.stop()
+                await record.stop(drain=True)
             return record.model_id
 
     async def set_num_replicas(self, model: str, num_replicas: int) -> int:
         """Grow or shrink a model version's live replica set; returns the new size.
 
-        Scaling up builds fresh containers from the deployment's factory and
-        attaches a new dispatcher per replica to the version's existing
-        batching queue.  Scaling down detaches dispatchers one at a time —
-        each finishes its in-flight batch, and queries still waiting in the
-        shared queue are picked up by the surviving replicas — before the
-        spare replicas are stopped.
+        See :meth:`DeployedModel.scale_to` for how replicas and their
+        dispatchers join and leave a live queue.
         """
         if num_replicas < 1:
             raise DeploymentError("num_replicas must be >= 1")
         async with self._admin_lock:
-            key = self.routing.resolve_key(model, self._models)
-            record = self._models[key]
-            while len(record.replica_set) < num_replicas:
-                replica = record.replica_set.add_replica()
-                dispatcher = self._make_dispatcher(record, replica)
-                record.dispatchers.append(dispatcher)
-                if self._started:
-                    await replica.start()
-                    dispatcher.start()
-            while len(record.replica_set) > num_replicas:
-                replica = record.replica_set.replicas[-1]
-                dispatcher = record.dispatcher_for(replica)
-                if dispatcher is not None:
-                    await dispatcher.stop()
-                    record.dispatchers.remove(dispatcher)
-                record.replica_set.remove_replica(replica)
-                await replica.stop()
-            return len(record.replica_set)
+            record = self._models[self.routing.resolve_key(model, self._models)]
+            return await record.scale_to(num_replicas, running=self._started)
 
     # -- traffic shifting (canary rollouts) -----------------------------------
 
@@ -609,16 +416,6 @@ class Clipper:
         self.routing.restore(model_name, split, previous_key)
         self._prune_selection_state()
 
-    @staticmethod
-    async def _drain_queue(record: _DeployedModel, timeout_s: float = 10.0) -> None:
-        """Wait for the record's dispatchers to drain its (closed) queue.
-
-        Event-driven: the queue wakes us when the last item is handed to a
-        dispatcher.  The timeout bounds teardown when nothing can drain the
-        queue any more (e.g. every dispatcher already quarantined).
-        """
-        await record.queue.wait_empty(timeout_s=timeout_s)
-
     def deployed_models(self) -> List[ModelId]:
         """Ids of every deployed model version (serving and staged)."""
         return [record.model_id for record in self._models.values()]
@@ -640,11 +437,11 @@ class Clipper:
             if record.model_id.name == model_name
         ]
 
-    def model_records(self) -> List[_DeployedModel]:
+    def model_records(self) -> List[DeployedModel]:
         """Internal serving records (used by the management plane)."""
         return list(self._models.values())
 
-    def model_record(self, model: str) -> _DeployedModel:
+    def model_record(self, model: str) -> DeployedModel:
         """The serving record for one model key or bare name."""
         return self._models[self.routing.resolve_key(model, self._models)]
 
@@ -717,23 +514,15 @@ class Clipper:
         if not self._models and not self.config.allow_empty_start:
             raise ClipperError("cannot start Clipper with no deployed models")
         for record in self._models.values():
-            await self._start_model(record)
+            await record.start()
         self._started = True
-
-    async def _start_model(self, record: _DeployedModel) -> None:
-        await record.replica_set.start()
-        for dispatcher in record.dispatchers:
-            dispatcher.start()
 
     async def stop(self) -> None:
         """Stop dispatchers and container replicas."""
         if not self._started:
             return
         for record in self._models.values():
-            record.queue.close()
-            for dispatcher in record.dispatchers:
-                await dispatcher.stop()
-            await record.replica_set.stop()
+            await record.stop()
         self._started = False
 
     # -- prediction path ------------------------------------------------------
@@ -752,27 +541,24 @@ class Clipper:
             raise ClipperError("Clipper is not started")
         start = time.monotonic()
         slo_ms = query.latency_slo_ms or self.config.latency_slo_ms
-        deadline = start + slo_ms / 1000.0
 
         # Tracing: ``begin`` returns a context only for head-sampled (or
         # caller-forced) queries, so the cache-hit fast path pays exactly one
         # call returning None plus per-site ``is not None`` branches.  A
-        # shadow context attaches lazily at the first cache miss below — the
-        # only place tail-capture flags (SLO miss, straggler, retry, error)
-        # can originate.  Engine-side per-stage spans are recorded for
+        # shadow context attaches lazily when the query leaves the cache —
+        # the only place tail-capture flags (SLO miss, straggler, retry,
+        # error) can originate.  Engine-side per-stage spans are recorded for
         # *sampled* traces only; the flag sites and the dispatcher's
         # queue/RPC spans cover shadow traces too, which is what tail
         # capture needs.
-        trace = sampled = self._trace_begin(query.trace_id, start)
+        sampled = self._trace_begin(query.trace_id, start)
         if sampled is not None:
-            if query.metadata:
-                # The frontend may have stamped edge-side spans (input
-                # validation) before the engine clock started.
-                pre = query.metadata.get("pre_spans")
-                if pre:
-                    sampled.spans.extend(pre)
-                    sampled.start = pre[0][1]
-            t_stage = start
+            # The frontend may have stamped edge-side spans (input
+            # validation) before the engine clock started.
+            pre = query.metadata.get("pre_spans") if query.metadata else None
+            if pre:
+                sampled.spans.extend(pre)
+                sampled.start = pre[0][1]
 
         # The input is hashed exactly once per query; the digest is reused
         # for the routing key, every per-model cache fetch/insert, the
@@ -784,384 +570,89 @@ class Clipper:
             query.input, context=query.user_id
         )
         if sampled is not None:
-            now = time.monotonic()
-            sampled.spans.append(("selection.select", t_stage, now, None))
-            t_stage = now
-        pending: Dict[str, asyncio.Future] = {}
-        predictions: Dict[str, Any] = {}
-        cache_hits = 0
-        # Overload control touches only cache misses: a fully cached query
-        # never consults the admission gate or any breaker, keeping the
-        # fast path identical to an unconfigured instance.
-        admission = self._admission
-        breakers = self._breakers
-        admitted = False
-        try:
-            for model_key in selected:
-                cached = self.cache.fetch_by_hash(model_key, input_hash)
-                if cached is not None:
-                    predictions[model_key] = cached
-                    cache_hits += 1
-                    continue
-                if admission is not None and not admitted:
-                    # One admission slot per query, consumed at the first
-                    # cache miss and returned in the ``finally`` below.
-                    if admission.try_acquire():
-                        admitted = True
-                    elif (
-                        admission.config.shed_policy == "drop-oldest"
-                        and self._try_drop_oldest(model_key)
-                    ):
-                        admission.force_acquire()
-                        admitted = True
-                    else:
-                        return self._shed(query, start, selected, trace, slo_ms)
-                breaker = breakers.get(model_key) if breakers else None
-                if breaker is not None and not breaker.allow():
-                    # Breaker open: fast-fail this model without touching its
-                    # queue; the query renders from the remaining models or
-                    # the default output, exactly like a missing model.
-                    self._breaker_fastfail_counter.increment()
-                    continue
-                if trace is None and self._trace_shadow is not None:
-                    trace = self._trace_shadow(start)
-                try:
-                    future = await self._submit(
-                        model_key, query, deadline, input_hash, trace,
-                        shed_on_full=True,
-                    )
-                except DeploymentError:
-                    # The model was undeployed between selection and
-                    # submission (a live management op); treat it as missing
-                    # rather than failing the query.
-                    self._unavailable_counter.increment()
-                    if breaker is not None:
-                        breaker.abandon()
-                    continue
-                except OverloadError:
-                    # Bounded queue full and drop-oldest could not make room.
-                    if breaker is not None:
-                        breaker.abandon()
-                    return self._shed(query, start, selected, trace, slo_ms)
-                pending[model_key] = future
-            if sampled is not None:
-                now = time.monotonic()
-                sampled.spans.append(("cache.lookup", t_stage, now, None))
-                t_stage = now
+            sampled.add("selection.select", start, time.monotonic())
+        predictions, cache_hits, trace, shed = await self._resolve(
+            selected, query, input_hash, self.overload,
+            start=start, deadline=start + slo_ms / 1000.0, trace=sampled,
+        )
 
-            if pending:
-                if trace is not None:
-                    t_wait = time.monotonic()
-                # Await each pending model future directly.  With straggler
-                # mitigation on, every future self-resolves by the deadline
-                # (the sweep timer delivers DEADLINE_MISS), so the sequential
-                # loop still returns at the deadline while each completion
-                # wakes this task without intermediate waiter futures or
-                # per-query timers.
-                for model_key, future in pending.items():
-                    breaker = breakers.get(model_key) if breakers else None
-                    try:
-                        output = await future
-                    except asyncio.CancelledError:
-                        if future.cancelled():
-                            if breaker is not None:
-                                breaker.abandon()
-                            continue  # the query was abandoned, not this task
-                        raise
-                    except Exception:
-                        # Container/RPC failure, or the batch layer dropped
-                        # the query as already expired.
-                        self._container_error_counter.increment()
-                        if breaker is not None:
-                            breaker.record_failure()
-                        if trace is not None:
-                            trace.flags |= TRACE_ERROR
-                        continue
-                    if output is DEADLINE_MISS:
-                        # Straggler: rendered without this model (§5.2.2).
-                        # Its late result still lands in the cache — the
-                        # dispatcher late-fills through the sink installed at
-                        # deployment.
-                        self._straggler_counter.increment()
-                        if breaker is not None:
-                            breaker.record_failure(timeout=True)
-                        if trace is not None:
-                            trace.flags |= TRACE_STRAGGLER
-                            now = time.monotonic()
-                            trace.spans.append(
-                                ("deadline.miss", now, now, {"model": model_key})
-                            )
-                        continue
-                    if breaker is not None:
-                        breaker.record_success()
-                    output = _detach_output(output)
-                    self.cache.put_by_hash(model_key, input_hash, output)
-                    predictions[model_key] = output
-                if trace is not None:
-                    t_stage = time.monotonic()
-                    trace.spans.append(("model.wait", t_wait, t_stage, None))
+        now = time.monotonic()
+        latency_ms = (now - start) * 1000.0
+        if plan.tracked_arms and not shed:
+            # Canary in flight: attribute this query's outcome to the
+            # split arm(s) that served it, through handles resolved at
+            # table-swap time (zero registry lookups here).  A shed query
+            # says nothing about either arm.
+            for arm_key, arm in plan.tracked_arms:
+                if arm_key in selected:
+                    arm.observe(latency_ms, ok=arm_key in predictions)
 
-            latency_ms = (time.monotonic() - start) * 1000.0
-            if len(predictions) == len(selected):
-                missing = ()
-            else:
-                missing = tuple(key for key in selected if key not in predictions)
-            if plan.tracked_arms:
-                # Canary in flight: attribute this query's outcome to the
-                # split arm(s) that served it, through handles resolved at
-                # table-swap time (zero registry lookups here).
-                for arm_key, arm in plan.tracked_arms:
-                    if arm_key in selected:
-                        arm.observe(latency_ms, ok=arm_key in predictions)
-
-            if not predictions:
-                if self.config.default_output is not None:
-                    return self._finish(
-                        query, self.config.default_output, 0.0, latency_ms,
-                        selected, missing, default_used=True, from_cache=False,
-                        trace=trace, slo_ms=slo_ms,
-                    )
-                if trace is not None:
-                    self.tracer.finish(
-                        trace, latency_ms > slo_ms, False, True, query.query_id
-                    )
-                raise PredictionTimeoutError(query.query_id, slo_ms)
-
+        default_output = self.config.default_output
+        error = None
+        if predictions:
             output, confidence = selection.combine(
                 query.input, predictions, context=query.user_id,
                 state=selection_state,
             )
             if sampled is not None:
-                sampled.spans.append(
-                    ("selection.combine", t_stage, time.monotonic(), None)
-                )
-            default_used = False
-            if (
+                sampled.add("selection.combine", now, time.monotonic())
+            default_used = (
                 self.config.confidence_threshold > 0.0
                 and confidence < self.config.confidence_threshold
-                and self.config.default_output is not None
-            ):
-                output = self.config.default_output
-                default_used = True
-            return self._finish(
-                query,
-                output,
-                confidence,
-                latency_ms,
-                selected,
-                missing,
-                default_used=default_used,
-                from_cache=cache_hits == len(selected),
-                trace=trace,
-                slo_ms=slo_ms,
+                and default_output is not None
             )
-        finally:
-            if admitted:
-                admission.release()
-
-    async def _submit(
-        self,
-        model_key: str,
-        query: Query,
-        deadline: Optional[float],
-        input_hash: Optional[str] = None,
-        trace: Optional[Any] = None,
-        shed_on_full: bool = False,
-    ) -> asyncio.Future:
-        record = self._models.get(model_key)
-        if record is None:
-            raise DeploymentError(f"selection policy chose unknown model '{model_key}'")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        item = PendingQuery(
-            input=query.input,
-            future=future,
-            deadline=deadline if self.config.straggler_mitigation else None,
-            query_id=query.query_id,
-            input_hash=input_hash,
-            trace=trace,
-        )
-        if record.queue.maxsize == 0:
-            # Unbounded queue (the default): enqueue without suspending.
-            record.queue.put_nowait(item)
-        elif shed_on_full:
-            # The prediction path never blocks on a full bounded queue: it
-            # sheds instead (drop-oldest makes room by evicting the entry
-            # closest to deadline expiry; otherwise OverloadError bubbles
-            # to the caller's shed policy).
-            try:
-                record.queue.put_nowait(item)
-            except asyncio.QueueFull:
-                admission = self._admission
-                policy = admission.config.shed_policy if admission else None
-                if policy == "drop-oldest" and self._try_drop_oldest(model_key):
-                    record.queue.put_nowait(item)
-                else:
-                    raise OverloadError(
-                        f"queue for model '{model_key}' is full",
-                        retry_after_s=(
-                            admission.retry_after_s()
-                            if admission is not None
-                            else self.config.latency_slo_ms / 1000.0
-                        ),
-                    ) from None
+            if default_used:
+                output = default_output
+        elif isinstance(shed, OverloadError) or default_output is None:
+            # Refused by the shed policy, or nothing to answer with.
+            error = shed or PredictionTimeoutError(query.query_id, slo_ms)
+            output, confidence, default_used = None, 0.0, False
         else:
-            await record.queue.put(item)
-        if item.deadline is not None:
-            self._sweeper.register(future, item.deadline)
-        return future
-
-    def _try_drop_oldest(self, model_key: str) -> bool:
-        """Evict the queued entry closest to deadline expiry to make room.
-
-        The victim's future resolves with :data:`DEADLINE_MISS`, so from its
-        caller's perspective the dropped query looks exactly like a straggler
-        (rendered from the remaining models or the default output).
-        """
-        record = self._models.get(model_key)
-        if record is None:
-            return False
-        victim = record.queue.evict_expiring()
-        if victim is None:
-            return False
-        if not victim.future.done():
-            victim.future.set_result(DEADLINE_MISS)
-        if self._shed_counters is not None:
-            self._shed_counters["drop-oldest"].increment()
-        self.tracer.capture_event(
-            "overload.shed",
-            meta={"policy": "drop-oldest", "victim_query_id": victim.query_id,
-                  "model": model_key},
-            component="overload",
+            # No model answered in time, every breaker was open, or the
+            # ``degrade`` shed policy spoke: the default output.
+            output, confidence, default_used = default_output, 0.0, True
+        return self._finish(
+            query, output, confidence, error, latency_ms, slo_ms, selected,
+            predictions, default_used, cache_hits == len(selected), trace,
         )
-        return True
-
-    def _shed(
-        self,
-        query: Query,
-        start: float,
-        selected: List[str],
-        trace: Optional[Any],
-        slo_ms: float,
-    ) -> Prediction:
-        """Resolve a query the admission gate refused.
-
-        Under the ``degrade`` policy (with a default output configured) the
-        query is answered immediately with the default prediction flagged
-        ``default_used``; every other case raises :class:`OverloadError`,
-        which the HTTP frontend renders as a structured 429 with a
-        ``Retry-After`` hint.
-        """
-        admission = self._admission
-        policy = admission.config.shed_policy if admission is not None else "reject"
-        if policy == "degrade" and self.config.default_output is not None:
-            if self._shed_counters is not None:
-                self._shed_counters["degrade"].increment()
-            self.tracer.capture_event(
-                "overload.shed",
-                meta={"policy": "degrade", "query_id": query.query_id},
-                component="overload",
-            )
-            latency_ms = (time.monotonic() - start) * 1000.0
-            return self._finish(
-                query, self.config.default_output, 0.0, latency_ms,
-                selected, tuple(selected), default_used=True, from_cache=False,
-                trace=trace, slo_ms=slo_ms,
-            )
-        if self._shed_counters is not None:
-            self._shed_counters["reject"].increment()
-        self.tracer.capture_event(
-            "overload.shed",
-            meta={"policy": "reject", "query_id": query.query_id},
-            component="overload",
-        )
-        if trace is not None:
-            latency_ms = (time.monotonic() - start) * 1000.0
-            self.tracer.finish(
-                trace, latency_ms > slo_ms, False, True, query.query_id
-            )
-        raise OverloadError(
-            f"application '{query.app_name}' is overloaded",
-            retry_after_s=(
-                admission.retry_after_s() if admission is not None else 1.0
-            ),
-        )
-
-    def check_admission(self) -> None:
-        """Edge precheck: refuse obviously-doomed requests before any work.
-
-        Called by the HTTP frontend ahead of input validation.  Only the
-        ``reject`` policy short-circuits here (non-consuming ``saturated()``
-        peek — the engine's ``try_acquire`` still makes the real decision);
-        ``degrade`` and ``drop-oldest`` must reach the engine to produce
-        their answer.
-        """
-        admission = self._admission
-        if admission is None or admission.config.shed_policy != "reject":
-            return
-        if admission.saturated():
-            if self._shed_counters is not None:
-                self._shed_counters["reject"].increment()
-            self.tracer.capture_event(
-                "overload.shed",
-                meta={"policy": "reject", "stage": "edge"},
-                component="overload",
-            )
-            raise OverloadError(
-                "application is overloaded",
-                retry_after_s=admission.retry_after_s(),
-            )
-
-    def overload_state(self) -> dict:
-        """Pressure snapshot for the management plane's ``describe``."""
-        queues = {}
-        for key, record in self._models.items():
-            queue = record.queue
-            queues[key] = {
-                "depth": queue.qsize(),
-                "max_depth": queue.maxsize,
-                "saturation": round(queue.saturation(), 4),
-            }
-        return {
-            "admission": (
-                self._admission.state() if self._admission is not None else None
-            ),
-            "breakers": {
-                key: breaker.describe() for key, breaker in self._breakers.items()
-            },
-            "queues": queues,
-        }
 
     def _finish(
         self,
         query: Query,
         output: Any,
         confidence: float,
+        error: Optional[Exception],
         latency_ms: float,
+        slo_ms: float,
         selected: List[str],
-        missing: tuple,
+        predictions: Dict[str, Any],
         default_used: bool,
         from_cache: bool,
-        trace: Optional[Any] = None,
-        slo_ms: Optional[float] = None,
+        trace: Optional[Any],
     ) -> Prediction:
+        """Every way out of :meth:`predict` that is not a cancellation.
+
+        Closes the query's trace exactly once, then either raises ``error``
+        or counts the answered query and builds the response.
+        """
+        trace_id = None
+        if trace is not None:
+            trace_id = self.tracer.finish(
+                trace, latency_ms > slo_ms, default_used, error is not None,
+                query.query_id,
+            )
+        if error is not None:
+            raise error
         self._latency_hist.observe(latency_ms)
         self._throughput_meter.mark()
         self._predict_counter.increment()
         if default_used:
             self._default_counter.increment()
-        if missing:
-            models_used = tuple(key for key in selected if key not in missing)
+        if len(predictions) == len(selected):
+            models_used, missing = tuple(selected), ()
         else:
-            models_used = tuple(selected)
-        trace_id = None
-        if trace is not None:
-            trace_id = self.tracer.finish(
-                trace,
-                slo_ms is not None and latency_ms > slo_ms,
-                default_used,
-                False,
-                query.query_id,
-            )
+            models_used = tuple(key for key in selected if key in predictions)
+            missing = tuple(key for key in selected if key not in predictions)
         return Prediction(
             query_id=query.query_id,
             app_name=query.app_name,
@@ -1196,27 +687,9 @@ class Clipper:
         # not be evaluated for feedback.
         plan = self.routing.plan_for(feedback.user_id or input_hash)
         selection = self._selection_manager_for(plan)
-        predictions: Dict[str, Any] = {}
-        pending: Dict[str, asyncio.Future] = {}
-        for model_key in plan.serving_keys:
-            cached = self.cache.fetch_by_hash(model_key, input_hash)
-            if cached is not None:
-                predictions[model_key] = cached
-                continue
-            query = Query(app_name=feedback.app_name, input=feedback.input)
-            try:
-                pending[model_key] = await self._submit(
-                    model_key, query, deadline=None, input_hash=input_hash
-                )
-            except DeploymentError:
-                self._unavailable_counter.increment()
-        if pending:
-            await asyncio.wait(list(pending.values()))
-            for model_key, future in pending.items():
-                if future.exception() is None:
-                    output = _detach_output(future.result())
-                    predictions[model_key] = output
-                    self.cache.put_by_hash(model_key, input_hash, output)
+        predictions, _, _, _ = await self._resolve(
+            plan.serving_keys, feedback, input_hash, UNGUARDED
+        )
         selection.observe(
             feedback.input, feedback.label, predictions, context=feedback.user_id
         )

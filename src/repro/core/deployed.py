@@ -1,0 +1,380 @@
+"""The model abstraction layer (paper §4): deployed versions behind a cache.
+
+:class:`DeployedModel` is one model version's serving machinery — a
+:class:`~repro.containers.replica.ReplicaSet`, the batching queue its
+replicas share, and one :class:`~repro.batching.dispatcher.ReplicaDispatcher`
+per replica draining that queue — kept in step through start, stop and
+runtime scaling, so the engine and the health monitor never edit the two
+lists separately.
+
+:class:`ModelLayer` is all of an application's deployed versions behind the
+prediction cache.  The selection layer above it asks one thing,
+:meth:`ModelLayer.resolve` — the paper's ``Predict(m, x) -> y`` for a set of
+models — and never learns whether an output came from the cache, a queue, a
+local container or a worker daemon, or what the overload layer decided on
+the way.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.batching.controllers import make_controller
+from repro.batching.deadline import DEADLINE_MISS, DeadlineSweeper
+from repro.batching.dispatcher import ReplicaDispatcher
+from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.cache.prediction_cache import PredictionCache
+from repro.containers.replica import Replica, ReplicaSet
+from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.exceptions import DeploymentError, OverloadError
+from repro.core.metrics import MetricsRegistry
+from repro.core.types import ModelId
+from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, Tracer
+from repro.overload import UNGUARDED, Degraded
+
+#: How long a closing version waits for its dispatchers to drain its queue.
+DRAIN_TIMEOUT_S = 10.0
+
+
+class DeployedModel:
+    """A model version's replica set, batching queue and dispatchers."""
+
+    def __init__(
+        self,
+        deployment: ModelDeployment,
+        replica_set: ReplicaSet,
+        make_dispatcher: Callable[["DeployedModel", Replica], ReplicaDispatcher],
+    ) -> None:
+        self.deployment = deployment
+        self.replica_set = replica_set
+        self.queue = BatchingQueue(
+            name=str(replica_set.model_id), maxsize=deployment.batching.max_queue_depth
+        )
+        self._make_dispatcher = make_dispatcher
+        self.dispatchers: List[ReplicaDispatcher] = [
+            make_dispatcher(self, replica) for replica in replica_set
+        ]
+
+    @property
+    def model_id(self) -> ModelId:
+        return self.replica_set.model_id
+
+    def dispatcher_for(self, replica: Replica) -> Optional[ReplicaDispatcher]:
+        """The dispatcher currently draining the queue into ``replica``."""
+        for dispatcher in self.dispatchers:
+            if dispatcher.replica is replica:
+                return dispatcher
+        return None
+
+    async def start(self) -> None:
+        """Start every replica, then every dispatcher."""
+        try:
+            await self.replica_set.start()
+        except BaseException:
+            # Replicas that did start must not outlive the failed bring-up.
+            await self.replica_set.stop()
+            raise
+        for dispatcher in self.dispatchers:
+            dispatcher.start()
+
+    async def stop(self, drain: bool = False) -> None:
+        """Close the queue, stop the dispatchers, then the replicas.
+
+        With ``drain`` the version's own dispatchers first finish the queued
+        work — in-flight queries complete.  The wait is event-driven (the
+        queue wakes us when the last item is handed to a dispatcher); the
+        timeout bounds teardown when nothing can drain the queue any more
+        (e.g. every dispatcher already quarantined).
+        """
+        self.queue.close()
+        if drain:
+            await self.queue.wait_empty(timeout_s=DRAIN_TIMEOUT_S)
+        for dispatcher in self.dispatchers:
+            await dispatcher.stop()
+        await self.replica_set.stop()
+
+    def fail_queued(self, error: Exception) -> None:
+        """Close the queue and fail everything still waiting in it."""
+        self.queue.close()
+        while (item := self.queue.evict_expiring()) is not None:
+            if not item.future.done():
+                item.future.set_exception(error)
+
+    async def scale_to(self, num_replicas: int, running: bool) -> int:
+        """Grow or shrink the live replica set; returns the new size.
+
+        Scaling up builds fresh replicas through the set's builder and
+        attaches a new dispatcher per replica to the existing queue; a
+        replica that cannot start does not join the set.  Scaling down
+        detaches dispatchers one at a time — each finishes its in-flight
+        batch, and queries still waiting in the shared queue are picked up
+        by the surviving replicas — before the spare replicas are stopped.
+        """
+        while len(self.replica_set) < num_replicas:
+            replica = self.replica_set.add_replica()
+            if running:
+                try:
+                    await replica.start()
+                except BaseException:
+                    self.replica_set.remove_replica(replica)
+                    raise
+            dispatcher = self._make_dispatcher(self, replica)
+            self.dispatchers.append(dispatcher)
+            if running:
+                dispatcher.start()
+        while len(self.replica_set) > num_replicas:
+            replica = self.replica_set.replicas[-1]
+            dispatcher = self.dispatcher_for(replica)
+            if dispatcher is not None:
+                await dispatcher.stop()
+                self.dispatchers.remove(dispatcher)
+            self.replica_set.remove_replica(replica)
+            await replica.stop()
+        return len(self.replica_set)
+
+
+def _detach_output(output: Any) -> Any:
+    """An output safe to retain long-term (e.g. in the prediction cache).
+
+    The RPC decoder returns ndarray outputs as zero-copy views into the
+    whole received frame; caching such a view would pin the entire
+    batch-response buffer for the lifetime of one cache entry.  Views are
+    copied once here; owning arrays and scalars pass through.
+    """
+    if isinstance(output, np.ndarray) and output.base is not None:
+        return output.copy()
+    return output
+
+
+def _no_trace(start: float) -> None:
+    """Stands in for ``Tracer.shadow`` when tail capture can never trigger."""
+    return None
+
+
+class ModelLayer:
+    """Every deployed version of one application, behind the prediction cache.
+
+    ``placement(deployment, model_id) -> ReplicaSet`` decides where each
+    deployment's replicas live.
+    """
+
+    def __init__(
+        self,
+        config: ClipperConfig,
+        metrics: MetricsRegistry,
+        tracer: Tracer,
+        placement: Callable[[ModelDeployment, ModelId], ReplicaSet],
+    ) -> None:
+        self._config = config
+        self._metrics = metrics
+        self._tracer = tracer
+        self._placement = placement
+        self.cache = PredictionCache(
+            capacity=config.cache_size, eviction=config.cache_eviction
+        )
+        #: Deployed versions by ``"name:version"`` key, serving and staged.
+        self.versions: Dict[str, DeployedModel] = {}
+        # Straggler deadlines are enforced by a shared bucketed sweep (one
+        # timer per millisecond tick) instead of one timer per query.
+        self._sweeper = DeadlineSweeper()
+        self._straggler_counter = metrics.counter("predict.stragglers")
+        self._container_error_counter = metrics.counter("predict.container_errors")
+        self._unavailable_counter = metrics.counter("predict.unavailable_models")
+        # Shadow (tail-capture) contexts attach only when a query leaves the
+        # cache-hit path; never when tail capture cannot trigger.
+        self._trace_shadow = (
+            tracer.shadow if tracer.active and tracer.tail_capture else _no_trace
+        )
+
+    def build(self, deployment: ModelDeployment, model_id: ModelId) -> DeployedModel:
+        """Place one version's replicas and build its machinery (not started)."""
+        return DeployedModel(
+            deployment, self._placement(deployment, model_id), self._make_dispatcher
+        )
+
+    def _make_dispatcher(
+        self, record: DeployedModel, replica: Replica
+    ) -> ReplicaDispatcher:
+        controller = make_controller(
+            record.deployment.batching, slo_ms=self._config.batch_latency_budget_ms
+        )
+        model_key = str(record.model_id)
+
+        def late_result_sink(item: PendingQuery, output: Any) -> None:
+            # A query that missed its straggler deadline still populates the
+            # prediction cache when its container output finally lands, so
+            # the feedback path can join against it (§4.2 / §5.2.2).
+            if item.input_hash is not None:
+                self.cache.put_by_hash(
+                    model_key, item.input_hash, _detach_output(output)
+                )
+
+        return ReplicaDispatcher(
+            replica=replica,
+            queue=record.queue,
+            controller=controller,
+            batch_wait_timeout_ms=record.deployment.batching.batch_wait_timeout_ms,
+            metrics=self._metrics,
+            max_retries=record.deployment.max_batch_retries,
+            pipeline_window=record.deployment.batching.pipeline_window,
+            late_result_sink=late_result_sink,
+            tracer=self._tracer,
+        )
+
+    async def resolve(
+        self,
+        model_keys: List[str],
+        request: Any,
+        input_hash: str,
+        guard: Any,
+        start: Optional[float] = None,
+        deadline: Optional[float] = None,
+        trace: Optional[Any] = None,
+    ) -> Tuple[Dict[str, Any], int, Optional[Any], Optional[Exception]]:
+        """Each of ``model_keys``' output for one input, from cache or container.
+
+        The one routine under both ``Clipper.predict`` and
+        ``Clipper.feedback``: cache fetch → submit to the model's batching
+        queue → await → detach → cache put.  ``request`` is the
+        :class:`Query` or :class:`Feedback` carrying the input; ``guard`` is
+        the application's :class:`~repro.overload.OverloadControl`, or
+        :data:`~repro.overload.UNGUARDED` for work that is never shed and may
+        wait on a full queue.  ``start``/``deadline`` bound a query that must
+        answer by its SLO (both None: wait for every model; never traced).
+
+        Returns ``(predictions, cache_hits, trace, shed)``: the outputs
+        obtained, by model key; how many came from the cache; the query's
+        trace context — the sampled one passed in, or a shadow attached when
+        an untraced query first reached a queue; and, when the overload
+        layer shed the query, the exception that says how (``predictions``
+        is then empty).  A fully cached input touches neither ``guard`` nor
+        a breaker; otherwise the query's overload ticket is settled on every
+        way out of here, cancellation included.
+        """
+        predictions: Dict[str, Any] = {}
+        misses: List[str] = []
+        for model_key in model_keys:
+            cached = self.cache.fetch_by_hash(model_key, input_hash)
+            if cached is not None:
+                predictions[model_key] = cached
+            else:
+                misses.append(model_key)
+        # A trace passed in is a sampled one; its last span so far ends
+        # where the lookup stage began.
+        sampled = trace
+        if not misses:
+            if sampled is not None:
+                sampled.add("cache.lookup", sampled.spans[-1][2], time.monotonic())
+            return predictions, len(predictions), trace, None
+
+        cache_hits = len(predictions)
+        ticket = UNGUARDED  # nothing to settle until the query is admitted
+        try:
+            ticket = guard.admit(misses[0], request.query_id)
+            pending: Dict[str, asyncio.Future] = {}
+            for model_key in misses:
+                if not ticket.allow(model_key):
+                    continue
+                if trace is None and start is not None:
+                    trace = self._trace_shadow(start)
+                try:
+                    pending[model_key] = await self._submit(
+                        model_key, request, input_hash, deadline, trace, ticket
+                    )
+                except DeploymentError:
+                    # The model was undeployed between selection and
+                    # submission (a live management op); treat it as missing
+                    # rather than failing the query.
+                    self._unavailable_counter.increment()
+            t_wait = time.monotonic()
+            if sampled is not None:
+                sampled.add("cache.lookup", sampled.spans[-1][2], t_wait)
+            # Await each pending model future directly.  With straggler
+            # mitigation on, every future self-resolves by the deadline
+            # (the sweep timer delivers DEADLINE_MISS), so the sequential
+            # loop still returns at the deadline while each completion
+            # wakes this task without intermediate waiter futures or
+            # per-query timers.
+            for model_key, future in pending.items():
+                try:
+                    output = await future
+                except asyncio.CancelledError:
+                    # Cancelling this task also cancels the future it awaits,
+                    # so only the task's own state tells the two cases apart.
+                    if future.cancelled() and not asyncio.current_task().cancelling():
+                        continue  # the queue entry was abandoned, not this task
+                    raise
+                except Exception:
+                    # Container/RPC failure, or the batch layer dropped
+                    # the query as already expired.
+                    self._container_error_counter.increment()
+                    ticket.failed(model_key)
+                    if trace is not None:
+                        trace.flags |= TRACE_ERROR
+                    continue
+                if output is DEADLINE_MISS:
+                    # Straggler: rendered without this model (§5.2.2).
+                    # Its late result still lands in the cache — the
+                    # dispatcher late-fills through the sink installed at
+                    # deployment.
+                    self._straggler_counter.increment()
+                    ticket.failed(model_key, timeout=True)
+                    if trace is not None:
+                        trace.flags |= TRACE_STRAGGLER
+                        now = time.monotonic()
+                        trace.add("deadline.miss", now, now, {"model": model_key})
+                    continue
+                ticket.succeeded(model_key)
+                output = _detach_output(output)
+                self.cache.put_by_hash(model_key, input_hash, output)
+                predictions[model_key] = output
+            if pending and trace is not None:
+                trace.add("model.wait", t_wait, time.monotonic())
+        except (OverloadError, Degraded) as shed:
+            # Refused admission, or a bounded queue was full and the policy
+            # sheds: models already submitted finish on their own and
+            # late-fill the cache.
+            return {}, cache_hits, trace, shed
+        finally:
+            ticket.settle()
+        return predictions, cache_hits, trace, None
+
+    async def _submit(
+        self,
+        model_key: str,
+        request: Any,
+        input_hash: str,
+        deadline: Optional[float],
+        trace: Optional[Any],
+        ticket: Any,
+    ) -> asyncio.Future:
+        record = self.versions.get(model_key)
+        if record is None:
+            raise DeploymentError(f"selection policy chose unknown model '{model_key}'")
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        item = PendingQuery(
+            input=request.input,
+            future=future,
+            deadline=deadline if self._config.straggler_mitigation else None,
+            query_id=request.query_id,
+            input_hash=input_hash,
+            trace=trace,
+        )
+        try:
+            record.queue.put_nowait(item)
+        except asyncio.QueueFull:
+            # A bounded queue is full.  The ticket decides: room was made
+            # (drop-oldest evicted the entry closest to deadline expiry),
+            # the query is shed (raises), or — work that is never shed —
+            # wait for a slot.
+            if ticket.make_room(model_key):
+                record.queue.put_nowait(item)
+            else:
+                await record.queue.put(item)
+        if item.deadline is not None:
+            self._sweeper.register(future, item.deadline)
+        return future

@@ -165,7 +165,7 @@ class QueryFrontend(ApplicationHost):
         # Overload precheck: under the reject shed policy a saturated
         # admission gate refuses the request before any validation work
         # (non-consuming peek; the engine still makes the real decision).
-        clipper.check_admission()
+        clipper.overload.precheck()
         metadata = None
         if clipper.tracer.active:
             t0 = time.monotonic()

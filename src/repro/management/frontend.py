@@ -582,7 +582,7 @@ class ManagementFrontend(ApplicationHost):
                 for name, status in self.replica_health(app_name).items()
             },
             "unhealthy_models": monitor.unhealthy_model_keys() if monitor else [],
-            "overload": clipper.overload_state(),
+            "overload": clipper.overload.state(),
             "recovery": (
                 self._recoveries[app_name].to_dict()
                 if app_name in self._recoveries

@@ -31,6 +31,7 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.containers.replica import Replica
 from repro.core.clipper import Clipper
 from repro.core.exceptions import ContainerError
 from repro.management.records import (
@@ -180,12 +181,12 @@ class HealthMonitor:
             if status.consecutive_failures >= self.failure_threshold:
                 await self._quarantine(record, replica, status)
 
-    async def _probe_replica(self, replica) -> Tuple[bool, float]:
+    async def _probe_replica(self, replica: Replica) -> Tuple[bool, float]:
         start = time.perf_counter()
         ok = await replica.check_health(timeout_s=self.probe_timeout_s)
         return ok, (time.perf_counter() - start) * 1000.0
 
-    def _status_for(self, model_key: str, replica) -> ReplicaHealth:
+    def _status_for(self, model_key: str, replica: Replica) -> ReplicaHealth:
         key = (model_key, replica.replica_id)
         status = self._statuses.get(key)
         if status is None:
@@ -199,7 +200,9 @@ class HealthMonitor:
 
     # -- quarantine & recovery ---------------------------------------------------
 
-    async def _quarantine(self, record, replica, status: ReplicaHealth) -> None:
+    async def _quarantine(
+        self, record, replica: Replica, status: ReplicaHealth
+    ) -> None:
         status.mark(REPLICA_QUARANTINED)
         status.quarantines += 1
         self._quarantine_counter.increment()
@@ -224,7 +227,9 @@ class HealthMonitor:
             self._recover(record, replica, dispatcher, status)
         )
 
-    async def _recover(self, record, replica, dispatcher, status: ReplicaHealth) -> None:
+    async def _recover(
+        self, record, replica: Replica, dispatcher, status: ReplicaHealth
+    ) -> None:
         """Restart a quarantined replica with backoff until it probes healthy."""
         key = (str(record.model_id), replica.replica_id)
         backoff = self.restart_backoff_s

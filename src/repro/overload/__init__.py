@@ -6,6 +6,10 @@ it decides in microseconds whether a query is admitted, shed, degraded to
 the default output, or fast-failed past a tripped model — so the latency
 SLO survives flash crowds and sick models alike.
 
+* :class:`OverloadControl` — the one object the serving engine talks to:
+  it owns the two mechanisms below, the shed policy, the shed counters and
+  events, and hands each query that leaves the cache a :class:`Ticket`
+  settled exactly once on every exit path (:mod:`repro.overload.control`).
 * :class:`AdmissionController` — per-application token-bucket + concurrency
   gate applied at the first cache miss (cache hits never pay for it).
 * :class:`CircuitBreaker` — per-model closed/open/half-open breaker on
@@ -18,5 +22,13 @@ Configuration lives beside the rest of the engine's knobs in
 
 from repro.overload.admission import AdmissionController
 from repro.overload.breaker import CircuitBreaker
+from repro.overload.control import UNGUARDED, Degraded, OverloadControl, Ticket
 
-__all__ = ["AdmissionController", "CircuitBreaker"]
+__all__ = [
+    "AdmissionController",
+    "CircuitBreaker",
+    "Degraded",
+    "OverloadControl",
+    "Ticket",
+    "UNGUARDED",
+]

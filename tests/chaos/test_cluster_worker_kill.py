@@ -20,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.ingress import make_replica_set_factory
 from repro.cluster.registry import WorkerRegistry
 from repro.cluster.remote import WorkerPlacer
 from repro.core.clipper import Clipper
@@ -72,9 +71,9 @@ class TestWorkerKillNine:
                         app_name="app",
                         latency_slo_ms=1000.0,
                         selection_policy="single",
-                    )
+                    ),
+                    placement=placer.replica_set,
                 )
-                clipper.set_replica_set_factory(make_replica_set_factory(placer))
                 clipper.deploy_model(
                     ModelDeployment(
                         name="m",

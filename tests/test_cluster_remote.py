@@ -2,9 +2,12 @@
 
 These spin a :class:`~repro.cluster.worker.WorkerDaemon` inside the test's
 own event loop (real loopback sockets, no child processes) and drive it
-through :class:`~repro.cluster.remote.RemoteReplica` /
-:class:`RemoteReplicaSet` and the Clipper placement seam — the cluster data
-path minus process isolation, which the opt-in ``--cluster`` tier covers.
+through :class:`~repro.cluster.remote.RemoteReplica`,
+:meth:`~repro.cluster.remote.WorkerPlacer.replica_set` and the Clipper
+placement seam — the cluster data path minus process isolation, which the
+opt-in ``--cluster`` tier covers.  What a remote replica shares with every
+other implementation (the ``Replica`` / ``ReplicaSet`` contract, including
+re-placement off a sick worker) is in ``test_replica_contract.py``.
 """
 
 from __future__ import annotations
@@ -16,16 +19,15 @@ import numpy as np
 import pytest
 
 from helpers import run_async
-from repro.cluster.ingress import make_replica_set_factory
 from repro.cluster.registry import WorkerAnnouncement, WorkerRegistry
-from repro.cluster.remote import RemoteReplica, RemoteReplicaSet, WorkerPlacer
+from repro.cluster.remote import RemoteReplica, WorkerPlacer
 from repro.cluster.worker import WorkerDaemon
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ContainerError, RpcError
-from repro.core.types import Query
+from repro.core.types import ModelId, Query
 from repro.rpc.shm import HAS_SHARED_MEMORY
 
 
@@ -94,30 +96,6 @@ class TestWorkerPlacer:
 
 
 class TestRemoteReplica:
-    def test_tcp_lane_predict_and_health(self, tmp_path):
-        async def scenario():
-            daemon = await start_daemon(tmp_path)
-            try:
-                worker = daemon.registry.worker("w0")
-                replica = RemoteReplica(
-                    "m:1", 0, worker, factory_name="echo", transport="tcp"
-                )
-                assert replica.transport_lane == "tcp"
-                assert not replica.started
-                await replica.start()
-                assert replica.started
-                assert replica.name == "m:1[0]@w0"
-                response = await replica.predict_batch([np.zeros(2), np.zeros(2)])
-                assert response.ok
-                assert response.outputs == [1, 1]
-                assert await replica.check_health()
-                await replica.stop()
-                assert not await replica.check_health()
-            finally:
-                await daemon.stop()
-
-        run_async(scenario())
-
     @pytest.mark.shm
     @pytest.mark.skipif(not HAS_SHARED_MEMORY, reason="no shared memory")
     def test_same_host_auto_negotiates_shm(self, tmp_path):
@@ -172,15 +150,25 @@ class TestRemoteReplica:
         run_async(scenario())
 
 
-class TestRemoteReplicaSet:
+def remote_deployment(factory_name="echo", num_replicas=1):
+    return ModelDeployment(
+        name="m",
+        container_factory=lambda: NoOpContainer(output=7),
+        factory_name=factory_name,
+        num_replicas=num_replicas,
+        transport="tcp",
+    )
+
+
+class TestWorkerPlacement:
     def test_spreads_replicas_across_workers(self, tmp_path):
         async def scenario():
             d0 = await start_daemon(tmp_path, "w0")
             d1 = await start_daemon(tmp_path, "w1")
             try:
                 placer = WorkerPlacer(d0.registry)
-                replica_set = RemoteReplicaSet(
-                    "m:1", "echo", placer, num_replicas=2, transport="tcp"
+                replica_set = placer.replica_set(
+                    remote_deployment(num_replicas=2), ModelId("m")
                 )
                 assert len(replica_set) == 2
                 assert [r.replica_id for r in replica_set] == [0, 1]
@@ -196,56 +184,22 @@ class TestRemoteReplicaSet:
 
         run_async(scenario())
 
-    def test_replace_replica_migrates_off_the_sick_worker(self, tmp_path):
-        async def scenario():
-            d0 = await start_daemon(tmp_path, "w0")
-            d1 = await start_daemon(tmp_path, "w1")
-            try:
-                placer = WorkerPlacer(d0.registry)
-                replica_set = RemoteReplicaSet(
-                    "m:1", "echo", placer, num_replicas=2, transport="tcp"
-                )
-                await replica_set.start()
-                sick = next(
-                    r for r in replica_set if r.worker.worker_id == "w0"
-                )
-                fresh = await replica_set.replace_replica(sick)
-                assert fresh.replica_id == sick.replica_id
-                assert fresh.worker.worker_id == "w1"
-                assert not fresh.started  # the caller (health monitor) starts it
-                assert not sick.started
-                await fresh.start()
-                response = await fresh.predict_batch([np.zeros(1)])
-                assert response.outputs == [1]
-                await replica_set.stop()
-            finally:
-                await d0.stop()
-                await d1.stop()
-
-        run_async(scenario())
-
-    def test_contract_guards(self, tmp_path):
+    def test_remote_replica_needs_a_named_factory(self, tmp_path):
         registry = WorkerRegistry(str(tmp_path))
         fake_announcement(registry, "a")
-        placer = WorkerPlacer(registry)
+        worker = registry.worker("a")
         with pytest.raises(ContainerError):
-            RemoteReplicaSet("m:1", "", placer)  # no factory name
-        with pytest.raises(ContainerError):
-            RemoteReplicaSet("m:1", "echo", placer, num_replicas=0)
-        replica_set = RemoteReplicaSet("m:1", "echo", placer, num_replicas=1)
-        with pytest.raises(ContainerError):
-            replica_set.remove_replica(replica_set.replicas[0])
+            RemoteReplica("m:1", 0, worker, factory_name="")
 
 
 class TestClipperPlacementSeam:
     def make_clipper(self, placer):
-        clipper = Clipper(
+        return Clipper(
             ClipperConfig(
                 app_name="app", latency_slo_ms=250.0, selection_policy="single"
-            )
+            ),
+            placement=placer.replica_set,
         )
-        clipper.set_replica_set_factory(make_replica_set_factory(placer))
-        return clipper
 
     def test_named_factory_places_remotely(self, tmp_path):
         async def scenario():
@@ -293,6 +247,81 @@ class TestClipperPlacementSeam:
                         Query(app_name="app", input=np.zeros(4), user_id="u")
                     )
                     assert prediction.output == 7  # served in-process
+                finally:
+                    await clipper.stop()
+            finally:
+                await daemon.stop()
+
+        run_async(scenario())
+
+
+    def test_refused_launch_unwinds_the_deployment(self, tmp_path):
+        async def scenario():
+            daemon = await start_daemon(tmp_path)
+            try:
+                clipper = self.make_clipper(WorkerPlacer(daemon.registry))
+                clipper.deploy_model(
+                    ModelDeployment(name="other", container_factory=NoOpContainer)
+                )
+                await clipper.start()
+                try:
+                    def remote(factory_name):
+                        return ModelDeployment(
+                            name="m",
+                            container_factory=NoOpContainer,
+                            factory_name=factory_name,
+                            num_replicas=2,
+                            transport="tcp",
+                        )
+
+                    # The worker knows no "ghost" factory and refuses.
+                    with pytest.raises(RpcError, match="ghost"):
+                        await clipper.deploy_model_async(remote("ghost"))
+                    # Nothing of the failed version is left behind ...
+                    assert [str(m) for m in clipper.deployed_models()] == ["other:1"]
+                    assert clipper.active_version("m") is None
+                    assert "m:1" not in clipper.overload.state()["queues"]
+                    # ... so the same key deploys cleanly afterwards and serves.
+                    await clipper.deploy_model_async(remote("echo"))
+                    assert str(clipper.active_version("m")) == "m:1"
+                    record = clipper.model_record("m:1")
+                    assert all(replica.started for replica in record.replica_set)
+                    response = await record.replica_set.replicas[0].predict_batch(
+                        [np.zeros(1)]
+                    )
+                    assert response.outputs == [1]
+                finally:
+                    await clipper.stop()
+            finally:
+                await daemon.stop()
+
+        run_async(scenario())
+
+    def test_refused_launch_unwinds_a_scale_up(self, tmp_path):
+        async def scenario():
+            daemon = await start_daemon(tmp_path)
+            try:
+                clipper = self.make_clipper(WorkerPlacer(daemon.registry))
+                clipper.deploy_model(
+                    ModelDeployment(
+                        name="m",
+                        container_factory=NoOpContainer,
+                        factory_name="echo",
+                        transport="tcp",
+                    )
+                )
+                await clipper.start()
+                try:
+                    del daemon._factories["echo"]  # further launches are refused
+                    with pytest.raises(RpcError):
+                        await clipper.set_num_replicas("m", 3)
+                    record = clipper.model_record("m:1")
+                    assert len(record.replica_set) == 1
+                    assert len(record.dispatchers) == 1
+                    prediction = await clipper.predict(
+                        Query(app_name="app", input=np.zeros(4), user_id="u")
+                    )
+                    assert prediction.output == 1
                 finally:
                     await clipper.stop()
             finally:

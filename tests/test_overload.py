@@ -30,7 +30,17 @@ from repro.core.frontend import QueryFrontend
 from repro.core.types import Query
 from repro.management.frontend import ManagementFrontend
 from repro.observability.prometheus import render_prometheus
-from repro.overload import AdmissionController, CircuitBreaker
+from repro.batching.deadline import DEADLINE_MISS
+from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core.metrics import MetricsRegistry
+from repro.observability.tracing import Tracer
+from repro.overload import (
+    UNGUARDED,
+    AdmissionController,
+    CircuitBreaker,
+    Degraded,
+    OverloadControl,
+)
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
 
 
@@ -255,6 +265,157 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
+# OverloadControl units: the whole per-query decision, without a Clipper
+# ---------------------------------------------------------------------------
+
+
+def make_control(default_output=None, breaker=None, **overload):
+    metrics = MetricsRegistry()
+    config = ClipperConfig(
+        app_name="demo",
+        default_output=default_output,
+        overload=OverloadConfig(**overload) if overload else None,
+        breaker=breaker,
+    )
+    return OverloadControl(config, metrics, Tracer(metrics=metrics)), metrics
+
+
+def queued(deadline=None):
+    return PendingQuery(
+        input=[0.0], future=asyncio.get_event_loop().create_future(),
+        deadline=deadline, query_id=99,
+    )
+
+
+class TestOverloadControl:
+    def test_unconfigured_control_admits_everything_and_gates_nothing(self):
+        control, metrics = make_control()
+        control.add_model("m:1", BatchingQueue(name="m:1"))
+        control.precheck()
+        ticket = control.admit("m:1", query_id=1)
+        assert ticket.allow("m:1")
+        ticket.failed("m:1", timeout=True)
+        ticket.settle()
+        assert control.breakers == {}
+        assert control.state()["admission"] is None
+        assert "overload.shed" not in " ".join(metrics.snapshot().counters)
+
+    def test_reject_policy_counts_and_carries_retry_after(self):
+        control, metrics = make_control(rate_limit_qps=0.001, burst=1)
+        ticket = control.admit("m:1", query_id=1)
+        with pytest.raises(OverloadError) as excinfo:
+            control.admit("m:1", query_id=2)
+        assert excinfo.value.retry_after_s > 0
+        with pytest.raises(OverloadError):
+            control.precheck()  # the edge refuses early under ``reject``
+        assert metrics.snapshot().counters['overload.shed{policy="reject"}'] == 2
+        ticket.settle()
+
+    def test_degrade_policy_needs_a_default_output(self):
+        control, metrics = make_control(
+            default_output=0, rate_limit_qps=0.001, burst=1, shed_policy="degrade"
+        )
+        control.admit("m:1", query_id=1)
+        control.precheck()  # only ``reject`` refuses at the edge
+        with pytest.raises(Degraded):
+            control.admit("m:1", query_id=2)
+        assert metrics.snapshot().counters['overload.shed{policy="degrade"}'] == 1
+        no_default, _ = make_control(
+            rate_limit_qps=0.001, burst=1, shed_policy="degrade"
+        )
+        no_default.admit("m:1", query_id=1)
+        with pytest.raises(OverloadError):
+            no_default.admit("m:1", query_id=2)
+
+    def test_drop_oldest_evicts_the_entry_nearest_its_deadline(self):
+        async def scenario():
+            control, metrics = make_control(
+                rate_limit_qps=0.001, burst=1, shed_policy="drop-oldest"
+            )
+            queue = BatchingQueue(name="m:1", maxsize=2)
+            control.add_model("m:1", queue)
+            first = control.admit("m:1", query_id=1)
+            # Nothing queued to evict: the newcomer is refused.
+            with pytest.raises(OverloadError):
+                control.admit("m:1", query_id=2)
+            late, soon = queued(deadline=200.0), queued(deadline=100.0)
+            queue.put_nowait(late)
+            queue.put_nowait(soon)
+            forced = control.admit("m:1", query_id=3)
+            assert soon.future.result() is DEADLINE_MISS
+            assert not late.future.done() and queue.qsize() == 1
+            # A full bounded queue is handled by the same policy.
+            queue.put_nowait(queued())
+            assert forced.make_room("m:1") is True
+            assert late.future.result() is DEADLINE_MISS
+            state = control.state()
+            assert state["admission"]["forced"] == 1
+            assert state["admission"]["inflight"] == 2
+            assert state["queues"]["m:1"]["max_depth"] == 2
+            counters = metrics.snapshot().counters
+            assert counters['overload.shed{policy="drop-oldest"}'] == 2
+            first.settle()
+            forced.settle()
+            forced.settle()  # idempotent
+            assert control.state()["admission"]["inflight"] == 0
+
+        run_async(scenario())
+
+    def test_full_queue_without_drop_oldest_sheds_the_query(self):
+        control, _ = make_control()
+        control.add_model("m:1", BatchingQueue(name="m:1", maxsize=1))
+        ticket = control.admit("m:1", query_id=1)
+        with pytest.raises(OverloadError) as excinfo:
+            ticket.make_room("m:1")
+        assert excinfo.value.retry_after_s == 1.0
+
+    def test_ticket_records_outcomes_and_settle_abandons_the_rest(self):
+        instant_cooldown = CircuitBreakerConfig(
+            error_rate_threshold=0.5, window=2, min_samples=1,
+            open_duration_s=1e-9, half_open_probes=2,
+        )
+        control, metrics = make_control(breaker=instant_cooldown)
+        control.add_model("a:1", BatchingQueue(name="a:1"))
+        control.add_model(
+            "b:1", BatchingQueue(name="b:1"),
+            CircuitBreakerConfig(window=7),  # the deployment's own wins
+        )
+        assert control.breakers["b:1"].config.window == 7
+        breaker = control.breakers["a:1"]
+        ticket = control.admit("a:1", query_id=1)
+        assert ticket.allow("a:1")
+        ticket.failed("a:1")
+        assert breaker.state == OPEN
+        counters = metrics.snapshot().counters
+        assert counters['breaker.transitions{state="open"}'] == 1
+        # The cool-down has already passed: the next two queries are half-open
+        # probes and a third is fast-failed while both slots are reserved.
+        first, second, third = (control.admit("a:1", query_id=i) for i in (2, 3, 4))
+        assert first.allow("a:1") and second.allow("a:1")
+        assert breaker.state == HALF_OPEN and breaker._probes_inflight == 2
+        assert not third.allow("a:1")
+        assert metrics.snapshot().counters["overload.breaker_fastfail"] == 1
+        # A probe that never got an outcome is handed back at settle ...
+        first.settle()
+        assert breaker._probes_inflight == 1
+        # ... and one that did is not handed back twice.
+        second.succeeded("a:1")
+        second.settle()
+        assert breaker._probes_inflight == 0 and breaker.state == HALF_OPEN
+        control.remove_model("a:1")
+        assert "a:1" not in control.breakers
+        assert "a:1" not in control.state()["queues"]
+
+    def test_unguarded_never_sheds_and_waits_on_a_full_queue(self):
+        ticket = UNGUARDED.admit("m:1", query_id=None)
+        assert ticket.allow("m:1")
+        ticket.succeeded("m:1")
+        ticket.failed("m:1", timeout=True)
+        assert ticket.make_room("m:1") is False
+        ticket.settle()
+
+
+# ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
 
@@ -364,6 +525,46 @@ class TestShedPolicies:
 
         run_async(scenario())
 
+    def test_cache_hit_makes_no_call_into_the_overload_object(self):
+        class CountingStub:
+            """Counts every call made into the overload layer."""
+
+            def __init__(self, real):
+                self.real, self.calls = real, []
+
+            def __getattr__(self, name):
+                self.calls.append(name)
+                return getattr(self.real, name)
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="demo",
+                    selection_policy="exp4",
+                    overload=OverloadConfig(max_concurrency=8),
+                    breaker=CircuitBreakerConfig(),
+                )
+            )
+            for name in ("a", "b"):
+                clipper.deploy_model(
+                    ModelDeployment(name=name, container_factory=NoOpContainer)
+                )
+            await clipper.start()
+            try:
+                miss = await clipper.predict(Query(app_name="demo", input=[1.0]))
+                assert not miss.from_cache
+                stub = clipper.overload = CountingStub(clipper.overload)
+                hit = await clipper.predict(Query(app_name="demo", input=[1.0]))
+                assert hit.from_cache
+                assert stub.calls == []
+                # The stub does see a query that leaves the cache.
+                await clipper.predict(Query(app_name="demo", input=[2.0]))
+                assert stub.calls == ["admit"]
+            finally:
+                await clipper.stop()
+
+        run_async(scenario())
+
     def test_degrade_answers_with_default_output(self):
         async def scenario():
             clipper = overloaded_clipper("degrade", default_output=0)
@@ -449,7 +650,7 @@ class TestShedPolicies:
                 assert [2.0] not in container.seen
                 counters = clipper.metrics.snapshot().counters
                 assert counters['overload.shed{policy="drop-oldest"}'] == 1
-                assert clipper.overload_state()["admission"]["forced"] == 1
+                assert clipper.overload.state()["admission"]["forced"] == 1
             finally:
                 gate.set()
                 await clipper.stop()
@@ -487,7 +688,7 @@ class TestCircuitBreakerEndToEnd:
                         Query(app_name="demo", input=[float(i)])
                     )
                     assert result.default_used
-                assert clipper.overload_state()["breakers"]["sick:1"]["state"] == "open"
+                assert clipper.overload.state()["breakers"]["sick:1"]["state"] == "open"
                 calls_at_trip = container.calls
                 # ... after which queries fast-fail to the default without
                 # ever touching the container.
@@ -523,8 +724,8 @@ class TestCircuitBreakerEndToEnd:
         clipper.deploy_model(
             ModelDeployment(name="plain", container_factory=NoOpContainer)
         )
-        assert clipper._breakers["special:1"].config.window == 7
-        assert clipper._breakers["plain:1"].config.window == 100
+        assert clipper.overload.breakers["special:1"].config.window == 7
+        assert clipper.overload.breakers["plain:1"].config.window == 100
 
     def test_undeploy_drops_the_breaker(self):
         async def scenario():
@@ -543,10 +744,128 @@ class TestCircuitBreakerEndToEnd:
             )
             await clipper.start()
             try:
-                assert set(clipper._breakers) == {"a:1", "b:1"}
+                assert set(clipper.overload.breakers) == {"a:1", "b:1"}
                 await clipper.undeploy_model("b:1")
-                assert set(clipper._breakers) == {"a:1"}
+                assert set(clipper.overload.breakers) == {"a:1"}
             finally:
+                await clipper.stop()
+
+        run_async(scenario())
+
+
+class FlakyContainer(ModelContainer):
+    """Fails while ``failing`` is set; answers 1 otherwise."""
+
+    def __init__(self) -> None:
+        self.failing = False
+
+    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
+        if self.failing:
+            raise RuntimeError("model is sick")
+        return [1 for _ in inputs]
+
+
+class TestBreakerProbeSettlement:
+    """A half-open probe slot reserved by ``allow()`` always comes back."""
+
+    def make_clipper(self, flaky, gate):
+        clipper = Clipper(
+            ClipperConfig(
+                app_name="demo",
+                selection_policy="exp4",
+                latency_slo_ms=5000.0,
+                default_output=0,
+            )
+        )
+        clipper.deploy_model(
+            ModelDeployment(
+                name="a",
+                container_factory=lambda: flaky,
+                circuit_breaker=CircuitBreakerConfig(
+                    error_rate_threshold=0.5, window=2, min_samples=1,
+                    open_duration_s=0.2, half_open_probes=1,
+                ),
+            )
+        )
+        clipper.deploy_model(
+            ModelDeployment(
+                name="b",
+                container_factory=lambda: GateContainer(gate),
+                # Serial dispatch: one batch blocks in the container, one
+                # more entry fills the queue.
+                batching=BatchingConfig(max_queue_depth=1, pipeline_window=1),
+            )
+        )
+        return clipper
+
+    async def trip(self, clipper, flaky):
+        flaky.failing = True
+        await clipper.predict(Query(app_name="demo", input=[0.0]))
+        flaky.failing = False
+        breaker = clipper.overload.breakers["a:1"]
+        assert breaker.state == OPEN
+        return breaker
+
+    def test_query_shed_mid_ensemble_returns_its_probe_slot(self):
+        async def scenario():
+            flaky, gate = FlakyContainer(), threading.Event()
+            gate.set()
+            clipper = self.make_clipper(flaky, gate)
+            await clipper.start()
+            try:
+                breaker = await self.trip(clipper, flaky)
+                gate.clear()
+                loop = asyncio.get_event_loop()
+                # While ``a`` is open, fill ``b``: one batch blocked in the
+                # container, then one entry in its depth-1 queue.
+                blocked = []
+                for i in (1, 2):
+                    blocked.append(
+                        loop.create_task(
+                            clipper.predict(Query(app_name="demo", input=[float(i)]))
+                        )
+                    )
+                    await asyncio.sleep(0.15)  # ... and ``a``'s cool-down passes
+                # This query reserves ``a``'s only half-open probe slot, then
+                # is shed because ``b``'s queue is full.
+                with pytest.raises(OverloadError):
+                    await clipper.predict(Query(app_name="demo", input=[3.0]))
+                gate.set()
+                await asyncio.gather(*blocked)
+                assert breaker._probes_inflight == 0
+                # So the model is not wedged out of service: the next query
+                # probes it, succeeds, and closes the breaker.
+                result = await clipper.predict(Query(app_name="demo", input=[4.0]))
+                assert "a:1" in result.models_used
+                assert breaker.state == CLOSED
+            finally:
+                gate.set()
+                await clipper.stop()
+
+        run_async(scenario())
+
+    def test_cancelled_query_returns_its_probe_slot(self):
+        async def scenario():
+            flaky, gate = FlakyContainer(), threading.Event()
+            gate.set()
+            clipper = self.make_clipper(flaky, gate)
+            await clipper.start()
+            try:
+                breaker = await self.trip(clipper, flaky)
+                await asyncio.sleep(0.3)  # cool-down passes
+                gate.clear()
+                # The probe query waits on ``b`` (gated) and is cancelled there.
+                task = asyncio.get_event_loop().create_task(
+                    clipper.predict(Query(app_name="demo", input=[5.0]))
+                )
+                await asyncio.sleep(0.1)
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                gate.set()
+                assert breaker._probes_inflight == 0
+            finally:
+                gate.set()
                 await clipper.stop()
 
         run_async(scenario())
@@ -637,7 +956,7 @@ class TestPressureObservability:
         clipper.deploy_model(
             ModelDeployment(name="noop", container_factory=NoOpContainer)
         )
-        state = clipper.overload_state()
+        state = clipper.overload.state()
         assert state["admission"] is None
         assert state["breakers"] == {}
         assert state["queues"]["noop:1"]["saturation"] == 0.0

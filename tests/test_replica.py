@@ -1,147 +1,44 @@
-"""Tests for container replicas and replica sets."""
+"""Tests specific to in-process container replicas.
 
-import numpy as np
+What every replica implementation must do — start/stop, ``predict_batch``,
+``check_health``, naming, and all of ``ReplicaSet``'s membership rules — is
+in ``test_replica_contract.py``, parametrised over every implementation;
+this file keeps what only a replica that owns its container can show.
+"""
+
 import pytest
 
 from helpers import run_async
 from repro.containers.noop import NoOpContainer
-from repro.containers.replica import ContainerReplica, ReplicaSet
+from repro.containers.replica import ContainerReplica, place_locally
+from repro.core.config import ModelDeployment
 from repro.core.exceptions import ContainerError
 from repro.core.types import ModelId
 
 
-class TestContainerReplica:
-    def test_predict_batch_round_trip(self):
-        async def scenario():
-            replica = ContainerReplica(ModelId("noop"), 0, NoOpContainer(output=1))
-            await replica.start()
-            response = await replica.predict_batch([np.zeros(2)] * 3)
-            assert response.ok
-            assert response.outputs == [1, 1, 1]
-            await replica.stop()
+def local_set(container_factory, num_replicas=1):
+    deployment = ModelDeployment(
+        name="m", container_factory=container_factory, num_replicas=num_replicas
+    )
+    return place_locally(deployment, ModelId("m"))
 
-        run_async(scenario())
 
-    def test_predict_before_start_raises(self):
-        async def scenario():
-            replica = ContainerReplica(ModelId("noop"), 0, NoOpContainer())
-            with pytest.raises(ContainerError):
-                await replica.predict_batch([np.zeros(2)])
-
-        run_async(scenario())
-
+class TestLocalPlacement:
     def test_name_includes_model_and_replica(self):
         replica = ContainerReplica(ModelId("svm", 2), 3, NoOpContainer())
         assert replica.name == "svm:2[3]"
 
-    def test_start_is_idempotent(self):
-        async def scenario():
-            replica = ContainerReplica(ModelId("noop"), 0, NoOpContainer())
-            await replica.start()
-            await replica.start()
-            response = await replica.predict_batch([np.zeros(1)])
-            assert response.ok
-            await replica.stop()
-
-        run_async(scenario())
-
-
-class TestReplicaSet:
-    def test_creates_requested_number_of_replicas(self):
-        replica_set = ReplicaSet(ModelId("noop"), NoOpContainer, num_replicas=3)
-        assert len(replica_set) == 3
-        assert [r.replica_id for r in replica_set] == [0, 1, 2]
-
     def test_each_replica_gets_its_own_container(self):
-        replica_set = ReplicaSet(ModelId("noop"), NoOpContainer, num_replicas=2)
+        replica_set = local_set(NoOpContainer, num_replicas=2)
         containers = [replica.container for replica in replica_set]
         assert containers[0] is not containers[1]
 
-    def test_rejects_zero_replicas(self):
-        with pytest.raises(ContainerError):
-            ReplicaSet(ModelId("noop"), NoOpContainer, num_replicas=0)
-
     def test_rejects_factory_returning_non_container(self):
         with pytest.raises(ContainerError):
-            ReplicaSet(ModelId("bad"), lambda: object(), num_replicas=1)
-
-    def test_start_stop_all(self):
-        async def scenario():
-            replica_set = ReplicaSet(ModelId("noop"), NoOpContainer, num_replicas=2)
-            await replica_set.start()
-            for replica in replica_set:
-                response = await replica.predict_batch([np.zeros(1)])
-                assert response.ok
-            await replica_set.stop()
-
-        run_async(scenario())
-
-
-class TestDynamicMembership:
-    def test_add_replica_extends_the_set_with_monotonic_ids(self):
-        replica_set = ReplicaSet(ModelId("m"), NoOpContainer, num_replicas=2)
-        added = replica_set.add_replica()
-        assert len(replica_set) == 3
-        assert added.replica_id == 2
-        assert [r.replica_id for r in replica_set] == [0, 1, 2]
-
-    def test_remove_replica_by_identity(self):
-        replica_set = ReplicaSet(ModelId("m"), NoOpContainer, num_replicas=3)
-        victim = replica_set.replicas[1]
-        replica_set.remove_replica(victim)
-        assert len(replica_set) == 2
-        assert victim not in replica_set.replicas
-        with pytest.raises(ContainerError):
-            replica_set.remove_replica(victim)
-
-    def test_cannot_remove_last_replica(self):
-        replica_set = ReplicaSet(ModelId("m"), NoOpContainer, num_replicas=1)
-        with pytest.raises(ContainerError):
-            replica_set.remove_replica(replica_set.replicas[0])
-
-    def test_replace_replica_builds_fresh_container_same_id(self):
-        async def scenario():
-            replica_set = ReplicaSet(ModelId("m"), NoOpContainer, num_replicas=2)
-            await replica_set.start()
-            old = replica_set.replicas[0]
-            fresh = await replica_set.replace_replica(old)
-            assert fresh.replica_id == old.replica_id
-            assert fresh is not old
-            assert fresh.container is not old.container
-            assert old.started is False
-            await fresh.start()
-            response = await fresh.predict_batch([np.zeros(1)])
-            assert response.ok
-            await replica_set.stop()
-
-        run_async(scenario())
-
-    def test_ids_stay_unique_after_remove_then_add(self):
-        replica_set = ReplicaSet(ModelId("m"), NoOpContainer, num_replicas=3)
-        replica_set.remove_replica(replica_set.replicas[-1])
-        added = replica_set.add_replica()
-        ids = [r.replica_id for r in replica_set]
-        assert len(ids) == len(set(ids))
-        assert added.replica_id == 3
+            local_set(lambda: object())
 
 
 class TestHealthProbe:
-    def test_healthy_replica_probes_true(self):
-        async def scenario():
-            replica = ContainerReplica(ModelId("m"), 0, NoOpContainer())
-            await replica.start()
-            assert await replica.check_health(timeout_s=1.0) is True
-            await replica.stop()
-
-        run_async(scenario())
-
-    def test_unstarted_replica_probes_false(self):
-        async def scenario():
-            replica = ContainerReplica(ModelId("m"), 0, NoOpContainer())
-            assert await replica.check_health(timeout_s=1.0) is False
-
-        run_async(scenario())
-
     def test_unhealthy_container_probes_false_even_though_transport_lives(self):
         async def scenario():
             from repro.containers.chaos import KillableContainer

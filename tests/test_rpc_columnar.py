@@ -422,7 +422,7 @@ class TestPipelinedDispatcher:
                 return [0] * len(inputs)
 
         async def scenario():
-            replica = ContainerReplica(ModelId("rec"), 0, Recorder(), use_executor=False)
+            replica = ContainerReplica(ModelId("rec"), 0, Recorder())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
                 replica,

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import run_async
 from repro.containers.noop import NoOpContainer
-from repro.containers.replica import ContainerReplica, ReplicaSet
+from repro.containers.replica import ContainerReplica, place_locally
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ConfigurationError, ContainerError, RpcError
@@ -212,9 +212,13 @@ class TestReplicaTransportLanes:
 
     def test_replica_set_propagates_transport(self):
         async def scenario():
-            replica_set = ReplicaSet(
-                ModelId("noop"), NoOpContainer, num_replicas=2, transport="shm"
+            deployment = ModelDeployment(
+                name="noop",
+                container_factory=NoOpContainer,
+                num_replicas=2,
+                transport="shm",
             )
+            replica_set = place_locally(deployment, ModelId("noop"))
             await replica_set.start()
             for replica in replica_set:
                 response = await replica.predict_batch([np.zeros(1)])
