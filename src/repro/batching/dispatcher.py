@@ -3,8 +3,9 @@
 One dispatcher task runs for every container replica (paper §4.4.1: adaptive
 batching is performed independently per replica).  The loop is:
 
-1. Ask the replica's batch-size controller for the current maximum size.
-2. Drain up to that many queries from the model's batching queue, optionally
+1. Wait until the replica can take another batch (a free pipeline slot).
+2. Ask the replica's batch-size controller for the current maximum size and
+   drain up to that many queries from the model's batching queue, optionally
    waiting ``batch_wait_timeout_ms`` for more under light load (§4.3.2).
 3. Send the batch over RPC to the container, measure the evaluation latency.
 4. Feed the (size, latency) observation back into the controller and resolve
@@ -12,17 +13,35 @@ batching is performed independently per replica).  The loop is:
 
 Pipelining
 ----------
-The dispatch loop keeps a bounded window of batches in flight
-(``pipeline_window``, default 2): while batch ``k``'s RPC round-trip is
-outstanding, the loop goes straight back to the queue, drains batch ``k+1``
-and *sends* it — so queue-drain and request encoding overlap with the
-container's evaluation instead of following it.  The RPC client
+A query is bound to a batch at the last moment: the loop takes its slot
+*before* it touches the queue, so no formed batch ever exists outside a
+replica.  Until a slot frees, every waiting query stays on the shared queue,
+where drop-oldest eviction, the depth bound, the in-queue deadline check and
+a sibling replica that frees up first can all still reach it — and a query
+that arrives while the replica is busy rides in the very next batch.
+
+How many batches may be in flight is measured, not configured.  Every
+response carries the container's own evaluation time; the round trip of a
+batch sent to an idle replica, minus that, is what the RPC path costs
+(encode, transport, decode, loop hops).  The dispatcher keeps one moving
+average of each and allows ``min(pipeline_window, 1 + floor(overhead /
+eval))`` batches in flight, starting at 1.  A model whose evaluation
+dominates is served serially: the container evaluates one batch at a time,
+so a second batch in flight would only wait behind the first (a whole
+evaluation of latency for at most ``overhead / eval`` of utilisation).  A
+model cheaper than its RPC path keeps ``pipeline_window`` batches in flight,
+so queue drain and encoding overlap with the previous batch's round trip.
+A pipeline kept full never meets an idle replica, so every
+``_REMEASURE_EVERY`` overlapped batches the loop lets it drain once and the
+overhead average follows a path that got faster or slower.  The RPC client
 demultiplexes responses by request id and the container server evaluates
 strictly in arrival order, so per-query results always resolve the right
-futures.  ``pipeline_window=1`` restores the strictly serial loop: with a
-window above 1 a batch's measured latency includes time spent queued behind
-its predecessor inside the container, which slightly inflates the latency
-signal the adaptive batch-size controllers feed on.
+futures at any depth.
+
+The batch-size controllers are fed a latency free of in-container queueing:
+the round trip for a batch sent to an idle replica, and the container's
+evaluation time plus the overhead average for a batch that overlapped its
+predecessor, so they converge to the same size at any depth.
 
 Dispatchers are detachable: :meth:`ReplicaDispatcher.stop` leaves the shared
 queue live (queued queries stay put for the model's other replicas) and a
@@ -52,6 +71,19 @@ from repro.observability.tracing import TRACE_RETRIED
 
 logger = get_logger("batching.dispatcher")
 
+#: Weight of a new sample in the evaluation / RPC-overhead moving averages.
+_EWMA_WEIGHT = 0.125
+#: After this many consecutive overlapped batches the loop lets the pipeline
+#: drain once, so the next batch meets an idle replica and re-measures the
+#: RPC overhead a saturated pipeline would otherwise never see again.
+_REMEASURE_EVERY = 32
+
+
+def _ewma(average: Optional[float], sample: float) -> float:
+    if average is None:
+        return sample
+    return average + _EWMA_WEIGHT * (sample - average)
+
 
 class ReplicaDispatcher:
     """Drains a batching queue into one container replica."""
@@ -78,7 +110,15 @@ class ReplicaDispatcher:
         self.drop_expired = drop_expired
         self.max_retries = max_retries
         self.failure_cooldown_ms = failure_cooldown_ms
+        #: Upper bound on batches in flight; see :attr:`pipeline_depth`.
         self.pipeline_window = max(1, int(pipeline_window))
+        #: Batches the loop currently allows in flight, re-derived after
+        #: every answered batch from the two moving averages below.
+        self.pipeline_depth = 1
+        #: Moving averages (ms) of the container's evaluation time and of
+        #: what the RPC path adds to it; None until first measured.
+        self.eval_ms: Optional[float] = None
+        self.rpc_overhead_ms: Optional[float] = None
         #: Called with (item, output) when a query's future was already
         #: resolved (straggler deadline) by the time its container output
         #: arrived — the serving engine uses it to late-fill the prediction
@@ -93,6 +133,10 @@ class ReplicaDispatcher:
         self._running = False
         self._inflight: Set[asyncio.Task] = set()
         self._inflight_done: Optional[asyncio.Event] = None
+        #: Batches sent to the replica and not yet answered, and how many in
+        #: a row were sent while another was still there.
+        self._on_replica = 0
+        self._overlapped_run = 0
         self._cooldown_due = False
         # Metric handles are resolved once per dispatcher instead of per
         # batch: the registry lookup rebuilds the f-string name and takes a
@@ -107,6 +151,10 @@ class ReplicaDispatcher:
         stage_family = self.metrics.histogram_family(f"{prefix}.stage_ms", label="stage")
         self._queue_wait_hist = stage_family.labels("queue_wait")
         self._container_eval_hist = stage_family.labels("container_eval")
+        self._depth_gauge = self.metrics.gauge(f"{prefix}.pipeline_depth")
+        self._overhead_gauge = self.metrics.gauge(f"{prefix}.rpc_overhead_ms")
+        self._eval_gauge = self.metrics.gauge(f"{prefix}.eval_ms")
+        self._depth_gauge.set(self.pipeline_depth)
         #: The engine's Tracer (None when this dispatcher serves an untraced
         #: engine); traced queries in a batch get queue-wait/RPC/eval spans.
         self._tracer = tracer
@@ -144,6 +192,18 @@ class ReplicaDispatcher:
             while self._running:
                 if self.queue.closed and self.queue.qsize() == 0:
                     return
+                depth = (
+                    self.pipeline_depth
+                    if self._overlapped_run < _REMEASURE_EVERY
+                    else 1
+                )
+                if len(self._inflight) >= depth:
+                    # Slot first, queue second: until the replica can take
+                    # another batch the waiting queries stay on the shared
+                    # queue instead of in a batch formed too early.
+                    self._inflight_done.clear()
+                    await self._inflight_done.wait()
+                    continue
                 batch = await self.queue.get_batch(
                     max_batch_size=self.controller.current_batch_size(),
                     batch_wait_timeout_ms=self.batch_wait_timeout_ms,
@@ -164,16 +224,9 @@ class ReplicaDispatcher:
                         await asyncio.sleep(self.failure_cooldown_ms / 1000.0)
                         if not batch:
                             continue
-                if self.pipeline_window == 1:
-                    await self.dispatch_batch(batch)
-                else:
-                    # Pipelined: send this batch as a task and immediately go
-                    # back to draining the queue, so the next batch is
-                    # assembled and encoded while this one evaluates.
-                    await self._reserve_window_slot()
-                    task = loop.create_task(self._dispatch_guarded(batch))
-                    self._inflight.add(task)
-                    task.add_done_callback(self._on_dispatch_done)
+                task = loop.create_task(self._dispatch_guarded(batch))
+                self._inflight.add(task)
+                task.add_done_callback(self._on_dispatch_done)
         finally:
             if self._inflight:
                 await asyncio.gather(*self._inflight, return_exceptions=True)
@@ -193,18 +246,12 @@ class ReplicaDispatcher:
                 break
         return remaining
 
-    async def _reserve_window_slot(self) -> None:
-        """Wait until fewer than ``pipeline_window`` batches are in flight."""
-        while len(self._inflight) >= self.pipeline_window:
-            self._inflight_done.clear()
-            await self._inflight_done.wait()
-
     async def _dispatch_guarded(self, batch: List[PendingQuery]) -> None:
-        """Pipelined dispatch wrapper: no exception may strand the futures.
+        """Dispatch-task wrapper: no exception may strand the futures.
 
         :meth:`dispatch_batch` handles RPC/container failures itself; an
         exception escaping it is a bug, but the batch's callers must still
-        see a failure rather than hang, and the window slot must free up.
+        see a failure rather than hang, and the pipeline slot must free up.
         """
         try:
             await self.dispatch_batch(batch)
@@ -267,6 +314,12 @@ class ReplicaDispatcher:
             if self.drop_expired and carries_deadline
             else None
         )
+        # A batch sent while its predecessor is still on the replica waits
+        # behind it inside the container, so only a batch sent to an idle
+        # replica measures what the RPC path itself costs.
+        overlapped = self._on_replica > 0
+        self._on_replica += 1
+        self._overlapped_run = self._overlapped_run + 1 if overlapped else 0
         start = time.perf_counter()
         try:
             response = await self.replica.predict_batch(
@@ -275,9 +328,15 @@ class ReplicaDispatcher:
         except (RpcError, ContainerError) as exc:
             self._handle_failed_batch(batch, exc)
             return
+        finally:
+            self._on_replica -= 1
         latency_ms = (time.perf_counter() - start) * 1000.0
 
-        self.controller.observe(len(batch), latency_ms)
+        eval_ms = response.container_latency_ms
+        if overlapped and self.rpc_overhead_ms is not None:
+            self.controller.observe(len(batch), eval_ms + self.rpc_overhead_ms)
+        else:
+            self.controller.observe(len(batch), latency_ms)
         stats = BatchStats(
             model_id=self.replica.model_id,
             replica_id=self.replica.replica_id,
@@ -290,7 +349,7 @@ class ReplicaDispatcher:
         self._batch_size_hist.observe(len(batch))
         self._throughput_meter.mark(len(batch))
         self._queue_wait_hist.observe(queue_time_ms)
-        self._container_eval_hist.observe(response.container_latency_ms)
+        self._container_eval_hist.observe(eval_ms)
 
         if not response.ok:
             self._handle_failed_batch(
@@ -298,6 +357,9 @@ class ReplicaDispatcher:
             )
             return
         self.consecutive_failures = 0
+        self._measure_pipeline(
+            eval_ms, None if overlapped else max(0.0, latency_ms - eval_ms)
+        )
         if traced is not None:
             self._record_batch_spans(traced, span_log, response, t_batch)
         sink = self.late_result_sink
@@ -327,6 +389,28 @@ class ReplicaDispatcher:
                 # the late output to the engine so it still reaches the
                 # prediction cache.
                 sink(item, output)
+
+    def _measure_pipeline(self, eval_ms: float, overhead_ms: Optional[float]) -> None:
+        """Fold one answered batch into the averages and re-derive the depth.
+
+        ``overhead_ms`` is None for a batch that overlapped its predecessor:
+        its round trip includes the wait behind it, so it says nothing about
+        the RPC path.
+        """
+        self.eval_ms = _ewma(self.eval_ms, eval_ms)
+        self._eval_gauge.set(self.eval_ms)
+        if overhead_ms is not None:
+            self.rpc_overhead_ms = _ewma(self.rpc_overhead_ms, overhead_ms)
+            self._overhead_gauge.set(self.rpc_overhead_ms)
+        if self.rpc_overhead_ms is None:
+            return  # nothing has met an idle replica yet: stay serial
+        # One evaluation hides floor(overhead / eval) further batches' trips
+        # through the RPC path (the floor on eval: one too short to time).
+        self.pipeline_depth = min(
+            self.pipeline_window,
+            1 + int(self.rpc_overhead_ms // max(self.eval_ms, 1e-6)),
+        )
+        self._depth_gauge.set(self.pipeline_depth)
 
     def _record_batch_spans(
         self,

@@ -169,7 +169,6 @@ class BatchingQueue:
         self,
         max_batch_size: int,
         batch_wait_timeout_ms: float = 0.0,
-        poll_interval_ms: Optional[float] = None,
     ) -> List[PendingQuery]:
         """Wait for work and return a batch of at most ``max_batch_size`` queries.
 
@@ -183,9 +182,6 @@ class BatchingQueue:
         to that long for additional queries — the delayed-batching mechanism
         of §4.3.2 — before returning whatever has arrived.  A single deadline
         timer covers the whole delayed wait.
-
-        ``poll_interval_ms`` is accepted for backwards compatibility and
-        ignored: the queue is event-driven and no longer polls.
         """
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")

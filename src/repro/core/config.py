@@ -48,12 +48,13 @@ class BatchingConfig:
         when a query arrives at a full queue: reject with 429, degrade to the
         default output, or evict the entry closest to deadline expiry.
     pipeline_window:
-        Maximum batches a dispatcher keeps in flight per replica (default 2):
-        while one batch's RPC is outstanding, the dispatcher drains and
-        encodes the next so queue-drain + serialization overlap with the
-        container's evaluation.  ``1`` restores the strictly serial loop,
-        which keeps the adaptive controllers' latency feedback free of
-        in-container queueing time.
+        Upper bound on batches in flight per replica (default 2); the
+        dispatcher uses fewer when evaluation, not the RPC path, is the
+        bottleneck.  It measures both from every response and allows
+        ``min(pipeline_window, 1 + floor(overhead / eval))``, starting at 1,
+        so a slow model is served serially and only a model cheaper than its
+        RPC path overlaps one batch's drain and encoding with the previous
+        batch's round trip.  ``1`` forces the serial loop.
     """
 
     policy: str = "aimd"

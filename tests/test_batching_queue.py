@@ -64,7 +64,7 @@ class TestBatchingQueue:
             queue.close()
             with pytest.raises(RuntimeError):
                 await queue.put(make_item(1))
-            batch = await queue.get_batch(max_batch_size=2, poll_interval_ms=10)
+            batch = await queue.get_batch(max_batch_size=2)
             assert batch == []
 
         run_async(scenario())
@@ -74,7 +74,7 @@ class TestBatchingQueue:
             queue = BatchingQueue()
             await queue.put(make_item(1))
             queue.close()
-            batch = await queue.get_batch(max_batch_size=4, poll_interval_ms=10)
+            batch = await queue.get_batch(max_batch_size=4)
             assert len(batch) == 1
 
         run_async(scenario())

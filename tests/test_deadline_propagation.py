@@ -191,7 +191,11 @@ class TestReplicaSkipsExpiredEntries:
 
 
 class TestDeadlinesEndToEnd:
-    def test_expired_queries_never_reach_the_container(self):
+    @pytest.mark.parametrize(
+        "batching", [BatchingConfig(pipeline_window=1), BatchingConfig()],
+        ids=["window1", "default"],
+    )
+    def test_expired_queries_never_reach_the_container(self, batching):
         """Queries whose SLO lapses while queued are answered with the
         default and dropped before dispatch — the container only ever sees
         the one query that was actually in flight."""
@@ -211,9 +215,11 @@ class TestDeadlinesEndToEnd:
                 ModelDeployment(
                     name="gated",
                     container_factory=lambda: container,
-                    # Serial dispatch so the later queries wait in the queue
-                    # (and expire there) while the first batch blocks.
-                    batching=BatchingConfig(pipeline_window=1),
+                    # The later queries wait in the queue (and expire there)
+                    # while the first batch blocks: under the default config
+                    # too, because the dispatcher forms no batch before the
+                    # replica can take it.
+                    batching=batching,
                 )
             )
             await clipper.start()

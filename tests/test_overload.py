@@ -596,7 +596,11 @@ class TestShedPolicies:
 
         run_async(scenario())
 
-    def test_drop_oldest_evicts_queued_query_for_the_new_one(self):
+    @pytest.mark.parametrize(
+        "batching", [BatchingConfig(pipeline_window=1), BatchingConfig()],
+        ids=["window1", "default"],
+    )
+    def test_drop_oldest_evicts_queued_query_for_the_new_one(self, batching):
         async def scenario():
             gate = threading.Event()
             container = GateContainer(gate)
@@ -615,10 +619,11 @@ class TestShedPolicies:
                 ModelDeployment(
                     name="gated",
                     container_factory=lambda: container,
-                    # Serial dispatch: while q1's batch blocks in the
-                    # container, q2 stays *in the queue* where drop-oldest
-                    # can find it (pipeline_window=2 would prefetch it).
-                    batching=BatchingConfig(pipeline_window=1),
+                    # While q1's batch blocks in the container, q2 stays
+                    # *in the queue* where drop-oldest can find it: under
+                    # the default config too, because the dispatcher forms
+                    # no batch before the replica can take it.
+                    batching=batching,
                 )
             )
             await clipper.start()
