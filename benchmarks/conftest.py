@@ -3,8 +3,9 @@
 Every benchmark regenerates one table or figure from the paper's evaluation.
 Trained model suites and datasets are session-scoped so that model training
 is paid once, and every benchmark records the table it reproduces under
-``benchmarks/results/`` so the numbers can be inspected (and are quoted in
-``EXPERIMENTS.md``).
+``benchmarks/results/`` (untracked) so the numbers can be inspected.  The
+serving engine's own overhead is not measured here but by the repo's
+benchmark, ``benchmarks/serving/``.
 """
 
 from __future__ import annotations

@@ -47,8 +47,9 @@ and get a working serving system.  Sub-packages:
     Synthetic stand-ins for MNIST, CIFAR-10, ImageNet and TIMIT.
 ``repro.workloads``
     Open/closed-loop query workload generators and feedback simulation.
-``repro.simulation``
-    Discrete-event cluster simulator for scale-out experiments.
+``repro.cluster``
+    The multi-process fleet: worker daemons, ingress tier and supervisor;
+    the scale-out experiment (Fig. 6) runs on it.
 ``repro.baselines``
     TensorFlow-Serving-like comparator and non-adaptive selection baselines.
 """

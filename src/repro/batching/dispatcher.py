@@ -58,7 +58,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, List, Optional, Set
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Set
 
 from repro.batching.controllers import BatchSizeController
 from repro.batching.queue import BatchingQueue, PendingQuery
@@ -77,6 +78,9 @@ _EWMA_WEIGHT = 0.125
 #: drain once, so the next batch meets an idle replica and re-measures the
 #: RPC overhead a saturated pipeline would otherwise never see again.
 _REMEASURE_EVERY = 32
+#: Most recent batches kept in ``batch_history``; the histograms carry the
+#: long-run distribution, so the history only has to be bounded.
+_BATCH_HISTORY_LEN = 1024
 
 
 def _ewma(average: Optional[float], sample: float) -> float:
@@ -124,7 +128,7 @@ class ReplicaDispatcher:
         #: arrived — the serving engine uses it to late-fill the prediction
         #: cache.
         self.late_result_sink = late_result_sink
-        self.batch_history: List[BatchStats] = []
+        self.batch_history: Deque[BatchStats] = deque(maxlen=_BATCH_HISTORY_LEN)
         #: Failed batches since the last success — read by the health
         #: monitor as a passive unhealthiness signal alongside its probes.
         self.consecutive_failures = 0

@@ -29,7 +29,7 @@ from typing import Optional
 
 from repro.api.http import HttpApiServer, create_server
 from repro.cluster.factories import FactoryMap, default_factories, load_factories
-from repro.cluster.registry import DEFAULT_TTL_S, WorkerRegistry
+from repro.cluster.registry import DEFAULT_TTL_S, WorkerRegistry, write_json_atomic
 from repro.cluster.remote import WorkerPlacer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig
@@ -116,10 +116,7 @@ async def _amain(args: argparse.Namespace) -> int:
         "pid": os.getpid(),
         "app_name": args.app,
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(record, handle)
-    os.replace(tmp, path)
+    write_json_atomic(path, record)
     loop = asyncio.get_running_loop()
     drained = loop.create_future()
 

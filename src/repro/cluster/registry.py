@@ -35,6 +35,29 @@ WORKERS_SUBDIR = "workers"
 DEFAULT_TTL_S = 5.0
 
 
+def write_json_atomic(path: str, record: dict) -> None:
+    """Replace ``path`` with ``record`` as JSON: tmp + fsync + atomic rename.
+
+    Readers only ever observe a complete record; a failed write leaves the
+    previous file (or nothing) and no tmp file.  The directory is not
+    fsynced: a rename lost to a power cut costs one heartbeat.
+    """
+    data = json.dumps(record, separators=(",", ":"))
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 @dataclass
 class WorkerAnnouncement:
     """One worker's advertisement: identity, endpoints, and liveness stamp."""
@@ -91,23 +114,11 @@ class WorkerRegistry:
     # -- the worker side ---------------------------------------------------------
 
     def announce(self, announcement: WorkerAnnouncement) -> None:
-        """Durably publish (or refresh) one worker's announcement.
-
-        tmp + fsync + atomic rename: readers only ever observe a complete
-        record, and a crash mid-write leaves the previous announcement (or
-        nothing) in place — never a torn one.
-        """
+        """Durably publish (or refresh) one worker's announcement."""
         announcement.heartbeat_at = time.time()
         if not announcement.started_at:
             announcement.started_at = announcement.heartbeat_at
-        path = self._path_for(announcement.worker_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        data = json.dumps(announcement.to_record(), separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_json_atomic(self._path_for(announcement.worker_id), announcement.to_record())
 
     def withdraw(self, worker_id: str) -> None:
         """Remove a worker's announcement (graceful shutdown)."""
@@ -152,4 +163,4 @@ class WorkerRegistry:
         return self.workers().get(worker_id)
 
 
-__all__ = ["DEFAULT_TTL_S", "WorkerAnnouncement", "WorkerRegistry"]
+__all__ = ["DEFAULT_TTL_S", "WorkerAnnouncement", "WorkerRegistry", "write_json_atomic"]

@@ -13,8 +13,8 @@ experiments themselves are unit-testable:
   straggler mitigation (Fig. 9) and dialect personalization (Fig. 10).
 * :mod:`repro.evaluation.reporting` — plain-text table rendering shared by
   the benchmark targets and the examples.
-* :mod:`repro.evaluation.hotpath` — serving hot-path micro-benchmarks
-  (cache-hit / cache-miss / ensemble overhead, ``BENCH_hotpath.json``).
+
+The serving engine's own overhead is measured by ``benchmarks/serving/``.
 """
 
 from repro.evaluation.profiles import LatencyProfile, max_batch_under_slo, measure_latency_profile

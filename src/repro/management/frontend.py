@@ -61,6 +61,17 @@ from repro.state.kvstore import KeyValueStore
 logger = get_logger("management.frontend")
 
 
+def _log_failed_unwind(verb: str, app_name: str, model_name: str) -> None:
+    """An unwind failed too.  The caller re-raises the registry rejection, so
+    only this line says the running and recorded configuration disagree."""
+    logger.warning(
+        "unwind of refused %s failed",
+        verb,
+        exc_info=True,
+        extra={"app": app_name, "model": model_name},
+    )
+
+
 class ManagementFrontend(ApplicationHost):
     """Routes lifecycle operations to applications and records them durably."""
 
@@ -277,7 +288,8 @@ class ManagementFrontend(ApplicationHost):
             try:
                 await stop_applications(self._applications)
             except Exception:
-                pass  # surface the original monitor-start failure
+                # surface the original monitor-start failure
+                logger.warning("unwind of a failed start also failed", exc_info=True)
             raise
         self._started = True
 
@@ -324,7 +336,7 @@ class ManagementFrontend(ApplicationHost):
             try:
                 await clipper.undeploy_model(str(model_id))
             except Exception:
-                pass  # surface the registry rejection, not the unwind
+                _log_failed_unwind("deploy", app_name, model_id.name)
             raise
         logger.info(
             "deployed %s",
@@ -423,7 +435,7 @@ class ManagementFrontend(ApplicationHost):
             try:
                 clipper.abort_canary(model_name)
             except Exception:
-                pass  # surface the registry rejection, not the unwind
+                _log_failed_unwind("start_canary", app_name, model_name)
             raise
         logger.info(
             "canary started for %s",
@@ -451,7 +463,7 @@ class ManagementFrontend(ApplicationHost):
                 try:
                     clipper.adjust_canary(model_name, before.canary_weight)
                 except Exception:
-                    pass  # surface the registry rejection, not the unwind
+                    _log_failed_unwind("adjust_canary", app_name, model_name)
             raise
         return split
 
@@ -471,7 +483,7 @@ class ManagementFrontend(ApplicationHost):
             try:
                 clipper.routing.restore(model_name, before_split, before_previous)
             except Exception:
-                pass  # surface the registry rejection, not the unwind
+                _log_failed_unwind("promote", app_name, model_name)
             raise
         logger.info(
             "canary promoted for %s",
@@ -494,7 +506,7 @@ class ManagementFrontend(ApplicationHost):
             try:
                 clipper.routing.restore(model_name, before_split, before_previous)
             except Exception:
-                pass  # surface the registry rejection, not the unwind
+                _log_failed_unwind("abort_canary", app_name, model_name)
             raise
         logger.warning(
             "canary aborted for %s",
@@ -529,7 +541,7 @@ class ManagementFrontend(ApplicationHost):
                 try:
                     clipper.rollout(model_name, before.version)
                 except Exception:
-                    pass  # surface the registry rejection, not the unwind
+                    _log_failed_unwind("version switch", app_name, model_name)
             raise
         return model_id
 

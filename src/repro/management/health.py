@@ -133,7 +133,11 @@ class HealthMonitor:
             except Exception:
                 # The monitor must outlive transient probe errors (e.g. a
                 # replica torn down mid-sweep by a concurrent scale-down).
-                pass
+                logger.warning(
+                    "health sweep failed",
+                    exc_info=True,
+                    extra={"app": self.clipper.config.app_name},
+                )
             await asyncio.sleep(self.probe_interval_s)
 
     # -- probing ----------------------------------------------------------------

@@ -178,7 +178,11 @@ class CanaryController:
             except Exception:
                 # The controller must outlive transient races (e.g. a canary
                 # promoted by an operator between listing and judging it).
-                pass
+                logger.warning(
+                    "canary evaluation failed",
+                    exc_info=True,
+                    extra={"app": self.clipper.config.app_name},
+                )
             await asyncio.sleep(self.check_interval_s)
 
     # -- evaluation ------------------------------------------------------------

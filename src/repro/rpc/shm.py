@@ -28,10 +28,12 @@ Design
 * **Doorbells, rung only on edges.**  Each ring gets one non-blocking
   ``socket.socketpair``: the producer rings it after publishing into an
   empty ring (a consumer might be parked) and the consumer rings it after
-  draining a full ring (the producer might be parked).  In steady state —
-  a pipelined dispatcher keeping the ring busy — neither side pays a
-  doorbell syscall per frame.  ``os.eventfd`` would serve the same role on
-  Linux; socketpairs keep the lane portable.
+  draining a full ring (the producer might be parked).  "Empty" and "full"
+  are judged from the peer's counter as read *after* the own counter was
+  published, so a peer that parked in between is still woken.  In steady
+  state — a pipelined dispatcher keeping the ring busy — neither side pays
+  a doorbell syscall per frame.  ``os.eventfd`` would serve the same role
+  on Linux; socketpairs keep the lane portable.
 * **SPSC + same-memory-model assumption.**  One sender task and one
   receiver task per ring (exactly what ``RpcClient``'s send lock and
   single receive pump guarantee).  Counters are plain 8-byte stores; the
@@ -70,9 +72,9 @@ DEFAULT_RING_CAPACITY = 1 << 20
 #: Per-ring control header: head u64, tail u64, closed u8, padding.
 _CONTROL_BYTES = 32
 
-_HEAD_OFFSET = 0
-_TAIL_OFFSET = 8
-_CLOSED_OFFSET = 16
+_HEAD_INDEX = 0  # in 8-byte words
+_TAIL_INDEX = 1
+_CLOSED_OFFSET = 16  # in bytes
 
 
 class _Ring:
@@ -83,28 +85,33 @@ class _Ring:
     the number of unread bytes and full/empty are unambiguous.
     """
 
-    __slots__ = ("_control", "_data", "capacity")
+    __slots__ = ("_control", "_counters", "_data", "capacity")
 
     def __init__(self, control: memoryview, data: memoryview) -> None:
         self._control = control
+        # Read by one process while the other writes: every access must be
+        # one aligned native 8-byte load or store.  (``struct`` with an
+        # explicit byte order moves a byte at a time, and a reader catching
+        # a carry half-written sees a head *behind* its own tail.)
+        self._counters = control.cast("Q")
         self._data = data
         self.capacity = len(data)
 
     @property
     def head(self) -> int:
-        return struct.unpack_from("<Q", self._control, _HEAD_OFFSET)[0]
+        return self._counters[_HEAD_INDEX]
 
     @head.setter
     def head(self, value: int) -> None:
-        struct.pack_into("<Q", self._control, _HEAD_OFFSET, value)
+        self._counters[_HEAD_INDEX] = value
 
     @property
     def tail(self) -> int:
-        return struct.unpack_from("<Q", self._control, _TAIL_OFFSET)[0]
+        return self._counters[_TAIL_INDEX]
 
     @tail.setter
     def tail(self, value: int) -> None:
-        struct.pack_into("<Q", self._control, _TAIL_OFFSET, value)
+        self._counters[_TAIL_INDEX] = value
 
     @property
     def closed(self) -> bool:
@@ -130,6 +137,7 @@ class _Ring:
             out[first:] = self._data[0 : len(out) - first]
 
     def release(self) -> None:
+        self._counters.release()
         self._control.release()
         self._data.release()
 
@@ -333,7 +341,7 @@ class ShmRingTransport(Transport):
                 # drains a full ring, so parking here cannot be missed.
                 await self._space_waiter.wait()
                 continue
-            was_empty = head == tail
+            published = head
             budget = min(free, total - written)
             while budget > 0:
                 view = views[index]
@@ -351,10 +359,12 @@ class ShmRingTransport(Transport):
                 budget -= take
                 written += take
             ring.head = head
-            if was_empty:
-                # Edge-triggered data bell: a consumer only parks after
-                # observing an empty ring, and the state it observed is the
-                # pre-publish one we just checked.
+            if ring.tail == published:
+                # Edge-triggered data bell: a consumer parks only after
+                # catching up with everything published before this pass.
+                # The tail is read *after* the publish: the snapshot above
+                # can predate a consumer in another process draining the
+                # ring and parking, and a bell skipped then is never rung.
                 _ring_bell(self._bell_out)
 
     async def _read_exact(self, out: memoryview) -> None:
@@ -374,11 +384,11 @@ class ShmRingTransport(Transport):
                 continue
             take = min(available, total - offset)
             ring.read_at(tail, out[offset : offset + take])
-            was_full = available == ring.capacity
             ring.tail = tail + take
-            if was_full:
-                # Edge-triggered space bell: the producer only parks after
-                # observing a full ring.
+            if ring.head - tail == ring.capacity:
+                # Edge-triggered space bell: the producer parks only after
+                # observing a full ring; the head is read after the publish
+                # for the same reason as the tail in ``_write_frame``.
                 _ring_bell(self._bell_in)
             offset += take
 

@@ -11,6 +11,7 @@ from repro.cluster.registry import (
     WORKERS_SUBDIR,
     WorkerAnnouncement,
     WorkerRegistry,
+    write_json_atomic,
 )
 
 
@@ -108,3 +109,28 @@ class TestRegistry:
         for worker_id in ("b", "c", "a"):
             registry.announce(make_announcement(worker_id))
         assert [w.worker_id for w in registry.live_workers()] == ["a", "b", "c"]
+
+
+class TestAtomicJsonWrite:
+    def test_failed_write_leaves_old_record_and_no_tmp_file(self, tmp_path, monkeypatch):
+        from repro.cluster import registry as registry_module
+        from repro.cluster.ingress import INGRESS_FILE, read_ingress
+
+        path = str(tmp_path / INGRESS_FILE)
+        write_json_atomic(path, {"port": 1})
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(registry_module.os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            write_json_atomic(path, {"port": 2})
+        monkeypatch.undo()
+
+        assert read_ingress(str(tmp_path)) == {"port": 1}
+        assert os.listdir(str(tmp_path)) == [INGRESS_FILE]
+
+    def test_unserialisable_record_never_touches_the_directory(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json_atomic(str(tmp_path / "ingress.json"), {"port": object()})
+        assert os.listdir(str(tmp_path)) == []

@@ -52,6 +52,20 @@ class TestDispatchBatch:
 
         run_async(scenario())
 
+    def test_batch_history_is_bounded(self):
+        async def scenario():
+            replica, queue, dispatcher = build_dispatcher(NoOpContainer())
+            await replica.start()
+            for _ in range(2999):
+                await dispatcher.dispatch_batch([make_item(np.zeros(1))])
+            await dispatcher.dispatch_batch([make_item(np.zeros(1)) for _ in range(2)])
+            assert len(dispatcher.batch_history) == 1024
+            assert dispatcher.batch_history[-1].batch_size == 2
+            assert dispatcher.batch_history[0].batch_size == 1
+            await replica.stop()
+
+        run_async(scenario())
+
     def test_controller_observes_latency(self):
         async def scenario():
             controller = AIMDController(slo_ms=1000.0, initial_batch_size=1)

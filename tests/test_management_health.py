@@ -1,6 +1,7 @@
 """Tests for health-driven replica quarantine and recovery."""
 
 import asyncio
+import logging
 
 import numpy as np
 
@@ -119,6 +120,48 @@ class TestProbing:
             await clipper.stop()
 
         run_async(scenario())
+
+
+class TestLoopSurvivesAndReports:
+    def test_raising_probe_is_logged_once_per_sweep(self, caplog, monkeypatch):
+        # Once any server in the process configured logging, "repro" stops
+        # propagating to the root logger caplog listens on.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        sweeps = []
+
+        async def scenario():
+            factory = TrackingFactory(lambda: KillableContainer(output=1))
+            clipper = build_clipper(factory, num_replicas=1)
+            await clipper.start()
+            monitor = fast_monitor(clipper)
+            real_probe = monitor._probe_replica
+
+            async def broken_probe(replica):
+                sweeps.append(replica)
+                raise RuntimeError("probe exploded")
+
+            monitor._probe_replica = broken_probe
+            await monitor.start()
+
+            def failures():
+                return [r for r in caplog.records if r.msg == "health sweep failed"]
+
+            assert await wait_until(lambda: len(failures()) >= 3)
+            monitor._probe_replica = real_probe
+            # Still running: once the fault clears the same loop probes again.
+            assert await wait_until(
+                lambda: any(s.probes > 0 for s in monitor.status().values())
+            )
+            await monitor.stop()
+            await clipper.stop()
+            return failures()
+
+        records = run_async(scenario())
+        assert len(records) == len(sweeps)
+        for record in records:
+            assert record.levelno == logging.WARNING
+            assert record.exc_info[0] is RuntimeError
+            assert record.app == "health-app"
 
 
 class TestRecovery:

@@ -42,6 +42,7 @@ from repro.overload import (
     OverloadControl,
 )
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.workloads.arrivals import BurstyArrivals
 
 
 class FakeClock:
@@ -965,6 +966,78 @@ class TestPressureObservability:
         assert state["admission"] is None
         assert state["breakers"] == {}
         assert state["queues"]["noop:1"]["saturation"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Flash crowd: graceful degradation, judged by counts
+# ---------------------------------------------------------------------------
+
+
+class TestFlashCrowd:
+    def test_every_query_answered_none_rejected_some_shed(self):
+        """Bursts at 5x the admitted rate under ``degrade``: admitted queries
+        go through the model, the overflow is answered at once with the
+        default output, and nothing is refused or left hanging."""
+        num_queries = 600
+        admitted_qps = 800.0
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="demo",
+                    selection_policy="single",
+                    latency_slo_ms=5000.0,
+                    default_output=0,
+                    overload=OverloadConfig(
+                        rate_limit_qps=admitted_qps, burst=16, shed_policy="degrade"
+                    ),
+                )
+            )
+            clipper.deploy_model(
+                ModelDeployment(
+                    name="noop",
+                    container_factory=lambda: NoOpContainer(output=7),
+                    batching=BatchingConfig(max_queue_depth=256),
+                )
+            )
+            due = BurstyArrivals(
+                burst_qps=5.0 * admitted_qps,
+                idle_qps=admitted_qps / 2.0,
+                random_state=6,
+            ).arrival_times(num_queries)
+            outcomes = {"ok": 0, "degraded": 0, "rejected": 0}
+            await clipper.start()
+            try:
+                start = time.perf_counter()
+
+                async def issue(i: int) -> None:
+                    await asyncio.sleep(max(0.0, due[i] - (time.perf_counter() - start)))
+                    try:
+                        answer = await clipper.predict(
+                            Query(app_name="demo", input=[float(i)])
+                        )
+                    except OverloadError:
+                        outcomes["rejected"] += 1
+                        return
+                    assert answer.output == (0 if answer.default_used else 7)
+                    outcomes["degraded" if answer.default_used else "ok"] += 1
+
+                await asyncio.wait_for(
+                    asyncio.gather(*(issue(i) for i in range(num_queries))), 30.0
+                )
+            finally:
+                await clipper.stop()
+            counters = clipper.metrics.snapshot().counters
+            return outcomes, counters, render_prometheus({"demo": clipper.metrics})
+
+        outcomes, counters, text = run_async(scenario())
+        assert sum(outcomes.values()) == num_queries
+        assert outcomes["rejected"] == 0
+        assert outcomes["degraded"] >= 1
+        assert outcomes["ok"] >= 1
+        assert counters['overload.shed{policy="degrade"}'] == outcomes["degraded"]
+        assert "clipper_overload_shed_total" in text
+        assert "clipper_queue_saturation" in text
 
 
 # ---------------------------------------------------------------------------
