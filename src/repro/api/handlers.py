@@ -25,8 +25,12 @@ import numpy as np
 from repro.api.errors import RouteNotFoundError
 from repro.api.routes import API_PREFIX, ApiResponse, RouteTable
 from repro.api.schema import json_safe, require_field, require_object
-from repro.core.config import BatchingConfig, ModelDeployment
-from repro.core.exceptions import BadRequestError, ConfigurationError
+from repro.core.config import ModelDeployment
+from repro.core.exceptions import (
+    BadRequestError,
+    ConfigurationError,
+    ManagementError,
+)
 from repro.core.frontend import QueryFrontend
 from repro.core.types import Prediction
 from repro.management.frontend import ManagementFrontend
@@ -258,44 +262,18 @@ def build_route_table(
         prefix = f"{API_PREFIX}/admin"
 
         def _deployment_from(payload: Dict[str, Any]) -> ModelDeployment:
-            factory_name = _require_str(payload, "factory")
-            factory = factories.get(factory_name)
-            if factory is None:
-                raise BadRequestError(
-                    f"unknown container factory '{factory_name}'",
-                    detail={"registered": sorted(factories)},
-                )
-            batching_spec = payload.get("batching") or {}
-            if not isinstance(batching_spec, dict):
-                raise BadRequestError("field 'batching' must be an object")
+            # The body is a deployment spec under two wire names
+            # (``model_name``, ``factory``) beside the verb's own ``activate``.
+            spec = {
+                "name": _require_str(payload, "model_name"),
+                "factory_name": _require_str(payload, "factory"),
+            }
+            wire_only = ("model_name", "factory", "activate")
+            spec.update((k, v) for k, v in payload.items() if k not in wire_only)
             try:
-                batching = BatchingConfig(**batching_spec)
-            except TypeError:
-                raise BadRequestError(
-                    "field 'batching' has unknown parameters",
-                    detail={"given": sorted(batching_spec)},
-                ) from None
-            kwargs: Dict[str, Any] = {}
-            if "version" in payload:
-                kwargs["version"] = _require_int(payload, "version")
-            if "num_replicas" in payload:
-                kwargs["num_replicas"] = _require_int(payload, "num_replicas")
-            if "serialize_rpc" in payload:
-                kwargs["serialize_rpc"] = bool(payload["serialize_rpc"])
-            if "max_batch_retries" in payload:
-                kwargs["max_batch_retries"] = _require_int(payload, "max_batch_retries")
-            if "transport" in payload:
-                kwargs["transport"] = _require_str(payload, "transport")
-            try:
-                return ModelDeployment(
-                    name=_require_str(payload, "model_name"),
-                    container_factory=factory,
-                    batching=batching,
-                    factory_name=factory_name,
-                    **kwargs,
-                )
-            except ConfigurationError as exc:
-                raise BadRequestError(str(exc)) from None
+                return ModelDeployment.from_spec(spec, factories)
+            except (ConfigurationError, ManagementError) as exc:
+                raise BadRequestError(str(exc), detail=exc.detail) from None
 
         async def post_deploy(params: Dict[str, str], body: Any) -> ApiResponse:
             payload = require_object(body)

@@ -19,11 +19,10 @@ surface needs:
 * the structured error model: every failure — framing, routing, validation,
   serving — renders as ``{"error": {code, status, message, detail}}``.
 
-Application lifecycle is delegated to the same
-:func:`~repro.core.frontend.start_applications` /
-:func:`~repro.core.frontend.stop_applications` helpers the frontends use:
-applications start (all-or-nothing) *before* the listening socket binds, so
-a partial start never leaves a listener accepting traffic it cannot serve.
+Application lifecycle belongs to the frontends the server was built over:
+each is started (all-or-nothing, idempotent) *before* the listening socket
+binds, so a partial start never leaves a listener accepting traffic it
+cannot serve, and stopped in reverse order after the listener closes.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.api.errors import (
 )
 from repro.api.routes import RouteTable
 from repro.api.schema import json_safe
-from repro.core.frontend import start_applications, stop_applications
 from repro.observability.logging import configure_logging, get_logger
 
 logger = get_logger("api.http")
@@ -119,8 +117,7 @@ class HttpApiServer:
         routes: RouteTable,
         host: str = "127.0.0.1",
         port: int = 0,
-        applications: Optional[Mapping[str, Any]] = None,
-        managers: Sequence[Any] = (),
+        lifecycle: Sequence[Any] = (),
         max_body_bytes: int = 32 * 1024 * 1024,
         max_header_count: int = 100,
         keep_alive_timeout_s: Optional[float] = None,
@@ -128,17 +125,11 @@ class HttpApiServer:
         self.routes = routes
         self.host = host
         self._requested_port = port
-        # Deliberately NOT copied: the frontends' live mapping is passed by
-        # reference so applications registered after construction are still
-        # started/stopped by the server's lifecycle.
-        self._applications: Mapping[str, Any] = (
-            applications if applications is not None else {}
-        )
-        # Lifecycle managers (e.g. a ManagementFrontend, whose start() brings
-        # up health monitors and canary controllers) started after the
-        # applications and stopped before them.  Their start/stop must be
-        # idempotent for already-running state.
-        self._managers: Sequence[Any] = tuple(managers)
+        # Lifecycle owners — the frontends, whose start() brings up their
+        # applications (and a ManagementFrontend's health monitors and canary
+        # controllers) — started in order and stopped in reverse.  Their
+        # start/stop must be all-or-nothing and idempotent.
+        self._lifecycle: Tuple[Any, ...] = tuple(lifecycle)
         self._max_body_bytes = max_body_bytes
         self._max_header_count = max_header_count
         self._keep_alive_timeout_s = keep_alive_timeout_s
@@ -155,8 +146,6 @@ class HttpApiServer:
         self._decoders: Dict[str, Callable[[bytes], Any]] = {
             JSON_CONTENT_TYPE: _decode_json
         }
-        self._applications_started = False
-        self._managers_started = False
 
     # -- content-type negotiation hook -----------------------------------------
 
@@ -199,50 +188,35 @@ class HttpApiServer:
         return self._server is not None and self._server.is_serving()
 
     async def start(self) -> None:
-        """Start applications and lifecycle managers, then bind the socket.
+        """Start the lifecycle owners in order, then bind the socket.
 
-        All-or-nothing like the frontends: applications first (a failure
-        stops the ones already up), then the managers (a
-        ``ManagementFrontend``'s health monitors and canary controllers),
-        and only then the listener — so **no listener is ever bound** to
-        backends that cannot serve.  Any later failure unwinds everything
-        started before the error propagates.
+        All-or-nothing like the frontends: each owner's own start stops what
+        it brought up when it fails, and a failure here — a later owner, or
+        the bind — stops the owners already started, so **no listener is
+        ever bound** to backends that cannot serve and nothing is left
+        running behind a failed start.
         """
         if self._server is not None:
             return
         # Idempotent process-wide logging setup: repeat server starts (or
         # multiple servers in one process) never stack duplicate handlers.
         configure_logging()
-        if self._applications:
-            await start_applications(self._applications)
-            self._applications_started = True
-        started_managers = []
         try:
-            for manager in self._managers:
-                await manager.start()
-                started_managers.append(manager)
-            self._managers_started = True
+            for owner in self._lifecycle:
+                await owner.start()
             self._server = await asyncio.start_server(
                 self._serve_connection, host=self.host, port=self._requested_port
             )
-            logger.info(
-                "http server started",
-                extra={"host": self.host, "port": self.port},
-            )
         except BaseException:
-            self._managers_started = False
-            for manager in reversed(started_managers):
-                try:
-                    await manager.stop()
-                except Exception:
-                    pass  # surface the original failure, not the unwind
-            if self._applications_started:
-                self._applications_started = False
-                try:
-                    await stop_applications(self._applications)
-                except Exception:
-                    pass  # surface the original failure, not the unwind
+            # Stopping an owner that never started is a no-op.  Should a stop
+            # fail too, its error propagates chained to this one.
+            await self._stop_lifecycle()
             raise
+        logger.info("http server started", extra={"host": self.host, "port": self.port})
+
+    async def _stop_lifecycle(self) -> None:
+        for owner in reversed(self._lifecycle):
+            await owner.stop()
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful SIGTERM path: stop accepting, finish in-flight, stop.
@@ -263,23 +237,18 @@ class HttpApiServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener and connections, then managers, then applications."""
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._writers):
-                writer.close()
-            try:
-                await self._server.wait_closed()
-            finally:
-                self._server = None
-            logger.info("http server stopped", extra={"host": self.host})
-        if self._managers_started:
-            self._managers_started = False
-            for manager in reversed(self._managers):
-                await manager.stop()
-        if self._applications_started:
-            self._applications_started = False
-            await stop_applications(self._applications)
+        """Close the listener and connections, then stop the lifecycle owners."""
+        if self._server is None:
+            return
+        self._server.close()
+        for writer in list(self._writers):
+            writer.close()
+        try:
+            await self._server.wait_closed()
+        finally:
+            self._server = None
+        logger.info("http server stopped", extra={"host": self.host})
+        await self._stop_lifecycle()
 
     async def __aenter__(self) -> "HttpApiServer":
         await self.start()
@@ -621,35 +590,22 @@ def create_server(
     binary-speaking clients negotiate it via ``Accept``/``Content-Type``
     out of the box.
 
-    The server owns the lifecycle of every application either frontend
-    hosts — including ones registered *after* this call: the frontends'
-    live mappings are handed to the server by reference (a
-    :class:`~collections.ChainMap` view when both frontends are given), so
-    :meth:`HttpApiServer.start` brings up exactly the applications hosted
-    at start time (all-or-nothing) before binding, and
-    :meth:`HttpApiServer.stop` stops the ones hosted at stop time.  An
-    ``admin`` frontend is also registered as a lifecycle *manager*: the
-    server starts/stops it, so its health monitors and canary controllers
-    run whenever the server serves (both are idempotent if the operator
-    already started the frontend themselves).
+    The frontends are the server's lifecycle owners, query frontend first:
+    :meth:`HttpApiServer.start` starts each (all-or-nothing) before binding
+    — whatever applications they host at that moment, including ones
+    registered after this call, and an ``admin`` frontend's health monitors
+    and canary controllers — and :meth:`HttpApiServer.stop` stops them in
+    reverse.  Both calls are idempotent on a frontend the operator already
+    started, and on applications both frontends host.
     """
-    from collections import ChainMap
-
     from repro.api.handlers import build_route_table
 
-    maps = [
-        frontend.hosted_applications()
-        for frontend in (query, admin)
-        if frontend is not None
-    ]
-    applications: Mapping[str, Any] = maps[0] if len(maps) == 1 else ChainMap(*maps)
     routes = build_route_table(query=query, admin=admin, factories=factories)
     server = HttpApiServer(
         routes,
         host=host,
         port=port,
-        applications=applications,
-        managers=(admin,) if admin is not None else (),
+        lifecycle=[f for f in (query, admin) if f is not None],
         **server_kwargs,
     )
     if columnar:

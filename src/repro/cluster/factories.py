@@ -18,7 +18,7 @@ import importlib
 from typing import Callable, Dict
 
 from repro.containers.base import ModelContainer
-from repro.containers.busy import BusySpinContainer, DeviceBoundContainer
+from repro.containers.busy import DeviceBoundContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.exceptions import ConfigurationError
 
@@ -31,7 +31,6 @@ def default_factories() -> FactoryMap:
     return {
         "noop": lambda: NoOpContainer(),
         "noop_touch": lambda: NoOpContainer(touch_inputs=True),
-        "busy_1ms": lambda: BusySpinContainer(spin_ms=1.0),
         "device_1ms": lambda: DeviceBoundContainer(ms_per_input=1.0),
         "echo": lambda: NoOpContainer(output=1),
     }

@@ -1,7 +1,7 @@
 """Model containers (paper §4.4): the narrow-waist batch prediction interface."""
 
 from repro.containers.base import ModelContainer, FunctionContainer
-from repro.containers.busy import BusySpinContainer, DeviceBoundContainer
+from repro.containers.busy import DeviceBoundContainer
 from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.containers.noop import NoOpContainer
 from repro.containers.adapters import ClassifierContainer, HMMContainer
@@ -19,7 +19,6 @@ from repro.containers.replica import (
 __all__ = [
     "ModelContainer",
     "FunctionContainer",
-    "BusySpinContainer",
     "DeviceBoundContainer",
     "KillableContainer",
     "TrackingFactory",

@@ -1,18 +1,13 @@
-"""Synthetic load containers for multi-process scaling benchmarks.
+"""Synthetic load container for multi-process scaling benchmarks.
 
 The cluster benchmark needs a model whose per-worker capacity is fixed, so
-throughput grows only when more worker daemons join the fleet.  Two shapes:
-
-* :class:`BusySpinContainer` burns real CPU per input.  On multi-core hosts
-  this scales with worker *processes* (one GIL each) rather than event-loop
-  concurrency, unlike ``asyncio.sleep``-style simulated latency which
-  overlaps perfectly inside a single interpreter.
-* :class:`DeviceBoundContainer` models the paper's deployment shape — each
-  model container has exclusive use of one accelerator per worker — by
-  holding a process-wide "device" lock while the batch evaluates off-CPU.
-  Capacity is bounded per worker process without occupying a host core, so
-  cluster scaling stays measurable even on single-core CI machines where
-  CPU-spinning workers would just timeshare the same core.
+throughput grows only when more worker daemons join the fleet.
+:class:`DeviceBoundContainer` models the paper's deployment shape — each
+model container has exclusive use of one accelerator per worker — by
+holding a process-wide "device" lock while the batch evaluates off-CPU.
+Capacity is bounded per worker process without occupying a host core, so
+cluster scaling stays measurable even on single-core CI machines where
+CPU-spinning workers would just timeshare the same core.
 """
 
 from __future__ import annotations
@@ -27,29 +22,6 @@ from repro.containers.base import ModelContainer
 #: lock, so replicas co-located on a worker share its capacity while replicas
 #: on different workers evaluate truly in parallel.
 _DEVICE_LOCK = threading.Lock()
-
-
-class BusySpinContainer(ModelContainer):
-    """Spends ``spin_ms`` of real CPU time per input, then echoes a constant."""
-
-    framework = "busy"
-
-    def __init__(self, spin_ms: float = 1.0, output: Any = 0) -> None:
-        if spin_ms < 0:
-            raise ValueError("spin_ms must be >= 0")
-        self.spin_ms = spin_ms
-        self.output = output
-        self.batches_served = 0
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        deadline = time.perf_counter() + (self.spin_ms / 1000.0) * len(inputs)
-        # A tight arithmetic loop, checked against the clock: holds the GIL
-        # and a core, unlike a sleep, so throughput is bound by process count.
-        acc = 0
-        while time.perf_counter() < deadline:
-            acc += 1
-        self.batches_served += 1
-        return [self.output] * len(inputs)
 
 
 class DeviceBoundContainer(ModelContainer):

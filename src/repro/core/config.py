@@ -9,14 +9,71 @@ SLO, selection policy, cache sizing, straggler mitigation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, get_args, get_type_hints
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, ManagementError
 
 #: Default application latency service-level objective in milliseconds.  The
 #: paper uses a 20 ms SLO for most microbenchmarks.
 DEFAULT_SLO_MS = 20.0
+
+
+def _spec_fields(cls: Any) -> list:
+    """The fields of a config dataclass that a spec carries: all but those
+    declared ``metadata={"spec": False}`` (a callable cannot be stored)."""
+    return [f for f in fields(cls) if f.metadata.get("spec", True)]
+
+
+def _to_spec(config: Any) -> Dict[str, Any]:
+    """A config dataclass as a JSON-friendly dict, nested configs included."""
+    spec = {}
+    for f in _spec_fields(config):
+        value = getattr(config, f.name)
+        spec[f.name] = _to_spec(value) if is_dataclass(value) else value
+    return spec
+
+
+def _from_spec(cls: type, spec: Any, **extra: Any) -> Any:
+    """Build config dataclass ``cls`` from what :func:`_to_spec` produced.
+
+    Specs also arrive from outside the process (the REST deploy body, a
+    store directory), so every name and type is checked against the
+    dataclass's own fields; a violation is a :class:`ConfigurationError`.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a {cls.__name__} spec must be an object")
+    unknown = sorted(set(spec) - {f.name for f in _spec_fields(cls)})
+    if unknown:
+        raise ConfigurationError(
+            f"{cls.__name__} has no parameter(s) {unknown}",
+            detail={"given": sorted(spec)},
+        )
+    hints = get_type_hints(cls)
+    kwargs = dict(extra)
+    for name, value in spec.items():
+        hint = hints[name]
+        if type(None) in get_args(hint) and value is not None:
+            hint = get_args(hint)[0]  # Optional[X] holding an X
+        if is_dataclass(hint):
+            value = _from_spec(hint, value)
+        elif hint in (int, float, str, bool):
+            # JSON has one number type; a bool is never a number.
+            accepted = (int, float) if hint is float else hint
+            if isinstance(value, bool) != (hint is bool) or not isinstance(
+                value, accepted
+            ):
+                raise ConfigurationError(
+                    f"{cls.__name__} parameter '{name}' must be of type "
+                    f"{hint.__name__}, got {value!r}"
+                )
+            value = hint(value)
+        kwargs[name] = value
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in kwargs:
+            raise ConfigurationError(f"{cls.__name__} requires parameter '{f.name}'")
+    return cls(**kwargs)
 
 
 @dataclass
@@ -224,7 +281,7 @@ class ModelDeployment:
     """
 
     name: str
-    container_factory: Callable[[], object]
+    container_factory: Callable[[], object] = field(metadata={"spec": False})
     num_replicas: int = 1
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     version: int = 1
@@ -247,6 +304,34 @@ class ModelDeployment:
                 f"unknown transport '{self.transport}', "
                 f"expected one of {sorted(valid_transports)}"
             )
+
+    def to_spec(self) -> Dict[str, Any]:
+        """Everything about this deployment that can be stored or sent.
+
+        Every field but the factory callable, nested configs as dicts;
+        :meth:`from_spec` is the inverse.
+        """
+        return _to_spec(self)
+
+    @classmethod
+    def from_spec(
+        cls, spec: Mapping[str, Any], factories: Mapping[str, Callable[[], object]]
+    ) -> "ModelDeployment":
+        """Rebuild a deployment from :meth:`to_spec` output and named factories.
+
+        Model containers cannot be serialized; a spec names its container
+        factory instead (``factory_name``, or the bare model name for an
+        in-process deploy that never named one).  A name ``factories`` does
+        not hold is a :class:`ManagementError`.
+        """
+        factory_name = spec.get("factory_name") or spec.get("name")
+        factory = factories.get(factory_name) if isinstance(factory_name, str) else None
+        if factory is None:
+            raise ManagementError(
+                f"no container factory named '{factory_name}' is registered",
+                detail={"registered": sorted(factories)},
+            )
+        return _from_spec(cls, dict(spec), container_factory=factory)
 
 
 @dataclass

@@ -14,7 +14,7 @@ with or without the HTTP framing.
 Both frontends share :class:`ApplicationHost` (the name→instance registry
 plus per-application :class:`~repro.api.schema.ApplicationSchema`) and the
 module-level :func:`start_applications`/:func:`stop_applications` lifecycle
-helpers, which the HTTP server also reuses for startup/shutdown.
+helpers; the HTTP server starts and stops the frontends themselves.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from repro.core.exceptions import (
     UnknownApplicationError,
 )
 from repro.core.types import Feedback, Prediction, Query
+from repro.observability.logging import get_logger
+
+logger = get_logger("core.frontend")
 
 
 async def start_applications(applications: Mapping[str, Clipper]) -> None:
@@ -44,15 +47,20 @@ async def start_applications(applications: Mapping[str, Clipper]) -> None:
     started = []
     try:
         for app_name in sorted(applications):
-            clipper = applications[app_name]
-            await clipper.start()
-            started.append(clipper)
+            await applications[app_name].start()
+            started.append(app_name)
     except BaseException:
-        for clipper in reversed(started):
+        for app_name in reversed(started):
             try:
-                await clipper.stop()
+                await applications[app_name].stop()
             except Exception:
-                pass  # the original start failure is the error to surface
+                # The start failure is the error to surface; only this line
+                # says an application may have been left running.
+                logger.warning(
+                    "stopping an application after a failed start also failed",
+                    exc_info=True,
+                    extra={"app": app_name},
+                )
         raise
 
 
@@ -114,10 +122,6 @@ class ApplicationHost:
         """The declared serving contract of one application."""
         self._lookup(app_name)
         return self._schemas[app_name]
-
-    def hosted_applications(self) -> Dict[str, Clipper]:
-        """The live name→instance mapping (lifecycle helpers feed on it)."""
-        return self._applications
 
     def _lookup(self, app_name: str) -> Clipper:
         clipper = self._applications.get(app_name)

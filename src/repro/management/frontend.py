@@ -28,6 +28,13 @@ Each application also gets a
 :class:`~repro.routing.controller.CanaryController` (unless disabled) whose
 promote/abort actions route back through this frontend, so metrics-driven
 decisions update the durable registry exactly like operator-issued ones.
+
+Every verb is the same four steps: look the application up, **precheck**
+against the registry (the versions the verb will route to or touch are
+registered and not undeployed; a deploy's version number is unused), make
+the one :class:`Clipper` call, then **project** the name's live routing and
+the touched version into the registry and log.  Everything the registry can
+refuse is checked before the live change, so no verb has a step to undo.
 """
 
 from __future__ import annotations
@@ -45,13 +52,8 @@ from repro.core.frontend import (
 )
 from repro.core.types import ModelId
 from repro.management.health import HealthMonitor
-from repro.management.records import VERSION_UNDEPLOYED, ReplicaHealth
-from repro.management.recovery import (
-    DEPLOY_SPEC_KEY,
-    RecoveryReport,
-    deploy_spec,
-    deployment_from_record,
-)
+from repro.management.records import ReplicaHealth
+from repro.management.recovery import RecoveryReport
 from repro.management.registry import ModelRegistry
 from repro.observability.logging import get_logger
 from repro.routing.controller import CanaryController
@@ -59,17 +61,6 @@ from repro.routing.split import TrafficSplit
 from repro.state.kvstore import KeyValueStore
 
 logger = get_logger("management.frontend")
-
-
-def _log_failed_unwind(verb: str, app_name: str, model_name: str) -> None:
-    """An unwind failed too.  The caller re-raises the registry rejection, so
-    only this line says the running and recorded configuration disagree."""
-    logger.warning(
-        "unwind of refused %s failed",
-        verb,
-        exc_info=True,
-        extra={"app": app_name, "model": model_name},
-    )
 
 
 class ManagementFrontend(ApplicationHost):
@@ -120,15 +111,13 @@ class ManagementFrontend(ApplicationHost):
             raise
         self._attach(app_name, clipper)
         for record in clipper.model_records():
-            model_id = record.model_id
-            self.registry.register_model_version(
+            self._project(
                 app_name,
-                model_id.name,
-                model_id.version,
+                clipper,
+                record.model_id.name,
+                record.model_id.version,
+                spec=record.deployment.to_spec(),
                 num_replicas=len(record.replica_set),
-                serving=clipper.active_version(model_id.name) == model_id,
-                batching_policy=record.deployment.batching.policy,
-                metadata={DEPLOY_SPEC_KEY: deploy_spec(record.deployment)},
             )
         return app_name
 
@@ -146,6 +135,53 @@ class ManagementFrontend(ApplicationHost):
                 abort=partial(self.abort_canary, app_name),
                 **self._canary_kwargs,
             )
+
+    def _project(
+        self,
+        app_name: str,
+        clipper: Clipper,
+        model_name: str,
+        version: Optional[int] = None,
+        **touched: Any,
+    ) -> None:
+        """Record the live routing of ``model_name`` in the registry.
+
+        ``version`` and ``touched`` say what the verb changed about one
+        version's own record (``spec=``, ``num_replicas=``, ``undeployed=``,
+        see :meth:`ModelRegistry.project`); without them only routing is
+        written.
+        """
+        split = clipper.routing.split_for(model_name)
+        routing = None
+        if split is not None:
+            routing = split.to_record()
+            routing["previous"] = clipper.routing.previous_key(model_name)
+        self.registry.project(app_name, model_name, routing, version, **touched)
+
+    def _precheck(
+        self, app_name: str, model_name: str, *model_keys: Optional[str]
+    ) -> None:
+        """Refuse, before any live change, what the registry would refuse after.
+
+        The name must be registered, and each key must name a registered
+        version that has not been undeployed: one deployed directly on the
+        :class:`Clipper`, behind the frontend's back, has no record to
+        restore from and cannot be routed to, scaled or torn down through
+        the frontend.  ``None`` keys (no canary in flight, no rollback
+        target) are left for the live call to reject.
+        """
+        versions = self.registry.model(app_name, model_name)["versions"]
+        for version in (key.rpartition(":")[2] for key in model_keys if key):
+            record = versions.get(version)
+            if record is None:
+                raise ManagementError(
+                    f"version {version} of model '{model_name}' is not in the "
+                    "registry; deploy it through the management frontend"
+                )
+            if record["undeployed"]:
+                raise ManagementError(
+                    f"version {version} of model '{model_name}' has been undeployed"
+                )
 
     async def restore_application(
         self,
@@ -188,11 +224,12 @@ class ManagementFrontend(ApplicationHost):
                     model["versions"].values(), key=lambda rec: int(rec["version"])
                 )
                 for rec in versions:
-                    if rec["state"] == VERSION_UNDEPLOYED:
+                    if rec["undeployed"]:
                         continue
                     try:
-                        deployment = deployment_from_record(
-                            model_name, rec, factories
+                        deployment = ModelDeployment.from_spec(
+                            {**rec["spec"], "num_replicas": rec["num_replicas"]},
+                            factories,
                         )
                     except ManagementError as exc:
                         report.skipped.append(
@@ -207,7 +244,8 @@ class ManagementFrontend(ApplicationHost):
                     # swapped in wholesale below.
                     await clipper.deploy_model_async(deployment, activate=False)
                     report.versions_restored += 1
-                self._restore_routes(clipper, model_name, model, report)
+                if model["routing"] is not None:
+                    self._restore_routes(clipper, model_name, model["routing"], report)
         except BaseException:
             self._unhost_application(app_name)
             raise
@@ -219,20 +257,11 @@ class ManagementFrontend(ApplicationHost):
         self,
         clipper: Clipper,
         model_name: str,
-        model: Dict[str, Any],
+        routing: Dict[str, Any],
         report: RecoveryReport,
     ) -> None:
-        """Reinstall one model's recorded routing (split + rollback pointer)."""
-        split_record = model.get("traffic_split")
-        active = model.get("active_version")
-        if split_record is not None:
-            split = TrafficSplit.from_record(split_record)
-        elif active is not None:
-            split = TrafficSplit.single(
-                str(ModelId(model_name, active)), seed=clipper.config.routing_seed
-            )
-        else:
-            return  # never served (or fully undeployed): nothing to route
+        """Reinstall one model's stored routing record (split + rollback key)."""
+        split = TrafficSplit.from_record(routing)
         deployed = {str(model_id) for model_id in clipper.model_versions(model_name)}
         missing = [key for key in split.keys() if key not in deployed]
         if missing:
@@ -243,11 +272,8 @@ class ManagementFrontend(ApplicationHost):
                 }
             )
             return
-        previous = model.get("previous_version")
-        previous_key = (
-            str(ModelId(model_name, previous)) if previous is not None else None
-        )
-        if previous_key is not None and previous_key not in deployed:
+        previous_key = routing["previous"]
+        if previous_key not in deployed:
             previous_key = None  # rollback target did not come back; drop it
         clipper.restore_routing(model_name, split, previous_key)
         report.routes_restored += 1
@@ -317,27 +343,18 @@ class ManagementFrontend(ApplicationHost):
         versions stage for :meth:`rollout` unless ``activate=True``.
         """
         clipper = self._lookup(app_name)
-        model_id = await clipper.deploy_model_async(deployment, activate=activate)
-        try:
-            self.registry.register_model_version(
-                app_name,
-                model_id.name,
-                model_id.version,
-                num_replicas=deployment.num_replicas,
-                serving=clipper.active_version(model_id.name) == model_id,
-                batching_policy=deployment.batching.policy,
-                metadata={DEPLOY_SPEC_KEY: deploy_spec(deployment)},
+        model_id = ModelId(deployment.name, deployment.version)
+        # Version numbers are immutable, undeployed ones included.
+        known = self.registry.models(app_name).get(model_id.name, {"versions": {}})
+        if str(model_id.version) in known["versions"]:
+            raise ManagementError(
+                f"version {model_id.version} of model '{model_id.name}' is "
+                "already registered; versions are immutable"
             )
-        except ManagementError:
-            # The registry refused the record (e.g. the version number was
-            # used and undeployed before — versions are immutable).  Undo
-            # the live deploy so the running configuration and the durable
-            # record never disagree.
-            try:
-                await clipper.undeploy_model(str(model_id))
-            except Exception:
-                _log_failed_unwind("deploy", app_name, model_id.name)
-            raise
+        await clipper.deploy_model_async(deployment, activate=activate)
+        self._project(
+            app_name, clipper, model_id.name, model_id.version, spec=deployment.to_spec()
+        )
         logger.info(
             "deployed %s",
             model_id,
@@ -355,12 +372,9 @@ class ManagementFrontend(ApplicationHost):
         """Drain and tear down one model version; its registry record is kept."""
         clipper = self._lookup(app_name)
         model_id = clipper.model_record(model).model_id
-        # Precheck the registry record: the teardown is irreversible, so a
-        # version deployed behind the frontend's back must be rejected
-        # before the live machinery is drained, not after.
-        self._require_registered(app_name, model_id)
+        self._precheck(app_name, model_id.name, str(model_id))
         await clipper.undeploy_model(str(model_id))
-        self.registry.mark_undeployed(app_name, model_id.name, model_id.version)
+        self._project(app_name, clipper, model_id.name, model_id.version, undeployed=True)
         logger.info(
             "undeployed %s",
             model_id,
@@ -372,25 +386,19 @@ class ManagementFrontend(ApplicationHost):
         """Scale one model version's live replica set; returns the new size."""
         clipper = self._lookup(app_name)
         model_id = clipper.model_record(model).model_id
-        self._require_registered(app_name, model_id)
-        count = await clipper.set_num_replicas(model, num_replicas)
-        self.registry.set_num_replicas(app_name, model_id.name, model_id.version, count)
+        self._precheck(app_name, model_id.name, str(model_id))
+        count = await clipper.set_num_replicas(str(model_id), num_replicas)
+        self._project(
+            app_name, clipper, model_id.name, model_id.version, num_replicas=count
+        )
         return count
-
-    def _require_registered(self, app_name: str, model_id: ModelId) -> None:
-        info = self.registry.model(app_name, model_id.name)
-        if str(model_id.version) not in info["versions"]:
-            raise ManagementError(
-                f"version {model_id.version} of model '{model_id.name}' is not "
-                "in the registry; deploy it through the management frontend"
-            )
 
     async def rollout(self, app_name: str, model_name: str, version: int) -> ModelId:
         """Atomically switch ``model_name`` to serve ``version``."""
         clipper = self._lookup(app_name)
-        model_id = self._switch_version(
-            clipper, app_name, model_name, lambda: clipper.rollout(model_name, version)
-        )
+        self._precheck(app_name, model_name, f"{model_name}:{version}")
+        model_id = clipper.rollout(model_name, version)
+        self._project(app_name, clipper, model_name)
         logger.info(
             "rolled out %s",
             model_id,
@@ -401,9 +409,9 @@ class ManagementFrontend(ApplicationHost):
     async def rollback(self, app_name: str, model_name: str) -> ModelId:
         """Atomically switch ``model_name`` back to its previous version."""
         clipper = self._lookup(app_name)
-        model_id = self._switch_version(
-            clipper, app_name, model_name, lambda: clipper.rollback(model_name)
-        )
+        self._precheck(app_name, model_name, clipper.routing.previous_key(model_name))
+        model_id = clipper.rollback(model_name)
+        self._project(app_name, clipper, model_name)
         logger.warning(
             "rolled back %s to %s",
             model_name,
@@ -425,18 +433,9 @@ class ManagementFrontend(ApplicationHost):
         metrics and the health monitor's quarantine signal.
         """
         clipper = self._lookup(app_name)
-        self._require_registered(app_name, ModelId(model_name, version))
+        self._precheck(app_name, model_name, f"{model_name}:{version}")
         split = clipper.start_canary(model_name, version, weight)
-        try:
-            self.registry.set_traffic_split(app_name, model_name, split.to_record())
-        except ManagementError:
-            # The registry refused the record: snap traffic back so the
-            # running configuration and the durable record never disagree.
-            try:
-                clipper.abort_canary(model_name)
-            except Exception:
-                _log_failed_unwind("start_canary", app_name, model_name)
-            raise
+        self._project(app_name, clipper, model_name)
         logger.info(
             "canary started for %s",
             model_name,
@@ -454,37 +453,17 @@ class ManagementFrontend(ApplicationHost):
     ) -> TrafficSplit:
         """Change an in-flight canary's traffic weight and re-record it."""
         clipper = self._lookup(app_name)
-        before = clipper.routing.split_for(model_name)
+        self._precheck(app_name, model_name, clipper.routing.canary_key(model_name))
         split = clipper.adjust_canary(model_name, weight)
-        try:
-            self.registry.set_traffic_split(app_name, model_name, split.to_record())
-        except ManagementError:
-            if before is not None and before.canary is not None:
-                try:
-                    clipper.adjust_canary(model_name, before.canary_weight)
-                except Exception:
-                    _log_failed_unwind("adjust_canary", app_name, model_name)
-            raise
+        self._project(app_name, clipper, model_name)
         return split
 
     async def promote(self, app_name: str, model_name: str) -> ModelId:
-        """Make the in-flight canary the serving version; clear the split record."""
+        """Make the in-flight canary the serving version; record the new routing."""
         clipper = self._lookup(app_name)
-        before_split = clipper.routing.split_for(model_name)
-        before_previous = clipper.routing.previous_key(model_name)
+        self._precheck(app_name, model_name, clipper.routing.canary_key(model_name))
         model_id = clipper.promote(model_name)
-        try:
-            self.registry.clear_traffic_split(
-                app_name, model_name, promote_to=model_id.version
-            )
-        except ManagementError:
-            # Reinstall the exact pre-promote configuration (in-flight split
-            # and rollback pointer) so traffic matches the durable record.
-            try:
-                clipper.routing.restore(model_name, before_split, before_previous)
-            except Exception:
-                _log_failed_unwind("promote", app_name, model_name)
-            raise
+        self._project(app_name, clipper, model_name)
         logger.info(
             "canary promoted for %s",
             model_name,
@@ -495,19 +474,9 @@ class ManagementFrontend(ApplicationHost):
     async def abort_canary(self, app_name: str, model_name: str) -> ModelId:
         """Abort the in-flight canary; traffic returns to the stable version."""
         clipper = self._lookup(app_name)
-        before_split = clipper.routing.split_for(model_name)
-        before_previous = clipper.routing.previous_key(model_name)
+        self._precheck(app_name, model_name)
         model_id = clipper.abort_canary(model_name)
-        try:
-            self.registry.clear_traffic_split(app_name, model_name)
-        except ManagementError:
-            # The registry still records the split as in flight; reinstall it
-            # (the canary's mixed selection state restarts fresh).
-            try:
-                clipper.routing.restore(model_name, before_split, before_previous)
-            except Exception:
-                _log_failed_unwind("abort_canary", app_name, model_name)
-            raise
+        self._project(app_name, clipper, model_name)
         logger.warning(
             "canary aborted for %s",
             model_name,
@@ -526,24 +495,6 @@ class ManagementFrontend(ApplicationHost):
         """The application's canary controller (None when management is off)."""
         self._lookup(app_name)
         return self._controllers.get(app_name)
-
-    def _switch_version(self, clipper, app_name, model_name, switch) -> ModelId:
-        """Apply a live version switch and record it, unwinding on refusal."""
-        before = clipper.active_version(model_name)
-        model_id = switch()
-        try:
-            self.registry.set_active_version(app_name, model_name, model_id.version)
-        except ManagementError:
-            # The registry refused (e.g. the version was deployed directly
-            # on the clipper, bypassing the frontend): restore the previous
-            # serving version so traffic matches the durable record.
-            if before is not None and before != model_id:
-                try:
-                    clipper.rollout(model_name, before.version)
-                except Exception:
-                    _log_failed_unwind("version switch", app_name, model_name)
-            raise
-        return model_id
 
     # -- introspection ---------------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 The registry persists plain dicts (JSON-friendly, like the selection-policy
 states) in the :class:`~repro.state.kvstore.KeyValueStore`; this module
-defines the lifecycle states those records move through, the helper that
-builds an immutable version record, and the in-memory
+defines the lifecycle states the registry derives for each version, the
+helper that builds a version record, and the in-memory
 :class:`ReplicaHealth` record the health monitor maintains per replica.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -26,27 +27,21 @@ REPLICA_QUARANTINED = "quarantined"  # out of dispatch, awaiting restart
 REPLICA_RECOVERING = "recovering"    # restart in progress
 
 
-def version_record(
-    version: int,
-    num_replicas: int,
-    state: str,
-    batching_policy: str = "aimd",
-    metadata: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
+def version_record(version: int, spec: Dict[str, Any]) -> Dict[str, Any]:
     """Build the stored record of one model version.
 
-    The deploy metadata (version number, deploy time, batching policy,
-    caller-supplied metadata) is immutable once registered; only the
-    lifecycle ``state`` and the current ``num_replicas`` are updated in
-    place by management operations.
+    ``spec`` (:meth:`~repro.core.config.ModelDeployment.to_spec`) is
+    immutable once registered; ``num_replicas`` starts at the spec's count
+    and follows scaling, and ``undeployed`` is set when the version's
+    machinery is torn down.  The lifecycle state is not stored: the registry
+    derives it from the routing record on read.
     """
     return {
         "version": int(version),
         "deployed_at": time.time(),
-        "num_replicas": int(num_replicas),
-        "state": state,
-        "batching_policy": batching_policy,
-        "metadata": dict(metadata or {}),
+        "spec": copy.deepcopy(spec),
+        "num_replicas": int(spec.get("num_replicas", 1)),
+        "undeployed": False,
     }
 
 

@@ -1,94 +1,20 @@
-"""Cold-start recovery: rebuilding a serving instance from registry records.
+"""Cold-start recovery: what a restore rebuilt from the registry's records.
 
 The registry (on a :class:`~repro.state.durable.DurableKeyValueStore`)
-survives a crash; the serving machinery does not.  This module holds the
-translation between the two: :func:`deploy_spec` captures, at deploy time,
-everything needed to rebuild a :class:`~repro.core.config.ModelDeployment`
-from its registry record — the server-side container-factory name (model
-containers cannot be serialized; factories are the durable names for them,
-exactly as the REST deploy verb already treats them), the RPC/batching
-configuration, and the retry budget — and :func:`deployment_from_record`
-performs the rebuild on the way back up.
-:class:`~repro.management.frontend.ManagementFrontend.restore_application`
-drives the whole path and files a :class:`RecoveryReport` per application.
+survives a crash; the serving machinery does not.
+:meth:`~repro.management.frontend.ManagementFrontend.restore_application`
+rebuilds it — each version from its stored
+:meth:`~repro.core.config.ModelDeployment.to_spec` through
+:meth:`~repro.core.config.ModelDeployment.from_spec` (model containers
+cannot be serialized; named factories are the durable names for them,
+exactly as the REST deploy verb treats them), routing from the stored
+routing record — and files a :class:`RecoveryReport` per application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-from repro.core.config import BatchingConfig, ModelDeployment
-from repro.core.exceptions import ManagementError
-
-#: Version-record metadata key holding the deploy spec.
-DEPLOY_SPEC_KEY = "deploy_spec"
-
-#: BatchingConfig fields captured in (and rebuilt from) the deploy spec.
-_BATCHING_FIELDS = (
-    "policy",
-    "initial_batch_size",
-    "additive_increase",
-    "backoff_fraction",
-    "max_batch_size",
-    "batch_wait_timeout_ms",
-    "quantile",
-    "quantile_window",
-    "pipeline_window",
-)
-
-
-def deploy_spec(deployment: ModelDeployment) -> Dict[str, Any]:
-    """The JSON-friendly record from which ``deployment`` can be rebuilt."""
-    return {
-        "factory": deployment.factory_name,
-        "serialize_rpc": deployment.serialize_rpc,
-        "max_batch_retries": deployment.max_batch_retries,
-        "transport": deployment.transport,
-        "batching": {
-            name: getattr(deployment.batching, name) for name in _BATCHING_FIELDS
-        },
-    }
-
-
-def deployment_from_record(
-    model_name: str,
-    version_rec: Dict[str, Any],
-    factories: Mapping[str, Callable[[], object]],
-) -> ModelDeployment:
-    """Rebuild one version's :class:`ModelDeployment` from its registry record.
-
-    The container factory is resolved by the deploy spec's recorded name,
-    falling back to the bare model name (covers in-process deploys that
-    never named a factory but registered one per model).  A version whose
-    factory is not in ``factories`` cannot be restored — that is a
-    :class:`ManagementError` the caller reports, not a silent skip.
-    """
-    spec = version_rec.get("metadata", {}).get(DEPLOY_SPEC_KEY) or {}
-    factory_name = spec.get("factory") or model_name
-    factory = factories.get(factory_name)
-    if factory is None:
-        raise ManagementError(
-            f"cannot restore '{model_name}:{version_rec['version']}': no "
-            f"container factory named '{factory_name}' is registered"
-        )
-    batching_spec = spec.get("batching")
-    batching = (
-        BatchingConfig(**batching_spec)
-        if batching_spec
-        else BatchingConfig(policy=version_rec.get("batching_policy", "aimd"))
-    )
-    return ModelDeployment(
-        name=model_name,
-        container_factory=factory,
-        num_replicas=int(version_rec.get("num_replicas", 1)),
-        batching=batching,
-        version=int(version_rec["version"]),
-        serialize_rpc=bool(spec.get("serialize_rpc", True)),
-        max_batch_retries=int(spec.get("max_batch_retries", 3)),
-        factory_name=spec.get("factory"),
-        transport=str(spec.get("transport", "inprocess")),
-    )
+from typing import Any, Dict, List, Optional
 
 
 @dataclass

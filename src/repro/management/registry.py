@@ -6,6 +6,14 @@ serving path, so operators can mutate it without restarting the query
 frontend.  :class:`ModelRegistry` plays that role here on top of
 :class:`~repro.state.kvstore.KeyValueStore`.
 
+The registry records what the configuration *is*, not what happened to it.
+Per model name it stores the routing record of the live
+:class:`~repro.routing.table.RoutingTable` verbatim, and everything an
+operator reads back — active and previous version, the in-flight split, each
+version's lifecycle state — is computed from that record on read
+(:func:`read_model`).  No code here computes a routing transition; the
+routing table is the only place one is written.
+
 Every mutation goes through an optimistic-concurrency loop built on
 ``put_if_version``: read the record with its version, apply the update to a
 copy, and compare-and-swap it back, retrying on interleaved writers.  That
@@ -15,21 +23,18 @@ store — the same versioned-replicated-state discipline CRDT systems lean on.
 
 Stored layout (namespace ``management``)::
 
-    applications            -> {app_name: {"registered_at", "metadata"}}
-    models:<app>            -> {model_name: {"active_version": int|None,
-                                             "previous_version": int|None,
-                                             "traffic_split": split_record|absent,
-                                             "versions": {str(v): version_record}}}
+    applications  -> {app_name: {"registered_at", "metadata"}}
+    models:<app>  -> {model_name: {"routing": routing_record | None,
+                                   "versions": {str(v): version_record}}}
 
-The ``traffic_split`` record (a
-:meth:`repro.routing.split.TrafficSplit.to_record` dict) is present exactly
-while a canary rollout is in flight, so the durable record always names the
-complete routing configuration — the same atomic, inspectable-transition
-discipline the routing table applies in memory.
+    routing_record = TrafficSplit.to_record() + {"previous": rollback key | None}
+                     (None while no version of the name is routed)
+    version_record = {"version", "deployed_at", "spec", "num_replicas", "undeployed"}
 
-Version records are immutable deploy metadata (registering the same
-``(name, version)`` twice is an error); only the lifecycle ``state`` and
-``num_replicas`` fields move.
+``spec`` (:meth:`~repro.core.config.ModelDeployment.to_spec`) is immutable:
+registering the same ``(name, version)`` twice is an error.  Only
+``num_replicas`` and the ``undeployed`` mark move.  Directories written with
+the earlier ``active_version``/``traffic_split`` layout are not read.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.exceptions import ManagementError
+from repro.core.types import ModelId
 from repro.management.records import (
     VERSION_CANARY,
     VERSION_RETIRED,
@@ -57,6 +63,39 @@ APPLICATIONS_KEY = "applications"
 
 def _models_key(app_name: str) -> str:
     return f"models:{app_name}"
+
+
+def _version_of(model_key: Optional[str]) -> Optional[int]:
+    return None if model_key is None else ModelId.parse(model_key).version
+
+
+def read_model(model_name: str, stored: Dict[str, Any]) -> Dict[str, Any]:
+    """What operators read of one model: the stored record plus what it implies.
+
+    ``active_version``, ``previous_version``, ``traffic_split`` (present
+    exactly while a canary is in flight) and each version's ``state`` are
+    functions of the routing record and the ``undeployed`` marks: serving is
+    the stable arm, canary the canary arm, retired the rollback key, and
+    anything else still deployed is staged.
+    """
+    routing = stored["routing"] or {}
+    stable, canary = routing.get("stable"), routing.get("canary")
+    previous = routing.get("previous")
+    model = dict(
+        stored,
+        active_version=_version_of(stable),
+        previous_version=_version_of(previous),
+    )
+    if canary is not None:
+        model["traffic_split"] = {k: v for k, v in routing.items() if k != "previous"}
+    states = {previous: VERSION_RETIRED, canary: VERSION_CANARY, stable: VERSION_SERVING}
+    for vkey, record in stored["versions"].items():
+        record["state"] = (
+            VERSION_UNDEPLOYED
+            if record["undeployed"]
+            else states.get(f"{model_name}:{vkey}", VERSION_STAGED)
+        )
+    return model
 
 
 class ModelRegistry:
@@ -126,250 +165,64 @@ class ModelRegistry:
         if app_name not in self.store.get(self.namespace, APPLICATIONS_KEY, {}):
             raise ManagementError(f"application '{app_name}' is not registered")
 
-    # -- model versions --------------------------------------------------------
+    # -- models: one write, computed reads --------------------------------------
 
-    def register_model_version(
+    def project(
         self,
         app_name: str,
         model_name: str,
-        version: int,
-        num_replicas: int = 1,
-        serving: bool = False,
-        batching_policy: str = "aimd",
-        metadata: Optional[Dict[str, Any]] = None,
+        routing: Optional[Dict[str, Any]],
+        version: Optional[int] = None,
+        spec: Optional[Dict[str, Any]] = None,
+        num_replicas: Optional[int] = None,
+        undeployed: bool = False,
     ) -> Dict[str, Any]:
-        """Record one immutable model version, optionally as the serving one."""
+        """Store the live configuration of one model name, in one compare-and-swap.
+
+        ``routing`` replaces the stored routing record.  ``version`` names
+        the one version record the operation touched: with ``spec`` it is
+        registered (its number must be unused — versions are immutable),
+        ``num_replicas`` is its live replica count, ``undeployed`` marks its
+        machinery torn down (the record is kept: deploy history survives,
+        and the number stays used).
+        """
         self._require_app(app_name)
 
         def update(models: Dict) -> Dict:
-            model = models.setdefault(
-                model_name,
-                {"active_version": None, "previous_version": None, "versions": {}},
-            )
+            model = models.setdefault(model_name, {"routing": None, "versions": {}})
+            model["routing"] = copy.deepcopy(routing)
+            if version is None:
+                return models
             vkey = str(version)
-            if vkey in model["versions"]:
-                raise ManagementError(
-                    f"version {version} of model '{model_name}' is already "
-                    "registered; versions are immutable"
-                )
-            model["versions"][vkey] = version_record(
-                version,
-                num_replicas,
-                VERSION_SERVING if serving else VERSION_STAGED,
-                batching_policy=batching_policy,
-                metadata=metadata,
-            )
-            if serving:
-                self._activate(model, version)
-            return models
-
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    @classmethod
-    def _activate(cls, model: Dict, version: int) -> None:
-        # Any activation ends an in-flight rollout: clear the split record
-        # and demote its canary arm in the same swap, so no path (rollout,
-        # rollback, deploy with activate=True, promotion) can leave the
-        # durable record claiming a split that live routing discarded.
-        split_record = model.pop("traffic_split", None)
-        if split_record is not None:
-            cls._demote_canary(model, split_record)
-        previous = model["active_version"]
-        if previous is not None and previous != version:
-            model["previous_version"] = previous
-            model["versions"][str(previous)]["state"] = VERSION_RETIRED
-        model["active_version"] = version
-        model["versions"][str(version)]["state"] = VERSION_SERVING
-
-    @staticmethod
-    def _demote_canary(model: Dict, split_record: Dict[str, Any]) -> None:
-        """Return a split's canary arm to its pre-canary lifecycle state.
-
-        The rollback target keeps its ``retired`` marker (a canary of the
-        previously-serving version is legal); everything else returns to
-        ``staged``.
-        """
-        canary_version = str(split_record.get("canary", "")).rpartition(":")[2]
-        record = model["versions"].get(canary_version)
-        if record is None or record["state"] != VERSION_CANARY:
-            return
-        is_rollback_target = str(model.get("previous_version")) == canary_version
-        record["state"] = VERSION_RETIRED if is_rollback_target else VERSION_STAGED
-
-    def set_active_version(
-        self, app_name: str, model_name: str, version: int
-    ) -> Dict[str, Any]:
-        """Record a rollout (or rollback) of ``model_name`` to ``version``."""
-        self._require_app(app_name)
-
-        def update(models: Dict) -> Dict:
-            model = self._require_model(models, model_name)
-            vkey = str(version)
-            if vkey not in model["versions"]:
-                raise ManagementError(
-                    f"version {version} of model '{model_name}' is not registered"
-                )
-            if model["versions"][vkey]["state"] == VERSION_UNDEPLOYED:
-                raise ManagementError(
-                    f"version {version} of model '{model_name}' has been undeployed"
-                )
-            self._activate(model, version)
-            return models
-
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    def set_num_replicas(
-        self, app_name: str, model_name: str, version: int, num_replicas: int
-    ) -> Dict[str, Any]:
-        """Record the replica count of one version after a scaling op."""
-        self._require_app(app_name)
-
-        def update(models: Dict) -> Dict:
-            model = self._require_model(models, model_name)
-            record = model["versions"].get(str(version))
-            if record is None:
-                raise ManagementError(
-                    f"version {version} of model '{model_name}' is not registered"
-                )
-            record["num_replicas"] = int(num_replicas)
-            return models
-
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    def mark_undeployed(
-        self, app_name: str, model_name: str, version: int
-    ) -> Dict[str, Any]:
-        """Record that one version's machinery was torn down.
-
-        The version record is retained (deploy history survives) but can no
-        longer be activated.
-        """
-        self._require_app(app_name)
-
-        def update(models: Dict) -> Dict:
-            model = self._require_model(models, model_name)
-            record = model["versions"].get(str(version))
-            if record is None:
-                raise ManagementError(
-                    f"version {version} of model '{model_name}' is not registered"
-                )
-            record["state"] = VERSION_UNDEPLOYED
-            if model["active_version"] == version:
-                model["active_version"] = None
-            if model["previous_version"] == version:
-                model["previous_version"] = None
-            # Undeploying either arm of an in-flight split ends the rollout
-            # (the serving engine aborts it in memory); drop the record and
-            # demote a surviving canary arm in the same swap.
-            split_record = model.get("traffic_split")
-            if split_record is not None:
-                arm_versions = {
-                    str(key).rpartition(":")[2] for key, _ in split_record["arms"]
-                }
-                if str(version) in arm_versions:
-                    del model["traffic_split"]
-                    self._demote_canary(model, split_record)
-            return models
-
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    # -- traffic splits (canary rollouts) --------------------------------------
-
-    def set_traffic_split(
-        self, app_name: str, model_name: str, split_record: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Record an in-flight traffic split (start or weight adjustment).
-
-        The canary version named by the record moves to the ``canary``
-        lifecycle state; it must be registered and not undeployed.  The
-        whole update is one compare-and-swap, so concurrent operators never
-        observe a split without its version state (or vice versa).
-        """
-        self._require_app(app_name)
-        canary_key = split_record.get("canary")
-        if canary_key is None:
-            raise ManagementError(
-                f"traffic-split record for '{model_name}' names no canary arm"
-            )
-        canary_version = str(canary_key).rpartition(":")[2]
-
-        def update(models: Dict) -> Dict:
-            model = self._require_model(models, model_name)
-            record = model["versions"].get(canary_version)
-            if record is None:
-                raise ManagementError(
-                    f"canary version {canary_version} of model '{model_name}' "
-                    "is not registered"
-                )
-            if record["state"] == VERSION_UNDEPLOYED:
-                raise ManagementError(
-                    f"canary version {canary_version} of model '{model_name}' "
-                    "has been undeployed"
-                )
-            model["traffic_split"] = copy.deepcopy(split_record)
-            record["state"] = VERSION_CANARY
-            return models
-
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    def clear_traffic_split(
-        self, app_name: str, model_name: str, promote_to: Optional[int] = None
-    ) -> Dict[str, Any]:
-        """Record the end of a rollout: promotion or abort, atomically.
-
-        With ``promote_to`` the named version becomes the active one (the
-        displaced version retiring as the rollback target); without it the
-        abort returns the canary version to ``staged``.  Either way the
-        split record is removed in the same compare-and-swap.
-        """
-        self._require_app(app_name)
-
-        def update(models: Dict) -> Dict:
-            model = self._require_model(models, model_name)
-            split_record = model.pop("traffic_split", None)
-            if promote_to is not None:
-                vkey = str(promote_to)
-                if vkey not in model["versions"]:
+            if spec is not None:
+                if vkey in model["versions"]:
                     raise ManagementError(
-                        f"version {promote_to} of model '{model_name}' is not registered"
+                        f"version {version} of model '{model_name}' is already "
+                        "registered; versions are immutable"
                     )
-                if model["versions"][vkey]["state"] == VERSION_UNDEPLOYED:
-                    raise ManagementError(
-                        f"version {promote_to} of model '{model_name}' has been undeployed"
-                    )
-                self._activate(model, promote_to)
-            elif split_record is not None:
-                self._demote_canary(model, split_record)
+                model["versions"][vkey] = version_record(version, spec)
+            record = model["versions"].get(vkey)
+            if record is None:
+                raise ManagementError(
+                    f"version {version} of model '{model_name}' is not registered"
+                )
+            if num_replicas is not None:
+                record["num_replicas"] = int(num_replicas)
+            if undeployed:
+                record["undeployed"] = True
             return models
 
-        self._update(_models_key(app_name), update)
-        return self.model(app_name, model_name)
-
-    def traffic_split(self, app_name: str, model_name: str) -> Optional[Dict[str, Any]]:
-        """The recorded in-flight split of one model (None when stable)."""
-        return self.model(app_name, model_name).get("traffic_split")
-
-    @staticmethod
-    def _require_model(models: Dict, model_name: str) -> Dict:
-        model = models.get(model_name)
-        if model is None:
-            raise ManagementError(f"model '{model_name}' is not registered")
-        return model
-
-    # -- read side -------------------------------------------------------------
+        stored = self._update(_models_key(app_name), update)[model_name]
+        return read_model(model_name, copy.deepcopy(stored))
 
     def models(self, app_name: str) -> Dict[str, Dict[str, Any]]:
-        """Every model record of one application."""
+        """The read model (:func:`read_model`) of every model of one application."""
         self._require_app(app_name)
-        return copy.deepcopy(self.store.get(self.namespace, _models_key(app_name), {}))
+        stored = copy.deepcopy(self.store.get(self.namespace, _models_key(app_name), {}))
+        return {name: read_model(name, model) for name, model in stored.items()}
 
     def model(self, app_name: str, model_name: str) -> Dict[str, Any]:
-        """The record of one model (active/previous version + version map)."""
+        """The read model of one model (routing, versions and what they imply)."""
         models = self.models(app_name)
         if model_name not in models:
             raise ManagementError(f"model '{model_name}' is not registered")
@@ -378,3 +231,7 @@ class ModelRegistry:
     def active_version(self, app_name: str, model_name: str) -> Optional[int]:
         """The version of ``model_name`` recorded as serving, if any."""
         return self.model(app_name, model_name)["active_version"]
+
+    def traffic_split(self, app_name: str, model_name: str) -> Optional[Dict[str, Any]]:
+        """The recorded in-flight split of one model (None when stable)."""
+        return self.model(app_name, model_name).get("traffic_split")

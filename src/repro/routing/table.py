@@ -346,11 +346,10 @@ class RoutingTable:
     ) -> None:
         """Reinstall a previously-observed split and rollback pointer for ``name``.
 
-        The management plane's unwind path: when a live routing change
-        succeeds but its durable registry write is refused, the exact
-        pre-change configuration (captured via :meth:`split_for` /
-        :meth:`previous_key`) is swapped back in so traffic matches the
-        durable record again.  ``split=None`` removes the name's routing.
+        Used to reinstall a configuration wholesale: the stored routing
+        record on a cold-start restore, and what :meth:`split_for` /
+        :meth:`previous_key` returned before a deploy whose version then
+        failed to start.  ``split=None`` removes the name's routing.
         """
         snapshot = self._snapshot
         splits = dict(snapshot.splits)

@@ -1,10 +1,19 @@
 """Tests for configuration validation."""
 
+import dataclasses
+import json
+from typing import get_args, get_type_hints
+
 import pytest
 
 from repro.containers.noop import NoOpContainer
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
-from repro.core.exceptions import ConfigurationError
+from repro.core.config import (
+    BatchingConfig,
+    CircuitBreakerConfig,
+    ClipperConfig,
+    ModelDeployment,
+)
+from repro.core.exceptions import ConfigurationError, ManagementError
 
 
 class TestBatchingConfig:
@@ -58,6 +67,130 @@ class TestModelDeployment:
         assert deployment.num_replicas == 1
         assert deployment.version == 1
         assert deployment.batching.policy == "aimd"
+
+
+#: Non-default values for the fields a generic perturbation cannot guess.
+_CHOSEN = {"name": "m", "factory_name": "noop", "policy": "quantile", "transport": "tcp"}
+
+
+def _default_of(field):
+    if field.default is not dataclasses.MISSING:
+        return field.default
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return None
+
+
+def non_default(cls, **given):
+    """An instance of config dataclass ``cls`` with *no* field at its default.
+
+    Walks ``dataclasses.fields`` so a field added later is covered without
+    anyone remembering this test: ints move by 3, floats are halved and
+    shifted (inside every (0, 1] range the configs check), bools flip,
+    nested configs recurse.
+    """
+    hints = get_type_hints(cls)
+    kwargs = dict(given)
+    for field in dataclasses.fields(cls):
+        if field.name in kwargs:
+            continue
+        default = _default_of(field)
+        hint = hints[field.name]
+        hint = next((a for a in get_args(hint) if a is not type(None)), hint)
+        if field.name in _CHOSEN:
+            value = _CHOSEN[field.name]
+        elif dataclasses.is_dataclass(hint):
+            value = non_default(hint)
+        elif isinstance(default, bool):
+            value = not default
+        elif isinstance(default, int):
+            value = default + 3
+        elif isinstance(default, float):
+            value = default * 0.5 + 0.125
+        else:
+            raise AssertionError(
+                f"{cls.__name__}.{field.name}: teach this test a non-default value"
+            )
+        assert value != default, f"{cls.__name__}.{field.name} stayed at its default"
+        kwargs[field.name] = value
+    return cls(**kwargs)
+
+
+class TestDeploymentSpec:
+    """``to_spec``/``from_spec`` is the one codec for deployments: the REST
+    deploy body, the registry's version record and cold-start restore."""
+
+    @pytest.mark.parametrize("cls", [BatchingConfig, CircuitBreakerConfig])
+    def test_nested_configs_can_be_made_fully_non_default(self, cls):
+        config = non_default(cls)
+        assert all(
+            getattr(config, f.name) != _default_of(f) for f in dataclasses.fields(cls)
+        )
+
+    def test_every_field_survives_the_round_trip(self):
+        factory = NoOpContainer
+        deployment = non_default(ModelDeployment, container_factory=factory)
+        spec = deployment.to_spec()
+        assert "container_factory" not in spec
+        # Every other field is in the spec, nested configs field for field.
+        assert set(spec) == {
+            f.name for f in dataclasses.fields(ModelDeployment)
+        } - {"container_factory"}
+        assert set(spec["batching"]) == {f.name for f in dataclasses.fields(BatchingConfig)}
+        assert set(spec["circuit_breaker"]) == {
+            f.name for f in dataclasses.fields(CircuitBreakerConfig)
+        }
+        stored = json.loads(json.dumps(spec))  # what a store or a request holds
+        rebuilt = ModelDeployment.from_spec(stored, {"noop": factory})
+        assert rebuilt == deployment
+        assert rebuilt.container_factory is factory
+
+    def test_defaults_round_trip_too(self):
+        deployment = ModelDeployment("noop", NoOpContainer)
+        rebuilt = ModelDeployment.from_spec(deployment.to_spec(), {"noop": NoOpContainer})
+        assert rebuilt == deployment
+        assert rebuilt.circuit_breaker is None and rebuilt.factory_name is None
+
+    def test_a_partial_spec_takes_defaults(self):
+        rebuilt = ModelDeployment.from_spec(
+            {"name": "noop", "batching": {"max_queue_depth": 64}}, {"noop": NoOpContainer}
+        )
+        assert rebuilt.batching == BatchingConfig(max_queue_depth=64)
+        assert rebuilt.num_replicas == 1
+
+    def test_unknown_factory_is_a_management_error(self):
+        with pytest.raises(ManagementError) as excinfo:
+            ModelDeployment.from_spec({"name": "m", "factory_name": "ghost"}, {"noop": 1})
+        assert excinfo.value.detail == {"registered": ["noop"]}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"name": "noop", "replicas": 2},  # unknown parameter
+            {"name": "noop", "container_factory": "noop"},  # not a spec field
+            {"name": "noop", "batching": {"policy": "aimd", "bogus": 1}},
+            {"name": "noop", "batching": ["aimd"]},  # not an object
+            {"name": "noop", "batching": None},  # not optional
+            {"name": "noop", "version": "2"},
+            {"name": "noop", "version": True},  # a bool is not an int
+            {"name": "noop", "serialize_rpc": 1},
+            {"name": "noop", "transport": 7},
+            {"name": "noop", "batching": {"quantile": "0.9"}},
+            {"name": "noop", "num_replicas": 0},  # the config's own check
+            {"factory_name": "noop"},  # no name
+        ],
+    )
+    def test_malformed_specs_are_configuration_errors(self, spec):
+        with pytest.raises(ConfigurationError):
+            ModelDeployment.from_spec(spec, {"noop": NoOpContainer})
+
+    def test_an_int_is_accepted_where_a_float_is_declared(self):
+        rebuilt = ModelDeployment.from_spec(
+            {"name": "noop", "batching": {"batch_wait_timeout_ms": 2}},
+            {"noop": NoOpContainer},
+        )
+        assert rebuilt.batching.batch_wait_timeout_ms == 2.0
+        assert isinstance(rebuilt.batching.batch_wait_timeout_ms, float)
 
 
 class TestClipperConfig:

@@ -10,11 +10,15 @@ from repro.api.handlers import build_route_table
 from repro.containers.chaos import CorruptingContainer, FlakyContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
+from repro.core.config import (
+    BatchingConfig,
+    CircuitBreakerConfig,
+    ClipperConfig,
+    ModelDeployment,
+)
 from repro.core.exceptions import ManagementError
 from repro.core.types import Query
 from repro.management.frontend import ManagementFrontend
-from repro.management.recovery import deploy_spec, deployment_from_record
 from repro.state.durable import DurableKeyValueStore
 
 
@@ -244,6 +248,33 @@ class TestRestoreApplication:
         assert records["noop:2"].deployment.factory_name == "noop"
         assert len(records["noop:2"].replica_set) == 2
 
+    def test_restored_version_keeps_queue_bound_and_breaker(self, tmp_path):
+        """Every deployment field survives a cold start, not a hand-kept list."""
+
+        async def scenario():
+            mgmt = make_frontend(make_store(tmp_path))
+            clipper = Clipper(make_config())
+            mgmt.register_application(clipper)
+            await mgmt.deploy_model(
+                "app",
+                ModelDeployment(
+                    "m",
+                    noop_factory,
+                    factory_name="noop",
+                    batching=BatchingConfig(max_queue_depth=64),
+                    circuit_breaker=CircuitBreakerConfig(window=7),
+                ),
+            )
+            return await restore(make_store(tmp_path))
+
+        _, clipper, report = run_async(scenario())
+        assert report.complete
+        record = clipper.model_record("m:1")
+        assert record.deployment.batching.max_queue_depth == 64
+        assert record.queue.maxsize == 64
+        assert record.deployment.circuit_breaker == CircuitBreakerConfig(window=7)
+        assert "m:1" in clipper.overload.breakers
+
 
 class TestDeploySpecHelpers:
     def test_spec_round_trip_preserves_deployment_shape(self):
@@ -257,14 +288,7 @@ class TestDeploySpecHelpers:
             factory_name="noop",
             batching=BatchingConfig(policy="quantile", quantile=0.95),
         )
-        record = {
-            "version": 7,
-            "num_replicas": 3,
-            "state": "staged",
-            "batching_policy": "quantile",
-            "metadata": {"deploy_spec": deploy_spec(deployment)},
-        }
-        rebuilt = deployment_from_record("m", record, FACTORIES)
+        rebuilt = ModelDeployment.from_spec(deployment.to_spec(), FACTORIES)
         assert rebuilt.version == 7
         assert rebuilt.num_replicas == 3
         assert rebuilt.serialize_rpc is False
@@ -275,16 +299,15 @@ class TestDeploySpecHelpers:
         assert rebuilt.container_factory is noop_factory
 
     def test_missing_factory_raises(self):
-        record = {"version": 1, "num_replicas": 1, "state": "staged",
-                  "metadata": {}}
+        spec = ModelDeployment("ghost", noop_factory).to_spec()
         with pytest.raises(ManagementError):
-            deployment_from_record("ghost", record, {})
+            ModelDeployment.from_spec(spec, {})
 
     def test_bare_model_name_fallback(self):
-        """Pre-durability records (no spec) resolve by bare model name."""
-        record = {"version": 1, "num_replicas": 2, "state": "serving",
-                  "batching_policy": "aimd", "metadata": {}}
-        rebuilt = deployment_from_record("noop", record, FACTORIES)
+        """A deploy that never named its factory resolves by bare model name."""
+        spec = ModelDeployment("noop", lambda: None, num_replicas=2).to_spec()
+        assert spec["factory_name"] is None
+        rebuilt = ModelDeployment.from_spec(spec, FACTORIES)
         assert rebuilt.container_factory is noop_factory
         assert rebuilt.num_replicas == 2
 

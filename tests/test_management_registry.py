@@ -6,18 +6,58 @@ import pytest
 
 from repro.core.exceptions import ManagementError
 from repro.management.records import (
+    VERSION_CANARY,
     VERSION_RETIRED,
     VERSION_SERVING,
     VERSION_STAGED,
     VERSION_UNDEPLOYED,
 )
 from repro.management.registry import ModelRegistry
+from repro.routing.split import TrafficSplit
 from repro.state.kvstore import KeyValueStore
 
 
-def make_registry():
+SPEC = {"name": "svm", "num_replicas": 1}
+
+
+def routing(stable, canary=None, previous=None, weight=0.25):
+    """A routing record as the frontend projects it from the live table."""
+    if canary is None:
+        split = TrafficSplit.single(f"svm:{stable}")
+    else:
+        split = TrafficSplit.canary_split(f"svm:{stable}", f"svm:{canary}", weight)
+    record = split.to_record()
+    record["previous"] = None if previous is None else f"svm:{previous}"
+    return record
+
+
+def make_registry(versions=()):
     registry = ModelRegistry()
     registry.register_application("app")
+    for version in versions:
+        registry.project("app", "svm", None, version, spec=SPEC)
+    return registry
+
+
+SPEC = {"name": "svm", "num_replicas": 1}
+
+
+def routing(stable, canary=None, previous=None, weight=0.25):
+    """A routing record as the frontend projects it from the live table."""
+    if canary is None:
+        split = TrafficSplit.single(f"svm:{stable}")
+    else:
+        split = TrafficSplit.canary_split(f"svm:{stable}", f"svm:{canary}", weight)
+    record = split.to_record()
+    record["previous"] = None if previous is None else f"svm:{previous}"
+    return record
+
+
+def make_registry(versions=()):
+    registry = ModelRegistry()
+    registry.register_application("app")
+    for version in versions:
+        registry.project("app", "svm", None, version, spec=SPEC)
     return registry
 
 
@@ -38,7 +78,7 @@ class TestApplications:
     def test_unknown_application_rejected(self):
         registry = ModelRegistry()
         with pytest.raises(ManagementError):
-            registry.register_model_version("ghost", "m", 1)
+            registry.project("ghost", "m", None, 1, spec=SPEC)
         with pytest.raises(ManagementError):
             registry.models("ghost")
 
@@ -46,67 +86,95 @@ class TestApplications:
 class TestModelVersions:
     def test_first_serving_version(self):
         registry = make_registry()
-        record = registry.register_model_version("app", "svm", 1, serving=True)
+        record = registry.project("app", "svm", routing(1), 1, spec=SPEC)
         assert record["active_version"] == 1
         assert record["versions"]["1"]["state"] == VERSION_SERVING
+        assert record["versions"]["1"]["spec"] == SPEC
 
     def test_later_version_stages(self):
         registry = make_registry()
-        registry.register_model_version("app", "svm", 1, serving=True)
-        record = registry.register_model_version("app", "svm", 2, num_replicas=2)
+        registry.project("app", "svm", routing(1), 1, spec=SPEC)
+        record = registry.project(
+            "app", "svm", routing(1), 2, spec={**SPEC, "num_replicas": 2}
+        )
         assert record["active_version"] == 1
         assert record["versions"]["2"]["state"] == VERSION_STAGED
         assert record["versions"]["2"]["num_replicas"] == 2
 
     def test_versions_are_immutable(self):
-        registry = make_registry()
-        registry.register_model_version("app", "svm", 1)
+        registry = make_registry(versions=[1])
         with pytest.raises(ManagementError):
-            registry.register_model_version("app", "svm", 1)
-
-    def test_rollout_retires_previous_and_rollback_restores(self):
-        registry = make_registry()
-        registry.register_model_version("app", "svm", 1, serving=True)
-        registry.register_model_version("app", "svm", 2)
-
-        record = registry.set_active_version("app", "svm", 2)
-        assert record["active_version"] == 2
-        assert record["previous_version"] == 1
-        assert record["versions"]["1"]["state"] == VERSION_RETIRED
-        assert record["versions"]["2"]["state"] == VERSION_SERVING
-
-        record = registry.set_active_version("app", "svm", 1)  # rollback
-        assert record["active_version"] == 1
-        assert record["previous_version"] == 2
-        assert record["versions"]["1"]["state"] == VERSION_SERVING
-        assert record["versions"]["2"]["state"] == VERSION_RETIRED
-
-    def test_activating_unknown_or_undeployed_version_rejected(self):
-        registry = make_registry()
-        registry.register_model_version("app", "svm", 1, serving=True)
+            registry.project("app", "svm", None, 1, spec=SPEC)
+        # The mark keeps the number used: an undeployed version is history.
+        registry.project("app", "svm", None, 1, undeployed=True)
         with pytest.raises(ManagementError):
-            registry.set_active_version("app", "svm", 9)
-        registry.register_model_version("app", "svm", 2)
-        registry.mark_undeployed("app", "svm", 2)
-        with pytest.raises(ManagementError):
-            registry.set_active_version("app", "svm", 2)
+            registry.project("app", "svm", None, 1, spec=SPEC)
 
-    def test_undeploy_clears_active_and_previous_pointers(self):
-        registry = make_registry()
-        registry.register_model_version("app", "svm", 1, serving=True)
-        registry.register_model_version("app", "svm", 2)
-        registry.set_active_version("app", "svm", 2)
-        record = registry.mark_undeployed("app", "svm", 1)
-        assert record["previous_version"] is None
-        record = registry.mark_undeployed("app", "svm", 2)
-        assert record["active_version"] is None
+    def test_states_are_read_off_the_routing_record(self):
+        registry = make_registry(versions=[1, 2, 3])
+
+        def states(record):
+            model = registry.project("app", "svm", record)
+            return {v: rec["state"] for v, rec in model["versions"].items()}, model
+
+        # A rollout then its rollback: stored as two routing records, no
+        # transition is computed here.
+        got, model = states(routing(2, previous=1))
+        assert got == {"1": VERSION_RETIRED, "2": VERSION_SERVING, "3": VERSION_STAGED}
+        assert (model["active_version"], model["previous_version"]) == (2, 1)
+        assert "traffic_split" not in model
+        got, model = states(routing(1, previous=2))
+        assert got == {"1": VERSION_SERVING, "2": VERSION_RETIRED, "3": VERSION_STAGED}
+
+        # A canary in flight — of the rollback target, too: canary wins.
+        got, model = states(routing(1, canary=3, previous=2))
+        assert got == {"1": VERSION_SERVING, "2": VERSION_RETIRED, "3": VERSION_CANARY}
+        in_flight = routing(1, canary=3)
+        del in_flight["previous"]
+        assert model["traffic_split"] == in_flight  # = TrafficSplit.to_record()
+        got, _ = states(routing(1, canary=2, previous=2))
+        assert got["2"] == VERSION_CANARY
+
+        # ``retired`` is the rollback key and nothing else: a version
+        # displaced two rollouts ago reads staged.
+        got, _ = states(routing(3, previous=2))
+        assert got == {"1": VERSION_STAGED, "2": VERSION_RETIRED, "3": VERSION_SERVING}
+
+        # Nothing routed.
+        got, model = states(None)
+        assert set(got.values()) == {VERSION_STAGED}
+        assert (model["active_version"], model["previous_version"]) == (None, None)
+
+    def test_undeployed_mark_is_kept_and_wins(self):
+        registry = make_registry(versions=[1, 2])
+        record = registry.project("app", "svm", routing(1), 2, undeployed=True)
         assert record["versions"]["2"]["state"] == VERSION_UNDEPLOYED
+        # Later projections leave the mark alone.
+        record = registry.project("app", "svm", routing(1), 2, num_replicas=3)
+        assert record["versions"]["2"]["state"] == VERSION_UNDEPLOYED
+        record = registry.project("app", "svm", None, 1, undeployed=True)
+        assert record["active_version"] is None
+        assert record["versions"]["1"]["state"] == VERSION_UNDEPLOYED
 
-    def test_set_num_replicas_updates_record(self):
-        registry = make_registry()
-        registry.register_model_version("app", "svm", 1, serving=True)
-        record = registry.set_num_replicas("app", "svm", 1, 4)
+    def test_touching_an_unregistered_version_rejected(self):
+        registry = make_registry(versions=[1])
+        with pytest.raises(ManagementError):
+            registry.project("app", "svm", routing(1), 9, num_replicas=2)
+        # ... and the refused write stored nothing.
+        assert registry.model("app", "svm")["routing"] is None
+
+    def test_num_replicas_follows_scaling(self):
+        registry = make_registry(versions=[1])
+        record = registry.project("app", "svm", routing(1), 1, num_replicas=4)
         assert record["versions"]["1"]["num_replicas"] == 4
+        assert record["versions"]["1"]["spec"] == SPEC  # the spec never moves
+
+    def test_routing_is_stored_verbatim(self):
+        registry = make_registry(versions=[1, 2])
+        record = routing(1, canary=2, previous=None, weight=0.125)
+        assert registry.project("app", "svm", record)["routing"] == record
+        record["arms"][0][1] = 0.0  # the caller's dict is not the stored one
+        assert registry.model("app", "svm")["routing"]["arms"][0][1] == 0.875
 
 
 class TestOptimisticConcurrency:
@@ -125,7 +193,7 @@ class TestOptimisticConcurrency:
             try:
                 barrier.wait()
                 for i in range(versions_per_writer):
-                    registry.register_model_version("app", "svm", offset + i)
+                    registry.project("app", "svm", None, offset + i, spec=SPEC)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -148,10 +216,10 @@ class TestOptimisticConcurrency:
         registry_a = ModelRegistry(store=store)
         registry_b = ModelRegistry(store=store)
         registry_a.register_application("app")
-        registry_a.register_model_version("app", "svm", 1, metadata={"writer": "a"})
+        registry_a.project("app", "svm", None, 1, spec={"writer": "a"})
         with pytest.raises(ManagementError):
-            registry_b.register_model_version("app", "svm", 1, metadata={"writer": "b"})
-        assert registry_a.model("app", "svm")["versions"]["1"]["metadata"] == {
+            registry_b.project("app", "svm", None, 1, spec={"writer": "b"})
+        assert registry_a.model("app", "svm")["versions"]["1"]["spec"] == {
             "writer": "a"
         }
 
