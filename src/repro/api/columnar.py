@@ -13,8 +13,8 @@ round-trip at the edge:
 * **Responses** (negotiated via ``Accept``) encode with
   :func:`repro.rpc.serialization.serialize_buffers`: the encoder returns the
   writev-style *segment list*, which :class:`~repro.api.http.HttpApiServer`
-  writes with ``StreamWriter.writelines`` — the body is never concatenated
-  with its headers (or into one frame-sized ``bytes``).
+  hands to the transport with its head in one ``writelines`` — the body is
+  never concatenated with its headers (or into one frame-sized ``bytes``).
 
 A malformed frame is a client error: the decoder maps every
 :class:`~repro.core.exceptions.SerializationError` (corrupt tag, truncated

@@ -1,14 +1,21 @@
 """Stdlib asyncio HTTP/1.1 binding for the versioned route table.
 
 The thinnest possible REST edge: :class:`HttpApiServer` hosts a
-:class:`~repro.api.routes.RouteTable` on ``asyncio.start_server`` — no
+:class:`~repro.api.routes.RouteTable` on one
+:class:`~repro.rpc.http11.Http1Connection` protocol per socket — no
 framework, no new dependencies.  It implements exactly what the serving
 surface needs:
 
-* HTTP/1.1 request parsing (request line, headers, ``Content-Length``
-  bodies) with bounded header/body sizes,
+* HTTP/1.1 request parsing by the single-pass parser it shares with the
+  client SDK (:mod:`repro.rpc.http11`: bounded head, header count and body;
+  digits-only ``Content-Length``; chunked refused) — a request that fails
+  to parse gets one structured 400 and the connection is closed,
 * **keep-alive** connections (``Connection: close`` honoured; HTTP/1.0
-  defaults to close) so clients amortize the TCP handshake across queries,
+  defaults to close) so clients amortize the TCP handshake across queries;
+  pipelined requests are answered in order,
+* **flow control**: a response is awaited only while the transport is over
+  its high-water mark, and reading pauses while a request is in flight and
+  more than one head + body limit is already buffered,
 * JSON request/response bodies (binary inputs travel as base64 per the
   application schema), with **content-type negotiation**
   (:meth:`HttpApiServer.register_content_type`): proper ``Accept`` handling
@@ -30,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import socket
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl
 
@@ -45,6 +51,7 @@ from repro.api.errors import (
 from repro.api.routes import RouteTable
 from repro.api.schema import json_safe
 from repro.observability.logging import configure_logging, get_logger
+from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
 
 logger = get_logger("api.http")
 
@@ -68,37 +75,25 @@ _REASONS = {
 
 JSON_CONTENT_TYPE = "application/json"
 
-#: Static response-head fragments, rendered once and reused: the per-response
-#: head is a join of cached byte fragments plus the one dynamic number
-#: (``Content-Length``) — no per-response f-string assembly on the hot path.
-_HEAD_PREFIXES: Dict[Tuple[int, bool], bytes] = {}
-_CT_LINES: Dict[str, bytes] = {}
+#: Response heads up to the ``Content-Length`` digits, by (status, keep-alive,
+#: content type): a response formats one number and joins.  Bounded — a
+#: handler may name any content type.
+_HEADS: Dict[Tuple[int, bool, str], bytes] = {}
 
 
-def _head_prefix(status: int, keep_alive: bool) -> bytes:
-    """``HTTP/1.1 <status> <reason>\\r\\nConnection: ...\\r\\n``, cached."""
-    key = (status, keep_alive)
-    prefix = _HEAD_PREFIXES.get(key)
-    if prefix is None:
-        reason = _REASONS.get(status, "Unknown")
-        connection = "keep-alive" if keep_alive else "close"
-        prefix = f"HTTP/1.1 {status} {reason}\r\nConnection: {connection}\r\n".encode(
-            "ascii"
-        )
-        _HEAD_PREFIXES[key] = prefix
-    return prefix
-
-
-def _content_type_line(content_type: str) -> bytes:
-    line = _CT_LINES.get(content_type)
-    if line is None:
-        line = f"Content-Type: {content_type}\r\n".encode("ascii")
-        _CT_LINES[content_type] = line
-    return line
-
-
-class _FramingError(Exception):
-    """The connection's byte stream is not parseable HTTP; cannot resync."""
+def _head(status: int, keep_alive: bool, content_type: str) -> bytes:
+    key = (status, keep_alive, content_type)
+    head = _HEADS.get(key)
+    if head is None:
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            "Content-Length: "
+        ).encode("latin-1")
+        if len(_HEADS) < MEMO_MAX:
+            _HEADS[key] = head
+    return head
 
 
 def _encode_json(body: Any) -> bytes:
@@ -134,12 +129,15 @@ class HttpApiServer:
         self._max_header_count = max_header_count
         self._keep_alive_timeout_s = keep_alive_timeout_s
         self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: set = set()
+        # Every open connection, by the task serving it.
+        self._connections: Dict[asyncio.Task, Http1Connection] = {}
         self._draining = False
         self._inflight = 0
-        # Set whenever no request is mid-dispatch; drain() waits on it.
-        self._idle = asyncio.Event()
-        self._idle.set()
+        # Created by drain() while requests are mid-dispatch; resolved by the
+        # last of them to finish.
+        self._idle: Optional[asyncio.Future] = None
+        # Accept header -> negotiated encoding (see _dispatch).
+        self._accepts: Dict[Optional[str], str] = {}
         self._encoders: Dict[str, Callable[[Any], bytes]] = {
             JSON_CONTENT_TYPE: _encode_json
         }
@@ -161,6 +159,7 @@ class HttpApiServer:
         through ``Accept``; JSON stays the default for both.
         """
         content_type = content_type.lower()
+        self._accepts.clear()
         if encoder is not None:
             self._encoders[content_type] = encoder
         if decoder is not None:
@@ -204,8 +203,12 @@ class HttpApiServer:
         try:
             for owner in self._lifecycle:
                 await owner.start()
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self._requested_port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: Http1Connection(
+                    self._max_body_bytes, self._max_header_count, self._on_connection
+                ),
+                host=self.host,
+                port=self._requested_port,
             )
         except BaseException:
             # Stopping an owner that never started is a no-op.  Should a stop
@@ -230,10 +233,14 @@ class HttpApiServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            pass
+        if self._inflight:
+            self._idle = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(self._idle, timeout=timeout_s)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                self._idle = None
         await self.stop()
 
     async def stop(self) -> None:
@@ -241,8 +248,8 @@ class HttpApiServer:
         if self._server is None:
             return
         self._server.close()
-        for writer in list(self._writers):
-            writer.close()
+        for conn in list(self._connections.values()):
+            conn.close()
         try:
             await self._server.wait_closed()
         finally:
@@ -259,23 +266,28 @@ class HttpApiServer:
 
     # -- connection handling ---------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None and sock.family in (socket.AF_INET, socket.AF_INET6):
-            # Responses are written whole; never trade latency for batching.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._writers.add(writer)
+    def _on_connection(self, conn: Http1Connection) -> None:
+        task = asyncio.get_running_loop().create_task(self._serve_connection(conn))
+        self._connections[task] = conn
+        task.add_done_callback(self._on_connection_done)
+
+    def _on_connection_done(self, task: asyncio.Task) -> None:
+        del self._connections[task]
+        if not task.cancelled() and task.exception() is not None:
+            # _dispatch maps every handler failure to a response; this is a
+            # defect in the edge itself.  The connection is already closed.
+            logger.error("connection handler failed", exc_info=task.exception())
+
+    async def _serve_connection(self, conn: Http1Connection) -> None:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
-                except _FramingError as exc:
+                    request = await self._read_request(conn)
+                except FramingError as exc:
                     # The stream cannot be re-synchronized: answer once and
                     # hang up.
                     await self._write_response(
-                        writer,
+                        conn,
                         400,
                         error_payload(BadRequestError(str(exc))),
                         JSON_CONTENT_TYPE,
@@ -287,13 +299,12 @@ class HttpApiServer:
                 method, path, query_string, headers, body_bytes = request
                 keep_alive = self._wants_keep_alive(headers) and not self._draining
                 self._inflight += 1
-                self._idle.clear()
                 try:
                     status, body, content_type, extra_headers = await self._dispatch(
                         method, path, query_string, headers, body_bytes
                     )
                     await self._write_response(
-                        writer,
+                        conn,
                         status,
                         body,
                         content_type,
@@ -302,84 +313,32 @@ class HttpApiServer:
                     )
                 finally:
                     self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
+                    idle = self._idle
+                    if not self._inflight and idle is not None and not idle.done():
+                        idle.set_result(None)
                 if not keep_alive:
                     break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # peer went away mid-exchange; nothing to answer
+        except ConnectionResetError:
+            pass  # peer went away mid-message; nothing to answer
         finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            conn.close()
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, conn: Http1Connection
     ) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
-        """Parse one request; None on clean EOF, :class:`_FramingError` on junk."""
-        try:
-            if self._keep_alive_timeout_s is not None:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=self._keep_alive_timeout_s
-                )
-            else:
-                request_line = await reader.readline()
-        except asyncio.TimeoutError:
+        """Parse one request; None on clean EOF, :class:`FramingError` on junk."""
+        message = await conn.read_message(self._keep_alive_timeout_s)
+        if message is None:
             return None
-        except ValueError:
-            raise _FramingError("request line exceeds the size limit") from None
-        if not request_line or request_line in (b"\r\n", b"\n"):
-            return None
-        try:
-            parts = request_line.decode("ascii").split()
-        except UnicodeDecodeError:
-            raise _FramingError("request line is not ASCII") from None
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _FramingError("malformed HTTP request line")
-        method, target, version = parts
-        headers: Dict[str, str] = {"_http_version": version}
-        # One extra iteration beyond the limit for the terminating blank
-        # line, so a request with exactly max_header_count headers passes.
-        for _ in range(self._max_header_count + 1):
-            try:
-                line = await reader.readline()
-            except ValueError:
-                raise _FramingError("header line exceeds the size limit") from None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _FramingError("malformed HTTP header line")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _FramingError("too many HTTP headers")
-        if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise _FramingError("chunked request bodies are not supported")
-        body = b""
-        length_text = headers.get("content-length")
-        if length_text is not None:
-            try:
-                length = int(length_text)
-            except ValueError:
-                raise _FramingError("Content-Length is not an integer") from None
-            if length < 0:
-                raise _FramingError("Content-Length is negative")
-            if length > self._max_body_bytes:
-                raise _FramingError(
-                    f"request body exceeds the {self._max_body_bytes}-byte limit"
-                )
-            if length:
-                try:
-                    body = await reader.readexactly(length)
-                except asyncio.IncompleteReadError:
-                    return None  # peer hung up mid-body
+        request_line, headers, body = message
+        parts = request_line.split()
+        if (
+            len(parts) != 3
+            or not parts[2].startswith("HTTP/")
+            or not request_line.isascii()
+        ):
+            raise FramingError("malformed HTTP request line")
+        method, target, headers["_http_version"] = parts
         path, _, query_string = target.partition("?")
         return method, path, query_string, headers, body
 
@@ -456,15 +415,17 @@ class HttpApiServer:
         decoder by the ``Content-Type`` header, not by what they asked for.
         """
         try:
-            accept = self._negotiate_accept(headers.get("accept"))
+            # Clients send the same Accept value request after request:
+            # negotiate each once.  Bounded, the values being the peer's.
+            raw_accept = headers.get("accept")
+            accept = self._accepts.get(raw_accept)
+            if accept is None:
+                accept = self._negotiate_accept(raw_accept)
+                if len(self._accepts) < MEMO_MAX:
+                    self._accepts[raw_accept] = accept
             body: Any = None
             if body_bytes:
-                content_type = (
-                    headers.get("content-type", JSON_CONTENT_TYPE)
-                    .split(";")[0]
-                    .strip()
-                    .lower()
-                )
+                content_type = media_type(headers.get("content-type", JSON_CONTENT_TYPE))
                 decoder = self._decoders.get(content_type)
                 if decoder is None:
                     raise UnsupportedMediaTypeError(
@@ -513,7 +474,7 @@ class HttpApiServer:
 
     async def _write_response(
         self,
-        writer: asyncio.StreamWriter,
+        conn: Http1Connection,
         status: int,
         body: Any,
         content_type: str,
@@ -529,9 +490,11 @@ class HttpApiServer:
 
         Encoders may return either one ``bytes`` payload or a writev-style
         *list* of byte segments (how the columnar encoder hands back
-        zero-copy ndarray views): the head is joined from precomputed
-        fragments and the body segments go to the stream with
+        zero-copy ndarray views): the pre-built head takes its
+        ``Content-Length`` digits and leaves with the body segments in one
         ``writelines`` — the body is never concatenated with its headers.
+        The call awaits only while the transport is over its high-water
+        mark, so a peer that stops reading stops this connection's task.
         """
         extra = b""
         if extra_headers:
@@ -560,18 +523,10 @@ class HttpApiServer:
                 payload = _encode_json(error_payload(Exception()))
             segments = payload if isinstance(payload, list) else [payload]
         length = sum(len(segment) for segment in segments)
-        head = b"".join(
-            (
-                _head_prefix(status, keep_alive),
-                _content_type_line(content_type),
-                b"Content-Length: %d\r\n" % length,
-                extra,
-                b"\r\n",
-            )
-        )
-        writer.write(head)
-        writer.writelines(segments)
-        await writer.drain()
+        head = b"%b%d\r\n%b\r\n" % (_head(status, keep_alive, content_type), length, extra)
+        conn.transport.writelines([head, *segments])
+        if conn.write_paused:
+            await conn.drain()
 
 
 def create_server(

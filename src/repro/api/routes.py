@@ -61,7 +61,7 @@ class Route:
             return None
         params: Dict[str, str] = {}
         for segment, part in zip(self.segments, parts):
-            if segment.startswith("{") and segment.endswith("}"):
+            if _is_param(segment):
                 if not part:
                     return None
                 params[segment[1:-1]] = part
@@ -74,28 +74,32 @@ def _split_path(path: str) -> Tuple[str, ...]:
     return tuple(part for part in path.strip("/").split("/"))
 
 
+def _is_param(segment: str) -> bool:
+    return segment.startswith("{") and segment.endswith("}")
+
+
 class RouteTable:
     """The one registry of every externally callable verb."""
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-
-    @staticmethod
-    def _shape_of(segments: Tuple[str, ...]) -> Tuple[str, ...]:
-        # Two patterns that differ only in parameter names match the same
-        # requests; normalize for the duplicate check.
-        return tuple(
-            "{}" if s.startswith("{") and s.endswith("}") else s for s in segments
-        )
+        # (segment count, positions of the literal segments) -> literal
+        # segments -> [(registration order, route)].  A request looks its own
+        # literals up once per pattern shape instead of trying every route.
+        self._index: Dict[tuple, Dict[tuple, List[Tuple[int, Route]]]] = {}
 
     def add(self, method: str, pattern: str, name: str, handler: Handler) -> Route:
         """Register a route; duplicate (method, pattern) pairs are rejected."""
         method = method.upper()
         segments = _split_path(pattern)
-        shape = self._shape_of(segments)
-        for route in self._routes:
-            if route.method == method and self._shape_of(route.segments) == shape:
-                raise ValueError(f"route {method} {pattern} is already registered")
+        literal_at = tuple(i for i, s in enumerate(segments) if not _is_param(s))
+        # Two patterns that differ only in parameter names match the same
+        # requests: they share a bucket, which makes that the duplicate check.
+        bucket = self._index.setdefault((len(segments), literal_at), {}).setdefault(
+            tuple(segments[i] for i in literal_at), []
+        )
+        if any(route.method == method for _, route in bucket):
+            raise ValueError(f"route {method} {pattern} is already registered")
         route = Route(
             method=method,
             pattern=pattern,
@@ -103,6 +107,7 @@ class RouteTable:
             handler=handler,
             segments=segments,
         )
+        bucket.append((len(self._routes), route))
         self._routes.append(route)
         return route
 
@@ -119,8 +124,14 @@ class RouteTable:
         """
         parts = _split_path(path)
         method = method.upper()
+        candidates: List[Tuple[int, Route]] = []
+        for (count, literal_at), buckets in self._index.items():
+            if count == len(parts):
+                candidates += buckets.get(tuple(parts[i] for i in literal_at), ())
+        if len(candidates) > 1:
+            candidates.sort(key=lambda entry: entry[0])  # registration order
         allowed: List[str] = []
-        for route in self._routes:
+        for _, route in candidates:
             params = route.match_path(parts)
             if params is None:
                 continue

@@ -3,9 +3,10 @@
 The application side of the paper's Figure 2: an application never imports
 the serving library — it talks to Clipper over REST.  This module is that
 application's half of the contract, free of any import from the serving
-*engine* (:mod:`repro.core` and friends); the one shared module is the wire
-codec (:mod:`repro.rpc.serialization`, numpy-only), because a binary wire
-format is precisely a contract both ends must share:
+*engine* (:mod:`repro.core` and friends); the shared modules are the wire
+codec (:mod:`repro.rpc.serialization`, numpy-only) and the HTTP/1.1 framing
+(:mod:`repro.rpc.http11`, stdlib-only), because a wire format is precisely a
+contract both ends must share:
 
 * :class:`AsyncClipperClient` / :class:`ClipperClient` — the two application
   verbs, ``predict`` and ``update``, plus schema/health introspection.
@@ -14,7 +15,8 @@ format is precisely a contract both ends must share:
   models/health/metrics/routing).
 
 Both speak minimal HTTP/1.1 over a single **keep-alive** connection
-(re-established transparently when the server closes it between requests),
+(re-established transparently when the server closes it between requests;
+framed by :mod:`repro.rpc.http11`, the parser the server's edge runs too),
 encode numpy arrays as JSON arrays and ``bytes`` as base64 per the
 application schema, and raise **typed exceptions mirroring the server's
 structured error model**: the ``code`` field of the wire error selects the
@@ -38,13 +40,14 @@ import asyncio
 import base64
 import json
 import random
-import socket
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import SerializationError
+from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
 from repro.rpc.serialization import (
     COLUMNAR_CONTENT_TYPE,
     deserialize,
@@ -303,46 +306,41 @@ class _HttpConnection:
         self.port = port
         self.retry_policy = retry_policy or RetryPolicy()
         self._rng = random.Random()
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._protocol: Optional[Http1Connection] = None
+        # (method, path, columnar) -> the request head up to the Content-Length
+        # digits; bounded, paths being built from caller-supplied names.
+        self._heads: Dict[Tuple[str, str, bool], bytes] = {}
 
     @property
     def is_connected(self) -> bool:
+        protocol = self._protocol
         return (
-            self._writer is not None
-            and not self._writer.is_closing()
-            and self._reader is not None
-            and not self._reader.at_eof()
+            protocol is not None
+            and not protocol.eof
+            and not protocol.transport.is_closing()
         )
 
     async def connect(self) -> None:
         if self.is_connected:
             return
-        await self._reset()
+        self._reset()
         try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
+            # Responses are as large as the server makes them: no body limit.
+            _, self._protocol = await asyncio.get_running_loop().create_connection(
+                lambda: Http1Connection(max_body_bytes=sys.maxsize), self.host, self.port
             )
         except OSError as exc:
             raise TransportError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from None
-        sock = self._writer.get_extra_info("socket")
-        if sock is not None and sock.family in (socket.AF_INET, socket.AF_INET6):
-            # Each request is one write; don't let Nagle hold it back.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     async def close(self) -> None:
-        await self._reset()
+        self._reset()
 
-    async def _reset(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+    def _reset(self) -> None:
+        protocol, self._protocol = self._protocol, None
+        if protocol is not None:
+            protocol.close()
 
     async def request(
         self, method: str, path: str, body: Any = None, binary: bool = False
@@ -359,7 +357,8 @@ class _HttpConnection:
         while True:
             attempts += 1
             try:
-                await self.connect()
+                if not self.is_connected:
+                    await self.connect()
             except TransportError as exc:
                 # Nothing was sent: safe to retry for every method.
                 failure, retriable = exc, True
@@ -372,20 +371,16 @@ class _HttpConnection:
                     # The request went out but nothing of the response
                     # arrived.  Only an idempotent GET is re-issued; a POST
                     # may have executed server-side and must not run twice.
-                    await self._reset()
+                    self._reset()
                     failure = TransportError(
                         f"{method} {path} failed: {exc.args[0]}"
                     )
                     retriable = is_get
-                except (
-                    ConnectionResetError,
-                    BrokenPipeError,
-                    asyncio.IncompleteReadError,
-                    OSError,
-                ) as exc:
-                    # The connection died mid-response: the request may have
-                    # executed server-side, so never re-issue it.
-                    await self._reset()
+                except (FramingError, OSError) as exc:
+                    # The connection died mid-response, or what arrived is not
+                    # a response: the request may have executed server-side,
+                    # so never re-issue it — and never reuse the connection.
+                    self._reset()
                     raise TransportError(
                         f"{method} {path} failed: {exc!r}"
                     ) from None
@@ -420,7 +415,8 @@ class _HttpConnection:
     async def _round_trip(
         self, method: str, path: str, body: Any, binary: bool = False
     ) -> Tuple[int, Any, Optional[float]]:
-        if binary and body is not None:
+        columnar = binary and body is not None
+        if columnar:
             # Encode before touching the connection: an unencodable body
             # must fail cleanly, not poison the keep-alive stream.
             try:
@@ -440,47 +436,35 @@ class _HttpConnection:
             length = len(payload)
             content_type = "application/json"
             accept = "application/json"
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Accept: {accept}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {length}\r\n"
-            "\r\n"
-        ).encode("ascii")
-        try:
-            # The body is never joined with the head: binary segments (which
-            # include zero-copy views of the caller's arrays) go out
-            # writev-style.
-            self._writer.write(head)
-            if segments:
-                self._writer.writelines(segments)
-            await self._writer.drain()
-            status_line = await self._reader.readline()
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            # Failed while sending / before the first response byte — the
-            # server closed the idle connection; an incomplete request is
-            # discarded server-side, so this is retriable.
-            raise _StaleConnection(f"connection lost before a response: {exc}") from None
-        if not status_line:
+        head = self._heads.get((method, path, columnar))
+        if head is None:
+            head = (
+                f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n"
+                f"Accept: {accept}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                "Content-Length: "
+            ).encode("ascii")
+            if len(self._heads) < MEMO_MAX:
+                self._heads[(method, path, columnar)] = head
+        protocol = self._protocol
+        # The body is never joined with the head: binary segments (which
+        # include zero-copy views of the caller's arrays) go out writev-style.
+        protocol.transport.writelines([b"%b%d\r\n\r\n" % (head, length), *segments])
+        if protocol.write_paused:
+            await protocol.drain()
+        message = await protocol.read_message()
+        if message is None:
+            # Not one response byte arrived — the server closed the idle
+            # connection; an incomplete request is discarded server-side.
             raise _StaleConnection("server closed the idle connection")
-        parts = status_line.decode("ascii", "replace").split(maxsplit=2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise TransportError(f"malformed status line: {status_line!r}")
+        status_line, headers, data = message
+        parts = status_line.split(maxsplit=2)
+        if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
+            raise FramingError(f"malformed status line: {status_line!r}")
         status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionResetError("connection closed inside headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        data = await self._reader.readexactly(length) if length else b""
         if "close" in headers.get("connection", "").lower():
-            await self._reset()
+            self._reset()
         retry_after: Optional[float] = None
         if status in (429, 503):
             # Delay-seconds form only (the server never sends HTTP dates);
@@ -495,8 +479,7 @@ class _HttpConnection:
             return status, None, retry_after
         # The response's own Content-Type picks the decoder — errors render
         # as JSON even on a binary exchange.
-        response_type = headers.get("content-type", "").split(";")[0].strip().lower()
-        if response_type == COLUMNAR_CONTENT_TYPE:
+        if media_type(headers.get("content-type", "")) == COLUMNAR_CONTENT_TYPE:
             try:
                 return status, deserialize(data), retry_after
             except SerializationError as exc:

@@ -80,47 +80,6 @@ _MAX_DEPTH = 32
 _INLINE_PAYLOAD_MAX = 512
 
 
-class _BufferWriter:
-    """Accumulates an encoded frame as a list of buffer segments.
-
-    Control bytes (tags, lengths, headers, small payloads) append to a
-    ``bytearray`` scratch segment; large payloads are spliced in as
-    zero-copy read-only memoryviews of the caller's data.
-    """
-
-    __slots__ = ("_segments", "_scratch")
-
-    def __init__(self) -> None:
-        self._segments: List[Any] = []
-        self._scratch = bytearray()
-
-    # bytearray-compatible surface used by the encoder for control bytes.
-    def append(self, byte: int) -> None:
-        self._scratch.append(byte)
-
-    def extend(self, data) -> None:
-        self._scratch.extend(data)
-
-    def payload(self, buffer) -> None:
-        """Splice in one payload segment without copying it."""
-        view = memoryview(buffer)
-        if view.nbytes == 0:
-            return
-        if view.nbytes < _INLINE_PAYLOAD_MAX:
-            self._scratch.extend(view.cast("B"))
-            return
-        if self._scratch:
-            self._segments.append(self._scratch)
-            self._scratch = bytearray()
-        self._segments.append(view.cast("B").toreadonly())
-
-    def buffers(self) -> List[Any]:
-        if self._scratch:
-            self._segments.append(self._scratch)
-            self._scratch = bytearray()
-        return self._segments
-
-
 def serialize(value: Any) -> bytes:
     """Encode ``value`` into one contiguous tagged-binary frame."""
     return b"".join(serialize_buffers(value))
@@ -134,9 +93,15 @@ def serialize_buffers(value: Any) -> List[Any]:
     frame.  Large ndarray/bytes payload segments are read-only views of the
     caller's data — consume them before mutating the originals.
     """
-    writer = _BufferWriter()
-    _encode(value, writer, depth=0)
-    return writer.buffers()
+    segments: List[Any] = []
+    # Control bytes (tags, lengths, headers, small payloads) gather in one
+    # scratch bytearray; a large payload flushes it and is spliced in as a
+    # zero-copy view of the caller's data.
+    scratch = bytearray()
+    (_ENCODERS.get(type(value)) or _encoder_for(value))(value, scratch, segments, 0)
+    if scratch:
+        segments.append(scratch)
+    return segments
 
 
 def serialized_nbytes(buffers: List[Any]) -> int:
@@ -165,51 +130,162 @@ def deserialize(data) -> Any:
     return value
 
 
-def _encode(value: Any, out: _BufferWriter, depth: int) -> None:
-    if depth > _MAX_DEPTH:
-        raise SerializationError("value nesting exceeds maximum depth")
-    if value is None:
-        out.append(_TAG_NONE)
-    elif isinstance(value, bool):
-        # bool must be checked before int: bool is a subclass of int.
-        out.append(_TAG_BOOL)
-        out.append(1 if value else 0)
-    elif isinstance(value, (int, np.integer)):
-        out.append(_TAG_INT)
-        out.extend(struct.pack("<q", int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_TAG_FLOAT)
-        out.extend(struct.pack("<d", float(value)))
-    elif isinstance(value, str):
+# -- encode ----------------------------------------------------------------------
+#
+# One encoder per value type, ``encoder(value, scratch, segments, depth)``,
+# found by exact ``type()`` in ``_ENCODERS``; subclasses and numpy scalars
+# take the ``isinstance`` chain in ``_encoder_for``.  Tag and value leave in
+# one pre-compiled ``Struct.pack``.
+
+_pack_int = struct.Struct("<Bq").pack
+_pack_float = struct.Struct("<Bd").pack
+_pack_len = struct.Struct("<BI").pack  # tag + u32 length or count
+_pack_dim = struct.Struct("<q").pack
+_pack_nbytes = struct.Struct("<Q").pack
+_pack_count_nbytes = struct.Struct("<IQ").pack
+
+#: ``str`` -> its whole frame (tag, length, utf-8).  Dict keys and short
+#: strings recur message after message ("query_id", "m:1"); the strings come
+#: from outside the process, so the cache is bounded and starts over when full.
+_STR_FRAMES: dict = {}
+_STR_FRAMES_MAX = 1024
+_CACHED_STR_MAX = 64
+
+
+def _payload(buffer, scratch: bytearray, segments: List[Any]) -> None:
+    """Append one payload: inline when small, else as a zero-copy segment."""
+    view = memoryview(buffer)
+    nbytes = view.nbytes
+    if nbytes == 0:
+        return
+    if nbytes < _INLINE_PAYLOAD_MAX:
+        scratch += view.cast("B")
+        return
+    if scratch:
+        segments.append(bytes(scratch))
+        del scratch[:]
+    segments.append(view.cast("B").toreadonly())
+
+
+def _encode_none(value, scratch, segments, depth) -> None:
+    scratch.append(_TAG_NONE)
+
+
+def _encode_bool(value, scratch, segments, depth) -> None:
+    scratch += b"\x03\x01" if value else b"\x03\x00"
+
+
+def _encode_int(value, scratch, segments, depth) -> None:
+    scratch += _pack_int(_TAG_INT, int(value))  # int(): numpy scalars, subclasses
+
+
+def _encode_float(value, scratch, segments, depth) -> None:
+    scratch += _pack_float(_TAG_FLOAT, float(value))
+
+
+def _encode_str(value, scratch, segments, depth) -> None:
+    # Only exact ``str`` is cached: a subclass may encode as it likes.
+    exact = type(value) is str
+    frame = _STR_FRAMES.get(value) if exact else None
+    if frame is None:
         encoded = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out.extend(struct.pack("<I", len(encoded)))
-        out.payload(encoded)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_TAG_BYTES)
-        out.extend(struct.pack("<I", len(value)))
-        out.payload(value)
-    elif isinstance(value, np.ndarray):
-        _encode_ndarray(value, out)
-    elif isinstance(value, (list, tuple)):
-        batch_shape = _homogeneous_batch_shape(value)
-        if batch_shape is not None:
-            _encode_ndarray_batch(value, out)
+        frame = _pack_len(_TAG_STR, len(encoded))
+        if len(encoded) >= _INLINE_PAYLOAD_MAX:
+            scratch += frame
+            _payload(encoded, scratch, segments)
+            return
+        frame += encoded
+        if exact and len(encoded) <= _CACHED_STR_MAX:
+            if len(_STR_FRAMES) >= _STR_FRAMES_MAX:
+                _STR_FRAMES.clear()
+            _STR_FRAMES[value] = frame
+    scratch += frame
+
+
+def _encode_bytes(value, scratch, segments, depth) -> None:
+    scratch += _pack_len(_TAG_BYTES, len(value))
+    _payload(value, scratch, segments)
+
+
+def _encode_list(value, scratch, segments, depth) -> None:
+    if _homogeneous_batch_shape(value) is not None:
+        _encode_ndarray_batch(value, scratch, segments)
+        return
+    scratch += _pack_len(_TAG_LIST, len(value))
+    if value and depth >= _MAX_DEPTH:
+        raise SerializationError("value nesting exceeds maximum depth")
+    depth += 1
+    lookup = _ENCODERS.get
+    for item in value:
+        (lookup(type(item)) or _encoder_for(item))(item, scratch, segments, depth)
+
+
+def _encode_dict(value, scratch, segments, depth) -> None:
+    scratch += _pack_len(_TAG_DICT, len(value))
+    too_deep = depth >= _MAX_DEPTH
+    depth += 1
+    lookup = _ENCODERS.get
+    frames = _STR_FRAMES.get
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise SerializationError("dict keys must be strings")
+        if too_deep:
+            raise SerializationError("value nesting exceeds maximum depth")
+        frame = frames(key) if type(key) is str else None
+        if frame is not None:
+            scratch += frame  # the common case, without a call
         else:
-            out.append(_TAG_LIST)
-            out.extend(struct.pack("<I", len(value)))
-            for item in value:
-                _encode(item, out, depth + 1)
-    elif isinstance(value, dict):
-        out.append(_TAG_DICT)
-        out.extend(struct.pack("<I", len(value)))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SerializationError("dict keys must be strings")
-            _encode(key, out, depth + 1)
-            _encode(item, out, depth + 1)
-    else:
-        raise SerializationError(f"cannot serialize value of type {type(value).__name__}")
+            _encode_str(key, scratch, segments, depth)
+        (lookup(type(item)) or _encoder_for(item))(item, scratch, segments, depth)
+
+
+def _encode_ndarray(array, scratch, segments, depth) -> None:
+    if array.dtype.hasobject:
+        raise SerializationError("object-dtype arrays are not serializable")
+    contiguous = np.ascontiguousarray(array)
+    _ndarray_header(_TAG_NDARRAY, contiguous.dtype, contiguous.shape, scratch)
+    scratch += _pack_nbytes(contiguous.nbytes)
+    _payload(contiguous, scratch, segments)
+
+
+#: The ``isinstance`` chain, in the order that decides ties: ``bool`` before
+#: ``int`` (bool is a subclass of int), numpy scalars beside the builtins.
+_FALLBACK_ENCODERS = (
+    (bool, _encode_bool),
+    ((int, np.integer), _encode_int),
+    ((float, np.floating), _encode_float),
+    (str, _encode_str),
+    ((bytes, bytearray), _encode_bytes),
+    (np.ndarray, _encode_ndarray),
+    ((list, tuple), _encode_list),
+    (dict, _encode_dict),
+)
+
+
+def _encoder_for(value: Any):
+    """The encoder of a value whose exact type is not in ``_ENCODERS``."""
+    for types, encoder in _FALLBACK_ENCODERS:
+        if isinstance(value, types):
+            return encoder
+    raise SerializationError(f"cannot serialize value of type {type(value).__name__}")
+
+
+_ENCODERS = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    np.ndarray: _encode_ndarray,
+    list: _encode_list,
+    tuple: _encode_list,
+    dict: _encode_dict,
+}
+# Model outputs and latencies arrive as numpy scalars as often as builtins.
+_ENCODERS.update((t, _encode_int) for t in (np.int32, np.int64, np.uint8))
+_ENCODERS.update((t, _encode_float) for t in (np.float32, np.float64))
 
 
 def _homogeneous_batch_shape(items) -> Optional[Tuple[Any, tuple]]:
@@ -233,34 +309,24 @@ def _homogeneous_batch_shape(items) -> Optional[Tuple[Any, tuple]]:
     return dtype, shape
 
 
-def _encode_ndarray_header(tag: int, dtype: np.dtype, shape: tuple, out: _BufferWriter) -> None:
+def _ndarray_header(tag: int, dtype: np.dtype, shape: tuple, scratch: bytearray) -> None:
     dtype_name = dtype.str.encode("ascii")
-    out.append(tag)
-    out.extend(struct.pack("<B", len(dtype_name)))
-    out.extend(dtype_name)
-    out.extend(struct.pack("<B", len(shape)))
+    scratch.append(tag)
+    scratch.append(len(dtype_name))
+    scratch += dtype_name
+    scratch.append(len(shape))
     for dim in shape:
-        out.extend(struct.pack("<q", dim))
+        scratch += _pack_dim(dim)
 
 
-def _encode_ndarray(array: np.ndarray, out: _BufferWriter) -> None:
-    if array.dtype.hasobject:
-        raise SerializationError("object-dtype arrays are not serializable")
-    contiguous = np.ascontiguousarray(array)
-    _encode_ndarray_header(_TAG_NDARRAY, contiguous.dtype, contiguous.shape, out)
-    out.extend(struct.pack("<Q", contiguous.nbytes))
-    out.payload(contiguous)
-
-
-def _encode_ndarray_batch(arrays, out: _BufferWriter) -> None:
+def _encode_ndarray_batch(arrays, scratch, segments) -> None:
     first = arrays[0]
-    _encode_ndarray_header(_TAG_NDARRAY_BATCH, first.dtype, first.shape, out)
+    _ndarray_header(_TAG_NDARRAY_BATCH, first.dtype, first.shape, scratch)
     elem_nbytes = first.dtype.itemsize * first.size
-    out.extend(struct.pack("<I", len(arrays)))
-    out.extend(struct.pack("<Q", elem_nbytes * len(arrays)))
+    scratch += _pack_count_nbytes(len(arrays), elem_nbytes * len(arrays))
     for array in arrays:
         contiguous = array if array.flags.c_contiguous else np.ascontiguousarray(array)
-        out.payload(contiguous)
+        _payload(contiguous, scratch, segments)
 
 
 def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:

@@ -260,9 +260,9 @@ class TestServingOverHttp:
             async with server:
                 async with AsyncClipperClient("127.0.0.1", server.port) as client:
                     await client.predict("demo", [0.0])
-                    writer_before = client._conn._writer
+                    protocol_before = client._conn._protocol
                     await client.predict("demo", [0.0])
-                    assert client._conn._writer is writer_before
+                    assert client._conn._protocol is protocol_before
 
         run_async(scenario())
 

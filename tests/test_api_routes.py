@@ -1,5 +1,7 @@
 """Tests for the versioned route table and the handler surface it exposes."""
 
+import itertools
+
 import pytest
 
 from helpers import run_async
@@ -66,6 +68,84 @@ class TestRouteTable:
         table.add("GET", "/api/v1/{app}/schema", "schema", echo)
         with pytest.raises(RouteNotFoundError):
             table.match("GET", "/api/v1//schema")
+
+
+def _scan(table, method, path):
+    """The linear scan the index replaced: first registered match wins."""
+    parts = tuple(path.strip("/").split("/"))
+    allowed = []
+    for route in table.routes():
+        params = route.match_path(parts)
+        if params is None:
+            continue
+        if route.method == method:
+            return route.name, params
+        allowed.append(route.method)
+    return ("405", sorted(set(allowed))) if allowed else ("404", None)
+
+
+class TestRouteIndex:
+    def make_table(self):
+        table = RouteTable()
+        table.add("GET", "/api/v1/health", "health", echo)
+        table.add("GET", "/api/v1/trace/{trace_id}", "trace", echo)
+        table.add("GET", "/api/v1/{app}/schema", "schema", echo)
+        table.add("POST", "/api/v1/{app}/predict", "predict", echo)
+        table.add("GET", "/api/v1/{app}/{verb}", "any-verb", echo)
+        table.add("DELETE", "/api/v1/{app}/predict", "forget", echo)
+        table.add("GET", "/api/v1/admin/{app}/models/{model}", "model", echo)
+        return table
+
+    def test_agrees_with_the_linear_scan(self):
+        table = self.make_table()
+        segments = ["api", "v1", "trace", "schema", "predict", "admin", "models", "x", ""]
+        paths = {"/" + "/".join(parts) for n in range(1, 7) for parts in _tuples(segments, n)}
+        assert len(paths) > 1000
+        for path in sorted(paths):
+            for method in ("GET", "POST", "DELETE"):
+                try:
+                    route, params = table.match(method, path)
+                    found = (route.name, params)
+                except MethodNotAllowedError as exc:
+                    found = ("405", exc.detail["allowed"])
+                except RouteNotFoundError:
+                    found = ("404", None)
+                assert found == _scan(table, method, path), (method, path)
+
+    def test_registration_order_decides_between_overlapping_shapes(self):
+        table = self.make_table()
+        # Matches trace/{id}, {app}/schema and {app}/{verb}: first one wins.
+        assert table.match("GET", "/api/v1/trace/schema")[0].name == "trace"
+        assert table.match("GET", "/api/v1/demo/schema")[0].name == "schema"
+        assert table.match("GET", "/api/v1/demo/other")[0].name == "any-verb"
+        with pytest.raises(MethodNotAllowedError) as excinfo:
+            table.match("PUT", "/api/v1/demo/predict")
+        assert excinfo.value.detail["allowed"] == ["DELETE", "GET", "POST"]
+
+    def test_a_predict_tries_at_most_two_routes(self, monkeypatch):
+        from repro.api.routes import Route
+
+        clipper = Clipper(ClipperConfig(app_name="demo", selection_policy="single"))
+        query = QueryFrontend()
+        query.register_application(clipper)
+        admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
+        admin.register_application(clipper)
+        table = build_route_table(query=query, admin=admin)
+        assert len(table.routes()) > 20
+        tried = []
+        original = Route.match_path
+        monkeypatch.setattr(
+            Route, "match_path", lambda self, parts: tried.append(self) or original(self, parts)
+        )
+        route, params = table.match("POST", f"{API_PREFIX}/demo/predict")
+        assert route.name == "predict" and params == {"app": "demo"}
+        assert len(tried) <= 2
+
+
+def _tuples(items, n):
+    """Every n-tuple up to n = 4; every 97th beyond, to keep the test quick."""
+    step = 1 if n <= 4 else 97
+    return itertools.islice(itertools.product(items, repeat=n), 0, None, step)
 
 
 class TestBuiltSurface:
