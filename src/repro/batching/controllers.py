@@ -85,7 +85,6 @@ def make_controller(config: BatchingConfig, slo_ms: float) -> BatchSizeControlle
         return QuantileRegressionController(
             slo_ms=slo_ms,
             quantile=config.quantile,
-            window=config.quantile_window,
             initial_batch_size=config.initial_batch_size,
             additive_increase=config.additive_increase,
             max_batch_size=config.max_batch_size,

@@ -66,7 +66,7 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.metrics import MetricsRegistry
-from repro.core.types import BatchStats
+from repro.core.types import BatchStats, ReplicaHealth
 from repro.observability.logging import get_logger
 from repro.observability.tracing import TRACE_RETRIED
 
@@ -133,6 +133,13 @@ class ReplicaDispatcher:
         #: monitor as a passive unhealthiness signal alongside its probes.
         self.consecutive_failures = 0
         self.batches_failed = 0
+        #: The replica's health record and, while it is quarantined, the task
+        #: restarting it.  Both live here so that they leave with the replica
+        #: and stay when it is only replaced; the health monitor writes them.
+        self.health = ReplicaHealth(
+            replica.name, str(replica.model_id), replica.replica_id
+        )
+        self.recovery: Optional[asyncio.Task] = None
         self._task: Optional[asyncio.Task] = None
         self._running = False
         self._inflight: Set[asyncio.Task] = set()
@@ -309,10 +316,10 @@ class ReplicaDispatcher:
             trace_ids = [item.trace.trace_id for item in traced]
             span_log = []
         inputs = [item.input for item in batch]
-        # Deadline propagation: batches with deadline-carrying queries send
-        # the per-entry absolute deadlines on the wire (0.0 = none) so the
-        # container can skip entries that expire in transit.  Deadline-free
-        # batches send nothing extra.
+        # Deadline propagation: batches with deadline-carrying queries hand
+        # the per-entry deadlines (0.0 = none) to the RPC layer, which sends
+        # each entry's remaining budget so the container can skip entries
+        # that expire in transit.  Deadline-free batches send nothing extra.
         deadlines = (
             [item.deadline or 0.0 for item in batch]
             if self.drop_expired and carries_deadline

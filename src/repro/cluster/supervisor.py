@@ -24,6 +24,8 @@ from repro.core.exceptions import ClipperError
 
 #: src/ directory the children need on PYTHONPATH to import repro.
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+#: How long a spawned child may take to print its ready marker.
+READY_TIMEOUT_S = 30.0
 
 
 class _Child:
@@ -93,7 +95,6 @@ class Supervisor:
         app_name: str = "default-app",
         factories_spec: str = "",
         no_shm: bool = False,
-        ready_timeout_s: float = 30.0,
         python: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
@@ -103,7 +104,6 @@ class Supervisor:
         self.app_name = app_name
         self.factories_spec = factories_spec
         self.no_shm = no_shm
-        self.ready_timeout_s = ready_timeout_s
         self.python = python or sys.executable
         self.workers: Dict[str, _Child] = {}
         self.ingress: Optional[_Child] = None
@@ -139,7 +139,7 @@ class Supervisor:
         for index in range(self.num_workers):
             self._spawn_worker(f"worker-{index}")
         for child in self.workers.values():
-            if not child.wait_ready(self.ready_timeout_s):
+            if not child.wait_ready(READY_TIMEOUT_S):
                 self.shutdown(timeout_s=5.0)
                 raise ClipperError(
                     f"worker {child.name} did not become ready: "
@@ -157,7 +157,7 @@ class Supervisor:
         if self.factories_spec:
             argv += ["--factories", self.factories_spec]
         self.ingress = _Child("ingress", argv, "INGRESS_READY")
-        if not self.ingress.wait_ready(self.ready_timeout_s):
+        if not self.ingress.wait_ready(READY_TIMEOUT_S):
             self.shutdown(timeout_s=5.0)
             raise ClipperError(
                 "ingress did not become ready: " + "\n".join(self.ingress.lines[-10:])
@@ -178,7 +178,7 @@ class Supervisor:
             if not child.alive:
                 self.restarts += 1
                 replacement = self._spawn_worker(worker_id)
-                replacement.wait_ready(self.ready_timeout_s)
+                replacement.wait_ready(READY_TIMEOUT_S)
 
     def ingress_alive(self) -> bool:
         return self.ingress is not None and self.ingress.alive

@@ -111,7 +111,7 @@ class Clipper:
         # deployed while another is active stay staged (machinery warm, no
         # traffic) until a rollout or canary routes to them.
         self.routing = RoutingTable(
-            metrics=self.metrics,
+            arms=lambda key: self._models[key].arm,
             seed=self.config.routing_seed,
             scope=self.config.app_name,
         )
@@ -134,6 +134,7 @@ class Clipper:
         #: only when a query leaves the cache, so the cache-hit fast path is
         #: identical to an instance with no overload control configured.
         self.overload = OverloadControl(self.config, self.metrics, self.tracer)
+        self.overload.versions = self._models
 
     # -- deployment -----------------------------------------------------------
 
@@ -146,15 +147,9 @@ class Clipper:
         the ``(split, rollback target)`` it had before — what
         :meth:`_bring_up` reinstalls if the version then fails to start.
         """
-        model_id = ModelId(deployment.name, deployment.version)
-        key = str(model_id)
-        if key in self._models:
-            raise DeploymentError(f"model '{key}' is already deployed")
-
-        record = self._layer.build(deployment, model_id)
-        self._models[key] = record
-        self.overload.add_model(key, record.queue, deployment.circuit_breaker)
-        name = deployment.name
+        record = self._layer.deploy(deployment)
+        self.overload.guard(record)
+        name, key = deployment.name, str(record.model_id)
         if activate is None:
             # Default: the first version of a name serves immediately; later
             # versions come up staged and wait for an explicit rollout.
@@ -226,10 +221,9 @@ class Clipper:
             await record.start()
         except BaseException as error:
             key = str(record.model_id)
-            del self._models[key]
-            self.overload.remove_model(key)
             if routing_before is not None:
                 self.routing.restore(record.model_id.name, *routing_before)
+            await self._layer.retire(key)
             # Whatever queued up while the version looked deployed fails now.
             record.fail_queued(
                 DeploymentError(f"model '{key}' failed to start: {error}")
@@ -264,8 +258,7 @@ class Clipper:
                 self.routing.forget(name)
             elif self.routing.previous_key(name) == key:
                 self.routing.drop_previous(name)
-            del self._models[key]
-            self.overload.remove_model(key)
+            await self._layer.retire(key)
             self._prune_selection_state()
             if self._started:
                 await record.stop(drain=True)
@@ -464,11 +457,8 @@ class Clipper:
         if manager is None:
             if not plan.serving_keys:
                 raise ClipperError("no models are deployed")
-            policy = make_policy(
-                self.config.selection_policy, **self.config.selection_policy_kwargs
-            )
             manager = SelectionStateManager(
-                policy=policy,
+                policy=make_policy(self.config.selection_policy),
                 model_ids=[self._models[key].model_id for key in plan.serving_keys],
                 store=self.state_store,
                 namespace=plan.namespace,

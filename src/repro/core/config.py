@@ -121,7 +121,6 @@ class BatchingConfig:
     max_batch_size: int = 4096
     batch_wait_timeout_ms: float = 0.0
     quantile: float = 0.99
-    quantile_window: int = 200
     max_queue_depth: int = 0
     pipeline_window: int = 2
 
@@ -430,7 +429,6 @@ class ClipperConfig:
     app_name: str = "default-app"
     latency_slo_ms: float = DEFAULT_SLO_MS
     selection_policy: str = "exp4"
-    selection_policy_kwargs: dict = field(default_factory=dict)
     cache_size: int = 65536
     cache_eviction: str = "clock"
     straggler_mitigation: bool = True

@@ -1,11 +1,7 @@
 """The model abstraction layer (paper §4): deployed versions behind a cache.
 
-:class:`DeployedModel` is one model version's serving machinery — a
-:class:`~repro.containers.replica.ReplicaSet`, the batching queue its
-replicas share, and one :class:`~repro.batching.dispatcher.ReplicaDispatcher`
-per replica draining that queue — kept in step through start, stop and
-runtime scaling, so the engine and the health monitor never edit the two
-lists separately.
+:class:`DeployedModel` is one model version's serving machinery, and the
+one record of everything keyed by the version or by one of its replicas.
 
 :class:`ModelLayer` is all of an application's deployed versions behind the
 prediction cache.  The selection layer above it asks one thing,
@@ -19,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,30 +28,45 @@ from repro.cache.prediction_cache import PredictionCache
 from repro.containers.replica import Replica, ReplicaSet
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import DeploymentError, OverloadError
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, Tracer
-from repro.overload import UNGUARDED, Degraded
+from repro.overload import UNGUARDED, CircuitBreaker, Degraded
 
 #: How long a closing version waits for its dispatchers to drain its queue.
 DRAIN_TIMEOUT_S = 10.0
 
 
 class DeployedModel:
-    """A model version's replica set, batching queue and dispatchers."""
+    """One deployed model version: the record of everything keyed by it.
+
+    The replica set, the batching queue and one dispatcher per replica; and,
+    so that they leave with the version, its circuit breaker (built by
+    :meth:`OverloadControl.guard`), its canary-arm handles and, through
+    :attr:`metrics`, every metric name registered on its behalf.  Each
+    dispatcher carries its replica's health record and recovery task the
+    same way.  :meth:`ModelLayer.retire` is the only way a version leaves,
+    :meth:`_release_replica` the only way a replica does.
+    """
 
     def __init__(
         self,
         deployment: ModelDeployment,
         replica_set: ReplicaSet,
+        metrics: MetricsRegistry,
         make_dispatcher: Callable[["DeployedModel", Replica], ReplicaDispatcher],
     ) -> None:
         self.deployment = deployment
         self.replica_set = replica_set
+        #: Scope of the application's registry: what this version registered.
+        self.metrics = MetricScope(metrics)
+        #: The version's circuit breaker, when it (or the application) has one.
+        self.breaker: Optional[CircuitBreaker] = None
         self.queue = BatchingQueue(
             name=str(replica_set.model_id), maxsize=deployment.batching.max_queue_depth
         )
         self._make_dispatcher = make_dispatcher
+        #: One per member of ``replica_set``, in the same order.
         self.dispatchers: List[ReplicaDispatcher] = [
             make_dispatcher(self, replica) for replica in replica_set
         ]
@@ -63,12 +75,10 @@ class DeployedModel:
     def model_id(self) -> ModelId:
         return self.replica_set.model_id
 
-    def dispatcher_for(self, replica: Replica) -> Optional[ReplicaDispatcher]:
-        """The dispatcher currently draining the queue into ``replica``."""
-        for dispatcher in self.dispatchers:
-            if dispatcher.replica is replica:
-                return dispatcher
-        return None
+    @cached_property
+    def arm(self) -> ArmMetrics:
+        """Traffic attribution handles, registered when a canary first needs them."""
+        return self.metrics.arm(str(self.model_id))
 
     async def start(self) -> None:
         """Start every replica, then every dispatcher."""
@@ -127,14 +137,38 @@ class DeployedModel:
             if running:
                 dispatcher.start()
         while len(self.replica_set) > num_replicas:
-            replica = self.replica_set.replicas[-1]
-            dispatcher = self.dispatcher_for(replica)
-            if dispatcher is not None:
-                await dispatcher.stop()
-                self.dispatchers.remove(dispatcher)
-            self.replica_set.remove_replica(replica)
-            await replica.stop()
+            await self._release_replica(self.dispatchers[-1])
         return len(self.replica_set)
+
+    async def _release_replica(self, dispatcher: ReplicaDispatcher) -> None:
+        """The only way a replica leaves for good.
+
+        Its recovery ends, its dispatcher finishes the in-flight batch and
+        goes (the health record with it), and the replica stops.
+        """
+        await end_recovery(dispatcher)
+        await dispatcher.stop()
+        self.dispatchers.remove(dispatcher)
+        self.replica_set.remove_replica(dispatcher.replica)
+        await dispatcher.replica.stop()
+
+    async def replace_replica(self, dispatcher: ReplicaDispatcher) -> Replica:
+        """Swap a sick replica for a fresh, unstarted one with the same id.
+
+        Only the replica leaves: its dispatcher, and so its health record and
+        ``restarts``/``quarantines`` history, now belong to the replacement.
+        """
+        fresh = await self.replica_set.replace_replica(dispatcher.replica)
+        dispatcher.replica = fresh
+        return fresh
+
+
+async def end_recovery(dispatcher: ReplicaDispatcher) -> None:
+    """Cancel the task restarting this dispatcher's replica and wait it out."""
+    task, dispatcher.recovery = dispatcher.recovery, None
+    if task is not None:
+        task.cancel()
+        await asyncio.wait([task])
 
 
 def _detach_output(output: Any) -> Any:
@@ -190,11 +224,34 @@ class ModelLayer:
             tracer.shadow if tracer.active and tracer.tail_capture else _no_trace
         )
 
-    def build(self, deployment: ModelDeployment, model_id: ModelId) -> DeployedModel:
-        """Place one version's replicas and build its machinery (not started)."""
-        return DeployedModel(
-            deployment, self._placement(deployment, model_id), self._make_dispatcher
+    def deploy(self, deployment: ModelDeployment) -> DeployedModel:
+        """Place one version's replicas and register its record (not started)."""
+        model_id = ModelId(deployment.name, deployment.version)
+        key = str(model_id)
+        if key in self.versions:
+            raise DeploymentError(f"model '{key}' is already deployed")
+        record = self.versions[key] = DeployedModel(
+            deployment,
+            self._placement(deployment, model_id),
+            self._metrics,
+            self._make_dispatcher,
         )
+        return record
+
+    async def retire(self, key: str) -> DeployedModel:
+        """The only way a version leaves: an undeploy, a bring-up that failed.
+
+        The key and the metric names registered for it go in one synchronous
+        step, so a redeploy under the same key can neither meet nor lose
+        them; breaker, arm handles and health records go with the record.
+        Recovery tasks are then cancelled and waited out.  The caller stops
+        the returned record or fails its queue.
+        """
+        record = self.versions.pop(key)
+        record.metrics.close()
+        for dispatcher in record.dispatchers:
+            await end_recovery(dispatcher)
+        return record
 
     def _make_dispatcher(
         self, record: DeployedModel, replica: Replica
@@ -218,7 +275,7 @@ class ModelLayer:
             queue=record.queue,
             controller=controller,
             batch_wait_timeout_ms=record.deployment.batching.batch_wait_timeout_ms,
-            metrics=self._metrics,
+            metrics=record.metrics,
             max_retries=record.deployment.max_batch_retries,
             pipeline_window=record.deployment.batching.pipeline_window,
             late_result_sink=late_result_sink,

@@ -16,6 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Iterable, List
 
 import numpy as np
@@ -107,12 +108,6 @@ class Histogram:
             return float("nan")
         return float(np.mean(values))
 
-    def std(self) -> float:
-        values = self.values()
-        if not values:
-            return float("nan")
-        return float(np.std(values))
-
     def percentile(self, q: float) -> float:
         """Return the ``q``-th percentile (0-100) of the windowed observations."""
         values = self.values()
@@ -157,15 +152,6 @@ class Gauge:
         """Record the current value (ignored for callback gauges)."""
         self._value = float(value)
 
-    def bind(self, fn) -> None:
-        """(Re)bind the callback computing this gauge's value.
-
-        Metrics are never removed from a registry, so a producer that is
-        rebuilt under the same name (e.g. a model redeployed after undeploy)
-        rebinds its gauge instead of reading the dead predecessor forever.
-        """
-        self._fn = fn
-
     @property
     def value(self) -> float:
         if self._fn is not None:
@@ -179,6 +165,10 @@ class Gauge:
         self._value = 0.0
 
 
+#: Metric-name prefix for per-arm traffic attribution.
+ARM_METRIC_PREFIX = "routing.arm"
+
+
 class ArmMetrics:
     """Cached metric handles attributing traffic to one serving arm.
 
@@ -189,10 +179,9 @@ class ArmMetrics:
     :meth:`p99`) are what the canary controller compares between arms.
     """
 
-    __slots__ = ("prefix", "requests", "errors", "latency")
+    __slots__ = ("requests", "errors", "latency")
 
     def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
-        self.prefix = prefix
         self.requests = registry.counter(f"{prefix}.requests")
         self.errors = registry.counter(f"{prefix}.errors")
         self.latency = registry.histogram(f"{prefix}.latency_ms")
@@ -244,8 +233,6 @@ class MetricFamily:
         elif kind == "histogram":
             window_size = kwargs.get("window_size", 16384)
             self._create = lambda n: registry.histogram(n, window_size)
-        elif kind == "gauge":
-            self._create = registry.gauge
         else:
             raise ValueError(f"unknown metric family kind: {kind!r}")
 
@@ -257,10 +244,6 @@ class MetricFamily:
         child = self._create(f'{self.name}{{{self.label}="{value}"}}')
         self._children[value] = child
         return child
-
-    def children(self) -> Dict[str, object]:
-        """Label value → child metric, for introspection."""
-        return dict(self._children)
 
 
 @dataclass
@@ -299,41 +282,35 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # The getters take a lock-free fast path for already-registered names:
-    # dict reads are atomic under the GIL and metrics are never removed, so
-    # the lock is only needed to serialise first-time creation.  Hot-path
-    # callers should still resolve handles once and reuse them (as
-    # ``Clipper`` and ``ReplicaDispatcher`` do) rather than looking up by
-    # name per observation.
+    # dict reads are atomic under the GIL, so the lock is only needed to
+    # serialise first-time creation and removal.  Hot-path callers should
+    # still resolve handles once and reuse them (as ``Clipper`` and
+    # ``ReplicaDispatcher`` do) rather than looking up by name per
+    # observation; a handle outlives its name's removal harmlessly.  (No
+    # metric type defines ``__len__`` or ``__bool__``: ``or`` means "missing".)
+
+    def _register(self, table: dict, name, make, *args):
+        with self._lock:
+            if name not in table:
+                table[name] = make(*args)
+            return table[name]
 
     def counter(self, name: str) -> Counter:
         """Return (creating if needed) the counter with ``name``."""
         counter = self._counters.get(name)
-        if counter is not None:
-            return counter
-        with self._lock:
-            if name not in self._counters:
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        return counter or self._register(self._counters, name, Counter, name)
 
     def meter(self, name: str) -> Meter:
         """Return (creating if needed) the meter with ``name``."""
         meter = self._meters.get(name)
-        if meter is not None:
-            return meter
-        with self._lock:
-            if name not in self._meters:
-                self._meters[name] = Meter(name)
-            return self._meters[name]
+        return meter or self._register(self._meters, name, Meter, name)
 
     def histogram(self, name: str, window_size: int = 16384) -> Histogram:
         """Return (creating if needed) the histogram with ``name``."""
         histogram = self._histograms.get(name)
-        if histogram is not None:
-            return histogram
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(name, window_size)
-            return self._histograms[name]
+        return histogram or self._register(
+            self._histograms, name, Histogram, name, window_size
+        )
 
     def gauge(self, name: str, fn=None) -> Gauge:
         """Return (creating if needed) the gauge with ``name``.
@@ -342,34 +319,22 @@ class MetricsRegistry:
         gauge whose value is computed at read time.
         """
         gauge = self._gauges.get(name)
-        if gauge is not None:
-            return gauge
-        with self._lock:
-            if name not in self._gauges:
-                self._gauges[name] = Gauge(name, fn)
-            return self._gauges[name]
+        return gauge or self._register(self._gauges, name, Gauge, name, fn)
 
-    def arm(self, prefix: str) -> ArmMetrics:
+    def arm(self, model_key: str) -> ArmMetrics:
         """Resolve the request/error/latency handle bundle for one arm."""
-        return ArmMetrics(self, prefix)
+        return ArmMetrics(self, f"{ARM_METRIC_PREFIX}.{model_key}")
 
     def _family(self, kind: str, name: str, label: str, **kwargs) -> MetricFamily:
         key = (kind, name, label)
         family = self._families.get(key)
-        if family is not None:
-            return family
-        with self._lock:
-            if key not in self._families:
-                self._families[key] = MetricFamily(self, name, label, kind, **kwargs)
-            return self._families[key]
+        return family or self._register(
+            self._families, key, partial(MetricFamily, self, name, label, kind, **kwargs)
+        )
 
     def counter_family(self, name: str, label: str = "stage") -> MetricFamily:
         """A ``labels()``-addressed counter family under ``name``."""
         return self._family("counter", name, label)
-
-    def gauge_family(self, name: str, label: str = "stage") -> MetricFamily:
-        """A ``labels()``-addressed gauge family under ``name``."""
-        return self._family("gauge", name, label)
 
     def meter_family(self, name: str, label: str = "stage") -> MetricFamily:
         """A ``labels()``-addressed meter family under ``name``."""
@@ -381,15 +346,13 @@ class MetricsRegistry:
         """A ``labels()``-addressed histogram family under ``name``."""
         return self._family("histogram", name, label, window_size=window_size)
 
+    def _tables(self) -> tuple:
+        return self._counters, self._meters, self._histograms, self._gauges
+
     def all_metrics(self):
-        """Raw metric objects by kind — used by the Prometheus renderer."""
+        """Raw metric objects by kind (counters, meters, histograms, gauges)."""
         with self._lock:
-            return (
-                dict(self._counters),
-                dict(self._meters),
-                dict(self._histograms),
-                dict(self._gauges),
-            )
+            return tuple(dict(table) for table in self._tables())
 
     def snapshot(self) -> MetricsSnapshot:
         """Capture the current value of every registered metric."""
@@ -417,14 +380,44 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Reset every metric in place (names are preserved)."""
         with self._lock:
-            for counter in self._counters.values():
-                counter.reset()
-            for meter in self._meters.values():
-                meter.reset()
-            for histogram in self._histograms.values():
-                histogram.reset()
-            for gauge in self._gauges.values():
-                gauge.reset()
+            for table in self._tables():
+                for metric in table.values():
+                    metric.reset()
+
+
+class MetricScope(MetricsRegistry):
+    """The metrics one owner (a deployed model version) registered.
+
+    Each getter registers in — or fetches from — the parent registry and
+    remembers the name here (families included), so :meth:`close` removes
+    exactly what the owner added.  Read like a registry, it is the owner's
+    metrics alone.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        super().__init__()
+        self._registry = registry
+
+    def counter(self, name: str) -> Counter:
+        return self._counters.setdefault(name, self._registry.counter(name))
+
+    def meter(self, name: str) -> Meter:
+        return self._meters.setdefault(name, self._registry.meter(name))
+
+    def histogram(self, name: str, window_size: int = 16384) -> Histogram:
+        return self._histograms.setdefault(
+            name, self._registry.histogram(name, window_size)
+        )
+
+    def gauge(self, name: str, fn=None) -> Gauge:
+        return self._gauges.setdefault(name, self._registry.gauge(name, fn))
+
+    def close(self) -> None:
+        """Remove from the parent registry every name registered through here."""
+        with self._registry._lock:
+            for mine, theirs in zip(self._tables(), self._registry._tables()):
+                for name in mine:
+                    theirs.pop(name, None)
 
 
 def summarize_latencies(latencies_ms: Iterable[float]) -> Dict[str, float]:

@@ -194,3 +194,38 @@ class BatchStats:
     latency_ms: float
     queue_time_ms: float
     timestamp: float = field(default_factory=time.monotonic)
+
+
+#: Health states of one container replica.
+REPLICA_HEALTHY = "healthy"
+REPLICA_QUARANTINED = "quarantined"  # out of dispatch, awaiting restart
+REPLICA_RECOVERING = "recovering"    # restart in progress
+
+
+@dataclass
+class ReplicaHealth:
+    """Running health record of one container replica.
+
+    Carried by the replica's dispatcher, so a restarted replica keeps it and
+    a scaled-away one takes it along; written by the
+    :class:`~repro.management.health.HealthMonitor`.  ``state`` is one of
+    ``REPLICA_HEALTHY``/``REPLICA_QUARANTINED``/``REPLICA_RECOVERING``.
+    """
+
+    replica_name: str
+    model_key: str
+    replica_id: int
+    state: str = REPLICA_HEALTHY
+    consecutive_failures: int = 0
+    probes: int = 0
+    failures: int = 0
+    quarantines: int = 0
+    restarts: int = 0
+    last_probe_latency_ms: Optional[float] = None
+    since: float = field(default_factory=time.monotonic)
+
+    def mark(self, state: str) -> None:
+        """Transition to ``state`` and restamp the transition time."""
+        if state != self.state:
+            self.state = state
+            self.since = time.monotonic()

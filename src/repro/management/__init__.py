@@ -23,18 +23,20 @@ half of Clipper's architecture that mutates a running serving deployment:
   registry-recording verbs.
 """
 
-from repro.management.frontend import ManagementFrontend
-from repro.management.health import HealthMonitor
-from repro.management.records import (
+from repro.core.types import (
     REPLICA_HEALTHY,
     REPLICA_QUARANTINED,
     REPLICA_RECOVERING,
+    ReplicaHealth,
+)
+from repro.management.frontend import ManagementFrontend
+from repro.management.health import HealthMonitor
+from repro.management.records import (
     VERSION_CANARY,
     VERSION_RETIRED,
     VERSION_SERVING,
     VERSION_STAGED,
     VERSION_UNDEPLOYED,
-    ReplicaHealth,
 )
 from repro.management.registry import ModelRegistry
 from repro.routing.controller import CanaryController

@@ -50,9 +50,8 @@ from repro.core.frontend import (
     start_applications,
     stop_applications,
 )
-from repro.core.types import ModelId
+from repro.core.types import ModelId, ReplicaHealth
 from repro.management.health import HealthMonitor
-from repro.management.records import ReplicaHealth
 from repro.management.recovery import RecoveryReport
 from repro.management.registry import ModelRegistry
 from repro.observability.logging import get_logger

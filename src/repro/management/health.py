@@ -20,6 +20,11 @@ so the serving tier self-heals without operator action.  The
   the deployment's factory with exponential backoff, health-checks the
   replacement, and only then re-attaches the dispatcher to the queue.
 
+The monitor keeps no per-replica state: each replica's :class:`ReplicaHealth`
+and recovery task ride on its dispatcher in the version's
+:class:`~repro.core.deployed.DeployedModel`.  Every read below walks
+``clipper.model_records()``, and what leaves takes its history along.
+
 Progress is visible through the Clipper's :class:`MetricsRegistry`
 (``health.probes``, ``health.probe_failures``, ``health.quarantines``,
 ``health.restarts``, ``health.recoveries``) and through :meth:`status`.
@@ -31,10 +36,11 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.batching.dispatcher import ReplicaDispatcher
 from repro.containers.replica import Replica
 from repro.core.clipper import Clipper
-from repro.core.exceptions import ContainerError
-from repro.management.records import (
+from repro.core.deployed import DeployedModel, end_recovery
+from repro.core.types import (
     REPLICA_HEALTHY,
     REPLICA_QUARANTINED,
     REPLICA_RECOVERING,
@@ -43,6 +49,9 @@ from repro.management.records import (
 from repro.observability.logging import get_logger
 
 logger = get_logger("management.health")
+
+#: Growth of the restart back-off after each failed attempt.
+_BACKOFF_FACTOR = 2.0
 
 
 class HealthMonitor:
@@ -64,9 +73,9 @@ class HealthMonitor:
         Optional ceiling on the probe round-trip: slower replies count as
         failures even when the replica eventually answers (a replica this
         slow is straggling every batch it serves).
-    restart_backoff_s / backoff_factor / max_backoff_s:
-        Exponential-backoff schedule for restart attempts while a replica
-        stays sick.
+    restart_backoff_s / max_backoff_s:
+        Exponential-backoff schedule (doubling) for restart attempts while a
+        replica stays sick.
     """
 
     def __init__(
@@ -77,7 +86,6 @@ class HealthMonitor:
         probe_timeout_s: float = 1.0,
         latency_ceiling_ms: Optional[float] = None,
         restart_backoff_s: float = 0.05,
-        backoff_factor: float = 2.0,
         max_backoff_s: float = 2.0,
     ) -> None:
         self.clipper = clipper
@@ -86,7 +94,6 @@ class HealthMonitor:
         self.probe_timeout_s = probe_timeout_s
         self.latency_ceiling_ms = latency_ceiling_ms
         self.restart_backoff_s = restart_backoff_s
-        self.backoff_factor = backoff_factor
         self.max_backoff_s = max_backoff_s
 
         metrics = clipper.metrics
@@ -96,8 +103,6 @@ class HealthMonitor:
         self._restart_counter = metrics.counter("health.restarts")
         self._recovery_counter = metrics.counter("health.recoveries")
 
-        self._statuses: Dict[Tuple[str, int], ReplicaHealth] = {}
-        self._recovery_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
         self._task: Optional[asyncio.Task] = None
         self._running = False
 
@@ -112,17 +117,12 @@ class HealthMonitor:
     async def stop(self) -> None:
         """Stop probing and cancel any in-flight recovery tasks."""
         self._running = False
-        tasks = [self._task] + list(self._recovery_tasks.values())
-        self._task = None
-        self._recovery_tasks.clear()
-        for task in tasks:
-            if task is None or task.done():
-                continue
+        task, self._task = self._task, None
+        if task is not None:
             task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.wait([task])
+        for _, dispatcher in self._dispatchers():
+            await end_recovery(dispatcher)
 
     async def _run(self) -> None:
         while self._running:
@@ -149,28 +149,22 @@ class HealthMonitor:
         ``probe_timeout_s`` does not delay failure detection for the others.
         """
         targets = []
-        for record in self.clipper.model_records():
-            model_key = str(record.model_id)
-            for replica in list(record.replica_set):
-                status = self._status_for(model_key, replica)
-                if status.state != REPLICA_HEALTHY:
-                    continue  # a recovery task owns this replica
-                dispatcher = record.dispatcher_for(replica)
-                if (
-                    dispatcher is not None
-                    and dispatcher.consecutive_failures >= self.failure_threshold
-                ):
-                    # Passive signal: the dispatcher saw the replica fail
-                    # batch after batch; no need to wait for probes to agree.
-                    await self._quarantine(record, replica, status)
-                    continue
-                targets.append((record, replica, status))
+        for record, dispatcher in self._dispatchers():
+            if dispatcher.health.state != REPLICA_HEALTHY:
+                continue  # a recovery task owns this replica
+            if dispatcher.consecutive_failures >= self.failure_threshold:
+                # Passive signal: the dispatcher saw the replica fail
+                # batch after batch; no need to wait for probes to agree.
+                await self._quarantine(record, dispatcher)
+                continue
+            targets.append((record, dispatcher))
         if not targets:
             return
         results = await asyncio.gather(
-            *(self._probe_replica(replica) for _, replica, _ in targets)
+            *(self._probe_replica(dispatcher.replica) for _, dispatcher in targets)
         )
-        for (record, replica, status), (ok, rtt_ms) in zip(targets, results):
+        for (record, dispatcher), (ok, rtt_ms) in zip(targets, results):
+            status = dispatcher.health
             self._probe_counter.increment()
             status.probes += 1
             status.last_probe_latency_ms = rtt_ms
@@ -183,30 +177,27 @@ class HealthMonitor:
             status.failures += 1
             self._failure_counter.increment()
             if status.consecutive_failures >= self.failure_threshold:
-                await self._quarantine(record, replica, status)
+                await self._quarantine(record, dispatcher)
 
     async def _probe_replica(self, replica: Replica) -> Tuple[bool, float]:
         start = time.perf_counter()
         ok = await replica.check_health(timeout_s=self.probe_timeout_s)
         return ok, (time.perf_counter() - start) * 1000.0
 
-    def _status_for(self, model_key: str, replica: Replica) -> ReplicaHealth:
-        key = (model_key, replica.replica_id)
-        status = self._statuses.get(key)
-        if status is None:
-            status = ReplicaHealth(
-                replica_name=replica.name,
-                model_key=model_key,
-                replica_id=replica.replica_id,
-            )
-            self._statuses[key] = status
-        return status
+    def _dispatchers(self) -> List[Tuple[DeployedModel, ReplicaDispatcher]]:
+        """Every live replica's dispatcher, with the version it belongs to."""
+        return [
+            (record, dispatcher)
+            for record in self.clipper.model_records()
+            for dispatcher in record.dispatchers
+        ]
 
     # -- quarantine & recovery ---------------------------------------------------
 
     async def _quarantine(
-        self, record, replica: Replica, status: ReplicaHealth
+        self, record: DeployedModel, dispatcher: ReplicaDispatcher
     ) -> None:
+        status, replica = dispatcher.health, dispatcher.replica
         status.mark(REPLICA_QUARANTINED)
         status.quarantines += 1
         self._quarantine_counter.increment()
@@ -220,89 +211,85 @@ class HealthMonitor:
                 "consecutive_failures": status.consecutive_failures,
             },
         )
-        dispatcher = record.dispatcher_for(replica)
-        if dispatcher is not None:
-            # Detach from the live queue: the in-flight batch completes (or
-            # re-enqueues its queries on failure) and queued queries flow to
-            # the model's healthy replicas.
-            await dispatcher.stop()
-        key = (str(record.model_id), replica.replica_id)
-        self._recovery_tasks[key] = asyncio.get_running_loop().create_task(
-            self._recover(record, replica, dispatcher, status)
-        )
+        # Detach from the live queue: the in-flight batch completes (or
+        # re-enqueues its queries on failure) and queued queries flow to
+        # the model's healthy replicas.
+        await dispatcher.stop()
+        # Scaled away or undeployed during that wait: nothing left to restart.
+        if (record, dispatcher) in self._dispatchers():
+            dispatcher.recovery = asyncio.get_running_loop().create_task(
+                self._recover(record, dispatcher)
+            )
 
     async def _recover(
-        self, record, replica: Replica, dispatcher, status: ReplicaHealth
+        self, record: DeployedModel, dispatcher: ReplicaDispatcher
     ) -> None:
-        """Restart a quarantined replica with backoff until it probes healthy."""
-        key = (str(record.model_id), replica.replica_id)
+        """Restart a quarantined replica with backoff until it probes healthy.
+
+        Whoever removes the dispatcher (scale-down, undeploy) cancels this
+        task, so it never has to ask whether its replica is still there.
+        """
+        status = dispatcher.health
         backoff = self.restart_backoff_s
-        current = replica
-        try:
-            while self._running:
-                await asyncio.sleep(backoff)
-                status.mark(REPLICA_RECOVERING)
-                try:
-                    fresh = await record.replica_set.replace_replica(current)
-                except ContainerError:
-                    # The replica was scaled away (or the model undeployed)
-                    # while quarantined; nothing left to recover.
-                    return
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    # A transiently failing container factory must not kill
-                    # the recovery task — that would abandon the replica in
-                    # quarantine forever.  Treat it as a failed attempt.
-                    status.mark(REPLICA_QUARANTINED)
-                    backoff = min(backoff * self.backoff_factor, self.max_backoff_s)
-                    continue
-                self._restart_counter.increment()
-                status.restarts += 1
-                current = fresh
-                try:
-                    await fresh.start()
-                    healthy = await fresh.check_health(timeout_s=self.probe_timeout_s)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    healthy = False
-                if healthy:
-                    if dispatcher is not None:
-                        dispatcher.replica = fresh
-                        dispatcher.consecutive_failures = 0
-                        if self.clipper.is_started:
-                            dispatcher.start()
-                    status.mark(REPLICA_HEALTHY)
-                    status.consecutive_failures = 0
-                    self._recovery_counter.increment()
-                    logger.info(
-                        "replica recovered: %s",
-                        fresh.name,
-                        extra={
-                            "model": str(record.model_id),
-                            "replica_id": fresh.replica_id,
-                            "restarts": status.restarts,
-                        },
-                    )
-                    return
+        while self._running:
+            await asyncio.sleep(backoff)
+            status.mark(REPLICA_RECOVERING)
+            try:
+                fresh = await record.replace_replica(dispatcher)
+            except asyncio.CancelledError:
+                raise
+            except Exception:
+                # A transiently failing container factory must not kill
+                # the recovery task — that would abandon the replica in
+                # quarantine forever.  Treat it as a failed attempt.
                 status.mark(REPLICA_QUARANTINED)
-                backoff = min(backoff * self.backoff_factor, self.max_backoff_s)
-        finally:
-            self._recovery_tasks.pop(key, None)
+                backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
+                continue
+            self._restart_counter.increment()
+            status.restarts += 1
+            try:
+                await fresh.start()
+                healthy = await fresh.check_health(timeout_s=self.probe_timeout_s)
+            except asyncio.CancelledError:
+                raise
+            except Exception:
+                healthy = False
+            if healthy:
+                dispatcher.consecutive_failures = 0
+                dispatcher.recovery = None
+                if self.clipper.is_started:
+                    dispatcher.start()
+                status.mark(REPLICA_HEALTHY)
+                status.consecutive_failures = 0
+                self._recovery_counter.increment()
+                logger.info(
+                    "replica recovered: %s",
+                    fresh.name,
+                    extra={
+                        "model": str(record.model_id),
+                        "replica_id": fresh.replica_id,
+                        "restarts": status.restarts,
+                    },
+                )
+                return
+            status.mark(REPLICA_QUARANTINED)
+            backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
 
     # -- introspection ------------------------------------------------------------
 
+    def _healths(self) -> List[ReplicaHealth]:
+        return [dispatcher.health for _, dispatcher in self._dispatchers()]
+
     def status(self) -> Dict[str, ReplicaHealth]:
-        """Health record per replica name (includes replaced replicas' history)."""
-        return {status.replica_name: status for status in self._statuses.values()}
+        """Health record per live replica name (a restarted replica keeps its own)."""
+        return {status.replica_name: status for status in self._healths()}
 
     def replicas_in_state(self, state: str) -> List[ReplicaHealth]:
-        return [s for s in self._statuses.values() if s.state == state]
+        return [s for s in self._healths() if s.state == state]
 
     def statuses_for(self, model_key: str) -> List[ReplicaHealth]:
         """Health records of every replica of one model version key."""
-        return [s for s in self._statuses.values() if s.model_key == model_key]
+        return [s for s in self._healths() if s.model_key == model_key]
 
     def quarantines_for(self, model_key: str) -> int:
         """Total quarantines recorded against one model version's replicas.
@@ -316,13 +303,5 @@ class HealthMonitor:
     def unhealthy_model_keys(self) -> List[str]:
         """Model version keys with at least one replica not currently healthy."""
         return sorted(
-            {
-                s.model_key
-                for s in self._statuses.values()
-                if s.state != REPLICA_HEALTHY
-            }
+            {s.model_key for s in self._healths() if s.state != REPLICA_HEALTHY}
         )
-
-    @property
-    def is_running(self) -> bool:
-        return self._running

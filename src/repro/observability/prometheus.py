@@ -27,6 +27,8 @@ import math
 import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.core.metrics import MetricsRegistry
 
 __all__ = [
@@ -107,16 +109,16 @@ def _render_labels(labels: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
-class _FamilyBuffer:
-    """Accumulates samples per exposition family so HELP/TYPE render once."""
-
-    __slots__ = ("name", "kind", "help", "samples")
-
-    def __init__(self, name: str, kind: str, help_text: str) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.samples: List[str] = []
+#: The kinds rendered as one sample per metric: position in
+#: ``MetricsRegistry.all_metrics()``, exposition TYPE, HELP text, name suffix
+#: and how the value is read.
+_SCALAR_KINDS = (
+    (0, "counter", "Counter {} from MetricsRegistry.", "_total",
+     lambda counter: float(counter.value)),
+    (1, "gauge", "Events/second rate of meter {} since reset.", "_rate",
+     lambda meter: meter.rate()),
+    (3, "gauge", "Gauge {} from MetricsRegistry.", "", lambda gauge: gauge.value),
+)
 
 
 def render_prometheus(
@@ -130,93 +132,55 @@ def render_prometheus(
     ``"server"``) to its registry; every sample carries that label so one
     scrape covers every application a server hosts.
     """
-    families: Dict[str, _FamilyBuffer] = {}
+    #: Exposition family name -> (TYPE, HELP, sample lines), so that HELP
+    #: and TYPE render once per family whichever registries feed it.
+    families: Dict[str, Tuple[str, str, List[str]]] = {}
 
-    def family(name: str, kind: str, help_text: str) -> _FamilyBuffer:
-        buf = families.get(name)
-        if buf is None:
-            buf = families[name] = _FamilyBuffer(name, kind, help_text)
-        return buf
+    def samples_of(app: str, raw: str, kind: str, help_text: str, suffix: str = ""):
+        """The sample list, sample name and labels of one registry entry."""
+        base, inline = _split_inline_label(raw)
+        name = _metric_name(base, namespace, suffix)
+        labels = {"app": app}
+        if inline:
+            labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
+        if name not in families:
+            families[name] = (kind, help_text.format(base), [])
+        return families[name][2], name, labels
 
     for app, registry in registries.items():
-        counters, meters, histograms, gauges = registry.all_metrics()
-        for raw, counter in counters.items():
-            base, inline = _split_inline_label(raw)
-            name = _metric_name(base, namespace, "_total")
-            labels = {"app": app}
-            if inline:
-                labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
-            buf = family(name, "counter", f"Counter {base} from MetricsRegistry.")
-            buf.samples.append(
-                f"{name}{_render_labels(labels)} {_format_value(float(counter.value))}"
-            )
-        for raw, meter in meters.items():
-            base, inline = _split_inline_label(raw)
-            name = _metric_name(base, namespace, "_rate")
-            labels = {"app": app}
-            if inline:
-                labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
-            buf = family(
-                name, "gauge", f"Events/second rate of meter {base} since reset."
-            )
-            buf.samples.append(
-                f"{name}{_render_labels(labels)} {_format_value(meter.rate())}"
-            )
-        for raw, gauge in gauges.items():
-            base, inline = _split_inline_label(raw)
-            name = _metric_name(base, namespace)
-            labels = {"app": app}
-            if inline:
-                labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
-            buf = family(name, "gauge", f"Gauge {base} from MetricsRegistry.")
-            buf.samples.append(
-                f"{name}{_render_labels(labels)} {_format_value(gauge.value)}"
-            )
-        for raw, histogram in histograms.items():
-            base, inline = _split_inline_label(raw)
-            name = _metric_name(base, namespace)
-            labels = {"app": app}
-            if inline:
-                labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
-            buf = family(
-                name,
-                "histogram",
-                f"Sliding-window distribution of {base} "
+        tables = registry.all_metrics()
+        for index, kind, help_text, suffix, read in _SCALAR_KINDS:
+            for raw, metric in tables[index].items():
+                samples, name, labels = samples_of(app, raw, kind, help_text, suffix)
+                samples.append(
+                    f"{name}{_render_labels(labels)} {_format_value(read(metric))}"
+                )
+        for raw, histogram in tables[2].items():
+            samples, name, labels = samples_of(
+                app, raw, "histogram",
+                "Sliding-window distribution of {} "
                 "(buckets cover retained observations only).",
             )
-            values = histogram.values()
-            counts = [0] * len(buckets_ms)
-            total = 0.0
-            for value in values:
-                total += value
-                for i, bound in enumerate(buckets_ms):
-                    if value <= bound:
-                        counts[i] += 1
-                        break
-            cumulative = 0
-            for bound, bucket_count in zip(buckets_ms, counts):
-                cumulative += bucket_count
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _format_value(bound)
-                buf.samples.append(
-                    f"{name}_bucket{_render_labels(bucket_labels)} {cumulative}"
+            values = np.asarray(histogram.values(), dtype=float)
+            for bound in buckets_ms:
+                # One vectorised pass per bound (a scrape must not stall the
+                # event loop walking every retained observation in Python).
+                bucket_labels = {**labels, "le": _format_value(bound)}
+                samples.append(
+                    f"{name}_bucket{_render_labels(bucket_labels)} "
+                    f"{np.count_nonzero(values <= bound)}"
                 )
-            inf_labels = dict(labels)
-            inf_labels["le"] = "+Inf"
-            buf.samples.append(
-                f"{name}_bucket{_render_labels(inf_labels)} {len(values)}"
-            )
-            buf.samples.append(
-                f"{name}_sum{_render_labels(labels)} {_format_value(total)}"
-            )
-            buf.samples.append(f"{name}_count{_render_labels(labels)} {len(values)}")
+            inf_labels = {**labels, "le": "+Inf"}
+            samples.append(f"{name}_bucket{_render_labels(inf_labels)} {len(values)}")
+            total = float(values.sum())
+            samples.append(f"{name}_sum{_render_labels(labels)} {_format_value(total)}")
+            samples.append(f"{name}_count{_render_labels(labels)} {len(values)}")
 
     lines: List[str] = []
-    for name in sorted(families):
-        buf = families[name]
-        lines.append(f"# HELP {buf.name} {_escape_help(buf.help)}")
-        lines.append(f"# TYPE {buf.name} {buf.kind}")
-        lines.extend(buf.samples)
+    for name, (kind, help_text, samples) in sorted(families.items()):
+        lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(samples)
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -30,11 +30,10 @@ in its place.  A fully cached query calls into neither.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.batching.deadline import DEADLINE_MISS
-from repro.batching.queue import BatchingQueue
-from repro.core.config import CircuitBreakerConfig, ClipperConfig
+from repro.core.config import ClipperConfig
 from repro.core.exceptions import OverloadError
 from repro.core.metrics import Counter, MetricsRegistry
 from repro.observability.tracing import Tracer
@@ -70,7 +69,8 @@ class Ticket:
         renders from the remaining models or the default output, exactly
         like a missing model.
         """
-        breaker = self._control.breakers.get(model_key)
+        record = self._control.versions.get(model_key)
+        breaker = record.breaker if record is not None else None
         if breaker is None:
             return True
         if breaker.allow():
@@ -166,46 +166,35 @@ class OverloadControl:
             # Sheds can still happen (a bounded queue fills) but are only
             # exported by applications that configured admission control.
             self._shed_counters = {p: Counter(p) for p in _SHED_POLICIES}
-        self._queues: Dict[str, BatchingQueue] = {}
-        #: Live circuit breakers by model key (only models that have one).
-        self.breakers: Dict[str, CircuitBreaker] = {}
+        #: The application's deployed versions by model key: the model
+        #: layer's own dict, shared by the engine, never a copy.  A version's
+        #: breaker and queue are read off its record, so nothing here has to
+        #: be undone when one leaves.
+        self.versions: Mapping[str, Any] = {}
         self._transition_family = None
         self._fastfail_counter: Optional[Counter] = None
 
     # -- deployed models ---------------------------------------------------------
 
-    def add_model(
-        self,
-        model_key: str,
-        queue: BatchingQueue,
-        breaker_config: Optional[CircuitBreakerConfig] = None,
-    ) -> None:
-        """Start guarding one deployed model version and watching its queue.
+    def guard(self, record: Any) -> None:
+        """Start guarding one deployed version and watching its queue.
 
-        ``breaker_config`` is the deployment's own; the application-wide
-        default applies when it has none, and no breaker when neither is set.
+        What is built here hangs off ``record`` (a
+        :class:`~repro.core.deployed.DeployedModel`) and leaves with it: the
+        queue gauges go through its metric scope, the breaker is its
+        ``breaker``.  The deployment's own breaker config wins over the
+        application-wide default; with neither there is no breaker.
         """
-        self._queues[model_key] = queue
+        model_key, queue = str(record.model_id), record.queue
         # Pressure observability: callback gauges read the queue only at
-        # scrape/snapshot time, so the enqueue path pays nothing.  ``bind``
-        # repoints an existing gauge at the new queue when a key is
-        # redeployed after an undeploy (metrics are never removed).
-        self._metrics.gauge(f'queue.saturation{{model="{model_key}"}}').bind(
-            queue.saturation
+        # scrape/snapshot time, so the enqueue path pays nothing.
+        record.metrics.gauge(
+            f'queue.saturation{{model="{model_key}"}}', fn=queue.saturation
         )
-        self._metrics.gauge(f'queue.depth{{model="{model_key}"}}').bind(queue.qsize)
-        breaker_config = breaker_config or self._default_breaker
-        if breaker_config is not None:
-            self.breakers[model_key] = self._make_breaker(model_key, breaker_config)
-
-    def remove_model(self, model_key: str) -> None:
-        self._queues.pop(model_key, None)
-        self.breakers.pop(model_key, None)
-
-    def _make_breaker(
-        self, model_key: str, config: CircuitBreakerConfig
-    ) -> CircuitBreaker:
-        """Build one model's circuit breaker wired into metrics + tracing."""
+        record.metrics.gauge(f'queue.depth{{model="{model_key}"}}', fn=queue.qsize)
+        breaker_config = record.deployment.circuit_breaker or self._default_breaker
+        if breaker_config is None:
+            return
         if self._transition_family is None:
             self._transition_family = self._metrics.counter_family(
                 "breaker.transitions", label="state"
@@ -221,7 +210,16 @@ class OverloadControl:
                 component="overload",
             )
 
-        return CircuitBreaker(config, on_transition=on_transition)
+        record.breaker = CircuitBreaker(breaker_config, on_transition=on_transition)
+
+    @property
+    def breakers(self) -> Dict[str, CircuitBreaker]:
+        """Live circuit breakers by model key (only versions that have one)."""
+        return {
+            key: record.breaker
+            for key, record in self.versions.items()
+            if record.breaker is not None
+        }
 
     # -- the per-query decision --------------------------------------------------
 
@@ -268,8 +266,8 @@ class OverloadControl:
         caller's perspective the dropped query looks exactly like a straggler
         (rendered from the remaining models or the default output).
         """
-        queue = self._queues.get(model_key)
-        victim = queue.evict_expiring() if queue is not None else None
+        record = self.versions.get(model_key)
+        victim = record.queue.evict_expiring() if record is not None else None
         if victim is None:
             return False
         if not victim.future.done():
@@ -316,10 +314,10 @@ class OverloadControl:
             },
             "queues": {
                 key: {
-                    "depth": queue.qsize(),
-                    "max_depth": queue.maxsize,
-                    "saturation": round(queue.saturation(), 4),
+                    "depth": record.queue.qsize(),
+                    "max_depth": record.queue.maxsize,
+                    "saturation": round(record.queue.saturation(), 4),
                 }
-                for key, queue in self._queues.items()
+                for key, record in self.versions.items()
             },
         }

@@ -16,10 +16,10 @@ touching the predict hot path:
   auto-promote or auto-abort in-flight canaries.
 """
 
+from repro.core.metrics import ARM_METRIC_PREFIX
 from repro.routing.controller import CanaryController, CanaryDecision
 from repro.routing.split import TrafficSplit, assignment_fraction
 from repro.routing.table import (
-    ARM_METRIC_PREFIX,
     SELECTION_NAMESPACE_PREFIX,
     RoutePlan,
     RoutingTable,

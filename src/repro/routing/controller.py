@@ -27,16 +27,16 @@ from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from repro.core.exceptions import RoutingError
+from repro.core.types import REPLICA_HEALTHY
 from repro.observability.logging import get_logger
 from repro.observability.tracing import TRACE_CANARY
 from repro.routing.split import TrafficSplit
 
 logger = get_logger("routing.controller")
 
-#: Health state a replica must hold for its arm to be considered sound
-#: (mirrors ``repro.management.records.REPLICA_HEALTHY``; the literal avoids
-#: a routing → management import cycle).
-_REPLICA_HEALTHY = "healthy"
+#: A canary is aborted when its error rate exceeds the stable arm's by more
+#: than this absolute fraction.
+MAX_ERROR_RATE_DELTA = 0.02
 
 #: Decision verbs recorded in the controller's ledger.
 DECISION_PROMOTE = "promote"
@@ -89,9 +89,6 @@ class CanaryController:
     min_requests:
         Queries the canary arm must serve (since the watch began) before
         metric comparisons count — promotion never outruns the evidence.
-    max_error_rate_delta:
-        Abort when the canary's error rate exceeds the stable arm's by more
-        than this absolute fraction.
     p99_ratio_limit / p99_slack_ms:
         Abort when ``canary_p99 > stable_p99 * ratio + slack`` (the slack
         keeps microsecond-scale baselines from tripping the ratio on noise).
@@ -110,7 +107,6 @@ class CanaryController:
         health_monitor=None,
         check_interval_s: float = 0.05,
         min_requests: int = 50,
-        max_error_rate_delta: float = 0.02,
         p99_ratio_limit: float = 3.0,
         p99_slack_ms: float = 5.0,
         healthy_checks_to_promote: int = 3,
@@ -121,7 +117,6 @@ class CanaryController:
         self.health_monitor = health_monitor
         self.check_interval_s = check_interval_s
         self.min_requests = min_requests
-        self.max_error_rate_delta = max_error_rate_delta
         self.p99_ratio_limit = p99_ratio_limit
         self.p99_slack_ms = p99_slack_ms
         self.healthy_checks_to_promote = healthy_checks_to_promote
@@ -164,10 +159,6 @@ class CanaryController:
                 await task
             except asyncio.CancelledError:
                 pass
-
-    @property
-    def is_running(self) -> bool:
-        return self._running
 
     async def _run(self) -> None:
         while self._running:
@@ -239,7 +230,7 @@ class CanaryController:
         stable_errors = stable_arm.errors.value - watch.base_stable_errors
         stable_error_rate = stable_errors / stable_requests if stable_requests else 0.0
 
-        if canary_error_rate > stable_error_rate + self.max_error_rate_delta:
+        if canary_error_rate > stable_error_rate + MAX_ERROR_RATE_DELTA:
             return await self._act(
                 DECISION_ABORT,
                 name,
@@ -290,7 +281,7 @@ class CanaryController:
         if self.health_monitor is None:
             return None
         for status in self.health_monitor.statuses_for(watch.canary_key):
-            if status.state != _REPLICA_HEALTHY:
+            if status.state != REPLICA_HEALTHY:
                 return f"replica '{status.replica_name}' is {status.state}"
         if self._quarantine_count(watch.canary_key) > watch.base_quarantines:
             return "canary replica was quarantined during the rollout"

@@ -21,7 +21,7 @@ dict hit on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import DeploymentError, RoutingError
 from repro.core.metrics import ArmMetrics, MetricsRegistry
@@ -34,9 +34,6 @@ from repro.routing.split import TrafficSplit
 #: sharing one state store can never touch each other's namespaces, even
 #: when they reuse bare model names.
 SELECTION_NAMESPACE_PREFIX = "selection-state@"
-
-#: Metric-name prefix for per-arm traffic attribution.
-ARM_METRIC_PREFIX = "routing.arm"
 
 
 def selection_namespace(scope: str, serving_keys: Iterable[str]) -> str:
@@ -106,19 +103,22 @@ class RoutingTable:
 
     ``scope`` (normally the application name) namespaces the selection state
     the table owns, isolating instances that share one state store.
+    ``arms(model_key)`` returns a version's attribution handles: the serving
+    engine passes a lookup of the deployed version's own (they leave with
+    the version); a table on its own keeps them in a private registry.
     """
 
     def __init__(
         self,
-        metrics: Optional[MetricsRegistry] = None,
+        arms: Optional[Callable[[str], ArmMetrics]] = None,
         seed: int = 0,
         scope: str = "",
     ) -> None:
-        self.metrics = metrics or MetricsRegistry()
+        #: The per-arm attribution handles for one model key.
+        self.arm_metrics = arms or MetricsRegistry().arm
         self.seed = seed
         self.scope = scope
         self._snapshot = _Snapshot({}, {})
-        self._arm_metrics: Dict[str, ArmMetrics] = {}
 
     # -- resolution (the hot path) ---------------------------------------------
 
@@ -219,14 +219,6 @@ class RoutingTable:
         keys.update(snapshot.previous.values())
         return keys
 
-    def arm_metrics(self, model_key: str) -> ArmMetrics:
-        """The (cached) per-arm attribution handles for one model key."""
-        arm = self._arm_metrics.get(model_key)
-        if arm is None:
-            arm = self.metrics.arm(f"{ARM_METRIC_PREFIX}.{model_key}")
-            self._arm_metrics[model_key] = arm
-        return arm
-
     def describe(self) -> Dict[str, Dict]:
         """JSON-friendly snapshot of the table for operators."""
         snapshot = self._snapshot
@@ -242,6 +234,11 @@ class RoutingTable:
 
     # -- mutation (each builds a new snapshot and swaps it in) -----------------
 
+    def _edit(self) -> Tuple[Dict[str, TrafficSplit], Dict[str, str]]:
+        """Copies of the splits and rollback pointers for a mutation to change."""
+        snapshot = self._snapshot
+        return dict(snapshot.splits), dict(snapshot.previous)
+
     def _swap(self, splits: Dict[str, TrafficSplit], previous: Dict[str, str]) -> None:
         # A single attribute assignment: readers racing this swap see either
         # the complete old snapshot or the complete new one.
@@ -253,9 +250,7 @@ class RoutingTable:
         The previously-stable key (if any, and if different) becomes the
         rollback target.  An in-flight canary for the name is discarded.
         """
-        snapshot = self._snapshot
-        splits = dict(snapshot.splits)
-        previous = dict(snapshot.previous)
+        splits, previous = self._edit()
         current = splits.get(name)
         if current is not None and current.stable != model_key:
             previous[name] = current.stable
@@ -264,24 +259,21 @@ class RoutingTable:
 
     def forget(self, name: str) -> None:
         """Stop routing ``name`` entirely (its versions were undeployed)."""
-        snapshot = self._snapshot
-        splits = dict(snapshot.splits)
-        previous = dict(snapshot.previous)
+        splits, previous = self._edit()
         splits.pop(name, None)
         previous.pop(name, None)
         self._swap(splits, previous)
 
     def drop_previous(self, name: str) -> None:
         """Forget the rollback target of ``name`` (it was undeployed)."""
-        snapshot = self._snapshot
-        previous = dict(snapshot.previous)
+        splits, previous = self._edit()
         if previous.pop(name, None) is not None:
-            self._swap(dict(snapshot.splits), previous)
+            self._swap(splits, previous)
 
     def start_canary(self, name: str, canary_key: str, weight: float) -> TrafficSplit:
         """Begin shifting ``weight`` of ``name``'s traffic onto ``canary_key``."""
-        snapshot = self._snapshot
-        current = snapshot.splits.get(name)
+        splits, previous = self._edit()
+        current = splits.get(name)
         if current is None:
             raise RoutingError(
                 f"cannot start a canary for '{name}': no version is serving"
@@ -293,21 +285,19 @@ class RoutingTable:
         split = TrafficSplit.canary_split(
             current.stable, canary_key, weight, seed=self.seed
         )
-        splits = dict(snapshot.splits)
         splits[name] = split
-        self._swap(splits, dict(snapshot.previous))
+        self._swap(splits, previous)
         return split
 
     def adjust_canary(self, name: str, weight: float) -> TrafficSplit:
         """Change the traffic weight of an in-flight canary."""
-        snapshot = self._snapshot
-        current = snapshot.splits.get(name)
+        splits, previous = self._edit()
+        current = splits.get(name)
         if current is None or current.canary is None:
             raise RoutingError(f"no canary is in flight for '{name}'")
         split = current.with_weight(weight)
-        splits = dict(snapshot.splits)
         splits[name] = split
-        self._swap(splits, dict(snapshot.previous))
+        self._swap(splits, previous)
         return split
 
     def promote(self, name: str) -> str:
@@ -315,12 +305,10 @@ class RoutingTable:
 
         The displaced stable key becomes the rollback target.
         """
-        snapshot = self._snapshot
-        current = snapshot.splits.get(name)
+        splits, previous = self._edit()
+        current = splits.get(name)
         if current is None or current.canary is None:
             raise RoutingError(f"no canary is in flight for '{name}' to promote")
-        splits = dict(snapshot.splits)
-        previous = dict(snapshot.previous)
         previous[name] = current.stable
         splits[name] = TrafficSplit.single(current.canary, seed=self.seed)
         self._swap(splits, previous)
@@ -332,13 +320,12 @@ class RoutingTable:
         All traffic returns to the stable arm; the rollback target is
         untouched.
         """
-        snapshot = self._snapshot
-        current = snapshot.splits.get(name)
+        splits, previous = self._edit()
+        current = splits.get(name)
         if current is None or current.canary is None:
             raise RoutingError(f"no canary is in flight for '{name}' to abort")
-        splits = dict(snapshot.splits)
         splits[name] = TrafficSplit.single(current.stable, seed=self.seed)
-        self._swap(splits, dict(snapshot.previous))
+        self._swap(splits, previous)
         return current.canary
 
     def restore(
@@ -351,9 +338,7 @@ class RoutingTable:
         :meth:`previous_key` returned before a deploy whose version then
         failed to start.  ``split=None`` removes the name's routing.
         """
-        snapshot = self._snapshot
-        splits = dict(snapshot.splits)
-        previous = dict(snapshot.previous)
+        splits, previous = self._edit()
         if split is None:
             splits.pop(name, None)
         else:
@@ -371,13 +356,11 @@ class RoutingTable:
         second rollback undoes the first.  An in-flight canary must be
         aborted first (the serving engine's rollback verb does this).
         """
-        snapshot = self._snapshot
-        previous_key = snapshot.previous.get(name)
+        splits, previous = self._edit()
+        previous_key = previous.get(name)
         if previous_key is None:
             raise RoutingError(f"no previous version of '{name}' to roll back to")
-        current = snapshot.splits.get(name)
-        splits = dict(snapshot.splits)
-        previous = dict(snapshot.previous)
+        current = splits.get(name)
         splits[name] = TrafficSplit.single(previous_key, seed=self.seed)
         if current is not None:
             previous[name] = current.stable

@@ -11,14 +11,7 @@ doorbell-signalled SPSC rings skip the kernel network stack entirely.
 """
 
 from repro.rpc.serialization import deserialize, serialize, serialize_buffers
-from repro.rpc.protocol import (
-    MessageType,
-    RpcRequest,
-    RpcResponse,
-    decode_message,
-    encode_message,
-    encode_message_buffers,
-)
+from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
 from repro.rpc.transport import InProcessTransport, TcpTransport, Transport
 from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingPair, ShmRingTransport
 from repro.rpc.client import RpcClient
@@ -31,9 +24,6 @@ __all__ = [
     "MessageType",
     "RpcRequest",
     "RpcResponse",
-    "encode_message",
-    "encode_message_buffers",
-    "decode_message",
     "Transport",
     "InProcessTransport",
     "TcpTransport",

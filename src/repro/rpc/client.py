@@ -52,8 +52,9 @@ class RpcClient:
 
         ``trace`` carries the trace ids of traced queries in the batch (the
         optional wire header); ``deadlines`` carries per-entry absolute
-        monotonic deadlines (0.0 = none) the server may use to skip
-        already-expired entries, reported back via ``response.skipped``;
+        monotonic deadlines on this host's clock (0.0 = none; sent as
+        remaining budgets) the server may use to skip already-expired
+        entries, reported back via ``response.skipped``;
         ``span_log``, when given, receives
         ``("rpc.send"/"rpc.wait", t0, t1, None)`` monotonic span tuples for
         the send and response-wait legs of this exchange.

@@ -4,37 +4,25 @@ A message is a single serialized dict with a fixed envelope::
 
     {"type": <int>, "request_id": <int>, ...payload fields}
 
-framed on the wire as a 4-byte little-endian length prefix followed by the
-serialized bytes.  Three message types cover the container protocol:
-``PREDICT`` (a batch of inputs), ``PREDICT_RESPONSE`` (a batch of outputs or
-an error) and ``HEARTBEAT`` (liveness checks used by the container runtime).
-
-Framing is copy-free on the encode side: :func:`encode_message_buffers`
-returns the length prefix plus the serializer's buffer segments so a
-gather-capable transport (``writev`` / ``StreamWriter.writelines``) never
-materialises the frame as one ``bytes``.  Homogeneous ndarray batches inside
-the payload use the columnar ``NDARRAY_BATCH`` encoding (one dtype/shape
-header for the whole batch — see :mod:`repro.rpc.serialization`);
+framed on the wire by the transports (:func:`repro.rpc.transport.frame_message`
+owns the 4-byte length prefix and the frame size limit).  Three message
+types cover the container protocol: ``PREDICT`` (a batch of inputs),
+``PREDICT_RESPONSE`` (a batch of outputs or an error) and ``HEARTBEAT``
+(liveness checks used by the container runtime).  Homogeneous ndarray
+batches inside the payload use the columnar ``NDARRAY_BATCH`` encoding (one
+dtype/shape header for the whole batch — see :mod:`repro.rpc.serialization`);
 heterogeneous batches fall back to the per-element tagged format.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.core.exceptions import SerializationError
-from repro.rpc.serialization import (
-    deserialize,
-    serialize,
-    serialize_buffers,
-    serialized_nbytes,
-)
-
-#: Maximum frame size accepted by the decoder (guards against corrupt prefixes).
-MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
 class MessageType(enum.IntEnum):
@@ -59,8 +47,12 @@ class RpcRequest:
     #: untraced batches pay zero extra bytes.
     trace: tuple = ()
     #: Absolute ``time.monotonic()`` deadlines aligned with ``inputs``
-    #: (0.0 = no deadline for that entry).  Optional header field like
-    #: ``trace``: omitted from the wire when no entry carries a deadline, so
+    #: (0.0 = no deadline for that entry), on the clock of whoever holds the
+    #: request.  Monotonic clocks share no origin across hosts, so what
+    #: crosses the wire is each entry's remaining budget in ms when the
+    #: request is sent (``budgets_ms``, ``inf`` = none), from which the
+    #: receiver rebuilds deadlines on its own clock.  Optional header field
+    #: like ``trace``: omitted when no entry carries a deadline, so
     #: deadline-free batches pay zero extra bytes.  Lets the container skip
     #: evaluating entries whose deadline already passed in transit.
     deadlines: tuple = ()
@@ -78,18 +70,30 @@ class RpcRequest:
         if self.trace:
             payload["trace"] = list(self.trace)
         if self.deadlines:
-            payload["deadlines"] = list(self.deadlines)
+            now = time.monotonic()
+            payload["budgets_ms"] = [
+                (deadline - now) * 1000.0 if deadline else math.inf
+                for deadline in self.deadlines
+            ]
         return payload
 
     @staticmethod
-    def from_payload(payload: dict) -> "RpcRequest":
+    def from_payload(payload: dict, received: Optional[float] = None) -> "RpcRequest":
+        """Rebuild a request; ``received`` is when it arrived on this clock
+        (default: now) — the instant its entries' budgets count from."""
+        budgets = payload.get("budgets_ms", ())
+        if budgets and received is None:
+            received = time.monotonic()
         return RpcRequest(
             request_id=int(payload["request_id"]),
             model_name=str(payload["model_name"]),
             inputs=list(payload["inputs"]),
             metadata=dict(payload.get("metadata", {})),
             trace=tuple(payload.get("trace", ())),
-            deadlines=tuple(payload.get("deadlines", ())),
+            deadlines=tuple(
+                0.0 if budget == math.inf else received + budget / 1000.0
+                for budget in budgets
+            ),
         )
 
 
@@ -146,50 +150,9 @@ class RpcResponse:
         )
 
 
-def encode_message_buffers(payload: dict) -> List[Any]:
-    """Serialize a payload dict as framed buffer segments (writev-style).
-
-    The first segment is the 4-byte length prefix; the rest are the
-    serializer's segments, which may alias the payload's arrays — consume
-    them (write or join) before mutating those arrays.  Joining all segments
-    yields exactly :func:`encode_message`'s output.
-    """
-    body = serialize_buffers(payload)
-    length = serialized_nbytes(body)
-    if length > MAX_FRAME_BYTES:
-        raise SerializationError(f"frame of {length} bytes exceeds maximum")
-    return [struct.pack("<I", length), *body]
-
-
-def encode_message(payload: dict) -> bytes:
-    """Serialize a payload dict and prepend the 4-byte length prefix."""
-    return b"".join(encode_message_buffers(payload))
-
-
-def decode_message(data: bytes) -> Tuple[dict, bytes]:
-    """Decode one framed message from ``data``.
-
-    Returns the payload dict and any remaining unconsumed bytes.  Raises
-    :class:`SerializationError` when fewer bytes than one whole frame are
-    available, so stream readers can accumulate and retry.  Decoded ndarrays
-    are read-only zero-copy views into ``data``.
-    """
-    if len(data) < 4:
-        raise SerializationError("incomplete frame header")
-    (length,) = struct.unpack_from("<I", data, 0)
-    if length > MAX_FRAME_BYTES:
-        raise SerializationError(f"frame length {length} exceeds maximum")
-    if len(data) < 4 + length:
-        raise SerializationError("incomplete frame body")
-    payload = deserialize(memoryview(data)[4 : 4 + length])
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise SerializationError("frame payload is not a valid message envelope")
-    return payload, data[4 + length :]
-
-
 def message_type(payload: dict) -> MessageType:
     """Return the :class:`MessageType` of a decoded payload."""
     try:
         return MessageType(int(payload["type"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(f"invalid message type: {exc}") from exc

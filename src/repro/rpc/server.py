@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.exceptions import RpcError
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
@@ -54,11 +54,11 @@ class ContainerRpcServer:
     async def serve_forever(self) -> None:
         """Process requests until the transport closes."""
         loop = asyncio.get_running_loop()
-        prefetch = loop.create_task(self._transport.recv())
+        prefetch = loop.create_task(self._recv())
         try:
             while True:
                 try:
-                    payload = await prefetch
+                    payload, received = await prefetch
                 except RpcError:
                     return
                 if self._draining:
@@ -67,10 +67,10 @@ class ContainerRpcServer:
                     return
                 # Prefetch the next frame immediately: its receive + decode
                 # overlaps the evaluation below instead of following it.
-                prefetch = loop.create_task(self._transport.recv())
+                prefetch = loop.create_task(self._recv())
                 self._idle.clear()
                 try:
-                    await self._handle(payload)
+                    await self._handle(payload, received)
                 except RpcError:
                     # Failed to send a reply: the peer is gone.
                     return
@@ -85,7 +85,16 @@ class ContainerRpcServer:
             except (asyncio.CancelledError, RpcError):
                 pass
 
-    async def _handle(self, payload: dict) -> None:
+    async def _recv(self) -> Tuple[dict, float]:
+        """The next message and when, on this host's clock, it arrived.
+
+        A prefetched frame waits behind the batch being evaluated; the
+        budgets it carries count from its arrival, not from its turn.
+        """
+        payload = await self._transport.recv()
+        return payload, time.monotonic()
+
+    async def _handle(self, payload: dict, received: float) -> None:
         """Answer one decoded message (heartbeat or predict)."""
         kind = message_type(payload)
         if kind == MessageType.HEARTBEAT:
@@ -107,7 +116,7 @@ class ContainerRpcServer:
             return
         if kind != MessageType.PREDICT:
             return
-        request = RpcRequest.from_payload(payload)
+        request = RpcRequest.from_payload(payload, received)
         response = await self._evaluate(request)
         await self._transport.send(response.to_payload())
 
@@ -122,8 +131,9 @@ class ContainerRpcServer:
         inputs = request.inputs
         skipped: tuple = ()
         if request.deadlines:
-            # Deadline propagation: entries whose absolute deadline already
-            # passed in transit are answered as ``skipped`` instead of
+            # Deadline propagation: entries whose deadline (rebuilt on this
+            # host's clock from the budget the sender gave them) already
+            # passed are answered as ``skipped`` instead of
             # computing results nobody is waiting for.  A fully-expired
             # batch skips the container call entirely.
             now = time.monotonic()

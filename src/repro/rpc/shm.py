@@ -50,13 +50,11 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import struct
 from typing import Optional, Tuple
 
 from repro.core.exceptions import RpcError
-from repro.rpc.protocol import MAX_FRAME_BYTES
-from repro.rpc.serialization import deserialize, serialize_buffers, serialized_nbytes
-from repro.rpc.transport import Transport
+from repro.rpc.serialization import deserialize
+from repro.rpc.transport import Transport, frame_length, frame_message
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -265,14 +263,11 @@ class ShmRingTransport(Transport):
     async def send(self, payload: dict) -> None:
         if self._closed or self._out.closed:
             raise RpcError("transport is closed")
-        body = serialize_buffers(payload)
-        length = serialized_nbytes(body)
-        if length > MAX_FRAME_BYTES:
-            raise RpcError(f"frame of {length} bytes exceeds maximum")
         # The frame (length prefix + serializer segments) streams into the
         # ring segment by segment — it is never joined into one bytes object.
-        views = [memoryview(struct.pack("<I", length))]
-        for segment in body:
+        segments, length = frame_message(payload)
+        views = []
+        for segment in segments:
             view = memoryview(segment)
             views.append(view if view.format == "B" else view.cast("B"))
         await self._write_frame(views, 4 + length)
@@ -282,9 +277,7 @@ class ShmRingTransport(Transport):
             raise RpcError("transport is closed")
         header = bytearray(4)
         await self._read_exact(memoryview(header))
-        (length,) = struct.unpack("<I", header)
-        if length > MAX_FRAME_BYTES:
-            raise RpcError(f"frame length {length} exceeds maximum")
+        length = frame_length(header)
         # The frame is copied out of the ring before decoding: the decoder's
         # zero-copy ndarray views alias this private buffer, not ring memory
         # that the producer will recycle.

@@ -24,11 +24,36 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.exceptions import RpcError
-from repro.rpc.protocol import MAX_FRAME_BYTES
 from repro.rpc.serialization import deserialize, serialize_buffers, serialized_nbytes
+
+#: Maximum frame size sent or accepted (guards against corrupt prefixes).
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+_LENGTH_PREFIX = struct.Struct("<I")
+
+
+def frame_message(payload: dict) -> Tuple[List[Any], int]:
+    """One message as wire segments, and the byte length of its body.
+
+    A 4-byte little-endian length prefix, then the serializer's segments
+    (they may alias the payload's arrays: write them out before mutating
+    those).  The socket and the shared-memory transport both send this.
+    """
+    body = serialize_buffers(payload)
+    length = serialized_nbytes(body)
+    if length > MAX_FRAME_BYTES:
+        raise RpcError(f"frame of {length} bytes exceeds maximum")
+    return [_LENGTH_PREFIX.pack(length), *body], length
+
+
+def frame_length(prefix: Any) -> int:
+    """The body length a received 4-byte prefix announces."""
+    (length,) = _LENGTH_PREFIX.unpack(prefix)
+    if length > MAX_FRAME_BYTES:
+        raise RpcError(f"frame length {length} exceeds maximum")
+    return length
 
 
 class Transport:
@@ -138,23 +163,16 @@ class TcpTransport(Transport):
     async def send(self, payload: dict) -> None:
         if self._closed:
             raise RpcError("transport is closed")
-        body = serialize_buffers(payload)
-        length = serialized_nbytes(body)
-        if length > MAX_FRAME_BYTES:
-            raise RpcError(f"frame of {length} bytes exceeds maximum")
         # writev-style: header and body segments go to the stream without
         # ever being concatenated into one frame-sized bytes object.
-        self._writer.writelines([struct.pack("<I", length), *body])
+        self._writer.writelines(frame_message(payload)[0])
         await self._writer.drain()
 
     async def recv(self) -> dict:
         if self._closed:
             raise RpcError("transport is closed")
         try:
-            header = await self._reader.readexactly(4)
-            (length,) = struct.unpack("<I", header)
-            if length > MAX_FRAME_BYTES:
-                raise RpcError(f"frame length {length} exceeds maximum")
+            length = frame_length(await self._reader.readexactly(4))
             body = await self._reader.readexactly(length)
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
             self._closed = True

@@ -105,7 +105,7 @@ class DurableKeyValueStore(KeyValueStore):
     directory:
         Home of the snapshot and WAL files; created when missing.  Opening
         a directory with existing files restores their state.
-    fsync / fsync_interval_s:
+    fsync:
         The WAL durability policy (see :mod:`repro.state.wal`).
     auto_compact_records:
         When set, a snapshot is taken (and the WAL truncated) automatically
@@ -119,7 +119,6 @@ class DurableKeyValueStore(KeyValueStore):
         self,
         directory: str,
         fsync: str = "always",
-        fsync_interval_s: float = 0.05,
         auto_compact_records: Optional[int] = None,
         clock=time.monotonic,
         wall_clock: Callable[[], float] = time.time,
@@ -136,9 +135,7 @@ class DurableKeyValueStore(KeyValueStore):
         self._snapshot_path = os.path.join(directory, SNAPSHOT_FILE)
         self._wal_path = os.path.join(directory, WAL_FILE)
         self.recovery = self._load()
-        self.wal = WalWriter(
-            self._wal_path, fsync=fsync, fsync_interval_s=fsync_interval_s
-        )
+        self.wal = WalWriter(self._wal_path, fsync=fsync)
         self._replaying = False
 
     # -- recovery --------------------------------------------------------------

@@ -20,7 +20,7 @@ Durability is configurable per writer (``fsync`` policy):
     machine crash, at the cost of one disk flush per mutation.
 ``"interval"``
     Flush to the OS on every append, ``fsync`` at most once per
-    ``fsync_interval_s`` (piggybacked on appends).  A machine crash can
+    ``FSYNC_INTERVAL_S`` (piggybacked on appends).  A machine crash can
     lose up to one interval of acknowledged writes; a process crash loses
     nothing (the OS has the bytes).
 ``"never"``
@@ -55,6 +55,8 @@ _HEADER = struct.Struct(">2sII")  # magic, payload length, crc32
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "interval", "never")
+#: Longest gap between two ``fsync`` calls under the ``"interval"`` policy.
+FSYNC_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -143,7 +145,6 @@ class WalWriter:
 
     path: str
     fsync: str = "always"
-    fsync_interval_s: float = 0.05
     #: Crash-injection seam: maps the frame about to be written to the bytes
     #: actually written.  May raise or exit instead of returning.
     fault_hook: Optional[Callable[[bytes], bytes]] = None
@@ -174,7 +175,7 @@ class WalWriter:
             os.fsync(handle.fileno())
         elif self.fsync == "interval":
             now = time.monotonic()
-            if now - self._last_fsync >= self.fsync_interval_s:
+            if now - self._last_fsync >= FSYNC_INTERVAL_S:
                 os.fsync(handle.fileno())
                 self._last_fsync = now
 

@@ -12,6 +12,16 @@ from __future__ import annotations
 import asyncio
 
 
+async def wait_until(predicate, timeout_s=5.0, interval_s=0.01):
+    """Poll ``predicate`` until it holds or ``timeout_s`` passes; its last value."""
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while asyncio.get_running_loop().time() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(interval_s)
+    return predicate()
+
+
 def run_async(coroutine):
     """Run a coroutine to completion on a fresh event loop.
 

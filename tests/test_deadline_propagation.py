@@ -17,6 +17,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
+from repro.rpc import server as rpc_server
 from repro.rpc.client import RpcClient
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
 from repro.rpc.shm import HAS_SHARED_MEMORY
@@ -53,6 +54,19 @@ class GateContainer(ModelContainer):
         return [1 for _ in inputs]
 
 
+class ClockOfAnotherHost:
+    """Stands in for the ``time`` module as the RPC server sees it on a host
+    whose monotonic clock started ``offset_s`` before (or after) ours."""
+
+    perf_counter = staticmethod(time.perf_counter)
+
+    def __init__(self, offset_s: float) -> None:
+        self.offset_s = offset_s
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.offset_s
+
+
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------
@@ -62,16 +76,32 @@ class TestWireFormat:
     def test_deadline_free_request_pays_zero_wire_bytes(self):
         request = RpcRequest(request_id=1, model_name="m", inputs=[1.0])
         payload = request.to_payload()
-        assert "deadlines" not in payload
+        assert "deadlines" not in payload and "budgets_ms" not in payload
         assert RpcRequest.from_payload(payload).deadlines == ()
 
-    def test_deadlines_round_trip(self):
+    def test_deadlines_cross_the_wire_as_remaining_budgets(self):
+        """No absolute clock reading is sent: each entry's remaining budget
+        is, and the receiver rebuilds deadlines from when the request
+        arrived on its own clock (``inf`` = the entry has no deadline)."""
+        now = time.monotonic()
         request = RpcRequest(
-            request_id=2, model_name="m", inputs=[1.0, 2.0], deadlines=(0.0, 12.5)
+            request_id=2, model_name="m", inputs=[1.0, 2.0, 3.0],
+            deadlines=(0.0, now + 12.5, now - 1.0),
         )
         payload = request.to_payload()
-        assert payload["deadlines"] == [0.0, 12.5]
-        assert RpcRequest.from_payload(payload).deadlines == (0.0, 12.5)
+        assert "deadlines" not in payload
+        none, ahead, behind = payload["budgets_ms"]
+        assert none == float("inf")
+        assert ahead == pytest.approx(12500.0, abs=50.0)
+        assert behind == pytest.approx(-1000.0, abs=50.0)
+        # Same host: the round trip gives the deadlines back ...
+        same = RpcRequest.from_payload(payload).deadlines
+        assert same[0] == 0.0
+        assert same[1:] == pytest.approx((now + 12.5, now - 1.0), abs=0.05)
+        # ... and a host whose clock reads 5000 at arrival counts from there.
+        assert RpcRequest.from_payload(payload, received=5000.0).deadlines == (
+            0.0, pytest.approx(5012.5, abs=0.05), pytest.approx(4999.0, abs=0.05),
+        )
 
     def test_skip_free_response_pays_zero_wire_bytes(self):
         response = RpcResponse(request_id=1, outputs=[2.0])
@@ -169,6 +199,37 @@ class TestReplicaSkipsExpiredEntries:
 
         run_async(scenario())
 
+    @pytest.mark.parametrize("skew_s", [3600.0, -3600.0], ids=["ahead", "behind"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_server_on_another_clock_skips_exactly_the_expired(
+        self, transport, skew_s, monkeypatch
+    ):
+        """``time.monotonic()`` has a different origin on every host.  With
+        absolute deadlines on the wire a server an hour ahead skipped every
+        entry and one an hour behind never skipped any."""
+        monkeypatch.setattr(rpc_server, "time", ClockOfAnotherHost(skew_s))
+
+        async def scenario():
+            container = CountingContainer()
+            replica = ContainerReplica(
+                ModelId("count"), 0, container, transport=transport
+            )
+            await replica.start()
+            try:
+                now = time.monotonic()
+                response = await replica.predict_batch(
+                    [1.0, 2.0, 3.0],
+                    deadlines=[now - 10.0, 0.0, now + 100.0],
+                )
+                assert response.ok
+                assert response.skipped == (0,)
+                assert response.outputs == [4.0, 6.0]
+                assert container.seen == [2.0, 3.0]
+            finally:
+                await replica.stop()
+
+        run_async(scenario())
+
     def test_no_deadlines_means_no_skipping(self):
         async def scenario():
             container = CountingContainer()
@@ -254,5 +315,38 @@ class TestDeadlinesEndToEnd:
             finally:
                 gate.set()
                 await clipper.stop()
+
+        run_async(scenario())
+
+    def test_queries_are_answered_by_a_model_on_another_clock(self, monkeypatch):
+        """End to end across a clock skew: every query inside its SLO gets
+        the model's answer (all five got the default output before)."""
+        monkeypatch.setattr(rpc_server, "time", ClockOfAnotherHost(3600.0))
+
+        async def scenario():
+            container = CountingContainer()
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="demo",
+                    selection_policy="single",
+                    latency_slo_ms=2000.0,
+                    default_output=0,
+                )
+            )
+            clipper.deploy_model(
+                ModelDeployment(
+                    name="count", container_factory=lambda: container, transport="tcp"
+                )
+            )
+            await clipper.start()
+            try:
+                results = [
+                    await clipper.predict(Query(app_name="demo", input=float(x)))
+                    for x in range(1, 6)
+                ]
+            finally:
+                await clipper.stop()
+            assert [r.default_used for r in results] == [False] * 5
+            assert [r.output for r in results] == [2.0, 4.0, 6.0, 8.0, 10.0]
 
         run_async(scenario())

@@ -5,13 +5,13 @@ import logging
 
 import numpy as np
 
-from helpers import run_async
+from helpers import run_async, wait_until
 from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
 from repro.management.health import HealthMonitor
-from repro.management.records import REPLICA_HEALTHY, REPLICA_QUARANTINED
+from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED
 
 
 def build_clipper(factory, num_replicas=2, **config_kwargs):
@@ -38,15 +38,6 @@ def fast_monitor(clipper, **overrides):
     )
     kwargs.update(overrides)
     return HealthMonitor(clipper, **kwargs)
-
-
-async def wait_until(predicate, timeout_s=5.0, interval_s=0.01):
-    deadline = asyncio.get_running_loop().time() + timeout_s
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval_s)
-    return predicate()
 
 
 class TestProbing:

@@ -31,7 +31,9 @@ from repro.core.types import Query
 from repro.management.frontend import ManagementFrontend
 from repro.observability.prometheus import render_prometheus
 from repro.batching.deadline import DEADLINE_MISS
-from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.batching.queue import PendingQuery
+from repro.containers.replica import place_locally
+from repro.core.deployed import ModelLayer
 from repro.core.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.overload import (
@@ -271,6 +273,8 @@ class TestCircuitBreaker:
 
 
 def make_control(default_output=None, breaker=None, **overload):
+    """An overload control over a model layer of its own, wired as the engine
+    wires them."""
     metrics = MetricsRegistry()
     config = ClipperConfig(
         app_name="demo",
@@ -278,7 +282,18 @@ def make_control(default_output=None, breaker=None, **overload):
         overload=OverloadConfig(**overload) if overload else None,
         breaker=breaker,
     )
-    return OverloadControl(config, metrics, Tracer(metrics=metrics)), metrics
+    tracer = Tracer(metrics=metrics)
+    control = OverloadControl(config, metrics, tracer)
+    layer = ModelLayer(config, metrics, tracer, place_locally)
+    control.versions = layer.versions
+    return control, metrics, layer
+
+
+def deploy(control, layer, name, **deployment):
+    """Register and guard version ``name:1``, as ``Clipper`` does; its record."""
+    record = layer.deploy(ModelDeployment(name, NoOpContainer, **deployment))
+    control.guard(record)
+    return record
 
 
 def queued(deadline=None):
@@ -290,8 +305,8 @@ def queued(deadline=None):
 
 class TestOverloadControl:
     def test_unconfigured_control_admits_everything_and_gates_nothing(self):
-        control, metrics = make_control()
-        control.add_model("m:1", BatchingQueue(name="m:1"))
+        control, metrics, layer = make_control()
+        deploy(control, layer, "m")
         control.precheck()
         ticket = control.admit("m:1", query_id=1)
         assert ticket.allow("m:1")
@@ -302,7 +317,7 @@ class TestOverloadControl:
         assert "overload.shed" not in " ".join(metrics.snapshot().counters)
 
     def test_reject_policy_counts_and_carries_retry_after(self):
-        control, metrics = make_control(rate_limit_qps=0.001, burst=1)
+        control, metrics, _ = make_control(rate_limit_qps=0.001, burst=1)
         ticket = control.admit("m:1", query_id=1)
         with pytest.raises(OverloadError) as excinfo:
             control.admit("m:1", query_id=2)
@@ -313,7 +328,7 @@ class TestOverloadControl:
         ticket.settle()
 
     def test_degrade_policy_needs_a_default_output(self):
-        control, metrics = make_control(
+        control, metrics, _ = make_control(
             default_output=0, rate_limit_qps=0.001, burst=1, shed_policy="degrade"
         )
         control.admit("m:1", query_id=1)
@@ -321,7 +336,7 @@ class TestOverloadControl:
         with pytest.raises(Degraded):
             control.admit("m:1", query_id=2)
         assert metrics.snapshot().counters['overload.shed{policy="degrade"}'] == 1
-        no_default, _ = make_control(
+        no_default, _, _ = make_control(
             rate_limit_qps=0.001, burst=1, shed_policy="degrade"
         )
         no_default.admit("m:1", query_id=1)
@@ -330,11 +345,12 @@ class TestOverloadControl:
 
     def test_drop_oldest_evicts_the_entry_nearest_its_deadline(self):
         async def scenario():
-            control, metrics = make_control(
+            control, metrics, layer = make_control(
                 rate_limit_qps=0.001, burst=1, shed_policy="drop-oldest"
             )
-            queue = BatchingQueue(name="m:1", maxsize=2)
-            control.add_model("m:1", queue)
+            queue = deploy(
+                control, layer, "m", batching=BatchingConfig(max_queue_depth=2)
+            ).queue
             first = control.admit("m:1", query_id=1)
             # Nothing queued to evict: the newcomer is refused.
             with pytest.raises(OverloadError):
@@ -363,8 +379,8 @@ class TestOverloadControl:
         run_async(scenario())
 
     def test_full_queue_without_drop_oldest_sheds_the_query(self):
-        control, _ = make_control()
-        control.add_model("m:1", BatchingQueue(name="m:1", maxsize=1))
+        control, _, layer = make_control()
+        deploy(control, layer, "m", batching=BatchingConfig(max_queue_depth=1))
         ticket = control.admit("m:1", query_id=1)
         with pytest.raises(OverloadError) as excinfo:
             ticket.make_room("m:1")
@@ -375,12 +391,10 @@ class TestOverloadControl:
             error_rate_threshold=0.5, window=2, min_samples=1,
             open_duration_s=1e-9, half_open_probes=2,
         )
-        control, metrics = make_control(breaker=instant_cooldown)
-        control.add_model("a:1", BatchingQueue(name="a:1"))
-        control.add_model(
-            "b:1", BatchingQueue(name="b:1"),
-            CircuitBreakerConfig(window=7),  # the deployment's own wins
-        )
+        control, metrics, layer = make_control(breaker=instant_cooldown)
+        deploy(control, layer, "a")
+        # The deployment's own config wins over the application's default.
+        deploy(control, layer, "b", circuit_breaker=CircuitBreakerConfig(window=7))
         assert control.breakers["b:1"].config.window == 7
         breaker = control.breakers["a:1"]
         ticket = control.admit("a:1", query_id=1)
@@ -403,7 +417,9 @@ class TestOverloadControl:
         second.succeeded("a:1")
         second.settle()
         assert breaker._probes_inflight == 0 and breaker.state == HALF_OPEN
-        control.remove_model("a:1")
+        # Nothing to undo here when the version leaves: both reads walk
+        # the layer's records.
+        run_async(layer.retire("a:1"))
         assert "a:1" not in control.breakers
         assert "a:1" not in control.state()["queues"]
 

@@ -10,7 +10,6 @@ that moved out of the serving engine.
 import pytest
 
 from repro.core.exceptions import DeploymentError, RoutingError
-from repro.core.metrics import MetricsRegistry
 from repro.routing import (
     RoutingTable,
     TrafficSplit,
@@ -99,7 +98,7 @@ class TestTrafficSplit:
 
 class TestRoutingTableLifecycle:
     def make_table(self):
-        return RoutingTable(metrics=MetricsRegistry(), seed=0)
+        return RoutingTable(seed=0)
 
     def test_activate_and_previous_tracking(self):
         table = self.make_table()
@@ -204,7 +203,7 @@ class TestRoutingTableLifecycle:
 
 class TestResolveKey:
     def make_table(self):
-        table = RoutingTable(metrics=MetricsRegistry())
+        table = RoutingTable()
         table.activate("m", "m:2")
         return table
 
@@ -221,7 +220,7 @@ class TestResolveKey:
         assert table.resolve_key("other", ["m:2", "other:1"]) == "other:1"
 
     def test_ambiguous_name_rejected(self):
-        table = RoutingTable(metrics=MetricsRegistry())
+        table = RoutingTable()
         with pytest.raises(DeploymentError, match="ambiguous"):
             table.resolve_key("m", ["m:1", "m:2"])
 

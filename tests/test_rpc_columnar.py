@@ -18,7 +18,6 @@ from repro.core.exceptions import ContainerError, SerializationError
 from repro.core.types import ModelId
 from repro.batching.controllers import FixedBatchSizeController
 from repro.rpc.client import RpcClient
-from repro.rpc.protocol import encode_message, encode_message_buffers
 from repro.rpc.serialization import (
     _TAG_LIST,
     _TAG_NDARRAY_BATCH,
@@ -27,7 +26,7 @@ from repro.rpc.serialization import (
     serialize_buffers,
 )
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.transport import InProcessTransport
+from repro.rpc.transport import InProcessTransport, frame_length, frame_message
 
 
 class TestColumnarRoundTrip:
@@ -213,14 +212,17 @@ class TestBufferListFraming:
         assert all(v.readonly for v in views)
         assert sum(v.nbytes for v in views) == array.nbytes
 
-    def test_encode_message_buffers_matches_encode_message(self):
+    def test_frame_segments_are_the_prefix_plus_the_serialized_payload(self):
         payload = {"type": 2, "request_id": 1, "outputs": [np.ones(300), np.ones(300)]}
-        assert b"".join(encode_message_buffers(payload)) == encode_message(payload)
+        segments, length = frame_message(payload)
+        body = serialize(payload)
+        assert b"".join(segments) == struct.pack("<I", len(body)) + body
+        assert length == len(body)
 
     def test_length_prefix_covers_all_segments(self):
         payload = {"type": 1, "request_id": 7, "inputs": [np.zeros(700), np.zeros(700)]}
-        segments = encode_message_buffers(payload)
-        (length,) = struct.unpack("<I", bytes(segments[0]))
+        segments, length = frame_message(payload)
+        assert frame_length(bytes(segments[0])) == length
         assert length == sum(len(s) for s in segments[1:])
 
 

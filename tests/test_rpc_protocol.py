@@ -1,16 +1,19 @@
 """Tests for RPC message types and wire framing."""
 
+import asyncio
+import struct
+
 import numpy as np
 import pytest
 
-from repro.core.exceptions import SerializationError
-from repro.rpc.protocol import (
-    MessageType,
-    RpcRequest,
-    RpcResponse,
-    decode_message,
-    encode_message,
-    message_type,
+from helpers import run_async
+from repro.core.exceptions import RpcError, SerializationError
+from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
+from repro.rpc.transport import (
+    MAX_FRAME_BYTES,
+    TcpTransport,
+    frame_length,
+    frame_message,
 )
 
 
@@ -48,41 +51,74 @@ class TestRpcResponse:
         assert decoded.error == "boom"
 
 
+class _NullWriter:
+    """Enough of a StreamWriter for a transport that is only read from."""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def receive(data: bytes, frames: int = 1) -> list:
+    """What a socket transport reads when its peer sent ``data`` and hung up."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        transport = TcpTransport(reader, _NullWriter())
+        return [await transport.recv() for _ in range(frames)]
+
+    return run_async(scenario())
+
+
+def framed(payload) -> bytes:
+    return b"".join(bytes(segment) for segment in frame_message(payload)[0])
+
+
 class TestFraming:
-    def test_encode_decode_round_trip(self):
-        payload = RpcRequest(request_id=1, model_name="m", inputs=[np.arange(4.0)]).to_payload()
-        frame = encode_message(payload)
-        decoded, rest = decode_message(frame)
-        assert rest == b""
+    """The framing the socket and shared-memory transports both run."""
+
+    def test_frame_round_trip(self):
+        payload = RpcRequest(
+            request_id=1, model_name="m", inputs=[np.arange(4.0)]
+        ).to_payload()
+        (decoded,) = receive(framed(payload))
         assert decoded["model_name"] == "m"
         np.testing.assert_array_equal(decoded["inputs"][0], np.arange(4.0))
 
-    def test_decode_returns_remaining_bytes(self):
-        frame1 = encode_message({"type": int(MessageType.HEARTBEAT), "request_id": 1})
-        frame2 = encode_message({"type": int(MessageType.HEARTBEAT), "request_id": 2})
-        decoded, rest = decode_message(frame1 + frame2)
-        assert decoded["request_id"] == 1
-        decoded2, rest2 = decode_message(rest)
-        assert decoded2["request_id"] == 2
-        assert rest2 == b""
+    def test_back_to_back_frames_are_cut_apart(self):
+        data = framed({"type": int(MessageType.HEARTBEAT), "request_id": 1}) + framed(
+            {"type": int(MessageType.HEARTBEAT), "request_id": 2}
+        )
+        assert [m["request_id"] for m in receive(data, frames=2)] == [1, 2]
+        with pytest.raises(RpcError):
+            receive(data, frames=3)
 
     def test_incomplete_header_raises(self):
-        with pytest.raises(SerializationError):
-            decode_message(b"\x01\x00")
+        with pytest.raises(RpcError):
+            receive(b"\x01\x00")
 
     def test_incomplete_body_raises(self):
-        frame = encode_message({"type": 3, "request_id": 1})
-        with pytest.raises(SerializationError):
-            decode_message(frame[:-1])
+        frame = framed({"type": 3, "request_id": 1})
+        with pytest.raises(RpcError):
+            receive(frame[:-1])
+
+    def test_oversized_frames_are_refused_on_receipt(self):
+        with pytest.raises(RpcError, match="exceeds maximum"):
+            frame_length(struct.pack("<I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(RpcError, match="exceeds maximum"):
+            receive(struct.pack("<I", MAX_FRAME_BYTES + 1))
+        assert frame_length(struct.pack("<I", MAX_FRAME_BYTES)) == MAX_FRAME_BYTES
 
     def test_payload_must_be_an_envelope(self):
-        from repro.rpc.serialization import serialize
-        import struct
-
-        body = serialize([1, 2, 3])
-        frame = struct.pack("<I", len(body)) + body
+        # A well-framed body that is not a message dict: the transport hands
+        # it up and the server's dispatch on its type refuses it.
+        (payload,) = receive(framed([1, 2, 3]))
         with pytest.raises(SerializationError):
-            decode_message(frame)
+            message_type(payload)
 
     def test_message_type_of_invalid_payload(self):
         with pytest.raises(SerializationError):
