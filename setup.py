@@ -12,6 +12,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy"],
+    # scipy is only the reference the quantile-regression fit is tested against.
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
 )

@@ -9,8 +9,11 @@ nearly identically (Figure 4); AIMD remains the default because it is
 simpler and self-correcting.
 
 The fit minimises the pinball (quantile) loss for the line
-``latency = intercept + slope * batch_size`` via a small linear program
-solved with ``scipy.optimize.linprog``.
+``latency = intercept + slope * batch_size`` exactly, in numpy alone: the
+linear program has an optimum on a line through a data point, and through a
+fixed point the best slope is a weighted quantile of the slopes to the other
+points.  No solver is imported — this module is on the import path of every
+ingress and worker process.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.batching.controllers import BatchSizeController
 from repro.core.exceptions import ConfigurationError
@@ -30,9 +32,15 @@ def fit_quantile_line(
 ) -> Tuple[float, float]:
     """Fit ``latency ≈ intercept + slope * batch_size`` at the given quantile.
 
-    Returns ``(intercept, slope)``.  Uses the standard LP formulation of
-    quantile regression: minimise ``q·u + (1-q)·v`` subject to
-    ``y - (a + b·x) = u - v`` with ``u, v ≥ 0``.
+    Returns ``(intercept, slope)``, a minimiser of the pinball loss — the
+    optimum of the standard LP formulation of quantile regression (minimise
+    ``q·u + (1-q)·v`` subject to ``y - (a + b·x) = u - v`` with ``u, v ≥ 0``).
+    Some optimal line passes through a data point.  For the lines through
+    point ``k`` the loss is ``Σ |x_i - x_k| · ρ_τ(s_i - b)`` in the slope
+    ``b`` alone, where ``s_i`` is the slope from ``k`` to ``i`` and ``τ`` is
+    ``q`` for points right of ``k`` and ``1 - q`` for points left of it; its
+    minimiser is the weighted quantile of the ``s_i``.  All ``n`` pivots are
+    solved in one ``n × n`` pass and the line with the least loss is kept.
     """
     x = np.asarray(batch_sizes, dtype=float).ravel()
     y = np.asarray(latencies_ms, dtype=float).ravel()
@@ -43,26 +51,34 @@ def fit_quantile_line(
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be in (0, 1)")
 
-    n = x.shape[0]
-    # Decision variables: [a, b, u_1..u_n, v_1..v_n]
-    c = np.concatenate([[0.0, 0.0], np.full(n, quantile), np.full(n, 1.0 - quantile)])
-    A_eq = np.zeros((n, 2 + 2 * n))
-    A_eq[:, 0] = 1.0  # a
-    A_eq[:, 1] = x  # b * x
-    A_eq[:, 2 : 2 + n] = np.eye(n)  # + u
-    A_eq[:, 2 + n :] = -np.eye(n)  # - v
-    b_eq = y
-    bounds = [(None, None), (None, None)] + [(0.0, None)] * (2 * n)
-    result = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not result.success:
-        # Fall back to a least-squares line shifted to the empirical quantile,
-        # which is close enough for the controller's purposes.
-        slope, intercept = np.polyfit(x, y, 1)
-        residuals = y - (intercept + slope * x)
-        intercept += float(np.quantile(residuals, quantile))
-        return float(intercept), float(slope)
-    intercept, slope = float(result.x[0]), float(result.x[1])
-    return intercept, slope
+    dx = x - x[:, None]  # row k: offsets from pivot k
+    weights = np.abs(dx)
+    beside = weights > 0
+    if not beside.any():
+        # One batch size only: every slope fits alike; the line is the
+        # quantile of the latencies.
+        return float(np.sort(y)[int(np.ceil(quantile * len(y))) - 1]), 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Points sharing the pivot's batch size add a constant; they sort last.
+        slopes = np.where(beside, (y - y[:, None]) / dx, np.inf)
+    order = np.argsort(slopes, axis=1)
+    order += np.arange(0, order.size, len(x))[:, None]  # indices into the flat n × n
+    slopes = np.take(slopes, order)
+    cumulative = np.cumsum(np.take(weights, order), axis=1)
+    right = np.maximum(dx, 0.0).sum(axis=1)
+    target = quantile * right + (1.0 - quantile) * (weights.sum(axis=1) - right)
+    # The first slope whose cumulative weight reaches the target, kept among
+    # the finite ones against rounding in the sums.
+    index = np.minimum(
+        np.sum(cumulative < target[:, None], axis=1), beside.sum(axis=1) - 1
+    )
+    slope_k = slopes[np.arange(len(x)), index]
+    intercept_k = y - slope_k * x
+    residuals = y - (intercept_k[:, None] + slope_k[:, None] * x)
+    # ρ_q(r) = q·r - min(r, 0)
+    losses = quantile * residuals.sum(axis=1) - np.minimum(residuals, 0.0).sum(axis=1)
+    best = int(np.argmin(losses))
+    return float(intercept_k[best]), float(slope_k[best])
 
 
 class QuantileRegressionController(BatchSizeController):

@@ -12,17 +12,20 @@ single application:
   cached predictions to update the policy.
 
 :class:`Clipper` itself is the selection layer; the model abstraction layer
-is its :class:`~repro.core.deployed.ModelLayer`, and the one call between
-them — under both ``predict`` and ``feedback`` — is
-:meth:`~repro.core.deployed.ModelLayer.resolve`: "each of these models'
-output for this input" (cache fetch → submit → await → detach → cache
-put).  Two seams keep that path ignorant of where and whether work runs: a
-**placement** callable given at construction decides where each
-deployment's :class:`~repro.containers.replica.ReplicaSet` lives (in this
-process by default, on worker daemons in the cluster), and one
+is its :class:`~repro.core.deployed.ModelLayer`, and what passes between
+them — under both ``predict`` and ``feedback`` — is "each of these models'
+output for this input", asked in two steps: the synchronous
+:meth:`~repro.core.deployed.ModelLayer.lookup` (one cache fetch per model)
+and, only for what it missed, the awaited
+:meth:`~repro.core.deployed.ModelLayer.evaluate` (submit → await → detach →
+cache put).  A cached query is therefore one synchronous pass inside the
+coroutine its caller awaits.  Two seams keep that path ignorant of where and
+whether work runs: a **placement** callable given at construction decides
+where each deployment's :class:`~repro.containers.replica.ReplicaSet` lives
+(in this process by default, on worker daemons in the cluster), and one
 :class:`~repro.overload.OverloadControl` owns every admission, shed and
 circuit-breaker decision, handing each query that leaves the cache a ticket
-that ``resolve`` settles on every exit path.
+that ``evaluate`` settles on every exit path.
 
 The public surface is intentionally small::
 
@@ -68,7 +71,7 @@ from repro.core.exceptions import (
     OverloadError,
     PredictionTimeoutError,
 )
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query
 from repro.observability.tracing import Tracer
 from repro.overload import UNGUARDED, OverloadControl
@@ -101,7 +104,6 @@ class Clipper:
         # of each deployment — where its replicas live; the cluster ingress
         # passes one that places on workers.
         self._layer = ModelLayer(self.config, self.metrics, self.tracer, placement)
-        self._resolve = self._layer.resolve
         self.cache = self._layer.cache
         self._models = self._layer.versions
         self.state_store = state_store or KeyValueStore()
@@ -124,9 +126,7 @@ class Clipper:
         # Metric handles are resolved once here instead of per call: registry
         # lookups take a lock and a dict probe, which is measurable on the
         # cache-hit path that does no other work.
-        self._latency_hist = self.metrics.histogram("predict.latency_ms")
-        self._throughput_meter = self.metrics.meter("predict.throughput")
-        self._predict_counter = self.metrics.counter("predict.count")
+        self._answered = AnsweredMetrics(self.metrics, "predict")
         self._default_counter = self.metrics.counter("predict.defaults")
         self._feedback_counter = self.metrics.counter("feedback.count")
         self._feedback_meter = self.metrics.meter("feedback.throughput")
@@ -561,12 +561,45 @@ class Clipper:
         )
         if sampled is not None:
             sampled.add("selection.select", start, time.monotonic())
-        predictions, cache_hits, trace, shed = await self._resolve(
-            selected, query, input_hash, self.overload,
-            start=start, deadline=start + slo_ms / 1000.0, trace=sampled,
-        )
+        predictions, misses = self._layer.lookup(selected, input_hash)
+        trace, shed = sampled, None
+        if misses or sampled is not None:
+            predictions, trace, shed = await self._layer.evaluate(
+                misses, predictions, query, input_hash, self.overload,
+                start, start + slo_ms / 1000.0, sampled,
+            )
 
-        now = time.monotonic()
+        # The query's one closing clock read comes after combine: a policy's
+        # combine is part of the latency the application sees.
+        default_output = self.config.default_output
+        error = None
+        if predictions:
+            if sampled is not None:
+                t_combine = time.monotonic()
+            output, confidence = selection.combine(
+                query.input, predictions, context=query.user_id,
+                state=selection_state,
+            )
+            now = time.monotonic()
+            if sampled is not None:
+                sampled.add("selection.combine", t_combine, now)
+            default_used = (
+                self.config.confidence_threshold > 0.0
+                and confidence < self.config.confidence_threshold
+                and default_output is not None
+            )
+            if default_used:
+                output = default_output
+        else:
+            now = time.monotonic()
+            if isinstance(shed, OverloadError) or default_output is None:
+                # Refused by the shed policy, or nothing to answer with.
+                error = shed or PredictionTimeoutError(query.query_id, slo_ms)
+                output, confidence, default_used = None, 0.0, False
+            else:
+                # No model answered in time, every breaker was open, or the
+                # ``degrade`` shed policy spoke: the default output.
+                output, confidence, default_used = default_output, 0.0, True
         latency_ms = (now - start) * 1000.0
         if plan.tracked_arms and not shed:
             # Canary in flight: attribute this query's outcome to the
@@ -576,34 +609,9 @@ class Clipper:
             for arm_key, arm in plan.tracked_arms:
                 if arm_key in selected:
                     arm.observe(latency_ms, ok=arm_key in predictions)
-
-        default_output = self.config.default_output
-        error = None
-        if predictions:
-            output, confidence = selection.combine(
-                query.input, predictions, context=query.user_id,
-                state=selection_state,
-            )
-            if sampled is not None:
-                sampled.add("selection.combine", now, time.monotonic())
-            default_used = (
-                self.config.confidence_threshold > 0.0
-                and confidence < self.config.confidence_threshold
-                and default_output is not None
-            )
-            if default_used:
-                output = default_output
-        elif isinstance(shed, OverloadError) or default_output is None:
-            # Refused by the shed policy, or nothing to answer with.
-            error = shed or PredictionTimeoutError(query.query_id, slo_ms)
-            output, confidence, default_used = None, 0.0, False
-        else:
-            # No model answered in time, every breaker was open, or the
-            # ``degrade`` shed policy spoke: the default output.
-            output, confidence, default_used = default_output, 0.0, True
         return self._finish(
             query, output, confidence, error, latency_ms, slo_ms, selected,
-            predictions, default_used, cache_hits == len(selected), trace,
+            predictions, default_used, not misses, trace,
         )
 
     def _finish(
@@ -633,9 +641,7 @@ class Clipper:
             )
         if error is not None:
             raise error
-        self._latency_hist.observe(latency_ms)
-        self._throughput_meter.mark()
-        self._predict_counter.increment()
+        self._answered.record(latency_ms)
         if default_used:
             self._default_counter.increment()
         if len(predictions) == len(selected):
@@ -643,17 +649,10 @@ class Clipper:
         else:
             models_used = tuple(key for key in selected if key in predictions)
             missing = tuple(key for key in selected if key not in predictions)
+        # Positional, in field order; ``None`` is the unused ``metadata``.
         return Prediction(
-            query_id=query.query_id,
-            app_name=query.app_name,
-            output=output,
-            confidence=confidence,
-            latency_ms=latency_ms,
-            default_used=default_used,
-            models_used=models_used,
-            models_missing=missing,
-            from_cache=from_cache,
-            trace_id=trace_id,
+            query.query_id, query.app_name, output, confidence, latency_ms,
+            default_used, models_used, missing, from_cache, None, trace_id,
         )
 
     # -- feedback path --------------------------------------------------------
@@ -677,9 +676,11 @@ class Clipper:
         # not be evaluated for feedback.
         plan = self.routing.plan_for(feedback.user_id or input_hash)
         selection = self._selection_manager_for(plan)
-        predictions, _, _, _ = await self._resolve(
-            plan.serving_keys, feedback, input_hash, UNGUARDED
-        )
+        predictions, misses = self._layer.lookup(plan.serving_keys, input_hash)
+        if misses:
+            predictions, _, _ = await self._layer.evaluate(
+                misses, predictions, feedback, input_hash, UNGUARDED
+            )
         selection.observe(
             feedback.input, feedback.label, predictions, context=feedback.user_id
         )

@@ -4,11 +4,12 @@
 one record of everything keyed by the version or by one of its replicas.
 
 :class:`ModelLayer` is all of an application's deployed versions behind the
-prediction cache.  The selection layer above it asks one thing,
-:meth:`ModelLayer.resolve` — the paper's ``Predict(m, x) -> y`` for a set of
-models — and never learns whether an output came from the cache, a queue, a
-local container or a worker daemon, or what the overload layer decided on
-the way.
+prediction cache.  The selection layer above it asks one thing — the paper's
+``Predict(m, x) -> y`` for a set of models — in two steps: the synchronous
+:meth:`ModelLayer.lookup` (the cache probe, all a cached input costs) and,
+for what that missed, the awaited :meth:`ModelLayer.evaluate`.  It never
+learns whether an output came from a queue, a local container or a worker
+daemon, or what the overload layer decided on the way.
 """
 
 from __future__ import annotations
@@ -282,53 +283,68 @@ class ModelLayer:
             tracer=self._tracer,
         )
 
-    async def resolve(
+    def lookup(
+        self, model_keys: List[str], input_hash: str
+    ) -> Tuple[Dict[str, Any], List[str]]:
+        """Probe the cache for each of ``model_keys``' output for one input.
+
+        Synchronous, one :meth:`PredictionCache.fetch_by_hash` per model.
+        Returns ``(predictions, misses)``: the cached outputs by model key,
+        and the keys :meth:`evaluate` has to obtain from their containers.
+        A fully cached input stops here: it reaches no queue, no overload
+        decision, no breaker and no coroutine.
+        """
+        predictions: Dict[str, Any] = {}
+        misses: List[str] = []
+        fetch = self.cache.fetch_by_hash
+        for model_key in model_keys:
+            cached = fetch(model_key, input_hash)
+            if cached is not None:
+                predictions[model_key] = cached
+            else:
+                misses.append(model_key)
+        return predictions, misses
+
+    async def evaluate(
         self,
-        model_keys: List[str],
+        misses: List[str],
+        predictions: Dict[str, Any],
         request: Any,
         input_hash: str,
         guard: Any,
         start: Optional[float] = None,
         deadline: Optional[float] = None,
         trace: Optional[Any] = None,
-    ) -> Tuple[Dict[str, Any], int, Optional[Any], Optional[Exception]]:
-        """Each of ``model_keys``' output for one input, from cache or container.
+    ) -> Tuple[Dict[str, Any], Optional[Any], Optional[Exception]]:
+        """Obtain what :meth:`lookup` missed: submit → await → detach → cache put.
 
-        The one routine under both ``Clipper.predict`` and
-        ``Clipper.feedback``: cache fetch → submit to the model's batching
-        queue → await → detach → cache put.  ``request`` is the
-        :class:`Query` or :class:`Feedback` carrying the input; ``guard`` is
-        the application's :class:`~repro.overload.OverloadControl`, or
+        With :meth:`lookup`, the one routine under both ``Clipper.predict``
+        and ``Clipper.feedback`` — the paper's ``Predict(m, x) -> y`` for a
+        set of models.  Awaited only when something missed or the query is
+        sampled (``trace`` given), whose ``cache.lookup`` span is closed
+        here.  ``request`` is the :class:`Query` or :class:`Feedback`
+        carrying the input; ``guard`` is the application's
+        :class:`~repro.overload.OverloadControl`, or
         :data:`~repro.overload.UNGUARDED` for work that is never shed and may
         wait on a full queue.  ``start``/``deadline`` bound a query that must
         answer by its SLO (both None: wait for every model; never traced).
 
-        Returns ``(predictions, cache_hits, trace, shed)``: the outputs
-        obtained, by model key; how many came from the cache; the query's
-        trace context — the sampled one passed in, or a shadow attached when
-        an untraced query first reached a queue; and, when the overload
-        layer shed the query, the exception that says how (``predictions``
-        is then empty).  A fully cached input touches neither ``guard`` nor
-        a breaker; otherwise the query's overload ticket is settled on every
-        way out of here, cancellation included.
+        Returns ``(predictions, trace, shed)``: ``predictions`` with the
+        outputs obtained added, by model key; the query's trace context —
+        the sampled one passed in, or a shadow attached when an untraced
+        query first reached a queue; and, when the overload layer shed the
+        query, the exception that says how (the predictions returned are
+        then empty).  The query's overload ticket is settled on every way
+        out of here, cancellation included.
         """
-        predictions: Dict[str, Any] = {}
-        misses: List[str] = []
-        for model_key in model_keys:
-            cached = self.cache.fetch_by_hash(model_key, input_hash)
-            if cached is not None:
-                predictions[model_key] = cached
-            else:
-                misses.append(model_key)
         # A trace passed in is a sampled one; its last span so far ends
         # where the lookup stage began.
         sampled = trace
         if not misses:
             if sampled is not None:
                 sampled.add("cache.lookup", sampled.spans[-1][2], time.monotonic())
-            return predictions, len(predictions), trace, None
+            return predictions, trace, None
 
-        cache_hits = len(predictions)
         ticket = UNGUARDED  # nothing to settle until the query is admitted
         try:
             ticket = guard.admit(misses[0], request.query_id)
@@ -395,10 +411,10 @@ class ModelLayer:
             # Refused admission, or a bounded queue was full and the policy
             # sheds: models already submitted finish on their own and
             # late-fill the cache.
-            return {}, cache_hits, trace, shed
+            return {}, trace, shed
         finally:
             ticket.settle()
-        return predictions, cache_hits, trace, None
+        return predictions, trace, None
 
     async def _submit(
         self,

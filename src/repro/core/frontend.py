@@ -183,10 +183,9 @@ class QueryFrontend(ApplicationHost):
             input=x,
             user_id=user_id,
             latency_slo_ms=latency_slo_ms,
+            metadata=metadata,
             trace_id=trace_id,
         )
-        if metadata is not None:
-            query.metadata = metadata
         return await clipper.predict(query)
 
     async def update(

@@ -17,7 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Deque, Dict, Iterable, List
+from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -25,10 +25,10 @@ import numpy as np
 class Counter:
     """A monotonically increasing counter."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
+        self._lock = lock or threading.Lock()
 
     def increment(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
@@ -47,12 +47,14 @@ class Counter:
 class Meter:
     """Tracks the rate of events per second since creation or last reset."""
 
-    def __init__(self, name: str, clock=time.monotonic) -> None:
+    def __init__(
+        self, name: str, clock=time.monotonic, lock: Optional[threading.Lock] = None
+    ) -> None:
         self.name = name
         self._clock = clock
         self._count = 0
         self._start = clock()
-        self._lock = threading.Lock()
+        self._lock = lock or threading.Lock()
 
     def mark(self, count: int = 1) -> None:
         """Record ``count`` events."""
@@ -79,10 +81,12 @@ class Meter:
 class Histogram:
     """Sliding-window reservoir of observations supporting quantile queries."""
 
-    def __init__(self, name: str, window_size: int = 16384) -> None:
+    def __init__(
+        self, name: str, window_size: int = 16384, lock: Optional[threading.Lock] = None
+    ) -> None:
         self.name = name
         self._window: Deque[float] = deque(maxlen=window_size)
-        self._lock = threading.Lock()
+        self._lock = lock or threading.Lock()
         self._count = 0
 
     def observe(self, value: float) -> None:
@@ -204,6 +208,40 @@ class ArmMetrics:
     def p99(self) -> float:
         """P99 latency of the arm's successful queries (NaN when unobserved)."""
         return self.latency.p99()
+
+
+class AnsweredMetrics:
+    """``<prefix>.latency_ms`` / ``.throughput`` / ``.count`` of answered queries.
+
+    One answered query is one event, so the three are built around one lock
+    and :meth:`record` updates them under a single acquisition — the engine
+    pays it on every query, and container executor threads share the
+    registry.  Each metric's own methods (``reset``, ``values`` ...) take the
+    same lock, so reading or resetting one never races a :meth:`record`.  The
+    names must not be registered yet: an existing metric keeps its own lock.
+    """
+
+    __slots__ = ("latency", "throughput", "count", "_lock")
+
+    def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
+        self._lock = lock = threading.Lock()
+
+        def shared(table: dict, kind, suffix: str):
+            name = f"{prefix}.{suffix}"
+            return registry._register(table, name, partial(kind, name, lock=lock))
+
+        self.latency = shared(registry._histograms, Histogram, "latency_ms")
+        self.throughput = shared(registry._meters, Meter, "throughput")
+        self.count = shared(registry._counters, Counter, "count")
+
+    def record(self, latency_ms: float) -> None:
+        """One answered query: a latency sample, a throughput mark, a count."""
+        latency = self.latency
+        with self._lock:
+            latency._window.append(latency_ms)
+            latency._count += 1
+            self.throughput._count += 1
+            self.count._value += 1
 
 
 class MetricFamily:

@@ -50,51 +50,70 @@ class ModelId:
         return ModelId(text, 1)
 
 
-#: Memoised ``str(dtype).encode()`` per dtype.  Rendering a numpy dtype as a
-#: string walks numpy's type hierarchy and dominates the hashing cost for
-#: small arrays; the set of dtypes seen by a serving process is tiny.
-_DTYPE_TOKENS: Dict[Any, bytes] = {}
+#: Memoised head of an array's hash per ``(shape, dtype)``: rendering a numpy
+#: dtype as a string walks numpy's type hierarchy and would dominate the
+#: hashing cost for small arrays.  A serving process sees a handful of
+#: layouts; the bound keeps an untyped application with free-form shapes from
+#: growing the table without limit.
+_ARRAY_HEADS: Dict[Any, bytes] = {}
+_ARRAY_HEADS_LIMIT = 1024
 
 
-def _dtype_token(dtype: Any) -> bytes:
-    token = _DTYPE_TOKENS.get(dtype)
-    if token is None:
-        token = str(dtype).encode()
-        _DTYPE_TOKENS[dtype] = token
-    return token
+def _array_head(shape: tuple, dtype: Any) -> bytes:
+    """``b"a"``, then the length-prefixed ``str(shape) + str(dtype)``."""
+    head = _ARRAY_HEADS.get((shape, dtype))
+    if head is None:
+        layout = f"{shape}{dtype}".encode()
+        head = b"a" + len(layout).to_bytes(4, "big") + layout
+        if len(_ARRAY_HEADS) < _ARRAY_HEADS_LIMIT:
+            _ARRAY_HEADS[shape, dtype] = head
+    return head
+
+
+def _tagged(x: Any) -> bytes:
+    """The bytes :func:`hash_input` digests: a tag naming ``x``'s kind, then ``x``.
+
+    The tag keeps values of different kinds apart (``"ab"`` / ``b"ab"``,
+    ``1`` / ``"1"``); the length in front of every sequence item keeps
+    ``["ab", "c"]`` apart from ``["a", "bc"]`` and a one-item list apart from
+    its item.  Lists and tuples share a tag: JSON has one sequence type.
+    """
+    if isinstance(x, np.ndarray):
+        return _array_head(x.shape, x.dtype) + x.tobytes()
+    if isinstance(x, (bytes, bytearray)):
+        return b"b" + x
+    if isinstance(x, str):
+        return b"s" + x.encode()
+    if isinstance(x, (list, tuple)):
+        parts = [b"l"]
+        for item in x:
+            body = _tagged(item)
+            parts.append(len(body).to_bytes(8, "big"))
+            parts.append(body)
+        return b"".join(parts)
+    return b"r" + repr(x).encode()
 
 
 def hash_input(x: Any) -> str:
     """Return a stable content hash of a query input.
 
-    Numpy arrays are hashed over their raw bytes together with shape and
-    dtype; other values fall back to ``repr``.  The hash is used as the
-    prediction-cache key so it must be deterministic across processes.
+    The contract is *equal hash ⇒ equal input, kind included*: the digest is
+    the prediction-cache key, so two inputs that hash alike are served each
+    other's predictions.  Numpy arrays are hashed over shape, dtype and raw
+    bytes; strings, bytes and sequences over their content; anything else
+    over its ``repr`` — each behind a tag byte naming the kind (see
+    :func:`_tagged`).  The hash is deterministic across processes.
 
     This sits on the serving hot path — :meth:`Query.input_hash` is computed
-    once per query and reused for every per-model cache lookup — so the
-    array branch avoids the two hidden costs of the naive implementation:
-    the dtype string is memoised and C-contiguous arrays are hashed through
-    their buffer without a ``tobytes`` copy.
+    once per query and reused for every per-model cache lookup — so an array
+    costs one memoised head and one pass of SHA-1 over its buffer, without a
+    ``tobytes`` copy when it is C-contiguous.
     """
-    hasher = hashlib.sha1()
     if isinstance(x, np.ndarray):
-        hasher.update(str(x.shape).encode())
-        hasher.update(_dtype_token(x.dtype))
-        if x.flags.c_contiguous:
-            hasher.update(x.data)
-        else:
-            hasher.update(np.ascontiguousarray(x).tobytes())
-    elif isinstance(x, (bytes, bytearray)):
-        hasher.update(bytes(x))
-    elif isinstance(x, str):
-        hasher.update(x.encode())
-    elif isinstance(x, (list, tuple)):
-        for item in x:
-            hasher.update(hash_input(item).encode())
-    else:
-        hasher.update(repr(x).encode())
-    return hasher.hexdigest()
+        hasher = hashlib.sha1(_array_head(x.shape, x.dtype))
+        hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
+        return hasher.hexdigest()
+    return hashlib.sha1(_tagged(x)).hexdigest()
 
 
 @dataclass
@@ -113,15 +132,22 @@ class Query:
         selection layer (§5.3).  ``None`` selects the application-wide state.
     latency_slo_ms:
         Optional per-query latency objective overriding the application SLO.
+    arrival_time:
+        When the request reached the application (``time.monotonic()``), for
+        callers that track it; the engine times a query from the start of
+        ``predict`` and never reads this.
+    metadata:
+        What the caller attached to the query, or ``None``; the frontend puts
+        the edge's trace spans here under ``"pre_spans"``.
     """
 
     app_name: str
     input: Any
     user_id: Optional[str] = None
     latency_slo_ms: Optional[float] = None
-    query_id: int = field(default_factory=next_query_id)
-    arrival_time: float = field(default_factory=time.monotonic)
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    query_id: int = field(default_factory=_QUERY_COUNTER.__next__)
+    arrival_time: Optional[float] = None
+    metadata: Optional[Dict[str, Any]] = None
     trace_id: Optional[str] = None
     _input_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
@@ -152,7 +178,7 @@ class Prediction:
     models_used: tuple = ()
     models_missing: tuple = ()
     from_cache: bool = False
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    metadata: Optional[Dict[str, Any]] = None
     trace_id: Optional[str] = None
 
     @property

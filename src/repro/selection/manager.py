@@ -38,12 +38,9 @@ class SelectionStateManager:
 
     # -- state plumbing -------------------------------------------------------
 
-    def _context_key(self, context: Optional[str]) -> str:
-        return context if context else DEFAULT_CONTEXT
-
     def get_state(self, context: Optional[str] = None) -> SelectionState:
         """Fetch (lazily creating) the selection state for one context."""
-        key = self._context_key(context)
+        key = context or DEFAULT_CONTEXT
         state = self.store.get(self.namespace, key)
         if state is None:
             state = self.policy.init(self.model_ids)
@@ -52,7 +49,7 @@ class SelectionStateManager:
 
     def put_state(self, state: SelectionState, context: Optional[str] = None) -> None:
         """Persist an updated selection state for one context."""
-        self.store.put(self.namespace, self._context_key(context), state)
+        self.store.put(self.namespace, context or DEFAULT_CONTEXT, state)
 
     def contexts(self) -> List[str]:
         """All contexts with instantiated selection state."""
@@ -63,7 +60,7 @@ class SelectionStateManager:
         if context is None:
             self.store.clear(self.namespace)
         else:
-            self.store.delete(self.namespace, self._context_key(context))
+            self.store.delete(self.namespace, context or DEFAULT_CONTEXT)
 
     def prune(self, keep_contexts: Iterable[Optional[str]]) -> List[str]:
         """Drop every instantiated context state except ``keep_contexts``.
@@ -75,7 +72,7 @@ class SelectionStateManager:
         their live session ids to garbage-collect per-user state.  Returns
         the context keys that were dropped.
         """
-        keep = {self._context_key(context) for context in keep_contexts}
+        keep = {context or DEFAULT_CONTEXT for context in keep_contexts}
         dropped = [key for key in self.store.keys(self.namespace) if key not in keep]
         for key in dropped:
             self.store.delete(self.namespace, key)

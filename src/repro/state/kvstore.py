@@ -98,7 +98,18 @@ class KeyValueStore:
             return version
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Return the stored value, or ``default`` if absent or expired."""
+        """Return the stored value, or ``default`` if absent or expired.
+
+        An entry without a TTL is returned from one ``dict.get``, atomic under
+        the GIL: entries are replaced, never mutated, so a reader sees the
+        value before or after a concurrent write, never a mix.  Only a stored
+        key can be found, so the arguments need no validation there.  An
+        absent key or a TTL entry (which may have to be removed) takes the
+        validated, locked path.
+        """
+        entry = self._data.get((namespace, key))
+        if entry is not None and entry.expires_at is None:
+            return entry.value
         self._validate(namespace, key)
         with self._lock:
             entry = self._data.get((namespace, key))

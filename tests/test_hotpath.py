@@ -7,15 +7,23 @@ Pin down the perf-critical invariants of the predict/feedback path:
 * values stored through the by-hash cache API are found by the plain
   ``fetch`` API (same key construction),
 * straggler late completions populate the cache under the same key the
-  next query will look up, and
+  next query will look up,
 * the batching queue is event-driven: consumers wake immediately on
-  enqueue and on close rather than on a poll interval.
+  enqueue and on close rather than on a poll interval, and
+* a fully cached ``predict`` is one synchronous pass: a bounded number of
+  calls, no coroutine besides itself, one cache fetch per selected model,
+  no store lock — with the behaviour around it (partial hit, miss, shed,
+  sampled hit, feedback, TTL state) unchanged.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
+import sys
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,8 +36,12 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.config import ClipperConfig, ModelDeployment, OverloadConfig
+from repro.core.exceptions import OverloadError
+from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, Query, hash_input
+from repro.selection.single import SingleModelPolicy
+from repro.state.kvstore import KeyValueStore
 
 
 class SlowContainer(ModelContainer):
@@ -296,3 +308,326 @@ class TestEventDrivenQueue:
             assert queue.qsize() == 1
 
         run_async(scenario())
+
+
+class CountingLock:
+    """Stands in for a ``threading.Lock`` and counts its acquisitions."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+class CallProfile:
+    """``sys.setprofile`` hook: every Python and C call made while it is set.
+
+    Methods of ``_thread.lock`` are left out of the total — how many events a
+    ``with lock:`` raises differs between interpreter versions — and the
+    locks that matter are counted by :class:`CountingLock` instead.
+    """
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.python = Counter()
+        self.coroutines = set()
+
+    def __call__(self, frame, event, arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            self.total += 1
+            self.python[code.co_name] += 1
+            if code.co_flags & inspect.CO_COROUTINE:
+                self.coroutines.add(code)
+        elif event == "c_call" and arg is not sys.setprofile:
+            if type(getattr(arg, "__self__", None)).__name__ != "lock":
+                self.total += 1
+
+
+def step_profiled(coroutine):
+    """Drive ``coroutine`` one step under a :class:`CallProfile`.
+
+    Returns ``(profile, result)``; fails when the coroutine suspends, i.e.
+    when the work was not one synchronous pass.
+    """
+    profile = CallProfile()
+    sys.setprofile(profile)
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return profile, done.value
+    finally:
+        sys.setprofile(None)
+    coroutine.close()
+    pytest.fail("the coroutine suspended: not a single synchronous pass")
+
+
+class TestCachedPassBudget:
+    """One fully cached ``predict``, call by call.
+
+    The budgets are what this code makes (Python 3.11, lock methods left
+    out); beside each is what the parent of the change that introduced them
+    made, measured the same way.
+    """
+
+    @pytest.mark.parametrize(
+        "num_models, budget",
+        [
+            (1, 34),  # parent: 47
+            (4, 86),  # parent: 99, about 45 of them inside Exp4Policy.combine
+        ],
+    )
+    def test_cached_predict_is_one_bounded_synchronous_pass(self, num_models, budget):
+        async def scenario():
+            clipper = make_clipper(num_models=num_models)
+            await clipper.start()
+            store_lock = clipper.state_store._lock = CountingLock(clipper.state_store._lock)
+            x = np.arange(784.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=x))  # fills the cache
+            await clipper.predict(Query(app_name="hotpath-test", input=x))
+            store_lock.acquired = 0
+
+            query = Query(app_name="hotpath-test", input=x)
+            profile, prediction = step_profiled(clipper.predict(query))
+
+            assert prediction.from_cache and prediction.output == 1
+            assert len(prediction.models_used) == num_models
+            assert profile.coroutines == {Clipper.predict.__code__}
+            assert profile.python["fetch_by_hash"] == num_models
+            assert profile.python["input_hash"] == 1
+            assert profile.python["hash_input"] == 1
+            assert store_lock.acquired == 0
+            assert profile.total <= budget
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_cached_feedback_is_one_synchronous_pass(self):
+        async def scenario():
+            clipper = make_clipper(num_models=2)
+            await clipper.start()
+            x = np.arange(16.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=x))
+            feedback = Feedback(app_name="hotpath-test", input=x, label=1)
+            profile, _ = step_profiled(clipper.feedback(feedback))
+            assert profile.coroutines == {Clipper.feedback.__code__}
+            assert profile.python["fetch_by_hash"] == 2
+            await clipper.stop()
+
+        run_async(scenario())
+
+
+class TestAroundTheCachedPass:
+    """What the probe-then-evaluate split must not change."""
+
+    def test_full_hit_partial_hit_and_miss(self):
+        async def scenario():
+            clipper = make_clipper(num_models=4)
+            await clipper.start()
+            keys = [str(model_id) for model_id in clipper.deployed_models()]
+            x = np.arange(32.0)
+            digest = hash_input(x)
+
+            # partial hit: two of the four outputs are already cached
+            for key in keys[:2]:
+                clipper.cache.put_by_hash(key, digest, 1)
+            inserts = clipper.cache.stats.inserts
+            partial = await clipper.predict(Query(app_name="hotpath-test", input=x))
+            assert not partial.from_cache
+            assert partial.models_used == tuple(keys) and partial.models_missing == ()
+            assert partial.output == 1 and partial.confidence == 1.0
+            assert clipper.cache.stats.inserts == inserts + 2  # only the two missing
+
+            # full hit
+            hits = clipper.cache.stats.hits
+            full = await clipper.predict(Query(app_name="hotpath-test", input=x))
+            assert full.from_cache and full.models_used == tuple(keys)
+            assert full.output == 1 and full.confidence == 1.0 and not full.default_used
+            assert clipper.cache.stats.hits == hits + 4
+
+            # miss
+            miss = await clipper.predict(
+                Query(app_name="hotpath-test", input=np.arange(33.0))
+            )
+            assert not miss.from_cache and miss.models_used == tuple(keys)
+            assert clipper.metrics.counter("predict.count").value == 3
+            assert clipper.metrics.histogram("predict.latency_ms").count == 3
+            assert clipper.metrics.meter("predict.throughput").count == 3
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_shed_query_is_refused_while_a_cached_one_still_answers(self):
+        async def scenario():
+            clipper = make_clipper(
+                overload=OverloadConfig(rate_limit_qps=0.001, burst=1, shed_policy="reject")
+            )
+            await clipper.start()
+            x = np.arange(8.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=x))  # the one token
+            with pytest.raises(OverloadError):
+                await clipper.predict(Query(app_name="hotpath-test", input=np.arange(9.0)))
+            # The cached input never reaches the admission gate.
+            cached = await clipper.predict(Query(app_name="hotpath-test", input=x))
+            assert cached.from_cache and cached.output == 1
+            assert clipper.metrics.counter("predict.count").value == 2
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_sampled_full_hit_still_records_its_lookup_span(self):
+        async def scenario():
+            clipper = make_clipper(num_models=2)
+            await clipper.start()
+            x = np.arange(8.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=x))
+            prediction = await clipper.predict(
+                Query(app_name="hotpath-test", input=x, trace_id="forced-1")
+            )
+            assert prediction.from_cache and prediction.trace_id == "forced-1"
+            record = clipper.tracer.registry.get("forced-1")
+            spans = [name for name, _, _, _ in record.spans]
+            assert spans == ["selection.select", "cache.lookup", "selection.combine"]
+            # ... back to back: each stage starts where the last one ended.
+            for before, after in zip(record.spans, record.spans[1:]):
+                assert before[2] <= after[1]
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_feedback_joins_the_same_predictions_cached_or_not(self):
+        async def scenario():
+            clipper = make_clipper(num_models=2)
+            await clipper.start()
+            keys = [str(model_id) for model_id in clipper.deployed_models()]
+            joined = []
+            manager = clipper.selection_manager
+            observe = manager.observe
+
+            def spy(x, label, predictions, context=None):
+                joined.append(dict(predictions))
+                return observe(x, label, predictions, context=context)
+
+            manager.observe = spy
+            cached, uncached = np.arange(8.0), np.arange(9.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=cached))
+            await clipper.feedback(Feedback(app_name="hotpath-test", input=cached, label=1))
+            await clipper.feedback(Feedback(app_name="hotpath-test", input=uncached, label=1))
+            assert joined == [{key: 1 for key in keys}] * 2
+            # The uncached feedback evaluated the models and filled the cache.
+            for key in keys:
+                assert clipper.cache.fetch(key, uncached) == 1
+            assert clipper.metrics.counter("feedback.count").value == 2
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_latency_includes_combine(self):
+        class SlowCombine(SingleModelPolicy):
+            def combine(self, state, x, predictions):
+                time.sleep(0.005)
+                return super().combine(state, x, predictions)
+
+        async def scenario():
+            clipper = make_clipper()
+            await clipper.start()
+            clipper.selection_manager.policy = SlowCombine()
+            x = np.arange(8.0)
+            await clipper.predict(Query(app_name="hotpath-test", input=x))
+            prediction = await clipper.predict(Query(app_name="hotpath-test", input=x))
+            assert prediction.from_cache
+            assert prediction.latency_ms >= 5.0
+            assert min(clipper.metrics.histogram("predict.latency_ms").values()) >= 5.0
+            await clipper.stop()
+
+        run_async(scenario())
+
+
+class TestStoreReadPath:
+    """``KeyValueStore.get``: lock-free for plain entries only."""
+
+    def make_store(self):
+        now = [100.0]
+        store = KeyValueStore(clock=lambda: now[0])
+        store._lock = CountingLock(store._lock)
+        return store, now
+
+    def test_plain_entry_is_read_without_the_lock(self):
+        store, _ = self.make_store()
+        store.put("ns", "k", {"v": 1})
+        store._lock.acquired = 0
+        assert store.get("ns", "k") == {"v": 1}
+        assert store._lock.acquired == 0
+
+    def test_ttl_entry_and_absent_key_take_the_locked_path_and_expire(self):
+        store, now = self.make_store()
+        store.put("ns", "ttl", "soon gone", ttl_s=5.0)
+        store._lock.acquired = 0
+        assert store.get("ns", "ttl") == "soon gone"
+        assert store.get("ns", "absent", "fallback") == "fallback"
+        assert store._lock.acquired == 2
+        now[0] += 5.0
+        assert store.get("ns", "ttl", "expired") == "expired"
+        assert store._lock.acquired == 3
+        assert store.size() == 0  # the expired entry was removed, under the lock
+
+
+class TestSharedStateUnderThreads:
+    """The two places the cached pass shares state with executor threads."""
+
+    WORKERS = 8  # more than the cores of any CI runner's 2-4
+    SECONDS = 0.3
+
+    def run_workers(self, work):
+        stop = time.monotonic() + self.SECONDS
+        done = [0] * self.WORKERS
+
+        def worker(slot):
+            while time.monotonic() < stop:
+                work()
+                done[slot] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,)) for slot in range(self.WORKERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        return sum(done)
+
+    def test_record_loses_no_update_and_shares_its_lock_with_the_three(self):
+        registry = MetricsRegistry()
+        answered = AnsweredMetrics(registry, "predict")
+        assert answered.latency is registry.histogram("predict.latency_ms")
+        assert answered.latency._lock is answered.throughput._lock is answered.count._lock
+        recorded = self.run_workers(lambda: answered.record(1.0))
+        assert recorded > 0
+        assert answered.count.value == answered.throughput.count == recorded
+        assert answered.latency.count == recorded
+
+    def test_lock_free_get_never_misses_a_key_being_rewritten(self):
+        store = KeyValueStore()
+        store.put("ns", "k", 0)
+        missing = object()
+        seen_missing = []
+
+        def work():
+            store.put("ns", "k", 1)
+            if store.get("ns", "k", missing) is missing:
+                seen_missing.append(True)
+
+        assert self.run_workers(work) > 0
+        assert not seen_missing

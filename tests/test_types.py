@@ -66,6 +66,41 @@ class TestHashInput:
         strided = x[:, ::2]
         assert hash_input(strided) == hash_input(np.ascontiguousarray(strided))
 
+    # Equal hash must mean equal input, kind included: the digest is the
+    # prediction-cache key of an application that declares no input type.
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("ab", b"ab"),
+            (1, "1"),
+            (np.float64(1.5), repr(np.float64(1.5))),
+            (["ab"], hash_input("ab")),
+            ([["a"]], ["a"]),
+            (["ab", "c"], ["a", "bc"]),
+            ([b"ab"], ["ab"]),
+        ],
+    )
+    def test_kinds_do_not_collide(self, a, b):
+        assert hash_input(a) != hash_input(b)
+
+    def test_array_does_not_collide_with_the_bytes_it_is_hashed_over(self):
+        x = np.arange(4, dtype=np.float64)
+        layout = f"{x.shape}{x.dtype}".encode()
+        for head in (b"", layout, b"a" + len(layout).to_bytes(4, "big") + layout):
+            assert hash_input(x) != hash_input(head + x.tobytes())
+        assert hash_input([x]) != hash_input(x)
+
+    def test_array_inside_a_list_hashes_by_layout_and_content(self):
+        x = np.arange(6, dtype=np.float64)
+        assert hash_input([x]) == hash_input([x.copy()])
+        assert hash_input([x]) != hash_input([x.reshape(2, 3)])
+        assert hash_input([x]) != hash_input([x.astype(np.float32)])
+
+    def test_lists_and_tuples_hash_alike(self):
+        assert hash_input([1, 2]) == hash_input((1, 2))
+        assert hash_input(bytearray(b"ab")) == hash_input(b"ab")
+
 
 class TestQuery:
     def test_query_ids_are_unique_and_increasing(self):
@@ -86,7 +121,8 @@ class TestQuery:
         query = Query(app_name="app", input=0)
         assert query.user_id is None
         assert query.latency_slo_ms is None
-        assert query.metadata == {}
+        assert query.metadata is None
+        assert query.arrival_time is None
 
 
 class TestPrediction:
