@@ -9,8 +9,9 @@ can agree (§5.2.2).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, Optional, Tuple
+
+from repro.core.exceptions import SelectionPolicyError
 
 
 def majority_vote(predictions: Dict[str, Any]) -> Tuple[Any, float]:
@@ -24,37 +25,56 @@ def majority_vote(predictions: Dict[str, Any]) -> Tuple[Any, float]:
 
 
 def weighted_vote(
-    predictions: Dict[str, Any], weights: Optional[Dict[str, float]] = None
+    predictions: Dict[str, Any],
+    weights: Optional[Dict[str, float]] = None,
+    ensemble_size: Optional[int] = None,
 ) -> Tuple[Any, float]:
-    """Weight-aware vote over the available model predictions.
+    """Weight-aware vote, in one pass over the available model predictions.
 
-    Parameters
-    ----------
-    predictions:
-        Mapping of model key to predicted label (missing models omitted).
-    weights:
-        Optional per-model weights; missing or non-positive weights count as
-        a tiny epsilon so a model never fully disappears from the vote.
-
-    Returns
-    -------
-    (label, agreement):
-        The winning label and the *unweighted* fraction of available models
-        that predicted it — the paper's agreement-based confidence measure.
+    ``predictions`` maps model key to predicted label (missing models
+    omitted).  The optional per-model ``weights`` may have any scale: one that
+    is missing, non-positive or under 1e-9 of the positive total counts as
+    1e-9 of it, so a model never fully disappears from the vote; when none is
+    positive every model counts the same.  Returns the winning label and the
+    *unweighted* fraction of ``ensemble_size`` (the models that should have
+    answered; by default those that did) that predicted it — the paper's
+    agreement-based confidence measure.
     """
     if not predictions:
         raise ValueError("cannot combine an empty prediction map")
-    totals: Dict[Any, float] = defaultdict(float)
-    counts: Dict[Any, int] = defaultdict(int)
+    floor, weights = 1.0, weights or ()
+    if weights:
+        total = 0.0
+        for weight in weights.values():
+            if weight > 0:
+                total += weight
+        if total <= 0:  # none has earned a weight (a stranger still counts less)
+            weights, total = dict.fromkeys(weights, 1.0), len(weights)
+        floor = 1e-9 * total
+    totals: Dict[Any, float] = {}
+    counts: Dict[Any, int] = {}
     for model_key, label in predictions.items():
-        weight = 1.0
-        if weights is not None:
-            weight = max(float(weights.get(model_key, 0.0)), 1e-9)
-        totals[label] += weight
-        counts[label] += 1
-    winner = sorted(totals.items(), key=lambda kv: (-kv[1], repr(kv[0])))[0][0]
-    agreement = counts[winner] / len(predictions)
-    return winner, agreement
+        weight = floor
+        if model_key in weights:
+            weight = weights[model_key]
+            if weight < floor:
+                weight = floor
+        try:
+            seen = label in totals
+        except TypeError:
+            raise SelectionPolicyError(
+                f"cannot vote on the unhashable {type(label).__name__} from model '{model_key}'"
+            ) from None
+        if seen:
+            totals[label] += weight
+            counts[label] += 1
+        else:
+            totals[label] = weight
+            counts[label] = 1
+            winner = label
+    if len(totals) > 1:
+        winner = min(totals.items(), key=lambda kv: (-kv[1], repr(kv[0])))[0]
+    return winner, counts[winner] / (ensemble_size or len(predictions))
 
 
 def agreement_confidence(

@@ -11,19 +11,15 @@ ensure it converges to the single best model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.policy import SelectionPolicy, SelectionState
-
-#: Weights are clipped into this range so that a long streak of losses can
-#: never drive a weight to exactly zero (which would freeze exploration) nor
-#: overflow the exponential update.
-_MIN_WEIGHT = 1e-6
-_MAX_WEIGHT = 1e9
+from repro.selection.policy import SelectionPolicy, SelectionState, reweighted
 
 
 class Exp3Policy(SelectionPolicy):
@@ -62,26 +58,28 @@ class Exp3Policy(SelectionPolicy):
             "n_feedback": 0,
         }
 
-    def _probabilities(self, state: SelectionState) -> Tuple[List[str], np.ndarray]:
+    def _probabilities(self, state: SelectionState) -> Tuple[List[str], List[float]]:
         weights = state["weights"]
-        keys = list(weights.keys())
-        values = np.array([weights[k] for k in keys], dtype=float)
-        total = values.sum()
+        n = len(weights)
+        total = sum(weights.values())
         if total <= 0:
-            probs = np.full(len(keys), 1.0 / len(keys))
+            probs = [1.0 / n] * n
         else:
-            probs = values / total
+            probs = [weight / total for weight in weights.values()]
         if self.exploration > 0:
-            probs = (1.0 - self.exploration) * probs + self.exploration / len(keys)
-        probs = probs / probs.sum()
-        return keys, probs
+            keep, explore = 1.0 - self.exploration, self.exploration / n
+            probs = [keep * p + explore for p in probs]
+        total = sum(probs)
+        return list(weights), [p / total for p in probs]
 
     select_mutates_state = True  # select() bumps per-arm play counts
 
     def select(self, state: SelectionState, x: Any) -> List[str]:
+        # ``Generator.choice(len(keys), p=probs)`` without its arrays: the same
+        # one uniform draw looked up in the same normalised running sum.
         keys, probs = self._probabilities(state)
-        choice = self._rng.choice(len(keys), p=probs)
-        selected = keys[int(choice)]
+        cdf = list(accumulate(probs))
+        selected = keys[bisect_right([c / cdf[-1] for c in cdf], self._rng.random())]
         state["plays"][selected] = state["plays"].get(selected, 0) + 1
         return [selected]
 
@@ -102,35 +100,8 @@ class Exp3Policy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        keys, probs = self._probabilities(state)
-        prob_by_key = dict(zip(keys, probs))
-        for model_key, prediction in predictions.items():
-            if model_key not in state["weights"]:
-                continue
-            loss = self.loss(feedback, prediction)
-            prob = max(prob_by_key.get(model_key, 1.0 / len(keys)), 1e-6)
-            updated = state["weights"][model_key] * float(
-                np.exp(-self.eta * loss / prob)
-            )
-            state["weights"][model_key] = float(
-                np.clip(updated, _MIN_WEIGHT, _MAX_WEIGHT)
-            )
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        self._renormalize(state)
-        return state
-
-    @staticmethod
-    def _renormalize(state: SelectionState) -> None:
-        """Rescale weights so their mean is 1, preserving ratios.
-
-        Keeps the state numerically healthy over long feedback streams
-        without changing the sampling distribution.
-        """
-        weights = state["weights"]
-        mean = sum(weights.values()) / len(weights)
-        if mean <= 0:
-            return
-        for key in weights:
-            weights[key] = float(
-                np.clip(weights[key] / mean, _MIN_WEIGHT, _MAX_WEIGHT)
-            )
+        probs = dict(zip(*self._probabilities(state)))
+        return reweighted(state, {
+            key: self.eta * self.loss(feedback, prediction) / max(probs[key], 1e-6)
+            for key, prediction in predictions.items() if key in probs
+        })

@@ -14,15 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.ensemble import agreement_confidence, normalize_weights, weighted_vote
-from repro.selection.policy import SelectionPolicy, SelectionState
-
-_MIN_WEIGHT = 1e-6
-_MAX_WEIGHT = 1e9
+from repro.selection.ensemble import normalize_weights, weighted_vote
+from repro.selection.policy import SelectionPolicy, SelectionState, reweighted
 
 
 class Exp4Policy(SelectionPolicy):
@@ -64,13 +59,9 @@ class Exp4Policy(SelectionPolicy):
     ) -> Tuple[Any, float]:
         if not predictions:
             raise SelectionPolicyError("Exp4 combine called with no predictions")
-        weights = normalize_weights(state["weights"])
-        label, _ = weighted_vote(predictions, weights)
-        ensemble_size = (
-            len(state["weights"]) if self.count_missing_in_confidence else len(predictions)
-        )
-        confidence = agreement_confidence(predictions, label, ensemble_size)
-        return label, confidence
+        weights = state["weights"]
+        size = len(weights) if self.count_missing_in_confidence else len(predictions)
+        return weighted_vote(predictions, weights, size)
 
     def observe(
         self,
@@ -79,26 +70,12 @@ class Exp4Policy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        for model_key in state["weights"]:
-            if model_key not in predictions:
-                # No prediction from this model for this query (straggler or
-                # cache miss on the feedback path): leave its weight unchanged.
-                continue
-            loss = self.loss(feedback, predictions[model_key])
-            updated = state["weights"][model_key] * float(np.exp(-self.eta * loss))
-            state["weights"][model_key] = float(np.clip(updated, _MIN_WEIGHT, _MAX_WEIGHT))
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        self._renormalize(state)
-        return state
-
-    @staticmethod
-    def _renormalize(state: SelectionState) -> None:
-        weights = state["weights"]
-        mean = sum(weights.values()) / len(weights)
-        if mean <= 0:
-            return
-        for key in weights:
-            weights[key] = float(np.clip(weights[key] / mean, _MIN_WEIGHT, _MAX_WEIGHT))
+        # A model without a prediction for this query (straggler, or a cache
+        # miss on the feedback path) keeps its weight.
+        return reweighted(state, {
+            key: self.eta * self.loss(feedback, predictions[key])
+            for key in state["weights"] if key in predictions
+        })
 
     def model_weights(self, state: SelectionState) -> Dict[str, float]:
         """Normalized view of the current ensemble weights (for reporting)."""

@@ -21,6 +21,7 @@ the containers (class labels for the classification benchmarks).
 
 from __future__ import annotations
 
+from math import exp
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.exceptions import SelectionPolicyError
@@ -28,6 +29,31 @@ from repro.core.types import ModelId
 
 #: The selection state is a plain serializable dictionary.
 SelectionState = Dict[str, Any]
+
+#: Weights are clipped into this range so that a long streak of losses can
+#: never drive a weight to exactly zero (which would freeze exploration) nor
+#: overflow the exponential update.
+_MIN_WEIGHT = 1e-6
+_MAX_WEIGHT = 1e9
+
+
+def reweighted(state: SelectionState, penalties: Dict[str, float]) -> SelectionState:
+    """The state after one Exp3/Exp4 multiplicative-weights step, as a new value.
+
+    ``w ← w · exp(−penalty)`` for each model in ``penalties`` (η-scaled loss);
+    then all are rescaled to mean 1, ratios unchanged.  Clipped after both.
+    """
+    weights, total = {}, 0.0
+    for key, weight in state["weights"].items():
+        if key in penalties:
+            weight = min(max(weight * exp(-penalties[key]), _MIN_WEIGHT), _MAX_WEIGHT)
+        weights[key] = weight
+        total += weight
+    mean = total / len(weights)
+    if mean > 0:
+        for key, weight in weights.items():
+            weights[key] = min(max(weight / mean, _MIN_WEIGHT), _MAX_WEIGHT)
+    return {**state, "weights": weights, "n_feedback": state.get("n_feedback", 0) + 1}
 
 
 class SelectionPolicy:
@@ -72,7 +98,13 @@ class SelectionPolicy:
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        """Update and return the state given ground-truth feedback."""
+        """Return the state that ground-truth ``feedback`` leads to.
+
+        ``state`` is a value, never mutated: the store hands the same object
+        to lock-free readers, and an ``observe`` that raises part-way must
+        leave it as journaled.  The returned state is what gets stored.  (Exp3
+        and Exp4 keep this; the count-keeping policies still update in place.)
+        """
         raise NotImplementedError
 
     # -- shared helpers -------------------------------------------------------

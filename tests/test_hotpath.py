@@ -337,17 +337,22 @@ class CallProfile:
         self.total = 0
         self.python = Counter()
         self.coroutines = set()
+        self.packages = set()  # top-level package of every function called
 
     def __call__(self, frame, event, arg) -> None:
         if event == "call":
             code = frame.f_code
             self.total += 1
             self.python[code.co_name] += 1
+            self.packages.add(frame.f_globals.get("__name__", "").partition(".")[0])
             if code.co_flags & inspect.CO_COROUTINE:
                 self.coroutines.add(code)
         elif event == "c_call" and arg is not sys.setprofile:
-            if type(getattr(arg, "__self__", None)).__name__ != "lock":
+            owner = getattr(arg, "__self__", None)
+            if type(owner).__name__ != "lock":
                 self.total += 1
+                module = getattr(arg, "__module__", None) or type(owner).__module__
+                self.packages.add(module.partition(".")[0])
 
 
 def step_profiled(coroutine):
@@ -380,7 +385,7 @@ class TestCachedPassBudget:
         "num_models, budget",
         [
             (1, 34),  # parent: 47
-            (4, 86),  # parent: 99, about 45 of them inside Exp4Policy.combine
+            (4, 49),  # parent: 86, about 45 of them inside Exp4Policy.combine
         ],
     )
     def test_cached_predict_is_one_bounded_synchronous_pass(self, num_models, budget):
@@ -408,16 +413,21 @@ class TestCachedPassBudget:
 
         run_async(scenario())
 
-    def test_cached_feedback_is_one_synchronous_pass(self):
+    def test_cached_feedback_is_one_bounded_synchronous_pass_without_numpy(self):
         async def scenario():
-            clipper = make_clipper(num_models=2)
+            clipper = make_clipper(num_models=4)
             await clipper.start()
             x = np.arange(16.0)
             await clipper.predict(Query(app_name="hotpath-test", input=x))
             feedback = Feedback(app_name="hotpath-test", input=x, label=1)
             profile, _ = step_profiled(clipper.feedback(feedback))
             assert profile.coroutines == {Clipper.feedback.__code__}
-            assert profile.python["fetch_by_hash"] == 2
+            assert profile.python["fetch_by_hash"] == 4
+            assert profile.total <= 71  # parent: 130, 64 of them inside numpy (np.clip)
+            # Scalar numpy math (np.clip -> fromnumeric._wrapfunc -> ...) shows
+            # up as calls into the package; a bare ufunc call raises no profile
+            # event, which is why CI also greps the selection path for np.exp.
+            assert "numpy" not in profile.packages
             await clipper.stop()
 
         run_async(scenario())

@@ -1,8 +1,10 @@
 """Tests for ensemble voting and confidence helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.exceptions import SelectionPolicyError
 from repro.selection.ensemble import (
     agreement_confidence,
     majority_vote,
@@ -30,6 +32,11 @@ class TestMajorityVote:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             majority_vote({})
+
+    @pytest.mark.parametrize("output", [np.array([1, 0]), [1, 0]], ids=["ndarray", "list"])
+    def test_unhashable_output_is_reported_with_its_model_and_type(self, output):
+        with pytest.raises(SelectionPolicyError, match=rf"{type(output).__name__}.*'b:1'"):
+            majority_vote({"a:1": 1, "b:1": output, "c:1": 1})
 
 
 class TestWeightedVote:

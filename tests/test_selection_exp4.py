@@ -45,6 +45,13 @@ class TestExp4Basics:
         with pytest.raises(SelectionPolicyError):
             policy.combine(state, None, {})
 
+    @pytest.mark.parametrize("output", [np.array([1, 0]), [1, 0]], ids=["ndarray", "list"])
+    def test_combine_over_unhashable_output_names_the_model_and_the_type(self, output):
+        policy = Exp4Policy()
+        state = policy.init(MODELS)
+        with pytest.raises(SelectionPolicyError, match=rf"{type(output).__name__}.*'b:1'"):
+            policy.combine(state, None, {"a:1": 1, "b:1": output})
+
     def test_invalid_eta(self):
         with pytest.raises(SelectionPolicyError):
             Exp4Policy(eta=0)

@@ -1,10 +1,20 @@
 """Tests for the contextualized selection-state manager (§5.3)."""
 
+import copy
 
-from repro.core.types import ModelId
+import numpy as np
+import pytest
+
+from helpers import run_async
+
+from repro.containers.noop import NoOpContainer
+from repro.core.clipper import Clipper
+from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.types import Feedback, ModelId, Query
 from repro.selection.exp3 import Exp3Policy
 from repro.selection.exp4 import Exp4Policy
 from repro.selection.manager import DEFAULT_CONTEXT, SelectionStateManager
+from repro.state import DurableKeyValueStore
 from repro.state.kvstore import KeyValueStore
 
 MODELS = [ModelId("a"), ModelId("b")]
@@ -115,3 +125,52 @@ class TestPolicyOperations:
         state_b = manager.get_state("likes-b")
         assert state_a["weights"]["a:1"] > state_a["weights"]["b:1"]
         assert state_b["weights"]["b:1"] > state_b["weights"]["a:1"]
+
+
+class DisagreesThenRaises:
+    """A label whose second comparison raises — what an array-valued label
+    does to the 0/1 loss (``truth value of an array ...``), here after the
+    first model's loss has already been taken."""
+
+    def __init__(self) -> None:
+        self.compared = 0
+
+    def __eq__(self, other) -> bool:
+        self.compared += 1
+        if self.compared > 1:
+            raise ValueError("the truth value of this label is ambiguous")
+        return False
+
+
+class TestFailedFeedback:
+    @pytest.mark.parametrize("policy", ["exp4", "exp3"])
+    def test_feedback_that_raises_part_way_leaves_the_stored_state_as_journaled(
+        self, tmp_path, policy
+    ):
+        async def scenario():
+            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            clipper = Clipper(
+                ClipperConfig(app_name="app", selection_policy=policy), state_store=store
+            )
+            for name in ("a", "b", "c"):
+                clipper.deploy_model(ModelDeployment(name, NoOpContainer, serialize_rpc=False))
+            await clipper.start()
+            x = np.arange(4.0)
+            await clipper.predict(Query(app_name="app", input=x))
+            await clipper.feedback(Feedback(app_name="app", input=x, label=1))
+            manager = clipper.selection_manager
+            stored = manager.get_state()
+            before = copy.deepcopy(stored)
+
+            label = DisagreesThenRaises()
+            with pytest.raises(ValueError, match="ambiguous"):
+                await clipper.feedback(Feedback(app_name="app", input=x, label=label))
+            assert label.compared == 2  # the first model's loss was taken
+
+            assert manager.get_state() is stored and stored == before
+            await clipper.stop()
+            store.close()
+            with DurableKeyValueStore(str(tmp_path), fsync="never") as reopened:
+                assert reopened.get(manager.namespace, DEFAULT_CONTEXT) == before
+
+        run_async(scenario())

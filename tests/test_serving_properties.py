@@ -107,5 +107,5 @@ class TestSelectionPolicyProperties:
         state = policy.init([ModelId("a"), ModelId("b"), ModelId("c")])
         keys, probs = policy._probabilities(state)
         assert sorted(keys) == ["a:1", "b:1", "c:1"]
-        assert abs(probs.sum() - 1.0) < 1e-9
-        assert np.all(probs > 0)
+        assert abs(sum(probs) - 1.0) < 1e-9
+        assert all(p > 0 for p in probs)
