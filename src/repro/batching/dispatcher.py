@@ -68,7 +68,7 @@ from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcErr
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import BatchStats, ReplicaHealth
 from repro.observability.logging import get_logger
-from repro.observability.tracing import TRACE_RETRIED
+from repro.observability.tracing import TRACE_RETRIED, BatchSpans
 
 logger = get_logger("batching.dispatcher")
 
@@ -87,6 +87,12 @@ def _ewma(average: Optional[float], sample: float) -> float:
     if average is None:
         return sample
     return average + _EWMA_WEIGHT * (sample - average)
+
+
+def _time_out(item: PendingQuery) -> None:
+    """Fail an entry whose deadline passed before it could be evaluated."""
+    if not item.future.done():
+        item.future.set_exception(PredictionTimeoutError(item.query_id or -1, 0.0))
 
 
 class ReplicaDispatcher:
@@ -281,50 +287,45 @@ class ReplicaDispatcher:
 
     async def dispatch_batch(self, batch: List[PendingQuery]) -> None:
         """Evaluate one batch on the replica and resolve its futures."""
-        # Fast path: queries without deadlines (no straggler mitigation /
-        # feedback re-evaluations) skip the live/expired partition entirely —
-        # ``any`` short-circuits on the first deadline-carrying query.
-        carries_deadline = any(item.deadline is not None for item in batch)
-        if self.drop_expired and carries_deadline:
-            now = time.monotonic()
-            live, expired = [], []
-            for item in batch:
-                (expired if item.expired(now) else live).append(item)
-            for item in expired:
-                if not item.future.done():
-                    item.future.set_exception(
-                        PredictionTimeoutError(item.query_id or -1, 0.0)
-                    )
-            batch = live
+        # One pass forms the batch: what is sent (inputs, trace ids and, when
+        # any entry has one, per-entry deadlines, 0.0 = none, so the container
+        # can skip what expires in transit), what is measured (the oldest
+        # entry's wait) and who is left out (entries already expired).
+        t_batch = oldest = time.monotonic()
+        drop_expired = self.drop_expired
+        inputs, deadlines, carries_deadline = [], [], False
+        expired = traced = trace_ids = None  # a set of ids, two lists, when needed
+        tracer = self._tracer
+        if tracer is not None and tracer.active:
+            traced, trace_ids = [], []
+        for item in batch:
+            deadline = item.deadline
+            if deadline is None:
+                deadline = 0.0
+            elif drop_expired:
+                carries_deadline = True
+                if t_batch >= deadline:
+                    if expired is None:
+                        expired = set()
+                    expired.add(id(item))
+                    _time_out(item)
+                    continue
+            inputs.append(item.input)
+            deadlines.append(deadline)
+            if item.enqueue_time < oldest:
+                oldest = item.enqueue_time
+            trace = item.trace
+            if trace is not None and traced is not None:
+                traced.append(item)
+                if trace.trace_id is not None:  # a shadow owns none: not sent
+                    trace_ids.append(trace.trace_id)
+        if expired is not None:
+            batch = [item for item in batch if id(item) not in expired]
             if not batch:
                 # A 100%-expired batch is never dispatched.
                 return
-
-        t_batch = time.monotonic()
-        queue_time_ms = (t_batch - min(item.enqueue_time for item in batch)) * 1000.0
-        # Tracing rides along only for batches that carry traced queries:
-        # the common untraced batch pays one attribute read and one ``any``
-        # scan, and no extra wire bytes.
-        span_log: Optional[list] = None
-        traced: Optional[List[PendingQuery]] = None
-        trace_ids: Optional[List[Any]] = None
-        tracer = self._tracer
-        if tracer is not None and tracer.active and any(
-            item.trace is not None for item in batch
-        ):
-            traced = [item for item in batch if item.trace is not None]
-            trace_ids = [item.trace.trace_id for item in traced]
-            span_log = []
-        inputs = [item.input for item in batch]
-        # Deadline propagation: batches with deadline-carrying queries hand
-        # the per-entry deadlines (0.0 = none) to the RPC layer, which sends
-        # each entry's remaining budget so the container can skip entries
-        # that expire in transit.  Deadline-free batches send nothing extra.
-        deadlines = (
-            [item.deadline or 0.0 for item in batch]
-            if self.drop_expired and carries_deadline
-            else None
-        )
+        queue_time_ms = (t_batch - oldest) * 1000.0
+        span_log: Optional[list] = [] if traced else None
         # A batch sent while its predecessor is still on the replica waits
         # behind it inside the container, so only a batch sent to an idle
         # replica measures what the RPC path itself costs.
@@ -334,7 +335,8 @@ class ReplicaDispatcher:
         start = time.perf_counter()
         try:
             response = await self.replica.predict_batch(
-                inputs, trace=trace_ids, span_log=span_log, deadlines=deadlines
+                inputs, trace=trace_ids, span_log=span_log,
+                deadlines=deadlines if carries_deadline else None,
             )
         except (RpcError, ContainerError) as exc:
             self._handle_failed_batch(batch, exc)
@@ -371,7 +373,7 @@ class ReplicaDispatcher:
         self._measure_pipeline(
             eval_ms, None if overlapped else max(0.0, latency_ms - eval_ms)
         )
-        if traced is not None:
+        if traced:
             self._record_batch_spans(traced, span_log, response, t_batch)
         sink = self.late_result_sink
         skipped = set(response.skipped) if response.skipped else None
@@ -380,13 +382,8 @@ class ReplicaDispatcher:
             future = item.future
             if skipped is not None and index in skipped:
                 # The container declined this entry: its deadline expired in
-                # transit.  The straggler sweeper has usually already
-                # resolved the future with DEADLINE_MISS; if not, surface
-                # the timeout here.
-                if not future.done():
-                    future.set_exception(
-                        PredictionTimeoutError(item.query_id or -1, 0.0)
-                    )
+                # transit (the sweeper has usually resolved it already).
+                _time_out(item)
                 continue
             output = next(outputs)
             if not future.done():
@@ -432,24 +429,29 @@ class ReplicaDispatcher:
     ) -> None:
         """Stamp the batch's lifecycle spans onto each traced query.
 
-        Must run before the batch's futures resolve so the engine's
-        :meth:`Tracer.finish` sees the spans; contexts already committed by
-        the straggler deadline are safe to append to because committed
-        records share (do not copy) the context's span list.
+        Built once per batch.  An uncommitted shadow context receives them
+        as one shared :class:`BatchSpans`, expanded by :meth:`Tracer.finish`
+        only if its trace commits; a context that owns a trace id — sampled,
+        or committed by the straggler deadline before its batch came back
+        (the record shares the context's span list) — gets its copies now.
+        Must run before the batch's futures resolve so ``finish`` sees them.
         """
         t_done = time.monotonic()
-        rpc_spans = span_log or []
-        eval_start, eval_end = response.eval_start, response.eval_end
+        common: List[tuple] = []
+        if span_log:
+            # batch.assemble covers drain + encode, up to the RPC send.
+            common.append(("batch.assemble", t_batch, span_log[0][1], None))
+            common.extend(span_log)
+        if response.eval_end:
+            common.append(("container.eval", response.eval_start, response.eval_end, None))
+            common.append(("rpc.recv", response.eval_end, t_done, None))
+        shared = BatchSpans(traced, t_batch, common)
         for item in traced:
-            spans = item.trace.spans
-            spans.append(("queue.wait", item.enqueue_time, t_batch, None))
-            if rpc_spans:
-                # batch.assemble covers drain + encode, up to the RPC send.
-                spans.append(("batch.assemble", t_batch, rpc_spans[0][1], None))
-                spans.extend(rpc_spans)
-            if eval_end:
-                spans.append(("container.eval", eval_start, eval_end, None))
-                spans.append(("rpc.recv", eval_end, t_done, None))
+            trace = item.trace
+            if trace.trace_id is None:
+                trace.spans.append(shared)
+            else:
+                trace.spans.extend(shared.spans_of(trace))
 
     def _handle_failed_batch(self, batch: List[PendingQuery], error: Exception) -> None:
         """Requeue failed queries with retry budget left; fail the rest."""

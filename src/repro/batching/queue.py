@@ -127,7 +127,8 @@ class BatchingQueue:
         if self.maxsize > 0 and len(self._items) >= self.maxsize:
             raise asyncio.QueueFull(f"batching queue '{self.name}' is full")
         self._items.append(item)
-        self._wake_next(self._getters)
+        if self._getters:
+            self._wake_next(self._getters)
 
     def evict_expiring(self) -> Optional[PendingQuery]:
         """Remove and return the queued entry closest to deadline expiry.
@@ -154,13 +155,7 @@ class BatchingQueue:
         else:
             victim = items[best_index]
             del items[best_index]
-        if self._putters and (self.maxsize == 0 or len(items) < self.maxsize):
-            self._wake_next(self._putters)
-        if not items and self._empty_waiters:
-            while self._empty_waiters:
-                waiter = self._empty_waiters.popleft()
-                if not waiter.done():
-                    waiter.set_result(None)
+        self._removed()
         return victim
 
     # -- consumer side ---------------------------------------------------------
@@ -255,13 +250,17 @@ class BatchingQueue:
         items = self._items
         while len(batch) < max_batch_size and items:
             batch.append(items.popleft())
+        self._removed()
+
+    def _removed(self) -> None:
+        """Items left the queue: wake a parked producer, and whoever waits for empty."""
+        items = self._items
         if self._putters and (self.maxsize == 0 or len(items) < self.maxsize):
             self._wake_next(self._putters)
-        if not items and self._empty_waiters:
-            while self._empty_waiters:
-                waiter = self._empty_waiters.popleft()
-                if not waiter.done():
-                    waiter.set_result(None)
+        while not items and self._empty_waiters:
+            waiter = self._empty_waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
 
     async def wait_empty(self, timeout_s: Optional[float] = None) -> bool:
         """Wait (event-driven) until consumers have drained every item.

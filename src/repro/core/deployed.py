@@ -213,9 +213,9 @@ class ModelLayer:
         )
         #: Deployed versions by ``"name:version"`` key, serving and staged.
         self.versions: Dict[str, DeployedModel] = {}
-        # Straggler deadlines are enforced by a shared bucketed sweep (one
-        # timer per millisecond tick) instead of one timer per query.
+        # Straggler deadlines wait in one FIFO behind one timer.
         self._sweeper = DeadlineSweeper()
+        self._straggler_mitigation = config.straggler_mitigation
         self._straggler_counter = metrics.counter("predict.stragglers")
         self._container_error_counter = metrics.counter("predict.container_errors")
         self._unavailable_counter = metrics.counter("predict.unavailable_models")
@@ -322,20 +322,20 @@ class ModelLayer:
         and ``Clipper.feedback`` — the paper's ``Predict(m, x) -> y`` for a
         set of models.  Awaited only when something missed or the query is
         sampled (``trace`` given), whose ``cache.lookup`` span is closed
-        here.  ``request`` is the :class:`Query` or :class:`Feedback`
-        carrying the input; ``guard`` is the application's
-        :class:`~repro.overload.OverloadControl`, or
-        :data:`~repro.overload.UNGUARDED` for work that is never shed and may
-        wait on a full queue.  ``start``/``deadline`` bound a query that must
-        answer by its SLO (both None: wait for every model; never traced).
+        here; it suspends only to wait for the outputs (and, for work that is
+        never shed, for room on a full queue).  ``request`` is the
+        :class:`Query` or :class:`Feedback` carrying the input; ``guard`` the
+        application's :class:`~repro.overload.OverloadControl`, or
+        :data:`~repro.overload.UNGUARDED`.  ``start``/``deadline`` bound a
+        query that must answer by its SLO (both None: wait for every model;
+        never traced).
 
         Returns ``(predictions, trace, shed)``: ``predictions`` with the
-        outputs obtained added, by model key; the query's trace context —
-        the sampled one passed in, or a shadow attached when an untraced
-        query first reached a queue; and, when the overload layer shed the
-        query, the exception that says how (the predictions returned are
-        then empty).  The query's overload ticket is settled on every way
-        out of here, cancellation included.
+        outputs obtained added, by model key; the query's trace context (the
+        sampled one passed in, or a shadow attached when an untraced query
+        first reached a queue); and, when the overload layer shed the query,
+        the exception that says how (the predictions are then empty).  The
+        query's ticket is settled on every way out, cancellation included.
         """
         # A trace passed in is a sampled one; its last span so far ends
         # where the lookup stage began.
@@ -348,30 +348,41 @@ class ModelLayer:
         ticket = UNGUARDED  # nothing to settle until the query is admitted
         try:
             ticket = guard.admit(misses[0], request.query_id)
+            if not self._straggler_mitigation:
+                deadline = None
+            loop = asyncio.get_running_loop()
             pending: Dict[str, asyncio.Future] = {}
+            # Where the lookup stage ends and every entry's queue wait begins.
+            t_wait = time.monotonic()
             for model_key in misses:
                 if not ticket.allow(model_key):
                     continue
                 if trace is None and start is not None:
                     trace = self._trace_shadow(start)
+                # Positional, in field order; ``0`` is ``attempts``.
+                item = PendingQuery(
+                    request.input, loop.create_future(), t_wait, deadline,
+                    request.query_id, input_hash, 0, trace,
+                )
                 try:
-                    pending[model_key] = await self._submit(
-                        model_key, request, input_hash, deadline, trace, ticket
-                    )
+                    full = self._submit(model_key, item, ticket)
                 except DeploymentError:
-                    # The model was undeployed between selection and
-                    # submission (a live management op); treat it as missing
-                    # rather than failing the query.
+                    # Undeployed between selection and submission (a live
+                    # management op): missing, rather than a failed query.
                     self._unavailable_counter.increment()
-            t_wait = time.monotonic()
+                    continue
+                if full is not None:
+                    # Work that is never shed waits for a slot.
+                    await full.put(item)
+                if deadline is not None:
+                    self._sweeper.register(item.future, deadline, loop)
+                pending[model_key] = item.future
             if sampled is not None:
                 sampled.add("cache.lookup", sampled.spans[-1][2], t_wait)
             # Await each pending model future directly.  With straggler
-            # mitigation on, every future self-resolves by the deadline
-            # (the sweep timer delivers DEADLINE_MISS), so the sequential
-            # loop still returns at the deadline while each completion
-            # wakes this task without intermediate waiter futures or
-            # per-query timers.
+            # mitigation on every future resolves by the deadline (the
+            # sweeper delivers DEADLINE_MISS), so the sequential loop still
+            # returns then, with no waiter futures or per-query timers.
             for model_key, future in pending.items():
                 try:
                     output = await future
@@ -406,7 +417,7 @@ class ModelLayer:
                 self.cache.put_by_hash(model_key, input_hash, output)
                 predictions[model_key] = output
             if pending and trace is not None:
-                trace.add("model.wait", t_wait, time.monotonic())
+                trace.spans.append(("model.wait", t_wait, time.monotonic(), None))
         except (OverloadError, Degraded) as shed:
             # Refused admission, or a bounded queue was full and the policy
             # sheds: models already submitted finish on their own and
@@ -416,38 +427,22 @@ class ModelLayer:
             ticket.settle()
         return predictions, trace, None
 
-    async def _submit(
-        self,
-        model_key: str,
-        request: Any,
-        input_hash: str,
-        deadline: Optional[float],
-        trace: Optional[Any],
-        ticket: Any,
-    ) -> asyncio.Future:
+    def _submit(
+        self, model_key: str, item: PendingQuery, ticket: Any
+    ) -> Optional[BatchingQueue]:
+        """Enqueue ``item`` without waiting; None once it is queued.
+
+        A full bounded queue is the ticket's call: room was made (drop-oldest
+        evicted an entry), the query is shed (raises), or — work that is
+        never shed — the queue is returned for the caller to wait on.
+        """
         record = self.versions.get(model_key)
         if record is None:
             raise DeploymentError(f"selection policy chose unknown model '{model_key}'")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        item = PendingQuery(
-            input=request.input,
-            future=future,
-            deadline=deadline if self._config.straggler_mitigation else None,
-            query_id=request.query_id,
-            input_hash=input_hash,
-            trace=trace,
-        )
         try:
             record.queue.put_nowait(item)
         except asyncio.QueueFull:
-            # A bounded queue is full.  The ticket decides: room was made
-            # (drop-oldest evicted the entry closest to deadline expiry),
-            # the query is shed (raises), or — work that is never shed —
-            # wait for a slot.
-            if ticket.make_room(model_key):
-                record.queue.put_nowait(item)
-            else:
-                await record.queue.put(item)
-        if item.deadline is not None:
-            self._sweeper.register(future, item.deadline)
-        return future
+            if not ticket.make_room(model_key, item.query_id):
+                return record.queue
+            record.queue.put_nowait(item)
+        return None

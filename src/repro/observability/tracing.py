@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.metrics import MetricsRegistry
 
@@ -50,6 +50,7 @@ __all__ = [
     "TRACE_RETRIED",
     "TRACE_ERROR",
     "TRACE_CANARY",
+    "BatchSpans",
     "TraceContext",
     "TraceRecord",
     "TraceRegistry",
@@ -121,9 +122,27 @@ class TraceContext:
         """Record one completed span."""
         self.spans.append((name, start, end, meta))
 
-    def flag(self, bit: int) -> None:
-        """Mark the trace interesting (forces commit of a shadow trace)."""
-        self.flags |= bit
+
+class BatchSpans(NamedTuple):
+    """The lifecycle spans of one answered batch, shared by the queries in it.
+
+    The dispatcher appends this one object to each uncommitted shadow
+    context's span list instead of five tuples of its own;
+    :meth:`Tracer.finish` expands it only for a trace that commits.
+    """
+
+    items: list  #: the batch's traced queue entries
+    formed: float  #: when the batch was formed: where their ``queue.wait`` ends
+    common: List[tuple]  #: the spans they all share
+
+    def spans_of(self, ctx: TraceContext) -> List[tuple]:
+        """The batch's spans as the query behind ``ctx`` saw them."""
+        return [
+            span
+            for item in self.items
+            if item.trace is ctx
+            for span in (("queue.wait", item.enqueue_time, self.formed, None), *self.common)
+        ]
 
 
 class TraceRecord:
@@ -359,10 +378,6 @@ class Tracer:
         return self._enabled
 
     @property
-    def sample_every(self) -> int:
-        return self._sample_every
-
-    @property
     def tail_capture(self) -> bool:
         return self._tail_capture
 
@@ -446,8 +461,15 @@ class Tracer:
             return None
         raw_id = ctx.trace_id
         if raw_id is None:
-            # Shadow contexts own an id only once they commit.
-            raw_id = next(_TRACE_IDS)
+            # A shadow owns an id only once it commits (a late batch's spans
+            # are then stamped on it directly) and only now pays for the
+            # batches it rode in.
+            raw_id = ctx.trace_id = next(_TRACE_IDS)
+            ctx.spans[:] = [
+                span
+                for entry in ctx.spans
+                for span in (entry.spans_of(ctx) if isinstance(entry, BatchSpans) else (entry,))
+            ]
         trace_id = format_trace_id(raw_id)
         record = TraceRecord(
             trace_id=trace_id,

@@ -22,10 +22,11 @@ here.  A query the policy refuses raises
 :class:`~repro.core.exceptions.OverloadError`; one the ``degrade`` policy
 answers with the default output raises :class:`Degraded`.
 
-With no :class:`~repro.core.config.OverloadConfig` and no breakers the same
-object is all no-ops: ``admit`` always admits and tickets gate nothing.
-Work that is never shed (feedback re-evaluation) passes :data:`UNGUARDED`
-in its place.  A fully cached query calls into neither.
+With no :class:`~repro.core.config.OverloadConfig` and no breaker on any
+version a ticket would hold nothing, so ``admit`` hands every query the one
+stateless :class:`_OpenTicket`, which only sheds by policy when a bounded
+queue is full.  Work that is never shed (feedback re-evaluation) passes
+:data:`UNGUARDED` in the control's place.  A fully cached query calls neither.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ class Degraded(Exception):
 class Ticket:
     """One query's claims on the overload layer, from admission to settle."""
 
-    __slots__ = ("_control", "_query_id", "_admitted", "_probing")
+    __slots__ = ("_control", "_admitted", "_probing")
 
-    def __init__(self, control: "OverloadControl", query_id: Any, admitted: bool) -> None:
+    def __init__(self, control: "OverloadControl", admitted: bool) -> None:
         self._control = control
-        self._query_id = query_id
         self._admitted = admitted
         # Breakers whose allow() said yes and that have no outcome yet: in
         # half-open state each holds a reserved probe slot.
@@ -89,17 +89,9 @@ class Ticket:
         if breaker is not None:
             breaker.record_failure(timeout=timeout)
 
-    def make_room(self, model_key: str) -> bool:
-        """``model_key``'s bounded queue is full: make room or shed the query.
-
-        The prediction path never waits on a full queue.  True means the
-        ``drop-oldest`` policy evicted a queued entry and the caller may
-        enqueue; otherwise the query is shed (raises).
-        """
-        control = self._control
-        if control._policy == "drop-oldest" and control._drop_oldest(model_key):
-            return True
-        raise control._shed(self._query_id)
+    def make_room(self, model_key: str, query_id: Any = None) -> bool:
+        """``model_key``'s bounded queue is full: make room or shed the query."""
+        return self._control._make_room(model_key, query_id)
 
     def settle(self) -> None:
         """Give back whatever the query still holds (idempotent)."""
@@ -132,7 +124,7 @@ class _Unguarded:
     def failed(self, model_key: str, timeout: bool = False) -> None:
         pass
 
-    def make_room(self, model_key: str) -> bool:
+    def make_room(self, model_key: str, query_id: Any = None) -> bool:
         return False
 
     def settle(self) -> None:
@@ -140,6 +132,19 @@ class _Unguarded:
 
 
 UNGUARDED = _Unguarded()
+
+
+class _OpenTicket(_Unguarded):
+    """Every query's ticket while nothing gates: stateless, so shared.  A full
+    bounded queue is still never waited on."""
+
+    __slots__ = ("_control",)
+
+    def __init__(self, control: "OverloadControl") -> None:
+        self._control = control
+
+    def make_room(self, model_key: str, query_id: Any = None) -> bool:
+        return self._control._make_room(model_key, query_id)
 
 
 class OverloadControl:
@@ -173,6 +178,7 @@ class OverloadControl:
         self.versions: Mapping[str, Any] = {}
         self._transition_family = None
         self._fastfail_counter: Optional[Counter] = None
+        self._open_ticket = _OpenTicket(self)
 
     # -- deployed models ---------------------------------------------------------
 
@@ -240,7 +246,7 @@ class OverloadControl:
             "application is overloaded", retry_after_s=admission.retry_after_s()
         )
 
-    def admit(self, model_key: str, query_id: Any) -> Ticket:
+    def admit(self, model_key: str, query_id: Any) -> Any:
         """Take the admission slot of a query at its first cache miss.
 
         One slot per query, held until :meth:`Ticket.settle`.  A saturated
@@ -251,12 +257,21 @@ class OverloadControl:
         """
         admission = self._admission
         if admission is None:
-            return Ticket(self, query_id, False)
+            # (the counter exists once ``guard`` gave some version a breaker)
+            return self._open_ticket if self._fastfail_counter is None else Ticket(self, False)
         if admission.try_acquire():
-            return Ticket(self, query_id, True)
+            return Ticket(self, True)
         if self._policy == "drop-oldest" and self._drop_oldest(model_key):
             admission.force_acquire()
-            return Ticket(self, query_id, True)
+            return Ticket(self, True)
+        raise self._shed(query_id)
+
+    def _make_room(self, model_key: str, query_id: Any) -> bool:
+        """The prediction path never waits on a full queue.  True means the
+        ``drop-oldest`` policy evicted a queued entry and the caller may
+        enqueue; otherwise the query is shed (raises)."""
+        if self._policy == "drop-oldest" and self._drop_oldest(model_key):
+            return True
         raise self._shed(query_id)
 
     def _drop_oldest(self, model_key: str) -> bool:

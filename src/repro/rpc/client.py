@@ -50,14 +50,15 @@ class RpcClient:
         at a time, but callers wait on their own response waiter, so a new
         batch can be sent while earlier batches are still being evaluated.
 
-        ``trace`` carries the trace ids of traced queries in the batch (the
-        optional wire header); ``deadlines`` carries per-entry absolute
+        ``trace`` carries the trace ids of the queries in the batch that own
+        one (the optional wire header); ``deadlines`` carries per-entry absolute
         monotonic deadlines on this host's clock (0.0 = none; sent as
         remaining budgets) the server may use to skip already-expired
         entries, reported back via ``response.skipped``;
         ``span_log``, when given, receives
         ``("rpc.send"/"rpc.wait", t0, t1, None)`` monotonic span tuples for
-        the send and response-wait legs of this exchange.
+        the send and response-wait legs of this exchange, and the request
+        asks the container to stamp its evaluation window (``stamp``).
         """
         if not inputs:
             raise RpcError("cannot send an empty prediction batch")
@@ -67,7 +68,8 @@ class RpcClient:
             inputs=inputs,
             metadata=metadata or {},
             trace=tuple(trace) if trace else (),
-            deadlines=tuple(deadlines) if deadlines else (),
+            deadlines=deadlines or (),
+            stamp=span_log is not None,
         )
         payload = await self._exchange(
             request.request_id, request.to_payload(), span_log=span_log

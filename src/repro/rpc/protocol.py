@@ -20,7 +20,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.core.exceptions import SerializationError
 
@@ -42,20 +42,25 @@ class RpcRequest:
     model_name: str
     inputs: List[Any]
     metadata: dict = field(default_factory=dict)
-    #: Trace ids of the traced queries in this batch (empty when untraced).
-    #: Optional header field: omitted from the wire payload when empty, so
-    #: untraced batches pay zero extra bytes.
+    #: Trace ids of the queries in this batch that own one (sampled, or
+    #: tail-captured already).  Optional header field: omitted from the wire
+    #: payload when empty, so untraced and all-shadow batches pay zero bytes.
     trace: tuple = ()
     #: Absolute ``time.monotonic()`` deadlines aligned with ``inputs``
     #: (0.0 = no deadline for that entry), on the clock of whoever holds the
     #: request.  Monotonic clocks share no origin across hosts, so what
     #: crosses the wire is each entry's remaining budget in ms when the
-    #: request is sent (``budgets_ms``, ``inf`` = none), from which the
-    #: receiver rebuilds deadlines on its own clock.  Optional header field
+    #: request is sent (``budgets_ms``, ``inf`` = none): the container server
+    #: compares them with the time since arrival, :meth:`from_payload`
+    #: rebuilds deadlines on the receiver's clock.  Optional header field
     #: like ``trace``: omitted when no entry carries a deadline, so
     #: deadline-free batches pay zero extra bytes.  Lets the container skip
     #: evaluating entries whose deadline already passed in transit.
-    deadlines: tuple = ()
+    deadlines: Sequence[float] = ()
+    #: Asks for the container's monotonic evaluation window (``eval_start``/
+    #: ``eval_end`` on the response): set for a batch that carries traced
+    #: queries, id or not.  One header field, omitted when false.
+    stamp: bool = False
 
     def to_payload(self) -> dict:
         # ``inputs`` is shared, not copied: receivers copy in from_payload,
@@ -69,6 +74,8 @@ class RpcRequest:
         }
         if self.trace:
             payload["trace"] = list(self.trace)
+        if self.stamp:
+            payload["stamp"] = True
         if self.deadlines:
             now = time.monotonic()
             payload["budgets_ms"] = [
@@ -94,6 +101,7 @@ class RpcRequest:
                 0.0 if budget == math.inf else received + budget / 1000.0
                 for budget in budgets
             ),
+            stamp=bool(payload.get("stamp", False)),
         )
 
 
@@ -105,8 +113,9 @@ class RpcResponse:
     outputs: List[Any]
     error: Optional[str] = None
     container_latency_ms: float = 0.0
-    #: Echo of the request's trace header plus the container's monotonic
-    #: evaluation window; only present on the wire for traced batches.
+    #: Echo of the request's trace header, and the container's monotonic
+    #: evaluation window when the request asked for it (``stamp``) or carried
+    #: trace ids; only present on the wire for traced batches.
     trace: tuple = ()
     eval_start: float = 0.0
     eval_end: float = 0.0

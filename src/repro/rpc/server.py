@@ -7,7 +7,7 @@ import time
 from typing import Optional, Tuple
 
 from repro.core.exceptions import RpcError
-from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
+from repro.rpc.protocol import MessageType, RpcResponse, message_type
 from repro.rpc.transport import Transport
 
 
@@ -52,7 +52,13 @@ class ContainerRpcServer:
         return self._task
 
     async def serve_forever(self) -> None:
-        """Process requests until the transport closes."""
+        """Process requests until the transport closes.
+
+        Whatever ends the loop (the peer hanging up, a frame that cannot be
+        decoded, a reply that cannot be sent, a drain) the transport is
+        closed on the way out, so the client fails what it has pending at
+        once instead of waiting out its timeout on a connection nobody reads.
+        """
         loop = asyncio.get_running_loop()
         prefetch = loop.create_task(self._recv())
         try:
@@ -72,7 +78,7 @@ class ContainerRpcServer:
                 try:
                     await self._handle(payload, received)
                 except RpcError:
-                    # Failed to send a reply: the peer is gone.
+                    # Unknown message type, or the reply could not be sent.
                     return
                 finally:
                     self._idle.set()
@@ -84,6 +90,7 @@ class ContainerRpcServer:
                 await prefetch
             except (asyncio.CancelledError, RpcError):
                 pass
+            await self._transport.close()
 
     async def _recv(self) -> Tuple[dict, float]:
         """The next message and when, on this host's clock, it arrived.
@@ -116,36 +123,39 @@ class ContainerRpcServer:
             return
         if kind != MessageType.PREDICT:
             return
-        request = RpcRequest.from_payload(payload, received)
-        response = await self._evaluate(request)
+        response = await self._evaluate(payload, received)
         await self._transport.send(response.to_payload())
 
-    async def _evaluate(self, request: RpcRequest) -> RpcResponse:
+    async def _evaluate(self, payload: dict, received: float) -> RpcResponse:
+        """Evaluate one PREDICT payload (see :meth:`RpcRequest.to_payload`)."""
+        request_id = int(payload["request_id"])
+        # Copied: the in-process pass-through transport shares the list.
+        inputs = list(payload["inputs"])
+        trace = tuple(payload.get("trace", ()))
         # Traced batches additionally get monotonic eval stamps: same-host
         # dispatchers turn them into a ``container.eval`` span nested inside
         # the client's ``rpc.wait`` leg.  Untraced batches skip the stamps
         # (and the wire bytes) entirely.
-        traced = bool(request.trace)
-        eval_start = time.monotonic() if traced else 0.0
+        stamped = bool(trace) or bool(payload.get("stamp"))
+        eval_start = time.monotonic() if stamped else 0.0
         start = time.perf_counter()
-        inputs = request.inputs
         skipped: tuple = ()
-        if request.deadlines:
-            # Deadline propagation: entries whose deadline (rebuilt on this
-            # host's clock from the budget the sender gave them) already
-            # passed are answered as ``skipped`` instead of
-            # computing results nobody is waiting for.  A fully-expired
-            # batch skips the container call entirely.
-            now = time.monotonic()
-            expired = [
-                i
-                for i, deadline in enumerate(request.deadlines[: len(inputs)])
-                if deadline and deadline <= now
-            ]
-            if expired:
-                skipped = tuple(expired)
-                expired_set = set(expired)
-                inputs = [x for i, x in enumerate(inputs) if i not in expired_set]
+        budgets = payload.get("budgets_ms")
+        if budgets:
+            # Deadline propagation: an entry whose budget (ms left when sent,
+            # ``inf`` = none) ran out since the request arrived is answered as
+            # ``skipped`` instead of computing a result nobody waits for.  The
+            # earliest budget decides, once, whether any entry is looked at; a
+            # fully-expired batch skips the container call entirely.
+            elapsed_ms = (time.monotonic() - received) * 1000.0
+            if min(budgets) <= elapsed_ms:
+                skipped = tuple(
+                    i for i, budget in enumerate(budgets[: len(inputs)])
+                    if budget <= elapsed_ms
+                )
+                expired = set(skipped)
+                inputs = [x for i, x in enumerate(inputs) if i not in expired]
+        error = None
         try:
             if not inputs:
                 outputs: list = []
@@ -158,26 +168,19 @@ class ContainerRpcServer:
                 )
             else:
                 outputs = list(self._container.predict_batch(inputs))
-            latency_ms = (time.perf_counter() - start) * 1000.0
             self.requests_served += 1
-            return RpcResponse(
-                request_id=request.request_id,
-                outputs=outputs,
-                container_latency_ms=latency_ms,
-                trace=request.trace,
-                eval_start=eval_start,
-                eval_end=time.monotonic() if traced else 0.0,
-                skipped=skipped,
-            )
         except Exception as exc:  # container failures must not kill the server
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            return RpcResponse(
-                request_id=request.request_id,
-                outputs=[],
-                error=f"{type(exc).__name__}: {exc}",
-                container_latency_ms=latency_ms,
-                trace=request.trace,
-            )
+            outputs, error = [], f"{type(exc).__name__}: {exc}"
+        return RpcResponse(
+            request_id=request_id,
+            outputs=outputs,
+            error=error,
+            container_latency_ms=(time.perf_counter() - start) * 1000.0,
+            trace=trace,
+            eval_start=eval_start,
+            eval_end=time.monotonic() if stamped else 0.0,
+            skipped=skipped,
+        )
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful shutdown: finish the in-flight request, then stop.

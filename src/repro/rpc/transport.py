@@ -175,14 +175,21 @@ class TcpTransport(Transport):
             length = frame_length(await self._reader.readexactly(4))
             body = await self._reader.readexactly(length)
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
-            self._closed = True
+            self._hang_up()
             raise RpcError(f"connection closed while reading frame: {exc}") from exc
+        except RpcError:
+            # An impossible prefix: where the next frame starts is unknown.
+            self._hang_up()
+            raise
         return deserialize(body)
+
+    def _hang_up(self) -> None:
+        self._closed = True
+        self._writer.close()
 
     async def close(self) -> None:
         if not self._closed:
-            self._closed = True
-            self._writer.close()
+            self._hang_up()
             try:
                 await self._writer.wait_closed()
             except (ConnectionError, OSError):

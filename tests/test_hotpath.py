@@ -13,7 +13,10 @@ Pin down the perf-critical invariants of the predict/feedback path:
 * a fully cached ``predict`` is one synchronous pass: a bounded number of
   calls, no coroutine besides itself, one cache fetch per selected model,
   no store lock — with the behaviour around it (partial hit, miss, shed,
-  sampled hit, feedback, TTL state) unchanged.
+  sampled hit, feedback, TTL state) unchanged, and
+* a missed ``predict`` pays per query only for what is decided per query: a
+  bounded number of calls in two coroutines, no ticket of its own while
+  nothing gates, and batch spans built once per batch.
 """
 
 from __future__ import annotations
@@ -32,14 +35,25 @@ from helpers import run_async
 
 import repro.cache.prediction_cache as prediction_cache_module
 import repro.core.types as types_module
+import repro.overload.control as overload_module
+from repro.batching.aimd import AIMDController
+from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import ClipperConfig, ModelDeployment, OverloadConfig
+from repro.core.config import (
+    CircuitBreakerConfig,
+    ClipperConfig,
+    ModelDeployment,
+    OverloadConfig,
+)
+from repro.core.deployed import ModelLayer
 from repro.core.exceptions import OverloadError
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
-from repro.core.types import Feedback, Query, hash_input
+from repro.core.types import Feedback, ModelId, Query, hash_input
+from repro.observability.tracing import BatchSpans, Tracer
+from repro.rpc.protocol import RpcResponse
 from repro.selection.single import SingleModelPolicy
 from repro.state.kvstore import KeyValueStore
 
@@ -429,6 +443,152 @@ class TestCachedPassBudget:
             # event, which is why CI also greps the selection path for np.exp.
             assert "numpy" not in profile.packages
             await clipper.stop()
+
+        run_async(scenario())
+
+
+async def step_missed(profile, coroutine):
+    """Drive a ``predict`` that misses: profiled up to its wait for the model
+    and again from the answer to its return, with the dispatcher's and the
+    container's work in between left out.  Returns the prediction."""
+    sys.setprofile(profile)
+    try:
+        waited = coroutine.send(None)
+    finally:
+        sys.setprofile(None)
+    # Stand in for the task that would have been awaiting: wait the future
+    # out here, then hand the coroutine its next step.
+    waited._asyncio_future_blocking = False
+    await waited
+    sys.setprofile(profile)
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    finally:
+        sys.setprofile(None)
+    pytest.fail("the missed predict suspended a second time")
+
+
+class TestMissedPassBudget:
+    """One missed ``predict`` on the default configuration, call by call.
+
+    Counted as in :class:`TestCachedPassBudget`, over the query's own two
+    steps (submit, then render); the batch it rides in is per batch.
+    """
+
+    def test_missed_predict_is_two_coroutines_and_a_bounded_number_of_calls(
+        self, monkeypatch
+    ):
+        def no_ticket(*args):
+            pytest.fail("a query was given a Ticket while nothing gates")
+
+        async def scenario():
+            clipper = make_clipper()
+            await clipper.start()
+            x = np.arange(784.0)
+            for warm in (1.0, 2.0):  # the memoised array head, the pools
+                await clipper.predict(Query(app_name="hotpath-test", input=x + warm))
+            monkeypatch.setattr(overload_module, "Ticket", no_ticket)
+            profile = CallProfile()
+            query = Query(app_name="hotpath-test", input=x)
+            prediction = await step_missed(profile, clipper.predict(query))
+
+            assert prediction.output == 1 and not prediction.from_cache
+            assert prediction.models_used == ("m0:1",)
+            assert profile.coroutines == {
+                Clipper.predict.__code__, ModelLayer.evaluate.__code__,
+            }
+            assert profile.python["_submit"] == profile.python["put_nowait"] == 1
+            assert profile.python["register"] == 1  # the straggler deadline ...
+            assert profile.python["call_at"] == 0  # ... arms no timer of its own
+            assert profile.python["shadow"] == profile.python["finish"] == 1
+            # parent: 82, twelve of them a per-tick timer that a query shares
+            # with the others of its millisecond under load
+            assert profile.total <= 75
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_a_breaker_or_admission_control_brings_the_real_ticket_back(self):
+        for gate in (
+            dict(breaker=CircuitBreakerConfig()),
+            dict(overload=OverloadConfig(max_concurrency=8)),
+        ):
+            clipper = make_clipper(**gate)
+            ticket = clipper.overload.admit("m0:1", query_id=1)
+            assert isinstance(ticket, overload_module.Ticket)
+            ticket.settle()
+        ungated = make_clipper().overload
+        assert ungated.admit("m0:1", 1) is ungated.admit("m0:1", 2)
+        assert not isinstance(ungated.admit("m0:1", 3), overload_module.Ticket)
+
+    def test_stamping_an_all_shadow_batch_builds_its_spans_once(self):
+        class Replica:
+            model_id, replica_id, name = ModelId("m"), 0, "m:1[0]"
+            request = None
+
+            async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+                Replica.request = dict(trace=trace, deadlines=deadlines)
+                now = time.monotonic()
+                span_log.append(("rpc.send", now, now, None))
+                span_log.append(("rpc.wait", now, now, None))
+                return RpcResponse(0, [1] * len(inputs), eval_start=now, eval_end=now)
+
+        class Appends:
+            """Profile hook: ``list.append``/``extend`` made while stamping."""
+
+            count = 0
+
+            def __call__(self, frame, event, arg):
+                if (
+                    event == "c_call"
+                    and frame.f_code.co_name == "_record_batch_spans"
+                    and getattr(arg, "__name__", "") in ("append", "extend")
+                ):
+                    self.count += 1
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            tracer = Tracer()
+            dispatcher = ReplicaDispatcher(
+                Replica(), BatchingQueue(), AIMDController(slo_ms=50.0), tracer=tracer
+            )
+            now = time.monotonic()
+            batch = [
+                PendingQuery(i, loop.create_future(), now, now + 1.0, i, None, 0,
+                             tracer.shadow(now))
+                for i in range(32)
+            ]
+            appends = Appends()
+            sys.setprofile(appends)
+            try:
+                await dispatcher.dispatch_batch(batch)
+            finally:
+                sys.setprofile(None)
+            assert all(item.future.result() == 1 for item in batch)
+            # No shadow owns an id: none on the wire (the parent sent 32 Nones).
+            assert Replica.request["trace"] == []
+            assert len(Replica.request["deadlines"]) == 32
+            # One shared object, five span tuples in it, one append a query
+            # (the parent: five tuples and five appends a query, 160 + 160).
+            shared = batch[0].trace.spans[0]
+            assert isinstance(shared, BatchSpans) and len(shared.common) == 5
+            assert all(item.trace.spans == [shared] for item in batch)
+            assert all(item.trace.spans[0] is shared for item in batch)
+            assert appends.count <= 32 + 5
+            # A query that turns out interesting pays for its copy then ...
+            slow = batch[0].trace
+            tracer.finish(slow, slo_missed=True)
+            assert [name for name, _, _, _ in slow.spans] == [
+                "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
+                "container.eval", "rpc.recv",
+            ]
+            # ... and a boring one is recycled carrying nothing of it.
+            boring = batch[1].trace
+            assert tracer.finish(boring) is None
+            assert boring.spans == [] and tracer.shadow(now) is boring
+            assert boring.trace_id is None and boring.flags == 0
 
         run_async(scenario())
 
