@@ -42,16 +42,16 @@ and get a working serving system.  Sub-packages:
     to a served Clipper over HTTP without importing the serving engine.
 ``repro.mlkit``
     A from-scratch numpy machine-learning framework standing in for
-    Scikit-Learn / Spark MLlib / Caffe / TensorFlow / HTK.
+    Scikit-Learn / Spark MLlib / Caffe / TensorFlow.
 ``repro.datasets``
     Synthetic stand-ins for MNIST, CIFAR-10, ImageNet and TIMIT.
 ``repro.workloads``
-    Open/closed-loop query workload generators and feedback simulation.
+    Arrival processes and open/closed-loop load-generating clients.
 ``repro.cluster``
     The multi-process fleet: worker daemons, ingress tier and supervisor;
     the scale-out experiment (Fig. 6) runs on it.
 ``repro.baselines``
-    TensorFlow-Serving-like comparator and non-adaptive selection baselines.
+    TensorFlow-Serving-like comparator and the A/B-testing selection baseline.
 """
 
 from repro.core.clipper import Clipper

@@ -15,7 +15,10 @@ Layers, bottom to top:
     objects, independent of any transport.
 ``repro.api.columnar``
     The binary columnar content type: the RPC layer's zero-copy wire
-    format registered as an HTTP encoding.
+    format as the edge's second encoding beside JSON.
+``repro.api.verbs``
+    The operator verbs, each written once: route, typed body fields,
+    frontend call and response, read by the handlers and the client SDK.
 ``repro.api.handlers``
     Builds the route table over a :class:`~repro.core.frontend.QueryFrontend`
     and a :class:`~repro.management.frontend.ManagementFrontend`.
@@ -65,7 +68,6 @@ __all__ = [
     "create_server",
     "error_payload",
     "json_safe",
-    "register_columnar",
 ]
 
 #: Names resolved lazily to their defining module (PEP 562): these modules
@@ -75,7 +77,6 @@ _LAZY = {
     "create_server": "repro.api.http",
     "build_route_table": "repro.api.handlers",
     "COLUMNAR_CONTENT_TYPE": "repro.api.columnar",
-    "register_columnar": "repro.api.columnar",
 }
 
 

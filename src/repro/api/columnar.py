@@ -1,10 +1,10 @@
 """Columnar binary wire format for the REST edge.
 
-Registers the RPC layer's tagged binary serialization (single-frame ndarray
-batches, see :mod:`repro.rpc.serialization`) as an HTTP content type, so a
-binary-speaking client and the serving engine exchange the **same zero-copy
-buffers** that cross the container RPC boundary — no JSON→list→ndarray
-round-trip at the edge:
+The RPC layer's tagged binary serialization (single-frame ndarray batches,
+see :mod:`repro.rpc.serialization`) as the edge's second content type beside
+JSON, so a binary-speaking client and the serving engine exchange the **same
+zero-copy buffers** that cross the container RPC boundary — no
+JSON→list→ndarray round-trip at the edge:
 
 * **Requests** (``Content-Type: application/x-clipper-columnar``) decode
   with :func:`repro.rpc.serialization.deserialize`: ndarray payloads land as
@@ -42,7 +42,6 @@ __all__ = [
     "COLUMNAR_CONTENT_TYPE",
     "decode_columnar",
     "encode_columnar",
-    "register_columnar",
 ]
 
 
@@ -66,10 +65,3 @@ def decode_columnar(data: bytes) -> Any:
             f"request body is not a valid columnar frame: {exc}",
             detail={"content_type": COLUMNAR_CONTENT_TYPE},
         ) from None
-
-
-def register_columnar(server: Any) -> None:
-    """Register the columnar content type on an :class:`HttpApiServer`."""
-    server.register_content_type(
-        COLUMNAR_CONTENT_TYPE, encoder=encode_columnar, decoder=decode_columnar
-    )

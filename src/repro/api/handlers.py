@@ -9,6 +9,10 @@ representations (base64 bytes, factory names), shape the response — and
 delegate every check to the frontends, so in-process callers invoking the
 same frontend methods cross the identical validation and error path.
 
+The operator verbs are not written here: :mod:`repro.api.verbs` states each
+one's route, typed body fields, frontend call and response once, and
+:func:`_verb_handler` serves them all.
+
 Model containers cannot travel as JSON, so the admin ``deploy`` verb names
 its container through a server-side **factory registry** (the moral
 equivalent of the paper's container images): ``build_route_table`` takes a
@@ -18,10 +22,12 @@ deploy request references one by name.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.api import verbs
 from repro.api.errors import RouteNotFoundError
 from repro.api.routes import API_PREFIX, ApiResponse, RouteTable
 from repro.api.schema import json_safe, require_field, require_object
@@ -32,6 +38,7 @@ from repro.core.exceptions import (
     ManagementError,
 )
 from repro.core.frontend import QueryFrontend
+from repro.core.metrics import MetricsRegistry
 from repro.core.types import Prediction
 from repro.management.frontend import ManagementFrontend
 from repro.observability.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -53,10 +60,6 @@ def prediction_payload(prediction: Prediction) -> Dict[str, Any]:
     }
 
 
-def _wants_prometheus(params: Dict[str, str]) -> bool:
-    return params.get("format", "").lower() == "prometheus"
-
-
 def _parse_flag(params: Dict[str, str], name: str) -> bool:
     return params.get(name, "").lower() in ("1", "true", "yes")
 
@@ -71,41 +74,72 @@ def _parse_limit(params: Dict[str, str], default: int = 50) -> int:
         raise BadRequestError("query parameter 'limit' must be an integer") from None
 
 
-def _optional_str(body: Dict[str, Any], name: str) -> Optional[str]:
-    value = body.get(name)
-    if value is not None and not isinstance(value, str):
-        raise BadRequestError(f"field '{name}' must be a string")
-    return value
+_USER_ID = verbs.Field("user_id", str, required=False)
+_LATENCY_SLO_MS = verbs.Field("latency_slo_ms", float, required=False)
 
 
-def _optional_number(body: Dict[str, Any], name: str) -> Optional[float]:
-    value = body.get(name)
+def _optional(body: Dict[str, Any], field: verbs.Field) -> Any:
+    """An optional field of the predict / update body, typed as the verbs' are."""
+    value = body.get(field.name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(f"field '{name}' must be a number")
-    return float(value)
+    try:
+        return field.check(value)
+    except verbs.FieldError as exc:
+        raise BadRequestError(str(exc)) from None
 
 
-def _require_str(body: Dict[str, Any], name: str) -> str:
-    value = require_field(body, name)
-    if not isinstance(value, str) or not value:
-        raise BadRequestError(f"field '{name}' must be a non-empty string")
-    return value
+def _prometheus(
+    params: Dict[str, str], registries: Dict[str, MetricsRegistry]
+) -> Optional[ApiResponse]:
+    """The text exposition when ``?format=prometheus`` asks for it."""
+    if params.get("format", "").lower() != "prometheus":
+        return None
+    return ApiResponse(
+        200,
+        render_prometheus(registries),
+        headers={"Content-Type": PROMETHEUS_CONTENT_TYPE},
+    )
 
 
-def _require_int(body: Dict[str, Any], name: str) -> int:
-    value = require_field(body, name)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadRequestError(f"field '{name}' must be an integer")
-    return value
+def _snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
+    snapshot = registry.snapshot()
+    return {
+        "counters": snapshot.counters,
+        "meters": snapshot.meters,
+        "histograms": snapshot.histograms,
+    }
 
 
-def _require_number(body: Dict[str, Any], name: str) -> float:
-    value = require_field(body, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(f"field '{name}' must be a number")
-    return float(value)
+def _verb_handler(verb: verbs.Verb, admin: ManagementFrontend, call: Callable):
+    """The one handler every operator verb is served by.
+
+    Resolves the application first, so an unknown name is a 404 before the
+    body is parsed; a missing or mistyped field is a 400 naming it; ``call``
+    takes the path parameters, then the body fields by name.
+    """
+    path_params = verb.path_params
+    hosted = "app" in path_params
+
+    async def handler(params: Dict[str, str], body: Any) -> ApiResponse:
+        clipper = admin.application(params["app"]) if hosted else None
+        arguments: Dict[str, Any] = {}
+        if verb.method == "POST":
+            try:
+                arguments = verb.arguments(require_object(body))
+            except verbs.FieldError as exc:
+                raise BadRequestError(str(exc)) from None
+        result = call(*(params[name] for name in path_params), **arguments)
+        if inspect.isawaitable(result):
+            result = await result
+        payload = verb.respond(result, clipper)
+        if isinstance(payload, MetricsRegistry):
+            # A metrics answer takes the exposition format the query names.
+            registries = {params["app"]: payload}
+            return _prometheus(params, registries) or ApiResponse(200, _snapshot(payload))
+        return ApiResponse(200, payload)
+
+    return handler
 
 
 def build_route_table(
@@ -155,23 +189,13 @@ def build_route_table(
         return {name: hosts.application(name) for name in hosts.applications()}
 
     async def get_metrics(params: Dict[str, str], body: Any) -> ApiResponse:
-        clippers = _hosted_clippers()
-        if _wants_prometheus(params):
-            text = render_prometheus(
-                {name: clipper.metrics for name, clipper in clippers.items()}
-            )
-            return ApiResponse(
-                200, text, headers={"Content-Type": PROMETHEUS_CONTENT_TYPE}
-            )
-        snapshots = {}
-        for name, clipper in clippers.items():
-            snapshot = clipper.metrics.snapshot()
-            snapshots[name] = {
-                "counters": snapshot.counters,
-                "meters": snapshot.meters,
-                "histograms": snapshot.histograms,
-            }
-        return ApiResponse(200, {"applications": snapshots})
+        registries = {
+            name: clipper.metrics for name, clipper in _hosted_clippers().items()
+        }
+        return _prometheus(params, registries) or ApiResponse(
+            200,
+            {"applications": {n: _snapshot(r) for n, r in registries.items()}},
+        )
 
     async def get_trace(params: Dict[str, str], body: Any) -> ApiResponse:
         trace_id = params["trace_id"]
@@ -226,8 +250,8 @@ def build_route_table(
             prediction = await query.predict(
                 app_name,
                 x,
-                user_id=_optional_str(payload, "user_id"),
-                latency_slo_ms=_optional_number(payload, "latency_slo_ms"),
+                user_id=_optional(payload, _USER_ID),
+                latency_slo_ms=_optional(payload, _LATENCY_SLO_MS),
                 trace_id=params.get("_trace_id"),
             )
             headers = (
@@ -245,7 +269,7 @@ def build_route_table(
             x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
             label = require_field(payload, "label")
             await query.update(
-                app_name, x, label, user_id=_optional_str(payload, "user_id")
+                app_name, x, label, user_id=_optional(payload, _USER_ID)
             )
             return ApiResponse(200, {"ok": True, "app_name": app_name})
 
@@ -259,176 +283,31 @@ def build_route_table(
     # -- operator verbs (the management REST API) -------------------------------
 
     if admin is not None:
-        prefix = f"{API_PREFIX}/admin"
 
-        def _deployment_from(payload: Dict[str, Any]) -> ModelDeployment:
-            # The body is a deployment spec under two wire names
-            # (``model_name``, ``factory``) beside the verb's own ``activate``.
-            spec = {
-                "name": _require_str(payload, "model_name"),
-                "factory_name": _require_str(payload, "factory"),
-            }
-            wire_only = ("model_name", "factory", "activate")
-            spec.update((k, v) for k, v in payload.items() if k not in wire_only)
+        async def deploy_model(
+            app_name: str,
+            model_name: str,
+            factory: str,
+            activate: Optional[bool] = None,
+            **spec: Any,
+        ) -> Any:
+            # The one argument that cannot travel as JSON.  The body is a
+            # deployment spec under two wire names (``model_name``,
+            # ``factory``) beside the verb's own ``activate``; its container
+            # is named through the factory registry.
+            spec.update(name=model_name, factory_name=factory)
             try:
-                return ModelDeployment.from_spec(spec, factories)
+                deployment = ModelDeployment.from_spec(spec, factories)
             except (ConfigurationError, ManagementError) as exc:
                 raise BadRequestError(str(exc), detail=exc.detail) from None
+            return await admin.deploy_model(app_name, deployment, activate=activate)
 
-        async def post_deploy(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            admin.application(params["app"])  # 404 before the body is parsed
-            deployment = _deployment_from(payload)
-            activate = payload.get("activate")
-            if activate is not None and not isinstance(activate, bool):
-                raise BadRequestError("field 'activate' must be a boolean")
-            model_id = await admin.deploy_model(
-                params["app"], deployment, activate=activate
+        resolving = {"deploy_model": deploy_model}
+        for verb in verbs.ADMIN_VERBS:
+            call = resolving.get(verb.call) or getattr(admin, verb.call)
+            table.add(
+                verb.method, verb.pattern, verb.route, _verb_handler(verb, admin, call)
             )
-            return ApiResponse(
-                200,
-                {
-                    "model": str(model_id),
-                    "serving": model_id in admin.application(params["app"]).serving_models(),
-                },
-            )
-
-        async def post_undeploy(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            model_id = await admin.undeploy_model(
-                params["app"], _require_str(payload, "model")
-            )
-            return ApiResponse(200, {"model": str(model_id), "undeployed": True})
-
-        async def post_scale(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            count = await admin.set_num_replicas(
-                params["app"],
-                _require_str(payload, "model"),
-                _require_int(payload, "num_replicas"),
-            )
-            return ApiResponse(200, {"num_replicas": count})
-
-        async def post_rollout(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            model_id = await admin.rollout(
-                params["app"],
-                _require_str(payload, "model_name"),
-                _require_int(payload, "version"),
-            )
-            return ApiResponse(200, {"model": str(model_id)})
-
-        async def post_rollback(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            model_id = await admin.rollback(
-                params["app"], _require_str(payload, "model_name")
-            )
-            return ApiResponse(200, {"model": str(model_id)})
-
-        async def post_start_canary(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            split = await admin.start_canary(
-                params["app"],
-                _require_str(payload, "model_name"),
-                _require_int(payload, "version"),
-                _require_number(payload, "weight"),
-            )
-            return ApiResponse(200, {"split": split.to_record()})
-
-        async def post_adjust_canary(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            split = await admin.adjust_canary(
-                params["app"],
-                _require_str(payload, "model_name"),
-                _require_number(payload, "weight"),
-            )
-            return ApiResponse(200, {"split": split.to_record()})
-
-        async def post_promote(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            model_id = await admin.promote(
-                params["app"], _require_str(payload, "model_name")
-            )
-            return ApiResponse(200, {"model": str(model_id)})
-
-        async def post_abort_canary(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            model_id = await admin.abort_canary(
-                params["app"], _require_str(payload, "model_name")
-            )
-            return ApiResponse(200, {"model": str(model_id)})
-
-        async def get_models(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(200, {"models": admin.models(params["app"])})
-
-        async def get_model_info(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(
-                200, admin.model_info(params["app"], params["model"])
-            )
-
-        async def get_app_health(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(200, admin.describe(params["app"]))
-
-        async def get_app_metrics(params: Dict[str, str], body: Any) -> ApiResponse:
-            clipper = admin.application(params["app"])
-            if _wants_prometheus(params):
-                text = render_prometheus({params["app"]: clipper.metrics})
-                return ApiResponse(
-                    200, text, headers={"Content-Type": PROMETHEUS_CONTENT_TYPE}
-                )
-            snapshot = clipper.metrics.snapshot()
-            return ApiResponse(
-                200,
-                {
-                    "counters": snapshot.counters,
-                    "meters": snapshot.meters,
-                    "histograms": snapshot.histograms,
-                },
-            )
-
-        async def get_app_routing(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(
-                200, {"routing": admin.application(params["app"]).routing.describe()}
-            )
-
-        async def list_managed(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(200, {"applications": admin.applications()})
-
-        table.add("GET", f"{prefix}/applications", "admin.applications", list_managed)
-        table.add("POST", f"{prefix}/{{app}}/deploy", "admin.deploy", post_deploy)
-        table.add("POST", f"{prefix}/{{app}}/undeploy", "admin.undeploy", post_undeploy)
-        table.add("POST", f"{prefix}/{{app}}/scale", "admin.scale", post_scale)
-        table.add("POST", f"{prefix}/{{app}}/rollout", "admin.rollout", post_rollout)
-        table.add("POST", f"{prefix}/{{app}}/rollback", "admin.rollback", post_rollback)
-        table.add(
-            "POST",
-            f"{prefix}/{{app}}/start_canary",
-            "admin.start_canary",
-            post_start_canary,
-        )
-        table.add(
-            "POST",
-            f"{prefix}/{{app}}/adjust_canary",
-            "admin.adjust_canary",
-            post_adjust_canary,
-        )
-        table.add("POST", f"{prefix}/{{app}}/promote", "admin.promote", post_promote)
-        table.add(
-            "POST",
-            f"{prefix}/{{app}}/abort_canary",
-            "admin.abort_canary",
-            post_abort_canary,
-        )
-        table.add("GET", f"{prefix}/{{app}}/models", "admin.models", get_models)
-        table.add(
-            "GET",
-            f"{prefix}/{{app}}/models/{{model}}",
-            "admin.model_info",
-            get_model_info,
-        )
-        table.add("GET", f"{prefix}/{{app}}/health", "admin.health", get_app_health)
-        table.add("GET", f"{prefix}/{{app}}/metrics", "admin.metrics", get_app_metrics)
-        table.add("GET", f"{prefix}/{{app}}/routing", "admin.routing", get_app_routing)
 
     return table
 

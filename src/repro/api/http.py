@@ -16,13 +16,13 @@ surface needs:
 * **flow control**: a response is awaited only while the transport is over
   its high-water mark, and reading pauses while a request is in flight and
   more than one head + body limit is already buffered,
-* JSON request/response bodies (binary inputs travel as base64 per the
-  application schema), with **content-type negotiation**
-  (:meth:`HttpApiServer.register_content_type`): proper ``Accept`` handling
-  — multi-valued headers, ``q`` values, ``*/*``, 406 when nothing matches —
-  selects among registered encodings.  :func:`create_server` registers the
-  binary columnar format (:mod:`repro.api.columnar`) alongside JSON, whose
-  responses stream out as zero-copy buffer segments,
+* a fixed codec pair with **content-type negotiation**: JSON (binary inputs
+  travel as base64 per the application schema) and the binary columnar
+  format (:mod:`repro.api.columnar`), whose responses stream out as
+  zero-copy buffer segments.  ``Content-Type`` picks the request decoder
+  (anything else is a 415); proper ``Accept`` handling — multi-valued
+  headers, ``q`` values, ``*/*``, 406 when nothing matches — picks the
+  response encoder, JSON by default,
 * the structured error model: every failure — framing, routing, validation,
   serving — renders as ``{"error": {code, status, message, detail}}``.
 
@@ -40,6 +40,7 @@ import math
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl
 
+from repro.api import columnar
 from repro.api.errors import (
     ApiError,
     BadRequestError,
@@ -138,32 +139,16 @@ class HttpApiServer:
         self._idle: Optional[asyncio.Future] = None
         # Accept header -> negotiated encoding (see _dispatch).
         self._accepts: Dict[Optional[str], str] = {}
-        self._encoders: Dict[str, Callable[[Any], bytes]] = {
-            JSON_CONTENT_TYPE: _encode_json
+        # The edge's codec pair: requests select the decoder through
+        # ``Content-Type`` and the encoder through ``Accept``.
+        self._encoders: Dict[str, Callable[[Any], Any]] = {
+            JSON_CONTENT_TYPE: _encode_json,
+            columnar.COLUMNAR_CONTENT_TYPE: columnar.encode_columnar,
         }
         self._decoders: Dict[str, Callable[[bytes], Any]] = {
-            JSON_CONTENT_TYPE: _decode_json
+            JSON_CONTENT_TYPE: _decode_json,
+            columnar.COLUMNAR_CONTENT_TYPE: columnar.decode_columnar,
         }
-
-    # -- content-type negotiation hook -----------------------------------------
-
-    def register_content_type(
-        self,
-        content_type: str,
-        encoder: Optional[Callable[[Any], bytes]] = None,
-        decoder: Optional[Callable[[bytes], Any]] = None,
-    ) -> None:
-        """Register an alternative wire encoding (e.g. a binary/columnar one).
-
-        Requests select the decoder through ``Content-Type`` and the encoder
-        through ``Accept``; JSON stays the default for both.
-        """
-        content_type = content_type.lower()
-        self._accepts.clear()
-        if encoder is not None:
-            self._encoders[content_type] = encoder
-        if decoder is not None:
-            self._decoders[content_type] = decoder
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -354,13 +339,13 @@ class HttpApiServer:
     def _negotiate_accept(self, header: Optional[str]) -> str:
         """Pick the response encoding from the ``Accept`` header.
 
-        Full media-range negotiation over the registered encoders:
+        Full media-range negotiation over the two encoders:
         comma-separated ranges with ``q`` values; ``*/*`` (and
         ``application/*``) mean "anything", which negotiation answers with
         JSON; the highest ``q`` wins and the first-listed range wins ties.
         No header — or one with no parseable range — keeps the JSON
-        default; a header that explicitly rules out every registered
-        encoder is a 406 :class:`NotAcceptableError`.
+        default; a header that explicitly rules out both encoders is a 406
+        :class:`NotAcceptableError`.
         """
         if header is None:
             return JSON_CONTENT_TYPE
@@ -429,7 +414,7 @@ class HttpApiServer:
                 decoder = self._decoders.get(content_type)
                 if decoder is None:
                     raise UnsupportedMediaTypeError(
-                        f"no decoder registered for content type '{content_type}'",
+                        f"no decoder for content type '{content_type}'",
                         detail={"supported": sorted(self._decoders)},
                     )
                 try:
@@ -535,15 +520,9 @@ def create_server(
     factories: Optional[Mapping[str, Callable[[], object]]] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    columnar: bool = True,
     **server_kwargs: Any,
 ) -> HttpApiServer:
     """Build the route table over the frontends and wrap it in a server.
-
-    Unless ``columnar=False``, the binary columnar content type
-    (:mod:`repro.api.columnar`) is registered alongside JSON, so
-    binary-speaking clients negotiate it via ``Accept``/``Content-Type``
-    out of the box.
 
     The frontends are the server's lifecycle owners, query frontend first:
     :meth:`HttpApiServer.start` starts each (all-or-nothing) before binding
@@ -556,15 +535,10 @@ def create_server(
     from repro.api.handlers import build_route_table
 
     routes = build_route_table(query=query, admin=admin, factories=factories)
-    server = HttpApiServer(
+    return HttpApiServer(
         routes,
         host=host,
         port=port,
         lifecycle=[f for f in (query, admin) if f is not None],
         **server_kwargs,
     )
-    if columnar:
-        from repro.api.columnar import register_columnar
-
-        register_columnar(server)
-    return server

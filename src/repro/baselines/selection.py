@@ -1,19 +1,14 @@
-"""Non-adaptive model-selection baselines.
+"""The non-adaptive model-selection baseline.
 
-The paper motivates online bandit selection by contrasting it with the two
-ways practitioners pick a model today (§2.2):
-
-* **Static selection** — pick once using offline evaluation on a stale
-  dataset and never revisit the choice.  :class:`StaticSelection` scores all
-  candidates on a validation set and pins the winner.
-* **A/B testing** — split traffic between candidates and pick the winner
-  once enough samples accumulate.  The paper notes this is statistically
-  inefficient (data requirements grow with the number of candidates) and the
-  resulting choice is still static.  :class:`ABTestingSelection` implements
-  a classical fixed-allocation A/B test over the model set.
-
-Both expose the same ``select``/``observe``/``current_choice`` surface so
-the Figure 8 bench can replay the identical feedback stream through them.
+The paper motivates online bandit selection by contrasting it with how
+practitioners pick a model today (§2.2): pick once offline and never revisit
+(the serving system's ``single`` policy), or **A/B testing** — split traffic
+between candidates and pick the winner once enough samples accumulate.  The
+paper notes this is statistically inefficient (data requirements grow with
+the number of candidates) and the resulting choice is still static.
+:class:`ABTestingSelection` implements a classical fixed-allocation A/B test
+over the model set, with a ``select``/``observe``/``current_choice`` surface
+the Figure 8 bench can replay a feedback stream through.
 """
 
 from __future__ import annotations
@@ -21,34 +16,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
-
-
-class StaticSelection:
-    """Pins the model with the best offline validation accuracy."""
-
-    def __init__(self, model_keys: Sequence[str]) -> None:
-        if not model_keys:
-            raise ValueError("model_keys must be non-empty")
-        self.model_keys = list(model_keys)
-        self._choice = self.model_keys[0]
-
-    def fit_offline(self, validation_scores: Dict[str, float]) -> str:
-        """Choose the model with the highest offline score; returns the choice."""
-        missing = [key for key in self.model_keys if key not in validation_scores]
-        if missing:
-            raise ValueError(f"missing validation scores for {missing}")
-        self._choice = max(self.model_keys, key=lambda key: validation_scores[key])
-        return self._choice
-
-    def select(self, x: Any = None) -> str:
-        return self._choice
-
-    def observe(self, model_key: str, loss: float) -> None:
-        # Static by definition: online feedback is ignored.
-        return None
-
-    def current_choice(self) -> str:
-        return self._choice
 
 
 class ABTestingSelection:

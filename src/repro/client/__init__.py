@@ -3,9 +3,8 @@
 Applications and operator tooling import this package — and nothing else
 from the library — to talk to a served Clipper: the serving engine stays on
 the other side of the HTTP boundary, exactly as in the paper's Figure 2.
-Clients built with ``binary=True`` negotiate the columnar binary wire
-encoding (``COLUMNAR_CONTENT_TYPE``) for predict/update, with transparent
-JSON fallback against servers that do not speak it.
+Clients built with ``binary=True`` speak the columnar binary wire encoding
+(``COLUMNAR_CONTENT_TYPE``) for predict/update.
 """
 
 from repro.client.client import (

@@ -23,15 +23,16 @@ structured error model**: the ``code`` field of the wire error selects the
 exception class, so ``except UnknownApplication:`` works the same whether
 the check failed client-side or three machines away.
 
-A client constructed with ``binary=True`` negotiates the **columnar binary
+A client constructed with ``binary=True`` speaks the **columnar binary
 encoding** for ``predict``/``update``: the request body is the RPC layer's
 tagged binary frame (ndarray inputs travel as raw buffers, written
 writev-style, never JSON-encoded), ``Accept`` offers
-``application/x-clipper-columnar`` with a JSON fallback at ``q=0.5``, and
-the response is decoded by its ``Content-Type``.  Against a server without
-the columnar decoder the first such request answers 415, and the client
-transparently drops to JSON for the rest of its life — safe to re-issue,
-because a 415 is raised before the handler runs.
+``application/x-clipper-columnar`` with JSON at ``q=0.5``, and the response
+is decoded by its ``Content-Type``.  Every server speaks both encodings.
+
+The operator verbs are not spelled here: :mod:`repro.api.verbs` states each
+one's route and typed fields once, for the server's handlers and for
+:class:`AsyncAdminClient`, which gets one method per row.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.api.verbs import ADMIN_VERBS, Verb
 from repro.core.exceptions import SerializationError
 from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
 from repro.rpc.serialization import (
@@ -500,20 +502,12 @@ class _BaseAsyncClient:
         binary: bool = False,
     ) -> None:
         self._conn = _HttpConnection(host, port, retry_policy=retry_policy)
-        self._binary = bool(binary)
+        #: Whether predict/update speak the columnar binary encoding.
+        self.binary = bool(binary)
 
     @property
     def retry_policy(self) -> RetryPolicy:
         return self._conn.retry_policy
-
-    @property
-    def binary(self) -> bool:
-        """Whether the client currently speaks the columnar binary encoding.
-
-        Starts as the constructor's ``binary`` flag and drops to False
-        permanently after a 415 from a server without the columnar decoder.
-        """
-        return self._binary
 
     async def connect(self) -> None:
         """Eagerly open the connection (otherwise opened on first request)."""
@@ -529,42 +523,21 @@ class _BaseAsyncClient:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    async def _call(self, method: str, path: str, body: Any = None) -> Any:
-        status, payload = await self._conn.request(method, path, body)
+    async def _call(
+        self, method: str, path: str, body: Any = None, binary: bool = False
+    ) -> Any:
+        status, payload = await self._conn.request(method, path, body, binary)
         if status >= 400:
             raise error_from_response(status, payload)
         return payload
-
-    async def _call_negotiated(
-        self, method: str, path: str, build_body: Callable[[bool], Any]
-    ) -> Any:
-        """Issue a verb under the client's negotiated encoding.
-
-        ``build_body(binary)`` renders the request body for the chosen
-        encoding.  In binary mode, a 415 means the server has no columnar
-        decoder: the client drops to JSON for the rest of its life and
-        transparently re-issues this request — safe, because a 415 is
-        raised before the handler runs.
-        """
-        if self._binary:
-            status, payload = await self._conn.request(
-                method, path, build_body(True), binary=True
-            )
-            if status != 415:
-                if status >= 400:
-                    raise error_from_response(status, payload)
-                return payload
-            self._binary = False
-        return await self._call(method, path, build_body(False))
 
 
 class AsyncClipperClient(_BaseAsyncClient):
     """The application's view of Clipper: ``predict`` and ``update`` over REST.
 
-    Constructed with ``binary=True``, the two application verbs negotiate
-    the columnar binary encoding (ndarray inputs travel as raw typed
-    buffers) with transparent JSON fallback on 415; introspection verbs
-    always speak JSON.
+    Constructed with ``binary=True``, the two application verbs speak the
+    columnar binary encoding (ndarray inputs travel as raw typed buffers);
+    introspection verbs always speak JSON.
     """
 
     async def predict(
@@ -575,19 +548,16 @@ class AsyncClipperClient(_BaseAsyncClient):
         latency_slo_ms: Optional[float] = None,
     ) -> PredictionResult:
         """Request a prediction from the named application."""
-
-        def build_body(binary: bool) -> Dict[str, Any]:
-            body: Dict[str, Any] = {
-                "input": encode_binary_input(x) if binary else encode_input(x)
-            }
-            if user_id is not None:
-                body["user_id"] = user_id
-            if latency_slo_ms is not None:
-                body["latency_slo_ms"] = latency_slo_ms
-            return body
-
-        payload = await self._call_negotiated(
-            "POST", f"{API_PREFIX}/{app_name}/predict", build_body
+        binary = self.binary
+        body: Dict[str, Any] = {
+            "input": encode_binary_input(x) if binary else encode_input(x)
+        }
+        if user_id is not None:
+            body["user_id"] = user_id
+        if latency_slo_ms is not None:
+            body["latency_slo_ms"] = latency_slo_ms
+        payload = await self._call(
+            "POST", f"{API_PREFIX}/{app_name}/predict", body, binary
         )
         return PredictionResult.from_payload(payload)
 
@@ -599,17 +569,12 @@ class AsyncClipperClient(_BaseAsyncClient):
         user_id: Optional[str] = None,
     ) -> None:
         """Send ground-truth feedback for an earlier prediction."""
-
-        def build_body(binary: bool) -> Dict[str, Any]:
-            encode = encode_binary_input if binary else encode_input
-            body: Dict[str, Any] = {"input": encode(x), "label": encode(label)}
-            if user_id is not None:
-                body["user_id"] = user_id
-            return body
-
-        await self._call_negotiated(
-            "POST", f"{API_PREFIX}/{app_name}/update", build_body
-        )
+        binary = self.binary
+        encode = encode_binary_input if binary else encode_input
+        body: Dict[str, Any] = {"input": encode(x), "label": encode(label)}
+        if user_id is not None:
+            body["user_id"] = user_id
+        await self._call("POST", f"{API_PREFIX}/{app_name}/update", body, binary)
 
     async def applications(self) -> List[Dict[str, Any]]:
         """The schemas of every application the server hosts."""
@@ -625,119 +590,40 @@ class AsyncClipperClient(_BaseAsyncClient):
         return await self._call("GET", f"{API_PREFIX}/health")
 
 
+def bind_verbs(cls: type, verbs: Iterable[Verb]) -> type:
+    """Give ``cls`` one coroutine method per verb row.
+
+    Each binds its arguments as ``name(app_name, ..., *fields)`` does
+    (:meth:`Verb.request`), issues the row's request and returns the part of
+    the response body the row names.
+    """
+
+    def bound(verb: Verb):
+        async def method(self, *args: Any, **kwargs: Any) -> Any:
+            path, body = verb.request(*args, **kwargs)
+            payload = await self._call(verb.method, path, body)
+            return payload if verb.returns is None else payload[verb.returns]
+
+        method.__name__ = verb.name
+        method.__qualname__ = f"{cls.__name__}.{verb.name}"
+        method.__doc__ = verb.doc
+        return method
+
+    for verb in verbs:
+        setattr(cls, verb.name, bound(verb))
+    return cls
+
+
 class AsyncAdminClient(_BaseAsyncClient):
-    """The operator's view: the management verbs of the admin API."""
+    """The operator's view: one method per row of :data:`ADMIN_VERBS`.
 
-    async def deploy(
-        self,
-        app_name: str,
-        model_name: str,
-        factory: str,
-        version: Optional[int] = None,
-        num_replicas: Optional[int] = None,
-        batching: Optional[Dict[str, Any]] = None,
-        serialize_rpc: Optional[bool] = None,
-        activate: Optional[bool] = None,
-        transport: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Deploy a model version built from a server-registered factory."""
-        body: Dict[str, Any] = {"model_name": model_name, "factory": factory}
-        if version is not None:
-            body["version"] = version
-        if num_replicas is not None:
-            body["num_replicas"] = num_replicas
-        if batching is not None:
-            body["batching"] = batching
-        if serialize_rpc is not None:
-            body["serialize_rpc"] = serialize_rpc
-        if activate is not None:
-            body["activate"] = activate
-        if transport is not None:
-            body["transport"] = transport
-        return await self._call(
-            "POST", f"{API_PREFIX}/admin/{app_name}/deploy", body
-        )
+    ``deploy(app_name, model_name, factory, version=None, ...)``,
+    ``rollout(app_name, model_name, version)`` and so on — positional
+    arguments follow the row's path parameters, then its fields in order.
+    """
 
-    async def undeploy(self, app_name: str, model: str) -> Dict[str, Any]:
-        return await self._call(
-            "POST", f"{API_PREFIX}/admin/{app_name}/undeploy", {"model": model}
-        )
 
-    async def scale(
-        self, app_name: str, model: str, num_replicas: int
-    ) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/scale",
-            {"model": model, "num_replicas": num_replicas},
-        )
-
-    async def rollout(
-        self, app_name: str, model_name: str, version: int
-    ) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/rollout",
-            {"model_name": model_name, "version": version},
-        )
-
-    async def rollback(self, app_name: str, model_name: str) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/rollback",
-            {"model_name": model_name},
-        )
-
-    async def start_canary(
-        self, app_name: str, model_name: str, version: int, weight: float
-    ) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/start_canary",
-            {"model_name": model_name, "version": version, "weight": weight},
-        )
-
-    async def adjust_canary(
-        self, app_name: str, model_name: str, weight: float
-    ) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/adjust_canary",
-            {"model_name": model_name, "weight": weight},
-        )
-
-    async def promote(self, app_name: str, model_name: str) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/promote",
-            {"model_name": model_name},
-        )
-
-    async def abort_canary(self, app_name: str, model_name: str) -> Dict[str, Any]:
-        return await self._call(
-            "POST",
-            f"{API_PREFIX}/admin/{app_name}/abort_canary",
-            {"model_name": model_name},
-        )
-
-    async def models(self, app_name: str) -> Dict[str, Any]:
-        payload = await self._call("GET", f"{API_PREFIX}/admin/{app_name}/models")
-        return payload["models"]
-
-    async def model_info(self, app_name: str, model_name: str) -> Dict[str, Any]:
-        return await self._call(
-            "GET", f"{API_PREFIX}/admin/{app_name}/models/{model_name}"
-        )
-
-    async def health(self, app_name: str) -> Dict[str, Any]:
-        return await self._call("GET", f"{API_PREFIX}/admin/{app_name}/health")
-
-    async def metrics(self, app_name: str) -> Dict[str, Any]:
-        return await self._call("GET", f"{API_PREFIX}/admin/{app_name}/metrics")
-
-    async def routing(self, app_name: str) -> Dict[str, Any]:
-        payload = await self._call("GET", f"{API_PREFIX}/admin/{app_name}/routing")
-        return payload["routing"]
+bind_verbs(AsyncAdminClient, ADMIN_VERBS)
 
 
 class _SyncWrapper:
@@ -774,39 +660,9 @@ class _SyncWrapper:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class ClipperClient(_SyncWrapper):
-    """Blocking wrapper around :class:`AsyncClipperClient`."""
-
-    _async_cls = AsyncClipperClient
-
-    def predict(self, app_name, x, user_id=None, latency_slo_ms=None):
-        return self._run(
-            self._client.predict(
-                app_name, x, user_id=user_id, latency_slo_ms=latency_slo_ms
-            )
-        )
-
-    def update(self, app_name, x, label, user_id=None):
-        return self._run(self._client.update(app_name, x, label, user_id=user_id))
-
-    def applications(self):
-        return self._run(self._client.applications())
-
-    def schema(self, app_name):
-        return self._run(self._client.schema(app_name))
-
-    def health(self):
-        return self._run(self._client.health())
-
-
-class AdminClient(_SyncWrapper):
-    """Blocking wrapper around :class:`AsyncAdminClient`."""
-
-    _async_cls = AsyncAdminClient
-
     def __getattr__(self, name):
-        verb = getattr(self._client, name)
+        """Every public verb of the async client, run to completion."""
+        verb = None if name.startswith("_") else getattr(self._client, name)
         if not callable(verb):
             raise AttributeError(name)
 
@@ -814,3 +670,15 @@ class AdminClient(_SyncWrapper):
             return self._run(verb(*args, **kwargs))
 
         return call
+
+
+class ClipperClient(_SyncWrapper):
+    """Blocking wrapper around :class:`AsyncClipperClient`."""
+
+    _async_cls = AsyncClipperClient
+
+
+class AdminClient(_SyncWrapper):
+    """Blocking wrapper around :class:`AsyncAdminClient`."""
+
+    _async_cls = AsyncAdminClient

@@ -4,7 +4,7 @@ from repro.containers.base import ModelContainer, FunctionContainer
 from repro.containers.busy import DeviceBoundContainer
 from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.containers.noop import NoOpContainer
-from repro.containers.adapters import ClassifierContainer, HMMContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.containers.overhead import (
     LanguageOverheadContainer,
     SimulatedLatencyContainer,
@@ -24,7 +24,6 @@ __all__ = [
     "TrackingFactory",
     "NoOpContainer",
     "ClassifierContainer",
-    "HMMContainer",
     "LanguageOverheadContainer",
     "SimulatedLatencyContainer",
     "ContainerReplica",

@@ -1,7 +1,7 @@
 """Containers adapting mlkit estimators to the batch prediction interface.
 
 These are the equivalents of the paper's per-framework container bindings
-(Scikit-Learn, Spark, Caffe, TensorFlow, HTK) — each adapter is a few lines
+(Scikit-Learn, Spark, Caffe, TensorFlow) — the adapter is a few lines
 that stack the batch of inputs and calls the estimator's vectorised
 prediction, exactly the shape of the paper's <25-line framework bindings.
 """
@@ -52,32 +52,6 @@ class ClassifierContainer(ModelContainer):
             return [proba[i] for i in range(proba.shape[0])]
         labels = self.model.predict(X)
         return [_to_scalar(labels[i]) for i in range(len(inputs))]
-
-
-class HMMContainer(ModelContainer):
-    """Serves an :class:`~repro.mlkit.hmm.HMMPhonemeClassifier` on utterances.
-
-    Inputs are variable-length frame matrices (T × n_features), so they are
-    passed through as sequences rather than stacked.
-    """
-
-    framework = "htk"
-
-    def __init__(self, model, return_proba: bool = False) -> None:
-        if not hasattr(model, "predict"):
-            raise TypeError("model must expose a predict() method")
-        self.model = model
-        self.return_proba = return_proba
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        if len(inputs) == 0:
-            return []
-        sequences = [np.asarray(x, dtype=np.float64) for x in inputs]
-        if self.return_proba:
-            proba = self.model.predict_proba(sequences)
-            return [proba[i] for i in range(proba.shape[0])]
-        labels = self.model.predict(sequences)
-        return [_to_scalar(labels[i]) for i in range(len(sequences))]
 
 
 def _to_scalar(value: Any) -> Any:

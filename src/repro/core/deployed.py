@@ -167,9 +167,12 @@ class DeployedModel:
 async def end_recovery(dispatcher: ReplicaDispatcher) -> None:
     """Cancel the task restarting this dispatcher's replica and wait it out."""
     task, dispatcher.recovery = dispatcher.recovery, None
-    if task is not None:
+    # ``asyncio.wait_for`` before 3.12 swallows a cancellation that lands as
+    # its future completes (a health probe answering just then), and the task
+    # would go on to its next back-off: ask until it has gone.
+    while task is not None and not task.done():
         task.cancel()
-        await asyncio.wait([task])
+        await asyncio.wait([task], timeout=0.05)
 
 
 def _detach_output(output: Any) -> Any:

@@ -212,8 +212,3 @@ class QueryFrontend(ApplicationHost):
     def app_metrics(self, app_name: str):
         """Expose the metrics snapshot of one application (monitoring hook)."""
         return self._lookup(app_name).metrics.snapshot()
-
-    def app_routing(self, app_name: str) -> Dict[str, Dict]:
-        """Expose one application's routing table: splits, canaries, rollback
-        targets per model name (monitoring hook for in-flight rollouts)."""
-        return self._lookup(app_name).routing.describe()

@@ -144,7 +144,7 @@ def utterances_to_fixed_features(
 
     Concatenates per-dimension mean, standard deviation and deltas so that
     fixed-input classifiers (linear models, MLPs) can also be trained on the
-    speech task alongside the HMMs.
+    speech task.
     """
     if not utterances:
         raise ValueError("utterances must be non-empty")

@@ -120,10 +120,3 @@ def max_batch_under_slo(profile: LatencyProfile, slo_ms: float, quantile: float 
         break
     return max(best, 1)
 
-
-def throughput_at_batch_size(profile: LatencyProfile, batch_size: int) -> float:
-    """Back-to-back throughput (qps) implied by the mean latency at one size."""
-    mean_ms = profile.mean(batch_size)
-    if not np.isfinite(mean_ms) or mean_ms <= 0:
-        return 0.0
-    return batch_size / (mean_ms / 1000.0)

@@ -29,18 +29,22 @@ Each application also gets a
 promote/abort actions route back through this frontend, so metrics-driven
 decisions update the durable registry exactly like operator-issued ones.
 
-Every verb is the same four steps: look the application up, **precheck**
-against the registry (the versions the verb will route to or touch are
-registered and not undeployed; a deploy's version number is unused), make
-the one :class:`Clipper` call, then **project** the name's live routing and
-the touched version into the registry and log.  Everything the registry can
-refuse is checked before the live change, so no verb has a step to undo.
+Every verb is the same steps: look the application up, then — in
+:meth:`ManagementFrontend._apply` — **precheck** against the registry (the
+versions the verb will route to or touch are registered and not undeployed; a
+deploy's version number is unused), make the one :class:`Clipper` call,
+**project** the name's live routing and the touched version into the registry
+and log.  A verb states only what differs: the keys to precheck, the call,
+the touched fields, the log line.  Everything the registry can refuse is
+checked before the live change, so no verb has a step to undo.
 """
 
 from __future__ import annotations
 
+import inspect
+import logging
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.clipper import Clipper
 from repro.core.config import ModelDeployment
@@ -329,6 +333,40 @@ class ManagementFrontend(ApplicationHost):
 
     # -- model lifecycle operations -------------------------------------------
 
+    async def _apply(
+        self,
+        clipper: Clipper,
+        model_name: str,
+        keys: Optional[Sequence[Optional[str]]],
+        call: Callable[[], Any],
+        touched: Callable[[Any], Dict[str, Any]] = lambda result: {},
+        log: Optional[str] = None,
+        level: int = logging.INFO,
+        **extra: Any,
+    ) -> Any:
+        """The step every verb is: precheck, the one call, project, log.
+
+        ``keys`` go to :meth:`_precheck` (``None``: the verb checked for
+        itself); ``call()`` is the one live change, awaited when it is a
+        coroutine, and its result the verb's; ``touched(result)`` is the
+        ``version`` and its fields :meth:`_project` records beside the
+        routing; ``log`` names the model id the call answered with, else the
+        model.
+        """
+        app_name = clipper.config.app_name
+        if keys is not None:
+            self._precheck(app_name, model_name, *keys)
+        result = call()
+        if inspect.isawaitable(result):
+            result = await result
+        self._project(app_name, clipper, model_name, **touched(result))
+        if log is not None:
+            subject, fields = model_name, {"app": app_name, "model": model_name, **extra}
+            if isinstance(result, ModelId):
+                subject, fields["version"] = result, result.version
+            logger.log(level, log, subject, extra=fields)
+        return result
+
     async def deploy_model(
         self,
         app_name: str,
@@ -342,82 +380,64 @@ class ManagementFrontend(ApplicationHost):
         versions stage for :meth:`rollout` unless ``activate=True``.
         """
         clipper = self._lookup(app_name)
-        model_id = ModelId(deployment.name, deployment.version)
+        name, version = deployment.name, deployment.version
         # Version numbers are immutable, undeployed ones included.
-        known = self.registry.models(app_name).get(model_id.name, {"versions": {}})
-        if str(model_id.version) in known["versions"]:
+        known = self.registry.models(app_name).get(name, {"versions": {}})
+        if str(version) in known["versions"]:
             raise ManagementError(
-                f"version {model_id.version} of model '{model_id.name}' is "
-                "already registered; versions are immutable"
+                f"version {version} of model '{name}' is already registered; "
+                "versions are immutable"
             )
-        await clipper.deploy_model_async(deployment, activate=activate)
-        self._project(
-            app_name, clipper, model_id.name, model_id.version, spec=deployment.to_spec()
+        return await self._apply(
+            clipper,
+            name,
+            None,
+            partial(clipper.deploy_model_async, deployment, activate=activate),
+            touched=lambda _: {"version": version, "spec": deployment.to_spec()},
+            log="deployed %s",
+            num_replicas=deployment.num_replicas,
         )
-        logger.info(
-            "deployed %s",
-            model_id,
-            extra={
-                "app": app_name,
-                "model": model_id.name,
-                "version": model_id.version,
-                "num_replicas": deployment.num_replicas,
-                "serving": clipper.active_version(model_id.name) == model_id,
-            },
-        )
-        return model_id
 
     async def undeploy_model(self, app_name: str, model: str) -> ModelId:
         """Drain and tear down one model version; its registry record is kept."""
         clipper = self._lookup(app_name)
         model_id = clipper.model_record(model).model_id
-        self._precheck(app_name, model_id.name, str(model_id))
-        await clipper.undeploy_model(str(model_id))
-        self._project(app_name, clipper, model_id.name, model_id.version, undeployed=True)
-        logger.info(
-            "undeployed %s",
-            model_id,
-            extra={"app": app_name, "model": model_id.name, "version": model_id.version},
+        return await self._apply(
+            clipper,
+            model_id.name,
+            [str(model_id)],
+            partial(clipper.undeploy_model, str(model_id)),
+            touched=lambda _: {"version": model_id.version, "undeployed": True},
+            log="undeployed %s",
         )
-        return model_id
 
     async def set_num_replicas(self, app_name: str, model: str, num_replicas: int) -> int:
         """Scale one model version's live replica set; returns the new size."""
         clipper = self._lookup(app_name)
         model_id = clipper.model_record(model).model_id
-        self._precheck(app_name, model_id.name, str(model_id))
-        count = await clipper.set_num_replicas(str(model_id), num_replicas)
-        self._project(
-            app_name, clipper, model_id.name, model_id.version, num_replicas=count
+        return await self._apply(
+            clipper,
+            model_id.name,
+            [str(model_id)],
+            partial(clipper.set_num_replicas, str(model_id), num_replicas),
+            touched=lambda count: {"version": model_id.version, "num_replicas": count},
         )
-        return count
 
     async def rollout(self, app_name: str, model_name: str, version: int) -> ModelId:
         """Atomically switch ``model_name`` to serve ``version``."""
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name, f"{model_name}:{version}")
-        model_id = clipper.rollout(model_name, version)
-        self._project(app_name, clipper, model_name)
-        logger.info(
-            "rolled out %s",
-            model_id,
-            extra={"app": app_name, "model": model_name, "version": model_id.version},
-        )
-        return model_id
+        keys = [f"{model_name}:{version}"]
+        call = partial(clipper.rollout, model_name, version)
+        return await self._apply(clipper, model_name, keys, call, log="rolled out %s")
 
     async def rollback(self, app_name: str, model_name: str) -> ModelId:
         """Atomically switch ``model_name`` back to its previous version."""
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name, clipper.routing.previous_key(model_name))
-        model_id = clipper.rollback(model_name)
-        self._project(app_name, clipper, model_name)
-        logger.warning(
-            "rolled back %s to %s",
-            model_name,
-            model_id,
-            extra={"app": app_name, "model": model_name, "version": model_id.version},
+        keys = [clipper.routing.previous_key(model_name)]
+        call = partial(clipper.rollback, model_name)
+        return await self._apply(
+            clipper, model_name, keys, call, log="rolled back to %s", level=logging.WARNING
         )
-        return model_id
 
     # -- canary rollouts -------------------------------------------------------
 
@@ -432,56 +452,41 @@ class ManagementFrontend(ApplicationHost):
         metrics and the health monitor's quarantine signal.
         """
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name, f"{model_name}:{version}")
-        split = clipper.start_canary(model_name, version, weight)
-        self._project(app_name, clipper, model_name)
-        logger.info(
-            "canary started for %s",
+        keys = [f"{model_name}:{version}"]
+        call = partial(clipper.start_canary, model_name, version, weight)
+        return await self._apply(
+            clipper,
             model_name,
-            extra={
-                "app": app_name,
-                "model": model_name,
-                "version": version,
-                "weight": weight,
-            },
+            keys,
+            call,
+            log="canary started for %s",
+            version=version,
+            weight=weight,
         )
-        return split
 
     async def adjust_canary(
         self, app_name: str, model_name: str, weight: float
     ) -> TrafficSplit:
         """Change an in-flight canary's traffic weight and re-record it."""
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name, clipper.routing.canary_key(model_name))
-        split = clipper.adjust_canary(model_name, weight)
-        self._project(app_name, clipper, model_name)
-        return split
+        keys = [clipper.routing.canary_key(model_name)]
+        call = partial(clipper.adjust_canary, model_name, weight)
+        return await self._apply(clipper, model_name, keys, call)
 
     async def promote(self, app_name: str, model_name: str) -> ModelId:
         """Make the in-flight canary the serving version; record the new routing."""
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name, clipper.routing.canary_key(model_name))
-        model_id = clipper.promote(model_name)
-        self._project(app_name, clipper, model_name)
-        logger.info(
-            "canary promoted for %s",
-            model_name,
-            extra={"app": app_name, "model": model_name, "version": model_id.version},
-        )
-        return model_id
+        keys = [clipper.routing.canary_key(model_name)]
+        call = partial(clipper.promote, model_name)
+        return await self._apply(clipper, model_name, keys, call, log="canary promoted to %s")
 
     async def abort_canary(self, app_name: str, model_name: str) -> ModelId:
         """Abort the in-flight canary; traffic returns to the stable version."""
         clipper = self._lookup(app_name)
-        self._precheck(app_name, model_name)
-        model_id = clipper.abort_canary(model_name)
-        self._project(app_name, clipper, model_name)
-        logger.warning(
-            "canary aborted for %s",
-            model_name,
-            extra={"app": app_name, "model": model_name, "version": model_id.version},
+        call = partial(clipper.abort_canary, model_name)
+        return await self._apply(
+            clipper, model_name, [], call, log="canary aborted, %s serves", level=logging.WARNING
         )
-        return model_id
 
     def traffic_split(
         self, app_name: str, model_name: str

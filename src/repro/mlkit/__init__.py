@@ -1,8 +1,8 @@
 """mlkit — a from-scratch numpy machine-learning framework.
 
 This package is the substrate standing in for the machine learning frameworks
-used in the Clipper paper (Scikit-Learn, Spark MLlib, Caffe, TensorFlow and
-HTK).  It provides trainable classifiers whose *latency profiles* span the
+used in the Clipper paper (Scikit-Learn, Spark MLlib, Caffe and TensorFlow).
+It provides trainable classifiers whose *latency profiles* span the
 same range as the paper's model containers:
 
 * :class:`~repro.mlkit.linear.LinearSVM` — a single matrix-vector product per
@@ -16,8 +16,6 @@ same range as the paper's model containers:
   moderate per-query cost.
 * :class:`~repro.mlkit.mlp.MLPClassifier` — feed-forward networks whose depth
   and width parameterize the "deep model zoo" of Table 2.
-* :class:`~repro.mlkit.hmm.GaussianHMM` — the HTK stand-in used for the
-  TIMIT-like speech benchmark.
 
 Every estimator follows the familiar ``fit`` / ``predict`` /
 ``predict_proba`` API and accepts an explicit ``random_state`` for
@@ -32,8 +30,6 @@ from repro.mlkit.forest import RandomForestClassifier
 from repro.mlkit.neighbors import KNeighborsClassifier
 from repro.mlkit.naive_bayes import GaussianNB
 from repro.mlkit.mlp import MLPClassifier
-from repro.mlkit.hmm import GaussianHMM
-from repro.mlkit.preprocessing import StandardScaler, train_test_split
 from repro.mlkit import metrics
 from repro.mlkit import zoo
 
@@ -50,9 +46,6 @@ __all__ = [
     "KNeighborsClassifier",
     "GaussianNB",
     "MLPClassifier",
-    "GaussianHMM",
-    "StandardScaler",
-    "train_test_split",
     "metrics",
     "zoo",
 ]

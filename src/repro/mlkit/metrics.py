@@ -1,13 +1,10 @@
 """Evaluation metrics used across the benchmarks.
 
-The Clipper evaluation reports top-1 error (CIFAR-10), top-5 error
-(ImageNet) and per-query 0/1 losses that feed the bandit selection policies,
-so those are the primitives provided here.
+The figure benchmarks report top-1 accuracy and error of the models and
+ensembles they serve; those are the primitives provided here.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -26,70 +23,3 @@ def accuracy(y_true, y_pred) -> float:
 def error_rate(y_true, y_pred) -> float:
     """Top-1 error rate, ``1 - accuracy``."""
     return 1.0 - accuracy(y_true, y_pred)
-
-
-def top_k_accuracy(y_true, proba, k: int = 5, classes=None) -> float:
-    """Fraction of rows whose true label is within the top-``k`` scored classes.
-
-    Parameters
-    ----------
-    proba:
-        Array of shape ``(n_samples, n_classes)`` of class scores.
-    classes:
-        Optional label values corresponding to the columns of ``proba``;
-        defaults to ``0..n_classes-1``.
-    """
-    y_true = np.asarray(y_true)
-    proba = np.asarray(proba)
-    if proba.ndim != 2 or proba.shape[0] != y_true.shape[0]:
-        raise ValueError("proba must be (n_samples, n_classes) aligned with y_true")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if classes is None:
-        classes = np.arange(proba.shape[1])
-    classes = np.asarray(classes)
-    k = min(k, proba.shape[1])
-    top_k = np.argsort(-proba, axis=1)[:, :k]
-    hits = np.any(classes[top_k] == y_true[:, None], axis=1)
-    return float(np.mean(hits))
-
-
-def top_k_error(y_true, proba, k: int = 5, classes=None) -> float:
-    """Top-``k`` error rate (used for the ImageNet-like benchmark)."""
-    return 1.0 - top_k_accuracy(y_true, proba, k=k, classes=classes)
-
-
-def zero_one_loss(y_true_single, y_pred_single) -> float:
-    """Per-query 0/1 loss used as bandit feedback: 0 if correct else 1."""
-    return 0.0 if y_true_single == y_pred_single else 1.0
-
-
-def confusion_matrix(y_true, y_pred, num_classes: int) -> np.ndarray:
-    """Dense ``num_classes × num_classes`` confusion matrix (rows = true)."""
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same shape")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true_label, pred_label in zip(y_true, y_pred):
-        matrix[true_label, pred_label] += 1
-    return matrix
-
-
-def log_loss(y_true, proba, eps: float = 1e-12) -> float:
-    """Mean negative log-likelihood of the true labels."""
-    y_true = np.asarray(y_true, dtype=int)
-    proba = np.clip(np.asarray(proba, dtype=float), eps, 1.0)
-    if proba.ndim != 2 or proba.shape[0] != y_true.shape[0]:
-        raise ValueError("proba must be (n_samples, n_classes) aligned with y_true")
-    picked = proba[np.arange(y_true.shape[0]), y_true]
-    return float(-np.mean(np.log(picked)))
-
-
-def classification_report(y_true, y_pred) -> Dict[str, float]:
-    """Small dictionary report: accuracy, error rate and sample count."""
-    return {
-        "n_samples": int(np.asarray(y_true).shape[0]),
-        "accuracy": accuracy(y_true, y_pred),
-        "error_rate": error_rate(y_true, y_pred),
-    }

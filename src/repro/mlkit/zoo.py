@@ -95,14 +95,6 @@ def build_zoo_model(key: str, random_state: Optional[int] = None) -> MLPClassifi
     )
 
 
-def build_full_zoo(random_state: int = 0) -> Dict[str, MLPClassifier]:
-    """Instantiate every Table 2 architecture with deterministic seeds."""
-    return {
-        key: build_zoo_model(key, random_state=random_state + offset)
-        for offset, key in enumerate(sorted(TABLE2_ZOO))
-    }
-
-
 #: The three TensorFlow models of the Figure 11 serving comparison, mapped to
 #: MLP stand-ins of increasing cost, together with the hand-tuned batch sizes
 #: the paper uses for TensorFlow Serving.

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.policy import SelectionPolicy, SelectionState
+from repro.selection.policy import SelectionPolicy, SelectionState, tallied
 
 
 class EpsilonGreedyPolicy(SelectionPolicy):
@@ -67,11 +67,5 @@ class EpsilonGreedyPolicy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        for model_key, prediction in predictions.items():
-            if model_key not in state["total_loss"]:
-                continue
-            loss = self.loss(feedback, prediction)
-            state["total_loss"][model_key] += loss
-            state["plays"][model_key] = state["plays"].get(model_key, 0) + 1
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        return state
+        losses = {key: self.loss(feedback, p) for key, p in predictions.items()}
+        return tallied(state, {"total_loss": losses, "plays": dict.fromkeys(losses, 1)})

@@ -54,7 +54,6 @@ class Exp3Policy(SelectionPolicy):
         return {
             "policy": self.name,
             "weights": {key: 1.0 for key in keys},
-            "plays": {key: 0 for key in keys},
             "n_feedback": 0,
         }
 
@@ -72,16 +71,12 @@ class Exp3Policy(SelectionPolicy):
         total = sum(probs)
         return list(weights), [p / total for p in probs]
 
-    select_mutates_state = True  # select() bumps per-arm play counts
-
     def select(self, state: SelectionState, x: Any) -> List[str]:
         # ``Generator.choice(len(keys), p=probs)`` without its arrays: the same
         # one uniform draw looked up in the same normalised running sum.
         keys, probs = self._probabilities(state)
         cdf = list(accumulate(probs))
-        selected = keys[bisect_right([c / cdf[-1] for c in cdf], self._rng.random())]
-        state["plays"][selected] = state["plays"].get(selected, 0) + 1
-        return [selected]
+        return [keys[bisect_right([c / cdf[-1] for c in cdf], self._rng.random())]]
 
     def combine(
         self, state: SelectionState, x: Any, predictions: Dict[str, Any]

@@ -93,13 +93,7 @@ class SelectionStateManager:
         for the same query, saving a second store read per prediction.
         """
         state = self.get_state(context)
-        selected = self.policy.select(state, x)
-        if self.policy.select_mutates_state:
-            # select() mutated bookkeeping inside the state (e.g. play
-            # counts); persist it.  Read-only policies skip the write-back —
-            # one store round-trip per query on the serving hot path.
-            self.put_state(state, context)
-        return selected, state
+        return self.policy.select(state, x), state
 
     def combine(
         self,

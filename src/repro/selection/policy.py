@@ -21,6 +21,7 @@ the containers (class labels for the classification benchmarks).
 
 from __future__ import annotations
 
+from importlib import import_module
 from math import exp
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -56,6 +57,27 @@ def reweighted(state: SelectionState, penalties: Dict[str, float]) -> SelectionS
     return {**state, "weights": weights, "n_feedback": state.get("n_feedback", 0) + 1}
 
 
+def tallied(
+    state: SelectionState, increments: Dict[str, Dict[str, float]], discount: float = 1.0
+) -> SelectionState:
+    """The state after one count-keeping feedback step, as a new value.
+
+    ``increments[column][key]`` is added to ``state[column][key]`` — first
+    scaled by ``discount`` when that forgets (< 1) — for the models the column
+    already tracks; every touched column is a fresh dict.
+    """
+    updated = {**state, "n_feedback": state.get("n_feedback", 0) + 1}
+    for column, deltas in increments.items():
+        counts = dict(state[column])
+        for key, delta in deltas.items():
+            if key in counts:
+                if discount < 1.0:
+                    counts[key] *= discount
+                counts[key] += delta
+        updated[column] = counts
+    return updated
+
+
 class SelectionPolicy:
     """Base class for model selection policies.
 
@@ -66,18 +88,15 @@ class SelectionPolicy:
 
     name = "base"
 
-    #: Whether :meth:`select` mutates bookkeeping inside the state (e.g. play
-    #: counts).  Policies that only *read* state in select leave this False,
-    #: letting the state manager skip the per-query store write-back on the
-    #: serving hot path; :meth:`observe` is always persisted.
-    select_mutates_state = False
-
     def init(self, model_ids: Sequence[ModelId]) -> SelectionState:
         """Return the initial state for a fresh context over ``model_ids``."""
         raise NotImplementedError
 
     def select(self, state: SelectionState, x: Any) -> List[str]:
-        """Choose which deployed models to query for input ``x``."""
+        """Choose which deployed models to query for input ``x``.
+
+        Reads ``state`` only: a query costs no store write.
+        """
         raise NotImplementedError
 
     def combine(
@@ -102,8 +121,8 @@ class SelectionPolicy:
 
         ``state`` is a value, never mutated: the store hands the same object
         to lock-free readers, and an ``observe`` that raises part-way must
-        leave it as journaled.  The returned state is what gets stored.  (Exp3
-        and Exp4 keep this; the count-keeping policies still update in place.)
+        leave it as journaled.  The returned state — a new object, built by
+        :func:`reweighted` or :func:`tallied` — is what gets stored.
         """
         raise NotImplementedError
 
@@ -126,25 +145,23 @@ class SelectionPolicy:
         return 0.0 if y_true == y_pred else 1.0
 
 
+#: Every policy name :class:`ClipperConfig` accepts, to its module and class
+#: (imported on use: the policy modules import this one).
+POLICIES = {
+    "exp3": ("exp3", "Exp3Policy"),
+    "exp4": ("exp4", "Exp4Policy"),
+    "single": ("single", "SingleModelPolicy"),
+    "epsilon_greedy": ("epsilon_greedy", "EpsilonGreedyPolicy"),
+    "thompson": ("thompson", "ThompsonSamplingPolicy"),
+    "ucb": ("ucb", "UCB1Policy"),
+}
+
+
 def make_policy(name: str, **kwargs) -> SelectionPolicy:
     """Factory mapping policy names used in :class:`ClipperConfig` to objects."""
-    from repro.selection.epsilon_greedy import EpsilonGreedyPolicy
-    from repro.selection.exp3 import Exp3Policy
-    from repro.selection.exp4 import Exp4Policy
-    from repro.selection.single import SingleModelPolicy
-    from repro.selection.thompson import ThompsonSamplingPolicy
-    from repro.selection.ucb import UCB1Policy
-
-    policies = {
-        "exp3": Exp3Policy,
-        "exp4": Exp4Policy,
-        "single": SingleModelPolicy,
-        "epsilon_greedy": EpsilonGreedyPolicy,
-        "thompson": ThompsonSamplingPolicy,
-        "ucb": UCB1Policy,
-    }
-    if name not in policies:
+    if name not in POLICIES:
         raise SelectionPolicyError(
-            f"unknown selection policy '{name}', expected one of {sorted(policies)}"
+            f"unknown selection policy '{name}', expected one of {sorted(POLICIES)}"
         )
-    return policies[name](**kwargs)
+    module, cls = POLICIES[name]
+    return getattr(import_module(f"repro.selection.{module}"), cls)(**kwargs)

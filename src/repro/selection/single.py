@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.policy import SelectionPolicy, SelectionState
+from repro.selection.policy import SelectionPolicy, SelectionState, tallied
 
 
 class SingleModelPolicy(SelectionPolicy):
@@ -68,5 +68,4 @@ class SingleModelPolicy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        return state
+        return tallied(state, {})

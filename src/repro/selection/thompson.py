@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.policy import SelectionPolicy, SelectionState
+from repro.selection.policy import SelectionPolicy, SelectionState, tallied
 
 
 class ThompsonSamplingPolicy(SelectionPolicy):
@@ -87,18 +87,12 @@ class ThompsonSamplingPolicy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        for model_key, prediction in predictions.items():
-            if model_key not in state["successes"]:
-                continue
-            if self.discount < 1.0:
-                state["successes"][model_key] *= self.discount
-                state["failures"][model_key] *= self.discount
-            if self.loss(feedback, prediction) == 0.0:
-                state["successes"][model_key] += 1.0
-            else:
-                state["failures"][model_key] += 1.0
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        return state
+        hits = {
+            key: 1.0 if self.loss(feedback, p) == 0.0 else 0.0
+            for key, p in predictions.items()
+        }
+        misses = {key: 1.0 - hit for key, hit in hits.items()}
+        return tallied(state, {"successes": hits, "failures": misses}, self.discount)
 
     def posterior_means(self, state: SelectionState) -> Dict[str, float]:
         """Posterior mean success probability per model (for reporting)."""

@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.core.types import ModelId
-from repro.selection.policy import SelectionPolicy, SelectionState
+from repro.selection.policy import SelectionPolicy, SelectionState, tallied
 
 
 class UCB1Policy(SelectionPolicy):
@@ -68,11 +68,5 @@ class UCB1Policy(SelectionPolicy):
         feedback: Any,
         predictions: Dict[str, Any],
     ) -> SelectionState:
-        for model_key, prediction in predictions.items():
-            if model_key not in state["total_reward"]:
-                continue
-            reward = 1.0 - self.loss(feedback, prediction)
-            state["total_reward"][model_key] += reward
-            state["plays"][model_key] = state["plays"].get(model_key, 0) + 1
-        state["n_feedback"] = state.get("n_feedback", 0) + 1
-        return state
+        rewards = {key: 1.0 - self.loss(feedback, p) for key, p in predictions.items()}
+        return tallied(state, {"total_reward": rewards, "plays": dict.fromkeys(rewards, 1)})

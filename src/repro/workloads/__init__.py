@@ -1,21 +1,17 @@
-"""Query workload generation: arrival processes, clients and feedback streams."""
+"""Query workload generation: arrival processes and load-generating clients."""
 
 from repro.workloads.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
-    ConstantArrivals,
     PoissonArrivals,
 )
 from repro.workloads.clients import ClosedLoopClient, OpenLoopClient, WorkloadResult
-from repro.workloads.feedback import FeedbackStream
 
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "ConstantArrivals",
     "BurstyArrivals",
     "OpenLoopClient",
     "ClosedLoopClient",
     "WorkloadResult",
-    "FeedbackStream",
 ]

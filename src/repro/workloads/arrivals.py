@@ -31,20 +31,6 @@ class ArrivalProcess:
         return times
 
 
-class ConstantArrivals(ArrivalProcess):
-    """Fixed-rate arrivals: one query every ``1/rate_qps`` seconds."""
-
-    def __init__(self, rate_qps: float) -> None:
-        if rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
-        self.rate_qps = rate_qps
-
-    def gaps(self, n: int) -> Iterator[float]:
-        gap = 1.0 / self.rate_qps
-        for _ in range(n):
-            yield gap
-
-
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals with exponential inter-arrival gaps."""
 

@@ -130,10 +130,6 @@ class ClosedLoopClient:
             predictions=predictions,
         )
 
-    def run_sync(self, num_queries: int) -> WorkloadResult:
-        """Blocking wrapper (runs on the Clipper instance's private loop)."""
-        return self.clipper._run_coroutine_now(self.run(num_queries))
-
 
 class OpenLoopClient:
     """Arrival-process-driven client (queries issued independent of responses)."""
@@ -188,7 +184,3 @@ class OpenLoopClient:
             latencies_ms=latencies,
             predictions=predictions,
         )
-
-    def run_sync(self, num_queries: int) -> WorkloadResult:
-        """Blocking wrapper (runs on the Clipper instance's private loop)."""
-        return self.clipper._run_coroutine_now(self.run(num_queries))

@@ -1,73 +1,15 @@
-"""Simulated feedback streams for the online-learning experiments.
+"""Simulated model degradation for the online-learning experiments.
 
-The selection-layer experiments (Figures 8 and 10) replay a stream of
-labelled queries: every query is answered, then its true label is returned
-to Clipper as feedback so the selection policy can adapt.  A
-:class:`FeedbackStream` packages that loop, including the *model degradation
-window* used in Figure 8 where the best model's predictions are corrupted
-for a span of queries and later recover.
+The selection-layer experiment of Figure 8 replays a stream of labelled
+queries through the policies and, for a span of queries, corrupts the best
+model's predictions; :func:`degrade_prediction` is that corruption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any
 
 import numpy as np
-
-
-@dataclass
-class FeedbackEvent:
-    """One step of the feedback replay: an input and its true label."""
-
-    index: int
-    input: Any
-    label: Any
-    user_id: Optional[str] = None
-
-
-class FeedbackStream:
-    """Replays labelled data as an online query-then-feedback stream."""
-
-    def __init__(
-        self,
-        inputs: Sequence[Any],
-        labels: Sequence[Any],
-        user_ids: Optional[Sequence[Optional[str]]] = None,
-        shuffle: bool = True,
-        random_state: Optional[int] = None,
-    ) -> None:
-        if len(inputs) != len(labels):
-            raise ValueError("inputs and labels must align")
-        if len(inputs) == 0:
-            raise ValueError("inputs must be non-empty")
-        if user_ids is not None and len(user_ids) != len(inputs):
-            raise ValueError("user_ids must align with inputs when provided")
-        self.inputs = list(inputs)
-        self.labels = list(labels)
-        self.user_ids = list(user_ids) if user_ids is not None else None
-        self.shuffle = shuffle
-        self._rng = np.random.default_rng(random_state)
-
-    def events(self, n: int) -> Iterator[FeedbackEvent]:
-        """Yield ``n`` feedback events, cycling (reshuffled) through the data."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        emitted = 0
-        while emitted < n:
-            order = np.arange(len(self.inputs))
-            if self.shuffle:
-                self._rng.shuffle(order)
-            for index in order:
-                if emitted >= n:
-                    return
-                yield FeedbackEvent(
-                    index=emitted,
-                    input=self.inputs[index],
-                    label=self.labels[index],
-                    user_id=self.user_ids[index] if self.user_ids is not None else None,
-                )
-                emitted += 1
 
 
 def degrade_prediction(

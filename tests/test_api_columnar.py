@@ -1,7 +1,7 @@
 """End-to-end tests of the binary columnar content type on the REST edge.
 
 Covers Accept negotiation (q-values, wildcards, 406), the client SDK's
-``binary=True`` mode with transparent JSON fallback on 415, and — over real
+``binary=True`` mode, and — over real
 sockets — the malformed-frame discipline: corrupt, truncated and
 wrong-dtype columnar bodies must come back as structured 4xx errors, never
 a 500 or a dropped connection.
@@ -129,11 +129,6 @@ class TestAcceptNegotiation:
         with pytest.raises(NotAcceptableError):
             self.make()._negotiate_accept("application/json;q=0")
 
-    def test_json_only_server_has_no_columnar(self):
-        server = make_server(make_app(), columnar=False)
-        with pytest.raises(NotAcceptableError):
-            server._negotiate_accept(COLUMNAR_CONTENT_TYPE)
-
 
 class TestBinaryClient:
     def test_binary_predict_matches_json(self):
@@ -155,23 +150,6 @@ class TestBinaryClient:
                     assert not got_bin.default_used
                     # update flows through the same negotiated path.
                     await bin_client.update("demo", x, 7)
-
-        run_async(scenario())
-
-    def test_binary_client_falls_back_to_json_on_415(self):
-        async def scenario():
-            server = make_server(make_app(output=3), columnar=False)
-            async with server:
-                async with AsyncClipperClient(
-                    "127.0.0.1", server.port, binary=True
-                ) as client:
-                    assert client.binary
-                    result = await client.predict("demo", [1.0, 2.0])
-                    assert result.output == 3
-                    assert not client.binary  # permanently downgraded
-                    # Subsequent calls go straight to JSON and still work.
-                    result = await client.predict("demo", [3.0, 4.0])
-                    assert result.output == 3
 
         run_async(scenario())
 
@@ -282,23 +260,6 @@ class TestMalformedFramesOverRealSockets:
                 status, _, payload = parse_response(response)
                 assert status == 422
                 assert json.loads(payload)["error"]["code"] == "invalid_input"
-
-        run_async(scenario())
-
-    def test_unregistered_content_type_is_415(self):
-        async def scenario():
-            server = make_server(make_app(), columnar=False)
-            async with server:
-                body = columnar_body({"input": [1.0]})
-                response = await raw_request(
-                    server.port,
-                    post_predict("demo", body, COLUMNAR_CONTENT_TYPE),
-                )
-                status, _, payload = parse_response(response)
-                assert status == 415
-                error = json.loads(payload)["error"]
-                assert error["code"] == "unsupported_media_type"
-                assert COLUMNAR_CONTENT_TYPE not in error["detail"]["supported"]
 
         run_async(scenario())
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import run_async
-from repro.baselines.selection import ABTestingSelection, StaticSelection
+from repro.baselines.selection import ABTestingSelection
 from repro.baselines.tfserving import TFServingLikeServer
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
@@ -91,29 +91,6 @@ class TestTFServingLikeServer:
             TFServingLikeServer(NoOpContainer(), batch_size=0)
         with pytest.raises(ValueError):
             TFServingLikeServer(NoOpContainer(), batch_timeout_ms=-1)
-
-
-class TestStaticSelection:
-    def test_picks_best_offline_model(self):
-        selection = StaticSelection(["a", "b", "c"])
-        choice = selection.fit_offline({"a": 0.7, "b": 0.9, "c": 0.8})
-        assert choice == "b"
-        assert selection.select() == "b"
-
-    def test_ignores_online_feedback(self):
-        selection = StaticSelection(["a", "b"])
-        selection.fit_offline({"a": 0.9, "b": 0.5})
-        for _ in range(100):
-            selection.observe("a", loss=1.0)  # the chosen model is now terrible
-        assert selection.current_choice() == "a"
-
-    def test_missing_scores_raise(self):
-        with pytest.raises(ValueError):
-            StaticSelection(["a", "b"]).fit_offline({"a": 0.5})
-
-    def test_empty_model_list_rejected(self):
-        with pytest.raises(ValueError):
-            StaticSelection([])
 
 
 class TestABTestingSelection:

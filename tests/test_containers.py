@@ -5,11 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.containers.adapters import ClassifierContainer, HMMContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.overhead import LanguageOverheadContainer, SimulatedLatencyContainer
-from repro.mlkit.hmm import HMMPhonemeClassifier
 
 
 class TestFunctionContainer:
@@ -80,23 +79,6 @@ class TestClassifierContainer:
     def test_requires_predict_method(self):
         with pytest.raises(TypeError):
             ClassifierContainer(object())
-
-
-class TestHMMContainer:
-    def test_serves_utterances(self, rng):
-        sequences, labels = [], []
-        for label in (0, 1):
-            for _ in range(6):
-                offset = label * 3.0
-                sequences.append(rng.normal(offset, 1.0, size=(12, 4)))
-                labels.append(label)
-        model = HMMPhonemeClassifier(n_states=3, n_features=4, random_state=0).fit(
-            sequences, labels
-        )
-        container = HMMContainer(model)
-        outputs = container.predict_batch(sequences[:4])
-        assert len(outputs) == 4
-        assert set(outputs) <= {0, 1}
 
 
 class TestLanguageOverheadContainer:

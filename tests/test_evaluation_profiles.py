@@ -9,7 +9,6 @@ from repro.evaluation.profiles import (
     LatencyProfile,
     max_batch_under_slo,
     measure_latency_profile,
-    throughput_at_batch_size,
 )
 from repro.evaluation.reporting import format_table
 
@@ -83,13 +82,6 @@ class TestMaxBatchUnderSlo:
         expensive = self._profile({1: 3.0, 4: 12.0, 8: 24.0})
         ratio = max_batch_under_slo(cheap, 20.0) / max(max_batch_under_slo(expensive, 20.0), 1)
         assert ratio > 100
-
-    def test_throughput_at_batch_size(self):
-        profile = self._profile({10: 10.0})
-        assert throughput_at_batch_size(profile, 10) == pytest.approx(1000.0)
-        assert throughput_at_batch_size(profile, 99) == 0.0 or np.isnan(
-            throughput_at_batch_size(profile, 99)
-        ) is False
 
 
 class TestFormatTable:

@@ -146,9 +146,9 @@ class ParentExp3(Exp3Policy):
     def select(self, state: SelectionState, x: Any) -> List[str]:
         keys, probs = self._probabilities(state)
         choice = self._rng.choice(len(keys), p=probs)
-        selected = keys[int(choice)]
-        state["plays"][selected] = state["plays"].get(selected, 0) + 1
-        return [selected]
+        # The parent also bumped ``state["plays"][selected]`` here, a count
+        # nothing read; it left with ``select_mutates_state``.
+        return [keys[int(choice)]]
 
     def observe(
         self,
@@ -375,5 +375,4 @@ class TestExp3AgainstTheParent:
                 # 1 000 steps) and would one day disagree on a pick for that
                 # reason alone.  Each step is compared, then taken over.
                 expected["weights"] = dict(state["weights"])
-        assert picks == expected_picks
-        assert state["plays"] == expected["plays"] and sum(state["plays"].values()) == 10_000
+        assert picks == expected_picks and len(picks) == 10_000

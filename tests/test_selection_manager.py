@@ -11,7 +11,6 @@ from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Feedback, ModelId, Query
-from repro.selection.exp3 import Exp3Policy
 from repro.selection.exp4 import Exp4Policy
 from repro.selection.manager import DEFAULT_CONTEXT, SelectionStateManager
 from repro.state import DurableKeyValueStore
@@ -108,12 +107,6 @@ class TestPolicyOperations:
         assert confidence == 1.0
         state = manager.observe(0, 1, {"a:1": 1, "b:1": 0}, context="u")
         assert state["n_feedback"] == 1
-
-    def test_select_persists_bookkeeping_mutations(self):
-        manager = SelectionStateManager(Exp3Policy(seed=0), MODELS)
-        manager.select(x=0, context="u")
-        state = manager.get_state("u")
-        assert sum(state["plays"].values()) == 1
 
     def test_personalization_diverges_between_users(self):
         """Each user's feedback shapes only that user's selection state."""

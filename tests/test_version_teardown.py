@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import types
 from typing import Dict, List
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.containers.noop import NoOpContainer
 from repro.containers.replica import place_locally
 from repro.core.clipper import Clipper
 from repro.core.config import CircuitBreakerConfig, ClipperConfig, ModelDeployment
+from repro.core.deployed import end_recovery
 from repro.core.exceptions import RpcError
 from repro.core.types import Query
 from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED, ManagementFrontend
@@ -334,5 +336,29 @@ class TestAReplacedReplicaKeepsItsRecord:
                 assert clipper.routing.canary_key("m") is None
             finally:
                 await mgmt.stop()
+
+        run_async(scenario())
+
+
+class TestARecoveryThatMissedItsCancellation:
+    def test_end_recovery_asks_until_the_task_has_gone(self):
+        """``asyncio.wait_for`` before 3.12 returns its future's result when the
+        cancellation lands as the future completes: the recovery task then
+        carries on to its next back-off, and whoever waits for it to end
+        (scale-down, undeploy, stop) would wait for good."""
+
+        async def scenario():
+            async def stubborn():
+                try:
+                    await asyncio.sleep(10)
+                except asyncio.CancelledError:
+                    pass  # the swallowed cancellation
+                await asyncio.sleep(10)
+
+            task = asyncio.get_running_loop().create_task(stubborn())
+            dispatcher = types.SimpleNamespace(recovery=task)
+            await asyncio.sleep(0)
+            await asyncio.wait_for(end_recovery(dispatcher), timeout=2.0)
+            assert task.cancelled() and dispatcher.recovery is None
 
         run_async(scenario())

@@ -1,25 +1,11 @@
-"""Tests for workload arrival processes, clients and feedback streams."""
+"""Tests for workload arrival processes, clients and model degradation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.arrivals import BurstyArrivals, ConstantArrivals, PoissonArrivals
-from repro.workloads.feedback import FeedbackStream, degrade_prediction
-
-
-class TestConstantArrivals:
-    def test_gaps_are_constant(self):
-        gaps = list(ConstantArrivals(rate_qps=100).gaps(5))
-        assert gaps == [0.01] * 5
-
-    def test_arrival_times_monotonic(self):
-        times = ConstantArrivals(rate_qps=50).arrival_times(10)
-        assert np.all(np.diff(times) > 0)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            ConstantArrivals(rate_qps=0)
+from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals
+from repro.workloads.feedback import degrade_prediction
 
 
 class TestPoissonArrivals:
@@ -62,35 +48,6 @@ class TestBurstyArrivals:
     def test_always_yields_exactly_n(self, n):
         gaps = list(BurstyArrivals(100, 10, random_state=0).gaps(n))
         assert len(gaps) == n
-
-
-class TestFeedbackStream:
-    def test_yields_requested_number_of_events(self):
-        stream = FeedbackStream(inputs=[1, 2, 3], labels=["a", "b", "c"], random_state=0)
-        events = list(stream.events(10))
-        assert len(events) == 10
-        assert [e.index for e in events] == list(range(10))
-
-    def test_events_pair_inputs_with_their_labels(self):
-        inputs = list(range(20))
-        labels = [i * 10 for i in inputs]
-        stream = FeedbackStream(inputs, labels, random_state=1)
-        for event in stream.events(40):
-            assert event.label == event.input * 10
-
-    def test_user_ids_travel_with_events(self):
-        stream = FeedbackStream([1, 2], ["a", "b"], user_ids=["u1", "u2"], shuffle=False, random_state=0)
-        events = list(stream.events(2))
-        assert {(e.input, e.user_id) for e in events} == {(1, "u1"), (2, "u2")}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FeedbackStream([1], [1, 2])
-        with pytest.raises(ValueError):
-            FeedbackStream([], [])
-        stream = FeedbackStream([1], [1])
-        with pytest.raises(ValueError):
-            list(stream.events(0))
 
 
 class TestDegradePrediction:
