@@ -24,12 +24,12 @@ How many batches may be in flight is measured, not configured.  Every
 response carries the container's own evaluation time; the round trip of a
 batch sent to an idle replica, minus that, is what the RPC path costs
 (encode, transport, decode, loop hops).  The dispatcher keeps one moving
-average of each and allows ``min(pipeline_window, 1 + floor(overhead /
+average of each and allows ``min(PIPELINE_WINDOW, 1 + floor(overhead /
 eval))`` batches in flight, starting at 1.  A model whose evaluation
 dominates is served serially: the container evaluates one batch at a time,
 so a second batch in flight would only wait behind the first (a whole
 evaluation of latency for at most ``overhead / eval`` of utilisation).  A
-model cheaper than its RPC path keeps ``pipeline_window`` batches in flight,
+model cheaper than its RPC path keeps ``PIPELINE_WINDOW`` batches in flight,
 so queue drain and encoding overlap with the previous batch's round trip.
 A pipeline kept full never meets an idle replica, so every
 ``_REMEASURE_EVERY`` overlapped batches the loop lets it drain once and the
@@ -72,6 +72,11 @@ from repro.observability.tracing import TRACE_RETRIED, BatchSpans
 
 logger = get_logger("batching.dispatcher")
 
+#: Upper bound on batches in flight per replica.  What a replica is allowed
+#: under it is measured (see "Pipelining" above), so the bound is not a
+#: deployment option; the constructor takes it for tests that drive the loop
+#: at other depths.
+PIPELINE_WINDOW = 2
 #: Weight of a new sample in the evaluation / RPC-overhead moving averages.
 _EWMA_WEIGHT = 0.125
 #: After this many consecutive overlapped batches the loop lets the pipeline
@@ -108,7 +113,7 @@ class ReplicaDispatcher:
         drop_expired: bool = True,
         max_retries: int = 0,
         failure_cooldown_ms: float = 20.0,
-        pipeline_window: int = 2,
+        pipeline_window: int = PIPELINE_WINDOW,
         late_result_sink: Optional[Callable[[PendingQuery, Any], None]] = None,
         tracer: Optional[Any] = None,
     ) -> None:

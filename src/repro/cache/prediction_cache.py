@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Union
 
 from repro.cache.clock import ClockCache
 from repro.cache.lru import LRUCache
 from repro.core.exceptions import CacheError
 from repro.core.types import ModelId, hash_input
-
-CacheKey = Tuple[str, str]
 
 #: Shared miss sentinel — allocated once instead of per lookup.
 _MISSING = object()
@@ -94,11 +92,6 @@ class PredictionCache:
     @property
     def enabled(self) -> bool:
         return self._cache is not None
-
-    @staticmethod
-    def make_key(model_id: Union[ModelId, str], x: Any) -> CacheKey:
-        """Build the cache key for a model id and raw input."""
-        return (str(model_id), hash_input(x))
 
     def request(self, model_id: Union[ModelId, str], x: Any) -> bool:
         """Non-blocking request: returns True when the prediction is cached.

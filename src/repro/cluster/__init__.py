@@ -4,7 +4,7 @@ This package promotes the single-process serving engine into the paper's
 actual deployment shape (Figure 1): model containers live in separate
 **worker** OS processes behind :class:`~repro.rpc.server.ContainerRpcServer`,
 an **ingress** process runs the HTTP edge plus a
-:class:`~repro.core.clipper.Clipper` whose replica sets attach to *remote*
+:class:`~repro.core.clipper.Clipper` whose versions attach to *remote*
 worker replicas, and a **supervisor** spawns and monitors the fleet.
 
 The pieces:

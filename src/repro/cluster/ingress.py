@@ -3,9 +3,8 @@
 The ingress is an ordinary single-application serving stack — ``Clipper``
 behind the query/management frontends behind ``HttpApiServer`` — whose
 ``Clipper`` is constructed with the cluster's placement callable,
-:meth:`~repro.cluster.remote.WorkerPlacer.replica_set`: every deployment
-carrying a ``factory_name`` gets a
-:class:`~repro.containers.replica.ReplicaSet` of
+:meth:`~repro.cluster.remote.WorkerPlacer.replica_builder`: every
+deployment carrying a ``factory_name`` gets its replicas built as
 :class:`~repro.cluster.remote.RemoteReplica` spread across the live workers
 of a shared :class:`~repro.cluster.registry.WorkerRegistry`.  All admin
 verbs — deploy, scale, rollout, canary — arrive over the same REST surface
@@ -35,6 +34,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig
 from repro.core.frontend import QueryFrontend
 from repro.management.frontend import ManagementFrontend
+from repro.rpc.shm import start_resource_tracker
 
 #: File the running ingress drops into the cluster dir for discovery.
 INGRESS_FILE = "ingress.json"
@@ -57,7 +57,7 @@ class IngressTier:
         self.registry = WorkerRegistry(cluster_dir)
         self.placer = WorkerPlacer(self.registry, ttl_s=ttl_s)
         self.config = config or ClipperConfig(app_name=app_name, allow_empty_start=True)
-        self.clipper = Clipper(self.config, placement=self.placer.replica_set)
+        self.clipper = Clipper(self.config, placement=self.placer.replica_builder)
         self.query = QueryFrontend()
         self.query.register_application(self.clipper)
         self.admin = ManagementFrontend(health_kwargs=health_kwargs)
@@ -99,6 +99,8 @@ def read_ingress(cluster_dir: str) -> Optional[dict]:
 
 
 async def _amain(args: argparse.Namespace) -> int:
+    # Replicas placed on same-host workers attach shared-memory lanes.
+    start_resource_tracker()
     factories = load_factories(args.factories) if args.factories else None
     ingress = IngressTier(
         cluster_dir=args.cluster_dir,

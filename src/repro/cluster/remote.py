@@ -6,19 +6,18 @@ the shared :class:`~repro.cluster.registry.WorkerRegistry` by
 :class:`WorkerPlacer`) to build the container from a *named* factory, then
 speaks the ordinary container RPC protocol to it over tcp — or, same-host,
 over shared-memory rings negotiated automatically.  Everything else a
-replica does, and every membership rule of a replica set, is the shared
-code in :mod:`repro.containers.replica`, so the batching dispatchers, the
-health monitor and every admin verb (deploy / scale / rollout / canary)
+replica does is the shared code in :mod:`repro.containers.replica`, and
+every membership rule of a version is
+:class:`~repro.core.deployed.DeployedModel`'s, so the batching dispatchers,
+the health monitor and every admin verb (deploy / scale / rollout / canary)
 drive cluster placements through the same classes as local ones.
-:meth:`WorkerPlacer.replica_set` is the placement callable the ingress
+:meth:`WorkerPlacer.replica_builder` is the placement callable the ingress
 gives its :class:`~repro.core.clipper.Clipper`.
 
-Failure classes are the ones the health monitor's recovery loop depends on:
-membership errors raise :class:`~repro.core.exceptions.ContainerError`
-(``_recover`` treats that as "scaled away" and aborts), while *placement*
-failure — no live worker in the registry — raises
-:class:`~repro.core.exceptions.RpcError`, which ``_recover`` treats as
-transient and retries with backoff until a worker comes back.
+*Placement* failure — no live worker in the registry — raises
+:class:`~repro.core.exceptions.RpcError`, which the health monitor's
+``_recover`` treats as transient and retries with backoff until a worker
+comes back.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegi
 from repro.containers.replica import (
     RPC_TIMEOUT_S,
     Replica,
-    ReplicaSet,
+    ReplicaBuilder,
     place_locally,
 )
 from repro.core.exceptions import ContainerError, RpcError
@@ -68,7 +67,7 @@ class WorkerPlacer:
         self._round_robin += 1
         return worker
 
-    def replica_set(self, deployment, model_id: ModelId) -> ReplicaSet:
+    def replica_builder(self, deployment, model_id: ModelId) -> ReplicaBuilder:
         """Placement callable: spread a deployment's replicas over the workers.
 
         Deployments that name their container factory place remotely; ones
@@ -90,7 +89,7 @@ class WorkerPlacer:
                 transport=deployment.transport,
             )
 
-        return ReplicaSet(model_id, build, deployment.num_replicas)
+        return build
 
 
 def _resolve_lane(worker: WorkerAnnouncement, preference: str) -> tuple:

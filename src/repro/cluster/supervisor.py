@@ -180,9 +180,6 @@ class Supervisor:
                 replacement = self._spawn_worker(worker_id)
                 replacement.wait_ready(READY_TIMEOUT_S)
 
-    def ingress_alive(self) -> bool:
-        return self.ingress is not None and self.ingress.alive
-
     # -- shutdown ----------------------------------------------------------------
 
     def shutdown(self, timeout_s: float = 10.0) -> None:

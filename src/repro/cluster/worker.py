@@ -39,7 +39,7 @@ from repro.cluster.factories import FactoryMap, default_factories, load_factorie
 from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegistry
 from repro.core.exceptions import RpcError
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint
+from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint, start_resource_tracker
 from repro.rpc.transport import TcpListener, Transport
 
 #: How long the worker waits for a shm peer to connect its doorbells.
@@ -236,11 +236,10 @@ class WorkerDaemon:
         self._accept_task = None
         self._heartbeat_task = None
 
-    async def run_until_stopped(self) -> None:
-        await self._stopping.wait()
-
 
 async def _amain(args: argparse.Namespace) -> int:
+    if not args.no_shm:
+        start_resource_tracker()
     factories = load_factories(args.factories) if args.factories else None
     daemon = WorkerDaemon(
         worker_id=args.worker_id,

@@ -5,16 +5,8 @@ from repro.containers.busy import DeviceBoundContainer
 from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.containers.noop import NoOpContainer
 from repro.containers.adapters import ClassifierContainer
-from repro.containers.overhead import (
-    LanguageOverheadContainer,
-    SimulatedLatencyContainer,
-)
-from repro.containers.replica import (
-    ContainerReplica,
-    Replica,
-    ReplicaSet,
-    place_locally,
-)
+from repro.containers.overhead import LanguageOverheadContainer
+from repro.containers.replica import ContainerReplica, Replica, place_locally
 
 __all__ = [
     "ModelContainer",
@@ -25,9 +17,7 @@ __all__ = [
     "NoOpContainer",
     "ClassifierContainer",
     "LanguageOverheadContainer",
-    "SimulatedLatencyContainer",
     "ContainerReplica",
     "Replica",
-    "ReplicaSet",
     "place_locally",
 ]

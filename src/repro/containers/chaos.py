@@ -10,12 +10,6 @@ flaky host) on a model container:
   passive failure signal and the health monitor's active probes observe the
   death.  A fresh instance built by the deployment's factory is alive again,
   which is exactly what health-driven restart relies on.
-* :class:`FlakyContainer` serves ``healthy_predictions`` individual
-  predictions and then dies — the "fails after N requests" fault point the
-  crash-recovery tests use to schedule a failure mid-rollout.
-* :class:`CorruptingContainer` keeps answering but corrupts its output
-  payload (wrong values, or a short batch), modelling a sick-but-alive
-  replica whose damage the serving layer must detect or absorb.
 """
 
 from __future__ import annotations
@@ -57,80 +51,6 @@ class KillableContainer(ModelContainer):
         if self._inner is not None:
             return self._inner.predict_batch(inputs)
         return [self.output] * len(inputs)
-
-
-class FlakyContainer(ModelContainer):
-    """A container that dies after serving a fixed number of predictions.
-
-    Counts *individual predictions* (not batches), so the fault point is
-    deterministic under adaptive batching.  The batch containing the Nth
-    prediction still succeeds; every batch after it raises, and the
-    container reports itself unhealthy — a replacement instance from the
-    factory starts its own countdown.
-    """
-
-    framework = "chaos"
-
-    def __init__(self, healthy_predictions: int, output: Any = 0) -> None:
-        if healthy_predictions < 0:
-            raise ValueError("healthy_predictions must be non-negative")
-        self.healthy_predictions = healthy_predictions
-        self.output = output
-        self.predictions_served = 0
-
-    def healthy(self) -> bool:
-        return self.predictions_served < self.healthy_predictions
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        if self.predictions_served >= self.healthy_predictions:
-            raise RuntimeError(
-                f"flaky container failed after {self.predictions_served} predictions"
-            )
-        self.predictions_served += len(inputs)
-        return [self.output] * len(inputs)
-
-
-class CorruptingContainer(ModelContainer):
-    """A container that answers every batch with a corrupted payload.
-
-    ``mode="garbage"`` returns the wrong output values (the container stays
-    protocol-correct but semantically broken — the damage only shows up in
-    application metrics); ``mode="short"`` returns fewer outputs than
-    inputs, a contract violation the model abstraction layer must surface
-    as a failed batch rather than misalign outputs across the batch.
-    Corruption starts after ``healthy_predictions`` clean ones.
-    """
-
-    framework = "chaos"
-
-    def __init__(
-        self,
-        output: Any = 0,
-        corrupt_output: Any = "corrupted",
-        mode: str = "garbage",
-        healthy_predictions: int = 0,
-    ) -> None:
-        if mode not in ("garbage", "short"):
-            raise ValueError(f"unknown corruption mode '{mode}'")
-        self.output = output
-        self.corrupt_output = corrupt_output
-        self.mode = mode
-        self.healthy_predictions = healthy_predictions
-        self.predictions_served = 0
-        self.corrupted_batches = 0
-
-    def healthy(self) -> bool:
-        return True  # the whole point: probes cannot tell it is sick
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        corrupting = self.predictions_served >= self.healthy_predictions
-        self.predictions_served += len(inputs)
-        if not corrupting:
-            return [self.output] * len(inputs)
-        self.corrupted_batches += 1
-        if self.mode == "short":
-            return [self.output] * (len(inputs) - 1)
-        return [self.corrupt_output] * len(inputs)
 
 
 class TrackingFactory:

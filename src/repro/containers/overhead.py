@@ -1,26 +1,16 @@
-"""Containers with controlled extra latency: language overhead and stragglers.
+"""A container with controlled extra latency: language overhead.
 
-Two experiment families in the paper need containers whose latency can be
-shaped precisely:
-
-* **Figure 11** compares TensorFlow Serving against Clipper with C++ and
-  Python model containers; the Python containers pay 15–18% extra per-batch
-  overhead from the high-level API.  :class:`LanguageOverheadContainer`
-  wraps any container and adds a configurable per-batch and per-item
-  overhead so both variants can be expressed.
-* **Figure 9** studies stragglers: as ensembles grow, some containers return
-  late and the selection layer must render predictions without them.
-  :class:`SimulatedLatencyContainer` adds deterministic-plus-heavy-tailed
-  artificial latency to an inner container so straggler behaviour can be
-  produced reliably on a laptop.
+**Figure 11** compares TensorFlow Serving against Clipper with C++ and
+Python model containers; the Python containers pay 15–18% extra per-batch
+overhead from the high-level API.  :class:`LanguageOverheadContainer` wraps
+any container and adds a configurable per-batch and per-item overhead so
+both variants can be expressed.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, List, Sequence
 
 from repro.containers.base import ModelContainer
 
@@ -75,61 +65,3 @@ class LanguageOverheadContainer(ModelContainer):
         )
         _busy_wait(overhead_s)
         return self.inner.predict_batch(inputs)
-
-
-class SimulatedLatencyContainer(ModelContainer):
-    """Adds controlled artificial latency (with a straggler tail) to a container.
-
-    Latency per batch is ``base_latency_ms + per_item_latency_ms * len(batch)``
-    plus, with probability ``straggler_probability``, an extra delay drawn
-    uniformly from ``[straggler_extra_ms/2, straggler_extra_ms]``.  When no
-    inner container is given, the output for every input is ``default_output``.
-    """
-
-    framework = "simulated"
-
-    def __init__(
-        self,
-        inner: Optional[ModelContainer] = None,
-        base_latency_ms: float = 1.0,
-        per_item_latency_ms: float = 0.0,
-        straggler_probability: float = 0.0,
-        straggler_extra_ms: float = 0.0,
-        default_output: Any = 0,
-        use_sleep: bool = True,
-        random_state: Optional[int] = None,
-    ) -> None:
-        if base_latency_ms < 0 or per_item_latency_ms < 0 or straggler_extra_ms < 0:
-            raise ValueError("latencies must be non-negative")
-        if not 0.0 <= straggler_probability <= 1.0:
-            raise ValueError("straggler_probability must be in [0, 1]")
-        self.inner = inner
-        self.base_latency_ms = base_latency_ms
-        self.per_item_latency_ms = per_item_latency_ms
-        self.straggler_probability = straggler_probability
-        self.straggler_extra_ms = straggler_extra_ms
-        self.default_output = default_output
-        self.use_sleep = use_sleep
-        self._rng = np.random.default_rng(random_state)
-
-    def sample_delay_ms(self, batch_size: int) -> float:
-        """Sample the artificial delay for one batch of the given size."""
-        delay = self.base_latency_ms + self.per_item_latency_ms * batch_size
-        if (
-            self.straggler_probability > 0
-            and self._rng.random() < self.straggler_probability
-        ):
-            delay += self._rng.uniform(
-                self.straggler_extra_ms / 2.0, self.straggler_extra_ms
-            )
-        return delay
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        delay_ms = self.sample_delay_ms(len(inputs))
-        if self.use_sleep:
-            time.sleep(delay_ms / 1000.0)
-        else:
-            _busy_wait(delay_ms / 1000.0)
-        if self.inner is not None:
-            return self.inner.predict_batch(inputs)
-        return [self.default_output] * len(inputs)

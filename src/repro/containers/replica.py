@@ -1,31 +1,30 @@
-"""Replicas and replica sets: the one seam between serving and containers.
+"""Replicas: the one seam between serving and containers.
 
 Each deployed model can be replicated (paper §4.4.1); every replica gets its
 own RPC connection and — in the batching layer — its own adaptive batching
 queue, because "different replicas can have different performance
 characteristics".  The layers above (batching dispatchers, health monitor,
-admin verbs) see exactly two classes:
-
-* :class:`Replica` — one running copy of a model behind the batch-predict
-  RPC interface.  Everything a caller uses (``start`` / ``stop`` /
-  ``predict_batch`` / ``check_health`` / ``started`` / ``name``) is written
-  here once; a subclass supplies only *how the RPC client comes to exist*.
-  :class:`ContainerReplica` builds the container in this process (in-process,
-  shared-memory or loopback-tcp lane);
-  :class:`~repro.cluster.remote.RemoteReplica` asks a worker daemon to.
-* :class:`ReplicaSet` — all replicas of one model.  Its membership rules are
-  written once and parameterised by the function that builds replica *i*.
+admin verbs) see exactly one class: :class:`Replica`, one running copy of a
+model behind the batch-predict RPC interface.  Everything a caller uses
+(``start`` / ``stop`` / ``predict_batch`` / ``check_health`` / ``started`` /
+``name``) is written here once; a subclass supplies only *how the RPC client
+comes to exist*.  :class:`ContainerReplica` builds the container in this
+process (in-process, shared-memory or loopback-tcp lane);
+:class:`~repro.cluster.remote.RemoteReplica` asks a worker daemon to.
 
 Where a deployment's replicas live is decided by a *placement* callable,
-``placement(deployment, model_id) -> ReplicaSet``, given to
+``placement(deployment, model_id) -> ReplicaBuilder``, given to
 :class:`~repro.core.clipper.Clipper` at construction: :func:`place_locally`
-is the default, :meth:`repro.cluster.remote.WorkerPlacer.replica_set` the
-cluster's.
+is the default, :meth:`repro.cluster.remote.WorkerPlacer.replica_builder`
+the cluster's.  Which replicas a version has — ids, membership, replacement
+— is kept by its :class:`~repro.core.deployed.DeployedModel`, which calls
+the builder.
 """
 
 from __future__ import annotations
 
 import asyncio
+import tempfile
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.containers.base import ModelContainer
@@ -34,7 +33,7 @@ from repro.core.types import ModelId
 from repro.rpc.client import RpcClient
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingPair
+from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint, attach_shm_endpoint
 from repro.rpc.transport import InProcessTransport, TcpListener, TcpTransport
 
 #: RPC lanes a replica can run on (see :class:`repro.core.config.ModelDeployment`).
@@ -54,7 +53,7 @@ class Replica:
 
     def __init__(self, model_id: ModelId, replica_id: int) -> None:
         self.model_id = model_id
-        #: Index of the replica within its replica set.
+        #: Never reused among one version's replicas, except by a replacement.
         self.replica_id = replica_id
         # The wire model name is rendered once: replicas send it with every
         # batch and str(ModelId) is measurable at high batch rates.
@@ -188,11 +187,20 @@ class ContainerReplica(Replica):
                 )
             finally:
                 await listener.close()
+        elif self._transport_kind == "shm":
+            # The pair a worker daemon and its ingress build across processes:
+            # the host end creates the block and a bell socket, the client
+            # end attaches by name.  The host is listening from construction,
+            # so both bell connections complete before ``accept`` runs.
+            host = ShmHostEndpoint(tempfile.gettempdir())
+            try:
+                client_side = await attach_shm_endpoint(host.descriptor())
+            except BaseException:
+                host.abort()
+                raise
+            server_side = await host.accept()
         else:
-            if self._transport_kind == "shm":
-                pair = ShmRingPair()
-            else:
-                pair = InProcessTransport(serialize_messages=self._serialize_messages)
+            pair = InProcessTransport(serialize_messages=self._serialize_messages)
             client_side, server_side = pair.client_side, pair.server_side
         self._server = ContainerRpcServer(self.container, server_side, use_executor=True)
         self._server.start()
@@ -202,91 +210,13 @@ class ContainerReplica(Replica):
         await self._server.stop()
 
 
-#: Builds replica ``replica_id`` of a set.  ``avoid`` lists replicas whose
+#: Builds replica ``replica_id`` of a version.  ``avoid`` lists replicas whose
 #: host the new one should not share when there is a choice — the replica
 #: being replaced, for placements that span hosts; local builders ignore it.
 ReplicaBuilder = Callable[[int, Sequence[Replica]], Replica]
 
 
-class ReplicaSet:
-    """All replicas of one deployed model.
-
-    Membership is dynamic: the management plane adds and removes replicas on
-    a live set (`add_replica` / `remove_replica`) for runtime scaling, and
-    replaces a sick replica in place (`replace_replica`) when health-driven
-    recovery restarts it through the stored builder.
-    """
-
-    def __init__(
-        self, model_id: ModelId, build_replica: ReplicaBuilder, num_replicas: int = 1
-    ) -> None:
-        if num_replicas < 1:
-            raise ContainerError(str(model_id), "num_replicas must be >= 1")
-        self.model_id = model_id
-        self._build_replica = build_replica
-        self._next_replica_id = 0
-        self.replicas: List[Replica] = []
-        for _ in range(num_replicas):
-            self.add_replica()
-
-    def add_replica(self) -> Replica:
-        """Create (but do not start) one more replica and return it.
-
-        Replica ids increase monotonically across the set's lifetime so a
-        restarted or newly added replica is never confused with a removed
-        one in metrics or health records.
-        """
-        replica = self._build_replica(self._next_replica_id, ())
-        self._next_replica_id += 1
-        self.replicas.append(replica)
-        return replica
-
-    def _index_of(self, replica: Replica) -> int:
-        try:
-            return self.replicas.index(replica)
-        except ValueError:
-            raise ContainerError(
-                str(self.model_id), f"{replica.name} is not a member of this replica set"
-            ) from None
-
-    def remove_replica(self, replica: Replica) -> None:
-        """Remove a replica from the set (the caller stops it)."""
-        if len(self.replicas) <= 1:
-            raise ContainerError(str(self.model_id), "cannot remove the last replica")
-        del self.replicas[self._index_of(replica)]
-
-    async def replace_replica(self, replica: Replica) -> Replica:
-        """Swap a (presumed sick) replica for a fresh one with the same id.
-
-        The old replica is stopped and a new one is built with the old one
-        as the ``avoid`` hint, so a placement that spans hosts migrates off
-        the sick replica's.  The replacement is returned unstarted so the
-        caller can start and health-check it before routing traffic to it.
-        Builder errors propagate: :class:`RpcError` is the retryable class
-        (e.g. no live worker), which health-driven recovery retries.
-        """
-        index = self._index_of(replica)
-        fresh = self._build_replica(replica.replica_id, (replica,))
-        await replica.stop()
-        self.replicas[index] = fresh
-        return fresh
-
-    async def start(self) -> None:
-        for replica in self.replicas:
-            await replica.start()
-
-    async def stop(self) -> None:
-        for replica in self.replicas:
-            await replica.stop()
-
-    def __len__(self) -> int:
-        return len(self.replicas)
-
-    def __iter__(self):
-        return iter(self.replicas)
-
-
-def place_locally(deployment, model_id: ModelId) -> ReplicaSet:
+def place_locally(deployment, model_id: ModelId) -> ReplicaBuilder:
     """The default placement: every replica's container is built in-process."""
 
     def build(replica_id: int, avoid: Sequence[Replica]) -> ContainerReplica:
@@ -305,4 +235,4 @@ def place_locally(deployment, model_id: ModelId) -> ReplicaSet:
             transport=deployment.transport,
         )
 
-    return ReplicaSet(model_id, build, deployment.num_replicas)
+    return build

@@ -21,8 +21,8 @@ and, only for what it missed, the awaited
 cache put).  A cached query is therefore one synchronous pass inside the
 coroutine its caller awaits.  Two seams keep that path ignorant of where and
 whether work runs: a **placement** callable given at construction decides
-where each deployment's :class:`~repro.containers.replica.ReplicaSet` lives
-(in this process by default, on worker daemons in the cluster), and one
+where each deployment's replicas are built (in this process by default, on
+worker daemons in the cluster), and one
 :class:`~repro.overload.OverloadControl` owns every admission, shed and
 circuit-breaker decision, handing each query that leaves the cache a ticket
 that ``evaluate`` settles on every exit path.
@@ -36,12 +36,9 @@ The public surface is intentionally small::
     await clipper.feedback(Feedback(app_name="demo", input=x, label=y))
     await clipper.stop()
 
-Synchronous convenience wrappers (``predict_sync`` etc.) run the coroutine
-on a private event loop for scripts and tests that are not async.
-
 Runtime mutability (the management plane's half of the paper's architecture)
 is layered on top without touching the hot path: every deployed *version* of
-a model keeps its own serving machinery (replica set, batching queue,
+a model keeps its own serving machinery (replicas, batching queue,
 dispatchers), while **which version serves each query** is owned entirely by
 the :class:`~repro.routing.table.RoutingTable` — an immutable, atomically
 swapped map from model name to a weighted
@@ -62,7 +59,7 @@ import asyncio
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.containers.replica import ReplicaSet, place_locally
+from repro.containers.replica import ReplicaBuilder, place_locally
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.deployed import DeployedModel, ModelLayer
 from repro.core.exceptions import (
@@ -89,7 +86,7 @@ class Clipper:
         self,
         config: Optional[ClipperConfig] = None,
         state_store: Optional[KeyValueStore] = None,
-        placement: Callable[[ModelDeployment, ModelId], ReplicaSet] = place_locally,
+        placement: Callable[[ModelDeployment, ModelId], ReplicaBuilder] = place_locally,
     ) -> None:
         self.config = config or ClipperConfig()
         self.metrics = MetricsRegistry()
@@ -100,8 +97,8 @@ class Clipper:
             self.config.tracing, metrics=self.metrics, component="engine"
         )
         self._trace_begin = self.tracer.begin
-        # The model abstraction layer.  ``placement`` builds the replica set
-        # of each deployment — where its replicas live; the cluster ingress
+        # The model abstraction layer.  ``placement`` returns the builder of
+        # each deployment's replicas — where they live; the cluster ingress
         # passes one that places on workers.
         self._layer = ModelLayer(self.config, self.metrics, self.tracer, placement)
         self.cache = self._layer.cache
@@ -122,7 +119,6 @@ class Clipper:
         # keyed by the routing plan's namespace and built lazily.
         self._selection_managers: Dict[str, SelectionStateManager] = {}
         self._started = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         # Metric handles are resolved once here instead of per call: registry
         # lookups take a lock and a dict probe, which is measurable on the
         # cache-hit path that does no other work.
@@ -170,25 +166,21 @@ class Clipper:
     ) -> ModelId:
         """Register a model version behind the model abstraction layer.
 
-        May be called before or after :meth:`start`; versions deployed after
-        start are brought up immediately.  The first version of a model name
+        May be called before or after :meth:`start`; a version deployed after
+        start (from code running on the serving loop) is brought up by a
+        background task, and queries routed to it before that finishes wait
+        in its batching queue.  The first version of a model name
         begins serving at once; a later version is *staged* (warm but not
         serving) until :meth:`rollout` or a canary routes traffic to it,
         unless ``activate=True`` forces an immediate switch.  Returns the
         assigned :class:`ModelId`.
         """
+        # A started instance lives on a running loop; asked for before
+        # anything is registered, so a call from outside it changes nothing.
+        loop = asyncio.get_running_loop() if self._started else None
         record, routing_before = self._register_model(deployment, activate)
-        if self._started:
-            bring_up = self._bring_up(record, routing_before)
-            try:
-                running_loop = asyncio.get_running_loop()
-            except RuntimeError:
-                self._run_coroutine_now(bring_up)
-            else:
-                # Deployment from async code while serving: bring the model up
-                # as a background task; queries queued before it finishes wait
-                # in the model's batching queue.
-                running_loop.create_task(bring_up)
+        if loop is not None:
+            loop.create_task(self._bring_up(record, routing_before))
         return record.model_id
 
     async def deploy_model_async(
@@ -265,7 +257,7 @@ class Clipper:
             return record.model_id
 
     async def set_num_replicas(self, model: str, num_replicas: int) -> int:
-        """Grow or shrink a model version's live replica set; returns the new size.
+        """Grow or shrink a model version's live replicas; returns the new count.
 
         See :meth:`DeployedModel.scale_to` for how replicas and their
         dispatchers join and leave a live queue.
@@ -686,33 +678,3 @@ class Clipper:
         )
         self._feedback_counter.increment()
         self._feedback_meter.mark()
-
-    # -- synchronous conveniences ----------------------------------------------
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None or self._loop.is_closed():
-            self._loop = asyncio.new_event_loop()
-        return self._loop
-
-    def _run_coroutine_now(self, coroutine) -> Any:
-        loop = self._ensure_loop()
-        return loop.run_until_complete(coroutine)
-
-    def start_sync(self) -> None:
-        """Blocking wrapper around :meth:`start` for non-async callers."""
-        self._run_coroutine_now(self.start())
-
-    def stop_sync(self) -> None:
-        """Blocking wrapper around :meth:`stop`."""
-        self._run_coroutine_now(self.stop())
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.close()
-            self._loop = None
-
-    def predict_sync(self, query: Query) -> Prediction:
-        """Blocking wrapper around :meth:`predict`."""
-        return self._run_coroutine_now(self.predict(query))
-
-    def feedback_sync(self, feedback: Feedback) -> None:
-        """Blocking wrapper around :meth:`feedback`."""
-        self._run_coroutine_now(self.feedback(feedback))

@@ -104,14 +104,6 @@ class BatchingConfig:
         With a bound, the overload layer's shed policy decides what happens
         when a query arrives at a full queue: reject with 429, degrade to the
         default output, or evict the entry closest to deadline expiry.
-    pipeline_window:
-        Upper bound on batches in flight per replica (default 2); the
-        dispatcher uses fewer when evaluation, not the RPC path, is the
-        bottleneck.  It measures both from every response and allows
-        ``min(pipeline_window, 1 + floor(overhead / eval))``, starting at 1,
-        so a slow model is served serially and only a model cheaper than its
-        RPC path overlaps one batch's drain and encoding with the previous
-        batch's round trip.  ``1`` forces the serial loop.
     """
 
     policy: str = "aimd"
@@ -122,7 +114,6 @@ class BatchingConfig:
     batch_wait_timeout_ms: float = 0.0
     quantile: float = 0.99
     max_queue_depth: int = 0
-    pipeline_window: int = 2
 
     def __post_init__(self) -> None:
         valid = {"aimd", "quantile", "fixed", "none"}
@@ -142,8 +133,6 @@ class BatchingConfig:
             raise ConfigurationError("quantile must be in (0, 1)")
         if self.max_queue_depth < 0:
             raise ConfigurationError("max_queue_depth must be non-negative")
-        if self.pipeline_window < 1:
-            raise ConfigurationError("pipeline_window must be >= 1")
 
 
 @dataclass
@@ -385,8 +374,6 @@ class ClipperConfig:
         ``"epsilon_greedy"`` or ``"ucb"``.
     cache_size:
         Maximum number of entries in the prediction cache (0 disables it).
-    cache_eviction:
-        ``"clock"`` (paper default) or ``"lru"``.
     straggler_mitigation:
         Whether to render predictions at the deadline with whatever subset of
         model predictions is available (§5.2.2).
@@ -408,9 +395,6 @@ class ClipperConfig:
     output_type:
         Declared output type (same vocabulary as ``input_type``), used to
         validate ``default_output`` and reported through the admin API.
-    slo_fraction_for_batching:
-        Fraction of the SLO budgeted to a single batch evaluation; the rest
-        covers queueing, RPC and combination overhead.
     routing_seed:
         Seed mixed into the routing layer's traffic-split assignment hash.
         Two instances with the same seed split the same key population
@@ -430,16 +414,13 @@ class ClipperConfig:
     latency_slo_ms: float = DEFAULT_SLO_MS
     selection_policy: str = "exp4"
     cache_size: int = 65536
-    cache_eviction: str = "clock"
     straggler_mitigation: bool = True
     default_output: Optional[object] = None
     input_type: Optional[str] = None
     input_shape: Optional[tuple] = None
     output_type: Optional[str] = None
     confidence_threshold: float = 0.0
-    slo_fraction_for_batching: float = 1.0
     routing_seed: int = 0
-    seed: Optional[int] = None
     tracing: TracingConfig = field(default_factory=TracingConfig)
     overload: Optional[OverloadConfig] = None
     breaker: Optional[CircuitBreakerConfig] = None
@@ -452,10 +433,6 @@ class ClipperConfig:
             raise ConfigurationError("latency_slo_ms must be positive")
         if self.cache_size < 0:
             raise ConfigurationError("cache_size must be non-negative")
-        if self.cache_eviction not in {"clock", "lru"}:
-            raise ConfigurationError("cache_eviction must be 'clock' or 'lru'")
-        if not 0.0 < self.slo_fraction_for_batching <= 1.0:
-            raise ConfigurationError("slo_fraction_for_batching must be in (0, 1]")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigurationError("confidence_threshold must be in [0, 1]")
         # The typed-schema vocabulary lives in the API layer; the import is
@@ -489,8 +466,3 @@ class ClipperConfig:
             check_output_value(
                 self.output_type, self.default_output, what="default_output"
             )
-
-    @property
-    def batch_latency_budget_ms(self) -> float:
-        """Portion of the SLO available for evaluating a single batch."""
-        return self.latency_slo_ms * self.slo_fraction_for_batching

@@ -26,9 +26,9 @@ from repro.batching.deadline import DEADLINE_MISS, DeadlineSweeper
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.cache.prediction_cache import PredictionCache
-from repro.containers.replica import Replica, ReplicaSet
+from repro.containers.replica import Replica, ReplicaBuilder
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import DeploymentError, OverloadError
+from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, Tracer
@@ -41,40 +41,61 @@ DRAIN_TIMEOUT_S = 10.0
 class DeployedModel:
     """One deployed model version: the record of everything keyed by it.
 
-    The replica set, the batching queue and one dispatcher per replica; and,
-    so that they leave with the version, its circuit breaker (built by
-    :meth:`OverloadControl.guard`), its canary-arm handles and, through
-    :attr:`metrics`, every metric name registered on its behalf.  Each
-    dispatcher carries its replica's health record and recovery task the
-    same way.  :meth:`ModelLayer.retire` is the only way a version leaves,
-    :meth:`_release_replica` the only way a replica does.
+    The batching queue and one dispatcher per replica — the dispatchers *are*
+    the membership: a replica belongs to the version exactly while a
+    dispatcher holds it.  And, so that they leave with the version, its
+    circuit breaker (built by :meth:`OverloadControl.guard`), its canary-arm
+    handles and, through :attr:`metrics`, every metric name registered on
+    its behalf.  Each dispatcher carries its replica's health record and
+    recovery task the same way.  :meth:`ModelLayer.retire` is the only way a
+    version leaves, :meth:`_release_replica` the only way a replica does.
     """
 
     def __init__(
         self,
         deployment: ModelDeployment,
-        replica_set: ReplicaSet,
+        model_id: ModelId,
+        build_replica: ReplicaBuilder,
         metrics: MetricsRegistry,
         make_dispatcher: Callable[["DeployedModel", Replica], ReplicaDispatcher],
     ) -> None:
         self.deployment = deployment
-        self.replica_set = replica_set
+        self.model_id = model_id
         #: Scope of the application's registry: what this version registered.
         self.metrics = MetricScope(metrics)
         #: The version's circuit breaker, when it (or the application) has one.
         self.breaker: Optional[CircuitBreaker] = None
         self.queue = BatchingQueue(
-            name=str(replica_set.model_id), maxsize=deployment.batching.max_queue_depth
+            name=str(model_id), maxsize=deployment.batching.max_queue_depth
         )
+        self._build_replica = build_replica
         self._make_dispatcher = make_dispatcher
-        #: One per member of ``replica_set``, in the same order.
-        self.dispatchers: List[ReplicaDispatcher] = [
-            make_dispatcher(self, replica) for replica in replica_set
-        ]
+        self._next_replica_id = 0
+        self.dispatchers: List[ReplicaDispatcher] = []
+        # Every replica is built before any dispatcher registers a metric: a
+        # builder error (no live worker) then leaves nothing behind.
+        for replica in [self._new_replica() for _ in range(deployment.num_replicas)]:
+            self._attach(replica)
 
     @property
-    def model_id(self) -> ModelId:
-        return self.replica_set.model_id
+    def replicas(self) -> List[Replica]:
+        return [dispatcher.replica for dispatcher in self.dispatchers]
+
+    def _new_replica(self) -> Replica:
+        """Build (not start) one more replica; it joins at :meth:`_attach`.
+
+        Replica ids increase monotonically across the version's lifetime so
+        a newly added replica is never confused with a removed one in
+        metrics or health records.
+        """
+        replica = self._build_replica(self._next_replica_id, ())
+        self._next_replica_id += 1
+        return replica
+
+    def _attach(self, replica: Replica) -> ReplicaDispatcher:
+        dispatcher = self._make_dispatcher(self, replica)
+        self.dispatchers.append(dispatcher)
+        return dispatcher
 
     @cached_property
     def arm(self) -> ArmMetrics:
@@ -84,13 +105,18 @@ class DeployedModel:
     async def start(self) -> None:
         """Start every replica, then every dispatcher."""
         try:
-            await self.replica_set.start()
+            for replica in self.replicas:
+                await replica.start()
         except BaseException:
             # Replicas that did start must not outlive the failed bring-up.
-            await self.replica_set.stop()
+            await self._stop_replicas()
             raise
         for dispatcher in self.dispatchers:
             dispatcher.start()
+
+    async def _stop_replicas(self) -> None:
+        for replica in self.replicas:
+            await replica.stop()
 
     async def stop(self, drain: bool = False) -> None:
         """Close the queue, stop the dispatchers, then the replicas.
@@ -106,7 +132,7 @@ class DeployedModel:
             await self.queue.wait_empty(timeout_s=DRAIN_TIMEOUT_S)
         for dispatcher in self.dispatchers:
             await dispatcher.stop()
-        await self.replica_set.stop()
+        await self._stop_replicas()
 
     def fail_queued(self, error: Exception) -> None:
         """Close the queue and fail everything still waiting in it."""
@@ -116,30 +142,25 @@ class DeployedModel:
                 item.future.set_exception(error)
 
     async def scale_to(self, num_replicas: int, running: bool) -> int:
-        """Grow or shrink the live replica set; returns the new size.
+        """Grow or shrink the live version; returns the new replica count.
 
-        Scaling up builds fresh replicas through the set's builder and
+        Scaling up builds fresh replicas through the placement's builder and
         attaches a new dispatcher per replica to the existing queue; a
-        replica that cannot start does not join the set.  Scaling down
-        detaches dispatchers one at a time — each finishes its in-flight
-        batch, and queries still waiting in the shared queue are picked up
-        by the surviving replicas — before the spare replicas are stopped.
+        replica that cannot start never joins.  Scaling down detaches
+        dispatchers one at a time — each finishes its in-flight batch, and
+        queries still waiting in the shared queue are picked up by the
+        surviving replicas — before the spare replicas are stopped.
         """
-        while len(self.replica_set) < num_replicas:
-            replica = self.replica_set.add_replica()
+        while len(self.dispatchers) < num_replicas:
+            replica = self._new_replica()
             if running:
-                try:
-                    await replica.start()
-                except BaseException:
-                    self.replica_set.remove_replica(replica)
-                    raise
-            dispatcher = self._make_dispatcher(self, replica)
-            self.dispatchers.append(dispatcher)
+                await replica.start()
+            dispatcher = self._attach(replica)
             if running:
                 dispatcher.start()
-        while len(self.replica_set) > num_replicas:
+        while len(self.dispatchers) > num_replicas:
             await self._release_replica(self.dispatchers[-1])
-        return len(self.replica_set)
+        return len(self.dispatchers)
 
     async def _release_replica(self, dispatcher: ReplicaDispatcher) -> None:
         """The only way a replica leaves for good.
@@ -147,19 +168,28 @@ class DeployedModel:
         Its recovery ends, its dispatcher finishes the in-flight batch and
         goes (the health record with it), and the replica stops.
         """
+        if len(self.dispatchers) <= 1:
+            raise ContainerError(str(self.model_id), "cannot remove the last replica")
         await end_recovery(dispatcher)
         await dispatcher.stop()
         self.dispatchers.remove(dispatcher)
-        self.replica_set.remove_replica(dispatcher.replica)
         await dispatcher.replica.stop()
 
     async def replace_replica(self, dispatcher: ReplicaDispatcher) -> Replica:
-        """Swap a sick replica for a fresh, unstarted one with the same id.
+        """Swap a (presumed sick) replica for a fresh, unstarted one with its id.
 
-        Only the replica leaves: its dispatcher, and so its health record and
-        ``restarts``/``quarantines`` history, now belong to the replacement.
+        The fresh replica is built with the old one as the ``avoid`` hint, so
+        a placement that spans hosts migrates off the sick replica's, and is
+        returned unstarted so the caller can start and health-check it before
+        its dispatcher runs again.  Only the replica leaves: its dispatcher,
+        and so its health record and ``restarts``/``quarantines`` history,
+        now belong to the replacement.  Builder errors propagate with the
+        old replica still in place: :class:`RpcError` is the retryable class
+        (e.g. no live worker), which health-driven recovery retries.
         """
-        fresh = await self.replica_set.replace_replica(dispatcher.replica)
+        sick = dispatcher.replica
+        fresh = self._build_replica(sick.replica_id, (sick,))
+        await sick.stop()
         dispatcher.replica = fresh
         return fresh
 
@@ -196,7 +226,7 @@ def _no_trace(start: float) -> None:
 class ModelLayer:
     """Every deployed version of one application, behind the prediction cache.
 
-    ``placement(deployment, model_id) -> ReplicaSet`` decides where each
+    ``placement(deployment, model_id) -> ReplicaBuilder`` decides where each
     deployment's replicas live.
     """
 
@@ -205,15 +235,13 @@ class ModelLayer:
         config: ClipperConfig,
         metrics: MetricsRegistry,
         tracer: Tracer,
-        placement: Callable[[ModelDeployment, ModelId], ReplicaSet],
+        placement: Callable[[ModelDeployment, ModelId], ReplicaBuilder],
     ) -> None:
         self._config = config
         self._metrics = metrics
         self._tracer = tracer
         self._placement = placement
-        self.cache = PredictionCache(
-            capacity=config.cache_size, eviction=config.cache_eviction
-        )
+        self.cache = PredictionCache(capacity=config.cache_size)
         #: Deployed versions by ``"name:version"`` key, serving and staged.
         self.versions: Dict[str, DeployedModel] = {}
         # Straggler deadlines wait in one FIFO behind one timer.
@@ -236,6 +264,7 @@ class ModelLayer:
             raise DeploymentError(f"model '{key}' is already deployed")
         record = self.versions[key] = DeployedModel(
             deployment,
+            model_id,
             self._placement(deployment, model_id),
             self._metrics,
             self._make_dispatcher,
@@ -261,7 +290,7 @@ class ModelLayer:
         self, record: DeployedModel, replica: Replica
     ) -> ReplicaDispatcher:
         controller = make_controller(
-            record.deployment.batching, slo_ms=self._config.batch_latency_budget_ms
+            record.deployment.batching, slo_ms=self._config.latency_slo_ms
         )
         model_key = str(record.model_id)
 
@@ -281,7 +310,6 @@ class ModelLayer:
             batch_wait_timeout_ms=record.deployment.batching.batch_wait_timeout_ms,
             metrics=record.metrics,
             max_retries=record.deployment.max_batch_retries,
-            pipeline_window=record.deployment.batching.pipeline_window,
             late_result_sink=late_result_sink,
             tracer=self._tracer,
         )

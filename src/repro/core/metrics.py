@@ -161,7 +161,10 @@ class Gauge:
         if self._fn is not None:
             try:
                 return float(self._fn())
-            except Exception:
+            except (ArithmeticError, LookupError, TypeError, ValueError):
+                # A ratio over something that emptied, a key that left, a
+                # reading that is no number: one bad gauge must not fail the
+                # scrape that reads all of them.
                 return float("nan")
         return self._value
 
@@ -266,8 +269,6 @@ class MetricFamily:
         self._children: Dict[str, object] = {}
         if kind == "counter":
             self._create = registry.counter
-        elif kind == "meter":
-            self._create = registry.meter
         elif kind == "histogram":
             window_size = kwargs.get("window_size", 16384)
             self._create = lambda n: registry.histogram(n, window_size)
@@ -373,10 +374,6 @@ class MetricsRegistry:
     def counter_family(self, name: str, label: str = "stage") -> MetricFamily:
         """A ``labels()``-addressed counter family under ``name``."""
         return self._family("counter", name, label)
-
-    def meter_family(self, name: str, label: str = "stage") -> MetricFamily:
-        """A ``labels()``-addressed meter family under ``name``."""
-        return self._family("meter", name, label)
 
     def histogram_family(
         self, name: str, label: str = "stage", window_size: int = 16384

@@ -181,11 +181,6 @@ class Prediction:
     metadata: Optional[Dict[str, Any]] = None
     trace_id: Optional[str] = None
 
-    @property
-    def is_confident(self) -> bool:
-        """Whether every contributing model agreed with the final output."""
-        return self.confidence >= 1.0 - 1e-12
-
 
 @dataclass
 class Feedback:

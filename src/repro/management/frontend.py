@@ -120,7 +120,7 @@ class ManagementFrontend(ApplicationHost):
                 record.model_id.name,
                 record.model_id.version,
                 spec=record.deployment.to_spec(),
-                num_replicas=len(record.replica_set),
+                num_replicas=len(record.dispatchers),
             )
         return app_name
 
@@ -412,7 +412,7 @@ class ManagementFrontend(ApplicationHost):
         )
 
     async def set_num_replicas(self, app_name: str, model: str, num_replicas: int) -> int:
-        """Scale one model version's live replica set; returns the new size."""
+        """Scale one model version's live replicas; returns the new count."""
         clipper = self._lookup(app_name)
         model_id = clipper.model_record(model).model_id
         return await self._apply(
@@ -541,7 +541,7 @@ class ManagementFrontend(ApplicationHost):
             "deployed": [str(m) for m in clipper.deployed_models()],
             "routing": clipper.routing.describe(),
             "replicas": {
-                str(record.model_id): len(record.replica_set)
+                str(record.model_id): len(record.dispatchers)
                 for record in clipper.model_records()
             },
             "health": {

@@ -40,6 +40,7 @@ from repro.batching.dispatcher import ReplicaDispatcher
 from repro.containers.replica import Replica
 from repro.core.clipper import Clipper
 from repro.core.deployed import DeployedModel, end_recovery
+from repro.core.exceptions import ClipperError
 from repro.core.types import (
     REPLICA_HEALTHY,
     REPLICA_QUARANTINED,
@@ -239,9 +240,16 @@ class HealthMonitor:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                # A transiently failing container factory must not kill
-                # the recovery task — that would abandon the replica in
+                # The builder runs the deployment's container factory, which
+                # is user code.  A transiently failing one must not kill the
+                # recovery task — that would abandon the replica in
                 # quarantine forever.  Treat it as a failed attempt.
+                logger.warning(
+                    "replica rebuild failed: %s",
+                    dispatcher.replica.name,
+                    exc_info=True,
+                    extra={"model": str(record.model_id), "restarts": status.restarts},
+                )
                 status.mark(REPLICA_QUARANTINED)
                 backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
                 continue
@@ -250,9 +258,9 @@ class HealthMonitor:
             try:
                 await fresh.start()
                 healthy = await fresh.check_health(timeout_s=self.probe_timeout_s)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
+            except (ClipperError, OSError, asyncio.TimeoutError):
+                # What bringing a lane up can meet: a refused or unanswered
+                # launch, a port or segment that is gone, a probe timing out.
                 healthy = False
             if healthy:
                 dispatcher.consecutive_failures = 0

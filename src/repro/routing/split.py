@@ -113,16 +113,6 @@ class TrafficSplit:
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when a single arm receives all traffic (no split in flight)."""
-        return len(self.arms) == 1 or any(w >= 1.0 for _, w in self.arms)
-
-    @property
-    def canary_weight(self) -> float:
-        """The fraction of traffic on the canary arm (0.0 without a canary)."""
-        return self.weight_of(self.canary) if self.canary is not None else 0.0
-
     def keys(self) -> Tuple[str, ...]:
         """Every arm's model key, stable arm first."""
         return tuple(key for key, _ in self.arms)

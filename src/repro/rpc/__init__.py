@@ -13,7 +13,7 @@ doorbell-signalled SPSC rings skip the kernel network stack entirely.
 from repro.rpc.serialization import deserialize, serialize, serialize_buffers
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
 from repro.rpc.transport import InProcessTransport, TcpTransport, Transport
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingPair, ShmRingTransport
+from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingTransport
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
 
@@ -28,7 +28,6 @@ __all__ = [
     "InProcessTransport",
     "TcpTransport",
     "HAS_SHARED_MEMORY",
-    "ShmRingPair",
     "ShmRingTransport",
     "RpcClient",
     "ContainerRpcServer",

@@ -3,12 +3,15 @@
 The fastest path between Clipper and a co-located container is the one that
 never crosses the kernel's network stack: a pair of single-producer /
 single-consumer byte rings living in one ``multiprocessing.shared_memory``
-block, with socketpair doorbells for wakeups.  :class:`ShmRingPair` builds
-two connected :class:`Transport` endpoints, drop-in behind the same seam as
+block, with socket doorbells for wakeups.  :class:`ShmHostEndpoint` and
+:func:`attach_shm_endpoint` build the two connected :class:`Transport`
+endpoints, drop-in behind the same seam as
 :class:`~repro.rpc.transport.InProcessTransport` and
 :class:`~repro.rpc.transport.TcpTransport`, so the pipelined
 :class:`~repro.rpc.client.RpcClient`, heartbeats and trace-id propagation
-all work unchanged.
+all work unchanged.  There is one way to build a pair, whether its two ends
+share a process (a local ``transport="shm"`` replica) or not (a worker
+daemon and its ingress).
 
 Design
 ------
@@ -26,29 +29,29 @@ Design
   so decoded zero-copy views must not alias it) and hands the copy to the
   zero-copy decoder.
 * **Doorbells, rung only on edges.**  Each ring gets one non-blocking
-  ``socket.socketpair``: the producer rings it after publishing into an
+  UNIX-domain connection: the producer rings it after publishing into an
   empty ring (a consumer might be parked) and the consumer rings it after
   draining a full ring (the producer might be parked).  "Empty" and "full"
   are judged from the peer's counter as read *after* the own counter was
   published, so a peer that parked in between is still woken.  In steady
   state — a pipelined dispatcher keeping the ring busy — neither side pays
   a doorbell syscall per frame.  ``os.eventfd`` would serve the same role
-  on Linux; socketpairs keep the lane portable.
+  on Linux; sockets keep the lane portable and deliver EOF when a peer dies.
 * **SPSC + same-memory-model assumption.**  One sender task and one
   receiver task per ring (exactly what ``RpcClient``'s send lock and
-  single receive pump guarantee).  Counters are plain 8-byte stores; the
-  in-process pair runs on one event loop (no parallelism), and the
-  cross-process story assumes a total-store-order host (x86) with
-  fork-inherited doorbell fds.
+  single receive pump guarantee).  Counters are plain 8-byte stores; a
+  pair inside one process runs on one event loop (no parallelism), and the
+  cross-process story assumes a total-store-order host (x86).
 
 Availability is platform-dependent: ``HAS_SHARED_MEMORY`` is False where
-``multiprocessing.shared_memory`` is unavailable, and constructing a pair
+``multiprocessing.shared_memory`` is unavailable, and building an endpoint
 there raises :class:`~repro.core.exceptions.RpcError`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
 from typing import Optional, Tuple
 
@@ -57,12 +60,29 @@ from repro.rpc.serialization import deserialize
 from repro.rpc.transport import Transport, frame_length, frame_message
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
+    from multiprocessing import resource_tracker as _resource_tracker
     from multiprocessing import shared_memory as _shared_memory
 
     HAS_SHARED_MEMORY = True
 except ImportError:  # pragma: no cover
-    _shared_memory = None
+    _resource_tracker = _shared_memory = None
     HAS_SHARED_MEMORY = False
+
+
+def start_resource_tracker() -> None:
+    """Boot ``multiprocessing``'s resource tracker now, not under a query.
+
+    The first ``SharedMemory`` a process creates *or attaches* spawns the
+    tracker: a fresh interpreter that takes ~60 ms to boot and, on a small
+    host, every other scheduler slice (4 ms) from the event loop that
+    spawned it while it does.  Left to the first launch, that lands on the
+    first queries of a cold worker and its ingress at once — 5–16 ms each
+    against a 20 ms SLO.  A process that will serve the shm lane calls this
+    as it starts, so the boot overlaps its own bring-up instead.
+    """
+    if HAS_SHARED_MEMORY:
+        _resource_tracker.ensure_running()
+
 
 #: Default per-direction ring capacity (bytes of frame data in flight).
 DEFAULT_RING_CAPACITY = 1 << 20
@@ -386,92 +406,17 @@ class ShmRingTransport(Transport):
             offset += take
 
 
-class ShmRingPair:
-    """A connected pair of shared-memory ring endpoints (client, server).
-
-    Mirrors :class:`~repro.rpc.transport.InProcessTransport`'s shape: build
-    one pair, hand ``client_side`` to the :class:`~repro.rpc.client.RpcClient`
-    and ``server_side`` to the container's RPC server.  The shared-memory
-    block is unlinked once both endpoints have closed.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if not HAS_SHARED_MEMORY:
-            raise RpcError(
-                "multiprocessing.shared_memory is unavailable on this platform"
-            )
-        if capacity < 64:
-            raise RpcError("ring capacity must be at least 64 bytes")
-        span = _CONTROL_BYTES + capacity
-        self._shm = _shared_memory.SharedMemory(create=True, size=2 * span)
-        self.name = self._shm.name
-        self._open_endpoints = 2
-        self._released = False
-        buf = self._shm.buf
-        rings = []
-        for index in range(2):
-            base = index * span
-            control = buf[base : base + _CONTROL_BYTES]
-            data = buf[base + _CONTROL_BYTES : base + span]
-            # Fresh SharedMemory blocks are zero-filled: head == tail == 0,
-            # closed == 0, so the ring is valid without explicit init.
-            rings.append((control, data))
-        ring_a_client = _Ring(*rings[0])
-        ring_b_client = _Ring(*rings[1])
-        # Independent views for the server endpoint so each side releases
-        # exactly its own memoryviews on close.
-        ring_a_server = _Ring(buf[0:_CONTROL_BYTES], buf[_CONTROL_BYTES:span])
-        ring_b_server = _Ring(
-            buf[span : span + _CONTROL_BYTES], buf[span + _CONTROL_BYTES : 2 * span]
-        )
-        bells_a = socket.socketpair()
-        bells_b = socket.socketpair()
-        for sock in (*bells_a, *bells_b):
-            sock.setblocking(False)
-        # Ring A carries client→server frames, ring B server→client.
-        self.client_side: Transport = ShmRingTransport(
-            out_ring=ring_a_client,
-            in_ring=ring_b_client,
-            bell_out=bells_a[0],
-            bell_in=bells_b[0],
-            release_cb=self._release,
-        )
-        self.server_side: Transport = ShmRingTransport(
-            out_ring=ring_b_server,
-            in_ring=ring_a_server,
-            bell_out=bells_b[1],
-            bell_in=bells_a[1],
-            release_cb=self._release,
-        )
-
-    def endpoints(self) -> Tuple[Transport, Transport]:
-        """Return the (client, server) endpoints."""
-        return self.client_side, self.server_side
-
-    def _release(self) -> None:
-        self._open_endpoints -= 1
-        if self._open_endpoints <= 0 and not self._released:
-            self._released = True
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-
-
-# -- cross-process endpoints ---------------------------------------------------
+# -- building a pair -----------------------------------------------------------
 #
-# ``ShmRingPair`` above connects two endpoints *in one process*: its doorbells
-# are a socketpair, whose fds cannot cross an exec boundary.  The cluster
-# plane needs the same rings between an ingress process and a worker daemon,
-# so the cross-process variant swaps the socketpairs for two UNIX-domain
-# connections (one per ring, playing exactly the socketpair's bidirectional
-# bell role) and attaches the shared-memory block by name:
+# The shared-memory block is attached by name and the doorbells are two
+# UNIX-domain connections (one per ring, each bidirectional: data bells one
+# way, space bells the other), so the two ends need not share a process:
 #
-# * the **host** (worker) side creates the block and listens on a throwaway
+# * the **host** (container) side creates the block and listens on a throwaway
 #   UNIX socket; its ``descriptor()`` (shm name, bell path, capacity) travels
-#   to the peer over the worker's control connection,
-# * the **attacher** (ingress) side maps ``SharedMemory(name=...)`` and opens
+#   to the peer — over the worker's control connection, or as a plain dict
+#   inside one process,
+# * the **attacher** (Clipper) side maps ``SharedMemory(name=...)`` and opens
 #   two bell connections, identifying each ring with a one-byte preamble.
 #
 # Both sides enable ``hangup_marks_closed``: a SIGKILLed peer never sets the
@@ -486,22 +431,24 @@ _RING_B_PREAMBLE = b"\x02"
 def _release_mapping(shm) -> None:
     """Close one side's mapping and best-effort unlink the block.
 
-    Both sides try to unlink: whichever closes last (or survives the peer's
-    SIGKILL) actually removes the segment, and the loser's FileNotFoundError
+    Both sides try to unlink: whichever closes first actually removes the
+    segment (a SIGKILLed peer never does), and the loser's FileNotFoundError
     is expected.  A failed unlink still unregisters from the resource
     tracker so interpreter exit does not warn about a segment the peer
-    already removed.
+    already removed.  The tracker holds one entry per name and process and
+    complains about an unregister it has no entry for, so when both ends
+    live in one process the entry the first unlink removed is put back
+    first (a no-op when the peer is another process).
     """
     shm.close()
     try:
         shm.unlink()
     except FileNotFoundError:
         try:  # pragma: no cover - depends on peer teardown order
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister("/" + shm.name, "shared_memory")
-        except Exception:
-            pass
+            _resource_tracker.register("/" + shm.name, "shared_memory")
+            _resource_tracker.unregister("/" + shm.name, "shared_memory")
+        except OSError:
+            pass  # the tracker's pipe is gone: nothing is left to warn
 
 
 def _rings_over(buf, capacity: int) -> Tuple[_Ring, _Ring]:
@@ -515,9 +462,9 @@ def _rings_over(buf, capacity: int) -> Tuple[_Ring, _Ring]:
 
 
 class ShmHostEndpoint:
-    """Creator (server) side of a cross-process shared-memory ring pair.
+    """Creator (server) side of a shared-memory ring pair.
 
-    Built by the worker daemon when a peer requests the shm lane: creates
+    Built where the container lives when the shm lane is asked for: creates
     the block and the bell listener up front so :meth:`descriptor` can
     travel in the launch reply, then :meth:`accept` waits for the peer's
     two bell connections and returns the server-side transport.
@@ -530,8 +477,6 @@ class ShmHostEndpoint:
             )
         if capacity < 64:
             raise RpcError("ring capacity must be at least 64 bytes")
-        import os
-
         self.capacity = capacity
         span = _CONTROL_BYTES + capacity
         self._shm = _shared_memory.SharedMemory(create=True, size=2 * span)
@@ -560,8 +505,6 @@ class ShmHostEndpoint:
         }
 
     def _cleanup_paths(self) -> None:
-        import os
-
         try:
             os.unlink(self.bell_path)
         except OSError:
@@ -649,7 +592,7 @@ __all__ = [
     "DEFAULT_RING_CAPACITY",
     "HAS_SHARED_MEMORY",
     "ShmHostEndpoint",
-    "ShmRingPair",
     "ShmRingTransport",
     "attach_shm_endpoint",
+    "start_resource_tracker",
 ]

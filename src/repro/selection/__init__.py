@@ -7,11 +7,7 @@ from repro.selection.epsilon_greedy import EpsilonGreedyPolicy
 from repro.selection.thompson import ThompsonSamplingPolicy
 from repro.selection.ucb import UCB1Policy
 from repro.selection.single import SingleModelPolicy
-from repro.selection.ensemble import (
-    agreement_confidence,
-    majority_vote,
-    weighted_vote,
-)
+from repro.selection.ensemble import majority_vote, weighted_vote
 from repro.selection.manager import SelectionStateManager
 
 __all__ = [
@@ -26,6 +22,5 @@ __all__ = [
     "SingleModelPolicy",
     "majority_vote",
     "weighted_vote",
-    "agreement_confidence",
     "SelectionStateManager",
 ]

@@ -77,26 +77,6 @@ def weighted_vote(
     return winner, counts[winner] / (ensemble_size or len(predictions))
 
 
-def agreement_confidence(
-    predictions: Dict[str, Any],
-    final_label: Any,
-    ensemble_size: Optional[int] = None,
-) -> float:
-    """Fraction of the ensemble agreeing with ``final_label``.
-
-    When ``ensemble_size`` is given (the number of models that *should* have
-    answered), missing predictions count as disagreement — this is how
-    straggler mitigation "communicates the potential loss in accuracy in its
-    confidence score".
-    """
-    if ensemble_size is None:
-        ensemble_size = len(predictions)
-    if ensemble_size <= 0:
-        return 0.0
-    agreeing = sum(1 for label in predictions.values() if label == final_label)
-    return agreeing / ensemble_size
-
-
 def normalize_weights(weights: Dict[str, float]) -> Dict[str, float]:
     """Scale weights to sum to one (uniform if all weights are non-positive)."""
     if not weights:

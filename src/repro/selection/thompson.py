@@ -93,12 +93,3 @@ class ThompsonSamplingPolicy(SelectionPolicy):
         }
         misses = {key: 1.0 - hit for key, hit in hits.items()}
         return tallied(state, {"successes": hits, "failures": misses}, self.discount)
-
-    def posterior_means(self, state: SelectionState) -> Dict[str, float]:
-        """Posterior mean success probability per model (for reporting)."""
-        means = {}
-        for key in state["successes"]:
-            alpha = self.prior_successes + state["successes"][key]
-            beta = self.prior_failures + state["failures"][key]
-            means[key] = alpha / (alpha + beta)
-        return means

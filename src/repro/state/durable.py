@@ -3,7 +3,7 @@
 :class:`DurableKeyValueStore` is a drop-in :class:`KeyValueStore` whose
 every mutation is journaled to an append-only, CRC-framed WAL
 (:mod:`repro.state.wal`) before the call returns, and which rebuilds its
-full state — entries, versions, remaining TTLs, the CAS sequence — from
+full state — entries, versions, the CAS sequence — from
 disk on construction.  The in-memory store stays the default everywhere;
 this tier exists for state that must survive a crash: the management
 plane's registry of applications, model versions, replica counts, traffic
@@ -18,11 +18,9 @@ Layout (one directory per store)::
 
 Records carry the store-wide mutation sequence number, so replay after an
 interrupted compaction is idempotent: records at or below the snapshot's
-sequence are skipped.  TTLs are journaled as *remaining seconds plus a
-wall-clock stamp* — the in-memory store measures expiry on a monotonic
-clock that does not survive the process, so recovery re-derives the
-remaining lifetime from wall-clock downtime and drops entries that expired
-while the process was dead.
+sequence are skipped.  A snapshot row is ``[namespace, key, value,
+version]``; rows written before TTLs were removed carry a fifth slot that
+was always null, and load the same.
 
 Values must be JSON-serializable (numpy scalars are unwrapped); a put of
 an unserializable value raises :class:`StateStoreError` *before* touching
@@ -34,9 +32,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.exceptions import StateStoreError
 from repro.state.kvstore import KeyValueStore, _Entry
@@ -76,7 +73,6 @@ class StoreRecovery:
     wal_records: int = 0
     replayed: int = 0
     skipped: int = 0
-    expired_dropped: int = 0
     wal: WalRecovery = field(default_factory=WalRecovery)
 
     @property
@@ -91,7 +87,6 @@ class StoreRecovery:
             "wal_records": self.wal_records,
             "replayed": self.replayed,
             "skipped": self.skipped,
-            "expired_dropped": self.expired_dropped,
             "clean": self.clean,
             "wal": self.wal.to_dict(),
         }
@@ -110,9 +105,6 @@ class DurableKeyValueStore(KeyValueStore):
     auto_compact_records:
         When set, a snapshot is taken (and the WAL truncated) automatically
         once this many records accumulate since the last compaction.
-    wall_clock:
-        Wall-clock source used to age TTLs across restarts (tests inject a
-        fake; production leaves the default).
     """
 
     def __init__(
@@ -120,15 +112,12 @@ class DurableKeyValueStore(KeyValueStore):
         directory: str,
         fsync: str = "always",
         auto_compact_records: Optional[int] = None,
-        clock=time.monotonic,
-        wall_clock: Callable[[], float] = time.time,
     ) -> None:
-        super().__init__(clock=clock)
+        super().__init__()
         # Compaction can be triggered from inside the commit hook (which
         # runs under the store lock), so the lock must be reentrant.
         self._lock = threading.RLock()
         self.directory = directory
-        self._wall = wall_clock
         self._auto_compact = auto_compact_records
         self._records_since_compact = 0
         os.makedirs(directory, exist_ok=True)
@@ -142,8 +131,6 @@ class DurableKeyValueStore(KeyValueStore):
 
     def _load(self) -> StoreRecovery:
         recovery = StoreRecovery()
-        now_wall = self._wall()
-        now_mono = self._clock()
         max_seq = 0
 
         if os.path.exists(self._snapshot_path):
@@ -158,17 +145,10 @@ class DurableKeyValueStore(KeyValueStore):
                 ) from None
             recovery.snapshot_seq = int(snapshot.get("seq", 0))
             max_seq = recovery.snapshot_seq
-            snap_wall = float(snapshot.get("wall", now_wall))
-            for ns, key, value, version, ttl_remaining in snapshot.get("entries", []):
+            for ns, key, value, version, *_ in snapshot.get("entries", []):
                 recovery.snapshot_entries += 1
                 max_seq = max(max_seq, int(version))
-                expires_at = self._aged_deadline(
-                    ttl_remaining, snap_wall, now_wall, now_mono
-                )
-                if ttl_remaining is not None and expires_at is None:
-                    recovery.expired_dropped += 1
-                    continue
-                self._data[(ns, key)] = _Entry(value, int(version), expires_at)
+                self._data[(ns, key)] = _Entry(value, int(version))
 
         records, recovery.wal = read_records(self._wal_path)
         recovery.wal_records = len(records)
@@ -192,16 +172,7 @@ class DurableKeyValueStore(KeyValueStore):
             recovery.replayed += 1
             op = record["op"]
             if op == "put":
-                expires_at = self._aged_deadline(
-                    record.get("ttl"), record.get("wall", now_wall), now_wall, now_mono
-                )
-                if record.get("ttl") is not None and expires_at is None:
-                    self._data.pop((record["ns"], record["key"]), None)
-                    recovery.expired_dropped += 1
-                    continue
-                self._data[(record["ns"], record["key"])] = _Entry(
-                    record["value"], seq, expires_at
-                )
+                self._data[(record["ns"], record["key"])] = _Entry(record["value"], seq)
             elif op == "del":
                 self._data.pop((record["ns"], record["key"]), None)
             elif op == "clear":
@@ -214,40 +185,22 @@ class DurableKeyValueStore(KeyValueStore):
         self._seq = max_seq
         return recovery
 
-    def _aged_deadline(
-        self,
-        ttl_remaining: Optional[float],
-        written_wall: float,
-        now_wall: float,
-        now_mono: float,
-    ) -> Optional[float]:
-        """Monotonic expiry deadline for a journaled TTL, or None if dead."""
-        if ttl_remaining is None:
-            return None
-        remaining = float(ttl_remaining) - (now_wall - float(written_wall))
-        if remaining <= 0:
-            return None
-        return now_mono + remaining
-
     # -- journaling ------------------------------------------------------------
 
-    def put(self, namespace, key, value, ttl_s=None):
+    def put(self, namespace, key, value):
         _encode(value)  # refuse unserializable values before mutating
-        return super().put(namespace, key, value, ttl_s)
+        return super().put(namespace, key, value)
 
     def put_if_version(self, namespace, key, value, expected_version):
         _encode(value)
         return super().put_if_version(namespace, key, value, expected_version)
 
-    def _on_commit(self, op, seq, namespace, key, value, ttl_remaining_s):
+    def _on_commit(self, op, seq, namespace, key, value):
         record = {"op": op, "seq": seq, "ns": namespace}
         if op != "clear":
             record["key"] = key
         if op == "put":
             record["value"] = value
-            if ttl_remaining_s is not None:
-                record["ttl"] = ttl_remaining_s
-                record["wall"] = self._wall()
         self.wal.append(_encode(record))
         self._records_since_compact += 1
         if (
@@ -267,18 +220,11 @@ class DurableKeyValueStore(KeyValueStore):
         and are skipped on the next load.
         """
         with self._lock:
-            now_mono = self._clock()
-            entries: List[list] = []
-            for (ns, key), entry in self._data.items():
-                if entry.expired(now_mono):
-                    continue
-                ttl_remaining = (
-                    None
-                    if entry.expires_at is None
-                    else max(entry.expires_at - now_mono, 0.0)
-                )
-                entries.append([ns, key, entry.value, entry.version, ttl_remaining])
-            snapshot = {"seq": self._seq, "wall": self._wall(), "entries": entries}
+            entries: List[list] = [
+                [ns, key, entry.value, entry.version]
+                for (ns, key), entry in self._data.items()
+            ]
+            snapshot = {"seq": self._seq, "entries": entries}
             tmp_path = self._snapshot_path + ".tmp"
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 json.dump(snapshot, handle, separators=(",", ":"), default=_json_default)

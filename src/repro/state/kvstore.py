@@ -1,21 +1,20 @@
-"""In-memory key-value store with namespaces, TTLs and versioning.
+"""In-memory key-value store with namespaces and versioning.
 
 The paper stores per-user / per-session selection-policy state in Redis
 (§5.3).  This module provides the same role for the reproduction: a
 thread-safe in-memory store with
 
 * namespaced keys (``namespace, key`` pairs, like Redis key prefixes),
-* optional per-entry time-to-live,
 * a monotonically increasing version per entry enabling optimistic
   concurrency (``put_if_version``), and
 * simple scan/keys operations for diagnostics.
 
 Versions are drawn from one store-wide monotonic sequence, so a version
-number is never reissued — not after a ``delete``, and not after a TTL
-expiry.  That makes the compare-and-swap ABA-safe: a writer holding a
-version observed before an entry expired (or was deleted) and re-created
-can never win ``put_if_version`` against the re-created entry, because the
-new entry necessarily carries a strictly larger version.
+number is never reissued, not even after a ``delete``.  That makes the
+compare-and-swap ABA-safe: a writer holding a version observed before an
+entry was deleted and re-created can never win ``put_if_version`` against
+the re-created entry, because the new entry necessarily carries a strictly
+larger version.
 
 Values are stored by reference; callers that need isolation should store
 copies (the selection-state manager stores small plain dicts).
@@ -29,7 +28,6 @@ store itself — see :class:`repro.state.durable.DurableKeyValueStore`.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,19 +38,14 @@ from repro.core.exceptions import StateStoreError
 class _Entry:
     value: Any
     version: int
-    expires_at: Optional[float]
-
-    def expired(self, now: float) -> bool:
-        return self.expires_at is not None and now >= self.expires_at
 
 
 class KeyValueStore:
     """Thread-safe namespaced in-memory key-value store."""
 
-    def __init__(self, clock=time.monotonic) -> None:
+    def __init__(self) -> None:
         self._data: Dict[Tuple[str, str], _Entry] = {}
         self._lock = threading.Lock()
-        self._clock = clock
         # Store-wide monotonic sequence: every mutation consumes one number,
         # and entry versions are the sequence value of their last write.
         self._seq = 0
@@ -66,7 +59,6 @@ class KeyValueStore:
         namespace: Optional[str],
         key: Optional[str],
         value: Any,
-        ttl_remaining_s: Optional[float],
     ) -> None:
         """Called under the store lock after each applied mutation.
 
@@ -78,56 +70,40 @@ class KeyValueStore:
 
     # -- basic operations ----------------------------------------------------
 
-    def put(
-        self, namespace: str, key: str, value: Any, ttl_s: Optional[float] = None
-    ) -> int:
+    def put(self, namespace: str, key: str, value: Any) -> int:
         """Store ``value``; returns the entry's new version number.
 
         Versions come from the store-wide monotonic sequence: they strictly
         increase per key but are not required to be contiguous.
         """
         self._validate(namespace, key)
-        if ttl_s is not None and ttl_s <= 0:
-            raise StateStoreError("ttl_s must be positive when provided")
-        expires_at = None if ttl_s is None else self._clock() + ttl_s
         with self._lock:
             self._seq += 1
             version = self._seq
-            self._data[(namespace, key)] = _Entry(value, version, expires_at)
-            self._on_commit("put", version, namespace, key, value, ttl_s)
+            self._data[(namespace, key)] = _Entry(value, version)
+            self._on_commit("put", version, namespace, key, value)
             return version
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Return the stored value, or ``default`` if absent or expired.
+        """Return the stored value, or ``default`` if absent.
 
-        An entry without a TTL is returned from one ``dict.get``, atomic under
-        the GIL: entries are replaced, never mutated, so a reader sees the
-        value before or after a concurrent write, never a mix.  Only a stored
-        key can be found, so the arguments need no validation there.  An
-        absent key or a TTL entry (which may have to be removed) takes the
-        validated, locked path.
+        One ``dict.get``, atomic under the GIL and taken without the lock:
+        entries are replaced, never mutated, so a reader sees the value
+        before or after a concurrent write, never a mix.  Only a stored key
+        can be found, so the arguments are validated on a miss alone.
         """
         entry = self._data.get((namespace, key))
-        if entry is not None and entry.expires_at is None:
+        if entry is not None:
             return entry.value
         self._validate(namespace, key)
-        with self._lock:
-            entry = self._data.get((namespace, key))
-            if entry is None:
-                return default
-            if entry.expired(self._clock()):
-                del self._data[(namespace, key)]
-                return default
-            return entry.value
+        return default
 
     def get_with_version(self, namespace: str, key: str) -> Tuple[Any, Optional[int]]:
         """Return ``(value, version)``; version is ``None`` when absent."""
         self._validate(namespace, key)
         with self._lock:
             entry = self._data.get((namespace, key))
-            if entry is None or entry.expired(self._clock()):
-                if entry is not None:
-                    del self._data[(namespace, key)]
+            if entry is None:
                 return None, None
             return entry.value, entry.version
 
@@ -137,31 +113,20 @@ class KeyValueStore:
         """Optimistic update: store only if the current version matches.
 
         ``expected_version=None`` means "only insert if the key is absent".
-        Returns True on success.  An entry that expired between the caller's
-        :meth:`get_with_version` and this call counts as absent: a CAS
-        against its stale version fails, and an insert (``None``) succeeds
-        with a version strictly greater than any the key ever carried — the
-        expiry can never be mistaken for "nothing changed".
+        Returns True on success.  An insert after a delete succeeds with a
+        version strictly greater than any the key ever carried, so a CAS
+        against the deleted entry's version can never win.
         """
         self._validate(namespace, key)
         with self._lock:
             entry = self._data.get((namespace, key))
-            if entry is not None and entry.expired(self._clock()):
-                del self._data[(namespace, key)]
-                entry = None
             current_version = None if entry is None else entry.version
             if current_version != expected_version:
                 return False
-            # A CAS update preserves the entry's remaining TTL; an insert
-            # starts without one.
-            expires_at = None if entry is None else entry.expires_at
             self._seq += 1
             version = self._seq
-            self._data[(namespace, key)] = _Entry(value, version, expires_at)
-            ttl_remaining = (
-                None if expires_at is None else max(expires_at - self._clock(), 0.0)
-            )
-            self._on_commit("put", version, namespace, key, value, ttl_remaining)
+            self._data[(namespace, key)] = _Entry(value, version)
+            self._on_commit("put", version, namespace, key, value)
             return True
 
     def delete(self, namespace: str, key: str) -> bool:
@@ -171,7 +136,7 @@ class KeyValueStore:
             removed = self._data.pop((namespace, key), None) is not None
             if removed:
                 self._seq += 1
-                self._on_commit("del", self._seq, namespace, key, None, None)
+                self._on_commit("del", self._seq, namespace, key, None)
             return removed
 
     def contains(self, namespace: str, key: str) -> bool:
@@ -181,12 +146,8 @@ class KeyValueStore:
     # -- scanning --------------------------------------------------------------
 
     def keys(self, namespace: str) -> List[str]:
-        """All live keys in one namespace."""
-        now = self._clock()
+        """All keys in one namespace."""
         with self._lock:
-            expired = [k for k, e in self._data.items() if e.expired(now)]
-            for k in expired:
-                del self._data[k]
             return sorted(key for (ns, key) in self._data if ns == namespace)
 
     def namespaces(self) -> List[str]:
@@ -210,7 +171,7 @@ class KeyValueStore:
                     del self._data[key]
             if changed:
                 self._seq += 1
-                self._on_commit("clear", self._seq, namespace, None, None, None)
+                self._on_commit("clear", self._seq, namespace, None, None)
 
     @staticmethod
     def _validate(namespace: str, key: str) -> None:

@@ -72,7 +72,7 @@ class TestWorkerKillNine:
                         latency_slo_ms=1000.0,
                         selection_policy="single",
                     ),
-                    placement=placer.replica_set,
+                    placement=placer.replica_builder,
                 )
                 clipper.deploy_model(
                     ModelDeployment(
@@ -141,7 +141,7 @@ class TestWorkerKillNine:
             # ... and recovery migrated it onto the surviving worker: every
             # replica of the model now lives on worker-0.
             record = clipper.model_records()[0]
-            homes = {replica.worker.worker_id for replica in record.replica_set}
+            homes = {replica.worker.worker_id for replica in record.replicas}
             assert homes == {"worker-0"}
             # The killed worker ages out of the registry (no heartbeat).
             deadline = time.monotonic() + 10.0

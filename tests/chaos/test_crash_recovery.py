@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.containers.chaos import FlakyContainer
+from helpers import FlakyContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment

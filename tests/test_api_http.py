@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import run_async
+from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import HttpApiServer, create_server
 from repro.api.routes import RouteTable
 from repro.client import (
@@ -27,7 +27,6 @@ from repro.client import (
     UnknownApplication,
 )
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import SimulatedLatencyContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ClipperError, DuplicateApplicationError

@@ -6,10 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import run_async
+from helpers import SimulatedLatencyContainer, run_async, wait_until
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import SimulatedLatencyContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ClipperError, DeploymentError, PredictionTimeoutError
@@ -53,6 +52,24 @@ class TestDeployment:
                 await clipper.start()
 
         run_async(scenario())
+
+    def test_deploy_on_a_started_instance_is_brought_up_on_the_serving_loop(self):
+        async def scenario():
+            clipper = build_clipper({"a": lambda: NoOpContainer(output=1)}, policy="single")
+            await clipper.start()
+            clipper.deploy_model(
+                ModelDeployment(name="b", container_factory=lambda: NoOpContainer(output=2)),
+            )
+            record = clipper.model_record("b")
+            assert await wait_until(lambda: all(r.started for r in record.replicas))
+            return clipper
+
+        clipper = run_async(scenario())
+        # The serving loop is gone; the instance still reads as started.  A
+        # deploy from outside any loop is refused before it registers anything.
+        with pytest.raises(RuntimeError):
+            clipper.deploy_model(ModelDeployment(name="c", container_factory=NoOpContainer))
+        assert [str(m) for m in clipper.deployed_models()] == ["a:1", "b:1"]
 
     def test_predict_before_start_rejected(self):
         async def scenario():
@@ -343,16 +360,3 @@ class TestReplication:
             assert all(p.output == 1 for p in predictions)
 
         run_async(scenario())
-
-
-class TestSyncWrappers:
-    def test_sync_lifecycle_and_prediction(self, trained_svm, mnist_like_small):
-        ds = mnist_like_small
-        clipper = build_clipper({"svm": lambda: ClassifierContainer(trained_svm)}, policy="single")
-        clipper.start_sync()
-        prediction = clipper.predict_sync(Query(app_name="test-app", input=ds.X_test[0]))
-        clipper.feedback_sync(
-            Feedback(app_name="test-app", input=ds.X_test[0], label=int(ds.y_test[0]))
-        )
-        clipper.stop_sync()
-        assert prediction.output in set(np.unique(ds.y_train))

@@ -3,10 +3,10 @@
 These spin a :class:`~repro.cluster.worker.WorkerDaemon` inside the test's
 own event loop (real loopback sockets, no child processes) and drive it
 through :class:`~repro.cluster.remote.RemoteReplica`,
-:meth:`~repro.cluster.remote.WorkerPlacer.replica_set` and the Clipper
+:meth:`~repro.cluster.remote.WorkerPlacer.replica_builder` and the Clipper
 placement seam — the cluster data path minus process isolation, which the
 opt-in ``--cluster`` tier covers.  What a remote replica shares with every
-other implementation (the ``Replica`` / ``ReplicaSet`` contract, including
+other implementation (the ``Replica`` / membership contract, including
 re-placement off a sick worker) is in ``test_replica_contract.py``.
 """
 
@@ -167,17 +167,14 @@ class TestWorkerPlacement:
             d1 = await start_daemon(tmp_path, "w1")
             try:
                 placer = WorkerPlacer(d0.registry)
-                replica_set = placer.replica_set(
-                    remote_deployment(num_replicas=2), ModelId("m")
-                )
-                assert len(replica_set) == 2
-                assert [r.replica_id for r in replica_set] == [0, 1]
-                assert {r.worker.worker_id for r in replica_set} == {"w0", "w1"}
-                await replica_set.start()
-                for replica in replica_set:
+                build = placer.replica_builder(remote_deployment(), ModelId("m"))
+                replicas = [build(0, ()), build(1, ())]
+                assert {r.worker.worker_id for r in replicas} == {"w0", "w1"}
+                for replica in replicas:
+                    await replica.start()
                     response = await replica.predict_batch([np.zeros(1)])
                     assert response.outputs == [1]
-                await replica_set.stop()
+                    await replica.stop()
             finally:
                 await d0.stop()
                 await d1.stop()
@@ -198,7 +195,7 @@ class TestClipperPlacementSeam:
             ClipperConfig(
                 app_name="app", latency_slo_ms=250.0, selection_policy="single"
             ),
-            placement=placer.replica_set,
+            placement=placer.replica_builder,
         )
 
     def test_named_factory_places_remotely(self, tmp_path):
@@ -285,8 +282,8 @@ class TestClipperPlacementSeam:
                     await clipper.deploy_model_async(remote("echo"))
                     assert str(clipper.active_version("m")) == "m:1"
                     record = clipper.model_record("m:1")
-                    assert all(replica.started for replica in record.replica_set)
-                    response = await record.replica_set.replicas[0].predict_batch(
+                    assert all(replica.started for replica in record.replicas)
+                    response = await record.replicas[0].predict_batch(
                         [np.zeros(1)]
                     )
                     assert response.outputs == [1]
@@ -316,7 +313,7 @@ class TestClipperPlacementSeam:
                     with pytest.raises(RpcError):
                         await clipper.set_num_replicas("m", 3)
                     record = clipper.model_record("m:1")
-                    assert len(record.replica_set) == 1
+                    assert len(record.replicas) == 1
                     assert len(record.dispatchers) == 1
                     prediction = await clipper.predict(
                         Query(app_name="app", input=np.zeros(4), user_id="u")

@@ -1,19 +1,120 @@
-"""Tests for configuration validation."""
+"""Tests for configuration validation, and the pinned set of options."""
 
+import argparse
 import dataclasses
+import importlib.util
 import json
+import pathlib
 from typing import get_args, get_type_hints
 
 import pytest
 
+import repro.cluster.ingress
+import repro.cluster.worker
 from repro.containers.noop import NoOpContainer
 from repro.core.config import (
     BatchingConfig,
     CircuitBreakerConfig,
     ClipperConfig,
     ModelDeployment,
+    OverloadConfig,
+    TracingConfig,
 )
 from repro.core.exceptions import ConfigurationError, ManagementError
+
+#: Every option of the serving system, by name.  A change here is a change to
+#: what tests and benchmarks have to cover: add a field only when two callers
+#: outside ``tests/`` and ``examples/`` need different values, and lower the
+#: "config fields only go down" bound in CI when one leaves.
+CONFIG_FIELDS = {
+    BatchingConfig: {
+        "policy", "initial_batch_size", "additive_increase", "backoff_fraction",
+        "max_batch_size", "batch_wait_timeout_ms", "quantile", "max_queue_depth",
+    },
+    OverloadConfig: {
+        "rate_limit_qps", "burst", "max_concurrency", "shed_policy", "retry_after_s",
+    },
+    CircuitBreakerConfig: {
+        "error_rate_threshold", "window", "min_samples", "consecutive_timeouts",
+        "open_duration_s", "half_open_probes",
+    },
+    ModelDeployment: {
+        "name", "container_factory", "num_replicas", "batching", "version",
+        "serialize_rpc", "max_batch_retries", "factory_name", "transport",
+        "circuit_breaker",
+    },
+    TracingConfig: {"enabled", "sample_every", "tail_capture", "ring_capacity"},
+    ClipperConfig: {
+        "app_name", "latency_slo_ms", "selection_policy", "cache_size",
+        "straggler_mitigation", "default_output", "input_type", "input_shape",
+        "output_type", "confidence_threshold", "routing_seed", "tracing",
+        "overload", "breaker", "allow_empty_start",
+    },
+}
+
+CLUSTER_UP = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "cluster_up.py"
+
+
+def _cluster_up_main():
+    spec = importlib.util.spec_from_file_location("cluster_up", CLUSTER_UP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+#: The flags of each process entry point (``--help`` aside).
+PARSER_FLAGS = {
+    "worker": (
+        lambda: repro.cluster.worker.main([]),
+        {
+            "--cluster-dir", "--worker-id", "--host", "--port", "--ttl",
+            "--factories", "--no-shm", "--drain-timeout",
+        },
+    ),
+    "ingress": (
+        lambda: repro.cluster.ingress.main([]),
+        {
+            "--cluster-dir", "--app", "--host", "--port", "--ttl", "--factories",
+            "--drain-timeout",
+        },
+    ),
+    "cluster_up": (
+        lambda: _cluster_up_main()(),
+        {"--workers", "--cluster-dir", "--app", "--factories", "--no-shm"},
+    ),
+}
+
+
+class TestPinnedOptions:
+    @pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda cls: cls.__name__)
+    def test_config_dataclass_fields(self, cls):
+        assert {f.name for f in dataclasses.fields(cls)} == CONFIG_FIELDS[cls]
+
+    def test_field_total_matches_the_ci_bound(self):
+        assert sum(len(names) for names in CONFIG_FIELDS.values()) == 48
+
+    @pytest.mark.parametrize("entry", list(PARSER_FLAGS))
+    def test_process_entry_point_flags(self, entry, monkeypatch):
+        run_main, expected = PARSER_FLAGS[entry]
+
+        class Parsed(Exception):
+            pass
+
+        def capture(parser, *args, **kwargs):
+            raise Parsed(parser)
+
+        # Each ``main`` builds its parser and parses at once; stop it there.
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(Parsed) as caught:
+            run_main()
+        (parser,) = caught.value.args
+        flags = {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert flags == expected
 
 
 class TestBatchingConfig:
@@ -197,7 +298,6 @@ class TestClipperConfig:
     def test_defaults_are_valid(self):
         config = ClipperConfig()
         assert config.latency_slo_ms == 20.0
-        assert config.cache_eviction == "clock"
 
     def test_rejects_nonpositive_slo(self):
         with pytest.raises(ConfigurationError):
@@ -207,18 +307,6 @@ class TestClipperConfig:
         with pytest.raises(ConfigurationError):
             ClipperConfig(cache_size=-1)
 
-    def test_rejects_unknown_eviction(self):
-        with pytest.raises(ConfigurationError):
-            ClipperConfig(cache_eviction="fifo")
-
     def test_rejects_bad_confidence_threshold(self):
         with pytest.raises(ConfigurationError):
             ClipperConfig(confidence_threshold=1.5)
-
-    def test_rejects_bad_slo_fraction(self):
-        with pytest.raises(ConfigurationError):
-            ClipperConfig(slo_fraction_for_batching=0.0)
-
-    def test_batch_latency_budget_scales_with_fraction(self):
-        config = ClipperConfig(latency_slo_ms=40.0, slo_fraction_for_batching=0.5)
-        assert config.batch_latency_budget_ms == pytest.approx(20.0)

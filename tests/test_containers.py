@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import SimulatedLatencyContainer
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import LanguageOverheadContainer, SimulatedLatencyContainer
+from repro.containers.overhead import LanguageOverheadContainer
 
 
 class TestFunctionContainer:

@@ -14,7 +14,7 @@ from helpers import run_async
 from repro.containers.base import ModelContainer
 from repro.containers.replica import ContainerReplica
 from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
+from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc import server as rpc_server
@@ -252,11 +252,7 @@ class TestReplicaSkipsExpiredEntries:
 
 
 class TestDeadlinesEndToEnd:
-    @pytest.mark.parametrize(
-        "batching", [BatchingConfig(pipeline_window=1), BatchingConfig()],
-        ids=["window1", "default"],
-    )
-    def test_expired_queries_never_reach_the_container(self, batching):
+    def test_expired_queries_never_reach_the_container(self):
         """Queries whose SLO lapses while queued are answered with the
         default and dropped before dispatch — the container only ever sees
         the one query that was actually in flight."""
@@ -277,10 +273,8 @@ class TestDeadlinesEndToEnd:
                     name="gated",
                     container_factory=lambda: container,
                     # The later queries wait in the queue (and expire there)
-                    # while the first batch blocks: under the default config
-                    # too, because the dispatcher forms no batch before the
-                    # replica can take it.
-                    batching=batching,
+                    # while the first batch blocks, because the dispatcher
+                    # forms no batch before the replica can take it.
                 )
             )
             await clipper.start()

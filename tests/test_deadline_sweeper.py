@@ -3,7 +3,7 @@
 Retention (what it references is the futures in flight, not the futures
 answered within the last SLO), timers (one at most), punctuality (a
 straggler resolves at its deadline, a shorter per-query SLO included) and
-event loops (a sweeper whose loop closed; ``predict_sync``'s private loop).
+event loops (a sweeper whose loop closed).
 Run in CI under ``-X dev -W error::ResourceWarning`` as well.
 """
 
@@ -181,25 +181,3 @@ class TestAcrossEventLoops:
 
         run_async(abandoned())
         assert 0.0 <= run_async(straggler()) < LATE_S
-
-    def test_predict_sync_renders_a_straggler_at_its_deadline(self):
-        clipper = Clipper(
-            ClipperConfig(
-                app_name="loops", latency_slo_ms=20.0, selection_policy="single",
-                default_output=-1,
-            )
-        )
-        clipper.deploy_model(
-            ModelDeployment(
-                name="stuck", container_factory=StuckContainer, serialize_rpc=False
-            )
-        )
-        clipper.start_sync()  # a private loop, made by the first sync call
-        try:
-            prediction = clipper.predict_sync(
-                Query(app_name="loops", input=np.array([1.0]))
-            )
-            assert prediction.default_used and prediction.output == -1
-            assert 20.0 <= prediction.latency_ms < 20.0 + LATE_S * 1000.0
-        finally:
-            clipper.stop_sync()

@@ -359,7 +359,7 @@ class TestControllerSignal:
     @staticmethod
     async def converged_size(monkeypatch, policy, window):
         controller = make_controller(
-            BatchingConfig(policy=policy, initial_batch_size=1, pipeline_window=window),
+            BatchingConfig(policy=policy, initial_batch_size=1),
             slo_ms=16.0,
         )
         # A slow RPC path in front of a model costing 0.5 ms per query: under

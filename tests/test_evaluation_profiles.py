@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import SimulatedLatencyContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import SimulatedLatencyContainer
 from repro.evaluation.profiles import (
     LatencyProfile,
     max_batch_under_slo,

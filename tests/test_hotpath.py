@@ -720,32 +720,16 @@ class TestAroundTheCachedPass:
 
 
 class TestStoreReadPath:
-    """``KeyValueStore.get``: lock-free for plain entries only."""
+    """``KeyValueStore.get`` is one dict read: it never takes the lock."""
 
-    def make_store(self):
-        now = [100.0]
-        store = KeyValueStore(clock=lambda: now[0])
+    def test_present_and_absent_keys_are_read_without_the_lock(self):
+        store = KeyValueStore()
         store._lock = CountingLock(store._lock)
-        return store, now
-
-    def test_plain_entry_is_read_without_the_lock(self):
-        store, _ = self.make_store()
         store.put("ns", "k", {"v": 1})
         store._lock.acquired = 0
         assert store.get("ns", "k") == {"v": 1}
-        assert store._lock.acquired == 0
-
-    def test_ttl_entry_and_absent_key_take_the_locked_path_and_expire(self):
-        store, now = self.make_store()
-        store.put("ns", "ttl", "soon gone", ttl_s=5.0)
-        store._lock.acquired = 0
-        assert store.get("ns", "ttl") == "soon gone"
         assert store.get("ns", "absent", "fallback") == "fallback"
-        assert store._lock.acquired == 2
-        now[0] += 5.0
-        assert store.get("ns", "ttl", "expired") == "expired"
-        assert store._lock.acquired == 3
-        assert store.size() == 0  # the expired entry was removed, under the lock
+        assert store._lock.acquired == 0
 
 
 class TestSharedStateUnderThreads:

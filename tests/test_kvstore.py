@@ -83,90 +83,29 @@ class TestVersioning:
         assert store.put_if_version("ns", "new", 2, expected_version=None) is False
 
 
-class TestTTL:
-    def test_entry_expires_after_ttl(self):
-        clock = {"now": 0.0}
-        store = KeyValueStore(clock=lambda: clock["now"])
-        store.put("ns", "k", 1, ttl_s=10.0)
-        assert store.get("ns", "k") == 1
-        clock["now"] = 11.0
-        assert store.get("ns", "k") is None
-        assert store.keys("ns") == []
+class TestVersionsAcrossDelete:
+    """Versions are drawn from one store-wide monotonic sequence, so a stale
+    version can never match again after the entry was deleted and the key
+    re-created — the ABA hazard of per-key counters that restart at 1."""
 
-    def test_ttl_must_be_positive(self):
+    def test_insert_after_delete_succeeds_with_larger_version(self):
         store = KeyValueStore()
-        with pytest.raises(StateStoreError):
-            store.put("ns", "k", 1, ttl_s=0.0)
-
-    def test_unexpired_entry_survives(self):
-        clock = {"now": 0.0}
-        store = KeyValueStore(clock=lambda: clock["now"])
-        store.put("ns", "k", 1, ttl_s=10.0)
-        clock["now"] = 5.0
-        assert store.get("ns", "k") == 1
-
-
-class TestTTLVersionInteraction:
-    """An entry expiring between get_with_version and put_if_version.
-
-    Versions are drawn from one store-wide monotonic sequence, so a stale
-    version can never match again after the entry expired (or was deleted)
-    and the key was re-created — the ABA hazard of per-key counters that
-    restart at 1.
-    """
-
-    def make(self):
-        clock = {"now": 0.0}
-        return clock, KeyValueStore(clock=lambda: clock["now"])
-
-    def test_cas_against_expired_entry_fails(self):
-        clock, store = self.make()
-        store.put("ns", "k", "old", ttl_s=10.0)
-        _, version = store.get_with_version("ns", "k")
-        clock["now"] = 11.0  # expires mid-read-modify-write
-        assert store.put_if_version("ns", "k", "new", version) is False
-        assert store.get("ns", "k") is None
-
-    def test_insert_after_expiry_succeeds_with_larger_version(self):
-        clock, store = self.make()
-        store.put("ns", "k", "old", ttl_s=10.0)
+        store.put("ns", "k", "old")
         _, old_version = store.get_with_version("ns", "k")
-        clock["now"] = 11.0
-        # The key counts as absent now: an expected_version=None insert wins.
+        store.delete("ns", "k")
+        assert store.put_if_version("ns", "k", "new", old_version) is False
         assert store.put_if_version("ns", "k", "new", None) is True
         _, new_version = store.get_with_version("ns", "k")
         assert new_version > old_version
 
-    def test_stale_version_never_matches_recreated_entry(self):
-        clock, store = self.make()
-        store.put("ns", "k", "v1", ttl_s=10.0)
-        _, stale = store.get_with_version("ns", "k")
-        clock["now"] = 11.0
-        store.put("ns", "k", "v2", ttl_s=10.0)  # re-created after expiry
-        # The ABA case: with per-key versions restarting at 1 this stale CAS
-        # would wrongly succeed against the unrelated re-created entry.
-        assert store.put_if_version("ns", "k", "v3", stale) is False
-        assert store.get("ns", "k") == "v2"
-
     def test_stale_version_never_matches_after_delete_and_reinsert(self):
-        _, store = self.make()
+        store = KeyValueStore()
         store.put("ns", "k", "v1")
         _, stale = store.get_with_version("ns", "k")
         store.delete("ns", "k")
         store.put("ns", "k", "v2")
         assert store.put_if_version("ns", "k", "v3", stale) is False
         assert store.get("ns", "k") == "v2"
-
-    def test_cas_update_preserves_remaining_ttl(self):
-        clock, store = self.make()
-        store.put("ns", "k", "old", ttl_s=10.0)
-        clock["now"] = 5.0
-        _, version = store.get_with_version("ns", "k")
-        assert store.put_if_version("ns", "k", "new", version) is True
-        clock["now"] = 9.0
-        assert store.get("ns", "k") == "new"  # original deadline still holds
-        clock["now"] = 11.0
-        assert store.get("ns", "k") is None
 
 
 class TestConcurrentOptimisticWriters:

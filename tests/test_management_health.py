@@ -79,7 +79,7 @@ class TestProbing:
             clipper = build_clipper(factory, num_replicas=1)
             await clipper.start()
             record = clipper.model_record("m")
-            replica = record.replica_set.replicas[0]
+            replica = record.replicas[0]
 
             async def slow_check(timeout_s=None):
                 await asyncio.sleep(0.02)
@@ -222,6 +222,45 @@ class TestRecovery:
                 Query(app_name="health-app", input=np.zeros(2))
             )
             assert prediction.output == 1
+            await monitor.stop()
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_raising_factory_is_logged_by_replica_name_and_retried(
+        self, caplog, monkeypatch
+    ):
+        # See TestLoopSurvivesAndReports: "repro" may have stopped propagating.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+        async def scenario():
+            state = {"raises": False}
+
+            def make_container():
+                if state["raises"]:
+                    raise RuntimeError("no GPU left")  # user code: any error
+                return KillableContainer(output=1)
+
+            factory = TrackingFactory(make_container)
+            clipper = build_clipper(factory, num_replicas=1)
+            await clipper.start()
+            monitor = fast_monitor(clipper, max_backoff_s=0.05)
+            await monitor.start()
+            state["raises"] = True
+            factory.instances[0].kill()
+            with caplog.at_level(logging.WARNING, logger="repro.management.health"):
+                assert await wait_until(
+                    lambda: any("rebuild failed" in r.getMessage() for r in caplog.records)
+                )
+            failed = [r for r in caplog.records if "rebuild failed" in r.getMessage()]
+            assert "m:1[0]" in failed[0].getMessage()
+            assert failed[0].exc_info[0] is RuntimeError
+            assert clipper.metrics.counter("health.restarts").value == 0
+            # The recovery task outlived the error: a healed factory recovers.
+            state["raises"] = False
+            assert await wait_until(
+                lambda: clipper.metrics.counter("health.recoveries").value >= 1
+            )
             await monitor.stop()
             await clipper.stop()
 

@@ -156,12 +156,12 @@ class TestLiveScaling:
 
             assert await clipper.set_num_replicas("m", 3) == 3
             record = clipper.model_record("m")
-            assert len(record.replica_set) == 3
+            assert len(record.replicas) == 3
             assert len(record.dispatchers) == 3
             await asyncio.sleep(0.05)
 
             assert await clipper.set_num_replicas("m", 1) == 1
-            assert len(record.replica_set) == 1
+            assert len(record.replicas) == 1
             assert len(record.dispatchers) == 1
             await asyncio.sleep(0.05)
             await driver.stop()
@@ -199,7 +199,7 @@ class TestLiveScaling:
             await clipper.set_num_replicas("m", 1)
             await clipper.set_num_replicas("m", 2)
             record = clipper.model_record("m")
-            ids = [replica.replica_id for replica in record.replica_set]
+            ids = [replica.replica_id for replica in record.replicas]
             assert ids == sorted(ids)
             assert len(set(ids)) == len(ids)
             await clipper.stop()
@@ -329,7 +329,7 @@ class TestAcceptanceScenario:
 
             # Kill one serving replica; health-driven recovery restarts it.
             record = clipper.model_record("m:2")
-            record.replica_set.replicas[0].container.kill()
+            record.replicas[0].container.kill()
             deadline = asyncio.get_running_loop().time() + 5.0
             while asyncio.get_running_loop().time() < deadline:
                 if clipper.metrics.counter("health.recoveries").value >= 1:

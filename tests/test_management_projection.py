@@ -66,7 +66,7 @@ def deployment(rng, name, version):
 
 
 def replica_counts(clipper):
-    return {str(r.model_id): len(r.replica_set) for r in clipper.model_records()}
+    return {str(r.model_id): len(r.replicas) for r in clipper.model_records()}
 
 
 def live_state(clipper):

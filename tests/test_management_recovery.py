@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import run_async
+from helpers import CorruptingContainer, FlakyContainer, run_async
 from repro.api.handlers import build_route_table
-from repro.containers.chaos import CorruptingContainer, FlakyContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import (
@@ -105,7 +104,7 @@ class TestRestoreApplication:
         assert dict((k, w) for k, w in routing["arms"])["m:2"] == 0.25
         # Replica counts and deploy spec round-tripped.
         records = {str(r.model_id): r for r in clipper.model_records()}
-        assert len(records["m:2"].replica_set) == 2
+        assert len(records["m:2"].replicas) == 2
         assert records["m:2"].deployment.batching.policy == "fixed"
         assert records["m:2"].deployment.max_batch_retries == 5
         assert prediction.output == 1
@@ -246,7 +245,7 @@ class TestRestoreApplication:
         records = {str(r.model_id): r for r in clipper.model_records()}
         assert set(records) == {"noop:1", "noop:2"}
         assert records["noop:2"].deployment.factory_name == "noop"
-        assert len(records["noop:2"].replica_set) == 2
+        assert len(records["noop:2"].replicas) == 2
 
     def test_restored_version_keeps_queue_bound_and_breaker(self, tmp_path):
         """Every deployment field survives a cold start, not a hand-kept list."""

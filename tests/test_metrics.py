@@ -120,6 +120,25 @@ class TestRegistry:
         assert registry.counter("queries").value == 0
 
 
+class TestCallbackGauge:
+    def test_reads_its_callback_at_snapshot_time(self):
+        registry = MetricsRegistry()
+        depth = [3]
+        registry.gauge("queue.depth", fn=lambda: depth[0])
+        depth[0] = 7
+        assert registry.snapshot().gauges["queue.depth"] == 7.0
+
+    @pytest.mark.parametrize(
+        "reading", [lambda: 1 / 0, lambda: {}["gone"], lambda: None, lambda: "n/a"]
+    )
+    def test_a_reading_that_fails_is_nan_and_the_snapshot_survives(self, reading):
+        registry = MetricsRegistry()
+        registry.gauge("bad", fn=reading)
+        registry.gauge("good", fn=lambda: 1)
+        gauges = registry.snapshot().gauges
+        assert math.isnan(gauges["bad"]) and gauges["good"] == 1.0
+
+
 class TestMetricFamily:
     def test_labels_memoises_children(self):
         registry = MetricsRegistry()
@@ -148,7 +167,7 @@ class TestMetricFamily:
         assert registry.histogram_family("f", label="stage") is registry.histogram_family(
             "f", label="stage"
         )
-        assert registry.meter_family("f2").labels("a") is registry.meter_family(
+        assert registry.counter_family("f2").labels("a") is registry.counter_family(
             "f2"
         ).labels("a")
 

@@ -18,10 +18,9 @@ import time
 
 import pytest
 
-from helpers import run_async
+from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import create_server
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import SimulatedLatencyContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment, TracingConfig
 from repro.core.frontend import QueryFrontend

@@ -613,11 +613,7 @@ class TestShedPolicies:
 
         run_async(scenario())
 
-    @pytest.mark.parametrize(
-        "batching", [BatchingConfig(pipeline_window=1), BatchingConfig()],
-        ids=["window1", "default"],
-    )
-    def test_drop_oldest_evicts_queued_query_for_the_new_one(self, batching):
+    def test_drop_oldest_evicts_queued_query_for_the_new_one(self):
         async def scenario():
             gate = threading.Event()
             container = GateContainer(gate)
@@ -637,10 +633,9 @@ class TestShedPolicies:
                     name="gated",
                     container_factory=lambda: container,
                     # While q1's batch blocks in the container, q2 stays
-                    # *in the queue* where drop-oldest can find it: under
-                    # the default config too, because the dispatcher forms
-                    # no batch before the replica can take it.
-                    batching=batching,
+                    # *in the queue* where drop-oldest can find it, because
+                    # the dispatcher forms no batch before the replica can
+                    # take it.
                 )
             )
             await clipper.start()
@@ -813,11 +808,12 @@ class TestBreakerProbeSettlement:
             ModelDeployment(
                 name="b",
                 container_factory=lambda: GateContainer(gate),
-                # Serial dispatch: one batch blocks in the container, one
-                # more entry fills the queue.
-                batching=BatchingConfig(max_queue_depth=1, pipeline_window=1),
+                batching=BatchingConfig(max_queue_depth=1),
             )
         )
+        # Serial dispatch, whatever depth ``b`` has measured by then: one
+        # batch blocks in the container, one more entry fills the queue.
+        clipper.model_record("b").dispatchers[0].pipeline_window = 1
         return clipper
 
     async def trip(self, clipper, flaky):

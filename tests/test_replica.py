@@ -1,7 +1,7 @@
 """Tests specific to in-process container replicas.
 
 What every replica implementation must do — start/stop, ``predict_batch``,
-``check_health``, naming, and all of ``ReplicaSet``'s membership rules — is
+``check_health``, naming, and a version's membership rules — is
 in ``test_replica_contract.py``, parametrised over every implementation;
 this file keeps what only a replica that owns its container can show.
 """
@@ -16,10 +16,8 @@ from repro.core.exceptions import ContainerError
 from repro.core.types import ModelId
 
 
-def local_set(container_factory, num_replicas=1):
-    deployment = ModelDeployment(
-        name="m", container_factory=container_factory, num_replicas=num_replicas
-    )
+def local_builder(container_factory):
+    deployment = ModelDeployment(name="m", container_factory=container_factory)
     return place_locally(deployment, ModelId("m"))
 
 
@@ -29,13 +27,12 @@ class TestLocalPlacement:
         assert replica.name == "svm:2[3]"
 
     def test_each_replica_gets_its_own_container(self):
-        replica_set = local_set(NoOpContainer, num_replicas=2)
-        containers = [replica.container for replica in replica_set]
-        assert containers[0] is not containers[1]
+        build = local_builder(NoOpContainer)
+        assert build(0, ()).container is not build(1, ()).container
 
     def test_rejects_factory_returning_non_container(self):
         with pytest.raises(ContainerError):
-            local_set(lambda: object())
+            local_builder(lambda: object())(0, ())
 
 
 class TestHealthProbe:

@@ -149,7 +149,7 @@ class TestClipperCanaryVerbs:
             await clipper.deploy_model_async(deployment(version=2))
             clipper.start_canary("m", 2, weight=0.1)
             split = clipper.adjust_canary("m", weight=0.5)
-            assert split.canary_weight == 0.5
+            assert split.weight_of("m:2") == 0.5
             promoted = clipper.promote("m")
             assert str(promoted) == "m:2"
             assert str(clipper.active_version("m")) == "m:2"
@@ -491,7 +491,7 @@ class TestCanaryIntegration:
 
             await mgmt.deploy_model(APP, deployment(version=2))
             split = await mgmt.start_canary(APP, "m", 2, weight=0.1)
-            assert split.canary_weight == 0.1
+            assert split.weight_of("m:2") == 0.1
             record = mgmt.traffic_split(APP, "m")
             assert record is not None and record["canary"] == "m:2"
             assert mgmt.model_info(APP, "m")["versions"]["2"]["state"] == "canary"

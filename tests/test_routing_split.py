@@ -35,7 +35,7 @@ class TestAssignmentFraction:
 class TestTrafficSplit:
     def test_single_split_routes_everything_to_one_arm(self):
         split = TrafficSplit.single("m:1")
-        assert split.is_degenerate
+        assert split.keys() == ("m:1",)
         assert split.canary is None
         assert all(split.arm_for(f"k{i}") == "m:1" for i in range(50))
 
@@ -126,7 +126,7 @@ class TestRoutingTableLifecycle:
         assert split.canary == "m:2"
         assert table.canaries() == {"m": split}
         adjusted = table.adjust_canary("m", weight=0.6)
-        assert adjusted.canary_weight == 0.6
+        assert adjusted.weight_of("m:2") == 0.6
         assert table.promote("m") == "m:2"
         assert table.active_key("m") == "m:2"
         assert table.previous_key("m") == "m:1"

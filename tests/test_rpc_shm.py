@@ -2,8 +2,11 @@
 
 Most tests run both ring endpoints on one event loop and still exercise the
 full wire discipline: framed byte streams through a real
-``multiprocessing.shared_memory`` block, doorbell wakeups over socketpairs,
-and frames larger than the ring streaming through in chunks.  What one loop
+``multiprocessing.shared_memory`` block attached by name, doorbell wakeups
+over UNIX-domain connections, and frames larger than the ring streaming
+through in chunks.  Every pair is built the one way there is —
+:class:`ShmHostEndpoint` plus :func:`attach_shm_endpoint`, as a worker daemon
+and its ingress do across processes.  What one loop
 cannot show — a peer running *at the same time* — is covered by putting the
 peer on a second thread (forced interleavings) and in a second process (a
 time-bounded echo stress over the lane the cluster uses).  The module is
@@ -16,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -32,7 +36,12 @@ from repro.core.exceptions import ConfigurationError, ContainerError, RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingPair, attach_shm_endpoint
+from repro.rpc.shm import (
+    DEFAULT_RING_CAPACITY,
+    HAS_SHARED_MEMORY,
+    ShmHostEndpoint,
+    attach_shm_endpoint,
+)
 
 pytestmark = [
     pytest.mark.shm,
@@ -43,11 +52,29 @@ pytestmark = [
 ]
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def run_python(script, *interpreter_flags):
+    """Run ``script`` in a fresh interpreter that can import ``repro``."""
+    return subprocess.run(
+        [sys.executable, *interpreter_flags, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+async def shm_pair(capacity=DEFAULT_RING_CAPACITY):
+    """Connected (client, server) endpoints: host end, then attach by name."""
+    host = ShmHostEndpoint(tempfile.gettempdir(), capacity)
+    client = await attach_shm_endpoint(host.descriptor())
+    return client, await host.accept()
+
+
 class TestRingTransport:
     def test_round_trip_dict_with_ndarrays(self):
         async def scenario():
-            pair = ShmRingPair()
-            client, server = pair.endpoints()
+            client, server = await shm_pair()
             payload = {
                 "request_id": 1,
                 "inputs": [np.arange(6, dtype=np.float32)],
@@ -69,8 +96,7 @@ class TestRingTransport:
         async def scenario():
             # A deliberately tiny ring so frames wrap the circular buffer at
             # awkward offsets many times over.
-            pair = ShmRingPair(capacity=256)
-            client, server = pair.endpoints()
+            client, server = await shm_pair(capacity=256)
 
             async def produce():
                 for i in range(50):
@@ -90,8 +116,7 @@ class TestRingTransport:
 
     def test_frame_larger_than_ring_streams_through(self):
         async def scenario():
-            pair = ShmRingPair(capacity=1024)
-            client, server = pair.endpoints()
+            client, server = await shm_pair(capacity=1024)
             big = np.arange(8192, dtype=np.float64)  # 64 KiB >> 1 KiB ring
 
             async def produce():
@@ -109,8 +134,7 @@ class TestRingTransport:
 
     def test_recv_after_peer_close_raises(self):
         async def scenario():
-            pair = ShmRingPair()
-            client, server = pair.endpoints()
+            client, server = await shm_pair()
             await client.close()
             with pytest.raises(RpcError):
                 await server.recv()
@@ -120,8 +144,7 @@ class TestRingTransport:
 
     def test_pending_recv_wakes_on_close(self):
         async def scenario():
-            pair = ShmRingPair()
-            client, server = pair.endpoints()
+            client, server = await shm_pair()
             recv_task = asyncio.ensure_future(server.recv())
             await asyncio.sleep(0.01)  # let the recv park on the doorbell
             await client.close()
@@ -133,8 +156,7 @@ class TestRingTransport:
 
     def test_send_on_closed_transport_raises(self):
         async def scenario():
-            pair = ShmRingPair()
-            client, server = pair.endpoints()
+            client, server = await shm_pair()
             await client.close()
             with pytest.raises(RpcError):
                 await client.send({"x": 1})
@@ -142,9 +164,9 @@ class TestRingTransport:
 
         run_async(scenario())
 
-    def test_tiny_capacity_rejected(self):
+    def test_tiny_capacity_rejected(self, tmp_path):
         with pytest.raises(RpcError):
-            ShmRingPair(capacity=8)
+            ShmHostEndpoint(str(tmp_path), capacity=8)
 
 
 class _StaleOnce:
@@ -190,8 +212,7 @@ class TestBellsAcrossAConcurrentPeer:
         return threading.Thread(target=target, daemon=True)
 
     def test_consumer_parking_before_the_publish_gets_the_data_bell(self):
-        pair = ShmRingPair(capacity=4096)
-        consumer, producer = pair.endpoints()
+        consumer, producer = run_async(shm_pair(capacity=4096))
         frames, outcome = [], []
 
         async def consume():
@@ -216,8 +237,7 @@ class TestBellsAcrossAConcurrentPeer:
         assert outcome == [None] and frames == [{"n": 1}, {"n": 2}]
 
     def test_producer_parking_before_the_publish_gets_the_space_bell(self):
-        pair = ShmRingPair(capacity=256)
-        producer, consumer = pair.endpoints()
+        producer, consumer = run_async(shm_pair(capacity=256))
         big = "x" * 1000  # fills the ring and parks the sender on space
         outcome = []
 
@@ -272,12 +292,11 @@ class TestCrossProcessLane:
         process: every frame comes back, intact and in order, and no side
         is left parked on a bell that was never rung."""
         frames, window = 10_000, 2
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         host = subprocess.Popen(
             [sys.executable, "-c", _ECHO_HOST, str(tmp_path)],
             stdout=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
         )
 
         async def scenario():
@@ -309,16 +328,32 @@ class TestCrossProcessLane:
             host.stdout.close()
 
 
+class TestResourceTrackerBoot:
+    def test_the_tracker_is_running_before_any_segment_exists(self):
+        """Its ~60 ms boot takes every other time slice from the loop that
+        spawned it: a serving process starts it at its own start, not under
+        the first query of its first shm lane."""
+        script = (
+            "from multiprocessing import resource_tracker as rt\n"
+            "from repro.rpc.shm import start_resource_tracker\n"
+            "assert rt._resource_tracker._fd is None\n"
+            "start_resource_tracker()\n"
+            "assert rt._resource_tracker._fd is not None\n"
+        )
+        done = run_python(script)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestRpcOverSharedMemory:
-    def make_pair(self, container, **kwargs):
-        ring = ShmRingPair()
-        server = ContainerRpcServer(container, ring.server_side)
-        client = RpcClient(ring.client_side, **kwargs)
+    async def make_pair(self, container, **kwargs):
+        client_side, server_side = await shm_pair()
+        server = ContainerRpcServer(container, server_side)
+        client = RpcClient(client_side, **kwargs)
         return client, server
 
     def test_predict_batches(self):
         async def scenario():
-            client, server = self.make_pair(NoOpContainer(output=4))
+            client, server = await self.make_pair(NoOpContainer(output=4))
             server.start()
             response = await client.predict("noop:1", [np.zeros(3)] * 5)
             assert response.ok
@@ -330,7 +365,7 @@ class TestRpcOverSharedMemory:
 
     def test_pipelined_concurrent_batches(self):
         async def scenario():
-            client, server = self.make_pair(NoOpContainer(output=1))
+            client, server = await self.make_pair(NoOpContainer(output=1))
             server.start()
             responses = await asyncio.gather(
                 *(
@@ -347,7 +382,7 @@ class TestRpcOverSharedMemory:
 
     def test_heartbeat_and_trace_propagation(self):
         async def scenario():
-            client, server = self.make_pair(NoOpContainer())
+            client, server = await self.make_pair(NoOpContainer())
             server.start()
             assert await client.heartbeat(timeout_s=2.0)
             response = await client.predict(
@@ -382,22 +417,49 @@ class TestReplicaTransportLanes:
                 ModelId("noop"), 0, NoOpContainer(), transport="carrier-pigeon"
             )
 
-    def test_replica_set_propagates_transport(self):
+    def test_local_placement_propagates_transport(self):
         async def scenario():
             deployment = ModelDeployment(
-                name="noop",
-                container_factory=NoOpContainer,
-                num_replicas=2,
-                transport="shm",
+                name="noop", container_factory=NoOpContainer, transport="shm"
             )
-            replica_set = place_locally(deployment, ModelId("noop"))
-            await replica_set.start()
-            for replica in replica_set:
+            build = place_locally(deployment, ModelId("noop"))
+            for replica in (build(0, ()), build(1, ())):
+                await replica.start()
+                assert type(replica.client._transport).__name__ == "ShmRingTransport"
                 response = await replica.predict_batch([np.zeros(1)])
                 assert response.ok
-            await replica_set.stop()
+                await replica.stop()
 
         run_async(scenario())
+
+    def test_stopped_shm_replica_leaves_nothing_behind(self):
+        """No ``/dev/shm`` segment, no bell socket file, and nothing on
+        stderr: both ends of the pair live in this process, and the resource
+        tracker must hear about the segment exactly once from each."""
+        script = """
+import asyncio, glob, os, tempfile
+import numpy as np
+from repro.containers.noop import NoOpContainer
+from repro.containers.replica import ContainerReplica
+from repro.core.types import ModelId
+
+def leftovers():
+    bells = glob.glob(os.path.join(tempfile.gettempdir(), "psm_*.sock"))
+    return sorted(glob.glob("/dev/shm/psm_*") + bells)
+
+async def main():
+    before = leftovers()
+    replica = ContainerReplica(ModelId("noop"), 0, NoOpContainer(), transport="shm")
+    await replica.start()
+    assert len(leftovers()) == len(before) + 1, "the lane maps one segment"
+    assert (await replica.predict_batch([np.zeros(2)])).ok
+    await replica.stop()
+    assert leftovers() == before, leftovers()
+
+asyncio.run(main())
+"""
+        done = run_python(script, "-X", "dev", "-W", "error::ResourceWarning")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
     def test_deployment_transport_validated(self):
         with pytest.raises(ConfigurationError):

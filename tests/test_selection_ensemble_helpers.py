@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.selection.ensemble import (
-    agreement_confidence,
     majority_vote,
     normalize_weights,
     weighted_vote,
@@ -56,21 +55,6 @@ class TestWeightedVote:
     def test_uniform_weights_match_majority(self):
         predictions = {"a": 2, "b": 2, "c": 3}
         assert weighted_vote(predictions, None) == majority_vote(predictions)
-
-
-class TestAgreementConfidence:
-    def test_full_agreement(self):
-        assert agreement_confidence({"a": 1, "b": 1}, 1) == 1.0
-
-    def test_partial_agreement(self):
-        assert agreement_confidence({"a": 1, "b": 0}, 1) == pytest.approx(0.5)
-
-    def test_missing_models_reduce_confidence(self):
-        predictions = {"a": 1, "b": 1}
-        assert agreement_confidence(predictions, 1, ensemble_size=4) == pytest.approx(0.5)
-
-    def test_zero_ensemble_size(self):
-        assert agreement_confidence({}, 1, ensemble_size=0) == 0.0
 
 
 class TestNormalizeWeights:

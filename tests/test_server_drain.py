@@ -13,12 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import run_async
+from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import create_server
 from repro.client import AsyncClipperClient
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import SimulatedLatencyContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError

@@ -209,31 +209,37 @@ class TestDurableStore:
         reopened = self.make(tmp_path)
         assert reopened.size() == 12
 
-    def test_ttl_ages_across_restart(self, tmp_path):
-        mono = [100.0]
-        wall = [1_000.0]
-        store = DurableKeyValueStore(
-            str(tmp_path), fsync="never",
-            clock=lambda: mono[0], wall_clock=lambda: wall[0],
-        )
-        store.put("ns", "short", "x", ttl_s=5.0)
-        store.put("ns", "long", "y", ttl_s=500.0)
-        store.put("ns", "forever", "z")
+    def test_directory_written_before_ttls_were_removed_loads_the_same(self, tmp_path):
+        """Snapshot rows used to carry a fifth, ttl slot and the snapshot a
+        ``wall`` stamp; nothing ever wrote a ttl, so the slot is always null
+        and WAL records never had the key.  (Bytes as the parent commit wrote
+        them for put a / put b / put c / delete b / compact / put a /
+        insert d / clear other.)"""
+        with open(os.path.join(str(tmp_path), "snapshot.json"), "w") as handle:
+            handle.write(
+                '{"seq":4,"wall":1790509262.854948,"entries":'
+                '[["ns","a",{"w":[1,2.5]},1,null],["other","c",3,3,null]]}'
+            )
+        writer = WalWriter(wal_path(tmp_path), fsync="never")
+        for record in (
+            b'{"op":"put","seq":5,"ns":"ns","key":"a","value":{"w":[2]}}',
+            b'{"op":"put","seq":6,"ns":"ns","key":"d","value":true}',
+            b'{"op":"clear","seq":7,"ns":"other"}',
+        ):
+            writer.append(record)
+        writer.close()
+        store = self.make(tmp_path)
+        assert store.recovery.snapshot_entries == 2 and store.recovery.replayed == 3
+        assert store.namespaces() == ["ns"] and store.keys("ns") == ["a", "d"]
+        assert store.get_with_version("ns", "a") == ({"w": [2]}, 5)
+        assert store.get_with_version("ns", "d") == (True, 6)
+        assert store.put("ns", "e", 0) == 8  # the sequence resumes after the clear
+        # ... and what this store compacts, it loads again.
+        store.compact()
         store.close()
-
-        wall[0] += 60.0  # the process was dead for a minute
-        reopened = DurableKeyValueStore(
-            str(tmp_path), fsync="never",
-            clock=lambda: mono[0], wall_clock=lambda: wall[0],
-        )
-        assert not reopened.contains("ns", "short")
-        assert reopened.recovery.expired_dropped == 1
-        assert reopened.get("ns", "long") == "y"
-        assert reopened.get("ns", "forever") == "z"
-        # The survivor's remaining TTL shrank by the downtime.
-        mono[0] += 441.0  # 500 - 60 = 440 remaining; one second past it
-        assert not reopened.contains("ns", "long")
-        assert reopened.get("ns", "forever") == "z"
+        reopened = self.make(tmp_path)
+        assert reopened.get_with_version("ns", "a") == ({"w": [2]}, 5)
+        assert reopened.get_with_version("ns", "e") == (0, 8)
 
     def test_unserializable_value_rejected_before_mutation(self, tmp_path):
         store = self.make(tmp_path)

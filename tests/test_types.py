@@ -126,10 +126,6 @@ class TestQuery:
 
 
 class TestPrediction:
-    def test_is_confident_property(self):
-        assert Prediction(query_id=1, app_name="a", output=0, confidence=1.0).is_confident
-        assert not Prediction(query_id=1, app_name="a", output=0, confidence=0.8).is_confident
-
     def test_default_flags(self):
         prediction = Prediction(query_id=1, app_name="a", output=3)
         assert not prediction.default_used

@@ -183,16 +183,20 @@ class TestWhatLeavesTakesItsStateAlong:
             gate = asyncio.Event()
 
             def placement(deployment, model_id):
-                replica_set = place_locally(deployment, model_id)
-                if model_id.version == 2:
+                build = place_locally(deployment, model_id)
+                if model_id.version != 2:
+                    return build
 
-                    async def refuse():
-                        await gate.wait()
-                        raise RpcError("launch refused")
+                async def refuse():
+                    await gate.wait()
+                    raise RpcError("launch refused")
 
-                    for replica in replica_set:
-                        replica.start = refuse
-                return replica_set
+                def build_refusing(replica_id, avoid):
+                    replica = build(replica_id, avoid)
+                    replica.start = refuse
+                    return replica
+
+                return build_refusing
 
             clipper = make_clipper(placement=placement)
             # The monitor is driven by hand, and its first restart attempt is
