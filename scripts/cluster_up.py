@@ -12,8 +12,8 @@ Usage::
         [--cluster-dir DIR] [--app NAME] [--factories pkg.module:ATTR]
 
 With no ``--cluster-dir`` a temporary directory is created and removed on
-exit.  Clients discover the HTTP port from the ready line or from
-``<cluster_dir>/ingress.json``.
+exit.  Clients learn the HTTP port from the ``CLUSTER_READY`` line (the
+supervisor read it from the ingress's ``INGRESS_READY <port>`` line).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ worker replicas, and a **supervisor** spawns and monitors the fleet.
 The pieces:
 
 * :mod:`repro.cluster.registry` — the shared on-disk worker registry.
-  Workers advertise their endpoints (tcp port, shm capability) by writing
-  durable announcement records and refreshing them as heartbeats; the
-  ingress resolves live workers from the same directory.
+  Workers advertise their endpoints (tcp port, shm capability) and their
+  liveness TTL by writing durable announcement records and refreshing them
+  as heartbeats; the ingress resolves live workers from the same directory.
 * :mod:`repro.cluster.worker` — the worker daemon.  One process hosting
   model containers built from a named factory registry, serving each over
   the container RPC protocol (tcp, or same-host shared-memory rings).
@@ -23,38 +23,10 @@ The pieces:
   monitor and admin verbs (deploy/scale/rollout/canary) drive cluster
   placements unchanged.
 * :mod:`repro.cluster.ingress` — builds/runs the ingress tier process.
-* :mod:`repro.cluster.supervisor` — spawns N workers + 1 ingress,
-  restarts dead workers, drains everything on SIGTERM
-  (``scripts/cluster_up.py`` is the CLI).
+* :mod:`repro.cluster.supervisor` — spawns N workers + 1 ingress, reads
+  each one's port from its ``<KIND>_READY <port>`` line, restarts dead
+  workers, drains everything on SIGTERM (``scripts/cluster_up.py`` is the
+  CLI).
+
+Import the classes from their modules; the package itself exports nothing.
 """
-
-# Lazy exports (PEP 562): ``python -m repro.cluster.worker`` imports this
-# package before runpy executes the worker module as __main__, so importing
-# the submodules eagerly here would execute them twice (and warn).
-_EXPORTS = {
-    "WorkerAnnouncement": "repro.cluster.registry",
-    "WorkerRegistry": "repro.cluster.registry",
-    "RemoteReplica": "repro.cluster.remote",
-    "WorkerPlacer": "repro.cluster.remote",
-    "Supervisor": "repro.cluster.supervisor",
-    "WorkerDaemon": "repro.cluster.worker",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.cluster' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-__all__ = [
-    "RemoteReplica",
-    "Supervisor",
-    "WorkerAnnouncement",
-    "WorkerDaemon",
-    "WorkerPlacer",
-    "WorkerRegistry",
-]

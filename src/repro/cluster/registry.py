@@ -3,14 +3,15 @@
 Workers advertise themselves to the cluster by writing one durable JSON
 record each into a shared directory; the ingress (and the supervisor)
 discover live workers by scanning the same directory.  Heartbeats are
-re-announcements with a fresh timestamp, and liveness is a TTL over that
-timestamp — a worker that stops heartbeating (crash, SIGKILL, partition)
-silently ages out of :meth:`WorkerRegistry.live_workers`.
+re-announcements with a fresh ``heartbeat_at``, and each worker announces
+its own liveness TTL: a worker whose ``heartbeat_at`` stops changing for
+longer than that (crash, SIGKILL, partition) silently ages out of
+:meth:`WorkerRegistry.live_workers`.
 
 Why files, not the WAL-backed :class:`~repro.state.durable.DurableKeyValueStore`:
 the WAL is strictly single-writer, and the registry has one writer *per
-record* but many writers per directory.  One file per worker, written with
-the repo's tmp + fsync + atomic-rename discipline, gives each record exactly
+record* but many writers per directory.  One file per worker, replaced
+with :func:`~repro.state.durable.write_atomic`, gives each record exactly
 one writer — a last-writer-wins register per worker — so concurrent
 announcements never interleave and a torn write is impossible to observe.
 That single-writer-per-key shape is deliberately the one a replicated
@@ -24,38 +25,18 @@ import json
 import os
 import socket
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
+
+from repro.state.durable import write_atomic
 
 #: Subdirectory of the cluster dir holding one announcement file per worker.
 WORKERS_SUBDIR = "workers"
 
-#: Default liveness TTL: a worker whose announcement is older than this many
-#: seconds is considered dead.  Workers heartbeat at a small fraction of it.
+#: Default liveness TTL a worker announces: readers count it dead once its
+#: heartbeat has not changed for this many seconds.  Workers heartbeat at a
+#: small fraction of it.
 DEFAULT_TTL_S = 5.0
-
-
-def write_json_atomic(path: str, record: dict) -> None:
-    """Replace ``path`` with ``record`` as JSON: tmp + fsync + atomic rename.
-
-    Readers only ever observe a complete record; a failed write leaves the
-    previous file (or nothing) and no tmp file.  The directory is not
-    fsynced: a rename lost to a power cut costs one heartbeat.
-    """
-    data = json.dumps(record, separators=(",", ":"))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
-        raise
 
 
 @dataclass
@@ -68,9 +49,9 @@ class WorkerAnnouncement:
     tcp_host: str
     tcp_port: int
     shm_supported: bool = False
+    ttl_s: float = DEFAULT_TTL_S
     started_at: float = 0.0
     heartbeat_at: float = 0.0
-    models: List[str] = field(default_factory=list)
 
     def to_record(self) -> dict:
         return asdict(self)
@@ -84,14 +65,10 @@ class WorkerAnnouncement:
             tcp_host=str(record["tcp_host"]),
             tcp_port=int(record["tcp_port"]),
             shm_supported=bool(record.get("shm_supported", False)),
+            ttl_s=float(record.get("ttl_s", DEFAULT_TTL_S)),
             started_at=float(record.get("started_at", 0.0)),
             heartbeat_at=float(record.get("heartbeat_at", 0.0)),
-            models=list(record.get("models", [])),
         )
-
-    def age_s(self, now: Optional[float] = None) -> float:
-        """Seconds since the last heartbeat."""
-        return (now if now is not None else time.time()) - self.heartbeat_at
 
     def same_host_as(self, hostname: Optional[str] = None) -> bool:
         """Whether this worker runs on the given (default: local) host."""
@@ -105,6 +82,9 @@ class WorkerRegistry:
         self.directory = os.path.abspath(directory)
         self._workers_dir = os.path.join(self.directory, WORKERS_SUBDIR)
         os.makedirs(self._workers_dir, exist_ok=True)
+        #: worker id -> (its last ``heartbeat_at``, monotonic time it changed)
+        self._beats: Dict[str, Tuple[float, float]] = {}
+        self._scanned_at = float("-inf")  # monotonic time of the last scan
 
     def _path_for(self, worker_id: str) -> str:
         if not worker_id or "/" in worker_id or worker_id.startswith("."):
@@ -118,7 +98,8 @@ class WorkerRegistry:
         announcement.heartbeat_at = time.time()
         if not announcement.started_at:
             announcement.started_at = announcement.heartbeat_at
-        write_json_atomic(self._path_for(announcement.worker_id), announcement.to_record())
+        record = json.dumps(announcement.to_record(), separators=(",", ":"))
+        write_atomic(self._path_for(announcement.worker_id), record.encode("utf-8"))
 
     def withdraw(self, worker_id: str) -> None:
         """Remove a worker's announcement (graceful shutdown)."""
@@ -149,18 +130,35 @@ class WorkerRegistry:
             found[announcement.worker_id] = announcement
         return found
 
-    def live_workers(self, ttl_s: float = DEFAULT_TTL_S) -> List[WorkerAnnouncement]:
-        """Workers whose last heartbeat is within ``ttl_s``, sorted by id."""
-        now = time.time()
-        return [
-            announcement
-            for worker_id, announcement in sorted(self.workers().items())
-            if announcement.age_s(now) <= ttl_s
-        ]
+    def live_workers(self) -> List[WorkerAnnouncement]:
+        """Workers heard from within their announced TTL, sorted by id.
 
-    def worker(self, worker_id: str) -> Optional[WorkerAnnouncement]:
-        """One worker's announcement, or None when it never announced."""
-        return self.workers().get(worker_id)
+        A worker's age is the monotonic time since this reader saw its
+        ``heartbeat_at`` change, so between scans closer together than the
+        TTL a step of either host's wall clock moves no worker in or out.
+        The wall clock places a heartbeat this reader cannot date itself: at
+        first sight, or when it changed since a scan older than the TTL (the
+        worker may have died long after that scan and long before this one).
+        """
+        now = time.monotonic()
+        since_scan = now - self._scanned_at
+        beats: Dict[str, Tuple[float, float]] = {}
+        live = []
+        for worker_id, announcement in sorted(self.workers().items()):
+            beat = announcement.heartbeat_at
+            last = self._beats.get(worker_id)
+            if last is not None and last[0] == beat:
+                changed_at = last[1]
+            elif last is not None and since_scan <= announcement.ttl_s:
+                changed_at = now
+            else:
+                changed_at = now - max(0.0, time.time() - beat)
+            beats[worker_id] = (beat, changed_at)
+            if now - changed_at <= announcement.ttl_s:
+                live.append(announcement)
+        self._beats = beats
+        self._scanned_at = now
+        return live
 
 
-__all__ = ["DEFAULT_TTL_S", "WorkerAnnouncement", "WorkerRegistry", "write_json_atomic"]
+__all__ = ["DEFAULT_TTL_S", "WorkerAnnouncement", "WorkerRegistry"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 from typing import Sequence
 
-from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegistry
+from repro.cluster.registry import WorkerAnnouncement, WorkerRegistry
 from repro.containers.replica import (
     RPC_TIMEOUT_S,
     Replica,
@@ -45,9 +45,8 @@ LAUNCH_TIMEOUT_S = 10.0
 class WorkerPlacer:
     """Round-robin placement of replicas onto live registered workers."""
 
-    def __init__(self, registry: WorkerRegistry, ttl_s: float = DEFAULT_TTL_S) -> None:
+    def __init__(self, registry: WorkerRegistry) -> None:
         self.registry = registry
-        self.ttl_s = ttl_s
         self._round_robin = 0
 
     def place(self, exclude: Sequence[str] = ()) -> WorkerAnnouncement:
@@ -59,7 +58,7 @@ class WorkerPlacer:
         the registry has no live worker at all, so health-driven recovery
         keeps retrying until one appears instead of giving up.
         """
-        live = self.registry.live_workers(self.ttl_s)
+        live = self.registry.live_workers()
         if not live:
             raise RpcError("no live workers in the cluster registry")
         preferred = [w for w in live if w.worker_id not in exclude] or live
@@ -153,13 +152,7 @@ class RemoteReplica(Replica):
         try:
             async with asyncio.timeout(LAUNCH_TIMEOUT_S):
                 await control.send(
-                    {
-                        "op": "launch",
-                        "model_key": self._model_key,
-                        "factory": self.factory_name,
-                        "transport": lane,
-                        "replica": self.name,
-                    }
+                    {"op": "launch", "factory": self.factory_name, "transport": lane}
                 )
                 reply = await control.recv()
         except (RpcError, TimeoutError) as exc:

@@ -2,10 +2,11 @@
 
 Spawns N worker daemons and one ingress as child processes (the same
 ``python -m repro.cluster.worker`` / ``-m repro.cluster.ingress`` entry
-points an operator would run by hand), waits for each child's ready marker
-on stdout, restarts workers that die unexpectedly, and on shutdown drains
-the ingress *first* (the edge stops taking traffic before its backends go
-away) and then the workers.  ``scripts/cluster_up.py`` is the CLI.
+points an operator would run by hand), waits for each child's
+``<KIND>_READY <port>`` line on stdout (the ingress's is how the supervisor
+learns its port), restarts workers that die unexpectedly, and on shutdown
+drains the ingress *first* (the edge stops taking traffic before its
+backends go away) and then the workers.  ``scripts/cluster_up.py`` is the CLI.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import time
 from typing import Dict, List, Optional
 
 import repro
-from repro.cluster.ingress import read_ingress
 from repro.core.exceptions import ClipperError
 
 #: src/ directory the children need on PYTHONPATH to import repro.
@@ -29,13 +29,13 @@ READY_TIMEOUT_S = 30.0
 
 
 class _Child:
-    """One supervised child process with a line pump and a ready marker."""
+    """One supervised child process with a line pump and a ready line."""
 
     def __init__(self, name: str, argv: List[str], ready_marker: str) -> None:
         self.name = name
-        self.argv = argv
         self.ready_marker = ready_marker
         self.lines: List[str] = []
+        self.ready_line: Optional[str] = None
         self.ready = threading.Event()
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC_DIR + (
@@ -55,16 +55,15 @@ class _Child:
         for line in self.proc.stdout:
             line = line.rstrip("\n")
             self.lines.append(line)
-            if line.startswith(self.ready_marker):
+            if self.ready_line is None and line.startswith(self.ready_marker):
+                self.ready_line = line
                 self.ready.set()
         self.ready.set()  # EOF: unblock waiters either way
 
-    def wait_ready(self, timeout_s: float) -> bool:
-        if not self.ready.wait(timeout_s):
-            return False
-        return self.proc.poll() is None and any(
-            line.startswith(self.ready_marker) for line in self.lines
-        )
+    def wait_ready(self, timeout_s: float) -> Optional[str]:
+        """The ready line, or None when the child died or timed out first."""
+        self.ready.wait(timeout_s)
+        return self.ready_line if self.alive else None
 
     @property
     def alive(self) -> bool:
@@ -107,7 +106,6 @@ class Supervisor:
         self.python = python or sys.executable
         self.workers: Dict[str, _Child] = {}
         self.ingress: Optional[_Child] = None
-        self.restarts = 0
         self._shutting_down = False
 
     # -- spawning ----------------------------------------------------------------
@@ -157,16 +155,13 @@ class Supervisor:
         if self.factories_spec:
             argv += ["--factories", self.factories_spec]
         self.ingress = _Child("ingress", argv, "INGRESS_READY")
-        if not self.ingress.wait_ready(READY_TIMEOUT_S):
+        ready = self.ingress.wait_ready(READY_TIMEOUT_S)
+        if ready is None:
             self.shutdown(timeout_s=5.0)
             raise ClipperError(
                 "ingress did not become ready: " + "\n".join(self.ingress.lines[-10:])
             )
-        record = read_ingress(self.cluster_dir)
-        if record is None:
-            self.shutdown(timeout_s=5.0)
-            raise ClipperError("ingress never wrote its discovery record")
-        return int(record["port"])
+        return int(ready.split()[-1])
 
     # -- monitoring --------------------------------------------------------------
 
@@ -176,7 +171,6 @@ class Supervisor:
             return
         for worker_id, child in list(self.workers.items()):
             if not child.alive:
-                self.restarts += 1
                 replacement = self._spawn_worker(worker_id)
                 replacement.wait_ready(READY_TIMEOUT_S)
 

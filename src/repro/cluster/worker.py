@@ -1,14 +1,12 @@
 """The worker daemon: one OS process hosting model containers for the cluster.
 
-A worker binds a loopback control port, announces itself (endpoints + shm
-capability) into the shared :class:`~repro.cluster.registry.WorkerRegistry`,
-and heartbeats the announcement so the ingress can tell live workers from
-dead ones.  Each inbound control connection speaks a tiny ``op``-keyed
-handshake:
+A worker binds a loopback control port, announces itself (endpoints, shm
+capability and its liveness TTL) into the shared
+:class:`~repro.cluster.registry.WorkerRegistry`, and heartbeats the
+announcement so the ingress can tell live workers from dead ones.  Each
+inbound control connection carries one request:
 
-``{"op": "ping"}``
-    liveness probe; answered in place, the connection stays open.
-``{"op": "launch", "model_key": ..., "factory": ..., "transport": ...}``
+``{"op": "launch", "factory": ..., "transport": ...}``
     build a fresh container from the named factory and serve it over the
     container RPC protocol.  On the ``tcp`` lane the control connection
     *becomes* the data connection; on the ``shm`` lane the worker creates a
@@ -19,7 +17,8 @@ The container lives exactly as long as its data lane: when the ingress
 closes the connection (undeploy, scale-down, replica replacement) — or
 vanishes — the serve loop ends and the container is reaped.  SIGTERM causes
 a graceful drain: withdraw the announcement, stop accepting, finish every
-in-flight batch, exit.
+in-flight batch, exit.  :func:`serve_until_signalled` is that process
+lifecycle, shared with the ingress.
 
 Run one with ``python -m repro.cluster.worker --cluster-dir DIR --worker-id ID``.
 """
@@ -61,7 +60,6 @@ class WorkerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         ttl_s: float = DEFAULT_TTL_S,
-        use_executor: bool = True,
         shm_enabled: bool = True,
     ) -> None:
         self.worker_id = worker_id
@@ -69,7 +67,6 @@ class WorkerDaemon:
         self._factories = dict(factories) if factories is not None else default_factories()
         self._listener = TcpListener(host=host, port=port)
         self._ttl_s = ttl_s
-        self._use_executor = use_executor
         self._shm_enabled = shm_enabled and HAS_SHARED_MEMORY
         bell_dir = os.path.join(self.registry.directory, "bells")
         if len(bell_dir) > _MAX_BELL_DIR_LEN:
@@ -77,12 +74,9 @@ class WorkerDaemon:
         self._bell_dir = bell_dir
         self._announcement: Optional[WorkerAnnouncement] = None
         self._servers: Set[ContainerRpcServer] = set()
-        self._active_models: Set[str] = set()
-        self._model_counts: dict = {}
         self._tasks: Set[asyncio.Task] = set()
         self._accept_task: Optional[asyncio.Task] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
-        self._stopping = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -100,22 +94,19 @@ class WorkerDaemon:
             tcp_host=self._listener.host,
             tcp_port=self._listener.port,
             shm_supported=self._shm_enabled,
+            ttl_s=self._ttl_s,
         )
-        self._announce()
+        self.registry.announce(self._announcement)
         loop = asyncio.get_running_loop()
         self._accept_task = loop.create_task(self._accept_loop())
         self._heartbeat_task = loop.create_task(self._heartbeat_loop())
 
-    def _announce(self) -> None:
-        self._announcement.models = sorted(self._active_models)
-        self.registry.announce(self._announcement)
-
     async def _heartbeat_loop(self) -> None:
         interval = max(0.05, min(1.0, self._ttl_s / 3.0))
-        while not self._stopping.is_set():
+        while True:
             await asyncio.sleep(interval)
             try:
-                self._announce()
+                self.registry.announce(self._announcement)
             except OSError:
                 pass  # registry dir vanished mid-shutdown; next beat retries
 
@@ -131,22 +122,13 @@ class WorkerDaemon:
     # -- the control protocol ----------------------------------------------------
 
     async def _serve_connection(self, control: Transport) -> None:
-        """Answer control ops until the peer hangs up or a launch takes over."""
+        """Answer the connection's one request; a launch keeps it as its lane."""
         try:
-            while True:
-                try:
-                    message = await control.recv()
-                except RpcError:
-                    return
-                op = message.get("op")
-                if op == "ping":
-                    await control.send(
-                        {"ok": True, "worker_id": self.worker_id, "pid": os.getpid()}
-                    )
-                    continue
-                if op == "launch":
-                    await self._handle_launch(control, message)
-                    return
+            message = await control.recv()
+            op = message.get("op")
+            if op == "launch":
+                await self._handle_launch(control, message)
+            else:
                 await control.send({"ok": False, "error": f"unknown op {op!r}"})
         except RpcError:
             return
@@ -155,7 +137,6 @@ class WorkerDaemon:
 
     async def _handle_launch(self, control: Transport, message: dict) -> None:
         factory_name = str(message.get("factory", ""))
-        model_key = str(message.get("model_key", ""))
         lane = str(message.get("transport", "tcp"))
         factory = self._factories.get(factory_name)
         if factory is None:
@@ -190,40 +171,36 @@ class WorkerDaemon:
         else:
             await control.send({"ok": True})
             data = control
-        server = ContainerRpcServer(container, data, use_executor=self._use_executor)
+        server = ContainerRpcServer(container, data, use_executor=True)
         self._servers.add(server)
-        self._model_counts[model_key] = self._model_counts.get(model_key, 0) + 1
-        self._active_models.add(model_key)
         try:
             await server.serve_forever()
         finally:
             self._servers.discard(server)
-            self._model_counts[model_key] -= 1
-            if self._model_counts[model_key] <= 0:
-                del self._model_counts[model_key]
-                self._active_models.discard(model_key)
             await data.close()
 
     # -- shutdown ----------------------------------------------------------------
 
-    async def drain(self, timeout_s: float = 5.0) -> None:
-        """Graceful SIGTERM path: withdraw, finish in-flight work, stop."""
-        self._stopping.set()
-        # Leave the registry first so the placer stops choosing this worker.
+    async def _withdraw(self) -> None:
+        """Stop heartbeating, leave the registry and stop accepting."""
+        if self._heartbeat_task is not None:
+            self._heartbeat_task.cancel()
         self.registry.withdraw(self.worker_id)
         await self._listener.close()
-        if self._servers:
-            await asyncio.gather(
-                *(server.drain(timeout_s=timeout_s) for server in list(self._servers)),
-                return_exceptions=True,
-            )
+
+    async def drain(self, timeout_s: float = 5.0) -> None:
+        """Graceful SIGTERM path: withdraw, finish in-flight work, stop."""
+        # Leave the registry first so the placer stops choosing this worker.
+        await self._withdraw()
+        await asyncio.gather(
+            *(server.drain(timeout_s=timeout_s) for server in list(self._servers)),
+            return_exceptions=True,
+        )
         await self.stop()
 
     async def stop(self) -> None:
         """Hard stop: cancel everything and leave the registry."""
-        self._stopping.set()
-        self.registry.withdraw(self.worker_id)
-        await self._listener.close()
+        await self._withdraw()
         for server in list(self._servers):
             await server.stop()
         for task in (self._accept_task, self._heartbeat_task, *list(self._tasks)):
@@ -235,6 +212,25 @@ class WorkerDaemon:
                     pass
         self._accept_task = None
         self._heartbeat_task = None
+
+
+async def serve_until_signalled(service, marker: str, drain_timeout_s: float) -> int:
+    """One cluster process's life: start, print ``<marker>_READY <port>``,
+    wait for SIGTERM or SIGINT, drain, print ``<marker>_DRAINED``.
+
+    ``service`` is a :class:`WorkerDaemon` or an ingress tier.  The ready
+    line is the spawner's synchronization point and how it learns the port.
+    """
+    await service.start()
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, stop.set)
+    print(f"{marker}_READY {service.port}", flush=True)
+    await stop.wait()
+    await service.drain(timeout_s=drain_timeout_s)
+    print(f"{marker}_DRAINED", flush=True)
+    return 0
 
 
 async def _amain(args: argparse.Namespace) -> int:
@@ -250,22 +246,7 @@ async def _amain(args: argparse.Namespace) -> int:
         ttl_s=args.ttl,
         shm_enabled=not args.no_shm,
     )
-    await daemon.start()
-    loop = asyncio.get_running_loop()
-    drained = loop.create_future()
-
-    def _on_sigterm() -> None:
-        if not drained.done():
-            drained.set_result(None)
-
-    loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
-    loop.add_signal_handler(signal.SIGINT, _on_sigterm)
-    # The ready line is the spawner's synchronization point.
-    print(f"WORKER_READY {daemon.worker_id} {daemon.port}", flush=True)
-    await drained
-    await daemon.drain(timeout_s=args.drain_timeout)
-    print(f"WORKER_DRAINED {daemon.worker_id}", flush=True)
-    return 0
+    return await serve_until_signalled(daemon, "WORKER", args.drain_timeout)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -274,7 +255,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--worker-id", required=True)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--ttl", type=float, default=DEFAULT_TTL_S)
+    parser.add_argument("--ttl", type=float, default=DEFAULT_TTL_S, help="announced liveness TTL")
     parser.add_argument(
         "--factories", default="", help="pkg.module:ATTR factory map override"
     )

@@ -25,6 +25,9 @@ was always null, and load the same.
 Values must be JSON-serializable (numpy scalars are unwrapped); a put of
 an unserializable value raises :class:`StateStoreError` *before* touching
 the in-memory state, so the store and its journal can never diverge.
+
+:func:`write_atomic` is the one whole-file replace of the repo: the
+snapshot lands through it, and so does each cluster worker's announcement.
 """
 
 from __future__ import annotations
@@ -41,6 +44,36 @@ from repro.state.wal import WalRecovery, WalWriter, read_records
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.log"
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data``: tmp + fsync + rename + directory fsync.
+
+    Readers see the old file or the new one, never a mix.  Any failure
+    (a full disk raising from ``fsync`` included) removes the tmp file and
+    re-raises, leaving the previous file — or none — in place.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+    try:
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    except OSError:
+        return  # platform without directory fds; the rename is still atomic
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _json_default(value: Any) -> Any:
@@ -214,37 +247,21 @@ class DurableKeyValueStore(KeyValueStore):
     def compact(self) -> int:
         """Snapshot the full state and truncate the WAL; returns entry count.
 
-        The snapshot lands via write-to-temp + fsync + atomic rename, then
-        the WAL is truncated.  A crash between the two steps is safe: the
-        leftover records carry sequence numbers at or below the snapshot's
-        and are skipped on the next load.
+        The snapshot lands via :func:`write_atomic`, then the WAL is
+        truncated.  A crash between the two steps is safe: the leftover
+        records carry sequence numbers at or below the snapshot's and are
+        skipped on the next load.  A failed snapshot write leaves the old
+        snapshot and the WAL as they were.
         """
         with self._lock:
             entries: List[list] = [
                 [ns, key, entry.value, entry.version]
                 for (ns, key), entry in self._data.items()
             ]
-            snapshot = {"seq": self._seq, "entries": entries}
-            tmp_path = self._snapshot_path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(snapshot, handle, separators=(",", ":"), default=_json_default)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self._snapshot_path)
-            self._sync_directory()
+            write_atomic(self._snapshot_path, _encode({"seq": self._seq, "entries": entries}))
             self.wal.reset()
             self._records_since_compact = 0
             return len(entries)
-
-    def _sync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return  # platform without directory fds; rename is still atomic
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     # -- lifecycle -------------------------------------------------------------
 

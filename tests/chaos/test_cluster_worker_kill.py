@@ -60,12 +60,12 @@ class TestWorkerKillNine:
         try:
             registry = WorkerRegistry(str(tmp_path))
             deadline = time.monotonic() + 30.0
-            while len(registry.live_workers(ttl_s=1.0)) < 2:
+            while len(registry.live_workers()) < 2:
                 assert time.monotonic() < deadline, "workers never became live"
                 time.sleep(0.05)
 
             async def scenario():
-                placer = WorkerPlacer(registry, ttl_s=1.0)
+                placer = WorkerPlacer(registry)
                 clipper = Clipper(
                     ClipperConfig(
                         app_name="app",
@@ -143,10 +143,11 @@ class TestWorkerKillNine:
             record = clipper.model_records()[0]
             homes = {replica.worker.worker_id for replica in record.replicas}
             assert homes == {"worker-0"}
-            # The killed worker ages out of the registry (no heartbeat).
+            # The killed worker ages out of the registry (no heartbeat) after
+            # the 1 s TTL it announced; this reader sets no TTL of its own.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                live = {w.worker_id for w in registry.live_workers(ttl_s=1.0)}
+                live = {w.worker_id for w in registry.live_workers()}
                 if live == {"worker-0"}:
                     break
                 time.sleep(0.1)

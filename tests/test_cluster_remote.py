@@ -102,7 +102,7 @@ class TestRemoteReplica:
         async def scenario():
             daemon = await start_daemon(tmp_path)
             try:
-                worker = daemon.registry.worker("w0")
+                worker = daemon.registry.workers()["w0"]
                 replica = RemoteReplica("m:1", 0, worker, factory_name="echo")
                 assert replica.transport_lane == "shm"
                 await replica.start()
@@ -118,7 +118,7 @@ class TestRemoteReplica:
         async def scenario():
             daemon = await start_daemon(tmp_path)
             try:
-                worker = daemon.registry.worker("w0")
+                worker = daemon.registry.workers()["w0"]
                 replica = RemoteReplica(
                     "m:1", 0, worker, factory_name="ghost", transport="tcp"
                 )
@@ -133,17 +133,17 @@ class TestRemoteReplica:
         async def scenario():
             daemon = await start_daemon(tmp_path)
             try:
-                worker = daemon.registry.worker("w0")
+                worker = daemon.registry.workers()["w0"]
                 replica = RemoteReplica(
                     "m:1", 0, worker, factory_name="echo", transport="tcp"
                 )
                 await replica.start()
-                assert daemon._active_models == {"m:1"}
+                assert len(daemon._servers) == 1
                 await replica.stop()
                 deadline = time.monotonic() + 5.0
-                while daemon._active_models and time.monotonic() < deadline:
+                while daemon._servers and time.monotonic() < deadline:
                     await asyncio.sleep(0.01)
-                assert daemon._active_models == set()
+                assert daemon._servers == set()
             finally:
                 await daemon.stop()
 
@@ -184,7 +184,7 @@ class TestWorkerPlacement:
     def test_remote_replica_needs_a_named_factory(self, tmp_path):
         registry = WorkerRegistry(str(tmp_path))
         fake_announcement(registry, "a")
-        worker = registry.worker("a")
+        worker = registry.workers()["a"]
         with pytest.raises(ContainerError):
             RemoteReplica("m:1", 0, worker, factory_name="")
 
@@ -331,7 +331,7 @@ class TestWorkerDrain:
     def test_drain_withdraws_and_finishes_in_flight_work(self, tmp_path):
         async def scenario():
             daemon = await start_daemon(tmp_path)
-            worker = daemon.registry.worker("w0")
+            worker = daemon.registry.workers()["w0"]
             replica = RemoteReplica(
                 "m:1", 0, worker, factory_name="slow", transport="tcp"
             )
@@ -345,6 +345,27 @@ class TestWorkerDrain:
             response = await pending
             assert response.ok
             assert response.outputs == [1]
+            await replica.stop()
+
+        run_async(scenario())
+
+    def test_a_draining_worker_does_not_announce_itself_again(self, tmp_path):
+        async def scenario():
+            # Heartbeats every 50 ms; the in-flight batch holds the drain 0.5 s.
+            daemon = await start_daemon(
+                tmp_path, ttl_s=0.15, factories={"slow": lambda: SlowContainer(0.5)}
+            )
+            worker = daemon.registry.workers()["w0"]
+            replica = RemoteReplica("m:1", 0, worker, factory_name="slow", transport="tcp")
+            await replica.start()
+            pending = asyncio.ensure_future(replica.predict_batch([np.zeros(1)]))
+            await asyncio.sleep(0.05)
+            drain = asyncio.ensure_future(daemon.drain(timeout_s=5.0))
+            await asyncio.sleep(0.15)
+            assert not drain.done()
+            assert daemon.registry.workers() == {}
+            await drain
+            assert (await pending).ok
             await replica.stop()
 
         run_async(scenario())

@@ -74,8 +74,7 @@ PARSER_FLAGS = {
     "ingress": (
         lambda: repro.cluster.ingress.main([]),
         {
-            "--cluster-dir", "--app", "--host", "--port", "--ttl", "--factories",
-            "--drain-timeout",
+            "--cluster-dir", "--app", "--host", "--port", "--factories", "--drain-timeout",
         },
     ),
     "cluster_up": (

@@ -8,9 +8,13 @@ import os
 import pytest
 
 from repro.core.exceptions import StateStoreError
-from repro.state.durable import DurableKeyValueStore
+from repro.state.durable import DurableKeyValueStore, write_atomic
 from repro.state.kvstore import KeyValueStore
 from repro.state.wal import MAGIC, WalWriter, frame, read_records
+
+
+def _disk_full(fd):
+    raise OSError(28, "No space left on device")
 
 
 def wal_path(directory):
@@ -241,6 +245,22 @@ class TestDurableStore:
         assert reopened.get_with_version("ns", "a") == ({"w": [2]}, 5)
         assert reopened.get_with_version("ns", "e") == (0, 8)
 
+    def test_failed_snapshot_write_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        store = self.make(tmp_path)
+        store.put("ns", "a", 1)
+        store.compact()
+        store.put("ns", "b", 2)
+
+        monkeypatch.setattr(os, "fsync", _disk_full)
+        with pytest.raises(OSError):
+            store.compact()
+        monkeypatch.undo()
+
+        assert sorted(os.listdir(str(tmp_path))) == ["snapshot.json", "wal.log"]
+        store.close()
+        reopened = self.make(tmp_path)
+        assert {k: reopened.get("ns", k) for k in reopened.keys("ns")} == {"a": 1, "b": 2}
+
     def test_unserializable_value_rejected_before_mutation(self, tmp_path):
         store = self.make(tmp_path)
         store.put("ns", "k", 1)
@@ -282,3 +302,25 @@ class TestDurableStore:
             assert store.get("ns", "k") == {"x": 2}
             assert store.keys("ns") == ["k"]
         durable.close()
+
+
+class TestAtomicWrite:
+    def test_failed_fsync_leaves_old_file_and_no_tmp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "record.json")
+        write_atomic(path, b'{"port":1}')
+
+        monkeypatch.setattr(os, "fsync", _disk_full)
+        with pytest.raises(OSError):
+            write_atomic(path, b'{"port":2}')
+        monkeypatch.undo()
+
+        with open(path, "rb") as handle:
+            assert handle.read() == b'{"port":1}'
+        assert os.listdir(str(tmp_path)) == ["record.json"]
+
+    def test_failed_rename_leaves_no_tmp_file(self, tmp_path):
+        target = tmp_path / "occupied"
+        target.mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            write_atomic(str(target), b"data")
+        assert os.listdir(str(tmp_path)) == ["occupied"]
