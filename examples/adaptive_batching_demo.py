@@ -12,7 +12,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.containers import ClassifierContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.core.config import BatchingConfig
 from repro.datasets import load_mnist_like
 from repro.evaluation.reporting import format_table

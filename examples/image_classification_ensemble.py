@@ -18,7 +18,7 @@ import asyncio
 import numpy as np
 
 from repro import Clipper, ClipperConfig, Feedback, ModelDeployment, Query
-from repro.containers import ClassifierContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.datasets import load_cifar_like
 from repro.evaluation.suites import heterogeneous_ensemble
 

@@ -29,7 +29,7 @@ import asyncio
 # -- server-side imports: the serving engine ----------------------------------
 from repro import Clipper, ClipperConfig, ManagementFrontend, ModelDeployment, QueryFrontend
 from repro.api.http import create_server
-from repro.containers import ClassifierContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.core.config import BatchingConfig
 from repro.datasets import load_mnist_like
 from repro.mlkit import LinearSVM, LogisticRegression

@@ -18,7 +18,7 @@ import asyncio
 import numpy as np
 
 from repro import Clipper, ClipperConfig, Feedback, ModelDeployment, Query
-from repro.containers import ClassifierContainer
+from repro.containers.adapters import ClassifierContainer
 from repro.datasets import load_timit_like
 from repro.datasets.speech import utterances_to_fixed_features
 from repro.evaluation.suites import dialect_model_suite

@@ -7,12 +7,15 @@ containers connected over a lightweight RPC system) and a *model selection
 layer* (bandit-based single-model and ensemble selection policies, confidence
 estimation, straggler mitigation and contextualization).
 
-The top-level package re-exports the most commonly used entry points so that
-a downstream user can write::
+The top-level package names the most commonly used entry points so that a
+downstream user can write::
 
     from repro import Clipper, ClipperConfig, ModelContainer
 
-and get a working serving system.  Sub-packages:
+and get a working serving system; each is imported from its defining module
+on first use.  Everywhere else, import a name from the module that defines
+it (``core``, ``containers``, ``rpc`` and ``cluster`` export nothing).
+Sub-packages:
 
 ``repro.core``
     The Clipper serving engine, query frontend, configuration and metrics.
@@ -54,29 +57,35 @@ and get a working serving system.  Sub-packages:
     TensorFlow-Serving-like comparator and the A/B-testing selection baseline.
 """
 
-from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
-from repro.core.frontend import QueryFrontend
-from repro.core.types import Feedback, Prediction, Query
-from repro.containers.base import ModelContainer
-from repro.management.frontend import ManagementFrontend
-from repro.routing.split import TrafficSplit
-from repro.selection.policy import SelectionPolicy
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Clipper",
-    "ClipperConfig",
-    "BatchingConfig",
-    "ModelDeployment",
-    "ManagementFrontend",
-    "QueryFrontend",
-    "TrafficSplit",
-    "Query",
-    "Prediction",
-    "Feedback",
-    "ModelContainer",
-    "SelectionPolicy",
-    "__version__",
-]
+# Where each top-level name is defined.  A name is imported on first access
+# (PEP 562), so ``import repro.<sub>`` loads only ``<sub>`` and what it uses:
+# a worker process hosting a container never loads the serving engine.
+_EXPORTS = {
+    "Clipper": "repro.core.clipper",
+    "ClipperConfig": "repro.core.config",
+    "BatchingConfig": "repro.core.config",
+    "ModelDeployment": "repro.core.config",
+    "ManagementFrontend": "repro.management.frontend",
+    "QueryFrontend": "repro.core.frontend",
+    "TrafficSplit": "repro.routing.split",
+    "Query": "repro.core.types",
+    "Prediction": "repro.core.types",
+    "Feedback": "repro.core.types",
+    "ModelContainer": "repro.containers.base",
+    "SelectionPolicy": "repro.selection.policy",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

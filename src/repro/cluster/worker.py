@@ -44,10 +44,6 @@ from repro.rpc.transport import TcpListener, Transport
 #: How long the worker waits for a shm peer to connect its doorbells.
 SHM_ACCEPT_TIMEOUT_S = 10.0
 
-#: UNIX socket paths are capped around 104-108 bytes; bell sockets fall back
-#: to a short private tmp dir when the cluster dir would push past this.
-_MAX_BELL_DIR_LEN = 70
-
 
 class WorkerDaemon:
     """Hosts model containers behind the container RPC protocol."""
@@ -68,10 +64,6 @@ class WorkerDaemon:
         self._listener = TcpListener(host=host, port=port)
         self._ttl_s = ttl_s
         self._shm_enabled = shm_enabled and HAS_SHARED_MEMORY
-        bell_dir = os.path.join(self.registry.directory, "bells")
-        if len(bell_dir) > _MAX_BELL_DIR_LEN:
-            bell_dir = tempfile.mkdtemp(prefix="repro-bells-")
-        self._bell_dir = bell_dir
         self._announcement: Optional[WorkerAnnouncement] = None
         self._servers: Set[ContainerRpcServer] = set()
         self._tasks: Set[asyncio.Task] = set()
@@ -161,7 +153,7 @@ class WorkerDaemon:
             )
             return
         if lane == "shm":
-            endpoint = ShmHostEndpoint(self._bell_dir)
+            endpoint = ShmHostEndpoint(tempfile.gettempdir())
             await control.send({"ok": True, "shm": endpoint.descriptor()})
             try:
                 data = await endpoint.accept(timeout_s=SHM_ACCEPT_TIMEOUT_S)
@@ -171,7 +163,7 @@ class WorkerDaemon:
         else:
             await control.send({"ok": True})
             data = control
-        server = ContainerRpcServer(container, data, use_executor=True)
+        server = ContainerRpcServer(container, data)
         self._servers.add(server)
         try:
             await server.serve_forever()

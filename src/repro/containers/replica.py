@@ -202,7 +202,7 @@ class ContainerReplica(Replica):
         else:
             pair = InProcessTransport(serialize_messages=self._serialize_messages)
             client_side, server_side = pair.client_side, pair.server_side
-        self._server = ContainerRpcServer(self.container, server_side, use_executor=True)
+        self._server = ContainerRpcServer(self.container, server_side)
         self._server.start()
         return RpcClient(client_side, timeout_s=RPC_TIMEOUT_S)
 

@@ -1,28 +1,5 @@
-"""Core Clipper serving engine: types, configuration, metrics and orchestration."""
+"""Core Clipper serving engine: types, configuration, metrics and orchestration.
 
-from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
-from repro.core.exceptions import (
-    ClipperError,
-    ContainerError,
-    DeploymentError,
-    PredictionTimeoutError,
-    SelectionPolicyError,
-)
-from repro.core.types import Feedback, ModelId, Prediction, Query
-
-__all__ = [
-    "Clipper",
-    "ClipperConfig",
-    "BatchingConfig",
-    "ModelDeployment",
-    "Query",
-    "Prediction",
-    "Feedback",
-    "ModelId",
-    "ClipperError",
-    "ContainerError",
-    "DeploymentError",
-    "PredictionTimeoutError",
-    "SelectionPolicyError",
-]
+Import from the defining modules; the package exports nothing, so a process
+that needs only ``repro.core.exceptions`` does not load the engine.
+"""

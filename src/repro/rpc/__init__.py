@@ -8,27 +8,6 @@ transports: an in-process transport (used by default, zero-copy over asyncio
 queues), a real TCP transport (length-prefixed frames over asyncio streams)
 and a same-host shared-memory ring transport (:mod:`repro.rpc.shm`) whose
 doorbell-signalled SPSC rings skip the kernel network stack entirely.
+
+Import from the defining modules; the package itself exports nothing.
 """
-
-from repro.rpc.serialization import deserialize, serialize, serialize_buffers
-from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
-from repro.rpc.transport import InProcessTransport, TcpTransport, Transport
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmRingTransport
-from repro.rpc.client import RpcClient
-from repro.rpc.server import ContainerRpcServer
-
-__all__ = [
-    "serialize",
-    "serialize_buffers",
-    "deserialize",
-    "MessageType",
-    "RpcRequest",
-    "RpcResponse",
-    "Transport",
-    "InProcessTransport",
-    "TcpTransport",
-    "HAS_SHARED_MEMORY",
-    "ShmRingTransport",
-    "RpcClient",
-    "ContainerRpcServer",
-]

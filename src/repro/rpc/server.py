@@ -16,8 +16,8 @@ class ContainerRpcServer:
 
     The server loop mirrors the paper's container runtime: it blocks on the
     next framed request, evaluates the container's ``predict_batch`` on the
-    decoded inputs (optionally in a thread-pool executor so CPU-heavy models
-    don't stall the event loop), and replies with the aligned outputs and the
+    decoded inputs in a thread-pool executor (so a CPU-heavy model does not
+    stall the event loop), and replies with the aligned outputs and the
     measured container-side latency.
 
     The loop is *pipelined* on the receive side: while a batch evaluates,
@@ -29,15 +29,9 @@ class ContainerRpcServer:
     results back to request ids cheaply.
     """
 
-    def __init__(
-        self,
-        container,
-        transport: Transport,
-        use_executor: bool = False,
-    ) -> None:
+    def __init__(self, container, transport: Transport) -> None:
         self._container = container
         self._transport = transport
-        self._use_executor = use_executor
         self._task: Optional[asyncio.Task] = None
         self.requests_served = 0
         self._draining = False
@@ -48,7 +42,7 @@ class ContainerRpcServer:
     def start(self) -> asyncio.Task:
         """Start the serving loop as a background task."""
         if self._task is None or self._task.done():
-            self._task = asyncio.get_event_loop().create_task(self.serve_forever())
+            self._task = asyncio.get_running_loop().create_task(self.serve_forever())
         return self._task
 
     async def serve_forever(self) -> None:
@@ -159,15 +153,12 @@ class ContainerRpcServer:
         try:
             if not inputs:
                 outputs: list = []
-            elif self._use_executor:
-                loop = asyncio.get_event_loop()
+            else:
                 outputs = list(
-                    await loop.run_in_executor(
+                    await asyncio.get_running_loop().run_in_executor(
                         None, self._container.predict_batch, inputs
                     )
                 )
-            else:
-                outputs = list(self._container.predict_batch(inputs))
             self.requests_served += 1
         except Exception as exc:  # container failures must not kill the server
             outputs, error = [], f"{type(exc).__name__}: {exc}"

@@ -38,6 +38,12 @@ from repro.core.types import Query  # noqa: E402
 from repro.management.frontend import ManagementFrontend  # noqa: E402
 from repro.state.durable import DurableKeyValueStore  # noqa: E402
 
+#: Serving pauses this long after each marker.  The parent's SIGKILL follows
+#: its read of a marker by a scheduler wake-up, which on a busy two-CPU host
+#: can take milliseconds; unpaced ramp steps are ~0.5 ms apart, so without
+#: the pause several steps could land between a marker and the kill.
+MARKER_PAUSE_S = 0.02
+
 
 def noop_factory():
     return NoOpContainer(output=1)
@@ -65,6 +71,7 @@ async def serve(directory: str) -> None:
     weight = 0.1
     await mgmt.start_canary("app", "m", 2, weight=weight)
     print("CANARY", flush=True)
+    await asyncio.sleep(MARKER_PAUSE_S)
     served = 0
     while True:
         served += 1
@@ -77,6 +84,7 @@ async def serve(directory: str) -> None:
             # Printed only after the registry acknowledged the new weight,
             # so the parent may assume the WAL holds at least this step.
             print(f"WEIGHT {weight:.2f}", flush=True)
+            await asyncio.sleep(MARKER_PAUSE_S)
 
 
 def torn(directory: str) -> None:

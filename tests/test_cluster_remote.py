@@ -13,6 +13,9 @@ re-placement off a sick worker) is in ``test_replica_contract.py``.
 from __future__ import annotations
 
 import asyncio
+import glob
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -369,3 +372,47 @@ class TestWorkerDrain:
             await replica.stop()
 
         run_async(scenario())
+
+
+def private_bell_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-bells-*")))
+
+
+class TestBellDirectory:
+    """Shm doorbells bind in the system temp dir, one socket per ring pair
+    that is unlinked once the peer connects, so a worker makes no directory
+    for them however long its cluster dir is."""
+
+    def test_no_shm_lane_makes_no_tmp_dir(self, tmp_path):
+        long_dir = tmp_path / ("x" * 80)
+        before = private_bell_dirs()
+
+        async def scenario():
+            daemon = await start_daemon(long_dir, shm_enabled=False)
+            await daemon.stop()
+
+        run_async(scenario())
+        assert private_bell_dirs() == before
+
+    @pytest.mark.shm
+    @pytest.mark.skipif(not HAS_SHARED_MEMORY, reason="no shared memory")
+    def test_shm_lane_makes_no_bell_dir(self, tmp_path):
+        long_dir = tmp_path / ("x" * 80)
+        before = private_bell_dirs()
+
+        async def scenario():
+            daemon = await start_daemon(long_dir)
+            try:
+                worker = daemon.registry.workers()["w0"]
+                replica = RemoteReplica("m:1", 0, worker, factory_name="echo")
+                assert replica.transport_lane == "shm"
+                await replica.start()
+                assert (await replica.predict_batch([np.zeros(2)])).outputs == [1]
+                assert private_bell_dirs() == before
+                assert not (long_dir / "bells").exists()
+                await replica.stop()
+            finally:
+                await daemon.stop()
+
+        run_async(scenario())
+        assert private_bell_dirs() == before

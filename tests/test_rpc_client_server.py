@@ -1,5 +1,7 @@
 """Tests for the RPC client / container server pair."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from repro.rpc.server import ContainerRpcServer
 from repro.rpc.transport import InProcessTransport
 
 
-def make_pair(container, timeout_s=5.0, use_executor=False):
+def make_pair(container, timeout_s=5.0):
     pair = InProcessTransport()
-    server = ContainerRpcServer(container, pair.server_side, use_executor=use_executor)
+    server = ContainerRpcServer(container, pair.server_side)
     client = RpcClient(pair.client_side, timeout_s=timeout_s)
     return client, server
 
@@ -66,12 +68,19 @@ class TestPredictRoundTrip:
 
         run_async(scenario())
 
-    def test_executor_mode(self):
+    def test_evaluates_off_the_event_loop_thread(self):
+        threads = []
+
+        def model(inputs):
+            threads.append(threading.get_ident())
+            return [2] * len(inputs)
+
         async def scenario():
-            client, server = make_pair(NoOpContainer(output=2), use_executor=True)
+            client, server = make_pair(FunctionContainer(model))
             server.start()
-            response = await client.predict("noop:1", [np.zeros(1)] * 3)
+            response = await client.predict("fn:1", [np.zeros(1)] * 3)
             assert response.outputs == [2, 2, 2]
+            assert threads and threads[0] != threading.get_ident()
             await server.stop()
 
         run_async(scenario())

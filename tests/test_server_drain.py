@@ -53,9 +53,7 @@ class TestContainerRpcServerDrain:
     def test_drain_waits_for_the_in_flight_batch(self):
         async def scenario():
             pair = InProcessTransport()
-            server = ContainerRpcServer(
-                SlowContainer(delay_s=0.2), pair.server_side, use_executor=True
-            )
+            server = ContainerRpcServer(SlowContainer(delay_s=0.2), pair.server_side)
             client = RpcClient(pair.client_side, timeout_s=5.0)
             server.start()
             pending = asyncio.ensure_future(client.predict("m:1", [np.zeros(1)]))
