@@ -22,15 +22,15 @@ import time
 import numpy as np
 
 from conftest import record_result
+from paperkit.online import straggler_experiment
+from paperkit.reporting import format_table
+from paperkit.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 from repro.batching.aimd import AIMDController
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment, TracingConfig
 from repro.core.types import ModelId, Query
-from repro.evaluation.online import straggler_experiment
-from repro.evaluation.reporting import format_table
-from repro.evaluation.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.selection.epsilon_greedy import EpsilonGreedyPolicy
 from repro.selection.exp3 import Exp3Policy

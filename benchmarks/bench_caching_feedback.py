@@ -12,9 +12,10 @@ cache data structures.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_result
+from paperkit.reporting import format_table
+from paperkit.suites import heterogeneous_ensemble
 from repro.cache.clock import ClockCache
 from repro.cache.lru import LRUCache
 from repro.cache.prediction_cache import PredictionCache
@@ -22,8 +23,6 @@ from repro.containers.adapters import ClassifierContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Feedback, Query
-from repro.evaluation.reporting import format_table
-from repro.evaluation.suites import heterogeneous_ensemble
 
 N_FEEDBACK = 150
 

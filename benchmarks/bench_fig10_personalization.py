@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import record_result
-from repro.datasets import load_timit_like
-from repro.evaluation.online import personalization_experiment
-from repro.evaluation.reporting import format_table
-from repro.evaluation.suites import build_user_streams, dialect_model_suite
+from paperkit.datasets.speech import load_timit_like
+from paperkit.online import personalization_experiment
+from paperkit.reporting import format_table
+from paperkit.suites import build_user_streams, dialect_model_suite
 from repro.selection.exp4 import Exp4Policy
 
 MAX_FEEDBACK = 8

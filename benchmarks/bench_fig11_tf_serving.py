@@ -10,6 +10,10 @@ CIFAR / ImageNet TensorFlow models) through three systems:
 * Clipper with a "Python" model container (the same path but paying Python
   serialization plus the Python API's per-batch and per-item overhead).
 
+The same closed-loop driver (``paperkit.load.run_load``) loads all three
+and times every query from the caller's side, so the latency columns are
+comparable across systems.
+
 Shape checks mirror the paper: Clipper with the C++ container achieves
 throughput comparable to TF-Serving (within ~20%), while the Python
 container pays a modest additional penalty (the paper measures 15-18%).
@@ -18,13 +22,13 @@ container pays a modest additional penalty (the paper measures 15-18%).
 import pytest
 
 from conftest import record_result
+from paperkit.datasets.images import load_cifar_like, load_imagenet_like, load_mnist_like
+from paperkit.mlkit.zoo import FIGURE11_MODELS, build_figure11_model
+from paperkit.overhead import LanguageOverheadContainer
+from paperkit.reporting import format_table
+from paperkit.serving import run_clipper_serving, run_tfserving_baseline
 from repro.containers.adapters import ClassifierContainer
-from repro.containers.overhead import LanguageOverheadContainer
 from repro.core.config import BatchingConfig
-from repro.datasets import load_cifar_like, load_imagenet_like, load_mnist_like
-from repro.evaluation.reporting import format_table
-from repro.evaluation.serving import run_clipper_serving, run_tfserving_baseline
-from repro.mlkit.zoo import FIGURE11_MODELS, build_figure11_model
 
 NUM_QUERIES = 400
 CONCURRENCY = 64

@@ -12,8 +12,8 @@ asserted as a shape check.
 import pytest
 
 from conftest import SLO_MS, record_result
-from repro.evaluation.profiles import max_batch_under_slo, measure_latency_profile
-from repro.evaluation.reporting import format_table
+from paperkit.profiles import max_batch_under_slo, measure_latency_profile
+from paperkit.reporting import format_table
 
 #: Batch sizes swept for the cheap containers; the expensive kernel SVM uses
 #: the smaller sweep, mirroring the paper's per-container x-axis ranges.

@@ -12,9 +12,9 @@ the SLO.
 import pytest
 
 from conftest import SLO_MS, record_result
+from paperkit.reporting import format_table
+from paperkit.serving import run_clipper_serving
 from repro.core.config import BatchingConfig
-from repro.evaluation.reporting import format_table
-from repro.evaluation.serving import run_clipper_serving
 
 STRATEGIES = {
     "adaptive": BatchingConfig(policy="aimd", additive_increase=4),

@@ -16,10 +16,10 @@ a 2 ms batch delay and no gain for the Spark container.
 import pytest
 
 from conftest import record_result
+from paperkit.load import PoissonArrivals
+from paperkit.reporting import format_table
+from paperkit.serving import run_clipper_serving
 from repro.core.config import BatchingConfig
-from repro.evaluation.reporting import format_table
-from repro.evaluation.serving import run_clipper_serving
-from repro.workloads.arrivals import PoissonArrivals
 
 #: Batch-wait timeouts swept (ms); the paper sweeps 0-4 ms (in microseconds).
 WAIT_TIMEOUTS_MS = [0.0, 1.0, 2.0, 4.0]

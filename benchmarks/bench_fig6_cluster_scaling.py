@@ -24,10 +24,9 @@ import time
 import numpy as np
 
 from conftest import record_result
+from paperkit.reporting import format_table, summarize_latencies
 from repro.client import AdminClient, AsyncClipperClient, ClipperClientError
 from repro.cluster.supervisor import Supervisor
-from repro.core.metrics import summarize_latencies
-from repro.evaluation.reporting import format_table
 
 APP = "fig6"
 WORKERS = (1, 2, 3, 4)

@@ -9,14 +9,13 @@ the ensemble is at least as accurate as the best single model, and the
 confident group has much lower error than the unsure group.
 """
 
-import numpy as np
 import pytest
 
 from conftest import record_result
-from repro.datasets import load_imagenet_like
-from repro.evaluation.online import ensemble_accuracy_experiment
-from repro.evaluation.reporting import format_table
-from repro.evaluation.suites import ensemble_prediction_matrix, heterogeneous_ensemble
+from paperkit.datasets.images import load_imagenet_like
+from paperkit.online import ensemble_accuracy_experiment
+from paperkit.reporting import format_table
+from paperkit.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,9 @@ before the failure.
 import numpy as np
 
 from conftest import record_result
-from repro.baselines.selection import ABTestingSelection
-from repro.evaluation.online import model_failure_experiment
-from repro.evaluation.reporting import format_table
+from paperkit.ab_testing import ABTestingSelection
+from paperkit.online import model_failure_experiment
+from paperkit.reporting import format_table
 
 NUM_QUERIES = 20000
 DEGRADE_START = 5000

@@ -11,9 +11,9 @@ ensemble.
 """
 
 from conftest import SLO_MS, record_result
-from repro.evaluation.online import straggler_experiment
-from repro.evaluation.reporting import format_table
-from repro.evaluation.suites import ensemble_prediction_matrix, heterogeneous_ensemble
+from paperkit.online import straggler_experiment
+from paperkit.reporting import format_table
+from paperkit.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 
 ENSEMBLE_SIZES = (2, 4, 6, 8)
 

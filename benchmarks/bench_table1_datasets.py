@@ -7,8 +7,9 @@ generation itself, which every other experiment depends on.
 """
 
 from conftest import record_result
-from repro.datasets import dataset_table, load_mnist_like
-from repro.evaluation.reporting import format_table
+from paperkit.datasets.images import load_mnist_like
+from paperkit.datasets.registry import dataset_table
+from paperkit.reporting import format_table
 
 
 def test_table1_dataset_registry(benchmark):

@@ -10,10 +10,10 @@ on.
 import pytest
 
 from conftest import record_result
-from repro.datasets import load_imagenet_like
-from repro.datasets.registry import model_zoo_table
-from repro.evaluation.reporting import format_table
-from repro.mlkit.zoo import TABLE2_ZOO, build_zoo_model
+from paperkit.datasets.images import load_imagenet_like
+from paperkit.datasets.registry import model_zoo_table
+from paperkit.mlkit.zoo import TABLE2_ZOO, build_zoo_model
+from paperkit.reporting import format_table
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ Every benchmark regenerates one table or figure from the paper's evaluation.
 Trained model suites and datasets are session-scoped so that model training
 is paid once, and every benchmark records the table it reproduces under
 ``benchmarks/results/`` (untracked) so the numbers can be inspected.  The
+models, datasets and load drivers come from ``benchmarks/paperkit``.  The
 serving engine's own overhead is not measured here but by the repo's
 benchmark, ``benchmarks/serving/``.
 """
@@ -14,8 +15,8 @@ import pathlib
 
 import pytest
 
-from repro.datasets import load_cifar_like, load_mnist_like
-from repro.evaluation.suites import (
+from paperkit.datasets.images import load_cifar_like, load_mnist_like
+from paperkit.suites import (
     ensemble_prediction_matrix,
     figure3_container_suite,
     heterogeneous_ensemble,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.datasets.synthetic import SyntheticClassification, make_classification
+from paperkit.datasets.synthetic import SyntheticClassification, make_classification
 
 #: Paper input dimensionalities (Table 1).
 MNIST_SHAPE = (28, 28)

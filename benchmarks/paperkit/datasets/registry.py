@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.mlkit.zoo import TABLE2_ZOO, ZooEntry
+from paperkit.mlkit.zoo import TABLE2_ZOO, ZooEntry
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,6 @@ class DatasetInfo:
     paper_size: str
     paper_features: str
     paper_labels: int
-    loader: str
     repro_features: int
     repro_labels: int
 
@@ -30,7 +29,6 @@ DATASET_REGISTRY: Dict[str, DatasetInfo] = {
         paper_size="70K",
         paper_features="28x28",
         paper_labels=10,
-        loader="repro.datasets.load_mnist_like",
         repro_features=28 * 28,
         repro_labels=10,
     ),
@@ -40,7 +38,6 @@ DATASET_REGISTRY: Dict[str, DatasetInfo] = {
         paper_size="60K",
         paper_features="32x32x3",
         paper_labels=10,
-        loader="repro.datasets.load_cifar_like",
         repro_features=32 * 32 * 3,
         repro_labels=10,
     ),
@@ -50,7 +47,6 @@ DATASET_REGISTRY: Dict[str, DatasetInfo] = {
         paper_size="1.26M",
         paper_features="299x299x3",
         paper_labels=1000,
-        loader="repro.datasets.load_imagenet_like",
         repro_features=2048,
         repro_labels=100,
     ),
@@ -60,7 +56,6 @@ DATASET_REGISTRY: Dict[str, DatasetInfo] = {
         paper_size="6300",
         paper_features="5 sec.",
         paper_labels=39,
-        loader="repro.datasets.load_timit_like",
         repro_features=13,
         repro_labels=10,
     ),

@@ -6,8 +6,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.mlkit.base import BaseEstimator, ClassifierMixin, as_rng, check_Xy, check_2d
-from repro.mlkit.tree import DecisionTreeClassifier
+from paperkit.mlkit.base import BaseEstimator, ClassifierMixin, as_rng, check_Xy, check_2d
+from paperkit.mlkit.tree import DecisionTreeClassifier
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):

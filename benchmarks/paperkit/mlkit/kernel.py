@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mlkit.base import (
+from paperkit.mlkit.base import (
     BaseEstimator,
     ClassifierMixin,
     as_rng,

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mlkit.base import (
+from paperkit.mlkit.base import (
     BaseEstimator,
     ClassifierMixin,
     as_rng,

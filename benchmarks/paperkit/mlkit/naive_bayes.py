@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mlkit.base import BaseEstimator, ClassifierMixin, check_Xy, check_2d, softmax
+from paperkit.mlkit.base import BaseEstimator, ClassifierMixin, check_Xy, check_2d, softmax
 
 
 class GaussianNB(BaseEstimator, ClassifierMixin):

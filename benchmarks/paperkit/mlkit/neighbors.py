@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mlkit.base import BaseEstimator, ClassifierMixin, check_Xy, check_2d
+from paperkit.mlkit.base import BaseEstimator, ClassifierMixin, check_Xy, check_2d
 
 
 class KNeighborsClassifier(BaseEstimator, ClassifierMixin):

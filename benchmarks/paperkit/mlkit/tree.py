@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mlkit.base import BaseEstimator, ClassifierMixin, as_rng, check_Xy, check_2d
+from paperkit.mlkit.base import BaseEstimator, ClassifierMixin, as_rng, check_Xy, check_2d
 
 
 @dataclass

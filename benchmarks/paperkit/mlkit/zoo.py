@@ -3,7 +3,7 @@
 The paper's ImageNet ensemble (Table 2) combines five off-the-shelf deep
 networks of very different cost: VGG (13 conv + 3 FC), GoogLeNet (96 conv),
 ResNet-152, CaffeNet and Inception-v3.  Here each named architecture maps to
-an :class:`~repro.mlkit.mlp.MLPClassifier` whose depth/width ordering
+an :class:`~paperkit.mlkit.mlp.MLPClassifier` whose depth/width ordering
 preserves the *relative* inference cost and accuracy ranking, which is what
 the ensemble-accuracy and serving-comparison experiments depend on.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.mlkit.mlp import MLPClassifier
+from paperkit.mlkit.mlp import MLPClassifier
 
 
 @dataclass(frozen=True)

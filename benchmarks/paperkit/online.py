@@ -10,17 +10,16 @@ fast and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from paperkit.mlkit import metrics as mlmetrics
 from repro.core.types import ModelId
-from repro.mlkit import metrics as mlmetrics
-from repro.selection.ensemble import majority_vote
+from repro.selection.ensemble import weighted_vote
 from repro.selection.exp3 import Exp3Policy
 from repro.selection.exp4 import Exp4Policy
 from repro.selection.policy import SelectionPolicy
-from repro.workloads.feedback import degrade_prediction
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ def ensemble_accuracy_experiment(
     agreements = np.empty(n, dtype=int)
     for i in range(n):
         votes = {name: model_predictions[name][i] for name in names}
-        label, _ = majority_vote(votes)
+        label, _ = weighted_vote(votes)
         ensemble_labels[i] = label
         agreements[i] = sum(1 for name in names if model_predictions[name][i] == label)
 
@@ -138,6 +137,28 @@ class ModelFailureResult:
         return {name: float(curve[-1]) for name, curve in self.cumulative_errors.items()}
 
 
+def degrade_prediction(
+    prediction: Any,
+    n_classes: int,
+    rng: np.random.Generator,
+    corruption_rate: float = 0.9,
+) -> Any:
+    """Corrupt a model prediction with the given probability.
+
+    Used to simulate the "severe model degradation" of Figure 8: while the
+    degradation window is active, the failing model's outputs are replaced by
+    a uniformly random wrong label with probability ``corruption_rate``.
+    """
+    if not 0.0 <= corruption_rate <= 1.0:
+        raise ValueError("corruption_rate must be in [0, 1]")
+    if rng.random() >= corruption_rate:
+        return prediction
+    wrong = int(rng.integers(0, n_classes))
+    if wrong == prediction:
+        wrong = (wrong + 1) % n_classes
+    return wrong
+
+
 def model_failure_experiment(
     model_predictions: Dict[str, np.ndarray],
     y_true: np.ndarray,
@@ -181,7 +202,6 @@ def model_failure_experiment(
         }
     model_ids = [ModelId(name) for name in names]
     policy_states = {label: policy.init(model_ids) for label, policy in policies.items()}
-    key_of = {name: str(ModelId(name)) for name in names}
 
     cumulative = {name: np.zeros(num_queries) for name in names}
     for label in policies:
@@ -317,7 +337,7 @@ def straggler_experiment(
         missing_fractions[t] = 1.0 - arrived.mean()
 
         all_votes = {name: model_predictions[name][idx] for name in members}
-        label_all, _ = majority_vote(all_votes)
+        label_all, _ = weighted_vote(all_votes)
         if label_all == y_true[idx]:
             correct_blocking += 1
 
@@ -327,7 +347,7 @@ def straggler_experiment(
             if ok
         }
         if available_votes:
-            label_avail, _ = majority_vote(available_votes)
+            label_avail, _ = weighted_vote(available_votes)
             if label_avail == y_true[idx]:
                 correct_mitigated += 1
 

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from paperkit.reporting import summarize_latencies
 from repro.containers.base import ModelContainer
-from repro.core.metrics import summarize_latencies
 
 
 @dataclass

@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Iterable, Sequence
+
+import numpy as np
+
+
+def summarize_latencies(latencies_ms: Iterable[float]) -> Dict[str, float]:
+    """Summary statistics (mean/p50/p95/p99/max) for a latency sample in ms."""
+    values = np.asarray(list(latencies_ms), dtype=float)
+    if values.size == 0:
+        nan = float("nan")
+        return {"count": 0, "mean": nan, "p50": nan, "p95": nan, "p99": nan, "max": nan}
+    return {
+        "count": int(values.size),
+        "mean": float(values.mean()),
+        "p50": float(np.percentile(values, 50)),
+        "p95": float(np.percentile(values, 95)),
+        "p99": float(np.percentile(values, 99)),
+        "max": float(values.max()),
+    }
 
 
 def format_table(rows: Sequence[Dict[str, Any]], title: str = "") -> str:

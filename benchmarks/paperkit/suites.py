@@ -13,18 +13,18 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from paperkit.datasets.speech import TimitLikeCorpus, utterances_to_fixed_features
+from paperkit.datasets.synthetic import SyntheticClassification
+from paperkit.mlkit.forest import RandomForestClassifier
+from paperkit.mlkit.kernel import KernelSVM
+from paperkit.mlkit.linear import LinearSVM, LogisticRegression
+from paperkit.mlkit.mlp import MLPClassifier
+from paperkit.mlkit.naive_bayes import GaussianNB
+from paperkit.mlkit.neighbors import KNeighborsClassifier
+from paperkit.overhead import LanguageOverheadContainer
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import LanguageOverheadContainer
-from repro.datasets.speech import TimitLikeCorpus, utterances_to_fixed_features
-from repro.datasets.synthetic import SyntheticClassification
-from repro.mlkit.forest import RandomForestClassifier
-from repro.mlkit.kernel import KernelSVM
-from repro.mlkit.linear import LinearSVM, LogisticRegression
-from repro.mlkit.mlp import MLPClassifier
-from repro.mlkit.naive_bayes import GaussianNB
-from repro.mlkit.neighbors import KNeighborsClassifier
 
 
 @dataclass

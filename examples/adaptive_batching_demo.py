@@ -7,17 +7,17 @@ controllers converged to.
 
 Run with::
 
-    python examples/adaptive_batching_demo.py
+    PYTHONPATH=src:benchmarks python examples/adaptive_batching_demo.py
 """
 
 from __future__ import annotations
 
+from paperkit.datasets.images import load_mnist_like
+from paperkit.mlkit.linear import LinearSVM
+from paperkit.reporting import format_table
+from paperkit.serving import run_clipper_serving
 from repro.containers.adapters import ClassifierContainer
 from repro.core.config import BatchingConfig
-from repro.datasets import load_mnist_like
-from repro.evaluation.reporting import format_table
-from repro.evaluation.serving import run_clipper_serving
-from repro.mlkit import LinearSVM
 
 SLO_MS = 20.0
 

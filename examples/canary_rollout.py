@@ -15,7 +15,7 @@ phase are exactly the evidence the controller promotes (or aborts) on.
 
 Run with::
 
-    PYTHONPATH=src python examples/canary_rollout.py
+    PYTHONPATH=src:benchmarks python examples/canary_rollout.py
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import time
 
 import numpy as np
 
+from paperkit.reporting import format_table
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
-from repro.evaluation.reporting import format_table
 from repro.management import ManagementFrontend
 
 APP = "canary-demo"

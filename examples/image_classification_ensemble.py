@@ -8,19 +8,17 @@ default (the "robust predictions" pattern of §5.2.1).
 
 Run with::
 
-    python examples/image_classification_ensemble.py
+    PYTHONPATH=src:benchmarks python examples/image_classification_ensemble.py
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import numpy as np
-
+from paperkit.datasets.images import load_cifar_like
+from paperkit.suites import heterogeneous_ensemble
 from repro import Clipper, ClipperConfig, Feedback, ModelDeployment, Query
 from repro.containers.adapters import ClassifierContainer
-from repro.datasets import load_cifar_like
-from repro.evaluation.suites import heterogeneous_ensemble
 
 #: Applications with a costly failure mode can decline to predict below this
 #: agreement level and take a default action instead.

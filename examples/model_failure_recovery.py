@@ -15,7 +15,7 @@ showing that the kill is absorbed: zero failed predictions and a steady p99.
 
 Run with::
 
-    PYTHONPATH=src python examples/model_failure_recovery.py
+    PYTHONPATH=src:benchmarks python examples/model_failure_recovery.py
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import time
 
 import numpy as np
 
+from paperkit.reporting import format_table, summarize_latencies
 from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.metrics import summarize_latencies
 from repro.core.types import Query
-from repro.evaluation.reporting import format_table
 from repro.management import ManagementFrontend
 
 APP = "recovery-demo"

@@ -8,7 +8,7 @@ talks to Clipper exactly the way the paper's applications do: two verbs,
 ``predict`` and ``update``, over HTTP.
 
 1. *Train* two models (a linear SVM and a logistic regression) with the
-   bundled ``repro.mlkit`` framework on an MNIST-like dataset.
+   ``paperkit.mlkit`` stand-in framework on an MNIST-like dataset.
 2. *Deploy* each model in its own container behind the model abstraction
    layer and bind the query + admin API to a loopback HTTP server.
 3. *Serve* queries through the Exp4 ensemble selection policy with a 20 ms
@@ -19,7 +19,7 @@ talks to Clipper exactly the way the paper's applications do: two verbs,
 
 Run with::
 
-    PYTHONPATH=src python examples/quickstart.py
+    PYTHONPATH=src:benchmarks python examples/quickstart.py
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from __future__ import annotations
 import asyncio
 
 # -- server-side imports: the serving engine ----------------------------------
+from paperkit.datasets.images import load_mnist_like
+from paperkit.mlkit.linear import LinearSVM, LogisticRegression
 from repro import Clipper, ClipperConfig, ManagementFrontend, ModelDeployment, QueryFrontend
 from repro.api.http import create_server
 from repro.containers.adapters import ClassifierContainer
 from repro.core.config import BatchingConfig
-from repro.datasets import load_mnist_like
-from repro.mlkit import LinearSVM, LogisticRegression
 
 
 def build_server():

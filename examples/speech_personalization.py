@@ -8,7 +8,7 @@ user* — without ever being told the user's dialect.
 
 Run with::
 
-    python examples/speech_personalization.py
+    PYTHONPATH=src:benchmarks python examples/speech_personalization.py
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import asyncio
 
 import numpy as np
 
+from paperkit.datasets.speech import load_timit_like, utterances_to_fixed_features
+from paperkit.suites import dialect_model_suite
 from repro import Clipper, ClipperConfig, Feedback, ModelDeployment, Query
 from repro.containers.adapters import ClassifierContainer
-from repro.datasets import load_timit_like
-from repro.datasets.speech import utterances_to_fixed_features
-from repro.evaluation.suites import dialect_model_suite
 
 
 async def main() -> None:

@@ -43,18 +43,13 @@ Sub-packages:
 ``repro.client``
     The client SDK (``ClipperClient`` / ``AdminClient``): applications talk
     to a served Clipper over HTTP without importing the serving engine.
-``repro.mlkit``
-    A from-scratch numpy machine-learning framework standing in for
-    Scikit-Learn / Spark MLlib / Caffe / TensorFlow.
-``repro.datasets``
-    Synthetic stand-ins for MNIST, CIFAR-10, ImageNet and TIMIT.
-``repro.workloads``
-    Arrival processes and open/closed-loop load-generating clients.
 ``repro.cluster``
     The multi-process fleet: worker daemons, ingress tier and supervisor;
     the scale-out experiment (Fig. 6) runs on it.
-``repro.baselines``
-    TensorFlow-Serving-like comparator and the A/B-testing selection baseline.
+
+The models, datasets, load drivers and baselines of the paper's evaluation
+are not part of the serving system: they are the paper kit under
+``benchmarks/``, which imports ``repro`` and is never imported by it.
 """
 
 import importlib

@@ -1,4 +1,4 @@
-"""Containers adapting mlkit estimators to the batch prediction interface.
+"""Containers adapting fit/predict estimators to the batch prediction interface.
 
 These are the equivalents of the paper's per-framework container bindings
 (Scikit-Learn, Spark, Caffe, TensorFlow) — the adapter is a few lines
@@ -16,7 +16,7 @@ from repro.containers.base import ModelContainer
 
 
 class ClassifierContainer(ModelContainer):
-    """Serves any mlkit classifier with a ``predict``/``predict_proba`` API.
+    """Serves any classifier with a scikit-learn style ``predict``/``predict_proba`` API.
 
     Parameters
     ----------

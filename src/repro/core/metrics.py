@@ -11,13 +11,12 @@ names and aggregates them.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -453,26 +452,3 @@ class MetricScope(MetricsRegistry):
             for mine, theirs in zip(self._tables(), self._registry._tables()):
                 for name in mine:
                     theirs.pop(name, None)
-
-
-def summarize_latencies(latencies_ms: Iterable[float]) -> Dict[str, float]:
-    """Summary statistics (mean/p50/p95/p99/max) for a latency sample in ms."""
-    values = np.asarray(list(latencies_ms), dtype=float)
-    if values.size == 0:
-        nan = float("nan")
-        return {"count": 0, "mean": nan, "p50": nan, "p95": nan, "p99": nan, "max": nan}
-    return {
-        "count": int(values.size),
-        "mean": float(values.mean()),
-        "p50": float(np.percentile(values, 50)),
-        "p95": float(np.percentile(values, 95)),
-        "p99": float(np.percentile(values, 99)),
-        "max": float(values.max()),
-    }
-
-
-def throughput_qps(num_queries: int, elapsed_seconds: float) -> float:
-    """Queries per second, guarding against a zero-length interval."""
-    if elapsed_seconds <= 0:
-        return 0.0 if num_queries == 0 else math.inf
-    return num_queries / elapsed_seconds

@@ -7,7 +7,7 @@ from repro.selection.epsilon_greedy import EpsilonGreedyPolicy
 from repro.selection.thompson import ThompsonSamplingPolicy
 from repro.selection.ucb import UCB1Policy
 from repro.selection.single import SingleModelPolicy
-from repro.selection.ensemble import majority_vote, weighted_vote
+from repro.selection.ensemble import weighted_vote
 from repro.selection.manager import SelectionStateManager
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ThompsonSamplingPolicy",
     "UCB1Policy",
     "SingleModelPolicy",
-    "majority_vote",
     "weighted_vote",
     "SelectionStateManager",
 ]

@@ -14,16 +14,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.exceptions import SelectionPolicyError
 
 
-def majority_vote(predictions: Dict[str, Any]) -> Tuple[Any, float]:
-    """Unweighted majority vote.
-
-    Returns ``(winning_label, agreement_fraction)`` where the fraction is
-    computed over the models present in ``predictions``.  Ties are broken by
-    the smallest label repr for determinism.
-    """
-    return weighted_vote(predictions, weights=None)
-
-
 def weighted_vote(
     predictions: Dict[str, Any],
     weights: Optional[Dict[str, float]] = None,
@@ -38,7 +28,8 @@ def weighted_vote(
     positive every model counts the same.  Returns the winning label and the
     *unweighted* fraction of ``ensemble_size`` (the models that should have
     answered; by default those that did) that predicted it — the paper's
-    agreement-based confidence measure.
+    agreement-based confidence measure.  A tie goes to the label with the
+    smallest ``repr``, so the answer does not depend on the map's order.
     """
     if not predictions:
         raise ValueError("cannot combine an empty prediction map")

@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite.
 
 Plain helpers (``run_async``) live in :mod:`helpers` so test modules can
-import them without relying on conftest module-name resolution.
+import them without relying on conftest module-name resolution.  The
+fixtures that build datasets and train models import :mod:`paperkit` inside
+their bodies, so a serving test that takes none of them never loads it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ import numpy as np
 import pytest
 
 from helpers import run_async  # noqa: F401  (re-exported for convenience)
-from repro.datasets import load_mnist_like, make_classification
-from repro.mlkit import LinearSVM, LogisticRegression
 
 
 def pytest_addoption(parser):
@@ -59,6 +59,8 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(scope="session")
 def small_dataset():
     """A small, easy synthetic classification dataset (fast model training)."""
+    from paperkit.datasets.synthetic import make_classification
+
     return make_classification(
         n_samples=400,
         n_features=20,
@@ -72,12 +74,16 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def mnist_like_small():
     """A reduced-dimension MNIST-like dataset for serving tests."""
+    from paperkit.datasets.images import load_mnist_like
+
     return load_mnist_like(n_samples=600, n_features=64, random_state=0)
 
 
 @pytest.fixture(scope="session")
 def trained_svm(mnist_like_small):
     """A linear SVM trained on the small MNIST-like dataset."""
+    from paperkit.mlkit.linear import LinearSVM
+
     ds = mnist_like_small
     return LinearSVM(epochs=4, random_state=0).fit(ds.X_train, ds.y_train)
 
@@ -85,6 +91,8 @@ def trained_svm(mnist_like_small):
 @pytest.fixture(scope="session")
 def trained_logreg(mnist_like_small):
     """A logistic regression trained on the small MNIST-like dataset."""
+    from paperkit.mlkit.linear import LogisticRegression
+
     ds = mnist_like_small
     return LogisticRegression(epochs=4, random_state=1).fit(ds.X_train, ds.y_train)
 

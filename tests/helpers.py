@@ -7,16 +7,17 @@ when another rootdir conftest (e.g. ``benchmarks/conftest.py``) is imported
 first.
 
 The container doubles below (:class:`SimulatedLatencyContainer`,
-:class:`FlakyContainer`, :class:`CorruptingContainer`) are used by tests
-alone; containers that a benchmark, an example or a script also builds stay
-in :mod:`repro.containers`.
+:class:`FlakyContainer`, :class:`CorruptingContainer`) and the flash-crowd
+schedule :class:`BurstyArrivals` are used by tests alone; containers that a
+benchmark, an example or a script also builds stay in
+:mod:`repro.containers`.  Nothing here imports :mod:`paperkit`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -167,3 +168,49 @@ class CorruptingContainer(ModelContainer):
         if self.mode == "short":
             return [self.output] * (len(inputs) - 1)
         return [self.corrupt_output] * len(inputs)
+
+
+class BurstyArrivals:
+    """Two-state (on/off) bursty arrivals, deterministic under a seed.
+
+    Alternates between a burst state, where queries arrive at ``burst_qps``,
+    and an idle state at ``idle_qps``; state dwell lengths (in queries) are
+    geometric with the configured means.  Models a flash crowd such as a
+    breaking-news traffic spike.
+    """
+
+    def __init__(
+        self,
+        burst_qps: float,
+        idle_qps: float,
+        mean_burst_length: int = 50,
+        mean_idle_length: int = 50,
+        random_state: Optional[int] = None,
+    ) -> None:
+        if burst_qps <= 0 or idle_qps <= 0:
+            raise ValueError("rates must be positive")
+        if mean_burst_length < 1 or mean_idle_length < 1:
+            raise ValueError("mean state lengths must be >= 1")
+        self.burst_qps = burst_qps
+        self.idle_qps = idle_qps
+        self.mean_burst_length = mean_burst_length
+        self.mean_idle_length = mean_idle_length
+        self._rng = np.random.default_rng(random_state)
+
+    def gaps(self, n: int) -> Iterator[float]:
+        """Yield ``n`` inter-arrival gaps (seconds)."""
+        emitted = 0
+        in_burst = True
+        while emitted < n:
+            mean_length = self.mean_burst_length if in_burst else self.mean_idle_length
+            length = int(self._rng.geometric(1.0 / mean_length))
+            length = min(length, n - emitted)
+            rate = self.burst_qps if in_burst else self.idle_qps
+            for gap in self._rng.exponential(1.0 / rate, size=length):
+                yield float(gap)
+            emitted += length
+            in_burst = not in_burst
+
+    def arrival_times(self, n: int) -> np.ndarray:
+        """Times (s) of ``n`` arrivals, counted from 0."""
+        return np.cumsum(np.fromiter(self.gaps(n), dtype=float, count=n))

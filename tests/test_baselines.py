@@ -1,13 +1,14 @@
 """Tests for the TF-Serving-like baseline and the non-adaptive selection baselines."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
-from helpers import run_async
-from repro.baselines.selection import ABTestingSelection
-from repro.baselines.tfserving import TFServingLikeServer
+from helpers import run_async, wait_until
+from paperkit.ab_testing import ABTestingSelection
+from paperkit.serving import TFServingLikeServer
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.exceptions import ClipperError
@@ -30,8 +31,8 @@ class TestTFServingLikeServer:
             await server.start()
             await asyncio.gather(*[server.predict(np.zeros(1)) for _ in range(32)])
             await server.stop()
-            sizes = server.metrics.histogram("batch.size").values()
-            assert max(sizes) <= 4
+            assert max(server.batch_sizes) <= 4
+            assert sum(server.batch_sizes) == 32
 
         run_async(scenario())
 
@@ -74,15 +75,35 @@ class TestTFServingLikeServer:
 
         run_async(scenario())
 
-    def test_latency_summary_reports_measurements(self):
+    def test_stop_answers_every_queued_query(self):
+        """A query queued behind the batch in flight when ``stop()`` runs is
+        answered, not left waiting: the queue closes and the loop drains it."""
+        entered, gate = threading.Event(), threading.Event()
+
+        class Gated(ModelContainer):
+            def predict_batch(self, inputs):
+                entered.set()
+                gate.wait(5.0)
+                return list(inputs)
+
         async def scenario():
-            server = TFServingLikeServer(NoOpContainer(), batch_size=2)
+            server = TFServingLikeServer(Gated(), batch_size=1, batch_timeout_ms=0.0)
             await server.start()
-            await asyncio.gather(*[server.predict(np.zeros(1)) for _ in range(6)])
-            await server.stop()
-            summary = server.latency_summary()
-            assert summary["count"] == 6
-            assert summary["mean"] > 0
+            first = asyncio.ensure_future(server.predict(1))
+            assert await wait_until(entered.is_set)
+            queued = [asyncio.ensure_future(server.predict(x)) for x in (2, 3)]
+            await asyncio.sleep(0)
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0.01)
+            gate.set()
+            try:
+                answers = await asyncio.wait_for(asyncio.gather(first, *queued), timeout=2.0)
+            finally:
+                gate.set()
+            await asyncio.wait_for(stopping, timeout=2.0)
+            assert answers == [1, 2, 3]
+            with pytest.raises(ClipperError):
+                await server.predict(4)
 
         run_async(scenario())
 

@@ -1,4 +1,4 @@
-"""Tests for model containers: base interface, adapters, no-op, overhead wrappers."""
+"""Tests for model containers: base interface, adapters, no-op, test doubles."""
 
 import time
 
@@ -9,7 +9,6 @@ from helpers import SimulatedLatencyContainer
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.noop import NoOpContainer
-from repro.containers.overhead import LanguageOverheadContainer
 
 
 class TestFunctionContainer:
@@ -80,25 +79,6 @@ class TestClassifierContainer:
     def test_requires_predict_method(self):
         with pytest.raises(TypeError):
             ClassifierContainer(object())
-
-
-class TestLanguageOverheadContainer:
-    def test_adds_measurable_overhead(self):
-        inner = NoOpContainer()
-        slow = LanguageOverheadContainer(inner, per_batch_overhead_ms=5.0)
-        start = time.perf_counter()
-        slow.predict_batch([1])
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        assert elapsed_ms >= 4.0
-
-    def test_outputs_pass_through(self):
-        inner = NoOpContainer(output=7)
-        wrapped = LanguageOverheadContainer(inner, per_batch_overhead_ms=0.0)
-        assert wrapped.predict_batch([1, 2]) == [7, 7]
-
-    def test_rejects_negative_overhead(self):
-        with pytest.raises(ValueError):
-            LanguageOverheadContainer(NoOpContainer(), per_batch_overhead_ms=-1)
 
 
 class TestSimulatedLatencyContainer:

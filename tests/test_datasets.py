@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.datasets import (
-    DATASET_REGISTRY,
-    dataset_table,
-    load_cifar_like,
-    load_imagenet_like,
-    load_mnist_like,
-    load_timit_like,
-    make_classification,
-)
-from repro.datasets.registry import model_zoo_table
-from repro.datasets.speech import utterances_to_fixed_features
-from repro.mlkit import LinearSVM
+from paperkit.datasets.images import load_cifar_like, load_imagenet_like, load_mnist_like
+from paperkit.datasets.registry import DATASET_REGISTRY, dataset_table, model_zoo_table
+from paperkit.datasets.speech import load_timit_like, utterances_to_fixed_features
+from paperkit.datasets.synthetic import make_classification
+from paperkit.mlkit.linear import LinearSVM
 
 
 class TestMakeClassification:
@@ -133,7 +126,7 @@ class TestTimitLike:
         corpus = load_timit_like(
             n_speakers=32, utterances_per_speaker=8, dialect_shift=3.0, random_state=0
         )
-        from repro.mlkit import LogisticRegression
+        from paperkit.mlkit.linear import LogisticRegression
 
         d0_train = corpus.utterances_for_dialect(0, "train")
         d1_train = corpus.utterances_for_dialect(1, "train")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.online import (
+from paperkit.online import (
     ensemble_accuracy_experiment,
     model_failure_experiment,
     personalization_experiment,

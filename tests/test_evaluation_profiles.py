@@ -1,16 +1,19 @@
-"""Tests for latency-profile measurement and reporting helpers."""
+"""Tests for latency-profile measurement, latency summaries and table rendering."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import SimulatedLatencyContainer
-from repro.containers.noop import NoOpContainer
-from repro.evaluation.profiles import (
+from paperkit.profiles import (
     LatencyProfile,
     max_batch_under_slo,
     measure_latency_profile,
 )
-from repro.evaluation.reporting import format_table
+from paperkit.reporting import format_table, summarize_latencies
+from repro.containers.noop import NoOpContainer
 
 
 class TestMeasureLatencyProfile:
@@ -94,3 +97,24 @@ class TestFormatTable:
         lines = rendered.splitlines()
         assert lines[0].startswith("name")
         assert "1.235" in rendered
+
+
+class TestSummarizeLatencies:
+    def test_summarize_latencies(self):
+        summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
+        assert summary["count"] == 4
+        assert summary["mean"] == pytest.approx(2.5)
+        assert summary["max"] == 4.0
+
+    def test_summarize_empty(self):
+        summary = summarize_latencies([])
+        assert summary["count"] == 0
+        assert math.isnan(summary["mean"])
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
+    def test_summary_percentiles_are_ordered(self, values):
+        summary = summarize_latencies(values)
+        assert summary["p50"] <= summary["p95"] + 1e-9
+        assert summary["p95"] <= summary["p99"] + 1e-9
+        assert summary["p99"] <= summary["max"] + 1e-9
+        assert min(values) - 1e-9 <= summary["mean"] <= max(values) + 1e-9

@@ -1,20 +1,24 @@
-"""Tests for the model suites and the live serving measurement drivers."""
+"""Tests for the model suites, the overhead wrapper and the serving drivers."""
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.containers.base import ModelContainer
-from repro.containers.noop import NoOpContainer
-from repro.core.config import BatchingConfig
-from repro.datasets import load_mnist_like, load_timit_like
-from repro.evaluation.serving import run_clipper_serving, run_tfserving_baseline
-from repro.evaluation.suites import (
+from paperkit.datasets.images import load_mnist_like
+from paperkit.datasets.speech import load_timit_like
+from paperkit.overhead import LanguageOverheadContainer
+from paperkit.serving import run_clipper_serving, run_tfserving_baseline
+from paperkit.suites import (
     build_user_streams,
     dialect_model_suite,
     ensemble_prediction_matrix,
     figure3_container_suite,
     heterogeneous_ensemble,
 )
+from repro.containers.base import ModelContainer
+from repro.containers.noop import NoOpContainer
+from repro.core.config import BatchingConfig
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +52,25 @@ class TestFigure3Suite:
         suite = figure3_container_suite(tiny_mnist, kernel_support_vectors=100)
         spec = suite[1]
         assert spec.factory() is not spec.factory()
+
+
+class TestLanguageOverheadContainer:
+    def test_adds_measurable_overhead(self):
+        inner = NoOpContainer()
+        slow = LanguageOverheadContainer(inner, per_batch_overhead_ms=5.0)
+        start = time.perf_counter()
+        slow.predict_batch([1])
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert elapsed_ms >= 4.0
+
+    def test_outputs_pass_through(self):
+        inner = NoOpContainer(output=7)
+        wrapped = LanguageOverheadContainer(inner, per_batch_overhead_ms=0.0)
+        assert wrapped.predict_batch([1, 2]) == [7, 7]
+
+    def test_rejects_negative_overhead(self):
+        with pytest.raises(ValueError):
+            LanguageOverheadContainer(NoOpContainer(), per_batch_overhead_ms=-1)
 
 
 class TestHeterogeneousEnsemble:

@@ -1,16 +1,19 @@
-"""Every module under ``repro`` imports, and importing one loads only what it uses.
+"""Every module under ``repro`` and ``paperkit`` imports, and importing one loads only what it uses.
 
-A module deleted from the package must take its importers with it; this
-walks the whole tree so a dangling ``from repro.<gone> import ...`` fails
+A module deleted from a package must take its importers with it; this
+walks both trees so a dangling ``from repro.<gone> import ...`` fails
 here rather than at a user's first call.
 
-The boundary contract: a worker process hosts containers and never loads
-the serving engine.  The sub-packages export nothing and the top-level
+Two boundary contracts.  A worker process hosts containers and never loads
+the serving engine: the sub-packages export nothing and the top-level
 names resolve on first access, so ``import repro.cluster.worker`` in a fresh
-interpreter must leave every engine module out of ``sys.modules``.
+interpreter must leave every engine module out of ``sys.modules``.  And the
+serving system never loads the paper kit (``benchmarks/paperkit``): the
+dependency points one way, from the kit to ``repro``.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -19,12 +22,17 @@ import sys
 
 import pytest
 
+import paperkit
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+KIT = os.path.dirname(os.path.dirname(os.path.abspath(paperkit.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+) + sorted(
+    info.name for info in pkgutil.walk_packages(paperkit.__path__, prefix="paperkit.")
 )
 
 #: Modules (a package stands for itself and everything under it) that a
@@ -40,18 +48,32 @@ ENGINE = (
     "repro.observability.prometheus",
 )
 
+#: What used to live under ``src/repro`` and now lives in the kit.
+MOVED_OUT = (
+    "repro.mlkit",
+    "repro.datasets",
+    "repro.evaluation",
+    "repro.workloads",
+    "repro.baselines",
+    "repro.containers.overhead",
+)
 
-def loaded_after(statement: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+
+def loaded_after(statement: str, package: str = "repro") -> list:
+    """The ``package`` modules a fresh interpreter holds after ``statement``.
+
+    Both ``src`` and the kit's directory are on its path, so a module that
+    is absent was not imported, not unreachable.
+    """
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'repro' or m.startswith('repro.'))))"
+        f" if m == {package!r} or m.startswith({package + '.'!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((SRC, KIT))},
     )
     return json.loads(done.stdout)
 
@@ -80,3 +102,22 @@ def test_top_level_name_resolves(name):
     value = getattr(repro, name)
     if name != "__version__":
         assert value.__module__ == repro._EXPORTS[name]
+
+
+def test_the_serving_system_loads_no_part_of_the_paper_kit():
+    statement = (
+        "import importlib.util, repro\n"
+        "assert importlib.util.find_spec('paperkit') is not None\n"
+        "[getattr(repro, name) for name in repro.__all__]"
+    )
+    assert loaded_after(statement, "paperkit") == []
+
+
+def test_the_test_fixtures_load_the_kit_only_to_train_a_model():
+    statement = f"sys.path.insert(0, {TESTS!r})\nimport conftest, helpers"
+    assert loaded_after(statement, "paperkit") == []
+
+
+@pytest.mark.parametrize("name", MOVED_OUT)
+def test_the_paper_kit_is_gone_from_the_serving_package(name):
+    assert importlib.util.find_spec(name) is None

@@ -3,15 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.metrics import (
     Counter,
     Histogram,
     Meter,
     MetricsRegistry,
-    summarize_latencies,
-    throughput_qps,
 )
 
 
@@ -170,29 +167,3 @@ class TestMetricFamily:
         assert registry.counter_family("f2").labels("a") is registry.counter_family(
             "f2"
         ).labels("a")
-
-
-class TestHelpers:
-    def test_summarize_latencies(self):
-        summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["max"] == 4.0
-
-    def test_summarize_empty(self):
-        summary = summarize_latencies([])
-        assert summary["count"] == 0
-        assert math.isnan(summary["mean"])
-
-    def test_throughput(self):
-        assert throughput_qps(100, 2.0) == 50.0
-        assert throughput_qps(0, 0.0) == 0.0
-        assert math.isinf(throughput_qps(10, 0.0))
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
-    def test_summary_percentiles_are_ordered(self, values):
-        summary = summarize_latencies(values)
-        assert summary["p50"] <= summary["p95"] + 1e-9
-        assert summary["p95"] <= summary["p99"] + 1e-9
-        assert summary["p99"] <= summary["max"] + 1e-9
-        assert min(values) - 1e-9 <= summary["mean"] <= max(values) + 1e-9

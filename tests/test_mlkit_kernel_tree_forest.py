@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.datasets import make_classification
-from repro.mlkit import DecisionTreeClassifier, KernelSVM, RandomForestClassifier
+from paperkit.datasets.synthetic import make_classification
+from paperkit.mlkit.forest import RandomForestClassifier
+from paperkit.mlkit.kernel import KernelSVM
+from paperkit.mlkit.tree import DecisionTreeClassifier
 
 
 @pytest.fixture(scope="module")

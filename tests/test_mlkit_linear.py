@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datasets import make_classification
-from repro.mlkit import LinearSVM, LogisticRegression
+from paperkit.datasets.synthetic import make_classification
+from paperkit.mlkit.linear import LinearSVM, LogisticRegression
 
 
 @pytest.fixture(scope="module")

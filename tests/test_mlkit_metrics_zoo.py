@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mlkit import metrics, zoo
+from paperkit.mlkit import metrics, zoo
 
 
 class TestMetrics:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.datasets import make_classification
-from repro.mlkit import GaussianNB, KNeighborsClassifier, MLPClassifier
+from paperkit.datasets.synthetic import make_classification
+from paperkit.mlkit.mlp import MLPClassifier
+from paperkit.mlkit.naive_bayes import GaussianNB
+from paperkit.mlkit.neighbors import KNeighborsClassifier
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,11 @@ import threading
 import time
 from typing import Any, List, Sequence
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import run_async
+from helpers import BurstyArrivals, run_async
 from repro.api.http import create_server
 from repro.client import AsyncClipperClient
 from repro.client.client import RetryPolicy, ServiceOverloaded
@@ -44,7 +46,6 @@ from repro.overload import (
     OverloadControl,
 )
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
-from repro.workloads.arrivals import BurstyArrivals
 
 
 class FakeClock:
@@ -983,6 +984,35 @@ class TestPressureObservability:
 # ---------------------------------------------------------------------------
 # Flash crowd: graceful degradation, judged by counts
 # ---------------------------------------------------------------------------
+
+
+class TestBurstyArrivals:
+    """The flash crowd's schedule (a test double in :mod:`helpers`)."""
+
+    def test_produces_requested_number_of_gaps(self):
+        gaps = list(BurstyArrivals(1000, 10, random_state=0).gaps(500))
+        assert len(gaps) == 500
+        assert all(gap >= 0 for gap in gaps)
+
+    def test_burst_rate_exceeds_idle_rate_on_average(self):
+        process = BurstyArrivals(
+            burst_qps=2000, idle_qps=20, mean_burst_length=100, mean_idle_length=100, random_state=1
+        )
+        gaps = np.array(list(process.gaps(4000)))
+        # Mixture mean gap must lie strictly between the two pure-rate gaps.
+        assert 1.0 / 2000 < gaps.mean() < 1.0 / 20
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BurstyArrivals(0, 10)
+        with pytest.raises(ValueError):
+            BurstyArrivals(10, 10, mean_burst_length=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=300))
+    def test_always_yields_exactly_n(self, n):
+        gaps = list(BurstyArrivals(100, 10, random_state=0).gaps(n))
+        assert len(gaps) == n
 
 
 class TestFlashCrowd:

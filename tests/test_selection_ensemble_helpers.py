@@ -5,37 +5,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import SelectionPolicyError
-from repro.selection.ensemble import (
-    majority_vote,
-    normalize_weights,
-    weighted_vote,
-)
+from repro.selection.ensemble import normalize_weights, weighted_vote
 
 
 class TestMajorityVote:
+    """``weighted_vote`` without weights is a plain majority vote."""
+
     def test_simple_majority(self):
-        label, agreement = majority_vote({"a": 1, "b": 1, "c": 0})
+        label, agreement = weighted_vote({"a": 1, "b": 1, "c": 0})
         assert label == 1
         assert agreement == pytest.approx(2 / 3)
 
     def test_unanimous(self):
-        label, agreement = majority_vote({"a": "cat", "b": "cat"})
+        label, agreement = weighted_vote({"a": "cat", "b": "cat"})
         assert label == "cat"
         assert agreement == 1.0
 
     def test_tie_broken_deterministically(self):
-        label1, _ = majority_vote({"a": 0, "b": 1})
-        label2, _ = majority_vote({"b": 1, "a": 0})
+        label1, _ = weighted_vote({"a": 0, "b": 1})
+        label2, _ = weighted_vote({"b": 1, "a": 0})
         assert label1 == label2
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            majority_vote({})
+            weighted_vote({})
 
     @pytest.mark.parametrize("output", [np.array([1, 0]), [1, 0]], ids=["ndarray", "list"])
     def test_unhashable_output_is_reported_with_its_model_and_type(self, output):
         with pytest.raises(SelectionPolicyError, match=rf"{type(output).__name__}.*'b:1'"):
-            majority_vote({"a:1": 1, "b:1": output, "c:1": 1})
+            weighted_vote({"a:1": 1, "b:1": output, "c:1": 1})
 
 
 class TestWeightedVote:
@@ -54,7 +52,8 @@ class TestWeightedVote:
 
     def test_uniform_weights_match_majority(self):
         predictions = {"a": 2, "b": 2, "c": 3}
-        assert weighted_vote(predictions, None) == majority_vote(predictions)
+        uniform = dict.fromkeys(predictions, 0.5)
+        assert weighted_vote(predictions, uniform) == weighted_vote(predictions) == (2, 2 / 3)
 
 
 class TestNormalizeWeights:
@@ -88,7 +87,7 @@ class TestVoteProperties:
         )
     )
     def test_winner_is_always_a_cast_vote_with_valid_agreement(self, predictions):
-        label, agreement = majority_vote(predictions)
+        label, agreement = weighted_vote(predictions)
         assert label in predictions.values()
         assert 0.0 < agreement <= 1.0
         # The winner's count must be at least as large as any other label's.

@@ -1,53 +1,100 @@
-"""Tests for workload arrival processes, clients and model degradation."""
+"""Tests for the kit's load driver, its arrival process and model degradation."""
+
+import asyncio
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals
-from repro.workloads.feedback import degrade_prediction
+from helpers import run_async
+from paperkit.load import LoadResult, PoissonArrivals, run_load
+from paperkit.online import degrade_prediction
 
 
 class TestPoissonArrivals:
     def test_mean_rate_approximately_matches(self):
-        gaps = np.array(list(PoissonArrivals(rate_qps=200, random_state=0).gaps(5000)))
-        assert 1.0 / gaps.mean() == pytest.approx(200, rel=0.1)
+        times = PoissonArrivals(rate_qps=200, random_state=0).arrival_times(5000)
+        assert 1.0 / np.diff(times, prepend=0.0).mean() == pytest.approx(200, rel=0.1)
 
     def test_deterministic_given_seed(self):
-        a = list(PoissonArrivals(100, random_state=3).gaps(10))
-        b = list(PoissonArrivals(100, random_state=3).gaps(10))
-        assert a == b
+        a = PoissonArrivals(100, random_state=3).arrival_times(10)
+        b = PoissonArrivals(100, random_state=3).arrival_times(10)
+        assert list(a) == list(b)
+        assert all(np.diff(a) >= 0)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate_qps=-1)
 
 
-class TestBurstyArrivals:
-    def test_produces_requested_number_of_gaps(self):
-        gaps = list(BurstyArrivals(1000, 10, random_state=0).gaps(500))
-        assert len(gaps) == 500
-        assert all(gap >= 0 for gap in gaps)
+class _Recorder:
+    """A ``predict(x)`` coroutine that sleeps, records what it saw and may fail."""
 
-    def test_burst_rate_exceeds_idle_rate_on_average(self):
-        process = BurstyArrivals(
-            burst_qps=2000, idle_qps=20, mean_burst_length=100, mean_idle_length=100, random_state=1
-        )
-        gaps = np.array(list(process.gaps(4000)))
-        # Mixture mean gap must lie strictly between the two pure-rate gaps.
-        assert 1.0 / 2000 < gaps.mean() < 1.0 / 20
+    def __init__(self, delay_s=0.0, fail_on=()):
+        self.delay_s = delay_s
+        self.fail_on = set(fail_on)
+        self.seen = []
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    async def __call__(self, x):
+        self.seen.append(x)
+        self.in_flight += 1
+        self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            await asyncio.sleep(self.delay_s)
+            if x in self.fail_on:
+                raise RuntimeError(f"refused {x}")
+            return x
+        finally:
+            self.in_flight -= 1
+
+
+class TestRunLoad:
+    def test_closed_loop_cycles_inputs_at_the_given_concurrency(self):
+        predict = _Recorder(delay_s=0.001)
+        result = run_async(run_load(predict, [0, 1, 2], 10, concurrency=4))
+        assert sorted(predict.seen) == sorted([0, 1, 2] * 3 + [0])
+        assert predict.max_in_flight == 4
+        assert result.num_queries == 10 and result.num_errors == 0
+        assert len(result.latencies_ms) == 10
+
+    def test_latency_is_timed_by_the_caller(self):
+        result = run_async(run_load(_Recorder(delay_s=0.02), [0], 4, concurrency=2))
+        assert min(result.latencies_ms) >= 19.0
+        assert result.mean_latency_ms >= 19.0
+
+    def test_a_failed_query_counts_as_an_error_without_a_latency(self):
+        result = run_async(run_load(_Recorder(fail_on={1}), [0, 1], 6, concurrency=1))
+        assert result.num_errors == 3
+        assert len(result.latencies_ms) == 3
+        assert result.throughput_qps == pytest.approx(3 / result.elapsed_s)
+
+    def test_open_loop_sends_on_the_schedule_not_on_the_answers(self):
+        # 20 queries due within ~20 ms, each answered after 100 ms: an open
+        # loop has them all in flight at once and finishes in ~120 ms, where
+        # one closed-loop user would take two seconds.
+        predict = _Recorder(delay_s=0.1)
+        arrivals = PoissonArrivals(rate_qps=1000.0, random_state=0)
+        result = run_async(run_load(predict, [0], 20, arrivals=arrivals))
+        assert predict.max_in_flight == 20
+        assert result.elapsed_s < 1.0
+        assert len(result.latencies_ms) == 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BurstyArrivals(0, 10)
+            run_async(run_load(_Recorder(), [0], 0))
         with pytest.raises(ValueError):
-            BurstyArrivals(10, 10, mean_burst_length=0)
+            run_async(run_load(_Recorder(), [], 1))
+        with pytest.raises(ValueError):
+            run_async(run_load(_Recorder(), [0], 1, concurrency=0))
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=1, max_value=300))
-    def test_always_yields_exactly_n(self, n):
-        gaps = list(BurstyArrivals(100, 10, random_state=0).gaps(n))
-        assert len(gaps) == n
+    def test_row_shape(self):
+        result = LoadResult(4, 1, 0.5, [1.0, 2.0, 3.0], label="x", mean_batch_size=2.0)
+        row = result.as_row()
+        assert row["label"] == "x" and row["errors"] == 1
+        assert row["throughput_qps"] == pytest.approx(6.0)
+        assert row["mean_latency_ms"] == pytest.approx(2.0)
+        assert {"p99_latency_ms", "mean_batch_size"} <= set(row)
 
 
 class TestDegradePrediction:
