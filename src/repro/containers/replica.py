@@ -30,11 +30,12 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.containers.base import ModelContainer
 from repro.core.exceptions import ContainerError, RpcError
 from repro.core.types import ModelId
-from repro.rpc.client import RpcClient
+from repro.rpc.client import DirectRpcClient, RpcClient
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint, attach_shm_endpoint
-from repro.rpc.transport import InProcessTransport, TcpListener, TcpTransport
+from repro.rpc.serialization import wire_copy
+from repro.rpc.transport import TcpListener, TcpTransport, codec_round_trip
 
 #: RPC lanes a replica can run on (see :class:`repro.core.config.ModelDeployment`).
 TRANSPORT_KINDS = ("inprocess", "shm", "tcp")
@@ -141,13 +142,13 @@ class ContainerReplica(Replica):
         batches overlap with the event loop (the analogue of the paper's
         per-container worker threads).
     serialize_messages:
-        Whether the in-process RPC round-trips through the binary serializer
-        (True charges realistic serialization overhead).  Ignored by the shm
-        and tcp lanes, which always serialize.
+        Whether the in-process lane charges the codec's real round trip
+        instead of :func:`~repro.rpc.serialization.wire_copy`'s equal copy;
+        the shm and tcp lanes always serialize.
     transport:
-        RPC lane for this replica: ``"inprocess"`` (asyncio queues, the
-        default), ``"shm"`` (same-host shared-memory rings) or ``"tcp"``
-        (loopback sockets).
+        RPC lane for this replica: ``"inprocess"`` (the default, a call into
+        the container's server), ``"shm"`` (same-host shared-memory rings) or
+        ``"tcp"`` (loopback sockets).
     """
 
     def __init__(
@@ -155,7 +156,7 @@ class ContainerReplica(Replica):
         model_id: ModelId,
         replica_id: int,
         container: ModelContainer,
-        serialize_messages: bool = True,
+        serialize_messages: bool = False,
         transport: str = "inprocess",
     ) -> None:
         if transport not in TRANSPORT_KINDS:
@@ -176,6 +177,9 @@ class ContainerReplica(Replica):
         self._server: Optional[ContainerRpcServer] = None
 
     async def _open(self) -> RpcClient:
+        if self._transport_kind == "inprocess":
+            copy = codec_round_trip if self._serialize_messages else wire_copy
+            return DirectRpcClient(ContainerRpcServer(self.container), copy, RPC_TIMEOUT_S)
         if self._transport_kind == "tcp":
             # Bind a loopback listener and cross-connect the two ends.
             listener = TcpListener()
@@ -187,7 +191,7 @@ class ContainerReplica(Replica):
                 )
             finally:
                 await listener.close()
-        elif self._transport_kind == "shm":
+        else:
             # The pair a worker daemon and its ingress build across processes:
             # the host end creates the block and a bell socket, the client
             # end attaches by name.  The host is listening from construction,
@@ -199,15 +203,13 @@ class ContainerReplica(Replica):
                 host.abort()
                 raise
             server_side = await host.accept()
-        else:
-            pair = InProcessTransport(serialize_messages=self._serialize_messages)
-            client_side, server_side = pair.client_side, pair.server_side
         self._server = ContainerRpcServer(self.container, server_side)
         self._server.start()
         return RpcClient(client_side, timeout_s=RPC_TIMEOUT_S)
 
     async def _close(self) -> None:
-        await self._server.stop()
+        if self._server is not None:
+            await self._server.stop()
 
 
 #: Builds replica ``replica_id`` of a version.  ``avoid`` lists replicas whose

@@ -242,10 +242,10 @@ class ModelDeployment:
     version:
         Model version; bumping the version creates a distinct :class:`ModelId`.
     serialize_rpc:
-        Whether the container RPC round-trips every batch through the binary
-        serializer.  True models a container written against the Python
-        bindings (serialization cost paid in Python); False models a native
-        (C++-style) container whose serialization cost is negligible.
+        Whether an ``"inprocess"`` replica round-trips every message through
+        the binary codec: True models a container written against the Python
+        bindings (serialization paid in Python, Fig. 11); False (default)
+        hands over a private read-only copy equal to what the codec delivers.
     max_batch_retries:
         How many times a query may be re-enqueued after a replica fails its
         batch before the failure is surfaced to the caller.  With multiple
@@ -258,10 +258,10 @@ class ModelDeployment:
         deployment; ``None`` for ad-hoc in-process factories.
     transport:
         Which RPC lane connects Clipper to this model's replicas:
-        ``"inprocess"`` (default: asyncio queues, serialization controlled by
-        ``serialize_rpc``), ``"shm"`` (same-host shared-memory rings, see
-        :mod:`repro.rpc.shm`) or ``"tcp"`` (loopback sockets).  The shm and
-        tcp lanes always serialize — they model a real container boundary.
+        ``"inprocess"`` (default: a call into the container's server, what
+        crosses set by ``serialize_rpc``), ``"shm"`` (same-host shared-memory
+        rings, see :mod:`repro.rpc.shm`) or ``"tcp"`` (loopback sockets).  The
+        shm and tcp lanes always serialize — a real container boundary.
     circuit_breaker:
         Per-model circuit-breaker thresholds, overriding the application's
         :attr:`ClipperConfig.breaker` default.  ``None`` inherits the
@@ -273,7 +273,7 @@ class ModelDeployment:
     num_replicas: int = 1
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     version: int = 1
-    serialize_rpc: bool = True
+    serialize_rpc: bool = False
     max_batch_retries: int = 3
     factory_name: Optional[str] = None
     transport: str = "inprocess"

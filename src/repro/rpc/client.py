@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.exceptions import RpcError
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
@@ -100,11 +100,9 @@ class RpcClient:
             # the send lock behind an in-flight batch and the send itself —
             # not just the response wait, so a wedged connection probes
             # False instead of hanging the health monitor.
-            exchange = self._exchange(request_id, message, timeout_s=None)
-            if timeout_s is None:
-                payload = await exchange
-            else:
-                payload = await asyncio.wait_for(exchange, timeout=timeout_s)
+            payload = await asyncio.wait_for(
+                self._exchange(request_id, message, timeout_s=None), timeout=timeout_s
+            )
         except (RpcError, asyncio.TimeoutError):
             return False
         return message_type(payload) == MessageType.HEARTBEAT_RESPONSE and bool(
@@ -136,15 +134,10 @@ class RpcClient:
             t_sent = time.monotonic()
             span_log.append(("rpc.send", t_send, t_sent, None))
         try:
-            if timeout_s is None:
-                payload = await waiter
-            else:
-                try:
-                    payload = await asyncio.wait_for(waiter, timeout=timeout_s)
-                except asyncio.TimeoutError as exc:
-                    raise RpcError(
-                        f"timed out after {timeout_s}s waiting for response"
-                    ) from exc
+            try:
+                payload = await asyncio.wait_for(waiter, timeout=timeout_s)
+            except asyncio.TimeoutError as exc:
+                raise RpcError(f"timed out after {timeout_s}s waiting for response") from exc
             if span_log is not None:
                 span_log.append(("rpc.wait", t_sent, time.monotonic(), None))
             return payload
@@ -192,4 +185,49 @@ class RpcClient:
             except asyncio.CancelledError:
                 pass
             self._pump_task = None
+        self._fail_pending(RpcError("transport is closed"))
+
+
+class DirectRpcClient(RpcClient):
+    """The in-process lane: each message is a call into the container's
+    server (:meth:`~repro.rpc.server.ContainerRpcServer.call`), not a frame.
+
+    What crosses, each way, is ``copy(message)``: a private copy equal to the
+    codec's round trip (:func:`~repro.rpc.serialization.wire_copy`) or that
+    round trip itself.  Each call is a task of its own: a caller that times
+    out abandons the reply, not the evaluation, which keeps its turn.
+    """
+
+    def __init__(self, server, copy: Callable[[Any], Any], timeout_s: Optional[float]) -> None:
+        super().__init__(self, timeout_s)  # its own transport: send() is the call
+        self._server = server
+        self._copy = copy
+        self._calls: Set[asyncio.Task] = set()
+        self._closed = False
+
+    def _ensure_pump(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Each reply comes back through its call: there is nothing to receive."""
+
+    async def send(self, message: dict) -> None:
+        if self._closed:
+            raise RpcError("transport is closed")
+        waiter = self._pending[message["request_id"]]  # registered by _exchange
+        call = asyncio.get_running_loop().create_task(self._call(self._copy(message), waiter))
+        self._calls.add(call)
+        call.add_done_callback(self._calls.discard)
+
+    async def _call(self, message: dict, waiter: asyncio.Future) -> None:
+        try:
+            reply = self._copy(await self._server.call(message))
+            if not waiter.done():  # else its caller gave up on it
+                waiter.set_result(reply)
+        except RpcError as exc:  # a reply the codec refuses to carry
+            if not waiter.done():
+                waiter.set_exception(exc)
+
+    async def close(self) -> None:
+        self._closed = True
+        for call in self._calls:
+            call.cancel()
+        await asyncio.gather(*self._calls, return_exceptions=True)
         self._fail_pending(RpcError("transport is closed"))

@@ -47,15 +47,14 @@ class RpcRequest:
     #: payload when empty, so untraced and all-shadow batches pay zero bytes.
     trace: tuple = ()
     #: Absolute ``time.monotonic()`` deadlines aligned with ``inputs``
-    #: (0.0 = no deadline for that entry), on the clock of whoever holds the
-    #: request.  Monotonic clocks share no origin across hosts, so what
-    #: crosses the wire is each entry's remaining budget in ms when the
-    #: request is sent (``budgets_ms``, ``inf`` = none): the container server
-    #: compares them with the time since arrival, :meth:`from_payload`
-    #: rebuilds deadlines on the receiver's clock.  Optional header field
-    #: like ``trace``: omitted when no entry carries a deadline, so
-    #: deadline-free batches pay zero extra bytes.  Lets the container skip
-    #: evaluating entries whose deadline already passed in transit.
+    #: (0.0 = no deadline for that entry), on the sender's clock.  Monotonic
+    #: clocks share no origin across hosts, so what crosses the wire is each
+    #: entry's remaining budget in ms when the request is sent
+    #: (``budgets_ms``, ``inf`` = none), which the container server compares
+    #: with the time since arrival.  Optional header field like ``trace``:
+    #: omitted when no entry carries a deadline, so deadline-free batches pay
+    #: zero extra bytes.  Lets the container skip evaluating entries whose
+    #: deadline already passed in transit.
     deadlines: Sequence[float] = ()
     #: Asks for the container's monotonic evaluation window (``eval_start``/
     #: ``eval_end`` on the response): set for a batch that carries traced
@@ -63,8 +62,8 @@ class RpcRequest:
     stamp: bool = False
 
     def to_payload(self) -> dict:
-        # ``inputs`` is shared, not copied: receivers copy in from_payload,
-        # so the in-process pass-through transport stays aliasing-safe.
+        # ``inputs`` is shared, not copied: every lane hands the receiver a
+        # copy (a decoded frame, or the in-process lane's ``wire_copy``).
         payload = {
             "type": int(MessageType.PREDICT),
             "request_id": self.request_id,
@@ -83,26 +82,6 @@ class RpcRequest:
                 for deadline in self.deadlines
             ]
         return payload
-
-    @staticmethod
-    def from_payload(payload: dict, received: Optional[float] = None) -> "RpcRequest":
-        """Rebuild a request; ``received`` is when it arrived on this clock
-        (default: now) — the instant its entries' budgets count from."""
-        budgets = payload.get("budgets_ms", ())
-        if budgets and received is None:
-            received = time.monotonic()
-        return RpcRequest(
-            request_id=int(payload["request_id"]),
-            model_name=str(payload["model_name"]),
-            inputs=list(payload["inputs"]),
-            metadata=dict(payload.get("metadata", {})),
-            trace=tuple(payload.get("trace", ())),
-            deadlines=tuple(
-                0.0 if budget == math.inf else received + budget / 1000.0
-                for budget in budgets
-            ),
-            stamp=bool(payload.get("stamp", False)),
-        )
 
 
 @dataclass

@@ -98,10 +98,62 @@ def serialize_buffers(value: Any) -> List[Any]:
     # scratch bytearray; a large payload flushes it and is spliced in as a
     # zero-copy view of the caller's data.
     scratch = bytearray()
-    (_ENCODERS.get(type(value)) or _encoder_for(value))(value, scratch, segments, 0)
+    try:
+        (_ENCODERS.get(type(value)) or _encoder_for(value))(value, scratch, segments, 0)
+    except struct.error as exc:  # an int or a length past its field's range
+        raise SerializationError(f"value out of range: {exc}") from exc
     if scratch:
         segments.append(scratch)
     return segments
+
+
+def wire_copy(value: Any, _depth: int = 0) -> Any:
+    """What ``deserialize(serialize(value))`` returns, built without bytes.
+
+    The in-process RPC lane hands this to a container instead of a decoded
+    frame: a private copy in which every ndarray is fresh, C-ordered and
+    read-only (a homogeneous batch: rows of one stacked array, as decoded),
+    numpy scalars are Python scalars, tuples lists and bytearrays bytes.
+    The encoder is chosen as :func:`serialize` chooses it, so a value the
+    codec refuses raises the same :class:`SerializationError`.
+    """
+    encode = _ENCODERS.get(type(value)) or _encoder_for(value)
+    if encode is _encode_dict:
+        if value and _depth >= _MAX_DEPTH:
+            raise SerializationError("value nesting exceeds maximum depth")
+        copy = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise SerializationError("dict keys must be strings")
+            copy[str.__str__(key)] = wire_copy(item, _depth + 1)
+        return copy
+    if encode is _encode_str:
+        return str.__str__(value)
+    if encode is _encode_int:
+        number = int(value)
+        if not -(1 << 63) <= number < 1 << 63:
+            raise SerializationError(f"value out of range: {number} is not a 64-bit int")
+        return number
+    if encode is _encode_float:
+        return float(value)
+    if encode is _encode_list:
+        batch = _homogeneous_batch_shape(value)
+        if batch is not None:
+            return list(_read_only(np.array(value, dtype=batch[0])))
+        if value and _depth >= _MAX_DEPTH:
+            raise SerializationError("value nesting exceeds maximum depth")
+        return [wire_copy(item, _depth + 1) for item in value]
+    if encode is _encode_ndarray:
+        if value.dtype.hasobject:
+            raise SerializationError("object-dtype arrays are not serializable")
+        # ndmin=1: the encoder's np.ascontiguousarray sends a 0-d array as (1,).
+        return _read_only(np.array(value, order="C", ndmin=1))
+    return bytes(value) if encode is _encode_bytes else value  # or None, a bool
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def serialized_nbytes(buffers: List[Any]) -> int:

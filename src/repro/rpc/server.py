@@ -6,19 +6,21 @@ import asyncio
 import time
 from typing import Optional, Tuple
 
-from repro.core.exceptions import RpcError
+from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.protocol import MessageType, RpcResponse, message_type
 from repro.rpc.transport import Transport
 
 
 class ContainerRpcServer:
-    """Serves one model container over one transport.
+    """Serves one model container over one transport, or by :meth:`call`.
 
     The server loop mirrors the paper's container runtime: it blocks on the
     next framed request, evaluates the container's ``predict_batch`` on the
     decoded inputs in a thread-pool executor (so a CPU-heavy model does not
     stall the event loop), and replies with the aligned outputs and the
-    measured container-side latency.
+    measured container-side latency.  A container in the caller's process
+    has no transport: its messages arrive through :meth:`call`, which runs
+    the same per-message handler.
 
     The loop is *pipelined* on the receive side: while a batch evaluates,
     the next frame is already being received and decoded in a prefetch task,
@@ -29,15 +31,14 @@ class ContainerRpcServer:
     results back to request ids cheaply.
     """
 
-    def __init__(self, container, transport: Transport) -> None:
+    def __init__(self, container, transport: Optional[Transport] = None) -> None:
         self._container = container
         self._transport = transport
         self._task: Optional[asyncio.Task] = None
         self.requests_served = 0
         self._draining = False
-        # Set whenever no request is mid-evaluation; drain() waits on it.
-        self._idle = asyncio.Event()
-        self._idle.set()
+        # Held while a message is handled and answered, however it came.
+        self._turn = asyncio.Lock()
 
     def start(self) -> asyncio.Task:
         """Start the serving loop as a background task."""
@@ -68,14 +69,12 @@ class ContainerRpcServer:
                 # Prefetch the next frame immediately: its receive + decode
                 # overlaps the evaluation below instead of following it.
                 prefetch = loop.create_task(self._recv())
-                self._idle.clear()
                 try:
-                    await self._handle(payload, received)
+                    async with self._turn:
+                        await self._transport.send(await self._handle(payload, received))
                 except RpcError:
-                    # Unknown message type, or the reply could not be sent.
+                    # A message a server does not take, or an unsendable reply.
                     return
-                finally:
-                    self._idle.set()
                 if self._draining:
                     return
         finally:
@@ -95,8 +94,16 @@ class ContainerRpcServer:
         payload = await self._transport.recv()
         return payload, time.monotonic()
 
-    async def _handle(self, payload: dict, received: float) -> None:
-        """Answer one decoded message (heartbeat or predict)."""
+    async def call(self, message: dict) -> dict:
+        """The reply to ``message``, by call: the handler the serving loop runs
+        per frame, one message at a time in call order (a batch or a heartbeat
+        waits for the one being evaluated)."""
+        received = time.monotonic()
+        async with self._turn:
+            return await self._handle(message, received)
+
+    async def _handle(self, payload: dict, received: float) -> dict:
+        """The reply to one decoded message (heartbeat or predict)."""
         kind = message_type(payload)
         if kind == MessageType.HEARTBEAT:
             # The heartbeat reply doubles as a health probe: it carries
@@ -107,24 +114,19 @@ class ContainerRpcServer:
                 healthy = bool(self._container.healthy())
             except Exception:
                 healthy = False
-            await self._transport.send(
-                {
-                    "type": int(MessageType.HEARTBEAT_RESPONSE),
-                    "request_id": int(payload["request_id"]),
-                    "healthy": healthy,
-                }
-            )
-            return
+            return {
+                "type": int(MessageType.HEARTBEAT_RESPONSE),
+                "request_id": int(payload["request_id"]),
+                "healthy": healthy,
+            }
         if kind != MessageType.PREDICT:
-            return
-        response = await self._evaluate(payload, received)
-        await self._transport.send(response.to_payload())
+            raise SerializationError(f"a container server takes no {kind.name} message")
+        return (await self._evaluate(payload, received)).to_payload()
 
     async def _evaluate(self, payload: dict, received: float) -> RpcResponse:
         """Evaluate one PREDICT payload (see :meth:`RpcRequest.to_payload`)."""
         request_id = int(payload["request_id"])
-        # Copied: the in-process pass-through transport shares the list.
-        inputs = list(payload["inputs"])
+        inputs = payload["inputs"]
         trace = tuple(payload.get("trace", ()))
         # Traced batches additionally get monotonic eval stamps: same-host
         # dispatchers turn them into a ``container.eval`` span nested inside
@@ -184,7 +186,7 @@ class ContainerRpcServer:
         """
         self._draining = True
         try:
-            await asyncio.wait_for(self._idle.wait(), timeout=timeout_s)
+            await asyncio.wait_for(self._turn.acquire(), timeout=timeout_s)
         except asyncio.TimeoutError:
             pass
         await self.stop()

@@ -6,7 +6,6 @@ single-consumer byte rings living in one ``multiprocessing.shared_memory``
 block, with socket doorbells for wakeups.  :class:`ShmHostEndpoint` and
 :func:`attach_shm_endpoint` build the two connected :class:`Transport`
 endpoints, drop-in behind the same seam as
-:class:`~repro.rpc.transport.InProcessTransport` and
 :class:`~repro.rpc.transport.TcpTransport`, so the pipelined
 :class:`~repro.rpc.client.RpcClient`, heartbeats and trace-id propagation
 all work unchanged.  There is one way to build a pair, whether its two ends

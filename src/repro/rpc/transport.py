@@ -1,23 +1,16 @@
-"""RPC transports: in-process queues and real TCP sockets.
+"""RPC transports: framed messages over a real byte stream.
 
 A transport moves framed messages between Clipper (the client side) and a
-model container (the server side).  Both sides see the same tiny interface —
-``send(payload)`` / ``recv()`` / ``close()`` — so the serving engine is
-agnostic to whether a container runs in the same process (the default, like
-a co-located Docker container on the same host) or behind a socket.
+model container (the server side) that do not share a process: TCP here,
+shared-memory rings in :mod:`repro.rpc.shm`.  Both sides see one tiny
+interface, ``send(payload)`` / ``recv()`` / ``close()``.  A container in
+Clipper's process is called instead (:class:`repro.rpc.client.DirectRpcClient`);
+:func:`codec_round_trip` is what it hands over when the codec's cost is charged.
 
-The in-process transport still round-trips every message through the binary
-serializer by default so that serialization overhead — part of what the
-paper's Figure 11 "top bar" measures — is paid even without a socket.
-
-Framing is copy-free on the send side: both transports encode through the
-serializer's buffer-segment (writev-style) API.  ``TcpTransport`` writes the
-4-byte header and the body segments with ``StreamWriter.writelines`` —
-header and body are never concatenated into one ``bytes`` — and the
-in-process transport passes the segment list through its queue
-unconcatenated, joining lazily on the receive side only when the frame
-actually spans multiple segments.  Decoded ndarrays are read-only zero-copy
-views into the received frame.
+Framing is copy-free on the send side: ``TcpTransport`` writes the 4-byte
+header and the serializer's writev-style body segments with
+``StreamWriter.writelines``, never joined into one ``bytes``.  Decoded
+ndarrays are read-only zero-copy views into the received frame.
 """
 
 from __future__ import annotations
@@ -48,6 +41,12 @@ def frame_message(payload: dict) -> Tuple[List[Any], int]:
     return [_LENGTH_PREFIX.pack(length), *body], length
 
 
+def codec_round_trip(payload: dict) -> dict:
+    """``payload`` as a socket's far end decodes it (codec named via this module)."""
+    body = serialize_buffers(payload)
+    return deserialize(body[0] if len(body) == 1 else b"".join(body))
+
+
 def frame_length(prefix: Any) -> int:
     """The body length a received 4-byte prefix announces."""
     (length,) = _LENGTH_PREFIX.unpack(prefix)
@@ -71,77 +70,6 @@ class Transport:
     @property
     def closed(self) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-class _QueueEndpoint(Transport):
-    """One end of an in-process transport pair."""
-
-    def __init__(
-        self,
-        outgoing: asyncio.Queue,
-        incoming: asyncio.Queue,
-        serialize_messages: bool,
-    ) -> None:
-        self._outgoing = outgoing
-        self._incoming = incoming
-        self._serialize = serialize_messages
-        self._closed = False
-
-    async def send(self, payload: dict) -> None:
-        if self._closed:
-            raise RpcError("transport is closed")
-        # Serializing mode enqueues the encoder's segment list as-is: large
-        # array payloads cross the queue as zero-copy views and are only
-        # stitched together (if at all) by the receiver's decoder.
-        message = serialize_buffers(payload) if self._serialize else payload
-        await self._outgoing.put(message)
-
-    async def recv(self) -> dict:
-        if self._closed:
-            raise RpcError("transport is closed")
-        message = await self._incoming.get()
-        if message is None:
-            self._closed = True
-            raise RpcError("transport closed by peer")
-        if not self._serialize:
-            return message
-        data = message[0] if len(message) == 1 else b"".join(message)
-        return deserialize(data)
-
-    async def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            # Wake up a peer blocked in recv().
-            await self._outgoing.put(None)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-class InProcessTransport:
-    """A connected pair of in-process endpoints backed by asyncio queues.
-
-    Parameters
-    ----------
-    serialize_messages:
-        When true (default) messages are encoded/decoded with the binary
-        serializer on every hop, charging realistic serialization cost.
-    """
-
-    def __init__(self, serialize_messages: bool = True) -> None:
-        client_to_server: asyncio.Queue = asyncio.Queue()
-        server_to_client: asyncio.Queue = asyncio.Queue()
-        self.client_side: Transport = _QueueEndpoint(
-            client_to_server, server_to_client, serialize_messages
-        )
-        self.server_side: Transport = _QueueEndpoint(
-            server_to_client, client_to_server, serialize_messages
-        )
-
-    def endpoints(self) -> Tuple[Transport, Transport]:
-        """Return the (client, server) endpoints."""
-        return self.client_side, self.server_side
 
 
 class TcpTransport(Transport):

@@ -7,21 +7,24 @@ when another rootdir conftest (e.g. ``benchmarks/conftest.py``) is imported
 first.
 
 The container doubles below (:class:`SimulatedLatencyContainer`,
-:class:`FlakyContainer`, :class:`CorruptingContainer`) and the flash-crowd
-schedule :class:`BurstyArrivals` are used by tests alone; containers that a
-benchmark, an example or a script also builds stay in
-:mod:`repro.containers`.  Nothing here imports :mod:`paperkit`.
+:class:`FlakyContainer`, :class:`CorruptingContainer`), the flash-crowd
+schedule :class:`BurstyArrivals` and the in-memory RPC pair
+:func:`queue_pair` are used by tests alone; containers that a benchmark, an
+example or a script also builds stay in :mod:`repro.containers`.  Nothing
+here imports :mod:`paperkit`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.containers.base import ModelContainer
+from repro.core.exceptions import RpcError
+from repro.rpc.serialization import deserialize, serialize
 
 
 async def wait_until(predicate, timeout_s=5.0, interval_s=0.01):
@@ -214,3 +217,43 @@ class BurstyArrivals:
     def arrival_times(self, n: int) -> np.ndarray:
         """Times (s) of ``n`` arrivals, counted from 0."""
         return np.cumsum(np.fromiter(self.gaps(n), dtype=float, count=n))
+
+
+class QueueTransport:
+    """One end of an in-memory RPC transport pair (see :func:`queue_pair`).
+
+    Each message crosses an ``asyncio.Queue`` as an encoded frame, so an
+    ``RpcClient`` and a ``ContainerRpcServer`` wired to a pair see what a
+    socket would deliver, without one.  ``close`` wakes the peer's ``recv``.
+    """
+
+    def __init__(self, outgoing: asyncio.Queue, incoming: asyncio.Queue) -> None:
+        self._outgoing = outgoing
+        self._incoming = incoming
+        self.closed = False
+
+    async def send(self, payload: dict) -> None:
+        if self.closed:
+            raise RpcError("transport is closed")
+        await self._outgoing.put(serialize(payload))
+
+    async def recv(self) -> dict:
+        if self.closed:
+            raise RpcError("transport is closed")
+        frame = await self._incoming.get()
+        if frame is None:
+            self.closed = True
+            raise RpcError("transport closed by peer")
+        return deserialize(frame)
+
+    async def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            await self._outgoing.put(None)
+
+
+def queue_pair() -> Tuple[QueueTransport, QueueTransport]:
+    """A connected ``(client_side, server_side)`` pair of queue transports."""
+    to_server: asyncio.Queue = asyncio.Queue()
+    to_client: asyncio.Queue = asyncio.Queue()
+    return QueueTransport(to_server, to_client), QueueTransport(to_client, to_server)

@@ -486,5 +486,3 @@ class TestAllShadowBatchOnTheWire:
         payload = request.to_payload()
         assert "trace" not in payload and payload["stamp"] is True
         assert "stamp" not in RpcRequest(1, "m", [1.0]).to_payload()
-        decoded = RpcRequest.from_payload(payload)
-        assert decoded.trace == () and decoded.stamp is True

@@ -5,19 +5,18 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import run_async
+from helpers import queue_pair, run_async
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.exceptions import RpcError
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.transport import InProcessTransport
 
 
 def make_pair(container, timeout_s=5.0):
-    pair = InProcessTransport()
-    server = ContainerRpcServer(container, pair.server_side)
-    client = RpcClient(pair.client_side, timeout_s=timeout_s)
+    client_side, server_side = queue_pair()
+    server = ContainerRpcServer(container, server_side)
+    client = RpcClient(client_side, timeout_s=timeout_s)
     return client, server
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import run_async
+from helpers import queue_pair, run_async
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import FunctionContainer, ModelContainer
@@ -26,7 +26,7 @@ from repro.rpc.serialization import (
     serialize_buffers,
 )
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.transport import InProcessTransport, frame_length, frame_message
+from repro.rpc.transport import frame_length, frame_message
 
 
 class TestColumnarRoundTrip:
@@ -233,9 +233,9 @@ class TestPipelinedClient:
                 return [float(np.asarray(x).ravel()[0]) for x in inputs]
 
         async def scenario():
-            pair = InProcessTransport()
-            server = ContainerRpcServer(EchoFirst(), pair.server_side)
-            client = RpcClient(pair.client_side, timeout_s=5.0)
+            client_side, server_side = queue_pair()
+            server = ContainerRpcServer(EchoFirst(), server_side)
+            client = RpcClient(client_side, timeout_s=5.0)
             server.start()
             batches = [[np.full(4, float(i))] for i in range(8)]
             responses = await asyncio.gather(
@@ -255,9 +255,9 @@ class TestPipelinedClient:
                 return [1] * len(inputs)
 
         async def scenario():
-            pair = InProcessTransport()
-            server = ContainerRpcServer(Slowish(), pair.server_side)
-            client = RpcClient(pair.client_side, timeout_s=5.0)
+            client_side, server_side = queue_pair()
+            server = ContainerRpcServer(Slowish(), server_side)
+            client = RpcClient(client_side, timeout_s=5.0)
             server.start()
             predict_task = asyncio.ensure_future(
                 client.predict("m:1", [np.zeros(2)] * 3)
@@ -295,8 +295,8 @@ class TestPipelinedClient:
 
     def test_close_fails_inflight_waiters(self):
         async def scenario():
-            pair = InProcessTransport()
-            client = RpcClient(pair.client_side, timeout_s=5.0)
+            client_side, _ = queue_pair()
+            client = RpcClient(client_side, timeout_s=5.0)
             task = asyncio.ensure_future(client.predict("m:1", [np.zeros(1)]))
             await asyncio.sleep(0.01)  # let the request hit the wire
             await client.close()

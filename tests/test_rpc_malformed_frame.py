@@ -26,6 +26,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
+from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.rpc.transport import MAX_FRAME_BYTES
 
 #: A 4-byte body under a correct prefix: framed, but no message.
@@ -68,7 +69,7 @@ class TestServerHangsUp:
 
         run_async(scenario())
 
-    @pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+    @pytest.mark.parametrize("transport", ["tcp"] + (["shm"] if HAS_SHARED_MEMORY else []))
     def test_a_message_of_no_known_type_ends_the_connection_too(self, transport):
         async def scenario():
             replica = ContainerReplica(

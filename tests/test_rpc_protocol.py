@@ -9,6 +9,7 @@ import pytest
 from helpers import run_async
 from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
+from repro.rpc.serialization import deserialize, serialize
 from repro.rpc.transport import (
     MAX_FRAME_BYTES,
     TcpTransport,
@@ -25,11 +26,11 @@ class TestRpcRequest:
             inputs=[np.ones(3), np.zeros(3)],
             metadata={"priority": 1},
         )
-        decoded = RpcRequest.from_payload(request.to_payload())
-        assert decoded.request_id == 7
-        assert decoded.model_name == "svm:1"
-        assert len(decoded.inputs) == 2
-        assert decoded.metadata == {"priority": 1}
+        decoded = deserialize(serialize(request.to_payload()))
+        assert decoded["request_id"] == 7
+        assert decoded["model_name"] == "svm:1"
+        assert len(decoded["inputs"]) == 2
+        assert decoded["metadata"] == {"priority": 1}
 
     def test_payload_type_tag(self):
         request = RpcRequest(request_id=1, model_name="m", inputs=[1])

@@ -1,68 +1,11 @@
-"""Tests for the in-process and TCP RPC transports."""
+"""Tests for the TCP RPC transport."""
 
 import numpy as np
 import pytest
 
 from helpers import run_async
 from repro.core.exceptions import RpcError
-from repro.rpc.transport import InProcessTransport, TcpListener, TcpTransport
-
-
-class TestInProcessTransport:
-    def test_round_trip_both_directions(self):
-        async def scenario():
-            pair = InProcessTransport()
-            client, server = pair.endpoints()
-            await client.send({"type": 1, "request_id": 1, "x": [1, 2, 3]})
-            received = await server.recv()
-            assert received["x"] == [1, 2, 3]
-            await server.send({"type": 2, "request_id": 1, "y": "ok"})
-            reply = await client.recv()
-            assert reply["y"] == "ok"
-
-        run_async(scenario())
-
-    def test_numpy_payload_round_trips_through_serializer(self):
-        async def scenario():
-            pair = InProcessTransport(serialize_messages=True)
-            client, server = pair.endpoints()
-            await client.send({"type": 1, "request_id": 0, "array": np.arange(5.0)})
-            received = await server.recv()
-            np.testing.assert_array_equal(received["array"], np.arange(5.0))
-
-        run_async(scenario())
-
-    def test_close_wakes_peer(self):
-        async def scenario():
-            pair = InProcessTransport()
-            client, server = pair.endpoints()
-            await client.close()
-            with pytest.raises(RpcError):
-                await server.recv()
-            assert client.closed
-
-        run_async(scenario())
-
-    def test_send_after_close_raises(self):
-        async def scenario():
-            pair = InProcessTransport()
-            client, _ = pair.endpoints()
-            await client.close()
-            with pytest.raises(RpcError):
-                await client.send({"type": 1, "request_id": 0})
-
-        run_async(scenario())
-
-    def test_unserialized_mode_passes_objects(self):
-        async def scenario():
-            pair = InProcessTransport(serialize_messages=False)
-            client, server = pair.endpoints()
-            marker = object()
-            await client.send({"type": 1, "request_id": 0, "obj": marker})
-            received = await server.recv()
-            assert received["obj"] is marker
-
-        run_async(scenario())
+from repro.rpc.transport import TcpListener, TcpTransport
 
 
 class TestTcpTransport:

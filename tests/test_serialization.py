@@ -271,7 +271,11 @@ def _outcome(encode, value):
     """``("ok", frame)`` or ``("error", type, message)`` — both must agree."""
     try:
         return ("ok", encode(value))
-    except (SerializationError, struct.error, UnicodeEncodeError) as exc:
+    except struct.error as exc:
+        # The reference lets an int past 64 bits escape as struct.error; the
+        # codec refuses it as it refuses any value it cannot carry.
+        return ("error", SerializationError, f"value out of range: {exc}")
+    except (SerializationError, UnicodeEncodeError) as exc:
         return ("error", type(exc), str(exc))
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import SimulatedLatencyContainer, run_async
+from helpers import SimulatedLatencyContainer, queue_pair, run_async
 from repro.api.http import create_server
 from repro.client import AsyncClipperClient
 from repro.containers.base import ModelContainer
@@ -24,7 +24,6 @@ from repro.core.exceptions import RpcError
 from repro.core.frontend import QueryFrontend
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.transport import InProcessTransport
 
 
 class SlowContainer(ModelContainer):
@@ -41,8 +40,8 @@ class SlowContainer(ModelContainer):
 class TestContainerRpcServerDrain:
     def test_drain_idle_server_stops_promptly(self):
         async def scenario():
-            pair = InProcessTransport()
-            server = ContainerRpcServer(NoOpContainer(), pair.server_side)
+            _, server_side = queue_pair()
+            server = ContainerRpcServer(NoOpContainer(), server_side)
             server.start()
             started = time.monotonic()
             await server.drain(timeout_s=5.0)
@@ -52,9 +51,9 @@ class TestContainerRpcServerDrain:
 
     def test_drain_waits_for_the_in_flight_batch(self):
         async def scenario():
-            pair = InProcessTransport()
-            server = ContainerRpcServer(SlowContainer(delay_s=0.2), pair.server_side)
-            client = RpcClient(pair.client_side, timeout_s=5.0)
+            client_side, server_side = queue_pair()
+            server = ContainerRpcServer(SlowContainer(delay_s=0.2), server_side)
+            client = RpcClient(client_side, timeout_s=5.0)
             server.start()
             pending = asyncio.ensure_future(client.predict("m:1", [np.zeros(1)]))
             await asyncio.sleep(0.05)  # batch is now inside the container
@@ -68,9 +67,9 @@ class TestContainerRpcServerDrain:
 
     def test_requests_after_drain_fail_fast(self):
         async def scenario():
-            pair = InProcessTransport()
-            server = ContainerRpcServer(NoOpContainer(output=1), pair.server_side)
-            client = RpcClient(pair.client_side, timeout_s=1.0)
+            client_side, server_side = queue_pair()
+            server = ContainerRpcServer(NoOpContainer(output=1), server_side)
+            client = RpcClient(client_side, timeout_s=1.0)
             server.start()
             response = await client.predict("m:1", [np.zeros(1)])
             assert response.ok
