@@ -42,26 +42,21 @@ class DeadlineSweeper:
     * **Punctuality.**  A future unresolved when the loop's clock reaches its
       deadline is resolved then; a deadline earlier than the tail's (a shorter
       per-query SLO) cannot wait in line and gets a timer of its own.
-    * **Loops.**  Entries and timer belong to the event loop that registered
-      them; a registration from another loop starts over.
+
+    A sweeper serves one event loop: a serving engine runs on the loop that
+    started it and cannot be restarted.
     """
 
-    __slots__ = ("_pending", "_timer", "_loop")
+    __slots__ = ("_pending", "_timer")
 
     def __init__(self) -> None:
         self._pending: Deque[Tuple[float, asyncio.Future]] = deque()
         self._timer: Optional[asyncio.TimerHandle] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     def register(
         self, future: asyncio.Future, deadline: float, loop: asyncio.AbstractEventLoop
     ) -> None:
         """Arrange for ``future``, of ``loop``, to resolve by ``deadline`` (monotonic)."""
-        if loop is not self._loop:
-            # The old loop's timer died with it.
-            self._pending = deque()
-            self._timer = None
-            self._loop = loop
         pending = self._pending
         while pending and pending[0][1].done():
             pending.popleft()
@@ -70,16 +65,16 @@ class DeadlineSweeper:
             if timer is None or deadline < timer.when():
                 if timer is not None:
                     timer.cancel()
-                self._timer = loop.call_at(deadline, self._sweep)
+                self._timer = loop.call_at(deadline, self._sweep, loop)
         elif deadline < pending[-1][0]:
             loop.call_at(deadline, _expire, future)
             return
         pending.append((deadline, future))
 
-    def _sweep(self) -> None:
+    def _sweep(self, loop: asyncio.AbstractEventLoop) -> None:
         """Resolve what is due at the head; re-arm for what is left."""
-        pending, loop = self._pending, self._loop
+        pending = self._pending
         now = loop.time()
         while pending and (pending[0][0] <= now or pending[0][1].done()):
             _expire(pending.popleft()[1])
-        self._timer = loop.call_at(pending[0][0], self._sweep) if pending else None
+        self._timer = loop.call_at(pending[0][0], self._sweep, loop) if pending else None

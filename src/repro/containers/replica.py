@@ -138,9 +138,10 @@ class ContainerReplica(Replica):
     ----------
     container:
         The model container instance owned exclusively by this replica.
-        Evaluation runs in the default thread-pool executor so CPU-heavy
-        batches overlap with the event loop (the analogue of the paper's
-        per-container worker threads).
+        Its server evaluates it in the default thread-pool executor (the
+        analogue of the paper's per-container worker threads) until it has
+        measured the container cheaper than that hand-off, then on the event
+        loop (:class:`~repro.rpc.server.ContainerRpcServer`).
     serialize_messages:
         Whether the in-process lane charges the codec's real round trip
         instead of :func:`~repro.rpc.serialization.wire_copy`'s equal copy;

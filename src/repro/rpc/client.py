@@ -12,6 +12,11 @@ from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_typ
 from repro.rpc.transport import Transport
 
 
+def _expire(waiter: asyncio.Future, timeout_s: float) -> None:
+    if not waiter.done():
+        waiter.set_exception(RpcError(f"timed out after {timeout_s}s waiting for response"))
+
+
 class RpcClient:
     """Sends batch prediction requests over a transport and awaits responses.
 
@@ -133,15 +138,18 @@ class RpcClient:
         if span_log is not None:
             t_sent = time.monotonic()
             span_log.append(("rpc.send", t_send, t_sent, None))
+        # One timer fails the waiter at the timeout; nothing wraps the wait.
+        timer = None
+        if timeout_s is not None:
+            timer = loop.call_later(timeout_s, _expire, waiter, timeout_s)
         try:
-            try:
-                payload = await asyncio.wait_for(waiter, timeout=timeout_s)
-            except asyncio.TimeoutError as exc:
-                raise RpcError(f"timed out after {timeout_s}s waiting for response") from exc
+            payload = await waiter
             if span_log is not None:
                 span_log.append(("rpc.wait", t_sent, time.monotonic(), None))
             return payload
         finally:
+            if timer is not None:
+                timer.cancel()
             # A response arriving after a timeout finds no pending entry and
             # is dropped by the pump (the old stale-response behaviour).
             self._pending.pop(request_id, None)

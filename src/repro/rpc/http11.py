@@ -1,7 +1,10 @@
 """HTTP/1.1 message framing, shared by the REST server and the client SDK.
 
 Both ends read the same thing off a socket — a head and a ``Content-Length``
-body — so both drive this one parser from one :class:`asyncio.Protocol`:
+body — so both drive this one parser from one :class:`asyncio.Protocol`,
+whose buffering, wake-up and flow-control half
+(:class:`~repro.rpc.transport.StreamProtocol`) the container RPC's socket
+transport shares:
 
 * a message is located with **one** ``find(b"\\r\\n\\r\\n")`` and its head split
   once; the reading task is woken only when the bytes it waits for are in,
@@ -19,8 +22,9 @@ Lines end in CRLF; a bare LF is not a line terminator here.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Callable, Dict, Optional, Tuple
+
+from repro.rpc.transport import StreamProtocol
 
 #: Largest message head (start line + headers), terminator excluded.
 HEAD_LIMIT = 64 * 1024
@@ -86,7 +90,7 @@ def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Dict[str, str], 
     return start_line, dict(headers), length
 
 
-class Http1Connection(asyncio.Protocol):
+class Http1Connection(StreamProtocol):
     """One connection's byte stream, cut into HTTP/1.1 messages.
 
     One task reads (:meth:`read_message`) and writes (straight to
@@ -99,79 +103,24 @@ class Http1Connection(asyncio.Protocol):
         max_header_count: int = 100,
         connected: Optional[Callable[["Http1Connection"], None]] = None,
     ) -> None:
+        super().__init__(HEAD_LIMIT + max_body_bytes, connected)
         self._max_body_bytes = max_body_bytes
         self._max_header_count = max_header_count
-        self._connected = connected
-        self._loop = asyncio.get_running_loop()
-        self.transport: Optional[asyncio.Transport] = None
-        self._buffer = bytearray()
         self._scanned = 0  # bytes already searched for the blank line
         self._head: Optional[Tuple[str, Dict[str, str], int, int]] = None
         self._need = 0  # buffered size worth waking the reader for
-        self._reader: Optional[asyncio.Future] = None
-        self._drained: Optional[asyncio.Future] = None
-        self._read_paused = False
-        self.write_paused = False
-        self.eof = False
 
     def close(self) -> None:
         if self.transport is not None:
             self.transport.close()
 
-    # -- transport callbacks ---------------------------------------------------
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        # (asyncio's socket transports set TCP_NODELAY themselves.)
-        self.transport = transport
-        if self._connected is not None:
-            self._connected(self)
-
     def data_received(self, data: bytes) -> None:
         buffer = self._buffer
         buffer += data
-        if self._reader is not None:
-            if len(buffer) >= self._need:
-                self._wake(self._reader)
-        elif (
-            len(buffer) > HEAD_LIMIT + self._max_body_bytes and not self._read_paused
-        ):
-            self._read_paused = True
-            self.transport.pause_reading()
-
-    def eof_received(self) -> bool:
-        self.eof = True
-        self._wake(self._reader)
-        # Keep the write side: a peer may half-close and still read replies.
-        return True
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.eof = True
-        self.write_paused = False
-        self._wake(self._reader)
-        self._wake(self._drained)
-
-    def pause_writing(self) -> None:
-        self.write_paused = True
-
-    def resume_writing(self) -> None:
-        self.write_paused = False
-        self._wake(self._drained)
-
-    @staticmethod
-    def _wake(waiter: Optional[asyncio.Future]) -> None:
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    # -- the one reader/writer task's side ---------------------------------------
-
-    async def drain(self) -> None:
-        """Wait until the transport's buffer falls below its high-water mark."""
-        while self.write_paused:
-            self._drained = self._loop.create_future()
-            try:
-                await self._drained
-            finally:
-                self._drained = None
+        if self._reader is None:
+            self._pause_if_full()
+        elif len(buffer) >= self._need:
+            self._wake(self._reader)
 
     async def read_message(
         self, idle_timeout_s: Optional[float] = None
@@ -198,12 +147,8 @@ class Http1Connection(asyncio.Protocol):
                     timer.cancel()  # the head is in; a body may take its time
                 elif idle_timeout_s is not None and timer is None and self._head is None:
                     timer = self._loop.call_later(idle_timeout_s, self.close)
-                if self._read_paused:
-                    self._read_paused = False
-                    self.transport.resume_reading()
-                self._reader = self._loop.create_future()
                 try:
-                    await self._reader
+                    await self._park()
                 finally:
                     self._reader = None
         finally:

@@ -4,31 +4,45 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.protocol import MessageType, RpcResponse, message_type
 from repro.rpc.transport import Transport
 
 
+#: Executor evaluations in a row that must compute for less than the
+#: measured executor hop before a container is called on the event loop.
+INLINE_STREAK = 8
+#: Weight of a new sample in the executor hop's moving average.
+HOP_EWMA_WEIGHT = 0.125
+
+
 class ContainerRpcServer:
     """Serves one model container over one transport, or by :meth:`call`.
 
-    The server loop mirrors the paper's container runtime: it blocks on the
-    next framed request, evaluates the container's ``predict_batch`` on the
-    decoded inputs in a thread-pool executor (so a CPU-heavy model does not
-    stall the event loop), and replies with the aligned outputs and the
-    measured container-side latency.  A container in the caller's process
-    has no transport: its messages arrive through :meth:`call`, which runs
-    the same per-message handler.
+    The server loop mirrors the paper's container runtime: it takes the next
+    framed request, evaluates the container's ``predict_batch`` on the
+    decoded inputs, and replies with the aligned outputs and the measured
+    container-side latency.  A container in the caller's process has no
+    transport: its messages arrive through :meth:`call`, which runs the same
+    per-message handler.
 
-    The loop is *pipelined* on the receive side: while a batch evaluates,
-    the next frame is already being received and decoded in a prefetch task,
-    so a pipelining client (window > 1) overlaps its encode/send of batch
-    ``k+1`` with the container's evaluation of batch ``k``.  Evaluation
-    itself stays strictly serial and in arrival order — containers are
+    A container may block or compute for long, so it starts out in the
+    default thread-pool executor, where it cannot stall the event loop.  Each
+    executor evaluation is timed twice: inside the thread (the model's
+    compute) and on the loop around it; the difference is the hop.  After
+    :data:`INLINE_STREAK` evaluations in a row that computed for less than
+    the hop's moving average, the container is called on the loop: for that
+    model the hand-off cost more than the model.  An inline call that takes
+    longer than the estimate sends it back to the executor, so a model that
+    turns slow holds the loop for one batch.
+
+    Evaluation is strictly serial and in arrival order — containers are
     single-threaded, and in-order responses are what lets the client map
-    results back to request ids cheaply.
+    results back to request ids cheaply.  A pipelining client's next frame
+    waits in the transport while the current one evaluates; its deadline
+    budgets count from its arrival, which the transport stamps.
     """
 
     def __init__(self, container, transport: Optional[Transport] = None) -> None:
@@ -39,6 +53,10 @@ class ContainerRpcServer:
         self._draining = False
         # Held while a message is handled and answered, however it came.
         self._turn = asyncio.Lock()
+        # The measured inline rule: hop estimate (s), cheap streak, verdict.
+        self._hop_s: Optional[float] = None
+        self._cheap = 0
+        self._inline = False
 
     def start(self) -> asyncio.Task:
         """Start the serving loop as a background task."""
@@ -54,45 +72,25 @@ class ContainerRpcServer:
         closed on the way out, so the client fails what it has pending at
         once instead of waiting out its timeout on a connection nobody reads.
         """
-        loop = asyncio.get_running_loop()
-        prefetch = loop.create_task(self._recv())
+        transport = self._transport
         try:
             while True:
                 try:
-                    payload, received = await prefetch
+                    payload, received = await transport.recv_stamped()
                 except RpcError:
                     return
                 if self._draining:
-                    # Stop accepting: the prefetched frame arrived after the
-                    # drain began and is deliberately dropped unanswered.
+                    # Stop accepting: a frame taken after the drain began is
+                    # deliberately dropped unanswered.
                     return
-                # Prefetch the next frame immediately: its receive + decode
-                # overlaps the evaluation below instead of following it.
-                prefetch = loop.create_task(self._recv())
                 try:
                     async with self._turn:
-                        await self._transport.send(await self._handle(payload, received))
+                        await transport.send(await self._handle(payload, received))
                 except RpcError:
                     # A message a server does not take, or an unsendable reply.
                     return
-                if self._draining:
-                    return
         finally:
-            prefetch.cancel()
-            try:
-                await prefetch
-            except (asyncio.CancelledError, RpcError):
-                pass
-            await self._transport.close()
-
-    async def _recv(self) -> Tuple[dict, float]:
-        """The next message and when, on this host's clock, it arrived.
-
-        A prefetched frame waits behind the batch being evaluated; the
-        budgets it carries count from its arrival, not from its turn.
-        """
-        payload = await self._transport.recv()
-        return payload, time.monotonic()
+            await transport.close()
 
     async def call(self, message: dict) -> dict:
         """The reply to ``message``, by call: the handler the serving loop runs
@@ -155,12 +153,10 @@ class ContainerRpcServer:
         try:
             if not inputs:
                 outputs: list = []
+            elif self._inline:
+                outputs = list(self._call_inline(inputs))
             else:
-                outputs = list(
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self._container.predict_batch, inputs
-                    )
-                )
+                outputs = list(await self._call_in_executor(inputs))
             self.requests_served += 1
         except Exception as exc:  # container failures must not kill the server
             outputs, error = [], f"{type(exc).__name__}: {exc}"
@@ -174,6 +170,36 @@ class ContainerRpcServer:
             eval_end=time.monotonic() if stamped else 0.0,
             skipped=skipped,
         )
+
+    def _call_inline(self, inputs: list) -> Any:
+        """Call the container on the loop; back to the executor if it was slow."""
+        start = time.perf_counter()
+        try:
+            return self._container.predict_batch(inputs)
+        finally:
+            if time.perf_counter() - start > self._hop_s:
+                self._inline = False
+                self._cheap = 0
+
+    async def _call_in_executor(self, inputs: list) -> Any:
+        """Evaluate in an executor thread, measuring the compute and the hop."""
+        start = time.perf_counter()
+        outputs, compute_s = await asyncio.get_running_loop().run_in_executor(
+            None, self._timed_predict, inputs
+        )
+        hop_s = time.perf_counter() - start - compute_s
+        if self._hop_s is None:
+            self._hop_s = hop_s
+        else:
+            self._hop_s += HOP_EWMA_WEIGHT * (hop_s - self._hop_s)
+        self._cheap = self._cheap + 1 if compute_s < self._hop_s else 0
+        self._inline = self._cheap >= INLINE_STREAK
+        return outputs
+
+    def _timed_predict(self, inputs: list) -> Tuple[Any, float]:
+        start = time.perf_counter()
+        outputs = self._container.predict_batch(inputs)
+        return outputs, time.perf_counter() - start
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful shutdown: finish the in-flight request, then stop.

@@ -7,17 +7,24 @@ interface, ``send(payload)`` / ``recv()`` / ``close()``.  A container in
 Clipper's process is called instead (:class:`repro.rpc.client.DirectRpcClient`);
 :func:`codec_round_trip` is what it hands over when the codec's cost is charged.
 
-Framing is copy-free on the send side: ``TcpTransport`` writes the 4-byte
-header and the serializer's writev-style body segments with
-``StreamWriter.writelines``, never joined into one ``bytes``.  Decoded
-ndarrays are read-only zero-copy views into the received frame.
+``TcpTransport`` is an :class:`asyncio.Protocol`: frames are cut in
+``data_received`` as their bytes arrive, each stamped with its arrival, and
+the one reading task is woken when a frame completes, not once for its
+prefix and again for its body.  On the send side the 4-byte header and the
+serializer's writev-style body segments go to the socket transport as one
+segment list.  Decoded ndarrays are read-only zero-copy views into the
+received frame.  :class:`StreamProtocol`, the half of a connection that
+buffers, wakes its reader and does flow control, is shared with the
+HTTP/1.1 framing (:mod:`repro.rpc.http11`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, List, Optional, Tuple
+import time
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.core.exceptions import RpcError
 from repro.rpc.serialization import deserialize, serialize_buffers, serialized_nbytes
@@ -25,6 +32,10 @@ from repro.rpc.serialization import deserialize, serialize_buffers, serialized_n
 #: Maximum frame size sent or accepted (guards against corrupt prefixes).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 _LENGTH_PREFIX = struct.Struct("<I")
+#: Bytes a socket transport buffers for a reader that is not waiting before
+#: it stops reading from the socket (a larger frame the reader waits for is
+#: read whole).
+_READ_HIGH_WATER = 1 << 20
 
 
 def frame_message(payload: dict) -> Tuple[List[Any], int]:
@@ -47,9 +58,9 @@ def codec_round_trip(payload: dict) -> dict:
     return deserialize(body[0] if len(body) == 1 else b"".join(body))
 
 
-def frame_length(prefix: Any) -> int:
-    """The body length a received 4-byte prefix announces."""
-    (length,) = _LENGTH_PREFIX.unpack(prefix)
+def frame_length(buffer: Any, offset: int = 0) -> int:
+    """The body length a received 4-byte prefix at ``offset`` announces."""
+    (length,) = _LENGTH_PREFIX.unpack_from(buffer, offset)
     if length > MAX_FRAME_BYTES:
         raise RpcError(f"frame length {length} exceeds maximum")
     return length
@@ -64,6 +75,12 @@ class Transport:
     async def recv(self) -> dict:  # pragma: no cover - interface
         raise NotImplementedError
 
+    async def recv_stamped(self) -> Tuple[dict, float]:
+        """The next message, and when it arrived on this host's monotonic clock
+        (here: when it is handed over; the shm rings never see a frame arrive)."""
+        payload = await self.recv()
+        return payload, time.monotonic()
+
     async def close(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -72,56 +89,190 @@ class Transport:
         raise NotImplementedError
 
 
-class TcpTransport(Transport):
-    """Length-prefix framed transport over an asyncio TCP stream."""
+class StreamProtocol(asyncio.Protocol):
+    """One connection's byte stream, for one reading and one writing task.
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    A subclass cuts messages in ``data_received``: it appends to ``_buffer``,
+    wakes ``_reader`` (the future the reading task awaits, from
+    :meth:`_park`) once what it waits for is in, and calls
+    :meth:`_pause_if_full` while nobody reads.  Reading resumes when the
+    reader next parks; :meth:`drain` waits while the socket transport is over
+    its high-water mark; ``eof`` is set when the peer stops sending.
+    """
+
+    def __init__(self, pause_above: int, connected: Optional[Callable] = None) -> None:
+        self._pause_above = pause_above
+        self._connected = connected
+        self._loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._reader: Optional[asyncio.Future] = None
+        self._drained: Optional[asyncio.Future] = None
+        self._read_paused = False
+        self.write_paused = False
+        self.eof = False
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        # (asyncio's socket transports set TCP_NODELAY themselves.)
+        self.transport = transport
+        if self._connected is not None:
+            self._connected(self)
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._wake(self._reader)
+        # Keep the write side: a peer may half-close and still read replies.
+        return True
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.eof = True
+        self.write_paused = False
+        self._wake(self._reader)
+        self._wake(self._drained)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._wake(self._drained)
+
+    @staticmethod
+    def _wake(waiter: Optional[asyncio.Future]) -> None:
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _pause_if_full(self) -> None:
+        if len(self._buffer) > self._pause_above and not self._read_paused:
+            self._read_paused = True
+            self.transport.pause_reading()
+
+    # -- the one reader/writer task's side ---------------------------------------
+
+    async def drain(self) -> None:
+        """Wait until the transport's buffer falls below its high-water mark."""
+        while self.write_paused:
+            self._drained = self._loop.create_future()
+            try:
+                await self._drained
+            finally:
+                self._drained = None
+
+    def _park(self) -> asyncio.Future:
+        """The future the reading task awaits for more bytes or the end of the
+        stream; it sets ``_reader`` back to None when it wakes."""
+        if self._read_paused:
+            self._read_paused = False
+            self.transport.resume_reading()
+        self._reader = self._loop.create_future()
+        return self._reader
+
+
+class TcpTransport(StreamProtocol, Transport):
+    """Length-prefix framed messages over one TCP connection.
+
+    Complete frames stay at the head of the buffer, their arrival times in
+    ``_arrivals``.  A prefix over :data:`MAX_FRAME_BYTES`, or the stream
+    ending inside a frame, hangs up: where the next frame would start is
+    unknown, and the peer learns it at once.  Frames cut before the bad
+    prefix are still delivered.
+    """
+
+    def __init__(self, connected: Optional[Callable] = None) -> None:
+        super().__init__(_READ_HIGH_WATER, connected)
+        self._arrivals: Deque[float] = deque()
+        self._scanned = 0  # where the first incomplete frame starts
+        self._refused: Optional[str] = None
         self._closed = False
+        self._lost = self._loop.create_future()
 
     @staticmethod
     async def connect(host: str, port: int) -> "TcpTransport":
         """Open a client connection to a listening container server."""
-        reader, writer = await asyncio.open_connection(host, port)
-        return TcpTransport(reader, writer)
+        _, endpoint = await asyncio.get_running_loop().create_connection(
+            TcpTransport, host, port
+        )
+        return endpoint
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        at = self._scanned
+        try:
+            while len(buffer) - at >= 4:
+                end = at + 4 + frame_length(buffer, at)
+                if len(buffer) < end:
+                    break
+                self._arrivals.append(time.monotonic())
+                at = end
+        except RpcError as exc:
+            self._refused = str(exc)
+            self.eof = True
+            self.transport.close()
+        self._scanned = at
+        if self._reader is None:
+            self._pause_if_full()
+        elif self._arrivals or self.eof:
+            self._wake(self._reader)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._wake(self._lost)
 
     async def send(self, payload: dict) -> None:
-        if self._closed:
+        if self._closed or self.transport.is_closing():
             raise RpcError("transport is closed")
-        # writev-style: header and body segments go to the stream without
-        # ever being concatenated into one frame-sized bytes object.
-        self._writer.writelines(frame_message(payload)[0])
-        await self._writer.drain()
+        self.transport.writelines(frame_message(payload)[0])
+        if self.write_paused:
+            await self.drain()
 
     async def recv(self) -> dict:
-        if self._closed:
-            raise RpcError("transport is closed")
-        try:
-            length = frame_length(await self._reader.readexactly(4))
-            body = await self._reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError) as exc:
-            self._hang_up()
-            raise RpcError(f"connection closed while reading frame: {exc}") from exc
-        except RpcError:
-            # An impossible prefix: where the next frame starts is unknown.
-            self._hang_up()
-            raise
-        return deserialize(body)
+        if self._closed or not self._arrivals:
+            await self._arrival()
+        self._arrivals.popleft()
+        return deserialize(self._cut())
+
+    async def recv_stamped(self) -> Tuple[dict, float]:
+        if self._closed or not self._arrivals:
+            await self._arrival()
+        return deserialize(self._cut()), self._arrivals.popleft()
+
+    async def _arrival(self) -> None:
+        """Wait for a complete frame; raise when none will come."""
+        while not self._closed:
+            if self._arrivals:
+                return
+            if self.eof:
+                self._hang_up()
+                where = "inside a frame" if self._buffer else "by peer"
+                raise RpcError(self._refused or f"connection closed {where}")
+            try:
+                await self._park()
+            finally:
+                self._reader = None
+        raise RpcError("transport is closed")
+
+    def _cut(self) -> bytes:
+        """The body of the frame at the buffer's head, taken off it."""
+        buffer = self._buffer
+        end = 4 + frame_length(buffer)
+        body = bytes(memoryview(buffer)[4:end])
+        del buffer[:end]
+        self._scanned -= end
+        return body
 
     def _hang_up(self) -> None:
         self._closed = True
-        self._writer.close()
+        if self.transport is not None:
+            self.transport.close()
 
     async def close(self) -> None:
         if not self._closed:
             self._hang_up()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if self.transport is not None:
+                await self._lost
 
     @property
     def closed(self) -> bool:
@@ -139,15 +290,12 @@ class TcpListener:
 
     async def start(self) -> None:
         """Begin listening; ``port`` is updated with the bound port."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: TcpTransport(connected=self._accepted.put_nowait),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._accepted.put(TcpTransport(reader, writer))
 
     async def accept(self) -> TcpTransport:
         """Wait for and return the next accepted connection."""

@@ -25,6 +25,7 @@ import numpy as np
 from repro.containers.base import ModelContainer
 from repro.core.exceptions import RpcError
 from repro.rpc.serialization import deserialize, serialize
+from repro.rpc.transport import Transport
 
 
 async def wait_until(predicate, timeout_s=5.0, interval_s=0.01):
@@ -219,7 +220,7 @@ class BurstyArrivals:
         return np.cumsum(np.fromiter(self.gaps(n), dtype=float, count=n))
 
 
-class QueueTransport:
+class QueueTransport(Transport):
     """One end of an in-memory RPC transport pair (see :func:`queue_pair`).
 
     Each message crosses an ``asyncio.Queue`` as an encoded frame, so an
@@ -230,26 +231,30 @@ class QueueTransport:
     def __init__(self, outgoing: asyncio.Queue, incoming: asyncio.Queue) -> None:
         self._outgoing = outgoing
         self._incoming = incoming
-        self.closed = False
+        self._closed = False
 
     async def send(self, payload: dict) -> None:
-        if self.closed:
+        if self._closed:
             raise RpcError("transport is closed")
         await self._outgoing.put(serialize(payload))
 
     async def recv(self) -> dict:
-        if self.closed:
+        if self._closed:
             raise RpcError("transport is closed")
         frame = await self._incoming.get()
         if frame is None:
-            self.closed = True
+            self._closed = True
             raise RpcError("transport closed by peer")
         return deserialize(frame)
 
     async def close(self) -> None:
-        if not self.closed:
-            self.closed = True
+        if not self._closed:
+            self._closed = True
             await self._outgoing.put(None)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
 
 def queue_pair() -> Tuple[QueueTransport, QueueTransport]:

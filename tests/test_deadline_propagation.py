@@ -18,6 +18,7 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc import server as rpc_server
+from repro.rpc import transport as rpc_transport
 from repro.rpc.client import RpcClient
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
 from repro.rpc.shm import HAS_SHARED_MEMORY
@@ -64,6 +65,14 @@ class ClockOfAnotherHost:
 
     def monotonic(self) -> float:
         return time.monotonic() + self.offset_s
+
+
+def skew_the_container_host(monkeypatch, offset_s: float) -> None:
+    """Put the container's side on another host's clock: its server, and the
+    transport module that stamps when each of its frames arrived."""
+    clock = ClockOfAnotherHost(offset_s)
+    monkeypatch.setattr(rpc_server, "time", clock)
+    monkeypatch.setattr(rpc_transport, "time", clock)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,7 @@ class TestReplicaSkipsExpiredEntries:
         """``time.monotonic()`` has a different origin on every host.  With
         absolute deadlines on the wire a server an hour ahead skipped every
         entry and one an hour behind never skipped any."""
-        monkeypatch.setattr(rpc_server, "time", ClockOfAnotherHost(skew_s))
+        skew_the_container_host(monkeypatch, skew_s)
 
         async def scenario():
             container = CountingContainer()
@@ -305,7 +314,7 @@ class TestDeadlinesEndToEnd:
     def test_queries_are_answered_by_a_model_on_another_clock(self, monkeypatch):
         """End to end across a clock skew: every query inside its SLO gets
         the model's answer (all five got the default output before)."""
-        monkeypatch.setattr(rpc_server, "time", ClockOfAnotherHost(3600.0))
+        skew_the_container_host(monkeypatch, 3600.0)
 
         async def scenario():
             container = CountingContainer()

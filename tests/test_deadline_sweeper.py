@@ -1,9 +1,8 @@
 """The straggler-deadline contract written into ``DeadlineSweeper``'s docstring.
 
 Retention (what it references is the futures in flight, not the futures
-answered within the last SLO), timers (one at most), punctuality (a
-straggler resolves at its deadline, a shorter per-query SLO included) and
-event loops (a sweeper whose loop closed).
+answered within the last SLO), timers (one at most) and punctuality (a
+straggler resolves at its deadline, a shorter per-query SLO included).
 Run in CI under ``-X dev -W error::ResourceWarning`` as well.
 """
 
@@ -160,24 +159,3 @@ class TestPunctuality:
 
         run_async(scenario())
 
-
-class TestAcrossEventLoops:
-    def test_a_sweeper_whose_loop_closed_starts_over_on_the_next(self):
-        sweeper = DeadlineSweeper()
-
-        async def abandoned():
-            # Left unresolved, timer armed, when its loop closes.
-            loop = asyncio.get_running_loop()
-            sweeper.register(loop.create_future(), time.monotonic() + 10.0, loop)
-
-        async def straggler():
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            deadline = time.monotonic() + 0.010
-            sweeper.register(future, deadline, loop)
-            assert len(sweeper._pending) == 1  # the old loop's entry is gone
-            assert await asyncio.wait_for(future, timeout=1.0) is DEADLINE_MISS
-            return time.monotonic() - deadline
-
-        run_async(abandoned())
-        assert 0.0 <= run_async(straggler()) < LATE_S

@@ -16,7 +16,9 @@ Pin down the perf-critical invariants of the predict/feedback path:
   sampled hit, feedback, TTL state) unchanged, and
 * a missed ``predict`` pays per query only for what is decided per query: a
   bounded number of calls in two coroutines, no ticket of its own while
-  nothing gates, and batch spans built once per batch.
+  nothing gates, and batch spans built once per batch, and
+* a batch's round trip over the tcp lane to a container measured cheaper
+  than the executor hop creates no task and no executor future.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
+from repro.containers.replica import ContainerReplica
 from repro.core.clipper import Clipper
 from repro.core.config import (
     CircuitBreakerConfig,
@@ -54,6 +57,7 @@ from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Query, hash_input
 from repro.observability.tracing import BatchSpans, Tracer
 from repro.rpc.protocol import RpcResponse
+from repro.rpc.server import INLINE_STREAK
 from repro.selection.single import SingleModelPolicy
 from repro.state.kvstore import KeyValueStore
 
@@ -597,6 +601,43 @@ class TestMissedPassBudget:
             assert tracer.finish(boring) is None
             assert boring.spans == [] and tracer.shadow(now) is boring
             assert boring.trace_id is None and boring.flags == 0
+
+        run_async(scenario())
+
+
+class TestContainerRoundTripBudget:
+    """One batch's round trip to a promoted container over the tcp lane."""
+
+    def test_a_promoted_no_op_batch_creates_no_task_and_no_executor_future(
+        self, monkeypatch
+    ):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            replica = ContainerReplica(
+                ModelId("noop"), 0, NoOpContainer(output=1), transport="tcp"
+            )
+            await replica.start()
+            try:
+                for _ in range(4 * INLINE_STREAK):  # measured cheap: promoted
+                    await replica.predict_batch([np.zeros(4)])
+                made = Counter()
+
+                def counting(name, real):
+                    def count(*args, **kwargs):
+                        made[name] += 1
+                        return real(*args, **kwargs)
+
+                    return count
+
+                for name in ("create_task", "run_in_executor"):
+                    monkeypatch.setattr(loop, name, counting(name, getattr(loop, name)))
+                response = await replica.predict_batch([np.zeros(4), np.ones(4)])
+                assert response.outputs == [1, 1]
+                # A receive task per frame or an executor hop would count here.
+                assert made == Counter()
+            finally:
+                monkeypatch.undo()
+                await replica.stop()
 
         run_async(scenario())
 

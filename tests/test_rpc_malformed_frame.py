@@ -41,7 +41,7 @@ BAD_FRAMES = pytest.mark.parametrize(
 
 def inject(replica: ContainerReplica, frame: bytes) -> None:
     """Write raw bytes on the client's end of the replica's connection."""
-    replica.client._transport._writer.write(frame)
+    replica.client._transport.transport.write(frame)
 
 
 class TestServerHangsUp:

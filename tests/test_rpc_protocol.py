@@ -2,9 +2,12 @@
 
 import asyncio
 import struct
+import time
+from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import run_async
 from repro.core.exceptions import RpcError, SerializationError
@@ -52,25 +55,54 @@ class TestRpcResponse:
         assert decoded.error == "boom"
 
 
-class _NullWriter:
-    """Enough of a StreamWriter for a transport that is only read from."""
+class Wire(asyncio.Transport):
+    """The socket end of a protocol under test: records what is done to it."""
 
-    def close(self):
-        pass
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = bytearray()
+        self.hung_up = False
+        self.reading = True
 
-    async def wait_closed(self):
-        pass
+    def write(self, data) -> None:
+        self.written += data
+
+    def close(self) -> None:
+        self.hung_up = True
+
+    def is_closing(self) -> bool:
+        return self.hung_up
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+
+def connected() -> Tuple[TcpTransport, Wire]:
+    endpoint, wire = TcpTransport(), Wire()
+    endpoint.connection_made(wire)
+    return endpoint, wire
+
+
+async def collect(endpoint: TcpTransport, got: list) -> str:
+    """Append each message ``recv`` yields to ``got``; the error that ended it."""
+    while True:
+        try:
+            got.append(await endpoint.recv())
+        except RpcError as exc:
+            return str(exc)
 
 
 def receive(data: bytes, frames: int = 1) -> list:
     """What a socket transport reads when its peer sent ``data`` and hung up."""
 
     async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        transport = TcpTransport(reader, _NullWriter())
-        return [await transport.recv() for _ in range(frames)]
+        endpoint, _ = connected()
+        endpoint.data_received(data)
+        endpoint.eof_received()
+        return [await endpoint.recv() for _ in range(frames)]
 
     return run_async(scenario())
 
@@ -79,8 +111,33 @@ def framed(payload) -> bytes:
     return b"".join(bytes(segment) for segment in frame_message(payload)[0])
 
 
+MESSAGES = st.lists(
+    st.builds(
+        lambda i, size, text: {
+            "type": 1, "request_id": i, "x": np.arange(size, dtype=float), "text": text,
+        },
+        st.integers(0, 2**31), st.integers(0, 64), st.text(max_size=8),
+    ),
+    min_size=1, max_size=5,
+)
+ENDINGS = {
+    "clean": (b"", "by peer"),
+    "mid_frame": (struct.pack("<I", 10) + b"\x00" * 3, "inside a frame"),
+    "over_limit": (struct.pack("<I", MAX_FRAME_BYTES + 1) + b"\x00" * 7, "exceeds maximum"),
+}
+
+
+def same_messages(got: list, sent: list) -> bool:
+    return len(got) == len(sent) and all(
+        a["request_id"] == b["request_id"] and a["text"] == b["text"]
+        and np.array_equal(a["x"], b["x"])
+        for a, b in zip(got, sent)
+    )
+
+
 class TestFraming:
-    """The framing the socket and shared-memory transports both run."""
+    """The framing the socket and shared-memory transports both run, fed to
+    the socket transport's protocol callbacks as a peer's bytes."""
 
     def test_frame_round_trip(self):
         payload = RpcRequest(
@@ -124,3 +181,91 @@ class TestFraming:
     def test_message_type_of_invalid_payload(self):
         with pytest.raises(SerializationError):
             message_type({"type": 999})
+
+
+class TestSegmentation:
+    """However the peer's bytes are cut, ``data_received`` yields its frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sent=MESSAGES,
+        cuts=st.lists(st.integers(0, 10**6), max_size=12),
+        ending=st.sampled_from(sorted(ENDINGS)),
+    )
+    def test_every_chunking_yields_the_same_messages(self, sent, cuts, ending):
+        tail, error = ENDINGS[ending]
+        data = b"".join(framed(message) for message in sent) + tail
+        points = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+        chunks = [data[a:b] for a, b in zip(points, points[1:])]
+
+        async def scenario():
+            endpoint, wire = connected()
+            got: list = []
+            reader = asyncio.ensure_future(collect(endpoint, got))
+            for chunk in chunks:
+                await asyncio.sleep(0)
+                endpoint.data_received(chunk)
+            await asyncio.sleep(0)
+            # Each frame woke the parked reader as its last byte came in.
+            assert same_messages(got, sent)
+            if ending != "over_limit":  # a refused prefix already ended it
+                endpoint.eof_received()
+            assert error in await reader
+            assert same_messages(got, sent)
+            assert wire.hung_up and endpoint.closed
+
+        run_async(scenario())
+
+    def test_an_over_limit_prefix_hangs_up_before_anyone_reads(self):
+        async def scenario():
+            endpoint, wire = connected()
+            over_limit = struct.pack("<I", MAX_FRAME_BYTES + 1)
+            endpoint.data_received(framed({"request_id": 1}) + over_limit)
+            assert wire.hung_up
+            assert (await endpoint.recv())["request_id"] == 1  # cut before it: delivered
+            with pytest.raises(RpcError, match="exceeds maximum"):
+                await endpoint.recv()
+
+        run_async(scenario())
+
+    def test_each_frame_is_stamped_when_its_last_byte_arrives(self):
+        async def scenario():
+            endpoint, _ = connected()
+            frame = framed({"request_id": 1})
+            endpoint.data_received(frame[:-1])
+            await asyncio.sleep(0.05)
+            before = time.monotonic()
+            endpoint.data_received(frame[-1:])
+            await asyncio.sleep(0.05)
+            message, arrived = await endpoint.recv_stamped()
+            assert message["request_id"] == 1
+            assert before <= arrived <= before + 0.04
+
+        run_async(scenario())
+
+    def test_reading_pauses_while_nobody_reads_and_resumes_on_recv(self):
+        async def scenario():
+            endpoint, wire = connected()
+            big = framed({"request_id": 1, "x": np.zeros(200_000)})  # 1.6 MB
+            endpoint.data_received(big)
+            assert not wire.reading
+            assert (await endpoint.recv())["request_id"] == 1
+            reader = asyncio.ensure_future(endpoint.recv())
+            await asyncio.sleep(0)
+            assert wire.reading
+            reader.cancel()
+
+        run_async(scenario())
+
+    def test_send_writes_the_frame_and_refuses_after_a_hang_up(self):
+        async def scenario():
+            endpoint, wire = connected()
+            await endpoint.send({"request_id": 4})
+            assert bytes(wire.written) == framed({"request_id": 4})
+            endpoint.eof_received()
+            with pytest.raises(RpcError):
+                await endpoint.recv()
+            with pytest.raises(RpcError, match="closed"):
+                await endpoint.send({"request_id": 5})
+
+        run_async(scenario())
