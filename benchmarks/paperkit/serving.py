@@ -30,6 +30,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from paperkit.load import LoadResult, PoissonArrivals, run_load
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
 from repro.core.exceptions import ClipperError
@@ -85,7 +86,7 @@ class TFServingLikeServer:
         if self._task is None or self._queue.closed:
             raise ClipperError("TFServingLikeServer is not serving")
         future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(PendingQuery(input=x, future=future))
+        self._queue.put_nowait(PendingQuery(input=x, future=future, enqueue_time=clock.now()))
         return await future
 
     async def _dispatch_loop(self) -> None:

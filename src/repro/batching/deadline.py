@@ -13,6 +13,8 @@ import asyncio
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+from repro.core import clock
+
 #: Sentinel resolved into a pending model future when its straggler deadline
 #: passes before the container answers, or when the ``drop-oldest`` shed
 #: policy evicts it from its queue.  A sentinel (not an exception) keeps
@@ -56,7 +58,7 @@ class DeadlineSweeper:
     def register(
         self, future: asyncio.Future, deadline: float, loop: asyncio.AbstractEventLoop
     ) -> None:
-        """Arrange for ``future``, of ``loop``, to resolve by ``deadline`` (monotonic)."""
+        """Arrange for ``future``, of ``loop``, to resolve by ``deadline`` (``clock.now()``)."""
         pending = self._pending
         while pending and pending[0][1].done():
             pending.popleft()
@@ -74,7 +76,7 @@ class DeadlineSweeper:
     def _sweep(self, loop: asyncio.AbstractEventLoop) -> None:
         """Resolve what is due at the head; re-arm for what is left."""
         pending = self._pending
-        now = loop.time()
+        now = clock.now()
         while pending and (pending[0][0] <= now or pending[0][1].done()):
             _expire(pending.popleft()[1])
         self._timer = loop.call_at(pending[0][0], self._sweep, loop) if pending else None

@@ -57,13 +57,13 @@ stealing work from healthy ones while the health monitor converges.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Set
 
 from repro.batching.controllers import BatchSizeController
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
+from repro.core import clock
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import BatchStats, ReplicaHealth
@@ -296,7 +296,7 @@ class ReplicaDispatcher:
         # any entry has one, per-entry deadlines, 0.0 = none, so the container
         # can skip what expires in transit), what is measured (the oldest
         # entry's wait) and who is left out (entries already expired).
-        t_batch = oldest = time.monotonic()
+        t_batch = oldest = clock.now()
         drop_expired = self.drop_expired
         inputs, deadlines, carries_deadline = [], [], False
         expired = traced = trace_ids = None  # a set of ids, two lists, when needed
@@ -337,7 +337,7 @@ class ReplicaDispatcher:
         overlapped = self._on_replica > 0
         self._on_replica += 1
         self._overlapped_run = self._overlapped_run + 1 if overlapped else 0
-        start = time.perf_counter()
+        start = clock.now()
         try:
             response = await self.replica.predict_batch(
                 inputs, trace=trace_ids, span_log=span_log,
@@ -348,7 +348,7 @@ class ReplicaDispatcher:
             return
         finally:
             self._on_replica -= 1
-        latency_ms = (time.perf_counter() - start) * 1000.0
+        latency_ms = (clock.now() - start) * 1000.0
 
         eval_ms = response.container_latency_ms
         if overlapped and self.rpc_overhead_ms is not None:
@@ -441,7 +441,7 @@ class ReplicaDispatcher:
         (the record shares the context's span list) — gets its copies now.
         Must run before the batch's futures resolve so ``finish`` sees them.
         """
-        t_done = time.monotonic()
+        t_done = clock.now()
         common: List[tuple] = []
         if span_log:
             # batch.assemble covers drain + encode, up to the RPC send.
@@ -482,7 +482,7 @@ class ReplicaDispatcher:
             trace = item.trace
             if trace is not None:
                 if not now:
-                    now = time.monotonic()
+                    now = clock.now()
                 trace.flags |= TRACE_RETRIED
                 trace.spans.append(
                     ("batch.retry", now, now, {"error": type(error).__name__})

@@ -27,10 +27,11 @@ wait again".
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, List, Optional
+
+from repro.core import clock
 
 
 @dataclass(slots=True)
@@ -46,7 +47,7 @@ class PendingQuery:
 
     input: Any
     future: asyncio.Future
-    enqueue_time: float = field(default_factory=time.monotonic)
+    enqueue_time: float
     deadline: Optional[float] = None
     query_id: Optional[int] = None
     input_hash: Optional[str] = None
@@ -62,7 +63,7 @@ class PendingQuery:
         """Whether the query's deadline has already passed."""
         if self.deadline is None:
             return False
-        return (now if now is not None else time.monotonic()) >= self.deadline
+        return (now if now is not None else clock.now()) >= self.deadline
 
 
 class BatchingQueue:
@@ -271,9 +272,9 @@ class BatchingQueue:
         not yet necessarily resolved, so callers still stop the dispatchers
         (which await their in-flight batch) afterwards.
         """
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        deadline = None if timeout_s is None else clock.now() + timeout_s
         while self._items:
-            remaining = None if deadline is None else deadline - time.monotonic()
+            remaining = None if deadline is None else deadline - clock.now()
             if remaining is not None and remaining <= 0:
                 return False
             waiter = asyncio.get_running_loop().create_future()

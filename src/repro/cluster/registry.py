@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 import os
 import socket
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import clock
 from repro.state.durable import write_atomic
 
 #: Subdirectory of the cluster dir holding one announcement file per worker.
@@ -95,7 +95,7 @@ class WorkerRegistry:
 
     def announce(self, announcement: WorkerAnnouncement) -> None:
         """Durably publish (or refresh) one worker's announcement."""
-        announcement.heartbeat_at = time.time()
+        announcement.heartbeat_at = clock.wall()
         if not announcement.started_at:
             announcement.started_at = announcement.heartbeat_at
         record = json.dumps(announcement.to_record(), separators=(",", ":"))
@@ -140,7 +140,7 @@ class WorkerRegistry:
         first sight, or when it changed since a scan older than the TTL (the
         worker may have died long after that scan and long before this one).
         """
-        now = time.monotonic()
+        now = clock.now()
         since_scan = now - self._scanned_at
         beats: Dict[str, Tuple[float, float]] = {}
         live = []
@@ -152,7 +152,7 @@ class WorkerRegistry:
             elif last is not None and since_scan <= announcement.ttl_s:
                 changed_at = now
             else:
-                changed_at = now - max(0.0, time.time() - beat)
+                changed_at = now - max(0.0, clock.wall() - beat)
             beats[worker_id] = (beat, changed_at)
             if now - changed_at <= announcement.ttl_s:
                 live.append(announcement)

@@ -16,10 +16,10 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from typing import Dict, List, Optional
 
 import repro
+from repro.core import clock
 from repro.core.exceptions import ClipperError
 
 #: src/ directory the children need on PYTHONPATH to import repro.
@@ -179,16 +179,16 @@ class Supervisor:
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Drain the fleet: ingress first, then workers, kill stragglers."""
         self._shutting_down = True
-        deadline = time.monotonic() + timeout_s
+        deadline = clock.now() + timeout_s
         if self.ingress is not None:
             self.ingress.terminate()
-            if self.ingress.wait(max(0.1, deadline - time.monotonic())) is None:
+            if self.ingress.wait(max(0.1, deadline - clock.now())) is None:
                 self.ingress.kill()
                 self.ingress.wait(5.0)
         for child in self.workers.values():
             child.terminate()
         for child in self.workers.values():
-            if child.wait(max(0.1, deadline - time.monotonic())) is None:
+            if child.wait(max(0.1, deadline - clock.now())) is None:
                 child.kill()
                 child.wait(5.0)
 

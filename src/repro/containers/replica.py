@@ -97,7 +97,7 @@ class Replica:
 
         ``trace``/``span_log`` propagate the tracing layer's batch trace ids
         and span sink through the RPC client (see :meth:`RpcClient.predict`);
-        ``deadlines`` carries per-entry absolute monotonic deadlines the
+        ``deadlines`` carries per-entry absolute ``clock.now()`` deadlines the
         container may use to skip already-expired entries.  All default to
         off and cost nothing when unused.
         """

@@ -56,10 +56,10 @@ rollback; namespaces no routing configuration can reach any more are pruned.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.containers.replica import ReplicaBuilder, place_locally
+from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.deployed import DeployedModel, ModelLayer
 from repro.core.exceptions import (
@@ -521,7 +521,7 @@ class Clipper:
         """
         if not self._started:
             raise ClipperError("Clipper is not started")
-        start = time.monotonic()
+        start = clock.now()
         slo_ms = query.latency_slo_ms or self.config.latency_slo_ms
 
         # Tracing: ``begin`` returns a context only for head-sampled (or
@@ -552,7 +552,7 @@ class Clipper:
             query.input, context=query.user_id
         )
         if sampled is not None:
-            sampled.add("selection.select", start, time.monotonic())
+            sampled.add("selection.select", start, clock.now())
         predictions, misses = self._layer.lookup(selected, input_hash)
         trace, shed = sampled, None
         if misses or sampled is not None:
@@ -567,12 +567,12 @@ class Clipper:
         error = None
         if predictions:
             if sampled is not None:
-                t_combine = time.monotonic()
+                t_combine = clock.now()
             output, confidence = selection.combine(
                 query.input, predictions, context=query.user_id,
                 state=selection_state,
             )
-            now = time.monotonic()
+            now = clock.now()
             if sampled is not None:
                 sampled.add("selection.combine", t_combine, now)
             default_used = (
@@ -583,7 +583,7 @@ class Clipper:
             if default_used:
                 output = default_output
         else:
-            now = time.monotonic()
+            now = clock.now()
             if isinstance(shed, OverloadError) or default_output is None:
                 # Refused by the shed policy, or nothing to answer with.
                 error = shed or PredictionTimeoutError(query.query_id, slo_ms)

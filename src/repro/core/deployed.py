@@ -15,7 +15,6 @@ daemon, or what the overload layer decided on the way.
 from __future__ import annotations
 
 import asyncio
-import time
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -27,6 +26,7 @@ from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.replica import Replica, ReplicaBuilder
+from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
@@ -373,7 +373,7 @@ class ModelLayer:
         sampled = trace
         if not misses:
             if sampled is not None:
-                sampled.add("cache.lookup", sampled.spans[-1][2], time.monotonic())
+                sampled.add("cache.lookup", sampled.spans[-1][2], clock.now())
             return predictions, trace, None
 
         ticket = UNGUARDED  # nothing to settle until the query is admitted
@@ -384,7 +384,7 @@ class ModelLayer:
             loop = asyncio.get_running_loop()
             pending: Dict[str, asyncio.Future] = {}
             # Where the lookup stage ends and every entry's queue wait begins.
-            t_wait = time.monotonic()
+            t_wait = clock.now()
             for model_key in misses:
                 if not ticket.allow(model_key):
                     continue
@@ -440,7 +440,7 @@ class ModelLayer:
                     ticket.failed(model_key, timeout=True)
                     if trace is not None:
                         trace.flags |= TRACE_STRAGGLER
-                        now = time.monotonic()
+                        now = clock.now()
                         trace.add("deadline.miss", now, now, {"model": model_key})
                     continue
                 ticket.succeeded(model_key)
@@ -448,7 +448,7 @@ class ModelLayer:
                 self.cache.put_by_hash(model_key, input_hash, output)
                 predictions[model_key] = output
             if pending and trace is not None:
-                trace.spans.append(("model.wait", t_wait, time.monotonic(), None))
+                trace.spans.append(("model.wait", t_wait, clock.now(), None))
         except (OverloadError, Degraded) as shed:
             # Refused admission, or a bounded queue was full and the policy
             # sheds: models already submitted finish on their own and

@@ -19,10 +19,10 @@ helpers; the HTTP server starts and stops the frontends themselves.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.api.schema import ApplicationSchema
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.exceptions import (
     ClipperError,
@@ -172,9 +172,9 @@ class QueryFrontend(ApplicationHost):
         clipper.overload.precheck()
         metadata = None
         if clipper.tracer.active:
-            t0 = time.monotonic()
+            t0 = clock.now()
             x = self._schemas[app_name].validate_input(x)
-            t1 = time.monotonic()
+            t1 = clock.now()
             metadata = {"pre_spans": (("frontend.validate", t0, t1, None),)}
         else:
             x = self._schemas[app_name].validate_input(x)

@@ -12,13 +12,14 @@ names and aggregates them.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
+
+from repro.core import clock
 
 
 class Counter:
@@ -46,13 +47,10 @@ class Counter:
 class Meter:
     """Tracks the rate of events per second since creation or last reset."""
 
-    def __init__(
-        self, name: str, clock=time.monotonic, lock: Optional[threading.Lock] = None
-    ) -> None:
+    def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
-        self._clock = clock
         self._count = 0
-        self._start = clock()
+        self._start = clock.now()
         self._lock = lock or threading.Lock()
 
     def mark(self, count: int = 1) -> None:
@@ -66,7 +64,7 @@ class Meter:
 
     def rate(self) -> float:
         """Mean events per second since the meter was created or reset."""
-        elapsed = self._clock() - self._start
+        elapsed = clock.now() - self._start
         if elapsed <= 0:
             return 0.0
         return self._count / elapsed
@@ -74,7 +72,7 @@ class Meter:
     def reset(self) -> None:
         with self._lock:
             self._count = 0
-            self._start = self._clock()
+            self._start = clock.now()
 
 
 class Histogram:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -133,7 +132,7 @@ class Query:
     latency_slo_ms:
         Optional per-query latency objective overriding the application SLO.
     arrival_time:
-        When the request reached the application (``time.monotonic()``), for
+        When the request reached the application (on ``clock.now()``), for
         callers that track it; the engine times a query from the start of
         ``predict`` and never reads this.
     metadata:
@@ -191,7 +190,6 @@ class Feedback:
     label: Any
     user_id: Optional[str] = None
     query_id: Optional[int] = None
-    timestamp: float = field(default_factory=time.monotonic)
     _input_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def input_hash(self) -> str:
@@ -214,7 +212,6 @@ class BatchStats:
     batch_size: int
     latency_ms: float
     queue_time_ms: float
-    timestamp: float = field(default_factory=time.monotonic)
 
 
 #: Health states of one container replica.
@@ -243,10 +240,3 @@ class ReplicaHealth:
     quarantines: int = 0
     restarts: int = 0
     last_probe_latency_ms: Optional[float] = None
-    since: float = field(default_factory=time.monotonic)
-
-    def mark(self, state: str) -> None:
-        """Transition to ``state`` and restamp the transition time."""
-        if state != self.state:
-            self.state = state
-            self.since = time.monotonic()

@@ -33,11 +33,11 @@ Progress is visible through the Clipper's :class:`MetricsRegistry`
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.containers.replica import Replica
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.deployed import DeployedModel, end_recovery
 from repro.core.exceptions import ClipperError
@@ -181,9 +181,9 @@ class HealthMonitor:
                 await self._quarantine(record, dispatcher)
 
     async def _probe_replica(self, replica: Replica) -> Tuple[bool, float]:
-        start = time.perf_counter()
+        start = clock.now()
         ok = await replica.check_health(timeout_s=self.probe_timeout_s)
-        return ok, (time.perf_counter() - start) * 1000.0
+        return ok, (clock.now() - start) * 1000.0
 
     def _dispatchers(self) -> List[Tuple[DeployedModel, ReplicaDispatcher]]:
         """Every live replica's dispatcher, with the version it belongs to."""
@@ -199,7 +199,7 @@ class HealthMonitor:
         self, record: DeployedModel, dispatcher: ReplicaDispatcher
     ) -> None:
         status, replica = dispatcher.health, dispatcher.replica
-        status.mark(REPLICA_QUARANTINED)
+        status.state = REPLICA_QUARANTINED
         status.quarantines += 1
         self._quarantine_counter.increment()
         logger.warning(
@@ -234,7 +234,7 @@ class HealthMonitor:
         backoff = self.restart_backoff_s
         while self._running:
             await asyncio.sleep(backoff)
-            status.mark(REPLICA_RECOVERING)
+            status.state = REPLICA_RECOVERING
             try:
                 fresh = await record.replace_replica(dispatcher)
             except asyncio.CancelledError:
@@ -250,7 +250,7 @@ class HealthMonitor:
                     exc_info=True,
                     extra={"model": str(record.model_id), "restarts": status.restarts},
                 )
-                status.mark(REPLICA_QUARANTINED)
+                status.state = REPLICA_QUARANTINED
                 backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
                 continue
             self._restart_counter.increment()
@@ -267,7 +267,7 @@ class HealthMonitor:
                 dispatcher.recovery = None
                 if self.clipper.is_started:
                     dispatcher.start()
-                status.mark(REPLICA_HEALTHY)
+                status.state = REPLICA_HEALTHY
                 status.consecutive_failures = 0
                 self._recovery_counter.increment()
                 logger.info(
@@ -280,7 +280,7 @@ class HealthMonitor:
                     },
                 )
                 return
-            status.mark(REPLICA_QUARANTINED)
+            status.state = REPLICA_QUARANTINED
             backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
 
     # -- introspection ------------------------------------------------------------

@@ -9,8 +9,9 @@ helper that builds a version record.
 from __future__ import annotations
 
 import copy
-import time
 from typing import Any, Dict
+
+from repro.core import clock
 
 #: Lifecycle states of one deployed model version.
 VERSION_SERVING = "serving"      # the active version: receives traffic
@@ -31,7 +32,7 @@ def version_record(version: int, spec: Dict[str, Any]) -> Dict[str, Any]:
     """
     return {
         "version": int(version),
-        "deployed_at": time.time(),
+        "deployed_at": clock.wall(),
         "spec": copy.deepcopy(spec),
         "num_replicas": int(spec.get("num_replicas", 1)),
         "undeployed": False,

@@ -40,9 +40,9 @@ the earlier ``active_version``/``traffic_split`` layout are not read.
 from __future__ import annotations
 
 import copy
-import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core import clock
 from repro.core.exceptions import ManagementError
 from repro.core.types import ModelId
 from repro.management.records import (
@@ -143,7 +143,7 @@ class ModelRegistry:
             if app_name in apps:
                 raise ManagementError(f"application '{app_name}' is already registered")
             apps[app_name] = {
-                "registered_at": time.time(),
+                "registered_at": clock.wall(),
                 "metadata": dict(metadata or {}),
             }
             return apps

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import time
 from typing import Any, Dict, Optional, TextIO
 
 __all__ = ["JsonFormatter", "configure_logging", "get_logger"]
@@ -133,7 +132,3 @@ def get_logger(name: str) -> logging.Logger:
     if name == ROOT_LOGGER_NAME or name.startswith(ROOT_LOGGER_NAME + "."):
         return logging.getLogger(name)
     return logging.getLogger(f"{ROOT_LOGGER_NAME}.{name}")
-
-
-def _utc_ts() -> float:  # pragma: no cover - convenience for manual tooling
-    return time.time()

@@ -1,7 +1,7 @@
 """Request-scoped tracing for the serving hot path.
 
 Every query may carry a :class:`TraceContext` that accumulates *spans* —
-``(name, start, end, meta)`` tuples stamped with ``time.monotonic()`` — for
+``(name, start, end, meta)`` tuples stamped with ``clock.now()`` — for
 each stage it crosses: frontend validation, selection, cache lookup, queue
 wait, batch assembly, the RPC send/wait/recv legs, container evaluation and
 the straggler/deadline path.  The design splits queries into three modes so
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core import clock
 from repro.core.metrics import MetricsRegistry
 
 __all__ = [
@@ -103,7 +103,7 @@ class TraceContext:
 
     ``trace_id`` is an int for internally sampled/shadow queries and a string
     when the caller supplied one.  ``spans`` holds ``(name, start, end,
-    meta)`` tuples in ``time.monotonic()`` seconds; hot-path writers append
+    meta)`` tuples in ``clock.now()`` seconds; hot-path writers append
     tuples directly rather than calling :meth:`add` to save a method call.
     """
 
@@ -179,7 +179,7 @@ class TraceRecord:
         self.spans = spans
         self.sampled = sampled
         self.query_id = query_id
-        self.wall_time = time.time()
+        self.wall_time = clock.wall()
 
     @property
     def duration_ms(self) -> float:
@@ -388,7 +388,7 @@ class Tracer:
         passes the query over.
 
         A caller-supplied ``trace_id`` (the HTTP trace header) forces
-        sampling.  ``start`` lets the caller reuse an existing monotonic
+        sampling.  ``start`` lets the caller reuse an existing ``clock.now()``
         stamp instead of paying another clock read.  Unsampled queries get
         ``None`` here — the cache-hit fast path pays only this call — and
         pick up a :meth:`shadow` context lazily if they leave the cache and
@@ -403,7 +403,7 @@ class Tracer:
                 return None
             trace_id = next(_TRACE_IDS)
         if start is None:
-            start = time.monotonic()
+            start = clock.now()
         pool = self._pool
         if pool:
             ctx = pool.pop()
@@ -475,7 +475,7 @@ class Tracer:
             trace_id=trace_id,
             component=self._component,
             start=ctx.start,
-            end=time.monotonic(),
+            end=clock.now(),
             flags=flags,
             spans=ctx.spans,
             sampled=ctx.sampled,
@@ -504,7 +504,7 @@ class Tracer:
         """
         if not self._enabled:
             return None
-        now = time.monotonic()
+        now = clock.now()
         trace_id = format_trace_id(next(_TRACE_IDS))
         record = TraceRecord(
             trace_id=trace_id,

@@ -20,8 +20,7 @@ cache miss, paired with ``release()`` when the query completes.
 
 from __future__ import annotations
 
-import time
-
+from repro.core import clock
 from repro.core.config import OverloadConfig
 
 __all__ = ["AdmissionController"]
@@ -32,7 +31,6 @@ class AdmissionController:
 
     __slots__ = (
         "config",
-        "_clock",
         "_inflight",
         "_rate",
         "_capacity",
@@ -42,9 +40,8 @@ class AdmissionController:
         "forced",
     )
 
-    def __init__(self, config: OverloadConfig, clock=time.monotonic) -> None:
+    def __init__(self, config: OverloadConfig) -> None:
         self.config = config
-        self._clock = clock
         self._inflight = 0
         self._rate = float(config.rate_limit_qps)
         if self._rate > 0:
@@ -52,7 +49,7 @@ class AdmissionController:
         else:
             self._capacity = 0.0
         self._tokens = self._capacity
-        self._refilled_at = clock()
+        self._refilled_at = clock.now()
         #: Lifetime admission counts, for introspection (``overload_state``).
         self.admitted = 0
         self.forced = 0
@@ -75,7 +72,7 @@ class AdmissionController:
         if config.max_concurrency and self._inflight >= config.max_concurrency:
             return False
         if self._rate > 0:
-            tokens = self._refill(self._clock())
+            tokens = self._refill(clock.now())
             if tokens < 1.0:
                 return False
             self._tokens = tokens - 1.0
@@ -103,7 +100,7 @@ class AdmissionController:
         config = self.config
         if config.max_concurrency and self._inflight >= config.max_concurrency:
             return True
-        if self._rate > 0 and self._refill(self._clock()) < 1.0:
+        if self._rate > 0 and self._refill(clock.now()) < 1.0:
             return True
         return False
 
@@ -114,7 +111,7 @@ class AdmissionController:
         if config.max_concurrency:
             pressure = min(1.0, self._inflight / config.max_concurrency)
         if self._rate > 0 and self._capacity > 0:
-            tokens = self._refill(self._clock())
+            tokens = self._refill(clock.now())
             depletion = 1.0 - min(1.0, tokens / self._capacity)
             if depletion > pressure:
                 pressure = depletion
@@ -123,7 +120,7 @@ class AdmissionController:
     def retry_after_s(self) -> float:
         """Seconds until the gate expects to admit again (Retry-After hint)."""
         if self._rate > 0:
-            tokens = self._refill(self._clock())
+            tokens = self._refill(clock.now())
             if tokens < 1.0:
                 return (1.0 - tokens) / self._rate
         return self.config.retry_after_s

@@ -17,10 +17,10 @@ owning Clipper's event loop, like every other per-query structure.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Callable, Deque, Optional
 
+from repro.core import clock
 from repro.core.config import CircuitBreakerConfig
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
@@ -37,7 +37,6 @@ class CircuitBreaker:
         "config",
         "state",
         "on_transition",
-        "_clock",
         "_outcomes",
         "_consecutive_timeouts",
         "_opened_at",
@@ -48,13 +47,11 @@ class CircuitBreaker:
     def __init__(
         self,
         config: CircuitBreakerConfig,
-        clock=time.monotonic,
         on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self.config = config
         self.state = CLOSED
         self.on_transition = on_transition
-        self._clock = clock
         self._outcomes: Deque[bool] = deque(maxlen=config.window)
         self._consecutive_timeouts = 0
         self._opened_at = 0.0
@@ -75,7 +72,7 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if self._clock() - self._opened_at < self.config.open_duration_s:
+            if clock.now() - self._opened_at < self.config.open_duration_s:
                 return False
             self._transition(HALF_OPEN)
         # Half-open: trickle at most half_open_probes concurrent trials.
@@ -136,7 +133,6 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
 
     def _trip(self) -> None:
-        self._opened_at = self._clock()
         self._reset_window()
         self._transition(OPEN)
 
@@ -152,7 +148,7 @@ class CircuitBreaker:
             return
         self.state = new_state
         if new_state == OPEN:
-            self._opened_at = self._clock()
+            self._opened_at = clock.now()
         callback = self.on_transition
         if callback is not None:
             callback(old_state, new_state)

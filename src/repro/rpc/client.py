@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.core import clock
 from repro.core.exceptions import RpcError
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
 from repro.rpc.transport import Transport
@@ -57,11 +57,10 @@ class RpcClient:
 
         ``trace`` carries the trace ids of the queries in the batch that own
         one (the optional wire header); ``deadlines`` carries per-entry absolute
-        monotonic deadlines on this host's clock (0.0 = none; sent as
-        remaining budgets) the server may use to skip already-expired
-        entries, reported back via ``response.skipped``;
-        ``span_log``, when given, receives
-        ``("rpc.send"/"rpc.wait", t0, t1, None)`` monotonic span tuples for
+        ``clock.now()`` deadlines (0.0 = none; sent as remaining budgets) the
+        server may use to skip already-expired entries, reported back via
+        ``response.skipped``; ``span_log``, when given, receives
+        ``("rpc.send"/"rpc.wait", t0, t1, None)`` span tuples for
         the send and response-wait legs of this exchange, and the request
         asks the container to stamp its evaluation window (``stamp``).
         """
@@ -126,7 +125,7 @@ class RpcClient:
             timeout_s = self._timeout_s
         loop = asyncio.get_running_loop()
         waiter: asyncio.Future = loop.create_future()
-        t_send = time.monotonic() if span_log is not None else 0.0
+        t_send = clock.now() if span_log is not None else 0.0
         async with self._send_lock:
             self._ensure_pump(loop)
             self._pending[request_id] = waiter
@@ -136,7 +135,7 @@ class RpcClient:
                 self._pending.pop(request_id, None)
                 raise
         if span_log is not None:
-            t_sent = time.monotonic()
+            t_sent = clock.now()
             span_log.append(("rpc.send", t_send, t_sent, None))
         # One timer fails the waiter at the timeout; nothing wraps the wait.
         timer = None
@@ -145,7 +144,7 @@ class RpcClient:
         try:
             payload = await waiter
             if span_log is not None:
-                span_log.append(("rpc.wait", t_sent, time.monotonic(), None))
+                span_log.append(("rpc.wait", t_sent, clock.now(), None))
             return payload
         finally:
             if timer is not None:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
+from repro.core import clock
 from repro.core.exceptions import SerializationError
 
 
@@ -46,17 +46,16 @@ class RpcRequest:
     #: tail-captured already).  Optional header field: omitted from the wire
     #: payload when empty, so untraced and all-shadow batches pay zero bytes.
     trace: tuple = ()
-    #: Absolute ``time.monotonic()`` deadlines aligned with ``inputs``
-    #: (0.0 = no deadline for that entry), on the sender's clock.  Monotonic
-    #: clocks share no origin across hosts, so what crosses the wire is each
-    #: entry's remaining budget in ms when the request is sent
-    #: (``budgets_ms``, ``inf`` = none), which the container server compares
-    #: with the time since arrival.  Optional header field like ``trace``:
-    #: omitted when no entry carries a deadline, so deadline-free batches pay
-    #: zero extra bytes.  Lets the container skip evaluating entries whose
+    #: Absolute deadlines on the sender's ``clock.now()``, aligned with
+    #: ``inputs`` (0.0 = none for that entry).  That clock has no origin two
+    #: hosts share, so what crosses the wire is each entry's remaining budget
+    #: in ms when the request is sent (``budgets_ms``, ``inf`` = none), which
+    #: the container server compares with the time since arrival on its own
+    #: clock.  Optional header field like ``trace``: omitted when no entry
+    #: carries a deadline.  Lets the container skip evaluating entries whose
     #: deadline already passed in transit.
     deadlines: Sequence[float] = ()
-    #: Asks for the container's monotonic evaluation window (``eval_start``/
+    #: Asks for the container's evaluation window (``eval_start``/
     #: ``eval_end`` on the response): set for a batch that carries traced
     #: queries, id or not.  One header field, omitted when false.
     stamp: bool = False
@@ -76,7 +75,7 @@ class RpcRequest:
         if self.stamp:
             payload["stamp"] = True
         if self.deadlines:
-            now = time.monotonic()
+            now = clock.now()
             payload["budgets_ms"] = [
                 (deadline - now) * 1000.0 if deadline else math.inf
                 for deadline in self.deadlines
@@ -92,7 +91,7 @@ class RpcResponse:
     outputs: List[Any]
     error: Optional[str] = None
     container_latency_ms: float = 0.0
-    #: Echo of the request's trace header, and the container's monotonic
+    #: Echo of the request's trace header, and the container's ``clock.now()``
     #: evaluation window when the request asked for it (``stamp``) or carried
     #: trace ids; only present on the wire for traced batches.
     trace: tuple = ()

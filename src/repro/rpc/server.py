@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Any, Optional, Tuple
 
+from repro.core import clock
 from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.protocol import MessageType, RpcResponse, message_type
 from repro.rpc.transport import Transport
@@ -96,7 +96,7 @@ class ContainerRpcServer:
         """The reply to ``message``, by call: the handler the serving loop runs
         per frame, one message at a time in call order (a batch or a heartbeat
         waits for the one being evaluated)."""
-        received = time.monotonic()
+        received = clock.now()
         async with self._turn:
             return await self._handle(message, received)
 
@@ -126,13 +126,13 @@ class ContainerRpcServer:
         request_id = int(payload["request_id"])
         inputs = payload["inputs"]
         trace = tuple(payload.get("trace", ()))
-        # Traced batches additionally get monotonic eval stamps: same-host
+        # Traced batches additionally get ``clock.now()`` eval stamps: same-host
         # dispatchers turn them into a ``container.eval`` span nested inside
         # the client's ``rpc.wait`` leg.  Untraced batches skip the stamps
         # (and the wire bytes) entirely.
         stamped = bool(trace) or bool(payload.get("stamp"))
-        eval_start = time.monotonic() if stamped else 0.0
-        start = time.perf_counter()
+        eval_start = clock.now() if stamped else 0.0
+        start = clock.now()
         skipped: tuple = ()
         budgets = payload.get("budgets_ms")
         if budgets:
@@ -141,7 +141,7 @@ class ContainerRpcServer:
             # ``skipped`` instead of computing a result nobody waits for.  The
             # earliest budget decides, once, whether any entry is looked at; a
             # fully-expired batch skips the container call entirely.
-            elapsed_ms = (time.monotonic() - received) * 1000.0
+            elapsed_ms = (clock.now() - received) * 1000.0
             if min(budgets) <= elapsed_ms:
                 skipped = tuple(
                     i for i, budget in enumerate(budgets[: len(inputs)])
@@ -164,30 +164,30 @@ class ContainerRpcServer:
             request_id=request_id,
             outputs=outputs,
             error=error,
-            container_latency_ms=(time.perf_counter() - start) * 1000.0,
+            container_latency_ms=(clock.now() - start) * 1000.0,
             trace=trace,
             eval_start=eval_start,
-            eval_end=time.monotonic() if stamped else 0.0,
+            eval_end=clock.now() if stamped else 0.0,
             skipped=skipped,
         )
 
     def _call_inline(self, inputs: list) -> Any:
         """Call the container on the loop; back to the executor if it was slow."""
-        start = time.perf_counter()
+        start = clock.now()
         try:
             return self._container.predict_batch(inputs)
         finally:
-            if time.perf_counter() - start > self._hop_s:
+            if clock.now() - start > self._hop_s:
                 self._inline = False
                 self._cheap = 0
 
     async def _call_in_executor(self, inputs: list) -> Any:
         """Evaluate in an executor thread, measuring the compute and the hop."""
-        start = time.perf_counter()
+        start = clock.now()
         outputs, compute_s = await asyncio.get_running_loop().run_in_executor(
             None, self._timed_predict, inputs
         )
-        hop_s = time.perf_counter() - start - compute_s
+        hop_s = clock.now() - start - compute_s
         if self._hop_s is None:
             self._hop_s = hop_s
         else:
@@ -197,9 +197,9 @@ class ContainerRpcServer:
         return outputs
 
     def _timed_predict(self, inputs: list) -> Tuple[Any, float]:
-        start = time.perf_counter()
+        start = clock.now()
         outputs = self._container.predict_batch(inputs)
-        return outputs, time.perf_counter() - start
+        return outputs, clock.now() - start
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful shutdown: finish the in-flight request, then stop.

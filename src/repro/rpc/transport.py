@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import asyncio
 import struct
-import time
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
+from repro.core import clock
 from repro.core.exceptions import RpcError
 from repro.rpc.serialization import deserialize, serialize_buffers, serialized_nbytes
 
@@ -76,10 +76,10 @@ class Transport:
         raise NotImplementedError
 
     async def recv_stamped(self) -> Tuple[dict, float]:
-        """The next message, and when it arrived on this host's monotonic clock
-        (here: when it is handed over; the shm rings never see a frame arrive)."""
+        """The next message, and when it arrived by ``clock.now()`` (here: when
+        it is handed over; the shm rings never see a frame arrive)."""
         payload = await self.recv()
-        return payload, time.monotonic()
+        return payload, clock.now()
 
     async def close(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -205,7 +205,7 @@ class TcpTransport(StreamProtocol, Transport):
                 end = at + 4 + frame_length(buffer, at)
                 if len(buffer) < end:
                     break
-                self._arrivals.append(time.monotonic())
+                self._arrivals.append(clock.now())
                 at = end
         except RpcError as exc:
             self._refused = str(exc)

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.core import clock
 from repro.core.exceptions import StateStoreError
 
 #: Frame magic: lets the loader distinguish "torn tail" from "not a WAL".
@@ -174,7 +174,7 @@ class WalWriter:
         if self.fsync == "always":
             os.fsync(handle.fileno())
         elif self.fsync == "interval":
-            now = time.monotonic()
+            now = clock.now()
             if now - self._last_fsync >= FSYNC_INTERVAL_S:
                 os.fsync(handle.fileno())
                 self._last_fsync = now

@@ -7,11 +7,12 @@ import pytest
 
 from helpers import run_async
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core import clock
 
 
 def make_item(value, deadline=None):
     loop = asyncio.get_event_loop()
-    return PendingQuery(input=value, future=loop.create_future(), deadline=deadline)
+    return PendingQuery(value, loop.create_future(), clock.now(), deadline)
 
 
 class TestBatchingQueue:

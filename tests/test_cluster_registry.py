@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from repro.cluster import registry as registry_module
 from repro.cluster.registry import WORKERS_SUBDIR, WorkerAnnouncement, WorkerRegistry
+from repro.core import clock
+from simloop import ManualClock
 
 
 def make_announcement(worker_id="w0", port=9000, **overrides):
@@ -66,7 +67,7 @@ class TestRegistry:
         stale = make_announcement("stale", port=9001)
         registry.announce(stale)
         # Backdate the stale worker's heartbeat past any reasonable TTL.
-        stale.heartbeat_at = time.time() - 60.0
+        stale.heartbeat_at = clock.wall() - 60.0
         stale.started_at = stale.heartbeat_at
         path = os.path.join(str(tmp_path), WORKERS_SUBDIR, "stale.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -114,29 +115,9 @@ class TestRegistry:
         assert [w.worker_id for w in registry.live_workers()] == ["a", "b", "c"]
 
 
-class SteppedClock:
-    """Stands in for the registry's ``time`` module: a wall clock tests can
-    step by hand and a monotonic one that only moves forward."""
-
-    def __init__(self) -> None:
-        self.wall = 1_700_000_000.0
-        self.mono = 100.0
-
-    def time(self) -> float:
-        return self.wall
-
-    def monotonic(self) -> float:
-        return self.mono
-
-    def advance(self, seconds: float) -> None:
-        self.wall += seconds
-        self.mono += seconds
-
-
 class TestLivenessClock:
     def test_wall_clock_steps_do_not_change_the_live_set(self, tmp_path, monkeypatch):
-        clock = SteppedClock()
-        monkeypatch.setattr(registry_module, "time", clock)
+        hand = ManualClock(monkeypatch)
         registry = WorkerRegistry(str(tmp_path))
         steady = make_announcement("steady", ttl_s=5.0)
         registry.announce(steady)
@@ -147,27 +128,26 @@ class TestLivenessClock:
 
         assert live() == ["steady", "stopped"]
         for step in (3600.0, -7200.0, 3600.0):
-            clock.wall += step
+            hand.wall += step
             assert live() == ["steady", "stopped"]
 
         # "stopped" never heartbeats again; "steady" does, once a second,
         # while the wall clock jumps an hour back in the middle.
         for second in range(1, 8):
-            clock.advance(1.0)
+            hand.advance(1.0)
             if second == 3:
-                clock.wall -= 3600.0
+                hand.wall -= 3600.0
             registry.announce(steady)
             expected = ["steady", "stopped"] if second <= 5 else ["steady"]
             assert live() == expected, second
 
     def test_a_worker_ages_out_after_the_ttl_it_announced(self, tmp_path, monkeypatch):
-        clock = SteppedClock()
-        monkeypatch.setattr(registry_module, "time", clock)
+        hand = ManualClock(monkeypatch)
         registry = WorkerRegistry(str(tmp_path))
         registry.announce(make_announcement("short", ttl_s=1.0))
         registry.announce(make_announcement("long", port=9001, ttl_s=10.0))
         assert [w.worker_id for w in registry.live_workers()] == ["long", "short"]
-        clock.advance(2.0)
+        hand.advance(2.0)
         assert [w.worker_id for w in registry.live_workers()] == ["long"]
         # A reader that first looks now places the heartbeats by wall clock.
         late_reader = WorkerRegistry(str(tmp_path))
@@ -176,8 +156,7 @@ class TestLivenessClock:
     def test_a_change_seen_after_a_long_gap_is_dated_by_the_wall_clock(
         self, tmp_path, monkeypatch
     ):
-        clock = SteppedClock()
-        monkeypatch.setattr(registry_module, "time", clock)
+        hand = ManualClock(monkeypatch)
         registry = WorkerRegistry(str(tmp_path))
         dead = make_announcement("dead", ttl_s=5.0)
         beating = make_announcement("beating", port=9001, ttl_s=5.0)
@@ -185,8 +164,8 @@ class TestLivenessClock:
         registry.announce(beating)
         assert [w.worker_id for w in registry.live_workers()] == ["beating", "dead"]
         # "dead" heartbeats once more and is killed; nobody scans for a minute.
-        clock.advance(1.0)
+        hand.advance(1.0)
         registry.announce(dead)
-        clock.advance(60.0)
+        hand.advance(60.0)
         registry.announce(beating)
         assert [w.worker_id for w in registry.live_workers()] == ["beating"]

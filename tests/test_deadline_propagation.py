@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from typing import Any, List, Sequence
 
 import pytest
@@ -13,15 +12,17 @@ import pytest
 from helpers import queue_pair, run_async
 from repro.containers.base import ModelContainer
 from repro.containers.replica import ContainerReplica
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
-from repro.rpc import server as rpc_server
-from repro.rpc import transport as rpc_transport
 from repro.rpc.client import RpcClient
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
+from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import HAS_SHARED_MEMORY
+from repro.rpc.transport import TcpListener, TcpTransport
+from simloop import ManualClock
 
 TRANSPORTS = ["inprocess", "tcp"] + (["shm"] if HAS_SHARED_MEMORY else [])
 
@@ -54,25 +55,26 @@ class GateContainer(ModelContainer):
         return [1 for _ in inputs]
 
 
-class ClockOfAnotherHost:
-    """Stands in for the ``time`` module as the RPC server sees it on a host
-    whose monotonic clock started ``offset_s`` before (or after) ours."""
-
-    perf_counter = staticmethod(time.perf_counter)
-
-    def __init__(self, offset_s: float) -> None:
-        self.offset_s = offset_s
-
-    def monotonic(self) -> float:
-        return time.monotonic() + self.offset_s
-
-
-def skew_the_container_host(monkeypatch, offset_s: float) -> None:
-    """Put the container's side on another host's clock: its server, and the
-    transport module that stamps when each of its frames arrived."""
-    clock = ClockOfAnotherHost(offset_s)
-    monkeypatch.setattr(rpc_server, "time", clock)
-    monkeypatch.setattr(rpc_transport, "time", clock)
+async def serve_one(container: ModelContainer, payload: dict, lane: str) -> RpcResponse:
+    """``payload`` handled by a container server, handed over by ``lane``:
+    ``"call"`` (the in-process lane) or ``"tcp"`` (arrival stamped by the
+    socket transport)."""
+    if lane == "call":
+        return RpcResponse.from_payload(await ContainerRpcServer(container).call(payload))
+    listener = TcpListener()
+    await listener.start()
+    client_side, server_side = await asyncio.gather(
+        TcpTransport.connect(listener.host, listener.port), listener.accept()
+    )
+    await listener.close()
+    server = ContainerRpcServer(container, server_side)
+    server.start()
+    try:
+        await client_side.send(payload)
+        return RpcResponse.from_payload(await client_side.recv())
+    finally:
+        await client_side.close()
+        await server.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ class TestWireFormat:
         is (``inf`` = the entry has no deadline), which the server counts
         down from the request's arrival on its own clock — see
         ``test_a_server_on_another_clock_skips_exactly_the_expired``."""
-        now = time.monotonic()
+        now = clock.now()
         request = RpcRequest(
             request_id=2, model_name="m", inputs=[1.0, 2.0, 3.0],
             deadlines=(0.0, now + 12.5, now - 1.0),
@@ -161,7 +163,7 @@ class TestReplicaSkipsExpiredEntries:
             )
             await replica.start()
             try:
-                now = time.monotonic()
+                now = clock.now()
                 response = await replica.predict_batch(
                     [1.0, 2.0, 3.0],
                     deadlines=[now - 10.0, 0.0, now + 100.0],
@@ -185,7 +187,7 @@ class TestReplicaSkipsExpiredEntries:
             )
             await replica.start()
             try:
-                expired = time.monotonic() - 10.0
+                expired = clock.now() - 10.0
                 response = await replica.predict_batch(
                     [1.0, 2.0, 3.0], deadlines=[expired] * 3
                 )
@@ -199,35 +201,26 @@ class TestReplicaSkipsExpiredEntries:
         run_async(scenario())
 
     @pytest.mark.parametrize("skew_s", [3600.0, -3600.0], ids=["ahead", "behind"])
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("lane", ["call", "tcp"])
     def test_a_server_on_another_clock_skips_exactly_the_expired(
-        self, transport, skew_s, monkeypatch
+        self, lane, skew_s, monkeypatch
     ):
-        """``time.monotonic()`` has a different origin on every host.  With
+        """``clock.now()`` has a different origin on every host.  With
         absolute deadlines on the wire a server an hour ahead skipped every
-        entry and one an hour behind never skipped any."""
-        skew_the_container_host(monkeypatch, skew_s)
-
-        async def scenario():
-            container = CountingContainer()
-            replica = ContainerReplica(
-                ModelId("count"), 0, container, transport=transport
-            )
-            await replica.start()
-            try:
-                now = time.monotonic()
-                response = await replica.predict_batch(
-                    [1.0, 2.0, 3.0],
-                    deadlines=[now - 10.0, 0.0, now + 100.0],
-                )
-                assert response.ok
-                assert response.skipped == (0,)
-                assert response.outputs == [4.0, 6.0]
-                assert container.seen == [2.0, 3.0]
-            finally:
-                await replica.stop()
-
-        run_async(scenario())
+        entry and one an hour behind never skipped any.  The request is
+        encoded at the sender's *t* and arrives when the clock reads *t* ± 1 h."""
+        hand = ManualClock(monkeypatch)
+        payload = RpcRequest(
+            request_id=1, model_name="count", inputs=[1.0, 2.0, 3.0],
+            deadlines=[hand.now - 10.0, 0.0, hand.now + 100.0],
+        ).to_payload()
+        hand.now += skew_s
+        container = CountingContainer()
+        response = run_async(serve_one(container, payload, lane))
+        assert response.ok
+        assert response.skipped == (0,)
+        assert response.outputs == [4.0, 6.0]
+        assert container.seen == [2.0, 3.0]
 
     def test_no_deadlines_means_no_skipping(self):
         async def scenario():
@@ -308,38 +301,5 @@ class TestDeadlinesEndToEnd:
             finally:
                 gate.set()
                 await clipper.stop()
-
-        run_async(scenario())
-
-    def test_queries_are_answered_by_a_model_on_another_clock(self, monkeypatch):
-        """End to end across a clock skew: every query inside its SLO gets
-        the model's answer (all five got the default output before)."""
-        skew_the_container_host(monkeypatch, 3600.0)
-
-        async def scenario():
-            container = CountingContainer()
-            clipper = Clipper(
-                ClipperConfig(
-                    app_name="demo",
-                    selection_policy="single",
-                    latency_slo_ms=2000.0,
-                    default_output=0,
-                )
-            )
-            clipper.deploy_model(
-                ModelDeployment(
-                    name="count", container_factory=lambda: container, transport="tcp"
-                )
-            )
-            await clipper.start()
-            try:
-                results = [
-                    await clipper.predict(Query(app_name="demo", input=float(x)))
-                    for x in range(1, 6)
-                ]
-            finally:
-                await clipper.stop()
-            assert [r.default_used for r in results] == [False] * 5
-            assert [r.output for r in results] == [2.0, 4.0, 6.0, 8.0, 10.0]
 
         run_async(scenario())

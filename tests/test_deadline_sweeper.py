@@ -2,34 +2,31 @@
 
 Retention (what it references is the futures in flight, not the futures
 answered within the last SLO), timers (one at most) and punctuality (a
-straggler resolves at its deadline, a shorter per-query SLO included).
-Run in CI under ``-X dev -W error::ResourceWarning`` as well.
+straggler resolves at its deadline, a shorter per-query SLO included).  The
+punctuality cases run on the virtual-time loop, where "at its deadline"
+means exactly.  Run in CI under ``-X dev -W error::ResourceWarning`` as well.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-import time
 import weakref
 
 import numpy as np
 
 from helpers import run_async
+from simloop import run_virtual
 
 from repro.batching.deadline import DEADLINE_MISS, DeadlineSweeper
-from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
 
 IN_FLIGHT = 32
 ANSWERED = 4000  # >> IN_FLIGHT
-#: How late a straggler may be declared: the contract's 1 ms (the loop's
-#: clock reaching the deadline is what fires the timer) plus what a busy CI
-#: host adds before the callback is seen.
-LATE_S = 0.001 + 0.015
 
 
 def sweeper_timers(loop, sweeper):
@@ -42,16 +39,6 @@ def sweeper_timers(loop, sweeper):
     ]
 
 
-class StuckContainer(ModelContainer):
-    """Answers long after any deadline in this file."""
-
-    framework = "test"
-
-    def predict_batch(self, inputs):
-        time.sleep(0.3)
-        return [7] * len(inputs)
-
-
 class TestRetention:
     def test_answered_futures_are_released_as_their_successors_arrive(self):
         async def scenario():
@@ -61,7 +48,7 @@ class TestRetention:
             for i in range(ANSWERED):
                 future = loop.create_future()
                 released.append(weakref.ref(future))
-                sweeper.register(future, time.monotonic() + 10.0, loop)
+                sweeper.register(future, clock.now() + 10.0, loop)
                 in_flight.append(future)
                 if len(in_flight) > IN_FLIGHT:
                     in_flight.pop(0).set_result(i)
@@ -119,9 +106,9 @@ class TestPunctuality:
 
             def register(name, budget_s):
                 future = loop.create_future()
-                deadline = time.monotonic() + budget_s
+                deadline = clock.now() + budget_s
                 future.add_done_callback(
-                    lambda f: resolved_at.setdefault(name, time.monotonic() - deadline)
+                    lambda f: resolved_at.setdefault(name, clock.now() - deadline)
                 )
                 sweeper.register(future, deadline, loop)
                 return future
@@ -135,27 +122,27 @@ class TestPunctuality:
             for future in (short, first, later):
                 assert await future is DEADLINE_MISS
             assert answered.result() == "on time"
-            for name in ("short", "first", "later"):
-                assert 0.0 <= resolved_at[name] < LATE_S, (name, resolved_at)
+            # Exactly at each deadline: no timer slack, no late callback.
+            assert [resolved_at[name] for name in ("short", "first", "later")] == [0.0] * 3
             # Nothing left, and the timer is gone with the last entry.
             assert not sweeper._pending
             assert sweeper_timers(loop, sweeper) == []
 
-        run_async(scenario())
+        run_virtual(scenario())
 
     def test_an_earlier_deadline_after_the_line_emptied_rearms_the_one_timer(self):
         async def scenario():
             loop = asyncio.get_running_loop()
             sweeper = DeadlineSweeper()
             long_gone = loop.create_future()
-            sweeper.register(long_gone, time.monotonic() + 10.0, loop)
+            sweeper.register(long_gone, clock.now() + 10.0, loop)
             long_gone.set_result("answered")
             straggler = loop.create_future()
-            deadline = time.monotonic() + 0.010
+            deadline = clock.now() + 0.010
             sweeper.register(straggler, deadline, loop)
             assert len(sweeper_timers(loop, sweeper)) == 1
             assert await asyncio.wait_for(straggler, timeout=1.0) is DEADLINE_MISS
-            assert time.monotonic() - deadline < LATE_S
+            assert clock.now() == deadline
 
-        run_async(scenario())
+        run_virtual(scenario())
 

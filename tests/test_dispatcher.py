@@ -14,6 +14,7 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
+from repro.core import clock
 from repro.core.exceptions import ContainerError, PredictionTimeoutError
 from repro.core.types import ModelId
 
@@ -35,7 +36,7 @@ def build_dispatcher(container, controller=None, batch_wait_timeout_ms=0.0, drop
 def make_item(value, deadline=None, query_id=None):
     loop = asyncio.get_event_loop()
     return PendingQuery(
-        input=value, future=loop.create_future(), deadline=deadline, query_id=query_id
+        value, loop.create_future(), clock.now(), deadline=deadline, query_id=query_id
     )
 
 

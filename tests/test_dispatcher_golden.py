@@ -5,7 +5,7 @@
 a live/expired partition, ``min`` over enqueue times, three comprehensions)
 and ``_record_batch_spans`` (five span tuples per traced query).  Every
 generated batch is built twice and dispatched through both onto a recording
-replica, on a scripted clock; the two must agree on
+replica, on a hand-set clock; the two must agree on
 
 * the inputs and per-entry deadlines handed to the replica,
 * how every future ends (result, exception type and arguments, cancelled,
@@ -23,17 +23,19 @@ shadow context that finishes boring is recycled carrying nothing.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 from typing import Any, List, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.batching.dispatcher as dispatcher_module
 from helpers import run_async
 from repro.batching.aimd import AIMDController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core import clock
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.types import BatchStats, ModelId
 from repro.observability.tracing import (
@@ -43,24 +45,12 @@ from repro.observability.tracing import (
     Tracer,
 )
 from repro.rpc.protocol import RpcRequest, RpcResponse
+from simloop import ManualClock
 
 
-class ScriptedClock:
-    """Stands in for the ``time`` module: the test moves it, reads do not."""
-
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def monotonic(self) -> float:
-        return self.now
-
-    def perf_counter(self) -> float:
-        return self.now
-
-
-#: The name the verbatim copy below reads its clock through; the dispatcher
-#: module's ``time`` is pointed at the same object while a case runs.
-time = ScriptedClock()
+#: The name the verbatim copy below reads its clock through: the one clock,
+#: which a :class:`ManualClock` holds still while a case runs.
+time = SimpleNamespace(monotonic=lambda: clock.now(), perf_counter=lambda: clock.now())
 
 
 class ParentDispatcher(ReplicaDispatcher):
@@ -222,7 +212,7 @@ class ParentDispatcher(ReplicaDispatcher):
 # -- the two worlds ------------------------------------------------------------------
 
 MODEL = ModelId("golden", 1)
-T0 = 1000.0  # the scripted clock when a batch is formed
+T0 = 1000.0  # the hand-set clock when a batch is formed
 
 
 class RecordingReplica:
@@ -232,18 +222,19 @@ class RecordingReplica:
     replica_id = 0
     name = "golden:1[0]"
 
-    def __init__(self, case: dict) -> None:
+    def __init__(self, case: dict, hand: ManualClock) -> None:
         self.case = case
+        self.hand = hand
         self.calls: List[tuple] = []
 
     async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
         case = self.case
         self.calls.append((list(inputs), deadlines and list(deadlines), trace))
-        sent = time.now
-        time.now = sent + 0.002
+        sent = self.hand.now
+        self.hand.now = sent + 0.002
         if span_log is not None:
             span_log.append(("rpc.send", sent, sent + 0.0004, None))
-            span_log.append(("rpc.wait", sent + 0.0004, time.now, None))
+            span_log.append(("rpc.wait", sent + 0.0004, self.hand.now, None))
         if case["outcome"] == "rpc_error":
             raise RpcError("connection closed")
         skipped = tuple(sorted(i for i in case["skipped"] if i < len(inputs)))
@@ -282,15 +273,15 @@ def future_state(future: asyncio.Future) -> tuple:
     return ("result", "DEADLINE_MISS" if result is DEADLINE_MISS else result)
 
 
-async def run_world(case: dict, dispatcher_class: type) -> dict:
+async def run_world(case: dict, dispatcher_class: type, hand: ManualClock) -> dict:
     """Build the case's batch from scratch, dispatch it, report what happened."""
     loop = asyncio.get_running_loop()
-    time.now = T0
+    hand.now = T0
     tracer = {
         "on": Tracer(TracingOn()), "off": Tracer(TracingOff()), "none": None,
     }[case["tracer"]]
     contexts = Tracer(TracingOn())  # where this world's contexts come from
-    replica = RecordingReplica(case)
+    replica = RecordingReplica(case, hand)
     queue = BatchingQueue(name="golden")
     late: List[tuple] = []
     dispatcher = dispatcher_class(
@@ -347,7 +338,7 @@ async def run_world(case: dict, dispatcher_class: type) -> dict:
         if index in committed_early:
             trace_id = committed_early[index]
         else:
-            time.now += 0.0001
+            hand.now += 0.0001
             trace_id = contexts.finish(
                 trace,
                 slo_missed=plan["finish"] == "slo_miss",
@@ -413,17 +404,13 @@ CASE = st.fixed_dictionaries(
 
 
 def both_worlds(case: dict):
-    async def scenario():
-        real_time = dispatcher_module.time
-        dispatcher_module.time = time
-        try:
-            parent = await run_world(case, ParentDispatcher)
-            change = await run_world(case, ReplicaDispatcher)
-        finally:
-            dispatcher_module.time = real_time
+    async def scenario(hand):
+        parent = await run_world(case, ParentDispatcher, hand)
+        change = await run_world(case, ReplicaDispatcher, hand)
         return parent, change
 
-    return run_async(scenario())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return run_async(scenario(ManualClock(monkeypatch)))
 
 
 class TestSinglePassAgainstTheParent:

@@ -1,12 +1,11 @@
 """Late-binding dispatch: slot first, queue second, and a measured depth.
 
-Everything here is deterministic.  The replica is a fake whose answers the
-test releases one at a time, and the dispatcher's clock is a virtual one the
-fake advances the way a serial container behind a fixed-cost RPC path would:
-a batch sent to an idle replica takes ``overhead + eval``; one sent while its
-predecessor is still there additionally waits behind it.  No test sleeps on
-the wall clock — ``settle`` only yields to the event loop until the
-dispatcher has nothing left to do.
+Everything here is deterministic: it runs on the virtual-time loop.  The
+replica is a fake whose answers the test releases one at a time, each at the
+time a serial container behind a fixed-cost RPC path would answer: a batch
+sent to an idle replica takes ``overhead + eval``; one sent while its
+predecessor is still there additionally waits behind it.  ``settle`` only
+yields to the event loop until the dispatcher has nothing left to do.
 """
 
 import asyncio
@@ -14,38 +13,26 @@ import functools
 
 import pytest
 
-from helpers import run_async
 from repro.batching import dispatcher as dispatcher_module
 from repro.batching.controllers import FixedBatchSizeController, make_controller
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
+from repro.core import clock
 from repro.core.config import BatchingConfig
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import ModelId
 from repro.rpc.protocol import RpcResponse
-
-
-class VirtualClock:
-    """Stands in for the ``time`` module inside the dispatcher."""
-
-    def __init__(self):
-        self.now = 100.0
-
-    def monotonic(self):
-        return self.now
-
-    perf_counter = monotonic
+from simloop import run_virtual
 
 
 class GatedReplica(Replica):
     """Records every batch it is sent; answers the oldest when told to."""
 
-    def __init__(self, clock, eval_ms=1.0, overhead_ms=0.0):
+    def __init__(self, eval_ms=1.0, overhead_ms=0.0):
         super().__init__(ModelId("gated"), 0)
         self._started = True
-        self.clock = clock
         #: Evaluation time of a batch: a constant, or a function of its size.
         self.eval_ms = eval_ms
         self.overhead_ms = overhead_ms
@@ -60,7 +47,7 @@ class GatedReplica(Replica):
         inputs = list(inputs)
         eval_ms = self.eval_ms(len(inputs)) if callable(self.eval_ms) else self.eval_ms
         half_trip = self.overhead_ms / 2000.0
-        started = max(self.clock.now + half_trip, self._free_at)
+        started = max(clock.now() + half_trip, self._free_at)
         self._free_at = started + eval_ms / 1000.0
         gate = asyncio.get_running_loop().create_future()
         self.sent.append(inputs)
@@ -69,10 +56,10 @@ class GatedReplica(Replica):
         self._sent_event.set()
         return await gate
 
-    def answer(self):
-        """Release the oldest unanswered batch at its virtual completion time."""
+    async def answer(self):
+        """Release the oldest unanswered batch at its completion time."""
         gate, done_at, eval_ms, inputs = self.pending.pop(0)
-        self.clock.now = max(self.clock.now, done_at)
+        await asyncio.sleep(max(0.0, done_at - clock.now()))
         if self.fail_next:
             self.fail_next -= 1
             gate.set_exception(RpcError("connection lost"))
@@ -98,12 +85,10 @@ async def settle():
 
 
 class Rig:
-    """A started dispatcher over a gated replica on a virtual clock."""
+    """A started dispatcher over a gated replica."""
 
-    def __init__(self, monkeypatch, controller=None, eval_ms=1.0, overhead_ms=0.0, **kwargs):
-        self.clock = VirtualClock()
-        monkeypatch.setattr(dispatcher_module, "time", self.clock)
-        self.replica = GatedReplica(self.clock, eval_ms, overhead_ms)
+    def __init__(self, controller=None, eval_ms=1.0, overhead_ms=0.0, **kwargs):
+        self.replica = GatedReplica(eval_ms, overhead_ms)
         self.queue = BatchingQueue()
         self.dispatcher = ReplicaDispatcher(
             self.replica,
@@ -117,10 +102,10 @@ class Rig:
         item = PendingQuery(
             input=value,
             future=asyncio.get_running_loop().create_future(),
-            enqueue_time=self.clock.now,
+            enqueue_time=clock.now(),
             deadline=(
                 None if deadline_in_ms is None
-                else self.clock.now + deadline_in_ms / 1000.0
+                else clock.now() + deadline_in_ms / 1000.0
             ),
         )
         self.queue.put_nowait(item)
@@ -132,13 +117,13 @@ class Rig:
             while self.queue.qsize() < backlog:
                 self.put(0)
             await settle()
-            self.replica.answer()
+            await self.replica.answer()
         await settle()
 
     async def close(self):
         """Answer what is in flight (a gated batch never times out) and stop."""
         while self.replica.pending:
-            self.replica.answer()
+            await self.replica.answer()
             await settle()
         await self.dispatcher.stop()
 
@@ -153,19 +138,19 @@ class Rig:
 
 
 def scenario(test):
-    """Run an ``async def`` test body on a fresh event loop."""
+    """Run an ``async def`` test body on a fresh virtual-time loop."""
 
     @functools.wraps(test)
     def wrapper(*args, **kwargs):
-        run_async(test(*args, **kwargs))
+        run_virtual(test(*args, **kwargs))
 
     return wrapper
 
 
 class TestQueriesBindAtTheLastMoment:
     @scenario
-    async def test_waiting_queries_stay_on_the_queue_while_the_window_is_full(self, monkeypatch):
-        rig = Rig(monkeypatch)
+    async def test_waiting_queries_stay_on_the_queue_while_the_window_is_full(self):
+        rig = Rig()
         first = rig.put(1)
         await settle()
         assert rig.replica.sent == [[1]]
@@ -176,18 +161,18 @@ class TestQueriesBindAtTheLastMoment:
         assert rig.queue.qsize() == 3
         # ... so the queue's own machinery still reaches every waiting query.
         assert rig.queue.evict_expiring() is waiting[0]
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert first.future.result() == 1
         assert rig.replica.sent == [[1], [3, 4]]
         await rig.close()
 
     @scenario
-    async def test_full_window_at_depth_2_also_leaves_the_queue_alone(self, monkeypatch):
-        rig = Rig(monkeypatch, eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
+    async def test_full_window_at_depth_2_also_leaves_the_queue_alone(self):
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
         await rig.open_pipeline()
         while rig.replica.pending:
-            rig.replica.answer()
+            await rig.replica.answer()
             await settle()
         assert rig.queue.qsize() == 0
         sent = len(rig.replica.sent)
@@ -201,32 +186,32 @@ class TestQueriesBindAtTheLastMoment:
         await settle()
         assert rig.queue.qsize() == 3
         assert len(rig.replica.sent) == sent + 2
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert rig.replica.sent[sent + 2] == [3, 4, 5]
         await rig.close()
 
     @scenario
-    async def test_query_enqueued_while_busy_rides_in_the_very_next_batch(self, monkeypatch):
-        rig = Rig(monkeypatch)
+    async def test_query_enqueued_while_busy_rides_in_the_very_next_batch(self):
+        rig = Rig()
         rig.put("a")
         await settle()
         early = rig.put("b")
         await settle()
         late = rig.put("c")  # arrives long after b, still while a evaluates
         await settle()
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert rig.replica.sent == [["a"], ["b", "c"]]
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert (early.future.result(), late.future.result()) == ("b", "c")
         await rig.close()
 
     @scenario
-    async def test_sibling_that_frees_up_first_takes_the_waiting_queries(self, monkeypatch):
-        rig = Rig(monkeypatch)
-        sibling_replica = GatedReplica(rig.clock)
+    async def test_sibling_that_frees_up_first_takes_the_waiting_queries(self):
+        rig = Rig()
+        sibling_replica = GatedReplica()
         sibling = ReplicaDispatcher(
             sibling_replica, rig.queue, FixedBatchSizeController(batch_size=4)
         )
@@ -244,28 +229,28 @@ class TestQueriesBindAtTheLastMoment:
             rig.put(value)
         await settle()
         assert rig.queue.qsize() == 2  # both replicas busy: nobody prefetched
-        free.answer()
+        await free.answer()
         await settle()
         assert free.sent == [[2], [3, 4]] and busy.sent == [[1]]
-        busy.answer()
-        free.answer()
+        await busy.answer()
+        await free.answer()
         await settle()
         await rig.close()
         await sibling.stop()
 
     @scenario
-    async def test_query_that_expires_in_the_queue_is_dropped_at_formation(self, monkeypatch):
-        rig = Rig(monkeypatch, eval_ms=10.0)
+    async def test_query_that_expires_in_the_queue_is_dropped_at_formation(self):
+        rig = Rig(eval_ms=10.0)
         rig.put(1)
         await settle()
         doomed = rig.put(2, deadline_in_ms=5.0)
         alive = rig.put(3, deadline_in_ms=500.0)
         await settle()
-        rig.replica.answer()  # 10 ms later: 2's deadline lapsed in the queue
+        await rig.replica.answer()  # 10 ms later: 2's deadline lapsed in the queue
         await settle()
         assert rig.replica.sent == [[1], [3]]
         assert isinstance(doomed.future.exception(), PredictionTimeoutError)
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert alive.future.result() == 3
         # A batch that expired whole is never sent at all.
@@ -273,7 +258,7 @@ class TestQueriesBindAtTheLastMoment:
         await settle()
         gone = rig.put(5, deadline_in_ms=5.0)
         await settle()
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert isinstance(gone.future.exception(), PredictionTimeoutError)
         assert rig.replica.sent == [[1], [3], [4]] and not rig.replica.pending
@@ -282,8 +267,8 @@ class TestQueriesBindAtTheLastMoment:
 
 class TestMeasuredDepth:
     @scenario
-    async def test_slow_model_is_never_pipelined(self, monkeypatch):
-        rig = Rig(monkeypatch, eval_ms=10.0, overhead_ms=1.0, pipeline_window=2)
+    async def test_slow_model_is_never_pipelined(self):
+        rig = Rig(eval_ms=10.0, overhead_ms=1.0, pipeline_window=2)
         await rig.serve(40)
         assert rig.replica.max_in_flight == 1
         assert rig.dispatcher.pipeline_depth == 1
@@ -293,8 +278,8 @@ class TestMeasuredDepth:
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     @scenario
-    async def test_rpc_bound_model_reaches_the_cap(self, monkeypatch, window):
-        rig = Rig(monkeypatch, eval_ms=0.1, overhead_ms=1.0, pipeline_window=window)
+    async def test_rpc_bound_model_reaches_the_cap(self, window):
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=window)
         assert rig.dispatcher.pipeline_depth == 1  # starts serial
         await rig.serve(40)
         assert rig.dispatcher.pipeline_depth == window
@@ -302,22 +287,22 @@ class TestMeasuredDepth:
         await rig.close()
 
     @scenario
-    async def test_depth_between_one_and_the_cap_follows_the_ratio(self, monkeypatch):
-        rig = Rig(monkeypatch, eval_ms=1.0, overhead_ms=2.5, pipeline_window=8)
+    async def test_depth_between_one_and_the_cap_follows_the_ratio(self):
+        rig = Rig(eval_ms=1.0, overhead_ms=2.5, pipeline_window=8)
         await rig.serve(60)
         assert rig.dispatcher.pipeline_depth == 3  # 1 + floor(2.5 / 1.0)
         assert rig.replica.max_in_flight == 3
         await rig.close()
 
     @scenario
-    async def test_depth_falls_back_to_1_when_the_evaluation_grows(self, monkeypatch):
-        rig = Rig(monkeypatch, eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
+    async def test_depth_falls_back_to_1_when_the_evaluation_grows(self):
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
         await rig.open_pipeline()
         rig.replica.eval_ms = 10.0
         await rig.serve(10)
         assert rig.dispatcher.pipeline_depth == 1
         while rig.replica.pending:
-            rig.replica.answer()
+            await rig.replica.answer()
             await settle()
         rig.replica.max_in_flight = 0
         await rig.serve(20)
@@ -325,9 +310,9 @@ class TestMeasuredDepth:
         await rig.close()
 
     @scenario
-    async def test_full_pipeline_drains_now_and_then_to_remeasure_the_overhead(self, monkeypatch):
+    async def test_full_pipeline_drains_now_and_then_to_remeasure_the_overhead(self):
         """A saturated pipeline never meets an idle replica by itself."""
-        rig = Rig(monkeypatch, eval_ms=1.0, overhead_ms=20.0, pipeline_window=2)
+        rig = Rig(eval_ms=1.0, overhead_ms=20.0, pipeline_window=2)
         await rig.serve(3)
         assert rig.dispatcher.pipeline_depth == 2
         # The path gets fast (say the first trips paid for a cold connection):
@@ -339,10 +324,10 @@ class TestMeasuredDepth:
         await rig.close()
 
     @scenario
-    async def test_depth_and_estimates_are_published_as_gauges(self, monkeypatch):
+    async def test_depth_and_estimates_are_published_as_gauges(self):
         metrics = MetricsRegistry()
         rig = Rig(
-            monkeypatch, metrics=metrics, eval_ms=0.1, overhead_ms=1.0, pipeline_window=2
+            metrics=metrics, eval_ms=0.1, overhead_ms=1.0, pipeline_window=2
         )
         assert metrics.snapshot().gauges["model.gated:1.pipeline_depth"] == 1
         await rig.serve(40)
@@ -357,7 +342,7 @@ class TestControllerSignal:
     """The batch-size controllers see a latency free of in-container queueing."""
 
     @staticmethod
-    async def converged_size(monkeypatch, policy, window):
+    async def converged_size(policy, window):
         controller = make_controller(
             BatchingConfig(policy=policy, initial_batch_size=1),
             slo_ms=16.0,
@@ -366,7 +351,6 @@ class TestControllerSignal:
         # a 16 ms objective the largest batch that fits is 12, and the path
         # is slow enough that a cap of 2 really does overlap batches there.
         rig = Rig(
-            monkeypatch,
             controller=controller,
             eval_ms=lambda size: 0.5 * size,
             overhead_ms=10.0,
@@ -382,9 +366,9 @@ class TestControllerSignal:
 
     @pytest.mark.parametrize("policy", ["aimd", "quantile"])
     @scenario
-    async def test_same_size_under_a_cap_of_2_as_under_a_cap_of_1(self, monkeypatch, policy):
-        serial, serial_depth = await self.converged_size(monkeypatch, policy, 1)
-        overlapped, overlapped_depth = await self.converged_size(monkeypatch, policy, 2)
+    async def test_same_size_under_a_cap_of_2_as_under_a_cap_of_1(self, policy):
+        serial, serial_depth = await self.converged_size(policy, 1)
+        overlapped, overlapped_depth = await self.converged_size(policy, 2)
         assert (serial_depth, overlapped_depth) == (1, 2)
         assert serial > 8  # the controller did grow to the objective
         assert abs(serial - overlapped) <= 1.0  # one additive step
@@ -393,9 +377,8 @@ class TestControllerSignal:
 class TestEveryFutureResolvesExactlyOnce:
     @pytest.mark.parametrize("window", [1, 2])
     @scenario
-    async def test_across_failure_retry_cooldown_and_stop(self, monkeypatch, window):
+    async def test_across_failure_retry_cooldown_and_stop(self, window):
         rig = Rig(
-            monkeypatch,
             eval_ms=0.1,
             overhead_ms=1.0,
             pipeline_window=window,
@@ -405,7 +388,7 @@ class TestEveryFutureResolvesExactlyOnce:
         if window > 1:
             await rig.open_pipeline()
         while rig.replica.pending:
-            rig.replica.answer()
+            await rig.replica.answer()
             await settle()
         assert rig.queue.qsize() == 0
 
@@ -432,15 +415,15 @@ class TestEveryFutureResolvesExactlyOnce:
         await settle()
         sent_before = len(rig.replica.sent)
         rig.replica.fail_next = 1
-        rig.replica.answer()
-        # The loop backs off (a real 1 ms timer), then sends the retried
-        # query together with the waiting ones.
+        await rig.replica.answer()
+        # The loop backs off (a 1 ms timer), then sends the retried query
+        # together with the waiting ones.
         await rig.replica.next_send()
         await settle()
         assert rig.dispatcher.batches_failed == 1
         assert sorted(map(str, rig.replica.sent[sent_before])) == ["0", "w1", "w2"]
         while rig.replica.pending:
-            rig.replica.answer()
+            await rig.replica.answer()
             await settle()
         assert [item.future.result() for item in in_flight] == list(range(window))
         assert [item.future.result() for item in waiting] == ["w1", "w2"]
@@ -450,7 +433,7 @@ class TestEveryFutureResolvesExactlyOnce:
         spent.attempts = 1
         await settle()
         rig.replica.fail_next = 1
-        rig.replica.answer()
+        await rig.replica.answer()
         await settle()
         assert isinstance(spent.future.exception(), RpcError)
 
@@ -472,7 +455,7 @@ class TestEveryFutureResolvesExactlyOnce:
         await settle()
         while rig.replica.pending:
             assert not stopping.done()
-            rig.replica.answer()
+            await rig.replica.answer()
             await settle()
         await asyncio.wait_for(stopping, timeout=5.0)
         assert last.future.result() == "last"
@@ -483,8 +466,8 @@ class TestEveryFutureResolvesExactlyOnce:
 
     @pytest.mark.parametrize("window", [1, 2])
     @scenario
-    async def test_failed_response_fails_each_query_once(self, monkeypatch, window):
-        rig = Rig(monkeypatch, pipeline_window=window)
+    async def test_failed_response_fails_each_query_once(self, window):
+        rig = Rig(pipeline_window=window)
 
         async def refuse(inputs, **_):
             return RpcResponse(request_id=0, outputs=[], error="boom")

@@ -44,6 +44,7 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import (
     CircuitBreakerConfig,
@@ -268,7 +269,8 @@ class TestEventDrivenQueue:
             start = time.perf_counter()
             queue.put_nowait(
                 PendingQuery(
-                    input=1, future=asyncio.get_running_loop().create_future()
+                    input=1, future=asyncio.get_running_loop().create_future(),
+                    enqueue_time=clock.now(),
                 )
             )
             batch = await consumer
@@ -295,7 +297,7 @@ class TestEventDrivenQueue:
         async def scenario():
             loop = asyncio.get_running_loop()
             queue = BatchingQueue()
-            queue.put_nowait(PendingQuery(input=0, future=loop.create_future()))
+            queue.put_nowait(PendingQuery(0, loop.create_future(), clock.now()))
             consumer = loop.create_task(
                 queue.get_batch(max_batch_size=8, batch_wait_timeout_ms=500.0)
             )
@@ -314,9 +316,9 @@ class TestEventDrivenQueue:
             loop = asyncio.get_running_loop()
             queue = BatchingQueue(maxsize=2)
             for i in range(2):
-                await queue.put(PendingQuery(input=i, future=loop.create_future()))
+                await queue.put(PendingQuery(i, loop.create_future(), clock.now()))
             blocked = loop.create_task(
-                queue.put(PendingQuery(input=2, future=loop.create_future()))
+                queue.put(PendingQuery(2, loop.create_future(), clock.now()))
             )
             await asyncio.sleep(0.01)
             assert not blocked.done()

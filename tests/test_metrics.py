@@ -10,6 +10,7 @@ from repro.core.metrics import (
     Meter,
     MetricsRegistry,
 )
+from simloop import ManualClock
 
 
 class TestCounter:
@@ -27,14 +28,16 @@ class TestCounter:
 
 
 class TestMeter:
-    def test_rate_counts_events_over_time(self):
-        times = iter([0.0, 10.0])
-        meter = Meter("m", clock=lambda: next(times, 10.0))
+    def test_rate_counts_events_over_time(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        meter = Meter("m")
         meter.mark(100)
+        hand.advance(10.0)
         assert meter.rate() == pytest.approx(10.0)
 
-    def test_zero_elapsed_rate_is_zero(self):
-        meter = Meter("m", clock=lambda: 5.0)
+    def test_zero_elapsed_rate_is_zero(self, monkeypatch):
+        ManualClock(monkeypatch)
+        meter = Meter("m")
         meter.mark(10)
         assert meter.rate() == 0.0
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BurstyArrivals, run_async
+from simloop import ManualClock
 from repro.api.http import create_server
 from repro.client import AsyncClipperClient
 from repro.client.client import RetryPolicy, ServiceOverloaded
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
+from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import (
     BatchingConfig,
@@ -48,41 +50,24 @@ from repro.overload import (
 from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
 
 
-class FakeClock:
-    """Deterministic monotonic clock for the unit tests."""
-
-    def __init__(self, start: float = 1000.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 # ---------------------------------------------------------------------------
 # AdmissionController units
 # ---------------------------------------------------------------------------
 
 
 class TestAdmissionController:
-    def test_token_bucket_drains_and_refills(self):
-        clock = FakeClock()
-        gate = AdmissionController(
-            OverloadConfig(rate_limit_qps=10.0, burst=3), clock=clock
-        )
+    def test_token_bucket_drains_and_refills(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        gate = AdmissionController(OverloadConfig(rate_limit_qps=10.0, burst=3))
         assert [gate.try_acquire() for _ in range(4)] == [True, True, True, False]
-        clock.advance(0.1)  # one token refilled at 10 qps
+        hand.advance(0.1)  # one token refilled at 10 qps
         assert gate.try_acquire()
         assert not gate.try_acquire()
 
-    def test_refill_caps_at_burst_capacity(self):
-        clock = FakeClock()
-        gate = AdmissionController(
-            OverloadConfig(rate_limit_qps=100.0, burst=2), clock=clock
-        )
-        clock.advance(60.0)  # an hour's worth of tokens does not accumulate
+    def test_refill_caps_at_burst_capacity(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        gate = AdmissionController(OverloadConfig(rate_limit_qps=100.0, burst=2))
+        hand.advance(60.0)  # an hour's worth of tokens does not accumulate
         assert gate.try_acquire()
         assert gate.try_acquire()
         assert not gate.try_acquire()
@@ -96,23 +81,18 @@ class TestAdmissionController:
         assert gate.try_acquire()
         assert gate.inflight == 2
 
-    def test_saturated_is_non_consuming(self):
-        clock = FakeClock()
-        gate = AdmissionController(
-            OverloadConfig(rate_limit_qps=10.0, burst=1), clock=clock
-        )
+    def test_saturated_is_non_consuming(self, monkeypatch):
+        ManualClock(monkeypatch)
+        gate = AdmissionController(OverloadConfig(rate_limit_qps=10.0, burst=1))
         # Peeking any number of times never takes the token.
         for _ in range(5):
             assert not gate.saturated()
         assert gate.try_acquire()
         assert gate.saturated()
 
-    def test_saturation_gauge_tracks_the_tighter_limit(self):
-        clock = FakeClock()
-        gate = AdmissionController(
-            OverloadConfig(rate_limit_qps=10.0, burst=10, max_concurrency=4),
-            clock=clock,
-        )
+    def test_saturation_gauge_tracks_the_tighter_limit(self, monkeypatch):
+        ManualClock(monkeypatch)
+        gate = AdmissionController(OverloadConfig(rate_limit_qps=10.0, burst=10, max_concurrency=4))
         assert gate.saturation() == 0.0
         gate.try_acquire()  # 1/4 concurrency, 1/10 tokens
         assert gate.saturation() == pytest.approx(0.25)
@@ -120,20 +100,15 @@ class TestAdmissionController:
             gate.try_acquire()
         assert gate.saturation() == 1.0
 
-    def test_retry_after_reflects_token_starvation(self):
-        clock = FakeClock()
-        gate = AdmissionController(
-            OverloadConfig(rate_limit_qps=2.0, burst=1, retry_after_s=9.0),
-            clock=clock,
-        )
+    def test_retry_after_reflects_token_starvation(self, monkeypatch):
+        ManualClock(monkeypatch)
+        gate = AdmissionController(OverloadConfig(rate_limit_qps=2.0, burst=1, retry_after_s=9.0))
         gate.try_acquire()
         # One token at 2/s is 0.5 s away.
         assert gate.retry_after_s() == pytest.approx(0.5)
 
     def test_retry_after_falls_back_to_configured_hint(self):
-        gate = AdmissionController(
-            OverloadConfig(max_concurrency=1, retry_after_s=2.5)
-        )
+        gate = AdmissionController(OverloadConfig(max_concurrency=1, retry_after_s=2.5))
         gate.try_acquire()
         assert gate.retry_after_s() == 2.5
 
@@ -153,7 +128,7 @@ class TestAdmissionController:
 # ---------------------------------------------------------------------------
 
 
-def make_breaker(clock, on_transition=None, **overrides):
+def make_breaker(on_transition=None, **overrides):
     defaults = dict(
         error_rate_threshold=0.5,
         window=4,
@@ -163,16 +138,14 @@ def make_breaker(clock, on_transition=None, **overrides):
         half_open_probes=2,
     )
     defaults.update(overrides)
-    return CircuitBreaker(
-        CircuitBreakerConfig(**defaults), clock=clock, on_transition=on_transition
-    )
+    return CircuitBreaker(CircuitBreakerConfig(**defaults), on_transition=on_transition)
 
 
 class TestCircuitBreaker:
-    def test_trips_on_error_rate(self):
-        clock = FakeClock()
+    def test_trips_on_error_rate(self, monkeypatch):
+        ManualClock(monkeypatch)
         transitions = []
-        breaker = make_breaker(clock, lambda old, new: transitions.append((old, new)))
+        breaker = make_breaker(lambda old, new: transitions.append((old, new)))
         breaker.record_success()
         breaker.record_success()
         breaker.record_failure()
@@ -182,12 +155,11 @@ class TestCircuitBreaker:
         assert transitions == [(CLOSED, OPEN)]
         assert not breaker.allow()
 
-    def test_trips_on_consecutive_timeouts_before_error_rate(self):
-        clock = FakeClock()
+    def test_trips_on_consecutive_timeouts_before_error_rate(self, monkeypatch):
+        ManualClock(monkeypatch)
         # A huge window keeps the error-rate trigger silent; only the
         # consecutive-timeout counter can fire.
-        breaker = make_breaker(
-            clock, window=1000, min_samples=1000, consecutive_timeouts=3
+        breaker = make_breaker(window=1000, min_samples=1000, consecutive_timeouts=3
         )
         breaker.record_failure(timeout=True)
         breaker.record_failure(timeout=True)
@@ -195,38 +167,36 @@ class TestCircuitBreaker:
         breaker.record_failure(timeout=True)
         assert breaker.state == OPEN
 
-    def test_success_resets_consecutive_timeouts(self):
-        clock = FakeClock()
-        breaker = make_breaker(
-            clock, window=1000, min_samples=1000, consecutive_timeouts=2
+    def test_success_resets_consecutive_timeouts(self, monkeypatch):
+        ManualClock(monkeypatch)
+        breaker = make_breaker(window=1000, min_samples=1000, consecutive_timeouts=2
         )
         breaker.record_failure(timeout=True)
         breaker.record_success()
         breaker.record_failure(timeout=True)
         assert breaker.state == CLOSED
 
-    def test_half_open_after_cooldown_and_probe_trickle(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock, half_open_probes=2)
+    def test_half_open_after_cooldown_and_probe_trickle(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        breaker = make_breaker(half_open_probes=2)
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()
-        clock.advance(1.5)  # past open_duration_s
+        hand.advance(1.5)  # past open_duration_s
         assert breaker.allow()  # reserves probe slot 1
         assert breaker.state == HALF_OPEN
         assert breaker.allow()  # reserves probe slot 2
         assert not breaker.allow()  # trickle: no third concurrent probe
 
-    def test_all_probes_succeeding_closes(self):
-        clock = FakeClock()
+    def test_all_probes_succeeding_closes(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
         transitions = []
-        breaker = make_breaker(
-            clock, lambda old, new: transitions.append((old, new)), half_open_probes=2
+        breaker = make_breaker(lambda old, new: transitions.append((old, new)), half_open_probes=2
         )
         breaker.record_failure()
         breaker.record_failure()
-        clock.advance(1.5)
+        hand.advance(1.5)
         assert breaker.allow() and breaker.allow()
         breaker.record_success()
         assert breaker.state == HALF_OPEN  # one probe is not enough
@@ -234,33 +204,33 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED
         assert transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
 
-    def test_failed_probe_snaps_back_open(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
+    def test_failed_probe_snaps_back_open(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        breaker = make_breaker()
         breaker.record_failure()
         breaker.record_failure()
-        clock.advance(1.5)
+        hand.advance(1.5)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()  # a fresh cool-down started
-        clock.advance(1.5)
+        hand.advance(1.5)
         assert breaker.allow()
 
-    def test_abandon_returns_probe_slot(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock, half_open_probes=1)
+    def test_abandon_returns_probe_slot(self, monkeypatch):
+        hand = ManualClock(monkeypatch)
+        breaker = make_breaker(half_open_probes=1)
         breaker.record_failure()
         breaker.record_failure()
-        clock.advance(1.5)
+        hand.advance(1.5)
         assert breaker.allow()
         assert not breaker.allow()  # the only probe slot is taken
         breaker.abandon()
         assert breaker.allow()  # and is reusable after abandon
 
-    def test_describe(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
+    def test_describe(self, monkeypatch):
+        ManualClock(monkeypatch)
+        breaker = make_breaker()
         breaker.record_failure()
         described = breaker.describe()
         assert described["state"] == CLOSED
@@ -300,7 +270,7 @@ def deploy(control, layer, name, **deployment):
 def queued(deadline=None):
     return PendingQuery(
         input=[0.0], future=asyncio.get_event_loop().create_future(),
-        deadline=deadline, query_id=99,
+        enqueue_time=clock.now(), deadline=deadline, query_id=99,
     )
 
 

@@ -14,6 +14,7 @@ from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.replica import ContainerReplica
+from repro.core import clock
 from repro.core.exceptions import ContainerError, SerializationError
 from repro.core.types import ModelId
 from repro.batching.controllers import FixedBatchSizeController
@@ -313,6 +314,7 @@ class TestPipelinedDispatcher:
         return PendingQuery(
             input=np.full(4, float(value)),
             future=asyncio.get_event_loop().create_future(),
+            enqueue_time=clock.now(),
         )
 
     def test_results_map_to_right_futures_with_window_2(self):
@@ -465,6 +467,7 @@ class TestPipelinedDispatcher:
                 PendingQuery(
                     input=np.full(8, float(i), dtype=np.float32),
                     future=asyncio.get_event_loop().create_future(),
+                    enqueue_time=clock.now(),
                 )
                 for i in range(24)
             ]

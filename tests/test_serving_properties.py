@@ -9,6 +9,7 @@ from helpers import run_async
 from repro.batching.aimd import AIMDController
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.cache.prediction_cache import PredictionCache
+from repro.core import clock
 from repro.core.types import ModelId
 from repro.selection.exp3 import Exp3Policy
 from repro.selection.exp4 import Exp4Policy
@@ -27,7 +28,7 @@ class TestBatchingQueueProperties:
             queue = BatchingQueue()
             loop = asyncio.get_event_loop()
             for value in values:
-                await queue.put(PendingQuery(input=value, future=loop.create_future()))
+                await queue.put(PendingQuery(value, loop.create_future(), clock.now()))
             drained = []
             while queue.qsize() > 0:
                 batch = await queue.get_batch(max_batch_size=max_batch)
