@@ -4,14 +4,26 @@ Plain helpers (``run_async``) live in :mod:`helpers` so test modules can
 import them without relying on conftest module-name resolution.  The
 fixtures that build datasets and train models import :mod:`paperkit` inside
 their bodies, so a serving test that takes none of them never loads it.
+
+How many examples a property test draws is set here and nowhere else: the
+``tier1`` profile is the default run, and ``--hypothesis-profile=deep`` (the
+hypothesis plugin's own option) runs every property test at the largest
+count any of them used to ask for.
 """
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helpers import run_async  # noqa: F401  (re-exported for convenience)
+
+settings.register_profile("tier1", max_examples=50, deadline=None)
+settings.register_profile("deep", max_examples=800, deadline=None)
+settings.load_profile("tier1")
 
 
 def pytest_addoption(parser):
@@ -44,6 +56,17 @@ def pytest_configure(config):
         "cluster: spawns real worker/ingress child processes, skipped unless "
         "--cluster is given",
     )
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_runtest_teardown(item, nextitem):
+    """After each module, freeze what is still alive out of the collector's
+    reach.  Otherwise every generation-2 pass walks all the suite has kept so
+    far, and by mid-run each pass stalls the running test's event loop for
+    80–390 ms: long enough to miss a 100 ms SLO."""
+    if nextitem is None or nextitem.module is not item.module:
+        gc.collect()
+        gc.freeze()
 
 
 def pytest_collection_modifyitems(config, items):

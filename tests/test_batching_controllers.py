@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.batching.aimd import AIMDController
 from repro.batching.controllers import (
@@ -62,7 +62,6 @@ class TestAIMD:
         with pytest.raises(ConfigurationError):
             AIMDController(slo_ms=10, additive_increase=0)
 
-    @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=100),
         st.floats(min_value=1.0, max_value=50.0),

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.batching.quantile import fit_quantile_line
 
@@ -71,7 +71,6 @@ def assert_same_loss(ours, reference, y):
     assert abs(ours - reference) <= 1e-9 * max(reference, float(np.abs(y).sum()) * 1e-3)
 
 
-@settings(max_examples=200, deadline=None)
 @given(windows(12))
 def test_fit_is_the_all_pairs_optimum(window):
     sizes, latencies, quantile = window
@@ -83,7 +82,6 @@ def test_fit_is_the_all_pairs_optimum(window):
     )
 
 
-@settings(max_examples=200, deadline=None)
 @given(windows(200))
 def test_fit_matches_linprog(window):
     pytest.importorskip("scipy.optimize")

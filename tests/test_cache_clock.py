@@ -1,7 +1,7 @@
 """Tests for the CLOCK eviction cache."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.cache.clock import ClockCache
 from repro.cache.lru import LRUCache
@@ -77,7 +77,6 @@ class TestClockEviction:
 
 
 class TestClockVsLRUProperty:
-    @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
             st.tuples(st.sampled_from("abcdefgh"), st.booleans()),
@@ -99,7 +98,6 @@ class TestClockVsLRUProperty:
                     assert value == reference[key]
             assert len(cache) <= 4
 
-    @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=100))
     def test_clock_and_lru_agree_on_repeated_single_key(self, keys):
         """With capacity >= distinct keys, both policies retain everything."""

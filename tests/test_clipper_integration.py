@@ -15,7 +15,16 @@ from repro.core.exceptions import ClipperError, DeploymentError, PredictionTimeo
 from repro.core.types import Feedback, Query
 
 
-def build_clipper(containers, policy="exp4", slo_ms=100.0, cache_size=1024, **config_kwargs):
+#: The SLO of the tests that check outputs, weights, batching or caching, not
+#: deadlines.  In a full tier-1 run a generation-2 garbage collection can stall
+#: the loop past 100 ms (see ``tests/conftest.py``), and under a 100 ms SLO such
+#: a pause was a missed query.  The straggler tests keep their own tight SLOs.
+STALL_PROOF_SLO_MS = 10_000.0
+
+
+def build_clipper(
+    containers, policy="exp4", slo_ms=STALL_PROOF_SLO_MS, cache_size=1024, **config_kwargs
+):
     clipper = Clipper(
         ClipperConfig(
             app_name="test-app",

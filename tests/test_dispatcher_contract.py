@@ -1,0 +1,414 @@
+"""The contract of ``ReplicaDispatcher.dispatch_batch``, entry by entry.
+
+Every generated batch is dispatched onto a recording replica on a hand-set
+clock, and what happened must equal the outcome table :func:`expected`
+computes from the case alone:
+
+* **what is sent** — with ``drop_expired``, an entry whose deadline the clock
+  has reached is left out; the rest go in batch order, with per-entry
+  deadlines (0.0 = none) only when some entry of the batch carries one, and a
+  batch with nothing left is not sent at all;
+* **how each future ends** — an entry left out as expired, and one the
+  container skipped, fails with ``PredictionTimeoutError(query_id or -1)``;
+  an answered one gets its output; after a failed batch an entry is requeued
+  while it has a retry left and otherwise fails with the batch's error; a
+  future already resolved or cancelled stays as it was;
+* **what reaches the late sink** — the output of an answered entry whose
+  future the straggler deadline had already resolved with a result;
+* **what is measured** — ``queue_time_ms`` is the wait of the oldest *sent*
+  entry, and the batch counters;
+* **every trace that commits** (sampled, SLO miss, default, error, retried,
+  or a straggler committed before its batch came back) — its flags and its
+  spans, in order and with their stamps: ``queue.wait`` from enqueue to the
+  batch's formation, ``batch.assemble``, the RPC legs, ``container.eval`` and
+  ``rpc.recv`` when the container stamped its evaluation, and ``batch.retry``
+  after a failed batch.
+
+On the wire only queries that own a trace id send one, an all-shadow batch
+sends none, and a shadow context that finishes boring is recycled carrying
+nothing.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from types import SimpleNamespace
+from typing import List
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import run_async
+from repro.batching.aimd import AIMDController
+from repro.batching.deadline import DEADLINE_MISS
+from repro.batching.dispatcher import ReplicaDispatcher
+from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
+from repro.core.types import ModelId
+from repro.observability.tracing import (
+    TRACE_DEFAULT_USED,
+    TRACE_ERROR,
+    TRACE_RETRIED,
+    TRACE_SLO_MISS,
+    TRACE_STRAGGLER,
+    BatchSpans,
+    TraceContext,
+    Tracer,
+)
+from repro.rpc.protocol import RpcRequest, RpcResponse
+from simloop import ManualClock
+
+MODEL = ModelId("model", 1)
+T0 = 1000.0  # the hand-set clock when the batch is formed
+ANSWERED = T0 + 0.002  # the replica takes 2 ms of it
+DEADLINES = {"none": None, "past": T0 - 0.001, "now": T0, "future": T0 + 0.020}
+TRACING = SimpleNamespace(enabled=True, sample_every=1 << 30)
+
+
+class RecordingReplica:
+    """Answers as the case says and remembers what it was handed."""
+
+    model_id = MODEL
+    replica_id = 0
+    name = "model:1[0]"
+
+    def __init__(self, case: dict, hand: ManualClock) -> None:
+        self.case = case
+        self.hand = hand
+        self.calls: List[tuple] = []
+
+    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+        case = self.case
+        self.calls.append((list(inputs), deadlines and list(deadlines), trace))
+        sent = self.hand.now
+        self.hand.now = sent + 0.002
+        if span_log is not None:
+            span_log.append(("rpc.send", sent, sent + 0.0004, None))
+            span_log.append(("rpc.wait", sent + 0.0004, self.hand.now, None))
+        if case["outcome"] == "rpc_error":
+            raise RpcError("connection closed")
+        skipped = tuple(sorted(i for i in case["skipped"] if i < len(inputs)))
+        stamped = span_log is not None and case["stamps"]
+        return RpcResponse(
+            request_id=0,
+            outputs=[("out", x) for i, x in enumerate(inputs) if i not in skipped],
+            error="boom" if case["outcome"] == "container_error" else None,
+            container_latency_ms=1.5,
+            eval_start=sent + 0.0007 if stamped else 0.0,
+            eval_end=sent + 0.0017 if stamped else 0.0,
+            skipped=skipped,
+        )
+
+
+def future_state(future: asyncio.Future) -> tuple:
+    if not future.done():
+        return ("pending",)
+    if future.cancelled():
+        return ("cancelled",)
+    error = future.exception()
+    if error is not None:
+        return ("exception", type(error).__name__, error.args)
+    result = future.result()
+    return ("result", "DEADLINE_MISS" if result is DEADLINE_MISS else result)
+
+
+def queued(plan: dict) -> float:
+    return T0 - plan["queued_ms_ago"] / 1000.0
+
+
+def spans_before(plan: dict) -> List[tuple]:
+    """What a context holds when its batch is formed: a sampled query's
+    selection span, or the straggler deadline's miss."""
+    return {
+        "sampled": [("selection.select", queued(plan) - 0.0001, queued(plan), None)],
+        "straggler": [("deadline.miss", T0 - 0.0002, T0 - 0.0002, {"model": "model:1"})],
+    }.get(plan["trace"], [])
+
+
+async def run_world(case: dict, hand: ManualClock) -> dict:
+    """Build the case's batch, dispatch it, report what happened."""
+    loop = asyncio.get_running_loop()
+    hand.now = T0
+    # Head sampling never fires: the case's contexts are made by hand below.
+    tracer = {
+        "on": Tracer(TRACING), "off": Tracer(SimpleNamespace(enabled=False)), "none": None,
+    }[case["tracer"]]
+    contexts = Tracer(TRACING)  # where this world's contexts come from
+    replica = RecordingReplica(case, hand)
+    queue = BatchingQueue(name="model")
+    late: List[tuple] = []
+    dispatcher = ReplicaDispatcher(
+        replica=replica,
+        queue=queue,
+        controller=AIMDController(slo_ms=50.0),
+        drop_expired=case["drop_expired"],
+        max_retries=case["max_retries"],
+        late_result_sink=lambda item, output: late.append((item.input, output)),
+        tracer=tracer,
+    )
+    batch: List[PendingQuery] = []
+    committed_early = {}
+    for index, plan in enumerate(case["items"]):
+        future = loop.create_future()
+        if plan["future"] == "missed":
+            future.set_result(DEADLINE_MISS)
+        elif plan["future"] == "cancelled":
+            future.cancel()
+        kind = plan["trace"]
+        if kind == "none":
+            trace = None
+        elif kind == "sampled":
+            trace = TraceContext(5000 + index, True, queued(plan) - 0.0001)
+        elif kind == "forced":
+            trace = contexts.begin(f"forced-{index}", queued(plan) - 0.0001)
+        else:  # shadow, straggler
+            trace = contexts.shadow(queued(plan) - 0.0001)
+        if trace is not None:
+            trace.spans.extend(spans_before(plan))
+        item = PendingQuery(
+            index, future, queued(plan), DEADLINES[plan["deadline"]], plan["query_id"],
+            f"hash-{index}", 0, trace,
+        )
+        if kind == "straggler":
+            # The straggler deadline closed the query before its batch left.
+            trace.flags |= TRACE_STRAGGLER
+            committed_early[index] = contexts.finish(
+                trace, slo_missed=True, default_used=True, query_id=plan["query_id"]
+            )
+        batch.append(item)
+
+    await dispatcher.dispatch_batch(list(batch))
+
+    traces = []
+    for index, (item, plan) in enumerate(zip(batch, case["items"])):
+        trace = item.trace
+        if trace is None:
+            traces.append(None)
+            continue
+        if index in committed_early:
+            trace_id = committed_early[index]
+        else:
+            hand.now += 0.0001
+            trace_id = contexts.finish(
+                trace,
+                slo_missed=plan["finish"] == "slo_miss",
+                default_used=plan["finish"] == "default",
+                error=plan["finish"] == "error",
+                query_id=plan["query_id"],
+            )
+        if trace_id is None:
+            # Boring: recycled.  It must carry nothing of this query.
+            assert trace.spans == [] and trace in contexts._pool
+            traces.append("recycled")
+            continue
+        record = contexts.registry.get(trace_id)
+        assert record.spans is trace.spans
+        assert not any(isinstance(span, BatchSpans) for span in record.spans)
+        traces.append((record.flags, record.sampled, record.query_id, list(record.spans)))
+    return {
+        "sent": [(inputs, deadlines) for inputs, deadlines, _ in replica.calls],
+        "wire_ids": [ids for _, _, ids in replica.calls],
+        "owned_ids": {
+            index: item.trace.trace_id
+            for index, (item, plan) in enumerate(zip(batch, case["items"]))
+            if plan["trace"] in ("sampled", "forced", "straggler")
+        },
+        "futures": [future_state(item.future) for item in batch],
+        "late": late,
+        "requeued": [(item.input, item.attempts) for item in queue._items],
+        "history": [
+            (stats.batch_size, stats.queue_time_ms, stats.latency_ms)
+            for stats in dispatcher.batch_history
+        ],
+        "batches": (
+            dispatcher._batch_size_hist.count, dispatcher.batches_failed,
+            dispatcher.consecutive_failures,
+        ),
+        "traces": traces,
+    }
+
+
+def dispatched(case: dict) -> dict:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return run_async(run_world(case, ManualClock(monkeypatch)))
+
+
+# -- the outcome table -----------------------------------------------------------
+
+PENDING, MISSED = ("pending",), ("result", "DEADLINE_MISS")
+BEFORE = {"pending": PENDING, "missed": MISSED, "cancelled": ("cancelled",)}
+FINISH_FLAGS = {
+    "boring": 0, "slo_miss": TRACE_SLO_MISS, "default": TRACE_DEFAULT_USED, "error": TRACE_ERROR,
+}
+
+
+def failed(error: Exception) -> tuple:
+    return ("exception", type(error).__name__, error.args)
+
+
+def timed_out(plan: dict) -> tuple:
+    return failed(PredictionTimeoutError(plan["query_id"] or -1, 0.0))
+
+
+def expected(case: dict) -> dict:
+    """What ``dispatch_batch`` must do with the case's batch, entry by entry."""
+    plans, outcome = case["items"], case["outcome"]
+    drop = case["drop_expired"]
+    live = [i for i, plan in enumerate(plans)
+            if not (drop and plan["deadline"] in ("past", "now"))]
+    futures = [BEFORE[plan["future"]] for plan in plans]
+    for i, plan in enumerate(plans):
+        if i not in live and futures[i] == PENDING:
+            futures[i] = timed_out(plan)
+    spans = [spans_before(plan) for plan in plans]
+    table = {
+        "sent": [], "futures": futures, "late": [], "requeued": [], "history": [],
+        "batches": (0, 0, 0),
+    }
+    retried = set()
+    if live:
+        carries_deadline = drop and any(plan["deadline"] != "none" for plan in plans)
+        table["sent"] = [(live, [DEADLINES[plans[i]["deadline"]] or 0.0 for i in live]
+                          if carries_deadline else None)]
+        if outcome != "rpc_error":
+            oldest = min(queued(plans[i]) for i in live)
+            table["history"] = [(len(live), (T0 - oldest) * 1000.0, (ANSWERED - T0) * 1000.0)]
+        if outcome == "ok":
+            table["batches"] = (1, 0, 0)
+            skipped = set(case["skipped"])
+            for position, i in enumerate(live):
+                if position in skipped:
+                    if futures[i] == PENDING:
+                        futures[i] = timed_out(plans[i])
+                elif futures[i] == PENDING:
+                    futures[i] = ("result", ("out", i))
+                elif futures[i] == MISSED:
+                    table["late"].append((i, ("out", i)))
+            if case["tracer"] == "on":
+                common = [
+                    ("batch.assemble", T0, T0, None),
+                    ("rpc.send", T0, T0 + 0.0004, None),
+                    ("rpc.wait", T0 + 0.0004, ANSWERED, None),
+                ]
+                if case["stamps"]:
+                    common += [
+                        ("container.eval", T0 + 0.0007, T0 + 0.0017, None),
+                        ("rpc.recv", T0 + 0.0017, ANSWERED, None),
+                    ]
+                for i in live:
+                    if plans[i]["trace"] != "none":
+                        spans[i] += [("queue.wait", queued(plans[i]), T0, None), *common]
+        else:
+            table["batches"] = (int(outcome == "container_error"), 1, 1)
+            error = (RpcError("connection closed") if outcome == "rpc_error"
+                     else ContainerError("model:1", "boom"))
+            for i in live:
+                if futures[i] != PENDING:
+                    continue
+                retried.add(i)
+                retry = ("batch.retry", ANSWERED, ANSWERED, {"error": type(error).__name__})
+                spans[i].append(retry)
+                if case["max_retries"]:
+                    table["requeued"].append((i, 1))
+                else:
+                    futures[i] = failed(error)
+    traces = []
+    for i, plan in enumerate(plans):
+        kind = plan["trace"]
+        if kind == "none":
+            traces.append(None)
+            continue
+        if kind == "straggler":  # its flags were fixed when it committed
+            flags = TRACE_STRAGGLER | TRACE_SLO_MISS | TRACE_DEFAULT_USED
+        else:
+            flags = FINISH_FLAGS[plan["finish"]] | (TRACE_RETRIED if i in retried else 0)
+            if not flags and kind == "shadow":
+                traces.append("recycled")
+                continue
+        traces.append((flags, kind in ("sampled", "forced"), plan["query_id"], spans[i]))
+    table["traces"] = traces
+    return table
+
+
+ITEM = st.fixed_dictionaries(
+    {
+        "deadline": st.sampled_from(["none", "past", "now", "future", "future"]),
+        "trace": st.sampled_from(
+            ["none", "shadow", "shadow", "shadow", "sampled", "forced", "straggler"]
+        ),
+        "future": st.sampled_from(["pending", "pending", "pending", "missed", "cancelled"]),
+        "queued_ms_ago": st.integers(0, 40),
+        "query_id": st.one_of(st.none(), st.integers(0, 99)),
+        "finish": st.sampled_from(["boring", "boring", "slo_miss", "default", "error"]),
+    }
+)
+CASE = st.fixed_dictionaries(
+    {
+        "items": st.lists(ITEM, min_size=1, max_size=12),
+        "drop_expired": st.booleans(),
+        "tracer": st.sampled_from(["on", "on", "on", "off", "none"]),
+        "outcome": st.sampled_from(["ok", "ok", "ok", "container_error", "rpc_error"]),
+        "stamps": st.booleans(),
+        "skipped": st.sets(st.integers(0, 11), max_size=3),
+        "max_retries": st.integers(0, 1),
+    }
+)
+
+
+class TestDispatchBatchContract:
+    @given(case=CASE)
+    def test_every_entry_ends_as_the_outcome_table_says(self, case):
+        happened = dispatched(case)
+        owned = happened.pop("owned_ids")
+        for (inputs, _), ids in zip(happened["sent"], happened.pop("wire_ids")):
+            if case["tracer"] == "on":
+                assert ids == [owned[index] for index in inputs if index in owned]
+            else:
+                assert ids is None
+        assert happened == expected(case)
+
+    def test_mixed_batch_by_hand(self):
+        """One readable case: expired, traced three ways, a skip, a late fill."""
+        plan = dict(deadline="future", trace="shadow", future="pending",
+                    queued_ms_ago=5, query_id=1, finish="boring")
+        case = {
+            "items": [
+                plan,
+                {**plan, "deadline": "past", "query_id": None},
+                {**plan, "trace": "sampled", "queued_ms_ago": 9},
+                {**plan, "trace": "straggler", "future": "missed"},
+                {**plan, "finish": "slo_miss"},
+                {**plan, "deadline": "none", "trace": "none"},
+            ],
+            "drop_expired": True, "tracer": "on", "outcome": "ok", "stamps": True,
+            "skipped": {3}, "max_retries": 0,
+        }
+        happened = dispatched(case)
+        assert happened["sent"] == [([0, 2, 3, 4, 5], [T0 + 0.020] * 4 + [0.0])]
+        # Sampled + straggler own ids; the two shadows send nothing.
+        assert happened["wire_ids"][0] == list(happened["owned_ids"].values())
+        assert happened["futures"][1] == ("exception", "PredictionTimeoutError", (
+            "query -1 missed its latency deadline of 0.0 ms",))
+        assert happened["history"] == [(5, pytest.approx(9.0), pytest.approx(2.0))]
+        # Entry 3 sits at position 2 of the sent batch: position 3 (entry 4)
+        # was skipped, and the straggler's answer went to the late sink.
+        assert happened["futures"][4][:2] == ("exception", "PredictionTimeoutError")
+        assert happened["late"] == [(3, ("out", 3))]
+        assert happened["traces"][0] == "recycled" and happened["traces"][5] is None
+        names = [name for name, _, _, _ in happened["traces"][4][3]]
+        assert names == [
+            "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
+            "container.eval", "rpc.recv",
+        ]
+        del happened["wire_ids"], happened["owned_ids"]
+        assert happened == expected(case)
+
+    def test_an_all_shadow_batch_sends_no_trace_header_and_one_stamp_request(self):
+        """Asserted on the decoded request: what an all-shadow batch sends."""
+        request = RpcRequest(
+            request_id=1, model_name="m", inputs=[1.0, 2.0], trace=(), stamp=True
+        )
+        payload = request.to_payload()
+        assert "trace" not in payload and payload["stamp"] is True
+        assert "stamp" not in RpcRequest(1, "m", [1.0]).to_payload()

@@ -26,7 +26,7 @@ import uuid
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.rpc import jsonwire
 
@@ -228,14 +228,12 @@ CURATED = [
 
 class TestDecode:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=250, deadline=None)
     @given(data=_documents())
     def test_generated_documents(self, backend, data):
         _, loads = codec(backend)
         assert_same(_outcome(loads, data), _outcome(reference_loads, data))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=250, deadline=None)
     @given(data=_mutated())
     def test_mutated_documents(self, backend, data):
         _, loads = codec(backend)
@@ -272,7 +270,6 @@ class TestDecode:
             _outcome(loads, deep)
         assert shown == [at_limit]
 
-    @settings(max_examples=300, deadline=None)
     @given(
         runs=st.lists(
             st.tuples(st.sampled_from([b"[", b"{", b"0", b"]"]), st.integers(0, 300)),
@@ -291,7 +288,6 @@ class TestDecode:
 
 class TestEncode:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=300, deadline=None)
     @given(value=_encodable)
     def test_generated_values(self, backend, value):
         dumps, _ = codec(backend)

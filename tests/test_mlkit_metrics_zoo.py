@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from paperkit.mlkit import metrics, zoo
 
@@ -18,7 +18,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics.accuracy([0, 1], [0])
 
-    @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=50))
     def test_accuracy_plus_error_is_one(self, labels):
         y = np.array(labels)

@@ -10,7 +10,7 @@ from typing import Any, List, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from helpers import BurstyArrivals, run_async
 from simloop import ManualClock
@@ -978,7 +978,6 @@ class TestBurstyArrivals:
         with pytest.raises(ValueError):
             BurstyArrivals(10, 10, mean_burst_length=0)
 
-    @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=300))
     def test_always_yields_exactly_n(self, n):
         gaps = list(BurstyArrivals(100, 10, random_state=0).gaps(n))

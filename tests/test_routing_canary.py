@@ -496,7 +496,8 @@ class TestCanaryIntegration:
             assert record is not None and record["canary"] == "m:2"
             assert mgmt.model_info(APP, "m")["versions"]["2"]["state"] == "canary"
 
-            await asyncio.sleep(0.05)
+            # Adjust at once: two healthy checks 10 ms apart over ten canary
+            # queries can promote the canary within a few ms of traffic.
             await mgmt.adjust_canary(APP, "m", weight=0.5)
 
             # The controller promotes once the canary matches the stable arm

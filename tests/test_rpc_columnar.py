@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import queue_pair, run_async
@@ -76,7 +76,6 @@ class TestColumnarRoundTrip:
         for original, copy in zip(batch, decoded):
             np.testing.assert_array_equal(copy, original)
 
-    @settings(max_examples=50, deadline=None)
     @given(
         hnp.arrays(
             dtype=np.float32,
@@ -89,7 +88,6 @@ class TestColumnarRoundTrip:
         decoded = deserialize(serialize(batch))
         np.testing.assert_array_equal(np.stack(decoded), stacked)
 
-    @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=9))
     def test_property_count_and_width(self, count, width):
         batch = [np.full(width, i, dtype=np.int32) for i in range(count)]

@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from helpers import run_async
 from repro.core.exceptions import RpcError, SerializationError
@@ -186,7 +186,6 @@ class TestFraming:
 class TestSegmentation:
     """However the peer's bytes are cut, ``data_received`` yields its frames."""
 
-    @settings(max_examples=60, deadline=None)
     @given(
         sent=MESSAGES,
         cuts=st.lists(st.integers(0, 10**6), max_size=12),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.exceptions import SelectionPolicyError
 from repro.selection.ensemble import normalize_weights, weighted_vote
@@ -77,7 +77,6 @@ class TestNormalizeWeights:
 
 
 class TestVoteProperties:
-    @settings(max_examples=100, deadline=None)
     @given(
         st.dictionaries(
             st.text(min_size=1, max_size=4),
@@ -96,7 +95,6 @@ class TestVoteProperties:
             counts[value] = counts.get(value, 0) + 1
         assert counts[label] == max(counts.values())
 
-    @settings(max_examples=100, deadline=None)
     @given(
         st.dictionaries(
             st.sampled_from(["m1", "m2", "m3", "m4", "m5"]),

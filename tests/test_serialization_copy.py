@@ -7,14 +7,9 @@ the receiver gets a private copy (fresh, C-ordered, read-only arrays; a
 homogeneous batch as rows of one stacked array), numpy scalars arrive as
 Python scalars, and what the codec refuses is refused with the same
 :class:`SerializationError`.  It is stated here as an equivalence over the
-codec's value types, not as equality of code: for every value, the copy
-equals ``deserialize(serialize(value))`` in type, value, dtype, shape and
-read-only flag, or both refuse.
-
-Two things the codec cannot carry are left out, since it fails on them with
-a bare ``ValueError`` / ``UnicodeEncodeError`` rather than refusing them:
-datetime arrays (numpy exports no buffer for them) and strings with lone
-surrogates.  The copy does not check for either.
+codec's value types (the codec contract's ``wire_values``), not as equality
+of code: for every value, the copy equals ``deserialize(serialize(value))``
+in type, value, dtype, shape and read-only flag, or both refuse.
 """
 
 from __future__ import annotations
@@ -23,31 +18,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
+from hypothesis import given
 
 from repro.core.exceptions import SerializationError
 from repro.rpc.serialization import deserialize, serialize, wire_copy
-
-
-class _Text(str):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-class _List(list):
-    pass
-
-
-class _Dict(dict):
-    pass
+from test_serialization import wire_values
 
 
 def _outcome(transform, value):
@@ -82,69 +57,8 @@ def assert_same(copy, decoded) -> None:
         assert copy == decoded
 
 
-_DTYPES = ["<f8", ">f8", "<f4", "<f2", "<i8", ">i4", "<u2", "|u1", "|i1", "|b1",
-           "<c16", "|S3", "<U2"]
-_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
-#: How an array may reach the lane: as is, Fortran-ordered, strided, a
-#: read-only view, or a masked array (the codec sends its data alone).
-_LAYOUTS = [
-    lambda a: a,
-    np.asfortranarray,
-    lambda a: a[::2] if a.ndim else a,
-    lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
-    np.ma.masked_array,
-]
-_arrays = st.builds(
-    lambda array, layout: layout(array),
-    st.sampled_from(_DTYPES).flatmap(lambda dtype: hnp.arrays(dtype, _shapes)),
-    st.sampled_from(_LAYOUTS),
-)
-#: Lists of same-dtype, same-shape arrays: one columnar frame on the wire.
-_batches = st.tuples(
-    st.sampled_from(_DTYPES), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4)
-).flatmap(lambda spec: st.lists(hnp.arrays(*spec), min_size=2, max_size=4))
-_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**64), 2**64)
-    | st.integers(-5, 5).map(_Int)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.floats().map(_Float)
-    | st.text(max_size=20)
-    | st.text(min_size=500, max_size=520)
-    | st.text(max_size=6).map(_Text)
-    | st.binary(max_size=20)
-    | st.binary(max_size=600).map(bytearray)
-    | st.sampled_from([np.int8, np.int16, np.int32, np.int64]).map(lambda t: t(-7))
-    | st.integers(0, 2**64 - 1).map(np.uint64)
-    | st.floats(width=16).map(np.float16)
-    | st.floats(width=32).map(np.float32)
-    | st.floats().map(np.float64)
-    | st.text(max_size=4).map(np.str_)
-    | st.binary(max_size=4).map(np.bytes_)
-    # What the codec refuses: numpy bools and complex numbers, unknown
-    # classes, sets, object arrays.
-    | st.sampled_from([np.bool_(True), np.complex128(1j), 1j, object(), {1, 2}, range(2)])
-    | st.sampled_from([np.array([object()]), np.array([1, "a"], dtype=object)])
-    | _arrays
-    | _batches
-)
-_keys = st.text(max_size=6) | st.text(max_size=3).map(_Text) | st.integers(0, 2) | st.none()
-_values = st.recursive(
-    _scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.lists(children, max_size=3).map(_List)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=2).map(_Dict)
-    | st.dictionaries(_keys, children, max_size=3),
-    max_leaves=10,
-)
-
-
 class TestCopyIsTheRoundTrip:
-    @settings(max_examples=800, deadline=None)
-    @given(_values)
+    @given(wire_values)
     def test_equal_in_type_value_dtype_shape_and_flags_or_both_refuse(self, value):
         assert_same(
             _outcome(wire_copy, value), _outcome(lambda v: deserialize(serialize(v)), value)

@@ -3,7 +3,7 @@
 import asyncio
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from helpers import run_async
 from repro.batching.aimd import AIMDController
@@ -16,7 +16,6 @@ from repro.selection.exp4 import Exp4Policy
 
 
 class TestBatchingQueueProperties:
-    @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=60),
         st.integers(min_value=1, max_value=16),
@@ -41,7 +40,6 @@ class TestBatchingQueueProperties:
 
 
 class TestPredictionCacheProperties:
-    @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
             st.tuples(st.integers(min_value=0, max_value=30), st.integers(0, 5)),
@@ -68,7 +66,6 @@ class TestPredictionCacheProperties:
 
 
 class TestControllerProperties:
-    @settings(max_examples=30, deadline=None)
     @given(
         st.floats(min_value=0.01, max_value=2.0),
         st.floats(min_value=5.0, max_value=50.0),
@@ -88,7 +85,6 @@ class TestControllerProperties:
 
 
 class TestSelectionPolicyProperties:
-    @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=200))
     def test_exp4_weights_are_always_a_valid_distribution(self, outcomes):
         policy = Exp4Policy(eta=0.5)
@@ -101,7 +97,6 @@ class TestSelectionPolicyProperties:
             assert abs(sum(weights.values()) - 1.0) < 1e-9
             assert all(0.0 <= w <= 1.0 for w in weights.values())
 
-    @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_exp3_selection_probabilities_normalized_for_any_seed(self, seed):
         policy = Exp3Policy(eta=0.3, exploration=0.1, seed=seed)
