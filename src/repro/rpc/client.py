@@ -7,7 +7,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core import clock
-from repro.core.exceptions import RpcError
+from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
 from repro.rpc.transport import Transport
 
@@ -160,19 +160,24 @@ class RpcClient:
     async def _pump(self) -> None:
         """Receive loop: route each response to its request's waiter.
 
-        Runs until the transport closes (or errors), then fails every
-        still-pending waiter so in-flight callers see the connection error
-        instead of their own timeout.
+        Runs until the transport closes or sends a frame that is not a
+        response (one that does not decode, or has no int ``request_id``),
+        then closes it and fails every still-pending waiter, so in-flight
+        callers see the connection error instead of their own timeout.
         """
         try:
             while True:
                 payload = await self._transport.recv()
-                waiter = self._pending.pop(int(payload.get("request_id", -1)), None)
+                request_id = payload.get("request_id") if type(payload) is dict else None
+                if type(request_id) is not int:
+                    raise SerializationError(f"not a response: {type(payload).__name__}")
+                waiter = self._pending.pop(request_id, None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(payload)
                 # No waiter: stale response from an abandoned request — drop.
-        except RpcError as exc:
+        except RpcError as exc:  # SerializationError included
             self._fail_pending(RpcError(f"connection closed: {exc}"))
+            await self._transport.close()
         except asyncio.CancelledError:
             self._fail_pending(RpcError("transport is closed"))
             raise

@@ -43,10 +43,20 @@ Both directions avoid materialising intermediate ``bytes``:
   ``np.frombuffer`` views into the received frame (no ``bytes()`` slice, no
   ``array.copy()``).  Callers that need to mutate a decoded array copy it
   explicitly (`array.copy()`); everyone else reads it in place.
+
+Layouts
+-------
+The second time a top-level dict frame of one entry count and length
+arrives, the decoder learns its *layout*: one ``struct.Struct`` over the
+frame, whose constant bytes (tags, lengths, keys, ndarray headers) it then
+checks in one comparison and whose values it reads in one call.  A frame
+that does not match takes the generic decoder, and decodes as it would have.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 import struct
 from typing import Any, List, Optional, Tuple
 
@@ -166,19 +176,31 @@ def deserialize(data) -> Any:
 
     ``data`` may be any contiguous bytes-like object (``bytes``,
     ``bytearray``, ``memoryview``).  Decoded ndarrays are read-only views
-    into ``data`` — they keep it alive and copy only on demand.
+    into ``data`` — they keep it alive and copy only on demand.  A frame
+    the format cannot hold raises :class:`SerializationError`, nothing else.
     """
     view = memoryview(data)
     if view.format != "B":
         view = view.cast("B")
+    size = len(view)
+    key = (_unpack_u32(view, 1)[0], size) if size > 4 and view[0] == _TAG_DICT else None
+    layout = _LAYOUTS.get(key) if key else None
     try:
+        if layout is not None:
+            value = layout(view)
+            if value is not _MISMATCH:
+                return value
         value, offset = _decode(view, 0, depth=0)
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise SerializationError(f"truncated or corrupt frame: {exc}") from exc
-    if offset != len(view):
-        raise SerializationError(
-            f"trailing bytes after decoded value: {len(view) - offset} left"
-        )
+    if offset != size:
+        raise SerializationError(f"trailing bytes after decoded value: {size - offset} left")
+    if layout is _seen_once:  # a key's layout is learned at its second sighting
+        _LAYOUTS[key] = _learn(view)
+    elif layout is None and key:
+        if len(_LAYOUTS) >= _LAYOUTS_MAX:
+            _LAYOUTS.clear()
+        _LAYOUTS[key] = _seen_once
     return value
 
 
@@ -390,34 +412,20 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
     offset += 1
     if tag == _TAG_NONE:
         return None, offset
-    if tag == _TAG_BOOL:
-        if offset >= len(view):
-            raise SerializationError("truncated bool payload")
-        return bool(view[offset]), offset + 1
-    if tag == _TAG_INT:
-        (value,) = struct.unpack_from("<q", view, offset)
-        return int(value), offset + 8
-    if tag == _TAG_FLOAT:
-        (value,) = struct.unpack_from("<d", view, offset)
-        return float(value), offset + 8
-    if tag == _TAG_STR:
-        (length,) = struct.unpack_from("<I", view, offset)
+    scalar = _SCALARS.get(tag)
+    if scalar:  # ``?`` reads any non-zero byte as True
+        return scalar.unpack_from(view, offset)[0], offset + scalar.size
+    if tag == _TAG_STR or tag == _TAG_BYTES:
+        (length,) = _unpack_u32(view, offset)
         offset += 4
         end = offset + length
         if end > len(view):
-            raise SerializationError("truncated string payload")
-        # Decode straight from the bounds-checked view slice: no
-        # intermediate bytes() materialisation.
-        return str(view[offset:end], "utf-8"), end
-    if tag == _TAG_BYTES:
-        (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        end = offset + length
-        if end > len(view):
-            raise SerializationError("truncated bytes payload")
-        return bytes(view[offset:end]), end
+            raise SerializationError("truncated str or bytes payload")
+        # Straight from the bounds-checked view slice: no intermediate bytes().
+        payload = view[offset:end]
+        return (str(payload, "utf-8") if tag == _TAG_STR else bytes(payload)), end
     if tag == _TAG_LIST:
-        (length,) = struct.unpack_from("<I", view, offset)
+        (length,) = _unpack_u32(view, offset)
         offset += 4
         items = []
         for _ in range(length):
@@ -425,72 +433,190 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
             items.append(item)
         return items, offset
     if tag == _TAG_DICT:
-        (length,) = struct.unpack_from("<I", view, offset)
+        (length,) = _unpack_u32(view, offset)
         offset += 4
         result = {}
         for _ in range(length):
+            if offset < len(view) and view[offset] != _TAG_STR:
+                raise SerializationError("dict keys must be strings")
             key, offset = _decode(view, offset, depth + 1)
             value, offset = _decode(view, offset, depth + 1)
             result[key] = value
         return result, offset
-    if tag == _TAG_NDARRAY:
-        return _decode_ndarray(view, offset)
-    if tag == _TAG_NDARRAY_BATCH:
-        return _decode_ndarray_batch(view, offset)
+    if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
+        dtype, shape, offset, end = _ndarray_span(view, offset, tag)
+        array = _ndarray_view(view[offset:end], dtype, shape)
+        # A batch is the rows of one (count, *shape) view: each aliases the frame.
+        return (list(array) if tag == _TAG_NDARRAY_BATCH else array), end
     raise SerializationError(f"unknown type tag {tag}")
 
 
-def _decode_ndarray_header(view: memoryview, offset: int) -> Tuple[str, list, int]:
-    if offset >= len(view):
+def _ndarray_span(view: memoryview, offset: int, tag: int) -> Tuple[str, tuple, int, int]:
+    """The ndarray or batch header after the tag at ``offset - 1``: its dtype
+    name, its shape (a batch's count first) and its payload's bounds."""
+    if offset >= len(view) or offset + 1 + view[offset] >= len(view):
         raise SerializationError("truncated ndarray header")
-    (dtype_len,) = struct.unpack_from("<B", view, offset)
-    offset += 1
-    if offset + dtype_len > len(view):
-        raise SerializationError("truncated ndarray header")
-    dtype_name = str(view[offset : offset + dtype_len], "ascii")
-    offset += dtype_len
-    (ndim,) = struct.unpack_from("<B", view, offset)
-    offset += 1
-    if offset + 8 * ndim > len(view):
-        raise SerializationError("truncated ndarray header")
-    shape = []
-    for _ in range(ndim):
-        (dim,) = struct.unpack_from("<q", view, offset)
-        shape.append(int(dim))
-        offset += 8
-    return dtype_name, shape, offset
-
-
-def _ndarray_view(payload: memoryview, dtype_name: str, shape) -> np.ndarray:
-    """A read-only ndarray view over ``payload`` (zero-copy)."""
-    try:
-        array = np.frombuffer(payload, dtype=np.dtype(dtype_name)).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"invalid ndarray payload: {exc}") from exc
-    array.flags.writeable = False
-    return array
-
-
-def _decode_ndarray(view: memoryview, offset: int) -> Tuple[np.ndarray, int]:
-    dtype_name, shape, offset = _decode_ndarray_header(view, offset)
-    (nbytes,) = struct.unpack_from("<Q", view, offset)
-    offset += 8
-    end = offset + nbytes
+    end = offset + 1 + view[offset]
+    if not _DTYPE_NAME.fullmatch(view[offset + 1 : end]):
+        raise SerializationError("ndarray dtype is not a numpy dtype.str")
+    dtype = str(view[offset + 1 : end], "ascii")
+    ndim = view[end]
+    shape = struct.unpack_from(f"<{ndim}q", view, end + 1)
+    offset = end + 1 + 8 * ndim
+    if tag == _TAG_NDARRAY_BATCH:
+        shape = (*_unpack_u32(view, offset), *shape)
+        offset += 4
+    if min(shape, default=0) < 0:
+        raise SerializationError(f"negative ndarray dimension in {shape}")
+    (nbytes,) = _unpack_u64(view, offset)
+    end = offset + 8 + nbytes
     if end > len(view):
         raise SerializationError("truncated ndarray payload")
-    return _ndarray_view(view[offset:end], dtype_name, shape), end
+    return dtype, shape, offset + 8, end
 
 
-def _decode_ndarray_batch(view: memoryview, offset: int) -> Tuple[List[np.ndarray], int]:
-    dtype_name, shape, offset = _decode_ndarray_header(view, offset)
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    (nbytes,) = struct.unpack_from("<Q", view, offset)
-    offset += 8
-    end = offset + nbytes
-    if end > len(view):
-        raise SerializationError("truncated ndarray batch payload")
-    batch = _ndarray_view(view[offset:end], dtype_name, [count, *shape])
-    # Rows of the read-only (count, *shape) view: each element aliases the
-    # frame, no per-element copies.
-    return list(batch), end
+def _ndarray_view(payload: memoryview, dtype, shape) -> np.ndarray:
+    """A read-only ndarray view over ``payload`` (zero-copy)."""
+    try:
+        return _read_only(np.frombuffer(payload, dtype=np.dtype(dtype)).reshape(shape))
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"invalid ndarray payload: {exc}") from exc
+
+
+_SCALARS = {_TAG_BOOL: struct.Struct("<?"), _TAG_INT: struct.Struct("<q"),
+            _TAG_FLOAT: struct.Struct("<d")}
+_unpack_u32 = struct.Struct("<I").unpack_from
+_unpack_u64 = struct.Struct("<Q").unpack_from
+#: What ``dtype.str`` looks like (byte order, kind, item size, datetime unit):
+#: any other name would reach numpy's dtype-string parser.
+_DTYPE_NAME = re.compile(rb"[<>|][biufcmMSUV]\d+(\[\w+\])?")
+
+# -- layouts ---------------------------------------------------------------------
+#
+# A layout's ``Struct`` reads runs of constant bytes between variable slots:
+# int64, float64, bool, str and bytes values.  Array payloads are padding,
+# read as views.  Frames with equal constants are read alike by ``_decode``.
+
+#: (entry count, frame length) -> its layout, or one of the two functions
+#: below, which match no frame.  A layout a frame does not match stays.
+#: Threads share it unlocked: a lost write costs a re-learning, not a value.
+_LAYOUTS: dict = {}
+_LAYOUTS_MAX = 64
+#: Bytes a layout may hold as fields (constants and slots, not payloads).
+_LAYOUT_FIELD_BYTES_MAX = 4096
+_MISMATCH = object()
+
+
+def _seen_once(view: memoryview) -> Any:
+    return _MISMATCH
+
+
+def _unlearnable(view: memoryview) -> Any:
+    return _MISMATCH
+
+
+_SLOT, _TEXT, _NONE, _LIST, _DICT, _ARRAY, _BATCH = range(7)
+
+
+class _Learner:
+    """Walks an accepted frame, collecting a layout's fields and value tree."""
+
+    def __init__(self, view: memoryview) -> None:
+        self.view = view
+        self.formats = ["<"]
+        self.constants: List[bytes] = []
+        self.positions: List[int] = []  # index of each constant in the fields
+        self.fields = 0
+        self.padding = 0
+        self.start = 0  # first byte of the constant run still open
+
+    def field(self, offset: int, code: str, size: int) -> int:
+        """Close the constant run at ``offset``, then read ``size`` bytes as
+        ``code`` (or skip them, for padding); the field's index."""
+        if offset > self.start:
+            self.positions.append(self.fields)
+            self.constants.append(bytes(self.view[self.start : offset]))
+            self.formats.append(f"{offset - self.start}s")
+            self.fields += 1
+        self.formats.append(code)
+        self.start = offset + size
+        if code.endswith("x"):
+            self.padding += size
+        else:
+            self.fields += 1
+        return self.fields - 1
+
+    def node(self, offset: int) -> Tuple[tuple, int]:
+        """The value tree of the value at ``offset``, and where it ends."""
+        view = self.view
+        tag = view[offset]
+        offset += 1
+        if tag == _TAG_NONE:
+            return (_NONE, None, None), offset
+        scalar = _SCALARS.get(tag)
+        if scalar:
+            at = self.field(offset, scalar.format[1:], scalar.size)
+            return (_SLOT, at, None), offset + scalar.size
+        if tag == _TAG_STR or tag == _TAG_BYTES:
+            (size,) = _unpack_u32(view, offset)
+            at = self.field(offset + 4, f"{size}s", size)
+            return (_TEXT if tag == _TAG_STR else _SLOT, at, None), offset + 4 + size
+        if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
+            dtype, shape, offset, end = _ndarray_span(view, offset, tag)
+            self.field(offset, f"{end - offset}x", end - offset)
+            kind = _BATCH if tag == _TAG_NDARRAY_BATCH else _ARRAY
+            return (kind, slice(offset, end), (np.dtype(dtype), shape)), end
+        (count,) = _unpack_u32(view, offset)
+        offset += 4
+        children, keys = [], []
+        for _ in range(count):
+            if tag == _TAG_DICT:  # the key's bytes stay in the constant run
+                (size,) = _unpack_u32(view, offset + 1)
+                keys.append(str(view[offset + 5 : offset + 5 + size], "utf-8"))
+                offset += 5 + size
+            child, offset = self.node(offset)
+            children.append(child)
+        return (_DICT if tag == _TAG_DICT else _LIST, tuple(children), tuple(keys)), offset
+
+
+def _learn(view: memoryview):
+    """The layout of ``view``, a dict frame ``_decode`` accepted: a function
+    of a frame of the same length that decodes it, or returns ``_MISMATCH``
+    when the frame's constants differ."""
+    learner = _Learner(view)
+    (_, children, keys), _ = learner.node(0)
+    learner.field(len(view), "0x", 0)
+    if len(view) - learner.padding > _LAYOUT_FIELD_BYTES_MAX:
+        return _unlearnable
+    unpack = struct.Struct("".join(learner.formats)).unpack_from
+    constants = learner.constants
+    expected = constants[0] if len(constants) == 1 else tuple(constants)
+    pick = operator.itemgetter(*learner.positions)
+
+    def layout(view: memoryview) -> Any:
+        fields = unpack(view)
+        if pick(fields) != expected:
+            return _MISMATCH
+        return dict(zip(keys, _build(children, fields, view)))
+
+    return layout
+
+
+def _build(nodes: tuple, fields: tuple, view: memoryview) -> list:
+    """The values of a layout's ``nodes``, from a frame's unpacked fields."""
+    values = []
+    for kind, at, spec in nodes:
+        if kind == _SLOT:
+            values.append(fields[at])
+        elif kind == _TEXT:
+            values.append(str(fields[at], "utf-8"))
+        elif kind == _NONE:
+            values.append(None)
+        elif kind == _LIST:
+            values.append(_build(at, fields, view))
+        elif kind == _DICT:
+            values.append(dict(zip(spec, _build(at, fields, view))))
+        else:
+            array = _ndarray_view(view[at], *spec)
+            values.append(list(array) if kind == _BATCH else array)
+    return values

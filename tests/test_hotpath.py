@@ -18,7 +18,9 @@ Pin down the perf-critical invariants of the predict/feedback path:
   bounded number of calls in two coroutines, no ticket of its own while
   nothing gates, and batch spans built once per batch, and
 * a batch's round trip over the tcp lane to a container measured cheaper
-  than the executor hop creates no task and no executor future.
+  than the executor hop creates no task and no executor future, and
+* a repeated frame (a REST predict response, an RPC response) decodes
+  through its learned layout: no generic ``_decode``, a fixed few calls.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from helpers import run_async, wait_until
 import repro.cache.prediction_cache as prediction_cache_module
 import repro.core.types as types_module
 import repro.overload.control as overload_module
+from repro.api.handlers import prediction_payload
 from repro.batching.aimd import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
@@ -55,9 +58,11 @@ from repro.core.config import (
 from repro.core.deployed import ModelLayer
 from repro.core.exceptions import OverloadError
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
-from repro.core.types import Feedback, ModelId, Query, hash_input
+from repro.core.types import Feedback, ModelId, Prediction, Query, hash_input
 from repro.observability.tracing import BatchSpans, Tracer
+from repro.rpc import serialization
 from repro.rpc.protocol import RpcResponse
+from repro.rpc.serialization import deserialize, serialize
 from repro.rpc.server import INLINE_STREAK
 from repro.selection.single import SingleModelPolicy
 from repro.state.kvstore import KeyValueStore
@@ -642,6 +647,50 @@ class TestContainerRoundTripBudget:
                 await replica.stop()
 
         run_async(scenario())
+
+
+class TestLearnedFrameBudget:
+    """A frame seen before decodes through its layout, call by call.
+
+    Budgets as in :class:`TestCachedPassBudget`; beside each is what the
+    generic decoder makes of the same frame, measured the same way.
+    """
+
+    @pytest.mark.parametrize(
+        "message, python_budget, budget",
+        [
+            (  # what the REST edge answers a cached predict with
+                prediction_payload(Prediction(
+                    query_id=7, app_name="bench", output=1, latency_ms=0.02,
+                    models_used=("m:1",), from_cache=True,
+                )),
+                5,  # generic: 23, 22 of them _decode
+                20,  # generic: 80
+            ),
+            (  # a container's answer to a batch of 32
+                RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload(),
+                4,  # generic: 44, 43 of them _decode
+                45,  # generic: 167
+            ),
+        ],
+        ids=["predict_response", "rpc_response"],
+    )
+    def test_a_learned_frame_skips_the_generic_decoder(
+        self, monkeypatch, message, python_budget, budget
+    ):
+        monkeypatch.setattr(serialization, "_LAYOUTS", {})
+        frame = serialize(message)
+        assert deserialize(frame) == deserialize(frame) == message  # seen, then learned
+        profile = CallProfile()
+        sys.setprofile(profile)
+        try:
+            decoded = deserialize(frame)
+        finally:
+            sys.setprofile(None)
+        assert decoded == message
+        assert profile.python["_decode"] == 0
+        assert sum(profile.python.values()) <= python_budget
+        assert profile.total <= budget
 
 
 class TestAroundTheCachedPass:

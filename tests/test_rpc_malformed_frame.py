@@ -6,7 +6,9 @@ left open: the client's receive pump kept waiting on a connection nobody
 read, so the next batch and every health probe waited out ``RPC_TIMEOUT_S``
 (30 s).  The serving loop now closes its transport on every way out, and a
 socket transport that meets a prefix it cannot honour hangs up, so the peer
-fails what it has pending immediately.  Over real sockets; run in CI under
+fails what it has pending immediately.  The client's receive pump does the
+same with a response frame it cannot read: it fails what is pending and
+closes its transport.  Over real sockets; run in CI under
 ``-X dev -W error::ResourceWarning`` so a transport left open fails there.
 """
 
@@ -26,6 +28,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
+from repro.rpc.serialization import serialize
 from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.rpc.transport import MAX_FRAME_BYTES
 
@@ -36,6 +39,23 @@ OVER_LIMIT = struct.pack("<I", MAX_FRAME_BYTES + 1)
 
 BAD_FRAMES = pytest.mark.parametrize(
     "frame", [UNDECODABLE, OVER_LIMIT], ids=["undecodable", "over_limit"]
+)
+
+
+def framed(body: bytes) -> bytes:
+    return struct.pack("<I", len(body)) + body
+
+
+#: Response frames a client cannot route: a str that is not UTF-8, a message
+#: that is not a dict, and a ``request_id`` that is not an int.
+BAD_RESPONSES = pytest.mark.parametrize(
+    "frame",
+    [
+        framed(bytes.fromhex("04" "02000000" "fffe")),
+        framed(serialize([1])),
+        framed(serialize({"type": 2, "request_id": "x", "outputs": [1]})),
+    ],
+    ids=["invalid_utf8", "not_a_dict", "str_request_id"],
 )
 
 
@@ -85,6 +105,32 @@ class TestServerHangsUp:
                 assert await wait_until(
                     lambda: replica._server._transport.closed, timeout_s=1.0
                 )
+            finally:
+                await replica.stop()
+
+        run_async(scenario())
+
+
+class TestClientHangsUp:
+    @BAD_RESPONSES
+    def test_next_predict_fails_fast_and_nothing_stays_open(self, frame):
+        async def scenario():
+            replica = ContainerReplica(
+                ModelId("noop"), 0, NoOpContainer(output=1), transport="tcp"
+            )
+            await replica.start()
+            try:
+                assert (await replica.predict_batch([np.zeros(4)])).outputs == [1]
+                client, server = replica.client, replica._server
+                server._transport.transport.write(frame)  # on the server's end
+                began = time.monotonic()
+                with pytest.raises(RpcError):
+                    await replica.predict_batch([np.zeros(4)])
+                assert time.monotonic() - began < 1.0
+                assert await wait_until(lambda: client._pump_task.done(), timeout_s=1.0)
+                assert client._transport.closed
+                assert await wait_until(lambda: server._task.done(), timeout_s=1.0)
+                assert server._transport.closed
             finally:
                 await replica.stop()
 

@@ -18,14 +18,20 @@ stated here over the current code alone:
   outside int64 or an object-dtype array.
 * The nesting limit sits where it sits, the ``str``-frame cache is bounded,
   and no cached frame aliases what a caller holds.
-* The decoder refuses truncated, trailing, unknown-tag and empty input.
+* The decoder refuses truncated, trailing, unknown-tag and empty input, and
+  what the encoder would refuse (a non-``str`` key, a negative dimension),
+  with :class:`SerializationError` and nothing else: for any bytes, and for
+  frames cut short, extended or with a byte flipped.
+* **Layouts.**  A top-level dict frame decodes to the same value before and
+  after its layout is learned, and a frame decoded after the layout of one
+  it differs from was learned gets the value or refusal it gets cold.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.exceptions import SerializationError
@@ -358,3 +364,158 @@ class TestCorruptInput:
     def test_empty_buffer_raises(self):
         with pytest.raises(SerializationError):
             deserialize(b"")
+
+
+#: Frames the decoder refuses: the cases above, then what used to escape
+#: as another error or decode to a value the encoder refuses.
+MALFORMED = {
+    "empty": "",
+    "unknown_tag": "fe",
+    "trailing": "01" "2a00000000000000" "6a756e6b",
+    "truncated": "07" "01000000" + str_frame("a") + "08" "03" "3c6638" "01" "6400000000000000",
+    "invalid_utf8": "04" "02000000" "fffe",
+    "invalid_utf8_key": "07" "01000000" "04" "02000000" "fffe" "00",
+    "non_ascii_dtype": "08" "02" "c3a9" "01" "0100000000000000" "0100000000000000" "00",
+    "unparsable_dtype": "08" "01" "2c" "01" "0100000000000000" "0100000000000000" "00",
+    "list_key": "07" "01000000" "06" "00000000" "00",
+    "int_key": "07" "01000000" "01" "0000000000000000" "00",
+    "negative_dimension":
+        "08" "03" "3c6638" "01" "ffffffffffffffff" "0800000000000000" "0000000000000000",
+    "negative_batch_dimension":
+        "09" "03" "7c7531" "01" "feffffffffffffff" "01000000" "0000000000000000",
+}
+
+REFUSED = object()
+
+
+def decoded(frame: bytes):
+    """What ``deserialize`` makes of ``frame``: a value, or ``REFUSED``."""
+    try:
+        return deserialize(frame)
+    except SerializationError:
+        return REFUSED
+
+
+def identical(a, b) -> bool:
+    """Whether two decoded values are the same, bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (np.ndarray, np.generic)):
+        return (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and not (isinstance(a, np.ndarray) and (a.flags.writeable or b.flags.writeable))
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(identical, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(identical(a[key], b[key]) for key in a)
+    if isinstance(a, float):
+        return a.hex() == b.hex()  # -0.0 is not 0.0; nan is nan
+    return a is b if a is REFUSED else a == b
+
+
+def seeded(test):
+    """``test`` with every frame of ``MALFORMED`` among its examples."""
+    for frame in MALFORMED.values():
+        test = example(bytes.fromhex(frame))(test)
+    return test
+
+
+def learn(frame: bytes) -> None:
+    """Start the layouts over, then decode ``frame`` until its layout is learned."""
+    serialization._LAYOUTS.clear()
+    deserialize(frame)
+    deserialize(frame)
+
+
+def mutate(frame: bytes, mutation) -> bytes:
+    how, at, data = mutation
+    if how == "cut":
+        return frame[: at % (len(frame) + 1)]
+    if how == "extend":
+        return frame + data
+    at %= len(frame)
+    return frame[:at] + bytes([frame[at] ^ data[0]]) + frame[at + 1 :]
+
+
+_mutations = st.tuples(
+    st.sampled_from(["cut", "extend", "flip", "flip"]),
+    st.integers(0, 2**16),
+    st.binary(min_size=1, max_size=8).filter(lambda data: data[0]),
+)
+#: Accepted values, top-level dicts (the frames layouts learn) most of all.
+_accepted = (
+    st.dictionaries(st.text(max_size=8), wire_values, max_size=5) | wire_values
+).filter(lambda value: not refused(value))
+
+
+class TestDecoderRefusals:
+    @pytest.mark.parametrize("frame", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_a_malformed_frame_is_refused_cold_and_warm(self, frame):
+        for _ in range(3):  # first sighting, learning, a learned layout
+            with pytest.raises(SerializationError):
+                deserialize(bytes.fromhex(frame))
+
+    def test_a_learned_layout_refuses_what_the_generic_decoder_refuses(self):
+        learn(serialize({"k": "ok"}))
+        with pytest.raises(SerializationError):  # same constants, a str that is not utf-8
+            deserialize(bytes.fromhex("07" "01000000" + str_frame("k") + "04" "02000000" "fffe"))
+
+    @seeded
+    @given(st.binary(max_size=96))
+    @example(b"\xff\xff\xff\xff")  # the body of test_rpc_malformed_frame's UNDECODABLE
+    @example(b"\x07\x01\x00\x00\x00\x04\x01\x00\x00\x00k\x04\x02\x00\x00\x00\xff\xfe")
+    def test_any_bytes_decode_or_are_refused(self, data):
+        outcomes = [decoded(data) for _ in range(3)]
+        assert identical(outcomes[0], outcomes[1]) and identical(outcomes[1], outcomes[2])
+
+    @given(_accepted, _mutations)
+    @example({"k": "ok"}, ("flip", 16, b"\x91"))  # "ok" -> invalid utf-8 in the slot
+    @example({"k": "ok"}, ("flip", 5, b"\x05"))  # the key's tag -> an int key
+    @example({"k": np.zeros(1)}, ("flip", 24, b"\xff"))  # a dimension -> negative
+    def test_a_mutated_frame_decodes_alike_cold_and_after_its_original_is_learned(
+        self, value, mutation
+    ):
+        frame = serialize(value)
+        mutated = mutate(frame, mutation)
+        serialization._LAYOUTS.clear()
+        cold = decoded(mutated)
+        learn(frame)
+        assert identical(decoded(mutated), cold)
+
+
+class TestLayouts:
+    @given(_accepted)
+    def test_a_frame_decodes_alike_cold_and_warm(self, value):
+        frame = serialize(value)
+        serialization._LAYOUTS.clear()
+        values = [deserialize(frame) for _ in range(3)]  # the third through a layout
+        assert _same(values[0], value)
+        assert identical(values[0], values[1]) and identical(values[0], values[2])
+
+    def test_repeated_frames_are_decoded_by_their_layout(self):
+        value = {"id": 1, "ok": True, "x": 0.5, "s": "é", "b": b"b", "none": None,
+                 "array": np.arange(3.0), "batch": [np.zeros(2)] * 2, "nested": [{"k": []}]}
+        frame = serialize(value)
+        learn(frame)
+        layout = serialization._LAYOUTS[(len(value), len(frame))]
+        assert layout not in (serialization._seen_once, serialization._unlearnable)
+        assert _same(layout(memoryview(frame)), value)
+
+    def test_a_frame_past_the_field_budget_keeps_the_generic_decoder(self):
+        value = {"outputs": list(range(serialization._LAYOUT_FIELD_BYTES_MAX // 9 + 1))}
+        frame = serialize(value)
+        learn(frame)
+        assert serialization._LAYOUTS[(1, len(frame))] is serialization._unlearnable
+        assert deserialize(frame) == value
+        # Array payloads are read as views, not fields: any size is learned.
+        frame = serialize({"input": np.zeros(4096)})
+        learn(frame)
+        assert serialization._LAYOUTS[(1, len(frame))] is not serialization._unlearnable
+
+    def test_the_layout_memo_is_bounded(self):
+        serialization._LAYOUTS.clear()
+        for i in range(3 * serialization._LAYOUTS_MAX):
+            frame = serialize({"k": "v" * i})
+            assert deserialize(frame) == deserialize(frame) == {"k": "v" * i}
+            assert len(serialization._LAYOUTS) <= serialization._LAYOUTS_MAX
