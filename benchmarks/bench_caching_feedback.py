@@ -17,7 +17,6 @@ from conftest import record_result
 from paperkit.reporting import format_table
 from paperkit.suites import heterogeneous_ensemble
 from repro.cache.clock import ClockCache
-from repro.cache.lru import LRUCache
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.adapters import ClassifierContainer
 from repro.core.clipper import Clipper
@@ -96,18 +95,6 @@ def test_caching_feedback_throughput(benchmark, cifar_eval_dataset):
 class TestRawCacheStructures:
     def test_clock_cache_throughput(self, benchmark):
         cache = ClockCache(capacity=4096)
-        keys = [f"key-{i}" for i in range(8192)]
-
-        def workload():
-            for i, key in enumerate(keys):
-                cache.put(key, i)
-                cache.get(keys[i // 2])
-
-        benchmark(workload)
-        assert len(cache) <= 4096
-
-    def test_lru_cache_throughput(self, benchmark):
-        cache = LRUCache(capacity=4096)
         keys = [f"key-{i}" for i in range(8192)]
 
         def workload():

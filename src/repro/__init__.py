@@ -20,7 +20,7 @@ Sub-packages:
 ``repro.core``
     The Clipper serving engine, query frontend, configuration and metrics.
 ``repro.cache``
-    Prediction cache with CLOCK/LRU eviction (paper §4.2).
+    Prediction cache with CLOCK eviction (paper §4.2).
 ``repro.batching``
     Adaptive batching queues and batch-size controllers (paper §4.3).
 ``repro.containers``

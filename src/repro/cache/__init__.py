@@ -1,7 +1,6 @@
-"""Prediction cache (paper §4.2): CLOCK/LRU eviction, request/fetch API."""
+"""Prediction cache (paper §4.2): CLOCK eviction, request/fetch API."""
 
 from repro.cache.clock import ClockCache
-from repro.cache.lru import LRUCache
 from repro.cache.prediction_cache import CacheStats, PredictionCache
 
-__all__ = ["ClockCache", "LRUCache", "PredictionCache", "CacheStats"]
+__all__ = ["ClockCache", "PredictionCache", "CacheStats"]

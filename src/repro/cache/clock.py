@@ -12,7 +12,7 @@ prediction cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List
+from typing import Any, Dict, Hashable, Iterable, List, Tuple
 
 from repro.core.exceptions import CacheError
 
@@ -31,7 +31,8 @@ class ClockCache:
     """Fixed-capacity mapping with CLOCK (second-chance) eviction.
 
     The public surface mirrors a small dict: ``get``, ``put``, ``__contains__``
-    and ``__len__``.  Eviction only happens on ``put`` when the cache is full.
+    and ``__len__``, plus :meth:`probe` for a set of ``(name, suffix)`` keys.
+    Eviction only happens on ``put`` when the cache is full.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -57,6 +58,35 @@ class ClockCache:
         entry = self._entries[slot]
         entry.referenced = True
         return entry.value
+
+    def probe(
+        self, names: Iterable[Hashable], suffix: Hashable, stats: Any
+    ) -> Tuple[Dict[Hashable, Any], List[Hashable]]:
+        """:meth:`get` the key ``(name, suffix)`` of every name, in one pass.
+
+        Returns ``(found, missing)``: the hits' values by name, and the names
+        that missed, in order; adds their counts to ``stats.hits`` and
+        ``stats.misses``.  Reference bits are set as one ``get`` per name
+        would set them, so later puts evict the same victims.
+        """
+        index_get = self._index.get
+        entries = self._entries
+        found: Dict[Hashable, Any] = {}
+        missing: List[Hashable] = []
+        hits = misses = 0
+        for name in names:
+            slot = index_get((name, suffix))
+            if slot is None:
+                missing.append(name)
+                misses += 1
+            else:
+                entry = entries[slot]
+                entry.referenced = True
+                found[name] = entry.value
+                hits += 1
+        stats.hits += hits
+        stats.misses += misses
+        return found, missing
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or update ``key``; evicts via the clock hand when full."""

@@ -16,30 +16,24 @@ The cache memoises the generic prediction function
 
 Hot-path API
 ------------
-The serving engine hashes each query input **once** (via
-:meth:`repro.core.types.Query.input_hash`) and talks to the cache through the
-by-hash entry points — :meth:`PredictionCache.fetch_by_hash` and
-:meth:`PredictionCache.put_by_hash` — so an ensemble of *N* models costs one
-hash plus *N* dict probes instead of *N* (or 2·*N*, counting inserts) hash
-passes.  :meth:`fetch` and :meth:`put` remain as conveniences that hash and
-delegate.  The internal lock is held only around the underlying cache
-structure's get/put and the stats update; key construction and hashing happen
-outside it.
+The serving engine hashes each query input **once**
+(:meth:`repro.core.types.Query.input_hash`) and uses the by-hash entry
+points: :meth:`PredictionCache.fetch_by_hash` probes every selected model in
+one locked pass (:meth:`ClockCache.probe`), one hash, one lock acquisition
+and *N* dict probes for an ensemble of *N*; :meth:`PredictionCache.put_by_hash`
+inserts one model's output.  :meth:`fetch` and :meth:`put` hash and
+delegate.  Hashing happens outside the lock.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.clock import ClockCache
-from repro.cache.lru import LRUCache
 from repro.core.exceptions import CacheError
 from repro.core.types import ModelId, hash_input
-
-#: Shared miss sentinel — allocated once instead of per lookup.
-_MISSING = object()
 
 
 @dataclass
@@ -62,32 +56,22 @@ class CacheStats:
 
 
 class PredictionCache:
-    """Per-model prediction cache with CLOCK or LRU eviction.
+    """Per-model prediction cache with CLOCK eviction.
 
     Parameters
     ----------
     capacity:
         Maximum number of (model, input) entries held; 0 disables caching
         entirely (every lookup misses, every put is dropped).
-    eviction:
-        ``"clock"`` (paper default) or ``"lru"``.
     """
 
-    def __init__(self, capacity: int = 65536, eviction: str = "clock") -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         if capacity < 0:
             raise CacheError("capacity must be non-negative")
-        if eviction not in {"clock", "lru"}:
-            raise CacheError("eviction must be 'clock' or 'lru'")
         self.capacity = capacity
-        self.eviction = eviction
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        if capacity == 0:
-            self._cache = None
-        elif eviction == "clock":
-            self._cache = ClockCache(capacity)
-        else:
-            self._cache = LRUCache(capacity)
+        self._cache = ClockCache(capacity) if capacity else None
 
     @property
     def enabled(self) -> bool:
@@ -106,29 +90,32 @@ class PredictionCache:
     def fetch(self, model_id: Union[ModelId, str], x: Any) -> Optional[Any]:
         """Return the cached prediction or ``None``; counts a hit or miss.
 
-        Hashes ``x`` and delegates to :meth:`fetch_by_hash`; callers that
-        issue several lookups for one input should hash once themselves.
+        Hashes ``x`` and calls :meth:`fetch_by_hash` with one key.
         """
-        if self._cache is None:
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        return self.fetch_by_hash(model_id, hash_input(x))
+        model_key = str(model_id)
+        predictions, _ = self.fetch_by_hash((model_key,), hash_input(x))
+        return predictions.get(model_key)
 
-    def fetch_by_hash(self, model_id: Union[ModelId, str], input_hash: str) -> Optional[Any]:
-        """Fetch using a precomputed input hash (the hot-path entry point)."""
+    def fetch_by_hash(
+        self, model_keys: Sequence[str], input_hash: str
+    ) -> Tuple[Dict[str, Any], List[str]]:
+        """Probe every model key (``str(ModelId)``) for one input, in one
+        locked pass: the hot-path entry point.  A bare ``str`` is refused,
+        not read as one key per character.
+
+        Returns ``(predictions, misses)``: the cached outputs by model key,
+        and the keys that missed, in order.  Outputs, misses, stats and
+        reference bits are what one single-key probe per model would leave.
+        """
+        if type(model_keys) is str:
+            raise CacheError("fetch_by_hash takes a sequence of model keys, not a str")
         if self._cache is None:
+            misses = list(model_keys)
             with self._lock:
-                self.stats.misses += 1
-            return None
-        key = (str(model_id), input_hash)
+                self.stats.misses += len(misses)
+            return {}, misses
         with self._lock:
-            value = self._cache.get(key, _MISSING)
-            if value is _MISSING:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return value
+            return self._cache.probe(model_keys, input_hash, self.stats)
 
     def put(self, model_id: Union[ModelId, str], x: Any, y: Any) -> None:
         """Insert a model prediction for an input (hashes ``x`` first)."""

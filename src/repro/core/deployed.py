@@ -319,22 +319,14 @@ class ModelLayer:
     ) -> Tuple[Dict[str, Any], List[str]]:
         """Probe the cache for each of ``model_keys``' output for one input.
 
-        Synchronous, one :meth:`PredictionCache.fetch_by_hash` per model.
-        Returns ``(predictions, misses)``: the cached outputs by model key,
-        and the keys :meth:`evaluate` has to obtain from their containers.
-        A fully cached input stops here: it reaches no queue, no overload
-        decision, no breaker and no coroutine.
+        Synchronous, one :meth:`PredictionCache.fetch_by_hash` for all of
+        them, whatever the ensemble's size.  Returns ``(predictions,
+        misses)``: the cached outputs by model key, and the keys
+        :meth:`evaluate` has to obtain from their containers, in
+        ``model_keys``' order.  A fully cached input stops here: it reaches
+        no queue, no overload decision, no breaker and no coroutine.
         """
-        predictions: Dict[str, Any] = {}
-        misses: List[str] = []
-        fetch = self.cache.fetch_by_hash
-        for model_key in model_keys:
-            cached = fetch(model_key, input_hash)
-            if cached is not None:
-                predictions[model_key] = cached
-            else:
-                misses.append(model_key)
-        return predictions, misses
+        return self.cache.fetch_by_hash(model_keys, input_hash)
 
     async def evaluate(
         self,

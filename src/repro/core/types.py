@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
+
+from repro.core.exceptions import ValidationError
 
 #: Monotonically increasing query id generator shared process-wide.
 _QUERY_COUNTER = itertools.count()
@@ -57,40 +60,69 @@ class ModelId:
 _ARRAY_HEADS: Dict[Any, bytes] = {}
 _ARRAY_HEADS_LIMIT = 1024
 
+#: The builtins whose ``repr`` is their value (a subclass's may be anything).
+_BY_REPR = frozenset({int, float, bool, type(None)})
+
 
 def _array_head(shape: tuple, dtype: Any) -> bytes:
-    """``b"a"``, then the length-prefixed ``str(shape) + str(dtype)``."""
+    """``b"a"``, then the length-prefixed ``str(shape) + str(dtype)``; empty
+    for a dtype holding objects, whose buffer is addresses, not content."""
     head = _ARRAY_HEADS.get((shape, dtype))
     if head is None:
-        layout = f"{shape}{dtype}".encode()
-        head = b"a" + len(layout).to_bytes(4, "big") + layout
+        head = b"" if dtype.hasobject else _sized(b"a", f"{shape}{dtype}".encode())
         if len(_ARRAY_HEADS) < _ARRAY_HEADS_LIMIT:
             _ARRAY_HEADS[shape, dtype] = head
     return head
+
+
+def _sized(tag: bytes, layout: bytes) -> bytes:
+    return tag + len(layout).to_bytes(4, "big") + layout
+
+
+def _items(tag: bytes, items: Iterable[Any]) -> bytes:
+    """``tag``, then each item's :func:`_tagged` bytes behind their length."""
+    parts = [tag]
+    for item in items:
+        body = _tagged(item)
+        parts.append(len(body).to_bytes(8, "big"))
+        parts.append(body)
+    return b"".join(parts)
 
 
 def _tagged(x: Any) -> bytes:
     """The bytes :func:`hash_input` digests: a tag naming ``x``'s kind, then ``x``.
 
     The tag keeps values of different kinds apart (``"ab"`` / ``b"ab"``,
-    ``1`` / ``"1"``); the length in front of every sequence item keeps
+    ``1`` / ``"1"``); the length in front of every item keeps
     ``["ab", "c"]`` apart from ``["a", "bc"]`` and a one-item list apart from
     its item.  Lists and tuples share a tag: JSON has one sequence type.
     """
+    if type(x) in _BY_REPR:
+        return b"r" + repr(x).encode()
     if isinstance(x, np.ndarray):
-        return _array_head(x.shape, x.dtype) + x.tobytes()
-    if isinstance(x, (bytes, bytearray)):
+        head = _array_head(x.shape, x.dtype)
+        if head:
+            return head + x.tobytes()
+    elif isinstance(x, np.generic):
+        if not x.dtype.hasobject:
+            return _sized(b"n", str(x.dtype).encode()) + x.tobytes()
+    elif isinstance(x, (bytes, bytearray)):
         return b"b" + x
-    if isinstance(x, str):
+    elif isinstance(x, str):
         return b"s" + x.encode()
-    if isinstance(x, (list, tuple)):
-        parts = [b"l"]
-        for item in x:
-            body = _tagged(item)
-            parts.append(len(body).to_bytes(8, "big"))
-            parts.append(body)
-        return b"".join(parts)
-    return b"r" + repr(x).encode()
+    elif isinstance(x, (list, tuple)):
+        return _items(b"l", x)
+    elif isinstance(x, dict):
+        return _items(b"d", itertools.chain.from_iterable(x.items()))
+    elif isinstance(x, memoryview):
+        return _sized(b"m", f"{x.shape}{x.format}".encode()) + x.tobytes()
+    try:
+        return b"p" + pickle.dumps(x, protocol=5)
+    except (pickle.PicklingError, TypeError, AttributeError) as error:
+        raise ValidationError(
+            f"cannot key the prediction cache by a {type(x).__name__} input: "
+            f"it has no content encoding and does not pickle ({error})"
+        ) from error
 
 
 def hash_input(x: Any) -> str:
@@ -98,20 +130,28 @@ def hash_input(x: Any) -> str:
 
     The contract is *equal hash ⇒ equal input, kind included*: the digest is
     the prediction-cache key, so two inputs that hash alike are served each
-    other's predictions.  Numpy arrays are hashed over shape, dtype and raw
-    bytes; strings, bytes and sequences over their content; anything else
-    over its ``repr`` — each behind a tag byte naming the kind (see
-    :func:`_tagged`).  The hash is deterministic across processes.
+    other's predictions.  Each kind is digested behind a tag byte naming it
+    (:func:`_tagged`): numpy arrays, numpy scalars and memoryviews over their
+    layout and raw bytes; strings and bytes over their content; lists, tuples
+    and dicts (keys and values, in insertion order) over each length-prefixed
+    item; ``int``, ``float``, ``bool`` and ``None`` over their ``repr``, which
+    is their value; anything else, object arrays included, over its pickle
+    (protocol 5).  An input that does not pickle is refused with
+    :class:`~repro.core.exceptions.ValidationError`.  Equal inputs may still
+    hash apart (a dict in another order), which costs a miss, never a wrong
+    answer; all but pickles hash alike across processes.
 
     This sits on the serving hot path — :meth:`Query.input_hash` is computed
-    once per query and reused for every per-model cache lookup — so an array
+    once per query and reused for the query's one cache probe — so an array
     costs one memoised head and one pass of SHA-1 over its buffer, without a
     ``tobytes`` copy when it is C-contiguous.
     """
     if isinstance(x, np.ndarray):
-        hasher = hashlib.sha1(_array_head(x.shape, x.dtype))
-        hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
-        return hasher.hexdigest()
+        head = _array_head(x.shape, x.dtype)
+        if head:
+            hasher = hashlib.sha1(head)
+            hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
+            return hasher.hexdigest()
     return hashlib.sha1(_tagged(x)).hexdigest()
 
 

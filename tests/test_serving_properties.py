@@ -47,11 +47,10 @@ class TestPredictionCacheProperties:
             max_size=150,
         ),
         st.integers(min_value=1, max_value=16),
-        st.sampled_from(["clock", "lru"]),
     )
-    def test_cache_never_returns_stale_or_foreign_values(self, ops, capacity, eviction):
+    def test_cache_never_returns_stale_or_foreign_values(self, ops, capacity):
         """Whatever the access pattern, a hit returns the value last stored."""
-        cache = PredictionCache(capacity=capacity, eviction=eviction)
+        cache = PredictionCache(capacity=capacity)
         reference = {}
         for item, model in ops:
             model_key = f"model-{model}:1"

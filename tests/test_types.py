@@ -1,8 +1,12 @@
 """Tests for the core value types (Query, Prediction, Feedback, ModelId)."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.exceptions import ValidationError
 from repro.core.types import (
     Feedback,
     ModelId,
@@ -100,6 +104,110 @@ class TestHashInput:
     def test_lists_and_tuples_hash_alike(self):
         assert hash_input([1, 2]) == hash_input((1, 2))
         assert hash_input(bytearray(b"ab")) == hash_input(b"ab")
+
+
+class Plain:
+    """A class with the default ``repr``: its address, not its content."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _one_hot(length, index, value):
+    array = np.zeros(length)
+    array[index % length] = value
+    return array
+
+
+#: Dicts of arrays that differ in one element, often deep inside an array too
+#: long for numpy's ``repr`` to print in full.
+_DICTS_OF_ARRAYS = st.dictionaries(
+    st.sampled_from("abc"),
+    st.builds(
+        _one_hot,
+        st.sampled_from([3, 1500]),
+        st.integers(0, 1499),
+        st.sampled_from([1.0, -2.5]),
+    ),
+    max_size=3,
+)
+
+
+class TestHashInputKeepsItsContract:
+    """Equal hash ⇒ equal input, for the kinds whose ``repr`` is not their
+    content: dicts, memoryviews, numpy scalars and arbitrary objects."""
+
+    #: Digests at the last commit before dicts, memoryviews, numpy scalars
+    #: and other objects got encodings of their own: the kinds that kept
+    #: theirs must keep their digests.
+    PINNED = [
+        (np.arange(12, dtype=np.float32).reshape(3, 4), "470c863d7ee1c1c10b0d6730da9c671c1690667d"),
+        ("clipper", "2dd6a58c7a5047222001dc847de937a29183c150"),
+        (b"clipper", "b0d1a8e73b6cecc9ef64d814980da5cf14880ecd"),
+        (
+            [[1, 2.5], ["a", b"b"], (None, True), np.arange(3.0)],
+            "5517f2729c6519be78be232198bb52913db94a74",
+        ),
+        (0.1, "e088e99397c428ef8cd2e80fa3d3ec217c00240e"),
+    ]
+
+    @pytest.mark.parametrize("x, digest", PINNED)
+    def test_unchanged_kinds_keep_their_digests(self, x, digest):
+        assert hash_input(x) == digest
+
+    def test_dict_of_a_long_array_hashes_its_content(self):
+        # numpy elides the middle of an array over 1,000 elements in repr.
+        a = np.arange(10000.0)
+        b = a.copy()
+        b[5000] = -1.0
+        assert hash_input({"x": a}) != hash_input({"x": b})
+        assert hash_input({"x": a}) == hash_input({"x": a.copy()})
+
+    def test_successive_memoryviews_of_different_bytes_hash_apart(self):
+        digests = [hash_input(memoryview(i.to_bytes(4, "big"))) for i in range(1000)]
+        assert len(set(digests)) == 1000
+
+    def test_successive_plain_objects_of_different_content_hash_apart(self):
+        digests = [hash_input(Plain(i)) for i in range(2000)]
+        assert len(set(digests)) == 2000
+
+    @given(_DICTS_OF_ARRAYS, _DICTS_OF_ARRAYS)
+    def test_distinct_dicts_of_arrays_hash_apart(self, a, b):
+        equal = list(a) == list(b) and all(
+            a[key].shape == b[key].shape and np.array_equal(a[key], b[key]) for key in a
+        )
+        assert (hash_input(a) == hash_input(b)) == equal
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ({"a": 1}, ["a", 1]),
+            ({"a": [1]}, {"a": 1}),
+            (memoryview(b"ab"), b"ab"),
+            (memoryview(b"abcd").cast("B", (2, 2)), memoryview(b"abcd")),
+            (np.float64(1.5), 1.5),
+            (np.float64(1.5), np.float32(1.5)),
+            (np.float64(1.5), np.array(1.5)),
+            (np.str_("ab"), "ab"),
+        ],
+    )
+    def test_new_encodings_keep_kinds_apart(self, a, b):
+        assert hash_input(a) != hash_input(b)
+
+    def test_numpy_scalars_hash_by_content(self):
+        assert hash_input(np.float64(0.1)) == hash_input(np.float64(0.1))
+        assert hash_input(np.int64(3)) != hash_input(np.int64(4))
+
+    def test_object_arrays_hash_their_objects_not_their_addresses(self):
+        a = np.array([Plain(1), "x"], dtype=object)
+        assert hash_input(a) != hash_input(np.array([Plain(2), "x"], dtype=object))
+        assert hash_input(a) == hash_input(np.array([Plain(1), "x"], dtype=object))
+
+    def test_an_unpicklable_input_is_refused(self):
+        with pytest.raises(ValidationError, match="lock"):
+            hash_input(threading.Lock())
+        with pytest.raises(ValidationError):
+            hash_input([1, threading.Lock()])
 
 
 class TestQuery:
