@@ -7,8 +7,6 @@ mechanisms:
   than TCP-style halving; the ablation compares convergence and stability.
 * Prediction-cache sizing, and how closely its CLOCK eviction tracks exact
   LRU, on a skewed query popularity distribution.
-* Straggler-mitigation deadline sweep — accuracy/latency trade-off as the
-  SLO tightens.
 * Exp3 vs epsilon-greedy vs UCB1 on a stationary selection workload.
 * Tracing on vs off on the cache-hit path (the observability layer's
   near-zero-overhead requirement), and the replica RPC lane, ``tcp`` vs
@@ -23,9 +21,7 @@ from collections import OrderedDict
 import numpy as np
 
 from conftest import record_result
-from paperkit.online import straggler_experiment
 from paperkit.reporting import format_table
-from paperkit.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 from repro.batching.aimd import AIMDController
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.noop import NoOpContainer
@@ -114,43 +110,6 @@ def test_ablation_cache_size_and_eviction(benchmark):
     assert by_key[(4096, "clock")] > by_key[(256, "clock")]
     for capacity in (256, 1024, 4096):
         assert abs(by_key[(capacity, "clock")] - by_key[(capacity, "lru")]) < 0.1
-
-
-def test_ablation_straggler_deadline_sweep(benchmark, cifar_eval_dataset):
-    """Tighter SLOs trade more missing predictions for bounded latency."""
-    models = heterogeneous_ensemble(cifar_eval_dataset, n_models=5, random_state=0)
-    predictions = ensemble_prediction_matrix(models, cifar_eval_dataset.X_test)
-
-    def run():
-        rows = []
-        for slo in (10.0, 20.0, 40.0, 80.0):
-            result = straggler_experiment(
-                predictions,
-                cifar_eval_dataset.y_test,
-                ensemble_size=5,
-                slo_ms=slo,
-                num_queries=1200,
-                random_state=1,
-            )
-            rows.append(
-                {
-                    "slo_ms": slo,
-                    "mitigated_p99_ms": result.mitigated_p99_latency_ms,
-                    "missing_mean_pct": result.mean_missing_fraction * 100,
-                    "accuracy": result.accuracy,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_result(
-        "ablation_straggler_deadline",
-        format_table(rows, title="Ablation: straggler-mitigation deadline sweep"),
-    )
-    assert rows[0]["missing_mean_pct"] >= rows[-1]["missing_mean_pct"]
-    assert rows[0]["accuracy"] <= rows[-1]["accuracy"] + 1e-9
-    for row in rows:
-        assert row["mitigated_p99_ms"] <= row["slo_ms"] + 1e-9
 
 
 def test_ablation_bandit_policies(benchmark):

@@ -6,7 +6,9 @@ random forest, kernel SVM, logistic regression), reports the P99 latency per
 batch size, and derives the maximum batch size each container can execute
 within the 20 ms SLO.  The headline paper result — the kernel SVM's maximum
 batch size is orders of magnitude smaller than the linear SVM's — is
-asserted as a shape check.
+asserted as a shape check.  Each container's P99 line ``a + b * size`` (ms),
+fitted by the quantile controller's own estimator, is what
+``tests/test_paper_figures.py`` pins its simulated replicas to.
 """
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from conftest import SLO_MS, record_result
 from paperkit.profiles import max_batch_under_slo, measure_latency_profile
 from paperkit.reporting import format_table
+from repro.batching.quantile import fit_quantile_line
 
 #: Batch sizes swept for the cheap containers; the expensive kernel SVM uses
 #: the smaller sweep, mirroring the paper's per-container x-axis ranges.
@@ -30,7 +33,7 @@ def profiles(figure3_suite, mnist_serving_dataset):
             EXPENSIVE_BATCH_SIZES if "kernel" in spec.name else CHEAP_BATCH_SIZES
         )
         measured[spec.name] = measure_latency_profile(
-            spec.factory(), inputs, batch_sizes, repeats=3, name=spec.name
+            spec.factory(), inputs, batch_sizes, repeats=25, name=spec.name
         )
     return measured
 
@@ -39,12 +42,17 @@ def test_fig3_latency_profiles(benchmark, profiles):
     rows = []
     for name, profile in profiles.items():
         max_batch = max_batch_under_slo(profile, slo_ms=SLO_MS)
+        sizes = [size for size in profile.batch_sizes for _ in profile.latencies_ms[size]]
+        samples = [ms for size in profile.batch_sizes for ms in profile.latencies_ms[size]]
+        a_ms, b_ms = fit_quantile_line(sizes, samples, quantile=0.99)
         rows.append(
             {
                 "container": name,
                 "p99_at_batch_1_us": profile.p99(1) * 1000.0,
                 "p99_at_max_measured_us": profile.p99(profile.batch_sizes[-1]) * 1000.0,
                 "max_batch_under_20ms_slo": max_batch,
+                "p99_line_a_ms": a_ms,
+                "p99_line_b_ms": b_ms,
             }
         )
     record_result(

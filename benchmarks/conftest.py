@@ -59,7 +59,7 @@ def figure3_suite(mnist_serving_dataset):
 
 @pytest.fixture(scope="session")
 def cifar_ensemble(cifar_eval_dataset):
-    """The five-model heterogeneous ensemble used in Figures 7, 8 and 9."""
+    """The five-model heterogeneous ensemble used in Figures 7 and 8."""
     models = heterogeneous_ensemble(cifar_eval_dataset, n_models=5, random_state=0)
     predictions = ensemble_prediction_matrix(models, cifar_eval_dataset.X_test)
     return models, predictions, cifar_eval_dataset.y_test

@@ -13,18 +13,18 @@ There are no re-exports: import a name from the module that defines it.
 ``paperkit.datasets``
     Synthetic stand-ins for MNIST, CIFAR-10, ImageNet and TIMIT (Table 1).
 ``paperkit.suites``
-    The model line-ups the figures share (Figs. 3/4, 7/8, 10).
+    The model line-ups the figures share (Figs. 3, 7/8, 10).
 ``paperkit.overhead``
     A container wrapper adding language overhead (Figs. 3 and 11).
 ``paperkit.load``
-    Arrival processes and the one closed-/open-loop load driver.
+    The closed-loop load driver.
 ``paperkit.serving``
-    The systems Figs. 4, 5 and 11 measure: Clipper around one container,
-    and the TensorFlow-Serving-like baseline.
+    The systems Fig. 11 measures: Clipper around one container, and the
+    TensorFlow-Serving-like baseline.
 ``paperkit.profiles``
     Latency-vs-batch-size profiles (Fig. 3).
 ``paperkit.online``
-    Selection-layer replays over precomputed predictions (Figs. 7–10).
+    Selection-layer replays over precomputed predictions (Figs. 7, 8, 10).
 ``paperkit.ab_testing``
     The A/B-testing selection baseline (Fig. 8).
 ``paperkit.reporting``

@@ -1,14 +1,9 @@
-"""Load for the serving figures: an arrival process and one load driver.
+"""Load for the serving figures: one closed-loop driver.
 
 :func:`run_load` drives any ``predict(x)`` coroutine — Clipper's, the
-TensorFlow-Serving-like baseline's — in one of two shapes:
-
-* closed loop (no ``arrivals``): ``concurrency`` users, each issuing its next
-  query as soon as its last one is answered.  This is how the maximum
-  sustained throughput of Figures 4 and 11 is measured.
-* open loop: queries issued at the times an arrival process draws,
-  independent of the answers — the moderate load of Figure 5, where
-  queueing behaviour matters.
+TensorFlow-Serving-like baseline's — with ``concurrency`` users, each
+issuing its next query as soon as its last one is answered.  This is how the
+maximum sustained throughput of Figure 11 is measured.
 
 Every latency is timed by the caller, around the ``await``, so systems are
 compared on the same clock whatever they measure internally.
@@ -19,25 +14,9 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Awaitable, Callable, Dict, List, Sequence
 
 from paperkit.reporting import summarize_latencies
-
-
-class PoissonArrivals:
-    """Memoryless arrivals: exponential gaps at ``rate_qps``, deterministic per seed."""
-
-    def __init__(self, rate_qps: float, random_state: Optional[int] = None) -> None:
-        if rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
-        self.rate_qps = rate_qps
-        self._rng = np.random.default_rng(random_state)
-
-    def arrival_times(self, n: int) -> np.ndarray:
-        """Times (s) of ``n`` arrivals, counted from 0; the first comes one gap in."""
-        return np.cumsum(self._rng.exponential(1.0 / self.rate_qps, size=n))
 
 
 @dataclass
@@ -81,14 +60,11 @@ async def run_load(
     num_queries: int,
     *,
     concurrency: int = 32,
-    arrivals: Optional[PoissonArrivals] = None,
 ) -> LoadResult:
     """Send ``num_queries`` queries, cycling through ``inputs``, to ``predict``.
 
-    Closed loop with ``concurrency`` users by default; open loop on the
-    schedule of ``arrivals`` when one is given (the first query is sent at
-    once).  A query whose ``predict`` raises counts as an error and has no
-    latency.
+    ``concurrency`` users share the queries.  A query whose ``predict``
+    raises counts as an error and has no latency.
     """
     if num_queries < 1:
         raise ValueError("num_queries must be >= 1")
@@ -100,31 +76,17 @@ async def run_load(
     errors = 0
     queries = (inputs[i % len(inputs)] for i in range(num_queries))
 
-    async def timed(x: Any) -> None:
-        nonlocal errors
-        sent = time.perf_counter()
-        try:
-            await predict(x)
-        except Exception:  # a failed query is a measurement, not a crash
-            errors += 1
-            return
-        latencies.append((time.perf_counter() - sent) * 1000.0)
-
     async def user() -> None:
+        nonlocal errors
         for x in queries:
-            await timed(x)
+            sent = time.perf_counter()
+            try:
+                await predict(x)
+            except Exception:  # a failed query is a measurement, not a crash
+                errors += 1
+                continue
+            latencies.append((time.perf_counter() - sent) * 1000.0)
 
     start = time.perf_counter()
-    if arrivals is None:
-        await asyncio.gather(*(user() for _ in range(concurrency)))
-    else:
-        due = arrivals.arrival_times(num_queries)
-        loop = asyncio.get_running_loop()
-        sent = []
-        for offset, x in zip(due - due[0], queries):
-            delay = start + offset - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            sent.append(loop.create_task(timed(x)))
-        await asyncio.gather(*sent)
+    await asyncio.gather(*(user() for _ in range(concurrency)))
     return LoadResult(num_queries, errors, time.perf_counter() - start, latencies)

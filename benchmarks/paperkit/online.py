@@ -1,10 +1,11 @@
-"""Selection-layer experiment drivers (Figures 7, 8, 9 and 10).
+"""Selection-layer experiment drivers (Figures 7, 8 and 10).
 
 These experiments exercise the model selection layer directly on top of
 precomputed model predictions: the serving stack is not needed to study the
-statistical behaviour of ensembles, bandit policies and straggler
-mitigation, and running them at the selection layer keeps the benchmarks
-fast and deterministic.
+statistical behaviour of ensembles and bandit policies, and running them at
+the selection layer keeps the benchmarks fast and deterministic.  Figure 9's
+straggler mitigation is the serving path's own, so it runs on the engine, in
+``tests/test_paper_figures.py``.
 """
 
 from __future__ import annotations
@@ -238,129 +239,6 @@ def model_failure_experiment(
         degrade_start=degrade_start,
         degrade_end=degrade_end,
         cumulative_errors=cumulative,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 9: straggler mitigation for growing ensembles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StragglerResult:
-    """Latency / missing-prediction / accuracy measurements for one ensemble size."""
-
-    ensemble_size: int
-    blocking_mean_latency_ms: float
-    blocking_p99_latency_ms: float
-    mitigated_mean_latency_ms: float
-    mitigated_p99_latency_ms: float
-    mean_missing_fraction: float
-    p99_missing_fraction: float
-    accuracy: float
-    full_ensemble_accuracy: float
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "ensemble_size": self.ensemble_size,
-            "stragglers_p99_ms": self.blocking_p99_latency_ms,
-            "stragglers_mean_ms": self.blocking_mean_latency_ms,
-            "mitigated_p99_ms": self.mitigated_p99_latency_ms,
-            "mitigated_mean_ms": self.mitigated_mean_latency_ms,
-            "missing_mean_pct": self.mean_missing_fraction * 100.0,
-            "missing_p99_pct": self.p99_missing_fraction * 100.0,
-            "accuracy": self.accuracy,
-            "blocking_accuracy": self.full_ensemble_accuracy,
-        }
-
-
-def straggler_experiment(
-    model_predictions: Dict[str, np.ndarray],
-    y_true: np.ndarray,
-    ensemble_size: int,
-    slo_ms: float = 20.0,
-    num_queries: int = 2000,
-    base_latency_ms: float = 8.0,
-    latency_scale_ms: float = 4.0,
-    straggler_probability: float = 0.05,
-    straggler_extra_ms: float = 60.0,
-    load_sensitivity: float = 0.08,
-    random_state: int = 0,
-) -> StragglerResult:
-    """Reproduce one x-axis point of Figure 9.
-
-    Per-query, per-model latencies are drawn from a base + exponential
-    distribution with an occasional heavy straggler; without mitigation the
-    query latency is the max over the ensemble, with mitigation the query is
-    answered at the SLO deadline using only the predictions that arrived.
-    ``load_sensitivity`` grows the latency tail with the ensemble size,
-    modelling the paper's observation that bigger ensembles load the system
-    more heavily and therefore produce more stragglers.
-    """
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be >= 1")
-    if load_sensitivity < 0:
-        raise ValueError("load_sensitivity must be non-negative")
-    names = sorted(model_predictions)
-    if ensemble_size > len(names):
-        raise ValueError(
-            f"ensemble_size {ensemble_size} exceeds available models ({len(names)})"
-        )
-    y_true = np.asarray(y_true)
-    n_eval = y_true.shape[0]
-    rng = np.random.default_rng(random_state)
-    members = names[:ensemble_size]
-    load_factor = 1.0 + load_sensitivity * (ensemble_size - 1)
-    latency_scale_ms = latency_scale_ms * load_factor
-    straggler_probability = min(straggler_probability * load_factor, 1.0)
-
-    blocking_latencies = np.empty(num_queries)
-    mitigated_latencies = np.empty(num_queries)
-    missing_fractions = np.empty(num_queries)
-    correct_mitigated = 0
-    correct_blocking = 0
-
-    for t in range(num_queries):
-        idx = int(rng.integers(0, n_eval))
-        latencies = (
-            base_latency_ms
-            + rng.exponential(latency_scale_ms, size=ensemble_size)
-            + np.where(
-                rng.random(ensemble_size) < straggler_probability,
-                rng.uniform(straggler_extra_ms / 2, straggler_extra_ms, size=ensemble_size),
-                0.0,
-            )
-        )
-        blocking_latencies[t] = latencies.max()
-        mitigated_latencies[t] = min(latencies.max(), slo_ms)
-        arrived = latencies <= slo_ms
-        missing_fractions[t] = 1.0 - arrived.mean()
-
-        all_votes = {name: model_predictions[name][idx] for name in members}
-        label_all, _ = weighted_vote(all_votes)
-        if label_all == y_true[idx]:
-            correct_blocking += 1
-
-        available_votes = {
-            name: model_predictions[name][idx]
-            for name, ok in zip(members, arrived)
-            if ok
-        }
-        if available_votes:
-            label_avail, _ = weighted_vote(available_votes)
-            if label_avail == y_true[idx]:
-                correct_mitigated += 1
-
-    return StragglerResult(
-        ensemble_size=ensemble_size,
-        blocking_mean_latency_ms=float(blocking_latencies.mean()),
-        blocking_p99_latency_ms=float(np.percentile(blocking_latencies, 99)),
-        mitigated_mean_latency_ms=float(mitigated_latencies.mean()),
-        mitigated_p99_latency_ms=float(np.percentile(mitigated_latencies, 99)),
-        mean_missing_fraction=float(missing_fractions.mean()),
-        p99_missing_fraction=float(np.percentile(missing_fractions, 99)),
-        accuracy=correct_mitigated / num_queries,
-        full_ensemble_accuracy=correct_blocking / num_queries,
     )
 
 

@@ -1,7 +1,7 @@
 """The systems the serving figures measure, each driven by :func:`~paperkit.load.run_load`.
 
 * :func:`run_clipper_serving` — one container behind the full Clipper stack
-  (Figures 4, 5 and 11).
+  (Figure 11).
 * :func:`run_tfserving_baseline` — the same load against
   :class:`TFServingLikeServer`, the TensorFlow-Serving-like comparator of
   Figure 11.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, List, Optional, Sequence
 
-from paperkit.load import LoadResult, PoissonArrivals, run_load
+from paperkit.load import LoadResult, run_load
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.core import clock
@@ -120,7 +120,6 @@ def run_clipper_serving(
     latency_slo_ms: float = 20.0,
     batching: Optional[BatchingConfig] = None,
     concurrency: int = 32,
-    arrivals: Optional[PoissonArrivals] = None,
     serialize_rpc: bool = True,
 ) -> LoadResult:
     """Serve one model through the full Clipper stack and measure it.
@@ -152,9 +151,7 @@ def run_clipper_serving(
     async def run() -> LoadResult:
         await clipper.start()
         try:
-            return await run_load(
-                predict, inputs, num_queries, concurrency=concurrency, arrivals=arrivals
-            )
+            return await run_load(predict, inputs, num_queries, concurrency=concurrency)
         finally:
             await clipper.stop()
 

@@ -1,4 +1,4 @@
-"""The two ways a test controls time: a virtual-time loop and a hand-set clock.
+"""The two ways a test controls time, and a model replica that runs on one.
 
 :func:`run_virtual` runs a coroutine on a :class:`VirtualLoop` with
 ``repro.core.clock.now`` bound to the loop's virtual ``time()``.  When no
@@ -9,14 +9,21 @@ thread's result still arrives (in real time).
 
 :class:`ManualClock` is for synchronous tests: ``clock.now`` and
 ``clock.wall`` read two numbers the test sets or :meth:`~ManualClock.advance`\\ s.
+
+:class:`SimulatedReplica` is a container that costs loop time instead of
+computing: :func:`placement` puts a :class:`~repro.core.clipper.Clipper`'s
+models on them, and :func:`poisson` drives it with open-loop arrivals.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 import selectors
 
+from repro.containers.replica import Replica
 from repro.core import clock
+from repro.rpc.protocol import RpcResponse
 
 
 class _VirtualSelector(selectors.DefaultSelector):
@@ -72,3 +79,77 @@ class ManualClock:
         """Move both clocks forward together."""
         self.now += seconds
         self.wall += seconds
+
+
+class SimulatedReplica(Replica):
+    """A serial container whose batch of ``size`` costs ``a + b * size`` ms of loop time.
+
+    ``line`` is ``(a_ms, b_ms)``.  ``tail`` is ``(chance, scale_ms)``: with
+    that chance per batch, a draw from a seeded Pareto of shape 2.5 and that
+    scale is added to the cost.  ``answer(model_name, x)`` is the output for
+    input ``x``; by default the model's name.
+    """
+
+    def __init__(self, model_id, replica_id, line, tail=(0.0, 0.0), seed=0, answer=None):
+        super().__init__(model_id, replica_id)
+        self.line, self.tail = line, tail
+        self.answer = answer or (lambda model, x: model)
+        self._rng = random.Random(seed)
+        self._free_at = 0.0
+
+    async def start(self) -> None:
+        self._started = True
+
+    async def stop(self) -> None:
+        self._started = False
+
+    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+        (a_ms, b_ms), (chance, scale_ms) = self.line, self.tail
+        eval_ms = a_ms + b_ms * len(inputs)
+        if self._rng.random() < chance:
+            eval_ms += scale_ms * self._rng.paretovariate(2.5)
+        # One batch at a time: a batch sent while another runs waits for it.
+        self._free_at = max(clock.now(), self._free_at) + eval_ms / 1000.0
+        await asyncio.sleep(self._free_at - clock.now())
+        name = self.model_id.name
+        return RpcResponse(
+            request_id=0,
+            outputs=[self.answer(name, x) for x in inputs],
+            container_latency_ms=eval_ms,
+        )
+
+
+def placement(shapes, seed, answer=None):
+    """A placement putting model ``name`` on a :class:`SimulatedReplica`.
+
+    ``shapes[name]`` is the replica's ``(line, tail)``; each model's tail is
+    seeded by ``seed`` and its name, so two models' stragglers are unrelated.
+    """
+
+    def place(deployment, model_id):
+        line, tail = shapes[model_id.name]
+        return lambda replica_id, avoid: SimulatedReplica(
+            model_id, replica_id, line, tail, f"{seed}/{model_id.name}", answer
+        )
+
+    return place
+
+
+async def poisson(query, rate_qps: float, seconds: float, seed) -> int:
+    """Start ``query(i)`` for i = 0, 1, ... at Poisson times for ``seconds``.
+
+    Waits for every query and returns how many were started.
+    """
+    loop, arrivals, tasks = asyncio.get_running_loop(), random.Random(seed), []
+    end = clock.now() + seconds
+
+    def arrive() -> None:
+        tasks.append(loop.create_task(query(len(tasks))))
+        gap = arrivals.expovariate(rate_qps)
+        if clock.now() + gap < end:
+            loop.call_later(gap, arrive)
+
+    loop.call_later(arrivals.expovariate(rate_qps), arrive)
+    await asyncio.sleep(seconds)
+    await asyncio.gather(*tasks)
+    return len(tasks)

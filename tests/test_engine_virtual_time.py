@@ -4,20 +4,16 @@ The real :class:`Clipper` — routing, selection (Exp4 over three models),
 cache, batching queues, dispatchers with AIMD batch sizes, the straggler
 deadline sweeper, admission control and a circuit breaker — serves Poisson
 arrivals at 3 000 q/s for 10 virtual seconds under a 20 ms SLO.  Each model
-is a :class:`SimulatedReplica` that takes ``a + b * batch_size`` ms of loop
-time per batch; one has a seeded heavy tail.  Nothing sleeps on the wall
+is a ``simloop.SimulatedReplica`` that takes ``a + b * batch_size`` ms of
+loop time per batch; one has a seeded heavy tail.  Nothing sleeps on the wall
 clock, so a module that read any clock but ``repro.core.clock`` would see
 deadlines and latencies that are wrong, and two runs would stop agreeing.
 """
 
 from __future__ import annotations
 
-import asyncio
-import random
 import time
 
-from repro.containers.replica import Replica
-from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import (
     BatchingConfig,
@@ -27,9 +23,8 @@ from repro.core.config import (
     OverloadConfig,
 )
 from repro.core.exceptions import OverloadError
-from repro.core.types import ModelId, Query
-from repro.rpc.protocol import RpcResponse
-from simloop import run_virtual
+from repro.core.types import Query
+from simloop import placement, poisson, run_virtual
 
 SLO_MS = 20.0
 RATE_QPS = 3000.0
@@ -37,47 +32,12 @@ SECONDS = 10.0
 #: How long the tail model's breaker stays open once it trips.
 OPEN_S = 0.25
 #: Per model: batch cost ``a + b * size`` (ms), and the heavy tail's chance
-#: per batch (its extra cost is Pareto, scale 8 ms, shape 2.5).
-MODELS = {"fast": (1.0, 0.02, 0.0), "mid": (2.0, 0.05, 0.0), "tail": (1.5, 0.03, 0.01)}
-
-
-class SimulatedReplica(Replica):
-    """A serial container that costs loop time and answers its model's name."""
-
-    def __init__(self, model_id: ModelId, replica_id: int, a_ms, b_ms, tail, seed) -> None:
-        super().__init__(model_id, replica_id)
-        self.a_ms, self.b_ms, self.tail = a_ms, b_ms, tail
-        self._rng = random.Random(seed)
-        self._free_at = 0.0
-
-    async def start(self) -> None:
-        self._started = True
-
-    async def stop(self) -> None:
-        self._started = False
-
-    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
-        eval_ms = self.a_ms + self.b_ms * len(inputs)
-        if self._rng.random() < self.tail:
-            eval_ms += 8.0 * self._rng.paretovariate(2.5)
-        # One batch at a time: a batch sent while another runs waits for it.
-        self._free_at = max(clock.now(), self._free_at) + eval_ms / 1000.0
-        await asyncio.sleep(self._free_at - clock.now())
-        return RpcResponse(
-            request_id=0,
-            outputs=[self.model_id.name] * len(inputs),
-            container_latency_ms=eval_ms,
-        )
-
-
-def placement(seed):
-    def place(deployment, model_id):
-        a_ms, b_ms, tail = MODELS[model_id.name]
-        return lambda replica_id, avoid: SimulatedReplica(
-            model_id, replica_id, a_ms, b_ms, tail, seed
-        )
-
-    return place
+#: per batch and scale (ms).
+MODELS = {
+    "fast": ((1.0, 0.02), (0.0, 0.0)),
+    "mid": ((2.0, 0.05), (0.0, 0.0)),
+    "tail": ((1.5, 0.03), (0.01, 8.0)),
+}
 
 
 async def serve(seed: int):
@@ -91,7 +51,7 @@ async def serve(seed: int):
             overload=OverloadConfig(rate_limit_qps=2800.0, burst=50),
             breaker=CircuitBreakerConfig(open_duration_s=OPEN_S),
         ),
-        placement=placement(seed),
+        placement=placement(MODELS, seed),
     )
     for name in MODELS:
         clipper.deploy_model(
@@ -111,19 +71,9 @@ async def serve(seed: int):
         assert i not in log
         log[i] = entry
 
-    loop, arrivals, tasks = asyncio.get_running_loop(), random.Random(seed), []
-
-    def arrive() -> None:
-        tasks.append(loop.create_task(query(len(tasks))))
-        gap = arrivals.expovariate(RATE_QPS)
-        if clock.now() + gap < SECONDS:
-            loop.call_later(gap, arrive)
-
-    loop.call_later(arrivals.expovariate(RATE_QPS), arrive)
-    await asyncio.sleep(SECONDS)
-    await asyncio.gather(*tasks)
+    n = await poisson(query, RATE_QPS, SECONDS, seed)
     await clipper.stop()
-    return [log[i] for i in range(len(tasks))], clipper.metrics.snapshot().counters
+    return [log[i] for i in range(n)], clipper.metrics.snapshot().counters
 
 
 def test_the_engine_on_virtual_time_is_exact_and_repeatable():

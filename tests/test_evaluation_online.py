@@ -1,4 +1,4 @@
-"""Tests for the selection-layer experiment drivers (Figures 7-10)."""
+"""Tests for the selection-layer experiment drivers (Figures 7, 8 and 10)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from paperkit.online import (
     ensemble_accuracy_experiment,
     model_failure_experiment,
     personalization_experiment,
-    straggler_experiment,
 )
 from repro.selection.exp4 import Exp4Policy
 
@@ -108,42 +107,6 @@ class TestModelFailure:
             model_failure_experiment(predictions, y_true, num_queries=100, degrade_start=90, degrade_end=80)
         with pytest.raises(ValueError):
             model_failure_experiment({}, y_true)
-
-
-class TestStragglerExperiment:
-    def test_mitigation_bounds_p99_latency(self, synthetic_predictions):
-        predictions, y_true = synthetic_predictions
-        result = straggler_experiment(
-            predictions, y_true, ensemble_size=5, slo_ms=20.0, num_queries=800, random_state=0
-        )
-        assert result.mitigated_p99_latency_ms <= 20.0 + 1e-9
-        assert result.blocking_p99_latency_ms > result.mitigated_p99_latency_ms
-
-    def test_missing_fraction_grows_with_ensemble_size(self, synthetic_predictions):
-        predictions, y_true = synthetic_predictions
-        small = straggler_experiment(predictions, y_true, ensemble_size=2, num_queries=800, random_state=0)
-        large = straggler_experiment(predictions, y_true, ensemble_size=5, num_queries=800, random_state=0)
-        assert large.p99_missing_fraction >= small.p99_missing_fraction
-
-    def test_accuracy_close_to_blocking_accuracy(self, synthetic_predictions):
-        predictions, y_true = synthetic_predictions
-        result = straggler_experiment(
-            predictions, y_true, ensemble_size=5, num_queries=1000, random_state=0
-        )
-        assert result.accuracy >= result.full_ensemble_accuracy - 0.05
-
-    def test_row_shape(self, synthetic_predictions):
-        predictions, y_true = synthetic_predictions
-        row = straggler_experiment(predictions, y_true, ensemble_size=3, num_queries=100, random_state=0).as_row()
-        assert row["ensemble_size"] == 3
-        assert "mitigated_p99_ms" in row
-
-    def test_validation(self, synthetic_predictions):
-        predictions, y_true = synthetic_predictions
-        with pytest.raises(ValueError):
-            straggler_experiment(predictions, y_true, ensemble_size=0)
-        with pytest.raises(ValueError):
-            straggler_experiment(predictions, y_true, ensemble_size=99)
 
 
 class TestPersonalization:

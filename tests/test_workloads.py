@@ -1,29 +1,12 @@
-"""Tests for the kit's load driver, its arrival process and model degradation."""
+"""Tests for the kit's load driver and model degradation."""
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from helpers import run_async
-from paperkit.load import LoadResult, PoissonArrivals, run_load
+from paperkit.load import LoadResult, run_load
 from paperkit.online import degrade_prediction
-
-
-class TestPoissonArrivals:
-    def test_mean_rate_approximately_matches(self):
-        times = PoissonArrivals(rate_qps=200, random_state=0).arrival_times(5000)
-        assert 1.0 / np.diff(times, prepend=0.0).mean() == pytest.approx(200, rel=0.1)
-
-    def test_deterministic_given_seed(self):
-        a = PoissonArrivals(100, random_state=3).arrival_times(10)
-        b = PoissonArrivals(100, random_state=3).arrival_times(10)
-        assert list(a) == list(b)
-        assert all(np.diff(a) >= 0)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate_qps=-1)
 
 
 class _Recorder:
@@ -68,17 +51,6 @@ class TestRunLoad:
         assert result.num_errors == 3
         assert len(result.latencies_ms) == 3
         assert result.throughput_qps == pytest.approx(3 / result.elapsed_s)
-
-    def test_open_loop_sends_on_the_schedule_not_on_the_answers(self):
-        # 20 queries due within ~20 ms, each answered after 100 ms: an open
-        # loop has them all in flight at once and finishes in ~120 ms, where
-        # one closed-loop user would take two seconds.
-        predict = _Recorder(delay_s=0.1)
-        arrivals = PoissonArrivals(rate_qps=1000.0, random_state=0)
-        result = run_async(run_load(predict, [0], 20, arrivals=arrivals))
-        assert predict.max_in_flight == 20
-        assert result.elapsed_s < 1.0
-        assert len(result.latencies_ms) == 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
