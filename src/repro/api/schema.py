@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -213,9 +214,9 @@ class ApplicationSchema:
         as base64 text (JSON has no binary type) and are decoded here; the
         binary columnar encoding carries bytes natively, so ``bytes``-like
         values pass straight through.  Every other type's wire value is
-        already the in-process representation.  Full validation happens
-        afterwards in :meth:`validate_input`, shared with in-process
-        callers.
+        already the in-process representation, or (:func:`_float_vector`)
+        the array validation would build from it.  Full validation happens
+        afterwards in :meth:`validate_input`, shared with in-process callers.
         """
         if self.input_type == "bytes":
             if isinstance(raw, (bytes, bytearray, memoryview)):
@@ -233,6 +234,8 @@ class ApplicationSchema:
                     f"input for application '{self.app_name}' is not valid base64",
                     detail={"expected": "base64 string"},
                 ) from None
+        if type(raw) is list and self.input_type in ("floats", "doubles"):
+            return _float_vector(raw)
         return raw
 
     def to_dict(self) -> Dict[str, Any]:
@@ -248,14 +251,36 @@ class ApplicationSchema:
         }
 
 
+def _float_vector(raw: list) -> Any:
+    """``raw`` as the float64 array ``np.asarray(raw)`` would build, only where
+    that is sure: Python numbers alone (an array row's sum is no float), not
+    all bools (a bool array is refused), each finite and below ``2**53`` (an
+    int list past it may round twice to float32, or be no int64 array)."""
+    try:
+        if not raw or type(raw[0]) is bool or type(sum(raw, 0.0)) is not float:
+            return raw
+    except (TypeError, ValueError, OverflowError):  # ValueError: rows of two shapes
+        return raw
+    vector = np.empty(len(raw))
+    struct.pack_into(f"{len(raw)}d", vector, 0, *raw)  # struct caches the format
+    return vector if abs(vector).max() < 2.0**53 else raw  # NaN is not
+
+
 def json_safe(value: Any) -> Any:
     """Render an arbitrary library value as a JSON-serializable one.
 
     Prediction outputs and metric snapshots carry numpy scalars/arrays and
-    occasionally raw bytes; JSON has none of those.  Containers recurse;
-    bytes become base64 text; anything unknown falls back to ``str``.
+    raw bytes, which JSON lacks.  Containers recurse, bytes become base64 and
+    anything unknown ``str``; exact types skip the ``isinstance`` chain.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(key): json_safe(item) for key, item in value.items()}
+    if kind is list:
+        return [json_safe(item) for item in value]
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         # NaN/Infinity are not JSON; render them as strings so a metrics

@@ -169,12 +169,12 @@ def error_from_response(status: int, payload: Any) -> ApiStatusError:
 def encode_input(x: Any) -> Any:
     """Render a query input as its JSON wire value.
 
-    Numpy arrays/scalars become JSON numbers or arrays; ``bytes`` become
-    base64 text (the server's schema decodes them back); everything else
-    must already be JSON-representable.
+    An ndarray stays whole (``jsonwire.dumps`` writes it as its ``tolist()``);
+    one in a list or a numpy scalar becomes JSON; ``bytes`` become base64 text
+    (the server's schema decodes it); the rest must be JSON-representable.
     """
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return x
     if isinstance(x, np.generic):
         return x.item()
     if isinstance(x, (bytes, bytearray, memoryview)):
@@ -184,7 +184,7 @@ def encode_input(x: Any) -> Any:
         # numeric vectors (the common case) pass through untouched instead
         # of paying one Python call per feature.
         if any(not isinstance(item, (int, float, str)) for item in x):
-            return [encode_input(item) for item in x]
+            return [v.tolist() if isinstance(v, np.ndarray) else encode_input(v) for v in x]
         return list(x)
     return x
 

@@ -1,11 +1,11 @@
 """The HTTP wire's JSON bytes, shared by the REST edge and the client SDK.
 
 :func:`dumps` and :func:`loads` are the stdlib's
-``json.dumps(value, separators=(",", ":")).encode("utf-8")`` and
-``json.loads(data.decode("utf-8"))``, and stay so in everything a caller
-observes when the optional ``orjson`` package (``pip install repro[orjson]``)
-is installed and does the work (on 784 doubles, ~14x faster to write and
-~6x to read):
+``json.dumps(value, separators=(",", ":"), default=_tolist).encode("utf-8")``
+(an ndarray as its ``tolist()``) and ``json.loads(data.decode("utf-8"))``,
+and stay so in everything a caller observes when the optional ``orjson``
+package (``pip install repro[orjson]``) is installed and does the work (on
+784 doubles, ~14x faster to write and ~6x to read):
 
 * ``loads`` returns what the stdlib returns, equal in value and type, or
   raises what the stdlib raises;
@@ -20,9 +20,9 @@ orjson's answer is used only where it provably agrees with the stdlib's:
   reads nesting the stdlib refuses, and a deep enough body crashes the
   process) whose value holds no float of magnitude ``2**62`` or more
   (orjson reads an integer past 64 bits as a float without a word);
-* to write, dicts, lists, tuples, strings, ints, floats, booleans and None
-  (orjson also encodes enums, UUIDs and dataclasses) with no float that
-  large, NaN included (orjson writes NaN and the infinities as ``null``).
+* to write, dicts, lists, tuples, strings, ints, floats, booleans, None and
+  ndarrays (orjson also encodes enums, UUIDs and dataclasses) with no float
+  that large, NaN included (orjson writes NaN and infinities as ``null``).
 
 The rest, and whatever orjson refuses (NaN/Infinity tokens, ``1e400``, lone
 surrogates, non-``str`` keys, integers past 64 bits, numpy scalars), is the
@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from typing import Any
+
+import numpy as np
 
 try:
     import orjson
@@ -57,9 +60,18 @@ _BOUND = 2.0**62
 #: Types whose every value orjson either treats as the stdlib does or refuses.
 _ATOMS = frozenset({str, int, bool, type(None)})
 
+_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+def _tolist(value: Any) -> Any:
+    """The stdlib's ``default``: an ndarray leaf is its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def _std_dumps(value: Any) -> bytes:
-    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+    return json.dumps(value, separators=(",", ":"), default=_tolist).encode("utf-8")
 
 
 def _std_loads(data: bytes) -> Any:
@@ -83,11 +95,18 @@ def _shallow(data: bytes) -> bool:
     return True
 
 
-def _plain(value: Any) -> bool:
-    """Whether ``value`` is JSON's own types, each float finite and below ``_BOUND``."""
+def _plain(value: Any, unsure: list) -> bool:
+    """Whether ``value`` is JSON's own types and ndarrays, each float finite and
+    below ``_BOUND``; ``unsure`` gets what orjson's numpy writer may write unlike
+    the stdlib: other arrays, and lists not read entry by entry (numpy scalars)."""
     kind = type(value)
+    if kind in _ATOMS:
+        return True
+    if kind is float:
+        return -_BOUND < value < _BOUND
     if kind is list or kind is tuple:
         if len(value) > 8:
+            unsure.append(value)
             try:
                 # One C pass over a vector of numbers: its norm bounds every
                 # entry and is NaN or infinite when one of them is.
@@ -96,18 +115,34 @@ def _plain(value: Any) -> bool:
                 # Another C pass for a vector of strings and the like.
                 if _ATOMS.issuperset(map(type, value)):
                     return True
-        return all(map(_plain, value))
+        return all(map(_plain, value, repeat(unsure)))
     if kind is dict:
-        return all(map(_plain, value.values()))
-    if kind is float:
-        return -_BOUND < value < _BOUND
-    return kind in _ATOMS
+        return all(map(_plain, value.values(), repeat(unsure)))
+    if kind is np.ndarray:
+        # Native int64, or float64 below ``_BOUND`` (NaN is not); the numpy
+        # writer hands 0-d and strided ones to ``default``.
+        if value.dtype is not _INT64 and (
+            value.dtype is not _FLOAT64 or not abs(value).max(initial=0.0) < _BOUND
+        ):
+            unsure.append(value)
+        return True
+    return False
+
+
+def _listed(value: Any) -> Any:
+    """orjson's ``default``: :func:`_tolist`, if orjson writes it as the stdlib."""
+    listed = _tolist(value)
+    if _plain(listed, []):
+        return listed
+    raise TypeError("not written by orjson")
 
 
 def _orjson_dumps(value: Any) -> bytes:
+    unsure: list = []
     try:
-        if _plain(value):
-            return orjson.dumps(value)
+        if _plain(value, unsure):
+            option = 0 if unsure else orjson.OPT_SERIALIZE_NUMPY
+            return orjson.dumps(value, default=_listed, option=option)
     except (TypeError, RecursionError):  # orjson.JSONEncodeError is a TypeError
         pass
     return _std_dumps(value)
@@ -117,7 +152,7 @@ def _orjson_loads(data: bytes) -> Any:
     if _shallow(data):
         try:
             value = orjson.loads(data)
-            if _plain(value):
+            if _plain(value, []):
                 return value
         except (orjson.JSONDecodeError, RecursionError):
             pass

@@ -205,6 +205,34 @@ class TestBinaryClient:
         assert encode_binary_input(memoryview(b"abc")) == b"abc"
 
 
+class TestOneVectorOneCacheEntry:
+    @pytest.mark.parametrize("input_type", ["doubles", "floats"])
+    def test_in_process_json_and_columnar_inputs_hash_alike(self, input_type):
+        # Each edge builds the validated array its own way; the cache key
+        # (the array's hash) must not tell them apart.
+        async def scenario():
+            clipper = make_app(
+                input_type=input_type, input_shape=(16,), latency_slo_ms=10_000
+            )
+            query = QueryFrontend()
+            query.register_application(clipper)
+            async with create_server(query=query) as server:
+                x = np.random.default_rng(3).standard_normal(16)
+                assert not (await query.predict("demo", x)).from_cache
+                async with AsyncClipperClient(
+                    "127.0.0.1", server.port, binary=True
+                ) as bin_client, AsyncClipperClient(
+                    "127.0.0.1", server.port
+                ) as json_client:
+                    for client, value in (
+                        (json_client, x), (json_client, x.tolist()), (bin_client, x)
+                    ):
+                        assert (await client.predict("demo", value)).from_cache
+            assert clipper.cache.stats.inserts == 1
+
+        run_async(scenario())
+
+
 class TestMalformedFramesOverRealSockets:
     def test_corrupt_frame_is_structured_400(self):
         async def scenario():

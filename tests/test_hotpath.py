@@ -41,9 +41,11 @@ import repro.cache.prediction_cache as prediction_cache_module
 import repro.core.types as types_module
 import repro.overload.control as overload_module
 from repro.api.handlers import prediction_payload
+from repro.api.schema import ApplicationSchema, json_safe
 from repro.batching.aimd import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.client.client import encode_input
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
@@ -60,7 +62,7 @@ from repro.core.exceptions import OverloadError
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query, hash_input
 from repro.observability.tracing import BatchSpans, Tracer
-from repro.rpc import serialization
+from repro.rpc import jsonwire, serialization
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.serialization import deserialize, serialize
 from repro.rpc.server import INLINE_STREAK
@@ -362,6 +364,7 @@ class CallProfile:
     def __init__(self) -> None:
         self.total = 0
         self.python = Counter()
+        self.native = Counter()  # C calls by name
         self.coroutines = set()
         self.packages = set()  # top-level package of every function called
 
@@ -377,6 +380,7 @@ class CallProfile:
             owner = getattr(arg, "__self__", None)
             if type(owner).__name__ != "lock":
                 self.total += 1
+                self.native[arg.__name__] += 1
                 module = getattr(arg, "__module__", None) or type(owner).__module__
                 self.packages.add(module.partition(".")[0])
 
@@ -696,6 +700,73 @@ class TestLearnedFrameBudget:
         assert profile.python["_decode"] == 0
         assert sum(profile.python.values()) <= python_budget
         assert profile.total <= budget
+
+
+def profiled(step):
+    """``step()`` under a :class:`CallProfile`: ``(profile, result)``."""
+    profile = CallProfile()
+    sys.setprofile(profile)
+    try:
+        result = step()
+    finally:
+        sys.setprofile(None)
+    return profile, result
+
+
+class TestJsonVectorBudget:
+    """A 784-vector across the JSON edge, call by call, without one Python
+    float per entry.
+
+    Budgets as in :class:`TestCachedPassBudget`; beside each is what the
+    parent of the change that introduced them made, measured the same way.
+    There the SDK's ``tolist()`` and the server's ``np.asarray`` built the
+    784 floats in one C call each, so the counts hide that work: what these
+    steps may not do is named instead.
+    """
+
+    @pytest.mark.parametrize(
+        "backend, python_budget, budget",
+        [
+            ("json", 8, 15),  # parent: 7, 13 (tolist outside the writer)
+            ("orjson", 6, 13),  # parent: 5, 12 (tolist, then hypot over the list)
+        ],
+    )
+    def test_the_sdk_writes_the_array_not_its_list(
+        self, backend, python_budget, budget
+    ):
+        if backend == "orjson":
+            pytest.importorskip("orjson")
+        dumps, loads = jsonwire._BACKENDS[backend]
+        x = np.random.default_rng(0).standard_normal(784)
+        profile, body = profiled(lambda: dumps({"input": encode_input(x)}))
+        assert loads(body) == {"input": x.tolist()}
+        if backend == "orjson":
+            assert profile.native["tolist"] == profile.native["hypot"] == 0
+        assert sum(profile.python.values()) <= python_budget
+        assert profile.total <= budget
+
+    def test_the_edge_builds_the_array_in_one_call(self):
+        schema = ApplicationSchema("app", input_type="doubles", input_shape=(784,))
+        x = np.random.default_rng(0).standard_normal(784)
+        raw = jsonwire.loads(jsonwire.dumps({"input": x.tolist()}))["input"]
+        profile, validated = profiled(
+            lambda: schema.validate_input(schema.decode_wire_input(raw))
+        )
+        assert validated.tobytes() == x.tobytes()
+        assert profile.native["pack_into"] == 1
+        assert sum(profile.python.values()) <= 5  # parent: 3 (np.asarray read the list)
+        assert profile.total <= 16  # parent: 6
+
+    def test_a_predict_response_takes_the_type_dispatch(self):
+        payload = prediction_payload(Prediction(
+            query_id=7, app_name="bench", output=1, latency_ms=0.02,
+            models_used=("m:1",), from_cache=True,
+        ))
+        profile, safe = profiled(lambda: json_safe(payload))
+        assert safe == payload
+        assert profile.native["isinstance"] == 4  # two per float; parent: 30
+        assert sum(profile.python.values()) <= 16  # parent: 16
+        assert profile.total <= 21  # parent: 47
 
 
 class TestAroundTheCachedPass:

@@ -12,7 +12,8 @@ backends, called directly:
 * decode: equal to ``json.loads(data.decode("utf-8"))`` in value and type
   (floats bit for bit, dict keys in order), or the same exception;
 * encode: the bytes decode (by the stdlib) to what ``json.dumps`` decodes
-  to, or the same exception.
+  to, or the same exception, where ``json.dumps`` writes an ndarray leaf as
+  its ``tolist()`` (and refuses a numpy scalar, as it does by itself).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import uuid
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.rpc import jsonwire
 
@@ -70,8 +72,14 @@ def reference_loads(data: bytes):
     return json.loads(data.decode("utf-8"))
 
 
+def tolist(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def reference_round_trip(value):
-    return json.loads(json.dumps(value))
+    return json.loads(json.dumps(value, default=tolist))
 
 
 def nested(depth: int) -> bytes:
@@ -115,6 +123,41 @@ _json_values = st.recursive(
 )
 
 
+#: Floats where orjson's writers part from the stdlib or a bound sits.
+_FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, float("nan"),
+    float("inf"), float("-inf"), 2.0**62, -(2.0**62), 2.0**63, 1e20, 1.7976931348623157e308,
+]
+_ARRAY_DTYPES = ["<f8", ">f8", "<f4", "<f2", "<i8", ">i8", "|b1", "<c16", "O"]
+
+
+def _array_elements(dtype: np.dtype):
+    if dtype.kind == "f":
+        floats = st.floats(width=8 * dtype.itemsize)
+        return floats | st.sampled_from(_FLOAT_EDGES) if dtype.itemsize == 8 else floats
+    if dtype.kind == "i":
+        return st.integers(-(2**63), 2**63 - 1) | st.sampled_from([2**62, 2**63 - 1, -(2**63)])
+    if dtype.kind == "b":
+        return st.booleans()
+    if dtype.kind == "c":
+        return st.complex_numbers(allow_nan=False)
+    return st.none() | st.booleans() | st.integers() | st.floats() | _text | st.sampled_from(
+        [np.float32(0.5), np.int64(3), np.array([1.0, 2.0])]
+    )
+
+
+@st.composite
+def _ndarrays(draw) -> np.ndarray:
+    """Arrays of every kind the writers treat apart: each dtype, 0-d, empty,
+    big-endian and not C-contiguous."""
+    dtype = np.dtype(draw(st.sampled_from(_ARRAY_DTYPES)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    array = draw(hnp.arrays(dtype, shape, elements=_array_elements(dtype)))
+    if array.ndim and draw(st.booleans()):
+        array = array[::2] if draw(st.booleans()) else array.T
+    return array
+
+
 class _Color(enum.Enum):
     RED = "red"
 
@@ -143,6 +186,10 @@ class _Dict(dict):
     pass
 
 
+class _Array(np.ndarray):
+    pass
+
+
 #: What callers may hand ``dumps`` beyond JSON's own types.
 _foreign = st.sampled_from(
     [
@@ -150,17 +197,18 @@ _foreign = st.sampled_from(
         np.float64(1.5), np.float32(0.25), np.int64(3), np.bool_(True),
         np.array([1.0, 2.0]), b"raw", object(), {1, 2}, 1j,
         _Text("t"), _Int(4), _Float(0.5), _List([1]), _Dict(a=1),
+        np.arange(3.0).view(_Array),
     ]
 )
 _keys = _text | st.integers(-3, 3) | st.floats(allow_nan=True) | st.booleans() | st.none()
 _encodable = st.recursive(
-    _json_scalars | _foreign,
+    _json_scalars | _foreign | _ndarrays(),
     lambda children: st.lists(children, max_size=5)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=9, max_size=40)
     | st.lists(st.integers() | st.floats(), min_size=9, max_size=20)
     | st.lists(_atoms, min_size=9, max_size=20)
-    | st.lists(_atoms | _foreign, min_size=9, max_size=20)
+    | st.lists(_atoms | _foreign | _ndarrays(), min_size=9, max_size=20)
     | st.dictionaries(_keys, children, max_size=4),
     max_leaves=24,
 )
@@ -307,6 +355,17 @@ class TestEncode:
             {"a": 2.0**62}, [2.0**62] * 10, [1e308] * 10,
             ["a", None, True, 3] * 3, ["a"] * 9 + ["\ud800"], ["a"] * 9 + [2**64],
             ["a"] * 9 + [_Text("t")], ["a"] * 9 + [_Color.RED], [1] * 9 + [10**400],
+            # ndarray leaves: written as their tolist(), whichever writer.
+            {"input": np.arange(784.0)}, {"input": np.arange(784)}, np.zeros((3, 0)),
+            {"input": np.arange(784.0) - 2.0**62}, {"input": np.full(3, np.nan)},
+            np.array([2.0**63, -0.0, 5e-324]), np.arange(12.0).reshape(3, 4).T,
+            np.arange(4.0, dtype=">f8"), np.arange(4, dtype=">i8"), np.float32([0.1, 1e30]),
+            np.array(1.5), np.array([True, False]), np.array([1j]), np.arange(2.0).view(_Array),
+            np.array([np.float32(1.0), np.array([0.5])], dtype=object),
+            [np.arange(3.0)] * 10,
+            # A numpy scalar stays refused beside an array the numpy writer takes.
+            {"input": np.arange(3.0), "also": [np.float32(1.0)] * 10},
+            [np.arange(3), [np.int64(1)] * 10], [np.arange(3.0), np.bool_(True)],
         ],
         ids=lambda value: repr(value)[:24],
     )
@@ -314,6 +373,22 @@ class TestEncode:
         dumps, _ = codec(backend)
         mine = _outcome(lambda v: reference_loads(dumps(v)), value)
         assert_same(mine, _outcome(reference_round_trip, value))
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(6.0)[::2], np.arange(6.0).reshape(2, 3).T, np.array(1.5),
+            np.arange(4.0, dtype=">f8"), np.float32([0.1, 2.5]), np.array([True]),
+        ],
+        ids=lambda array: f"{array.dtype.str}{array.shape}",
+    )
+    def test_an_array_the_numpy_writer_cannot_take_stays_with_orjson(
+        self, monkeypatch, array
+    ):
+        # Written as its tolist(), at the cost the SDK paid for that list.
+        dumps, _ = codec("orjson")
+        monkeypatch.setattr(jsonwire, "_std_dumps", None)
+        assert reference_loads(dumps({"input": array})) == {"input": array.tolist()}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nesting_past_the_stdlibs_limit_raises_alike(self, backend):
