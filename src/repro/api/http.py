@@ -43,7 +43,6 @@ from urllib.parse import parse_qsl
 
 from repro.api import columnar
 from repro.api.errors import (
-    ApiError,
     BadRequestError,
     NotAcceptableError,
     UnsupportedMediaTypeError,
@@ -52,6 +51,7 @@ from repro.api.errors import (
 )
 from repro.api.routes import RouteTable
 from repro.api.schema import json_safe
+from repro.core.exceptions import SerializationError
 from repro.observability.logging import configure_logging, get_logger
 from repro.rpc import jsonwire as json  # looked up per call: the bench tracer rebinds ``json``
 from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
@@ -421,12 +421,10 @@ class HttpApiServer:
                     )
                 try:
                     body = decoder(body_bytes)
-                except ApiError:
-                    # A decoder speaking the structured error model (e.g. the
-                    # columnar codec's 400 on a corrupt frame) speaks for
-                    # itself; everything else is a generic bad request.
-                    raise
-                except Exception:
+                except (ValueError, RecursionError):
+                    # Invalid UTF-8 or JSON, or nesting past the parser's
+                    # stack.  The columnar decoder raises its own structured
+                    # 400, which passes through as every ApiError does.
                     raise BadRequestError(
                         f"request body is not valid {content_type}"
                     ) from None
@@ -502,7 +500,7 @@ class HttpApiServer:
             encoder = self._encoders.get(content_type, _encode_json)
             try:
                 payload = encoder(body)
-            except Exception:
+            except (SerializationError, TypeError, ValueError, OverflowError, RecursionError):
                 # A response the negotiated encoder cannot represent is an
                 # internal error; fall back to the JSON error shape.
                 content_type = JSON_CONTENT_TYPE

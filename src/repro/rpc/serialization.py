@@ -49,8 +49,12 @@ Layouts
 The second time a top-level dict frame of one entry count and length
 arrives, the decoder learns its *layout*: one ``struct.Struct`` over the
 frame, whose constant bytes (tags, lengths, keys, ndarray headers) it then
-checks in one comparison and whose values it reads in one call.  A frame
-that does not match takes the generic decoder, and decodes as it would have.
+checks in one comparison and whose values it reads in one call.  The
+encoder learns one from the same walk at the second dict with one key tuple:
+exact ints, floats and bools become the slots of one ``Struct.pack``, arrays
+of one dtype and shape their payloads, and ``str`` values and lists of them
+constants.  Whatever does not match takes the generic path, and both ways the
+bytes and values are the generic path's.
 """
 
 from __future__ import annotations
@@ -103,6 +107,14 @@ def serialize_buffers(value: Any) -> List[Any]:
     frame.  Large ndarray/bytes payload segments are read-only views of the
     caller's data — consume them before mutating the originals.
     """
+    key = layout = None
+    if type(value) is dict and len(value) <= _WRITER_KEYS_MAX:
+        key = (*value,)
+        layout = _WRITERS.get(key)
+        if layout is not None:
+            segments = layout(value)
+            if segments is not _MISMATCH:
+                return segments
     segments: List[Any] = []
     # Control bytes (tags, lengths, headers, small payloads) gather in one
     # scratch bytearray; a large payload flushes it and is spliced in as a
@@ -114,6 +126,12 @@ def serialize_buffers(value: Any) -> List[Any]:
         raise SerializationError(f"value out of range: {exc}") from exc
     if scratch:
         segments.append(scratch)
+    if layout is _seen_once:  # a key tuple's layout is learned at its second sighting
+        _WRITERS[key] = _learn_writer(value, segments)
+    elif layout is None and key is not None:
+        if len(_WRITERS) >= _LAYOUTS_MAX:
+            _WRITERS.clear()
+        _WRITERS[key] = _seen_once
     return segments
 
 
@@ -168,7 +186,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def serialized_nbytes(buffers: List[Any]) -> int:
     """Total size in bytes of a :func:`serialize_buffers` segment list."""
-    return sum(len(segment) for segment in buffers)
+    return sum(map(len, buffers))
 
 
 def deserialize(data) -> Any:
@@ -478,9 +496,13 @@ def _ndarray_span(view: memoryview, offset: int, tag: int) -> Tuple[str, tuple, 
 def _ndarray_view(payload: memoryview, dtype, shape) -> np.ndarray:
     """A read-only ndarray view over ``payload`` (zero-copy)."""
     try:
-        return _read_only(np.frombuffer(payload, dtype=np.dtype(dtype)).reshape(shape))
+        array = np.frombuffer(payload, dtype)
+        if array.shape != shape:
+            array = array.reshape(shape)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"invalid ndarray payload: {exc}") from exc
+    # A view over ``bytes`` is read-only already; one over a bytearray is not.
+    return _read_only(array) if array.flags.writeable else array
 
 
 _SCALARS = {_TAG_BOOL: struct.Struct("<?"), _TAG_INT: struct.Struct("<q"),
@@ -579,15 +601,25 @@ class _Learner:
         return (_DICT if tag == _TAG_DICT else _LIST, tuple(children), tuple(keys)), offset
 
 
-def _learn(view: memoryview):
-    """The layout of ``view``, a dict frame ``_decode`` accepted: a function
-    of a frame of the same length that decodes it, or returns ``_MISMATCH``
-    when the frame's constants differ."""
+def _walk(view: memoryview) -> Optional[Tuple[_Learner, tuple, tuple]]:
+    """A :class:`_Learner` over ``view``, a dict frame ``_decode`` accepts,
+    and its entries' trees and keys; None past the field budget."""
     learner = _Learner(view)
     (_, children, keys), _ = learner.node(0)
     learner.field(len(view), "0x", 0)
     if len(view) - learner.padding > _LAYOUT_FIELD_BYTES_MAX:
+        return None
+    return learner, children, keys
+
+
+def _learn(view: memoryview):
+    """The layout of ``view``, a dict frame ``_decode`` accepted: a function
+    of a frame of the same length that decodes it, or returns ``_MISMATCH``
+    when the frame's constants differ."""
+    walked = _walk(view)
+    if walked is None:
         return _unlearnable
+    learner, children, keys = walked
     unpack = struct.Struct("".join(learner.formats)).unpack_from
     constants = learner.constants
     expected = constants[0] if len(constants) == 1 else tuple(constants)
@@ -598,6 +630,96 @@ def _learn(view: memoryview):
         if pick(fields) != expected:
             return _MISMATCH
         return dict(zip(keys, _build(children, fields, view)))
+
+    return layout
+
+
+#: Key tuple -> the layout that writes a dict with those keys, or one of
+#: the two functions above; bounded and shared like ``_LAYOUTS``.
+_WRITERS: dict = {}
+#: More keys than fit the field budget (an entry takes 6 bytes or more).
+_WRITER_KEYS_MAX = _LAYOUT_FIELD_BYTES_MAX // 6
+
+
+def _learn_writer(value: dict, segments: List[Any]):
+    """The layout that writes ``segments``, ``value``'s generic encoding: a
+    function of a dict of the same keys, exact value types and constants that
+    returns segments cut alike and joining to the same bytes, or ``_MISMATCH``."""
+    frame = b"".join(segments)
+    walked = _walk(memoryview(frame)) if value else None
+    if walked is None:
+        return _unlearnable
+    learner, children, _ = walked
+    items = (*value, *value.values())
+    slots, checked, lists, arrays = {}, [0], [], []
+    for i, ((kind, at, spec), item) in enumerate(zip(children, value.values()), len(value)):
+        encoder = _ENCODERS.get(type(item))
+        if encoder in (_encode_int, _encode_float, _encode_bool):
+            slots[at] = i
+        elif encoder is _encode_ndarray:
+            arrays.append((i, spec, at.stop - at.start < _INLINE_PAYLOAD_MAX))
+        elif encoder is _encode_str or (type(item) is list and all(type(x) is str for x in item)):
+            checked.append(i)
+            if type(item) is list and item:  # ``==`` compares items, not their types
+                lists.append((i, [str] * len(item)))
+        elif encoder is not _encode_none:
+            return _unlearnable
+    # Arguments: the dict's items, its inline array payloads, the frame's fields.
+    inline = len(items)
+    base = inline + sum(small for *_, small in arrays)
+    fmt, picks, cuts, smalls, field = ["<"], [], [], iter(arrays), 0
+    for code in learner.formats[1:-1]:
+        if not code.endswith("x"):
+            fmt.append(code)
+            picks.append(slots.get(field, base + field))
+            field += 1
+        elif next(smalls)[2]:  # an inline payload, as ``_payload`` puts it
+            fmt.append(f"{code[:-1]}s")
+            picks.append(inline)
+            inline += 1
+        else:  # a zero-copy segment, cut into the packed control bytes
+            cuts.append(struct.calcsize("".join(fmt)))
+    if len(cuts) != sum(isinstance(segment, memoryview) for segment in segments):
+        return _unlearnable  # a long key or ``str`` left as a segment of its own
+    # ``0s`` packs nothing: its argument keeps ``pick``'s result a tuple.
+    pack = struct.Struct("".join(fmt) + "0s").pack
+    pick = operator.itemgetter(*picks, base)
+    learned = struct.Struct("".join(learner.formats)).unpack(frame)
+    # Bytes with no slot and no inline payload in them are the same every time.
+    constant = None if slots or base > len(items) else pack(*pick(items + learned))
+    check = operator.itemgetter(*checked)  # the first key keeps a tuple here
+    expected = check([[*item] if type(item) is list else item for item in items])
+    types = [*map(type, items)]
+
+    def layout(value: dict) -> Any:
+        items = (*value, *value.values())
+        if [*map(type, items)] != types or check(items) != expected:
+            return _MISMATCH
+        for i, kinds in lists:
+            if [*map(type, items[i])] != kinds:
+                return _MISMATCH
+        views = []
+        for i, spec, small in arrays:
+            array = np.ascontiguousarray(items[i])
+            if (array.dtype, array.shape) != spec:
+                return _MISMATCH
+            if small:
+                items += (array.tobytes(),)
+            else:
+                views.append(memoryview(array).cast("B").toreadonly())
+        try:
+            packed = constant or pack(*pick(items + learned))
+        except struct.error:  # an int past int64: the generic encoder refuses it
+            return _MISMATCH
+        if not views:
+            return [packed]
+        segments, start = [], 0
+        for cut, view in zip(cuts, views):
+            segments += (packed[start:cut], view)
+            start = cut
+        if start < len(packed):
+            segments.append(packed[start:])
+        return segments
 
     return layout
 

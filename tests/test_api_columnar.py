@@ -268,7 +268,9 @@ class TestMalformedFramesOverRealSockets:
                 )
                 status, _, payload = parse_response(response)
                 assert status == 400
-                assert json.loads(payload)["error"]["status"] == 400
+                error = json.loads(payload)["error"]
+                assert error["status"] == 400
+                assert error["detail"] == {"content_type": COLUMNAR_CONTENT_TYPE}
 
         run_async(scenario())
 

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import HttpApiServer, create_server
-from repro.api.routes import RouteTable
+from repro.api.routes import ApiResponse, RouteTable
 from repro.client import (
     AsyncAdminClient,
     AsyncClipperClient,
@@ -29,9 +29,17 @@ from repro.client import (
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import ClipperError, DuplicateApplicationError
+from repro.core.exceptions import ClipperError, DuplicateApplicationError, SerializationError
 from repro.core.frontend import QueryFrontend
 from repro.management.frontend import ManagementFrontend
+from repro.rpc.serialization import COLUMNAR_CONTENT_TYPE
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def make_app(name="demo", output=1, **config_kwargs):
@@ -60,6 +68,27 @@ async def raw_request(port, data: bytes) -> bytes:
     response = await reader.read()
     writer.close()
     return response
+
+
+def assert_bad_json_body(body: bytes) -> None:
+    """A predict whose JSON body cannot be decoded is a structured 400."""
+    async def scenario():
+        server = make_server(make_app())
+        async with server:
+            response = await raw_request(
+                server.port,
+                b"POST /api/v1/demo/predict HTTP/1.1\r\n"
+                b"Host: t\r\nContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n%b"
+                % (len(body), body),
+            )
+            head, _, payload = response.partition(b"\r\n\r\n")
+            assert b"400 Bad Request" in head
+            error = json.loads(payload)["error"]
+            assert error["code"] == "malformed_request"
+            assert error["status"] == 400
+
+    run_async(scenario())
 
 
 class TestErrorPathsOverHttp:
@@ -102,24 +131,14 @@ class TestErrorPathsOverHttp:
         run_async(scenario())
 
     def test_malformed_body_is_400(self):
-        async def scenario():
-            server = make_server(make_app())
-            async with server:
-                body = b"{this is not json"
-                response = await raw_request(
-                    server.port,
-                    b"POST /api/v1/demo/predict HTTP/1.1\r\n"
-                    b"Host: t\r\nContent-Type: application/json\r\n"
-                    b"Content-Length: %d\r\nConnection: close\r\n\r\n%b"
-                    % (len(body), body),
-                )
-                head, _, payload = response.partition(b"\r\n\r\n")
-                assert b"400 Bad Request" in head
-                error = json.loads(payload)["error"]
-                assert error["code"] == "malformed_request"
-                assert error["status"] == 400
+        assert_bad_json_body(b"{this is not json")
 
-        run_async(scenario())
+    @pytest.mark.parametrize(
+        "body", [b'{"input": [1.0]', b"\xff\xfe\x00", b"[" * 100_000],
+        ids=["truncated", "not_utf8", "deep"],  # 10**6 deep: test_api_http_framing
+    )
+    def test_an_undecodable_json_body_is_400(self, body):
+        assert_bad_json_body(body)
 
     def test_missing_input_field_is_400(self):
         async def scenario():
@@ -231,6 +250,72 @@ class TestErrorPathsOverHttp:
                 assert error["code"] == "unsupported_media_type"
 
         run_async(scenario())
+
+
+class _Unprintable:
+    """A handler result whose ``str()`` (``json_safe``'s last resort) raises."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __str__(self):
+        raise self.error
+
+
+def answer(result, accept="application/json"):
+    """``(status, content type, body)`` of the edge's answer to a request for
+    ``POST /echo``, whose handler returns ``result``."""
+    async def scenario():
+        table = RouteTable()
+
+        async def echo(params, body):
+            return ApiResponse(200, result)
+
+        table.add("POST", "/echo", "echo", echo)
+        async with HttpApiServer(table) as server:
+            response = await raw_request(
+                server.port,
+                b"POST /echo HTTP/1.1\r\nHost: t\r\nAccept: %b\r\n"
+                b"Content-Length: 0\r\nConnection: close\r\n\r\n" % accept.encode(),
+            )
+        head, _, body = response.partition(b"\r\n\r\n")
+        headers = dict(line.lower().split(b": ", 1) for line in head.split(b"\r\n")[1:])
+        return int(head.split(b" ", 2)[1]), headers[b"content-type"].decode(), body
+
+    return run_async(scenario())
+
+
+class TestUnencodableResults:
+    """A handler result the negotiated encoder cannot write is a JSON 500;
+    the exceptions the edge catches there are the ones the two encoders raise."""
+
+    @pytest.mark.parametrize("accept", ["application/json", COLUMNAR_CONTENT_TYPE])
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"deep": _nested_list(10_000)},  # RecursionError, in json_safe
+            [_Unprintable(TypeError("no str"))],
+            [_Unprintable(OverflowError("too big"))],
+            [_Unprintable(SerializationError("refused"))],
+        ],
+        ids=["deep", "type_error", "overflow", "serialization_error"],
+    )
+    def test_an_unencodable_result_is_a_json_500(self, result, accept):
+        status, kind, body = answer(result, accept)
+        assert (status, kind) == (500, "application/json")
+        assert json.loads(body)["error"]["status"] == 500
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"outputs": [2**64]},  # SerializationError: past int64, after json_safe too
+            {"text": "\ud800"},  # ValueError: a lone surrogate has no UTF-8 (JSON escapes it)
+        ],
+        ids=["past_int64", "lone_surrogate"],
+    )
+    def test_a_result_past_the_columnar_format_is_a_json_500_and_fine_as_json(self, result):
+        assert answer(result, COLUMNAR_CONTENT_TYPE)[:2] == (500, "application/json")
+        assert answer(result)[0] == 200
 
 
 class TestServingOverHttp:
@@ -505,7 +590,6 @@ class TestServerLifecycle:
     def test_server_without_applications_serves_routes_only(self):
         async def scenario():
             table = RouteTable()
-            from repro.api.routes import ApiResponse
 
             async def ping(params, body):
                 return ApiResponse(200, {"pong": True})

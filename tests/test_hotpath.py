@@ -45,7 +45,7 @@ from repro.api.schema import ApplicationSchema, json_safe
 from repro.batching.aimd import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.client.client import encode_input
+from repro.client.client import encode_binary_input, encode_input
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
@@ -659,10 +659,10 @@ class TestContainerRoundTripBudget:
 
 
 class TestLearnedFrameBudget:
-    """A frame seen before decodes through its layout, call by call.
+    """A frame seen before is read and written through its layout, call by call.
 
     Budgets as in :class:`TestCachedPassBudget`; beside each is what the
-    generic decoder makes of the same frame, measured the same way.
+    generic decoder or encoder makes of the same frame, measured the same way.
     """
 
     @pytest.mark.parametrize(
@@ -700,6 +700,53 @@ class TestLearnedFrameBudget:
         assert profile.python["_decode"] == 0
         assert sum(profile.python.values()) <= python_budget
         assert profile.total <= budget
+
+    @pytest.mark.parametrize(
+        "message, packs, python_budget, budget",
+        [
+            (  # what the REST edge answers a cached predict with
+                prediction_payload(Prediction(
+                    query_id=7, app_name="bench", output=1, latency_ms=0.02,
+                    models_used=("m:1",), from_cache=True,
+                )),
+                1,
+                3,  # generic: 16, one encoder per entry and per list item
+                7,  # generic: 65
+            ),
+            (  # what the SDK sends for a columnar predict
+                {"input": encode_binary_input(np.zeros(256, dtype=np.float32))},
+                0,  # no slot: its control bytes were packed once, when learned
+                3,  # generic: 6
+                11,  # generic: 26
+            ),
+        ],
+        ids=["predict_response", "sdk_request"],
+    )
+    def test_a_learned_frame_is_written_in_one_pack(
+        self, monkeypatch, message, packs, python_budget, budget
+    ):
+        # The counts include the profiled lambda, as the generic ones do.
+        monkeypatch.setattr(serialization, "_WRITERS", {})
+        frame = serialize(message)
+        assert serialize(message) == frame  # seen, then learned
+        profile, segments = profiled(lambda: serialization.serialize_buffers(message))
+        assert b"".join(segments) == frame
+        assert profile.python["_encode_dict"] == 0
+        assert profile.native["pack"] == packs
+        assert sum(profile.python.values()) <= python_budget
+        assert profile.total <= budget
+
+    def test_a_frame_the_writer_cannot_learn_costs_one_lookup(self, monkeypatch):
+        # A container's answer to a batch of 32: a list of ints is not learned.
+        message = RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload()
+        monkeypatch.setattr(serialization, "_WRITERS", {})
+        frame = serialize(message)
+        assert serialize(message) == frame
+        profile, segments = profiled(lambda: serialization.serialize_buffers(message))
+        assert b"".join(segments) == frame
+        assert profile.python["_unlearnable"] == 1
+        assert sum(profile.python.values()) <= 42  # generic: 41
+        assert profile.total <= 136  # generic: 133
 
 
 def profiled(step):

@@ -24,7 +24,11 @@ stated here over the current code alone:
   frames cut short, extended or with a byte flipped.
 * **Layouts.**  A top-level dict frame decodes to the same value before and
   after its layout is learned, and a frame decoded after the layout of one
-  it differs from was learned gets the value or refusal it gets cold.
+  it differs from was learned gets the value or refusal it gets cold.  A
+  dict is written to the same bytes, cut into the same zero-copy views, at
+  every sighting, and any dict with the keys of a learned one gets the
+  generic encoder's bytes or refusal: equal constants of another type or
+  length never reuse the learned frame.
 """
 
 import math
@@ -513,9 +517,199 @@ class TestLayouts:
         learn(frame)
         assert serialization._LAYOUTS[(1, len(frame))] is not serialization._unlearnable
 
+    @pytest.mark.parametrize("buffer", [bytes, bytearray], ids=["bytes", "bytearray"])
+    def test_decoded_arrays_are_read_only_views_whatever_the_buffer(self, buffer):
+        frame = buffer(serialize({"a": np.arange(3.0), "b": [np.zeros((2, 2))] * 2}))
+        serialization._LAYOUTS.clear()
+        for _ in range(3):  # cold, learning, then through the layout
+            value = deserialize(frame)
+            for array in (value["a"], *value["b"]):
+                assert not array.flags.writeable
+                assert np.shares_memory(array, np.frombuffer(frame, np.uint8))
+            assert value["a"].shape == (3,) and value["b"][0].shape == (2, 2)
+
     def test_the_layout_memo_is_bounded(self):
         serialization._LAYOUTS.clear()
         for i in range(3 * serialization._LAYOUTS_MAX):
             frame = serialize({"k": "v" * i})
             assert deserialize(frame) == deserialize(frame) == {"k": "v" * i}
             assert len(serialization._LAYOUTS) <= serialization._LAYOUTS_MAX
+
+
+# -- encode layouts ----------------------------------------------------------------
+
+
+def written(value):
+    """``value``'s frame as ``serialize_buffers`` writes it now, with where it
+    cuts it into zero-copy views, or the ``SerializationError`` it raises."""
+    try:
+        segments = serialize_buffers(value)
+    except SerializationError as exc:
+        return REFUSED, str(exc)
+    cuts = [(isinstance(segment, memoryview), len(segment)) for segment in segments]
+    return b"".join(segments), cuts
+
+
+def generic(value):
+    """What :func:`written` returns for ``value`` with no layout learned."""
+    saved = dict(serialization._WRITERS)
+    serialization._WRITERS.clear()
+    try:
+        return written(value)
+    finally:
+        serialization._WRITERS.clear()
+        serialization._WRITERS.update(saved)
+
+
+def learn_writer(value) -> None:
+    """Start the writers over, then encode ``value`` until its layout is learned."""
+    serialization._WRITERS.clear()
+    serialize(value)
+    serialize(value)
+
+
+class _Loud(str):
+    """A ``str`` subclass that encodes as its upper case: equal to its text,
+    written otherwise."""
+
+    def encode(self, *args):
+        return self.upper().encode(*args)
+
+
+class _KeyLike:
+    """Not a ``str``, but equal to ``"k"`` and hashed alike: found under the
+    key tuple ``("k",)``."""
+
+    def __hash__(self):
+        return hash("k")
+
+    def __eq__(self, other):
+        return other == "k"
+
+
+def _alike(item):
+    """Values that may take ``item``'s place: of its exact type (a slot's, or
+    a constant's equal, longer or of a subclass), or any wire value."""
+    kind = type(item)
+    if kind is bool:
+        same = st.booleans()
+    elif kind is int:
+        same = st.integers(-(2**64), 2**64)
+    elif kind is float:
+        same = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+    elif kind is str:
+        same = st.sampled_from([item, item + "x", _Text(item), _Loud(item)])
+    elif kind is list and all(type(text) is str for text in item):
+        same = st.sampled_from([list(item), [*item, "a"], item[1:], [_Loud(t) for t in item]])
+    elif kind is np.ndarray:
+        same = hnp.arrays(item.dtype, item.shape) | st.just(item.astype(object))
+    else:
+        same = st.just(item)
+    return same | wire_values
+
+
+_dicts = st.dictionaries(st.text(max_size=8), wire_values, min_size=1, max_size=5).filter(
+    lambda value: not refused(value)
+)
+
+
+class TestEncodeLayouts:
+    @given(_dicts)
+    @example({"input": np.arange(256, dtype="<f4")})  # a payload past the inline limit
+    @example({"a": np.arange(100.0), "b": 1, "c": np.zeros(3), "d": ["x"], "e": None})
+    @example({"k": "y" * 600, "n": 1})  # a str past the inline limit leaves as a segment
+    @example({"k" * 600: 1, "n": [np.zeros(600)] * 2})
+    def test_a_frame_is_written_alike_at_every_sighting(self, value):
+        serialization._WRITERS.clear()
+        frames = [written(value) for _ in range(4)]  # cold, learning, then learned
+        assert frames[0][0] == serialize(value)
+        assert frames[0] == frames[1] == frames[2] == frames[3]
+
+    @given(_dicts, st.data())
+    def test_a_learned_layout_writes_any_value_with_its_keys_as_the_generic_encoder_does(
+        self, value, data
+    ):
+        other = {key: data.draw(_alike(item)) for key, item in value.items()}
+        learn_writer(value)
+        assert written(other) == generic(other)
+
+    @pytest.mark.parametrize(
+        "learned, other, reused",
+        [
+            (1, 1.0, False), (1, True, False), (1.0, 1, False), (True, 1, False),
+            (0.0, -0.0, True),  # a slot: packed as it is
+            ("a", _Text("a"), False), ("a", _Loud("a"), False), (["a"], ["a", "b"], False),
+            (["a", "b"], ["a"], False), (["a"], [_Loud("a")], False), ([], [[]], False),
+            (np.zeros(2), np.zeros(3), False), (np.zeros(2), np.zeros(2, "<f4"), False),
+        ],
+    )
+    def test_equal_values_of_another_type_or_length_never_reuse_a_learned_frame(
+        self, learned, other, reused
+    ):
+        learn_writer({"k": learned, "n": 7})
+        value = {"k": other, "n": 7}
+        layout = serialization._WRITERS[("k", "n")]
+        assert (layout(value) is not serialization._MISMATCH) == reused
+        assert written(value) == generic(value)
+
+    @pytest.mark.parametrize(
+        "learned, value",
+        [
+            ({"k": 1}, {"k": 2**63}),
+            ({"k": 1}, {"k": -(2**63) - 1}),
+            ({"k": np.zeros(2)}, {"k": np.array([1, 2], dtype=object)}),
+            ({"k": 1}, {_KeyLike(): 1}),
+            ({"k": ["a"]}, {"k": _nested(33, "a", lambda v: [v])}),
+            ({"k": 1}, {"k": _nested(32, {}, lambda v: {"k": [v]})}),
+        ],
+        ids=["past_int64", "below_int64", "object_array", "non_str_key", "nested_33", "nested_deep"],
+    )
+    def test_a_learned_layout_refuses_what_the_generic_encoder_refuses(self, learned, value):
+        learn_writer(learned)
+        assert refused(value)
+        cold = generic(value)
+        assert cold[0] is REFUSED
+        with pytest.raises(SerializationError) as excinfo:
+            serialize(value)
+        assert str(excinfo.value) == cold[1]
+
+    @pytest.mark.parametrize("key", [_Text("k"), _Loud("k")], ids=["str_subclass", "loud"])
+    def test_a_key_of_a_str_subclass_never_reuses_a_learned_frame(self, key):
+        learn_writer({"k": 1})
+        assert serialization._WRITERS[("k",)]({key: 1}) is serialization._MISMATCH
+        assert written({key: 1}) == generic({key: 1})
+
+    @pytest.mark.parametrize("nbytes", [serialization._INLINE_PAYLOAD_MAX - 1,
+                                        serialization._INLINE_PAYLOAD_MAX])
+    def test_an_array_is_inline_exactly_when_the_generic_encoder_inlines_it(self, nbytes):
+        value = {"a": np.zeros(nbytes, "u1"), "n": 1}
+        learn_writer(value)
+        assert serialization._WRITERS[("a", "n")] is not serialization._unlearnable
+        frame, cuts = written(value)
+        assert (frame, cuts) == generic(value)
+        assert any(view for view, _ in cuts) == (nbytes >= serialization._INLINE_PAYLOAD_MAX)
+
+    def test_large_payloads_stay_zero_copy_segments(self):
+        first, second = np.arange(100.0), np.arange(200.0)
+        value = {"a": first, "n": 1, "b": second, "small": np.zeros(3)}
+        learn_writer(value)
+        segments = serialize_buffers(value)
+        assert b"".join(segments) == generic(value)[0]
+        views = [segment for segment in segments if isinstance(segment, memoryview)]
+        assert [view.readonly for view in views] == [True, True]
+        for view, array in zip(views, (first, second)):
+            assert np.shares_memory(np.frombuffer(view, array.dtype), array)
+
+    def test_a_learned_layout_keeps_no_list_it_saw(self):
+        models = ["m:1"]
+        learn_writer({"models": models, "n": 1})
+        models[0] = "m:2"  # the caller reuses the list it sent
+        for names in (["m:1"], ["m:2"]):
+            assert written({"models": names, "n": 1}) == generic({"models": names, "n": 1})
+
+    def test_the_writer_memo_is_bounded(self):
+        serialization._WRITERS.clear()
+        for i in range(3 * serialization._LAYOUTS_MAX):
+            value = {f"k{i}": i}
+            assert serialize(value) == serialize(value) == serialize(value)
+            assert len(serialization._WRITERS) <= serialization._LAYOUTS_MAX
