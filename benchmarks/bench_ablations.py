@@ -15,10 +15,12 @@ mechanisms:
 """
 
 import asyncio
+import statistics
 import time
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 
 from conftest import record_result
 from paperkit.reporting import format_table
@@ -187,47 +189,73 @@ async def _answer_all(clipper, inputs, concurrency=1):
     return time.perf_counter() - start
 
 
-def test_ablation_tracing_overhead():
+@pytest.mark.parametrize("path", ["hits", "misses"])
+def test_ablation_tracing_overhead(path):
     """Default tracing (1/256 head sampling + tail capture) costs <= 5 % of
-    cache-hit throughput against tracing disabled.
+    throughput against tracing disabled, on both paths a query takes: cache
+    hits of one repeated input in process, and cache misses — unique
+    float32 x 256 inputs, 32 in flight, to a replica over loopback tcp —
+    where tail capture has the dispatcher stamp every batch.
 
-    The two applications answer the same repeated input in interleaved
-    slices, so scheduler drift and allocator state hit both alike; single
-    runs still jitter by about 5 % on a shared host, so the requirement holds
-    if any of three attempts lands inside the budget (a real regression
-    fails all three, far outside it).
+    The two applications answer in interleaved slices, the first of each
+    pair taking turns, so scheduler drift and allocator state hit both
+    alike; single runs still jitter by about 5 % on a shared host, so the
+    requirement holds if any of three attempts lands inside the budget (a
+    real regression fails all three, far outside it).  Hits compare the
+    pooled times.  Misses compare the median slice: a tcp replica moves
+    between the event loop and an executor thread on its own measurements,
+    which on a noisy host flips one application for a few slices.
     """
-    x = np.random.default_rng(5).standard_normal(784)
-    rounds, per_round = 4, 1000
+    rng = np.random.default_rng(5)
+    if path == "hits":
+        x = rng.standard_normal(784)
+        transport, concurrency, rounds, per_round = "inprocess", 1, 4, 1000
+        warm = [x]  # fill the cache
+
+        def inputs():
+            return [x] * per_round
+    else:
+        transport, concurrency, rounds, per_round = "tcp", 32, 24, 1000
+        warm = list(rng.standard_normal((per_round, 256)).astype(np.float32))
+
+        def inputs():  # never seen: every query misses
+            return list(rng.standard_normal((per_round, 256)).astype(np.float32))
 
     async def attempt():
-        apps = {"on": _noop_app(TracingConfig()), "off": _noop_app(TracingConfig(enabled=False))}
-        spent = dict.fromkeys(apps, 0.0)
+        apps = {
+            "on": _noop_app(TracingConfig(), transport),
+            "off": _noop_app(TracingConfig(enabled=False), transport),
+        }
+        spent = {name: [] for name in apps}
         for clipper in apps.values():
             await clipper.start()
         try:
             for clipper in apps.values():
-                await _answer_all(clipper, [x])  # fill the cache
-            for _ in range(rounds):
-                for name, clipper in apps.items():
-                    spent[name] += await _answer_all(clipper, [x] * per_round)
+                await _answer_all(clipper, warm, concurrency)
+            for turn in range(rounds):
+                for name in ("on", "off") if turn % 2 == 0 else ("off", "on"):
+                    spent[name].append(await _answer_all(apps[name], inputs(), concurrency))
         finally:
             for clipper in apps.values():
                 await clipper.stop()
-        return {name: rounds * per_round / seconds for name, seconds in spent.items()}
+        if path == "hits":
+            ratio = sum(spent["off"]) / sum(spent["on"])
+        else:
+            ratio = statistics.median(off / on for on, off in zip(spent["on"], spent["off"]))
+        qps = {name: rounds * per_round / sum(seconds) for name, seconds in spent.items()}
+        return {"on_qps": qps["on"], "off_qps": qps["off"], "on/off": ratio}
 
     rows = []
     for _ in range(3):
-        qps = asyncio.run(attempt())
-        rows.append({"on_qps": qps["on"], "off_qps": qps["off"], "on/off": qps["on"] / qps["off"]})
+        rows.append(asyncio.run(attempt()))
         if rows[-1]["on/off"] >= 0.95:
             break
     record_result(
-        "ablation_tracing_overhead",
-        format_table(rows, title="Ablation: tracing on vs off, cache hits"),
+        f"ablation_tracing_overhead_{path}",
+        format_table(rows, title=f"Ablation: tracing on vs off, cache {path}"),
     )
     best = max(row["on/off"] for row in rows)
-    assert best >= 0.95, f"tracing overhead above 5%: best on/off ratio {best:.4f}"
+    assert best >= 0.95, f"tracing overhead above 5% on {path}: best on/off ratio {best:.4f}"
 
 
 def test_ablation_replica_transport():

@@ -18,9 +18,9 @@ from repro.core import clock
 #: Sentinel resolved into a pending model future when its straggler deadline
 #: passes before the container answers, or when the ``drop-oldest`` shed
 #: policy evicts it from its queue.  A sentinel (not an exception) keeps
-#: abandoned futures from logging "exception was never retrieved" and lets
-#: the dispatcher distinguish "timed out, late-fill the cache when the real
-#: output lands" from genuine failures.
+#: abandoned futures from logging "exception was never retrieved" and tells
+#: a query "timed out" apart from a genuine failure (the dispatcher still
+#: caches the real output when it lands).
 DEADLINE_MISS = object()
 
 

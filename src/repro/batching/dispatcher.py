@@ -8,8 +8,9 @@ batching is performed independently per replica).  The loop is:
    drain up to that many queries from the model's batching queue, optionally
    waiting ``batch_wait_timeout_ms`` for more under light load (§4.3.2).
 3. Send the batch over RPC to the container, measure the evaluation latency.
-4. Feed the (size, latency) observation back into the controller and resolve
-   each query's future with its output.
+4. Feed the (size, latency) observation back into the controller, fill the
+   prediction cache with every output the container answered (one locked
+   pass per batch, array views copied once) and resolve each query's future.
 
 Pipelining
 ----------
@@ -58,7 +59,9 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Set
+from typing import Any, Deque, List, Optional, Set
+
+import numpy as np
 
 from repro.batching.controllers import BatchSizeController
 from repro.batching.queue import BatchingQueue, PendingQuery
@@ -68,7 +71,7 @@ from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcErr
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import BatchStats, ReplicaHealth
 from repro.observability.logging import get_logger
-from repro.observability.tracing import TRACE_RETRIED, BatchSpans
+from repro.observability.tracing import TRACE_RETRIED, BatchSpans, TraceContext
 
 logger = get_logger("batching.dispatcher")
 
@@ -100,6 +103,18 @@ def _time_out(item: PendingQuery) -> None:
         item.future.set_exception(PredictionTimeoutError(item.query_id or -1, 0.0))
 
 
+def _detached(outputs: list) -> list:
+    """A batch's outputs, safe to keep in the prediction cache: a decoded
+    ndarray is a view that would pin the whole response frame, so views
+    are copied; owning arrays and scalars pass through."""
+    if not any(issubclass(kind, np.ndarray) for kind in {*map(type, outputs)}):
+        return outputs
+    return [
+        output.copy() if isinstance(output, np.ndarray) and output.base is not None else output
+        for output in outputs
+    ]
+
+
 class ReplicaDispatcher:
     """Drains a batching queue into one container replica."""
 
@@ -114,7 +129,7 @@ class ReplicaDispatcher:
         max_retries: int = 0,
         failure_cooldown_ms: float = 20.0,
         pipeline_window: int = PIPELINE_WINDOW,
-        late_result_sink: Optional[Callable[[PendingQuery, Any], None]] = None,
+        cache: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
         self.replica = replica
@@ -134,11 +149,10 @@ class ReplicaDispatcher:
         #: what the RPC path adds to it; None until first measured.
         self.eval_ms: Optional[float] = None
         self.rpc_overhead_ms: Optional[float] = None
-        #: Called with (item, output) when a query's future was already
-        #: resolved (straggler deadline) by the time its container output
-        #: arrived — the serving engine uses it to late-fill the prediction
-        #: cache.
-        self.late_result_sink = late_result_sink
+        #: The engine's prediction cache (None: no fill): every answered
+        #: entry's output goes in, whatever became of its future.
+        self.cache = cache
+        self._model_key = str(replica.model_id)
         self.batch_history: Deque[BatchStats] = deque(maxlen=_BATCH_HISTORY_LEN)
         #: Failed batches since the last success — read by the health
         #: monitor as a passive unhealthiness signal alongside its probes.
@@ -178,8 +192,10 @@ class ReplicaDispatcher:
         self._eval_gauge = self.metrics.gauge(f"{prefix}.eval_ms")
         self._depth_gauge.set(self.pipeline_depth)
         #: The engine's Tracer (None when this dispatcher serves an untraced
-        #: engine); traced queries in a batch get queue-wait/RPC/eval spans.
+        #: engine).  With tail capture on every batch is stamped, since any
+        #: query may turn out interesting; else only batches with a traced one.
         self._tracer = tracer
+        self._tail_capture = tracer is not None and tracer.tail_capture
 
     def start(self) -> asyncio.Task:
         """Start the dispatch loop as a background task."""
@@ -299,10 +315,12 @@ class ReplicaDispatcher:
         t_batch = oldest = clock.now()
         drop_expired = self.drop_expired
         inputs, deadlines, carries_deadline = [], [], False
-        expired = traced = trace_ids = None  # a set of ids, two lists, when needed
+        expired = trace_ids = None  # a set of ids, a list, when needed
+        # Stamped: every batch under tail capture, else one with a context.
+        traced = self._tail_capture
         tracer = self._tracer
         if tracer is not None and tracer.active:
-            traced, trace_ids = [], []
+            trace_ids = []
         for item in batch:
             deadline = item.deadline
             if deadline is None:
@@ -320,9 +338,9 @@ class ReplicaDispatcher:
             if item.enqueue_time < oldest:
                 oldest = item.enqueue_time
             trace = item.trace
-            if trace is not None and traced is not None:
-                traced.append(item)
-                if trace.trace_id is not None:  # a shadow owns none: not sent
+            if trace is not None and trace_ids is not None:
+                traced = True
+                if trace.trace_id is not None:  # a retry's context owns none: not sent
                     trace_ids.append(trace.trace_id)
         if expired is not None:
             batch = [item for item in batch if id(item) not in expired]
@@ -378,30 +396,26 @@ class ReplicaDispatcher:
         self._measure_pipeline(
             eval_ms, None if overlapped else max(0.0, latency_ms - eval_ms)
         )
-        if traced:
-            self._record_batch_spans(traced, span_log, response, t_batch)
-        sink = self.late_result_sink
-        skipped = set(response.skipped) if response.skipped else None
-        outputs = iter(response.outputs)
-        for index, item in enumerate(batch):
-            future = item.future
-            if skipped is not None and index in skipped:
-                # The container declined this entry: its deadline expired in
-                # transit (the sweeper has usually resolved it already).
-                _time_out(item)
-                continue
-            output = next(outputs)
-            if not future.done():
-                future.set_result(output)
-            elif (
-                sink is not None
-                and not future.cancelled()
-                and future.exception() is None
-            ):
-                # The straggler deadline already resolved this future; hand
-                # the late output to the engine so it still reaches the
-                # prediction cache.
-                sink(item, output)
+        if span_log is not None:
+            self._record_batch_spans(batch, span_log, response, t_batch)
+        answered = batch
+        if response.skipped:
+            # The container declined these entries: their deadline expired
+            # in transit (the sweeper has usually resolved them already).
+            skipped, answered = set(response.skipped), []
+            for index, item in enumerate(batch):
+                if index in skipped:
+                    _time_out(item)
+                else:
+                    answered.append(item)
+        outputs = _detached(response.outputs)
+        if self.cache is not None:
+            self.cache.put_by_hash(
+                self._model_key, [item.input_hash for item in answered], outputs
+            )
+        for item, output in zip(answered, outputs):
+            if not item.future.done():
+                item.future.set_result(output)
 
     def _measure_pipeline(self, eval_ms: float, overhead_ms: Optional[float]) -> None:
         """Fold one answered batch into the averages and re-derive the depth.
@@ -427,19 +441,20 @@ class ReplicaDispatcher:
 
     def _record_batch_spans(
         self,
-        traced: List[PendingQuery],
+        batch: List[PendingQuery],
         span_log: Optional[list],
         response: Any,
         t_batch: float,
     ) -> None:
-        """Stamp the batch's lifecycle spans onto each traced query.
+        """Stamp the batch's lifecycle spans onto each entry sent.
 
-        Built once per batch.  An uncommitted shadow context receives them
-        as one shared :class:`BatchSpans`, expanded by :meth:`Tracer.finish`
-        only if its trace commits; a context that owns a trace id — sampled,
-        or committed by the straggler deadline before its batch came back
-        (the record shares the context's span list) — gets its copies now.
-        Must run before the batch's futures resolve so ``finish`` sees them.
+        Built once per batch.  An entry without a context receives them as
+        one shared :class:`BatchSpans`, expanded by :meth:`Tracer.shadow`
+        only if its query turns out interesting; a context — sampled, a
+        retry's, or committed by the straggler deadline before its batch
+        came back (the record shares the context's span list) — gets its
+        copies now.  Must run before the batch's futures resolve, so the
+        query finishing sees them.
         """
         t_done = clock.now()
         common: List[tuple] = []
@@ -450,13 +465,13 @@ class ReplicaDispatcher:
         if response.eval_end:
             common.append(("container.eval", response.eval_start, response.eval_end, None))
             common.append(("rpc.recv", response.eval_end, t_done, None))
-        shared = BatchSpans(traced, t_batch, common)
-        for item in traced:
+        shared = BatchSpans(t_batch, common)
+        for item in batch:
             trace = item.trace
-            if trace.trace_id is None:
-                trace.spans.append(shared)
+            if trace is None:
+                item.trace = shared
             else:
-                trace.spans.extend(shared.spans_of(trace))
+                trace.spans.extend(shared.spans_of(item))
 
     def _handle_failed_batch(self, batch: List[PendingQuery], error: Exception) -> None:
         """Requeue failed queries with retry budget left; fail the rest."""
@@ -480,6 +495,13 @@ class ReplicaDispatcher:
             if item.future.done():
                 continue
             trace = item.trace
+            if type(trace) is not TraceContext:
+                # An unsampled entry's retry makes its query interesting: the
+                # entry gets a context of its own, which the query's shadow
+                # folds in.
+                trace = item.trace = (
+                    self._tracer.shadow(item.enqueue_time) if self._tail_capture else None
+                )
             if trace is not None:
                 if not now:
                     now = clock.now()

@@ -39,10 +39,7 @@ class PendingQuery:
     """One query waiting in a batching queue.
 
     ``input_hash`` carries the query's content hash, computed once by the
-    serving engine, so any batch-layer consumer that needs the cache key
-    (e.g. deduplicating identical in-flight queries) can read it instead of
-    re-hashing the input.  The engine's own cache inserts and straggler
-    callbacks reuse the same precomputed digest on the ``Clipper`` side.
+    serving engine: the dispatcher fills the prediction cache under it.
     """
 
     input: Any
@@ -55,8 +52,9 @@ class PendingQuery:
     #: failure; the dispatcher fails the future once its retry budget is
     #: exhausted.
     attempts: int = 0
-    #: The query's TraceContext when it is traced (sampled or shadow); the
-    #: dispatcher stamps queue-wait/RPC/eval spans and retry flags on it.
+    #: The query's TraceContext when it has one (sampled, committed, or a
+    #: retried entry's own), which the dispatcher stamps with spans and retry
+    #: flags; else, once its batch answered, the batch's shared BatchSpans.
     trace: Optional[Any] = None
 
     def expired(self, now: Optional[float] = None) -> bool:

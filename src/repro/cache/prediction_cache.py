@@ -21,8 +21,9 @@ The serving engine hashes each query input **once**
 points: :meth:`PredictionCache.fetch_by_hash` probes every selected model in
 one locked pass (:meth:`ClockCache.probe`), one hash, one lock acquisition
 and *N* dict probes for an ensemble of *N*; :meth:`PredictionCache.put_by_hash`
-inserts one model's output.  :meth:`fetch` and :meth:`put` hash and
-delegate.  Hashing happens outside the lock.
+inserts one model's outputs for a batch of inputs under one lock.
+:meth:`fetch` and :meth:`put` hash and delegate.  Hashing happens outside
+the lock.
 """
 
 from __future__ import annotations
@@ -121,16 +122,24 @@ class PredictionCache:
         """Insert a model prediction for an input (hashes ``x`` first)."""
         if self._cache is None:
             return
-        self.put_by_hash(model_id, hash_input(x), y)
+        self.put_by_hash(model_id, (hash_input(x),), (y,))
 
-    def put_by_hash(self, model_id: Union[ModelId, str], input_hash: str, y: Any) -> None:
-        """Insert using a precomputed input hash (the hot-path entry point)."""
+    def put_by_hash(
+        self, model_id: Union[ModelId, str], input_hashes: Sequence[str], outputs: Sequence[Any]
+    ) -> None:
+        """Insert one model's outputs for a batch of precomputed input hashes,
+        aligned, in one locked pass: the hot-path entry point.  A bare
+        ``str`` of hashes is refused, as in :meth:`fetch_by_hash`."""
+        if type(input_hashes) is str:
+            raise CacheError("put_by_hash takes a sequence of input hashes, not a str")
         if self._cache is None:
             return
-        key = (str(model_id), input_hash)
+        model_key = str(model_id)
+        put = self._cache.put
         with self._lock:
-            self._cache.put(key, y)
-            self.stats.inserts += 1
+            for input_hash, output in zip(input_hashes, outputs):
+                put((model_key, input_hash), output)
+            self.stats.inserts += len(input_hashes)
 
     def __len__(self) -> int:
         return 0 if self._cache is None else len(self._cache)

@@ -17,9 +17,9 @@ them — under both ``predict`` and ``feedback`` — is "each of these models'
 output for this input", asked in two steps: the synchronous
 :meth:`~repro.core.deployed.ModelLayer.lookup` (one cache fetch per model)
 and, only for what it missed, the awaited
-:meth:`~repro.core.deployed.ModelLayer.evaluate` (submit → await → detach →
-cache put).  A cached query is therefore one synchronous pass inside the
-coroutine its caller awaits.  Two seams keep that path ignorant of where and
+:meth:`~repro.core.deployed.ModelLayer.evaluate` (submit → await; the
+dispatchers fill the cache).  A cached query is therefore one synchronous
+pass inside the coroutine its caller awaits.  Two seams keep that path ignorant of where and
 whether work runs: a **placement** callable given at construction decides
 where each deployment's replicas are built (in this process by default, on
 worker daemons in the cluster), and one
@@ -526,13 +526,11 @@ class Clipper:
 
         # Tracing: ``begin`` returns a context only for head-sampled (or
         # caller-forced) queries, so the cache-hit fast path pays exactly one
-        # call returning None plus per-site ``is not None`` branches.  A
-        # shadow context attaches lazily when the query leaves the cache —
-        # the only place tail-capture flags (SLO miss, straggler, retry,
-        # error) can originate.  Engine-side per-stage spans are recorded for
-        # *sampled* traces only; the flag sites and the dispatcher's
-        # queue/RPC spans cover shadow traces too, which is what tail
-        # capture needs.
+        # call returning None plus per-site ``is not None`` branches.  An
+        # unsampled miss carries no context: ``_finish`` builds a shadow from
+        # its queue entries only if it turned out interesting (SLO miss,
+        # default, error, straggler, retry).  Engine-side per-stage spans are
+        # recorded for *sampled* traces only.
         sampled = self._trace_begin(query.trace_id, start)
         if sampled is not None:
             # The frontend may have stamped edge-side spans (input
@@ -543,8 +541,8 @@ class Clipper:
                 sampled.start = pre[0][1]
 
         # The input is hashed exactly once per query; the digest is reused
-        # for the routing key, every per-model cache fetch/insert, the
-        # pending queue items, and the dispatcher's straggler late-fill.
+        # for the routing key, every per-model cache fetch, and the queue
+        # entries the dispatchers fill the cache under.
         input_hash = query.input_hash()
         plan = self.routing.plan_for(query.user_id or input_hash)
         selection = self._selection_manager_for(plan)
@@ -554,11 +552,11 @@ class Clipper:
         if sampled is not None:
             sampled.add("selection.select", start, clock.now())
         predictions, misses = self._layer.lookup(selected, input_hash)
-        trace, shed = sampled, None
+        waited = shed = None
         if misses or sampled is not None:
-            predictions, trace, shed = await self._layer.evaluate(
+            predictions, waited, shed = await self._layer.evaluate(
                 misses, predictions, query, input_hash, self.overload,
-                start, start + slo_ms / 1000.0, sampled,
+                start + slo_ms / 1000.0, sampled,
             )
 
         # The query's one closing clock read comes after combine: a policy's
@@ -602,8 +600,8 @@ class Clipper:
                 if arm_key in selected:
                     arm.observe(latency_ms, ok=arm_key in predictions)
         return self._finish(
-            query, output, confidence, error, latency_ms, slo_ms, selected,
-            predictions, default_used, not misses, trace,
+            query, output, confidence, error, start, latency_ms, slo_ms, selected,
+            predictions, default_used, not misses, sampled, waited,
         )
 
     def _finish(
@@ -612,24 +610,28 @@ class Clipper:
         output: Any,
         confidence: float,
         error: Optional[Exception],
+        start: float,
         latency_ms: float,
         slo_ms: float,
         selected: List[str],
         predictions: Dict[str, Any],
         default_used: bool,
         from_cache: bool,
-        trace: Optional[Any],
+        sampled: Optional[Any],
+        waited: Optional[Dict[str, Any]],
     ) -> Prediction:
         """Every way out of :meth:`predict` that is not a cancellation.
 
-        Closes the query's trace exactly once, then either raises ``error``
-        or counts the answered query and builds the response.
+        Closes the query's trace exactly once — a sampled one, or a shadow
+        built and committed only for a miss that turned out interesting —
+        then either raises ``error`` or counts the answered query and builds
+        the response.
         """
         trace_id = None
-        if trace is not None:
-            trace_id = self.tracer.finish(
-                trace, latency_ms > slo_ms, default_used, error is not None,
-                query.query_id,
+        if sampled is not None or waited:
+            trace_id = self._layer.close_trace(
+                sampled, waited, predictions, start, latency_ms > slo_ms,
+                default_used, error is not None, query.query_id,
             )
         if error is not None:
             raise error

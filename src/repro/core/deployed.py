@@ -9,7 +9,10 @@ prediction cache.  The selection layer above it asks one thing — the paper's
 :meth:`ModelLayer.lookup` (the cache probe, all a cached input costs) and,
 for what that missed, the awaited :meth:`ModelLayer.evaluate`.  It never
 learns whether an output came from a queue, a local container or a worker
-daemon, or what the overload layer decided on the way.
+daemon, or what the overload layer decided on the way.  The dispatchers fill
+the cache, one locked pass per answered batch, and :meth:`ModelLayer.close_trace`
+tail-captures a query that turned out interesting: nothing is traced for an
+unsampled miss until then.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import asyncio
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.batching.controllers import make_controller
 from repro.batching.deadline import DEADLINE_MISS, DeadlineSweeper
@@ -31,7 +32,7 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId
-from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, Tracer
+from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, BatchSpans, Tracer
 from repro.overload import UNGUARDED, CircuitBreaker, Degraded
 
 #: How long a closing version waits for its dispatchers to drain its queue.
@@ -205,24 +206,6 @@ async def end_recovery(dispatcher: ReplicaDispatcher) -> None:
         await asyncio.wait([task], timeout=0.05)
 
 
-def _detach_output(output: Any) -> Any:
-    """An output safe to retain long-term (e.g. in the prediction cache).
-
-    The RPC decoder returns ndarray outputs as zero-copy views into the
-    whole received frame; caching such a view would pin the entire
-    batch-response buffer for the lifetime of one cache entry.  Views are
-    copied once here; owning arrays and scalars pass through.
-    """
-    if isinstance(output, np.ndarray) and output.base is not None:
-        return output.copy()
-    return output
-
-
-def _no_trace(start: float) -> None:
-    """Stands in for ``Tracer.shadow`` when tail capture can never trigger."""
-    return None
-
-
 class ModelLayer:
     """Every deployed version of one application, behind the prediction cache.
 
@@ -250,11 +233,7 @@ class ModelLayer:
         self._straggler_counter = metrics.counter("predict.stragglers")
         self._container_error_counter = metrics.counter("predict.container_errors")
         self._unavailable_counter = metrics.counter("predict.unavailable_models")
-        # Shadow (tail-capture) contexts attach only when a query leaves the
-        # cache-hit path; never when tail capture cannot trigger.
-        self._trace_shadow = (
-            tracer.shadow if tracer.active and tracer.tail_capture else _no_trace
-        )
+        self._tail_capture = tracer.tail_capture
 
     def deploy(self, deployment: ModelDeployment) -> DeployedModel:
         """Place one version's replicas and register its record (not started)."""
@@ -292,17 +271,9 @@ class ModelLayer:
         controller = make_controller(
             record.deployment.batching, slo_ms=self._config.latency_slo_ms
         )
-        model_key = str(record.model_id)
-
-        def late_result_sink(item: PendingQuery, output: Any) -> None:
-            # A query that missed its straggler deadline still populates the
-            # prediction cache when its container output finally lands, so
-            # the feedback path can join against it (§4.2 / §5.2.2).
-            if item.input_hash is not None:
-                self.cache.put_by_hash(
-                    model_key, item.input_hash, _detach_output(output)
-                )
-
+        # The dispatcher fills the cache with every output it is answered,
+        # a straggler's too, so the feedback path can join against it
+        # (§4.2 / §5.2.2).
         return ReplicaDispatcher(
             replica=replica,
             queue=record.queue,
@@ -310,7 +281,7 @@ class ModelLayer:
             batch_wait_timeout_ms=record.deployment.batching.batch_wait_timeout_ms,
             metrics=record.metrics,
             max_retries=record.deployment.max_batch_retries,
-            late_result_sink=late_result_sink,
+            cache=self.cache,
             tracer=self._tracer,
         )
 
@@ -335,57 +306,53 @@ class ModelLayer:
         request: Any,
         input_hash: str,
         guard: Any,
-        start: Optional[float] = None,
         deadline: Optional[float] = None,
-        trace: Optional[Any] = None,
-    ) -> Tuple[Dict[str, Any], Optional[Any], Optional[Exception]]:
-        """Obtain what :meth:`lookup` missed: submit → await → detach → cache put.
+        sampled: Optional[Any] = None,
+    ) -> Tuple[Dict[str, Any], Optional[Dict[str, PendingQuery]], Optional[Exception]]:
+        """Obtain what :meth:`lookup` missed: submit → await.
 
         With :meth:`lookup`, the one routine under both ``Clipper.predict``
         and ``Clipper.feedback`` — the paper's ``Predict(m, x) -> y`` for a
         set of models.  Awaited only when something missed or the query is
-        sampled (``trace`` given), whose ``cache.lookup`` span is closed
-        here; it suspends only to wait for the outputs (and, for work that is
-        never shed, for room on a full queue).  ``request`` is the
-        :class:`Query` or :class:`Feedback` carrying the input; ``guard`` the
-        application's :class:`~repro.overload.OverloadControl`, or
-        :data:`~repro.overload.UNGUARDED`.  ``start``/``deadline`` bound a
-        query that must answer by its SLO (both None: wait for every model;
-        never traced).
+        sampled (``sampled``, its trace context), whose ``cache.lookup`` and
+        ``model.wait`` spans are stamped here; it suspends only to wait for
+        the outputs (and, for work that is never shed, for room on a full
+        queue).  ``request`` is the :class:`Query` or :class:`Feedback`
+        carrying the input; ``guard`` the application's
+        :class:`~repro.overload.OverloadControl`, or
+        :data:`~repro.overload.UNGUARDED`.  ``deadline`` bounds a query that
+        must answer by its SLO (None: wait for every model).
+        The dispatchers put the outputs in the cache.
 
-        Returns ``(predictions, trace, shed)``: ``predictions`` with the
-        outputs obtained added, by model key; the query's trace context (the
-        sampled one passed in, or a shadow attached when an untraced query
-        first reached a queue); and, when the overload layer shed the query,
-        the exception that says how (the predictions are then empty).  The
-        query's ticket is settled on every way out, cancellation included.
+        Returns ``(predictions, waited, shed)``: ``predictions`` with the
+        outputs obtained added, by model key; the queue entries the query
+        waited on, by model key (None when it submitted none), which
+        :meth:`close_trace` reads; and, when the overload layer shed the
+        query, the exception that says how (the predictions are then
+        empty).  The query's ticket is settled on every way out,
+        cancellation included.
         """
-        # A trace passed in is a sampled one; its last span so far ends
-        # where the lookup stage began.
-        sampled = trace
         if not misses:
-            if sampled is not None:
+            if sampled is not None:  # its last span so far ends where the lookup began
                 sampled.add("cache.lookup", sampled.spans[-1][2], clock.now())
-            return predictions, trace, None
+            return predictions, None, None
 
         ticket = UNGUARDED  # nothing to settle until the query is admitted
+        waited: Dict[str, PendingQuery] = {}
         try:
             ticket = guard.admit(misses[0], request.query_id)
             if not self._straggler_mitigation:
                 deadline = None
             loop = asyncio.get_running_loop()
-            pending: Dict[str, asyncio.Future] = {}
             # Where the lookup stage ends and every entry's queue wait begins.
             t_wait = clock.now()
             for model_key in misses:
                 if not ticket.allow(model_key):
                     continue
-                if trace is None and start is not None:
-                    trace = self._trace_shadow(start)
                 # Positional, in field order; ``0`` is ``attempts``.
                 item = PendingQuery(
                     request.input, loop.create_future(), t_wait, deadline,
-                    request.query_id, input_hash, 0, trace,
+                    request.query_id, input_hash, 0, sampled,
                 )
                 try:
                     full = self._submit(model_key, item, ticket)
@@ -399,14 +366,15 @@ class ModelLayer:
                     await full.put(item)
                 if deadline is not None:
                     self._sweeper.register(item.future, deadline, loop)
-                pending[model_key] = item.future
+                waited[model_key] = item
             if sampled is not None:
                 sampled.add("cache.lookup", sampled.spans[-1][2], t_wait)
             # Await each pending model future directly.  With straggler
             # mitigation on every future resolves by the deadline (the
             # sweeper delivers DEADLINE_MISS), so the sequential loop still
             # returns then, with no waiter futures or per-query timers.
-            for model_key, future in pending.items():
+            for model_key, item in waited.items():
+                future = item.future
                 try:
                     output = await future
                 except asyncio.CancelledError:
@@ -420,35 +388,71 @@ class ModelLayer:
                     # the query as already expired.
                     self._container_error_counter.increment()
                     ticket.failed(model_key)
-                    if trace is not None:
-                        trace.flags |= TRACE_ERROR
                     continue
                 if output is DEADLINE_MISS:
-                    # Straggler: rendered without this model (§5.2.2).
-                    # Its late result still lands in the cache — the
-                    # dispatcher late-fills through the sink installed at
-                    # deployment.
+                    # Straggler: rendered without this model (§5.2.2).  Its
+                    # late result still lands in the cache: the dispatcher
+                    # fills it with whatever its container answers.
                     self._straggler_counter.increment()
                     ticket.failed(model_key, timeout=True)
-                    if trace is not None:
-                        trace.flags |= TRACE_STRAGGLER
-                        now = clock.now()
-                        trace.add("deadline.miss", now, now, {"model": model_key})
                     continue
                 ticket.succeeded(model_key)
-                output = _detach_output(output)
-                self.cache.put_by_hash(model_key, input_hash, output)
                 predictions[model_key] = output
-            if pending and trace is not None:
-                trace.spans.append(("model.wait", t_wait, clock.now(), None))
+            if waited and sampled is not None:
+                sampled.spans.append(("model.wait", t_wait, clock.now(), None))
         except (OverloadError, Degraded) as shed:
             # Refused admission, or a bounded queue was full and the policy
             # sheds: models already submitted finish on their own and
-            # late-fill the cache.
-            return {}, trace, shed
+            # fill the cache.
+            return {}, waited, shed
         finally:
             ticket.settle()
-        return predictions, trace, None
+        return predictions, waited, None
+
+    def close_trace(
+        self,
+        sampled: Optional[Any],
+        waited: Optional[Dict[str, PendingQuery]],
+        answered: Dict[str, Any],
+        start: float,
+        slo_missed: bool,
+        default_used: bool,
+        error: bool,
+        query_id: Optional[int],
+    ) -> Optional[str]:
+        """Close one query's trace: the id it committed under, or None.
+
+        A sampled query's trace always commits.  An unsampled one that
+        waited on containers is tail-captured: only when it turned out
+        interesting — SLO miss, default output, error, or an entry that was
+        retried or not answered — is a shadow built from what its queue
+        entries were stamped with (:meth:`Tracer.shadow`) and committed.
+        Either way an entry that errored or missed its straggler deadline
+        flags the trace, the latter with a ``deadline.miss`` span.
+        """
+        ctx = sampled
+        if ctx is None:
+            if not self._tail_capture:
+                return None
+            for model_key, item in waited.items():
+                if model_key not in answered or type(item.trace) is not BatchSpans:
+                    break  # a straggler, an error or a retry
+            else:
+                if not (slo_missed or default_used or error):
+                    return None  # the common case: nothing allocated
+            ctx = self._tracer.shadow(start, waited.values())
+            t_wait = next(iter(waited.values())).enqueue_time
+            ctx.spans.append(("model.wait", t_wait, clock.now(), None))
+        for model_key, item in (waited or {}).items():
+            future = item.future
+            if model_key in answered or not future.done() or future.cancelled():
+                continue
+            if future.exception() is not None:
+                ctx.flags |= TRACE_ERROR
+            elif future.result() is DEADLINE_MISS:
+                ctx.flags |= TRACE_STRAGGLER
+                ctx.add("deadline.miss", item.deadline, item.deadline, {"model": model_key})
+        return self._tracer.finish(ctx, slo_missed, default_used, error, query_id)
 
     def _submit(
         self, model_key: str, item: PendingQuery, ticket: Any

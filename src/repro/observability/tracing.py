@@ -13,16 +13,18 @@ the common case stays near-free:
     The engine records full per-stage spans, feeds the per-stage latency
     histograms, and always commits the trace.
 ``shadow``
-    Every other query that *leaves the cache-hit path*, while
-    ``tail_capture`` is on.  A pooled context is attached lazily at the
-    first cache miss and rides along recording only what the slow paths
-    stamp (queue wait, RPC legs, deadline misses, retries); on finish it is
-    committed only when the query turned out interesting — SLO miss,
-    default-output fallback, straggler, retried batch or container error —
-    and recycled otherwise.  This is the tail-based capture that keeps the
-    interesting 0.1% without paying for the boring 99.9%: pure cache hits
-    never allocate a context at all, and boring misses recycle theirs
-    without ever owning a trace id.
+    Every other query that *leaves the cache-hit path* and turns out
+    interesting — SLO miss, default-output fallback, straggler, retried
+    batch or container error — while ``tail_capture`` is on.  Nothing rides
+    along with an unsampled miss: the dispatcher hands each entry of an
+    answered batch one reference to the batch's shared :class:`BatchSpans`
+    (a failed batch gives an entry a context of its own, with the retry in
+    it), and only when the query finishes interesting does the engine build
+    a shadow context from those (:meth:`Tracer.shadow`) and commit it.  A
+    straggler's batch still out then stamps its late spans on the committed
+    context.  This is the tail-based capture that keeps the interesting
+    0.1% without paying for the boring 99.9%: no query allocates a context
+    unless it is sampled or interesting.
 ``off``
     Tracing disabled: :meth:`Tracer.begin` returns ``None`` after a single
     attribute check, and every instrumentation point is one branch on that
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core import clock
 from repro.core.metrics import MetricsRegistry
@@ -60,7 +62,7 @@ __all__ = [
 ]
 
 # Tail-capture trigger flags.  A shadow trace whose flags are non-zero at
-# finish is committed; a zero-flag shadow trace is recycled.
+# finish is committed; a zero-flag one is dropped.
 TRACE_SLO_MISS = 1
 TRACE_DEFAULT_USED = 2
 TRACE_STRAGGLER = 4
@@ -81,9 +83,6 @@ _FLAG_NAMES = (
 #: formatting per query) and rendered to strings only when a trace commits
 #: or crosses the HTTP edge.
 _TRACE_IDS = itertools.count(1)
-
-#: Maximum pooled (recycled) shadow contexts per tracer.
-_POOL_LIMIT = 64
 
 
 def format_trace_id(trace_id: Any) -> str:
@@ -126,23 +125,17 @@ class TraceContext:
 class BatchSpans(NamedTuple):
     """The lifecycle spans of one answered batch, shared by the queries in it.
 
-    The dispatcher appends this one object to each uncommitted shadow
-    context's span list instead of five tuples of its own;
-    :meth:`Tracer.finish` expands it only for a trace that commits.
+    The dispatcher hands this one object to each entry without a context
+    instead of five tuples of its own; :meth:`Tracer.shadow` expands it only
+    for a query that turns out interesting.
     """
 
-    items: list  #: the batch's traced queue entries
-    formed: float  #: when the batch was formed: where their ``queue.wait`` ends
-    common: List[tuple]  #: the spans they all share
+    formed: float  #: when the batch was formed: where its ``queue.wait`` ends
+    common: List[tuple]  #: the spans its entries share
 
-    def spans_of(self, ctx: TraceContext) -> List[tuple]:
-        """The batch's spans as the query behind ``ctx`` saw them."""
-        return [
-            span
-            for item in self.items
-            if item.trace is ctx
-            for span in (("queue.wait", item.enqueue_time, self.formed, None), *self.common)
-        ]
+    def spans_of(self, item: Any) -> List[tuple]:
+        """The batch's spans as the queue entry ``item`` saw them."""
+        return [("queue.wait", item.enqueue_time, self.formed, None), *self.common]
 
 
 class TraceRecord:
@@ -261,8 +254,8 @@ class TraceRegistry:
     """Per-component ring buffers of committed traces, indexed by trace id.
 
     Commit and query take a short lock; nothing on the unsampled hot path
-    touches the registry at all (uncommitted shadow contexts never reach
-    it), so the lock cost is paid only by the sampled/interesting minority.
+    touches the registry at all, so the lock cost is paid only by the
+    sampled/interesting minority.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -360,12 +353,11 @@ class Tracer:
     ) -> None:
         self._enabled = bool(getattr(config, "enabled", True))
         self._sample_every = max(1, int(getattr(config, "sample_every", 256)))
-        self._tail_capture = bool(getattr(config, "tail_capture", True))
+        self._tail_capture = self._enabled and bool(getattr(config, "tail_capture", True))
         capacity = int(getattr(config, "ring_capacity", 512))
         self._component = component
         self.registry = registry if registry is not None else TraceRegistry(capacity)
         self._tick = 0
-        self._pool: List[TraceContext] = []
         self._stage_family = (
             metrics.histogram_family("predict.stage_ms", label="stage")
             if metrics is not None
@@ -379,6 +371,7 @@ class Tracer:
 
     @property
     def tail_capture(self) -> bool:
+        """Whether an unsampled query that turns out interesting is captured."""
         return self._tail_capture
 
     def begin(
@@ -390,10 +383,8 @@ class Tracer:
         A caller-supplied ``trace_id`` (the HTTP trace header) forces
         sampling.  ``start`` lets the caller reuse an existing ``clock.now()``
         stamp instead of paying another clock read.  Unsampled queries get
-        ``None`` here — the cache-hit fast path pays only this call — and
-        pick up a :meth:`shadow` context lazily if they leave the cache and
-        enter the dispatch path (the only place tail-capture flags can
-        originate).
+        ``None`` here — the cache-hit fast path pays only this call — and a
+        :meth:`shadow` context only if they turn out interesting.
         """
         if not self._enabled:
             return None
@@ -404,33 +395,29 @@ class Tracer:
             trace_id = next(_TRACE_IDS)
         if start is None:
             start = clock.now()
-        pool = self._pool
-        if pool:
-            ctx = pool.pop()
-            ctx.trace_id = trace_id
-            ctx.sampled = True
-            ctx.start = start
-            ctx.flags = 0
-            return ctx
         return TraceContext(trace_id, True, start)
 
-    def shadow(self, start: float) -> TraceContext:
-        """A shadow (tail-capture) context for a query entering the dispatch
-        path unsampled.
+    def shadow(self, start: float, entries: Iterable[Any] = ()) -> TraceContext:
+        """A shadow (tail-capture) context for an unsampled query, holding
+        what the dispatcher stamped on its queue ``entries``.
 
-        No trace id is allocated here — shadow contexts that finish boring
-        are recycled without ever owning an id; :meth:`finish` assigns one
-        only when the trace commits.
+        Each entry's :class:`BatchSpans` is expanded, and a context of its
+        own (a failed batch's retry) is folded in, flags and spans.  Each
+        entry then points at the new context, so a batch still out stamps
+        its late spans there.  No trace id is allocated here: :meth:`finish`
+        assigns one when the trace commits.
         """
-        pool = self._pool
-        if pool:
-            ctx = pool.pop()
-            ctx.trace_id = None
-            ctx.sampled = False
-            ctx.start = start
-            ctx.flags = 0
-            return ctx
-        return TraceContext(None, False, start)
+        ctx = TraceContext(None, False, start)
+        spans = ctx.spans
+        for item in entries:
+            stamped = item.trace
+            if type(stamped) is BatchSpans:
+                spans += stamped.spans_of(item)
+            elif stamped is not None:
+                ctx.flags |= stamped.flags
+                spans += stamped.spans
+            item.trace = ctx
+        return ctx
 
     def finish(
         self,
@@ -440,11 +427,10 @@ class Tracer:
         error: bool = False,
         query_id: Optional[int] = None,
     ) -> Optional[str]:
-        """Close a trace: commit it (returning its string id) or recycle it.
+        """Close a trace: commit it, returning its string id, or drop it.
 
         Sampled traces always commit; shadow traces commit only when their
-        flags say the query was interesting.  Recycled contexts go back to
-        the pool, so the boring shadow path allocates nothing steady-state.
+        flags say the query was interesting (None is returned otherwise).
         """
         flags = ctx.flags
         if slo_missed:
@@ -454,22 +440,12 @@ class Tracer:
         if error:
             flags |= TRACE_ERROR
         if not flags and not ctx.sampled:
-            ctx.spans.clear()
-            pool = self._pool
-            if len(pool) < _POOL_LIMIT:
-                pool.append(ctx)
             return None
         raw_id = ctx.trace_id
         if raw_id is None:
-            # A shadow owns an id only once it commits (a late batch's spans
-            # are then stamped on it directly) and only now pays for the
-            # batches it rode in.
+            # A shadow owns an id only once it commits; a late batch's spans
+            # are then stamped on it directly.
             raw_id = ctx.trace_id = next(_TRACE_IDS)
-            ctx.spans[:] = [
-                span
-                for entry in ctx.spans
-                for span in (entry.spans_of(ctx) if isinstance(entry, BatchSpans) else (entry,))
-            ]
         trace_id = format_trace_id(raw_id)
         record = TraceRecord(
             trace_id=trace_id,
@@ -486,8 +462,8 @@ class Tracer:
             labels = self._stage_family.labels
             for name, s0, s1, _meta in ctx.spans:
                 labels(name).observe((s1 - s0) * 1000.0)
-        # The record owns the spans list now; the context is NOT recycled, so
-        # late span appends (a straggler's RPC legs) still reach the record.
+        # The record shares the context's span list: late span appends (a
+        # straggler's RPC legs) still reach the record.
         return trace_id
 
     def capture_event(

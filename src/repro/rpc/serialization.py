@@ -15,8 +15,9 @@ which is what a prediction batch looks like on the wire — is encoded as one
 ``NDARRAY_BATCH`` frame: a single dtype/shape header followed by the
 elements' raw bytes back to back (equivalent to ``np.stack``'s buffer),
 instead of ``N`` individually tagged arrays each carrying its own header.
-Heterogeneous lists transparently fall back to the tagged ``LIST`` encoding,
-so every value the tagged format could represent still round-trips.
+The rows leave as one joined payload.  Heterogeneous lists transparently
+fall back to the tagged ``LIST`` encoding, so every value the tagged format
+could represent still round-trips.
 
 The ``NDARRAY_BATCH`` frame layout is::
 
@@ -28,14 +29,25 @@ The ``NDARRAY_BATCH`` frame layout is::
     u64  nbytes       total payload size (count × element nbytes)
     raw  payload      elements' contiguous bytes, concatenated
 
+A list of two or more values whose exact types are all written as int64
+(``int``, ``np.int32``/``int64``/``uint8``) or all as float64 (``float``,
+``np.float32``/``float64``), such as a batch's budgets or outputs, is one
+*column* frame, written by one ``array(...)`` and read by one ``tolist()``;
+bools, single values, mixed lists and ints past int64 stay tagged::
+
+    u8   tag          10 (``I64_COLUMN``) or 11 (``F64_COLUMN``)
+    u32  count        number of values (>= 2)
+    raw  count × 8    little-endian int64 or float64 values
+
 Zero-copy
 ---------
 Both directions avoid materialising intermediate ``bytes``:
 
 * **Encode** — :func:`serialize_buffers` returns a *list* of buffer segments
   (small control bytes interleaved with ``memoryview`` s of the original
-  array payloads) suitable for ``writev``-style transports; large array
-  payloads are never copied into the frame.  :func:`serialize` remains the
+  array payloads) suitable for ``writev``-style transports; a large array
+  payload is never copied into the frame (a batch's rows are, once, into
+  their joined payload).  :func:`serialize` remains the
   join-to-one-``bytes`` convenience.  The returned views alias the caller's
   arrays, so they must be consumed (written or joined) before those arrays
   are mutated.
@@ -49,12 +61,15 @@ Layouts
 The second time a top-level dict frame of one entry count and length
 arrives, the decoder learns its *layout*: one ``struct.Struct`` over the
 frame, whose constant bytes (tags, lengths, keys, ndarray headers) it then
-checks in one comparison and whose values it reads in one call.  The
+checks in one comparison and whose values it reads in one call; array and
+column payloads are read apart, as views and lists.  The
 encoder learns one from the same walk at the second dict with one key tuple:
 exact ints, floats and bools become the slots of one ``Struct.pack``, arrays
 of one dtype and shape their payloads, and ``str`` values and lists of them
 constants.  Whatever does not match takes the generic path, and both ways the
-bytes and values are the generic path's.
+bytes and values are the generic path's.  A layout that has matched and then
+misses twice in a row is stale: the frame or dict that missed it is learned
+in its place.
 """
 
 from __future__ import annotations
@@ -62,6 +77,8 @@ from __future__ import annotations
 import operator
 import re
 import struct
+import sys
+from array import array
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -85,6 +102,8 @@ _TAG_LIST = 6
 _TAG_DICT = 7
 _TAG_NDARRAY = 8
 _TAG_NDARRAY_BATCH = 9
+_TAG_I64_COLUMN = 10
+_TAG_F64_COLUMN = 11
 
 _MAX_DEPTH = 32
 
@@ -113,7 +132,9 @@ def serialize_buffers(value: Any) -> List[Any]:
         layout = _WRITERS.get(key)
         if layout is not None:
             segments = layout(value)
-            if segments is not _MISMATCH:
+            if segments is _STALE:  # learned again from this dict
+                layout = _seen_once
+            elif segments is not _MISMATCH:
                 return segments
     segments: List[Any] = []
     # Control bytes (tags, lengths, headers, small payloads) gather in one
@@ -165,6 +186,9 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
     if encode is _encode_float:
         return float(value)
     if encode is _encode_list:
+        column = _column(value)
+        if column is not None:
+            return column.tolist()
         batch = _homogeneous_batch_shape(value)
         if batch is not None:
             return list(_read_only(np.array(value, dtype=batch[0])))
@@ -206,7 +230,9 @@ def deserialize(data) -> Any:
     try:
         if layout is not None:
             value = layout(view)
-            if value is not _MISMATCH:
+            if value is _STALE:  # learned again from this frame
+                layout = _seen_once
+            elif value is not _MISMATCH:
                 return value
         value, offset = _decode(view, 0, depth=0)
     except (struct.error, UnicodeDecodeError) as exc:
@@ -300,6 +326,13 @@ def _encode_bytes(value, scratch, segments, depth) -> None:
 
 
 def _encode_list(value, scratch, segments, depth) -> None:
+    column = _column(value)
+    if column is not None:
+        scratch += _pack_len(_COLUMN_TAGS[column.typecode], len(column))
+        if _BIG_ENDIAN:
+            column.byteswap()
+        scratch += column
+        return
     if _homogeneous_batch_shape(value) is not None:
         _encode_ndarray_batch(value, scratch, segments)
         return
@@ -379,6 +412,35 @@ _ENCODERS = {
 _ENCODERS.update((t, _encode_int) for t in (np.int32, np.int64, np.uint8))
 _ENCODERS.update((t, _encode_float) for t in (np.float32, np.float64))
 
+#: Exact type -> the ``array`` typecode its column is written with.
+_COLUMN_CODES = {t: "q" for t, encode in _ENCODERS.items() if encode is _encode_int}
+_COLUMN_CODES.update((t, "d") for t, encode in _ENCODERS.items() if encode is _encode_float)
+_COLUMN_TAGS = {"q": _TAG_I64_COLUMN, "d": _TAG_F64_COLUMN}
+_COLUMN_CODES_BY_TAG = {tag: code for code, tag in _COLUMN_TAGS.items()}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _column(items) -> Optional[array]:
+    """``items`` as one int64 or float64 ``array`` when it is a column, else None."""
+    if len(items) < 2:
+        return None
+    codes = {_COLUMN_CODES.get(kind) for kind in {*map(type, items)}}
+    if len(codes) != 1 or None in codes:
+        return None
+    try:
+        return array(codes.pop(), items)
+    except OverflowError:  # past int64: the tagged path refuses it
+        return None
+
+
+def _column_values(payload: memoryview, code: str) -> list:
+    """The values of a column's payload, as Python ints or floats."""
+    if _BIG_ENDIAN:
+        column = array(code, bytes(payload))
+        column.byteswap()
+        return column.tolist()
+    return payload.cast(code).tolist()
+
 
 def _homogeneous_batch_shape(items) -> Optional[Tuple[Any, tuple]]:
     """The shared (dtype, shape) when ``items`` is a columnar-eligible batch.
@@ -416,9 +478,11 @@ def _encode_ndarray_batch(arrays, scratch, segments) -> None:
     _ndarray_header(_TAG_NDARRAY_BATCH, first.dtype, first.shape, scratch)
     elem_nbytes = first.dtype.itemsize * first.size
     scratch += _pack_count_nbytes(len(arrays), elem_nbytes * len(arrays))
-    for array in arrays:
-        contiguous = array if array.flags.c_contiguous else np.ascontiguousarray(array)
-        _payload(contiguous, scratch, segments)
+    try:
+        rows = b"".join(arrays)
+    except TypeError:  # a strided row: joined from C-ordered copies
+        rows = b"".join([np.ascontiguousarray(row) for row in arrays])
+    _payload(rows, scratch, segments)
 
 
 def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
@@ -466,7 +530,20 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
         array = _ndarray_view(view[offset:end], dtype, shape)
         # A batch is the rows of one (count, *shape) view: each aliases the frame.
         return (list(array) if tag == _TAG_NDARRAY_BATCH else array), end
+    code = _COLUMN_CODES_BY_TAG.get(tag)
+    if code:
+        offset, end = _column_span(view, offset)
+        return _column_values(view[offset:end], code), end
     raise SerializationError(f"unknown type tag {tag}")
+
+
+def _column_span(view: memoryview, offset: int) -> Tuple[int, int]:
+    """The bounds of the payload of the column whose tag is at ``offset - 1``."""
+    (count,) = _unpack_u32(view, offset)
+    end = offset + 4 + 8 * count
+    if count < 2 or end > len(view):
+        raise SerializationError(f"column of {count} values is short or truncated")
+    return offset + 4, end
 
 
 def _ndarray_span(view: memoryview, offset: int, tag: int) -> Tuple[str, tuple, int, int]:
@@ -520,13 +597,15 @@ _DTYPE_NAME = re.compile(rb"[<>|][biufcmMSUV]\d+(\[\w+\])?")
 # read as views.  Frames with equal constants are read alike by ``_decode``.
 
 #: (entry count, frame length) -> its layout, or one of the two functions
-#: below, which match no frame.  A layout a frame does not match stays.
+#: below, which match no frame.  A layout returns ``_MISMATCH`` for a frame
+#: it does not match, and ``_STALE`` for its second such frame in a row
+#: after it matched one: that frame is learned in its place.
 #: Threads share it unlocked: a lost write costs a re-learning, not a value.
 _LAYOUTS: dict = {}
 _LAYOUTS_MAX = 64
 #: Bytes a layout may hold as fields (constants and slots, not payloads).
 _LAYOUT_FIELD_BYTES_MAX = 4096
-_MISMATCH = object()
+_MISMATCH, _STALE = object(), object()
 
 
 def _seen_once(view: memoryview) -> Any:
@@ -537,7 +616,7 @@ def _unlearnable(view: memoryview) -> Any:
     return _MISMATCH
 
 
-_SLOT, _TEXT, _NONE, _LIST, _DICT, _ARRAY, _BATCH = range(7)
+_SLOT, _TEXT, _NONE, _LIST, _DICT, _ARRAY, _BATCH, _COLUMN = range(8)
 
 
 class _Learner:
@@ -588,6 +667,11 @@ class _Learner:
             self.field(offset, f"{end - offset}x", end - offset)
             kind = _BATCH if tag == _TAG_NDARRAY_BATCH else _ARRAY
             return (kind, slice(offset, end), (np.dtype(dtype), shape)), end
+        code = _COLUMN_CODES_BY_TAG.get(tag)
+        if code:
+            offset, end = _column_span(view, offset)
+            self.field(offset, f"{end - offset}x", end - offset)
+            return (_COLUMN, slice(offset, end), code), end
         (count,) = _unpack_u32(view, offset)
         offset += 4
         children, keys = [], []
@@ -624,14 +708,25 @@ def _learn(view: memoryview):
     constants = learner.constants
     expected = constants[0] if len(constants) == 1 else tuple(constants)
     pick = operator.itemgetter(*learner.positions)
+    misses = [-1]
 
     def layout(view: memoryview) -> Any:
         fields = unpack(view)
         if pick(fields) != expected:
-            return _MISMATCH
+            return _missed(misses)
+        misses[0] = 0
         return dict(zip(keys, _build(children, fields, view)))
 
     return layout
+
+
+def _missed(misses: list) -> Any:
+    """What a layout answers for a frame or dict it does not match;
+    ``misses[0]`` counts those in a row since its last match (-1: it never
+    matched, and stays)."""
+    if misses[0] >= 0:
+        misses[0] += 1
+    return _STALE if misses[0] >= 2 else _MISMATCH
 
 
 #: Key tuple -> the layout that writes a dict with those keys, or one of
@@ -690,19 +785,20 @@ def _learn_writer(value: dict, segments: List[Any]):
     check = operator.itemgetter(*checked)  # the first key keeps a tuple here
     expected = check([[*item] if type(item) is list else item for item in items])
     types = [*map(type, items)]
+    misses = [-1]
 
     def layout(value: dict) -> Any:
         items = (*value, *value.values())
         if [*map(type, items)] != types or check(items) != expected:
-            return _MISMATCH
+            return _missed(misses)
         for i, kinds in lists:
             if [*map(type, items[i])] != kinds:
-                return _MISMATCH
+                return _missed(misses)
         views = []
         for i, spec, small in arrays:
             array = np.ascontiguousarray(items[i])
             if (array.dtype, array.shape) != spec:
-                return _MISMATCH
+                return _missed(misses)
             if small:
                 items += (array.tobytes(),)
             else:
@@ -711,6 +807,7 @@ def _learn_writer(value: dict, segments: List[Any]):
             packed = constant or pack(*pick(items + learned))
         except struct.error:  # an int past int64: the generic encoder refuses it
             return _MISMATCH
+        misses[0] = 0
         if not views:
             return [packed]
         segments, start = [], 0
@@ -738,6 +835,8 @@ def _build(nodes: tuple, fields: tuple, view: memoryview) -> list:
             values.append(_build(at, fields, view))
         elif kind == _DICT:
             values.append(dict(zip(spec, _build(at, fields, view))))
+        elif kind == _COLUMN:
+            values.append(_column_values(view[at], spec))
         else:
             array = _ndarray_view(view[at], *spec)
             values.append(list(array) if kind == _BATCH else array)

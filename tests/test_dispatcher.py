@@ -11,6 +11,7 @@ from repro.batching.aimd import AIMDController
 from repro.batching.controllers import FixedBatchSizeController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.cache.prediction_cache import PredictionCache
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
@@ -50,6 +51,38 @@ class TestDispatchBatch:
             assert [item.future.result() for item in items] == [4, 4, 4]
             assert dispatcher.batch_history[0].batch_size == 3
             await replica.stop()
+
+        run_async(scenario())
+
+    def test_an_answered_batch_fills_the_cache_once_with_owning_arrays(self):
+        class Rows(ModelContainer):
+            def predict_batch(self, inputs):
+                return [np.full(3, i, dtype=np.float64) for i in range(len(inputs))]
+
+        async def scenario():
+            # tcp: the outputs come back as views into one response frame.
+            replica = ContainerReplica(ModelId("model"), 0, Rows(), transport="tcp")
+            cache = PredictionCache(capacity=16)
+            dispatcher = ReplicaDispatcher(
+                replica, BatchingQueue(), FixedBatchSizeController(batch_size=8), cache=cache
+            )
+            await replica.start()
+            try:
+                loop = asyncio.get_running_loop()
+                items = [
+                    PendingQuery(np.zeros(1), loop.create_future(), clock.now(),
+                                 input_hash=f"h{i}")
+                    for i in range(3)
+                ]
+                await dispatcher.dispatch_batch(items)
+                assert cache.stats.inserts == 3
+                for i, item in enumerate(items):
+                    output = item.future.result()
+                    assert output.base is None and list(output) == [i] * 3
+                    cached, _ = cache.fetch_by_hash(["model:1"], f"h{i}")
+                    assert cached["model:1"] is output  # copied once, shared
+            finally:
+                await replica.stop()
 
         run_async(scenario())
 

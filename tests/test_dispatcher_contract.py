@@ -13,8 +13,9 @@ computes from the case alone:
   an answered one gets its output; after a failed batch an entry is requeued
   while it has a retry left and otherwise fails with the batch's error; a
   future already resolved or cancelled stays as it was;
-* **what reaches the late sink** — the output of an answered entry whose
-  future the straggler deadline had already resolved with a result;
+* **what reaches the cache** — every answered entry's output, under its
+  input hash, in one fill per batch, whatever became of its future (a
+  straggler's late output too);
 * **what is measured** — ``queue_time_ms`` is the wait of the oldest *sent*
   entry, and the batch counters;
 * **every trace that commits** (sampled, SLO miss, default, error, retried,
@@ -24,9 +25,11 @@ computes from the case alone:
   ``rpc.recv`` when the container stamped its evaluation, and ``batch.retry``
   after a failed batch.
 
-On the wire only queries that own a trace id send one, an all-shadow batch
-sends none, and a shadow context that finishes boring is recycled carrying
-nothing.
+Capture is lazy: an unsampled entry carries no context.  The world finishes
+each one as the engine does: an interesting query's shadow is built from
+what its entry was stamped with (:meth:`Tracer.shadow`), and a boring one
+builds nothing.  On the wire only queries that own a trace id send one, and
+a batch of unsampled queries sends none.
 """
 
 from __future__ import annotations
@@ -113,6 +116,19 @@ def future_state(future: asyncio.Future) -> tuple:
     return ("result", "DEADLINE_MISS" if result is DEADLINE_MISS else result)
 
 
+class RecordingCache:
+    """Remembers each fill: the entries' indices (from their hashes) and outputs."""
+
+    def __init__(self) -> None:
+        self.fills: List[list] = []
+
+    def put_by_hash(self, model_key, input_hashes, outputs) -> None:
+        assert model_key == "model:1"
+        self.fills.append(
+            [(int(h.removeprefix("hash-")), output) for h, output in zip(input_hashes, outputs)]
+        )
+
+
 def queued(plan: dict) -> float:
     return T0 - plan["queued_ms_ago"] / 1000.0
 
@@ -137,14 +153,14 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
     contexts = Tracer(TRACING)  # where this world's contexts come from
     replica = RecordingReplica(case, hand)
     queue = BatchingQueue(name="model")
-    late: List[tuple] = []
+    cache = RecordingCache()
     dispatcher = ReplicaDispatcher(
         replica=replica,
         queue=queue,
         controller=AIMDController(slo_ms=50.0),
         drop_expired=case["drop_expired"],
         max_retries=case["max_retries"],
-        late_result_sink=lambda item, output: late.append((item.input, output)),
+        cache=cache,
         tracer=tracer,
     )
     batch: List[PendingQuery] = []
@@ -156,14 +172,12 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
         elif plan["future"] == "cancelled":
             future.cancel()
         kind = plan["trace"]
-        if kind == "none":
-            trace = None
-        elif kind == "sampled":
+        if kind == "sampled":
             trace = TraceContext(5000 + index, True, queued(plan) - 0.0001)
         elif kind == "forced":
             trace = contexts.begin(f"forced-{index}", queued(plan) - 0.0001)
-        else:  # shadow, straggler
-            trace = contexts.shadow(queued(plan) - 0.0001)
+        else:  # unsampled, straggler: no context rides along
+            trace = None
         if trace is not None:
             trace.spans.extend(spans_before(plan))
         item = PendingQuery(
@@ -171,7 +185,11 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
             f"hash-{index}", 0, trace,
         )
         if kind == "straggler":
-            # The straggler deadline closed the query before its batch left.
+            # The straggler deadline closed the query before its batch left:
+            # interesting, so its shadow was built (from nothing yet) and
+            # committed, and the entry points at it.
+            trace = contexts.shadow(queued(plan) - 0.0001, [item])
+            trace.spans.extend(spans_before(plan))
             trace.flags |= TRACE_STRAGGLER
             committed_early[index] = contexts.finish(
                 trace, slo_missed=True, default_used=True, query_id=plan["query_id"]
@@ -183,12 +201,17 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
     traces = []
     for index, (item, plan) in enumerate(zip(batch, case["items"])):
         trace = item.trace
-        if trace is None:
-            traces.append(None)
-            continue
         if index in committed_early:
             trace_id = committed_early[index]
         else:
+            if plan["trace"] == "unsampled":
+                if plan["finish"] == "boring" and type(trace) is not TraceContext:
+                    # Boring and never retried: nothing is built, and the
+                    # entry holds at most its batch's shared spans.
+                    assert trace is None or type(trace) is BatchSpans
+                    traces.append("uncaptured")
+                    continue
+                trace = contexts.shadow(queued(plan) - 0.0001, [item])
             hand.now += 0.0001
             trace_id = contexts.finish(
                 trace,
@@ -197,11 +220,6 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
                 error=plan["finish"] == "error",
                 query_id=plan["query_id"],
             )
-        if trace_id is None:
-            # Boring: recycled.  It must carry nothing of this query.
-            assert trace.spans == [] and trace in contexts._pool
-            traces.append("recycled")
-            continue
         record = contexts.registry.get(trace_id)
         assert record.spans is trace.spans
         assert not any(isinstance(span, BatchSpans) for span in record.spans)
@@ -215,7 +233,7 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
             if plan["trace"] in ("sampled", "forced", "straggler")
         },
         "futures": [future_state(item.future) for item in batch],
-        "late": late,
+        "cached": cache.fills,
         "requeued": [(item.input, item.attempts) for item in queue._items],
         "history": [
             (stats.batch_size, stats.queue_time_ms, stats.latency_ms)
@@ -263,7 +281,7 @@ def expected(case: dict) -> dict:
             futures[i] = timed_out(plan)
     spans = [spans_before(plan) for plan in plans]
     table = {
-        "sent": [], "futures": futures, "late": [], "requeued": [], "history": [],
+        "sent": [], "futures": futures, "cached": [], "requeued": [], "history": [],
         "batches": (0, 0, 0),
     }
     retried = set()
@@ -277,14 +295,16 @@ def expected(case: dict) -> dict:
         if outcome == "ok":
             table["batches"] = (1, 0, 0)
             skipped = set(case["skipped"])
+            cached = []
             for position, i in enumerate(live):
                 if position in skipped:
                     if futures[i] == PENDING:
                         futures[i] = timed_out(plans[i])
-                elif futures[i] == PENDING:
+                    continue
+                cached.append((i, ("out", i)))
+                if futures[i] == PENDING:
                     futures[i] = ("result", ("out", i))
-                elif futures[i] == MISSED:
-                    table["late"].append((i, ("out", i)))
+            table["cached"] = [cached]
             if case["tracer"] == "on":
                 common = [
                     ("batch.assemble", T0, T0, None),
@@ -297,8 +317,7 @@ def expected(case: dict) -> dict:
                         ("rpc.recv", T0 + 0.0017, ANSWERED, None),
                     ]
                 for i in live:
-                    if plans[i]["trace"] != "none":
-                        spans[i] += [("queue.wait", queued(plans[i]), T0, None), *common]
+                    spans[i] += [("queue.wait", queued(plans[i]), T0, None), *common]
         else:
             table["batches"] = (int(outcome == "container_error"), 1, 1)
             error = (RpcError("connection closed") if outcome == "rpc_error"
@@ -306,9 +325,12 @@ def expected(case: dict) -> dict:
             for i in live:
                 if futures[i] != PENDING:
                     continue
-                retried.add(i)
-                retry = ("batch.retry", ANSWERED, ANSWERED, {"error": type(error).__name__})
-                spans[i].append(retry)
+                if case["tracer"] == "on" or plans[i]["trace"] != "unsampled":
+                    # Tail capture gives an unsampled entry a context to hold it.
+                    retried.add(i)
+                    spans[i].append(
+                        ("batch.retry", ANSWERED, ANSWERED, {"error": type(error).__name__})
+                    )
                 if case["max_retries"]:
                     table["requeued"].append((i, 1))
                 else:
@@ -316,15 +338,12 @@ def expected(case: dict) -> dict:
     traces = []
     for i, plan in enumerate(plans):
         kind = plan["trace"]
-        if kind == "none":
-            traces.append(None)
-            continue
         if kind == "straggler":  # its flags were fixed when it committed
             flags = TRACE_STRAGGLER | TRACE_SLO_MISS | TRACE_DEFAULT_USED
         else:
             flags = FINISH_FLAGS[plan["finish"]] | (TRACE_RETRIED if i in retried else 0)
-            if not flags and kind == "shadow":
-                traces.append("recycled")
+            if not flags and kind == "unsampled":
+                traces.append("uncaptured")
                 continue
         traces.append((flags, kind in ("sampled", "forced"), plan["query_id"], spans[i]))
     table["traces"] = traces
@@ -335,7 +354,8 @@ ITEM = st.fixed_dictionaries(
     {
         "deadline": st.sampled_from(["none", "past", "now", "future", "future"]),
         "trace": st.sampled_from(
-            ["none", "shadow", "shadow", "shadow", "sampled", "forced", "straggler"]
+            ["unsampled", "unsampled", "unsampled", "unsampled", "sampled", "forced",
+             "straggler"]
         ),
         "future": st.sampled_from(["pending", "pending", "pending", "missed", "cancelled"]),
         "queued_ms_ago": st.integers(0, 40),
@@ -370,7 +390,7 @@ class TestDispatchBatchContract:
 
     def test_mixed_batch_by_hand(self):
         """One readable case: expired, traced three ways, a skip, a late fill."""
-        plan = dict(deadline="future", trace="shadow", future="pending",
+        plan = dict(deadline="future", trace="unsampled", future="pending",
                     queued_ms_ago=5, query_id=1, finish="boring")
         case = {
             "items": [
@@ -379,23 +399,23 @@ class TestDispatchBatchContract:
                 {**plan, "trace": "sampled", "queued_ms_ago": 9},
                 {**plan, "trace": "straggler", "future": "missed"},
                 {**plan, "finish": "slo_miss"},
-                {**plan, "deadline": "none", "trace": "none"},
+                {**plan, "deadline": "none"},
             ],
             "drop_expired": True, "tracer": "on", "outcome": "ok", "stamps": True,
             "skipped": {3}, "max_retries": 0,
         }
         happened = dispatched(case)
         assert happened["sent"] == [([0, 2, 3, 4, 5], [T0 + 0.020] * 4 + [0.0])]
-        # Sampled + straggler own ids; the two shadows send nothing.
+        # Sampled + straggler own ids; the unsampled send nothing.
         assert happened["wire_ids"][0] == list(happened["owned_ids"].values())
         assert happened["futures"][1] == ("exception", "PredictionTimeoutError", (
             "query -1 missed its latency deadline of 0.0 ms",))
         assert happened["history"] == [(5, pytest.approx(9.0), pytest.approx(2.0))]
         # Entry 3 sits at position 2 of the sent batch: position 3 (entry 4)
-        # was skipped, and the straggler's answer went to the late sink.
+        # was skipped; every answered output, the straggler's too, was cached.
         assert happened["futures"][4][:2] == ("exception", "PredictionTimeoutError")
-        assert happened["late"] == [(3, ("out", 3))]
-        assert happened["traces"][0] == "recycled" and happened["traces"][5] is None
+        assert happened["cached"] == [[(i, ("out", i)) for i in (0, 2, 3, 5)]]
+        assert happened["traces"][0] == happened["traces"][5] == "uncaptured"
         names = [name for name, _, _, _ in happened["traces"][4][3]]
         assert names == [
             "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
@@ -404,8 +424,9 @@ class TestDispatchBatchContract:
         del happened["wire_ids"], happened["owned_ids"]
         assert happened == expected(case)
 
-    def test_an_all_shadow_batch_sends_no_trace_header_and_one_stamp_request(self):
-        """Asserted on the decoded request: what an all-shadow batch sends."""
+    def test_an_unsampled_batch_sends_no_trace_header_and_one_stamp_request(self):
+        """Asserted on the decoded request: what a batch of unsampled
+        queries sends under tail capture (any may turn out interesting)."""
         request = RpcRequest(
             request_id=1, model_name="m", inputs=[1.0, 2.0], trace=(), stamp=True
         )

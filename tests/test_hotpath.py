@@ -45,6 +45,7 @@ from repro.api.schema import ApplicationSchema, json_safe
 from repro.batching.aimd import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.cache.prediction_cache import PredictionCache
 from repro.client.client import encode_binary_input, encode_input
 from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
@@ -61,7 +62,7 @@ from repro.core.deployed import ModelLayer
 from repro.core.exceptions import OverloadError
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query, hash_input
-from repro.observability.tracing import BatchSpans, Tracer
+from repro.observability.tracing import BatchSpans, TraceContext, Tracer
 from repro.rpc import jsonwire, serialization
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.serialization import deserialize, serialize
@@ -503,6 +504,9 @@ class TestMissedPassBudget:
         def no_ticket(*args):
             pytest.fail("a query was given a Ticket while nothing gates")
 
+        def no_context(*args):
+            pytest.fail("an unflagged miss allocated a TraceContext")
+
         async def scenario():
             clipper = make_clipper()
             await clipper.start()
@@ -515,6 +519,7 @@ class TestMissedPassBudget:
             queue = clipper.model_record("m0:1").queue
             assert await wait_until(lambda: bool(queue._getters))
             monkeypatch.setattr(overload_module, "Ticket", no_ticket)
+            monkeypatch.setattr(TraceContext, "__init__", no_context)
             profile = CallProfile()
             query = Query(app_name="hotpath-test", input=x)
             prediction = await step_missed(profile, clipper.predict(query))
@@ -527,13 +532,17 @@ class TestMissedPassBudget:
             assert profile.python["_submit"] == profile.python["put_nowait"] == 1
             assert profile.python["register"] == 1  # the straggler deadline ...
             assert profile.python["call_at"] == 0  # ... arms no timer of its own
-            assert profile.python["shadow"] == profile.python["finish"] == 1
+            # Tail capture looked at the answered entry and built nothing:
+            # no shadow, no finish, no TraceContext (patched to fail below).
+            assert profile.python["close_trace"] == 1
+            assert profile.python["shadow"] == profile.python["finish"] == 0
             # One wake-up of the parked dispatcher: _wake_next, the waiter's
             # set_result and the call_soon behind it, ten calls in all.
             assert profile.python["_wake_next"] == 1
-            # The query's own: 75.  Parent: 82, twelve of them a per-tick
-            # timer that a query shares with the others of its millisecond.
-            assert profile.total <= 75 + 10
+            # The query's own: 60.  75 while every miss carried a shadow
+            # context and put its own output in the cache; 82 before that,
+            # twelve of them a per-tick timer shared within a millisecond.
+            assert profile.total <= 60 + 10
             await clipper.stop()
 
         run_async(scenario())
@@ -551,13 +560,14 @@ class TestMissedPassBudget:
         assert ungated.admit("m0:1", 1) is ungated.admit("m0:1", 2)
         assert not isinstance(ungated.admit("m0:1", 3), overload_module.Ticket)
 
-    def test_stamping_an_all_shadow_batch_builds_its_spans_once(self):
+    def test_stamping_an_untraced_batch_builds_its_spans_once(self):
         class Replica:
             model_id, replica_id, name = ModelId("m"), 0, "m:1[0]"
             request = None
 
             async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
-                Replica.request = dict(trace=trace, deadlines=deadlines)
+                Replica.request = dict(trace=trace, stamp=span_log is not None,
+                                       deadlines=deadlines)
                 now = time.monotonic()
                 span_log.append(("rpc.send", now, now, None))
                 span_log.append(("rpc.wait", now, now, None))
@@ -579,13 +589,14 @@ class TestMissedPassBudget:
         async def scenario():
             loop = asyncio.get_running_loop()
             tracer = Tracer()
+            cache = PredictionCache(capacity=64)
             dispatcher = ReplicaDispatcher(
-                Replica(), BatchingQueue(), AIMDController(slo_ms=50.0), tracer=tracer
+                Replica(), BatchingQueue(), AIMDController(slo_ms=50.0), tracer=tracer,
+                cache=cache,
             )
             now = time.monotonic()
             batch = [
-                PendingQuery(i, loop.create_future(), now, now + 1.0, i, None, 0,
-                             tracer.shadow(now))
+                PendingQuery(i, loop.create_future(), now, now + 1.0, i, f"h{i}")
                 for i in range(32)
             ]
             appends = Appends()
@@ -595,34 +606,63 @@ class TestMissedPassBudget:
             finally:
                 sys.setprofile(None)
             assert all(item.future.result() == 1 for item in batch)
-            # No shadow owns an id: none on the wire (the parent sent 32 Nones).
-            assert Replica.request["trace"] == []
+            # Any query may turn out interesting: the batch asks for the
+            # container's stamps, and no query owns an id to send.
+            assert Replica.request["trace"] == [] and Replica.request["stamp"]
             assert len(Replica.request["deadlines"]) == 32
-            # One shared object, five span tuples in it, one append a query
-            # (the parent: five tuples and five appends a query, 160 + 160).
-            shared = batch[0].trace.spans[0]
+            # One shared object, five span tuples in it, and no append a
+            # query: each entry holds a reference (the parent: an append a
+            # query onto a shadow context each query carried).
+            shared = batch[0].trace
             assert isinstance(shared, BatchSpans) and len(shared.common) == 5
-            assert all(item.trace.spans == [shared] for item in batch)
-            assert all(item.trace.spans[0] is shared for item in batch)
-            assert appends.count <= 32 + 5
+            assert all(item.trace is shared for item in batch)
+            assert appends.count <= 5
+            # The batch filled the cache in one locked pass.
+            assert cache.stats.inserts == 32
+            assert cache.fetch_by_hash(["m:1"], "h31") == ({"m:1": 1}, [])
             # A query that turns out interesting pays for its copy then ...
-            slow = batch[0].trace
-            tracer.finish(slow, slo_missed=True)
+            slow = tracer.shadow(now, [batch[0]])
+            assert tracer.finish(slow, slo_missed=True) is not None
             assert [name for name, _, _, _ in slow.spans] == [
                 "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
                 "container.eval", "rpc.recv",
             ]
-            # ... and a boring one is recycled carrying nothing of it.
-            boring = batch[1].trace
-            assert tracer.finish(boring) is None
-            assert boring.spans == [] and tracer.shadow(now) is boring
-            assert boring.trace_id is None and boring.flags == 0
+            # ... and a boring one never built anything.
+            assert batch[1].trace is shared
 
         run_async(scenario())
 
 
 class TestContainerRoundTripBudget:
     """One batch's round trip to a promoted container over the tcp lane."""
+
+    def test_a_batch_of_32_is_encoded_without_a_call_per_entry(self):
+        async def scenario():
+            replica = ContainerReplica(
+                ModelId("noop"), 0, NoOpContainer(output=1), transport="tcp"
+            )
+            await replica.start()
+            try:
+                inputs = [np.full(256, i, dtype=np.float32) for i in range(32)]
+                deadline = clock.now() + 60.0
+                await replica.predict_batch(inputs, deadlines=[deadline] * 32)
+                profile = CallProfile()
+                sys.setprofile(profile)
+                try:
+                    response = await replica.predict_batch(inputs, deadlines=[deadline] * 32)
+                finally:
+                    sys.setprofile(None)
+                assert response.outputs == [1] * 32
+                # Both messages, both ways: the budgets and the outputs are
+                # one column each, the rows one joined payload.  Left are the
+                # envelopes' own ints (type, request_id) and latency float.
+                assert profile.python["_encode_int"] <= 4
+                assert profile.python["_encode_float"] <= 1
+                assert profile.python["_payload"] <= 1
+            finally:
+                await replica.stop()
+
+        run_async(scenario())
 
     def test_a_promoted_no_op_batch_creates_no_task_and_no_executor_future(
         self, monkeypatch
@@ -676,10 +716,10 @@ class TestLearnedFrameBudget:
                 5,  # generic: 23, 22 of them _decode
                 20,  # generic: 80
             ),
-            (  # a container's answer to a batch of 32
+            (  # a container's answer to a batch of 32, its outputs one column
                 RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload(),
-                4,  # generic: 44, 43 of them _decode
-                45,  # generic: 167
+                4,  # generic: 14, 11 of them _decode (44 and 43 with a tag an output)
+                15,  # generic: 63 (167 with a tag an output; 45 learned)
             ),
         ],
         ids=["predict_response", "rpc_response"],
@@ -737,7 +777,8 @@ class TestLearnedFrameBudget:
         assert profile.total <= budget
 
     def test_a_frame_the_writer_cannot_learn_costs_one_lookup(self, monkeypatch):
-        # A container's answer to a batch of 32: a list of ints is not learned.
+        # A container's answer to a batch of 32: a list, its outputs' column
+        # too, is not learned.
         message = RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload()
         monkeypatch.setattr(serialization, "_WRITERS", {})
         frame = serialize(message)
@@ -745,8 +786,9 @@ class TestLearnedFrameBudget:
         profile, segments = profiled(lambda: serialization.serialize_buffers(message))
         assert b"".join(segments) == frame
         assert profile.python["_unlearnable"] == 1
-        assert sum(profile.python.values()) <= 42  # generic: 41
-        assert profile.total <= 136  # generic: 133
+        # Generic: 10 and 42 (41 and 133 with a tag an output).
+        assert sum(profile.python.values()) <= 11
+        assert profile.total <= 43
 
 
 def profiled(step):
@@ -829,7 +871,7 @@ class TestAroundTheCachedPass:
 
             # partial hit: two of the four outputs are already cached
             for key in keys[:2]:
-                clipper.cache.put_by_hash(key, digest, 1)
+                clipper.cache.put_by_hash(key, [digest], [1])
             inserts = clipper.cache.stats.inserts
             partial = await clipper.predict(Query(app_name="hotpath-test", input=x))
             assert not partial.from_cache

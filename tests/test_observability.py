@@ -15,6 +15,7 @@ import json
 import logging
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.observability.prometheus import (
 from repro.observability.tracing import (
     TRACE_RETRIED,
     TRACE_SLO_MISS,
+    BatchSpans,
     TraceRecord,
     TraceRegistry,
     Tracer,
@@ -76,14 +78,28 @@ class TestTracer:
         assert trace_id == "client-id-1"
         assert tracer.registry.get("client-id-1") is not None
 
-    def test_boring_shadow_recycles_without_id(self):
+    def test_boring_shadow_commits_nothing_and_owns_no_id(self):
         tracer = Tracer(_Config(sample_every=1_000_000))
         ctx = tracer.shadow(0.0)
         assert not ctx.sampled and ctx.trace_id is None
         assert tracer.finish(ctx) is None
-        assert len(tracer.registry) == 0
-        # The context went back to the pool and comes out again.
-        assert tracer.shadow(1.0) is ctx
+        assert len(tracer.registry) == 0 and ctx.trace_id is None
+
+    def test_a_shadow_folds_in_what_its_entries_were_stamped_with(self):
+        tracer = Tracer(_Config(sample_every=1_000_000))
+        common = [("rpc.send", 0.3, 0.4, None)]
+        answered = SimpleNamespace(enqueue_time=0.1, trace=BatchSpans(0.2, common))
+        retried = SimpleNamespace(enqueue_time=0.1, trace=tracer.shadow(0.1))
+        retried.trace.flags = TRACE_RETRIED
+        retried.trace.add("batch.retry", 0.25, 0.25)
+        waiting = SimpleNamespace(enqueue_time=0.1, trace=None)
+        ctx = tracer.shadow(0.0, [answered, retried, waiting])
+        assert ctx.flags == TRACE_RETRIED
+        assert ctx.spans == [
+            ("queue.wait", 0.1, 0.2, None), *common, ("batch.retry", 0.25, 0.25, None),
+        ]
+        # Each entry now points at the shadow: a batch still out stamps it.
+        assert answered.trace is retried.trace is waiting.trace is ctx
 
     def test_flagged_shadow_commits_with_fresh_id(self):
         tracer = Tracer(_Config(sample_every=1_000_000))
@@ -607,6 +623,72 @@ class TestEndToEndTailCapture:
                 record = clipper.tracer.registry.get(prediction.trace_id)
                 assert record is not None
                 assert record.flags & TRACE_SLO_MISS
+            finally:
+                await clipper.stop()
+
+        run_async(scenario())
+
+
+class _FailsFirstBatch(NoOpContainer):
+    """Answers 1, except for the first batch it is handed, which raises."""
+
+    def __init__(self) -> None:
+        super().__init__(output=1)
+        self.failed = False
+
+    def predict_batch(self, inputs):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("first batch fails")
+        return super().predict_batch(inputs)
+
+
+class TestLazyTailCapture:
+    """An unsampled miss builds a trace only when it turns out interesting."""
+
+    def test_a_retried_miss_commits_with_the_retry_and_its_batch_spans(self):
+        async def scenario():
+            clipper = Clipper(ClipperConfig(
+                app_name="retry", latency_slo_ms=500.0, selection_policy="single",
+                tracing=TracingConfig(sample_every=1_000_000, tail_capture=True),
+            ))
+            clipper.deploy_model(ModelDeployment(
+                name="m", container_factory=_FailsFirstBatch, max_batch_retries=1,
+            ))
+            await clipper.start()
+            try:
+                retried = await clipper.predict(Query(app_name="retry", input=[1.0]))
+                assert retried.output == 1 and retried.trace_id is not None
+                boring = await clipper.predict(Query(app_name="retry", input=[2.0]))
+                assert boring.output == 1 and boring.trace_id is None
+                assert len(clipper.tracer.registry) == 1
+                tree = clipper.tracer.registry.trace(retried.trace_id)
+                assert tree["flags"] == ["retried"] and tree["sampled"] is False
+                assert {
+                    "batch.retry", "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
+                    "container.eval", "rpc.recv", "model.wait",
+                } <= _span_names(tree["root"], set())
+            finally:
+                await clipper.stop()
+
+        run_async(scenario())
+
+    def test_nothing_is_captured_with_tail_capture_off(self):
+        async def scenario():
+            clipper = Clipper(ClipperConfig(
+                app_name="off", latency_slo_ms=40.0, selection_policy="single",
+                default_output=-1,
+                tracing=TracingConfig(sample_every=1_000_000, tail_capture=False),
+            ))
+            clipper.deploy_model(ModelDeployment(
+                name="sleepy", container_factory=lambda: SimulatedLatencyContainer(
+                    base_latency_ms=150.0, default_output=1),
+            ))
+            await clipper.start()
+            try:
+                prediction = await clipper.predict(Query(app_name="off", input=[9.0]))
+                assert prediction.default_used and prediction.trace_id is None
+                assert len(clipper.tracer.registry) == 0
             finally:
                 await clipper.stop()
 

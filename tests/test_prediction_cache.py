@@ -45,9 +45,16 @@ class TestPredictionCacheBasics:
 
     def test_put_by_hash(self):
         cache = PredictionCache(capacity=16)
-        cache.put_by_hash("svm:1", "deadbeef", 3)
+        cache.put_by_hash("svm:1", ["deadbeef"], [3])
         predictions, _ = cache.fetch_by_hash(["svm:1"], "deadbeef")
         assert predictions["svm:1"] == 3
+
+    def test_put_by_hash_fills_a_batch_in_one_locked_pass(self):
+        cache = PredictionCache(capacity=16)
+        cache.put_by_hash(ModelId("svm", 1), ["h0", "h1", "h2"], [0, None, 2])
+        assert cache.stats.inserts == 3 and len(cache) == 3
+        for input_hash, output in (("h0", 0), ("h1", None), ("h2", 2)):
+            assert cache.fetch_by_hash(["svm:1"], input_hash) == ({"svm:1": output}, [])
 
     def test_model_id_and_string_are_equivalent_keys(self):
         cache = PredictionCache(capacity=16)
@@ -158,7 +165,7 @@ class TestOnePassProbeContract:
         cache, reference = PredictionCache(capacity=capacity), SingleProbes(capacity)
         for step, (kind, keys, input_hash) in enumerate(operations):
             if kind == "put":  # ``keys`` is one model key here
-                cache.put_by_hash(keys, input_hash, step)
+                cache.put_by_hash(keys, [input_hash], [step])
                 reference.put(keys, input_hash, step)
                 if capacity:
                     # Same resident entries in the same slots: same victims.
@@ -177,20 +184,22 @@ class TestOnePassProbeContract:
 
     def test_disabled_cache_misses_every_key_in_order(self):
         cache = PredictionCache(capacity=0)
-        cache.put_by_hash("a:1", "h", 1)
+        cache.put_by_hash("a:1", ["h"], [1])
         assert cache.fetch_by_hash(["b:1", "a:1", "b:1"], "h") == ({}, ["b:1", "a:1", "b:1"])
         assert (cache.stats.hits, cache.stats.misses) == (0, 3)
 
     def test_a_cached_none_is_served_as_a_hit(self):
         # What evaluate hands back for a model that answered None.
         cache = PredictionCache(capacity=4)
-        cache.put_by_hash("a:1", "h", None)
+        cache.put_by_hash("a:1", ["h"], [None])
         assert cache.fetch_by_hash(["a:1"], "h") == ({"a:1": None}, [])
         assert cache.stats.hits == 1
 
     def test_a_bare_str_is_refused_not_read_per_character(self):
         cache = PredictionCache(capacity=4)
-        cache.put_by_hash("a", "h", 1)
+        cache.put_by_hash("a", ["h"], [1])
         with pytest.raises(CacheError):
             cache.fetch_by_hash("a", "h")
-        assert cache.stats.lookups == 0
+        with pytest.raises(CacheError):
+            cache.put_by_hash("a", "h", [2])
+        assert cache.stats.lookups == 0 and cache.stats.inserts == 1

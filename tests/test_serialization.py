@@ -6,8 +6,11 @@ stated here over the current code alone:
 * **Known-answer frames.** Every tag's bytes are pinned in hex: ``bool``
   before ``int``, numpy scalars as their Python scalars, a tuple as a list,
   a 0-d or strided array as its C-ordered ``(1,)``-or-more copy, a list of
-  same-dtype, same-shape arrays as one ``NDARRAY_BATCH`` frame, and payloads
-  past the inline limit (which leave as zero-copy segments) byte for byte.
+  same-dtype, same-shape arrays as one ``NDARRAY_BATCH`` frame, a list of two
+  or more ints or of two or more floats (exact types) as one ``I64_COLUMN``
+  or ``F64_COLUMN`` frame while bools, single values and mixed lists stay
+  tagged, and payloads past the inline limit (which leave as zero-copy
+  segments) byte for byte.
 * **The round trip.** A value the encoder accepts decodes to an equal one,
   under the format's normalisations (tuples as lists, bytearrays as bytes,
   numpy scalars as Python scalars, ``str`` / ``int`` / ``float`` / ``list`` /
@@ -28,10 +31,13 @@ stated here over the current code alone:
   dict is written to the same bytes, cut into the same zero-copy views, at
   every sighting, and any dict with the keys of a learned one gets the
   generic encoder's bytes or refusal: equal constants of another type or
-  length never reuse the learned frame.
+  length never reuse the learned frame.  A layout whose frames changed is
+  learned again.
 """
 
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,6 +93,22 @@ FRAMES = [
     ([U8_BATCH[0], np.array([1], dtype="i1")],
      "06" "02000000" + U8_ARRAY.format("01")
      + "08" "03" "7c6931" "01" "0100000000000000" "0100000000000000" "01"),
+    # Columns: two or more values all written as int64, or all as float64.
+    ([1, -2], "0a" "02000000" "0100000000000000" "feffffffffffffff"),
+    ((np.int32(1), np.uint8(2), np.int64(-1)),
+     "0a" "03000000" "0100000000000000" "0200000000000000" "ffffffffffffffff"),
+    ([0.5, np.float32(0.5), np.float64(-0.0), float("inf")],
+     "0b" "04000000" "000000000000e03f" "000000000000e03f" "0000000000000080"
+     "000000000000f07f"),
+    # Not a column: bools, one value, ints and floats mixed, a type the
+    # encoder does not know exactly.  Each goes tagged.
+    ([True, False], "06" "02000000" "0301" "0300"),
+    ([7], "06" "01000000" "01" "0700000000000000"),
+    ([0.5], "06" "01000000" "02" "000000000000e03f"),
+    ([1, 0.5], "06" "02000000" "01" "0100000000000000" "02" "000000000000e03f"),
+    ([1, True], "06" "02000000" "01" "0100000000000000" "0301"),
+    ([np.uint64(1), 2], "06" "02000000" "01" "0100000000000000" "01" "0200000000000000"),
+    ([np.float16(0.5), 0.5], "06" "02000000" "02" "000000000000e03f" "02" "000000000000e03f"),
 ]
 
 
@@ -215,6 +237,23 @@ _batches = st.builds(
     ).flatmap(lambda spec: st.lists(hnp.arrays(*spec), min_size=2, max_size=4)),
     st.sampled_from([[], [], [np.zeros(3)], [np.zeros((2, 2), dtype=np.int8)], [1], [None]]),
 )
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+#: Lists of values all written as int64, or all as float64 (one column frame
+#: on the wire), sometimes made mixed, or refused, by one odd element out.
+_columns = st.builds(
+    lambda items, odd, kind: kind(items + odd),
+    st.lists(
+        _INT64 | _INT64.map(np.int64) | st.integers(-(2**31), 2**31 - 1).map(np.int32)
+        | st.integers(0, 255).map(np.uint8),
+        min_size=2, max_size=40,
+    )
+    | st.lists(
+        st.floats() | st.floats(width=32).map(np.float32) | st.floats().map(np.float64),
+        min_size=2, max_size=40,
+    ),
+    st.sampled_from([[], [], [], [True], [None], [1], [0.5], [2**63], [np.float16(1)]]),
+    st.sampled_from([list, list, tuple]),
+)
 _scalars = (
     st.none()
     | st.booleans()
@@ -241,6 +280,7 @@ _scalars = (
     | st.sampled_from([np.array([object()]), np.array([1, "a"], dtype=object)])
     | _arrays
     | _batches
+    | _columns
 )
 _keys = st.text(max_size=6) | st.text(max_size=3).map(_Text) | st.integers(0, 2) | st.none()
 #: Lone surrogates and datetime arrays are left out: the codec fails on them
@@ -302,6 +342,50 @@ class TestEncoderContract:
             serialize(value)
         with pytest.raises(SerializationError):  # the in-process lane refuses alike
             wire_copy(value)
+
+    @given(
+        st.lists(_INT64 | st.sampled_from([-(2**63), 2**63 - 1, 0, -1]), min_size=2)
+        | st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0]),
+            min_size=2,
+        )
+    )
+    def test_a_column_round_trips_bit_exact_as_the_tagged_list_would(self, values):
+        frame = serialize(values)
+        assert frame[0] == (0x0A if type(values[0]) is int else 0x0B)
+        tag, code = (1, "q") if type(values[0]) is int else (2, "d")
+        tagged = b"\x06" + struct.pack("<I", len(values)) + b"".join(
+            struct.pack(f"<B{code}", tag, value) for value in values
+        )
+        decoded = deserialize(frame)
+        assert identical(decoded, deserialize(tagged))
+        assert [struct.pack(f"<{code}", value) for value in decoded] == [
+            struct.pack(f"<{code}", value) for value in values
+        ]
+        assert identical(wire_copy(values), decoded)
+
+    @pytest.mark.parametrize(
+        "column", [[1, 2**63], [-(2**63) - 1, 1], (np.int64(1), 2**64)],
+        ids=["past_int64", "below_int64", "tuple"],
+    )
+    def test_an_int_past_int64_is_refused_as_the_lone_int_is(self, column):
+        bad = next(value for value in column if not -(2**63) <= value < 2**63)
+        for encode in (serialize, wire_copy):
+            with pytest.raises(SerializationError) as alone:
+                encode(bad)
+            with pytest.raises(SerializationError) as in_column:
+                encode(column)
+            assert str(in_column.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "value", [[_Int(1), 2], [1.0, _Float(2.0)], [np.float32(1), 2]],
+        ids=["int_subclass", "float_subclass", "float_and_int"],
+    )
+    def test_a_list_with_a_subclass_or_mixed_kinds_stays_tagged(self, value):
+        frame = serialize(value)
+        assert frame[0] == 0x06
+        assert _same(deserialize(frame), value)
 
     @pytest.mark.parametrize("wrap", sorted(WRAPS))
     @pytest.mark.parametrize(
@@ -387,6 +471,12 @@ MALFORMED = {
         "08" "03" "3c6638" "01" "ffffffffffffffff" "0800000000000000" "0000000000000000",
     "negative_batch_dimension":
         "09" "03" "7c7531" "01" "feffffffffffffff" "01000000" "0000000000000000",
+    "one_value_column": "0a" "01000000" "0100000000000000",
+    "empty_column": "0b" "00000000",
+    "column_count_cut": "0a" "0200",
+    "column_past_frame": "0b" "03000000" "000000000000e03f" "000000000000e03f",
+    "column_count_past_frame_in_dict": "07" "01000000" "04" "01000000" "6b"
+        "0a" "ffffffff" "0100000000000000" "0200000000000000",
 }
 
 REFUSED = object()
@@ -473,6 +563,25 @@ class TestDecoderRefusals:
         outcomes = [decoded(data) for _ in range(3)]
         assert identical(outcomes[0], outcomes[1]) and identical(outcomes[1], outcomes[2])
 
+    @given(
+        st.lists(_INT64, min_size=2, max_size=8) | st.lists(st.floats(), min_size=2, max_size=8),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_a_column_with_a_wrong_count_or_cut_short_is_refused_cold_and_warm(
+        self, values, count, in_dict
+    ):
+        wrap = (lambda v: {"k": v}) if in_dict else (lambda v: v)
+        frame = serialize(wrap(values))
+        at = frame.index(bytes([0x0A if type(values[0]) is int else 0x0B])
+                         + struct.pack("<I", len(values)))
+        wrong = frame[: at + 1] + struct.pack("<I", count) + frame[at + 5 :]
+        cuts = [frame[:end] for end in (at + 1, at + 3, at + 5, len(frame) - 1)]
+        for _ in range(2):  # cold, then with the original frame learned
+            for refused_frame in cuts + ([wrong] if count != len(values) else []):
+                assert decoded(refused_frame) is REFUSED
+            learn(frame)
+
     @given(_accepted, _mutations)
     @example({"k": "ok"}, ("flip", 16, b"\x91"))  # "ok" -> invalid utf-8 in the slot
     @example({"k": "ok"}, ("flip", 5, b"\x05"))  # the key's tag -> an int key
@@ -507,15 +616,19 @@ class TestLayouts:
         assert _same(layout(memoryview(frame)), value)
 
     def test_a_frame_past_the_field_budget_keeps_the_generic_decoder(self):
-        value = {"outputs": list(range(serialization._LAYOUT_FIELD_BYTES_MAX // 9 + 1))}
+        # Ints and floats mixed: a tagged list, nine bytes of fields an item.
+        count = serialization._LAYOUT_FIELD_BYTES_MAX // 9 + 1
+        value = {"outputs": [float(i) if i % 2 else i for i in range(count)]}
         frame = serialize(value)
         learn(frame)
         assert serialization._LAYOUTS[(1, len(frame))] is serialization._unlearnable
         assert deserialize(frame) == value
-        # Array payloads are read as views, not fields: any size is learned.
-        frame = serialize({"input": np.zeros(4096)})
-        learn(frame)
-        assert serialization._LAYOUTS[(1, len(frame))] is not serialization._unlearnable
+        # Array and column payloads are read apart, not as fields: any size
+        # is learned.
+        for payload in (np.zeros(4096), list(range(count)), [0.5] * count):
+            frame = serialize({"input": payload})
+            learn(frame)
+            assert serialization._LAYOUTS[(1, len(frame))] is not serialization._unlearnable
 
     @pytest.mark.parametrize("buffer", [bytes, bytearray], ids=["bytes", "bytearray"])
     def test_decoded_arrays_are_read_only_views_whatever_the_buffer(self, buffer):
@@ -527,6 +640,45 @@ class TestLayouts:
                 assert not array.flags.writeable
                 assert np.shares_memory(array, np.frombuffer(frame, np.uint8))
             assert value["a"].shape == (3,) and value["b"][0].shape == (2, 2)
+
+    def test_a_layout_whose_frames_changed_is_learned_again(self, monkeypatch):
+        # One (entry count, frame length), two shapes: the key differs.
+        old, new = serialize({"ab": [1, 2], "x": "y"}), serialize({"cd": [1, 2], "x": "y"})
+        assert len(old) == len(new)
+        serialization._LAYOUTS.clear()
+        for _ in range(3):  # seen, learned, matched
+            assert deserialize(old) == {"ab": [1, 2], "x": "y"}
+        generic = Counter()
+        real = serialization._decode
+
+        def counted(view, offset, depth):
+            generic[offset] += 1  # a top-level decode starts at offset 0
+            return real(view, offset, depth)
+
+        monkeypatch.setattr(serialization, "_decode", counted)
+        # The first new frame misses the layout, the second finds it stale
+        # and is learned in its place, the third is read by its layout.
+        for sighting in range(3):
+            generic.clear()
+            assert deserialize(new) == {"cd": [1, 2], "x": "y"}
+            assert generic[0] == (sighting < 2)
+        # Frames alternating between two shapes do not learn over each
+        # other: the old one now misses once at a time, and decodes alike.
+        for _ in range(3):
+            assert deserialize(old) == {"ab": [1, 2], "x": "y"}
+            generic.clear()
+            assert deserialize(new) == {"cd": [1, 2], "x": "y"}
+            assert generic[0] == 0
+
+    def test_a_layout_that_never_matched_is_not_learned_over(self):
+        serialization._LAYOUTS.clear()
+        first, second = serialize({"ab": 1}), serialize({"cd": 1})
+        deserialize(first)
+        deserialize(second)  # the second sighting of the key: learned from it
+        layout = serialization._LAYOUTS[(1, len(first))]
+        for _ in range(4):
+            assert deserialize(first) == {"ab": 1}
+        assert serialization._LAYOUTS[(1, len(first))] is layout
 
     def test_the_layout_memo_is_bounded(self):
         serialization._LAYOUTS.clear()
@@ -706,6 +858,26 @@ class TestEncodeLayouts:
         models[0] = "m:2"  # the caller reuses the list it sent
         for names in (["m:1"], ["m:2"]):
             assert written({"models": names, "n": 1}) == generic({"models": names, "n": 1})
+
+    def test_a_writer_whose_dicts_changed_is_learned_again(self, monkeypatch):
+        old, new = {"k": "a", "n": 1}, {"k": "b", "n": 1}
+        frames = {"a": generic(old)[0], "b": generic(new)[0]}
+        monkeypatch.setattr(serialization, "_WRITERS", {})
+        for _ in range(3):  # seen, learned, matched
+            assert b"".join(serialize_buffers(old)) == frames["a"]
+        calls = Counter()
+        real = serialization._encode_dict
+
+        def counted(*args):
+            calls["generic"] += 1
+            return real(*args)
+
+        monkeypatch.setitem(serialization._ENCODERS, dict, counted)
+        # Missed, found stale and learned again, then written by its layout.
+        for sighting in range(3):
+            calls.clear()
+            assert b"".join(serialize_buffers(new)) == frames["b"]
+            assert calls["generic"] == (sighting < 2)
 
     def test_the_writer_memo_is_bounded(self):
         serialization._WRITERS.clear()

@@ -22,7 +22,7 @@ from hypothesis import given
 
 from repro.core.exceptions import SerializationError
 from repro.rpc.serialization import deserialize, serialize, wire_copy
-from test_serialization import wire_values
+from test_serialization import _columns, wire_values
 
 
 def _outcome(transform, value):
@@ -64,6 +64,13 @@ class TestCopyIsTheRoundTrip:
             _outcome(wire_copy, value), _outcome(lambda v: deserialize(serialize(v)), value)
         )
 
+    @given(_columns)
+    def test_a_column_list_copies_as_the_codec_decodes_it(self, value):
+        # Ints or floats, or one odd element out (mixed, or past int64).
+        assert_same(
+            _outcome(wire_copy, value), _outcome(lambda v: deserialize(serialize(v)), value)
+        )
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -74,12 +81,13 @@ class TestCopyIsTheRoundTrip:
             object(),
             [1, {2, 3}],
             np.bool_(False),
+            [1, 2**63],
             2**63,
             -(2**63) - 1,
             np.uint64(2**64 - 1),
         ],
         ids=["object_array", "object_batch", "int_key", "nested_none_key", "object",
-             "set", "numpy_bool", "past_int64", "below_int64", "uint64_max"],
+             "set", "numpy_bool", "column_past_int64", "past_int64", "below_int64", "uint64_max"],
     )
     def test_both_refuse_with_serialization_error(self, value):
         with pytest.raises(SerializationError):
