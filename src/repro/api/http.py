@@ -12,6 +12,11 @@ surface needs:
   client SDK (:mod:`repro.rpc.http11`: bounded head, header count and body;
   digits-only ``Content-Length``; chunked refused) — a request that fails
   to parse gets one structured 400 and the connection is closed,
+* **inline serving** (:meth:`~repro.rpc.http11.Http1Connection.serve`): a
+  cached predict is read, dispatched and answered inside the socket callback
+  that completed it, and only a request that waits on something else (a
+  miss, a paused write) moves to a task; a request line and ``Connection``
+  value, and an ``Accept`` / ``Content-Type`` pair, are each interpreted once,
 * **keep-alive** connections (``Connection: close`` honoured; HTTP/1.0
   defaults to close) so clients amortize the TCP handshake across queries;
   pipelined requests are answered in order,
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qsl
 
 from repro.api import columnar
@@ -54,7 +59,7 @@ from repro.api.schema import json_safe
 from repro.core.exceptions import SerializationError
 from repro.observability.logging import configure_logging, get_logger
 from repro.rpc import jsonwire as json  # looked up per call: the bench tracer rebinds ``json``
-from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
+from repro.rpc.http11 import FramingError, Http1Connection, media_type, remember
 
 logger = get_logger("api.http")
 
@@ -85,18 +90,12 @@ _HEADS: Dict[Tuple[int, bool, str], bytes] = {}
 
 
 def _head(status: int, keep_alive: bool, content_type: str) -> bytes:
-    key = (status, keep_alive, content_type)
-    head = _HEADS.get(key)
-    if head is None:
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            "Content-Length: "
-        ).encode("latin-1")
-        if len(_HEADS) < MEMO_MAX:
-            _HEADS[key] = head
-    return head
+    return (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        "Content-Length: "
+    ).encode("latin-1")
 
 
 def _encode_json(body: Any) -> bytes:
@@ -105,6 +104,21 @@ def _encode_json(body: Any) -> bytes:
 
 def _decode_json(data: bytes) -> Any:
     return json.loads(data)
+
+
+def _request_line(request_line: str, connection: Optional[str]) -> Tuple[str, str, str, bool]:
+    """Method, path, query and keep-alive of a request line and ``Connection``."""
+    parts = request_line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/") or not request_line.isascii():
+        raise FramingError("malformed HTTP request line")
+    method, target, version = parts
+    path, _, query_string = target.partition("?")
+    connection = (connection or "").lower()
+    # HTTP/1.1 keeps the connection by default, HTTP/1.0 only when asked.
+    keep_alive = "close" not in connection and (
+        version != "HTTP/1.0" or "keep-alive" in connection
+    )
+    return method, path, query_string, keep_alive
 
 
 class HttpApiServer:
@@ -132,15 +146,17 @@ class HttpApiServer:
         self._max_header_count = max_header_count
         self._keep_alive_timeout_s = keep_alive_timeout_s
         self._server: Optional[asyncio.base_events.Server] = None
-        # Every open connection, by the task serving it.
-        self._connections: Dict[asyncio.Task, Http1Connection] = {}
+        # Every open connection.
+        self._connections: Set[Http1Connection] = set()
         self._draining = False
         self._inflight = 0
         # Created by drain() while requests are mid-dispatch; resolved by the
         # last of them to finish.
         self._idle: Optional[asyncio.Future] = None
-        # Accept header -> negotiated encoding (see _dispatch).
-        self._accepts: Dict[Optional[str], str] = {}
+        # (request line, Connection) -> (method, path, query, keep-alive), and
+        # (Accept, Content-Type) -> (response type, request type, decoder).
+        self._lines: Dict[Tuple[str, Optional[str]], Tuple[str, str, str, bool]] = {}
+        self._codecs: Dict[Tuple[Optional[str], Optional[str]], Tuple[str, str, Any]] = {}
         # The edge's codec pair: requests select the decoder through
         # ``Content-Type`` and the encoder through ``Accept``.
         self._encoders: Dict[str, Callable[[Any], Any]] = {
@@ -235,7 +251,7 @@ class HttpApiServer:
         if self._server is None:
             return
         self._server.close()
-        for conn in list(self._connections.values()):
+        for conn in list(self._connections):
             conn.close()
         try:
             await self._server.wait_closed()
@@ -254,16 +270,11 @@ class HttpApiServer:
     # -- connection handling ---------------------------------------------------
 
     def _on_connection(self, conn: Http1Connection) -> None:
-        task = asyncio.get_running_loop().create_task(self._serve_connection(conn))
-        self._connections[task] = conn
-        task.add_done_callback(self._on_connection_done)
-
-    def _on_connection_done(self, task: asyncio.Task) -> None:
-        del self._connections[task]
-        if not task.cancelled() and task.exception() is not None:
-            # _dispatch maps every handler failure to a response; this is a
-            # defect in the edge itself.  The connection is already closed.
-            logger.error("connection handler failed", exc_info=task.exception())
+        self._connections.add(conn)
+        # _dispatch maps every handler failure to a response: what escapes
+        # the loop is a defect in the edge, which asyncio reports (the
+        # connection is closed by then).
+        conn.serve(self._serve_connection(conn))
 
     async def _serve_connection(self, conn: Http1Connection) -> None:
         try:
@@ -283,8 +294,8 @@ class HttpApiServer:
                     break
                 if request is None:
                     break  # client closed cleanly between requests
-                method, path, query_string, headers, body_bytes = request
-                keep_alive = self._wants_keep_alive(headers) and not self._draining
+                method, path, query_string, keep_alive, headers, body_bytes = request
+                keep_alive = keep_alive and not self._draining
                 self._inflight += 1
                 try:
                     status, body, content_type, extra_headers = await self._dispatch(
@@ -309,34 +320,20 @@ class HttpApiServer:
             pass  # peer went away mid-message; nothing to answer
         finally:
             conn.close()
+            self._connections.discard(conn)
 
     async def _read_request(
         self, conn: Http1Connection
-    ) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
-        """Parse one request; None on clean EOF, :class:`FramingError` on junk."""
+    ) -> Optional[Tuple[str, str, str, bool, Mapping[str, str], bytes]]:
+        """``(method, path, query, keep-alive, headers, body)``; None on clean
+        EOF, :class:`FramingError` on junk."""
         message = await conn.read_message(self._keep_alive_timeout_s)
         if message is None:
             return None
         request_line, headers, body = message
-        parts = request_line.split()
-        if (
-            len(parts) != 3
-            or not parts[2].startswith("HTTP/")
-            or not request_line.isascii()
-        ):
-            raise FramingError("malformed HTTP request line")
-        method, target, headers["_http_version"] = parts
-        path, _, query_string = target.partition("?")
-        return method, path, query_string, headers, body
-
-    @staticmethod
-    def _wants_keep_alive(headers: Dict[str, str]) -> bool:
-        connection = headers.get("connection", "").lower()
-        if "close" in connection:
-            return False
-        if headers.get("_http_version") == "HTTP/1.0":
-            return "keep-alive" in connection
-        return True  # HTTP/1.1 default
+        key = (request_line, headers.get("connection"))
+        line = self._lines.get(key) or remember(self._lines, key, _request_line(*key))
+        return (*line, headers, body)
 
     def _negotiate_accept(self, header: Optional[str]) -> str:
         """Pick the response encoding from the ``Accept`` header.
@@ -387,12 +384,19 @@ class HttpApiServer:
             detail={"supported": sorted(self._encoders)},
         )
 
+    def _negotiate(
+        self, accept: Optional[str], content_type: Optional[str]
+    ) -> Tuple[str, str, Optional[Callable[[bytes], Any]]]:
+        """Response type, request type and its decoder (or None) of a pair."""
+        media = media_type(content_type or JSON_CONTENT_TYPE)
+        return self._negotiate_accept(accept), media, self._decoders.get(media)
+
     async def _dispatch(
         self,
         method: str,
         path: str,
         query_string: str,
-        headers: Dict[str, str],
+        headers: Mapping[str, str],
         body_bytes: bytes,
     ) -> Tuple[int, Any, str, Dict[str, str]]:
         """Route one request; every failure renders as the structured error.
@@ -402,18 +406,13 @@ class HttpApiServer:
         decoder by the ``Content-Type`` header, not by what they asked for.
         """
         try:
-            # Clients send the same Accept value request after request:
-            # negotiate each once.  Bounded, the values being the peer's.
-            raw_accept = headers.get("accept")
-            accept = self._accepts.get(raw_accept)
-            if accept is None:
-                accept = self._negotiate_accept(raw_accept)
-                if len(self._accepts) < MEMO_MAX:
-                    self._accepts[raw_accept] = accept
+            # Clients send the same two values request after request.
+            key = (headers.get("accept"), headers.get("content-type"))
+            accept, content_type, decoder = self._codecs.get(key) or remember(
+                self._codecs, key, self._negotiate(*key)
+            )
             body: Any = None
             if body_bytes:
-                content_type = media_type(headers.get("content-type", JSON_CONTENT_TYPE))
-                decoder = self._decoders.get(content_type)
                 if decoder is None:
                     raise UnsupportedMediaTypeError(
                         f"no decoder for content type '{content_type}'",
@@ -494,7 +493,7 @@ class HttpApiServer:
                 extra = "".join(lines).encode("latin-1")
             if override is not None:
                 content_type = override
-        if isinstance(body, (str, bytes)) and content_type not in self._encoders:
+        if content_type not in self._encoders and isinstance(body, (str, bytes)):
             segments = [body.encode("utf-8") if isinstance(body, str) else body]
         else:
             encoder = self._encoders.get(content_type, _encode_json)
@@ -507,8 +506,10 @@ class HttpApiServer:
                 status = 500
                 payload = _encode_json(error_payload(Exception()))
             segments = payload if isinstance(payload, list) else [payload]
-        length = sum(len(segment) for segment in segments)
-        head = b"%b%d\r\n%b\r\n" % (_head(status, keep_alive, content_type), length, extra)
+        length = sum(map(len, segments))
+        key = (status, keep_alive, content_type)
+        head = _HEADS.get(key) or remember(_HEADS, key, _head(*key))
+        head = b"%b%d\r\n%b\r\n" % (head, length, extra)
         conn.transport.writelines([head, *segments])
         if conn.write_paused:
             await conn.drain()

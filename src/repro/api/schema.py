@@ -49,6 +49,10 @@ INPUT_TYPES: Dict[str, Optional[np.dtype]] = {
     "strings": None,
 }
 
+#: The least double that rounds to infinity as a float32 (half an ulp past
+#: its largest value; the tie rounds to even, away from it).
+_FLOAT32_INF = 2.0**128 - 2.0**103
+
 #: Numpy dtype kinds accepted per declared numeric type.  Integer inputs may
 #: widen to floats; float inputs never silently truncate to ints.
 _ACCEPTED_KINDS = {
@@ -187,7 +191,16 @@ class ApplicationSchema:
                     "got_shape": list(arr.shape),
                 },
             )
-        return np.ascontiguousarray(arr, dtype=INPUT_TYPES[self.input_type])
+        dtype = INPUT_TYPES[self.input_type]
+        if arr.dtype is not dtype and arr.dtype.char == "d" and dtype.char == "f":
+            past = np.abs(arr) >= _FLOAT32_INF  # NaN never is; inf stays inf
+            if past.any() and np.isfinite(arr[past]).any():
+                raise ValidationError(
+                    f"application '{self.app_name}' takes floats input, got a "
+                    "finite value past float32's range",
+                    detail={"expected": self.input_type},
+                )
+        return np.ascontiguousarray(arr, dtype=dtype)
 
     def validate_label(self, label: Any) -> Any:
         """Check a feedback label against the declared output contract.

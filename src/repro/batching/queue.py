@@ -216,6 +216,7 @@ class BatchingQueue:
             nonlocal expired
             expired = True
             if waiter is not None and not waiter.done():
+                self._getters.remove(waiter)  # pending, so still queued
                 waiter.set_result(None)
 
         generation = self._wake_generation
@@ -300,10 +301,10 @@ class BatchingQueue:
 
     @staticmethod
     def _discard_waiter(waiters: Deque[asyncio.Future], waiter: asyncio.Future) -> None:
-        try:
+        # Whoever wakes a waiter pops it first, so only a cancelled one may
+        # still be queued (``_wake_next`` drops those it passes over).
+        if waiter.cancelled() and waiter in waiters:
             waiters.remove(waiter)
-        except ValueError:
-            pass
 
     def wake_all(self) -> None:
         """Wake every blocked consumer (used for prompt dispatcher shutdown).

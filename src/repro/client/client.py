@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import operator
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from repro.api.verbs import ADMIN_VERBS, Verb
 from repro.core.exceptions import SerializationError
 from repro.rpc import jsonwire as json  # looked up per call: the bench tracer rebinds ``json``
-from repro.rpc.http11 import MEMO_MAX, FramingError, Http1Connection, media_type
+from repro.rpc.http11 import FramingError, Http1Connection, media_type, remember
 from repro.rpc.serialization import (
     COLUMNAR_CONTENT_TYPE,
     deserialize,
@@ -222,17 +223,14 @@ class PredictionResult:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "PredictionResult":
-        return cls(
-            query_id=payload.get("query_id", -1),
-            app_name=payload.get("app_name", ""),
-            output=payload.get("output"),
-            confidence=payload.get("confidence", 0.0),
-            latency_ms=payload.get("latency_ms", 0.0),
-            default_used=payload.get("default_used", False),
-            models_used=list(payload.get("models_used", [])),
-            models_missing=list(payload.get("models_missing", [])),
-            from_cache=payload.get("from_cache", False),
-        )
+        """A response body's result: other keys are ignored, missing ones default."""
+        try:
+            return cls(*_RESULT_FIELDS(payload))  # the server sends every field
+        except KeyError:
+            return cls(**{k: v for k, v in payload.items() if k in cls.__dataclass_fields__})
+
+
+_RESULT_FIELDS = operator.itemgetter(*(f.name for f in fields(PredictionResult)))
 
 
 @dataclass(frozen=True)
@@ -282,6 +280,21 @@ class RetryPolicy:
         if self.jitter:
             delay *= 1.0 - self.jitter * rng.random()
         return delay
+
+
+#: (status line, Connection, Content-Type) -> (status, close, columnar body).
+_RESPONSE_HEADS: Dict[Tuple[str, Optional[str], Optional[str]], Tuple[int, bool, bool]] = {}
+
+
+def _response_head(
+    status_line: str, connection: Optional[str], content_type: Optional[str]
+) -> Tuple[int, bool, bool]:
+    """Status, close flag and decoder choice of a response head."""
+    parts = status_line.split(maxsplit=2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
+        raise FramingError(f"malformed status line: {status_line!r}")
+    close = "close" in (connection or "").lower()
+    return int(parts[1]), close, media_type(content_type or "") == COLUMNAR_CONTENT_TYPE
 
 
 class _StaleConnection(Exception):
@@ -355,7 +368,6 @@ class _HttpConnection:
         by its ``Content-Type`` either way.
         """
         policy = self.retry_policy
-        is_get = method.upper() == "GET"
         attempts = 0
         while True:
             attempts += 1
@@ -378,7 +390,7 @@ class _HttpConnection:
                     failure = TransportError(
                         f"{method} {path} failed: {exc.args[0]}"
                     )
-                    retriable = is_get
+                    retriable = method.upper() == "GET"
                 except (FramingError, OSError) as exc:
                     # The connection died mid-response, or what arrived is not
                     # a response: the request may have executed server-side,
@@ -448,8 +460,7 @@ class _HttpConnection:
                 f"Content-Type: {content_type}\r\n"
                 "Content-Length: "
             ).encode("ascii")
-            if len(self._heads) < MEMO_MAX:
-                self._heads[(method, path, columnar)] = head
+            remember(self._heads, (method, path, columnar), head)
         protocol = self._protocol
         # The body is never joined with the head: binary segments (which
         # include zero-copy views of the caller's arrays) go out writev-style.
@@ -462,11 +473,11 @@ class _HttpConnection:
             # connection; an incomplete request is discarded server-side.
             raise _StaleConnection("server closed the idle connection")
         status_line, headers, data = message
-        parts = status_line.split(maxsplit=2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
-            raise FramingError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        if "close" in headers.get("connection", "").lower():
+        key = (status_line, headers.get("connection"), headers.get("content-type"))
+        status, close, columnar = _RESPONSE_HEADS.get(key) or remember(
+            _RESPONSE_HEADS, key, _response_head(*key)
+        )
+        if close:
             self._reset()
         retry_after: Optional[float] = None
         if status in (429, 503):
@@ -482,7 +493,7 @@ class _HttpConnection:
             return status, None, retry_after
         # The response's own Content-Type picks the decoder — errors render
         # as JSON even on a binary exchange.
-        if media_type(headers.get("content-type", "")) == COLUMNAR_CONTENT_TYPE:
+        if columnar:
             try:
                 return status, deserialize(data), retry_after
             except SerializationError as exc:
@@ -564,9 +575,11 @@ class AsyncClipperClient(_BaseAsyncClient):
             body["user_id"] = user_id
         if latency_slo_ms is not None:
             body["latency_slo_ms"] = latency_slo_ms
-        payload = await self._call(
+        status, payload = await self._conn.request(
             "POST", f"{API_PREFIX}/{app_name}/predict", body, binary
         )
+        if status >= 400:
+            raise error_from_response(status, payload)
         return PredictionResult.from_payload(payload)
 
     async def update(

@@ -8,6 +8,12 @@ transport shares:
 
 * a message is located with **one** ``find(b"\\r\\n\\r\\n")`` and its head split
   once; the reading task is woken only when the bytes it waits for are in,
+* what a repeated head implies is derived once per distinct value, in
+  bounded memos (:func:`remember`): the parsed head (its header mapping
+  read-only), then each end's own facts (request line, codecs, status),
+* **inline serving** (:meth:`Http1Connection.serve`): a server connection's
+  coroutine is stepped from the socket callbacks while it waits for bytes,
+  and runs in a task only while it waits on anything else,
 * **limits**: a head over :data:`HEAD_LIMIT`, more than ``max_header_count``
   header lines, a body over ``max_body_bytes``, a ``Content-Length`` that is
   not ASCII digits or disagrees with a repeat of itself, and chunked bodies
@@ -22,7 +28,8 @@ Lines end in CRLF; a bare LF is not a line terminator here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import types
+from typing import Any, Callable, Coroutine, Dict, Mapping, Optional, Tuple
 
 from repro.rpc.transport import StreamProtocol
 
@@ -30,8 +37,7 @@ from repro.rpc.transport import StreamProtocol
 HEAD_LIMIT = 64 * 1024
 
 #: Memos of values that arrive from outside the process, hence bounded.
-_MEDIA_TYPES: Dict[str, str] = {}
-_HEADS: Dict[bytes, Tuple[str, Dict[str, str], int, int]] = {}
+_HEADS: Dict[bytes, Tuple[str, Mapping[str, str], int, int]] = {}
 MEMO_MAX = 64
 _MEMO_HEAD_MAX = 512
 
@@ -40,23 +46,28 @@ class FramingError(Exception):
     """The byte stream is not parseable HTTP/1.1; the connection cannot resync."""
 
 
+def remember(memo: Dict[Any, Any], key: Any, value: Any) -> Any:
+    """``memo[key] = value``, starting the memo over at :data:`MEMO_MAX` keys
+    (they come from peers); returns ``value``."""
+    if len(memo) >= MEMO_MAX:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def media_type(content_type: str) -> str:
-    """``type/subtype`` of a ``Content-Type`` value (memoised by raw value)."""
-    media = _MEDIA_TYPES.get(content_type)
-    if media is None:
-        media = content_type.split(";")[0].strip().lower()
-        if len(_MEDIA_TYPES) < MEMO_MAX:
-            _MEDIA_TYPES[content_type] = media
-    return media
+    """``type/subtype`` of a ``Content-Type`` value."""
+    return content_type.split(";")[0].strip().lower()
 
 
-def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Dict[str, str], int]:
+def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Mapping[str, str], int]:
     """Split a message head into its start line, headers and body length.
 
     Header names are lower-cased and a repeated header keeps its last value,
     except ``Content-Length``, whose repeats must agree.  A keep-alive peer
     sends the same head message after message (a model's inputs have one
-    size), so short heads are memoised whole; the memo starts over when full.
+    size), so short heads are memoised whole, which is why the header
+    mapping is read-only.
     """
     parsed = _HEADS.get(raw)
     if parsed is None:
@@ -79,22 +90,62 @@ def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Dict[str, str], 
             headers[name] = value
         if "chunked" in headers.get("transfer-encoding", "").lower():
             raise FramingError("chunked bodies are not supported")
-        parsed = (lines[0], headers, length or 0, len(lines) - 1)
+        parsed = (lines[0], types.MappingProxyType(headers), length or 0, len(lines) - 1)
         if len(raw) <= _MEMO_HEAD_MAX:
-            if len(_HEADS) >= MEMO_MAX:
-                _HEADS.clear()
-            _HEADS[raw] = parsed
+            remember(_HEADS, raw, parsed)
     start_line, headers, length, header_lines = parsed
     if header_lines > max_header_count:
         raise FramingError("too many HTTP headers")
-    return start_line, dict(headers), length
+    return start_line, headers, length
+
+
+class _Parked:
+    """What a served coroutine yields while it waits for bytes, to the code stepping it."""
+
+    def __await__(self):
+        yield self
+
+
+PARKED = _Parked()
+
+
+class _Carried:
+    """``coro`` waiting on ``waiting``, as the coroutine a task runs: the first
+    step hands the task that awaitable, later ones forward to ``coro`` (a
+    cancellation too) until it parks on its socket again, which ends the task."""
+
+    def __init__(self, coro: Coroutine, waiting: Any) -> None:
+        self._coro, self._waiting = coro, waiting
+
+    def send(self, value: Any) -> Any:
+        if self._waiting is not PARKED:
+            waiting, self._waiting = self._waiting, PARKED
+            return waiting
+        return self._carry(self._coro.send(value))
+
+    def throw(self, exc: BaseException) -> Any:
+        self._waiting = PARKED
+        return self._carry(self._coro.throw(exc))
+
+    @staticmethod
+    def _carry(waiting: Any) -> Any:
+        if waiting is PARKED:
+            raise StopIteration
+        return waiting
+
+    def close(self) -> None:
+        self._coro.close()
+
+    def __await__(self) -> "_Carried":
+        return self
 
 
 class Http1Connection(StreamProtocol):
     """One connection's byte stream, cut into HTTP/1.1 messages.
 
     One task reads (:meth:`read_message`) and writes (straight to
-    ``transport``, then :meth:`drain` while ``write_paused``) at a time.
+    ``transport``, then :meth:`drain` while ``write_paused``) at a time; on
+    the server that "task" is the coroutine :meth:`serve` drives.
     """
 
     def __init__(
@@ -107,24 +158,63 @@ class Http1Connection(StreamProtocol):
         self._max_body_bytes = max_body_bytes
         self._max_header_count = max_header_count
         self._scanned = 0  # bytes already searched for the blank line
-        self._head: Optional[Tuple[str, Dict[str, str], int, int]] = None
+        self._head: Optional[Tuple[str, Mapping[str, str], int, int]] = None
         self._need = 0  # buffered size worth waking the reader for
+        self._serving: Optional[Coroutine] = None  # see serve()
 
     def close(self) -> None:
         if self.transport is not None:
             self.transport.close()
+
+    def serve(self, coro: Coroutine) -> None:
+        """Run ``coro``, this connection's read-and-answer loop, inline.
+
+        While it waits for bytes it yields :data:`PARKED`, not a future, and
+        the callback that brings them (or the end of the stream) steps it on.
+        While it waits on anything else it runs in a task.  An exception that
+        escapes ``coro`` inline takes asyncio's protocol-error path, which
+        closes the transport; one in the task is the task's.
+        """
+        self._serving = coro
+        self._step()
+
+    def _step(self) -> None:
+        try:
+            waiting = self._serving.send(None)
+        except StopIteration:
+            return
+        if waiting is not PARKED:
+            self._loop.create_task(_Carried(self._serving, waiting))
+
+    def _park(self) -> Any:
+        if self._serving is None:
+            return super()._park()
+        if self._read_paused:
+            self._read_paused = False
+            self.transport.resume_reading()
+        self._reader = PARKED
+        return PARKED
+
+    def _wake_reader(self) -> None:
+        if self._reader is PARKED:
+            self._step()
+        else:
+            self._wake(self._reader)
 
     def data_received(self, data: bytes) -> None:
         buffer = self._buffer
         buffer += data
         if self._reader is None:
             self._pause_if_full()
-        elif len(buffer) >= self._need:
-            self._wake(self._reader)
+        elif len(buffer) >= self._need:  # _wake_reader, without a call per message
+            if self._reader is PARKED:
+                self._step()
+            else:
+                self._wake(self._reader)
 
     async def read_message(
         self, idle_timeout_s: Optional[float] = None
-    ) -> Optional[Tuple[str, Dict[str, str], bytes]]:
+    ) -> Optional[Tuple[str, Mapping[str, str], bytes]]:
         """The next ``(start line, headers, body)``; None at a clean end of stream.
 
         A stream that ends inside a message raises ``ConnectionResetError``.
@@ -155,7 +245,7 @@ class Http1Connection(StreamProtocol):
             if timer is not None:
                 timer.cancel()
 
-    def _take_message(self) -> Optional[Tuple[str, Dict[str, str], bytes]]:
+    def _take_message(self) -> Optional[Tuple[str, Mapping[str, str], bytes]]:
         """Cut one complete message off the buffer, if one is there."""
         buffer = self._buffer
         head = self._head

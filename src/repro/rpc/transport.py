@@ -122,14 +122,14 @@ class StreamProtocol(asyncio.Protocol):
 
     def eof_received(self) -> bool:
         self.eof = True
-        self._wake(self._reader)
+        self._wake_reader()
         # Keep the write side: a peer may half-close and still read replies.
         return True
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.eof = True
         self.write_paused = False
-        self._wake(self._reader)
+        self._wake_reader()
         self._wake(self._drained)
 
     def pause_writing(self) -> None:
@@ -138,6 +138,9 @@ class StreamProtocol(asyncio.Protocol):
     def resume_writing(self) -> None:
         self.write_paused = False
         self._wake(self._drained)
+
+    def _wake_reader(self) -> None:
+        self._wake(self._reader)
 
     @staticmethod
     def _wake(waiter: Optional[asyncio.Future]) -> None:

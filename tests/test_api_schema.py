@@ -289,6 +289,54 @@ class TestWireDecodeIsExact:
         assert_same_input(mine, outcome(schema.validate_input, raw))
 
 
+#: float32's largest value, and the least double that rounds past it.
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_INF = 2.0**128 - 2.0**103
+_range_edge = st.sampled_from(
+    [_F32_MAX, _F32_INF, float(np.nextafter(_F32_INF, 0)), 1e300, float("inf"), float("nan")]
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+class TestFloat32Range:
+    """A ``floats`` application refuses a finite double that float32 cannot
+    hold (it would reach the model as inf), through every input path; a
+    double that rounds into range, inf and NaN pass as numpy casts them."""
+
+    @given(
+        values=st.lists(
+            _range_edge | st.floats(min_value=-4e38, max_value=4e38) | st.floats(),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_refused_exactly_when_a_finite_value_would_become_inf(self, values):
+        schema = ApplicationSchema("app", input_type="floats")
+        doubles = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            cast = doubles.astype(np.float32)
+        overflows = bool((np.isinf(cast) & np.isfinite(doubles)).any())
+        wire = jsonwire.loads(jsonwire.dumps({"input": values}))["input"]
+        for raw in (values, doubles, wire, schema.decode_wire_input(wire)):
+            if overflows:
+                with pytest.raises(ValidationError, match="past float32's range"):
+                    schema.validate_input(raw)
+            else:
+                out = schema.validate_input(raw)
+                assert out.dtype == np.float32
+                assert np.array_equal(out, cast, equal_nan=True)
+        # A doubles application takes every one of them as it is.
+        assert np.array_equal(
+            ApplicationSchema("app", input_type="doubles").validate_input(values),
+            doubles,
+            equal_nan=True,
+        )
+
+    def test_a_float32_array_is_not_checked(self):
+        schema = ApplicationSchema("app", input_type="floats")
+        arr = np.array([np.inf, -np.inf, 1.0], dtype=np.float32)
+        assert schema.validate_input(arr) is arr
+
+
 class TestJsonSafeFastPath:
     @given(value=_outputs)
     def test_equals_the_isinstance_chain(self, value):

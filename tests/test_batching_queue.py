@@ -2,6 +2,7 @@
 
 import asyncio
 import time
+from collections import deque
 
 import pytest
 
@@ -270,5 +271,77 @@ class TestSaturation:
             for i in range(3):
                 await queue.put(make_item(i))
             assert queue.saturation() == 1.0
+
+        run_async(scenario())
+
+
+class _CountingDeque(deque):
+    """A waiter deque that counts ``remove`` calls which found nothing."""
+
+    failed = 0
+
+    def remove(self, value):
+        try:
+            super().remove(value)
+        except ValueError:
+            _CountingDeque.failed += 1
+            raise
+
+
+class TestWaiterBookkeeping:
+    """A woken waiter was popped by its waker: it is not searched for again,
+    and a cancelled one does not stay queued."""
+
+    def make(self, **kwargs):
+        queue = BatchingQueue(**kwargs)
+        _CountingDeque.failed = 0
+        queue._getters = _CountingDeque()
+        queue._putters = _CountingDeque()
+        queue._empty_waiters = _CountingDeque()
+        return queue
+
+    def test_wake_ups_search_for_no_waiter(self):
+        async def scenario():
+            queue = self.make(maxsize=1)
+            loop = asyncio.get_running_loop()
+            for _ in range(3):
+                consumer = loop.create_task(queue.get_batch(4))
+                await asyncio.sleep(0)
+                await queue.put(make_item("x"))
+                assert len(await consumer) == 1
+            # a delayed batch, topped up by a put and then ended by its deadline
+            await queue.put(make_item("first"))
+            consumer = loop.create_task(queue.get_batch(4, batch_wait_timeout_ms=20))
+            await asyncio.sleep(0)
+            await queue.put(make_item("second"))
+            assert len(await consumer) == 2
+            # a producer parked on a full queue, and a wait for empty
+            await queue.put(make_item("a"))
+            producer = loop.create_task(queue.put(make_item("b")))
+            emptied = loop.create_task(queue.wait_empty())
+            await asyncio.sleep(0)
+            assert len(await queue.get_batch(1)) == 1
+            await producer
+            assert len(await queue.get_batch(1)) == 1
+            assert await emptied is True
+            assert _CountingDeque.failed == 0
+            assert not (queue._getters or queue._putters or queue._empty_waiters)
+
+        run_async(scenario())
+
+    def test_a_cancelled_waiter_leaves_the_queue(self):
+        async def scenario():
+            queue = self.make()
+            consumer = asyncio.get_running_loop().create_task(queue.get_batch(4))
+            await asyncio.sleep(0)
+            assert len(queue._getters) == 1
+            consumer.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await consumer
+            assert not queue._getters
+            assert await queue.wait_empty(timeout_s=0.01) is True
+            await queue.put(make_item("x"))
+            assert await queue.wait_empty(timeout_s=0.01) is False
+            assert not queue._empty_waiters and _CountingDeque.failed == 0
 
         run_async(scenario())

@@ -20,7 +20,10 @@ Pin down the perf-critical invariants of the predict/feedback path:
 * a batch's round trip over the tcp lane to a container measured cheaper
   than the executor hop creates no task and no executor future, and
 * a repeated frame (a REST predict response, an RPC response) decodes
-  through its learned layout: no generic ``_decode``, a fixed few calls.
+  through its learned layout: no generic ``_decode``, a fixed few calls, and
+* a cached predict over a keep-alive connection is answered inside the
+  ``data_received`` call that completes it — no task, no future — and a
+  repeated head's request line and codec pair are interpreted once.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ import repro.cache.prediction_cache as prediction_cache_module
 import repro.core.types as types_module
 import repro.overload.control as overload_module
 from repro.api.handlers import prediction_payload
+from repro.api.http import HttpApiServer, create_server
+from repro.api.routes import ApiResponse, RouteTable
 from repro.api.schema import ApplicationSchema, json_safe
 from repro.batching.aimd import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
@@ -60,10 +65,12 @@ from repro.core.config import (
 )
 from repro.core.deployed import ModelLayer
 from repro.core.exceptions import OverloadError
+from repro.core.frontend import QueryFrontend
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query, hash_input
 from repro.observability.tracing import BatchSpans, TraceContext, Tracer
 from repro.rpc import jsonwire, serialization
+from repro.rpc.http11 import Http1Connection
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.serialization import deserialize, serialize
 from repro.rpc.server import INLINE_STREAK
@@ -856,6 +863,144 @@ class TestJsonVectorBudget:
         assert profile.native["isinstance"] == 4  # two per float; parent: 30
         assert sum(profile.python.values()) <= 16  # parent: 16
         assert profile.total <= 21  # parent: 47
+
+
+class _Wire(asyncio.Transport):
+    """A socket transport that keeps what the server writes to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = bytearray()
+        self.closing = False
+
+    def writelines(self, segments) -> None:
+        for segment in segments:
+            self.written += segment
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+    def pause_reading(self) -> None:
+        pass
+
+    def resume_reading(self) -> None:
+        pass
+
+
+class TestInlineEdgeBudget:
+    """A cached predict over a keep-alive connection, from the server's side:
+    the ``data_received`` call that completes the request answers it."""
+
+    APP = "hotpath-test"
+
+    @staticmethod
+    def request(x) -> bytes:
+        body = b"".join(serialization.serialize_buffers({"input": x}))
+        return (
+            b"POST /api/v1/hotpath-test/predict HTTP/1.1\r\nHost: t\r\n"
+            b"Accept: application/x-clipper-columnar, application/json;q=0.5\r\n"
+            b"Content-Type: application/x-clipper-columnar\r\n"
+            b"Content-Length: %d\r\n\r\n%b" % (len(body), body)
+        )
+
+    def test_a_cached_predict_is_answered_in_the_callback_that_completes_it(
+        self, monkeypatch
+    ):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            clipper = make_clipper(input_type="floats", input_shape=(256,))
+            frontend = QueryFrontend()
+            frontend.register_application(clipper)
+            server = create_server(query=frontend)
+            await server.start()
+            try:
+                x = np.arange(256, dtype=np.float32)
+                await frontend.predict(self.APP, x)  # fills the cache
+                wire = _Wire()
+                conn = Http1Connection(
+                    server._max_body_bytes, server._max_header_count, server._on_connection
+                )
+                conn.connection_made(wire)
+                request = self.request(x)
+                for _ in range(2):  # memos and learned layouts filled
+                    conn.data_received(request)
+                made = Counter()
+
+                def counting(name, real):
+                    def count(*args, **kwargs):
+                        made[name] += 1
+                        return real(*args, **kwargs)
+
+                    return count
+
+                for name in ("create_task", "create_future", "call_soon"):
+                    monkeypatch.setattr(loop, name, counting(name, getattr(loop, name)))
+                before = len(wire.written)
+                profile, _ = profiled(lambda: conn.data_received(request))
+                monkeypatch.undo()
+                # Answered before data_received returned, without a task, a
+                # future or a callback scheduled to wake one.
+                head, _, body = bytes(wire.written[before:]).partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert deserialize(body)["from_cache"] is True
+                assert made == Counter()
+                # The repeated head's request line, keep-alive and codec pair
+                # were interpreted on the first request only.
+                assert profile.native["split"] == profile.native["partition"] == 0
+                assert profile.native["lower"] == 0
+                assert profile.python["_negotiate_accept"] == profile.python["media_type"] == 0
+                # Read, route, the cached predict, encode and write: 61 of
+                # them Python calls.  The parent wrote no response here; a
+                # task step did, after a future's wake-up.
+                assert profile.total <= 112
+                conn.connection_lost(None)
+                assert not server._connections
+            finally:
+                await server.stop()
+
+        run_async(scenario())
+
+    def test_a_repeated_head_is_interpreted_once(self, monkeypatch):
+        import repro.api.http as http_module
+
+        calls = Counter()
+        for name in ("_request_line", "media_type"):
+            real = getattr(http_module, name)
+            monkeypatch.setattr(
+                http_module, name,
+                lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a),
+            )
+        negotiate = HttpApiServer._negotiate_accept
+        monkeypatch.setattr(
+            HttpApiServer, "_negotiate_accept",
+            lambda self, h: calls.update(["_negotiate_accept"]) or negotiate(self, h),
+        )
+
+        async def scenario():
+            table = RouteTable()
+
+            async def echo(params, body):
+                return ApiResponse(200, {"echo": body})
+
+            table.add("POST", "/echo", "echo", echo)
+            server = HttpApiServer(table)
+            wire = _Wire()
+            conn = Http1Connection(1024, 100, server._on_connection)
+            conn.connection_made(wire)
+            for i in range(5):
+                body = b'{"n": %d}' % i  # a new head each time: another length
+                conn.data_received(
+                    b"POST /echo HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%b" % (len(body), body)
+                )
+            assert wire.written.count(b"HTTP/1.1 200 OK") == 5
+            assert calls == Counter(_request_line=1, media_type=1, _negotiate_accept=1)
+            conn.connection_lost(None)
+
+        run_async(scenario())
 
 
 class TestAroundTheCachedPass:
