@@ -58,18 +58,20 @@ Both directions avoid materialising intermediate ``bytes``:
 
 Layouts
 -------
-The second time a top-level dict frame of one entry count and length
-arrives, the decoder learns its *layout*: one ``struct.Struct`` over the
-frame, whose constant bytes (tags, lengths, keys, ndarray headers) it then
-checks in one comparison and whose values it reads in one call; array and
-column payloads are read apart, as views and lists.  The
-encoder learns one from the same walk at the second dict with one key tuple:
-exact ints, floats and bools become the slots of one ``Struct.pack``, arrays
-of one dtype and shape their payloads, and ``str`` values and lists of them
-constants.  Whatever does not match takes the generic path, and both ways the
-bytes and values are the generic path's.  A layout that has matched and then
-misses twice in a row is stale: the frame or dict that missed it is learned
-in its place.
+A dict frame seen twice is read, and a dict seen twice written, by a
+*layout* built from the frame's *shape*: one ``struct.Struct`` over the
+frame read by its tags, whose constant runs hold every header, key and tag
+and whose fields hold scalars, bytes and strs (array, batch and column
+payloads are skipped and read apart, as views and lists).  A *reader*, keyed
+by entry count and frame length, is one ``unpack_from``, one comparison of
+the constant runs and the values built from the fields.  A *writer*, keyed by
+the dict's key tuple, packs the same fields over the control bytes alone:
+exact ints, floats and bools in its slots, ``str`` values, lists of them and
+None constant, array payloads inline or cut around as the generic encoder
+puts them; any other value keeps the dict on the generic encoder.  Whatever
+does not match takes the generic path, with its bytes and values.  A layout
+that matched and then misses twice in a row is learned again from what
+missed.
 """
 
 from __future__ import annotations
@@ -147,12 +149,8 @@ def serialize_buffers(value: Any) -> List[Any]:
         raise SerializationError(f"value out of range: {exc}") from exc
     if scratch:
         segments.append(scratch)
-    if layout is _seen_once:  # a key tuple's layout is learned at its second sighting
-        _WRITERS[key] = _learn_writer(value, segments)
-    elif layout is None and key is not None:
-        if len(_WRITERS) >= _LAYOUTS_MAX:
-            _WRITERS.clear()
-        _WRITERS[key] = _seen_once
+    if key is not None and layout in (None, _seen_once):
+        _remember(_WRITERS, key, layout, _writer, segments, value, segments)
     return segments
 
 
@@ -239,12 +237,8 @@ def deserialize(data) -> Any:
         raise SerializationError(f"truncated or corrupt frame: {exc}") from exc
     if offset != size:
         raise SerializationError(f"trailing bytes after decoded value: {size - offset} left")
-    if layout is _seen_once:  # a key's layout is learned at its second sighting
-        _LAYOUTS[key] = _learn(view)
-    elif layout is None and key:
-        if len(_LAYOUTS) >= _LAYOUTS_MAX:
-            _LAYOUTS.clear()
-        _LAYOUTS[key] = _seen_once
+    if key and layout in (None, _seen_once):
+        _remember(_LAYOUTS, key, layout, _reader, [view])
     return value
 
 
@@ -532,18 +526,12 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
         return (list(array) if tag == _TAG_NDARRAY_BATCH else array), end
     code = _COLUMN_CODES_BY_TAG.get(tag)
     if code:
-        offset, end = _column_span(view, offset)
-        return _column_values(view[offset:end], code), end
+        (count,) = _unpack_u32(view, offset)
+        end = offset + 4 + 8 * count
+        if count < 2 or end > len(view):
+            raise SerializationError(f"column of {count} values is short or truncated")
+        return _column_values(view[offset + 4 : end], code), end
     raise SerializationError(f"unknown type tag {tag}")
-
-
-def _column_span(view: memoryview, offset: int) -> Tuple[int, int]:
-    """The bounds of the payload of the column whose tag is at ``offset - 1``."""
-    (count,) = _unpack_u32(view, offset)
-    end = offset + 4 + 8 * count
-    if count < 2 or end > len(view):
-        raise SerializationError(f"column of {count} values is short or truncated")
-    return offset + 4, end
 
 
 def _ndarray_span(view: memoryview, offset: int, tag: int) -> Tuple[str, tuple, int, int]:
@@ -592,14 +580,13 @@ _DTYPE_NAME = re.compile(rb"[<>|][biufcmMSUV]\d+(\[\w+\])?")
 
 # -- layouts ---------------------------------------------------------------------
 #
-# A layout's ``Struct`` reads runs of constant bytes between variable slots:
-# int64, float64, bool, str and bytes values.  Array payloads are padding,
-# read as views.  Frames with equal constants are read alike by ``_decode``.
+# A reader and a writer are two uses of one ``_Shape``.  Frames with equal
+# constant runs are read alike by ``_decode``.
 
-#: (entry count, frame length) -> its layout, or one of the two functions
-#: below, which match no frame.  A layout returns ``_MISMATCH`` for a frame
-#: it does not match, and ``_STALE`` for its second such frame in a row
-#: after it matched one: that frame is learned in its place.
+#: (entry count, frame length) -> its reader, or one of the two functions
+#: below, which match nothing.  A layout returns ``_MISMATCH`` for a frame
+#: (or dict) it does not match, and ``_STALE`` for its second such frame in
+#: a row after it matched one: that frame is learned in its place.
 #: Threads share it unlocked: a lost write costs a re-learning, not a value.
 _LAYOUTS: dict = {}
 _LAYOUTS_MAX = 64
@@ -608,116 +595,28 @@ _LAYOUT_FIELD_BYTES_MAX = 4096
 _MISMATCH, _STALE = object(), object()
 
 
-def _seen_once(view: memoryview) -> Any:
+def _seen_once(subject) -> Any:
     return _MISMATCH
 
 
-def _unlearnable(view: memoryview) -> Any:
+def _unlearnable(subject) -> Any:
     return _MISMATCH
 
 
-_SLOT, _TEXT, _NONE, _LIST, _DICT, _ARRAY, _BATCH, _COLUMN = range(8)
-
-
-class _Learner:
-    """Walks an accepted frame, collecting a layout's fields and value tree."""
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.formats = ["<"]
-        self.constants: List[bytes] = []
-        self.positions: List[int] = []  # index of each constant in the fields
-        self.fields = 0
-        self.padding = 0
-        self.start = 0  # first byte of the constant run still open
-
-    def field(self, offset: int, code: str, size: int) -> int:
-        """Close the constant run at ``offset``, then read ``size`` bytes as
-        ``code`` (or skip them, for padding); the field's index."""
-        if offset > self.start:
-            self.positions.append(self.fields)
-            self.constants.append(bytes(self.view[self.start : offset]))
-            self.formats.append(f"{offset - self.start}s")
-            self.fields += 1
-        self.formats.append(code)
-        self.start = offset + size
-        if code.endswith("x"):
-            self.padding += size
-        else:
-            self.fields += 1
-        return self.fields - 1
-
-    def node(self, offset: int) -> Tuple[tuple, int]:
-        """The value tree of the value at ``offset``, and where it ends."""
-        view = self.view
-        tag = view[offset]
-        offset += 1
-        if tag == _TAG_NONE:
-            return (_NONE, None, None), offset
-        scalar = _SCALARS.get(tag)
-        if scalar:
-            at = self.field(offset, scalar.format[1:], scalar.size)
-            return (_SLOT, at, None), offset + scalar.size
-        if tag == _TAG_STR or tag == _TAG_BYTES:
-            (size,) = _unpack_u32(view, offset)
-            at = self.field(offset + 4, f"{size}s", size)
-            return (_TEXT if tag == _TAG_STR else _SLOT, at, None), offset + 4 + size
-        if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
-            dtype, shape, offset, end = _ndarray_span(view, offset, tag)
-            self.field(offset, f"{end - offset}x", end - offset)
-            kind = _BATCH if tag == _TAG_NDARRAY_BATCH else _ARRAY
-            return (kind, slice(offset, end), (np.dtype(dtype), shape)), end
-        code = _COLUMN_CODES_BY_TAG.get(tag)
-        if code:
-            offset, end = _column_span(view, offset)
-            self.field(offset, f"{end - offset}x", end - offset)
-            return (_COLUMN, slice(offset, end), code), end
-        (count,) = _unpack_u32(view, offset)
-        offset += 4
-        children, keys = [], []
-        for _ in range(count):
-            if tag == _TAG_DICT:  # the key's bytes stay in the constant run
-                (size,) = _unpack_u32(view, offset + 1)
-                keys.append(str(view[offset + 5 : offset + 5 + size], "utf-8"))
-                offset += 5 + size
-            child, offset = self.node(offset)
-            children.append(child)
-        return (_DICT if tag == _TAG_DICT else _LIST, tuple(children), tuple(keys)), offset
-
-
-def _walk(view: memoryview) -> Optional[Tuple[_Learner, tuple, tuple]]:
-    """A :class:`_Learner` over ``view``, a dict frame ``_decode`` accepts,
-    and its entries' trees and keys; None past the field budget."""
-    learner = _Learner(view)
-    (_, children, keys), _ = learner.node(0)
-    learner.field(len(view), "0x", 0)
-    if len(view) - learner.padding > _LAYOUT_FIELD_BYTES_MAX:
-        return None
-    return learner, children, keys
-
-
-def _learn(view: memoryview):
-    """The layout of ``view``, a dict frame ``_decode`` accepted: a function
-    of a frame of the same length that decodes it, or returns ``_MISMATCH``
-    when the frame's constants differ."""
-    walked = _walk(view)
-    if walked is None:
-        return _unlearnable
-    learner, children, keys = walked
-    unpack = struct.Struct("".join(learner.formats)).unpack_from
-    constants = learner.constants
-    expected = constants[0] if len(constants) == 1 else tuple(constants)
-    pick = operator.itemgetter(*learner.positions)
-    misses = [-1]
-
-    def layout(view: memoryview) -> Any:
-        fields = unpack(view)
-        if pick(fields) != expected:
-            return _missed(misses)
-        misses[0] = 0
-        return dict(zip(keys, _build(children, fields, view)))
-
-    return layout
+def _remember(memo: dict, key, layout, learn, segments: List[Any], *args) -> None:
+    """The memo step after the generic path read or wrote, under ``key``, the
+    frame ``segments`` join to, with ``layout`` (None or ``_seen_once``) in
+    ``memo``: noted at a first sighting; else its shape is compiled and
+    ``learn(shape, *args)`` builds the layout, within the field budget.  A
+    full memo starts over."""
+    if layout is None:
+        if len(memo) >= _LAYOUTS_MAX:
+            memo.clear()
+        memo[key] = _seen_once
+        return
+    shape = _Shape(memoryview(segments[0] if len(segments) == 1 else b"".join(segments)))
+    fits = sum(map(len, shape.learned)) <= _LAYOUT_FIELD_BYTES_MAX
+    memo[key] = learn(shape, *args) if fits else _unlearnable
 
 
 def _missed(misses: list) -> Any:
@@ -729,6 +628,93 @@ def _missed(misses: list) -> Any:
     return _STALE if misses[0] >= 2 else _MISMATCH
 
 
+#: Node kinds.  A dict is a ``_LIST`` node whose spec is its keys.
+_SLOT, _TEXT, _NONE, _LIST, _ARRAY, _BATCH, _COLUMN = range(7)
+
+
+class _Shape:
+    """A dict frame ``_decode`` accepted, read by its tags: its ``Struct``
+    (``struct``, format ``codes``), the bytes of its non-payload fields
+    (``learned``; the constant runs are at ``constants``) and its node tree
+    (``root``).  Containers' headers, keys and every value's head (tag,
+    length, ndarray header) join constant runs; a value's tail is a field."""
+
+    def __init__(self, view: memoryview) -> None:
+        self.view = view
+        self.codes = ["<"]
+        self.learned = []
+        self.constants = []
+        self.start = 0  # where the open constant run began
+        self.root = self.node(0)[0]
+        self.field(len(view), "0s")  # a last field: an itemgetter of it picks a tuple
+        self.struct = struct.Struct("".join(self.codes))
+
+    def field(self, offset: int, code: str):
+        """Close the constant run at ``offset``, then add the field ``code``
+        there: its index in an unpacked frame, or a payload's bounds."""
+        if offset > self.start:
+            self.constants.append(len(self.learned))
+            self.field(self.start, f"{offset - self.start}s")
+        self.codes.append(code)
+        self.start = offset + struct.calcsize(code)
+        if code.endswith("x"):
+            return slice(offset, self.start)
+        self.learned.append(bytes(self.view[offset : self.start]))
+        return len(self.learned) - 1
+
+    def node(self, offset: int) -> Tuple[tuple, int]:
+        """The node of the value at ``offset``, and where it ends."""
+        view = self.view
+        tag = view[offset]
+        if tag == _TAG_NONE:  # all head
+            return (_NONE, None, None), offset + 1
+        scalar = _SCALARS.get(tag)
+        if scalar:
+            return (_SLOT, self.field(offset + 1, scalar.format[-1]), None), self.start
+        if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
+            dtype, shape, start, end = _ndarray_span(view, offset + 1, tag)
+            kind = _BATCH if tag == _TAG_NDARRAY_BATCH else _ARRAY
+            return (kind, self.field(start, f"{end - start}x"), (np.dtype(dtype), shape)), end
+        (count,) = _unpack_u32(view, offset + 1)  # a length, or a count of items
+        offset += 5
+        if tag == _TAG_STR:
+            return (_TEXT, self.field(offset, f"{count}s"), None), self.start
+        if tag == _TAG_BYTES:  # a slot no writer fills
+            return (_SLOT, self.field(offset, f"{count}s"), bytes), self.start
+        code = _COLUMN_CODES_BY_TAG.get(tag)
+        if code:
+            return (_COLUMN, self.field(offset, f"{8 * count}x"), code), self.start
+        children = []
+        keys = []
+        for _ in range(count):
+            if tag == _TAG_DICT:  # the key's frame stays in the constant run
+                key, offset = _decode(view, offset, 0)
+                keys.append(key)
+            child, offset = self.node(offset)
+            children.append(child)
+        return (_LIST, tuple(children), tuple(keys) if tag == _TAG_DICT else None), offset
+
+
+def _reader(shape: _Shape):
+    """The layout of a dict frame ``_decode`` accepted, from its ``shape``: a
+    function of a frame of the same length that decodes it, or returns
+    ``_MISMATCH`` when that frame's constants differ."""
+    unpack = shape.struct.unpack_from
+    pick = operator.itemgetter(*shape.constants)
+    expected = pick(shape.learned)
+    _, children, keys = shape.root
+    misses = [-1]
+
+    def read(view: memoryview) -> Any:
+        fields = unpack(view)
+        if pick(fields) != expected:
+            return _missed(misses)
+        misses[0] = 0
+        return dict(zip(keys, _build(children, fields, view)))
+
+    return read
+
+
 #: Key tuple -> the layout that writes a dict with those keys, or one of
 #: the two functions above; bounded and shared like ``_LAYOUTS``.
 _WRITERS: dict = {}
@@ -736,34 +722,39 @@ _WRITERS: dict = {}
 _WRITER_KEYS_MAX = _LAYOUT_FIELD_BYTES_MAX // 6
 
 
-def _learn_writer(value: dict, segments: List[Any]):
-    """The layout that writes ``segments``, ``value``'s generic encoding: a
-    function of a dict of the same keys, exact value types and constants that
-    returns segments cut alike and joining to the same bytes, or ``_MISMATCH``."""
-    frame = b"".join(segments)
-    walked = _walk(memoryview(frame)) if value else None
-    if walked is None:
+def _writer(shape: _Shape, value: dict, segments: List[Any]):
+    """The layout that writes ``value`` as the generic encoder wrote it into
+    ``segments``, from that frame's ``shape``: a function of a dict of the
+    same keys, exact value types and constants that returns segments cut
+    alike and joining to the same bytes, or ``_MISMATCH``."""
+    if not value or None in map(_ENCODERS.get, map(type, value.values())):
         return _unlearnable
-    learner, children, _ = walked
     items = (*value, *value.values())
-    slots, checked, lists, arrays = {}, [0], [], []
-    for i, ((kind, at, spec), item) in enumerate(zip(children, value.values()), len(value)):
-        encoder = _ENCODERS.get(type(item))
-        if encoder in (_encode_int, _encode_float, _encode_bool):
+    slots = {}
+    checked = [0]
+    lists = []
+    arrays = []
+    for i, ((kind, at, spec), item) in enumerate(zip(shape.root[1], value.values()), len(value)):
+        if kind == _SLOT and spec is None:
             slots[at] = i
-        elif encoder is _encode_ndarray:
+        elif kind == _ARRAY:
             arrays.append((i, spec, at.stop - at.start < _INLINE_PAYLOAD_MAX))
-        elif encoder is _encode_str or (type(item) is list and all(type(x) is str for x in item)):
+        elif kind == _TEXT or kind == _NONE or type(item) is list and {*map(type, item)} <= {str}:
             checked.append(i)
-            if type(item) is list and item:  # ``==`` compares items, not their types
+            if kind == _LIST and item:  # ``==`` compares items, not their types
                 lists.append((i, [str] * len(item)))
-        elif encoder is not _encode_none:
+        else:
             return _unlearnable
-    # Arguments: the dict's items, its inline array payloads, the frame's fields.
+    # The shape's fields over the control bytes alone; the arguments are the
+    # dict's items, its inline array payloads, then the shape's fields.
     inline = len(items)
     base = inline + sum(small for *_, small in arrays)
-    fmt, picks, cuts, smalls, field = ["<"], [], [], iter(arrays), 0
-    for code in learner.formats[1:-1]:
+    fmt = ["<"]
+    picks = []
+    cuts = []
+    smalls = iter(arrays)
+    field = 0
+    for code in shape.codes[1:]:
         if not code.endswith("x"):
             fmt.append(code)
             picks.append(slots.get(field, base + field))
@@ -776,10 +767,9 @@ def _learn_writer(value: dict, segments: List[Any]):
             cuts.append(struct.calcsize("".join(fmt)))
     if len(cuts) != sum(isinstance(segment, memoryview) for segment in segments):
         return _unlearnable  # a long key or ``str`` left as a segment of its own
-    # ``0s`` packs nothing: its argument keeps ``pick``'s result a tuple.
-    pack = struct.Struct("".join(fmt) + "0s").pack
-    pick = operator.itemgetter(*picks, base)
-    learned = struct.Struct("".join(learner.formats)).unpack(frame)
+    pack = struct.Struct("".join(fmt)).pack
+    pick = operator.itemgetter(*picks)
+    learned = (*shape.learned,)
     # Bytes with no slot and no inline payload in them are the same every time.
     constant = None if slots or base > len(items) else pack(*pick(items + learned))
     check = operator.itemgetter(*checked)  # the first key keeps a tuple here
@@ -787,7 +777,7 @@ def _learn_writer(value: dict, segments: List[Any]):
     types = [*map(type, items)]
     misses = [-1]
 
-    def layout(value: dict) -> Any:
+    def write(value: dict) -> Any:
         items = (*value, *value.values())
         if [*map(type, items)] != types or check(items) != expected:
             return _missed(misses)
@@ -810,7 +800,8 @@ def _learn_writer(value: dict, segments: List[Any]):
         misses[0] = 0
         if not views:
             return [packed]
-        segments, start = [], 0
+        segments = []
+        start = 0
         for cut, view in zip(cuts, views):
             segments += (packed[start:cut], view)
             start = cut
@@ -818,7 +809,7 @@ def _learn_writer(value: dict, segments: List[Any]):
             segments.append(packed[start:])
         return segments
 
-    return layout
+    return write
 
 
 def _build(nodes: tuple, fields: tuple, view: memoryview) -> list:
@@ -832,9 +823,8 @@ def _build(nodes: tuple, fields: tuple, view: memoryview) -> list:
         elif kind == _NONE:
             values.append(None)
         elif kind == _LIST:
-            values.append(_build(at, fields, view))
-        elif kind == _DICT:
-            values.append(dict(zip(spec, _build(at, fields, view))))
+            items = _build(at, fields, view)
+            values.append(items if spec is None else dict(zip(spec, items)))
         elif kind == _COLUMN:
             values.append(_column_values(view[at], spec))
         else:

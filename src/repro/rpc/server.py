@@ -85,7 +85,14 @@ class ContainerRpcServer:
                     return
                 try:
                     async with self._turn:
-                        await transport.send(await self._handle(payload, received))
+                        reply = await self._handle(payload, received)
+                        try:
+                            await transport.send(reply)
+                        except SerializationError as exc:
+                            # The codec refused the reply before a byte of it
+                            # was written: the batch fails, the lane goes on.
+                            error = f"SerializationError: {exc}"
+                            await transport.send({**reply, "outputs": [], "error": error})
                 except RpcError:
                     # A message a server does not take, or an unsendable reply.
                     return

@@ -8,7 +8,9 @@ read, so the next batch and every health probe waited out ``RPC_TIMEOUT_S``
 socket transport that meets a prefix it cannot honour hangs up, so the peer
 fails what it has pending immediately.  The client's receive pump does the
 same with a response frame it cannot read: it fails what is pending and
-closes its transport.  Over real sockets; run in CI under
+closes its transport.  A reply the codec refuses is not such a frame: it is
+refused before a byte of it is written, so that batch fails and the
+connection stays up.  Over real sockets; run in CI under
 ``-X dev -W error::ResourceWarning`` so a transport left open fails there.
 """
 
@@ -22,6 +24,7 @@ import pytest
 
 from helpers import run_async, wait_until
 
+from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
 from repro.core.clipper import Clipper
@@ -57,6 +60,28 @@ BAD_RESPONSES = pytest.mark.parametrize(
     ],
     ids=["invalid_utf8", "not_a_dict", "str_request_id"],
 )
+
+
+#: The socket lanes, shared memory where this platform has it.
+SOCKET_LANES = pytest.mark.parametrize(
+    "transport",
+    [
+        "tcp",
+        pytest.param("shm", marks=pytest.mark.skipif(
+            not HAS_SHARED_MEMORY, reason="no shared memory"
+        )),
+    ],
+)
+
+
+class Refuses(ModelContainer):
+    """Answers each input but a negative one, which gets ``refused``."""
+
+    def __init__(self, refused) -> None:
+        self.refused = refused
+
+    def predict_batch(self, inputs):
+        return [self.refused if x < 0 else x for x in inputs]
 
 
 def inject(replica: ContainerReplica, frame: bytes) -> None:
@@ -105,6 +130,36 @@ class TestServerHangsUp:
                 assert await wait_until(
                     lambda: replica._server._transport.closed, timeout_s=1.0
                 )
+            finally:
+                await replica.stop()
+
+        run_async(scenario())
+
+
+class TestARefusedReplyKeepsTheConnection:
+    """What ``test_rpc_inprocess_lane.py::TestRefusals`` holds the in-process
+    lane to, over the sockets: the batch fails naming the refusal, and the
+    lane goes on."""
+
+    @SOCKET_LANES
+    @pytest.mark.parametrize(
+        "refused, name",
+        [(object(), "object"), (np.bool_(True), "bool"), (1j, "complex")],
+        ids=["object", "numpy_bool", "complex"],
+    )
+    def test_the_batch_fails_and_the_next_one_is_answered(self, transport, refused, name):
+        async def scenario():
+            replica = ContainerReplica(ModelId("m"), 0, Refuses(refused), transport=transport)
+            await replica.start()
+            try:
+                response = await replica.predict_batch([-1.0, 2.0])
+                assert not response.ok and response.outputs == []
+                assert response.error == (
+                    f"SerializationError: cannot serialize value of type {name}"
+                )
+                assert (await replica.predict_batch([1.0])).outputs == [1.0]
+                assert await replica.check_health(timeout_s=1.0) is True
+                assert not replica._server._transport.closed
             finally:
                 await replica.stop()
 

@@ -482,6 +482,19 @@ MALFORMED = {
 REFUSED = object()
 
 
+def odd_batches(dtype: str, rows: int) -> bytes:
+    """A dict frame of two batches the decoder reads and the encoder never
+    writes: one of no rows, and one of ``rows`` rows of ndim 0."""
+    def batch(shape: tuple, count: int) -> bytes:
+        payload = bytes(range(count * np.dtype(dtype).itemsize))
+        return (bytes([0x09, len(dtype)]) + dtype.encode("ascii") + bytes([len(shape)])
+                + struct.pack(f"<{len(shape)}q", *shape)
+                + struct.pack("<IQ", count, len(payload)) + payload)
+
+    return (bytes.fromhex("07" "02000000" + str_frame("empty")) + batch((3,), 0)
+            + bytes.fromhex(str_frame("scalars")) + batch((), rows))
+
+
 def decoded(frame: bytes):
     """What ``deserialize`` makes of ``frame``: a value, or ``REFUSED``."""
     try:
@@ -559,6 +572,10 @@ class TestDecoderRefusals:
     @given(st.binary(max_size=96))
     @example(b"\xff\xff\xff\xff")  # the body of test_rpc_malformed_frame's UNDECODABLE
     @example(b"\x07\x01\x00\x00\x00\x04\x01\x00\x00\x00k\x04\x02\x00\x00\x00\xff\xfe")
+    @example(odd_batches("<f4", 2))  # lists, as a column decodes: read by tag alone
+    @example(odd_batches("<f4", 5))
+    @example(odd_batches("<i2", 2))
+    @example(odd_batches("|u1", 0))
     def test_any_bytes_decode_or_are_refused(self, data):
         outcomes = [decoded(data) for _ in range(3)]
         assert identical(outcomes[0], outcomes[1]) and identical(outcomes[1], outcomes[2])
