@@ -11,7 +11,7 @@ inbound control connection carries one request:
     container RPC protocol.  On the ``tcp`` lane the control connection
     *becomes* the data connection; on the ``shm`` lane the worker creates a
     shared-memory ring pair, replies with its attach descriptor, and serves
-    over the rings once the peer's doorbells connect.
+    over the rings once the peer's doorbell connects.
 
 The container lives exactly as long as its data lane: when the ingress
 closes the connection (undeploy, scale-down, replica replacement) — or
@@ -31,17 +31,16 @@ import os
 import signal
 import socket
 import sys
-import tempfile
 from typing import Optional, Set
 
 from repro.cluster.factories import FactoryMap, default_factories, load_factories
 from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegistry
 from repro.core.exceptions import RpcError
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint, start_resource_tracker
+from repro.rpc.shm import HAS_SHARED_MEMORY, host_shm_endpoint, start_resource_tracker
 from repro.rpc.transport import TcpListener, Transport
 
-#: How long the worker waits for a shm peer to connect its doorbells.
+#: How long the worker waits for a shm peer to connect its doorbell.
 SHM_ACCEPT_TIMEOUT_S = 10.0
 
 
@@ -153,12 +152,12 @@ class WorkerDaemon:
             )
             return
         if lane == "shm":
-            endpoint = ShmHostEndpoint(tempfile.gettempdir())
-            await control.send({"ok": True, "shm": endpoint.descriptor()})
             try:
-                data = await endpoint.accept(timeout_s=SHM_ACCEPT_TIMEOUT_S)
+                data = await host_shm_endpoint(
+                    lambda shm: control.send({"ok": True, "shm": shm}), SHM_ACCEPT_TIMEOUT_S
+                )
             except RpcError:
-                return  # accept() already tore the endpoint down
+                return  # nothing of the lane is left behind
             await control.close()
         else:
             await control.send({"ok": True})

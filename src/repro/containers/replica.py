@@ -24,7 +24,6 @@ the builder.
 from __future__ import annotations
 
 import asyncio
-import tempfile
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.containers.base import ModelContainer
@@ -33,7 +32,7 @@ from repro.core.types import ModelId
 from repro.rpc.client import DirectRpcClient, RpcClient
 from repro.rpc.protocol import RpcResponse
 from repro.rpc.server import ContainerRpcServer
-from repro.rpc.shm import HAS_SHARED_MEMORY, ShmHostEndpoint, attach_shm_endpoint
+from repro.rpc.shm import HAS_SHARED_MEMORY, shm_pair
 from repro.rpc.serialization import wire_copy
 from repro.rpc.transport import TcpListener, TcpTransport, codec_round_trip
 
@@ -193,17 +192,7 @@ class ContainerReplica(Replica):
             finally:
                 await listener.close()
         else:
-            # The pair a worker daemon and its ingress build across processes:
-            # the host end creates the block and a bell socket, the client
-            # end attaches by name.  The host is listening from construction,
-            # so both bell connections complete before ``accept`` runs.
-            host = ShmHostEndpoint(tempfile.gettempdir())
-            try:
-                client_side = await attach_shm_endpoint(host.descriptor())
-            except BaseException:
-                host.abort()
-                raise
-            server_side = await host.accept()
+            client_side, server_side = await shm_pair()
         self._server = ContainerRpcServer(self.container, server_side)
         self._server.start()
         return RpcClient(client_side, timeout_s=RPC_TIMEOUT_S)

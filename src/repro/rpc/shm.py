@@ -3,14 +3,11 @@
 The fastest path between Clipper and a co-located container is the one that
 never crosses the kernel's network stack: a pair of single-producer /
 single-consumer byte rings living in one ``multiprocessing.shared_memory``
-block, with socket doorbells for wakeups.  :class:`ShmHostEndpoint` and
-:func:`attach_shm_endpoint` build the two connected :class:`Transport`
-endpoints, drop-in behind the same seam as
+block, with one doorbell connection for wakeups.  :class:`ShmRingTransport`
+is one end, drop-in behind the same seam as
 :class:`~repro.rpc.transport.TcpTransport`, so the pipelined
 :class:`~repro.rpc.client.RpcClient`, heartbeats and trace-id propagation
-all work unchanged.  There is one way to build a pair, whether its two ends
-share a process (a local ``transport="shm"`` replica) or not (a worker
-daemon and its ingress).
+all work unchanged.
 
 Design
 ------
@@ -27,23 +24,35 @@ Design
   ring).  ``recv`` copies the frame out of the ring (the slot is recycled,
   so decoded zero-copy views must not alias it) and hands the copy to the
   zero-copy decoder.
-* **Doorbells, rung only on edges.**  Each ring gets one non-blocking
-  UNIX-domain connection: the producer rings it after publishing into an
-  empty ring (a consumer might be parked) and the consumer rings it after
-  draining a full ring (the producer might be parked).  "Empty" and "full"
-  are judged from the peer's counter as read *after* the own counter was
-  published, so a peer that parked in between is still woken.  In steady
+* **One doorbell, rung only on edges.**  The two ends share one stream
+  connection, which each end reads as an asyncio protocol.  A ``_DATA``
+  byte tells the peer "the ring you read has data", a ``_SPACE`` byte "the
+  ring you write has room"; a byte that arrives while nobody is parked is
+  latched.  The producer rings after publishing into an empty ring and the
+  consumer after draining a full one.  "Empty" and "full" are judged from
+  the peer's counter as read *after* the own counter was published, so a
+  peer that parked in between is still woken.  In steady
   state — a pipelined dispatcher keeping the ring busy — neither side pays
-  a doorbell syscall per frame.  ``os.eventfd`` would serve the same role
-  on Linux; sockets keep the lane portable and deliver EOF when a peer dies.
+  a doorbell syscall per frame.  End of stream marks both rings closed: a
+  SIGKILLed peer never sets the shared closed flags, but the kernel closes
+  its end of the connection, so parked reads and writes fail with "closed
+  by peer" instead of hanging (the cluster's crash-detection path).
 * **SPSC + same-memory-model assumption.**  One sender task and one
   receiver task per ring (exactly what ``RpcClient``'s send lock and
   single receive pump guarantee).  Counters are plain 8-byte stores; a
   pair inside one process runs on one event loop (no parallelism), and the
   cross-process story assumes a total-store-order host (x86).
 
+Building a lane: :func:`shm_pair` builds both ends inside one process over
+a ``socket.socketpair()``.  Across processes the container's side calls
+:func:`host_shm_endpoint`, which creates the block, announces its
+descriptor and accepts the one doorbell connection on a throwaway UNIX
+socket; Clipper's side calls :func:`attach_shm_endpoint`, which maps the
+block by name and connects.  Each end opens its doorbell on the event loop
+that will wait on it.
+
 Availability is platform-dependent: ``HAS_SHARED_MEMORY`` is False where
-``multiprocessing.shared_memory`` is unavailable, and building an endpoint
+``multiprocessing.shared_memory`` is unavailable, and building a lane
 there raises :class:`~repro.core.exceptions.RpcError`.
 """
 
@@ -52,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import os
 import socket
+import tempfile
 from typing import Optional, Tuple
 
 from repro.core.exceptions import RpcError
@@ -92,6 +102,10 @@ _CONTROL_BYTES = 32
 _HEAD_INDEX = 0  # in 8-byte words
 _TAIL_INDEX = 1
 _CLOSED_OFFSET = 16  # in bytes
+
+#: Doorbell bytes: "the ring you read has data" / "the ring you write has room".
+_DATA = b"\x01"
+_SPACE = b"\x02"
 
 
 class _Ring:
@@ -159,123 +173,92 @@ class _Ring:
         self._data.release()
 
 
-def _ring_bell(bell: socket.socket) -> None:
-    """Wake the peer parked on the other end; never blocks, never raises."""
-    try:
-        bell.send(b"\x01")
-    except (BlockingIOError, InterruptedError):
-        pass  # buffer full: the peer already has wakeup bytes pending
-    except OSError:
-        pass  # peer hung up; its closed flag is what matters now
+class _Wakeup:
+    """A parked task's wakeup, latched while nobody waits: a bell that comes
+    before its waiter parks is not lost."""
 
+    __slots__ = ("_latched", "_future")
 
-class _BellWaiter:
-    """Parks a task on a doorbell socket without per-wait epoll churn.
-
-    ``loop.sock_recv`` registers and unregisters the fd with the selector on
-    *every* call — two ``epoll_ctl`` syscalls per park, which dominates the
-    transport cost under a pipelined dispatcher.  Instead the fd is added to
-    the selector once, permanently; the readiness callback drains the bell
-    and latches a signal.  ``wait`` consumes the latch if a ring arrived
-    while nobody was parked (preserving the persistent-bell-byte semantics
-    the edge-trigger protocol relies on) and otherwise parks on a future the
-    callback resolves.
-    """
-
-    __slots__ = ("_sock", "_loop", "_future", "_signaled", "_registered", "_on_eof")
-
-    def __init__(self, sock: socket.socket, on_eof=None) -> None:
-        self._sock = sock
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+    def __init__(self) -> None:
+        self._latched = False
         self._future: Optional[asyncio.Future] = None
-        self._signaled = False
-        self._registered = False
-        self._on_eof = on_eof
+
+    def set(self) -> None:
+        future = self._future
+        if future is None:
+            self._latched = True
+        elif not future.done():
+            future.set_result(None)
 
     async def wait(self) -> None:
-        if self._signaled:
-            self._signaled = False
+        if self._latched:
+            self._latched = False
             return
-        loop = asyncio.get_running_loop()
-        if not self._registered:
-            loop.add_reader(self._sock.fileno(), self._on_readable)
-            self._registered = True
-            self._loop = loop
-        self._future = loop.create_future()
+        self._future = asyncio.get_running_loop().create_future()
         try:
             await self._future
         finally:
             self._future = None
 
-    def _on_readable(self) -> None:
-        at_eof = False
-        try:
-            at_eof = not self._sock.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError:
-            at_eof = True
-        if at_eof:
-            # Peer hung up: the fd stays readable forever, so stop watching
-            # it (the close flags in shared memory carry the shutdown now).
-            self._unregister()
-            if self._on_eof is not None:
-                self._on_eof()
-        future = self._future
-        if future is not None:
-            if not future.done():
-                future.set_result(None)
-        else:
-            self._signaled = True
 
-    def _unregister(self) -> None:
-        if self._registered and self._loop is not None:
-            try:
-                self._loop.remove_reader(self._sock.fileno())
-            except (OSError, ValueError):  # pragma: no cover - loop closing
-                pass
-        self._registered = False
+class ShmRingTransport(Transport, asyncio.BufferedProtocol):
+    """One endpoint of a shared-memory ring pair (see module docstring).
 
-    def close(self) -> None:
-        """Stop watching and wake any parked task (it re-checks the flags)."""
-        self._unregister()
-        future = self._future
-        if future is not None and not future.done():
-            future.set_result(None)
+    The instance is also the protocol of its doorbell connection: the
+    callbacks below wake the parked sender or receiver.  Bells are read into
+    a small buffer of its own: a plain ``Protocol`` receives each into a
+    fresh 256 KiB ``bytes``, 18 µs a bell more on a 2-vCPU x86 VM.
+    """
 
-
-class ShmRingTransport(Transport):
-    """One endpoint of a shared-memory ring pair (see module docstring)."""
-
-    def __init__(
-        self,
-        out_ring: _Ring,
-        in_ring: _Ring,
-        bell_out: socket.socket,
-        bell_in: socket.socket,
-        release_cb,
-        hangup_marks_closed: bool = False,
-    ) -> None:
+    def __init__(self, out_ring: _Ring, in_ring: _Ring, release_cb) -> None:
         self._out = out_ring
         self._in = in_ring
-        # ``bell_out``: send data bells / await space bells for the out ring.
-        # ``bell_in``: await data bells / send space bells for the in ring.
-        self._bell_out = bell_out
-        self._bell_in = bell_in
-        # Cross-process endpoints opt into treating doorbell EOF as a peer
-        # death signal: a SIGKILLed peer never sets the shared closed flags,
-        # but the kernel closes its bell sockets, so EOF is the one reliable
-        # crash notification.  Marking the rings closed wakes parked reads
-        # and writes with "closed by peer" instead of hanging forever.
-        on_eof = self._peer_hangup if hangup_marks_closed else None
-        self._space_waiter = _BellWaiter(bell_out, on_eof=on_eof)
-        self._data_waiter = _BellWaiter(bell_in, on_eof=on_eof)
         self._release_cb = release_cb
+        self._bell: Optional[asyncio.Transport] = None
+        self._bells = bytearray(64)
+        self._data = _Wakeup()  # the in ring has data (or the lane ended)
+        self._space = _Wakeup()  # the out ring has room (or the lane ended)
         self._closed = False
 
-    def _peer_hangup(self) -> None:
-        self._out.mark_closed()
-        self._in.mark_closed()
+    @classmethod
+    async def open(cls, descriptor: dict, bell: socket.socket, shm=None) -> "ShmRingTransport":
+        """One end over the connected doorbell socket ``bell``, opened on the
+        running loop.  The block's creator passes its own mapping ``shm`` and
+        writes ring B; the peer maps the block by name and writes ring A."""
+        capacity = int(descriptor["capacity"])
+        if shm is None:
+            shm = _shared_memory.SharedMemory(name=str(descriptor["shm_name"]))
+            ring_out, ring_in = _rings_over(shm.buf, capacity)
+        else:
+            ring_in, ring_out = _rings_over(shm.buf, capacity)
+        lane = cls(ring_out, ring_in, lambda: _release_mapping(shm))
+        await asyncio.get_running_loop().connect_accepted_socket(lambda: lane, bell)
+        return lane
+
+    # -- the doorbell (asyncio.Protocol) ---------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._bell = transport
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self._bells
+
+    def buffer_updated(self, nbytes: int) -> None:
+        bells = self._bells[:nbytes]
+        if _DATA in bells:
+            self._data.set()
+        if _SPACE in bells:
+            self._space.set()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # End of stream: the peer closed or died.  Both directions die, and
+        # whatever is parked wakes to re-check the flags.  After our own
+        # ``close`` the rings' memory is released: leave the flags alone.
+        if not self._closed:
+            self._out.mark_closed()
+            self._in.mark_closed()
+        self._data.set()
+        self._space.set()
 
     # -- Transport interface ---------------------------------------------------
 
@@ -292,8 +275,6 @@ class ShmRingTransport(Transport):
         await self._write_frame(views, 4 + length)
 
     async def recv(self) -> dict:
-        if self._closed:
-            raise RpcError("transport is closed")
         header = bytearray(4)
         await self._read_exact(memoryview(header))
         length = frame_length(header)
@@ -308,18 +289,14 @@ class ShmRingTransport(Transport):
         if self._closed:
             return
         self._closed = True
-        # Both directions die, like a closed socket: mark both rings and wake
-        # the peer whichever ring it is parked on.
+        # Both directions die, like a closed socket: the flags stop the peer
+        # at once, and end of stream wakes it wherever it is parked.
         self._out.mark_closed()
         self._in.mark_closed()
-        _ring_bell(self._bell_out)
-        _ring_bell(self._bell_in)
-        # Wake our own parked waiters (they re-check the closed flags) and
-        # drop the fds from the selector before closing the sockets.
-        self._space_waiter.close()
-        self._data_waiter.close()
-        self._bell_out.close()
-        self._bell_in.close()
+        self._bell.close()
+        # Our own parked tasks wake and re-check ``_closed``.
+        self._data.set()
+        self._space.set()
         self._out.release()
         self._in.release()
         self._release_cb()
@@ -349,9 +326,9 @@ class ShmRingTransport(Transport):
             tail = ring.tail
             free = ring.capacity - (head - tail)
             if free == 0:
-                # Ring full: the consumer rings the space bell when it
-                # drains a full ring, so parking here cannot be missed.
-                await self._space_waiter.wait()
+                # Ring full: the consumer rings for space when it drains a
+                # full ring, so parking here cannot be missed.
+                await self._space.wait()
                 continue
             published = head
             budget = min(free, total - written)
@@ -377,22 +354,22 @@ class ShmRingTransport(Transport):
                 # The tail is read *after* the publish: the snapshot above
                 # can predate a consumer in another process draining the
                 # ring and parking, and a bell skipped then is never rung.
-                _ring_bell(self._bell_out)
+                self._bell.write(_DATA)
 
     async def _read_exact(self, out: memoryview) -> None:
         ring = self._in
         offset = 0
         total = len(out)
         while offset < total:
+            if self._closed:
+                raise RpcError("transport is closed")
             head = ring.head
             tail = ring.tail
             available = head - tail
             if available == 0:
-                if self._closed:
-                    raise RpcError("transport is closed")
                 if ring.closed:
                     raise RpcError("transport closed by peer")
-                await self._data_waiter.wait()
+                await self._data.wait()
                 continue
             take = min(available, total - offset)
             ring.read_at(tail, out[offset : offset + take])
@@ -401,30 +378,11 @@ class ShmRingTransport(Transport):
                 # Edge-triggered space bell: the producer parks only after
                 # observing a full ring; the head is read after the publish
                 # for the same reason as the tail in ``_write_frame``.
-                _ring_bell(self._bell_in)
+                self._bell.write(_SPACE)
             offset += take
 
 
-# -- building a pair -----------------------------------------------------------
-#
-# The shared-memory block is attached by name and the doorbells are two
-# UNIX-domain connections (one per ring, each bidirectional: data bells one
-# way, space bells the other), so the two ends need not share a process:
-#
-# * the **host** (container) side creates the block and listens on a throwaway
-#   UNIX socket; its ``descriptor()`` (shm name, bell path, capacity) travels
-#   to the peer — over the worker's control connection, or as a plain dict
-#   inside one process,
-# * the **attacher** (Clipper) side maps ``SharedMemory(name=...)`` and opens
-#   two bell connections, identifying each ring with a one-byte preamble.
-#
-# Both sides enable ``hangup_marks_closed``: a SIGKILLed peer never sets the
-# shared closed flags, but the kernel closing its bell sockets delivers EOF,
-# which the transport converts into a normal "closed by peer" RpcError — the
-# crash-detection path the cluster health monitor depends on.
-
-_RING_A_PREAMBLE = b"\x01"
-_RING_B_PREAMBLE = b"\x02"
+# -- building a lane -------------------------------------------------------------
 
 
 def _release_mapping(shm) -> None:
@@ -460,138 +418,78 @@ def _rings_over(buf, capacity: int) -> Tuple[_Ring, _Ring]:
     return ring_a, ring_b
 
 
-class ShmHostEndpoint:
-    """Creator (server) side of a shared-memory ring pair.
+def create_block(capacity: int = DEFAULT_RING_CAPACITY):
+    """A new ring pair's block, and the descriptor its peer maps it by."""
+    if not HAS_SHARED_MEMORY:
+        raise RpcError("multiprocessing.shared_memory is unavailable on this platform")
+    if capacity < 64:
+        raise RpcError("ring capacity must be at least 64 bytes")
+    shm = _shared_memory.SharedMemory(create=True, size=2 * (_CONTROL_BYTES + capacity))
+    return shm, {"shm_name": shm.name, "capacity": capacity}
 
-    Built where the container lives when the shm lane is asked for: creates
-    the block and the bell listener up front so :meth:`descriptor` can
-    travel in the launch reply, then :meth:`accept` waits for the peer's
-    two bell connections and returns the server-side transport.
+
+async def shm_pair(capacity: int = DEFAULT_RING_CAPACITY):
+    """(client, server) ends of a lane inside this process, on the running loop."""
+    shm, descriptor = create_block(capacity)
+    client_bell, server_bell = socket.socketpair()
+    server = await ShmRingTransport.open(descriptor, server_bell, shm)
+    return await ShmRingTransport.open(descriptor, client_bell), server
+
+
+async def host_shm_endpoint(announce, timeout_s: float) -> ShmRingTransport:
+    """The container's end of a lane whose peer is another process.
+
+    Creates the block and a throwaway UNIX listener in the system temp dir,
+    awaits ``announce(descriptor)`` (the descriptor carries the listener's
+    ``bell_path``), then opens the end over the one doorbell connection that
+    arrives within ``timeout_s``.
     """
-
-    def __init__(self, bell_dir: str, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if not HAS_SHARED_MEMORY:
-            raise RpcError(
-                "multiprocessing.shared_memory is unavailable on this platform"
-            )
-        if capacity < 64:
-            raise RpcError("ring capacity must be at least 64 bytes")
-        self.capacity = capacity
-        span = _CONTROL_BYTES + capacity
-        self._shm = _shared_memory.SharedMemory(create=True, size=2 * span)
-        self.shm_name = self._shm.name
-        os.makedirs(bell_dir, exist_ok=True)
-        # Socket path length is capped (~107 bytes); derive a short name from
-        # the (already unique) shm segment name.
-        self.bell_path = os.path.join(bell_dir, f"{self.shm_name.lstrip('/')}.sock")
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    shm, descriptor = create_block()
+    # Socket paths are capped (~107 bytes): name it after the shm segment.
+    path = os.path.join(tempfile.gettempdir(), f"{shm.name.lstrip('/')}.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    bell = None
+    try:
+        listener.bind(path)
+        listener.listen(1)
+        listener.setblocking(False)
+        await announce({**descriptor, "bell_path": path})
+        async with asyncio.timeout(timeout_s):
+            bell, _ = await asyncio.get_running_loop().sock_accept(listener)
+    except (OSError, RpcError) as exc:  # TimeoutError is an OSError
+        raise RpcError(f"no shm peer attached within {timeout_s}s: {exc!r}") from exc
+    finally:
+        listener.close()
         try:
-            self._listener.bind(self.bell_path)
-            self._listener.listen(2)
-            self._listener.setblocking(False)
-        except BaseException:
-            self._listener.close()
-            self._cleanup_paths()
-            _release_mapping(self._shm)
-            raise
-
-    def descriptor(self) -> dict:
-        """The attach instructions to send to the peer."""
-        return {
-            "shm_name": self.shm_name,
-            "bell_path": self.bell_path,
-            "capacity": self.capacity,
-        }
-
-    def _cleanup_paths(self) -> None:
-        try:
-            os.unlink(self.bell_path)
+            os.unlink(path)
         except OSError:
             pass
-
-    async def accept(self, timeout_s: float = 10.0) -> ShmRingTransport:
-        """Wait for the peer's two bell connections; return the server side."""
-        loop = asyncio.get_running_loop()
-        bells: dict = {}
-        try:
-            async with asyncio.timeout(timeout_s):
-                while len(bells) < 2:
-                    conn, _ = await loop.sock_accept(self._listener)
-                    conn.setblocking(False)
-                    preamble = await loop.sock_recv(conn, 1)
-                    if preamble == _RING_A_PREAMBLE and "a" not in bells:
-                        bells["a"] = conn
-                    elif preamble == _RING_B_PREAMBLE and "b" not in bells:
-                        bells["b"] = conn
-                    else:
-                        conn.close()
-        except BaseException:
-            for conn in bells.values():
-                conn.close()
-            self.abort()
-            raise RpcError(
-                f"peer did not complete the shm bell handshake within {timeout_s}s"
-            ) from None
-        self._listener.close()
-        self._cleanup_paths()
-        ring_a, ring_b = _rings_over(self._shm.buf, self.capacity)
-        shm = self._shm
-        return ShmRingTransport(
-            out_ring=ring_b,
-            in_ring=ring_a,
-            bell_out=bells["b"],
-            bell_in=bells["a"],
-            release_cb=lambda: _release_mapping(shm),
-            hangup_marks_closed=True,
-        )
-
-    def abort(self) -> None:
-        """Tear everything down when the peer never attached."""
-        self._listener.close()
-        self._cleanup_paths()
-        _release_mapping(self._shm)
+        if bell is None:
+            _release_mapping(shm)
+    return await ShmRingTransport.open(descriptor, bell, shm)
 
 
 async def attach_shm_endpoint(descriptor: dict) -> ShmRingTransport:
-    """Attach the client side of a host's ring pair from its descriptor."""
-    if not HAS_SHARED_MEMORY:
-        raise RpcError(
-            "multiprocessing.shared_memory is unavailable on this platform"
-        )
-    shm_name = str(descriptor["shm_name"])
-    bell_path = str(descriptor["bell_path"])
-    capacity = int(descriptor["capacity"])
-    loop = asyncio.get_running_loop()
-    shm = _shared_memory.SharedMemory(name=shm_name)
-    bells = []
+    """Clipper's end of a host's lane: map the block by name, ring its listener."""
+    bell = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
-        for preamble in (_RING_A_PREAMBLE, _RING_B_PREAMBLE):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.setblocking(False)
-            bells.append(sock)
-            await loop.sock_connect(sock, bell_path)
-            await loop.sock_sendall(sock, preamble)
+        bell.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(bell, str(descriptor["bell_path"]))
+        return await ShmRingTransport.open(descriptor, bell)
     except BaseException as exc:
-        for sock in bells:
-            sock.close()
-        shm.close()
-        raise RpcError(f"could not attach shm endpoint: {exc}") from exc
-    ring_a, ring_b = _rings_over(shm.buf, capacity)
-    return ShmRingTransport(
-        out_ring=ring_a,
-        in_ring=ring_b,
-        bell_out=bells[0],
-        bell_in=bells[1],
-        release_cb=lambda: _release_mapping(shm),
-        hangup_marks_closed=True,
-    )
+        bell.close()
+        if isinstance(exc, OSError):
+            raise RpcError(f"could not attach shm endpoint: {exc}") from exc
+        raise
 
 
 __all__ = [
     "DEFAULT_RING_CAPACITY",
     "HAS_SHARED_MEMORY",
-    "ShmHostEndpoint",
     "ShmRingTransport",
     "attach_shm_endpoint",
+    "create_block",
+    "host_shm_endpoint",
+    "shm_pair",
     "start_resource_tracker",
 ]

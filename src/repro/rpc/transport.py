@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.core import clock
-from repro.core.exceptions import RpcError
+from repro.core.exceptions import RpcError, SerializationError
 from repro.rpc.serialization import deserialize, serialize_buffers, serialized_nbytes
 
 #: Maximum frame size sent or accepted (guards against corrupt prefixes).
@@ -48,7 +48,9 @@ def frame_message(payload: dict) -> Tuple[List[Any], int]:
     body = serialize_buffers(payload)
     length = serialized_nbytes(body)
     if length > MAX_FRAME_BYTES:
-        raise RpcError(f"frame of {length} bytes exceeds maximum")
+        # Refused before a byte is written, like a value the codec refuses:
+        # a server fails that batch and its connection goes on.
+        raise SerializationError(f"frame of {length} bytes exceeds maximum")
     return [_LENGTH_PREFIX.pack(length), *body], length
 
 

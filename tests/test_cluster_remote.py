@@ -379,9 +379,9 @@ def private_bell_dirs():
 
 
 class TestBellDirectory:
-    """Shm doorbells bind in the system temp dir, one socket per ring pair
-    that is unlinked once the peer connects, so a worker makes no directory
-    for them however long its cluster dir is."""
+    """A worker's shm doorbell listener binds in the system temp dir, one
+    socket per lane that is unlinked once the peer connects, so a worker
+    makes no directory for them however long its cluster dir is."""
 
     def test_no_shm_lane_makes_no_tmp_dir(self, tmp_path):
         long_dir = tmp_path / ("x" * 80)

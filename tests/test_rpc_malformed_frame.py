@@ -8,14 +8,16 @@ read, so the next batch and every health probe waited out ``RPC_TIMEOUT_S``
 socket transport that meets a prefix it cannot honour hangs up, so the peer
 fails what it has pending immediately.  The client's receive pump does the
 same with a response frame it cannot read: it fails what is pending and
-closes its transport.  A reply the codec refuses is not such a frame: it is
-refused before a byte of it is written, so that batch fails and the
-connection stays up.  Over real sockets; run in CI under
-``-X dev -W error::ResourceWarning`` so a transport left open fails there.
+closes its transport.  A reply the codec refuses, or one past the frame
+limit, is not such a frame: it is refused before a byte of it is written,
+so that batch fails and the connection stays up.  Over real sockets; run
+in CI under ``-X dev -W error::ResourceWarning`` so a transport left open
+fails there.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import time
 
@@ -143,20 +145,29 @@ class TestARefusedReplyKeepsTheConnection:
 
     @SOCKET_LANES
     @pytest.mark.parametrize(
-        "refused, name",
-        [(object(), "object"), (np.bool_(True), "bool"), (1j, "complex")],
-        ids=["object", "numpy_bool", "complex"],
+        "refused, limit, error",
+        [
+            (object(), None, "cannot serialize value of type object"),
+            (np.bool_(True), None, "cannot serialize value of type bool"),
+            (1j, None, "cannot serialize value of type complex"),
+            # 8 KB against a 4 KB limit: refused before a byte is written.
+            (np.zeros(2048, dtype=np.float32), 4096, r"frame of \d+ bytes exceeds maximum"),
+        ],
+        ids=["object", "numpy_bool", "complex", "past_the_frame_limit"],
     )
-    def test_the_batch_fails_and_the_next_one_is_answered(self, transport, refused, name):
+    def test_the_batch_fails_and_the_next_one_is_answered(
+        self, transport, refused, limit, error, monkeypatch
+    ):
+        if limit is not None:
+            monkeypatch.setattr("repro.rpc.transport.MAX_FRAME_BYTES", limit)
+
         async def scenario():
             replica = ContainerReplica(ModelId("m"), 0, Refuses(refused), transport=transport)
             await replica.start()
             try:
                 response = await replica.predict_batch([-1.0, 2.0])
                 assert not response.ok and response.outputs == []
-                assert response.error == (
-                    f"SerializationError: cannot serialize value of type {name}"
-                )
+                assert re.fullmatch(f"SerializationError: {error}", response.error)
                 assert (await replica.predict_batch([1.0])).outputs == [1.0]
                 assert await replica.check_health(timeout_s=1.0) is True
                 assert not replica._server._transport.closed

@@ -3,28 +3,29 @@
 Most tests run both ring endpoints on one event loop and still exercise the
 full wire discipline: framed byte streams through a real
 ``multiprocessing.shared_memory`` block attached by name, doorbell wakeups
-over UNIX-domain connections, and frames larger than the ring streaming
-through in chunks.  Every pair is built the one way there is —
-:class:`ShmHostEndpoint` plus :func:`attach_shm_endpoint`, as a worker daemon
-and its ingress do across processes.  What one loop
-cannot show — a peer running *at the same time* — is covered by putting the
-peer on a second thread (forced interleavings) and in a second process (a
-time-bounded echo stress over the lane the cluster uses).  The module is
-marked ``shm`` and skips itself wholesale where
-``multiprocessing.shared_memory`` is unavailable.
+over one stream connection, and frames larger than the ring streaming
+through in chunks.  The ring framing's contract is drawn by hypothesis
+(:class:`TestRingFraming`).  What one loop cannot show — a peer running *at
+the same time* — is covered by putting the peer on a second thread with its
+own loop (forced interleavings) and in a second process (a time-bounded
+echo stress over the lane the cluster uses).  The module is marked ``shm``
+and skips itself wholesale where ``multiprocessing.shared_memory`` is
+unavailable.
 """
 
 import asyncio
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import repro
 from helpers import run_async
@@ -37,11 +38,13 @@ from repro.core.types import ModelId, Query
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import (
-    DEFAULT_RING_CAPACITY,
     HAS_SHARED_MEMORY,
-    ShmHostEndpoint,
+    ShmRingTransport,
     attach_shm_endpoint,
+    create_block,
+    shm_pair,
 )
+from repro.rpc.transport import MAX_FRAME_BYTES
 
 pytestmark = [
     pytest.mark.shm,
@@ -62,13 +65,6 @@ def run_python(script, *interpreter_flags):
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-
-
-async def shm_pair(capacity=DEFAULT_RING_CAPACITY):
-    """Connected (client, server) endpoints: host end, then attach by name."""
-    host = ShmHostEndpoint(tempfile.gettempdir(), capacity)
-    client = await attach_shm_endpoint(host.descriptor())
-    return client, await host.accept()
 
 
 class TestRingTransport:
@@ -164,9 +160,118 @@ class TestRingTransport:
 
         run_async(scenario())
 
-    def test_tiny_capacity_rejected(self, tmp_path):
+    def test_tiny_capacity_rejected(self):
         with pytest.raises(RpcError):
-            ShmHostEndpoint(str(tmp_path), capacity=8)
+            create_block(capacity=8)
+
+
+def _payload(capacity):
+    """A bytes payload of 0 to 3x ``capacity`` bytes, or a float32 array of up
+    to as many bytes (its segment is not a ``"B"`` buffer), each a pattern in
+    which a shifted or dropped byte shows."""
+    size = st.integers(0, 3 * capacity)
+    return st.builds(
+        lambda n, seed: ((np.arange(n) + seed) % 251).astype(np.uint8).tobytes(),
+        size, st.integers(0, 250),
+    ) | st.builds(
+        lambda n, scale: np.arange(n // 4, dtype=np.float32) * np.float32(scale),
+        size, st.floats(-1e3, 1e3, width=32),
+    )
+
+
+#: (capacity, payloads, where both rings' counters start, how often the
+#: sender and the receiver yield to the loop after each frame).
+_LANES = st.integers(64, 4096).flatmap(
+    lambda capacity: st.tuples(
+        st.just(capacity),
+        st.lists(_payload(capacity), min_size=1, max_size=6),
+        st.integers(0, 4 * capacity),
+        st.lists(st.integers(0, 3), max_size=6),
+        st.lists(st.integers(0, 3), max_size=6),
+    )
+)
+
+
+def _yields(counts, i):
+    return range(counts[i] if i < len(counts) else 0)
+
+
+class TestRingFraming:
+    """The ring framing's written contract, over drawn ring capacities,
+    frame sizes up to three rings' worth, start offsets and interleavings of
+    one sender and one receiver on one loop: every frame arrives byte-exact
+    and in order, and a length prefix past the limit is refused, never
+    waited on."""
+
+    @given(_LANES)
+    @example((64, [bytes(range(29)), b"", bytes(192)], 60, [], []))  # a 64-byte frame, wrapped
+    @example((64, [np.arange(48, dtype=np.float32)], 0, [1], [0]))  # 192 B of "f" segment
+    @example((4096, [bytes(12288), b"x"], 4094, [0, 3], [3]))  # the prefix across the wrap
+    def test_frames_arrive_byte_exact_and_in_order(self, lane):
+        capacity, payloads, start, send_yields, recv_yields = lane
+
+        async def scenario():
+            client, server = await shm_pair(capacity)
+            for ring in (client._out, client._in):
+                ring.head = ring.tail = start
+
+            async def send_all():
+                for i, payload in enumerate(payloads):
+                    await client.send({"i": i, "p": payload})
+                    for _ in _yields(send_yields, i):
+                        await asyncio.sleep(0)
+
+            async def recv_all():
+                received = []
+                for i in range(len(payloads)):
+                    received.append(await server.recv())
+                    for _ in _yields(recv_yields, i):
+                        await asyncio.sleep(0)
+                return received
+
+            try:
+                _, received = await asyncio.wait_for(
+                    asyncio.gather(send_all(), recv_all()), 10.0
+                )
+            finally:
+                await client.close()
+                await server.close()
+            return received
+
+        received = run_async(scenario())
+        assert [frame["i"] for frame in received] == list(range(len(payloads)))
+        for frame, payload in zip(received, payloads):
+            got = frame["p"]
+            assert type(got) is type(payload)
+            if isinstance(payload, np.ndarray):
+                assert got.dtype == payload.dtype and got.tobytes() == payload.tobytes()
+            else:
+                assert got == payload
+
+    @given(
+        st.integers(64, 4096),
+        st.integers(0, 4 * 4096),
+        st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1),
+    )
+    @example(64, 62, MAX_FRAME_BYTES + 1)  # the prefix wraps the ring's end
+    @example(4096, 0, 2**32 - 1)
+    def test_a_prefix_past_the_limit_is_refused_and_never_waited_on(
+        self, capacity, start, length
+    ):
+        async def scenario():
+            client, server = await shm_pair(capacity)
+            ring = server._in
+            ring.head = ring.tail = start
+            ring.write_at(start, memoryview(struct.pack("<I", length)))
+            ring.head = start + 4
+            try:
+                with pytest.raises(RpcError, match="exceeds maximum"):
+                    await asyncio.wait_for(server.recv(), 5.0)
+            finally:
+                await client.close()
+                await server.close()
+
+        run_async(scenario())
 
 
 class _StaleOnce:
@@ -194,12 +299,24 @@ def _until(predicate, timeout_s=5.0):
         time.sleep(0.001)
 
 
+def _parked(wakeup, bell):
+    """Whether the end that waits on ``wakeup`` (its ``_data`` or ``_space``)
+    is parked with no wakeup latched and none still in its doorbell socket
+    ``bell``: only a bell rung from now on can wake it."""
+    try:
+        bell.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return wakeup._future is not None and not wakeup._latched
+    return False
+
+
 class TestBellsAcrossAConcurrentPeer:
     """The two endpoints of a cross-process lane run truly in parallel, so a
     peer can drain (or fill) the ring and park between the moment the other
     side samples the counters and the moment it publishes its own.  Each
-    test forces exactly that interleaving with the peer on a second thread
-    and requires the parked side to be woken."""
+    test forces exactly that interleaving with the peer on a second thread,
+    each end opened on the loop that waits on it, and requires the parked
+    side to be woken."""
 
     @staticmethod
     def _peer(coroutine_fn, outcome):
@@ -212,10 +329,13 @@ class TestBellsAcrossAConcurrentPeer:
         return threading.Thread(target=target, daemon=True)
 
     def test_consumer_parking_before_the_publish_gets_the_data_bell(self):
-        consumer, producer = run_async(shm_pair(capacity=4096))
-        frames, outcome = [], []
+        shm, descriptor = create_block(4096)
+        producer_bell, consumer_bell = socket.socketpair()
+        frames, outcome, ends = [], [], []
 
         async def consume():
+            consumer = await ShmRingTransport.open(descriptor, consumer_bell)
+            ends.append(consumer)
             frames.append(await consumer.recv())
             frames.append(await asyncio.wait_for(consumer.recv(), 5.0))
             await consumer.close()
@@ -224,9 +344,10 @@ class TestBellsAcrossAConcurrentPeer:
 
         def drain_and_park():
             peer.start()
-            _until(lambda: frames and consumer._data_waiter._future is not None)
+            _until(lambda: frames and _parked(ends[0]._data, consumer_bell))
 
         async def produce():
+            producer = await ShmRingTransport.open(descriptor, producer_bell, shm)
             await producer.send({"n": 1})
             producer._out = _StaleOnce(producer._out, "tail", drain_and_park)
             await producer.send({"n": 2})
@@ -237,22 +358,30 @@ class TestBellsAcrossAConcurrentPeer:
         assert outcome == [None] and frames == [{"n": 1}, {"n": 2}]
 
     def test_producer_parking_before_the_publish_gets_the_space_bell(self):
-        producer, consumer = run_async(shm_pair(capacity=256))
+        shm, descriptor = create_block(256)
+        producer_bell, consumer_bell = socket.socketpair()
         big = "x" * 1000  # fills the ring and parks the sender on space
-        outcome = []
+        outcome, ends = [], []
+        fill = threading.Event()
 
         async def produce():
+            producer = await ShmRingTransport.open(descriptor, producer_bell)
+            ends.append(producer)
+            await producer.send({"n": 1})
+            await asyncio.to_thread(fill.wait, 10.0)
             await asyncio.wait_for(producer.send({"pad": big}), 5.0)
             await producer.close()
 
         peer = self._peer(produce, outcome)
 
         def fill_and_park():
-            peer.start()
-            _until(lambda: producer._space_waiter._future is not None)
+            fill.set()
+            _until(lambda: _parked(ends[0]._space, producer_bell))
 
         async def consume():
-            await producer.send({"n": 1})
+            consumer = await ShmRingTransport.open(descriptor, consumer_bell, shm)
+            peer.start()
+            _until(lambda: consumer._in.head > 0)  # {"n": 1} is in the ring
             consumer._in = _StaleOnce(consumer._in, "head", fill_and_park)
             first = await consumer.recv()
             try:
@@ -268,14 +397,15 @@ class TestBellsAcrossAConcurrentPeer:
 
 
 _ECHO_HOST = """
-import asyncio, json, sys
+import asyncio, json
 from repro.core.exceptions import RpcError
-from repro.rpc.shm import ShmHostEndpoint
+from repro.rpc.shm import host_shm_endpoint
+
+async def announce(descriptor):
+    print(json.dumps(descriptor), flush=True)
 
 async def main():
-    endpoint = ShmHostEndpoint(sys.argv[1])
-    print(json.dumps(endpoint.descriptor()), flush=True)
-    lane = await endpoint.accept(10.0)
+    lane = await host_shm_endpoint(announce, 10.0)
     try:
         while True:
             await lane.send(await lane.recv())
@@ -287,13 +417,13 @@ asyncio.run(main())
 
 
 class TestCrossProcessLane:
-    def test_pipelined_echo_loses_and_corrupts_nothing(self, tmp_path):
+    def test_pipelined_echo_loses_and_corrupts_nothing(self):
         """10 000 frames, two in flight, against an echo host in another
         process: every frame comes back, intact and in order, and no side
         is left parked on a bell that was never rung."""
         frames, window = 10_000, 2
         host = subprocess.Popen(
-            [sys.executable, "-c", _ECHO_HOST, str(tmp_path)],
+            [sys.executable, "-c", _ECHO_HOST],
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONPATH": SRC},
