@@ -1,11 +1,12 @@
 """Count code lines: lines that are not blank, a comment or a docstring.
 
-    python scripts/code_lines.py src/repro/rpc src/repro/rpc/shm.py
+    python scripts/code_lines.py src/repro/management src/repro/routing
 
-prints one count per path (a directory counts every ``*.py`` below it) and
-the total.  A string that is a statement of its own (a module, class or
-function docstring, or any bare string expression) counts as a docstring.
-``--max N`` exits non-zero when the last path's count is above ``N``.
+prints one count per path (a directory counts every ``*.py`` below it) and,
+for more than one path, their total.  A string that is a statement of its
+own (a module, class or function docstring, or any bare string expression)
+counts as a docstring.  ``--max N`` exits non-zero when the total is above
+``N``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ def count(path: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", type=Path)
-    parser.add_argument("--max", type=int, help="bound on the last path's count")
+    parser.add_argument("--max", type=int, help="bound on the total count")
     args = parser.parse_args(argv)
     counts = [count(path) for path in args.paths]
     for path, n in zip(args.paths, counts):
         print(f"{n:7d} {path}")
-    if args.max is not None and counts[-1] > args.max:
-        print(f"{args.paths[-1]}: {counts[-1]} code lines, bound {args.max}", file=sys.stderr)
+    total = sum(counts)
+    if len(counts) > 1:
+        print(f"{total:7d} total")
+    if args.max is not None and total > args.max:
+        names = " + ".join(map(str, args.paths))
+        print(f"{names}: {total} code lines, bound {args.max}", file=sys.stderr)
         return 1
     return 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.batching.controllers import make_controller
 from repro.batching.deadline import DEADLINE_MISS, DeadlineSweeper
@@ -31,7 +31,7 @@ from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
-from repro.core.types import ModelId
+from repro.core.types import ModelId, ReplicaHealth
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, BatchSpans, Tracer
 from repro.overload import UNGUARDED, CircuitBreaker, Degraded
 
@@ -195,15 +195,36 @@ class DeployedModel:
         return fresh
 
 
-async def end_recovery(dispatcher: ReplicaDispatcher) -> None:
-    """Cancel the task restarting this dispatcher's replica and wait it out."""
-    task, dispatcher.recovery = dispatcher.recovery, None
-    # ``asyncio.wait_for`` before 3.12 swallows a cancellation that lands as
-    # its future completes (a health probe answering just then), and the task
-    # would go on to its next back-off: ask until it has gone.
+def statuses_for(records: Iterable[DeployedModel], model_key: str) -> List[ReplicaHealth]:
+    """Health records of every live replica of one model version key."""
+    return [
+        dispatcher.health
+        for record in records
+        for dispatcher in record.dispatchers
+        if dispatcher.health.model_key == model_key
+    ]
+
+
+def quarantines_for(records: Iterable[DeployedModel], model_key: str) -> int:
+    """Total quarantines recorded against one model version's live replicas."""
+    return sum(status.quarantines for status in statuses_for(records, model_key))
+
+
+async def cancel_until_gone(task: Optional[asyncio.Task]) -> None:
+    """Cancel ``task`` and wait until it has ended.
+
+    ``asyncio.wait_for`` before 3.12 swallows a cancellation that lands as its
+    future completes (a health probe answering just then): ask until it has gone.
+    """
     while task is not None and not task.done():
         task.cancel()
         await asyncio.wait([task], timeout=0.05)
+
+
+async def end_recovery(dispatcher: ReplicaDispatcher) -> None:
+    """Cancel the task restarting this dispatcher's replica and wait it out."""
+    task, dispatcher.recovery = dispatcher.recovery, None
+    await cancel_until_gone(task)
 
 
 class ModelLayer:

@@ -18,9 +18,12 @@ half of Clipper's architecture that mutates a running serving deployment:
   application.
 * :class:`~repro.routing.controller.CanaryController` (re-exported from the
   routing layer) — one per managed application: watches per-arm
-  error-rate/p99 deltas and the health monitor's quarantine signal to
+  error-rate/p99 deltas and the canary replicas' health records to
   auto-promote or auto-abort in-flight canaries through the frontend's
   registry-recording verbs.
+
+The frontend runs the monitor's probes and the controller's checks, one
+sweep task each per application, while it is started.
 """
 
 from repro.core.types import (

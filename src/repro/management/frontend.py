@@ -8,8 +8,8 @@ out and roll back — with the state persisted in Redis.  The
 mirroring :class:`~repro.core.frontend.QueryFrontend`: it hosts the same
 applications (each a :class:`~repro.core.clipper.Clipper`), validates and
 routes management operations by application name, records every operation in
-the :class:`~repro.management.registry.ModelRegistry`, and runs one
-:class:`~repro.management.health.HealthMonitor` per application.
+the :class:`~repro.management.registry.ModelRegistry`, and runs each
+application's control sweeps.
 
 It is the single public surface for examples and tests::
 
@@ -24,10 +24,14 @@ It is the single public surface for examples and tests::
     await mgmt.rollback("app", "svm")        # v1 takes traffic back
     await mgmt.stop()
 
-Each application also gets a
-:class:`~repro.routing.controller.CanaryController` (unless disabled) whose
-promote/abort actions route back through this frontend, so metrics-driven
-decisions update the durable registry exactly like operator-issued ones.
+Each application gets a :class:`~repro.management.health.HealthMonitor` and
+a :class:`~repro.routing.controller.CanaryController` (unless disabled); the
+controller's promote/abort actions route back through this frontend, so
+metrics-driven decisions update the durable registry exactly like
+operator-issued ones.  Neither runs a loop of its own: while the frontend is
+started, one :func:`sweep` task per application calls the monitor's
+:meth:`~HealthMonitor.probe_once` and one the controller's
+:meth:`~CanaryController.evaluate_once`, each on its own interval.
 
 Every verb is the same steps: look the application up, then — in
 :meth:`ManagementFrontend._apply` — **precheck** against the registry (the
@@ -41,13 +45,15 @@ checked before the live change, so no verb has a step to undo.
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 import logging
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.clipper import Clipper
 from repro.core.config import ModelDeployment
+from repro.core.deployed import cancel_until_gone
 from repro.core.exceptions import ManagementError
 from repro.core.frontend import (
     ApplicationHost,
@@ -66,28 +72,46 @@ from repro.state.kvstore import KeyValueStore
 logger = get_logger("management.frontend")
 
 
+async def sweep(
+    step: Callable[[], Awaitable[Any]], interval_s: float, failure: str, app_name: str
+) -> None:
+    """Run ``step`` every ``interval_s`` seconds until cancelled.
+
+    The management plane's one loop.  A step that raises is logged as
+    ``failure`` and the sweep goes on: a control loop must outlive a
+    transient race (a replica torn down mid-probe by a scale-down, a canary
+    promoted by an operator between listing and judging it).
+    """
+    while True:
+        try:
+            await step()
+        except Exception:
+            logger.warning(failure, exc_info=True, extra={"app": app_name})
+        await asyncio.sleep(interval_s)
+
+
 class ManagementFrontend(ApplicationHost):
     """Routes lifecycle operations to applications and records them durably."""
 
     def __init__(
         self,
         store: Optional[KeyValueStore] = None,
-        registry: Optional[ModelRegistry] = None,
         monitor_health: bool = True,
         health_kwargs: Optional[Dict[str, Any]] = None,
         manage_canaries: bool = True,
         canary_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         super().__init__()
-        self.registry = registry or ModelRegistry(store=store)
+        self.registry = ModelRegistry(store=store)
         self._monitors: Dict[str, HealthMonitor] = {}
         self._controllers: Dict[str, CanaryController] = {}
+        #: Each running application's sweep tasks, health before canary.
+        self._sweeps: Dict[str, List[asyncio.Task]] = {}
         self._monitor_health = monitor_health
         self._health_kwargs = dict(health_kwargs or {})
         self._manage_canaries = manage_canaries
         self._canary_kwargs = dict(canary_kwargs or {})
         self._recoveries: Dict[str, RecoveryReport] = {}
-        self._started = False
 
     # -- registration ----------------------------------------------------------
 
@@ -98,8 +122,7 @@ class ManagementFrontend(ApplicationHost):
         registry so the durable record matches the running configuration.
         When registering onto an already-started frontend, call
         :meth:`start` again afterwards — it is idempotent for running
-        applications and brings up the new application and its health
-        monitor.
+        applications and brings up the new application and its sweeps.
         """
         app_name = self._host_application(clipper)
         try:
@@ -133,7 +156,6 @@ class ManagementFrontend(ApplicationHost):
             # auto-promote/auto-abort update the registry like operator ops.
             self._controllers[app_name] = CanaryController(
                 clipper,
-                health_monitor=self._monitors.get(app_name),
                 promote=partial(self.promote, app_name),
                 abort=partial(self.abort_canary, app_name),
                 **self._canary_kwargs,
@@ -294,42 +316,46 @@ class ManagementFrontend(ApplicationHost):
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Start every managed application and its health monitor.
+        """Start every managed application, then each one's sweeps.
 
         Shares the query frontend's all-or-nothing start: a failure stops
-        the applications already brought up before propagating.  Idempotent
-        for already-running applications and monitors, so it can be called
-        again after :meth:`register_application` on a live frontend.
+        the applications already brought up, ends the sweeps of every
+        application left stopped, and propagates.  Idempotent for
+        already-running applications and sweeps, so it can be called again
+        after :meth:`register_application` on a live frontend.
         """
-        await start_applications(self._applications)
         try:
-            for monitor in self._monitors.values():
-                await monitor.start()
-            for controller in self._controllers.values():
-                await controller.start()
+            await start_applications(self._applications)
         except BaseException:
-            # Applications came up but a monitor did not: unwind both so a
-            # failed start leaves nothing running.
-            for controller in self._controllers.values():
-                await controller.stop()
-            for monitor in self._monitors.values():
-                await monitor.stop()
-            try:
-                await stop_applications(self._applications)
-            except Exception:
-                # surface the original monitor-start failure
-                logger.warning("unwind of a failed start also failed", exc_info=True)
+            stopped = [name for name, app in self._applications.items() if not app.is_started]
+            await self._stop_sweeps(stopped)
             raise
-        self._started = True
+        loop = asyncio.get_running_loop()
+        for app_name in sorted(self._applications.keys() - self._sweeps.keys()):
+            sweeps = []
+            monitor = self._monitors.get(app_name)
+            if monitor is not None:
+                step, every = monitor.probe_once, monitor.probe_interval_s
+                sweeps.append(sweep(step, every, "health sweep failed", app_name))
+            controller = self._controllers.get(app_name)
+            if controller is not None:
+                step, every = controller.evaluate_once, controller.check_interval_s
+                sweeps.append(sweep(step, every, "canary evaluation failed", app_name))
+            self._sweeps[app_name] = [loop.create_task(coro) for coro in sweeps]
 
     async def stop(self) -> None:
-        """Stop canary controllers, health monitors and applications."""
-        for controller in self._controllers.values():
-            await controller.stop()
-        for monitor in self._monitors.values():
-            await monitor.stop()
-        self._started = False
+        """Stop the sweeps and replica recoveries, then the applications."""
+        await self._stop_sweeps(list(self._applications))
         await stop_applications(self._applications)
+
+    async def _stop_sweeps(self, app_names: Sequence[str]) -> None:
+        """End these applications' sweeps (canary first), then their recoveries."""
+        for app_name in app_names:
+            for task in reversed(self._sweeps.pop(app_name, [])):
+                await cancel_until_gone(task)
+            monitor = self._monitors.get(app_name)
+            if monitor is not None:
+                await monitor.end_recoveries()
 
     # -- model lifecycle operations -------------------------------------------
 

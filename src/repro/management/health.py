@@ -2,11 +2,13 @@
 
 The paper's management plane restarts model containers that stop responding
 so the serving tier self-heals without operator action.  The
-:class:`HealthMonitor` reproduces that loop for one running
-:class:`~repro.core.clipper.Clipper`:
+:class:`HealthMonitor` holds the steps of that loop for one running
+:class:`~repro.core.clipper.Clipper`; the
+:class:`~repro.management.frontend.ManagementFrontend` runs
+:meth:`HealthMonitor.probe_once` on its sweep every ``probe_interval_s``:
 
-* **probe** — every replica of every deployed version is probed over RPC on
-  an interval (the heartbeat reply carries the container's own ``healthy()``
+* **probe** — every replica of every deployed version is probed over RPC
+  once a sweep (the heartbeat reply carries the container's own ``healthy()``
   verdict).  A probe fails when the replica does not answer within the probe
   timeout, answers unhealthy, or answers slower than an optional latency
   ceiling.  Dispatcher batch failures count as a passive signal alongside
@@ -18,12 +20,15 @@ so the serving tier self-heals without operator action.  The
   siblings) and the replica stops receiving traffic.
 * **recover** — a per-replica background task rebuilds the container from
   the deployment's factory with exponential backoff, health-checks the
-  replacement, and only then re-attaches the dispatcher to the queue.
+  replacement, and only then re-attaches the dispatcher to the queue.  It
+  runs until the replica is back or :func:`~repro.core.deployed.end_recovery`
+  cancels it (a scale-down, an undeploy, the frontend's stop).
 
 The monitor keeps no per-replica state: each replica's :class:`ReplicaHealth`
 and recovery task ride on its dispatcher in the version's
 :class:`~repro.core.deployed.DeployedModel`.  Every read below walks
-``clipper.model_records()``, and what leaves takes its history along.
+``clipper.model_records()``, and what leaves takes its history along; the
+canary controller reads the same records.
 
 Progress is visible through the Clipper's :class:`MetricsRegistry`
 (``health.probes``, ``health.probe_failures``, ``health.quarantines``,
@@ -63,7 +68,7 @@ class HealthMonitor:
     clipper:
         The serving instance to watch.
     probe_interval_s:
-        Delay between probe sweeps over every replica.
+        Delay between the frontend's probe sweeps over every replica.
     failure_threshold:
         Consecutive probe failures (or dispatcher batch failures) that
         trigger quarantine.
@@ -103,43 +108,6 @@ class HealthMonitor:
         self._quarantine_counter = metrics.counter("health.quarantines")
         self._restart_counter = metrics.counter("health.restarts")
         self._recovery_counter = metrics.counter("health.recoveries")
-
-        self._task: Optional[asyncio.Task] = None
-        self._running = False
-
-    # -- lifecycle --------------------------------------------------------------
-
-    async def start(self) -> None:
-        """Start the probe loop as a background task."""
-        if self._task is None or self._task.done():
-            self._running = True
-            self._task = asyncio.get_running_loop().create_task(self._run())
-
-    async def stop(self) -> None:
-        """Stop probing and cancel any in-flight recovery tasks."""
-        self._running = False
-        task, self._task = self._task, None
-        if task is not None:
-            task.cancel()
-            await asyncio.wait([task])
-        for _, dispatcher in self._dispatchers():
-            await end_recovery(dispatcher)
-
-    async def _run(self) -> None:
-        while self._running:
-            try:
-                await self.probe_once()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # The monitor must outlive transient probe errors (e.g. a
-                # replica torn down mid-sweep by a concurrent scale-down).
-                logger.warning(
-                    "health sweep failed",
-                    exc_info=True,
-                    extra={"app": self.clipper.config.app_name},
-                )
-            await asyncio.sleep(self.probe_interval_s)
 
     # -- probing ----------------------------------------------------------------
 
@@ -227,18 +195,17 @@ class HealthMonitor:
     ) -> None:
         """Restart a quarantined replica with backoff until it probes healthy.
 
-        Whoever removes the dispatcher (scale-down, undeploy) cancels this
-        task, so it never has to ask whether its replica is still there.
+        Whoever removes the dispatcher (scale-down, undeploy) or stops the
+        frontend cancels this task, so it never has to ask whether its
+        replica is still there.
         """
         status = dispatcher.health
         backoff = self.restart_backoff_s
-        while self._running:
+        while True:
             await asyncio.sleep(backoff)
             status.state = REPLICA_RECOVERING
             try:
                 fresh = await record.replace_replica(dispatcher)
-            except asyncio.CancelledError:
-                raise
             except Exception:
                 # The builder runs the deployment's container factory, which
                 # is user code.  A transiently failing one must not kill the
@@ -283,6 +250,11 @@ class HealthMonitor:
             status.state = REPLICA_QUARANTINED
             backoff = min(backoff * _BACKOFF_FACTOR, self.max_backoff_s)
 
+    async def end_recoveries(self) -> None:
+        """Cancel every replica's recovery task and wait them out."""
+        for _, dispatcher in self._dispatchers():
+            await end_recovery(dispatcher)
+
     # -- introspection ------------------------------------------------------------
 
     def _healths(self) -> List[ReplicaHealth]:
@@ -294,19 +266,6 @@ class HealthMonitor:
 
     def replicas_in_state(self, state: str) -> List[ReplicaHealth]:
         return [s for s in self._healths() if s.state == state]
-
-    def statuses_for(self, model_key: str) -> List[ReplicaHealth]:
-        """Health records of every replica of one model version key."""
-        return [s for s in self._healths() if s.model_key == model_key]
-
-    def quarantines_for(self, model_key: str) -> int:
-        """Total quarantines recorded against one model version's replicas.
-
-        This is the quarantine signal the canary controller compares against
-        its rollout-start baseline: any increase while a canary of this
-        version is in flight aborts the rollout.
-        """
-        return sum(s.quarantines for s in self.statuses_for(model_key))
 
     def unhealthy_model_keys(self) -> List[str]:
         """Model version keys with at least one replica not currently healthy."""

@@ -57,6 +57,8 @@ from repro.state.kvstore import KeyValueStore
 
 #: Store namespace holding every registry record.
 NAMESPACE = "management"
+#: Compare-and-swap rounds one update may lose before it gives up.
+MAX_CAS_RETRIES = 32
 #: Key of the application index.
 APPLICATIONS_KEY = "applications"
 
@@ -101,15 +103,8 @@ def read_model(model_name: str, stored: Dict[str, Any]) -> Dict[str, Any]:
 class ModelRegistry:
     """Durable record of applications, models and immutable model versions."""
 
-    def __init__(
-        self,
-        store: Optional[KeyValueStore] = None,
-        namespace: str = NAMESPACE,
-        max_cas_retries: int = 32,
-    ) -> None:
+    def __init__(self, store: Optional[KeyValueStore] = None) -> None:
         self.store = store or KeyValueStore()
-        self.namespace = namespace
-        self.max_cas_retries = max_cas_retries
 
     # -- optimistic-concurrency plumbing --------------------------------------
 
@@ -119,17 +114,17 @@ class ModelRegistry:
         ``fn`` receives a private copy of the current record (an empty dict
         when absent) and returns the record to store.  Retries when another
         writer won the race; raises :class:`ManagementError` if the race is
-        lost ``max_cas_retries`` times in a row.
+        lost :data:`MAX_CAS_RETRIES` times in a row.
         """
-        for _ in range(self.max_cas_retries):
-            value, version = self.store.get_with_version(self.namespace, key)
+        for _ in range(MAX_CAS_RETRIES):
+            value, version = self.store.get_with_version(NAMESPACE, key)
             current = copy.deepcopy(value) if value is not None else {}
             updated = fn(current)
-            if self.store.put_if_version(self.namespace, key, updated, version):
+            if self.store.put_if_version(NAMESPACE, key, updated, version):
                 return updated
         raise ManagementError(
             f"lost the optimistic-concurrency race on '{key}' "
-            f"{self.max_cas_retries} times; giving up"
+            f"{MAX_CAS_RETRIES} times; giving up"
         )
 
     # -- applications ----------------------------------------------------------
@@ -152,17 +147,17 @@ class ModelRegistry:
 
     def applications(self) -> List[str]:
         """Names of every registered application."""
-        return sorted(self.store.get(self.namespace, APPLICATIONS_KEY, {}))
+        return sorted(self.store.get(NAMESPACE, APPLICATIONS_KEY, {}))
 
     def application(self, app_name: str) -> Dict[str, Any]:
         """The stored record of one application."""
-        apps = self.store.get(self.namespace, APPLICATIONS_KEY, {})
+        apps = self.store.get(NAMESPACE, APPLICATIONS_KEY, {})
         if app_name not in apps:
             raise ManagementError(f"application '{app_name}' is not registered")
         return copy.deepcopy(apps[app_name])
 
     def _require_app(self, app_name: str) -> None:
-        if app_name not in self.store.get(self.namespace, APPLICATIONS_KEY, {}):
+        if app_name not in self.store.get(NAMESPACE, APPLICATIONS_KEY, {}):
             raise ManagementError(f"application '{app_name}' is not registered")
 
     # -- models: one write, computed reads --------------------------------------
@@ -218,7 +213,7 @@ class ModelRegistry:
     def models(self, app_name: str) -> Dict[str, Dict[str, Any]]:
         """The read model (:func:`read_model`) of every model of one application."""
         self._require_app(app_name)
-        stored = copy.deepcopy(self.store.get(self.namespace, _models_key(app_name), {}))
+        stored = copy.deepcopy(self.store.get(NAMESPACE, _models_key(app_name), {}))
         return {name: read_model(name, model) for name, model in stored.items()}
 
     def model(self, app_name: str, model_name: str) -> Dict[str, Any]:

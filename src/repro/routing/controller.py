@@ -9,23 +9,24 @@ serving version, the old stable kept for rollback); a canary whose error
 rate or p99 degrades beyond the configured deltas is *aborted* (all traffic
 snaps back to the stable arm).
 
-The controller is also wired into the health plane: when a
-:class:`~repro.management.health.HealthMonitor` is attached, a canary
-replica leaving the healthy state (quarantined by probes or by the
+The controller also reads the health plane: it finds each canary replica's
+:class:`~repro.core.types.ReplicaHealth` on the version's records
+(``clipper.model_records()``), where the health monitor writes it, and a
+canary replica leaving the healthy state (quarantined by probes or by the
 dispatcher's passive failure signal) aborts the rollout immediately — a
 sick canary should never poison the fleet while the metrics window fills.
 
-The promote/abort actions are pluggable callables so the management
-frontend can route them through its registry-recording verbs; standalone
-use falls back to the serving engine's own verbs.
+The promote/abort actions are callables the caller supplies; the management
+frontend passes its registry-recording verbs and runs :meth:`evaluate_once`
+on its sweep every ``check_interval_s``.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
+from repro.core.deployed import quarantines_for, statuses_for
 from repro.core.exceptions import RoutingError
 from repro.core.types import REPLICA_HEALTHY
 from repro.observability.logging import get_logger
@@ -80,12 +81,12 @@ class CanaryController:
     Parameters
     ----------
     clipper:
-        The serving instance whose routing table is watched.
-    health_monitor:
-        Optional :class:`~repro.management.health.HealthMonitor`; when given,
-        any canary replica leaving the healthy state aborts the rollout.
+        The serving instance whose routing table and replica health are
+        watched.
+    promote / abort:
+        Async callables ``(model_name) -> None`` performing the action.
     check_interval_s:
-        Delay between evaluation sweeps of the background loop.
+        Delay between evaluation sweeps.
     min_requests:
         Queries the canary arm must serve (since the watch began) before
         metric comparisons count — promotion never outruns the evidence.
@@ -95,33 +96,27 @@ class CanaryController:
     healthy_checks_to_promote:
         Consecutive clean evaluations (each with fresh traffic) required
         before the canary is promoted.
-    promote / abort:
-        Optional async callables ``(model_name) -> None`` performing the
-        action; default to the serving engine's own verbs.  The management
-        frontend injects its registry-recording verbs here.
     """
 
     def __init__(
         self,
         clipper,
-        health_monitor=None,
+        promote: Callable[[str], Awaitable[Any]],
+        abort: Callable[[str], Awaitable[Any]],
         check_interval_s: float = 0.05,
         min_requests: int = 50,
         p99_ratio_limit: float = 3.0,
         p99_slack_ms: float = 5.0,
         healthy_checks_to_promote: int = 3,
-        promote: Optional[Callable[[str], Awaitable[None]]] = None,
-        abort: Optional[Callable[[str], Awaitable[None]]] = None,
     ) -> None:
         self.clipper = clipper
-        self.health_monitor = health_monitor
+        self._promote = promote
+        self._abort = abort
         self.check_interval_s = check_interval_s
         self.min_requests = min_requests
         self.p99_ratio_limit = p99_ratio_limit
         self.p99_slack_ms = p99_slack_ms
         self.healthy_checks_to_promote = healthy_checks_to_promote
-        self._promote = promote if promote is not None else self._promote_direct
-        self._abort = abort if abort is not None else self._abort_direct
 
         metrics = clipper.metrics
         self._check_counter = metrics.counter("canary.checks")
@@ -130,51 +125,6 @@ class CanaryController:
 
         self._watches: Dict[str, _CanaryWatch] = {}
         self.decisions: List[CanaryDecision] = []
-        self._task: Optional[asyncio.Task] = None
-        self._running = False
-
-    # -- default actions -------------------------------------------------------
-
-    async def _promote_direct(self, model_name: str) -> None:
-        self.clipper.promote(model_name)
-
-    async def _abort_direct(self, model_name: str) -> None:
-        self.clipper.abort_canary(model_name)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> None:
-        """Start the evaluation loop as a background task."""
-        if self._task is None or self._task.done():
-            self._running = True
-            self._task = asyncio.get_running_loop().create_task(self._run())
-
-    async def stop(self) -> None:
-        """Stop the evaluation loop (in-flight canaries keep serving)."""
-        self._running = False
-        task, self._task = self._task, None
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-    async def _run(self) -> None:
-        while self._running:
-            try:
-                await self.evaluate_once()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # The controller must outlive transient races (e.g. a canary
-                # promoted by an operator between listing and judging it).
-                logger.warning(
-                    "canary evaluation failed",
-                    exc_info=True,
-                    extra={"app": self.clipper.config.app_name},
-                )
-            await asyncio.sleep(self.check_interval_s)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -207,7 +157,7 @@ class CanaryController:
             base_canary_errors=canary_arm.errors.value,
             base_stable_requests=stable_arm.requests.value,
             base_stable_errors=stable_arm.errors.value,
-            base_quarantines=self._quarantine_count(split.canary),
+            base_quarantines=quarantines_for(self.clipper.model_records(), split.canary),
         )
 
     async def _judge(
@@ -278,19 +228,13 @@ class CanaryController:
 
     def _canary_health_violation(self, watch: _CanaryWatch) -> Optional[str]:
         """A reason string when the canary's replicas look sick, else None."""
-        if self.health_monitor is None:
-            return None
-        for status in self.health_monitor.statuses_for(watch.canary_key):
+        records = self.clipper.model_records()
+        for status in statuses_for(records, watch.canary_key):
             if status.state != REPLICA_HEALTHY:
                 return f"replica '{status.replica_name}' is {status.state}"
-        if self._quarantine_count(watch.canary_key) > watch.base_quarantines:
+        if quarantines_for(records, watch.canary_key) > watch.base_quarantines:
             return "canary replica was quarantined during the rollout"
         return None
-
-    def _quarantine_count(self, model_key: str) -> int:
-        if self.health_monitor is None:
-            return 0
-        return self.health_monitor.quarantines_for(model_key)
 
     async def _act(
         self, action: str, name: str, watch: _CanaryWatch, reason: str, **extra
@@ -318,22 +262,20 @@ class CanaryController:
         # Promote/abort decisions are tail-captured as standalone event
         # traces (a canary abort is exactly the interesting 0.1%), so they
         # are queryable via GET /api/v1/trace/<id> next to request traces.
-        tracer = getattr(self.clipper, "tracer", None)
-        if tracer is not None:
-            trace_id = tracer.capture_event(
-                f"canary.{action}",
-                meta={
-                    "model": name,
-                    "canary_key": watch.canary_key,
-                    "stable_key": watch.stable_key,
-                    "reason": reason,
-                    **{k: v for k, v in extra.items() if isinstance(v, (int, float, str))},
-                },
-                flags=TRACE_CANARY,
-                component="routing",
-            )
-            if trace_id is not None:
-                decision.extra["trace_id"] = trace_id
+        trace_id = self.clipper.tracer.capture_event(
+            f"canary.{action}",
+            meta={
+                "model": name,
+                "canary_key": watch.canary_key,
+                "stable_key": watch.stable_key,
+                "reason": reason,
+                **{k: v for k, v in extra.items() if isinstance(v, (int, float, str))},
+            },
+            flags=TRACE_CANARY,
+            component="routing",
+        )
+        if trace_id is not None:
+            decision.extra["trace_id"] = trace_id
         logger.info(
             "canary %s: %s",
             action,

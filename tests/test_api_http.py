@@ -565,24 +565,34 @@ class TestServerLifecycle:
 
     def test_server_lifecycle_runs_management_monitors(self):
         # create_server registers the admin frontend as a lifecycle
-        # manager: health monitors and canary controllers run exactly while
-        # the server serves (no silent monitoring gap).
+        # manager: the health and canary sweeps run exactly while the server
+        # serves (no silent monitoring gap), and nothing of them outlives it.
+        def sweeps_and_recoveries():
+            return [
+                task
+                for task in asyncio.all_tasks()
+                if not task.done()
+                and task.get_coro().__qualname__ in ("sweep", "HealthMonitor._recover")
+            ]
+
         async def scenario():
             clipper = make_app()
             admin = ManagementFrontend()  # monitoring + canary control on
             admin.register_application(clipper)
             server = create_server(admin=admin)
-            monitor = admin.health_monitor("demo")
-            controller = admin.canary_controller("demo")
-            assert monitor._task is None
+            assert sweeps_and_recoveries() == []
             await server.start()
             try:
-                assert monitor._task is not None and not monitor._task.done()
-                assert controller._task is not None and not controller._task.done()
+                sweeps = sweeps_and_recoveries()
+                assert len(sweeps) == 2  # one health, one canary sweep
+                steps = {task.get_coro().cr_frame.f_locals["step"] for task in sweeps}
+                assert steps == {
+                    admin.health_monitor("demo").probe_once,
+                    admin.canary_controller("demo").evaluate_once,
+                }
             finally:
                 await server.stop()
-            assert monitor._task is None
-            assert controller._task is None
+            assert sweeps_and_recoveries() == []
             assert clipper._started is False
 
         run_async(scenario())

@@ -4,6 +4,7 @@ import asyncio
 import logging
 
 import numpy as np
+import pytest
 
 from helpers import run_async, wait_until
 from repro.containers.chaos import KillableContainer, TrackingFactory
@@ -11,13 +12,25 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
 from repro.management.health import HealthMonitor
-from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED
+from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED, ManagementFrontend
+
+APP = "health-app"
+
+#: What a sweep logs when its step raises.
+SWEEP_FAILURES = ("health sweep failed", "canary evaluation failed")
+
+FAST = dict(
+    probe_interval_s=0.01,
+    failure_threshold=2,
+    probe_timeout_s=0.5,
+    restart_backoff_s=0.01,
+)
 
 
-def build_clipper(factory, num_replicas=2, **config_kwargs):
+def build_clipper(factory, num_replicas=2, app_name=APP, **config_kwargs):
     clipper = Clipper(
         ClipperConfig(
-            app_name="health-app",
+            app_name=app_name,
             selection_policy="single",
             latency_slo_ms=500.0,
             **config_kwargs,
@@ -30,14 +43,25 @@ def build_clipper(factory, num_replicas=2, **config_kwargs):
 
 
 def fast_monitor(clipper, **overrides):
-    kwargs = dict(
-        probe_interval_s=0.01,
-        failure_threshold=2,
-        probe_timeout_s=0.5,
-        restart_backoff_s=0.01,
-    )
-    kwargs.update(overrides)
-    return HealthMonitor(clipper, **kwargs)
+    """A monitor driven by hand: nothing sweeps it."""
+    return HealthMonitor(clipper, **{**FAST, **overrides})
+
+
+def sweep_tasks():
+    """The running sweep tasks and replica recoveries of the current loop."""
+    return [
+        task
+        for task in asyncio.all_tasks()
+        if not task.done()
+        and task.get_coro().__qualname__ in ("sweep", "HealthMonitor._recover")
+    ]
+
+
+def managed(clipper, **overrides):
+    """A frontend whose health sweep runs ``clipper``'s monitor."""
+    mgmt = ManagementFrontend(health_kwargs={**FAST, **overrides}, manage_canaries=False)
+    mgmt.register_application(clipper)
+    return mgmt
 
 
 class TestProbing:
@@ -107,52 +131,157 @@ class TestProbing:
             await monitor.probe_once()
             quarantined = monitor.replicas_in_state(REPLICA_QUARANTINED)
             assert len(quarantined) == 1
-            await monitor.stop()  # cancels the pending recovery task
+            assert record.dispatchers[0].recovery is not None
+            await monitor.end_recoveries()  # cancels the pending recovery task
+            assert record.dispatchers[0].recovery is None
             await clipper.stop()
 
         run_async(scenario())
 
 
-class TestLoopSurvivesAndReports:
-    def test_raising_probe_is_logged_once_per_sweep(self, caplog, monkeypatch):
+class TestSweepsSurviveAndReport:
+    @pytest.mark.parametrize(
+        "owner_of, step, failure",
+        [
+            (ManagementFrontend.health_monitor, "probe_once", "health sweep failed"),
+            (ManagementFrontend.canary_controller, "evaluate_once", "canary evaluation failed"),
+        ],
+        ids=["health", "canary"],
+    )
+    def test_a_raising_step_is_logged_once_per_sweep_and_the_sweep_goes_on(
+        self, owner_of, step, failure, caplog, monkeypatch
+    ):
         # Once any server in the process configured logging, "repro" stops
         # propagating to the root logger caplog listens on.
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        sweeps = []
+        broken = {"on": True}
+        raised, ran = [], []
 
         async def scenario():
             factory = TrackingFactory(lambda: KillableContainer(output=1))
             clipper = build_clipper(factory, num_replicas=1)
-            await clipper.start()
-            monitor = fast_monitor(clipper)
-            real_probe = monitor._probe_replica
+            mgmt = ManagementFrontend(
+                health_kwargs=FAST, canary_kwargs={"check_interval_s": 0.01}
+            )
+            mgmt.register_application(clipper)
+            owner = owner_of(mgmt, APP)
+            real_step = getattr(owner, step)
 
-            async def broken_probe(replica):
-                sweeps.append(replica)
-                raise RuntimeError("probe exploded")
+            async def flaky_step():
+                if broken["on"]:
+                    raised.append(step)
+                    raise RuntimeError(f"{step} exploded")
+                await real_step()
+                ran.append(step)
 
-            monitor._probe_replica = broken_probe
-            await monitor.start()
+            # The frontend reads the step when it starts the sweep.
+            monkeypatch.setattr(owner, step, flaky_step)
+            await mgmt.start()
 
             def failures():
-                return [r for r in caplog.records if r.msg == "health sweep failed"]
+                return [r for r in caplog.records if r.msg in SWEEP_FAILURES]
 
             assert await wait_until(lambda: len(failures()) >= 3)
-            monitor._probe_replica = real_probe
-            # Still running: once the fault clears the same loop probes again.
-            assert await wait_until(
-                lambda: any(s.probes > 0 for s in monitor.status().values())
-            )
-            await monitor.stop()
-            await clipper.stop()
+            broken["on"] = False
+            # Still running: once the fault clears the same sweep runs the
+            # real step again.
+            assert await wait_until(lambda: len(ran) >= 2)
+            await mgmt.stop()
             return failures()
 
         records = run_async(scenario())
-        assert len(records) == len(sweeps)
+        assert len(records) == len(raised)
         for record in records:
+            assert record.msg == failure
             assert record.levelno == logging.WARNING
             assert record.exc_info[0] is RuntimeError
-            assert record.app == "health-app"
+            assert record.app == APP
+
+
+class TestSweepLifecycle:
+    @pytest.mark.parametrize(
+        "owner_of, step",
+        [
+            (ManagementFrontend.health_monitor, "probe_once"),
+            (ManagementFrontend.canary_controller, "evaluate_once"),
+        ],
+        ids=["health", "canary"],
+    )
+    def test_stop_returns_when_a_step_swallows_its_cancellation(
+        self, owner_of, step, monkeypatch
+    ):
+        # ``asyncio.wait_for`` before 3.12 drops a cancellation that lands as
+        # its future completes, and a health probe awaits one in the RPC
+        # client: stop must ask again rather than wait on the sweep for good.
+        swallowed = []
+
+        async def scenario():
+            factory = TrackingFactory(lambda: KillableContainer(output=1))
+            clipper = build_clipper(factory, num_replicas=1)
+            mgmt = ManagementFrontend(
+                health_kwargs=FAST, canary_kwargs={"check_interval_s": 0.01}
+            )
+            mgmt.register_application(clipper)
+            parked = asyncio.Event()
+
+            async def step_that_swallows_one_cancel():
+                if swallowed:
+                    return
+                parked.set()
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    swallowed.append(step)
+
+            monkeypatch.setattr(owner_of(mgmt, APP), step, step_that_swallows_one_cancel)
+            await mgmt.start()
+            await asyncio.wait_for(parked.wait(), timeout=5)
+            await asyncio.wait_for(mgmt.stop(), timeout=5)
+            assert swallowed == [step]
+            assert sweep_tasks() == []
+            assert not clipper.is_started
+
+        run_async(scenario())
+
+    def test_a_failed_start_ends_the_sweeps_of_the_applications_it_stopped(self):
+        # A second start after register_application stops the running
+        # applications when the new one fails: their sweeps must end with
+        # them, or the health sweep would quarantine and rebuild replicas
+        # of a stopped application.
+        async def scenario():
+            running = build_clipper(
+                TrackingFactory(lambda: KillableContainer(output=1)), 1, app_name="a"
+            )
+            mgmt = ManagementFrontend(health_kwargs=FAST)
+            mgmt.register_application(running)
+            await mgmt.start()
+            assert len(sweep_tasks()) == 2  # health and canary of "a"
+            failing = build_clipper(
+                TrackingFactory(lambda: KillableContainer(output=1)), 1, app_name="b"
+            )
+            mgmt.register_application(failing)
+            real_start = failing.start
+
+            async def refuse():
+                raise OSError("no room for b")
+
+            failing.start = refuse
+            with pytest.raises(OSError):
+                await mgmt.start()
+            assert not running.is_started
+            assert sweep_tasks() == []
+            await asyncio.sleep(20 * FAST["probe_interval_s"])
+            assert running.metrics.counter("health.quarantines").value == 0
+            assert running.metrics.counter("health.restarts").value == 0
+            # Once "b" can start, a start brings both applications' sweeps up.
+            failing.start = real_start
+            await mgmt.start()
+            assert running.is_started and failing.is_started
+            assert len(sweep_tasks()) == 4
+            await mgmt.stop()
+            assert sweep_tasks() == []
+
+        run_async(scenario())
 
 
 class TestRecovery:
@@ -160,9 +289,9 @@ class TestRecovery:
         async def scenario():
             factory = TrackingFactory(lambda: KillableContainer(output=7))
             clipper = build_clipper(factory, num_replicas=2)
-            await clipper.start()
-            monitor = fast_monitor(clipper)
-            await monitor.start()
+            mgmt = managed(clipper)
+            await mgmt.start()
+            monitor = mgmt.health_monitor(APP)
 
             victim = factory.instances[0]
             victim.kill()
@@ -178,12 +307,9 @@ class TestRecovery:
             assert len(factory.instances) >= 3
 
             # The restarted replica serves traffic again.
-            prediction = await clipper.predict(
-                Query(app_name="health-app", input=np.zeros(2))
-            )
+            prediction = await clipper.predict(Query(app_name=APP, input=np.zeros(2)))
             assert prediction.output == 7
-            await monitor.stop()
-            await clipper.stop()
+            await mgmt.stop()
 
         run_async(scenario())
 
@@ -199,9 +325,8 @@ class TestRecovery:
 
             factory = TrackingFactory(make_container)
             clipper = build_clipper(factory, num_replicas=1)
-            await clipper.start()
-            monitor = fast_monitor(clipper, max_backoff_s=0.05)
-            await monitor.start()
+            mgmt = managed(clipper, max_backoff_s=0.05)
+            await mgmt.start()
 
             # Kill the replica AND make every replacement stillborn.
             state["healthy"] = False
@@ -218,19 +343,16 @@ class TestRecovery:
                 lambda: clipper.metrics.counter("health.recoveries").value >= 1
             )
             assert recovered
-            prediction = await clipper.predict(
-                Query(app_name="health-app", input=np.zeros(2))
-            )
+            prediction = await clipper.predict(Query(app_name=APP, input=np.zeros(2)))
             assert prediction.output == 1
-            await monitor.stop()
-            await clipper.stop()
+            await mgmt.stop()
 
         run_async(scenario())
 
     def test_raising_factory_is_logged_by_replica_name_and_retried(
         self, caplog, monkeypatch
     ):
-        # See TestLoopSurvivesAndReports: "repro" may have stopped propagating.
+        # See TestSweepsSurviveAndReport: "repro" may have stopped propagating.
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
 
         async def scenario():
@@ -243,9 +365,8 @@ class TestRecovery:
 
             factory = TrackingFactory(make_container)
             clipper = build_clipper(factory, num_replicas=1)
-            await clipper.start()
-            monitor = fast_monitor(clipper, max_backoff_s=0.05)
-            await monitor.start()
+            mgmt = managed(clipper, max_backoff_s=0.05)
+            await mgmt.start()
             state["raises"] = True
             factory.instances[0].kill()
             with caplog.at_level(logging.WARNING, logger="repro.management.health"):
@@ -261,8 +382,7 @@ class TestRecovery:
             assert await wait_until(
                 lambda: clipper.metrics.counter("health.recoveries").value >= 1
             )
-            await monitor.stop()
-            await clipper.stop()
+            await mgmt.stop()
 
         run_async(scenario())
 
@@ -270,9 +390,8 @@ class TestRecovery:
         async def scenario():
             factory = TrackingFactory(lambda: KillableContainer(output=3))
             clipper = build_clipper(factory, num_replicas=3)
-            await clipper.start()
-            monitor = fast_monitor(clipper)
-            await monitor.start()
+            mgmt = managed(clipper)
+            await mgmt.start()
 
             failures = []
             results = []
@@ -284,7 +403,7 @@ class TestRecovery:
                     i += 1
                     try:
                         prediction = await clipper.predict(
-                            Query(app_name="health-app", input=np.array([float(i)]))
+                            Query(app_name=APP, input=np.array([float(i)]))
                         )
                         results.append(prediction.output)
                     except Exception as exc:
@@ -303,7 +422,24 @@ class TestRecovery:
 
             assert failures == []
             assert results and all(output == 3 for output in results)
-            await monitor.stop()
-            await clipper.stop()
+            await mgmt.stop()
+
+        run_async(scenario())
+
+    def test_stop_ends_a_recovery_parked_on_its_back_off(self):
+        # A recovery runs until something ends it; stopping the frontend does.
+        async def scenario():
+            factory = TrackingFactory(lambda: KillableContainer(output=1))
+            clipper = build_clipper(factory, num_replicas=1)
+            mgmt = managed(clipper, restart_backoff_s=3600.0)
+            await mgmt.start()
+            dispatcher = clipper.model_record("m").dispatchers[0]
+            factory.instances[0].kill()
+            assert await wait_until(lambda: dispatcher.recovery is not None)
+            recovery = dispatcher.recovery
+            await mgmt.stop()
+            assert recovery.cancelled()
+            assert dispatcher.recovery is None
+            assert len(factory.instances) == 1  # never rebuilt
 
         run_async(scenario())

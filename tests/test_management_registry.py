@@ -12,6 +12,7 @@ from repro.management.records import (
     VERSION_STAGED,
     VERSION_UNDEPLOYED,
 )
+from repro.management import registry as registry_module
 from repro.management.registry import ModelRegistry
 from repro.routing.split import TrafficSplit
 from repro.state.kvstore import KeyValueStore
@@ -223,11 +224,16 @@ class TestOptimisticConcurrency:
             "writer": "a"
         }
 
-    def test_cas_exhaustion_raises(self):
+    def test_cas_exhaustion_raises(self, monkeypatch):
+        attempts = []
+
         class AlwaysLosing(KeyValueStore):
             def put_if_version(self, namespace, key, value, expected_version):
+                attempts.append(key)
                 return False
 
-        registry = ModelRegistry(store=AlwaysLosing(), max_cas_retries=3)
+        monkeypatch.setattr(registry_module, "MAX_CAS_RETRIES", 3)
+        registry = ModelRegistry(store=AlwaysLosing())
         with pytest.raises(ManagementError, match="optimistic-concurrency"):
             registry.register_application("app")
+        assert len(attempts) == 3

@@ -19,7 +19,7 @@ from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import DeploymentError, RoutingError
-from repro.core.types import Feedback, Query
+from repro.core.types import REPLICA_QUARANTINED, Feedback, Query
 from repro.management import ManagementFrontend
 from repro.routing import CanaryController
 
@@ -300,6 +300,18 @@ class TestSelectionStatePruning:
         run_async(scenario())
 
 
+def direct_verbs(clipper):
+    """Promote/abort straight on the serving engine, with no registry to record them."""
+
+    async def promote(model_name):
+        return clipper.promote(model_name)
+
+    async def abort(model_name):
+        return clipper.abort_canary(model_name)
+
+    return {"promote": promote, "abort": abort}
+
+
 class TestCanaryControllerJudgement:
     """Controller decisions driven directly through the arm metrics."""
 
@@ -314,7 +326,7 @@ class TestCanaryControllerJudgement:
         async def scenario():
             clipper = self.make_canary_clipper()
             controller = CanaryController(
-                clipper, min_requests=10, healthy_checks_to_promote=2
+                clipper, **direct_verbs(clipper), min_requests=10, healthy_checks_to_promote=2
             )
             stable = clipper.routing.arm_metrics("m:1")
             canary = clipper.routing.arm_metrics("m:2")
@@ -336,7 +348,7 @@ class TestCanaryControllerJudgement:
     def test_auto_abort_on_error_rate_delta(self):
         async def scenario():
             clipper = self.make_canary_clipper()
-            controller = CanaryController(clipper, min_requests=10)
+            controller = CanaryController(clipper, **direct_verbs(clipper), min_requests=10)
             stable = clipper.routing.arm_metrics("m:1")
             canary = clipper.routing.arm_metrics("m:2")
             await controller.evaluate_once()
@@ -356,7 +368,11 @@ class TestCanaryControllerJudgement:
         async def scenario():
             clipper = self.make_canary_clipper()
             controller = CanaryController(
-                clipper, min_requests=10, p99_ratio_limit=2.0, p99_slack_ms=1.0
+                clipper,
+                **direct_verbs(clipper),
+                min_requests=10,
+                p99_ratio_limit=2.0,
+                p99_slack_ms=1.0,
             )
             stable = clipper.routing.arm_metrics("m:1")
             canary = clipper.routing.arm_metrics("m:2")
@@ -372,10 +388,26 @@ class TestCanaryControllerJudgement:
 
         run_async(scenario())
 
+    def test_auto_abort_when_a_canary_replica_leaves_the_healthy_state(self):
+        # The controller reads replica health from the version's records,
+        # where the health monitor writes it; no monitor is needed to see it.
+        async def scenario():
+            clipper = self.make_canary_clipper()
+            controller = CanaryController(clipper, **direct_verbs(clipper), min_requests=10**9)
+            await controller.evaluate_once()
+            status = clipper.model_record("m:2").dispatchers[0].health
+            status.state = REPLICA_QUARANTINED
+            (decision,) = await controller.evaluate_once()
+            assert decision.action == "abort"
+            assert decision.reason == f"replica '{status.replica_name}' is quarantined"
+            assert str(clipper.active_version("m")) == "m:1"
+
+        run_async(scenario())
+
     def test_no_decision_without_enough_traffic(self):
         async def scenario():
             clipper = self.make_canary_clipper()
-            controller = CanaryController(clipper, min_requests=100)
+            controller = CanaryController(clipper, **direct_verbs(clipper), min_requests=100)
             canary = clipper.routing.arm_metrics("m:2")
             await controller.evaluate_once()
             for _ in range(5):

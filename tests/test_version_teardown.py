@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import types
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.containers.noop import NoOpContainer
 from repro.containers.replica import place_locally
 from repro.core.clipper import Clipper
 from repro.core.config import CircuitBreakerConfig, ClipperConfig, ModelDeployment
-from repro.core.deployed import end_recovery
+from repro.core.deployed import end_recovery, quarantines_for
 from repro.core.exceptions import RpcError
 from repro.core.types import Query
 from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED, ManagementFrontend
@@ -315,7 +316,10 @@ class TestAReplacedReplicaKeepsItsRecord:
             await mgmt.start()
             monitor = mgmt.health_monitor(APP)
             controller = CanaryController(
-                clipper, health_monitor=monitor, min_requests=10**9
+                clipper,
+                promote=partial(mgmt.promote, APP),
+                abort=partial(mgmt.abort_canary, APP),
+                min_requests=10**9,
             )
             try:
                 await wait_until(lambda: "m:2[0]" in monitor.status())
@@ -330,7 +334,7 @@ class TestAReplacedReplicaKeepsItsRecord:
                 assert monitor.status()["m:2[0]"] is record
                 assert record.state == REPLICA_HEALTHY
                 assert record.quarantines == 1 and record.restarts >= 1
-                assert monitor.quarantines_for("m:2") == 1
+                assert quarantines_for(clipper.model_records(), "m:2") == 1
                 assert len(factory.instances) >= 2
                 assert recovery_tasks() == []
                 # Healthy again, but it *was* quarantined during the rollout.
