@@ -25,7 +25,7 @@ import numpy as np
 
 from conftest import record_result
 from paperkit.reporting import format_table, summarize_latencies
-from repro.client import AdminClient, AsyncClipperClient, ClipperClientError
+from repro.client import AsyncAdminClient, AsyncClipperClient, ClipperClientError
 from repro.cluster.supervisor import Supervisor
 
 APP = "fig6"
@@ -37,8 +37,19 @@ QUERIES_PER_CLIENT = 48
 SLO_MS = 1000.0
 
 
-async def drive(port: int, inputs: np.ndarray):
-    """Closed loop: each keep-alive client sends its slice of ``inputs``."""
+async def drive(port: int, inputs: np.ndarray, num_replicas: int):
+    """Deploy (untimed), then a closed loop: each keep-alive client sends its
+    slice of ``inputs``."""
+    async with AsyncAdminClient("127.0.0.1", port) as admin:
+        # The batch cap keeps one dispatcher from draining the whole queue
+        # while a sibling worker's device sits idle.
+        await admin.deploy(
+            APP,
+            "device",
+            factory="device_1ms",
+            num_replicas=num_replicas,
+            batching={"policy": "aimd", "initial_batch_size": 4, "max_batch_size": 8},
+        )
     latencies, failed = [], 0
     clients = [AsyncClipperClient("127.0.0.1", port, binary=True) for _ in range(CLIENTS)]
 
@@ -79,17 +90,7 @@ def measure(num_workers: int) -> dict:
         supervisor = Supervisor(cluster_dir, num_workers=num_workers, app_name=APP)
         try:
             port = supervisor.start()
-            with AdminClient("127.0.0.1", port) as admin:
-                # The batch cap keeps one dispatcher from draining the whole
-                # queue while a sibling worker's device sits idle.
-                admin.deploy(
-                    APP,
-                    "device",
-                    factory="device_1ms",
-                    num_replicas=num_workers,
-                    batching={"policy": "aimd", "initial_batch_size": 4, "max_batch_size": 8},
-                )
-            elapsed, latencies, failed = asyncio.run(drive(port, inputs))
+            elapsed, latencies, failed = asyncio.run(drive(port, inputs, num_workers))
         finally:
             supervisor.shutdown()
     summary = summarize_latencies(latencies)

@@ -30,7 +30,7 @@ from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
-from repro.management import ManagementFrontend
+from repro.management.frontend import ManagementFrontend
 
 APP = "canary-demo"
 MODEL = "clf"

@@ -30,7 +30,7 @@ from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
-from repro.management import ManagementFrontend
+from repro.management.frontend import ManagementFrontend
 
 APP = "recovery-demo"
 MODEL = "clf"

@@ -14,7 +14,7 @@ downstream user can write::
 
 and get a working serving system; each is imported from its defining module
 on first use.  Everywhere else, import a name from the module that defines
-it (``core``, ``containers``, ``rpc`` and ``cluster`` export nothing).
+it: no sub-package but the client SDK binds a name in its ``__init__``.
 Sub-packages:
 
 ``repro.core``
@@ -41,8 +41,9 @@ Sub-packages:
     The REST surface: typed application schemas, the structured error
     model, the versioned route table and the stdlib asyncio HTTP binding.
 ``repro.client``
-    The client SDK (``ClipperClient`` / ``AdminClient``): applications talk
-    to a served Clipper over HTTP without importing the serving engine.
+    The client SDK (``AsyncClipperClient`` / ``AsyncAdminClient``):
+    applications talk to a served Clipper over HTTP without importing the
+    serving engine.
 ``repro.cluster``
     The multi-process fleet: worker daemons, ingress tier and supervisor;
     the scale-out experiment (Fig. 6) runs on it.

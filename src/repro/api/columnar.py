@@ -19,7 +19,7 @@ JSON→list→ndarray round-trip at the edge:
 A malformed frame is a client error: the decoder maps every
 :class:`~repro.core.exceptions.SerializationError` (corrupt tag, truncated
 payload, trailing bytes) to a structured 400
-:class:`~repro.api.errors.BadRequestError`, never a 500.  Bodies the binary
+:class:`~repro.core.exceptions.BadRequestError`, never a 500.  Bodies the binary
 format cannot represent verbatim (e.g. tuples-of-sets some handler might
 return) are passed through :func:`~repro.api.schema.json_safe` first, so
 every endpoint — not just predict — can answer a columnar ``Accept``.
@@ -29,20 +29,13 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.api.errors import BadRequestError
 from repro.api.schema import json_safe
-from repro.core.exceptions import SerializationError
+from repro.core.exceptions import BadRequestError, SerializationError
 from repro.rpc.serialization import (
     COLUMNAR_CONTENT_TYPE,
     deserialize,
     serialize_buffers,
 )
-
-__all__ = [
-    "COLUMNAR_CONTENT_TYPE",
-    "decode_columnar",
-    "encode_columnar",
-]
 
 
 def encode_columnar(body: Any) -> List[Any]:

@@ -17,32 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.core.exceptions import (
-    BadRequestError,
-    ClipperError,
-    DuplicateApplicationError,
-    OverloadError,
-    UnknownApplicationError,
-    ValidationError,
-)
-
-__all__ = [
-    "ApiError",
-    "BadRequestError",
-    "DuplicateApplicationError",
-    "MethodNotAllowedError",
-    "NotAcceptableError",
-    "OverloadError",
-    "RouteNotFoundError",
-    "UnknownApplicationError",
-    "UnsupportedMediaTypeError",
-    "ValidationError",
-    "error_payload",
-    "status_of",
-]
-
-#: Alias: the whole library hierarchy doubles as the API error hierarchy.
-ApiError = ClipperError
+from repro.core.exceptions import ClipperError
 
 
 class RouteNotFoundError(ClipperError):

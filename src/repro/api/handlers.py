@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.api import verbs
 from repro.api.errors import RouteNotFoundError
-from repro.api.routes import API_PREFIX, ApiResponse, RouteTable
-from repro.api.schema import json_safe, require_field, require_object
+from repro.api.routes import ApiResponse, RouteTable
+from repro.api.schema import require_field, require_object
+from repro.api.verbs import API_PREFIX
 from repro.core.config import ModelDeployment
 from repro.core.exceptions import (
     BadRequestError,
@@ -310,6 +311,3 @@ def build_route_table(
             )
 
     return table
-
-
-__all__ = ["build_route_table", "prediction_payload", "json_safe"]

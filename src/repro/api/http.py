@@ -48,7 +48,6 @@ from urllib.parse import parse_qsl
 
 from repro.api import columnar
 from repro.api.errors import (
-    BadRequestError,
     NotAcceptableError,
     UnsupportedMediaTypeError,
     error_payload,
@@ -56,7 +55,7 @@ from repro.api.errors import (
 )
 from repro.api.routes import RouteTable
 from repro.api.schema import json_safe
-from repro.core.exceptions import SerializationError
+from repro.core.exceptions import BadRequestError, SerializationError
 from repro.observability.logging import configure_logging, get_logger
 from repro.rpc import jsonwire as json  # looked up per call: the bench tracer rebinds ``json``
 from repro.rpc.http11 import FramingError, Http1Connection, media_type, remember
@@ -131,7 +130,6 @@ class HttpApiServer:
         port: int = 0,
         lifecycle: Sequence[Any] = (),
         max_body_bytes: int = 32 * 1024 * 1024,
-        max_header_count: int = 100,
         keep_alive_timeout_s: Optional[float] = None,
     ) -> None:
         self.routes = routes
@@ -143,7 +141,6 @@ class HttpApiServer:
         # start/stop must be all-or-nothing and idempotent.
         self._lifecycle: Tuple[Any, ...] = tuple(lifecycle)
         self._max_body_bytes = max_body_bytes
-        self._max_header_count = max_header_count
         self._keep_alive_timeout_s = keep_alive_timeout_s
         self._server: Optional[asyncio.base_events.Server] = None
         # Every open connection.
@@ -207,9 +204,7 @@ class HttpApiServer:
             for owner in self._lifecycle:
                 await owner.start()
             self._server = await asyncio.get_running_loop().create_server(
-                lambda: Http1Connection(
-                    self._max_body_bytes, self._max_header_count, self._on_connection
-                ),
+                lambda: Http1Connection(self._max_body_bytes, connected=self._on_connection),
                 host=self.host,
                 port=self._requested_port,
             )
@@ -423,7 +418,7 @@ class HttpApiServer:
                 except (ValueError, RecursionError):
                     # Invalid UTF-8 or JSON, or nesting past the parser's
                     # stack.  The columnar decoder raises its own structured
-                    # 400, which passes through as every ApiError does.
+                    # 400, which passes through as every ClipperError does.
                     raise BadRequestError(
                         f"request body is not valid {content_type}"
                     ) from None
@@ -521,7 +516,6 @@ def create_server(
     factories: Optional[Mapping[str, Callable[[], object]]] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    **server_kwargs: Any,
 ) -> HttpApiServer:
     """Build the route table over the frontends and wrap it in a server.
 
@@ -537,9 +531,5 @@ def create_server(
 
     routes = build_route_table(query=query, admin=admin, factories=factories)
     return HttpApiServer(
-        routes,
-        host=host,
-        port=port,
-        lifecycle=[f for f in (query, admin) if f is not None],
-        **server_kwargs,
+        routes, host=host, port=port, lifecycle=[f for f in (query, admin) if f is not None]
     )

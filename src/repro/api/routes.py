@@ -15,8 +15,8 @@ Patterns use ``{name}`` placeholders matched per path segment::
     route, params = table.match("POST", "/api/v1/digits/predict")
     # params == {"app": "digits"}
 
-Versioning is part of the path (``API_PREFIX``): a future ``/api/v2`` tree
-can register alongside v1 in the same table.
+Versioning is part of the path (:data:`repro.api.verbs.API_PREFIX`): a
+future ``/api/v2`` tree can register alongside v1 in the same table.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.api.errors import MethodNotAllowedError, RouteNotFoundError
-
-#: Current (and only) API version; every built-in route lives under it.
-API_VERSION = "v1"
-API_PREFIX = f"/api/{API_VERSION}"
-
-#: Bound on the remembered (method, path) matches.
-_MATCHED_MAX = 64
+from repro.rpc.http11 import remember
 
 #: A handler takes the path parameters and the decoded JSON body (None for
 #: bodiless requests) and returns an :class:`ApiResponse`.
@@ -74,11 +68,16 @@ class Route:
 
 
 def _split_path(path: str) -> Tuple[str, ...]:
-    return tuple(part for part in path.strip("/").split("/"))
+    return tuple(path.strip("/").split("/"))
 
 
 def _is_param(segment: str) -> bool:
     return segment.startswith("{") and segment.endswith("}")
+
+
+def _shape(segments: Tuple[str, ...]) -> Tuple[Optional[str], ...]:
+    """What a pattern matches: its literal segments, parameters being alike."""
+    return tuple(None if _is_param(segment) else segment for segment in segments)
 
 
 class RouteTable:
@@ -86,35 +85,24 @@ class RouteTable:
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-        # (segment count, positions of the literal segments) -> literal
-        # segments -> [(registration order, route)].  A request looks its own
-        # literals up once per pattern shape instead of trying every route.
-        self._index: Dict[tuple, Dict[tuple, List[Tuple[int, Route]]]] = {}
         # (method, path) -> what match() found; clients repeat their paths.
-        # Bounded, the paths being the peer's.  Never stale: a route added
-        # later loses to every earlier one, and none is ever removed.
+        # Bounded by ``remember``, the paths being the peer's.  Never stale:
+        # a route added later loses to every earlier one, and none is ever
+        # removed.
         self._matched: Dict[Tuple[str, str], Tuple[Route, Dict[str, str]]] = {}
 
     def add(self, method: str, pattern: str, name: str, handler: Handler) -> Route:
-        """Register a route; duplicate (method, pattern) pairs are rejected."""
+        """Register a route; duplicate (method, pattern) pairs are rejected.
+
+        Two patterns that differ only in parameter names match the same
+        requests, so they are duplicates too.
+        """
         method = method.upper()
         segments = _split_path(pattern)
-        literal_at = tuple(i for i, s in enumerate(segments) if not _is_param(s))
-        # Two patterns that differ only in parameter names match the same
-        # requests: they share a bucket, which makes that the duplicate check.
-        bucket = self._index.setdefault((len(segments), literal_at), {}).setdefault(
-            tuple(segments[i] for i in literal_at), []
-        )
-        if any(route.method == method for _, route in bucket):
+        shape = _shape(segments)
+        if any(r.method == method and _shape(r.segments) == shape for r in self._routes):
             raise ValueError(f"route {method} {pattern} is already registered")
-        route = Route(
-            method=method,
-            pattern=pattern,
-            name=name,
-            handler=handler,
-            segments=segments,
-        )
-        bucket.append((len(self._routes), route))
+        route = Route(method, pattern, name, handler, segments)
         self._routes.append(route)
         return route
 
@@ -125,9 +113,10 @@ class RouteTable:
     def match(self, method: str, path: str) -> Tuple[Route, Dict[str, str]]:
         """Resolve a request to (route, path params).
 
-        Raises :class:`RouteNotFoundError` when no pattern matches the path
-        and :class:`MethodNotAllowedError` when a pattern matches but not
-        for this method (the HTTP binding turns these into 404/405).
+        The first route registered that matches wins.  Raises
+        :class:`RouteNotFoundError` when no pattern matches the path and
+        :class:`MethodNotAllowedError` when a pattern matches but not for
+        this method (the HTTP binding turns these into 404/405).
         """
         key = (method, path)
         found = self._matched.get(key)
@@ -135,20 +124,13 @@ class RouteTable:
             return found[0], dict(found[1])
         parts = _split_path(path)
         method = method.upper()
-        candidates: List[Tuple[int, Route]] = []
-        for (count, literal_at), buckets in self._index.items():
-            if count == len(parts):
-                candidates += buckets.get(tuple(parts[i] for i in literal_at), ())
-        if len(candidates) > 1:
-            candidates.sort(key=lambda entry: entry[0])  # registration order
         allowed: List[str] = []
-        for _, route in candidates:
+        for route in self._routes:
             params = route.match_path(parts)
             if params is None:
                 continue
             if route.method == method:
-                if len(self._matched) < _MATCHED_MAX:
-                    self._matched[key] = (route, dict(params))
+                remember(self._matched, key, (route, dict(params)))
                 return route, params
             allowed.append(route.method)
         if allowed:

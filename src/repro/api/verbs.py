@@ -24,7 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-ADMIN_PREFIX = "/api/v1/admin"
+#: Every route lives under the version prefix; the operator verbs under its
+#: ``admin`` tree.
+API_PREFIX = "/api/v1"
+ADMIN_PREFIX = f"{API_PREFIX}/admin"
 
 
 class FieldError(ValueError):

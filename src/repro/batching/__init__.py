@@ -1,25 +1,1 @@
 """Adaptive batching (paper §4.3): controllers, queues and dispatchers."""
-
-from repro.batching.controllers import (
-    BatchSizeController,
-    FixedBatchSizeController,
-    NoBatchingController,
-    make_controller,
-)
-from repro.batching.aimd import AIMDController
-from repro.batching.quantile import QuantileRegressionController, fit_quantile_line
-from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.batching.dispatcher import ReplicaDispatcher
-
-__all__ = [
-    "BatchSizeController",
-    "FixedBatchSizeController",
-    "NoBatchingController",
-    "AIMDController",
-    "QuantileRegressionController",
-    "fit_quantile_line",
-    "make_controller",
-    "BatchingQueue",
-    "PendingQuery",
-    "ReplicaDispatcher",
-]

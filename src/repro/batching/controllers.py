@@ -5,12 +5,11 @@ contain?" — and learns from the observed (batch size, latency) pairs that
 the dispatcher feeds back after every batch.  The paper evaluates three
 strategies (Figure 4): the adaptive AIMD scheme (the default), a quantile-
 regression estimator of the P99 latency/batch-size relationship, and the
-no-batching baseline.  A fixed-size controller rounds out the set and is
-used by the TensorFlow-Serving-like comparator.
+no-batching baseline, which is a fixed size of one.  A fixed-size
+controller is also the TensorFlow-Serving-like comparator.
 """
 
 from __future__ import annotations
-
 
 from repro.core.config import BatchingConfig
 from repro.core.exceptions import ConfigurationError
@@ -60,13 +59,6 @@ class FixedBatchSizeController(BatchSizeController):
         return None
 
 
-class NoBatchingController(FixedBatchSizeController):
-    """Every query is its own batch — the paper's "No Batching" baseline."""
-
-    def __init__(self, slo_ms: float = 1e9) -> None:
-        super().__init__(batch_size=1, slo_ms=slo_ms, max_batch_size=1)
-
-
 def make_controller(config: BatchingConfig, slo_ms: float) -> BatchSizeController:
     """Build the controller described by a :class:`BatchingConfig`."""
     # Imported here to avoid a circular import at module load time.
@@ -96,5 +88,6 @@ def make_controller(config: BatchingConfig, slo_ms: float) -> BatchSizeControlle
             max_batch_size=config.max_batch_size,
         )
     if config.policy == "none":
-        return NoBatchingController(slo_ms=slo_ms)
+        # Every query is its own batch: the paper's "No Batching" baseline.
+        return FixedBatchSizeController(1, max_batch_size=1)
     raise ConfigurationError(f"unknown batching policy '{config.policy}'")

@@ -51,15 +51,14 @@ scales replicas and quarantines/recovers unhealthy ones at runtime.  When a
 replica fails a batch, queries are re-enqueued onto the shared queue (up to
 ``max_retries`` per query) so a single sick replica does not fail queries
 that a healthy sibling could still serve; after a failed batch the loop
-backs off briefly (``failure_cooldown_ms``) so a dead replica does not spin
-stealing work from healthy ones while the health monitor converges.
+backs off briefly (:data:`FAILURE_COOLDOWN_MS`) so a dead replica does not
+spin stealing work from healthy ones while the health monitor converges.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Any, Deque, List, Optional, Set
+from typing import Any, List, Optional, Set
 
 import numpy as np
 
@@ -69,7 +68,7 @@ from repro.containers.replica import Replica
 from repro.core import clock
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.metrics import MetricsRegistry
-from repro.core.types import BatchStats, ReplicaHealth
+from repro.core.types import ReplicaHealth
 from repro.observability.logging import get_logger
 from repro.observability.tracing import TRACE_RETRIED, BatchSpans, TraceContext
 
@@ -77,18 +76,16 @@ logger = get_logger("batching.dispatcher")
 
 #: Upper bound on batches in flight per replica.  What a replica is allowed
 #: under it is measured (see "Pipelining" above), so the bound is not a
-#: deployment option; the constructor takes it for tests that drive the loop
-#: at other depths.
+#: deployment option; tests patch it to drive the loop at other depths.
 PIPELINE_WINDOW = 2
+#: How long the loop backs off after a failed batch before sending another.
+FAILURE_COOLDOWN_MS = 20.0
 #: Weight of a new sample in the evaluation / RPC-overhead moving averages.
 _EWMA_WEIGHT = 0.125
 #: After this many consecutive overlapped batches the loop lets the pipeline
 #: drain once, so the next batch meets an idle replica and re-measures the
 #: RPC overhead a saturated pipeline would otherwise never see again.
 _REMEASURE_EVERY = 32
-#: Most recent batches kept in ``batch_history``; the histograms carry the
-#: long-run distribution, so the history only has to be bounded.
-_BATCH_HISTORY_LEN = 1024
 
 
 def _ewma(average: Optional[float], sample: float) -> float:
@@ -98,9 +95,13 @@ def _ewma(average: Optional[float], sample: float) -> float:
 
 
 def _time_out(item: PendingQuery) -> None:
-    """Fail an entry whose deadline passed before it could be evaluated."""
+    """Fail an entry whose deadline passed before it could be evaluated,
+    naming its query (-1: none) and its budget, deadline less enqueue time."""
     if not item.future.done():
-        item.future.set_exception(PredictionTimeoutError(item.query_id or -1, 0.0))
+        deadline = item.deadline
+        budget_ms = 0.0 if deadline is None else (deadline - item.enqueue_time) * 1000.0
+        query_id = -1 if item.query_id is None else item.query_id
+        item.future.set_exception(PredictionTimeoutError(query_id, budget_ms))
 
 
 def _detached(outputs: list) -> list:
@@ -125,10 +126,7 @@ class ReplicaDispatcher:
         controller: BatchSizeController,
         batch_wait_timeout_ms: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
-        drop_expired: bool = True,
         max_retries: int = 0,
-        failure_cooldown_ms: float = 20.0,
-        pipeline_window: int = PIPELINE_WINDOW,
         cache: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
@@ -137,13 +135,10 @@ class ReplicaDispatcher:
         self.controller = controller
         self.batch_wait_timeout_ms = batch_wait_timeout_ms
         self.metrics = metrics or MetricsRegistry()
-        self.drop_expired = drop_expired
         self.max_retries = max_retries
-        self.failure_cooldown_ms = failure_cooldown_ms
-        #: Upper bound on batches in flight; see :attr:`pipeline_depth`.
-        self.pipeline_window = max(1, int(pipeline_window))
-        #: Batches the loop currently allows in flight, re-derived after
-        #: every answered batch from the two moving averages below.
+        #: Batches the loop currently allows in flight (at most
+        #: :data:`PIPELINE_WINDOW`), re-derived after every answered batch
+        #: from the two moving averages below.
         self.pipeline_depth = 1
         #: Moving averages (ms) of the container's evaluation time and of
         #: what the RPC path adds to it; None until first measured.
@@ -153,7 +148,6 @@ class ReplicaDispatcher:
         #: entry's output goes in, whatever became of its future.
         self.cache = cache
         self._model_key = str(replica.model_id)
-        self.batch_history: Deque[BatchStats] = deque(maxlen=_BATCH_HISTORY_LEN)
         #: Failed batches since the last success — read by the health
         #: monitor as a passive unhealthiness signal alongside its probes.
         self.consecutive_failures = 0
@@ -257,9 +251,9 @@ class ReplicaDispatcher:
                     # before it requeues, so it is already visible when the
                     # requeued queries wake this loop.
                     self._cooldown_due = False
-                    if self._running and self.failure_cooldown_ms > 0:
+                    if self._running:
                         batch = self._release_for_cooldown(batch)
-                        await asyncio.sleep(self.failure_cooldown_ms / 1000.0)
+                        await asyncio.sleep(FAILURE_COOLDOWN_MS / 1000.0)
                         if not batch:
                             continue
                 task = loop.create_task(self._dispatch_guarded(batch))
@@ -313,7 +307,6 @@ class ReplicaDispatcher:
         # can skip what expires in transit), what is measured (the oldest
         # entry's wait) and who is left out (entries already expired).
         t_batch = oldest = clock.now()
-        drop_expired = self.drop_expired
         inputs, deadlines, carries_deadline = [], [], False
         expired = trace_ids = None  # a set of ids, a list, when needed
         # Stamped: every batch under tail capture, else one with a context.
@@ -325,7 +318,7 @@ class ReplicaDispatcher:
             deadline = item.deadline
             if deadline is None:
                 deadline = 0.0
-            elif drop_expired:
+            else:
                 carries_deadline = True
                 if t_batch >= deadline:
                     if expired is None:
@@ -373,14 +366,6 @@ class ReplicaDispatcher:
             self.controller.observe(len(batch), eval_ms + self.rpc_overhead_ms)
         else:
             self.controller.observe(len(batch), latency_ms)
-        stats = BatchStats(
-            model_id=self.replica.model_id,
-            replica_id=self.replica.replica_id,
-            batch_size=len(batch),
-            latency_ms=latency_ms,
-            queue_time_ms=queue_time_ms,
-        )
-        self.batch_history.append(stats)
         self._batch_latency_hist.observe(latency_ms)
         self._batch_size_hist.observe(len(batch))
         self._throughput_meter.mark(len(batch))
@@ -434,7 +419,7 @@ class ReplicaDispatcher:
         # One evaluation hides floor(overhead / eval) further batches' trips
         # through the RPC path (the floor on eval: one too short to time).
         self.pipeline_depth = min(
-            self.pipeline_window,
+            PIPELINE_WINDOW,
             1 + int(self.rpc_overhead_ms // max(self.eval_ms, 1e-6)),
         )
         self._depth_gauge.set(self.pipeline_depth)

@@ -26,6 +26,11 @@ import numpy as np
 from repro.batching.controllers import BatchSizeController
 from repro.core.exceptions import ConfigurationError
 
+#: Observations the regression is fitted over (the most recent).
+WINDOW = 200
+#: Observations between two refits outside the exploration phase.
+REFIT_INTERVAL = 10
+
 
 def fit_quantile_line(
     batch_sizes: np.ndarray, latencies_ms: np.ndarray, quantile: float = 0.99
@@ -88,36 +93,27 @@ class QuantileRegressionController(BatchSizeController):
     accumulated, the controller behaves like a conservative additive-increase
     explorer; afterwards it solves the quantile regression over a sliding
     window and picks the largest batch size whose predicted quantile latency
-    is within the SLO.
+    is within the SLO: the last :data:`WINDOW` observations, refitted every
+    :data:`REFIT_INTERVAL` of them and after every SLO miss.
     """
 
     def __init__(
         self,
         slo_ms: float,
         quantile: float = 0.99,
-        window: int = 200,
         initial_batch_size: int = 1,
         additive_increase: int = 1,
-        refit_interval: int = 10,
         max_batch_size: int = 4096,
     ) -> None:
         super().__init__(slo_ms=slo_ms, max_batch_size=max_batch_size)
         if not 0.0 < quantile < 1.0:
             raise ConfigurationError("quantile must be in (0, 1)")
-        if window < 4:
-            raise ConfigurationError("window must be >= 4")
-        if refit_interval < 1:
-            raise ConfigurationError("refit_interval must be >= 1")
         self.quantile = quantile
-        self.window = window
         self.additive_increase = additive_increase
-        self.refit_interval = refit_interval
-        self._observations: Deque[Tuple[int, float]] = deque(maxlen=window)
+        self._observations: Deque[Tuple[int, float]] = deque(maxlen=WINDOW)
         self._batch_size = self._clamp(initial_batch_size)
         self._since_refit = 0
         self._last_latency_ms: Optional[float] = None
-        self.intercept_: Optional[float] = None
-        self.slope_: Optional[float] = None
 
     def current_batch_size(self) -> int:
         return self._batch_size
@@ -137,7 +133,7 @@ class QuantileRegressionController(BatchSizeController):
                 self._batch_size = self._clamp(self._batch_size + self.additive_increase)
             return
 
-        if self._since_refit >= self.refit_interval or latency_ms > self.slo_ms:
+        if self._since_refit >= REFIT_INTERVAL or latency_ms > self.slo_ms:
             self._refit()
             self._since_refit = 0
 
@@ -145,7 +141,6 @@ class QuantileRegressionController(BatchSizeController):
         sizes = np.array([size for size, _ in self._observations], dtype=float)
         latencies = np.array([lat for _, lat in self._observations], dtype=float)
         intercept, slope = fit_quantile_line(sizes, latencies, self.quantile)
-        self.intercept_, self.slope_ = intercept, slope
         if slope <= 1e-9:
             # Latency is flat in batch size within the window: allow growth
             # one step beyond the largest size we have tried so far.

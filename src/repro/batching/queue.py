@@ -57,12 +57,6 @@ class PendingQuery:
     #: flags; else, once its batch answered, the batch's shared BatchSpans.
     trace: Optional[Any] = None
 
-    def expired(self, now: Optional[float] = None) -> bool:
-        """Whether the query's deadline has already passed."""
-        if self.deadline is None:
-            return False
-        return (now if now is not None else clock.now()) >= self.deadline
-
 
 class BatchingQueue:
     """FIFO of pending queries with event-driven async batch draining."""

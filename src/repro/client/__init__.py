@@ -9,11 +9,9 @@ Clients built with ``binary=True`` speak the columnar binary wire encoding
 
 from repro.client.client import (
     COLUMNAR_CONTENT_TYPE,
-    AdminClient,
     ApiStatusError,
     AsyncAdminClient,
     AsyncClipperClient,
-    ClipperClient,
     ClipperClientError,
     DeadlineMissed,
     InvalidInput,
@@ -32,11 +30,9 @@ from repro.client.client import (
 
 __all__ = [
     "COLUMNAR_CONTENT_TYPE",
-    "AdminClient",
     "ApiStatusError",
     "AsyncAdminClient",
     "AsyncClipperClient",
-    "ClipperClient",
     "ClipperClientError",
     "DeadlineMissed",
     "InvalidInput",

@@ -1,4 +1,4 @@
-"""Async and sync clients for the Clipper REST API.
+"""Async clients for the Clipper REST API.
 
 The application side of the paper's Figure 2: an application never imports
 the serving library — it talks to Clipper over REST.  This module is that
@@ -9,10 +9,10 @@ codec (:mod:`repro.rpc.serialization`, numpy-only), the JSON bytes
 stdlib-only), because a wire format is precisely a contract both ends must
 share:
 
-* :class:`AsyncClipperClient` / :class:`ClipperClient` — the two application
-  verbs, ``predict`` and ``update``, plus schema/health introspection.
-* :class:`AsyncAdminClient` / :class:`AdminClient` — the operator verbs of
-  the management API (deploy, scale, rollout/rollback, the canary verbs,
+* :class:`AsyncClipperClient` — the two application verbs, ``predict`` and
+  ``update``, plus schema/health introspection.
+* :class:`AsyncAdminClient` — the operator verbs of the management API
+  (deploy, scale, rollout/rollback, the canary verbs,
   models/health/metrics/routing).
 
 Both speak minimal HTTP/1.1 over a single **keep-alive** connection
@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.verbs import ADMIN_VERBS, Verb
+from repro.api.verbs import ADMIN_VERBS, API_PREFIX, Verb
 from repro.core.exceptions import SerializationError
 from repro.rpc import jsonwire as json  # looked up per call: the bench tracer rebinds ``json``
 from repro.rpc.http11 import FramingError, Http1Connection, media_type, remember
@@ -58,8 +58,6 @@ from repro.rpc.serialization import (
     serialize_buffers,
     serialized_nbytes,
 )
-
-API_PREFIX = "/api/v1"
 
 
 # -- typed exceptions mirroring the wire error model ---------------------------
@@ -153,15 +151,18 @@ _ERRORS_BY_CODE = {
 
 
 def error_from_response(status: int, payload: Any) -> ApiStatusError:
-    """Build the typed exception for a non-2xx response."""
-    error = payload.get("error", {}) if isinstance(payload, dict) else {}
-    code = error.get("code", "internal")
-    message = error.get("message", f"HTTP {status}")
-    detail = error.get("detail")
-    cls = _ERRORS_BY_CODE.get(code)
-    if cls is None:
-        cls = ServerError if status >= 500 else ApiStatusError
-    return cls(status, code, message, detail)
+    """Build the typed exception for a non-2xx response.
+
+    A body that is not the wire error object (a proxy's own JSON, say) maps
+    by its status alone; so does any part of it of the wrong type.
+    """
+    error = payload.get("error") if isinstance(payload, dict) else None
+    error = error if isinstance(error, dict) else {}
+    code, message, detail = error.get("code"), error.get("message"), error.get("detail")
+    code = code if isinstance(code, str) else "internal"
+    message = message if isinstance(message, str) else f"HTTP {status}"
+    cls = _ERRORS_BY_CODE.get(code) or (ServerError if status >= 500 else ApiStatusError)
+    return cls(status, code, message, detail if isinstance(detail, dict) else None)
 
 
 # -- wire helpers --------------------------------------------------------------
@@ -645,61 +646,3 @@ class AsyncAdminClient(_BaseAsyncClient):
 
 
 bind_verbs(AsyncAdminClient, ADMIN_VERBS)
-
-
-class _SyncWrapper:
-    """Runs an async client's coroutines on a private event loop."""
-
-    _async_cls = None
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        retry_policy: Optional[RetryPolicy] = None,
-        binary: bool = False,
-    ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._client = self._async_cls(
-            host, port, retry_policy=retry_policy, binary=binary
-        )
-
-    def _run(self, coroutine):
-        return self._loop.run_until_complete(coroutine)
-
-    def connect(self) -> None:
-        self._run(self._client.connect())
-
-    def close(self) -> None:
-        self._run(self._client.close())
-        self._loop.close()
-
-    def __enter__(self):
-        self.connect()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __getattr__(self, name):
-        """Every public verb of the async client, run to completion."""
-        verb = None if name.startswith("_") else getattr(self._client, name)
-        if not callable(verb):
-            raise AttributeError(name)
-
-        def call(*args, **kwargs):
-            return self._run(verb(*args, **kwargs))
-
-        return call
-
-
-class ClipperClient(_SyncWrapper):
-    """Blocking wrapper around :class:`AsyncClipperClient`."""
-
-    _async_cls = AsyncClipperClient
-
-
-class AdminClient(_SyncWrapper):
-    """Blocking wrapper around :class:`AsyncAdminClient`."""
-
-    _async_cls = AsyncAdminClient

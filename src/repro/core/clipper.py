@@ -23,7 +23,7 @@ pass inside the coroutine its caller awaits.  Two seams keep that path ignorant 
 whether work runs: a **placement** callable given at construction decides
 where each deployment's replicas are built (in this process by default, on
 worker daemons in the cluster), and one
-:class:`~repro.overload.OverloadControl` owns every admission, shed and
+:class:`~repro.overload.control.OverloadControl` owns every admission, shed and
 circuit-breaker decision, handing each query that leaves the cache a ticket
 that ``evaluate`` settles on every exit path.
 
@@ -71,7 +71,7 @@ from repro.core.exceptions import (
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query
 from repro.observability.tracing import Tracer
-from repro.overload import UNGUARDED, OverloadControl
+from repro.overload.control import UNGUARDED, OverloadControl
 from repro.routing.split import TrafficSplit
 from repro.routing.table import RoutePlan, RoutingTable, parse_namespace_keys
 from repro.selection.manager import SelectionStateManager
@@ -93,9 +93,7 @@ class Clipper:
         # The tracing layer follows the metric-handle discipline below:
         # ``begin`` is bound once, and an untraced query's total tracing cost
         # is that one call returning None plus per-site ``is not None`` checks.
-        self.tracer = Tracer(
-            self.config.tracing, metrics=self.metrics, component="engine"
-        )
+        self.tracer = Tracer(self.config.tracing, metrics=self.metrics)
         self._trace_begin = self.tracer.begin
         # The model abstraction layer.  ``placement`` returns the builder of
         # each deployment's replicas — where they live; the cluster ingress

@@ -33,7 +33,8 @@ from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId, ReplicaHealth
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, BatchSpans, Tracer
-from repro.overload import UNGUARDED, CircuitBreaker, Degraded
+from repro.overload.breaker import CircuitBreaker
+from repro.overload.control import UNGUARDED, Degraded
 
 #: How long a closing version waits for its dispatchers to drain its queue.
 DRAIN_TIMEOUT_S = 10.0
@@ -340,8 +341,8 @@ class ModelLayer:
         the outputs (and, for work that is never shed, for room on a full
         queue).  ``request`` is the :class:`Query` or :class:`Feedback`
         carrying the input; ``guard`` the application's
-        :class:`~repro.overload.OverloadControl`, or
-        :data:`~repro.overload.UNGUARDED`.  ``deadline`` bounds a query that
+        :class:`~repro.overload.control.OverloadControl`, or
+        :data:`~repro.overload.control.UNGUARDED`.  ``deadline`` bounds a query that
         must answer by its SLO (None: wait for every model).
         The dispatchers put the outputs in the cache.
 

@@ -243,17 +243,6 @@ class Feedback:
         return digest
 
 
-@dataclass(slots=True)
-class BatchStats:
-    """Summary of one dispatched batch, reported by the batching layer."""
-
-    model_id: ModelId
-    replica_id: int
-    batch_size: int
-    latency_ms: float
-    queue_time_ms: float
-
-
 #: Health states of one container replica.
 REPLICA_HEALTHY = "healthy"
 REPLICA_QUARANTINED = "quarantined"  # out of dispatch, awaiting restart

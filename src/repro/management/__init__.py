@@ -16,46 +16,12 @@ half of Clipper's architecture that mutates a running serving deployment:
   each verb is precheck, one live change, then a projection of the live
   routing into the registry; health and registry introspection per
   application.
-* :class:`~repro.routing.controller.CanaryController` (re-exported from the
-  routing layer) — one per managed application: watches per-arm
-  error-rate/p99 deltas and the canary replicas' health records to
+* :class:`~repro.routing.controller.CanaryController` (in the routing
+  layer) — one per managed application: watches per-arm error-rate/p99
+  deltas and the canary replicas' health records to
   auto-promote or auto-abort in-flight canaries through the frontend's
   registry-recording verbs.
 
 The frontend runs the monitor's probes and the controller's checks, one
 sweep task each per application, while it is started.
 """
-
-from repro.core.types import (
-    REPLICA_HEALTHY,
-    REPLICA_QUARANTINED,
-    REPLICA_RECOVERING,
-    ReplicaHealth,
-)
-from repro.management.frontend import ManagementFrontend
-from repro.management.health import HealthMonitor
-from repro.management.records import (
-    VERSION_CANARY,
-    VERSION_RETIRED,
-    VERSION_SERVING,
-    VERSION_STAGED,
-    VERSION_UNDEPLOYED,
-)
-from repro.management.registry import ModelRegistry
-from repro.routing.controller import CanaryController
-
-__all__ = [
-    "ManagementFrontend",
-    "HealthMonitor",
-    "ModelRegistry",
-    "CanaryController",
-    "ReplicaHealth",
-    "REPLICA_HEALTHY",
-    "REPLICA_QUARANTINED",
-    "REPLICA_RECOVERING",
-    "VERSION_SERVING",
-    "VERSION_STAGED",
-    "VERSION_CANARY",
-    "VERSION_RETIRED",
-    "VERSION_UNDEPLOYED",
-]

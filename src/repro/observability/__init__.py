@@ -11,47 +11,3 @@ Three pieces share this package:
 * :mod:`repro.observability.logging` — structured JSON logging with
   trace-id correlation and an idempotent process-wide setup.
 """
-
-from repro.observability.logging import JsonFormatter, configure_logging, get_logger
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_exposition,
-    render_prometheus,
-    validate,
-)
-from repro.observability.tracing import (
-    TRACE_CANARY,
-    TRACE_DEFAULT_USED,
-    TRACE_ERROR,
-    TRACE_RETRIED,
-    TRACE_SLO_MISS,
-    TRACE_STRAGGLER,
-    TraceContext,
-    TraceRecord,
-    TraceRegistry,
-    Tracer,
-    flag_names,
-    format_trace_id,
-)
-
-__all__ = [
-    "JsonFormatter",
-    "configure_logging",
-    "get_logger",
-    "PROMETHEUS_CONTENT_TYPE",
-    "parse_exposition",
-    "render_prometheus",
-    "validate",
-    "TRACE_CANARY",
-    "TRACE_DEFAULT_USED",
-    "TRACE_ERROR",
-    "TRACE_RETRIED",
-    "TRACE_SLO_MISS",
-    "TRACE_STRAGGLER",
-    "TraceContext",
-    "TraceRecord",
-    "TraceRegistry",
-    "Tracer",
-    "flag_names",
-    "format_trace_id",
-]

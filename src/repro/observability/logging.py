@@ -16,7 +16,6 @@ import logging
 import sys
 from typing import Any, Dict, Optional, TextIO
 
-__all__ = ["JsonFormatter", "configure_logging", "get_logger"]
 
 ROOT_LOGGER_NAME = "repro"
 

@@ -31,13 +31,6 @@ import numpy as np
 
 from repro.core.metrics import MetricsRegistry
 
-__all__ = [
-    "DEFAULT_BUCKETS_MS",
-    "PROMETHEUS_CONTENT_TYPE",
-    "render_prometheus",
-    "parse_exposition",
-    "validate",
-]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -65,11 +58,8 @@ _NAME_SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
 _INLINE_LABEL = re.compile(r'^(?P<base>[^{]+)\{(?P<label>[^=]+)="(?P<value>.*)"\}$')
 
 
-def _metric_name(raw: str, namespace: str, suffix: str = "") -> str:
-    name = _NAME_SANITISE.sub("_", raw)
-    if name and name[0].isdigit():
-        name = "_" + name
-    return f"{namespace}_{name}{suffix}" if namespace else f"{name}{suffix}"
+def _metric_name(raw: str, suffix: str = "") -> str:
+    return f"clipper_{_NAME_SANITISE.sub('_', raw)}{suffix}"
 
 
 def _split_inline_label(raw: str) -> Tuple[str, Optional[Tuple[str, str]]]:
@@ -121,11 +111,7 @@ _SCALAR_KINDS = (
 )
 
 
-def render_prometheus(
-    registries: Mapping[str, MetricsRegistry],
-    namespace: str = "clipper",
-    buckets_ms: Tuple[float, ...] = DEFAULT_BUCKETS_MS,
-) -> str:
+def render_prometheus(registries: Mapping[str, MetricsRegistry]) -> str:
     """Render one or more registries as a Prometheus text exposition.
 
     ``registries`` maps an ``app`` label value (application name, or e.g.
@@ -139,7 +125,7 @@ def render_prometheus(
     def samples_of(app: str, raw: str, kind: str, help_text: str, suffix: str = ""):
         """The sample list, sample name and labels of one registry entry."""
         base, inline = _split_inline_label(raw)
-        name = _metric_name(base, namespace, suffix)
+        name = _metric_name(base, suffix)
         labels = {"app": app}
         if inline:
             labels[_NAME_SANITISE.sub("_", inline[0])] = inline[1]
@@ -162,7 +148,7 @@ def render_prometheus(
                 "(buckets cover retained observations only).",
             )
             values = np.asarray(histogram.values(), dtype=float)
-            for bound in buckets_ms:
+            for bound in DEFAULT_BUCKETS_MS:
                 # One vectorised pass per bound (a scrape must not stall the
                 # event loop walking every retained observation in Python).
                 bucket_labels = {**labels, "le": _format_value(bound)}

@@ -43,23 +43,9 @@ import threading
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core import clock
+from repro.core.config import TracingConfig
 from repro.core.metrics import MetricsRegistry
 
-__all__ = [
-    "TRACE_SLO_MISS",
-    "TRACE_DEFAULT_USED",
-    "TRACE_STRAGGLER",
-    "TRACE_RETRIED",
-    "TRACE_ERROR",
-    "TRACE_CANARY",
-    "BatchSpans",
-    "TraceContext",
-    "TraceRecord",
-    "TraceRegistry",
-    "Tracer",
-    "flag_names",
-    "format_trace_id",
-]
 
 # Tail-capture trigger flags.  A shadow trace whose flags are non-zero at
 # finish is committed; a zero-flag one is dropped.
@@ -293,9 +279,7 @@ class TraceRegistry:
         record = self.get(trace_id)
         return record.to_tree() if record is not None else None
 
-    def recent(
-        self, slow: bool = False, limit: int = 50, component: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
+    def recent(self, slow: bool = False, limit: int = 50) -> List[Dict[str, Any]]:
         """Summaries of recently committed traces, newest first.
 
         ``slow=True`` restricts the listing to traces flagged with an SLO
@@ -303,10 +287,7 @@ class TraceRegistry:
         """
         with self._lock:
             records = [
-                record
-                for name, ring in self._rings.items()
-                if component is None or name == component
-                for record in ring.slots
+                record for ring in self._rings.values() for record in ring.slots
                 if record is not None
             ]
         if slow:
@@ -314,49 +295,25 @@ class TraceRegistry:
         records.sort(key=lambda r: r.end, reverse=True)
         return [record.summary() for record in records[: max(0, limit)]]
 
-    def components(self) -> List[str]:
-        """Names of the components that have committed traces."""
-        with self._lock:
-            return sorted(self._rings)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
-
 
 class Tracer:
     """Per-engine trace factory implementing the three-mode sampling policy.
 
-    Parameters
-    ----------
-    config:
-        Anything with ``enabled`` / ``sample_every`` / ``tail_capture`` /
-        ``ring_capacity`` attributes (normally a
-        :class:`repro.core.config.TracingConfig`); ``None`` uses defaults.
-    metrics:
-        When given, committed *sampled* traces feed per-stage latency
-        histograms (``predict.stage_ms{stage=...}``) through a pre-resolved
-        metric family — the stage names are hashed once, not per query.
-    component:
-        Ring-buffer component name committed traces land under.
-    registry:
-        Share a :class:`TraceRegistry` across tracers; a private one is
-        built otherwise.
+    ``config`` defaults to :class:`~repro.core.config.TracingConfig`'s
+    defaults.  With ``metrics``, committed *sampled* traces feed per-stage
+    latency histograms (``predict.stage_ms{stage=...}``) through a
+    pre-resolved metric family — the stage names are hashed once, not per
+    query.  Query traces land in the ``engine`` component's ring.
     """
 
     def __init__(
-        self,
-        config: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        component: str = "engine",
-        registry: Optional[TraceRegistry] = None,
+        self, config: Optional[TracingConfig] = None, metrics: Optional[MetricsRegistry] = None
     ) -> None:
-        self._enabled = bool(getattr(config, "enabled", True))
-        self._sample_every = max(1, int(getattr(config, "sample_every", 256)))
-        self._tail_capture = self._enabled and bool(getattr(config, "tail_capture", True))
-        capacity = int(getattr(config, "ring_capacity", 512))
-        self._component = component
-        self.registry = registry if registry is not None else TraceRegistry(capacity)
+        config = config or TracingConfig()
+        self._enabled = config.enabled
+        self._sample_every = config.sample_every
+        self._tail_capture = config.enabled and config.tail_capture
+        self.registry = TraceRegistry(config.ring_capacity)
         self._tick = 0
         self._stage_family = (
             metrics.histogram_family("predict.stage_ms", label="stage")
@@ -449,7 +406,7 @@ class Tracer:
         trace_id = format_trace_id(raw_id)
         record = TraceRecord(
             trace_id=trace_id,
-            component=self._component,
+            component="engine",
             start=ctx.start,
             end=clock.now(),
             flags=flags,
@@ -484,7 +441,7 @@ class Tracer:
         trace_id = format_trace_id(next(_TRACE_IDS))
         record = TraceRecord(
             trace_id=trace_id,
-            component=component or self._component,
+            component=component or "engine",
             start=now,
             end=now,
             flags=flags,

@@ -19,16 +19,3 @@ Configuration lives beside the rest of the engine's knobs in
 :mod:`repro.core.config` (:class:`~repro.core.config.OverloadConfig`,
 :class:`~repro.core.config.CircuitBreakerConfig`).
 """
-
-from repro.overload.admission import AdmissionController
-from repro.overload.breaker import CircuitBreaker
-from repro.overload.control import UNGUARDED, Degraded, OverloadControl, Ticket
-
-__all__ = [
-    "AdmissionController",
-    "CircuitBreaker",
-    "Degraded",
-    "OverloadControl",
-    "Ticket",
-    "UNGUARDED",
-]

@@ -23,8 +23,6 @@ from __future__ import annotations
 from repro.core import clock
 from repro.core.config import OverloadConfig
 
-__all__ = ["AdmissionController"]
-
 
 class AdmissionController:
     """Token-bucket + concurrency admission gate for one application."""

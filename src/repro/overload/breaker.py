@@ -23,7 +23,6 @@ from typing import Callable, Deque, Optional
 from repro.core import clock
 from repro.core.config import CircuitBreakerConfig
 
-__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"

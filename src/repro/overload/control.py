@@ -41,7 +41,6 @@ from repro.observability.tracing import Tracer
 from repro.overload.admission import AdmissionController
 from repro.overload.breaker import CircuitBreaker
 
-__all__ = ["Degraded", "OverloadControl", "Ticket", "UNGUARDED"]
 
 _SHED_POLICIES = ("reject", "degrade", "drop-oldest")
 

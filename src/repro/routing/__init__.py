@@ -15,27 +15,3 @@ touching the predict hot path:
   error-rate/p99 deltas and the health monitor's quarantine signal to
   auto-promote or auto-abort in-flight canaries.
 """
-
-from repro.core.metrics import ARM_METRIC_PREFIX
-from repro.routing.controller import CanaryController, CanaryDecision
-from repro.routing.split import TrafficSplit, assignment_fraction
-from repro.routing.table import (
-    SELECTION_NAMESPACE_PREFIX,
-    RoutePlan,
-    RoutingTable,
-    parse_namespace_keys,
-    selection_namespace,
-)
-
-__all__ = [
-    "TrafficSplit",
-    "RoutingTable",
-    "RoutePlan",
-    "CanaryController",
-    "CanaryDecision",
-    "assignment_fraction",
-    "selection_namespace",
-    "parse_namespace_keys",
-    "SELECTION_NAMESPACE_PREFIX",
-    "ARM_METRIC_PREFIX",
-]

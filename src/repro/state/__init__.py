@@ -1,19 +1,6 @@
 """Externalized state storage (the reproduction's Redis stand-in).
 
-:class:`KeyValueStore` is the in-memory default; :class:`DurableKeyValueStore`
-is the WAL-backed drop-in for state that must survive a crash.
+:class:`~repro.state.kvstore.KeyValueStore` is the in-memory default;
+:class:`~repro.state.durable.DurableKeyValueStore` is the WAL-backed drop-in
+for state that must survive a crash.
 """
-
-from repro.state.durable import DurableKeyValueStore, StoreRecovery
-from repro.state.kvstore import KeyValueStore
-from repro.state.wal import WalRecovery, WalWriter, frame, read_records
-
-__all__ = [
-    "KeyValueStore",
-    "DurableKeyValueStore",
-    "StoreRecovery",
-    "WalRecovery",
-    "WalWriter",
-    "frame",
-    "read_records",
-]

@@ -15,12 +15,13 @@ import pytest
 
 from helpers import run_async
 from repro.api.columnar import COLUMNAR_CONTENT_TYPE, decode_columnar
-from repro.api.errors import BadRequestError, NotAcceptableError
+from repro.api.errors import NotAcceptableError
 from repro.api.http import JSON_CONTENT_TYPE, create_server
-from repro.client import AsyncClipperClient, ClipperClient, encode_binary_input
+from repro.client import AsyncClipperClient, encode_binary_input
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.exceptions import BadRequestError
 from repro.core.frontend import QueryFrontend
 from repro.rpc.serialization import deserialize, serialize_buffers
 
@@ -37,10 +38,10 @@ def make_app(name="demo", output=1, **config_kwargs):
     return clipper
 
 
-def make_server(clipper, **kwargs):
+def make_server(clipper):
     query = QueryFrontend()
     query.register_application(clipper)
-    return create_server(query=query, **kwargs)
+    return create_server(query=query)
 
 
 def columnar_body(payload) -> bytes:
@@ -152,37 +153,6 @@ class TestBinaryClient:
                     await bin_client.update("demo", x, 7)
 
         run_async(scenario())
-
-    def test_sync_client_speaks_binary(self):
-        # Server on its own loop in a background thread, blocking client in
-        # the test thread — the realistic shape for the sync wrapper.
-        import threading
-
-        loop = asyncio.new_event_loop()
-        box = {}
-        started = threading.Event()
-
-        def serve():
-            asyncio.set_event_loop(loop)
-            server = make_server(make_app(output=5, input_type="floats"))
-            loop.run_until_complete(server.start())
-            box["server"] = server
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert started.wait(10.0)
-        server = box["server"]
-        try:
-            with ClipperClient("127.0.0.1", server.port, binary=True) as client:
-                result = client.predict("demo", np.ones(4, dtype=np.float32))
-                assert result.output == 5
-        finally:
-            asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(10.0)
-            loop.close()
 
     def test_bytes_input_travels_natively(self):
         async def scenario():

@@ -19,7 +19,6 @@ from repro.api.routes import ApiResponse, RouteTable
 from repro.client import (
     AsyncAdminClient,
     AsyncClipperClient,
-    ClipperClient,
     InvalidInput,
     MalformedRequest,
     ManagementConflict,
@@ -331,6 +330,8 @@ class TestServingOverHttp:
                     assert first.output == 7 and again.output == 7
                     assert again.from_cache is True
                     await client.update("demo", [1.0, 2.0], label=7)
+                    applications = await client.applications()
+                    assert [a["app_name"] for a in applications] == ["demo"]
                     health = await client.health()
                     assert health["applications"] == ["demo"]
                     schema = await client.schema("demo")
@@ -419,40 +420,6 @@ class TestServingOverHttp:
                     assert result.output == 3
 
         run_async(scenario())
-
-    def test_sync_client(self):
-        # The realistic shape for the blocking client: the server lives on
-        # its own event loop in a background thread, the client blocks in
-        # the test thread.
-        import threading
-
-        loop = asyncio.new_event_loop()
-        box = {}
-        started = threading.Event()
-
-        def serve():
-            asyncio.set_event_loop(loop)
-            server = make_server(make_app(output=5))
-            loop.run_until_complete(server.start())
-            box["server"] = server
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert started.wait(10.0)
-        server = box["server"]
-        try:
-            with ClipperClient("127.0.0.1", server.port) as client:
-                result = client.predict("demo", [0.0])
-                assert result.output == 5
-                client.update("demo", [0.0], label=5)
-                assert [a["app_name"] for a in client.applications()] == ["demo"]
-        finally:
-            asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(10.0)
-            loop.close()
 
     def test_numpy_inputs_encode_client_side(self):
         async def scenario():

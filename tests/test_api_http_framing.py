@@ -193,16 +193,6 @@ class TestRefusals:
 
         assert_refused(*run_async(scenario()), "too many")
 
-    def test_configured_header_limit(self):
-        async def scenario():
-            async with Edge(max_header_count=2) as edge:
-                ok = await edge.exchange(get(b"A: 1\r\n"), half_close=True)
-                assert [r[0] for r in split_responses(ok)] == [200]
-                del edge.calls[:]
-                return await edge.exchange(get(b"A: 1\r\nB: 2\r\n")), edge.calls
-
-        assert_refused(*run_async(scenario()), "too many")
-
     def test_head_over_64_kib(self):
         async def scenario():
             async with Edge() as edge:

@@ -5,15 +5,16 @@ import itertools
 import pytest
 
 from helpers import run_async
-from repro.api import routes as routes_module
 from repro.api.errors import MethodNotAllowedError, RouteNotFoundError
 from repro.api.handlers import build_route_table
-from repro.api.routes import API_PREFIX, ApiResponse, RouteTable
+from repro.api.routes import ApiResponse, RouteTable
+from repro.api.verbs import API_PREFIX
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.frontend import QueryFrontend
 from repro.management.frontend import ManagementFrontend
+from repro.rpc.http11 import MEMO_MAX
 
 
 async def echo(params, body):
@@ -72,7 +73,7 @@ class TestRouteTable:
 
 
 def _scan(table, method, path):
-    """The linear scan the index replaced: first registered match wins."""
+    """The rule the memo must agree with: first registered match wins."""
     parts = tuple(path.strip("/").split("/"))
     allowed = []
     for route in table.routes():
@@ -85,7 +86,7 @@ def _scan(table, method, path):
     return ("405", sorted(set(allowed))) if allowed else ("404", None)
 
 
-class TestRouteIndex:
+class TestRouteMemo:
     def make_table(self):
         table = RouteTable()
         table.add("GET", "/api/v1/health", "health", echo)
@@ -134,7 +135,22 @@ class TestRouteIndex:
                 table.match("POST", "/api/v1/demo")
         for i in range(200):
             assert table.match("GET", f"/api/v1/app{i}/schema")[1] == {"app": f"app{i}"}
-        assert len(table._matched) == routes_module._MATCHED_MAX
+        assert len(table._matched) <= MEMO_MAX
+
+    def test_a_full_memo_starts_over_instead_of_forgetting_new_paths(self, monkeypatch):
+        from repro.api.routes import Route
+
+        table = self.make_table()
+        for i in range(MEMO_MAX + 1):
+            table.match("GET", f"/api/v1/trace/{i:016x}")
+        table.match("POST", "/api/v1/later-app/predict")
+        tried = []
+        original = Route.match_path
+        monkeypatch.setattr(
+            Route, "match_path", lambda self, parts: tried.append(self) or original(self, parts)
+        )
+        route, params = table.match("POST", "/api/v1/later-app/predict")
+        assert route.name == "predict" and params == {"app": "later-app"} and not tried
 
     def test_registration_order_decides_between_overlapping_shapes(self):
         table = self.make_table()
@@ -146,7 +162,7 @@ class TestRouteIndex:
             table.match("PUT", "/api/v1/demo/predict")
         assert excinfo.value.detail["allowed"] == ["DELETE", "GET", "POST"]
 
-    def test_a_predict_tries_at_most_two_routes(self, monkeypatch):
+    def test_a_repeated_predict_tries_no_route(self, monkeypatch):
         from repro.api.routes import Route
 
         clipper = Clipper(ClipperConfig(app_name="demo", selection_policy="single"))
@@ -156,6 +172,7 @@ class TestRouteIndex:
         admin.register_application(clipper)
         table = build_route_table(query=query, admin=admin)
         assert len(table.routes()) > 20
+        table.match("POST", f"{API_PREFIX}/demo/predict")
         tried = []
         original = Route.match_path
         monkeypatch.setattr(
@@ -163,7 +180,7 @@ class TestRouteIndex:
         )
         route, params = table.match("POST", f"{API_PREFIX}/demo/predict")
         assert route.name == "predict" and params == {"app": "demo"}
-        assert len(tried) <= 2
+        assert not tried
 
 
 def _tuples(items, n):

@@ -16,7 +16,6 @@ import pytest
 
 from helpers import run_async
 from repro.api import verbs
-from repro.api.errors import BadRequestError, UnknownApplicationError
 from repro.api.handlers import build_route_table
 from repro.api.http import create_server
 from repro.api.verbs import ADMIN_VERBS, Field, Verb
@@ -25,7 +24,8 @@ from repro.client.client import _BaseAsyncClient, bind_verbs
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.management import ManagementFrontend
+from repro.core.exceptions import BadRequestError, UnknownApplicationError
+from repro.management.frontend import ManagementFrontend
 
 POSTS = [verb for verb in ADMIN_VERBS if verb.method == "POST"]
 

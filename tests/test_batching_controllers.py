@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.batching.aimd import AIMDController
-from repro.batching.controllers import (
-    FixedBatchSizeController,
-    NoBatchingController,
-    make_controller,
-)
+from repro.batching.controllers import FixedBatchSizeController, make_controller
 from repro.batching.quantile import QuantileRegressionController, fit_quantile_line
 from repro.core.config import BatchingConfig
 from repro.core.exceptions import ConfigurationError
@@ -126,8 +122,6 @@ class TestQuantileController:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             QuantileRegressionController(slo_ms=10, quantile=1.2)
-        with pytest.raises(ConfigurationError):
-            QuantileRegressionController(slo_ms=10, window=2)
 
 
 class TestStaticControllers:
@@ -137,8 +131,10 @@ class TestStaticControllers:
         assert controller.current_batch_size() == 32
 
     def test_no_batching_is_always_one(self):
-        controller = NoBatchingController()
+        controller = make_controller(BatchingConfig(policy="none"), slo_ms=20.0)
         controller.observe(1, latency_ms=100.0)
+        assert controller.current_batch_size() == 1
+        controller.observe(1, latency_ms=1.0)
         assert controller.current_batch_size() == 1
 
     def test_fixed_validation(self):
@@ -153,7 +149,7 @@ class TestFactory:
             ("aimd", AIMDController),
             ("quantile", QuantileRegressionController),
             ("fixed", FixedBatchSizeController),
-            ("none", NoBatchingController),
+            ("none", FixedBatchSizeController),
         ],
     )
     def test_factory_builds_correct_type(self, policy, expected_type):

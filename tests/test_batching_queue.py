@@ -139,19 +139,6 @@ class TestDelayedBatching:
         run_async(scenario())
 
 
-class TestPendingQuery:
-    def test_expired(self):
-        async def scenario():
-            item = make_item(1, deadline=time.monotonic() - 1.0)
-            assert item.expired()
-            fresh = make_item(2, deadline=time.monotonic() + 100.0)
-            assert not fresh.expired()
-            no_deadline = make_item(3)
-            assert not no_deadline.expired()
-
-        run_async(scenario())
-
-
 class TestBoundedQueueClose:
     def test_put_raises_promptly_when_closed_while_waiting(self):
         """Regression: a producer parked on a full bounded queue must raise

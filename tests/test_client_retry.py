@@ -348,3 +348,33 @@ class TestRetryAfter:
                 return status
 
         assert run_async(scenario()) == 200
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize(
+        "status,payload,expected,code",
+        [
+            (429, {"error": {"code": "overloaded", "status": 429, "message": "shed",
+                             "detail": {}}}, "ServiceOverloaded", "overloaded"),
+            (404, {"error": {"code": "unknown_application", "message": "no app"}},
+             "UnknownApplication", "unknown_application"),
+            (409, {"error": {"code": "brand_new_code", "message": "?"}},
+             "ApiStatusError", "brand_new_code"),
+            # Bodies not in the wire error shape map by status alone.
+            (502, {"error": "bad gateway"}, "ServerError", "internal"),
+            (400, {"error": None}, "ApiStatusError", "internal"),
+            (500, {"error": {"detail": "oops"}}, "ServerError", "internal"),
+            (503, {"error": {"code": ["x"], "message": 7}}, "ServerError", "internal"),
+            (418, ["not", "an", "object"], "ApiStatusError", "internal"),
+            (500, None, "ServerError", "internal"),
+        ],
+    )
+    def test_a_body_maps_to_the_typed_error_of_its_code_or_status(
+        self, status, payload, expected, code
+    ):
+        from repro.client import client
+
+        error = client.error_from_response(status, payload)
+        assert type(error) is getattr(client, expected)
+        assert (error.status, error.code) == (status, code)
+        assert isinstance(error.message, str) and isinstance(error.detail, dict)

@@ -20,18 +20,20 @@ from repro.core.exceptions import ContainerError, PredictionTimeoutError
 from repro.core.types import ModelId
 
 
-def build_dispatcher(container, controller=None, batch_wait_timeout_ms=0.0, drop_expired=True):
+def build_dispatcher(container, controller=None, batch_wait_timeout_ms=0.0):
     replica = ContainerReplica(ModelId("model"), 0, container)
     queue = BatchingQueue()
     controller = controller or FixedBatchSizeController(batch_size=8)
     dispatcher = ReplicaDispatcher(
-        replica,
-        queue,
-        controller,
-        batch_wait_timeout_ms=batch_wait_timeout_ms,
-        drop_expired=drop_expired,
+        replica, queue, controller, batch_wait_timeout_ms=batch_wait_timeout_ms
     )
     return replica, queue, dispatcher
+
+
+def batch_sizes(dispatcher):
+    """The size of every batch the dispatcher measured, oldest first."""
+    name = f"model.{dispatcher.replica.model_id}.batch_size"
+    return dispatcher.metrics.histogram(name).values()
 
 
 def make_item(value, deadline=None, query_id=None):
@@ -49,7 +51,7 @@ class TestDispatchBatch:
             items = [make_item(np.zeros(1)) for _ in range(3)]
             await dispatcher.dispatch_batch(items)
             assert [item.future.result() for item in items] == [4, 4, 4]
-            assert dispatcher.batch_history[0].batch_size == 3
+            assert batch_sizes(dispatcher) == [3]
             await replica.stop()
 
         run_async(scenario())
@@ -83,20 +85,6 @@ class TestDispatchBatch:
                     assert cached["model:1"] is output  # copied once, shared
             finally:
                 await replica.stop()
-
-        run_async(scenario())
-
-    def test_batch_history_is_bounded(self):
-        async def scenario():
-            replica, queue, dispatcher = build_dispatcher(NoOpContainer())
-            await replica.start()
-            for _ in range(2999):
-                await dispatcher.dispatch_batch([make_item(np.zeros(1))])
-            await dispatcher.dispatch_batch([make_item(np.zeros(1)) for _ in range(2)])
-            assert len(dispatcher.batch_history) == 1024
-            assert dispatcher.batch_history[-1].batch_size == 2
-            assert dispatcher.batch_history[0].batch_size == 1
-            await replica.stop()
 
         run_async(scenario())
 
@@ -141,15 +129,23 @@ class TestDispatchBatch:
 
         run_async(scenario())
 
-    def test_expired_queries_kept_when_drop_disabled(self):
+    def test_an_expired_query_is_reported_with_its_own_id_and_budget(self):
         async def scenario():
-            replica, queue, dispatcher = build_dispatcher(
-                NoOpContainer(output=1), drop_expired=False
-            )
+            replica, queue, dispatcher = build_dispatcher(NoOpContainer(output=1))
             await replica.start()
-            expired = make_item(np.zeros(1), deadline=time.monotonic() - 1.0)
-            await dispatcher.dispatch_batch([expired])
-            assert expired.future.result() == 1
+            loop = asyncio.get_running_loop()
+            now = clock.now()
+            first = PendingQuery(np.zeros(1), loop.create_future(), now - 0.05,
+                                 deadline=now - 0.02, query_id=0)
+            anonymous = PendingQuery(np.zeros(1), loop.create_future(), now - 0.05,
+                                     deadline=now - 0.01)
+            await dispatcher.dispatch_batch([first, anonymous])
+            error = first.future.exception()
+            assert isinstance(error, PredictionTimeoutError)
+            assert error.query_id == 0 and error.deadline_ms == pytest.approx(30.0)
+            assert str(error) == "query 0 missed its latency deadline of 30.0 ms"
+            error = anonymous.future.exception()
+            assert error.query_id == -1 and error.deadline_ms == pytest.approx(40.0)
             await replica.stop()
 
         run_async(scenario())
@@ -183,8 +179,8 @@ class TestDispatchLoop:
             await asyncio.gather(*[item.future for item in items])
             await dispatcher.stop()
             await replica.stop()
-            assert all(stats.batch_size <= 4 for stats in dispatcher.batch_history)
-            assert sum(stats.batch_size for stats in dispatcher.batch_history) == 16
+            assert all(size <= 4 for size in batch_sizes(dispatcher))
+            assert sum(batch_sizes(dispatcher)) == 16
 
         run_async(scenario())
 

@@ -4,12 +4,13 @@ Every generated batch is dispatched onto a recording replica on a hand-set
 clock, and what happened must equal the outcome table :func:`expected`
 computes from the case alone:
 
-* **what is sent** — with ``drop_expired``, an entry whose deadline the clock
-  has reached is left out; the rest go in batch order, with per-entry
+* **what is sent** — an entry whose deadline the clock has reached is left
+  out; the rest go in batch order, with per-entry
   deadlines (0.0 = none) only when some entry of the batch carries one, and a
   batch with nothing left is not sent at all;
 * **how each future ends** — an entry left out as expired, and one the
-  container skipped, fails with ``PredictionTimeoutError(query_id or -1)``;
+  container skipped, fails with ``PredictionTimeoutError`` naming its query
+  id (-1 for none) and its budget, deadline less enqueue time;
   an answered one gets its output; after a failed batch an entry is requeued
   while it has a retry left and otherwise fails with the batch's error; a
   future already resolved or cancelled stays as it was;
@@ -35,7 +36,6 @@ a batch of unsampled queries sends none.
 from __future__ import annotations
 
 import asyncio
-from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -47,6 +47,7 @@ from repro.batching.aimd import AIMDController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core.config import TracingConfig
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.types import ModelId
 from repro.observability.tracing import (
@@ -66,7 +67,7 @@ MODEL = ModelId("model", 1)
 T0 = 1000.0  # the hand-set clock when the batch is formed
 ANSWERED = T0 + 0.002  # the replica takes 2 ms of it
 DEADLINES = {"none": None, "past": T0 - 0.001, "now": T0, "future": T0 + 0.020}
-TRACING = SimpleNamespace(enabled=True, sample_every=1 << 30)
+TRACING = TracingConfig(sample_every=1 << 30)
 
 
 class RecordingReplica:
@@ -148,7 +149,7 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
     hand.now = T0
     # Head sampling never fires: the case's contexts are made by hand below.
     tracer = {
-        "on": Tracer(TRACING), "off": Tracer(SimpleNamespace(enabled=False)), "none": None,
+        "on": Tracer(TRACING), "off": Tracer(TracingConfig(enabled=False)), "none": None,
     }[case["tracer"]]
     contexts = Tracer(TRACING)  # where this world's contexts come from
     replica = RecordingReplica(case, hand)
@@ -158,7 +159,6 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
         replica=replica,
         queue=queue,
         controller=AIMDController(slo_ms=50.0),
-        drop_expired=case["drop_expired"],
         max_retries=case["max_retries"],
         cache=cache,
         tracer=tracer,
@@ -235,10 +235,10 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
         "futures": [future_state(item.future) for item in batch],
         "cached": cache.fills,
         "requeued": [(item.input, item.attempts) for item in queue._items],
-        "history": [
-            (stats.batch_size, stats.queue_time_ms, stats.latency_ms)
-            for stats in dispatcher.batch_history
-        ],
+        "history": list(zip(
+            dispatcher._batch_size_hist.values(), dispatcher._queue_wait_hist.values(),
+            dispatcher._batch_latency_hist.values(),
+        )),
         "batches": (
             dispatcher._batch_size_hist.count, dispatcher.batches_failed,
             dispatcher.consecutive_failures,
@@ -266,15 +266,16 @@ def failed(error: Exception) -> tuple:
 
 
 def timed_out(plan: dict) -> tuple:
-    return failed(PredictionTimeoutError(plan["query_id"] or -1, 0.0))
+    deadline = DEADLINES[plan["deadline"]]
+    budget_ms = 0.0 if deadline is None else (deadline - queued(plan)) * 1000.0
+    query_id = -1 if plan["query_id"] is None else plan["query_id"]
+    return failed(PredictionTimeoutError(query_id, budget_ms))
 
 
 def expected(case: dict) -> dict:
     """What ``dispatch_batch`` must do with the case's batch, entry by entry."""
     plans, outcome = case["items"], case["outcome"]
-    drop = case["drop_expired"]
-    live = [i for i, plan in enumerate(plans)
-            if not (drop and plan["deadline"] in ("past", "now"))]
+    live = [i for i, plan in enumerate(plans) if plan["deadline"] not in ("past", "now")]
     futures = [BEFORE[plan["future"]] for plan in plans]
     for i, plan in enumerate(plans):
         if i not in live and futures[i] == PENDING:
@@ -286,7 +287,7 @@ def expected(case: dict) -> dict:
     }
     retried = set()
     if live:
-        carries_deadline = drop and any(plan["deadline"] != "none" for plan in plans)
+        carries_deadline = any(plan["deadline"] != "none" for plan in plans)
         table["sent"] = [(live, [DEADLINES[plans[i]["deadline"]] or 0.0 for i in live]
                           if carries_deadline else None)]
         if outcome != "rpc_error":
@@ -366,7 +367,6 @@ ITEM = st.fixed_dictionaries(
 CASE = st.fixed_dictionaries(
     {
         "items": st.lists(ITEM, min_size=1, max_size=12),
-        "drop_expired": st.booleans(),
         "tracer": st.sampled_from(["on", "on", "on", "off", "none"]),
         "outcome": st.sampled_from(["ok", "ok", "ok", "container_error", "rpc_error"]),
         "stamps": st.booleans(),
@@ -401,7 +401,7 @@ class TestDispatchBatchContract:
                 {**plan, "finish": "slo_miss"},
                 {**plan, "deadline": "none"},
             ],
-            "drop_expired": True, "tracer": "on", "outcome": "ok", "stamps": True,
+            "tracer": "on", "outcome": "ok", "stamps": True,
             "skipped": {3}, "max_retries": 0,
         }
         happened = dispatched(case)
@@ -409,7 +409,7 @@ class TestDispatchBatchContract:
         # Sampled + straggler own ids; the unsampled send nothing.
         assert happened["wire_ids"][0] == list(happened["owned_ids"].values())
         assert happened["futures"][1] == ("exception", "PredictionTimeoutError", (
-            "query -1 missed its latency deadline of 0.0 ms",))
+            "query -1 missed its latency deadline of 4.0 ms",))
         assert happened["history"] == [(5, pytest.approx(9.0), pytest.approx(2.0))]
         # Entry 3 sits at position 2 of the sent batch: position 3 (entry 4)
         # was skipped; every answered output, the straggler's too, was cached.

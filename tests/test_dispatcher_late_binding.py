@@ -169,7 +169,7 @@ class TestQueriesBindAtTheLastMoment:
 
     @scenario
     async def test_full_window_at_depth_2_also_leaves_the_queue_alone(self):
-        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0)
         await rig.open_pipeline()
         while rig.replica.pending:
             await rig.replica.answer()
@@ -268,7 +268,7 @@ class TestQueriesBindAtTheLastMoment:
 class TestMeasuredDepth:
     @scenario
     async def test_slow_model_is_never_pipelined(self):
-        rig = Rig(eval_ms=10.0, overhead_ms=1.0, pipeline_window=2)
+        rig = Rig(eval_ms=10.0, overhead_ms=1.0)
         await rig.serve(40)
         assert rig.replica.max_in_flight == 1
         assert rig.dispatcher.pipeline_depth == 1
@@ -278,8 +278,9 @@ class TestMeasuredDepth:
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     @scenario
-    async def test_rpc_bound_model_reaches_the_cap(self, window):
-        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=window)
+    async def test_rpc_bound_model_reaches_the_cap(self, window, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", window)
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0)
         assert rig.dispatcher.pipeline_depth == 1  # starts serial
         await rig.serve(40)
         assert rig.dispatcher.pipeline_depth == window
@@ -287,8 +288,9 @@ class TestMeasuredDepth:
         await rig.close()
 
     @scenario
-    async def test_depth_between_one_and_the_cap_follows_the_ratio(self):
-        rig = Rig(eval_ms=1.0, overhead_ms=2.5, pipeline_window=8)
+    async def test_depth_between_one_and_the_cap_follows_the_ratio(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", 8)
+        rig = Rig(eval_ms=1.0, overhead_ms=2.5)
         await rig.serve(60)
         assert rig.dispatcher.pipeline_depth == 3  # 1 + floor(2.5 / 1.0)
         assert rig.replica.max_in_flight == 3
@@ -296,7 +298,7 @@ class TestMeasuredDepth:
 
     @scenario
     async def test_depth_falls_back_to_1_when_the_evaluation_grows(self):
-        rig = Rig(eval_ms=0.1, overhead_ms=1.0, pipeline_window=2)
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0)
         await rig.open_pipeline()
         rig.replica.eval_ms = 10.0
         await rig.serve(10)
@@ -312,7 +314,7 @@ class TestMeasuredDepth:
     @scenario
     async def test_full_pipeline_drains_now_and_then_to_remeasure_the_overhead(self):
         """A saturated pipeline never meets an idle replica by itself."""
-        rig = Rig(eval_ms=1.0, overhead_ms=20.0, pipeline_window=2)
+        rig = Rig(eval_ms=1.0, overhead_ms=20.0)
         await rig.serve(3)
         assert rig.dispatcher.pipeline_depth == 2
         # The path gets fast (say the first trips paid for a cold connection):
@@ -326,9 +328,7 @@ class TestMeasuredDepth:
     @scenario
     async def test_depth_and_estimates_are_published_as_gauges(self):
         metrics = MetricsRegistry()
-        rig = Rig(
-            metrics=metrics, eval_ms=0.1, overhead_ms=1.0, pipeline_window=2
-        )
+        rig = Rig(metrics=metrics, eval_ms=0.1, overhead_ms=1.0)
         assert metrics.snapshot().gauges["model.gated:1.pipeline_depth"] == 1
         await rig.serve(40)
         gauges = metrics.snapshot().gauges
@@ -350,17 +350,14 @@ class TestControllerSignal:
         # A slow RPC path in front of a model costing 0.5 ms per query: under
         # a 16 ms objective the largest batch that fits is 12, and the path
         # is slow enough that a cap of 2 really does overlap batches there.
-        rig = Rig(
-            controller=controller,
-            eval_ms=lambda size: 0.5 * size,
-            overhead_ms=10.0,
-            pipeline_window=window,
-        )
-        sizes = []
-        for _ in range(400):
-            await rig.serve(1, backlog=64)
-            sizes.append(controller.current_batch_size())
-        await rig.close()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", window)
+            rig = Rig(controller=controller, eval_ms=lambda size: 0.5 * size, overhead_ms=10.0)
+            sizes = []
+            for _ in range(400):
+                await rig.serve(1, backlog=64)
+                sizes.append(controller.current_batch_size())
+            await rig.close()
         tail = sizes[-100:]
         return sum(tail) / len(tail), rig.replica.max_in_flight
 
@@ -377,14 +374,10 @@ class TestControllerSignal:
 class TestEveryFutureResolvesExactlyOnce:
     @pytest.mark.parametrize("window", [1, 2])
     @scenario
-    async def test_across_failure_retry_cooldown_and_stop(self, window):
-        rig = Rig(
-            eval_ms=0.1,
-            overhead_ms=1.0,
-            pipeline_window=window,
-            max_retries=1,
-            failure_cooldown_ms=1.0,
-        )
+    async def test_across_failure_retry_cooldown_and_stop(self, window, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", window)
+        monkeypatch.setattr(dispatcher_module, "FAILURE_COOLDOWN_MS", 1.0)
+        rig = Rig(eval_ms=0.1, overhead_ms=1.0, max_retries=1)
         if window > 1:
             await rig.open_pipeline()
         while rig.replica.pending:
@@ -466,8 +459,9 @@ class TestEveryFutureResolvesExactlyOnce:
 
     @pytest.mark.parametrize("window", [1, 2])
     @scenario
-    async def test_failed_response_fails_each_query_once(self, window):
-        rig = Rig(pipeline_window=window)
+    async def test_failed_response_fails_each_query_once(self, window, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", window)
+        rig = Rig()
 
         async def refuse(inputs, **_):
             return RpcResponse(request_id=0, outputs=[], error="boom")

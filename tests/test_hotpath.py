@@ -943,9 +943,7 @@ class TestInlineEdgeBudget:
                 x = np.arange(256, dtype=np.float32)
                 await frontend.predict(self.APP, x)  # fills the cache
                 wire = _Wire()
-                conn = Http1Connection(
-                    server._max_body_bytes, server._max_header_count, server._on_connection
-                )
+                conn = Http1Connection(server._max_body_bytes, connected=server._on_connection)
                 conn.connection_made(wire)
                 request = self.request(x)
                 for _ in range(2):  # memos and learned layouts filled

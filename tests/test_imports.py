@@ -5,8 +5,9 @@ walks both trees so a dangling ``from repro.<gone> import ...`` fails
 here rather than at a user's first call.
 
 Two boundary contracts.  A worker process hosts containers and never loads
-the serving engine: the sub-packages export nothing and the top-level
-names resolve on first access, so ``import repro.cluster.worker`` in a fresh
+the serving engine: no sub-package but the client SDK binds a name in its
+``__init__`` (one import path per name) and the top-level names resolve on
+first access, so ``import repro.cluster.worker`` in a fresh
 interpreter must leave every engine module out of ``sys.modules``.  And the
 serving system never loads the paper kit (``benchmarks/paperkit``): the
 dependency points one way, from the kit to ``repro``.
@@ -33,6 +34,10 @@ MODULES = sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
 ) + sorted(
     info.name for info in pkgutil.walk_packages(paperkit.__path__, prefix="paperkit.")
+)
+
+SUBPACKAGES = sorted(
+    info.name for info in pkgutil.iter_modules(repro.__path__, prefix="repro.") if info.ispkg
 )
 
 #: Modules (a package stands for itself and everything under it) that a
@@ -95,6 +100,19 @@ def test_a_worker_does_not_load_the_serving_engine():
 
 def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import repro") == ["repro"]
+
+
+@pytest.mark.parametrize("name", [p for p in SUBPACKAGES if p != "repro.client"])
+def test_a_sub_package_binds_no_public_name(name):
+    # ``repro.client`` is the SDK's public face; every other name is imported
+    # from the module that defines it.
+    code = f"import {name} as p\nprint([n for n in vars(p) if not n.startswith('_')])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", repro.__all__)

@@ -10,7 +10,7 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import ManagementError
 from repro.core.types import Query
 from repro.core.frontend import QueryFrontend
-from repro.management import ManagementFrontend
+from repro.management.frontend import ManagementFrontend
 from repro.management.records import VERSION_SERVING, VERSION_STAGED
 
 

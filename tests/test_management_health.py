@@ -12,7 +12,8 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Query
 from repro.management.health import HealthMonitor
-from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED, ManagementFrontend
+from repro.core.types import REPLICA_HEALTHY, REPLICA_QUARANTINED
+from repro.management.frontend import ManagementFrontend
 
 APP = "health-app"
 

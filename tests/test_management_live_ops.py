@@ -20,7 +20,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import DeploymentError
 from repro.core.types import Feedback, Query
-from repro.management import ManagementFrontend
+from repro.management.frontend import ManagementFrontend
 
 
 def build_clipper(policy="single", **config_kwargs):

@@ -47,31 +47,21 @@ from repro.observability.tracing import (
 from repro.rpc.protocol import RpcRequest, RpcResponse
 
 
-class _Config:
-    """Bare tracing-config stand-in (Tracer reads attributes, not the type)."""
-
-    def __init__(self, **kwargs):
-        self.enabled = kwargs.get("enabled", True)
-        self.sample_every = kwargs.get("sample_every", 256)
-        self.tail_capture = kwargs.get("tail_capture", True)
-        self.ring_capacity = kwargs.get("ring_capacity", 512)
-
-
 class TestTracer:
     def test_disabled_tracer_begins_nothing(self):
-        tracer = Tracer(_Config(enabled=False))
+        tracer = Tracer(TracingConfig(enabled=False))
         assert tracer.begin() is None
         assert tracer.begin(trace_id="forced") is None
         assert tracer.capture_event("x") is None
         assert not tracer.active
 
     def test_head_sampling_period(self):
-        tracer = Tracer(_Config(sample_every=4))
+        tracer = Tracer(TracingConfig(sample_every=4))
         picked = [tracer.begin() is not None for _ in range(8)]
         assert picked == [False, False, False, True, False, False, False, True]
 
     def test_client_trace_id_forces_sampling(self):
-        tracer = Tracer(_Config(sample_every=1_000_000))
+        tracer = Tracer(TracingConfig(sample_every=1_000_000))
         ctx = tracer.begin(trace_id="client-id-1")
         assert ctx is not None and ctx.sampled
         trace_id = tracer.finish(ctx)
@@ -79,14 +69,14 @@ class TestTracer:
         assert tracer.registry.get("client-id-1") is not None
 
     def test_boring_shadow_commits_nothing_and_owns_no_id(self):
-        tracer = Tracer(_Config(sample_every=1_000_000))
+        tracer = Tracer(TracingConfig(sample_every=1_000_000))
         ctx = tracer.shadow(0.0)
         assert not ctx.sampled and ctx.trace_id is None
         assert tracer.finish(ctx) is None
-        assert len(tracer.registry) == 0 and ctx.trace_id is None
+        assert tracer.registry.recent() == [] and ctx.trace_id is None
 
     def test_a_shadow_folds_in_what_its_entries_were_stamped_with(self):
-        tracer = Tracer(_Config(sample_every=1_000_000))
+        tracer = Tracer(TracingConfig(sample_every=1_000_000))
         common = [("rpc.send", 0.3, 0.4, None)]
         answered = SimpleNamespace(enqueue_time=0.1, trace=BatchSpans(0.2, common))
         retried = SimpleNamespace(enqueue_time=0.1, trace=tracer.shadow(0.1))
@@ -102,7 +92,7 @@ class TestTracer:
         assert answered.trace is retried.trace is waiting.trace is ctx
 
     def test_flagged_shadow_commits_with_fresh_id(self):
-        tracer = Tracer(_Config(sample_every=1_000_000))
+        tracer = Tracer(TracingConfig(sample_every=1_000_000))
         ctx = tracer.shadow(0.0)
         ctx.spans.append(("queue.wait", 0.0, 0.1, None))
         trace_id = tracer.finish(ctx, slo_missed=True, query_id=7)
@@ -118,7 +108,7 @@ class TestTracer:
 
     def test_sampled_trace_feeds_stage_histograms(self):
         metrics = MetricsRegistry()
-        tracer = Tracer(_Config(sample_every=1), metrics=metrics)
+        tracer = Tracer(TracingConfig(sample_every=1), metrics=metrics)
         ctx = tracer.begin()
         ctx.spans.append(("selection.select", 0.0, 0.002, None))
         ctx.spans.append(("cache.lookup", 0.002, 0.003, None))
@@ -128,7 +118,7 @@ class TestTracer:
         assert 'predict.stage_ms{stage="cache.lookup"}' in snapshot.histograms
 
     def test_capture_event_commits_single_span(self):
-        tracer = Tracer(_Config())
+        tracer = Tracer(TracingConfig())
         trace_id = tracer.capture_event(
             "canary.abort", meta={"model": "m"}, flags=TRACE_RETRIED, component="routing"
         )
@@ -179,12 +169,12 @@ class TestTraceRegistry:
 
     def test_components_are_separate_rings(self):
         registry = TraceRegistry(capacity=1)
-        registry.commit(self._record("e1", component="engine"))
-        registry.commit(self._record("r1", component="routing"))
-        assert registry.components() == ["engine", "routing"]
+        registry.commit(self._record("e1", end=1.0, component="engine"))
+        registry.commit(self._record("r1", end=2.0, component="routing"))
         # Capacity is per component: neither evicted the other.
         assert registry.get("e1") is not None and registry.get("r1") is not None
-        assert [s["trace_id"] for s in registry.recent(component="routing")] == ["r1"]
+        listed = [(s["trace_id"], s["component"]) for s in registry.recent()]
+        assert listed == [("r1", "routing"), ("e1", "engine")]
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -661,7 +651,7 @@ class TestLazyTailCapture:
                 assert retried.output == 1 and retried.trace_id is not None
                 boring = await clipper.predict(Query(app_name="retry", input=[2.0]))
                 assert boring.output == 1 and boring.trace_id is None
-                assert len(clipper.tracer.registry) == 1
+                assert len(clipper.tracer.registry.recent()) == 1
                 tree = clipper.tracer.registry.trace(retried.trace_id)
                 assert tree["flags"] == ["retried"] and tree["sampled"] is False
                 assert {
@@ -688,7 +678,7 @@ class TestLazyTailCapture:
             try:
                 prediction = await clipper.predict(Query(app_name="off", input=[9.0]))
                 assert prediction.default_used and prediction.trace_id is None
-                assert len(clipper.tracer.registry) == 0
+                assert clipper.tracer.registry.recent() == []
             finally:
                 await clipper.stop()
 

@@ -37,17 +37,13 @@ from repro.observability.prometheus import render_prometheus
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.queue import PendingQuery
 from repro.containers.replica import place_locally
+from repro.batching import dispatcher as dispatcher_module
 from repro.core.deployed import ModelLayer
 from repro.core.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
-from repro.overload import (
-    UNGUARDED,
-    AdmissionController,
-    CircuitBreaker,
-    Degraded,
-    OverloadControl,
-)
-from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.overload.admission import AdmissionController
+from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.overload.control import UNGUARDED, Degraded, OverloadControl
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +752,12 @@ class FlakyContainer(ModelContainer):
 class TestBreakerProbeSettlement:
     """A half-open probe slot reserved by ``allow()`` always comes back."""
 
+    @pytest.fixture(autouse=True)
+    def serial_dispatch(self, monkeypatch):
+        # Serial dispatch, whatever depth ``b`` has measured by then: one
+        # batch blocks in the container, one more entry fills the queue.
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", 1)
+
     def make_clipper(self, flaky, gate):
         clipper = Clipper(
             ClipperConfig(
@@ -782,9 +784,6 @@ class TestBreakerProbeSettlement:
                 batching=BatchingConfig(max_queue_depth=1),
             )
         )
-        # Serial dispatch, whatever depth ``b`` has measured by then: one
-        # batch blocks in the container, one more entry fills the queue.
-        clipper.model_record("b").dispatchers[0].pipeline_window = 1
         return clipper
 
     async def trip(self, clipper, flaky):
@@ -911,9 +910,9 @@ class TestPressureObservability:
                 await clipper.stop()
             registry = clipper.tracer.registry
             names = []
-            for summary in registry.recent(component="overload", limit=50):
+            for summary in registry.recent(limit=50):
                 record = registry.get(summary["trace_id"])
-                if record is not None:
+                if record is not None and record.component == "overload":
                     names.extend(span[0] for span in record.spans)
             return names
 

@@ -20,8 +20,8 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import DeploymentError, RoutingError
 from repro.core.types import REPLICA_QUARANTINED, Feedback, Query
-from repro.management import ManagementFrontend
-from repro.routing import CanaryController
+from repro.management.frontend import ManagementFrontend
+from repro.routing.controller import CanaryController
 
 APP = "canary-app"
 

@@ -10,13 +10,8 @@ that moved out of the serving engine.
 import pytest
 
 from repro.core.exceptions import DeploymentError, RoutingError
-from repro.routing import (
-    RoutingTable,
-    TrafficSplit,
-    assignment_fraction,
-    parse_namespace_keys,
-    selection_namespace,
-)
+from repro.routing.split import TrafficSplit, assignment_fraction
+from repro.routing.table import RoutingTable, parse_namespace_keys, selection_namespace
 
 
 class TestAssignmentFraction:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import queue_pair, run_async
+from repro.batching import dispatcher as dispatcher_module
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import FunctionContainer, ModelContainer
@@ -324,10 +325,7 @@ class TestPipelinedDispatcher:
             replica = ContainerReplica(ModelId("echo"), 0, EchoFirst())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica,
-                queue,
-                FixedBatchSizeController(batch_size=3),
-                pipeline_window=2,
+                replica, queue, FixedBatchSizeController(batch_size=3)
             )
             await replica.start()
             dispatcher.start()
@@ -337,13 +335,16 @@ class TestPipelinedDispatcher:
             results = await asyncio.gather(*[item.future for item in items])
             assert results == [float(i) for i in range(30)]
             # the pipelined loop really split this into several batches
-            assert len(dispatcher.batch_history) >= 5
+            sizes = dispatcher.metrics.histogram(f"model.{replica.model_id}.batch_size")
+            assert sizes.count >= 5
             await dispatcher.stop()
             await replica.stop()
 
         run_async(scenario())
 
-    def test_retries_resolve_right_futures_under_pipelining(self):
+    def test_retries_resolve_right_futures_under_pipelining(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "FAILURE_COOLDOWN_MS", 1.0)
+
         class FlakyContainer(ModelContainer):
             """Fails its first two batches, then echoes inputs."""
 
@@ -364,8 +365,6 @@ class TestPipelinedDispatcher:
                 queue,
                 FixedBatchSizeController(batch_size=4),
                 max_retries=3,
-                failure_cooldown_ms=1.0,
-                pipeline_window=2,
             )
             await replica.start()
             dispatcher.start()
@@ -382,7 +381,9 @@ class TestPipelinedDispatcher:
 
         run_async(scenario())
 
-    def test_exhausted_retries_fail_futures_with_window_2(self):
+    def test_exhausted_retries_fail_futures_with_window_2(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "FAILURE_COOLDOWN_MS", 1.0)
+
         class AlwaysFailing(ModelContainer):
             def predict_batch(self, inputs):
                 raise RuntimeError("dead")
@@ -395,8 +396,6 @@ class TestPipelinedDispatcher:
                 queue,
                 FixedBatchSizeController(batch_size=4),
                 max_retries=1,
-                failure_cooldown_ms=1.0,
-                pipeline_window=2,
             )
             await replica.start()
             dispatcher.start()
@@ -415,7 +414,8 @@ class TestPipelinedDispatcher:
 
         run_async(scenario())
 
-    def test_window_1_preserves_serial_dispatch(self):
+    def test_window_1_preserves_serial_dispatch(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "PIPELINE_WINDOW", 1)
         observed = []
 
         class Recorder(ModelContainer):
@@ -427,10 +427,7 @@ class TestPipelinedDispatcher:
             replica = ContainerReplica(ModelId("rec"), 0, Recorder())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica,
-                queue,
-                FixedBatchSizeController(batch_size=8),
-                pipeline_window=1,
+                replica, queue, FixedBatchSizeController(batch_size=8)
             )
             await replica.start()
             dispatcher.start()
@@ -456,8 +453,7 @@ class TestPipelinedDispatcher:
             )
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica, queue, FixedBatchSizeController(batch_size=8),
-                pipeline_window=2,
+                replica, queue, FixedBatchSizeController(batch_size=8)
             )
             await replica.start()
             dispatcher.start()

@@ -13,7 +13,7 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import Feedback, ModelId, Query
 from repro.selection.exp4 import Exp4Policy
 from repro.selection.manager import DEFAULT_CONTEXT, SelectionStateManager
-from repro.state import DurableKeyValueStore
+from repro.state.durable import DurableKeyValueStore
 from repro.state.kvstore import KeyValueStore
 
 MODELS = [ModelId("a"), ModelId("b")]

@@ -33,7 +33,8 @@ from repro.core.config import CircuitBreakerConfig, ClipperConfig, ModelDeployme
 from repro.core.deployed import end_recovery, quarantines_for
 from repro.core.exceptions import RpcError
 from repro.core.types import Query
-from repro.management import REPLICA_HEALTHY, REPLICA_QUARANTINED, ManagementFrontend
+from repro.core.types import REPLICA_HEALTHY, REPLICA_QUARANTINED
+from repro.management.frontend import ManagementFrontend
 from repro.observability.prometheus import render_prometheus
 from repro.routing.controller import CanaryController
 
