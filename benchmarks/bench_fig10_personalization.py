@@ -1,12 +1,13 @@
 """Figure 10 — personalized (contextual) model selection on the speech corpus.
 
-Hosts one model per dialect plus a dialect-oblivious model, replays each
-held-out speaker's utterances as an online session with feedback, and
-compares three strategies: the user's reported dialect model ("static
-dialect"), the global model ("no dialect"), and the Clipper per-user Exp4
-selection policy.  Shape checks mirror the paper: dialect-specific models
-beat the dialect-oblivious one, and after a few feedback interactions the
-contextual selection policy matches or beats the static dialect choice.
+Hosts one model per dialect plus a dialect-oblivious model, serves each
+held-out speaker's utterances through Clipper as an online session with
+feedback (the speaker as ``user_id``), and compares three strategies: the
+user's reported dialect model ("static dialect"), the global model ("no
+dialect"), and Clipper's per-user ``"exp4"`` selection at its served
+defaults.  Shape checks mirror the paper: dialect-specific models beat the
+dialect-oblivious one, and after a few feedback interactions the contextual
+selection policy matches or beats the static dialect choice.
 """
 
 import numpy as np
@@ -14,10 +15,9 @@ import pytest
 
 from conftest import record_result
 from paperkit.datasets.speech import load_timit_like
-from paperkit.online import personalization_experiment
+from paperkit.served_selection import personalization_experiment
 from paperkit.reporting import format_table
 from paperkit.suites import build_user_streams, dialect_model_suite
-from repro.selection.exp4 import Exp4Policy
 
 MAX_FEEDBACK = 8
 
@@ -42,7 +42,6 @@ def test_fig10_personalized_selection(benchmark, speech_setup):
             dialect_of_user,
             dialect_model_name=dialect_model_name,
             global_model_name=global_name,
-            policy=Exp4Policy(eta=0.8),
             max_feedback=MAX_FEEDBACK,
         )
 

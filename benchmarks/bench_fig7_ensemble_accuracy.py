@@ -1,19 +1,20 @@
 """Figure 7 — ensemble prediction accuracy and agreement-based confidence.
 
-Evaluates five-model ensembles on the CIFAR-like (top-1 error) and
-ImageNet-like (top-5 error via a widened agreement criterion) stand-ins,
-reporting the best single model's error, the ensemble's error, and the error
-of the confident (4-agree / 5-agree) versus unsure query groups together
-with the fraction of queries in each group.  Shape checks mirror the paper:
-the ensemble is at least as accurate as the best single model, and the
-confident group has much lower error than the unsure group.
+Serves five-model ensembles through Clipper's ``"exp4"`` policy, without
+feedback, on the CIFAR-like (top-1 error) and ImageNet-like (top-5 error via
+a widened agreement criterion) stand-ins, reporting the best single model's
+error, the ensemble's error, and the error of the confident (4-agree /
+5-agree, read from ``Prediction.confidence``) versus unsure query groups
+together with the fraction of queries in each group.  Shape checks mirror
+the paper: the ensemble is at least as accurate as the best single model,
+and the confident group has much lower error than the unsure group.
 """
 
 import pytest
 
 from conftest import record_result
 from paperkit.datasets.images import load_imagenet_like
-from paperkit.online import ensemble_accuracy_experiment
+from paperkit.served_selection import ensemble_accuracy_experiment
 from paperkit.reporting import format_table
 from paperkit.suites import ensemble_prediction_matrix, heterogeneous_ensemble
 

@@ -23,8 +23,9 @@ There are no re-exports: import a name from the module that defines it.
     TensorFlow-Serving-like baseline.
 ``paperkit.profiles``
     Latency-vs-batch-size profiles (Fig. 3).
-``paperkit.online``
-    Selection-layer replays over precomputed predictions (Figs. 7, 8, 10).
+``paperkit.served_selection``
+    Figs. 7, 8 and 10 served through ``Clipper.predict`` / ``feedback``, one
+    lookup container per model answering with its precomputed outputs.
 ``paperkit.ab_testing``
     The A/B-testing selection baseline (Fig. 8).
 ``paperkit.reporting``

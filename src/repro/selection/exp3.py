@@ -6,7 +6,9 @@ selected with probability ``p_i = s_i / Σ s_j``; after feedback with loss
 ``L(y, ŷ) ∈ [0, 1]``, the selected model's weight is updated as
 ``s_i ← s_i · exp(−η · L / p_i)``.  Only one model is evaluated per query,
 so the policy has minimal computational overhead, and its regret guarantees
-ensure it converges to the single best model.
+ensure it converges to the single best model.  Feedback holding several
+models' answers (every serving model's, from ``Clipper.feedback``) updates
+each by ``exp(−η · L)``: a ``1/p_i`` weight is the drawn arm's alone.
 """
 
 from __future__ import annotations
@@ -89,14 +91,12 @@ class Exp3Policy(SelectionPolicy):
         return predictions[model_key], 1.0
 
     def observe(
-        self,
-        state: SelectionState,
-        x: Any,
-        feedback: Any,
-        predictions: Dict[str, Any],
+        self, state: SelectionState, x: Any, feedback: Any, predictions: Dict[str, Any]
     ) -> SelectionState:
+        # One arm's answer is bandit feedback, weighted by 1/p; several need none.
         probs = dict(zip(*self._probabilities(state)))
+        seen = [key for key in predictions if key in probs]
         return reweighted(state, {
-            key: self.eta * self.loss(feedback, prediction) / max(probs[key], 1e-6)
-            for key, prediction in predictions.items() if key in probs
+            key: self.eta * self.loss(feedback, predictions[key])
+            / (max(probs[key], 1e-6) if len(seen) == 1 else 1.0) for key in seen
         })

@@ -1,14 +1,13 @@
-"""Tests for the selection-layer experiment drivers (Figures 7, 8 and 10)."""
+"""Tests for the selection experiments of Figures 7, 8 and 10, served through Clipper."""
 
 import numpy as np
 import pytest
 
-from paperkit.online import (
+from paperkit.served_selection import (
     ensemble_accuracy_experiment,
     model_failure_experiment,
     personalization_experiment,
 )
-from repro.selection.exp4 import Exp4Policy
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +82,7 @@ class TestModelFailure:
         assert finals["Exp4"] < finals["model-5"]
         # The policies end close to (or better than) the best non-degraded model.
         best_static = min(finals[f"model-{i}"] for i in range(1, 5))
+        assert finals["Exp3"] <= best_static + 0.05
         assert finals["Exp4"] <= best_static + 0.05
 
     def test_error_spikes_inside_degradation_window(self, synthetic_predictions):
@@ -143,7 +143,6 @@ class TestPersonalization:
             dialect_of_user,
             dialect_model_name={0: "dialect-0", 1: "dialect-1"},
             global_model_name="no-dialect-global",
-            policy=Exp4Policy(eta=0.8),
             max_feedback=8,
         )
         # After several rounds of feedback the contextual policy should be at

@@ -16,8 +16,11 @@
   times more often than the reverse, the ratio of their weights is
   ``exp(eta * k)`` and the weights keep mean 1, up to the clip
   ``[1e-6, 1e9]``; past the clip the loser stays at its floor.  For one Exp3
-  step, a model's penalty is ``eta * loss / p``, where ``p`` is its sampling
-  probability ``(1 - γ) · w / Σw + γ / n``.
+  step that holds one known model's answer (bandit feedback: the drawn arm),
+  that model's penalty is ``eta * loss / p``, where ``p`` is its sampling
+  probability ``(1 - γ) · w / Σw + γ / n``; a step that holds several (full
+  information: ``Clipper.feedback`` hands over every serving model's answer)
+  penalises each by ``eta * loss``.
 * ``select`` (Exp3) draws the pinned pick sequence from a seed.
 
 Labels are hashable and equal to themselves: ``1`` and ``np.int64(1)`` are
@@ -221,9 +224,10 @@ class TestExp3:
         updated = assert_pure_step(policy, state, predictions, truth)
 
         total, n = sum(weights), len(weights)
+        bandit = sum(key in state["weights"] for key in predictions) == 1
         log_weight = {}
         for key, weight in state["weights"].items():
-            p = (1 - exploration) * weight / total + exploration / n
+            p = (1 - exploration) * weight / total + exploration / n if bandit else 1.0
             loss = 0.0 if predictions.get(key, truth) == truth else 1.0
             log_weight[key] = math.log(weight) - eta * loss / p
         first = keys[0]

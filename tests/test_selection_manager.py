@@ -142,9 +142,10 @@ class TestFailedFeedback:
     ):
         async def scenario():
             store = DurableKeyValueStore(str(tmp_path), fsync="never")
-            clipper = Clipper(
-                ClipperConfig(app_name="app", selection_policy=policy), state_store=store
-            )
+            # An SLO the test does not test: a busy host must not turn the
+            # first predict into a PredictionTimeoutError.
+            config = ClipperConfig(app_name="app", selection_policy=policy, latency_slo_ms=60_000)
+            clipper = Clipper(config, state_store=store)
             for name in ("a", "b", "c"):
                 clipper.deploy_model(ModelDeployment(name, NoOpContainer, serialize_rpc=False))
             await clipper.start()

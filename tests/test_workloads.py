@@ -6,7 +6,7 @@ import pytest
 
 from helpers import run_async
 from paperkit.load import LoadResult, run_load
-from paperkit.online import degrade_prediction
+from paperkit.served_selection import degrade_prediction
 
 
 class _Recorder:
