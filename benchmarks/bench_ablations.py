@@ -28,7 +28,7 @@ from repro.batching.aimd import AIMDController
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment, TracingConfig
+from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
 from repro.core.types import ModelId, Query
 from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.selection.epsilon_greedy import EpsilonGreedyPolicy
@@ -149,14 +149,14 @@ def test_ablation_bandit_policies(benchmark):
         assert row["mean_error"] < 0.3
 
 
-def _noop_app(tracing=None, transport="inprocess"):
+def _noop_app(tracing=True, transport="inprocess"):
     """One no-op model, so only the framework's own cost is on the clock."""
     clipper = Clipper(
         ClipperConfig(
             app_name="ablation",
             latency_slo_ms=500.0,
             selection_policy="single",
-            tracing=tracing or TracingConfig(),
+            tracing=tracing,
         )
     )
     clipper.deploy_model(
@@ -223,8 +223,8 @@ def test_ablation_tracing_overhead(path):
 
     async def attempt():
         apps = {
-            "on": _noop_app(TracingConfig(), transport),
-            "off": _noop_app(TracingConfig(enabled=False), transport),
+            "on": _noop_app(True, transport),
+            "off": _noop_app(False, transport),
         }
         spent = {name: [] for name in apps}
         for clipper in apps.values():

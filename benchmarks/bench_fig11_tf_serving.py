@@ -53,7 +53,7 @@ def fig11_rows():
         static_batch = int(FIGURE11_MODELS[workload]["static_batch_size"])
 
         tf_serving = run_tfserving_baseline(
-            ClassifierContainer(model, framework="tensorflow"),
+            ClassifierContainer(model),
             inputs,
             label=f"{workload}/tf-serving",
             num_queries=NUM_QUERIES,
@@ -62,10 +62,9 @@ def fig11_rows():
         )
         clipper_cpp = run_clipper_serving(
             container_factory=lambda model=model: LanguageOverheadContainer(
-                ClassifierContainer(model, framework="tensorflow"),
+                ClassifierContainer(model),
                 per_batch_overhead_ms=0.02,
                 per_item_overhead_us=0.2,
-                label="tf-c++",
             ),
             inputs=inputs,
             label=f"{workload}/clipper-tf-c++",
@@ -79,10 +78,9 @@ def fig11_rows():
         )
         clipper_python = run_clipper_serving(
             container_factory=lambda model=model: LanguageOverheadContainer(
-                ClassifierContainer(model, framework="tensorflow"),
+                ClassifierContainer(model),
                 per_batch_overhead_ms=0.3,
                 per_item_overhead_us=8.0,
-                label="tf-python",
             ),
             inputs=inputs,
             label=f"{workload}/clipper-tf-python",

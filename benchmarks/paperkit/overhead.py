@@ -40,8 +40,6 @@ class LanguageOverheadContainer(ModelContainer):
         Fixed cost added once per batch (interpreter dispatch, API glue).
     per_item_overhead_us:
         Cost added per input in the batch (per-row conversion overhead).
-    label:
-        Reporting label, e.g. ``"tf-python"`` or ``"tf-c++"``.
     """
 
     def __init__(
@@ -49,14 +47,12 @@ class LanguageOverheadContainer(ModelContainer):
         inner: ModelContainer,
         per_batch_overhead_ms: float = 0.0,
         per_item_overhead_us: float = 0.0,
-        label: str = "overhead",
     ) -> None:
         if per_batch_overhead_ms < 0 or per_item_overhead_us < 0:
             raise ValueError("overheads must be non-negative")
         self.inner = inner
         self.per_batch_overhead_ms = per_batch_overhead_ms
         self.per_item_overhead_us = per_item_overhead_us
-        self.framework = label
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         overhead_s = (

@@ -30,7 +30,7 @@ SLO_MS = 60_000.0
 
 def lookup(outputs: Sequence[Any]) -> FunctionContainer:
     """One model's container: it answers query ``t`` with ``outputs[t]``."""
-    return FunctionContainer(lambda keys: [outputs[t] for t in keys], framework="lookup")
+    return FunctionContainer(lambda keys: [outputs[t] for t in keys])
 
 
 def serve(
@@ -83,11 +83,13 @@ class EnsembleAccuracyResult:
     agreement_threshold: int
     per_model_errors: Dict[str, float] = field(default_factory=dict)
 
-    def as_row(self) -> Dict[str, float]:
+    def as_row(self) -> Dict[str, Any]:
+        """One table row; its keys are the same for every threshold, so rows
+        of several thresholds share one header."""
         return {
             "dataset": self.dataset, "single_model": self.single_model_error,
             "ensemble": self.ensemble_error,
-            f"{self.agreement_threshold}-agree (confident)": self.confident_error,
+            "agreement": f"{self.agreement_threshold}-agree", "confident": self.confident_error,
             "unsure": self.unsure_error, "confident_fraction": self.confident_fraction,
         }
 

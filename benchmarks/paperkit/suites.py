@@ -68,36 +68,34 @@ def figure3_container_suite(
             "linear-svm-sklearn",
             "sklearn",
             lambda: LanguageOverheadContainer(
-                ClassifierContainer(svm, framework="sklearn"),
+                ClassifierContainer(svm),
                 per_batch_overhead_ms=0.4,
                 per_item_overhead_us=1.0,
-                label="sklearn",
             ),
         ),
         ContainerSpec(
             "linear-svm-pyspark",
             "pyspark",
             lambda: LanguageOverheadContainer(
-                ClassifierContainer(svm, framework="pyspark"),
+                ClassifierContainer(svm),
                 per_batch_overhead_ms=0.05,
                 per_item_overhead_us=25.0,
-                label="pyspark",
             ),
         ),
         ContainerSpec(
             "random-forest-sklearn",
             "sklearn",
-            lambda: ClassifierContainer(forest, framework="sklearn"),
+            lambda: ClassifierContainer(forest),
         ),
         ContainerSpec(
             "kernel-svm-sklearn",
             "sklearn",
-            lambda: ClassifierContainer(kernel, framework="sklearn"),
+            lambda: ClassifierContainer(kernel),
         ),
         ContainerSpec(
             "logistic-regression-sklearn",
             "sklearn",
-            lambda: ClassifierContainer(logreg, framework="sklearn"),
+            lambda: ClassifierContainer(logreg),
         ),
     ]
 

@@ -35,7 +35,7 @@ def main() -> None:
     rows = []
     for label, batching in strategies.items():
         measurement = run_clipper_serving(
-            container_factory=lambda: ClassifierContainer(svm, framework="sklearn"),
+            container_factory=lambda: ClassifierContainer(svm),
             inputs=inputs,
             label=label,
             num_queries=600,

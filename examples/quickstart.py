@@ -61,14 +61,14 @@ def build_server():
     clipper.deploy_model(
         ModelDeployment(
             name="linear-svm",
-            container_factory=lambda: ClassifierContainer(svm, framework="sklearn"),
+            container_factory=lambda: ClassifierContainer(svm),
             batching=BatchingConfig(policy="aimd"),
         )
     )
     clipper.deploy_model(
         ModelDeployment(
             name="logreg",
-            container_factory=lambda: ClassifierContainer(logreg, framework="sklearn"),
+            container_factory=lambda: ClassifierContainer(logreg),
         )
     )
 

@@ -35,7 +35,7 @@ async def main() -> None:
         clipper.deploy_model(
             ModelDeployment(
                 name=name,
-                container_factory=lambda model=model: ClassifierContainer(model, framework="htk"),
+                container_factory=lambda model=model: ClassifierContainer(model),
             )
         )
     await clipper.start()

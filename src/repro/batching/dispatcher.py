@@ -186,10 +186,10 @@ class ReplicaDispatcher:
         self._eval_gauge = self.metrics.gauge(f"{prefix}.eval_ms")
         self._depth_gauge.set(self.pipeline_depth)
         #: The engine's Tracer (None when this dispatcher serves an untraced
-        #: engine).  With tail capture on every batch is stamped, since any
-        #: query may turn out interesting; else only batches with a traced one.
+        #: engine).  With tracing on every batch is stamped, since any query
+        #: may turn out interesting.
         self._tracer = tracer
-        self._tail_capture = tracer is not None and tracer.tail_capture
+        self._traced = tracer is not None and tracer.active
 
     def start(self) -> asyncio.Task:
         """Start the dispatch loop as a background task."""
@@ -308,12 +308,9 @@ class ReplicaDispatcher:
         # entry's wait) and who is left out (entries already expired).
         t_batch = oldest = clock.now()
         inputs, deadlines, carries_deadline = [], [], False
-        expired = trace_ids = None  # a set of ids, a list, when needed
-        # Stamped: every batch under tail capture, else one with a context.
-        traced = self._tail_capture
-        tracer = self._tracer
-        if tracer is not None and tracer.active:
-            trace_ids = []
+        expired = None  # a set of ids, when needed
+        traced = self._traced
+        trace_ids: Optional[list] = [] if traced else None
         for item in batch:
             deadline = item.deadline
             if deadline is None:
@@ -331,10 +328,8 @@ class ReplicaDispatcher:
             if item.enqueue_time < oldest:
                 oldest = item.enqueue_time
             trace = item.trace
-            if trace is not None and trace_ids is not None:
-                traced = True
-                if trace.trace_id is not None:  # a retry's context owns none: not sent
-                    trace_ids.append(trace.trace_id)
+            if traced and trace is not None and trace.trace_id is not None:
+                trace_ids.append(trace.trace_id)  # a retry's context owns none: not sent
         if expired is not None:
             batch = [item for item in batch if id(item) not in expired]
             if not batch:
@@ -485,7 +480,7 @@ class ReplicaDispatcher:
                 # entry gets a context of its own, which the query's shadow
                 # folds in.
                 trace = item.trace = (
-                    self._tracer.shadow(item.enqueue_time) if self._tail_capture else None
+                    self._tracer.shadow(item.enqueue_time) if self._traced else None
                 )
             if trace is not None:
                 if not now:

@@ -121,8 +121,3 @@ class ClockCache:
     def keys(self) -> List[Hashable]:
         """Keys currently resident, in slot order."""
         return [entry.key for entry in self._entries]
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._index.clear()
-        self._hand = 0

@@ -4,11 +4,9 @@ The cache memoises the generic prediction function
 ``Predict(m: ModelId, x: X) -> y: Y``: entries are keyed by the pair
 (model id, input hash).  Two properties from the paper are preserved:
 
-* A **non-blocking request/fetch API**.  ``request`` registers interest in a
-  (model, input) pair and returns whether the value is already present;
-  ``fetch`` returns the value if present without side effects.  The serving
-  engine calls ``request`` before enqueueing work and ``put`` when the model
-  container responds.
+* A **non-blocking fetch API**: a probe returns what is present and never
+  waits; the serving engine sends what missed to the batching queues, and
+  the dispatchers ``put`` each output when its container responds.
 * The cache also **accelerates feedback processing**: when feedback arrives,
   the selection layer needs the predictions each model made for that input.
   A cache hit avoids re-evaluating every model in the ensemble, which is the
@@ -74,20 +72,6 @@ class PredictionCache:
         self._lock = threading.Lock()
         self._cache = ClockCache(capacity) if capacity else None
 
-    @property
-    def enabled(self) -> bool:
-        return self._cache is not None
-
-    def request(self, model_id: Union[ModelId, str], x: Any) -> bool:
-        """Non-blocking request: returns True when the prediction is cached.
-
-        Mirrors the paper's ``request`` call, which "notifies the cache to
-        compute the prediction if it is not already present and returns a
-        boolean indicating whether the entry is in the cache".  The actual
-        computation is triggered by the caller when this returns ``False``.
-        """
-        return self.fetch(model_id, x) is not None
-
     def fetch(self, model_id: Union[ModelId, str], x: Any) -> Optional[Any]:
         """Return the cached prediction or ``None``; counts a hit or miss.
 
@@ -143,9 +127,3 @@ class PredictionCache:
 
     def __len__(self) -> int:
         return 0 if self._cache is None else len(self._cache)
-
-    def clear(self) -> None:
-        if self._cache is not None:
-            with self._lock:
-                self._cache.clear()
-        self.stats = CacheStats()

@@ -16,40 +16,23 @@ from repro.containers.base import ModelContainer
 
 
 class ClassifierContainer(ModelContainer):
-    """Serves any classifier with a scikit-learn style ``predict``/``predict_proba`` API.
+    """Serves any fitted classifier with a scikit-learn style ``predict``.
 
-    Parameters
-    ----------
-    model:
-        A fitted classifier.
-    return_proba:
-        When true, each output is the class-probability vector; otherwise
-        the predicted label (the common case for ensembles keyed on labels).
-    framework:
-        Reporting label, e.g. ``"sklearn"`` or ``"pyspark"``; the adapter
-        behaviour is identical, matching the paper's observation that the
-        same narrow interface covers every framework.
+    Each output is the predicted label, a native Python scalar: the
+    selection layer's ensembles vote on labels.  The same adapter serves
+    every framework, matching the paper's observation that one narrow
+    interface covers them all.
     """
 
-    def __init__(
-        self,
-        model,
-        return_proba: bool = False,
-        framework: str = "mlkit",
-    ) -> None:
+    def __init__(self, model) -> None:
         if not hasattr(model, "predict"):
             raise TypeError("model must expose a predict() method")
         self.model = model
-        self.return_proba = return_proba
-        self.framework = framework
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         if len(inputs) == 0:
             return []
         X = np.vstack([np.asarray(x, dtype=np.float64).reshape(1, -1) for x in inputs])
-        if self.return_proba:
-            proba = self.model.predict_proba(X)
-            return [proba[i] for i in range(proba.shape[0])]
         labels = self.model.predict(X)
         return [_to_scalar(labels[i]) for i in range(len(inputs))]
 

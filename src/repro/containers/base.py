@@ -21,15 +21,7 @@ from typing import Any, Callable, List, Sequence
 
 
 class ModelContainer:
-    """Base class for model containers.
-
-    Subclasses implement :meth:`predict_batch`.  The default ``predict``
-    convenience method evaluates a single input through the batch path so
-    there is exactly one code path for inference.
-    """
-
-    #: Human-readable label of the underlying framework (for reporting).
-    framework: str = "custom"
+    """Base class for model containers: subclasses implement :meth:`predict_batch`."""
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         """Evaluate the model on a batch of inputs.
@@ -39,15 +31,6 @@ class ModelContainer:
         translates that into per-query errors without crashing.
         """
         raise NotImplementedError
-
-    def predict(self, x: Any) -> Any:
-        """Evaluate a single input (convenience wrapper over the batch path)."""
-        outputs = self.predict_batch([x])
-        if len(outputs) != 1:
-            raise ValueError(
-                f"predict_batch returned {len(outputs)} outputs for a single input"
-            )
-        return outputs[0]
 
     def healthy(self) -> bool:
         """Liveness check used by the container runtime; override if needed."""
@@ -62,11 +45,10 @@ class FunctionContainer(ModelContainer):
     equivalent.
     """
 
-    def __init__(self, fn: Callable[[Sequence[Any]], List[Any]], framework: str = "python") -> None:
+    def __init__(self, fn: Callable[[Sequence[Any]], List[Any]]) -> None:
         if not callable(fn):
             raise TypeError("fn must be callable")
         self._fn = fn
-        self.framework = framework
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         outputs = self._fn(inputs)

@@ -33,17 +33,13 @@ class DeviceBoundContainer(ModelContainer):
     second no matter how many replicas it hosts or how fast its CPU is.
     """
 
-    framework = "device"
-
     def __init__(self, ms_per_input: float = 1.0, output: Any = 0) -> None:
         if ms_per_input <= 0:
             raise ValueError("ms_per_input must be > 0")
         self.ms_per_input = ms_per_input
         self.output = output
-        self.batches_served = 0
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         with _DEVICE_LOCK:
             time.sleep((self.ms_per_input / 1000.0) * len(inputs))
-        self.batches_served += 1
         return [self.output] * len(inputs)

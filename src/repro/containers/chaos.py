@@ -14,32 +14,21 @@ flaky host) on a model container:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
 from repro.containers.base import ModelContainer
 
 
 class KillableContainer(ModelContainer):
-    """A container that can be killed (and revived) from the outside."""
+    """A container that can be killed from the outside."""
 
-    framework = "chaos"
-
-    def __init__(self, output: Any = 0, inner: Optional[ModelContainer] = None) -> None:
+    def __init__(self, output: Any = 0) -> None:
         self.output = output
-        self._inner = inner
         self._alive = True
-        self.batches_served = 0
 
     def kill(self) -> None:
         """Simulate the container process dying."""
         self._alive = False
-
-    def revive(self) -> None:
-        self._alive = True
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
 
     def healthy(self) -> bool:
         return self._alive
@@ -47,9 +36,6 @@ class KillableContainer(ModelContainer):
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         if not self._alive:
             raise RuntimeError("container was killed")
-        self.batches_served += 1
-        if self._inner is not None:
-            return self._inner.predict_batch(inputs)
         return [self.output] * len(inputs)
 
 

@@ -18,12 +18,9 @@ from repro.containers.base import ModelContainer
 class NoOpContainer(ModelContainer):
     """Returns a constant prediction for every input without model evaluation."""
 
-    framework = "noop"
-
     def __init__(self, output: Any = 0, touch_inputs: bool = False) -> None:
         self.output = output
         self.touch_inputs = touch_inputs
-        self.batches_served = 0
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         if self.touch_inputs:
@@ -32,5 +29,4 @@ class NoOpContainer(ModelContainer):
             for x in inputs:
                 if isinstance(x, np.ndarray):
                     float(x.ravel()[:1].sum()) if x.size else 0.0
-        self.batches_served += 1
         return [self.output] * len(inputs)

@@ -36,9 +36,6 @@ from repro.rpc.shm import HAS_SHARED_MEMORY, shm_pair
 from repro.rpc.serialization import wire_copy
 from repro.rpc.transport import TcpListener, TcpTransport, codec_round_trip
 
-#: RPC lanes a replica can run on (see :class:`repro.core.config.ModelDeployment`).
-TRANSPORT_KINDS = ("inprocess", "shm", "tcp")
-
 #: How long a replica's RPC client waits for one batch response.
 RPC_TIMEOUT_S = 30.0
 
@@ -148,7 +145,7 @@ class ContainerReplica(Replica):
     transport:
         RPC lane for this replica: ``"inprocess"`` (the default, a call into
         the container's server), ``"shm"`` (same-host shared-memory rings) or
-        ``"tcp"`` (loopback sockets).
+        ``"tcp"`` (loopback sockets); :class:`ModelDeployment` checks the name.
     """
 
     def __init__(
@@ -159,11 +156,6 @@ class ContainerReplica(Replica):
         serialize_messages: bool = False,
         transport: str = "inprocess",
     ) -> None:
-        if transport not in TRANSPORT_KINDS:
-            raise ContainerError(
-                str(model_id),
-                f"unknown transport '{transport}', expected one of {TRANSPORT_KINDS}",
-            )
         if transport == "shm" and not HAS_SHARED_MEMORY:
             raise ContainerError(
                 str(model_id),

@@ -36,6 +36,13 @@ The public surface is intentionally small::
     await clipper.feedback(Feedback(app_name="demo", input=x, label=y))
     await clipper.stop()
 
+``deploy_model`` registers a version before ``start``; on a started
+instance the one way in is the awaited ``deploy_model_async``, which brings
+the version up before it returns (the management plane's entry point).
+When none of a query's models answers, ``predict`` tells a deadline miss
+(:class:`~repro.core.exceptions.PredictionTimeoutError`, 504) from failed
+containers (:class:`~repro.core.exceptions.ContainerError`, 502).
+
 Runtime mutability (the management plane's half of the paper's architecture)
 is layered on top without touching the hot path: every deployed *version* of
 a model keeps its own serving machinery (replicas, batching queue,
@@ -61,7 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.containers.replica import ReplicaBuilder, place_locally
 from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.deployed import DeployedModel, ModelLayer
+from repro.core.deployed import DeployedModel, ModelLayer, failure_of
 from repro.core.exceptions import (
     ClipperError,
     DeploymentError,
@@ -108,9 +115,7 @@ class Clipper:
         # deployed while another is active stay staged (machinery warm, no
         # traffic) until a rollout or canary routes to them.
         self.routing = RoutingTable(
-            arms=lambda key: self._models[key].arm,
-            seed=self.config.routing_seed,
-            scope=self.config.app_name,
+            arms=lambda key: self._models[key].arm, scope=self.config.app_name
         )
         self._admin_lock = asyncio.Lock()
         # One selection-state manager per routed serving-set combination,
@@ -139,7 +144,8 @@ class Clipper:
 
         Returns the record and, when registering changed the name's routing,
         the ``(split, rollback target)`` it had before — what
-        :meth:`_bring_up` reinstalls if the version then fails to start.
+        :meth:`deploy_model_async` reinstalls if the version then fails to
+        start.
         """
         record = self._layer.deploy(deployment)
         self.overload.guard(record)
@@ -162,29 +168,27 @@ class Clipper:
     def deploy_model(
         self, deployment: ModelDeployment, activate: Optional[bool] = None
     ) -> ModelId:
-        """Register a model version behind the model abstraction layer.
+        """Register a model version before :meth:`start`, which brings it up.
 
-        May be called before or after :meth:`start`; a version deployed after
-        start (from code running on the serving loop) is brought up by a
-        background task, and queries routed to it before that finishes wait
-        in its batching queue.  The first version of a model name
-        begins serving at once; a later version is *staged* (warm but not
-        serving) until :meth:`rollout` or a canary routes traffic to it,
-        unless ``activate=True`` forces an immediate switch.  Returns the
-        assigned :class:`ModelId`.
+        The first version of a model name serves once started; a later
+        version is *staged* (warm but not serving) until :meth:`rollout` or a
+        canary routes traffic to it, unless ``activate=True`` forces an
+        immediate switch.  Returns the assigned :class:`ModelId`.  On a
+        started instance it registers nothing and raises: there
+        :meth:`deploy_model_async` is the one bring-up, awaited, so a failed
+        start reaches its caller.
         """
-        # A started instance lives on a running loop; asked for before
-        # anything is registered, so a call from outside it changes nothing.
-        loop = asyncio.get_running_loop() if self._started else None
-        record, routing_before = self._register_model(deployment, activate)
-        if loop is not None:
-            loop.create_task(self._bring_up(record, routing_before))
-        return record.model_id
+        if self._started:
+            raise DeploymentError(
+                f"cannot deploy '{deployment.name}' on a started instance with "
+                "deploy_model: await deploy_model_async"
+            )
+        return self._register_model(deployment, activate)[0].model_id
 
     async def deploy_model_async(
         self, deployment: ModelDeployment, activate: Optional[bool] = None
     ) -> ModelId:
-        """Like :meth:`deploy_model`, but awaits the bring-up of the version.
+        """Register a model version and, on a started instance, bring it up.
 
         This is the management plane's entry point: when it returns, the new
         version's replicas and dispatchers are running (on a started
@@ -194,31 +198,24 @@ class Clipper:
         """
         async with self._admin_lock:
             record, routing_before = self._register_model(deployment, activate)
-            if self._started:
-                await self._bring_up(record, routing_before)
+            if not self._started:
+                return record.model_id
+            try:
+                await record.start()
+            except BaseException as error:
+                # Left registered, a version whose replicas never started
+                # would keep receiving routed queries that nothing dispatches
+                # (each one a straggler) and could not be redeployed.
+                key = str(record.model_id)
+                if routing_before is not None:
+                    self.routing.restore(record.model_id.name, *routing_before)
+                await self._layer.retire(key)
+                # Whatever queued up while the version looked deployed fails now.
+                record.fail_queued(
+                    DeploymentError(f"model '{key}' failed to start: {error}")
+                )
+                raise
             return record.model_id
-
-    async def _bring_up(
-        self, record: DeployedModel, routing_before: Optional[tuple]
-    ) -> None:
-        """Start a just-registered version; a failed start unregisters it.
-
-        Left registered, a version whose replicas never started would keep
-        receiving routed queries that nothing dispatches (each one a
-        straggler) and could not be redeployed ("already deployed").
-        """
-        try:
-            await record.start()
-        except BaseException as error:
-            key = str(record.model_id)
-            if routing_before is not None:
-                self.routing.restore(record.model_id.name, *routing_before)
-            await self._layer.retire(key)
-            # Whatever queued up while the version looked deployed fails now.
-            record.fail_queued(
-                DeploymentError(f"model '{key}' failed to start: {error}")
-            )
-            raise
 
     async def undeploy_model(self, model: str) -> ModelId:
         """Remove a model version from a (possibly running) instance.
@@ -407,19 +404,6 @@ class Clipper:
         """Ids of the versions currently receiving traffic (all split arms)."""
         return [self._models[key].model_id for key in self.routing.serving_keys()]
 
-    def active_version(self, model_name: str) -> Optional[ModelId]:
-        """The stable serving version of ``model_name`` (None when not serving)."""
-        key = self.routing.active_key(model_name)
-        return self._models[key].model_id if key is not None else None
-
-    def model_versions(self, model_name: str) -> List[ModelId]:
-        """Every deployed version of one model name."""
-        return [
-            record.model_id
-            for record in self._models.values()
-            if record.model_id.name == model_name
-        ]
-
     def model_records(self) -> List[DeployedModel]:
         """Internal serving records (used by the management plane)."""
         return list(self._models.values())
@@ -533,7 +517,7 @@ class Clipper:
         if sampled is not None:
             # The frontend may have stamped edge-side spans (input
             # validation) before the engine clock started.
-            pre = query.metadata.get("pre_spans") if query.metadata else None
+            pre = query.pre_spans
             if pre:
                 sampled.spans.extend(pre)
                 sampled.start = pre[0][1]
@@ -581,8 +565,13 @@ class Clipper:
         else:
             now = clock.now()
             if isinstance(shed, OverloadError) or default_output is None:
-                # Refused by the shed policy, or nothing to answer with.
-                error = shed or PredictionTimeoutError(query.query_id, slo_ms)
+                # Refused by the shed policy, or nothing to answer with: the
+                # containers failed, or some model missed the deadline.
+                error = (
+                    shed
+                    or failure_of(waited)
+                    or PredictionTimeoutError(query.query_id, slo_ms)
+                )
                 output, confidence, default_used = None, 0.0, False
             else:
                 # No model answered in time, every breaker was open, or the
@@ -641,10 +630,10 @@ class Clipper:
         else:
             models_used = tuple(key for key in selected if key in predictions)
             missing = tuple(key for key in selected if key not in predictions)
-        # Positional, in field order; ``None`` is the unused ``metadata``.
+        # Positional, in field order.
         return Prediction(
             query.query_id, query.app_name, output, confidence, latency_ms,
-            default_used, models_used, missing, from_cache, None, trace_id,
+            default_used, models_used, missing, from_cache, trace_id,
         )
 
     # -- feedback path --------------------------------------------------------

@@ -323,42 +323,6 @@ class ModelDeployment:
 
 
 @dataclass
-class TracingConfig:
-    """Configuration of the request-tracing layer.
-
-    Parameters
-    ----------
-    enabled:
-        Master switch.  When False, :meth:`Tracer.begin` returns ``None``
-        after a single attribute check and every instrumentation point in
-        the engine is one dead branch.
-    sample_every:
-        Head-sampling period: one query in every ``sample_every`` carries a
-        fully-spanned, always-committed trace (default 1/256).  A
-        caller-supplied trace id (``X-Clipper-Trace-Id``) forces sampling
-        for that query regardless.
-    tail_capture:
-        When True (default), unsampled queries carry a lightweight shadow
-        context that is committed only if the query turns out interesting —
-        SLO miss, default-output fallback, straggler, retried batch or
-        container error — so the slow tail is never lost to sampling.
-    ring_capacity:
-        Committed traces retained per component ring buffer.
-    """
-
-    enabled: bool = True
-    sample_every: int = 256
-    tail_capture: bool = True
-    ring_capacity: int = 512
-
-    def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ConfigurationError("sample_every must be >= 1")
-        if self.ring_capacity < 1:
-            raise ConfigurationError("ring_capacity must be >= 1")
-
-
-@dataclass
 class ClipperConfig:
     """Application-level configuration for a Clipper instance.
 
@@ -395,11 +359,11 @@ class ClipperConfig:
     output_type:
         Declared output type (same vocabulary as ``input_type``), used to
         validate ``default_output`` and reported through the admin API.
-    routing_seed:
-        Seed mixed into the routing layer's traffic-split assignment hash.
-        Two instances with the same seed split the same key population
-        identically; changing the seed re-partitions which routing keys land
-        on a canary arm.
+    tracing:
+        Whether queries are traced (:mod:`repro.observability.tracing`):
+        one in every ``SAMPLE_EVERY`` head-sampled, and every other query
+        that leaves the cache and turns out interesting tail-captured.
+        False makes :meth:`Tracer.begin` return ``None`` after one check.
     overload:
         Admission-control configuration (:class:`OverloadConfig`).  ``None``
         (default) disables the admission gate entirely — the overload layer
@@ -420,8 +384,7 @@ class ClipperConfig:
     input_shape: Optional[tuple] = None
     output_type: Optional[str] = None
     confidence_threshold: float = 0.0
-    routing_seed: int = 0
-    tracing: TracingConfig = field(default_factory=TracingConfig)
+    tracing: bool = True
     overload: Optional[OverloadConfig] = None
     breaker: Optional[CircuitBreakerConfig] = None
     # A cluster ingress boots with zero deployed models (deploys arrive over

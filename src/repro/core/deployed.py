@@ -29,7 +29,12 @@ from repro.cache.prediction_cache import PredictionCache
 from repro.containers.replica import Replica, ReplicaBuilder
 from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
+from repro.core.exceptions import (
+    ContainerError,
+    DeploymentError,
+    OverloadError,
+    PredictionTimeoutError,
+)
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId, ReplicaHealth
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, BatchSpans, Tracer
@@ -211,6 +216,27 @@ def quarantines_for(records: Iterable[DeployedModel], model_key: str) -> int:
     return sum(status.quarantines for status in statuses_for(records, model_key))
 
 
+def failure_of(waited: Optional[Dict[str, PendingQuery]]) -> Optional[ContainerError]:
+    """Why a query none of whose models answered failed, if not by time.
+
+    None when some entry missed its deadline (or none was sent): that is a
+    timeout.  Otherwise every entry failed, and the query's error is a
+    :class:`ContainerError` caused by the first entry's.
+    """
+    first = None
+    for model_key, item in (waited or {}).items():
+        future = item.future
+        if future.cancelled() or not future.done():
+            continue
+        error = future.exception()
+        if error is None or isinstance(error, PredictionTimeoutError):
+            return None  # DEADLINE_MISS, or expired before it was sent
+        if first is None:
+            first = ContainerError(model_key, f"every selected model failed ({error})")
+            first.__cause__ = error
+    return first
+
+
 async def cancel_until_gone(task: Optional[asyncio.Task]) -> None:
     """Cancel ``task`` and wait until it has ended.
 
@@ -255,7 +281,7 @@ class ModelLayer:
         self._straggler_counter = metrics.counter("predict.stragglers")
         self._container_error_counter = metrics.counter("predict.container_errors")
         self._unavailable_counter = metrics.counter("predict.unavailable_models")
-        self._tail_capture = tracer.tail_capture
+        self._traced = tracer.active
 
     def deploy(self, deployment: ModelDeployment) -> DeployedModel:
         """Place one version's replicas and register its record (not started)."""
@@ -454,7 +480,7 @@ class ModelLayer:
         """
         ctx = sampled
         if ctx is None:
-            if not self._tail_capture:
+            if not self._traced:
                 return None
             for model_key, item in waited.items():
                 if model_key not in answered or type(item.trace) is not BatchSpans:

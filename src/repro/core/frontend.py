@@ -170,12 +170,11 @@ class QueryFrontend(ApplicationHost):
         # admission gate refuses the request before any validation work
         # (non-consuming peek; the engine still makes the real decision).
         clipper.overload.precheck()
-        metadata = None
+        pre_spans = None
         if clipper.tracer.active:
             t0 = clock.now()
             x = self._schemas[app_name].validate_input(x)
-            t1 = clock.now()
-            metadata = {"pre_spans": (("frontend.validate", t0, t1, None),)}
+            pre_spans = (("frontend.validate", t0, clock.now(), None),)
         else:
             x = self._schemas[app_name].validate_input(x)
         query = Query(
@@ -183,7 +182,7 @@ class QueryFrontend(ApplicationHost):
             input=x,
             user_id=user_id,
             latency_slo_ms=latency_slo_ms,
-            metadata=metadata,
+            pre_spans=pre_spans,
             trace_id=trace_id,
         )
         return await clipper.predict(query)
@@ -208,7 +207,3 @@ class QueryFrontend(ApplicationHost):
         await clipper.feedback(
             Feedback(app_name=app_name, input=x, label=label, user_id=user_id)
         )
-
-    def app_metrics(self, app_name: str):
-        """Expose the metrics snapshot of one application (monitoring hook)."""
-        return self._lookup(app_name).metrics.snapshot()

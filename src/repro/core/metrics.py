@@ -39,13 +39,9 @@ class Counter:
     def value(self) -> int:
         return self._value
 
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-
 
 class Meter:
-    """Tracks the rate of events per second since creation or last reset."""
+    """Tracks the rate of events per second since creation."""
 
     def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
@@ -63,16 +59,11 @@ class Meter:
         return self._count
 
     def rate(self) -> float:
-        """Mean events per second since the meter was created or reset."""
+        """Mean events per second since the meter was created."""
         elapsed = clock.now() - self._start
         if elapsed <= 0:
             return 0.0
         return self._count / elapsed
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-            self._start = clock.now()
 
 
 class Histogram:
@@ -129,11 +120,6 @@ class Histogram:
         values = self.values()
         return max(values) if values else float("nan")
 
-    def reset(self) -> None:
-        with self._lock:
-            self._window.clear()
-            self._count = 0
-
 
 class Gauge:
     """A point-in-time value: set explicitly or computed by a callback at read.
@@ -164,9 +150,6 @@ class Gauge:
                 # scrape that reads all of them.
                 return float("nan")
         return self._value
-
-    def reset(self) -> None:
-        self._value = 0.0
 
 
 #: Metric-name prefix for per-arm traffic attribution.
@@ -216,8 +199,8 @@ class AnsweredMetrics:
     One answered query is one event, so the three are built around one lock
     and :meth:`record` updates them under a single acquisition — the engine
     pays it on every query, and container executor threads share the
-    registry.  Each metric's own methods (``reset``, ``values`` ...) take the
-    same lock, so reading or resetting one never races a :meth:`record`.  The
+    registry.  Each metric's own methods (``values`` ...) take the same
+    lock, so reading one never races a :meth:`record`.  The
     names must not be registered yet: an existing metric keeps its own lock.
     """
 
@@ -290,20 +273,6 @@ class MetricsSnapshot:
     meters: Dict[str, float]
     histograms: Dict[str, Dict[str, float]]
     gauges: Dict[str, float] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """Render the snapshot as a human-readable multi-line string."""
-        lines = []
-        for name, value in sorted(self.counters.items()):
-            lines.append(f"counter {name} = {value}")
-        for name, rate in sorted(self.meters.items()):
-            lines.append(f"meter {name} = {rate:.1f}/s")
-        for name, value in sorted(self.gauges.items()):
-            lines.append(f"gauge {name} = {value:.3f}")
-        for name, stats in sorted(self.histograms.items()):
-            rendered = ", ".join(f"{k}={v:.3f}" for k, v in stats.items())
-            lines.append(f"histogram {name}: {rendered}")
-        return "\n".join(lines)
 
 
 class MetricsRegistry:
@@ -408,13 +377,6 @@ class MetricsRegistry:
         return MetricsSnapshot(
             counters=counters, meters=meters, histograms=histograms, gauges=gauges
         )
-
-    def reset(self) -> None:
-        """Reset every metric in place (names are preserved)."""
-        with self._lock:
-            for table in self._tables():
-                for metric in table.values():
-                    metric.reset()
 
 
 class MetricScope(MetricsRegistry):

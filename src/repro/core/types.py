@@ -5,6 +5,9 @@ issues a *query*, Clipper renders a *prediction* (with a confidence
 estimate) and the application may later return *feedback* about the true
 outcome.  These three records, plus the :class:`ModelId` naming scheme for
 deployed models, are the vocabulary shared by every layer of the system.
+Each query draws its id from one process-wide counter; the only thing a
+caller attaches to a query besides its input is the edge's trace spans
+(:attr:`Query.pre_spans`).  :func:`hash_input` is the prediction cache's key.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ from repro.core.exceptions import ValidationError
 
 #: Monotonically increasing query id generator shared process-wide.
 _QUERY_COUNTER = itertools.count()
-
-
-def next_query_id() -> int:
-    """Return the next unique query id."""
-    return next(_QUERY_COUNTER)
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,10 @@ class Query:
         selection layer (§5.3).  ``None`` selects the application-wide state.
     latency_slo_ms:
         Optional per-query latency objective overriding the application SLO.
-    arrival_time:
-        When the request reached the application (on ``clock.now()``), for
-        callers that track it; the engine times a query from the start of
-        ``predict`` and never reads this.
-    metadata:
-        What the caller attached to the query, or ``None``; the frontend puts
-        the edge's trace spans here under ``"pre_spans"``.
+    pre_spans:
+        Spans the edge stamped before the engine's clock started (the
+        frontend's input validation), joined to the query's trace when it
+        is sampled; ``None`` otherwise.
     """
 
     app_name: str
@@ -185,8 +180,7 @@ class Query:
     user_id: Optional[str] = None
     latency_slo_ms: Optional[float] = None
     query_id: int = field(default_factory=_QUERY_COUNTER.__next__)
-    arrival_time: Optional[float] = None
-    metadata: Optional[Dict[str, Any]] = None
+    pre_spans: Optional[tuple] = None
     trace_id: Optional[str] = None
     _input_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
@@ -217,7 +211,6 @@ class Prediction:
     models_used: tuple = ()
     models_missing: tuple = ()
     from_cache: bool = False
-    metadata: Optional[Dict[str, Any]] = None
     trace_id: Optional[str] = None
 
 

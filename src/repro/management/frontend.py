@@ -287,7 +287,7 @@ class ManagementFrontend(ApplicationHost):
     ) -> None:
         """Reinstall one model's stored routing record (split + rollback key)."""
         split = TrafficSplit.from_record(routing)
-        deployed = {str(model_id) for model_id in clipper.model_versions(model_name)}
+        deployed = {str(record.model_id) for record in clipper.model_records()}
         missing = [key for key in split.keys() if key not in deployed]
         if missing:
             report.skipped.append(

@@ -8,14 +8,14 @@ the straggler/deadline path.  The design splits queries into three modes so
 the common case stays near-free:
 
 ``sampled``
-    Head-sampled at ``1 / sample_every`` (default 1/256), or forced by a
+    Head-sampled at ``1 / SAMPLE_EVERY`` (1/256), or forced by a
     caller-supplied trace id (the ``X-Clipper-Trace-Id`` request header).
     The engine records full per-stage spans, feeds the per-stage latency
     histograms, and always commits the trace.
 ``shadow``
     Every other query that *leaves the cache-hit path* and turns out
     interesting — SLO miss, default-output fallback, straggler, retried
-    batch or container error — while ``tail_capture`` is on.  Nothing rides
+    batch or container error.  Nothing rides
     along with an unsampled miss: the dispatcher hands each entry of an
     answered batch one reference to the batch's shared :class:`BatchSpans`
     (a failed batch gives an entry a context of its own, with the retry in
@@ -30,10 +30,11 @@ the common case stays near-free:
     attribute check, and every instrumentation point is one branch on that
     ``None`` — the same discipline as the construction-time metric handles.
 
-Committed traces land in a per-component ring buffer inside the process-wide
-:class:`TraceRegistry`, which joins them into span *trees* (nesting by
-interval containment) for ``GET /api/v1/trace/<id>`` and lists recent /
-slow traces for ``GET /api/v1/traces``.
+Tracing is one switch, :attr:`~repro.core.config.ClipperConfig.tracing`.
+Committed traces land in a per-component ring buffer of ``RING_CAPACITY``
+traces inside the process-wide :class:`TraceRegistry`, which joins them into
+span *trees* (nesting by interval containment) for ``GET /api/v1/trace/<id>``
+and lists recent / slow traces for ``GET /api/v1/traces``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,13 @@ import threading
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core import clock
-from repro.core.config import TracingConfig
 from repro.core.metrics import MetricsRegistry
+
+#: Head-sampling period: one query in every ``SAMPLE_EVERY`` carries a fully
+#: spanned, always-committed trace.
+SAMPLE_EVERY = 256
+#: Committed traces retained per component ring buffer.
+RING_CAPACITY = 512
 
 
 # Tail-capture trigger flags.  A shadow trace whose flags are non-zero at
@@ -244,7 +250,7 @@ class TraceRegistry:
     sampled/interesting minority.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
+    def __init__(self, capacity: int = RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("trace ring capacity must be >= 1")
         self.capacity = capacity
@@ -299,21 +305,18 @@ class TraceRegistry:
 class Tracer:
     """Per-engine trace factory implementing the three-mode sampling policy.
 
-    ``config`` defaults to :class:`~repro.core.config.TracingConfig`'s
-    defaults.  With ``metrics``, committed *sampled* traces feed per-stage
+    ``enabled`` is :attr:`ClipperConfig.tracing`.  With ``metrics``,
+    committed *sampled* traces feed per-stage
     latency histograms (``predict.stage_ms{stage=...}``) through a
     pre-resolved metric family — the stage names are hashed once, not per
     query.  Query traces land in the ``engine`` component's ring.
     """
 
     def __init__(
-        self, config: Optional[TracingConfig] = None, metrics: Optional[MetricsRegistry] = None
+        self, enabled: bool = True, metrics: Optional[MetricsRegistry] = None
     ) -> None:
-        config = config or TracingConfig()
-        self._enabled = config.enabled
-        self._sample_every = config.sample_every
-        self._tail_capture = config.enabled and config.tail_capture
-        self.registry = TraceRegistry(config.ring_capacity)
+        self._enabled = enabled
+        self.registry = TraceRegistry()
         self._tick = 0
         self._stage_family = (
             metrics.histogram_family("predict.stage_ms", label="stage")
@@ -325,11 +328,6 @@ class Tracer:
     def active(self) -> bool:
         """Whether any query may carry a trace context (one-branch check)."""
         return self._enabled
-
-    @property
-    def tail_capture(self) -> bool:
-        """Whether an unsampled query that turns out interesting is captured."""
-        return self._tail_capture
 
     def begin(
         self, trace_id: Optional[str] = None, start: Optional[float] = None
@@ -347,7 +345,7 @@ class Tracer:
             return None
         self._tick = tick = self._tick + 1
         if trace_id is None:
-            if tick % self._sample_every:
+            if tick % SAMPLE_EVERY:
                 return None
             trace_id = next(_TRACE_IDS)
         if start is None:

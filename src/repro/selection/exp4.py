@@ -27,20 +27,19 @@ class Exp4Policy(SelectionPolicy):
     ----------
     eta:
         Learning rate of the multiplicative weight update.
-    count_missing_in_confidence:
-        When true (default), models selected for a query but missing from the
-        available predictions (stragglers) count against the confidence — the
-        paper defines confidence as "the fraction of models that agree on the
-        prediction" out of the deployed ensemble.
+
+    Models selected for a query but missing from the available predictions
+    (stragglers) count against the confidence: the paper defines confidence
+    as "the fraction of models that agree on the prediction" out of the
+    deployed ensemble.
     """
 
     name = "exp4"
 
-    def __init__(self, eta: float = 0.2, count_missing_in_confidence: bool = True) -> None:
+    def __init__(self, eta: float = 0.2) -> None:
         if eta <= 0:
             raise SelectionPolicyError("eta must be positive")
         self.eta = eta
-        self.count_missing_in_confidence = count_missing_in_confidence
 
     def init(self, model_ids: Sequence[ModelId]) -> SelectionState:
         keys = self._model_keys(model_ids)
@@ -60,8 +59,7 @@ class Exp4Policy(SelectionPolicy):
         if not predictions:
             raise SelectionPolicyError("Exp4 combine called with no predictions")
         weights = state["weights"]
-        size = len(weights) if self.count_missing_in_confidence else len(predictions)
-        return weighted_vote(predictions, weights, size)
+        return weighted_vote(predictions, weights, len(weights))
 
     def observe(
         self,

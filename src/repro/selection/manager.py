@@ -51,17 +51,6 @@ class SelectionStateManager:
         """Persist an updated selection state for one context."""
         self.store.put(self.namespace, context or DEFAULT_CONTEXT, state)
 
-    def contexts(self) -> List[str]:
-        """All contexts with instantiated selection state."""
-        return self.store.keys(self.namespace)
-
-    def reset(self, context: Optional[str] = None) -> None:
-        """Drop the state of one context (or every context when None)."""
-        if context is None:
-            self.store.clear(self.namespace)
-        else:
-            self.store.delete(self.namespace, context or DEFAULT_CONTEXT)
-
     def prune(self, keep_contexts: Iterable[Optional[str]]) -> List[str]:
         """Drop every instantiated context state except ``keep_contexts``.
 
@@ -80,14 +69,11 @@ class SelectionStateManager:
 
     # -- policy operations ----------------------------------------------------
 
-    def select(self, x: Any, context: Optional[str] = None) -> List[str]:
-        """Choose which models to query for input ``x`` in ``context``."""
-        return self.select_with_state(x, context)[0]
-
     def select_with_state(
         self, x: Any, context: Optional[str] = None
     ) -> Tuple[List[str], SelectionState]:
-        """Like :meth:`select`, but also return the context's state.
+        """Choose which models to query for input ``x`` in ``context``, and
+        return them with the context's state.
 
         The serving engine threads the returned state into :meth:`combine`
         for the same query, saving a second store read per prediction.

@@ -16,7 +16,11 @@ policy object, and persists the states in an external store.
 
 In this reproduction the state is a plain dict (JSON-friendly), the query
 type ``X`` is opaque, and predictions ``Y`` are the model outputs returned by
-the containers (class labels for the classification benchmarks).
+the containers (class labels for the classification benchmarks).  Every
+``observe`` is one of two updates written here once: :func:`reweighted`
+(Exp3, Exp4) or :func:`tallied` (single, ε-greedy, UCB1).  A policy is named
+by :attr:`ClipperConfig.selection_policy`, one of :data:`POLICIES`, and
+built by :func:`make_policy` at its defaults.
 """
 
 from __future__ import annotations
@@ -57,22 +61,17 @@ def reweighted(state: SelectionState, penalties: Dict[str, float]) -> SelectionS
     return {**state, "weights": weights, "n_feedback": state.get("n_feedback", 0) + 1}
 
 
-def tallied(
-    state: SelectionState, increments: Dict[str, Dict[str, float]], discount: float = 1.0
-) -> SelectionState:
+def tallied(state: SelectionState, increments: Dict[str, Dict[str, float]]) -> SelectionState:
     """The state after one count-keeping feedback step, as a new value.
 
-    ``increments[column][key]`` is added to ``state[column][key]`` — first
-    scaled by ``discount`` when that forgets (< 1) — for the models the column
-    already tracks; every touched column is a fresh dict.
+    ``increments[column][key]`` is added to ``state[column][key]`` for the
+    models the column already tracks; every touched column is a fresh dict.
     """
     updated = {**state, "n_feedback": state.get("n_feedback", 0) + 1}
     for column, deltas in increments.items():
         counts = dict(state[column])
         for key, delta in deltas.items():
             if key in counts:
-                if discount < 1.0:
-                    counts[key] *= discount
                 counts[key] += delta
         updated[column] = counts
     return updated
@@ -152,16 +151,15 @@ POLICIES = {
     "exp4": ("exp4", "Exp4Policy"),
     "single": ("single", "SingleModelPolicy"),
     "epsilon_greedy": ("epsilon_greedy", "EpsilonGreedyPolicy"),
-    "thompson": ("thompson", "ThompsonSamplingPolicy"),
     "ucb": ("ucb", "UCB1Policy"),
 }
 
 
-def make_policy(name: str, **kwargs) -> SelectionPolicy:
-    """Factory mapping policy names used in :class:`ClipperConfig` to objects."""
+def make_policy(name: str) -> SelectionPolicy:
+    """The policy a :class:`ClipperConfig` names, at its defaults."""
     if name not in POLICIES:
         raise SelectionPolicyError(
             f"unknown selection policy '{name}', expected one of {sorted(POLICIES)}"
         )
     module, cls = POLICIES[name]
-    return getattr(import_module(f"repro.selection.{module}"), cls)(**kwargs)
+    return getattr(import_module(f"repro.selection.{module}"), cls)()

@@ -134,7 +134,7 @@ class DurableKeyValueStore(KeyValueStore):
         Home of the snapshot and WAL files; created when missing.  Opening
         a directory with existing files restores their state.
     fsync:
-        The WAL durability policy (see :mod:`repro.state.wal`).
+        Whether each WAL append is ``os.fsync``-ed (see :mod:`repro.state.wal`).
     auto_compact_records:
         When set, a snapshot is taken (and the WAL truncated) automatically
         once this many records accumulate since the last compaction.
@@ -143,7 +143,7 @@ class DurableKeyValueStore(KeyValueStore):
     def __init__(
         self,
         directory: str,
-        fsync: str = "always",
+        fsync: bool = True,
         auto_compact_records: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -266,7 +266,7 @@ class DurableKeyValueStore(KeyValueStore):
     # -- lifecycle -------------------------------------------------------------
 
     def sync(self) -> None:
-        """Force journaled records to disk regardless of the fsync policy."""
+        """Force journaled records to disk, whatever :attr:`WalWriter.fsync` says."""
         self.wal.sync()
 
     def close(self) -> None:

@@ -139,10 +139,6 @@ class KeyValueStore:
                 self._on_commit("del", self._seq, namespace, key, None)
             return removed
 
-    def contains(self, namespace: str, key: str) -> bool:
-        sentinel = object()
-        return self.get(namespace, key, sentinel) is not sentinel
-
     # -- scanning --------------------------------------------------------------
 
     def keys(self, namespace: str) -> List[str]:
@@ -153,10 +149,6 @@ class KeyValueStore:
     def namespaces(self) -> List[str]:
         with self._lock:
             return sorted({ns for (ns, _) in self._data})
-
-    def size(self) -> int:
-        with self._lock:
-            return len(self._data)
 
     def clear(self, namespace: Optional[str] = None) -> None:
         """Remove everything, or only one namespace's entries."""

@@ -13,20 +13,11 @@ rather than refuse the whole log — the records before the tear were
 acknowledged and must survive.  The loader reports what it dropped in a
 :class:`WalRecovery` so callers can surface the repair instead of hiding it.
 
-Durability is configurable per writer (``fsync`` policy):
-
-``"always"``
-    ``os.fsync`` after every append — an acknowledged write survives a
-    machine crash, at the cost of one disk flush per mutation.
-``"interval"``
-    Flush to the OS on every append, ``fsync`` at most once per
-    ``FSYNC_INTERVAL_S`` (piggybacked on appends).  A machine crash can
-    lose up to one interval of acknowledged writes; a process crash loses
-    nothing (the OS has the bytes).
-``"never"``
-    Flush to the OS only.  Survives process crashes (the ``kill -9`` case),
-    not power loss.  The fastest policy, and sufficient for the
-    crash-injection tests.
+Every append is flushed to the OS, so a process crash (the ``kill -9``
+case) loses nothing acknowledged.  With ``fsync=True`` (the default) it is
+also ``os.fsync``-ed — an acknowledged write survives a machine crash, at
+the cost of one disk flush per mutation; ``fsync=False`` skips that flush,
+which is enough for the crash-injection tests.
 
 ``fault_hook`` is the crash-injection seam: when set, every frame passes
 through it before touching the file.  A hook may return a truncated frame
@@ -42,7 +33,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.core import clock
 from repro.core.exceptions import StateStoreError
 
 #: Frame magic: lets the loader distinguish "torn tail" from "not a WAL".
@@ -53,10 +43,6 @@ _HEADER = struct.Struct(">2sII")  # magic, payload length, crc32
 #: Refuse absurd lengths instead of attempting a multi-gigabyte read when a
 #: corrupt length field happens to pass the magic check.
 MAX_RECORD_BYTES = 64 * 1024 * 1024
-
-FSYNC_POLICIES = ("always", "interval", "never")
-#: Longest gap between two ``fsync`` calls under the ``"interval"`` policy.
-FSYNC_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -144,19 +130,12 @@ class WalWriter:
     """
 
     path: str
-    fsync: str = "always"
+    #: ``os.fsync`` after every append (survives a machine crash).
+    fsync: bool = True
     #: Crash-injection seam: maps the frame about to be written to the bytes
     #: actually written.  May raise or exit instead of returning.
     fault_hook: Optional[Callable[[bytes], bytes]] = None
     _handle: Optional[object] = field(default=None, repr=False)
-    _last_fsync: float = field(default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.fsync not in FSYNC_POLICIES:
-            raise StateStoreError(
-                f"unknown fsync policy '{self.fsync}', "
-                f"expected one of {sorted(FSYNC_POLICIES)}"
-            )
 
     def _file(self):
         if self._handle is None or self._handle.closed:
@@ -164,20 +143,15 @@ class WalWriter:
         return self._handle
 
     def append(self, payload: bytes) -> None:
-        """Frame and append one record, honouring the fsync policy."""
+        """Frame and append one record, fsync-ed when :attr:`fsync` says so."""
         data = frame(payload)
         if self.fault_hook is not None:
             data = self.fault_hook(data)
         handle = self._file()
         handle.write(data)
         handle.flush()
-        if self.fsync == "always":
+        if self.fsync:
             os.fsync(handle.fileno())
-        elif self.fsync == "interval":
-            now = clock.now()
-            if now - self._last_fsync >= FSYNC_INTERVAL_S:
-                os.fsync(handle.fileno())
-                self._last_fsync = now
 
     def sync(self) -> None:
         """Force everything written so far to disk."""

@@ -50,7 +50,7 @@ def noop_factory():
 
 
 async def serve(directory: str) -> None:
-    store = DurableKeyValueStore(directory, fsync="never")
+    store = DurableKeyValueStore(directory, fsync=False)
     mgmt = ManagementFrontend(
         store=store, monitor_health=False, manage_canaries=False
     )
@@ -88,7 +88,7 @@ async def serve(directory: str) -> None:
 
 
 def torn(directory: str) -> None:
-    store = DurableKeyValueStore(directory, fsync="never")
+    store = DurableKeyValueStore(directory, fsync=False)
     for i in range(5):
         store.put("ns", f"k{i}", i)
     # The next append writes only the first half of its frame: a torn

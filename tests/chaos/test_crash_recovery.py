@@ -96,7 +96,7 @@ class TestKillNineMidRollout:
         )
 
         async def recover():
-            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            store = DurableKeyValueStore(str(tmp_path), fsync=False)
             mgmt = ManagementFrontend(
                 store=store, monitor_health=False, manage_canaries=True
             )
@@ -152,7 +152,7 @@ class TestKillNineMidRollout:
             proc.wait(timeout=10)
 
         async def recover():
-            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            store = DurableKeyValueStore(str(tmp_path), fsync=False)
             mgmt = ManagementFrontend(
                 store=store, monitor_health=False, manage_canaries=False
             )
@@ -176,17 +176,17 @@ class TestTornFinalRecord:
         assert proc.wait(timeout=60) == 1  # the child os._exits mid-append
         proc.stdout.close()
 
-        store = DurableKeyValueStore(str(tmp_path), fsync="never")
+        store = DurableKeyValueStore(str(tmp_path), fsync=False)
         assert {k: store.get("ns", k) for k in store.keys("ns")} == {
             f"k{i}": i for i in range(5)
         }
-        assert not store.contains("ns", "doomed")
+        assert "doomed" not in store.keys("ns")
         assert store.recovery.wal.truncated
         assert not store.recovery.clean
         # The repaired log accepts and persists new records.
         store.put("ns", "after", "ok")
         store.close()
-        reopened = DurableKeyValueStore(str(tmp_path), fsync="never")
+        reopened = DurableKeyValueStore(str(tmp_path), fsync=False)
         assert reopened.get("ns", "after") == "ok"
         assert reopened.recovery.clean
         reopened.close()
@@ -212,7 +212,7 @@ class TestFaultyReplicaAfterRecovery:
         factories = {"fleet": fleet_factory}
 
         async def lifecycle():
-            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            store = DurableKeyValueStore(str(tmp_path), fsync=False)
             mgmt = ManagementFrontend(
                 store=store, monitor_health=False, manage_canaries=False
             )
@@ -233,7 +233,7 @@ class TestFaultyReplicaAfterRecovery:
 
         async def recover():
             calls["n"] = 0  # fresh process: replica 1 lands on a bad node
-            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            store = DurableKeyValueStore(str(tmp_path), fsync=False)
             mgmt = ManagementFrontend(
                 store=store,
                 monitor_health=True,

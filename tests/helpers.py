@@ -56,8 +56,6 @@ class SimulatedLatencyContainer(ModelContainer):
     inner container is given, the output for every input is ``default_output``.
     """
 
-    framework = "simulated"
-
     def __init__(
         self,
         inner: Optional[ModelContainer] = None,
@@ -110,8 +108,6 @@ class FlakyContainer(ModelContainer):
     factory starts its own countdown.
     """
 
-    framework = "chaos"
-
     def __init__(self, healthy_predictions: int, output: Any = 0) -> None:
         if healthy_predictions < 0:
             raise ValueError("healthy_predictions must be non-negative")
@@ -141,8 +137,6 @@ class CorruptingContainer(ModelContainer):
     as a failed batch rather than misalign outputs across the batch.
     Corruption starts after ``healthy_predictions`` clean ones.
     """
-
-    framework = "chaos"
 
     def __init__(
         self,

@@ -23,8 +23,10 @@ from repro.client import (
     MalformedRequest,
     ManagementConflict,
     RouteNotFound,
+    ServerError,
     UnknownApplication,
 )
+from repro.containers.base import FunctionContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
@@ -126,6 +128,29 @@ class TestErrorPathsOverHttp:
                     with pytest.raises(ManagementConflict) as excinfo:
                         await adm.deploy("demo", "noop", factory="noop", version=1)
                     assert excinfo.value.status == 409
+
+        run_async(scenario())
+
+    def test_a_failed_container_is_502_not_504(self):
+        def crash(inputs):
+            raise RuntimeError("model crashed")
+
+        async def scenario():
+            # No retry, and an SLO no run can miss: only the container fails.
+            clipper = Clipper(ClipperConfig(
+                app_name="demo", selection_policy="single", latency_slo_ms=60_000,
+            ))
+            clipper.deploy_model(ModelDeployment(
+                "broken", lambda: FunctionContainer(crash), max_batch_retries=0,
+            ))
+            server = make_server(clipper)
+            async with server:
+                async with AsyncClipperClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.predict("demo", [0.0])
+                    assert excinfo.value.status == 502
+                    assert excinfo.value.code == "container_failure"
+                    assert excinfo.value.detail == {"model": "broken:1"}
 
         run_async(scenario())
 

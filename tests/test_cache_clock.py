@@ -31,13 +31,6 @@ class TestClockCacheBasics:
         with pytest.raises(CacheError):
             ClockCache(0)
 
-    def test_clear(self):
-        cache = ClockCache(4)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert "a" not in cache
-
 
 class TestClockEviction:
     def test_never_exceeds_capacity(self):

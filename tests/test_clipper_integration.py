@@ -6,12 +6,19 @@ import time
 import numpy as np
 import pytest
 
-from helpers import SimulatedLatencyContainer, run_async, wait_until
+from helpers import SimulatedLatencyContainer, run_async
+from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import ClipperError, DeploymentError, PredictionTimeoutError
+from repro.containers.base import FunctionContainer
+from repro.core.exceptions import (
+    ClipperError,
+    ContainerError,
+    DeploymentError,
+    PredictionTimeoutError,
+)
 from repro.core.types import Feedback, Query
 
 
@@ -62,23 +69,26 @@ class TestDeployment:
 
         run_async(scenario())
 
-    def test_deploy_on_a_started_instance_is_brought_up_on_the_serving_loop(self):
+    def test_deploy_model_on_a_started_instance_raises_and_registers_nothing(self):
+        """After start the one way in is the awaited deploy_model_async, so a
+        failed bring-up reaches its caller; deploy_model refuses and names it."""
+
         async def scenario():
             clipper = build_clipper({"a": lambda: NoOpContainer(output=1)}, policy="single")
             await clipper.start()
-            clipper.deploy_model(
-                ModelDeployment(name="b", container_factory=lambda: NoOpContainer(output=2)),
-            )
-            record = clipper.model_record("b")
-            assert await wait_until(lambda: all(r.started for r in record.replicas))
-            return clipper
+            tasks = asyncio.all_tasks()
+            try:
+                with pytest.raises(ClipperError, match="deploy_model_async"):
+                    clipper.deploy_model(
+                        ModelDeployment(name="b", container_factory=lambda: NoOpContainer(output=2))
+                    )
+                assert [str(m) for m in clipper.deployed_models()] == ["a:1"]
+                assert clipper.routing.names() == ["a"]
+                assert asyncio.all_tasks() == tasks  # no bring-up left running
+            finally:
+                await clipper.stop()
 
-        clipper = run_async(scenario())
-        # The serving loop is gone; the instance still reads as started.  A
-        # deploy from outside any loop is refused before it registers anything.
-        with pytest.raises(RuntimeError):
-            clipper.deploy_model(ModelDeployment(name="c", container_factory=NoOpContainer))
-        assert [str(m) for m in clipper.deployed_models()] == ["a:1", "b:1"]
+        run_async(scenario())
 
     def test_predict_before_start_rejected(self):
         async def scenario():
@@ -341,6 +351,78 @@ class TestStragglerMitigation:
             with pytest.raises(PredictionTimeoutError):
                 await clipper.predict(Query(app_name="test-app", input=np.zeros(1)))
             await clipper.stop()
+
+        run_async(scenario())
+
+
+def crash(inputs):
+    raise RuntimeError("model crashed")
+
+
+class TestFailedContainers:
+    """A query none of whose models answered failed by its containers (502)
+    unless some model missed the deadline (504)."""
+
+    def test_a_container_error_is_not_a_timeout_but_a_deadline_miss_still_is(self):
+        async def failed():
+            # No retry, and an SLO no run can miss: only the container fails.
+            clipper = Clipper(ClipperConfig(
+                app_name="test-app", selection_policy="single", latency_slo_ms=60_000,
+            ))
+            clipper.deploy_model(ModelDeployment(
+                "broken", lambda: FunctionContainer(crash), max_batch_retries=0,
+            ))
+            await clipper.start()
+            try:
+                with pytest.raises(ContainerError) as excinfo:
+                    await clipper.predict(Query(app_name="test-app", input=np.zeros(1)))
+            finally:
+                await clipper.stop()
+            assert excinfo.value.http_status == 502
+            assert excinfo.value.detail == {"model": "broken:1"}
+            assert "model crashed" in str(excinfo.value.__cause__)
+
+        async def missed_beside_a_failure():
+            clipper = build_clipper(
+                {
+                    "broken": lambda: FunctionContainer(crash),
+                    "slow": lambda: SimulatedLatencyContainer(
+                        base_latency_ms=300.0, default_output=0, random_state=0
+                    ),
+                },
+                policy="exp4",
+                slo_ms=30.0,
+            )
+            await clipper.start()
+            try:
+                with pytest.raises(PredictionTimeoutError):
+                    await clipper.predict(Query(app_name="test-app", input=np.zeros(1)))
+            finally:
+                await clipper.stop()
+
+        run_async(failed())
+        run_async(missed_beside_a_failure())
+
+    @pytest.mark.parametrize(
+        "transport", ["inprocess", "tcp"] + (["shm"] if HAS_SHARED_MEMORY else [])
+    )
+    def test_a_container_error_is_a_502_on_every_lane(self, transport):
+        async def scenario():
+            clipper = Clipper(ClipperConfig(
+                app_name="test-app", selection_policy="single", latency_slo_ms=60_000,
+            ))
+            clipper.deploy_model(ModelDeployment(
+                "broken", lambda: FunctionContainer(crash), max_batch_retries=0,
+                transport=transport,
+            ))
+            await clipper.start()
+            try:
+                with pytest.raises(ContainerError) as excinfo:
+                    await clipper.predict(Query(app_name="test-app", input=np.zeros(1)))
+            finally:
+                await clipper.stop()
+            assert excinfo.value.http_status == 502
+            assert excinfo.value.detail == {"model": "broken:1"}
 
         run_async(scenario())
 

@@ -37,8 +37,6 @@ from repro.rpc.shm import HAS_SHARED_MEMORY
 class SlowContainer(ModelContainer):
     """Blocks ``delay_s`` per batch (in the worker's executor thread)."""
 
-    framework = "slow"
-
     def __init__(self, delay_s: float = 0.2) -> None:
         self.delay_s = delay_s
 
@@ -279,11 +277,11 @@ class TestClipperPlacementSeam:
                         await clipper.deploy_model_async(remote("ghost"))
                     # Nothing of the failed version is left behind ...
                     assert [str(m) for m in clipper.deployed_models()] == ["other:1"]
-                    assert clipper.active_version("m") is None
+                    assert clipper.routing.active_key("m") is None
                     assert "m:1" not in clipper.overload.state()["queues"]
                     # ... so the same key deploys cleanly afterwards and serves.
                     await clipper.deploy_model_async(remote("echo"))
-                    assert str(clipper.active_version("m")) == "m:1"
+                    assert clipper.routing.active_key("m") == "m:1"
                     record = clipper.model_record("m:1")
                     assert all(replica.started for replica in record.replicas)
                     response = await record.replicas[0].predict_batch(

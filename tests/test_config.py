@@ -12,13 +12,13 @@ import pytest
 import repro.cluster.ingress
 import repro.cluster.worker
 from repro.containers.noop import NoOpContainer
+from repro.core.clipper import Clipper
 from repro.core.config import (
     BatchingConfig,
     CircuitBreakerConfig,
     ClipperConfig,
     ModelDeployment,
     OverloadConfig,
-    TracingConfig,
 )
 from repro.core.exceptions import ConfigurationError, ManagementError
 
@@ -43,11 +43,10 @@ CONFIG_FIELDS = {
         "serialize_rpc", "max_batch_retries", "factory_name", "transport",
         "circuit_breaker",
     },
-    TracingConfig: {"enabled", "sample_every", "tail_capture", "ring_capacity"},
     ClipperConfig: {
         "app_name", "latency_slo_ms", "selection_policy", "cache_size",
         "straggler_mitigation", "default_output", "input_type", "input_shape",
-        "output_type", "confidence_threshold", "routing_seed", "tracing",
+        "output_type", "confidence_threshold", "tracing",
         "overload", "breaker", "allow_empty_start",
     },
 }
@@ -90,7 +89,7 @@ class TestPinnedOptions:
         assert {f.name for f in dataclasses.fields(cls)} == CONFIG_FIELDS[cls]
 
     def test_field_total_matches_the_ci_bound(self):
-        assert sum(len(names) for names in CONFIG_FIELDS.values()) == 48
+        assert sum(len(names) for names in CONFIG_FIELDS.values()) == 43
 
     @pytest.mark.parametrize("entry", list(PARSER_FLAGS))
     def test_process_entry_point_flags(self, entry, monkeypatch):
@@ -297,6 +296,12 @@ class TestClipperConfig:
     def test_defaults_are_valid(self):
         config = ClipperConfig()
         assert config.latency_slo_ms == 20.0
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_tracing_is_one_switch_the_engine_obeys(self, tracing):
+        tracer = Clipper(ClipperConfig(tracing=tracing)).tracer
+        assert tracer.active is tracing
+        assert (tracer.begin(trace_id="forced") is not None) is tracing
 
     def test_rejects_nonpositive_slo(self):
         with pytest.raises(ConfigurationError):

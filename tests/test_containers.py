@@ -16,10 +16,6 @@ class TestFunctionContainer:
         container = FunctionContainer(lambda xs: [x * 2 for x in xs])
         assert container.predict_batch([1, 2, 3]) == [2, 4, 6]
 
-    def test_predict_single_input(self):
-        container = FunctionContainer(lambda xs: [sum(x) for x in xs])
-        assert container.predict([1, 2, 3]) == 6
-
     def test_rejects_non_callable(self):
         with pytest.raises(TypeError):
             FunctionContainer(42)
@@ -38,12 +34,6 @@ class TestNoOpContainer:
     def test_returns_constant_output(self):
         container = NoOpContainer(output=5)
         assert container.predict_batch([np.ones(3)] * 4) == [5, 5, 5, 5]
-
-    def test_counts_batches(self):
-        container = NoOpContainer()
-        container.predict_batch([1])
-        container.predict_batch([1, 2])
-        assert container.batches_served == 2
 
     def test_touch_inputs_mode(self):
         container = NoOpContainer(touch_inputs=True)
@@ -65,13 +55,6 @@ class TestClassifierContainer:
         direct = trained_svm.predict(ds.X_test[:8])
         served = container.predict_batch([ds.X_test[i] for i in range(8)])
         np.testing.assert_array_equal(np.asarray(served), direct)
-
-    def test_proba_mode_returns_vectors(self, trained_svm, mnist_like_small):
-        ds = mnist_like_small
-        container = ClassifierContainer(trained_svm, return_proba=True)
-        outputs = container.predict_batch([ds.X_test[0]])
-        assert outputs[0].shape == (10,)
-        assert np.isclose(outputs[0].sum(), 1.0)
 
     def test_empty_batch(self, trained_svm):
         assert ClassifierContainer(trained_svm).predict_batch([]) == []

@@ -47,7 +47,6 @@ from repro.batching.aimd import AIMDController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.core.config import TracingConfig
 from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
 from repro.core.types import ModelId
 from repro.observability.tracing import (
@@ -67,7 +66,6 @@ MODEL = ModelId("model", 1)
 T0 = 1000.0  # the hand-set clock when the batch is formed
 ANSWERED = T0 + 0.002  # the replica takes 2 ms of it
 DEADLINES = {"none": None, "past": T0 - 0.001, "now": T0, "future": T0 + 0.020}
-TRACING = TracingConfig(sample_every=1 << 30)
 
 
 class RecordingReplica:
@@ -147,11 +145,10 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
     """Build the case's batch, dispatch it, report what happened."""
     loop = asyncio.get_running_loop()
     hand.now = T0
-    # Head sampling never fires: the case's contexts are made by hand below.
-    tracer = {
-        "on": Tracer(TRACING), "off": Tracer(TracingConfig(enabled=False)), "none": None,
-    }[case["tracer"]]
-    contexts = Tracer(TRACING)  # where this world's contexts come from
+    # Head sampling never fires: the case's contexts are made by hand below,
+    # a forced one through ``begin`` with an id.
+    tracer = {"on": Tracer(), "off": Tracer(False), "none": None}[case["tracer"]]
+    contexts = Tracer()  # where this world's contexts come from
     replica = RecordingReplica(case, hand)
     queue = BatchingQueue(name="model")
     cache = RecordingCache()

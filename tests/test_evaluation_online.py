@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from paperkit.reporting import format_table
 from paperkit.served_selection import (
+    EnsembleAccuracyResult,
     ensemble_accuracy_experiment,
     model_failure_experiment,
     personalization_experiment,
@@ -55,6 +57,21 @@ class TestEnsembleAccuracy:
         predictions, y_true = synthetic_predictions
         row = ensemble_accuracy_experiment(predictions, y_true, agreement_threshold=4).as_row()
         assert "ensemble" in row and "single_model" in row
+
+    def test_rows_of_two_thresholds_render_their_confident_error(self):
+        """Fig. 7 prints its 4-agree and 5-agree rows under one header, which
+        the first row's keys define: each row must fill the confident column."""
+        rows = [
+            EnsembleAccuracyResult("cifar-like", 0.15, 0.12, confident, 0.2, 0.5, threshold)
+            for threshold, confident in ((4, 0.0955), (5, 0.0995))
+        ]
+        table = format_table([result.as_row() for result in rows]).splitlines()
+        header, body = table[0].split(), table[2:]
+        column = header.index("confident")
+        assert [line.split()[column] for line in body] == ["0.0955", "0.0995"]
+        assert [line.split()[header.index("agreement")] for line in body] == [
+            "4-agree", "5-agree",
+        ]
 
     def test_validation(self, synthetic_predictions):
         predictions, y_true = synthetic_predictions

@@ -82,7 +82,7 @@ class TestRouting:
             await frontend.start()
             await frontend.predict("vision", np.zeros(1))
             await frontend.stop()
-            snapshot = frontend.app_metrics("vision")
+            snapshot = frontend.application("vision").metrics.snapshot()
             assert snapshot.counters["predict.count"] == 1
 
         run_async(scenario())

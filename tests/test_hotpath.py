@@ -81,8 +81,6 @@ from repro.state.kvstore import KeyValueStore
 class SlowContainer(ModelContainer):
     """Sleeps longer than the SLO so every prediction is a straggler."""
 
-    framework = "test"
-
     def __init__(self, delay_s: float = 0.08, output: int = 7) -> None:
         self.delay_s = delay_s
         self.output = output

@@ -29,7 +29,7 @@ class TestBasicOperations:
         store.put("ns", "k", 1)
         assert store.delete("ns", "k") is True
         assert store.delete("ns", "k") is False
-        assert not store.contains("ns", "k")
+        assert store.get("ns", "k") is None and store.keys("ns") == []
 
     def test_keys_and_namespaces(self):
         store = KeyValueStore()
@@ -38,7 +38,6 @@ class TestBasicOperations:
         store.put("other", "z", 3)
         assert store.keys("ns") == ["a", "b"]
         assert store.namespaces() == ["ns", "other"]
-        assert store.size() == 3
 
     def test_clear_namespace_only(self):
         store = KeyValueStore()

@@ -45,11 +45,11 @@ STEPS = 40
 
 
 def make_config():
-    return ClipperConfig(app_name=APP, selection_policy="single", routing_seed=7)
+    return ClipperConfig(app_name=APP, selection_policy="single")
 
 
 def make_frontend(directory):
-    store = DurableKeyValueStore(str(directory), fsync="never")
+    store = DurableKeyValueStore(str(directory), fsync=False)
     return ManagementFrontend(store=store, monitor_health=False, manage_canaries=False)
 
 
@@ -98,7 +98,7 @@ def check_projection(mgmt, clipper):
             assert model["routing"] is None
             live = {"stable": None, "canary": None, "previous": None}
         else:
-            assert model["routing"] == {**live, "seed": clipper.config.routing_seed}
+            assert model["routing"] == {**live, "seed": clipper.routing.seed}
         assert model["active_version"] == version_of(live["stable"])
         assert model["previous_version"] == version_of(live["previous"])
         if live["canary"] is None:
@@ -166,9 +166,9 @@ class Walk:
         registered = self.registered(name)
         managed = [v for v, gone in registered.items() if not gone]
         behind_back = [
-            m.version
-            for m in self.clipper.model_versions(name)
-            if m.version not in registered
+            r.model_id.version
+            for r in self.clipper.model_records()
+            if r.model_id.name == name and r.model_id.version not in registered
         ]
         draw = self.rng.random()
         if managed and draw < 0.6:

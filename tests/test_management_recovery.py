@@ -36,7 +36,7 @@ def make_config(**kwargs):
 
 
 def make_store(tmp_path):
-    return DurableKeyValueStore(str(tmp_path), fsync="never")
+    return DurableKeyValueStore(str(tmp_path), fsync=False)
 
 
 def make_frontend(store):

@@ -20,12 +20,6 @@ class TestCounter:
         counter.increment(5)
         assert counter.value == 6
 
-    def test_reset(self):
-        counter = Counter("c")
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
-
 
 class TestMeter:
     def test_rate_counts_events_over_time(self, monkeypatch):
@@ -111,13 +105,6 @@ class TestRegistry:
         assert snapshot.counters["queries"] == 4
         assert snapshot.histograms["latency"]["count"] == 1.0
         assert "rate" in snapshot.meters
-        assert "counter queries = 4" in snapshot.describe()
-
-    def test_reset_clears_values_but_keeps_names(self):
-        registry = MetricsRegistry()
-        registry.counter("queries").increment(4)
-        registry.reset()
-        assert registry.counter("queries").value == 0
 
 
 class TestCallbackGauge:

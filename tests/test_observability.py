@@ -23,7 +23,7 @@ from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import create_server
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import ClipperConfig, ModelDeployment, TracingConfig
+from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.frontend import QueryFrontend
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import Query
@@ -34,6 +34,7 @@ from repro.observability.prometheus import (
     render_prometheus,
     validate,
 )
+from repro.observability import tracing
 from repro.observability.tracing import (
     TRACE_RETRIED,
     TRACE_SLO_MISS,
@@ -47,21 +48,43 @@ from repro.observability.tracing import (
 from repro.rpc.protocol import RpcRequest, RpcResponse
 
 
+@pytest.fixture(autouse=True)
+def rare_head_sampling(monkeypatch):
+    """Head sampling effectively off: what a test traces it forces with a
+    trace id, or tail capture commits.  A test that samples sets its period."""
+    monkeypatch.setattr(tracing, "SAMPLE_EVERY", 1_000_000)
+
+
 class TestTracer:
     def test_disabled_tracer_begins_nothing(self):
-        tracer = Tracer(TracingConfig(enabled=False))
+        tracer = Tracer(False)
         assert tracer.begin() is None
         assert tracer.begin(trace_id="forced") is None
         assert tracer.capture_event("x") is None
         assert not tracer.active
 
-    def test_head_sampling_period(self):
-        tracer = Tracer(TracingConfig(sample_every=4))
+    def test_head_sampling_period(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SAMPLE_EVERY", 4)
+        tracer = Tracer()
         picked = [tracer.begin() is not None for _ in range(8)]
         assert picked == [False, False, False, True, False, False, False, True]
 
+    def test_default_period_samples_one_query_in_256(self, monkeypatch):
+        monkeypatch.undo()  # back to the shipped period, not the fixture's
+        tracer = Tracer()
+        picked = [i for i in range(2 * 256) if tracer.begin() is not None]
+        assert picked == [255, 511]
+
+    def test_default_ring_keeps_the_last_512_traces(self):
+        registry = Tracer().registry
+        for i in range(513):
+            registry.commit(TestTraceRegistry._record(f"t{i}", end=float(i + 1)))
+        assert registry.get("t0") is None
+        assert registry.get("t1") is not None and registry.get("t512") is not None
+        assert len(registry.recent(limit=1000)) == 512
+
     def test_client_trace_id_forces_sampling(self):
-        tracer = Tracer(TracingConfig(sample_every=1_000_000))
+        tracer = Tracer()
         ctx = tracer.begin(trace_id="client-id-1")
         assert ctx is not None and ctx.sampled
         trace_id = tracer.finish(ctx)
@@ -69,14 +92,14 @@ class TestTracer:
         assert tracer.registry.get("client-id-1") is not None
 
     def test_boring_shadow_commits_nothing_and_owns_no_id(self):
-        tracer = Tracer(TracingConfig(sample_every=1_000_000))
+        tracer = Tracer()
         ctx = tracer.shadow(0.0)
         assert not ctx.sampled and ctx.trace_id is None
         assert tracer.finish(ctx) is None
         assert tracer.registry.recent() == [] and ctx.trace_id is None
 
     def test_a_shadow_folds_in_what_its_entries_were_stamped_with(self):
-        tracer = Tracer(TracingConfig(sample_every=1_000_000))
+        tracer = Tracer()
         common = [("rpc.send", 0.3, 0.4, None)]
         answered = SimpleNamespace(enqueue_time=0.1, trace=BatchSpans(0.2, common))
         retried = SimpleNamespace(enqueue_time=0.1, trace=tracer.shadow(0.1))
@@ -92,7 +115,7 @@ class TestTracer:
         assert answered.trace is retried.trace is waiting.trace is ctx
 
     def test_flagged_shadow_commits_with_fresh_id(self):
-        tracer = Tracer(TracingConfig(sample_every=1_000_000))
+        tracer = Tracer()
         ctx = tracer.shadow(0.0)
         ctx.spans.append(("queue.wait", 0.0, 0.1, None))
         trace_id = tracer.finish(ctx, slo_missed=True, query_id=7)
@@ -106,9 +129,10 @@ class TestTracer:
         fresh = tracer.shadow(2.0)
         assert fresh is not ctx
 
-    def test_sampled_trace_feeds_stage_histograms(self):
+    def test_sampled_trace_feeds_stage_histograms(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SAMPLE_EVERY", 1)
         metrics = MetricsRegistry()
-        tracer = Tracer(TracingConfig(sample_every=1), metrics=metrics)
+        tracer = Tracer(metrics=metrics)
         ctx = tracer.begin()
         ctx.spans.append(("selection.select", 0.0, 0.002, None))
         ctx.spans.append(("cache.lookup", 0.002, 0.003, None))
@@ -118,7 +142,7 @@ class TestTracer:
         assert 'predict.stage_ms{stage="cache.lookup"}' in snapshot.histograms
 
     def test_capture_event_commits_single_span(self):
-        tracer = Tracer(TracingConfig())
+        tracer = Tracer()
         trace_id = tracer.capture_event(
             "canary.abort", meta={"model": "m"}, flags=TRACE_RETRIED, component="routing"
         )
@@ -426,8 +450,8 @@ def _slow_app(name="slow"):
             selection_policy="single",
             default_output=-1,
             straggler_mitigation=True,
-            # Head sampling effectively off: only tail capture can commit.
-            tracing=TracingConfig(sample_every=1_000_000, tail_capture=True),
+            # Head sampling is off (rare_head_sampling): only tail capture
+            # can commit.
         )
     )
     clipper.deploy_model(
@@ -447,7 +471,6 @@ def _fast_app(name="fast"):
             app_name=name,
             latency_slo_ms=500.0,
             selection_policy="single",
-            tracing=TracingConfig(sample_every=1_000_000, tail_capture=True),
         )
     )
     clipper.deploy_model(
@@ -640,8 +663,7 @@ class TestLazyTailCapture:
         async def scenario():
             clipper = Clipper(ClipperConfig(
                 app_name="retry", latency_slo_ms=500.0, selection_policy="single",
-                tracing=TracingConfig(sample_every=1_000_000, tail_capture=True),
-            ))
+                ))
             clipper.deploy_model(ModelDeployment(
                 name="m", container_factory=_FailsFirstBatch, max_batch_retries=1,
             ))
@@ -663,12 +685,12 @@ class TestLazyTailCapture:
 
         run_async(scenario())
 
-    def test_nothing_is_captured_with_tail_capture_off(self):
+    def test_nothing_is_captured_with_tracing_off(self):
         async def scenario():
             clipper = Clipper(ClipperConfig(
                 app_name="off", latency_slo_ms=40.0, selection_policy="single",
                 default_output=-1,
-                tracing=TracingConfig(sample_every=1_000_000, tail_capture=False),
+                tracing=False,
             ))
             clipper.deploy_model(ModelDeployment(
                 name="sleepy", container_factory=lambda: SimulatedLatencyContainer(

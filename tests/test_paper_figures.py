@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import clock
 from repro.core.clipper import Clipper
-from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment, TracingConfig
+from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
 from repro.core.types import Query
 from simloop import placement, poisson, run_virtual
 
@@ -52,7 +52,7 @@ def serving(models, seed=0, answer=None, **config) -> Clipper:
     """An engine, not yet started, serving ``models[name] = (batching, line, tail)``."""
     shapes = {name: (line, tail) for name, (_, line, tail) in models.items()}
     clipper = Clipper(
-        ClipperConfig(app_name="fig", tracing=TracingConfig(enabled=False), **config),
+        ClipperConfig(app_name="fig", tracing=False, **config),
         placement=placement(shapes, seed, answer),
     )
     for name, (batching, _, _) in models.items():

@@ -11,13 +11,6 @@ from repro.core.types import ModelId, hash_input
 
 
 class TestPredictionCacheBasics:
-    def test_request_reports_presence(self):
-        cache = PredictionCache(capacity=16)
-        x = np.ones(4)
-        assert cache.request("svm:1", x) is False
-        cache.put("svm:1", x, 7)
-        assert cache.request("svm:1", x) is True
-
     def test_fetch_returns_cached_prediction(self):
         cache = PredictionCache(capacity=16)
         x = np.arange(3.0)
@@ -78,15 +71,6 @@ class TestPredictionCacheStats:
     def test_hit_rate_zero_with_no_lookups(self):
         assert PredictionCache(capacity=4).stats.hit_rate == 0.0
 
-    def test_clear_resets_stats_and_contents(self):
-        cache = PredictionCache(capacity=4)
-        x = np.ones(2)
-        cache.put("m", x, 1)
-        cache.fetch("m", x)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.lookups == 0
-
 
 class TestDisabledCache:
     def test_zero_capacity_disables_caching(self):
@@ -94,7 +78,6 @@ class TestDisabledCache:
         x = np.ones(3)
         cache.put("m", x, 1)
         assert cache.fetch("m", x) is None
-        assert not cache.enabled
         assert len(cache) == 0
 
     def test_negative_capacity_rejected(self):

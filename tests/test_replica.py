@@ -46,8 +46,6 @@ class TestHealthProbe:
             assert await replica.check_health(timeout_s=1.0) is True
             container.kill()
             assert await replica.check_health(timeout_s=1.0) is False
-            container.revive()
-            assert await replica.check_health(timeout_s=1.0) is True
             await replica.stop()
 
         run_async(scenario())

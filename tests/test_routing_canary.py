@@ -152,7 +152,7 @@ class TestClipperCanaryVerbs:
             assert split.weight_of("m:2") == 0.5
             promoted = clipper.promote("m")
             assert str(promoted) == "m:2"
-            assert str(clipper.active_version("m")) == "m:2"
+            assert clipper.routing.active_key("m") == "m:2"
             prediction = await clipper.predict(
                 Query(app_name=APP, input=np.array([9.0]))
             )
@@ -213,7 +213,7 @@ class TestClipperCanaryVerbs:
             clipper.start_canary("m", 2, weight=0.5)
             await clipper.undeploy_model("m:2")
             assert clipper.routing.canaries() == {}
-            assert str(clipper.active_version("m")) == "m:1"
+            assert clipper.routing.active_key("m") == "m:1"
             prediction = await clipper.predict(Query(app_name=APP, input=np.zeros(1)))
             assert prediction.output == 1
             await clipper.stop()
@@ -340,7 +340,7 @@ class TestCanaryControllerJudgement:
                     assert decisions == []
             assert len(decisions) == 1
             assert decisions[0].action == "promote"
-            assert str(clipper.active_version("m")) == "m:2"
+            assert clipper.routing.active_key("m") == "m:2"
             assert clipper.metrics.counter("canary.auto_promotions").value == 1
 
         run_async(scenario())
@@ -359,7 +359,7 @@ class TestCanaryControllerJudgement:
             assert len(decisions) == 1
             assert decisions[0].action == "abort"
             assert "error rate" in decisions[0].reason
-            assert str(clipper.active_version("m")) == "m:1"
+            assert clipper.routing.active_key("m") == "m:1"
             assert clipper.metrics.counter("canary.auto_aborts").value == 1
 
         run_async(scenario())
@@ -400,7 +400,7 @@ class TestCanaryControllerJudgement:
             (decision,) = await controller.evaluate_once()
             assert decision.action == "abort"
             assert decision.reason == f"replica '{status.replica_name}' is quarantined"
-            assert str(clipper.active_version("m")) == "m:1"
+            assert clipper.routing.active_key("m") == "m:1"
 
         run_async(scenario())
 

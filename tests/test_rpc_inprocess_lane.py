@@ -132,7 +132,10 @@ class TestPrivateCopies:
     @SETTINGS
     def test_a_reused_output_buffer_does_not_change_a_cached_answer(self, serialize):
         async def scenario():
-            clipper = Clipper(ClipperConfig(app_name="a", selection_policy="single"))
+            # The property is about copies, not time: an SLO no run can miss.
+            clipper = Clipper(
+                ClipperConfig(app_name="a", selection_policy="single", latency_slo_ms=60_000)
+            )
             clipper.deploy_model(
                 ModelDeployment("m", OneBuffer, serialize_rpc=serialize)
             )

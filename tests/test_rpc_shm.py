@@ -33,7 +33,7 @@ from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica, place_locally
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import ConfigurationError, ContainerError, RpcError
+from repro.core.exceptions import ConfigurationError, RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
@@ -542,10 +542,9 @@ class TestReplicaTransportLanes:
         run_async(scenario())
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ContainerError):
-            ContainerReplica(
-                ModelId("noop"), 0, NoOpContainer(), transport="carrier-pigeon"
-            )
+        # The deployment checks the lane name before any replica is built.
+        with pytest.raises(ConfigurationError, match="carrier-pigeon"):
+            ModelDeployment("noop", NoOpContainer, transport="carrier-pigeon")
 
     def test_local_placement_propagates_transport(self):
         async def scenario():

@@ -23,7 +23,8 @@ from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.types import ModelId, Query
 from repro.selection.manager import SelectionStateManager
-from repro.selection.policy import POLICIES, make_policy
+from repro.selection.policy import POLICIES, SelectionPolicy, make_policy
+from repro.state.durable import DurableKeyValueStore
 
 MODELS = [ModelId("a"), ModelId("b"), ModelId("c")]
 KEYS = [str(model) for model in MODELS]
@@ -72,6 +73,50 @@ def test_a_query_writes_no_state_and_feedback_writes_one(name):
     assert writes == [] and manager.get_state("u") is stored
     updated = manager.observe(0, 1, dict.fromkeys(selected, 1), "u")
     assert writes == ["u"] and manager.get_state("u") is updated is not stored
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_make_policy_builds_the_class_registered_under_the_name(name):
+    policy = make_policy(name)
+    assert isinstance(policy, SelectionPolicy)
+    assert policy.name == name
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_feedback_in_one_context_leaves_every_other_context_alone(name):
+    manager = SelectionStateManager(make_policy(name), MODELS)
+    app_wide = copy.deepcopy(manager.get_state(None))
+    other_user = copy.deepcopy(manager.get_state("v"))
+    for _ in range(10):
+        manager.observe(0, 1, {"a:1": 1, "b:1": 0, "c:1": 0}, "u")
+    assert manager.get_state(None) == app_wide
+    assert manager.get_state("v") == other_user
+    assert manager.get_state("u") != app_wide
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_a_learned_state_survives_a_restart_of_the_durable_store(name, tmp_path):
+    store = DurableKeyValueStore(str(tmp_path), fsync=False)
+    manager = SelectionStateManager(make_policy(name), MODELS, store=store)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        predictions = {key: int(rng.integers(0, 2)) for key in KEYS}
+        manager.observe(0, int(rng.integers(0, 2)), predictions, "u")
+    learned = manager.get_state("u")
+    store.close()
+
+    reopened = DurableKeyValueStore(str(tmp_path), fsync=False)
+    try:
+        restored = SelectionStateManager(
+            make_policy(name), MODELS, store=reopened
+        ).get_state("u")
+        assert restored == learned
+        predictions = {"a:1": 0, "b:1": 1, "c:1": 1}
+        assert manager.policy.combine(restored, 0, predictions) == (
+            manager.policy.combine(learned, 0, predictions)
+        )
+    finally:
+        reopened.close()
 
 
 def test_predict_on_an_exp3_application_performs_zero_store_writes():

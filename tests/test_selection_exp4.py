@@ -25,19 +25,21 @@ class TestExp4Basics:
         assert confidence == pytest.approx(3 / 5)
 
     def test_confidence_counts_missing_models(self):
-        policy = Exp4Policy(count_missing_in_confidence=True)
+        policy = Exp4Policy()
         state = policy.init(MODELS)
         predictions = {"a:1": 1, "b:1": 1}  # three models missing (stragglers)
         output, confidence = policy.combine(state, None, predictions)
         assert output == 1
         assert confidence == pytest.approx(2 / 5)
 
-    def test_confidence_over_available_when_configured(self):
-        policy = Exp4Policy(count_missing_in_confidence=False)
+    @pytest.mark.parametrize("agreeing", range(1, len(MODELS) + 1))
+    def test_confidence_is_the_agreeing_share_of_the_whole_ensemble(self, agreeing):
+        policy = Exp4Policy()
         state = policy.init(MODELS)
-        predictions = {"a:1": 1, "b:1": 1}
-        _, confidence = policy.combine(state, None, predictions)
-        assert confidence == pytest.approx(1.0)
+        predictions = {str(model): 1 for model in MODELS[:agreeing]}
+        output, confidence = policy.combine(state, None, predictions)
+        assert output == 1
+        assert confidence == pytest.approx(agreeing / len(MODELS))
 
     def test_combine_empty_raises(self):
         policy = Exp4Policy()

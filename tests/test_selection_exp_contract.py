@@ -7,9 +7,8 @@
   ``repr``; the label returned is the object the first model to cast it
   returned.  The answer does not change when every weight is scaled by the
   same factor, and without weights every answer counts one.  The confidence
-  is the share of the ensemble (the deployed models, or with
-  ``count_missing_in_confidence=False`` those that answered) that cast the
-  winning label.
+  is the share of the ensemble (the deployed models) that cast the winning
+  label.
 * ``observe`` is pure: the state handed in stays equal to a copy taken
   before, and a new state with a new weights map comes back.  For Exp4 over
   two models, after a stream in which one is right and the other wrong *k*
@@ -102,16 +101,16 @@ def assert_vote(answer, weights, predictions, size) -> None:
 
 
 class TestExp4Combine:
-    @given(st.data(), st.booleans())
+    @given(st.data())
     def test_heaviest_label_wins_ties_to_smallest_repr_confidence_is_agreeing_share(
-        self, data, count_missing
+        self, data
     ):
-        policy = Exp4Policy(count_missing_in_confidence=count_missing)
+        policy = Exp4Policy()
         state = data.draw(states())
         predictions = data.draw(prediction_maps(list(state["weights"])))
         before = copy.deepcopy(state)
 
-        size = len(state["weights"]) if count_missing else len(predictions)
+        size = len(state["weights"])
         assert_vote(policy.combine(state, None, predictions), state["weights"], predictions, size)
         assert state == before
         # Without weights, every answer counts one.
@@ -143,9 +142,8 @@ class TestExp4Combine:
         none_positive = {"weights": {"a:1": 0.0, "b:1": -1.0, "c:1": -0.0}}
         assert policy.combine(none_positive, None, {"a:1": "x", "b:1": "y", "c:1": "y"}) == (
             "y", 2 / 3)
-        answer = Exp4Policy(count_missing_in_confidence=False).combine(
-            state, None, {"a:1": np.int64(1), "b:1": 1, "c:1": 2})
-        assert answer == (1, 2 / 3) and type(answer[0]) is np.int64
+        answer = policy.combine(state, None, {"a:1": np.int64(1), "b:1": 1, "c:1": 2})
+        assert answer == (1, 2 / 4) and type(answer[0]) is np.int64
 
 
 TRUTH = 1

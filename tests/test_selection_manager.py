@@ -19,18 +19,23 @@ from repro.state.kvstore import KeyValueStore
 MODELS = [ModelId("a"), ModelId("b")]
 
 
+def contexts(manager):
+    """The contexts with instantiated selection state."""
+    return manager.store.keys(manager.namespace)
+
+
 class TestStateLifecycle:
     def test_state_created_lazily_per_context(self):
         manager = SelectionStateManager(Exp4Policy(), MODELS)
-        assert manager.contexts() == []
+        assert contexts(manager) == []
         manager.get_state("user-1")
         manager.get_state("user-2")
-        assert sorted(manager.contexts()) == ["user-1", "user-2"]
+        assert sorted(contexts(manager)) == ["user-1", "user-2"]
 
     def test_default_context_used_when_none(self):
         manager = SelectionStateManager(Exp4Policy(), MODELS)
         manager.get_state(None)
-        assert manager.contexts() == [DEFAULT_CONTEXT]
+        assert contexts(manager) == [DEFAULT_CONTEXT]
 
     def test_states_are_independent_across_contexts(self):
         manager = SelectionStateManager(Exp4Policy(eta=1.0), MODELS)
@@ -39,20 +44,6 @@ class TestStateLifecycle:
         bob = manager.get_state("bob")
         assert alice["weights"]["a:1"] < alice["weights"]["b:1"]
         assert bob["weights"]["a:1"] == bob["weights"]["b:1"]
-
-    def test_reset_single_context(self):
-        manager = SelectionStateManager(Exp4Policy(eta=1.0), MODELS)
-        manager.observe(None, 1, {"a:1": 0, "b:1": 1}, context="alice")
-        manager.reset("alice")
-        fresh = manager.get_state("alice")
-        assert fresh["weights"]["a:1"] == fresh["weights"]["b:1"]
-
-    def test_reset_all_contexts(self):
-        manager = SelectionStateManager(Exp4Policy(), MODELS)
-        manager.get_state("u1")
-        manager.get_state("u2")
-        manager.reset()
-        assert manager.contexts() == []
 
     def test_external_store_is_used(self):
         store = KeyValueStore()
@@ -68,7 +59,7 @@ class TestPrune:
             manager.get_state(user)
         dropped = manager.prune(keep_contexts=["bob"])
         assert sorted(dropped) == ["alice", "carol"]
-        assert manager.contexts() == ["bob"]
+        assert contexts(manager) == ["bob"]
 
     def test_prune_maps_none_to_default_context(self):
         manager = SelectionStateManager(Exp4Policy(), MODELS)
@@ -76,7 +67,7 @@ class TestPrune:
         manager.get_state("alice")
         dropped = manager.prune(keep_contexts=[None])
         assert dropped == ["alice"]
-        assert manager.contexts() == [DEFAULT_CONTEXT]
+        assert contexts(manager) == [DEFAULT_CONTEXT]
 
     def test_prune_everything_clears_the_namespace(self):
         store = KeyValueStore()
@@ -84,7 +75,7 @@ class TestPrune:
         for user in ("alice", "bob"):
             manager.get_state(user)
         assert len(manager.prune(())) == 2
-        assert manager.contexts() == []
+        assert contexts(manager) == []
         assert store.keys(manager.namespace) == []
 
     def test_prune_leaves_other_namespaces_alone(self):
@@ -94,13 +85,13 @@ class TestPrune:
         keep.get_state("alice")
         victim.get_state("alice")
         victim.prune(())
-        assert keep.contexts() == ["alice"]
+        assert contexts(keep) == ["alice"]
 
 
 class TestPolicyOperations:
     def test_select_combine_observe_round_trip(self):
         manager = SelectionStateManager(Exp4Policy(), MODELS)
-        selected = manager.select(x=0, context="u")
+        selected, _ = manager.select_with_state(x=0, context="u")
         assert sorted(selected) == ["a:1", "b:1"]
         output, confidence = manager.combine(0, {"a:1": 1, "b:1": 1}, context="u")
         assert output == 1
@@ -141,7 +132,7 @@ class TestFailedFeedback:
         self, tmp_path, policy
     ):
         async def scenario():
-            store = DurableKeyValueStore(str(tmp_path), fsync="never")
+            store = DurableKeyValueStore(str(tmp_path), fsync=False)
             # An SLO the test does not test: a busy host must not turn the
             # first predict into a PredictionTimeoutError.
             config = ClipperConfig(app_name="app", selection_policy=policy, latency_slo_ms=60_000)
@@ -164,7 +155,7 @@ class TestFailedFeedback:
             assert manager.get_state() is stored and stored == before
             await clipper.stop()
             store.close()
-            with DurableKeyValueStore(str(tmp_path), fsync="never") as reopened:
+            with DurableKeyValueStore(str(tmp_path), fsync=False) as reopened:
                 assert reopened.get(manager.namespace, DEFAULT_CONTEXT) == before
 
         run_async(scenario())

@@ -116,10 +116,6 @@ class TestPolicyFactory:
         with pytest.raises(SelectionPolicyError):
             make_policy("alphazero")
 
-    def test_kwargs_forwarded(self):
-        policy = make_policy("exp3", eta=0.7)
-        assert policy.eta == 0.7
-
     def test_default_loss_is_zero_one(self):
         assert SelectionPolicy.loss(1, 1) == 0.0
         assert SelectionPolicy.loss(1, 2) == 1.0

@@ -27,8 +27,6 @@ from repro.rpc.server import ContainerRpcServer
 
 
 class SlowContainer(ModelContainer):
-    framework = "slow"
-
     def __init__(self, delay_s: float = 0.2) -> None:
         self.delay_s = delay_s
 

@@ -21,10 +21,15 @@ def wal_path(directory):
     return os.path.join(str(directory), "wal.log")
 
 
+def entries(store):
+    """Every ``(namespace, key)`` the store holds."""
+    return [(ns, key) for ns in store.namespaces() for key in store.keys(ns)]
+
+
 class TestWalFraming:
     def test_round_trip(self, tmp_path):
         path = wal_path(tmp_path)
-        writer = WalWriter(path, fsync="never")
+        writer = WalWriter(path, fsync=False)
         payloads = [b"one", b"two", b"", b"x" * 10_000]
         for payload in payloads:
             writer.append(payload)
@@ -40,13 +45,26 @@ class TestWalFraming:
         assert records == []
         assert not recovery.truncated
 
-    def test_unknown_fsync_policy_rejected(self, tmp_path):
-        with pytest.raises(StateStoreError):
-            WalWriter(wal_path(tmp_path), fsync="sometimes")
+    @pytest.mark.parametrize(
+        "kwargs, synced",
+        [({}, 3), ({"fsync": True}, 3), ({"fsync": False}, 0)],
+        ids=["default", "on", "off"],
+    )
+    def test_fsync_flushes_each_append_to_disk_only_when_set(
+        self, tmp_path, monkeypatch, kwargs, synced
+    ):
+        calls = []
+        monkeypatch.setattr(os, "fsync", calls.append)
+        writer = WalWriter(wal_path(tmp_path), **kwargs)
+        for payload in (b"a", b"b", b"c"):
+            writer.append(payload)
+        writer.close()
+        assert len(calls) == synced
+        assert read_records(wal_path(tmp_path))[0] == [b"a", b"b", b"c"]
 
     def test_torn_final_record_dropped(self, tmp_path):
         path = wal_path(tmp_path)
-        writer = WalWriter(path, fsync="never")
+        writer = WalWriter(path, fsync=False)
         writer.append(b"intact")
         writer.close()
         # A crash mid-append leaves a half-written frame at the tail.
@@ -61,7 +79,7 @@ class TestWalFraming:
 
     def test_truncated_header_at_tail(self, tmp_path):
         path = wal_path(tmp_path)
-        writer = WalWriter(path, fsync="never")
+        writer = WalWriter(path, fsync=False)
         writer.append(b"intact")
         writer.close()
         with open(path, "ab") as handle:
@@ -73,7 +91,7 @@ class TestWalFraming:
 
     def test_corrupt_crc_ends_the_log(self, tmp_path):
         path = wal_path(tmp_path)
-        writer = WalWriter(path, fsync="never")
+        writer = WalWriter(path, fsync=False)
         writer.append(b"first")
         writer.append(b"second")
         writer.append(b"third")
@@ -92,7 +110,7 @@ class TestWalFraming:
 
     def test_garbage_magic_ends_the_log(self, tmp_path):
         path = wal_path(tmp_path)
-        writer = WalWriter(path, fsync="never")
+        writer = WalWriter(path, fsync=False)
         writer.append(b"good")
         writer.close()
         with open(path, "ab") as handle:
@@ -105,7 +123,7 @@ class TestWalFraming:
 
 class TestDurableStore:
     def make(self, tmp_path, **kwargs):
-        kwargs.setdefault("fsync", "never")
+        kwargs.setdefault("fsync", False)
         return DurableKeyValueStore(str(tmp_path), **kwargs)
 
     def test_restart_restores_everything(self, tmp_path):
@@ -120,7 +138,7 @@ class TestDurableStore:
         reopened = self.make(tmp_path)
         assert reopened.get("management", "applications") == {"app": {"x": 2}}
         assert reopened.get("other", "key") == [1, 2, 3]
-        assert not reopened.contains("other", "doomed")
+        assert ("other", "doomed") not in entries(reopened)
         assert reopened.recovery.clean
         assert reopened.recovery.replayed == 5
 
@@ -137,6 +155,21 @@ class TestDurableStore:
         assert reopened.put_if_version("ns", "k", "b", recovered_version)
         assert not reopened.put_if_version("ns", "k", "c", recovered_version)
 
+    @pytest.mark.parametrize("compact", [False, True], ids=["wal", "snapshot"])
+    def test_a_version_is_never_reissued_across_a_restart(self, tmp_path, compact):
+        store = self.make(tmp_path)
+        old = store.put("ns", "k", 1)
+        store.delete("ns", "k")
+        if compact:
+            store.compact()
+        store.close()
+
+        reopened = self.make(tmp_path)
+        assert not reopened.put_if_version("ns", "k", 2, old)
+        assert reopened.put_if_version("ns", "k", 2, None)
+        _, version = reopened.get_with_version("ns", "k")
+        assert version > old + 1  # the delete consumed a number too
+
     def test_torn_tail_loses_only_final_record(self, tmp_path):
         store = self.make(tmp_path)
         store.put("ns", "committed", 1)
@@ -148,7 +181,7 @@ class TestDurableStore:
 
         reopened = self.make(tmp_path)
         assert reopened.get("ns", "committed") == 1
-        assert not reopened.contains("ns", "lost")
+        assert ("ns", "lost") not in entries(reopened)
         assert not reopened.recovery.clean
         assert reopened.recovery.wal.truncated
         # Appending after the repair must produce a readable log again.
@@ -165,7 +198,7 @@ class TestDurableStore:
         expected = {key: store.get("ns", key) for key in store.keys("ns")}
 
         replayed = self.make(tmp_path / "copy")  # fresh dir: emptiness sanity
-        assert replayed.size() == 0
+        assert len(entries(replayed)) == 0
 
         # State rebuilt purely from the WAL...
         from_wal = self.make(tmp_path)
@@ -211,7 +244,7 @@ class TestDurableStore:
         assert len(records) < 5
         store.close()
         reopened = self.make(tmp_path)
-        assert reopened.size() == 12
+        assert len(entries(reopened)) == 12
 
     def test_directory_written_before_ttls_were_removed_loads_the_same(self, tmp_path):
         """Snapshot rows used to carry a fifth, ttl slot and the snapshot a
@@ -224,7 +257,7 @@ class TestDurableStore:
                 '{"seq":4,"wall":1790509262.854948,"entries":'
                 '[["ns","a",{"w":[1,2.5]},1,null],["other","c",3,3,null]]}'
             )
-        writer = WalWriter(wal_path(tmp_path), fsync="never")
+        writer = WalWriter(wal_path(tmp_path), fsync=False)
         for record in (
             b'{"op":"put","seq":5,"ns":"ns","key":"a","value":{"w":[2]}}',
             b'{"op":"put","seq":6,"ns":"ns","key":"d","value":true}',
@@ -268,7 +301,7 @@ class TestDurableStore:
             store.put("ns", "k", object())
         assert store.get("ns", "k") == 1  # store and journal both untouched
         store.close()
-        assert self.make(tmp_path / "b").size() == 0
+        assert len(entries(self.make(tmp_path / "b"))) == 0
         reopened = self.make(tmp_path)
         assert reopened.get("ns", "k") == 1
 
@@ -289,7 +322,7 @@ class TestDurableStore:
         store.clear("a")
         store.close()
         reopened = self.make(tmp_path)
-        assert not reopened.contains("a", "k")
+        assert ("a", "k") not in entries(reopened)
         assert reopened.get("b", "k") == 2
 
     def test_drop_in_for_in_memory_store(self, tmp_path):

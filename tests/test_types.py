@@ -13,7 +13,6 @@ from repro.core.types import (
     Prediction,
     Query,
     hash_input,
-    next_query_id,
 )
 
 
@@ -216,21 +215,25 @@ class TestQuery:
         q2 = Query(app_name="app", input=2)
         assert q2.query_id > q1.query_id
 
-    def test_next_query_id_monotonic(self):
-        assert next_query_id() < next_query_id()
-
     def test_input_hash_matches_feedback_hash(self):
         x = np.ones(5)
         query = Query(app_name="app", input=x)
         feedback = Feedback(app_name="app", input=x, label=1)
         assert query.input_hash() == feedback.input_hash()
 
+    def test_app_and_input_are_the_first_two_positions(self):
+        x = np.arange(3.0)
+        query = Query("app", x, "user", 25.0)
+        assert query.app_name == "app" and query.input is x
+        assert query.user_id == "user" and query.latency_slo_ms == 25.0
+        assert query.input_hash() == Query(app_name="app", input=x).input_hash()
+
     def test_defaults(self):
         query = Query(app_name="app", input=0)
         assert query.user_id is None
         assert query.latency_slo_ms is None
-        assert query.metadata is None
-        assert query.arrival_time is None
+        assert query.pre_spans is None
+        assert query.trace_id is None
 
 
 class TestPrediction:
