@@ -82,6 +82,12 @@ _REASONS = {
 
 JSON_CONTENT_TYPE = "application/json"
 
+#: Largest request body the edge reads; a larger one is a 400 and a hang-up.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+#: How long an idle keep-alive connection may take to send a request head
+#: before it is hung up (None: no limit).  Both are read per connection.
+KEEP_ALIVE_TIMEOUT_S: Optional[float] = None
+
 #: Response heads up to the ``Content-Length`` digits, by (status, keep-alive,
 #: content type): a response formats one number and joins.  Bounded — a
 #: handler may name any content type.
@@ -129,8 +135,6 @@ class HttpApiServer:
         host: str = "127.0.0.1",
         port: int = 0,
         lifecycle: Sequence[Any] = (),
-        max_body_bytes: int = 32 * 1024 * 1024,
-        keep_alive_timeout_s: Optional[float] = None,
     ) -> None:
         self.routes = routes
         self.host = host
@@ -140,8 +144,6 @@ class HttpApiServer:
         # controllers) — started in order and stopped in reverse.  Their
         # start/stop must be all-or-nothing and idempotent.
         self._lifecycle: Tuple[Any, ...] = tuple(lifecycle)
-        self._max_body_bytes = max_body_bytes
-        self._keep_alive_timeout_s = keep_alive_timeout_s
         self._server: Optional[asyncio.base_events.Server] = None
         # Every open connection.
         self._connections: Set[Http1Connection] = set()
@@ -204,7 +206,7 @@ class HttpApiServer:
             for owner in self._lifecycle:
                 await owner.start()
             self._server = await asyncio.get_running_loop().create_server(
-                lambda: Http1Connection(self._max_body_bytes, connected=self._on_connection),
+                lambda: Http1Connection(MAX_BODY_BYTES, connected=self._on_connection),
                 host=self.host,
                 port=self._requested_port,
             )
@@ -322,7 +324,7 @@ class HttpApiServer:
     ) -> Optional[Tuple[str, str, str, bool, Mapping[str, str], bytes]]:
         """``(method, path, query, keep-alive, headers, body)``; None on clean
         EOF, :class:`FramingError` on junk."""
-        message = await conn.read_message(self._keep_alive_timeout_s)
+        message = await conn.read_message(KEEP_ALIVE_TIMEOUT_S)
         if message is None:
             return None
         request_line, headers, body = message

@@ -302,15 +302,13 @@ class ReplicaDispatcher:
 
     async def dispatch_batch(self, batch: List[PendingQuery]) -> None:
         """Evaluate one batch on the replica and resolve its futures."""
-        # One pass forms the batch: what is sent (inputs, trace ids and, when
-        # any entry has one, per-entry deadlines, 0.0 = none, so the container
-        # can skip what expires in transit), what is measured (the oldest
-        # entry's wait) and who is left out (entries already expired).
+        # One pass forms the batch: what is sent (inputs and, when any entry
+        # has one, per-entry deadlines, 0.0 = none, so the container can skip
+        # what expires in transit), what is measured (the oldest entry's wait)
+        # and who is left out (entries already expired).
         t_batch = oldest = clock.now()
         inputs, deadlines, carries_deadline = [], [], False
         expired = None  # a set of ids, when needed
-        traced = self._traced
-        trace_ids: Optional[list] = [] if traced else None
         for item in batch:
             deadline = item.deadline
             if deadline is None:
@@ -327,16 +325,13 @@ class ReplicaDispatcher:
             deadlines.append(deadline)
             if item.enqueue_time < oldest:
                 oldest = item.enqueue_time
-            trace = item.trace
-            if traced and trace is not None and trace.trace_id is not None:
-                trace_ids.append(trace.trace_id)  # a retry's context owns none: not sent
         if expired is not None:
             batch = [item for item in batch if id(item) not in expired]
             if not batch:
                 # A 100%-expired batch is never dispatched.
                 return
         queue_time_ms = (t_batch - oldest) * 1000.0
-        span_log: Optional[list] = [] if traced else None
+        span_log: Optional[list] = [] if self._traced else None
         # A batch sent while its predecessor is still on the replica waits
         # behind it inside the container, so only a batch sent to an idle
         # replica measures what the RPC path itself costs.
@@ -346,8 +341,7 @@ class ReplicaDispatcher:
         start = clock.now()
         try:
             response = await self.replica.predict_batch(
-                inputs, trace=trace_ids, span_log=span_log,
-                deadlines=deadlines if carries_deadline else None,
+                inputs, span_log=span_log, deadlines=deadlines if carries_deadline else None
             )
         except (RpcError, ContainerError) as exc:
             self._handle_failed_batch(batch, exc)

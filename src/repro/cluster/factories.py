@@ -59,6 +59,3 @@ def load_factories(spec: str) -> FactoryMap:
             "expected a dict of name -> factory"
         )
     return dict(factories)
-
-
-__all__ = ["FactoryMap", "default_factories", "load_factories"]

@@ -159,6 +159,3 @@ class WorkerRegistry:
         self._beats = beats
         self._scanned_at = now
         return live
-
-
-__all__ = ["DEFAULT_TTL_S", "WorkerAnnouncement", "WorkerRegistry"]

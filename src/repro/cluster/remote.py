@@ -164,7 +164,7 @@ class RemoteReplica(Replica):
             await control.close()
             raise RpcError(
                 f"worker {self.worker.worker_id} refused to launch "
-                f"{self._model_key}: {reply.get('error', 'unknown error')}"
+                f"{self.model_id}: {reply.get('error', 'unknown error')}"
             )
         if lane == "shm":
             try:
@@ -196,6 +196,3 @@ class RemoteReplica(Replica):
     @property
     def name(self) -> str:
         return f"{self.model_id}[{self.replica_id}]@{self.worker.worker_id}"
-
-
-__all__ = ["LAUNCH_TIMEOUT_S", "RemoteReplica", "WorkerPlacer"]

@@ -211,6 +211,3 @@ class Supervisor:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
             self.shutdown()
-
-
-__all__ = ["Supervisor"]

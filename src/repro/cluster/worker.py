@@ -38,7 +38,7 @@ from repro.cluster.registry import DEFAULT_TTL_S, WorkerAnnouncement, WorkerRegi
 from repro.core.exceptions import RpcError
 from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import HAS_SHARED_MEMORY, host_shm_endpoint, start_resource_tracker
-from repro.rpc.transport import TcpListener, Transport
+from repro.rpc.transport import TcpTransport, Transport
 
 #: How long the worker waits for a shm peer to connect its doorbell.
 SHM_ACCEPT_TIMEOUT_S = 10.0
@@ -60,36 +60,36 @@ class WorkerDaemon:
         self.worker_id = worker_id
         self.registry = WorkerRegistry(cluster_dir)
         self._factories = dict(factories) if factories is not None else default_factories()
-        self._listener = TcpListener(host=host, port=port)
+        self.host = host
+        #: The control port: as asked until :meth:`start` binds it.
+        self.port = port
+        self._control: Optional[asyncio.AbstractServer] = None
         self._ttl_s = ttl_s
         self._shm_enabled = shm_enabled and HAS_SHARED_MEMORY
         self._announcement: Optional[WorkerAnnouncement] = None
         self._servers: Set[ContainerRpcServer] = set()
         self._tasks: Set[asyncio.Task] = set()
-        self._accept_task: Optional[asyncio.Task] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        return self._listener.port
-
     async def start(self) -> None:
         """Bind the control port, announce into the registry, begin serving."""
-        await self._listener.start()
+        loop = asyncio.get_running_loop()
+        self._control = await loop.create_server(
+            lambda: TcpTransport(connected=self._accepted), self.host, self.port
+        )
+        self.port = self._control.sockets[0].getsockname()[1]
         self._announcement = WorkerAnnouncement(
             worker_id=self.worker_id,
             host=socket.gethostname(),
             pid=os.getpid(),
-            tcp_host=self._listener.host,
-            tcp_port=self._listener.port,
+            tcp_host=self.host,
+            tcp_port=self.port,
             shm_supported=self._shm_enabled,
             ttl_s=self._ttl_s,
         )
         self.registry.announce(self._announcement)
-        loop = asyncio.get_running_loop()
-        self._accept_task = loop.create_task(self._accept_loop())
         self._heartbeat_task = loop.create_task(self._heartbeat_loop())
 
     async def _heartbeat_loop(self) -> None:
@@ -101,14 +101,10 @@ class WorkerDaemon:
             except OSError:
                 pass  # registry dir vanished mid-shutdown; next beat retries
 
-    async def _accept_loop(self) -> None:
-        while True:
-            transport = await self._listener.accept()
-            task = asyncio.get_running_loop().create_task(
-                self._serve_connection(transport)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+    def _accepted(self, control: TcpTransport) -> None:
+        task = asyncio.get_running_loop().create_task(self._serve_connection(control))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # -- the control protocol ----------------------------------------------------
 
@@ -177,7 +173,8 @@ class WorkerDaemon:
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
         self.registry.withdraw(self.worker_id)
-        await self._listener.close()
+        if self._control is not None:
+            self._control.close()
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful SIGTERM path: withdraw, finish in-flight work, stop."""
@@ -194,14 +191,13 @@ class WorkerDaemon:
         await self._withdraw()
         for server in list(self._servers):
             await server.stop()
-        for task in (self._accept_task, self._heartbeat_task, *list(self._tasks)):
+        for task in (self._heartbeat_task, *list(self._tasks)):
             if task is not None and not task.done():
                 task.cancel()
                 try:
                     await task
                 except (asyncio.CancelledError, RpcError):
                     pass
-        self._accept_task = None
         self._heartbeat_task = None
 
 

@@ -23,7 +23,6 @@ the builder.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.containers.base import ModelContainer
@@ -34,7 +33,7 @@ from repro.rpc.protocol import RpcResponse
 from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import HAS_SHARED_MEMORY, shm_pair
 from repro.rpc.serialization import wire_copy
-from repro.rpc.transport import TcpListener, TcpTransport, codec_round_trip
+from repro.rpc.transport import codec_round_trip, tcp_pair
 
 #: How long a replica's RPC client waits for one batch response.
 RPC_TIMEOUT_S = 30.0
@@ -52,9 +51,6 @@ class Replica:
         self.model_id = model_id
         #: Never reused among one version's replicas, except by a replacement.
         self.replica_id = replica_id
-        # The wire model name is rendered once: replicas send it with every
-        # batch and str(ModelId) is measurable at high batch rates.
-        self._model_key = str(model_id)
         self.client: Optional[RpcClient] = None
         self._started = False
 
@@ -80,7 +76,6 @@ class Replica:
     async def predict_batch(
         self,
         inputs: Sequence[Any],
-        trace: Optional[List[Any]] = None,
         span_log: Optional[list] = None,
         deadlines: Optional[List[float]] = None,
     ) -> RpcResponse:
@@ -91,19 +86,16 @@ class Replica:
         is what lets the dispatcher overlap encoding the next batch with the
         container's evaluation of the current one.
 
-        ``trace``/``span_log`` propagate the tracing layer's batch trace ids
-        and span sink through the RPC client (see :meth:`RpcClient.predict`);
-        ``deadlines`` carries per-entry absolute ``clock.now()`` deadlines the
-        container may use to skip already-expired entries.  All default to
-        off and cost nothing when unused.
+        ``span_log`` is the tracing layer's span sink for the RPC legs (see
+        :meth:`RpcClient.predict`); ``deadlines`` carries per-entry absolute
+        ``clock.now()`` deadlines the container may use to skip
+        already-expired entries.  Both default to off and cost nothing when
+        unused.
         """
         if not self._started:
-            raise ContainerError(self._model_key, "replica is not started")
+            raise ContainerError(str(self.model_id), "replica is not started")
         inputs = inputs if isinstance(inputs, list) else list(inputs)
-        return await self.client.predict(
-            self._model_key, inputs, trace=trace, span_log=span_log,
-            deadlines=deadlines,
-        )
+        return await self.client.predict(inputs, span_log, deadlines)
 
     async def check_health(self, timeout_s: Optional[float] = None) -> bool:
         """Probe the replica over RPC; True only for a healthy response.
@@ -172,19 +164,8 @@ class ContainerReplica(Replica):
         if self._transport_kind == "inprocess":
             copy = codec_round_trip if self._serialize_messages else wire_copy
             return DirectRpcClient(ContainerRpcServer(self.container), copy, RPC_TIMEOUT_S)
-        if self._transport_kind == "tcp":
-            # Bind a loopback listener and cross-connect the two ends.
-            listener = TcpListener()
-            await listener.start()
-            try:
-                client_side, server_side = await asyncio.gather(
-                    TcpTransport.connect(listener.host, listener.port),
-                    listener.accept(),
-                )
-            finally:
-                await listener.close()
-        else:
-            client_side, server_side = await shm_pair()
+        pair = tcp_pair if self._transport_kind == "tcp" else shm_pair
+        client_side, server_side = await pair()
         self._server = ContainerRpcServer(self.container, server_side)
         self._server.start()
         return RpcClient(client_side, timeout_s=RPC_TIMEOUT_S)

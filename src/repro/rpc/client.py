@@ -8,7 +8,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core import clock
 from repro.core.exceptions import RpcError, SerializationError
-from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
+from repro.rpc.protocol import MessageType, RpcResponse, message_type, predict_request
 from repro.rpc.transport import Transport
 
 
@@ -42,10 +42,7 @@ class RpcClient:
 
     async def predict(
         self,
-        model_name: str,
         inputs: List[Any],
-        metadata: Optional[dict] = None,
-        trace: Optional[List[Any]] = None,
         span_log: Optional[list] = None,
         deadlines: Optional[List[float]] = None,
     ) -> RpcResponse:
@@ -55,28 +52,22 @@ class RpcClient:
         at a time, but callers wait on their own response waiter, so a new
         batch can be sent while earlier batches are still being evaluated.
 
-        ``trace`` carries the trace ids of the queries in the batch that own
-        one (the optional wire header); ``deadlines`` carries per-entry absolute
-        ``clock.now()`` deadlines (0.0 = none; sent as remaining budgets) the
-        server may use to skip already-expired entries, reported back via
-        ``response.skipped``; ``span_log``, when given, receives
-        ``("rpc.send"/"rpc.wait", t0, t1, None)`` span tuples for
-        the send and response-wait legs of this exchange, and the request
-        asks the container to stamp its evaluation window (``stamp``).
+        ``deadlines`` carries per-entry absolute ``clock.now()`` deadlines
+        (0.0 = none; sent as remaining budgets) the server may use to skip
+        already-expired entries, reported back via ``response.skipped``;
+        ``span_log``, when given, receives ``("rpc.send"/"rpc.wait", t0, t1,
+        None)`` span tuples for the send and response-wait legs of this
+        exchange, and the request asks the container to stamp its evaluation
+        window (``stamp``).
         """
         if not inputs:
             raise RpcError("cannot send an empty prediction batch")
-        request = RpcRequest(
-            request_id=next(self._request_ids),
-            model_name=model_name,
-            inputs=inputs,
-            metadata=metadata or {},
-            trace=tuple(trace) if trace else (),
-            deadlines=deadlines or (),
-            stamp=span_log is not None,
-        )
+        request_id = next(self._request_ids)
         payload = await self._exchange(
-            request.request_id, request.to_payload(), span_log=span_log
+            request_id,
+            predict_request(request_id, inputs, deadlines, span_log is not None),
+            self._timeout_s,
+            span_log,
         )
         response = RpcResponse.from_payload(payload)
         if response.ok and len(response.outputs) + len(response.skipped) != len(inputs):
@@ -105,7 +96,7 @@ class RpcClient:
             # not just the response wait, so a wedged connection probes
             # False instead of hanging the health monitor.
             payload = await asyncio.wait_for(
-                self._exchange(request_id, message, timeout_s=None), timeout=timeout_s
+                self._exchange(request_id, message, None), timeout=timeout_s
             )
         except (RpcError, asyncio.TimeoutError):
             return False
@@ -117,12 +108,10 @@ class RpcClient:
         self,
         request_id: int,
         message: dict,
-        timeout_s: Optional[float] = ...,
+        timeout_s: Optional[float],
         span_log: Optional[list] = None,
     ) -> dict:
         """Send one message and wait for the response with its request id."""
-        if timeout_s is ...:
-            timeout_s = self._timeout_s
         loop = asyncio.get_running_loop()
         waiter: asyncio.Future = loop.create_future()
         t_send = clock.now() if span_log is not None else 0.0

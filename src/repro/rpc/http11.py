@@ -14,7 +14,7 @@ transport shares:
 * **inline serving** (:meth:`Http1Connection.serve`): a server connection's
   coroutine is stepped from the socket callbacks while it waits for bytes,
   and runs in a task only while it waits on anything else,
-* **limits**: a head over :data:`HEAD_LIMIT`, more than ``max_header_count``
+* **limits**: a head over :data:`HEAD_LIMIT`, more than :data:`MAX_HEADER_COUNT`
   header lines, a body over ``max_body_bytes``, a ``Content-Length`` that is
   not ASCII digits or disagrees with a repeat of itself, and chunked bodies
   are each a :class:`FramingError` — the stream cannot be re-synchronised,
@@ -35,6 +35,8 @@ from repro.rpc.transport import StreamProtocol
 
 #: Largest message head (start line + headers), terminator excluded.
 HEAD_LIMIT = 64 * 1024
+#: Most header lines a message head may carry.
+MAX_HEADER_COUNT = 100
 
 #: Memos of values that arrive from outside the process, hence bounded.
 _HEADS: Dict[bytes, Tuple[str, Mapping[str, str], int, int]] = {}
@@ -60,7 +62,7 @@ def media_type(content_type: str) -> str:
     return content_type.split(";")[0].strip().lower()
 
 
-def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Mapping[str, str], int]:
+def parse_head(raw: bytes) -> Tuple[str, Mapping[str, str], int]:
     """Split a message head into its start line, headers and body length.
 
     Header names are lower-cased and a repeated header keeps its last value,
@@ -94,7 +96,7 @@ def parse_head(raw: bytes, max_header_count: int) -> Tuple[str, Mapping[str, str
         if len(raw) <= _MEMO_HEAD_MAX:
             remember(_HEADS, raw, parsed)
     start_line, headers, length, header_lines = parsed
-    if header_lines > max_header_count:
+    if header_lines > MAX_HEADER_COUNT:
         raise FramingError("too many HTTP headers")
     return start_line, headers, length
 
@@ -151,12 +153,10 @@ class Http1Connection(StreamProtocol):
     def __init__(
         self,
         max_body_bytes: int,
-        max_header_count: int = 100,
         connected: Optional[Callable[["Http1Connection"], None]] = None,
     ) -> None:
         super().__init__(HEAD_LIMIT + max_body_bytes, connected)
         self._max_body_bytes = max_body_bytes
-        self._max_header_count = max_header_count
         self._scanned = 0  # bytes already searched for the blank line
         self._head: Optional[Tuple[str, Mapping[str, str], int, int]] = None
         self._need = 0  # buffered size worth waking the reader for
@@ -257,9 +257,7 @@ class Http1Connection(StreamProtocol):
                 self._scanned = max(0, len(buffer) - 3)
                 self._need = len(buffer) + 1
                 return None
-            start_line, headers, length = parse_head(
-                bytes(buffer[:end]), self._max_header_count
-            )
+            start_line, headers, length = parse_head(bytes(buffer[:end]))
             if length > self._max_body_bytes:
                 raise FramingError(
                     f"message body exceeds the {self._max_body_bytes}-byte limit"

@@ -7,7 +7,7 @@ from typing import Any, Optional, Tuple
 
 from repro.core import clock
 from repro.core.exceptions import RpcError, SerializationError
-from repro.rpc.protocol import MessageType, RpcResponse, message_type
+from repro.rpc.protocol import MessageType, message_type, predict_reply
 from repro.rpc.transport import Transport
 
 
@@ -49,7 +49,6 @@ class ContainerRpcServer:
         self._container = container
         self._transport = transport
         self._task: Optional[asyncio.Task] = None
-        self.requests_served = 0
         self._draining = False
         # Held while a message is handled and answered, however it came.
         self._turn = asyncio.Lock()
@@ -58,11 +57,9 @@ class ContainerRpcServer:
         self._cheap = 0
         self._inline = False
 
-    def start(self) -> asyncio.Task:
+    def start(self) -> None:
         """Start the serving loop as a background task."""
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self.serve_forever())
-        return self._task
+        self._task = asyncio.get_running_loop().create_task(self.serve_forever())
 
     async def serve_forever(self) -> None:
         """Process requests until the transport closes.
@@ -126,19 +123,12 @@ class ContainerRpcServer:
             }
         if kind != MessageType.PREDICT:
             raise SerializationError(f"a container server takes no {kind.name} message")
-        return (await self._evaluate(payload, received)).to_payload()
+        return await self._evaluate(payload, received)
 
-    async def _evaluate(self, payload: dict, received: float) -> RpcResponse:
-        """Evaluate one PREDICT payload (see :meth:`RpcRequest.to_payload`)."""
+    async def _evaluate(self, payload: dict, received: float) -> dict:
+        """The reply to one PREDICT payload (see :func:`predict_request`)."""
         request_id = int(payload["request_id"])
         inputs = payload["inputs"]
-        trace = tuple(payload.get("trace", ()))
-        # Traced batches additionally get ``clock.now()`` eval stamps: same-host
-        # dispatchers turn them into a ``container.eval`` span nested inside
-        # the client's ``rpc.wait`` leg.  Untraced batches skip the stamps
-        # (and the wire bytes) entirely.
-        stamped = bool(trace) or bool(payload.get("stamp"))
-        eval_start = clock.now() if stamped else 0.0
         start = clock.now()
         skipped: tuple = ()
         budgets = payload.get("budgets_ms")
@@ -148,7 +138,7 @@ class ContainerRpcServer:
             # ``skipped`` instead of computing a result nobody waits for.  The
             # earliest budget decides, once, whether any entry is looked at; a
             # fully-expired batch skips the container call entirely.
-            elapsed_ms = (clock.now() - received) * 1000.0
+            elapsed_ms = (start - received) * 1000.0
             if min(budgets) <= elapsed_ms:
                 skipped = tuple(
                     i for i, budget in enumerate(budgets[: len(inputs)])
@@ -164,18 +154,15 @@ class ContainerRpcServer:
                 outputs = list(self._call_inline(inputs))
             else:
                 outputs = list(await self._call_in_executor(inputs))
-            self.requests_served += 1
         except Exception as exc:  # container failures must not kill the server
             outputs, error = [], f"{type(exc).__name__}: {exc}"
-        return RpcResponse(
-            request_id=request_id,
-            outputs=outputs,
-            error=error,
-            container_latency_ms=(clock.now() - start) * 1000.0,
-            trace=trace,
-            eval_start=eval_start,
-            eval_end=clock.now() if stamped else 0.0,
-            skipped=skipped,
+        end = clock.now()
+        # A batch with traced queries asks for the evaluation window: same-host
+        # dispatchers turn it into a ``container.eval`` span nested inside
+        # the client's ``rpc.wait`` leg.
+        window = (start, end) if payload.get("stamp") else None
+        return predict_reply(
+            request_id, outputs, error, (end - start) * 1000.0, window, skipped
         )
 
     def _call_inline(self, inputs: list) -> Any:

@@ -6,8 +6,8 @@ single-consumer byte rings living in one ``multiprocessing.shared_memory``
 block, with one doorbell connection for wakeups.  :class:`ShmRingTransport`
 is one end, drop-in behind the same seam as
 :class:`~repro.rpc.transport.TcpTransport`, so the pipelined
-:class:`~repro.rpc.client.RpcClient`, heartbeats and trace-id propagation
-all work unchanged.
+:class:`~repro.rpc.client.RpcClient`, heartbeats and evaluation stamps all
+work unchanged.
 
 Design
 ------
@@ -44,12 +44,13 @@ Design
   cross-process story assumes a total-store-order host (x86).
 
 Building a lane: :func:`shm_pair` builds both ends inside one process over
-a ``socket.socketpair()``.  Across processes the container's side calls
+a ``socket.socketpair()``, like :func:`~repro.rpc.transport.tcp_pair` for
+the socket lane.  Across processes the container's side calls
 :func:`host_shm_endpoint`, which creates the block, announces its
 descriptor and accepts the one doorbell connection on a throwaway UNIX
 socket; Clipper's side calls :func:`attach_shm_endpoint`, which maps the
 block by name and connects.  Each end opens its doorbell on the event loop
-that will wait on it.
+that will wait on it.  Every ring holds :data:`RING_CAPACITY` bytes.
 
 Availability is platform-dependent: ``HAS_SHARED_MEMORY`` is False where
 ``multiprocessing.shared_memory`` is unavailable, and building a lane
@@ -93,8 +94,9 @@ def start_resource_tracker() -> None:
         _resource_tracker.ensure_running()
 
 
-#: Default per-direction ring capacity (bytes of frame data in flight).
-DEFAULT_RING_CAPACITY = 1 << 20
+#: Per-direction ring capacity (bytes of frame data in flight), read when a
+#: block is created.
+RING_CAPACITY = 1 << 20
 
 #: Per-ring control header: head u64, tail u64, closed u8, padding.
 _CONTROL_BYTES = 32
@@ -418,19 +420,17 @@ def _rings_over(buf, capacity: int) -> Tuple[_Ring, _Ring]:
     return ring_a, ring_b
 
 
-def create_block(capacity: int = DEFAULT_RING_CAPACITY):
+def create_block():
     """A new ring pair's block, and the descriptor its peer maps it by."""
     if not HAS_SHARED_MEMORY:
         raise RpcError("multiprocessing.shared_memory is unavailable on this platform")
-    if capacity < 64:
-        raise RpcError("ring capacity must be at least 64 bytes")
-    shm = _shared_memory.SharedMemory(create=True, size=2 * (_CONTROL_BYTES + capacity))
-    return shm, {"shm_name": shm.name, "capacity": capacity}
+    shm = _shared_memory.SharedMemory(create=True, size=2 * (_CONTROL_BYTES + RING_CAPACITY))
+    return shm, {"shm_name": shm.name, "capacity": RING_CAPACITY}
 
 
-async def shm_pair(capacity: int = DEFAULT_RING_CAPACITY):
+async def shm_pair():
     """(client, server) ends of a lane inside this process, on the running loop."""
-    shm, descriptor = create_block(capacity)
+    shm, descriptor = create_block()
     client_bell, server_bell = socket.socketpair()
     server = await ShmRingTransport.open(descriptor, server_bell, shm)
     return await ShmRingTransport.open(descriptor, client_bell), server
@@ -482,14 +482,3 @@ async def attach_shm_endpoint(descriptor: dict) -> ShmRingTransport:
             raise RpcError(f"could not attach shm endpoint: {exc}") from exc
         raise
 
-
-__all__ = [
-    "DEFAULT_RING_CAPACITY",
-    "HAS_SHARED_MEMORY",
-    "ShmRingTransport",
-    "attach_shm_endpoint",
-    "create_block",
-    "host_shm_endpoint",
-    "shm_pair",
-    "start_resource_tracker",
-]

@@ -1,11 +1,15 @@
 """RPC transports: framed messages over a real byte stream.
 
 A transport moves framed messages between Clipper (the client side) and a
-model container (the server side) that do not share a process: TCP here,
-shared-memory rings in :mod:`repro.rpc.shm`.  Both sides see one tiny
-interface, ``send(payload)`` / ``recv()`` / ``close()``.  A container in
-Clipper's process is called instead (:class:`repro.rpc.client.DirectRpcClient`);
-:func:`codec_round_trip` is what it hands over when the codec's cost is charged.
+model container (the server side): TCP here, shared-memory rings in
+:mod:`repro.rpc.shm`.  Both sides see one tiny interface, ``send(payload)`` /
+``recv()`` / ``close()``.  A lane is built as a pair, ``(client, server)``:
+:func:`tcp_pair` over loopback (its listener closes once the one connection
+is accepted) and :func:`repro.rpc.shm.shm_pair`.  Across processes the worker
+daemon's control connection becomes the tcp lane
+(:mod:`repro.cluster.worker`).  A container in Clipper's process is called
+instead (:class:`repro.rpc.client.DirectRpcClient`); :func:`codec_round_trip`
+is what it hands over when the codec's cost is charged.
 
 ``TcpTransport`` is an :class:`asyncio.Protocol`: frames are cut in
 ``data_received`` as their bytes arrive, each stamped with its arrival, and
@@ -284,32 +288,20 @@ class TcpTransport(StreamProtocol, Transport):
         return self._closed
 
 
-class TcpListener:
-    """Helper that accepts container connections and hands out transports."""
+async def tcp_pair() -> Tuple[TcpTransport, TcpTransport]:
+    """(client, server) ends of a loopback TCP lane, on the running loop.
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._accepted: asyncio.Queue = asyncio.Queue()
-
-    async def start(self) -> None:
-        """Begin listening; ``port`` is updated with the bound port."""
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: TcpTransport(connected=self._accepted.put_nowait),
-            self.host,
-            self.port,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def accept(self) -> TcpTransport:
-        """Wait for and return the next accepted connection."""
-        if self._server is None:
-            raise RpcError("listener is not started")
-        return await self._accepted.get()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    The listener lives only until the one connection is accepted; the client
+    end is opened through :meth:`TcpTransport.connect`.
+    """
+    loop = asyncio.get_running_loop()
+    accepted: asyncio.Future = loop.create_future()
+    listener = await loop.create_server(
+        lambda: TcpTransport(connected=accepted.set_result), "127.0.0.1", 0
+    )
+    try:
+        port = listener.sockets[0].getsockname()[1]
+        client = await TcpTransport.connect("127.0.0.1", port)
+        return client, await accepted
+    finally:
+        listener.close()

@@ -103,7 +103,7 @@ class SimulatedReplica(Replica):
     async def stop(self) -> None:
         self._started = False
 
-    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+    async def predict_batch(self, inputs, span_log=None, deadlines=None):
         (a_ms, b_ms), (chance, scale_ms) = self.line, self.tail
         eval_ms = a_ms + b_ms * len(inputs)
         if self._rng.random() < chance:

@@ -21,6 +21,7 @@ import sys
 import pytest
 
 from helpers import run_async
+from repro.api import http as http_module
 from repro.api.http import HttpApiServer, create_server
 from repro.api.routes import ApiResponse, RouteTable
 from repro.client.client import AsyncClipperClient, TransportError, _HttpConnection
@@ -28,7 +29,7 @@ from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.frontend import QueryFrontend
-from repro.rpc import jsonwire
+from repro.rpc import http11, jsonwire
 
 READ_TIMEOUT_S = 5.0
 
@@ -36,14 +37,14 @@ READ_TIMEOUT_S = 5.0
 class Edge:
     """An ``HttpApiServer`` over two trivial routes, recording handler calls."""
 
-    def __init__(self, **server_kwargs) -> None:
+    def __init__(self) -> None:
         self.calls = []
         self.gate = None  # set to an Event to hold POST /echo handlers
         table = RouteTable()
         table.add("POST", "/echo", "echo", self._echo)
         table.add("GET", "/ping", "ping", self._ping)
         table.add("GET", "/blob/{size}", "blob", self._blob)
-        self.server = HttpApiServer(table, **server_kwargs)
+        self.server = HttpApiServer(table)
 
     async def _echo(self, params, body):
         self.calls.append(body)
@@ -178,18 +179,21 @@ class TestRefusals:
 
         assert_refused(*run_async(scenario()), "header")
 
-    def test_exactly_the_header_limit_passes_and_one_more_fails(self):
+    @pytest.mark.parametrize("limit", [http11.MAX_HEADER_COUNT, 5])
+    def test_exactly_the_header_limit_passes_and_one_more_fails(self, limit, monkeypatch):
+        monkeypatch.setattr(http11, "MAX_HEADER_COUNT", limit)
+
         def headers(count: int) -> bytes:
             # ``get`` already sends Host.
             return b"".join(b"X-H%d: v\r\n" % i for i in range(count - 1))
 
         async def scenario():
-            async with Edge() as edge:  # default limit: 100
-                passed = await edge.exchange(get(headers(100)), half_close=True)
+            async with Edge() as edge:
+                passed = await edge.exchange(get(headers(limit)), half_close=True)
                 assert [r[0] for r in split_responses(passed)] == [200]
                 assert edge.calls == ["ping"]
                 del edge.calls[:]
-                return await edge.exchange(get(headers(101))), edge.calls
+                return await edge.exchange(get(headers(limit + 1))), edge.calls
 
         assert_refused(*run_async(scenario()), "too many")
 
@@ -232,9 +236,11 @@ class TestRefusals:
 
         assert_refused(*run_async(scenario()), "content-length")
 
-    def test_content_length_over_the_body_limit(self):
+    def test_content_length_over_the_body_limit(self, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 16)
+
         async def scenario():
-            async with Edge(max_body_bytes=16) as edge:
+            async with Edge() as edge:
                 ok = await edge.exchange(post(b'{"a":"%b"}' % (b"b" * 8)), half_close=True)
                 assert [r[0] for r in split_responses(ok)] == [200]
                 del edge.calls[:]
@@ -347,9 +353,11 @@ class TestConnectionLifetime:
         assert [r[0] for r in split_responses(ok)] == [200]
         assert calls == ["ping"]
 
-    def test_idle_connection_is_closed_after_the_keep_alive_timeout(self):
+    def test_idle_connection_is_closed_after_the_keep_alive_timeout(self, monkeypatch):
+        monkeypatch.setattr(http_module, "KEEP_ALIVE_TIMEOUT_S", 0.1)
+
         async def scenario():
-            async with Edge(keep_alive_timeout_s=0.1) as edge:
+            async with Edge() as edge:
                 reader, writer = await edge.open()
                 writer.write(get())
                 first = await read_response(reader)
@@ -365,11 +373,13 @@ class TestConnectionLifetime:
         assert rest == b""
         assert 0.05 <= elapsed < 2.0
 
-    def test_keep_alive_timeout_covers_the_whole_head(self):
+    def test_keep_alive_timeout_covers_the_whole_head(self, monkeypatch):
         # A client that sends the request line and then stalls must not hold
         # the connection open forever.
+        monkeypatch.setattr(http_module, "KEEP_ALIVE_TIMEOUT_S", 0.1)
+
         async def scenario():
-            async with Edge(keep_alive_timeout_s=0.1) as edge:
+            async with Edge() as edge:
                 reader, writer = await edge.open()
                 writer.write(b"GET /ping HTTP/1.1\r\nHost: t\r\n")
                 rest = await asyncio.wait_for(reader.read(), READ_TIMEOUT_S)
@@ -509,9 +519,11 @@ class TestFlowControl:
         assert 0 < buffered <= size + 128 * 1024
         assert total == pipelined
 
-    def test_a_pipelining_flood_pauses_reading(self):
+    def test_a_pipelining_flood_pauses_reading(self, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 1024)
+
         async def scenario():
-            edge = Edge(max_body_bytes=1024)
+            edge = Edge()
             edge.gate = asyncio.Event()
             seen = {}
             original = HttpApiServer._read_request

@@ -14,6 +14,7 @@ import asyncio
 import json
 
 from helpers import SimulatedLatencyContainer, run_async, wait_until
+from repro.api import http as http_module
 from repro.api.http import create_server
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
@@ -121,9 +122,11 @@ class TestInlineServing:
         assert payload["error"]["code"] == "malformed_request"
         assert calls == ["ping"]
 
-    def test_the_idle_timeout_fires_after_a_suspended_request(self):
+    def test_the_idle_timeout_fires_after_a_suspended_request(self, monkeypatch):
+        monkeypatch.setattr(http_module, "KEEP_ALIVE_TIMEOUT_S", 0.1)
+
         async def scenario():
-            async with Edge(keep_alive_timeout_s=0.1) as edge:
+            async with Edge() as edge:
                 edge.gate = asyncio.Event()
                 reader, writer = await edge.open()
                 writer.write(post(b'{"n": 1}'))

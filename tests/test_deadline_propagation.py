@@ -18,10 +18,10 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc.client import RpcClient
-from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse
+from repro.rpc.protocol import MessageType, RpcResponse, predict_reply, predict_request
 from repro.rpc.server import ContainerRpcServer
 from repro.rpc.shm import HAS_SHARED_MEMORY
-from repro.rpc.transport import TcpListener, TcpTransport
+from repro.rpc.transport import tcp_pair
 from simloop import ManualClock
 
 TRANSPORTS = ["inprocess", "tcp"] + (["shm"] if HAS_SHARED_MEMORY else [])
@@ -61,12 +61,7 @@ async def serve_one(container: ModelContainer, payload: dict, lane: str) -> RpcR
     socket transport)."""
     if lane == "call":
         return RpcResponse.from_payload(await ContainerRpcServer(container).call(payload))
-    listener = TcpListener()
-    await listener.start()
-    client_side, server_side = await asyncio.gather(
-        TcpTransport.connect(listener.host, listener.port), listener.accept()
-    )
-    await listener.close()
+    client_side, server_side = await tcp_pair()
     server = ContainerRpcServer(container, server_side)
     server.start()
     try:
@@ -84,8 +79,7 @@ async def serve_one(container: ModelContainer, payload: dict, lane: str) -> RpcR
 
 class TestWireFormat:
     def test_deadline_free_request_pays_zero_wire_bytes(self):
-        request = RpcRequest(request_id=1, model_name="m", inputs=[1.0])
-        payload = request.to_payload()
+        payload = predict_request(1, [1.0])
         assert "deadlines" not in payload and "budgets_ms" not in payload
 
     def test_deadlines_cross_the_wire_as_remaining_budgets(self):
@@ -94,11 +88,7 @@ class TestWireFormat:
         down from the request's arrival on its own clock — see
         ``test_a_server_on_another_clock_skips_exactly_the_expired``."""
         now = clock.now()
-        request = RpcRequest(
-            request_id=2, model_name="m", inputs=[1.0, 2.0, 3.0],
-            deadlines=(0.0, now + 12.5, now - 1.0),
-        )
-        payload = request.to_payload()
+        payload = predict_request(2, [1.0, 2.0, 3.0], (0.0, now + 12.5, now - 1.0))
         assert "deadlines" not in payload
         none, ahead, behind = payload["budgets_ms"]
         assert none == float("inf")
@@ -106,14 +96,12 @@ class TestWireFormat:
         assert behind == pytest.approx(-1000.0, abs=50.0)
 
     def test_skip_free_response_pays_zero_wire_bytes(self):
-        response = RpcResponse(request_id=1, outputs=[2.0])
-        payload = response.to_payload()
+        payload = predict_reply(1, [2.0], None, 0.1)
         assert "skipped" not in payload
         assert RpcResponse.from_payload(payload).skipped == ()
 
     def test_skipped_round_trips(self):
-        response = RpcResponse(request_id=3, outputs=[2.0], skipped=(0, 2))
-        payload = response.to_payload()
+        payload = predict_reply(3, [2.0], None, 0.1, skipped=(0, 2))
         assert payload["skipped"] == [0, 2]
         assert RpcResponse.from_payload(payload).skipped == (0, 2)
 
@@ -140,7 +128,7 @@ class TestWireFormat:
             client = RpcClient(client_end)
             try:
                 with pytest.raises(RpcError, match="1 outputs and 1 skips"):
-                    await client.predict("m", [1.0, 2.0, 3.0])
+                    await client.predict([1.0, 2.0, 3.0])
             finally:
                 await server_task
                 await client.close()
@@ -210,10 +198,7 @@ class TestReplicaSkipsExpiredEntries:
         entry and one an hour behind never skipped any.  The request is
         encoded at the sender's *t* and arrives when the clock reads *t* ± 1 h."""
         hand = ManualClock(monkeypatch)
-        payload = RpcRequest(
-            request_id=1, model_name="count", inputs=[1.0, 2.0, 3.0],
-            deadlines=[hand.now - 10.0, 0.0, hand.now + 100.0],
-        ).to_payload()
+        payload = predict_request(1, [1.0, 2.0, 3.0], [hand.now - 10.0, 0.0, hand.now + 100.0])
         hand.now += skew_s
         container = CountingContainer()
         response = run_async(serve_one(container, payload, lane))

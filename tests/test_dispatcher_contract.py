@@ -29,8 +29,9 @@ computes from the case alone:
 Capture is lazy: an unsampled entry carries no context.  The world finishes
 each one as the engine does: an interesting query's shadow is built from
 what its entry was stamped with (:meth:`Tracer.shadow`), and a boring one
-builds nothing.  On the wire only queries that own a trace id send one, and
-a batch of unsampled queries sends none.
+builds nothing.  A traced dispatcher asks every batch for the container's
+evaluation stamps (one header field, whoever owns a trace id), an untraced
+one asks none.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.observability.tracing import (
     TraceContext,
     Tracer,
 )
-from repro.rpc.protocol import RpcRequest, RpcResponse
+from repro.rpc.protocol import RpcResponse, predict_request
 from simloop import ManualClock
 
 MODEL = ModelId("model", 1)
@@ -80,9 +81,9 @@ class RecordingReplica:
         self.hand = hand
         self.calls: List[tuple] = []
 
-    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+    async def predict_batch(self, inputs, span_log=None, deadlines=None):
         case = self.case
-        self.calls.append((list(inputs), deadlines and list(deadlines), trace))
+        self.calls.append((list(inputs), deadlines and list(deadlines), span_log is not None))
         sent = self.hand.now
         self.hand.now = sent + 0.002
         if span_log is not None:
@@ -223,12 +224,7 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
         traces.append((record.flags, record.sampled, record.query_id, list(record.spans)))
     return {
         "sent": [(inputs, deadlines) for inputs, deadlines, _ in replica.calls],
-        "wire_ids": [ids for _, _, ids in replica.calls],
-        "owned_ids": {
-            index: item.trace.trace_id
-            for index, (item, plan) in enumerate(zip(batch, case["items"]))
-            if plan["trace"] in ("sampled", "forced", "straggler")
-        },
+        "stamped": [stamped for _, _, stamped in replica.calls],
         "futures": [future_state(item.future) for item in batch],
         "cached": cache.fills,
         "requeued": [(item.input, item.attempts) for item in queue._items],
@@ -279,14 +275,15 @@ def expected(case: dict) -> dict:
             futures[i] = timed_out(plan)
     spans = [spans_before(plan) for plan in plans]
     table = {
-        "sent": [], "futures": futures, "cached": [], "requeued": [], "history": [],
-        "batches": (0, 0, 0),
+        "sent": [], "stamped": [], "futures": futures, "cached": [], "requeued": [],
+        "history": [], "batches": (0, 0, 0),
     }
     retried = set()
     if live:
         carries_deadline = any(plan["deadline"] != "none" for plan in plans)
         table["sent"] = [(live, [DEADLINES[plans[i]["deadline"]] or 0.0 for i in live]
                           if carries_deadline else None)]
+        table["stamped"] = [case["tracer"] == "on"]
         if outcome != "rpc_error":
             oldest = min(queued(plans[i]) for i in live)
             table["history"] = [(len(live), (T0 - oldest) * 1000.0, (ANSWERED - T0) * 1000.0)]
@@ -376,14 +373,7 @@ CASE = st.fixed_dictionaries(
 class TestDispatchBatchContract:
     @given(case=CASE)
     def test_every_entry_ends_as_the_outcome_table_says(self, case):
-        happened = dispatched(case)
-        owned = happened.pop("owned_ids")
-        for (inputs, _), ids in zip(happened["sent"], happened.pop("wire_ids")):
-            if case["tracer"] == "on":
-                assert ids == [owned[index] for index in inputs if index in owned]
-            else:
-                assert ids is None
-        assert happened == expected(case)
+        assert dispatched(case) == expected(case)
 
     def test_mixed_batch_by_hand(self):
         """One readable case: expired, traced three ways, a skip, a late fill."""
@@ -403,8 +393,8 @@ class TestDispatchBatchContract:
         }
         happened = dispatched(case)
         assert happened["sent"] == [([0, 2, 3, 4, 5], [T0 + 0.020] * 4 + [0.0])]
-        # Sampled + straggler own ids; the unsampled send nothing.
-        assert happened["wire_ids"][0] == list(happened["owned_ids"].values())
+        # Traced: the one batch asks for the container's stamps.
+        assert happened["stamped"] == [True]
         assert happened["futures"][1] == ("exception", "PredictionTimeoutError", (
             "query -1 missed its latency deadline of 4.0 ms",))
         assert happened["history"] == [(5, pytest.approx(9.0), pytest.approx(2.0))]
@@ -418,15 +408,12 @@ class TestDispatchBatchContract:
             "queue.wait", "batch.assemble", "rpc.send", "rpc.wait",
             "container.eval", "rpc.recv",
         ]
-        del happened["wire_ids"], happened["owned_ids"]
         assert happened == expected(case)
 
-    def test_an_unsampled_batch_sends_no_trace_header_and_one_stamp_request(self):
-        """Asserted on the decoded request: what a batch of unsampled
-        queries sends under tail capture (any may turn out interesting)."""
-        request = RpcRequest(
-            request_id=1, model_name="m", inputs=[1.0, 2.0], trace=(), stamp=True
-        )
-        payload = request.to_payload()
-        assert "trace" not in payload and payload["stamp"] is True
-        assert "stamp" not in RpcRequest(1, "m", [1.0]).to_payload()
+    def test_a_stamp_request_is_one_header_field(self):
+        """What a traced batch adds to its request (any query may turn out
+        interesting under tail capture), and an untraced one does not."""
+        payload = predict_request(1, [1.0, 2.0], None, True)
+        assert set(payload) == {"type", "request_id", "inputs", "stamp"}
+        assert payload["stamp"] is True
+        assert "stamp" not in predict_request(1, [1.0])

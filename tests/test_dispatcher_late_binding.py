@@ -43,7 +43,7 @@ class GatedReplica(Replica):
         self._free_at = 0.0
         self._sent_event = asyncio.Event()
 
-    async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
+    async def predict_batch(self, inputs, span_log=None, deadlines=None):
         inputs = list(inputs)
         eval_ms = self.eval_ms(len(inputs)) if callable(self.eval_ms) else self.eval_ms
         half_trip = self.overhead_ms / 2000.0

@@ -44,7 +44,7 @@ import repro.cache.prediction_cache as prediction_cache_module
 import repro.core.types as types_module
 import repro.overload.control as overload_module
 from repro.api.handlers import prediction_payload
-from repro.api.http import HttpApiServer, create_server
+from repro.api.http import MAX_BODY_BYTES, HttpApiServer, create_server
 from repro.api.routes import ApiResponse, RouteTable
 from repro.api.schema import ApplicationSchema, json_safe
 from repro.batching.aimd import AIMDController
@@ -71,7 +71,7 @@ from repro.core.types import Feedback, ModelId, Prediction, Query, hash_input
 from repro.observability.tracing import BatchSpans, TraceContext, Tracer
 from repro.rpc import jsonwire, serialization
 from repro.rpc.http11 import Http1Connection
-from repro.rpc.protocol import RpcRequest, RpcResponse
+from repro.rpc.protocol import RpcResponse, predict_reply, predict_request
 from repro.rpc.serialization import deserialize, serialize
 from repro.rpc.server import INLINE_STREAK
 from repro.selection.single import SingleModelPolicy
@@ -570,9 +570,8 @@ class TestMissedPassBudget:
             model_id, replica_id, name = ModelId("m"), 0, "m:1[0]"
             request = None
 
-            async def predict_batch(self, inputs, trace=None, span_log=None, deadlines=None):
-                Replica.request = dict(trace=trace, stamp=span_log is not None,
-                                       deadlines=deadlines)
+            async def predict_batch(self, inputs, span_log=None, deadlines=None):
+                Replica.request = dict(stamp=span_log is not None, deadlines=deadlines)
                 now = time.monotonic()
                 span_log.append(("rpc.send", now, now, None))
                 span_log.append(("rpc.wait", now, now, None))
@@ -612,8 +611,8 @@ class TestMissedPassBudget:
                 sys.setprofile(None)
             assert all(item.future.result() == 1 for item in batch)
             # Any query may turn out interesting: the batch asks for the
-            # container's stamps, and no query owns an id to send.
-            assert Replica.request["trace"] == [] and Replica.request["stamp"]
+            # container's stamps.
+            assert Replica.request["stamp"]
             assert len(Replica.request["deadlines"]) == 32
             # One shared object, five span tuples in it, and no append a
             # query: each entry holds a reference (the parent: an append a
@@ -722,18 +721,18 @@ class TestLearnedFrameBudget:
                 20,  # generic: 80
             ),
             (  # a container's answer to a batch of 32, its outputs one column
-                RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload(),
+                predict_reply(7, [1] * 32, None, 0.01),
                 4,  # generic: 14, 11 of them _decode (44 and 43 with a tag an output)
                 15,  # generic: 63 (167 with a tag an output; 45 learned)
             ),
             (  # what every container reads: a batch of 32 rows with its budgets
-                RpcRequest(
-                    request_id=7, model_name="m:1",
-                    inputs=[np.full(256, i, dtype=np.float32) for i in range(32)],
-                    deadlines=[clock.now() + 60.0] * 32,
-                ).to_payload(),
-                6,  # generic: 18, 13 of them _decode
-                20,  # generic: 87
+                predict_request(
+                    7,
+                    [np.full(256, i, dtype=np.float32) for i in range(32)],
+                    [clock.now() + 60.0] * 32,
+                ),
+                5,  # 6 with model_name and metadata; generic: 14, 9 of them _decode
+                17,  # 20 with them; generic: 66
             ),
         ],
         ids=["predict_response", "rpc_response", "rpc_request"],
@@ -794,7 +793,7 @@ class TestLearnedFrameBudget:
     def test_a_frame_the_writer_cannot_learn_costs_one_lookup(self, monkeypatch):
         # A container's answer to a batch of 32: a list, its outputs' column
         # too, is not learned.
-        message = RpcResponse(request_id=7, outputs=[1] * 32, container_latency_ms=0.01).to_payload()
+        message = predict_reply(7, [1] * 32, None, 0.01)
         monkeypatch.setattr(serialization, "_WRITERS", {})
         frame = serialize(message)
         assert serialize(message) == frame
@@ -941,7 +940,7 @@ class TestInlineEdgeBudget:
                 x = np.arange(256, dtype=np.float32)
                 await frontend.predict(self.APP, x)  # fills the cache
                 wire = _Wire()
-                conn = Http1Connection(server._max_body_bytes, connected=server._on_connection)
+                conn = Http1Connection(MAX_BODY_BYTES, connected=server._on_connection)
                 conn.connection_made(wire)
                 request = self.request(x)
                 for _ in range(2):  # memos and learned layouts filled
@@ -1007,7 +1006,7 @@ class TestInlineEdgeBudget:
             table.add("POST", "/echo", "echo", echo)
             server = HttpApiServer(table)
             wire = _Wire()
-            conn = Http1Connection(1024, 100, server._on_connection)
+            conn = Http1Connection(1024, server._on_connection)
             conn.connection_made(wire)
             for i in range(5):
                 body = b'{"n": %d}' % i  # a new head each time: another length

@@ -8,11 +8,13 @@ Two boundary contracts.  A worker process hosts containers and never loads
 the serving engine: no sub-package but the client SDK binds a name in its
 ``__init__`` (one import path per name) and the top-level names resolve on
 first access, so ``import repro.cluster.worker`` in a fresh
-interpreter must leave every engine module out of ``sys.modules``.  And the
+interpreter must leave every engine module out of ``sys.modules``; only
+``repro`` itself and the SDK keep an ``__all__``.  And the
 serving system never loads the paper kit (``benchmarks/paperkit``): the
 dependency points one way, from the kit to ``repro``.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -113,6 +115,23 @@ def test_a_sub_package_binds_no_public_name(name):
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_only_the_package_and_the_sdk_define_all():
+    # An export list is a second import path for its names.
+    defining = []
+    for module in ["repro", *MODULES]:
+        if module.startswith("repro"):
+            path = importlib.util.find_spec(module).origin
+            with open(path, encoding="utf-8") as source:
+                tree = ast.parse(source.read())
+            if any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ):
+                defining.append(module)
+    assert defining == ["repro", "repro.client"]
 
 
 @pytest.mark.parametrize("name", repro.__all__)

@@ -45,7 +45,7 @@ from repro.observability.tracing import (
     flag_names,
     format_trace_id,
 )
-from repro.rpc.protocol import RpcRequest, RpcResponse
+from repro.rpc.protocol import RpcResponse, predict_reply, predict_request
 
 
 @pytest.fixture(autouse=True)
@@ -242,27 +242,15 @@ class TestTraceTree:
 
 class TestRpcTracePropagation:
     def test_untraced_payloads_omit_trace_fields(self):
-        request = RpcRequest(request_id=1, model_name="m", inputs=[1, 2])
-        assert "trace" not in request.to_payload()
-        response = RpcResponse(request_id=1, outputs=[0, 0])
-        payload = response.to_payload()
-        assert "trace" not in payload
+        assert set(predict_request(1, [1, 2])) == {"type", "request_id", "inputs"}
+        payload = predict_reply(1, [0, 0], None, 0.1)
         assert "eval_start" not in payload and "eval_end" not in payload
+        assert RpcResponse.from_payload(payload).eval_end == 0.0
 
-    def test_trace_header_round_trips(self):
-        request = RpcRequest(
-            request_id=1, model_name="m", inputs=[1], trace=(42, "client-id")
-        )
-        assert request.to_payload()["trace"] == [42, "client-id"]
-        response = RpcResponse(
-            request_id=1,
-            outputs=[0],
-            trace=(42,),
-            eval_start=10.5,
-            eval_end=10.75,
-        )
-        decoded = RpcResponse.from_payload(response.to_payload())
-        assert decoded.trace == (42,)
+    def test_the_evaluation_window_round_trips(self):
+        assert predict_request(1, [1], stamp=True)["stamp"] is True
+        payload = predict_reply(1, [0], None, 0.1, (10.5, 10.75))
+        decoded = RpcResponse.from_payload(payload)
         assert decoded.eval_start == 10.5 and decoded.eval_end == 10.75
 
 

@@ -25,7 +25,7 @@ class TestPredictRoundTrip:
         async def scenario():
             client, server = make_pair(NoOpContainer(output=9))
             server.start()
-            response = await client.predict("noop:1", [np.ones(2), np.ones(2)])
+            response = await client.predict([np.ones(2), np.ones(2)])
             assert response.ok
             assert response.outputs == [9, 9]
             assert response.container_latency_ms >= 0.0
@@ -39,20 +39,23 @@ class TestPredictRoundTrip:
             container = FunctionContainer(lambda xs: [float(np.sum(x)) for x in xs])
             client, server = make_pair(container)
             server.start()
-            response = await client.predict("sum:1", [np.ones(3), np.full(2, 2.0)])
+            response = await client.predict([np.ones(3), np.full(2, 2.0)])
             assert response.outputs == [3.0, 4.0]
             await server.stop()
 
         run_async(scenario())
 
     def test_multiple_sequential_requests(self):
+        batches = []
+
         async def scenario():
-            client, server = make_pair(NoOpContainer(output=1))
+            client, server = make_pair(FunctionContainer(lambda xs: batches.append(xs) or [1]))
             server.start()
-            for _ in range(5):
-                response = await client.predict("noop:1", [np.zeros(1)])
-                assert response.ok
-            assert server.requests_served == 5
+            for i in range(5):
+                response = await client.predict([np.full(1, float(i))])
+                assert response.ok and response.outputs == [1]
+            # One container call per request, in order.
+            assert [float(xs[0][0]) for xs in batches] == [0.0, 1.0, 2.0, 3.0, 4.0]
             await server.stop()
 
         run_async(scenario())
@@ -62,7 +65,7 @@ class TestPredictRoundTrip:
             client, server = make_pair(NoOpContainer())
             server.start()
             with pytest.raises(RpcError):
-                await client.predict("noop:1", [])
+                await client.predict([])
             await server.stop()
 
         run_async(scenario())
@@ -77,7 +80,7 @@ class TestPredictRoundTrip:
         async def scenario():
             client, server = make_pair(FunctionContainer(model))
             server.start()
-            response = await client.predict("fn:1", [np.zeros(1)] * 3)
+            response = await client.predict([np.zeros(1)] * 3)
             assert response.outputs == [2, 2, 2]
             assert threads and threads[0] != threading.get_ident()
             await server.stop()
@@ -94,11 +97,11 @@ class TestErrorHandling:
         async def scenario():
             client, server = make_pair(FailingContainer())
             server.start()
-            response = await client.predict("bad:1", [np.zeros(1)])
+            response = await client.predict([np.zeros(1)])
             assert not response.ok
             assert "model blew up" in response.error
             # The server keeps serving after a failure.
-            response2 = await client.predict("bad:1", [np.zeros(1)])
+            response2 = await client.predict([np.zeros(1)])
             assert not response2.ok
             await server.stop()
 
@@ -113,7 +116,7 @@ class TestErrorHandling:
             client, server = make_pair(BrokenContainer())
             server.start()
             with pytest.raises(RpcError):
-                await client.predict("broken:1", [np.zeros(1), np.zeros(1)])
+                await client.predict([np.zeros(1), np.zeros(1)])
             await server.stop()
 
         run_async(scenario())

@@ -239,7 +239,7 @@ class TestPipelinedClient:
             server.start()
             batches = [[np.full(4, float(i))] for i in range(8)]
             responses = await asyncio.gather(
-                *(client.predict("echo:1", batch) for batch in batches)
+                *(client.predict(batch) for batch in batches)
             )
             for i, response in enumerate(responses):
                 assert response.ok
@@ -260,7 +260,7 @@ class TestPipelinedClient:
             client = RpcClient(client_side, timeout_s=5.0)
             server.start()
             predict_task = asyncio.ensure_future(
-                client.predict("m:1", [np.zeros(2)] * 3)
+                client.predict([np.zeros(2)] * 3)
             )
             assert await client.heartbeat(timeout_s=2.0) is True
             response = await predict_task
@@ -297,7 +297,7 @@ class TestPipelinedClient:
         async def scenario():
             client_side, _ = queue_pair()
             client = RpcClient(client_side, timeout_s=5.0)
-            task = asyncio.ensure_future(client.predict("m:1", [np.zeros(1)]))
+            task = asyncio.ensure_future(client.predict([np.zeros(1)]))
             await asyncio.sleep(0.01)  # let the request hit the wire
             await client.close()
             from repro.core.exceptions import RpcError

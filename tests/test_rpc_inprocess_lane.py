@@ -298,7 +298,7 @@ class TestStop:
                 await batch
             assert asyncio.all_tasks() == {asyncio.current_task()}
             with pytest.raises(RpcError):
-                await replica.client.predict("m", [1.0])
+                await replica.client.predict([1.0])
             container.gate.set()
 
         run_async(scenario())

@@ -1,4 +1,4 @@
-"""Tests for RPC message types and wire framing."""
+"""Tests for RPC message types, the container envelope and wire framing."""
 
 import asyncio
 import struct
@@ -10,9 +10,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import run_async
+from repro.containers.noop import NoOpContainer
+from repro.containers.replica import ContainerReplica
 from repro.core.exceptions import RpcError, SerializationError
-from repro.rpc.protocol import MessageType, RpcRequest, RpcResponse, message_type
+from repro.core.types import ModelId
+from repro.rpc.protocol import (
+    MessageType,
+    RpcResponse,
+    message_type,
+    predict_reply,
+    predict_request,
+)
 from repro.rpc.serialization import deserialize, serialize
+from repro.rpc.server import ContainerRpcServer
+from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.rpc.transport import (
     MAX_FRAME_BYTES,
     TcpTransport,
@@ -21,38 +32,107 @@ from repro.rpc.transport import (
 )
 
 
-class TestRpcRequest:
-    def test_payload_round_trip(self):
-        request = RpcRequest(
-            request_id=7,
-            model_name="svm:1",
-            inputs=[np.ones(3), np.zeros(3)],
-            metadata={"priority": 1},
-        )
-        decoded = deserialize(serialize(request.to_payload()))
+class TestEnvelopeBuilders:
+    def test_request_round_trip(self):
+        payload = predict_request(7, [np.ones(3), np.zeros(3)])
+        decoded = deserialize(serialize(payload))
+        assert message_type(decoded) == MessageType.PREDICT
         assert decoded["request_id"] == 7
-        assert decoded["model_name"] == "svm:1"
         assert len(decoded["inputs"]) == 2
-        assert decoded["metadata"] == {"priority": 1}
 
-    def test_payload_type_tag(self):
-        request = RpcRequest(request_id=1, model_name="m", inputs=[1])
-        assert message_type(request.to_payload()) == MessageType.PREDICT
-
-
-class TestRpcResponse:
-    def test_ok_response(self):
-        response = RpcResponse(request_id=3, outputs=[1, 2, 3], container_latency_ms=1.5)
+    def test_ok_reply(self):
+        response = RpcResponse.from_payload(predict_reply(3, [1, 2, 3], None, 1.5))
         assert response.ok
-        decoded = RpcResponse.from_payload(response.to_payload())
-        assert decoded.outputs == [1, 2, 3]
-        assert decoded.container_latency_ms == pytest.approx(1.5)
+        assert response.outputs == [1, 2, 3]
+        assert response.container_latency_ms == pytest.approx(1.5)
 
-    def test_error_response(self):
-        response = RpcResponse(request_id=3, outputs=[], error="boom")
+    def test_error_reply(self):
+        response = RpcResponse.from_payload(predict_reply(3, [], "boom", 0.2))
         assert not response.ok
-        decoded = RpcResponse.from_payload(response.to_payload())
-        assert decoded.error == "boom"
+        assert response.error == "boom"
+
+    def test_a_reply_of_another_type_is_refused(self):
+        heartbeat = {"type": int(MessageType.HEARTBEAT_RESPONSE), "request_id": 3, "healthy": True}
+        with pytest.raises(SerializationError, match="not a prediction reply"):
+            RpcResponse.from_payload(heartbeat)
+
+
+class Reads(dict):
+    """A decoded message that records which of its keys were read."""
+
+    def __init__(self, payload: dict) -> None:
+        super().__init__(payload)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def exchanged(lane: str, monkeypatch, **batch) -> Tuple[Reads, Reads]:
+    """One batch of two inputs over ``lane``: the request as the container
+    server's handler got it and the reply as ``RpcResponse.from_payload`` got it."""
+    seen = {}
+    handle, from_payload = ContainerRpcServer._handle, RpcResponse.from_payload
+
+    async def handle_recorded(self, payload, received):
+        seen["request"] = Reads(payload)
+        return await handle(self, seen["request"], received)
+
+    def from_payload_recorded(payload):
+        seen["reply"] = Reads(payload)
+        return from_payload(seen["reply"])
+
+    monkeypatch.setattr(ContainerRpcServer, "_handle", handle_recorded)
+    monkeypatch.setattr(RpcResponse, "from_payload", staticmethod(from_payload_recorded))
+
+    async def scenario():
+        replica = ContainerReplica(ModelId("m"), 0, NoOpContainer(output=1), transport=lane)
+        await replica.start()
+        try:
+            return await replica.predict_batch([1.0, 2.0], **batch)
+        finally:
+            await replica.stop()
+
+    assert run_async(scenario()).ok
+    return seen["request"], seen["reply"]
+
+
+ENVELOPE_LANES = pytest.mark.parametrize(
+    "lane", ["inprocess", "tcp"] + (["shm"] if HAS_SHARED_MEMORY else [])
+)
+
+
+class TestEnvelopeContract:
+    """A frame carries only what its receiver reads, on every lane."""
+
+    @ENVELOPE_LANES
+    def test_a_plain_batch_carries_the_bare_envelope(self, lane, monkeypatch):
+        request, reply = exchanged(lane, monkeypatch)
+        assert set(request) == {"type", "request_id", "inputs"}
+        assert set(reply) == {"type", "request_id", "outputs", "error", "container_latency_ms"}
+        assert set(request) <= request.read
+        assert set(reply) <= reply.read
+
+    @ENVELOPE_LANES
+    def test_every_optional_field_written_is_read(self, lane, monkeypatch):
+        expired = time.monotonic() - 10.0
+        request, reply = exchanged(lane, monkeypatch, span_log=[], deadlines=[expired, 0.0])
+        assert set(request) == {"type", "request_id", "inputs", "stamp", "budgets_ms"}
+        assert set(reply) == {
+            "type", "request_id", "outputs", "error", "container_latency_ms",
+            "eval_start", "eval_end", "skipped",
+        }
+        assert set(request) <= request.read
+        assert set(reply) <= reply.read
 
 
 class Wire(asyncio.Transport):
@@ -140,11 +220,9 @@ class TestFraming:
     the socket transport's protocol callbacks as a peer's bytes."""
 
     def test_frame_round_trip(self):
-        payload = RpcRequest(
-            request_id=1, model_name="m", inputs=[np.arange(4.0)]
-        ).to_payload()
+        payload = predict_request(1, [np.arange(4.0)])
         (decoded,) = receive(framed(payload))
-        assert decoded["model_name"] == "m"
+        assert decoded["request_id"] == 1
         np.testing.assert_array_equal(decoded["inputs"][0], np.arange(4.0))
 
     def test_back_to_back_frames_are_cut_apart(self):

@@ -29,6 +29,7 @@ from hypothesis import example, given, strategies as st
 
 import repro
 from helpers import run_async
+from repro.containers.base import FunctionContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica, place_locally
 from repro.core.clipper import Clipper
@@ -37,6 +38,7 @@ from repro.core.exceptions import ConfigurationError, RpcError
 from repro.core.types import ModelId, Query
 from repro.rpc.client import RpcClient
 from repro.rpc.server import ContainerRpcServer
+from repro.rpc import shm as shm_module
 from repro.rpc.shm import (
     HAS_SHARED_MEMORY,
     ShmRingTransport,
@@ -67,6 +69,13 @@ def run_python(script, *interpreter_flags):
     )
 
 
+async def shm_pair_of(capacity: int):
+    """An in-process lane whose rings hold ``capacity`` bytes each."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shm_module, "RING_CAPACITY", capacity)
+        return await shm_pair()
+
+
 class TestRingTransport:
     def test_round_trip_dict_with_ndarrays(self):
         async def scenario():
@@ -92,7 +101,7 @@ class TestRingTransport:
         async def scenario():
             # A deliberately tiny ring so frames wrap the circular buffer at
             # awkward offsets many times over.
-            client, server = await shm_pair(capacity=256)
+            client, server = await shm_pair_of(256)
 
             async def produce():
                 for i in range(50):
@@ -112,7 +121,7 @@ class TestRingTransport:
 
     def test_frame_larger_than_ring_streams_through(self):
         async def scenario():
-            client, server = await shm_pair(capacity=1024)
+            client, server = await shm_pair_of(1024)
             big = np.arange(8192, dtype=np.float64)  # 64 KiB >> 1 KiB ring
 
             async def produce():
@@ -159,10 +168,6 @@ class TestRingTransport:
             await server.close()
 
         run_async(scenario())
-
-    def test_tiny_capacity_rejected(self):
-        with pytest.raises(RpcError):
-            create_block(capacity=8)
 
 
 def _payload(capacity):
@@ -211,7 +216,7 @@ class TestRingFraming:
         capacity, payloads, start, send_yields, recv_yields = lane
 
         async def scenario():
-            client, server = await shm_pair(capacity)
+            client, server = await shm_pair_of(capacity)
             for ring in (client._out, client._in):
                 ring.head = ring.tail = start
 
@@ -259,7 +264,7 @@ class TestRingFraming:
         self, capacity, start, length
     ):
         async def scenario():
-            client, server = await shm_pair(capacity)
+            client, server = await shm_pair_of(capacity)
             ring = server._in
             ring.head = ring.tail = start
             ring.write_at(start, memoryview(struct.pack("<I", length)))
@@ -328,8 +333,9 @@ class TestBellsAcrossAConcurrentPeer:
 
         return threading.Thread(target=target, daemon=True)
 
-    def test_consumer_parking_before_the_publish_gets_the_data_bell(self):
-        shm, descriptor = create_block(4096)
+    def test_consumer_parking_before_the_publish_gets_the_data_bell(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "RING_CAPACITY", 4096)
+        shm, descriptor = create_block()
         producer_bell, consumer_bell = socket.socketpair()
         frames, outcome, ends = [], [], []
 
@@ -357,8 +363,9 @@ class TestBellsAcrossAConcurrentPeer:
         run_async(produce())
         assert outcome == [None] and frames == [{"n": 1}, {"n": 2}]
 
-    def test_producer_parking_before_the_publish_gets_the_space_bell(self):
-        shm, descriptor = create_block(256)
+    def test_producer_parking_before_the_publish_gets_the_space_bell(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "RING_CAPACITY", 256)
+        shm, descriptor = create_block()
         producer_bell, consumer_bell = socket.socketpair()
         big = "x" * 1000  # fills the ring and parks the sender on space
         outcome, ends = [], []
@@ -485,7 +492,7 @@ class TestRpcOverSharedMemory:
         async def scenario():
             client, server = await self.make_pair(NoOpContainer(output=4))
             server.start()
-            response = await client.predict("noop:1", [np.zeros(3)] * 5)
+            response = await client.predict([np.zeros(3)] * 5)
             assert response.ok
             assert response.outputs == [4] * 5
             await server.stop()
@@ -494,32 +501,36 @@ class TestRpcOverSharedMemory:
         run_async(scenario())
 
     def test_pipelined_concurrent_batches(self):
+        batches = []
+
         async def scenario():
-            client, server = await self.make_pair(NoOpContainer(output=1))
+            container = FunctionContainer(lambda xs: batches.append(xs) or [1] * len(xs))
+            client, server = await self.make_pair(container)
             server.start()
             responses = await asyncio.gather(
                 *(
-                    client.predict("noop:1", [np.full(4, float(i))])
+                    client.predict([np.full(4, float(i))])
                     for i in range(20)
                 )
             )
-            assert all(r.ok for r in responses)
-            assert server.requests_served == 20
+            assert all(r.ok and r.outputs == [1] for r in responses)
+            # One container call per batch, in the order they were sent.
+            assert [float(xs[0][0]) for xs in batches] == [float(i) for i in range(20)]
             await server.stop()
             await client.close()
 
         run_async(scenario())
 
-    def test_heartbeat_and_trace_propagation(self):
+    def test_heartbeat_and_evaluation_stamps(self):
         async def scenario():
             client, server = await self.make_pair(NoOpContainer())
             server.start()
             assert await client.heartbeat(timeout_s=2.0)
-            response = await client.predict(
-                "noop:1", [np.zeros(2)], trace=["trace-1"]
-            )
+            spans = []
+            response = await client.predict([np.zeros(2)], span_log=spans)
             assert response.ok
-            assert "trace-1" in tuple(response.trace)
+            assert 0.0 < response.eval_start <= response.eval_end
+            assert [name for name, _, _, _ in spans] == ["rpc.send", "rpc.wait"]
             await server.stop()
             await client.close()
 
@@ -568,6 +579,7 @@ class TestReplicaTransportLanes:
         script = """
 import asyncio, glob, os, tempfile
 import numpy as np
+from repro.containers.base import FunctionContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
 from repro.core.types import ModelId

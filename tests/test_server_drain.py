@@ -53,7 +53,7 @@ class TestContainerRpcServerDrain:
             server = ContainerRpcServer(SlowContainer(delay_s=0.2), server_side)
             client = RpcClient(client_side, timeout_s=5.0)
             server.start()
-            pending = asyncio.ensure_future(client.predict("m:1", [np.zeros(1)]))
+            pending = asyncio.ensure_future(client.predict([np.zeros(1)]))
             await asyncio.sleep(0.05)  # batch is now inside the container
             await server.drain(timeout_s=5.0)
             response = await pending
@@ -69,11 +69,11 @@ class TestContainerRpcServerDrain:
             server = ContainerRpcServer(NoOpContainer(output=1), server_side)
             client = RpcClient(client_side, timeout_s=1.0)
             server.start()
-            response = await client.predict("m:1", [np.zeros(1)])
+            response = await client.predict([np.zeros(1)])
             assert response.ok
             await server.drain(timeout_s=5.0)
             with pytest.raises(RpcError):
-                await client.predict("m:1", [np.zeros(1)])
+                await client.predict([np.zeros(1)])
             await client.close()
 
         run_async(scenario())
