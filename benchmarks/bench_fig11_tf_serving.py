@@ -10,7 +10,7 @@ CIFAR / ImageNet TensorFlow models) through three systems:
 * Clipper with a "Python" model container (the same path but paying Python
   serialization plus the Python API's per-batch and per-item overhead).
 
-The same closed-loop driver (``paperkit.load.run_load``) loads all three
+The same closed-loop driver (``paperkit.load.drive``) loads all three
 and times every query from the caller's side, so the latency columns are
 comparable across systems.
 

@@ -17,7 +17,7 @@ There are no re-exports: import a name from the module that defines it.
 ``paperkit.overhead``
     A container wrapper adding language overhead (Figs. 3 and 11).
 ``paperkit.load``
-    The closed-loop load driver.
+    The load driver: closed-loop users or due times, on the loop's clock.
 ``paperkit.serving``
     The systems Fig. 11 measures: Clipper around one container, and the
     TensorFlow-Serving-like baseline.

@@ -1,22 +1,104 @@
-"""Load for the serving figures: one closed-loop driver.
+"""Load for the figures: one driver, two schedules, on whichever clock runs it.
 
-:func:`run_load` drives any ``predict(x)`` coroutine — Clipper's, the
-TensorFlow-Serving-like baseline's — with ``concurrency`` users, each
-issuing its next query as soon as its last one is answered.  This is how the
-maximum sustained throughput of Figure 11 is measured.
+:func:`drive` starts the caller's ``query(i)`` coroutine for i = 0, 1, ...
+on one of two schedules:
 
-Every latency is timed by the caller, around the ``await``, so systems are
-compared on the same clock whatever they measure internally.
+* **closed loop** — ``users`` share ``count`` indices, each taking the next
+  one when its last query returns (the maximum sustained throughput of
+  Figs. 4 and 11);
+* **due times** — ``due(start)`` yields each arrival's time on the loop's
+  clock: :func:`poisson` for seeded Poisson arrivals (Figs. 5 and 9), or
+  ``lambda start: start + times`` for any array of offsets.
+
+Arrivals are armed with ``loop.call_at`` on the running loop's clock, one
+timer pending at a time: wall time on asyncio's loop, virtual time on
+``tests/simloop.py``'s ``VirtualLoop``.  Every latency is timed by the
+driver on that clock, so systems are compared on one clock whatever they
+measure internally.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
+import random
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Sequence
+from typing import Any, Awaitable, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from paperkit.reporting import summarize_latencies
+
+
+#: A schedule: the due times on the loop's clock, given its reading at the start.
+Schedule = Callable[[float], Iterable[float]]
+
+
+class Answer(NamedTuple):
+    """One query's outcome: its latency (``None`` if it raised) and the clock when it ended."""
+
+    latency_ms: Optional[float]
+    at: float
+
+
+def poisson(rate_qps: float, seconds: float, seed) -> Schedule:
+    """Due times of seeded Poisson arrivals at ``rate_qps`` for ``seconds`` from the start.
+
+    Each time is the last plus one ``random.Random(seed).expovariate`` gap,
+    accumulated from the start's clock reading, so one seed gives one float
+    sequence on any clock.
+    """
+
+    def times(start: float) -> Iterable[float]:
+        gaps, due, end = random.Random(seed), start, start + seconds
+        while (due := due + gaps.expovariate(rate_qps)) < end:
+            yield due
+
+    return times
+
+
+async def drive(
+    query: Callable[[int], Awaitable[Any]], *, users=0, count=0, due: Optional[Schedule] = None
+) -> List[Answer]:
+    """Run ``query(i)`` at ``due`` times, or closed-loop (``users``, ``count``); one answer per i.
+
+    A closed-loop latency counts from when the user sent the query, an
+    open-loop one from its due time.  A query that raises is a measurement,
+    not a crash: its answer has no latency.
+    """
+    loop = asyncio.get_running_loop()
+    answers: Dict[int, Answer] = {}
+
+    async def run(i: int, sent: float) -> None:
+        try:
+            await query(i)
+        except Exception:
+            answers[i] = Answer(None, loop.time())
+        else:
+            now = loop.time()
+            answers[i] = Answer((now - sent) * 1000.0, now)
+
+    if due is None:
+        indices = iter(range(count))
+
+        async def user() -> None:
+            for i in indices:
+                await run(i, loop.time())
+
+        await asyncio.gather(*(user() for _ in range(users)))
+    else:
+        tasks = []
+        for when in due(loop.time()):
+            # An arrival already due starts at once: a loop that fell behind
+            # a burst catches up in one step, not one loop pass per query.
+            if when > loop.time():
+                arrived = loop.create_future()
+                timer = loop.call_at(when, arrived.set_result, None)
+                try:
+                    await arrived
+                except asyncio.CancelledError:  # the armed arrival must not fire into it
+                    timer.cancel()
+                    raise
+            tasks.append(loop.create_task(run(len(tasks), when)))
+        await asyncio.gather(*tasks)
+    return [answers[i] for i in range(len(answers))]
 
 
 @dataclass
@@ -29,6 +111,13 @@ class LoadResult:
     latencies_ms: List[float]
     label: str = ""
     mean_batch_size: float = 0.0
+
+    @classmethod
+    def of(cls, answers: List[Answer], start: float) -> "LoadResult":
+        """The run whose answers :func:`drive` returned, begun at ``start`` on the same clock."""
+        latencies = [a.latency_ms for a in answers if a.latency_ms is not None]
+        elapsed = max(a.at for a in answers) - start
+        return cls(len(answers), len(answers) - len(latencies), elapsed, latencies)
 
     @property
     def throughput_qps(self) -> float:
@@ -52,41 +141,3 @@ class LoadResult:
             "mean_batch_size": self.mean_batch_size,
             "errors": self.num_errors,
         }
-
-
-async def run_load(
-    predict: Callable[[Any], Awaitable[Any]],
-    inputs: Sequence[Any],
-    num_queries: int,
-    *,
-    concurrency: int = 32,
-) -> LoadResult:
-    """Send ``num_queries`` queries, cycling through ``inputs``, to ``predict``.
-
-    ``concurrency`` users share the queries.  A query whose ``predict``
-    raises counts as an error and has no latency.
-    """
-    if num_queries < 1:
-        raise ValueError("num_queries must be >= 1")
-    if len(inputs) == 0:
-        raise ValueError("inputs must be non-empty")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    latencies: List[float] = []
-    errors = 0
-    queries = (inputs[i % len(inputs)] for i in range(num_queries))
-
-    async def user() -> None:
-        nonlocal errors
-        for x in queries:
-            sent = time.perf_counter()
-            try:
-                await predict(x)
-            except Exception:  # a failed query is a measurement, not a crash
-                errors += 1
-                continue
-            latencies.append((time.perf_counter() - sent) * 1000.0)
-
-    start = time.perf_counter()
-    await asyncio.gather(*(user() for _ in range(concurrency)))
-    return LoadResult(num_queries, errors, time.perf_counter() - start, latencies)

@@ -1,4 +1,4 @@
-"""The systems the serving figures measure, each driven by :func:`~paperkit.load.run_load`.
+"""The systems Fig. 11 measures, each loaded closed-loop by :func:`~paperkit.load.drive`.
 
 * :func:`run_clipper_serving` — one container behind the full Clipper stack
   (Figure 11).
@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, List, Optional, Sequence
 
-from paperkit.load import LoadResult, run_load
+from paperkit.load import LoadResult, drive
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import ModelContainer
 from repro.core import clock
@@ -111,6 +111,24 @@ class TFServingLikeServer:
                     item.future.set_result(output)
 
 
+def _closed_loop(system, predict, inputs: Sequence[Any], num_queries: int, users: int):
+    """Start ``system``, let ``users`` closed-loop users send ``predict``
+    ``num_queries`` queries, cycling through ``inputs``, and stop it."""
+
+    async def run() -> LoadResult:
+        await system.start()
+        try:
+            start = asyncio.get_running_loop().time()
+            answers = await drive(
+                lambda i: predict(inputs[i % len(inputs)]), users=users, count=num_queries
+            )
+            return LoadResult.of(answers, start)
+        finally:
+            await system.stop()
+
+    return asyncio.run(run())
+
+
 def run_clipper_serving(
     container_factory: Callable[[], ModelContainer],
     inputs: Sequence[Any],
@@ -148,14 +166,7 @@ def run_clipper_serving(
     def predict(x: Any):
         return clipper.predict(Query(app_name=config.app_name, input=x))
 
-    async def run() -> LoadResult:
-        await clipper.start()
-        try:
-            return await run_load(predict, inputs, num_queries, concurrency=concurrency)
-        finally:
-            await clipper.stop()
-
-    result = asyncio.run(run())
+    result = _closed_loop(clipper, predict, inputs, num_queries, concurrency)
     batch_sizes = clipper.metrics.histogram("model.model:1.batch_size")
     result.label = label
     result.mean_batch_size = batch_sizes.mean() if batch_sizes.count else 0.0
@@ -173,15 +184,7 @@ def run_tfserving_baseline(
 ) -> LoadResult:
     """Serve one model through the TF-Serving-like baseline and measure it."""
     server = TFServingLikeServer(container, batch_size=batch_size)
-
-    async def run() -> LoadResult:
-        await server.start()
-        try:
-            return await run_load(server.predict, inputs, num_queries, concurrency=concurrency)
-        finally:
-            await server.stop()
-
-    result = asyncio.run(run())
+    result = _closed_loop(server, server.predict, inputs, num_queries, concurrency)
     result.label = label
     if server.batch_sizes:
         result.mean_batch_size = sum(server.batch_sizes) / len(server.batch_sizes)

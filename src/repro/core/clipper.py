@@ -15,7 +15,7 @@ single application:
 is its :class:`~repro.core.deployed.ModelLayer`, and what passes between
 them — under both ``predict`` and ``feedback`` — is "each of these models'
 output for this input", asked in two steps: the synchronous
-:meth:`~repro.core.deployed.ModelLayer.lookup` (one cache fetch per model)
+:meth:`~repro.cache.prediction_cache.PredictionCache.fetch_by_hash` (one probe for all models)
 and, only for what it missed, the awaited
 :meth:`~repro.core.deployed.ModelLayer.evaluate` (submit → await; the
 dispatchers fill the cache).  A cached query is therefore one synchronous
@@ -127,6 +127,7 @@ class Clipper:
         # cache-hit path that does no other work.
         self._answered = AnsweredMetrics(self.metrics, "predict")
         self._default_counter = self.metrics.counter("predict.defaults")
+        self._late_counter = self.metrics.counter("predict.late")
         self._feedback_counter = self.metrics.counter("feedback.count")
         self._feedback_meter = self.metrics.meter("feedback.throughput")
         #: Every admission / shed / circuit-breaker decision.  Consulted
@@ -533,7 +534,7 @@ class Clipper:
         )
         if sampled is not None:
             sampled.add("selection.select", start, clock.now())
-        predictions, misses = self._layer.lookup(selected, input_hash)
+        predictions, misses = self.cache.fetch_by_hash(selected, input_hash)
         waited = shed = None
         if misses or sampled is not None:
             predictions, waited, shed = await self._layer.evaluate(
@@ -625,6 +626,8 @@ class Clipper:
         self._answered.record(latency_ms)
         if default_used:
             self._default_counter.increment()
+        if latency_ms > slo_ms:
+            self._late_counter.increment()
         if len(predictions) == len(selected):
             models_used, missing = tuple(selected), ()
         else:
@@ -657,7 +660,7 @@ class Clipper:
         # not be evaluated for feedback.
         plan = self.routing.plan_for(feedback.user_id or input_hash)
         selection = self._selection_manager_for(plan)
-        predictions, misses = self._layer.lookup(plan.serving_keys, input_hash)
+        predictions, misses = self.cache.fetch_by_hash(plan.serving_keys, input_hash)
         if misses:
             predictions, _, _ = await self._layer.evaluate(
                 misses, predictions, feedback, input_hash, UNGUARDED

@@ -6,8 +6,8 @@ one record of everything keyed by the version or by one of its replicas.
 :class:`ModelLayer` is all of an application's deployed versions behind the
 prediction cache.  The selection layer above it asks one thing — the paper's
 ``Predict(m, x) -> y`` for a set of models — in two steps: the synchronous
-:meth:`ModelLayer.lookup` (the cache probe, all a cached input costs) and,
-for what that missed, the awaited :meth:`ModelLayer.evaluate`.  It never
+cache probe ``cache.fetch_by_hash`` (all a cached input costs) and, for
+what that missed, the awaited :meth:`ModelLayer.evaluate`.  It never
 learns whether an output came from a queue, a local container or a worker
 daemon, or what the overload layer decided on the way.  The dispatchers fill
 the cache, one locked pass per answered batch, and :meth:`ModelLayer.close_trace`
@@ -333,20 +333,6 @@ class ModelLayer:
             tracer=self._tracer,
         )
 
-    def lookup(
-        self, model_keys: List[str], input_hash: str
-    ) -> Tuple[Dict[str, Any], List[str]]:
-        """Probe the cache for each of ``model_keys``' output for one input.
-
-        Synchronous, one :meth:`PredictionCache.fetch_by_hash` for all of
-        them, whatever the ensemble's size.  Returns ``(predictions,
-        misses)``: the cached outputs by model key, and the keys
-        :meth:`evaluate` has to obtain from their containers, in
-        ``model_keys``' order.  A fully cached input stops here: it reaches
-        no queue, no overload decision, no breaker and no coroutine.
-        """
-        return self.cache.fetch_by_hash(model_keys, input_hash)
-
     async def evaluate(
         self,
         misses: List[str],
@@ -357,9 +343,9 @@ class ModelLayer:
         deadline: Optional[float] = None,
         sampled: Optional[Any] = None,
     ) -> Tuple[Dict[str, Any], Optional[Dict[str, PendingQuery]], Optional[Exception]]:
-        """Obtain what :meth:`lookup` missed: submit → await.
+        """Obtain what the cache probe missed: submit → await.
 
-        With :meth:`lookup`, the one routine under both ``Clipper.predict``
+        With ``cache.fetch_by_hash``, the one routine under both ``Clipper.predict``
         and ``Clipper.feedback`` — the paper's ``Predict(m, x) -> y`` for a
         set of models.  Awaited only when something missed or the query is
         sampled (``sampled``, its trace context), whose ``cache.lookup`` and

@@ -111,8 +111,9 @@ def _plain(value: Any, unsure: list) -> bool:
                 # One C pass over a vector of numbers: its norm bounds every
                 # entry and is NaN or infinite when one of them is.
                 return math.hypot(*value) < _BOUND
-            except (TypeError, OverflowError):
-                # Another C pass for a vector of strings and the like.
+            except (TypeError, ValueError, OverflowError):
+                # Another C pass for a vector of strings and the like (a 0-d
+                # array of a string raises ValueError from its float()).
                 if _ATOMS.issuperset(map(type, value)):
                     return True
         return all(map(_plain, value, repeat(unsure)))

@@ -12,7 +12,8 @@ thread's result still arrives (in real time).
 
 :class:`SimulatedReplica` is a container that costs loop time instead of
 computing: :func:`placement` puts a :class:`~repro.core.clipper.Clipper`'s
-models on them, and :func:`poisson` drives it with open-loop arrivals.
+models on them, and ``paperkit.load.drive`` paces the load on the loop's
+clock.
 """
 
 from __future__ import annotations
@@ -134,22 +135,3 @@ def placement(shapes, seed, answer=None):
 
     return place
 
-
-async def poisson(query, rate_qps: float, seconds: float, seed) -> int:
-    """Start ``query(i)`` for i = 0, 1, ... at Poisson times for ``seconds``.
-
-    Waits for every query and returns how many were started.
-    """
-    loop, arrivals, tasks = asyncio.get_running_loop(), random.Random(seed), []
-    end = clock.now() + seconds
-
-    def arrive() -> None:
-        tasks.append(loop.create_task(query(len(tasks))))
-        gap = arrivals.expovariate(rate_qps)
-        if clock.now() + gap < end:
-            loop.call_later(gap, arrive)
-
-    loop.call_later(arrivals.expovariate(rate_qps), arrive)
-    await asyncio.sleep(seconds)
-    await asyncio.gather(*tasks)
-    return len(tasks)

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from helpers import SimulatedLatencyContainer, run_async
+from simloop import placement, run_virtual
 from repro.rpc.shm import HAS_SHARED_MEMORY
 from repro.containers.adapters import ClassifierContainer
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
-from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.config import ClipperConfig, ModelDeployment, OverloadConfig
 from repro.containers.base import FunctionContainer
 from repro.core.exceptions import (
     ClipperError,
     ContainerError,
     DeploymentError,
+    OverloadError,
     PredictionTimeoutError,
 )
 from repro.core.types import Feedback, Query
@@ -353,6 +355,45 @@ class TestStragglerMitigation:
             await clipper.stop()
 
         run_async(scenario())
+
+
+class TestLateAnswers:
+    def test_predict_late_counts_each_answer_past_its_slo_once(self):
+        """A 30 ms model under a 20 ms SLO, no straggler deadline: each answer it
+        gives late counts once; a cache hit, a query with a looser SLO, a shed
+        query and a failed one do not count."""
+
+        def answer(model, x):
+            if x < 0:
+                raise ValueError("the model fails on a negative input")
+            return model
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="sim", latency_slo_ms=20.0, selection_policy="single",
+                    straggler_mitigation=False,
+                    overload=OverloadConfig(rate_limit_qps=0.001, burst=4),
+                ),
+                placement=placement({"slow": ((30.0, 0.0), (0.0, 0.0))}, seed=0, answer=answer),
+            )
+            clipper.deploy_model(ModelDeployment("slow", container_factory=None))
+            await clipper.start()
+            late, counts = clipper.metrics.counter("predict.late"), []
+            for x, slo_ms in ((1.0, None), (1.0, None), (2.0, 50.0), (3.0, None), (-1.0, None)):
+                try:
+                    await clipper.predict(Query(app_name="sim", input=x, latency_slo_ms=slo_ms))
+                except ContainerError:
+                    assert x < 0
+                counts.append(late.value)
+            with pytest.raises(OverloadError):  # the bucket's four tokens are spent
+                await clipper.predict(Query(app_name="sim", input=4.0))
+            counts.append(late.value)
+            await clipper.stop()
+            return counts
+
+        # late miss, cache hit, on time under 50 ms, late miss, failed, shed
+        assert run_virtual(scenario()) == [1, 1, 1, 2, 2, 2]
 
 
 def crash(inputs):

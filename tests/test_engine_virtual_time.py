@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 
+from paperkit.load import drive, poisson
 from repro.core.clipper import Clipper
 from repro.core.config import (
     BatchingConfig,
@@ -24,7 +25,7 @@ from repro.core.config import (
 )
 from repro.core.exceptions import OverloadError
 from repro.core.types import Query
-from simloop import placement, poisson, run_virtual
+from simloop import placement, run_virtual
 
 SLO_MS = 20.0
 RATE_QPS = 3000.0
@@ -71,9 +72,9 @@ async def serve(seed: int):
         assert i not in log
         log[i] = entry
 
-    n = await poisson(query, RATE_QPS, SECONDS, seed)
+    answers = await drive(query, due=poisson(RATE_QPS, SECONDS, seed))
     await clipper.stop()
-    return [log[i] for i in range(n)], clipper.metrics.snapshot().counters
+    return [log[i] for i in range(len(answers))], clipper.metrics.snapshot().counters
 
 
 def test_the_engine_on_virtual_time_is_exact_and_repeatable():

@@ -366,6 +366,8 @@ class TestEncode:
             # A numpy scalar stays refused beside an array the numpy writer takes.
             {"input": np.arange(3.0), "also": [np.float32(1.0)] * 10},
             [np.arange(3), [np.int64(1)] * 10], [np.arange(3.0), np.bool_(True)],
+            # Falsified once: float() of the 0-d array raised ValueError in the norm pass.
+            [np.array("", dtype=object)] + [None] * 8,
         ],
         ids=lambda value: repr(value)[:24],
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
+from collections import Counter
 from typing import Any, List, Sequence
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import BurstyArrivals, run_async
+from paperkit.load import drive
 from simloop import ManualClock
 from repro.api.http import create_server
 from repro.client import AsyncClipperClient
@@ -1015,34 +1016,25 @@ class TestFlashCrowd:
                 idle_qps=admitted_qps / 2.0,
                 random_state=6,
             ).arrival_times(num_queries)
-            outcomes = {"ok": 0, "degraded": 0, "rejected": 0}
+            outputs = {}
+
+            async def issue(i: int) -> None:
+                answer = await clipper.predict(Query(app_name="demo", input=[float(i)]))
+                outputs[i] = (answer.output, answer.default_used)
+
             await clipper.start()
             try:
-                start = time.perf_counter()
-
-                async def issue(i: int) -> None:
-                    await asyncio.sleep(max(0.0, due[i] - (time.perf_counter() - start)))
-                    try:
-                        answer = await clipper.predict(
-                            Query(app_name="demo", input=[float(i)])
-                        )
-                    except OverloadError:
-                        outcomes["rejected"] += 1
-                        return
-                    assert answer.output == (0 if answer.default_used else 7)
-                    outcomes["degraded" if answer.default_used else "ok"] += 1
-
-                await asyncio.wait_for(
-                    asyncio.gather(*(issue(i) for i in range(num_queries))), 30.0
-                )
+                answers = await asyncio.wait_for(drive(issue, due=lambda start: start + due), 30.0)
             finally:
                 await clipper.stop()
             counters = clipper.metrics.snapshot().counters
-            return outcomes, counters, render_prometheus({"demo": clipper.metrics})
+            return answers, outputs, counters, render_prometheus({"demo": clipper.metrics})
 
-        outcomes, counters, text = run_async(scenario())
-        assert sum(outcomes.values()) == num_queries
-        assert outcomes["rejected"] == 0
+        answers, outputs, counters, text = run_async(scenario())
+        # Every query answered (a rejection would have no output).
+        assert len(answers) == len(outputs) == num_queries
+        assert all(output == (0 if default else 7) for output, default in outputs.values())
+        outcomes = Counter("degraded" if default else "ok" for _, default in outputs.values())
         assert outcomes["degraded"] >= 1
         assert outcomes["ok"] >= 1
         assert counters['overload.shed{policy="degrade"}'] == outcomes["degraded"]

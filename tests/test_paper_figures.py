@@ -17,18 +17,17 @@ recorded numbers.
 
 from __future__ import annotations
 
-import asyncio
 import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core import clock
+from paperkit.load import drive, poisson
 from repro.core.clipper import Clipper
 from repro.core.config import BatchingConfig, ClipperConfig, ModelDeployment
 from repro.core.types import Query
-from simloop import placement, poisson, run_virtual
+from simloop import placement, run_virtual
 
 SLO_MS = 20.0
 NO_TAIL = (0.0, 0.0)
@@ -84,7 +83,7 @@ def fig4_bound(line) -> float:
     return 1000.0 * k / (a_ms + b_ms * k)
 
 
-async def closed_loop(line, batching, queries: int) -> float:
+async def steady_qps(line, batching, queries: int) -> float:
     """Steady q/s of ``USERS`` users, each sending its next query on an answer.
 
     Measured over the answers after the run's middle one, so the
@@ -96,17 +95,11 @@ async def closed_loop(line, batching, queries: int) -> float:
         straggler_mitigation=False,
     )
     await clipper.start()
-    sent, answered = 0, []
-
-    async def user() -> None:
-        nonlocal sent
-        while sent < queries:
-            sent += 1
-            await clipper.predict(Query(app_name="fig", input=sent))
-            answered.append(clock.now())
-
-    await asyncio.gather(*(user() for _ in range(USERS)))
+    answers = await drive(
+        lambda i: clipper.predict(Query(app_name="fig", input=i)), users=USERS, count=queries
+    )
     await clipper.stop()
+    answered = sorted(answer.at for answer in answers)
     middle = answered[len(answered) // 2]
     later = [t for t in answered if t > middle]
     return len(later) / (answered[-1] - middle)
@@ -115,7 +108,7 @@ async def closed_loop(line, batching, queries: int) -> float:
 @pytest.fixture(scope="module")
 def fig4():
     return {
-        (container, strategy): run_virtual(closed_loop(line, *STRATEGIES[strategy]))
+        (container, strategy): run_virtual(steady_qps(line, *STRATEGIES[strategy]))
         for container, line in FIG3_LINES.items()
         for strategy in STRATEGIES
     }
@@ -157,15 +150,13 @@ async def delayed(line, wait_ms):
         straggler_mitigation=False,
     )
     await clipper.start()
-    latencies = []
-
-    async def query(i: int) -> None:
-        latencies.append((await clipper.predict(Query(app_name="fig", input=i))).latency_ms)
-
-    await poisson(query, FIG5_RATE_QPS, FIG5_SECONDS, seed=5)
+    answers = await drive(
+        lambda i: clipper.predict(Query(app_name="fig", input=i)),
+        due=poisson(FIG5_RATE_QPS, FIG5_SECONDS, seed=5),
+    )
     await clipper.stop()
     batch_sizes = clipper.metrics.histogram("model.m:1.batch_size")
-    return batch_sizes.mean(), sum(latencies) / len(latencies)
+    return batch_sizes.mean(), sum(a.latency_ms for a in answers) / len(answers)
 
 
 @pytest.fixture(scope="module")
@@ -227,9 +218,9 @@ async def ensemble(size: int, mitigation: bool, slo_ms: float = SLO_MS):
         answer = await clipper.predict(Query(app_name="fig", input=i))
         log[i] = (answer.latency_ms, answer.output, answer.models_used, answer.models_missing)
 
-    n = await poisson(query, FIG9_RATE_QPS, FIG9_SECONDS, seed=9)
+    answers = await drive(query, due=poisson(FIG9_RATE_QPS, FIG9_SECONDS, seed=9))
     await clipper.stop()
-    return [log[i] for i in range(n)]
+    return [log[i] for i in range(len(answers))]
 
 
 def p99(log) -> float:

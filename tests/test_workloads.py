@@ -1,12 +1,13 @@
-"""Tests for the kit's load driver and model degradation."""
+"""Tests for the kit's load driver, on both clocks, and model degradation."""
 
 import asyncio
 
 import pytest
 
 from helpers import run_async
-from paperkit.load import LoadResult, run_load
+from paperkit.load import LoadResult, drive, poisson
 from paperkit.served_selection import degrade_prediction
+from simloop import run_virtual
 
 
 class _Recorder:
@@ -32,33 +33,37 @@ class _Recorder:
             self.in_flight -= 1
 
 
-class TestRunLoad:
-    def test_closed_loop_cycles_inputs_at_the_given_concurrency(self):
-        predict = _Recorder(delay_s=0.001)
-        result = run_async(run_load(predict, [0, 1, 2], 10, concurrency=4))
-        assert sorted(predict.seen) == sorted([0, 1, 2] * 3 + [0])
-        assert predict.max_in_flight == 4
-        assert result.num_queries == 10 and result.num_errors == 0
-        assert len(result.latencies_ms) == 10
+class TestDrive:
+    def test_closed_loop_users_take_the_next_index_in_order(self):
+        query = _Recorder(delay_s=0.001)
+        answers = run_async(drive(query, users=4, count=10))
+        assert query.seen == list(range(10))
+        assert query.max_in_flight == 4
+        assert len(answers) == 10 and all(a.latency_ms >= 0.9 for a in answers)
 
-    def test_latency_is_timed_by_the_caller(self):
-        result = run_async(run_load(_Recorder(delay_s=0.02), [0], 4, concurrency=2))
-        assert min(result.latencies_ms) >= 19.0
-        assert result.mean_latency_ms >= 19.0
+    def test_a_failed_query_is_counted_without_a_latency(self):
+        answers = run_async(drive(_Recorder(fail_on={1, 4}), users=2, count=6))
+        assert [a.latency_ms is None for a in answers] == [False, True, False, False, True, False]
+        result = LoadResult.of(answers, start=min(a.at for a in answers))
+        assert (result.num_queries, result.num_errors, len(result.latencies_ms)) == (6, 2, 4)
 
-    def test_a_failed_query_counts_as_an_error_without_a_latency(self):
-        result = run_async(run_load(_Recorder(fail_on={1}), [0, 1], 6, concurrency=1))
-        assert result.num_errors == 3
-        assert len(result.latencies_ms) == 3
-        assert result.throughput_qps == pytest.approx(3 / result.elapsed_s)
+    def test_a_seeded_schedule_starts_each_query_at_its_due_time(self):
+        async def run(seed):
+            loop, started = asyncio.get_running_loop(), []
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_async(run_load(_Recorder(), [0], 0))
-        with pytest.raises(ValueError):
-            run_async(run_load(_Recorder(), [], 1))
-        with pytest.raises(ValueError):
-            run_async(run_load(_Recorder(), [0], 1, concurrency=0))
+            async def query(i):
+                started.append(loop.time())
+                await asyncio.sleep(0.002 * (i % 3))
+
+            return started, await drive(query, due=poisson(2000.0, 0.5, seed))
+
+        due = list(poisson(2000.0, 0.5, seed=3)(0.0))  # a VirtualLoop starts at 0
+        started, answers = run_virtual(run(seed=3))
+        assert 900 < len(due) < 1100 and started == due
+        # Latency counts from the due time, on the loop's virtual clock.
+        for i, answer in enumerate(answers):
+            assert answer.latency_ms == pytest.approx(2.0 * (i % 3), abs=1e-6)
+        assert run_virtual(run(seed=3))[0] == due != run_virtual(run(seed=4))[0]
 
     def test_row_shape(self):
         result = LoadResult(4, 1, 0.5, [1.0, 2.0, 3.0], label="x", mean_batch_size=2.0)
