@@ -55,13 +55,17 @@ def poisson(rate_qps: float, seconds: float, seed) -> Schedule:
 
 
 async def drive(
-    query: Callable[[int], Awaitable[Any]], *, users=0, count=0, due: Optional[Schedule] = None
+    query: Callable[[int], Awaitable[Any]], *, users=0, count=0, due: Optional[Schedule] = None,
+    fails=(),
 ) -> List[Answer]:
     """Run ``query(i)`` at ``due`` times, or closed-loop (``users``, ``count``); one answer per i.
 
     A closed-loop latency counts from when the user sent the query, an
-    open-loop one from its due time.  A query that raises is a measurement,
-    not a crash: its answer has no latency.
+    open-loop one from its due time.  A query that raises one of ``fails``
+    (an exception class or a tuple of them, as ``except`` takes) is a
+    measurement, not a crash: its answer has no latency.  Any other
+    exception (raised in an ``ExceptionGroup``), or the caller cancelling
+    the driver, ends the run and cancels the queries still in flight.
     """
     loop = asyncio.get_running_loop()
     answers: Dict[int, Answer] = {}
@@ -69,35 +73,35 @@ async def drive(
     async def run(i: int, sent: float) -> None:
         try:
             await query(i)
-        except Exception:
+        except fails:
             answers[i] = Answer(None, loop.time())
         else:
             now = loop.time()
             answers[i] = Answer((now - sent) * 1000.0, now)
 
-    if due is None:
-        indices = iter(range(count))
+    async with asyncio.TaskGroup() as group:
+        if due is None:
+            indices = iter(range(count))
 
-        async def user() -> None:
-            for i in indices:
-                await run(i, loop.time())
+            async def user() -> None:
+                for i in indices:
+                    await run(i, loop.time())
 
-        await asyncio.gather(*(user() for _ in range(users)))
-    else:
-        tasks = []
-        for when in due(loop.time()):
-            # An arrival already due starts at once: a loop that fell behind
-            # a burst catches up in one step, not one loop pass per query.
-            if when > loop.time():
-                arrived = loop.create_future()
-                timer = loop.call_at(when, arrived.set_result, None)
-                try:
-                    await arrived
-                except asyncio.CancelledError:  # the armed arrival must not fire into it
-                    timer.cancel()
-                    raise
-            tasks.append(loop.create_task(run(len(tasks), when)))
-        await asyncio.gather(*tasks)
+            for _ in range(users):
+                group.create_task(user())
+        else:
+            for i, when in enumerate(due(loop.time())):
+                # An arrival already due starts at once: a loop that fell behind
+                # a burst catches up in one step, not one loop pass per query.
+                if when > loop.time():
+                    arrived = loop.create_future()
+                    timer = loop.call_at(when, arrived.set_result, None)
+                    try:
+                        await arrived
+                    except asyncio.CancelledError:  # the armed arrival must not fire into it
+                        timer.cancel()
+                        raise
+                group.create_task(run(i, when))
     return [answers[i] for i in range(len(answers))]
 
 

@@ -120,7 +120,8 @@ def _closed_loop(system, predict, inputs: Sequence[Any], num_queries: int, users
         try:
             start = asyncio.get_running_loop().time()
             answers = await drive(
-                lambda i: predict(inputs[i % len(inputs)]), users=users, count=num_queries
+                lambda i: predict(inputs[i % len(inputs)]), users=users, count=num_queries,
+                fails=Exception,  # a failed query is one of the row's errors
             )
             return LoadResult.of(answers, start)
         finally:

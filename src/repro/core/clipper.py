@@ -588,8 +588,8 @@ class Clipper:
                 if arm_key in selected:
                     arm.observe(latency_ms, ok=arm_key in predictions)
         return self._finish(
-            query, output, confidence, error, start, latency_ms, slo_ms, selected,
-            predictions, default_used, not misses, sampled, waited,
+            query, output, confidence, error, start, latency_ms, now > start + slo_ms / 1000.0,
+            selected, predictions, default_used, not misses, sampled, waited,
         )
 
     def _finish(
@@ -600,7 +600,7 @@ class Clipper:
         error: Optional[Exception],
         start: float,
         latency_ms: float,
-        slo_ms: float,
+        late: bool,
         selected: List[str],
         predictions: Dict[str, Any],
         default_used: bool,
@@ -610,15 +610,15 @@ class Clipper:
     ) -> Prediction:
         """Every way out of :meth:`predict` that is not a cancellation.
 
-        Closes the query's trace exactly once — a sampled one, or a shadow
-        built and committed only for a miss that turned out interesting —
-        then either raises ``error`` or counts the answered query and builds
-        the response.
+        Closes the query's trace exactly once — a sampled one, or a shadow built and committed
+        only for a miss that turned out interesting — then raises ``error`` or counts the answered
+        query and builds the response.  ``late`` compares the clock with the deadline: the
+        ``latency_ms`` of an answer given at the deadline can round above the SLO.
         """
         trace_id = None
         if sampled is not None or waited:
             trace_id = self._layer.close_trace(
-                sampled, waited, predictions, start, latency_ms > slo_ms,
+                sampled, waited, predictions, start, late,
                 default_used, error is not None, query.query_id,
             )
         if error is not None:
@@ -626,7 +626,7 @@ class Clipper:
         self._answered.record(latency_ms)
         if default_used:
             self._default_counter.increment()
-        if latency_ms > slo_ms:
+        if late:
             self._late_counter.increment()
         if len(predictions) == len(selected):
             models_used, missing = tuple(selected), ()

@@ -395,6 +395,36 @@ class TestLateAnswers:
         # late miss, cache hit, on time under 50 ms, late miss, failed, shed
         assert run_virtual(scenario()) == [1, 1, 1, 2, 2, 2]
 
+    def test_an_answer_at_the_straggler_deadline_is_on_time(self):
+        """A 30 ms model under a 20 ms SLO with straggler mitigation: each query is
+        answered with the default exactly at its deadline.  Its ``latency_ms`` can
+        round above the SLO; it still does not count as late."""
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="sim", latency_slo_ms=20.0, selection_policy="single",
+                    default_output=0,
+                ),
+                placement=placement({"slow": ((30.0, 0.0), (0.0, 0.0))}, seed=0),
+            )
+            clipper.deploy_model(ModelDeployment("slow", container_factory=None))
+            await clipper.start()
+            latencies = []
+            for x in range(40):
+                await asyncio.sleep(0.1 + x / 7919.0)  # the model idle, the start times varied
+                answer = await clipper.predict(Query(app_name="sim", input=float(x)))
+                assert answer.default_used
+                latencies.append(answer.latency_ms)
+            late = clipper.metrics.counter("predict.late").value
+            await clipper.stop()
+            return latencies, late
+
+        latencies, late = run_virtual(scenario())
+        assert all(latency == pytest.approx(20.0, abs=1e-9) for latency in latencies)
+        assert any(latency > 20.0 for latency in latencies)  # the rounding this pins
+        assert late == 0
+
 
 def crash(inputs):
     raise RuntimeError("model crashed")

@@ -441,15 +441,18 @@ class GateContainer(ModelContainer):
         return [1 for _ in inputs]
 
 
-class FailingContainer(ModelContainer):
-    """Raises on every batch, counting how many reached it."""
+class FlakyContainer(ModelContainer):
+    """Fails while ``failing`` is set, as it is from the start by default, and
+    answers 1 otherwise; counts the batches that reached it."""
 
-    def __init__(self) -> None:
-        self.calls = 0
+    def __init__(self, failing: bool = True) -> None:
+        self.failing, self.calls = failing, 0
 
     def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
         self.calls += 1
-        raise RuntimeError("model is sick")
+        if self.failing:
+            raise RuntimeError("model is sick")
+        return [1 for _ in inputs]
 
 
 def overloaded_clipper(shed_policy, default_output=None, burst=1, **config_kwargs):
@@ -646,7 +649,7 @@ class TestShedPolicies:
 class TestCircuitBreakerEndToEnd:
     def test_breaker_trips_and_fast_fails_to_default(self):
         async def scenario():
-            container = FailingContainer()
+            container = FlakyContainer()
             clipper = Clipper(
                 ClipperConfig(
                     app_name="demo",
@@ -738,18 +741,6 @@ class TestCircuitBreakerEndToEnd:
         run_async(scenario())
 
 
-class FlakyContainer(ModelContainer):
-    """Fails while ``failing`` is set; answers 1 otherwise."""
-
-    def __init__(self) -> None:
-        self.failing = False
-
-    def predict_batch(self, inputs: Sequence[Any]) -> List[Any]:
-        if self.failing:
-            raise RuntimeError("model is sick")
-        return [1 for _ in inputs]
-
-
 class TestBreakerProbeSettlement:
     """A half-open probe slot reserved by ``allow()`` always comes back."""
 
@@ -797,7 +788,7 @@ class TestBreakerProbeSettlement:
 
     def test_query_shed_mid_ensemble_returns_its_probe_slot(self):
         async def scenario():
-            flaky, gate = FlakyContainer(), threading.Event()
+            flaky, gate = FlakyContainer(failing=False), threading.Event()
             gate.set()
             clipper = self.make_clipper(flaky, gate)
             await clipper.start()
@@ -835,7 +826,7 @@ class TestBreakerProbeSettlement:
 
     def test_cancelled_query_returns_its_probe_slot(self):
         async def scenario():
-            flaky, gate = FlakyContainer(), threading.Event()
+            flaky, gate = FlakyContainer(failing=False), threading.Event()
             gate.set()
             clipper = self.make_clipper(flaky, gate)
             await clipper.start()
@@ -886,7 +877,7 @@ class TestPressureObservability:
 
     def test_shed_and_breaker_flip_emit_trace_events(self):
         async def scenario():
-            container = FailingContainer()
+            container = FlakyContainer()
             clipper = Clipper(
                 ClipperConfig(
                     app_name="demo",
@@ -959,11 +950,6 @@ class TestPressureObservability:
 class TestBurstyArrivals:
     """The flash crowd's schedule (a test double in :mod:`helpers`)."""
 
-    def test_produces_requested_number_of_gaps(self):
-        gaps = list(BurstyArrivals(1000, 10, random_state=0).gaps(500))
-        assert len(gaps) == 500
-        assert all(gap >= 0 for gap in gaps)
-
     def test_burst_rate_exceeds_idle_rate_on_average(self):
         process = BurstyArrivals(
             burst_qps=2000, idle_qps=20, mean_burst_length=100, mean_idle_length=100, random_state=1
@@ -978,10 +964,10 @@ class TestBurstyArrivals:
         with pytest.raises(ValueError):
             BurstyArrivals(10, 10, mean_burst_length=0)
 
-    @given(st.integers(min_value=1, max_value=300))
+    @given(st.integers(min_value=1, max_value=500))
     def test_always_yields_exactly_n(self, n):
         gaps = list(BurstyArrivals(100, 10, random_state=0).gaps(n))
-        assert len(gaps) == n
+        assert len(gaps) == n and all(gap >= 0 for gap in gaps)
 
 
 class TestFlashCrowd:

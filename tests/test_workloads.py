@@ -42,10 +42,23 @@ class TestDrive:
         assert len(answers) == 10 and all(a.latency_ms >= 0.9 for a in answers)
 
     def test_a_failed_query_is_counted_without_a_latency(self):
-        answers = run_async(drive(_Recorder(fail_on={1, 4}), users=2, count=6))
+        answers = run_async(drive(_Recorder(fail_on={1, 4}), users=2, count=6, fails=RuntimeError))
         assert [a.latency_ms is None for a in answers] == [False, True, False, False, True, False]
         result = LoadResult.of(answers, start=min(a.at for a in answers))
         assert (result.num_queries, result.num_errors, len(result.latencies_ms)) == (6, 2, 4)
+
+    @pytest.mark.parametrize("mode", [{"users": 3, "count": 30}, {"due": poisson(2000.0, 0.5, 3)}])
+    @pytest.mark.parametrize("fail_on, timeout_s", [({1}, 60.0), ((), 0.02)])  # raise, time out
+    def test_a_run_that_ends_early_cancels_the_queries_in_flight(self, mode, fail_on, timeout_s):
+        query = _Recorder(delay_s=0.005, fail_on=fail_on)
+
+        async def run():
+            with pytest.raises((ExceptionGroup, TimeoutError)):  # unnamed, or the caller's
+                await asyncio.wait_for(drive(query, **mode), timeout_s)
+            await asyncio.sleep(0)  # no loop time passes: a query not cancelled still sleeps
+            return query.in_flight
+
+        assert run_virtual(run()) == 0 and query.max_in_flight > 1
 
     def test_a_seeded_schedule_starts_each_query_at_its_due_time(self):
         async def run(seed):
