@@ -80,7 +80,7 @@ async def drive(port: int, inputs: np.ndarray, num_replicas: int):
     return elapsed, latencies, failed
 
 
-def measure(num_workers: int) -> dict:
+async def measure(num_workers: int) -> dict:
     inputs = (
         np.random.default_rng(num_workers)
         .standard_normal((CLIENTS * (QUERIES_PER_CLIENT + 1), FEATURES))
@@ -88,11 +88,11 @@ def measure(num_workers: int) -> dict:
     )
     with tempfile.TemporaryDirectory(prefix="repro-fig6-") as cluster_dir:
         supervisor = Supervisor(cluster_dir, num_workers=num_workers, app_name=APP)
+        await supervisor.start()
         try:
-            port = supervisor.start()
-            elapsed, latencies, failed = asyncio.run(drive(port, inputs, num_workers))
+            elapsed, latencies, failed = await drive(supervisor.port, inputs, num_workers)
         finally:
-            supervisor.shutdown()
+            await supervisor.drain()
     summary = summarize_latencies(latencies)
     return {
         "workers": num_workers,
@@ -105,7 +105,7 @@ def measure(num_workers: int) -> dict:
 
 def test_fig6_cluster_scaling(benchmark):
     rows = benchmark.pedantic(
-        lambda: [measure(n) for n in WORKERS], rounds=1, iterations=1
+        lambda: [asyncio.run(measure(n)) for n in WORKERS], rounds=1, iterations=1
     )
     for row in rows:
         row["speedup"] = row["qps"] / rows[0]["qps"]

@@ -3,11 +3,12 @@
 This example brings up the paper's actual deployment shape (Figure 1) as
 real OS processes and drives it purely through the client SDK:
 
-1. *Bring up the fleet* — a :class:`repro.cluster.supervisor.Supervisor`
-   spawns two worker daemons (each hosting model containers behind the
-   container RPC protocol, shared-memory rings negotiated automatically on
-   this host) plus one ingress process (HTTP edge + Clipper whose replica
-   sets attach to the workers).
+1. *Bring up the fleet* — a :class:`repro.cluster.supervisor.Supervisor`,
+   awaited on this program's event loop, spawns two worker daemons (each
+   hosting model containers behind the container RPC protocol,
+   shared-memory rings negotiated automatically on this host) plus one
+   ingress process (HTTP edge + Clipper whose replica sets attach to the
+   workers).
 2. *Deploy across workers* — the ordinary admin verb ``deploy`` with a
    *named* container factory; the ingress's placement hook spreads the
    replicas round-robin over the live workers in the shared registry.
@@ -68,17 +69,17 @@ async def drive(port: int) -> None:
         print(f"predictions from v2: {outputs}")
 
 
-def main() -> None:
+async def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-cluster-qs-") as cluster_dir:
         supervisor = Supervisor(cluster_dir=cluster_dir, num_workers=2, app_name=APP)
+        await supervisor.start()
         try:
-            port = supervisor.start()
-            print(f"cluster up: 2 workers + ingress on 127.0.0.1:{port}")
-            asyncio.run(drive(port))
+            print(f"cluster up: 2 workers + ingress on 127.0.0.1:{supervisor.port}")
+            await drive(supervisor.port)
         finally:
-            supervisor.shutdown()
+            await supervisor.drain()
             print("cluster drained")
 
 
 if __name__ == "__main__":
-    main()
+    asyncio.run(main())

@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Bring up a local serving cluster: N worker daemons + one ingress.
 
-Spawns the fleet through :class:`repro.cluster.supervisor.Supervisor`,
-prints ``CLUSTER_READY <ingress-port>`` once every process is up, then
-monitors: workers that die are restarted, and SIGTERM/SIGINT drains the
-whole fleet (ingress first, then workers) before exiting.
+Runs a :class:`repro.cluster.supervisor.Supervisor` through the lifecycle
+every cluster process shares (:func:`repro.cluster.worker.serve_until_signalled`):
+it prints ``CLUSTER_READY <ingress-port>`` once every process is up,
+restarts workers that die, and on SIGTERM/SIGINT drains the whole fleet
+(ingress first, then workers) and prints ``CLUSTER_DRAINED``.
 
 Usage::
 
     PYTHONPATH=src python scripts/cluster_up.py --workers 2 \
-        [--cluster-dir DIR] [--app NAME] [--factories pkg.module:ATTR]
+        [--cluster-dir DIR] [--app NAME] [--factories pkg.module:ATTR] [--no-shm]
 
 With no ``--cluster-dir`` a temporary directory is created and removed on
 exit.  Clients learn the HTTP port from the ``CLUSTER_READY`` line (the
@@ -19,6 +20,7 @@ supervisor read it from the ingress's ``INGRESS_READY <port>`` line).
 from __future__ import annotations
 
 import argparse
+import asyncio
 import pathlib
 import shutil
 import sys
@@ -29,6 +31,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster.supervisor import Supervisor  # noqa: E402
+from repro.cluster.worker import serve_until_signalled  # noqa: E402
 
 
 def main() -> int:
@@ -44,11 +47,8 @@ def main() -> int:
     parser.add_argument("--no-shm", action="store_true", help="disable the shm lane")
     args = parser.parse_args()
 
-    cluster_dir = args.cluster_dir
-    made_tmp = False
-    if not cluster_dir:
-        cluster_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-        made_tmp = True
+    cluster_dir = args.cluster_dir or tempfile.mkdtemp(prefix="repro-cluster-")
+    print(f"cluster dir: {cluster_dir}", flush=True)
     supervisor = Supervisor(
         cluster_dir=cluster_dir,
         num_workers=args.workers,
@@ -57,16 +57,10 @@ def main() -> int:
         no_shm=args.no_shm,
     )
     try:
-        port = supervisor.start()
-        print(f"CLUSTER_READY {port}", flush=True)
-        print(f"cluster dir: {cluster_dir}", flush=True)
-        supervisor.run_forever()
+        return asyncio.run(serve_until_signalled(supervisor, "CLUSTER"))
     finally:
-        supervisor.shutdown()
-        if made_tmp:
+        if not args.cluster_dir:
             shutil.rmtree(cluster_dir, ignore_errors=True)
-    print("CLUSTER_STOPPED", flush=True)
-    return 0
 
 
 if __name__ == "__main__":

@@ -23,10 +23,11 @@ The pieces:
   monitor and admin verbs (deploy/scale/rollout/canary) drive cluster
   placements unchanged.
 * :mod:`repro.cluster.ingress` — builds/runs the ingress tier process.
-* :mod:`repro.cluster.supervisor` — spawns N workers + 1 ingress, reads
-  each one's port from its ``<KIND>_READY <port>`` line, restarts dead
-  workers, drains everything on SIGTERM (``scripts/cluster_up.py`` is the
-  CLI).
+* :mod:`repro.cluster.supervisor` — :class:`Child`, the one way a cluster
+  process is spawned, and the async :class:`Supervisor`: spawns N workers
+  + 1 ingress, reads each one's port from its ``<KIND>_READY <port>`` line,
+  respawns dead workers, drains the ingress first, then the workers
+  (``scripts/cluster_up.py`` runs it as a process).
 
 Import the classes from their modules; the package itself exports nothing.
 """

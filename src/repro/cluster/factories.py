@@ -30,18 +30,13 @@ def default_factories() -> FactoryMap:
     """The built-in factory names every worker understands."""
     return {
         "noop": lambda: NoOpContainer(),
-        "noop_touch": lambda: NoOpContainer(touch_inputs=True),
         "device_1ms": lambda: DeviceBoundContainer(ms_per_input=1.0),
         "echo": lambda: NoOpContainer(output=1),
     }
 
 
 def load_factories(spec: str) -> FactoryMap:
-    """Resolve a ``pkg.module:ATTR`` spec to a factory mapping.
-
-    ``ATTR`` may be a dict of factories or a zero-arg callable returning
-    one, so test suites can parameterize the mapping.
-    """
+    """Resolve a ``pkg.module:ATTR`` spec to the dict of factories it names."""
     module_name, _, attr = spec.partition(":")
     if not module_name or not attr:
         raise ConfigurationError(
@@ -49,10 +44,9 @@ def load_factories(spec: str) -> FactoryMap:
         )
     try:
         module = importlib.import_module(module_name)
-        obj = getattr(module, attr)
+        factories = getattr(module, attr)
     except (ImportError, AttributeError) as exc:
         raise ConfigurationError(f"cannot load factories from {spec!r}: {exc}") from exc
-    factories = obj() if callable(obj) and not isinstance(obj, dict) else obj
     if not isinstance(factories, dict):
         raise ConfigurationError(
             f"factory spec {spec!r} resolved to {type(factories).__name__}, "

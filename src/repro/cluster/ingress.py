@@ -28,7 +28,7 @@ from repro.api.http import HttpApiServer, create_server
 from repro.cluster.factories import FactoryMap, default_factories, load_factories
 from repro.cluster.registry import WorkerRegistry
 from repro.cluster.remote import WorkerPlacer
-from repro.cluster.worker import serve_until_signalled
+from repro.cluster.worker import DRAIN_TIMEOUT_S, serve_until_signalled
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig
 from repro.core.frontend import QueryFrontend
@@ -72,7 +72,7 @@ class IngressTier:
     async def start(self) -> None:
         await self.server.start()
 
-    async def drain(self, timeout_s: float = 5.0) -> None:
+    async def drain(self, timeout_s: float = DRAIN_TIMEOUT_S) -> None:
         await self.server.drain(timeout_s=timeout_s)
 
     async def stop(self) -> None:
@@ -90,7 +90,7 @@ async def _amain(args: argparse.Namespace) -> int:
         port=args.port,
         factories=factories,
     )
-    return await serve_until_signalled(ingress, "INGRESS", args.drain_timeout)
+    return await serve_until_signalled(ingress, "INGRESS")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -102,7 +102,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--factories", default="", help="pkg.module:ATTR factory map override"
     )
-    parser.add_argument("--drain-timeout", type=float, default=5.0)
     args = parser.parse_args(argv)
     return asyncio.run(_amain(args))
 

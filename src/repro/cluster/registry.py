@@ -50,7 +50,6 @@ class WorkerAnnouncement:
     tcp_port: int
     shm_supported: bool = False
     ttl_s: float = DEFAULT_TTL_S
-    started_at: float = 0.0
     heartbeat_at: float = 0.0
 
     def to_record(self) -> dict:
@@ -66,7 +65,6 @@ class WorkerAnnouncement:
             tcp_port=int(record["tcp_port"]),
             shm_supported=bool(record.get("shm_supported", False)),
             ttl_s=float(record.get("ttl_s", DEFAULT_TTL_S)),
-            started_at=float(record.get("started_at", 0.0)),
             heartbeat_at=float(record.get("heartbeat_at", 0.0)),
         )
 
@@ -96,8 +94,6 @@ class WorkerRegistry:
     def announce(self, announcement: WorkerAnnouncement) -> None:
         """Durably publish (or refresh) one worker's announcement."""
         announcement.heartbeat_at = clock.wall()
-        if not announcement.started_at:
-            announcement.started_at = announcement.heartbeat_at
         record = json.dumps(announcement.to_record(), separators=(",", ":"))
         write_atomic(self._path_for(announcement.worker_id), record.encode("utf-8"))
 

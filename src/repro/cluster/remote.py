@@ -139,12 +139,8 @@ class RemoteReplica(Replica):
         super().__init__(model_id, replica_id)
         self.worker = worker
         self.factory_name = factory_name
-        self._lane, self._forced = _resolve_lane(worker, transport)
-
-    @property
-    def transport_lane(self) -> str:
-        """The negotiated RPC lane ("shm" or "tcp")."""
-        return self._lane
+        #: The negotiated RPC lane, "shm" or "tcp".
+        self.lane, self._forced = _resolve_lane(worker, transport)
 
     async def _launch(self, lane: str) -> RpcClient:
         """Ask the worker to launch the container; return the data client."""
@@ -178,14 +174,14 @@ class RemoteReplica(Replica):
 
     async def _open(self) -> RpcClient:
         try:
-            return await self._launch(self._lane)
+            return await self._launch(self.lane)
         except RpcError:
-            if self._lane != "shm" or self._forced:
+            if self.lane != "shm" or self._forced:
                 raise
             # Auto-negotiated shm failed (worker restarted without shm, bell
             # race, ...) — fall back to the tcp lane rather than fail the
             # replica, matching the cross-host behaviour.
-            self._lane = "tcp"
+            self.lane = "tcp"
             return await self._launch("tcp")
 
     # The same function, bound under this class's own name so that per-class

@@ -1,91 +1,108 @@
-"""The cluster supervisor: spawn, monitor, restart, drain.
+"""The cluster supervisor: spawn, restart, drain — on the event loop.
 
-Spawns N worker daemons and one ingress as child processes (the same
-``python -m repro.cluster.worker`` / ``-m repro.cluster.ingress`` entry
-points an operator would run by hand), waits for each child's
-``<KIND>_READY <port>`` line on stdout (the ingress's is how the supervisor
-learns its port), restarts workers that die unexpectedly, and on shutdown
-drains the ingress *first* (the edge stops taking traffic before its
-backends go away) and then the workers.  ``scripts/cluster_up.py`` is the CLI.
+:class:`Child` is the one way a cluster process is spawned: an
+``asyncio`` subprocess whose ``<KIND>_READY <port>`` line is its
+synchronization point.  :class:`Supervisor` spawns N worker daemons and one
+ingress (the same ``python -m repro.cluster.worker`` / ``-m
+repro.cluster.ingress`` entry points an operator would run by hand), learns
+the ingress port from its ready line, keeps one task per worker that
+respawns it under the same id when it exits, and drains the ingress *first*
+(the edge stops taking traffic before its backends go away), then the
+workers.  ``scripts/cluster_up.py`` runs it as a process through
+:func:`repro.cluster.worker.serve_until_signalled`.
 """
 
 from __future__ import annotations
 
+import asyncio
+import collections
 import os
-import signal
-import subprocess
 import sys
-import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import repro
-from repro.core import clock
+from repro.cluster.worker import DRAIN_TIMEOUT_S
 from repro.core.exceptions import ClipperError
 
 #: src/ directory the children need on PYTHONPATH to import repro.
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-#: How long a spawned child may take to print its ready marker.
+#: How long a spawned child may take to print its ready line.
 READY_TIMEOUT_S = 30.0
+#: How long a stopped child may take to exit before it is killed: longer
+#: than its own drain, so a drain that runs to its limit is not cut short.
+STOP_TIMEOUT_S = DRAIN_TIMEOUT_S + 5.0
+#: Lines of a child's output kept for error messages.
+TAIL_LINES = 20
 
 
-class _Child:
-    """One supervised child process with a line pump and a ready line."""
+class Child:
+    """One child process on the running loop, with the tail of its output."""
 
-    def __init__(self, name: str, argv: List[str], ready_marker: str) -> None:
+    def __init__(self, name: str, proc: asyncio.subprocess.Process) -> None:
         self.name = name
-        self.ready_marker = ready_marker
-        self.lines: List[str] = []
-        self.ready_line: Optional[str] = None
-        self.ready = threading.Event()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC_DIR + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        self.proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
+        self.proc = proc
+        self.tail: collections.deque = collections.deque(maxlen=TAIL_LINES)
+
+    @classmethod
+    async def spawn(cls, name: str, argv: Sequence[str]) -> "Child":
+        """Start ``argv`` with ``repro`` importable; stderr joins stdout."""
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=_SRC_DIR + (os.pathsep + path if path else ""))
+        proc = await asyncio.create_subprocess_exec(
+            *argv,
+            stdout=asyncio.subprocess.PIPE,
+            stderr=asyncio.subprocess.STDOUT,
             env=env,
         )
-        self._pump = threading.Thread(target=self._pump_lines, daemon=True)
-        self._pump.start()
+        return cls(name, proc)
 
-    def _pump_lines(self) -> None:
-        for line in self.proc.stdout:
-            line = line.rstrip("\n")
-            self.lines.append(line)
-            if self.ready_line is None and line.startswith(self.ready_marker):
-                self.ready_line = line
-                self.ready.set()
-        self.ready.set()  # EOF: unblock waiters either way
+    async def _read(self, marker: Optional[str]) -> Optional[int]:
+        """Read lines into the tail until ``<marker>_READY <port>`` (its port)
+        or end of output (None)."""
+        prefix = f"{marker}_READY " if marker else None
+        async for raw in self.proc.stdout:
+            line = raw.decode(errors="replace").rstrip()
+            self.tail.append(line)
+            if prefix and line.startswith(prefix):
+                return int(line[len(prefix):])
+        return None
 
-    def wait_ready(self, timeout_s: float) -> Optional[str]:
-        """The ready line, or None when the child died or timed out first."""
-        self.ready.wait(timeout_s)
-        return self.ready_line if self.alive else None
+    async def ready(self, marker: str) -> int:
+        """The port from the child's ``<marker>_READY <port>`` line.
 
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def terminate(self) -> None:
-        if self.alive:
-            self.proc.send_signal(signal.SIGTERM)
-
-    def kill(self) -> None:
-        if self.alive:
-            self.proc.kill()
-
-    def wait(self, timeout_s: float) -> Optional[int]:
+        Raises :class:`ClipperError` naming the child, with its last output,
+        when it exits or stays silent for :data:`READY_TIMEOUT_S` first.
+        """
         try:
-            return self.proc.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            return None
+            async with asyncio.timeout(READY_TIMEOUT_S):
+                port = await self._read(marker)
+        except TimeoutError:
+            port = None
+        if port is None:
+            raise ClipperError(
+                f"{self.name} did not become ready: " + "\n".join(self.tail)
+            )
+        return port
+
+    async def wait(self) -> int:
+        """Read the child's output to its end; its exit code."""
+        await self._read(None)
+        return await self.proc.wait()
+
+    async def stop(self, timeout_s: float) -> int:
+        """SIGTERM, then SIGKILL after ``timeout_s``; the exit code."""
+        if self.proc.returncode is None:
+            self.proc.terminate()
+        try:
+            async with asyncio.timeout(timeout_s):
+                return await self.wait()
+        except TimeoutError:
+            self.proc.kill()
+            return await self.wait()
 
 
 class Supervisor:
-    """Spawns and babysits N worker daemons plus one ingress process."""
+    """Spawns and keeps N worker daemons plus one ingress process."""
 
     def __init__(
         self,
@@ -94,7 +111,6 @@ class Supervisor:
         app_name: str = "default-app",
         factories_spec: str = "",
         no_shm: bool = False,
-        python: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise ClipperError("num_workers must be >= 1")
@@ -103,111 +119,61 @@ class Supervisor:
         self.app_name = app_name
         self.factories_spec = factories_spec
         self.no_shm = no_shm
-        self.python = python or sys.executable
-        self.workers: Dict[str, _Child] = {}
-        self.ingress: Optional[_Child] = None
-        self._shutting_down = False
+        self.workers: Dict[str, Child] = {}
+        self.ingress: Optional[Child] = None
+        #: The ingress's HTTP port, once :meth:`start` returns.
+        self.port: Optional[int] = None
+        self._tasks: List[asyncio.Task] = []
 
-    # -- spawning ----------------------------------------------------------------
-
-    def _worker_argv(self, worker_id: str) -> List[str]:
-        argv = [
-            self.python,
-            "-m",
-            "repro.cluster.worker",
-            "--cluster-dir",
-            self.cluster_dir,
-            "--worker-id",
-            worker_id,
-        ]
+    def _argv(self, module: str, *flags: str) -> List[str]:
+        argv = [sys.executable, "-m", f"repro.cluster.{module}"]
+        argv += ["--cluster-dir", self.cluster_dir, *flags]
         if self.factories_spec:
             argv += ["--factories", self.factories_spec]
-        if self.no_shm:
-            argv.append("--no-shm")
         return argv
 
-    def _spawn_worker(self, worker_id: str) -> _Child:
-        child = _Child(worker_id, self._worker_argv(worker_id), "WORKER_READY")
-        self.workers[worker_id] = child
-        return child
+    async def _spawn_worker(self, worker_id: str) -> None:
+        flags = ["--worker-id", worker_id] + (["--no-shm"] if self.no_shm else [])
+        self.workers[worker_id] = await Child.spawn(worker_id, self._argv("worker", *flags))
 
-    def start(self) -> int:
-        """Bring up the fleet; returns the ingress port."""
-        os.makedirs(self.cluster_dir, exist_ok=True)
-        for index in range(self.num_workers):
-            self._spawn_worker(f"worker-{index}")
-        for child in self.workers.values():
-            if not child.wait_ready(READY_TIMEOUT_S):
-                self.shutdown(timeout_s=5.0)
-                raise ClipperError(
-                    f"worker {child.name} did not become ready: "
-                    + "\n".join(child.lines[-10:])
-                )
-        argv = [
-            self.python,
-            "-m",
-            "repro.cluster.ingress",
-            "--cluster-dir",
-            self.cluster_dir,
-            "--app",
-            self.app_name,
-        ]
-        if self.factories_spec:
-            argv += ["--factories", self.factories_spec]
-        self.ingress = _Child("ingress", argv, "INGRESS_READY")
-        ready = self.ingress.wait_ready(READY_TIMEOUT_S)
-        if ready is None:
-            self.shutdown(timeout_s=5.0)
-            raise ClipperError(
-                "ingress did not become ready: " + "\n".join(self.ingress.lines[-10:])
-            )
-        return int(ready.split()[-1])
-
-    # -- monitoring --------------------------------------------------------------
-
-    def poll(self) -> None:
-        """Restart any worker that died unexpectedly (once per call)."""
-        if self._shutting_down:
-            return
-        for worker_id, child in list(self.workers.items()):
-            if not child.alive:
-                replacement = self._spawn_worker(worker_id)
-                replacement.wait_ready(READY_TIMEOUT_S)
-
-    # -- shutdown ----------------------------------------------------------------
-
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Drain the fleet: ingress first, then workers, kill stragglers."""
-        self._shutting_down = True
-        deadline = clock.now() + timeout_s
-        if self.ingress is not None:
-            self.ingress.terminate()
-            if self.ingress.wait(max(0.1, deadline - clock.now())) is None:
-                self.ingress.kill()
-                self.ingress.wait(5.0)
-        for child in self.workers.values():
-            child.terminate()
-        for child in self.workers.values():
-            if child.wait(max(0.1, deadline - clock.now())) is None:
-                child.kill()
-                child.wait(5.0)
-
-    def run_forever(self, poll_interval_s: float = 0.5) -> None:
-        """Monitor loop used by the CLI: poll until told to shut down."""
-        stop = threading.Event()
-
-        def _on_signal(signum, frame) -> None:
-            stop.set()
-
-        previous = {
-            signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
-            signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
-        }
+    async def start(self) -> None:
+        """Bring up the fleet and set :attr:`port`.  On failure every child
+        already spawned is stopped before the error propagates."""
         try:
-            while not stop.is_set():
-                self.poll()
-                stop.wait(poll_interval_s)
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-            self.shutdown()
+            for index in range(self.num_workers):
+                await self._spawn_worker(f"worker-{index}")
+            for child in self.workers.values():
+                await child.ready("WORKER")
+            self.ingress = await Child.spawn(
+                "ingress", self._argv("ingress", "--app", self.app_name)
+            )
+            self.port = await self.ingress.ready("INGRESS")
+        except BaseException:
+            await self._stop_children()
+            raise
+        loop = asyncio.get_running_loop()
+        # The ingress is read to its end as well, so that its output never
+        # fills the pipe and blocks it; it is not respawned.
+        self._tasks = [loop.create_task(self.ingress.wait())]
+        self._tasks += [loop.create_task(self._keep(w)) for w in self.workers]
+
+    async def _keep(self, worker_id: str) -> None:
+        """Respawn ``worker_id`` under the same id each time it exits."""
+        while True:
+            await self.workers[worker_id].wait()
+            await self._spawn_worker(worker_id)
+
+    async def _stop_children(self) -> None:
+        if self.ingress is not None:
+            await self.ingress.stop(STOP_TIMEOUT_S)
+        await asyncio.gather(
+            *(child.stop(STOP_TIMEOUT_S) for child in self.workers.values())
+        )
+
+    async def drain(self) -> None:
+        """Stop restarting, then stop the ingress, then the workers."""
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._tasks = []
+        await self._stop_children()

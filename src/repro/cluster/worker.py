@@ -42,6 +42,8 @@ from repro.rpc.transport import TcpTransport, Transport
 
 #: How long the worker waits for a shm peer to connect its doorbell.
 SHM_ACCEPT_TIMEOUT_S = 10.0
+#: How long a draining worker or ingress lets its in-flight work finish.
+DRAIN_TIMEOUT_S = 5.0
 
 
 class WorkerDaemon:
@@ -176,7 +178,7 @@ class WorkerDaemon:
         if self._control is not None:
             self._control.close()
 
-    async def drain(self, timeout_s: float = 5.0) -> None:
+    async def drain(self, timeout_s: float = DRAIN_TIMEOUT_S) -> None:
         """Graceful SIGTERM path: withdraw, finish in-flight work, stop."""
         # Leave the registry first so the placer stops choosing this worker.
         await self._withdraw()
@@ -201,12 +203,13 @@ class WorkerDaemon:
         self._heartbeat_task = None
 
 
-async def serve_until_signalled(service, marker: str, drain_timeout_s: float) -> int:
+async def serve_until_signalled(service, marker: str) -> int:
     """One cluster process's life: start, print ``<marker>_READY <port>``,
     wait for SIGTERM or SIGINT, drain, print ``<marker>_DRAINED``.
 
-    ``service`` is a :class:`WorkerDaemon` or an ingress tier.  The ready
-    line is the spawner's synchronization point and how it learns the port.
+    ``service`` is a :class:`WorkerDaemon`, an ingress tier or the
+    supervisor.  The ready line is the spawner's synchronization point and
+    how it learns the port.
     """
     await service.start()
     stop = asyncio.Event()
@@ -215,7 +218,7 @@ async def serve_until_signalled(service, marker: str, drain_timeout_s: float) ->
         loop.add_signal_handler(signum, stop.set)
     print(f"{marker}_READY {service.port}", flush=True)
     await stop.wait()
-    await service.drain(timeout_s=drain_timeout_s)
+    await service.drain()
     print(f"{marker}_DRAINED", flush=True)
     return 0
 
@@ -233,7 +236,7 @@ async def _amain(args: argparse.Namespace) -> int:
         ttl_s=args.ttl,
         shm_enabled=not args.no_shm,
     )
-    return await serve_until_signalled(daemon, "WORKER", args.drain_timeout)
+    return await serve_until_signalled(daemon, "WORKER")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -247,7 +250,6 @@ def main(argv: Optional[list] = None) -> int:
         "--factories", default="", help="pkg.module:ATTR factory map override"
     )
     parser.add_argument("--no-shm", action="store_true", help="disable the shm lane")
-    parser.add_argument("--drain-timeout", type=float, default=5.0)
     args = parser.parse_args(argv)
     return asyncio.run(_amain(args))
 

@@ -46,9 +46,8 @@ class TestRegistry:
         workers = registry.workers()
         assert sorted(workers) == ["w0", "w1"]
         assert workers["w1"].tcp_port == 9001
-        # announce() stamped liveness and start times.
+        # announce() stamped the liveness time.
         assert workers["w0"].heartbeat_at > 0
-        assert workers["w0"].started_at > 0
         assert "missing" not in workers
 
     def test_heartbeat_refreshes_in_place(self, tmp_path):
@@ -68,7 +67,6 @@ class TestRegistry:
         registry.announce(stale)
         # Backdate the stale worker's heartbeat past any reasonable TTL.
         stale.heartbeat_at = clock.wall() - 60.0
-        stale.started_at = stale.heartbeat_at
         path = os.path.join(str(tmp_path), WORKERS_SUBDIR, "stale.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(stale.to_record(), handle)

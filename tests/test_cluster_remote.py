@@ -105,7 +105,7 @@ class TestRemoteReplica:
             try:
                 worker = daemon.registry.workers()["w0"]
                 replica = RemoteReplica("m:1", 0, worker, factory_name="echo")
-                assert replica.transport_lane == "shm"
+                assert replica.lane == "shm"
                 await replica.start()
                 response = await replica.predict_batch([np.zeros(2)])
                 assert response.outputs == [1]
@@ -403,7 +403,7 @@ class TestBellDirectory:
             try:
                 worker = daemon.registry.workers()["w0"]
                 replica = RemoteReplica("m:1", 0, worker, factory_name="echo")
-                assert replica.transport_lane == "shm"
+                assert replica.lane == "shm"
                 await replica.start()
                 assert (await replica.predict_batch([np.zeros(2)])).outputs == [1]
                 assert private_bell_dirs() == before

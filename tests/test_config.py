@@ -67,13 +67,13 @@ PARSER_FLAGS = {
         lambda: repro.cluster.worker.main([]),
         {
             "--cluster-dir", "--worker-id", "--host", "--port", "--ttl",
-            "--factories", "--no-shm", "--drain-timeout",
+            "--factories", "--no-shm",
         },
     ),
     "ingress": (
         lambda: repro.cluster.ingress.main([]),
         {
-            "--cluster-dir", "--app", "--host", "--port", "--factories", "--drain-timeout",
+            "--cluster-dir", "--app", "--host", "--port", "--factories",
         },
     ),
     "cluster_up": (

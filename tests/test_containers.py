@@ -35,11 +35,6 @@ class TestNoOpContainer:
         container = NoOpContainer(output=5)
         assert container.predict_batch([np.ones(3)] * 4) == [5, 5, 5, 5]
 
-    def test_touch_inputs_mode(self):
-        container = NoOpContainer(touch_inputs=True)
-        outputs = container.predict_batch([np.ones(10), np.zeros(0)])
-        assert outputs == [0, 0]
-
 
 class TestClassifierContainer:
     def test_serves_labels(self, trained_svm, mnist_like_small):

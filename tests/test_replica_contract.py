@@ -116,7 +116,7 @@ class World:
         """What a member looks like beyond the shared contract."""
         if self.kind == "remote":
             assert isinstance(replica, RemoteReplica)
-            assert replica.transport_lane == "tcp"
+            assert replica.lane == "tcp"
             assert replica.name == (
                 f"{replica.model_id}[{replica.replica_id}]@{replica.worker.worker_id}"
             )
