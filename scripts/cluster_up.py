@@ -5,7 +5,10 @@ Runs a :class:`repro.cluster.supervisor.Supervisor` through the lifecycle
 every cluster process shares (:func:`repro.cluster.worker.serve_until_signalled`):
 it prints ``CLUSTER_READY <ingress-port>`` once every process is up,
 restarts workers that die, and on SIGTERM/SIGINT drains the whole fleet
-(ingress first, then workers) and prints ``CLUSTER_DRAINED``.
+(ingress first, then workers) and prints ``CLUSTER_DRAINED``.  An ingress
+that exits on its own is not restarted (a new one would hold no deployments
+and might bind another port): the workers are stopped, the ingress's last
+output lines are printed to stderr, and the script exits with status 1.
 
 Usage::
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import pathlib
 import shutil
 import sys
@@ -32,6 +36,23 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.cluster.supervisor import Supervisor  # noqa: E402
 from repro.cluster.worker import serve_until_signalled  # noqa: E402
+
+
+async def serve(supervisor: Supervisor) -> int:
+    """Serve the fleet until a signal drains it (0) or its ingress exits (1)."""
+    serving = asyncio.ensure_future(serve_until_signalled(supervisor, "CLUSTER"))
+    lost = asyncio.ensure_future(supervisor.ingress_exited.wait())
+    await asyncio.wait([serving, lost], return_when=asyncio.FIRST_COMPLETED)
+    if serving.done():
+        lost.cancel()
+        return serving.result()
+    serving.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await serving
+    await supervisor.drain()
+    tail = "\n".join(supervisor.ingress.tail)
+    print(f"the ingress exited; its last output:\n{tail}", file=sys.stderr, flush=True)
+    return 1
 
 
 def main() -> int:
@@ -57,7 +78,7 @@ def main() -> int:
         no_shm=args.no_shm,
     )
     try:
-        return asyncio.run(serve_until_signalled(supervisor, "CLUSTER"))
+        return asyncio.run(serve(supervisor))
     finally:
         if not args.cluster_dir:
             shutil.rmtree(cluster_dir, ignore_errors=True)

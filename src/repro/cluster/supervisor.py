@@ -8,7 +8,9 @@ repro.cluster.ingress`` entry points an operator would run by hand), learns
 the ingress port from its ready line, keeps one task per worker that
 respawns it under the same id when it exits, and drains the ingress *first*
 (the edge stops taking traffic before its backends go away), then the
-workers.  ``scripts/cluster_up.py`` runs it as a process through
+workers.  The ingress is not respawned: a new one would hold no deployments
+and might bind another port, so its exit ends the fleet (``ingress_exited``).
+``scripts/cluster_up.py`` runs it as a process through
 :func:`repro.cluster.worker.serve_until_signalled`.
 """
 
@@ -123,6 +125,8 @@ class Supervisor:
         self.ingress: Optional[Child] = None
         #: The ingress's HTTP port, once :meth:`start` returns.
         self.port: Optional[int] = None
+        #: Set when the ingress exits on its own (not when :meth:`drain` stops it).
+        self.ingress_exited = asyncio.Event()
         self._tasks: List[asyncio.Task] = []
 
     def _argv(self, module: str, *flags: str) -> List[str]:
@@ -152,10 +156,14 @@ class Supervisor:
             await self._stop_children()
             raise
         loop = asyncio.get_running_loop()
-        # The ingress is read to its end as well, so that its output never
-        # fills the pipe and blocks it; it is not respawned.
-        self._tasks = [loop.create_task(self.ingress.wait())]
+        self._tasks = [loop.create_task(self._read_ingress())]
         self._tasks += [loop.create_task(self._keep(w)) for w in self.workers]
+
+    async def _read_ingress(self) -> None:
+        """Read the ingress's output to its end, so that it never fills the
+        pipe and blocks it; then report that it exited."""
+        await self.ingress.wait()
+        self.ingress_exited.set()
 
     async def _keep(self, worker_id: str) -> None:
         """Respawn ``worker_id`` under the same id each time it exits."""

@@ -128,26 +128,18 @@ class WorkerDaemon:
         factory_name = str(message.get("factory", ""))
         lane = str(message.get("transport", "tcp"))
         factory = self._factories.get(factory_name)
+        error = None
         if factory is None:
-            await control.send(
-                {
-                    "ok": False,
-                    "error": f"worker {self.worker_id} has no container factory "
-                    f"named {factory_name!r}",
-                }
-            )
-            return
-        if lane == "shm" and not self._shm_enabled:
-            await control.send(
-                {"ok": False, "error": f"worker {self.worker_id} has shm disabled"}
-            )
-            return
-        try:
-            container = factory()
-        except Exception as exc:
-            await control.send(
-                {"ok": False, "error": f"container factory failed: {exc}"}
-            )
+            error = f"worker {self.worker_id} has no container factory named {factory_name!r}"
+        elif lane == "shm" and not self._shm_enabled:
+            error = f"worker {self.worker_id} has shm disabled"
+        else:
+            try:
+                container = factory()
+            except Exception as exc:
+                error = f"container factory failed: {exc}"
+        if error is not None:
+            await control.send({"ok": False, "error": error})
             return
         if lane == "shm":
             try:

@@ -47,23 +47,26 @@ Runtime mutability (the management plane's half of the paper's architecture)
 is layered on top without touching the hot path: every deployed *version* of
 a model keeps its own serving machinery (replicas, batching queue,
 dispatchers), while **which version serves each query** is owned entirely by
-the :class:`~repro.routing.table.RoutingTable` — an immutable, atomically
-swapped map from model name to a weighted
+the :class:`~repro.routing.table.RoutingTable` at ``clipper.routing`` — an
+immutable, atomically swapped map from model name to a weighted
 :class:`~repro.routing.split.TrafficSplit` over versions.  Stable serving is
-the degenerate 100/0 split; a **canary rollout** (:meth:`Clipper.start_canary`
-/ :meth:`adjust_canary` / :meth:`promote` / :meth:`abort_canary`) shifts a
-deterministic, seeded fraction of routing keys onto a staged version while
-per-arm latency/error metrics accumulate for the promotion decision.
-``rollout``/``rollback`` are thin wrappers over the same verbs.
-Selection-policy state is namespaced by the routed serving set, so the state
-learned for a version survives its retirement and is picked up again on
-rollback; namespaces no routing configuration can reach any more are pruned.
+the degenerate 100/0 split; a **canary rollout** shifts a deterministic,
+seeded fraction of routing keys onto a staged version while per-arm
+latency/error metrics accumulate for the promotion decision.  The routing
+verbs (``activate``, ``start_canary``, ``adjust_canary``, ``promote``,
+``abort``, ``rollback``, ``restore``) are the table's own; operators drive
+them through :class:`~repro.management.frontend.ManagementFrontend`, which
+records each one durably.  Selection-policy state is namespaced by the
+routed serving set, so the state learned for a version survives its
+retirement and is picked up again on rollback; the table refuses a version
+that is not deployed, and every swap hands the engine the keys it made
+unreachable, whose state is then dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.containers.replica import ReplicaBuilder, place_locally
 from repro.core import clock
@@ -79,7 +82,6 @@ from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query
 from repro.observability.tracing import Tracer
 from repro.overload.control import UNGUARDED, OverloadControl
-from repro.routing.split import TrafficSplit
 from repro.routing.table import RoutePlan, RoutingTable, parse_namespace_keys
 from repro.selection.manager import SelectionStateManager
 from repro.selection.policy import make_policy
@@ -115,7 +117,9 @@ class Clipper:
         # deployed while another is active stay staged (machinery warm, no
         # traffic) until a rollout or canary routes to them.
         self.routing = RoutingTable(
-            arms=lambda key: self._models[key].arm, scope=self.config.app_name
+            arms=lambda key: self._models[key].arm,
+            scope=self.config.app_name,
+            swapped=self._prune_selection_state,
         )
         self._admin_lock = asyncio.Lock()
         # One selection-state manager per routed serving-set combination,
@@ -158,12 +162,7 @@ class Clipper:
         if not activate:
             return record, None
         routing_before = (self.routing.split_for(name), self.routing.previous_key(name))
-        had_canary = self.routing.canary_key(name) is not None
         self.routing.activate(name, key)
-        if had_canary:
-            # The forced activation discarded an in-flight canary; its
-            # mixed serving-set state is unreachable now.
-            self._prune_selection_state()
         return record, routing_before
 
     def deploy_model(
@@ -172,8 +171,8 @@ class Clipper:
         """Register a model version before :meth:`start`, which brings it up.
 
         The first version of a model name serves once started; a later
-        version is *staged* (warm but not serving) until :meth:`rollout` or a
-        canary routes traffic to it, unless ``activate=True`` forces an
+        version is *staged* (warm but not serving) until ``routing.activate``
+        or a canary routes traffic to it, unless ``activate=True`` forces an
         immediate switch.  Returns the assigned :class:`ModelId`.  On a
         started instance it registers nothing and raises: there
         :meth:`deploy_model_async` is the one bring-up, awaited, so a failed
@@ -247,7 +246,6 @@ class Clipper:
             elif self.routing.previous_key(name) == key:
                 self.routing.drop_previous(name)
             await self._layer.retire(key)
-            self._prune_selection_state()
             if self._started:
                 await record.stop(drain=True)
             return record.model_id
@@ -263,139 +261,6 @@ class Clipper:
         async with self._admin_lock:
             record = self._models[self.routing.resolve_key(model, self._models)]
             return await record.scale_to(num_replicas, running=self._started)
-
-    # -- traffic shifting (canary rollouts) -----------------------------------
-
-    def start_canary(
-        self, model_name: str, version: int, weight: float
-    ) -> TrafficSplit:
-        """Begin a weighted canary rollout of ``version`` for ``model_name``.
-
-        ``weight`` of the name's traffic (by deterministic, seeded routing-key
-        hash — the same key always lands on the same arm) shifts to the
-        canary version, which must already be deployed (normally staged via
-        :meth:`deploy_model`).  Per-arm latency/error metrics accumulate
-        under ``routing.arm.<key>.*`` for both arms while the canary is in
-        flight, feeding :meth:`promote` / :meth:`abort_canary` decisions —
-        manual or via :class:`~repro.routing.controller.CanaryController`.
-        """
-        key = str(ModelId(model_name, version))
-        if key not in self._models:
-            raise DeploymentError(
-                f"cannot canary '{key}': that version is not deployed"
-            )
-        return self.routing.start_canary(model_name, key, weight)
-
-    def adjust_canary(self, model_name: str, weight: float) -> TrafficSplit:
-        """Change the traffic weight of an in-flight canary (atomic swap)."""
-        return self.routing.adjust_canary(model_name, weight)
-
-    def promote(self, model_name: str) -> ModelId:
-        """Make the in-flight canary the sole serving version.
-
-        The displaced stable version is retained, staged, as the rollback
-        target; selection state learned by the canary's serving-set
-        combination carries straight over (same namespace).  Selection
-        namespaces no routing configuration can reach any more are pruned.
-        """
-        promoted = self.routing.promote(model_name)
-        self._prune_selection_state()
-        return self._models[promoted].model_id
-
-    def abort_canary(self, model_name: str) -> ModelId:
-        """Discard the in-flight canary; all traffic returns to the stable arm.
-
-        Returns the restored stable version's id.  The canary version stays
-        deployed (staged) but its mixed-serving-set selection state is
-        pruned — a future canary of the same version starts fresh.
-        """
-        self.routing.abort(model_name)
-        self._prune_selection_state()
-        return self._models[self.routing.active_key(model_name)].model_id
-
-    def rollout(self, model_name: str, version: int) -> ModelId:
-        """Atomically make ``version`` of ``model_name`` the serving version.
-
-        A thin wrapper over the canary verbs: an instant rollout is a
-        full-weight canary promoted immediately (one atomic table swap per
-        step — queries that already selected the old version keep their
-        in-flight futures; every query routed afterwards lands on the new
-        version).  The old version is retained, staged, with its selection
-        state intact for :meth:`rollback`.  Any other in-flight canary for
-        the name is aborted first.
-        """
-        key = str(ModelId(model_name, version))
-        record = self._models.get(key)
-        if record is None:
-            raise DeploymentError(
-                f"cannot roll out '{key}': that version is not deployed"
-            )
-        current = self.routing.active_key(model_name)
-        if current == key:
-            return record.model_id
-        if current is None:
-            self.routing.activate(model_name, key)
-            return record.model_id
-        canary = self.routing.canary_key(model_name)
-        if canary == key:
-            return self.promote(model_name)
-        if canary is not None:
-            self.routing.abort(model_name)
-        self.routing.start_canary(model_name, key, weight=1.0)
-        return self.promote(model_name)
-
-    def rollback(self, model_name: str) -> ModelId:
-        """Atomically swap ``model_name`` back to its previously serving version.
-
-        A thin wrapper over the routing layer: any in-flight canary is
-        aborted, then the stable arm swaps back to the rollback target
-        (whose selection state was retained).
-        """
-        previous = self.routing.previous_key(model_name)
-        if previous is None:
-            raise DeploymentError(
-                f"no previous version of '{model_name}' to roll back to"
-            )
-        if previous not in self._models:
-            raise DeploymentError(
-                f"previous version '{previous}' has been undeployed"
-            )
-        if self.routing.canary_key(model_name) is not None:
-            self.routing.abort(model_name)
-        restored = self.routing.rollback(model_name)
-        # The aborted canary arm (if any) is unreachable now; drop its state.
-        self._prune_selection_state()
-        return self._models[restored].model_id
-
-    def restore_routing(
-        self,
-        model_name: str,
-        split: TrafficSplit,
-        previous_key: Optional[str] = None,
-    ) -> None:
-        """Reinstall a durably-recorded routing configuration for one name.
-
-        The cold-start recovery seam: after a crash, the management plane
-        redeploys every version staged (``activate=False``) and then swaps
-        the recorded :class:`TrafficSplit` — stable arm, in-flight canary
-        weight, rollback pointer — straight back into the routing table, so
-        the restarted instance routes exactly as the dead one did.  Every
-        key referenced by the split (and the rollback target) must already
-        be deployed.
-        """
-        for key in split.keys():
-            if key not in self._models:
-                raise DeploymentError(
-                    f"cannot restore routing for '{model_name}': "
-                    f"arm '{key}' is not deployed"
-                )
-        if previous_key is not None and previous_key not in self._models:
-            raise DeploymentError(
-                f"cannot restore routing for '{model_name}': "
-                f"rollback target '{previous_key}' is not deployed"
-            )
-        self.routing.restore(model_name, split, previous_key)
-        self._prune_selection_state()
 
     def deployed_models(self) -> List[ModelId]:
         """Ids of every deployed model version (serving and staged)."""
@@ -446,23 +311,22 @@ class Clipper:
         """The selection-state manager of the all-stable-arms serving set."""
         return self._selection_manager_for(self.routing.default_plan())
 
-    def _prune_selection_state(self) -> None:
-        """Drop selection state no routing configuration can reach any more.
+    def _prune_selection_state(self, retired: FrozenSet[str]) -> None:
+        """Drop the selection state a routing swap made unreachable.
 
-        Called whenever routing retires a configuration (promote, abort,
-        rollback, undeploy, forced activation).  A namespace survives when every
-        model key it references is still deployed *and* still reachable — a
-        current split arm or a rollback target — which preserves exactly the
-        state :meth:`rollback` may need while retiring everything older.
-        Selection namespaces are scoped by application name, so instances
-        sharing one state store never prune each other's state.
+        The routing table's swap hook: ``retired`` holds the keys the swap
+        took out of every split arm and rollback pointer (an abort's canary,
+        a rollout's old rollback target, an undeployed version's routes).
+        Every namespace referencing one goes; the rollback target's state
+        stays for ``routing.rollback``.  Selection namespaces are scoped by
+        application name, so instances sharing one state store never prune
+        each other's state.
         """
-        reachable = self.routing.reachable_keys()
-        for namespace in self.state_store.namespaces():
+        if not retired:
+            return
+        for namespace in {*self.state_store.namespaces(), *self._selection_managers}:
             keys = parse_namespace_keys(namespace, self.routing.scope)
-            if not keys:
-                continue
-            if all(key in reachable and key in self._models for key in keys):
+            if not keys or retired.isdisjoint(keys):
                 continue
             manager = self._selection_managers.pop(namespace, None)
             if manager is not None:

@@ -36,11 +36,14 @@ started, one :func:`sweep` task per application calls the monitor's
 Every verb is the same steps: look the application up, then — in
 :meth:`ManagementFrontend._apply` — **precheck** against the registry (the
 versions the verb will route to or touch are registered and not undeployed; a
-deploy's version number is unused), make the one :class:`Clipper` call,
-**project** the name's live routing and the touched version into the registry
-and log.  A verb states only what differs: the keys to precheck, the call,
-the touched fields, the log line.  Everything the registry can refuse is
-checked before the live change, so no verb has a step to undo.
+deploy's version number is unused), make the one live call (on the
+:class:`Clipper`, or on its routing table ``clipper.routing`` for the routing
+verbs, whose swaps refuse undeployed versions and prune unreachable selection
+state themselves), **project** the name's live routing and the touched
+version into the registry and log.  A verb states only what differs: the
+keys to precheck, the call, the touched fields, the log line.  Everything the
+registry can refuse is checked before the live change, so no verb has a step
+to undo.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequ
 from repro.core.clipper import Clipper
 from repro.core.config import ModelDeployment
 from repro.core.deployed import cancel_until_gone
-from repro.core.exceptions import ManagementError
+from repro.core.exceptions import DeploymentError, ManagementError
 from repro.core.frontend import (
     ApplicationHost,
     start_applications,
@@ -285,22 +288,23 @@ class ManagementFrontend(ApplicationHost):
         routing: Dict[str, Any],
         report: RecoveryReport,
     ) -> None:
-        """Reinstall one model's stored routing record (split + rollback key)."""
+        """Reinstall one model's stored routing record (split + rollback key).
+
+        A rollback target that did not come back is dropped; a split arm
+        that did not come back is refused by the table, and the name stays
+        unrouted.
+        """
         split = TrafficSplit.from_record(routing)
-        deployed = {str(record.model_id) for record in clipper.model_records()}
-        missing = [key for key in split.keys() if key not in deployed]
-        if missing:
+        previous_key = routing["previous"]
+        if previous_key not in {str(model_id) for model_id in clipper.deployed_models()}:
+            previous_key = None
+        try:
+            clipper.routing.restore(model_name, split, previous_key)
+        except DeploymentError as refusal:
             report.skipped.append(
-                {
-                    "model": model_name,
-                    "reason": f"recorded routing references unrestored versions {missing}",
-                }
+                {"model": model_name, "reason": f"recorded routing refused: {refusal}"}
             )
             return
-        previous_key = routing["previous"]
-        if previous_key not in deployed:
-            previous_key = None  # rollback target did not come back; drop it
-        clipper.restore_routing(model_name, split, previous_key)
         report.routes_restored += 1
         if split.canary is not None:
             report.canaries_resumed += 1
@@ -374,8 +378,9 @@ class ManagementFrontend(ApplicationHost):
 
         ``keys`` go to :meth:`_precheck` (``None``: the verb checked for
         itself); ``call()`` is the one live change, awaited when it is a
-        coroutine, and its result the verb's; ``touched(result)`` is the
-        ``version`` and its fields :meth:`_project` records beside the
+        coroutine, and its result the verb's (a model key, as the routing
+        table answers, becomes its :class:`ModelId`); ``touched(result)`` is
+        the ``version`` and its fields :meth:`_project` records beside the
         routing; ``log`` names the model id the call answered with, else the
         model.
         """
@@ -385,6 +390,8 @@ class ManagementFrontend(ApplicationHost):
         result = call()
         if inspect.isawaitable(result):
             result = await result
+        if isinstance(result, str):
+            result = ModelId.parse(result)
         self._project(app_name, clipper, model_name, **touched(result))
         if log is not None:
             subject, fields = model_name, {"app": app_name, "model": model_name, **extra}
@@ -452,15 +459,15 @@ class ManagementFrontend(ApplicationHost):
     async def rollout(self, app_name: str, model_name: str, version: int) -> ModelId:
         """Atomically switch ``model_name`` to serve ``version``."""
         clipper = self._lookup(app_name)
-        keys = [f"{model_name}:{version}"]
-        call = partial(clipper.rollout, model_name, version)
-        return await self._apply(clipper, model_name, keys, call, log="rolled out %s")
+        key = f"{model_name}:{version}"
+        call = partial(clipper.routing.activate, model_name, key)
+        return await self._apply(clipper, model_name, [key], call, log="rolled out %s")
 
     async def rollback(self, app_name: str, model_name: str) -> ModelId:
         """Atomically switch ``model_name`` back to its previous version."""
         clipper = self._lookup(app_name)
         keys = [clipper.routing.previous_key(model_name)]
-        call = partial(clipper.rollback, model_name)
+        call = partial(clipper.routing.rollback, model_name)
         return await self._apply(
             clipper, model_name, keys, call, log="rolled back to %s", level=logging.WARNING
         )
@@ -478,12 +485,12 @@ class ManagementFrontend(ApplicationHost):
         metrics and the health monitor's quarantine signal.
         """
         clipper = self._lookup(app_name)
-        keys = [f"{model_name}:{version}"]
-        call = partial(clipper.start_canary, model_name, version, weight)
+        key = f"{model_name}:{version}"
+        call = partial(clipper.routing.start_canary, model_name, key, weight)
         return await self._apply(
             clipper,
             model_name,
-            keys,
+            [key],
             call,
             log="canary started for %s",
             version=version,
@@ -496,20 +503,24 @@ class ManagementFrontend(ApplicationHost):
         """Change an in-flight canary's traffic weight and re-record it."""
         clipper = self._lookup(app_name)
         keys = [clipper.routing.canary_key(model_name)]
-        call = partial(clipper.adjust_canary, model_name, weight)
+        call = partial(clipper.routing.adjust_canary, model_name, weight)
         return await self._apply(clipper, model_name, keys, call)
 
     async def promote(self, app_name: str, model_name: str) -> ModelId:
         """Make the in-flight canary the serving version; record the new routing."""
         clipper = self._lookup(app_name)
         keys = [clipper.routing.canary_key(model_name)]
-        call = partial(clipper.promote, model_name)
+        call = partial(clipper.routing.promote, model_name)
         return await self._apply(clipper, model_name, keys, call, log="canary promoted to %s")
 
     async def abort_canary(self, app_name: str, model_name: str) -> ModelId:
         """Abort the in-flight canary; traffic returns to the stable version."""
         clipper = self._lookup(app_name)
-        call = partial(clipper.abort_canary, model_name)
+
+        def call() -> Optional[str]:
+            clipper.routing.abort(model_name)
+            return clipper.routing.active_key(model_name)
+
         return await self._apply(
             clipper, model_name, [], call, log="canary aborted, %s serves", level=logging.WARNING
         )

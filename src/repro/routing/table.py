@@ -8,7 +8,11 @@ the previously-active version kept for rollback.  The table state lives in
 an immutable snapshot swapped atomically on every routing change — readers
 (the predict path, the feedback path, the health monitor) always observe a
 complete, consistent configuration, the same checked-transition discipline
-the registry applies to its durable records.
+the registry applies to its durable records.  Every swap is checked and
+reported in one place: it refuses a key the table's ``arms`` lookup does not
+know (for the serving engine, a version that is not deployed), and it hands
+the keys it made unreachable to the ``swapped`` hook, through which the engine
+drops the selection state only those keys could reach.
 
 Per query, the table resolves a :class:`RoutePlan`: the concrete model key
 combination serving that query's routing key, the selection-state namespace
@@ -21,7 +25,7 @@ dict hit on the hot path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import DeploymentError, RoutingError
 from repro.core.metrics import ArmMetrics, MetricsRegistry
@@ -81,18 +85,23 @@ class RoutePlan:
 class _Snapshot:
     """Immutable routing state: splits + rollback pointers + plan cache.
 
-    The plan cache is keyed by the chosen-arm combination; it only ever
-    grows (bounded by the product of arm counts, i.e. tiny) and lives on the
-    snapshot so a table swap naturally invalidates it.
+    ``reachable`` is every key the snapshot can route to: split arms and
+    rollback targets.  The plan cache is keyed by the chosen-arm
+    combination; it only ever grows (bounded by the product of arm counts,
+    i.e. tiny) and lives on the snapshot so a table swap naturally
+    invalidates it.
     """
 
-    __slots__ = ("splits", "previous", "has_splits", "plans", "default_plan")
+    __slots__ = ("splits", "previous", "reachable", "has_splits", "plans", "default_plan")
 
     def __init__(
         self, splits: Dict[str, TrafficSplit], previous: Dict[str, str]
     ) -> None:
         self.splits = splits
         self.previous = previous
+        self.reachable = frozenset(
+            [key for split in splits.values() for key in split.keys()]
+        ).union(previous.values())
         self.has_splits = any(len(s.arms) > 1 for s in splits.values())
         self.plans: Dict[Tuple[str, ...], RoutePlan] = {}
         self.default_plan: Optional[RoutePlan] = None
@@ -103,9 +112,12 @@ class RoutingTable:
 
     ``scope`` (normally the application name) namespaces the selection state
     the table owns, isolating instances that share one state store.
-    ``arms(model_key)`` returns a version's attribution handles: the serving
-    engine passes a lookup of the deployed version's own (they leave with
-    the version); a table on its own keeps them in a private registry.
+    ``arms(model_key)`` returns a version's attribution handles and raises
+    ``KeyError`` for a key it does not know: the serving engine passes a
+    lookup of the deployed version's own (they leave with the version); a
+    table on its own keeps them in a private registry, which knows every
+    key.  ``swapped(retired)`` runs after every swap with the keys it made
+    unreachable (often none).
     """
 
     def __init__(
@@ -113,11 +125,13 @@ class RoutingTable:
         arms: Optional[Callable[[str], ArmMetrics]] = None,
         seed: int = 0,
         scope: str = "",
+        swapped: Callable[[FrozenSet[str]], None] = lambda retired: None,
     ) -> None:
         #: The per-arm attribution handles for one model key.
         self.arm_metrics = arms or MetricsRegistry().arm
         self.seed = seed
         self.scope = scope
+        self._swapped = swapped
         self._snapshot = _Snapshot({}, {})
 
     # -- resolution (the hot path) ---------------------------------------------
@@ -214,10 +228,7 @@ class RoutingTable:
 
     def reachable_keys(self) -> set:
         """Model keys the table can still route to: arms + rollback targets."""
-        snapshot = self._snapshot
-        keys = {key for split in snapshot.splits.values() for key in split.keys()}
-        keys.update(snapshot.previous.values())
-        return keys
+        return set(self._snapshot.reachable)
 
     def describe(self) -> Dict[str, Dict]:
         """JSON-friendly snapshot of the table for operators."""
@@ -240,35 +251,46 @@ class RoutingTable:
         return dict(snapshot.splits), dict(snapshot.previous)
 
     def _swap(self, splits: Dict[str, TrafficSplit], previous: Dict[str, str]) -> None:
+        """Install a new snapshot: refuse an unknown key first, report the
+        keys it retired after."""
+        old, new = self._snapshot, _Snapshot(splits, previous)
+        for key in new.reachable - old.reachable:
+            try:
+                self.arm_metrics(key)
+            except KeyError:
+                raise DeploymentError(
+                    f"cannot route to '{key}': that version is not deployed"
+                ) from None
         # A single attribute assignment: readers racing this swap see either
         # the complete old snapshot or the complete new one.
-        self._snapshot = _Snapshot(splits, previous)
+        self._snapshot = new
+        self._swapped(old.reachable - new.reachable)
 
-    def activate(self, name: str, model_key: str) -> None:
-        """Make ``model_key`` the sole serving version of ``name``.
+    def activate(self, name: str, model_key: str) -> str:
+        """Make ``model_key`` the sole serving version of ``name``; returns it.
 
-        The previously-stable key (if any, and if different) becomes the
-        rollback target.  An in-flight canary for the name is discarded.
+        The previously-stable key (if any) becomes the rollback target and
+        an in-flight canary is discarded: the end state of aborting it,
+        canarying ``model_key`` at full weight and promoting.  Nothing
+        changes when ``model_key`` already is the stable version.
         """
         splits, previous = self._edit()
         current = splits.get(name)
-        if current is not None and current.stable != model_key:
+        if current is not None:
+            if current.stable == model_key:
+                return model_key
             previous[name] = current.stable
         splits[name] = TrafficSplit.single(model_key, seed=self.seed)
         self._swap(splits, previous)
+        return model_key
 
     def forget(self, name: str) -> None:
         """Stop routing ``name`` entirely (its versions were undeployed)."""
-        splits, previous = self._edit()
-        splits.pop(name, None)
-        previous.pop(name, None)
-        self._swap(splits, previous)
+        self.restore(name, None, None)
 
     def drop_previous(self, name: str) -> None:
         """Forget the rollback target of ``name`` (it was undeployed)."""
-        splits, previous = self._edit()
-        if previous.pop(name, None) is not None:
-            self._swap(splits, previous)
+        self.restore(name, self.split_for(name), None)
 
     def start_canary(self, name: str, canary_key: str, weight: float) -> TrafficSplit:
         """Begin shifting ``weight`` of ``name``'s traffic onto ``canary_key``."""
@@ -303,16 +325,13 @@ class RoutingTable:
     def promote(self, name: str) -> str:
         """Make the in-flight canary the sole serving version; returns its key.
 
-        The displaced stable key becomes the rollback target.
+        :meth:`activate` of the canary: the displaced stable key becomes the
+        rollback target.
         """
-        splits, previous = self._edit()
-        current = splits.get(name)
-        if current is None or current.canary is None:
+        canary = self.canary_key(name)
+        if canary is None:
             raise RoutingError(f"no canary is in flight for '{name}' to promote")
-        previous[name] = current.stable
-        splits[name] = TrafficSplit.single(current.canary, seed=self.seed)
-        self._swap(splits, previous)
-        return current.canary
+        return self.activate(name, canary)
 
     def abort(self, name: str) -> str:
         """Discard the in-flight canary; returns the aborted canary key.
@@ -352,19 +371,11 @@ class RoutingTable:
     def rollback(self, name: str) -> str:
         """Swap ``name`` back to its previously-active key; returns that key.
 
-        The displaced stable key becomes the new rollback target, so a
-        second rollback undoes the first.  An in-flight canary must be
-        aborted first (the serving engine's rollback verb does this).
+        :meth:`activate` of the rollback target: the displaced stable key
+        becomes the new rollback target, so a second rollback undoes the
+        first, and an in-flight canary is discarded.
         """
-        splits, previous = self._edit()
-        previous_key = previous.get(name)
+        previous_key = self.previous_key(name)
         if previous_key is None:
             raise RoutingError(f"no previous version of '{name}' to roll back to")
-        current = splits.get(name)
-        splits[name] = TrafficSplit.single(previous_key, seed=self.seed)
-        if current is not None:
-            previous[name] = current.stable
-        else:
-            del previous[name]
-        self._swap(splits, previous)
-        return previous_key
+        return self.activate(name, previous_key)

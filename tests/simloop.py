@@ -4,8 +4,9 @@
 ``repro.core.clock.now`` bound to the loop's virtual ``time()``.  When no
 callback is ready and no file descriptor is, the loop jumps straight to its
 next timer instead of sleeping, so ``asyncio.sleep(60)`` costs no wall time.
-With no timer pending it blocks on real I/O, which is how an executor
-thread's result still arrives (in real time).
+While an executor call is in flight, or with no timer pending, it blocks on
+real I/O instead: that is how an executor thread's result still arrives (in
+real time) before virtual time moves past it.
 
 :class:`ManualClock` is for synchronous tests: ``clock.now`` and
 ``clock.wall`` read two numbers the test sets or :meth:`~ManualClock.advance`\\ s.
@@ -37,6 +38,12 @@ class _VirtualSelector(selectors.DefaultSelector):
             return super().select(None)
         ready = super().select(0)
         if not ready and timeout > 0:
+            if self._loop.in_executor:
+                # A thread's result is on its way: wait for it in real time
+                # rather than jump past it.  Only here, with nothing ready:
+                # at ``timeout == 0`` the result's done callback may itself
+                # be the ready callback, and blocking then would deadlock.
+                return super().select(None)
             # asyncio asks for ``timeout`` because the head timer is due
             # then: land on its exact time, not on ``now + timeout``.
             self._loop.now = self._loop._scheduled[0].when()
@@ -48,10 +55,21 @@ class VirtualLoop(asyncio.SelectorEventLoop):
 
     def __init__(self) -> None:
         self.now = 0.0
+        #: Executor calls whose results the loop has not yet taken.
+        self.in_executor = 0
         super().__init__(_VirtualSelector(self))
 
     def time(self) -> float:
         return self.now
+
+    def run_in_executor(self, executor, func, *args):
+        future = super().run_in_executor(executor, func, *args)
+        self.in_executor += 1
+        future.add_done_callback(self._executor_done)
+        return future
+
+    def _executor_done(self, future) -> None:
+        self.in_executor -= 1
 
 
 def run_virtual(coroutine):

@@ -3,13 +3,17 @@
 The tests substitute ``repro.cluster.supervisor.Child`` with
 :class:`FakeChild`, which lives on the event loop and logs every spawn and
 stop, so the supervisor's decisions — respawn, drain order, cleanup after a
-failed start — are checked without a process.  :class:`TestChild` runs the
-real seam on two tiny interpreters.  Each test names a mutant that fails it.
+failed start — are checked without a process, and so is
+``scripts/cluster_up.py``'s answer to an ingress that exits.
+:class:`TestChild` runs the real seam on two tiny interpreters.  Each test
+names a mutant that fails it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib.util
+import os
 import signal
 import sys
 
@@ -21,6 +25,7 @@ from repro.cluster.supervisor import Child, Supervisor
 from repro.core.exceptions import ClipperError
 
 PORT = 8080
+CLUSTER_UP = os.path.join(os.path.dirname(__file__), "..", "scripts", "cluster_up.py")
 
 
 class FakeChild:
@@ -32,6 +37,7 @@ class FakeChild:
     def __init__(self, name, argv):
         self.name, self.argv = name, argv
         self.exited = asyncio.Event()
+        self.tail = [f"{name} is up", f"{name} says goodbye"]
 
     @classmethod
     async def spawn(cls, name, argv):
@@ -143,6 +149,32 @@ class TestSupervisor:
         run_async(main())
         assert sorted(events(fake.log, "stop")) == ["worker-0", "worker-1", "worker-2"]
         assert ("spawn", "ingress") not in fake.log
+
+
+class TestClusterUp:
+    def test_an_ingress_that_exits_stops_the_workers_and_fails_the_script(
+        self, fake, tmp_path, capsys
+    ):
+        # Mutant: the script waits only for a signal, so it keeps running
+        # with no ingress (the wait below times out), or it respawns one.
+        spec = importlib.util.spec_from_file_location("cluster_up", CLUSTER_UP)
+        cluster_up = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cluster_up)
+
+        async def main():
+            fleet = Supervisor(str(tmp_path), num_workers=2)
+            serving = asyncio.ensure_future(cluster_up.serve(fleet))
+            await settle()
+            assert fleet.port == PORT
+            fleet.ingress.exited.set()
+            return await asyncio.wait_for(serving, 5.0)
+
+        assert run_async(main()) == 1
+        assert events(fake.log, "spawn") == ["worker-0", "worker-1", "ingress"]
+        assert sorted(events(fake.log, "stop")) == ["ingress", "worker-0", "worker-1"]
+        out, err = capsys.readouterr()
+        assert f"CLUSTER_READY {PORT}" in out and "CLUSTER_DRAINED" not in out
+        assert "ingress says goodbye" in err
 
 
 class TestChild:

@@ -18,7 +18,7 @@ from repro.containers.chaos import KillableContainer, TrackingFactory
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import DeploymentError
+from repro.core.exceptions import DeploymentError, RoutingError
 from repro.core.types import Feedback, Query
 from repro.management.frontend import ManagementFrontend
 
@@ -101,7 +101,7 @@ class TestLiveDeployUndeploy:
                     Query(app_name="live-app", input=np.array([float(i)]))
                 )
                 assert prediction.output == 1
-            clipper.rollout("m", 2)
+            clipper.routing.activate("m", "m:2")
             prediction = await clipper.predict(
                 Query(app_name="live-app", input=np.array([99.0]))
             )
@@ -218,9 +218,9 @@ class TestRolloutRollback:
             await asyncio.sleep(0.05)
 
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.rollout("m", 2)
+            clipper.routing.activate("m", "m:2")
             await asyncio.sleep(0.05)
-            clipper.rollback("m")
+            clipper.routing.rollback("m")
             await asyncio.sleep(0.05)
             await driver.stop()
 
@@ -243,8 +243,8 @@ class TestRolloutRollback:
             clipper = build_clipper()
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
-            with pytest.raises(DeploymentError):
-                clipper.rollback("m")
+            with pytest.raises(RoutingError, match="no previous version"):
+                clipper.routing.rollback("m")
             await clipper.stop()
 
         run_async(scenario())
@@ -254,8 +254,8 @@ class TestRolloutRollback:
             clipper = build_clipper()
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
-            with pytest.raises(DeploymentError):
-                clipper.rollout("m", 9)
+            with pytest.raises(DeploymentError, match="not deployed"):
+                clipper.routing.activate("m", "m:9")
             await clipper.stop()
 
         run_async(scenario())
@@ -274,12 +274,12 @@ class TestRolloutRollback:
 
             # Roll "good" to v2: the new serving set starts fresh state...
             await clipper.deploy_model_async(deployment(name="good", version=2, output=1))
-            clipper.rollout("good", 2)
+            clipper.routing.activate("good", "good:2")
             fresh = clipper.selection_manager.get_state(None)
             assert fresh["weights"]["good:2"] == fresh["weights"]["bad:1"]
 
             # ...and rollback recovers the state learned for v1 untouched.
-            clipper.rollback("good")
+            clipper.routing.rollback("good")
             restored = clipper.selection_manager.get_state(None)
             assert restored["weights"] == trained["weights"]
             await clipper.stop()

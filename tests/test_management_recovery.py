@@ -15,8 +15,8 @@ from repro.core.config import (
     ClipperConfig,
     ModelDeployment,
 )
-from repro.core.exceptions import ManagementError
-from repro.core.types import Query
+from repro.core.exceptions import DeploymentError, ManagementError
+from repro.core.types import Feedback, Query
 from repro.management.frontend import ManagementFrontend
 from repro.state.durable import DurableKeyValueStore
 
@@ -140,6 +140,80 @@ class TestRestoreApplication:
         status = mgmt.recovery_status()["app"]
         assert status["complete"] is False
         assert mgmt.describe("app")["recovery"]["complete"] is False
+
+    def test_a_version_skipped_by_restore_is_refused_by_the_routing_table(self, tmp_path):
+        # Version 2 names a factory the restoring process lacks: it stays in
+        # the registry but is not deployed.  Mutant: the table swaps in a
+        # split naming it, and every later query raises KeyError.
+        async def scenario():
+            store = make_store(tmp_path)
+            mgmt = make_frontend(store)
+            clipper = Clipper(make_config())
+            clipper.deploy_model(ModelDeployment("m", noop_factory, factory_name="noop"))
+            mgmt.register_application(clipper)
+            await mgmt.start()
+            await mgmt.deploy_model(
+                "app", ModelDeployment("m", noop_factory, version=2, factory_name="other")
+            )
+            await mgmt.stop()
+
+            mgmt, clipper, report = await restore(make_store(tmp_path))
+            assert [item.get("version") for item in report.skipped] == [2]
+            assert report.routes_restored == 1
+            await mgmt.start()
+            try:
+                before = clipper.routing.describe()
+                refusals = [
+                    lambda: clipper.routing.start_canary("m", "m:2", weight=0.5),
+                    lambda: clipper.routing.activate("m", "m:2"),
+                ]
+                for refusal in refusals:
+                    with pytest.raises(DeploymentError, match="m:2"):
+                        refusal()
+                    assert clipper.routing.describe() == before
+                # The frontend's registry precheck passes (version 2 is
+                # recorded and not undeployed); the table refuses.
+                with pytest.raises(DeploymentError):
+                    await mgmt.start_canary("app", "m", 2, weight=0.5)
+                assert mgmt.traffic_split("app", "m") is None
+                outputs = []
+                for i in range(20):
+                    query = Query("app", np.full(4, float(i)), user_id=f"u{i}")
+                    outputs.append((await clipper.predict(query)).output)
+            finally:
+                await mgmt.stop()
+            return before, outputs
+
+        before, outputs = run_async(scenario())
+        assert before["m"]["stable"] == "m:1" and before["m"]["canary"] is None
+        assert outputs == [1] * 20
+
+    def test_a_two_model_selection_state_survives_the_restore(self, tmp_path):
+        # The selection state shares the durable store.  Mutant: restoring
+        # model `a`'s routing prunes every namespace not reachable yet, so
+        # the `a:1|b:1` state goes before `b` is routed again.
+        def build(store):
+            config = make_config(selection_policy="exp4")
+            return make_frontend(store), Clipper(config, state_store=store)
+
+        async def scenario():
+            mgmt, clipper = build(make_store(tmp_path))
+            for name in ("a", "b"):
+                clipper.deploy_model(ModelDeployment(name, noop_factory, factory_name="noop"))
+            mgmt.register_application(clipper)
+            await mgmt.start()
+            await clipper.feedback(Feedback(app_name="app", input=np.zeros(4), label=0))
+            learned = clipper.selection_manager.get_state()
+            await mgmt.stop()
+
+            mgmt, clipper = build(make_store(tmp_path))
+            report = await mgmt.restore_application(clipper, factories=FACTORIES)
+            return learned, report, clipper.selection_manager.get_state()
+
+        learned, report, restored = run_async(scenario())
+        assert report.complete and report.routes_restored == 2
+        assert learned["n_feedback"] == 1
+        assert restored == learned
 
     def test_undeployed_versions_stay_dead(self, tmp_path):
         async def scenario():

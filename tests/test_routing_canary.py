@@ -89,7 +89,7 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            split = clipper.start_canary("m", 2, weight=0.3)
+            split = clipper.routing.start_canary("m", "m:2", weight=0.3)
 
             outputs = {}
             for i in range(200):
@@ -120,7 +120,7 @@ class TestClipperCanaryVerbs:
             assert clipper.metrics.counter("routing.arm.m:1.requests").value == 0
 
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.start_canary("m", 2, weight=0.5)
+            clipper.routing.start_canary("m", "m:2", weight=0.5)
             for i in range(60):
                 await clipper.predict(
                     Query(
@@ -147,10 +147,10 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.start_canary("m", 2, weight=0.1)
-            split = clipper.adjust_canary("m", weight=0.5)
+            clipper.routing.start_canary("m", "m:2", weight=0.1)
+            split = clipper.routing.adjust_canary("m", weight=0.5)
             assert split.weight_of("m:2") == 0.5
-            promoted = clipper.promote("m")
+            promoted = clipper.routing.promote("m")
             assert str(promoted) == "m:2"
             assert clipper.routing.active_key("m") == "m:2"
             prediction = await clipper.predict(
@@ -158,7 +158,7 @@ class TestClipperCanaryVerbs:
             )
             assert prediction.output == 2
             # The displaced stable version is the rollback target.
-            restored = clipper.rollback("m")
+            restored = clipper.routing.rollback("m")
             assert str(restored) == "m:1"
             prediction = await clipper.predict(
                 Query(app_name=APP, input=np.array([10.0]))
@@ -174,9 +174,9 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.start_canary("m", 2, weight=0.9)
-            restored = clipper.abort_canary("m")
-            assert str(restored) == "m:1"
+            clipper.routing.start_canary("m", "m:2", weight=0.9)
+            assert clipper.routing.abort("m") == "m:2"
+            assert clipper.routing.active_key("m") == "m:1"
             assert clipper.routing.canaries() == {}
             for i in range(20):
                 prediction = await clipper.predict(
@@ -193,13 +193,13 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             with pytest.raises(DeploymentError):
-                clipper.start_canary("m", 9, weight=0.5)  # not deployed
+                clipper.routing.start_canary("m", "m:9", weight=0.5)  # not deployed
             await clipper.deploy_model_async(deployment(version=2))
             with pytest.raises(RoutingError):
-                clipper.start_canary("m", 1, weight=0.5)  # canary == stable
-            clipper.start_canary("m", 2, weight=0.5)
+                clipper.routing.start_canary("m", "m:1", weight=0.5)  # canary == stable
+            clipper.routing.start_canary("m", "m:2", weight=0.5)
             with pytest.raises(RoutingError):
-                clipper.start_canary("m", 2, weight=0.2)  # already in flight
+                clipper.routing.start_canary("m", "m:2", weight=0.2)  # already in flight
             await clipper.stop()
 
         run_async(scenario())
@@ -210,7 +210,7 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.start_canary("m", 2, weight=0.5)
+            clipper.routing.start_canary("m", "m:2", weight=0.5)
             await clipper.undeploy_model("m:2")
             assert clipper.routing.canaries() == {}
             assert clipper.routing.active_key("m") == "m:1"
@@ -226,7 +226,7 @@ class TestClipperCanaryVerbs:
             clipper.deploy_model(deployment(version=1))
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            split = clipper.start_canary("m", 2, weight=0.5)
+            split = clipper.routing.start_canary("m", "m:2", weight=0.5)
             canary_user = next(
                 f"u{i}" for i in range(100) if split.arm_for(f"u{i}") == "m:2"
             )
@@ -253,18 +253,41 @@ class TestSelectionStatePruning:
             assert clipper.state_store.keys(ns_v1)  # state instantiated
 
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.rollout("m", 2)
+            clipper.routing.activate("m", "m:2")
             # One step back is reachable: v1's state is retained for rollback.
             assert clipper.state_store.keys(ns_v1)
             await clipper.feedback(Feedback(app_name=APP, input=np.zeros(1), label=1))
             assert clipper.state_store.keys(f"selection-state@{APP}@m:2")
 
             await clipper.deploy_model_async(deployment(version=3))
-            clipper.rollout("m", 3)
+            clipper.routing.activate("m", "m:3")
             # v1 is now two rollouts old — no routing configuration reaches
             # it, so its namespace is pruned; v2 (the rollback target) stays.
             assert clipper.state_store.keys(ns_v1) == []
             assert clipper.state_store.keys(f"selection-state@{APP}@m:2")
+            await clipper.stop()
+
+        run_async(scenario())
+
+    def test_forced_activation_prunes_the_state_it_made_unreachable(self):
+        # Mutant: only some routing verbs prune (deploy with activate=True
+        # pruned only when it discarded a canary, so m:1's state outlived
+        # every configuration that could reach it).
+        async def scenario():
+            clipper = build_clipper(policy="exp4")
+            clipper.deploy_model(deployment(version=1))
+            await clipper.start()
+            await clipper.predict(Query(app_name=APP, input=np.zeros(1)))
+            await clipper.feedback(Feedback(app_name=APP, input=np.zeros(1), label=1))
+            ns_v1 = f"selection-state@{APP}@m:1"
+            assert clipper.state_store.keys(ns_v1)
+
+            await clipper.deploy_model_async(deployment(version=2), activate=True)
+            assert clipper.state_store.keys(ns_v1)  # the rollback target's
+            await clipper.deploy_model_async(deployment(version=3), activate=True)
+            assert clipper.routing.reachable_keys() == {"m:2", "m:3"}
+            assert clipper.state_store.keys(ns_v1) == []
+            assert ns_v1 not in clipper.state_store.namespaces()
             await clipper.stop()
 
         run_async(scenario())
@@ -292,7 +315,7 @@ class TestSelectionStatePruning:
             clipper.state_store.put("unrelated", "key", "value")
             await clipper.start()
             await clipper.deploy_model_async(deployment(version=2))
-            clipper.rollout("m", 2)
+            clipper.routing.activate("m", "m:2")
             assert clipper.state_store.get("selection-state@other:1", "ctx") == {"w": 1}
             assert clipper.state_store.get("unrelated", "key") == "value"
             await clipper.stop()
@@ -301,13 +324,13 @@ class TestSelectionStatePruning:
 
 
 def direct_verbs(clipper):
-    """Promote/abort straight on the serving engine, with no registry to record them."""
+    """Promote/abort straight on the routing table, with no registry to record them."""
 
     async def promote(model_name):
-        return clipper.promote(model_name)
+        return clipper.routing.promote(model_name)
 
     async def abort(model_name):
-        return clipper.abort_canary(model_name)
+        return clipper.routing.abort(model_name)
 
     return {"promote": promote, "abort": abort}
 
@@ -319,7 +342,7 @@ class TestCanaryControllerJudgement:
         clipper = build_clipper()
         clipper.deploy_model(deployment(version=1))
         clipper.deploy_model(deployment(version=2))  # stages behind v1
-        clipper.start_canary("m", 2, weight=0.5)
+        clipper.routing.start_canary("m", "m:2", weight=0.5)
         return clipper
 
     def test_auto_promote_after_consecutive_healthy_checks(self):

@@ -10,6 +10,7 @@ that moved out of the serving engine.
 import pytest
 
 from repro.core.exceptions import DeploymentError, RoutingError
+from repro.core.metrics import MetricsRegistry
 from repro.routing.split import TrafficSplit, assignment_fraction
 from repro.routing.table import RoutingTable, parse_namespace_keys, selection_namespace
 
@@ -194,6 +195,71 @@ class TestRoutingTableLifecycle:
         table.forget("m")
         assert table.active_key("m") is None
         assert table.names() == []
+
+
+class TestSwapDuties:
+    """Every swap refuses an unknown key first and reports what it retired."""
+
+    @staticmethod
+    def deployed_arms(*deployed):
+        """An ``arms`` lookup that knows only ``deployed``, as the engine's does."""
+        registry = MetricsRegistry()
+
+        def arms(key):
+            if key not in deployed:
+                raise KeyError(key)
+            return registry.arm(key)
+
+        return arms
+
+    def test_a_key_the_arms_lookup_does_not_know_is_refused_before_the_swap(self):
+        # Mutant: `_swap` installs the snapshot without asking `arms`.
+        table = RoutingTable(arms=self.deployed_arms("m:1", "m:2", "m:3"))
+        table.activate("m", "m:1")
+        table.activate("m", "m:2")
+        table.start_canary("m", "m:3", weight=0.5)
+        before, plan = table.describe(), table.plan_for("user-1")
+        refusals = [
+            lambda: table.activate("m", "m:9"),
+            lambda: table.activate("other", "other:1"),
+            lambda: table.restore("m", TrafficSplit.single("m:9"), "m:1"),
+            lambda: table.restore("m", TrafficSplit.single("m:1"), "m:9"),
+        ]
+        for refusal in refusals:
+            with pytest.raises(DeploymentError, match="not deployed"):
+                refusal()
+            assert table.describe() == before
+            assert table.plan_for("user-1") is plan  # still the same snapshot
+        table.abort("m")
+        with pytest.raises(DeploymentError, match="m:9"):
+            table.start_canary("m", "m:9", weight=0.5)
+        assert table.canaries() == {}
+        assert table.describe()["m"]["stable"] == "m:2"
+
+    def test_every_swap_hands_the_hook_the_keys_it_made_unreachable(self):
+        # Mutant: the hook gets every unreachable key, or is called only by
+        # some verbs (the forced activation of a third version used to leak
+        # the first version's state).
+        retired = []
+        arms = self.deployed_arms("m:1", "m:2", "m:3", "m:4")
+        table = RoutingTable(arms=arms, swapped=retired.append)
+        table.activate("m", "m:1")
+        table.activate("m", "m:2")  # m:1 is the rollback target
+        table.activate("m", "m:3")
+        table.start_canary("m", "m:4", weight=0.5)
+        table.adjust_canary("m", weight=0.7)
+        table.abort("m")
+        table.start_canary("m", "m:4", weight=0.5)
+        table.promote("m")
+        table.rollback("m")
+        table.activate("m", "m:3")  # already stable: no swap
+        table.drop_previous("m")
+        table.forget("m")
+        assert retired == [
+            set(), set(), {"m:1"}, set(), set(), {"m:4"}, set(), {"m:2"}, set(),
+            {"m:4"}, {"m:3"},
+        ]
+        assert all(isinstance(keys, frozenset) for keys in retired)
 
 
 class TestResolveKey:

@@ -3,7 +3,8 @@
 ``repro.core.clock`` states that ``clock.now`` is the running loop's clock:
 the deadline sweeper hands ``clock.now()`` deadlines to ``loop.call_at``.
 The first class checks that on a stock asyncio loop; the second that
-``tests/simloop.py`` keeps the same contract in virtual time.
+``tests/simloop.py`` keeps the same contract in virtual time, and that real
+worker daemons serve on it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,16 @@ from __future__ import annotations
 import asyncio
 import time
 
+import numpy as np
+
 from helpers import run_async
+from repro.cluster.remote import WorkerPlacer
+from repro.cluster.worker import WorkerDaemon
+from repro.containers.noop import NoOpContainer
 from repro.core import clock
+from repro.core.clipper import Clipper
+from repro.core.config import ClipperConfig, ModelDeployment
+from repro.core.types import Query
 from simloop import run_virtual
 
 
@@ -80,3 +89,42 @@ class TestVirtualLoop:
         fired = run_virtual(scenario())
         assert [when for when, _ in fired] == [7e-3, 0.1, 0.25, 0.3]
         assert all(when == at for when, at in fired)
+
+    def test_worker_daemons_answer_every_query_through_their_executor_hop(self, tmp_path):
+        # A worker's container server sends a batch through an executor
+        # thread.  Mutant: the selector jumps virtual time to the next timer
+        # while that thread runs, so the straggler deadline (1 s) fires
+        # before the answer and query 1 raises PredictionTimeoutError.
+        async def scenario():
+            factories = {"echo": lambda: NoOpContainer(output=1)}
+            daemons = [WorkerDaemon(f"w{i}", str(tmp_path), factories=factories) for i in (0, 1)]
+            for daemon in daemons:
+                await daemon.start()
+            clipper = Clipper(
+                ClipperConfig(app_name="app", latency_slo_ms=1000.0, cache_size=0),
+                placement=WorkerPlacer(daemons[0].registry).replica_builder,
+            )
+            clipper.deploy_model(
+                ModelDeployment(
+                    "m", NoOpContainer, factory_name="echo", num_replicas=2, transport="tcp"
+                )
+            )
+            await clipper.start()
+            try:
+                outputs = [
+                    (await clipper.predict(Query("app", np.full(4, float(i))))).output
+                    for i in range(200)
+                ]
+                homes = {r.worker.worker_id for r in clipper.model_record("m").replicas}
+            finally:
+                await clipper.stop()
+                for daemon in daemons:
+                    await daemon.stop()
+            return outputs, homes, clock.now()
+
+        began = time.perf_counter()
+        outputs, homes, virtual_s = run_virtual(scenario())
+        assert outputs == [1] * 200  # the worker's factory, not the local one (0)
+        assert homes == {"w0", "w1"}
+        assert virtual_s < 1.0
+        assert time.perf_counter() - began < 10.0
