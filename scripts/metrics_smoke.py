@@ -12,8 +12,9 @@ response with the minimal exposition parser/validator in
 - every sample line parses (names, labels, float values),
 - every exposed family has HELP/TYPE lines,
 - histogram bucket counts are cumulative and end with ``+Inf == _count``,
-- the per-stage tracing histogram, the core predict counters and the
-  dispatcher's pipeline-depth gauges are present.
+- the core predict counters, the shed counters (registered for every
+  application, overload control configured or not) and the dispatcher's
+  pipeline-depth gauges are present.
 
 Exits non-zero (with a message) on any failure — wire it as a CI step after
 the HTTP smoke::
@@ -118,6 +119,7 @@ async def main() -> int:
         for required in (
             "clipper_predict_count_total",
             "clipper_predict_latency_ms_count",
+            "clipper_overload_shed_total",
             # The dispatcher's measured pipeline depth and its two estimates.
             "clipper_model_noop:1_pipeline_depth",
             "clipper_model_noop:1_rpc_overhead_ms",

@@ -104,12 +104,9 @@ def _prometheus(
 
 
 def _snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
-    snapshot = registry.snapshot()
-    return {
-        "counters": snapshot.counters,
-        "meters": snapshot.meters,
-        "histograms": snapshot.histograms,
-    }
+    """The JSON exposition: ``{counters, histograms, gauges}``, the same
+    instruments the Prometheus one renders."""
+    return vars(registry.snapshot())
 
 
 def _verb_handler(verb: verbs.Verb, admin: ManagementFrontend, call: Callable):

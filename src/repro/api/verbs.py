@@ -239,7 +239,7 @@ ADMIN_VERBS: Tuple[Verb, ...] = (
     Verb(
         "metrics", "GET", "/{app}/metrics", "application",
         respond=lambda clipper, _: clipper.metrics,
-        doc="Counters, meters and histograms of one application.",
+        doc="Counters, histograms and gauges of one application.",
     ),
     Verb(
         "routing", "GET", "/{app}/routing", "application",

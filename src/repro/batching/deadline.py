@@ -16,15 +16,18 @@ from typing import Deque, Optional, Tuple
 from repro.core import clock
 
 #: Sentinel resolved into a pending model future when its straggler deadline
-#: passes before the container answers, or when the ``drop-oldest`` shed
-#: policy evicts it from its queue.  A sentinel (not an exception) keeps
+#: passes before the container answers (the sweeper's timer, the dispatcher
+#: finding it expired when a batch forms, or the container skipping it), or
+#: when the ``drop-oldest`` shed policy evicts it from its queue: all through
+#: :func:`expire`.  A sentinel (not an exception) keeps
 #: abandoned futures from logging "exception was never retrieved" and tells
 #: a query "timed out" apart from a genuine failure (the dispatcher still
 #: caches the real output when it lands).
 DEADLINE_MISS = object()
 
 
-def _expire(future: asyncio.Future) -> None:
+def expire(future: asyncio.Future) -> None:
+    """Resolve ``future`` with :data:`DEADLINE_MISS` unless it has resolved."""
     if not future.done():
         future.set_result(DEADLINE_MISS)
 
@@ -69,7 +72,7 @@ class DeadlineSweeper:
                     timer.cancel()
                 self._timer = loop.call_at(deadline, self._sweep, loop)
         elif deadline < pending[-1][0]:
-            loop.call_at(deadline, _expire, future)
+            loop.call_at(deadline, expire, future)
             return
         pending.append((deadline, future))
 
@@ -78,5 +81,5 @@ class DeadlineSweeper:
         pending = self._pending
         now = clock.now()
         while pending and (pending[0][0] <= now or pending[0][1].done()):
-            _expire(pending.popleft()[1])
+            expire(pending.popleft()[1])
         self._timer = loop.call_at(pending[0][0], self._sweep, loop) if pending else None

@@ -12,6 +12,11 @@ batching is performed independently per replica).  The loop is:
    prediction cache with every output the container answered (one locked
    pass per batch, array views copied once) and resolve each query's future.
 
+An entry whose deadline has passed when its batch forms is left out, and
+one the container skipped (it expired in transit) gets no output: both
+resolve :data:`~repro.batching.deadline.DEADLINE_MISS`, the straggler
+sweeper's outcome, so the engine counts either as a straggler.
+
 Pipelining
 ----------
 A query is bound to a batch at the last moment: the loop takes its slot
@@ -63,10 +68,11 @@ from typing import Any, List, Optional, Set
 import numpy as np
 
 from repro.batching.controllers import BatchSizeController
+from repro.batching.deadline import expire
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
 from repro.core import clock
-from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
+from repro.core.exceptions import ContainerError, RpcError
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import ReplicaHealth
 from repro.observability.logging import get_logger
@@ -92,16 +98,6 @@ def _ewma(average: Optional[float], sample: float) -> float:
     if average is None:
         return sample
     return average + _EWMA_WEIGHT * (sample - average)
-
-
-def _time_out(item: PendingQuery) -> None:
-    """Fail an entry whose deadline passed before it could be evaluated,
-    naming its query (-1: none) and its budget, deadline less enqueue time."""
-    if not item.future.done():
-        deadline = item.deadline
-        budget_ms = 0.0 if deadline is None else (deadline - item.enqueue_time) * 1000.0
-        query_id = -1 if item.query_id is None else item.query_id
-        item.future.set_exception(PredictionTimeoutError(query_id, budget_ms))
 
 
 def _detached(outputs: list) -> list:
@@ -174,7 +170,7 @@ class ReplicaDispatcher:
         prefix = f"model.{replica.model_id}"
         self._batch_latency_hist = self.metrics.histogram(f"{prefix}.batch_latency_ms")
         self._batch_size_hist = self.metrics.histogram(f"{prefix}.batch_size")
-        self._throughput_meter = self.metrics.meter(f"{prefix}.throughput")
+        self._throughput_counter = self.metrics.counter(f"{prefix}.throughput")
         # Per-stage latency attribution uses the labels() family fast path:
         # the child names are hashed here, once, and each batch costs two
         # plain observe calls against pre-resolved handles.
@@ -319,7 +315,7 @@ class ReplicaDispatcher:
                     if expired is None:
                         expired = set()
                     expired.add(id(item))
-                    _time_out(item)
+                    expire(item.future)
                     continue
             inputs.append(item.input)
             deadlines.append(deadline)
@@ -357,7 +353,7 @@ class ReplicaDispatcher:
             self.controller.observe(len(batch), latency_ms)
         self._batch_latency_hist.observe(latency_ms)
         self._batch_size_hist.observe(len(batch))
-        self._throughput_meter.mark(len(batch))
+        self._throughput_counter.increment(len(batch))
         self._queue_wait_hist.observe(queue_time_ms)
         self._container_eval_hist.observe(eval_ms)
 
@@ -379,7 +375,7 @@ class ReplicaDispatcher:
             skipped, answered = set(response.skipped), []
             for index, item in enumerate(batch):
                 if index in skipped:
-                    _time_out(item)
+                    expire(item.future)
                 else:
                     answered.append(item)
         outputs = _detached(response.outputs)

@@ -133,7 +133,6 @@ class Clipper:
         self._default_counter = self.metrics.counter("predict.defaults")
         self._late_counter = self.metrics.counter("predict.late")
         self._feedback_counter = self.metrics.counter("feedback.count")
-        self._feedback_meter = self.metrics.meter("feedback.throughput")
         #: Every admission / shed / circuit-breaker decision.  Consulted
         #: only when a query leaves the cache, so the cache-hit fast path is
         #: identical to an instance with no overload control configured.
@@ -533,4 +532,3 @@ class Clipper:
             feedback.input, feedback.label, predictions, context=feedback.user_id
         )
         self._feedback_counter.increment()
-        self._feedback_meter.mark()

@@ -123,8 +123,10 @@ class BatchingConfig:
             )
         if self.initial_batch_size < 1:
             raise ConfigurationError("initial_batch_size must be >= 1")
-        if not 0.0 < self.backoff_fraction <= 1.0:
-            raise ConfigurationError("backoff_fraction must be in (0, 1]")
+        if self.additive_increase < 1:
+            raise ConfigurationError("additive_increase must be >= 1")
+        if not 0.0 < self.backoff_fraction < 1.0:
+            raise ConfigurationError("backoff_fraction must be in (0, 1)")
         if self.max_batch_size < self.initial_batch_size:
             raise ConfigurationError("max_batch_size must be >= initial_batch_size")
         if self.batch_wait_timeout_ms < 0:

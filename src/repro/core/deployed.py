@@ -29,12 +29,7 @@ from repro.cache.prediction_cache import PredictionCache
 from repro.containers.replica import Replica, ReplicaBuilder
 from repro.core import clock
 from repro.core.config import ClipperConfig, ModelDeployment
-from repro.core.exceptions import (
-    ContainerError,
-    DeploymentError,
-    OverloadError,
-    PredictionTimeoutError,
-)
+from repro.core.exceptions import ContainerError, DeploymentError, OverloadError
 from repro.core.metrics import ArmMetrics, MetricScope, MetricsRegistry
 from repro.core.types import ModelId, ReplicaHealth
 from repro.observability.tracing import TRACE_ERROR, TRACE_STRAGGLER, BatchSpans, Tracer
@@ -229,8 +224,8 @@ def failure_of(waited: Optional[Dict[str, PendingQuery]]) -> Optional[ContainerE
         if future.cancelled() or not future.done():
             continue
         error = future.exception()
-        if error is None or isinstance(error, PredictionTimeoutError):
-            return None  # DEADLINE_MISS, or expired before it was sent
+        if error is None:
+            return None  # DEADLINE_MISS
         if first is None:
             first = ContainerError(model_key, f"every selected model failed ({error})")
             first.__cause__ = error
@@ -418,15 +413,16 @@ class ModelLayer:
                         continue  # the queue entry was abandoned, not this task
                     raise
                 except Exception:
-                    # Container/RPC failure, or the batch layer dropped
-                    # the query as already expired.
+                    # Container/RPC failure.
                     self._container_error_counter.increment()
                     ticket.failed(model_key)
                     continue
                 if output is DEADLINE_MISS:
-                    # Straggler: rendered without this model (§5.2.2).  Its
-                    # late result still lands in the cache: the dispatcher
-                    # fills it with whatever its container answers.
+                    # Straggler, whether the sweeper, the dispatcher or a
+                    # drop-oldest shed expired the entry: rendered without
+                    # this model (§5.2.2).  A late result still lands in the
+                    # cache: the dispatcher fills it with whatever its
+                    # container answers.
                     self._straggler_counter.increment()
                     ticket.failed(model_key, timeout=True)
                     continue

@@ -2,24 +2,24 @@
 
 Clipper reports throughput and latency distributions (mean, P99) for every
 experiment in the paper.  This module provides the metric primitives
-needed to regenerate those numbers — :class:`Counter`, :class:`Meter`
-(events/second over a window), :class:`Histogram` (reservoir of recent
-observations with quantile queries) and :class:`Gauge` (point-in-time
-values such as queue saturation) — plus a :class:`MetricsRegistry` that
-names and aggregates them.
+needed to regenerate those numbers — :class:`Counter`, :class:`Histogram`
+(reservoir of recent observations with quantile queries) and :class:`Gauge`
+(point-in-time values such as queue saturation) — plus a
+:class:`MetricsRegistry` that names and aggregates them.  A rate is the
+reader's derivative of a counter (Prometheus' ``rate()`` over ``_total``),
+so none is kept here.  Every instrument of the serving system is built in
+this module and registered by name.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
-
-from repro.core import clock
 
 
 class Counter:
@@ -40,42 +40,25 @@ class Counter:
         return self._value
 
 
-class Meter:
-    """Tracks the rate of events per second since creation."""
-
-    def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
-        self.name = name
-        self._count = 0
-        self._start = clock.now()
-        self._lock = lock or threading.Lock()
-
-    def mark(self, count: int = 1) -> None:
-        """Record ``count`` events."""
-        with self._lock:
-            self._count += count
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def rate(self) -> float:
-        """Mean events per second since the meter was created."""
-        elapsed = clock.now() - self._start
-        if elapsed <= 0:
-            return 0.0
-        return self._count / elapsed
-
-
 class Histogram:
-    """Sliding-window reservoir of observations supporting quantile queries."""
+    """Sliding-window reservoir of observations supporting quantile queries.
+
+    The lifetime number of observations is the :class:`Counter` ``counted``
+    (its own, or one registered beside it: see :class:`AnsweredMetrics`);
+    the window keeps only the most recent ``window_size`` of them.
+    """
 
     def __init__(
-        self, name: str, window_size: int = 16384, lock: Optional[threading.Lock] = None
+        self,
+        name: str,
+        window_size: int = 16384,
+        lock: Optional[threading.Lock] = None,
+        counted: Optional[Counter] = None,
     ) -> None:
         self.name = name
         self._window: Deque[float] = deque(maxlen=window_size)
         self._lock = lock or threading.Lock()
-        self._count = 0
+        self.counted = counted or Counter(name, self._lock)
 
     def observe(self, value: float) -> None:
         """Record one observation.  NaN values are rejected (dropped)."""
@@ -84,15 +67,29 @@ class Histogram:
             return
         with self._lock:
             self._window.append(value)
-            self._count += 1
+            self.counted._value += 1
 
     @property
     def count(self) -> int:
-        return self._count
+        return self.counted._value
 
     def values(self) -> List[float]:
         with self._lock:
             return list(self._window)
+
+    def summary(self) -> Dict[str, float]:
+        """``count`` and, once observed, ``mean``/``p50``/``p95``/``p99``/``max``
+        of the window, read once: the values the methods below give."""
+        with self._lock:
+            count, values = self.counted._value, list(self._window)
+        if not values:
+            return {"count": float(count)}
+        window = np.asarray(values)
+        p50, p95, p99 = np.percentile(window, (50, 95, 99)).tolist()
+        return {
+            "count": float(count), "mean": float(window.mean()),
+            "p50": p50, "p95": p95, "p99": p99, "max": float(window.max()),
+        }
 
     def mean(self) -> float:
         values = self.values()
@@ -194,36 +191,36 @@ class ArmMetrics:
 
 
 class AnsweredMetrics:
-    """``<prefix>.latency_ms`` / ``.throughput`` / ``.count`` of answered queries.
+    """``<prefix>.latency_ms`` and ``<prefix>.count`` of answered queries.
 
-    One answered query is one event, so the three are built around one lock
-    and :meth:`record` updates them under a single acquisition — the engine
-    pays it on every query, and container executor threads share the
-    registry.  Each metric's own methods (``values`` ...) take the same
-    lock, so reading one never races a :meth:`record`.  The
-    names must not be registered yet: an existing metric keeps its own lock.
+    One answered query is one event: one latency sample and one count.  The
+    count is the histogram's own :attr:`Histogram.counted`, registered as
+    the counter ``<prefix>.count``, and both are built around one lock, so
+    :meth:`record` is one acquisition and two stores — the engine pays it on
+    every query, and container executor threads share the registry.  Each
+    metric's own methods (``values`` ...) take the same lock, so reading one
+    never races a :meth:`record`.  The names must not be registered yet: an
+    existing metric keeps its own lock.
     """
 
-    __slots__ = ("latency", "throughput", "count", "_lock")
+    __slots__ = ("latency", "count", "_lock")
 
     def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
         self._lock = lock = threading.Lock()
-
-        def shared(table: dict, kind, suffix: str):
-            name = f"{prefix}.{suffix}"
-            return registry._register(table, name, partial(kind, name, lock=lock))
-
-        self.latency = shared(registry._histograms, Histogram, "latency_ms")
-        self.throughput = shared(registry._meters, Meter, "throughput")
-        self.count = shared(registry._counters, Counter, "count")
+        count_name, latency_name = f"{prefix}.count", f"{prefix}.latency_ms"
+        self.count = registry._register(
+            registry._counters, count_name, partial(Counter, count_name, lock)
+        )
+        self.latency = registry._register(
+            registry._histograms,
+            latency_name,
+            partial(Histogram, latency_name, lock=lock, counted=self.count),
+        )
 
     def record(self, latency_ms: float) -> None:
-        """One answered query: a latency sample, a throughput mark, a count."""
-        latency = self.latency
+        """One answered query: a latency sample and a count."""
         with self._lock:
-            latency._window.append(latency_ms)
-            latency._count += 1
-            self.throughput._count += 1
+            self.latency._window.append(latency_ms)
             self.count._value += 1
 
 
@@ -270,17 +267,15 @@ class MetricsSnapshot:
     """Immutable snapshot of every metric in a registry."""
 
     counters: Dict[str, int]
-    meters: Dict[str, float]
     histograms: Dict[str, Dict[str, float]]
-    gauges: Dict[str, float] = field(default_factory=dict)
+    gauges: Dict[str, float]
 
 
 class MetricsRegistry:
-    """Named collection of counters, meters and histograms."""
+    """Named collection of counters, histograms and gauges."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._meters: Dict[str, Meter] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._families: Dict[tuple, MetricFamily] = {}
@@ -304,11 +299,6 @@ class MetricsRegistry:
         """Return (creating if needed) the counter with ``name``."""
         counter = self._counters.get(name)
         return counter or self._register(self._counters, name, Counter, name)
-
-    def meter(self, name: str) -> Meter:
-        """Return (creating if needed) the meter with ``name``."""
-        meter = self._meters.get(name)
-        return meter or self._register(self._meters, name, Meter, name)
 
     def histogram(self, name: str, window_size: int = 16384) -> Histogram:
         """Return (creating if needed) the histogram with ``name``."""
@@ -348,34 +338,25 @@ class MetricsRegistry:
         return self._family("histogram", name, label, window_size=window_size)
 
     def _tables(self) -> tuple:
-        return self._counters, self._meters, self._histograms, self._gauges
+        return self._counters, self._histograms, self._gauges
 
     def all_metrics(self):
-        """Raw metric objects by kind (counters, meters, histograms, gauges)."""
+        """Raw metric objects by kind: ``(counters, {}, histograms, gauges)``.
+
+        The empty second table keeps working the callers that unpack four
+        tables (``benchmarks/serving/trace.py``).
+        """
         with self._lock:
-            return tuple(dict(table) for table in self._tables())
+            counters, histograms, gauges = (dict(table) for table in self._tables())
+        return counters, {}, histograms, gauges
 
     def snapshot(self) -> MetricsSnapshot:
         """Capture the current value of every registered metric."""
-        with self._lock:
-            counters = {n: c.value for n, c in self._counters.items()}
-            meters = {n: m.rate() for n, m in self._meters.items()}
-            histograms = {}
-            for name, hist in self._histograms.items():
-                if hist.count == 0:
-                    histograms[name] = {"count": 0.0}
-                else:
-                    histograms[name] = {
-                        "count": float(hist.count),
-                        "mean": hist.mean(),
-                        "p50": hist.p50(),
-                        "p95": hist.p95(),
-                        "p99": hist.p99(),
-                        "max": hist.max(),
-                    }
-            gauges = {n: g.value for n, g in self._gauges.items()}
+        counters, _, histograms, gauges = self.all_metrics()
         return MetricsSnapshot(
-            counters=counters, meters=meters, histograms=histograms, gauges=gauges
+            {name: counter.value for name, counter in counters.items()},
+            {name: histogram.summary() for name, histogram in histograms.items()},
+            {name: gauge.value for name, gauge in gauges.items()},
         )
 
 
@@ -394,9 +375,6 @@ class MetricScope(MetricsRegistry):
 
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, self._registry.counter(name))
-
-    def meter(self, name: str) -> Meter:
-        return self._meters.setdefault(name, self._registry.meter(name))
 
     def histogram(self, name: str, window_size: int = 16384) -> Histogram:
         return self._histograms.setdefault(

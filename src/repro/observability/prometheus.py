@@ -7,8 +7,8 @@ the renderer sanitises names, re-parses inline labels, and always adds an
 
 Mapping:
 
-* ``Counter`` → ``counter`` with the conventional ``_total`` suffix.
-* ``Meter``   → ``gauge`` (the windowed events/second rate, ``_rate`` suffix).
+* ``Counter`` → ``counter`` with the conventional ``_total`` suffix (a rate
+  is the scraper's ``rate()`` over it).
 * ``Gauge``   → ``gauge`` (point-in-time value, no suffix).
 * ``Histogram`` → ``histogram`` with cumulative ``_bucket{le=...}`` lines
   plus ``_sum``/``_count`` — all computed over the *sliding window* of
@@ -105,8 +105,6 @@ def _render_labels(labels: Dict[str, str]) -> str:
 _SCALAR_KINDS = (
     (0, "counter", "Counter {} from MetricsRegistry.", "_total",
      lambda counter: float(counter.value)),
-    (1, "gauge", "Events/second rate of meter {} since reset.", "_rate",
-     lambda meter: meter.rate()),
     (3, "gauge", "Gauge {} from MetricsRegistry.", "", lambda gauge: gauge.value),
 )
 

@@ -18,7 +18,9 @@ package.  It is built once when the application is configured and answers:
 
 The shed policy (``reject`` / ``degrade`` / ``drop-oldest``), the shed
 counters and trace events, and the ``Retry-After`` hint are known only
-here.  A query the policy refuses raises
+here.  Every shed, whether the admission gate or a full bounded queue
+caused it, counts in the registered ``overload.shed{policy=...}`` family,
+which every application exports.  A query the policy refuses raises
 :class:`~repro.core.exceptions.OverloadError`; one the ``degrade`` policy
 answers with the default output raises :class:`Degraded`.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from repro.batching.deadline import DEADLINE_MISS
+from repro.batching.deadline import expire
 from repro.core.config import ClipperConfig
 from repro.core.exceptions import OverloadError
 from repro.core.metrics import Counter, MetricsRegistry
@@ -162,14 +164,10 @@ class OverloadControl:
         # ``degrade`` needs something to answer with; without a default
         # output it falls back to refusing.
         self._degrades = self._policy == "degrade" and config.default_output is not None
+        family = metrics.counter_family("overload.shed", label="policy")
+        self._shed_counters = {p: family.labels(p) for p in _SHED_POLICIES}
         if self._admission is not None:
-            family = metrics.counter_family("overload.shed", label="policy")
-            self._shed_counters = {p: family.labels(p) for p in _SHED_POLICIES}
             metrics.gauge("overload.saturation", fn=self._admission.saturation)
-        else:
-            # Sheds can still happen (a bounded queue fills) but are only
-            # exported by applications that configured admission control.
-            self._shed_counters = {p: Counter(p) for p in _SHED_POLICIES}
         #: The application's deployed versions by model key: the model
         #: layer's own dict, shared by the engine, never a copy.  A version's
         #: breaker and queue are read off its record, so nothing here has to
@@ -276,16 +274,15 @@ class OverloadControl:
     def _drop_oldest(self, model_key: str) -> bool:
         """Evict the queued entry closest to deadline expiry to make room.
 
-        The victim's future resolves with :data:`DEADLINE_MISS`, so from its
-        caller's perspective the dropped query looks exactly like a straggler
-        (rendered from the remaining models or the default output).
+        The victim's future expires (:data:`~repro.batching.deadline.DEADLINE_MISS`),
+        so from its caller's perspective the dropped query looks exactly like
+        a straggler (rendered from the remaining models or the default output).
         """
         record = self.versions.get(model_key)
         victim = record.queue.evict_expiring() if record is not None else None
         if victim is None:
             return False
-        if not victim.future.done():
-            victim.future.set_result(DEADLINE_MISS)
+        expire(victim.future)
         self._shed_counters["drop-oldest"].increment()
         self._shed_event(
             {"policy": "drop-oldest", "victim_query_id": victim.query_id,

@@ -526,6 +526,37 @@ class TestAdminOverHttp:
         run_async(scenario())
 
 
+class TestMetricsOverHttp:
+    def test_json_metrics_carry_the_gauges(self):
+        """Both expositions carry the same instruments: the JSON one has the
+        gauges (the dispatcher's pipeline depth, the queue's depth) too."""
+
+        async def scenario():
+            clipper = make_app()
+            admin_frontend = ManagementFrontend(monitor_health=False, manage_canaries=False)
+            admin_frontend.register_application(clipper)
+            server = make_server(clipper, admin=admin_frontend)
+            async with server:
+                async with AsyncClipperClient("127.0.0.1", server.port) as client:
+                    await client.predict("demo", [1.0, 2.0])
+                async with AsyncAdminClient("127.0.0.1", server.port) as adm:
+                    metrics = await adm.metrics("demo")
+                response = await raw_request(
+                    server.port,
+                    b"GET /api/v1/metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+                )
+            served = json.loads(response.split(b"\r\n\r\n", 1)[1])
+            return metrics, served["applications"]["demo"]
+
+        metrics, server_wide = run_async(scenario())
+        assert set(metrics) == set(server_wide) == {"counters", "histograms", "gauges"}
+        for exposition in (metrics, server_wide):
+            assert exposition["gauges"]["model.noop:1.pipeline_depth"] == 1.0
+            assert exposition["gauges"]['queue.depth{model="noop:1"}'] == 0.0
+            assert exposition["counters"]["predict.count"] == 1
+            assert exposition["counters"]["model.noop:1.throughput"] == 1
+
+
 class TestServerLifecycle:
     def test_stop_closes_live_keepalive_connections(self):
         async def scenario():

@@ -350,9 +350,16 @@ class TestStragglerMitigation:
                 slo_ms=30.0,
             )
             await clipper.start()
-            with pytest.raises(PredictionTimeoutError):
-                await clipper.predict(Query(app_name="test-app", input=np.zeros(1)))
+            query = Query(app_name="test-app", input=np.zeros(1))
+            with pytest.raises(PredictionTimeoutError) as excinfo:
+                await clipper.predict(query)
             await clipper.stop()
+            # The engine's error names the query and its budget, the SLO.
+            assert excinfo.value.query_id == query.query_id
+            assert excinfo.value.deadline_ms == 30.0
+            assert str(excinfo.value) == (
+                f"query {query.query_id} missed its latency deadline of 30.0 ms"
+            )
 
         run_async(scenario())
 

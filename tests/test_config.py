@@ -135,6 +135,26 @@ class TestBatchingConfig:
         with pytest.raises(ConfigurationError):
             BatchingConfig(backoff_fraction=1.5)
 
+    # What the batch-size controllers refuse is refused here, so that a spec
+    # accepted by ``from_spec`` (a deploy body, a stored record) deploys.
+    def test_rejects_a_backoff_that_does_not_back_off(self):
+        with pytest.raises(ConfigurationError, match="backoff_fraction"):
+            BatchingConfig(backoff_fraction=1.0)
+
+    def test_rejects_an_additive_increase_below_one(self):
+        with pytest.raises(ConfigurationError, match="additive_increase"):
+            BatchingConfig(additive_increase=0)
+
+    @pytest.mark.parametrize("policy", ["aimd", "quantile"])  # the policies that read them
+    @pytest.mark.parametrize(
+        "edge", [{"backoff_fraction": 0.999}, {"backoff_fraction": 1e-3}, {"additive_increase": 1}]
+    )
+    def test_every_accepted_edge_deploys(self, policy, edge):
+        clipper = Clipper(ClipperConfig(app_name="edge"))
+        clipper.deploy_model(
+            ModelDeployment("noop", NoOpContainer, batching=BatchingConfig(policy=policy, **edge))
+        )
+
     def test_rejects_max_batch_below_initial(self):
         with pytest.raises(ConfigurationError):
             BatchingConfig(initial_batch_size=10, max_batch_size=5)
@@ -275,6 +295,8 @@ class TestDeploymentSpec:
             {"name": "noop", "serialize_rpc": 1},
             {"name": "noop", "transport": 7},
             {"name": "noop", "batching": {"quantile": "0.9"}},
+            {"name": "noop", "batching": {"backoff_fraction": 1.0}},  # AIMD's check
+            {"name": "noop", "batching": {"additive_increase": 0}},
             {"name": "noop", "num_replicas": 0},  # the config's own check
             {"factory_name": "noop"},  # no name
         ],

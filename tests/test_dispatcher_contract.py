@@ -9,11 +9,11 @@ computes from the case alone:
   deadlines (0.0 = none) only when some entry of the batch carries one, and a
   batch with nothing left is not sent at all;
 * **how each future ends** — an entry left out as expired, and one the
-  container skipped, fails with ``PredictionTimeoutError`` naming its query
-  id (-1 for none) and its budget, deadline less enqueue time;
-  an answered one gets its output; after a failed batch an entry is requeued
-  while it has a retry left and otherwise fails with the batch's error; a
-  future already resolved or cancelled stays as it was;
+  container skipped, resolves ``DEADLINE_MISS``, as the straggler sweeper
+  would have resolved it; an answered one gets its output; after a failed
+  batch an entry is requeued while it has a retry left and otherwise fails
+  with the batch's error; a future already resolved or cancelled stays as
+  it was;
 * **what reaches the cache** — every answered entry's output, under its
   input hash, in one fill per batch, whatever became of its future (a
   straggler's late output too);
@@ -48,7 +48,7 @@ from repro.batching.aimd import AIMDController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
-from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
+from repro.core.exceptions import ContainerError, RpcError
 from repro.core.types import ModelId
 from repro.observability.tracing import (
     TRACE_DEFAULT_USED,
@@ -258,13 +258,6 @@ def failed(error: Exception) -> tuple:
     return ("exception", type(error).__name__, error.args)
 
 
-def timed_out(plan: dict) -> tuple:
-    deadline = DEADLINES[plan["deadline"]]
-    budget_ms = 0.0 if deadline is None else (deadline - queued(plan)) * 1000.0
-    query_id = -1 if plan["query_id"] is None else plan["query_id"]
-    return failed(PredictionTimeoutError(query_id, budget_ms))
-
-
 def expected(case: dict) -> dict:
     """What ``dispatch_batch`` must do with the case's batch, entry by entry."""
     plans, outcome = case["items"], case["outcome"]
@@ -272,7 +265,7 @@ def expected(case: dict) -> dict:
     futures = [BEFORE[plan["future"]] for plan in plans]
     for i, plan in enumerate(plans):
         if i not in live and futures[i] == PENDING:
-            futures[i] = timed_out(plan)
+            futures[i] = MISSED
     spans = [spans_before(plan) for plan in plans]
     table = {
         "sent": [], "stamped": [], "futures": futures, "cached": [], "requeued": [],
@@ -294,7 +287,7 @@ def expected(case: dict) -> dict:
             for position, i in enumerate(live):
                 if position in skipped:
                     if futures[i] == PENDING:
-                        futures[i] = timed_out(plans[i])
+                        futures[i] = MISSED
                     continue
                 cached.append((i, ("out", i)))
                 if futures[i] == PENDING:
@@ -395,12 +388,11 @@ class TestDispatchBatchContract:
         assert happened["sent"] == [([0, 2, 3, 4, 5], [T0 + 0.020] * 4 + [0.0])]
         # Traced: the one batch asks for the container's stamps.
         assert happened["stamped"] == [True]
-        assert happened["futures"][1] == ("exception", "PredictionTimeoutError", (
-            "query -1 missed its latency deadline of 4.0 ms",))
+        assert happened["futures"][1] == MISSED
         assert happened["history"] == [(5, pytest.approx(9.0), pytest.approx(2.0))]
         # Entry 3 sits at position 2 of the sent batch: position 3 (entry 4)
         # was skipped; every answered output, the straggler's too, was cached.
-        assert happened["futures"][4][:2] == ("exception", "PredictionTimeoutError")
+        assert happened["futures"][4] == MISSED
         assert happened["cached"] == [[(i, ("out", i)) for i in (0, 2, 3, 5)]]
         assert happened["traces"][0] == happened["traces"][5] == "uncaptured"
         names = [name for name, _, _, _ in happened["traces"][4][3]]

@@ -15,12 +15,13 @@ import pytest
 
 from repro.batching import dispatcher as dispatcher_module
 from repro.batching.controllers import FixedBatchSizeController, make_controller
+from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
 from repro.core import clock
 from repro.core.config import BatchingConfig
-from repro.core.exceptions import ContainerError, PredictionTimeoutError, RpcError
+from repro.core.exceptions import ContainerError, RpcError
 from repro.core.metrics import MetricsRegistry
 from repro.core.types import ModelId
 from repro.rpc.protocol import RpcResponse
@@ -249,7 +250,7 @@ class TestQueriesBindAtTheLastMoment:
         await rig.replica.answer()  # 10 ms later: 2's deadline lapsed in the queue
         await settle()
         assert rig.replica.sent == [[1], [3]]
-        assert isinstance(doomed.future.exception(), PredictionTimeoutError)
+        assert doomed.future.result() is DEADLINE_MISS
         await rig.replica.answer()
         await settle()
         assert alive.future.result() == 3
@@ -260,7 +261,7 @@ class TestQueriesBindAtTheLastMoment:
         await settle()
         await rig.replica.answer()
         await settle()
-        assert isinstance(gone.future.exception(), PredictionTimeoutError)
+        assert gone.future.result() is DEADLINE_MISS
         assert rig.replica.sent == [[1], [3], [4]] and not rig.replica.pending
         await rig.close()
 

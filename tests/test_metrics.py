@@ -1,16 +1,16 @@
-"""Tests for the metrics registry (counters, meters, histograms)."""
+"""Tests for the metrics registry (counters, histograms, gauges)."""
 
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.metrics import (
     Counter,
     Histogram,
-    Meter,
     MetricsRegistry,
 )
-from simloop import ManualClock
 
 
 class TestCounter:
@@ -19,21 +19,6 @@ class TestCounter:
         counter.increment()
         counter.increment(5)
         assert counter.value == 6
-
-
-class TestMeter:
-    def test_rate_counts_events_over_time(self, monkeypatch):
-        hand = ManualClock(monkeypatch)
-        meter = Meter("m")
-        meter.mark(100)
-        hand.advance(10.0)
-        assert meter.rate() == pytest.approx(10.0)
-
-    def test_zero_elapsed_rate_is_zero(self, monkeypatch):
-        ManualClock(monkeypatch)
-        meter = Meter("m")
-        meter.mark(10)
-        assert meter.rate() == 0.0
 
 
 class TestHistogram:
@@ -94,17 +79,37 @@ class TestRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
-        assert registry.meter("m") is registry.meter("m")
 
     def test_snapshot_contains_all_metrics(self):
         registry = MetricsRegistry()
         registry.counter("queries").increment(4)
         registry.histogram("latency").observe(1.5)
-        registry.meter("rate").mark(2)
+        registry.gauge("depth").set(3)
         snapshot = registry.snapshot()
         assert snapshot.counters["queries"] == 4
         assert snapshot.histograms["latency"]["count"] == 1.0
-        assert "rate" in snapshot.meters
+        assert snapshot.gauges["depth"] == 3.0
+
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40),
+        window=st.integers(1, 16),
+    )
+    def test_a_snapshot_reads_what_the_histogram_methods_read(self, values, window):
+        """One read of the window gives each reading the methods give alone,
+        to the bit, with the lifetime count beside the window's quantiles."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", window_size=window)
+        for value in values:
+            histogram.observe(value)
+        summary = registry.snapshot().histograms["h"]
+        expected = {"count": float(len(values))}
+        if values:
+            expected.update(
+                mean=histogram.mean(), p50=histogram.p50(), p95=histogram.p95(),
+                p99=histogram.p99(), max=histogram.max(),
+            )
+        assert summary == expected
+        assert all(type(reading) is float for reading in summary.values())
 
 
 class TestCallbackGauge:

@@ -259,7 +259,6 @@ class TestPrometheusExposition:
     def _registry():
         registry = MetricsRegistry()
         registry.counter("predict.count").increment(5)
-        registry.meter("predict.throughput").mark(10)
         hist = registry.histogram("predict.latency_ms")
         for value in (0.05, 0.3, 3.0, 40.0):
             hist.observe(value)
@@ -386,11 +385,6 @@ class TestPrometheusExposition:
             parse_exposition("not a metric line at all!{ 3\n")
         with pytest.raises(ValueError, match="unparsable sample value"):
             parse_exposition("clipper_x 1.2.3\n")
-
-    def test_meter_renders_as_rate_gauge(self):
-        text = render_prometheus({"demo": self._registry()})
-        families = validate(text)
-        assert families["clipper_predict_throughput_rate"]["type"] == "gauge"
 
 
 class TestStructuredLogging:

@@ -4,7 +4,9 @@ observability, and the 429 + ``Retry-After`` REST surface."""
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
+import types
 from collections import Counter
 from typing import Any, List, Sequence
 
@@ -282,7 +284,15 @@ class TestOverloadControl:
         ticket.settle()
         assert control.breakers == {}
         assert control.state()["admission"] is None
-        assert "overload.shed" not in " ".join(metrics.snapshot().counters)
+        # Registered for every application, and nothing was shed.
+        sheds = {
+            name: count for name, count in metrics.snapshot().counters.items()
+            if name.startswith("overload.shed")
+        }
+        assert sheds == {
+            f'overload.shed{{policy="{policy}"}}': 0
+            for policy in ("reject", "degrade", "drop-oldest")
+        }
 
     def test_reject_policy_counts_and_carries_retry_after(self):
         control, metrics, _ = make_control(rate_limit_qps=0.001, burst=1)
@@ -741,6 +751,45 @@ class TestCircuitBreakerEndToEnd:
         run_async(scenario())
 
 
+class TestExpiredEntriesAreStragglers:
+    def test_an_entry_expired_when_its_batch_forms_counts_as_a_straggler(self, monkeypatch):
+        """The dispatcher reads a clock 1 s ahead: a loop running late, before
+        the sweeper's timer has run.  The entry is left out of its batch and
+        the query is answered with the default, counted as a straggler and
+        recorded by the breaker as a timeout, not as a container error."""
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(
+                    app_name="demo",
+                    selection_policy="single",
+                    default_output=-1,
+                    breaker=CircuitBreakerConfig(),
+                )
+            )
+            clipper.deploy_model(
+                ModelDeployment(name="noop", container_factory=lambda: NoOpContainer(output=7))
+            )
+            await clipper.start()
+            try:
+                monkeypatch.setattr(
+                    dispatcher_module, "clock", types.SimpleNamespace(now=lambda: clock.now() + 1.0)
+                )
+                result = await clipper.predict(Query(app_name="demo", input=[1.0]))
+            finally:
+                await clipper.stop()
+            return clipper, result
+
+        clipper, result = run_async(scenario())
+        assert result.output == -1 and result.default_used
+        counters = clipper.metrics.snapshot().counters
+        assert counters["predict.stragglers"] == 1
+        assert counters["predict.container_errors"] == 0
+        assert clipper.metrics.histogram("model.noop:1.batch_size").count == 0  # never sent
+        breaker = clipper.overload.breakers["noop:1"].describe()
+        assert breaker["consecutive_timeouts"] == 1 and breaker["error_rate"] == 1.0
+
+
 class TestBreakerProbeSettlement:
     """A half-open probe slot reserved by ``allow()`` always comes back."""
 
@@ -1033,7 +1082,60 @@ class TestFlashCrowd:
 # ---------------------------------------------------------------------------
 
 
+#: One application's metrics, an operator verb (``?format=prometheus``: text).
+JSON_METRICS = "/api/v1/admin/demo/metrics"
+
+
 class TestOverloadOverHttp:
+    def test_every_shed_of_a_full_queue_is_exported_without_overload_config(self):
+        """No ``OverloadConfig``: a bounded queue that fills still sheds, and
+        ``overload.shed{policy="reject"}`` equals the number of 429s in the
+        JSON and the Prometheus exposition alike."""
+
+        async def scenario():
+            clipper = Clipper(
+                ClipperConfig(app_name="demo", selection_policy="single", latency_slo_ms=5000.0)
+            )
+            clipper.deploy_model(
+                ModelDeployment(
+                    name="noop",
+                    container_factory=lambda: NoOpContainer(output=7),
+                    batching=BatchingConfig(
+                        policy="fixed", initial_batch_size=1, max_queue_depth=2
+                    ),
+                )
+            )
+            admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
+            admin.register_application(clipper)
+            server = create_server(admin=admin)
+            async with server:
+                outcomes = await asyncio.gather(
+                    *(clipper.predict(Query(app_name="demo", input=[float(i)]))
+                      for i in range(20)),
+                    return_exceptions=True,
+                )
+                exposition = {}
+                for target in (JSON_METRICS, f"{JSON_METRICS}?format=prometheus"):
+                    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                    writer.write(
+                        f"GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+                        .encode()
+                    )
+                    await writer.drain()
+                    exposition[target] = (await reader.read()).split(b"\r\n\r\n", 1)[1]
+                    writer.close()
+            return outcomes, exposition
+
+        outcomes, exposition = run_async(scenario())
+        refused = [o for o in outcomes if isinstance(o, OverloadError)]
+        assert all(error.http_status == 429 for error in refused)
+        assert len(refused) == 18  # two fit the queue; the rest arrive before it drains
+        assert all(o.output == 7 for o in outcomes if not isinstance(o, OverloadError))
+        counters = json.loads(exposition[JSON_METRICS])["counters"]
+        assert counters['overload.shed{policy="reject"}'] == len(refused)
+        text = exposition[f"{JSON_METRICS}?format=prometheus"].decode()
+        assert f'clipper_overload_shed_total{{app="demo",policy="reject"}} {len(refused)}' in text
+
     def test_shed_request_is_429_with_retry_after_header(self):
         async def scenario():
             clipper = overloaded_clipper("reject")
