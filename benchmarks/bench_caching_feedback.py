@@ -16,7 +16,6 @@ import numpy as np
 from conftest import record_result
 from paperkit.reporting import format_table
 from paperkit.suites import heterogeneous_ensemble
-from repro.cache.clock import ClockCache
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.adapters import ClassifierContainer
 from repro.core.clipper import Clipper
@@ -94,13 +93,13 @@ def test_caching_feedback_throughput(benchmark, cifar_eval_dataset):
 
 class TestRawCacheStructures:
     def test_clock_cache_throughput(self, benchmark):
-        cache = ClockCache(capacity=4096)
-        keys = [f"key-{i}" for i in range(8192)]
+        cache = PredictionCache(capacity=4096)
+        digests = [f"key-{i}" for i in range(8192)]
 
         def workload():
-            for i, key in enumerate(keys):
-                cache.put(key, i)
-                cache.get(keys[i // 2])
+            for i, digest in enumerate(digests):
+                cache.put_by_hash("model:1", (digest,), (i,))
+                cache.fetch_by_hash(("model:1",), digests[i // 2])
 
         benchmark(workload)
         assert len(cache) <= 4096

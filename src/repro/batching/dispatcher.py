@@ -140,8 +140,9 @@ class ReplicaDispatcher:
         #: what the RPC path adds to it; None until first measured.
         self.eval_ms: Optional[float] = None
         self.rpc_overhead_ms: Optional[float] = None
-        #: The engine's prediction cache (None: no fill): every answered
-        #: entry's output goes in, whatever became of its future.
+        #: The engine's prediction cache (None: no fill, as once its version
+        #: is retired): every answered entry's output goes in, whatever
+        #: became of its future.
         self.cache = cache
         self._model_key = str(replica.model_id)
         #: Failed batches since the last success — read by the health

@@ -1,4 +1,4 @@
-"""The Clipper prediction cache (paper §4.2).
+"""The Clipper prediction cache (paper §4.2), a CLOCK table.
 
 The cache memoises the generic prediction function
 ``Predict(m: ModelId, x: X) -> y: Y``: entries are keyed by the pair
@@ -12,16 +12,24 @@ The cache memoises the generic prediction function
   A cache hit avoids re-evaluating every model in the ensemble, which is the
   source of the paper's 1.6× feedback-throughput improvement.
 
+Eviction is CLOCK (second chance), which the paper uses for its near-LRU
+behaviour with no per-access reordering: every slot carries a reference
+bit, set by a hit or an update and left clear for a new entry; to make
+room the hand sweeps forward clearing set bits, takes the first slot whose
+bit is clear and moves past it.  The table is flat: parallel lists of model
+key, digest and value, a ``bytearray`` of reference bits, and an index by
+model key, then digest, so a full cache holds no Python object per entry
+and no key tuple is built per probe or per fill.
+
 Hot-path API
 ------------
 The serving engine hashes each query input **once**
 (:meth:`repro.core.types.Query.input_hash`) and uses the by-hash entry
 points: :meth:`PredictionCache.fetch_by_hash` probes every selected model in
-one locked pass (:meth:`ClockCache.probe`), one hash, one lock acquisition
-and *N* dict probes for an ensemble of *N*; :meth:`PredictionCache.put_by_hash`
-inserts one model's outputs for a batch of inputs under one lock.
-:meth:`fetch` and :meth:`put` hash and delegate.  Hashing happens outside
-the lock.
+one locked pass (one hash, one lock acquisition, no call per model);
+:meth:`PredictionCache.put_by_hash` fills one model's outputs for a batch of
+inputs in one locked pass with no call per entry.  :meth:`fetch` and
+:meth:`put` hash and delegate.  Hashing happens outside the lock.
 """
 
 from __future__ import annotations
@@ -30,18 +38,18 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache.clock import ClockCache
 from repro.core.exceptions import CacheError
 from repro.core.types import ModelId, hash_input
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for one prediction cache."""
+    """Hit/miss/insert/eviction counters for one prediction cache."""
 
     hits: int = 0
     misses: int = 0
     inserts: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -70,7 +78,15 @@ class PredictionCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._cache = ClockCache(capacity) if capacity else None
+        # One slot per entry; an empty or dropped slot holds None and a clear
+        # bit, so the hand takes it when it gets there.
+        self._models: List[Optional[str]] = [None] * capacity
+        self._digests: List[Optional[str]] = [None] * capacity
+        self._values: List[Any] = [None] * capacity
+        self._referenced = bytearray(capacity)
+        #: Slot by digest, by model key.
+        self._index: Dict[str, Dict[str, int]] = {}
+        self._hand = 0
 
     def fetch(self, model_id: Union[ModelId, str], x: Any) -> Optional[Any]:
         """Return the cached prediction or ``None``; counts a hit or miss.
@@ -94,36 +110,82 @@ class PredictionCache:
         """
         if type(model_keys) is str:
             raise CacheError("fetch_by_hash takes a sequence of model keys, not a str")
-        if self._cache is None:
-            misses = list(model_keys)
-            with self._lock:
-                self.stats.misses += len(misses)
-            return {}, misses
+        index, values, referenced = self._index, self._values, self._referenced
+        predictions: Dict[str, Any] = {}
+        misses: List[str] = []
+        hits = 0
         with self._lock:
-            return self._cache.probe(model_keys, input_hash, self.stats)
+            for model_key in model_keys:
+                if model_key in index:
+                    slots = index[model_key]
+                    if input_hash in slots:
+                        slot = slots[input_hash]
+                        referenced[slot] = 1
+                        predictions[model_key] = values[slot]
+                        hits += 1
+                        continue
+                misses.append(model_key)
+            self.stats.hits += hits
+            self.stats.misses += len(misses)
+        return predictions, misses
 
     def put(self, model_id: Union[ModelId, str], x: Any, y: Any) -> None:
         """Insert a model prediction for an input (hashes ``x`` first)."""
-        if self._cache is None:
-            return
-        self.put_by_hash(model_id, (hash_input(x),), (y,))
+        if self.capacity:
+            self.put_by_hash(model_id, (hash_input(x),), (y,))
 
     def put_by_hash(
         self, model_id: Union[ModelId, str], input_hashes: Sequence[str], outputs: Sequence[Any]
     ) -> None:
         """Insert one model's outputs for a batch of precomputed input hashes,
         aligned, in one locked pass: the hot-path entry point.  A bare
-        ``str`` of hashes is refused, as in :meth:`fetch_by_hash`."""
+        ``str`` of hashes is refused, as in :meth:`fetch_by_hash`.
+
+        Each entry leaves what one put would: a resident key takes the new
+        value and a set bit; a new one takes the hand's victim slot.
+        """
         if type(input_hashes) is str:
             raise CacheError("put_by_hash takes a sequence of input hashes, not a str")
-        if self._cache is None:
+        capacity = self.capacity
+        if not capacity:
             return
         model_key = str(model_id)
-        put = self._cache.put
+        index, models, digests = self._index, self._models, self._digests
+        values, referenced = self._values, self._referenced
+        evictions = 0
         with self._lock:
-            for input_hash, output in zip(input_hashes, outputs):
-                put((model_key, input_hash), output)
+            slots = index.setdefault(model_key, {})
+            hand = self._hand
+            for digest, output in zip(input_hashes, outputs):
+                if digest in slots:
+                    slot = slots[digest]
+                    values[slot] = output
+                    referenced[slot] = 1
+                    continue
+                while referenced[hand]:
+                    referenced[hand] = 0
+                    hand = (hand + 1) % capacity
+                owner = models[hand]
+                if owner is not None:
+                    del index[owner][digests[hand]]
+                    evictions += 1
+                models[hand], digests[hand], values[hand] = model_key, digest, output
+                slots[digest] = hand
+                hand = (hand + 1) % capacity
+            self._hand = hand
             self.stats.inserts += len(input_hashes)
+            self.stats.evictions += evictions
+
+    def drop(self, model_key: str) -> None:
+        """Drop every entry of one model key (``str(ModelId)``): its slots
+        hold nothing, are never served, and are reused when the hand
+        reaches them."""
+        with self._lock:
+            for slot in self._index.pop(model_key, {}).values():
+                self._models[slot] = self._digests[slot] = self._values[slot] = None
+                self._referenced[slot] = 0
 
     def __len__(self) -> int:
-        return 0 if self._cache is None else len(self._cache)
+        """Live entries (a dropped slot is not one)."""
+        with self._lock:
+            return sum(map(len, self._index.values()))

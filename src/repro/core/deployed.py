@@ -296,14 +296,18 @@ class ModelLayer:
     async def retire(self, key: str) -> DeployedModel:
         """The only way a version leaves: an undeploy, a bring-up that failed.
 
-        The key and the metric names registered for it go in one synchronous
-        step, so a redeploy under the same key can neither meet nor lose
-        them; breaker, arm handles and health records go with the record.
+        The key, the metric names registered for it and its cached answers
+        go in one synchronous step, so a redeploy under the same key can
+        neither meet nor lose them; breaker, arm handles and health records
+        go with the record, and its draining dispatchers fill no cache.
         Recovery tasks are then cancelled and waited out.  The caller stops
         the returned record or fails its queue.
         """
         record = self.versions.pop(key)
         record.metrics.close()
+        for dispatcher in record.dispatchers:
+            dispatcher.cache = None
+        self.cache.drop(key)
         for dispatcher in record.dispatchers:
             await end_recovery(dispatcher)
         return record

@@ -1,10 +1,11 @@
 """Tests for the Clipper prediction cache (paper §4.2)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.clock import ClockCache
 from repro.cache.prediction_cache import PredictionCache
 from repro.core.exceptions import CacheError
 from repro.core.types import ModelId, hash_input
@@ -102,28 +103,80 @@ class TestEvictionIntegration:
         assert cache.fetch("m", hot) == "hot"
 
 
-class SingleProbes:
-    """The reference: one CLOCK ``get`` per model key, counted by hand."""
+class TestAFullCacheHoldsNoObjectPerEntry:
+    def test_a_full_cache_adds_a_constant_number_of_tracked_objects(self):
+        digests = [f"{i:040x}" for i in range(65536)]
+        gc.collect()
+        before = len(gc.get_objects())
+        cache = PredictionCache(capacity=65536)
+        cache.put_by_hash("m:1", digests, range(65536))  # one call fills it
+        gc.collect()
+        assert len(cache) == 65536
+        # The table's lists and dicts; an object per entry would add 65,536.
+        assert len(gc.get_objects()) - before <= 16
+
+
+_MISS = object()
+
+
+class ReferenceClock:
+    """The reference twin: a plain CLOCK with one object per entry, one get
+    or put at a time, a list that grows to capacity, and a dropped entry
+    left as a ``None`` hole the hand takes."""
+
+    class Entry:
+        def __init__(self, key, value):
+            self.key, self.value, self.referenced = key, value, False
 
     def __init__(self, capacity: int) -> None:
-        self.clock = ClockCache(capacity) if capacity else None
-        self.hits = self.misses = 0
+        self.capacity, self.entries, self.index, self.hand = capacity, [], {}, 0
+        self.hits = self.misses = self.inserts = self.evictions = 0
 
-    def fetch(self, model_keys, input_hash):
-        predictions, misses = {}, []
-        for model_key in model_keys:
-            value = None if self.clock is None else self.clock.get((model_key, input_hash))
-            if value is None:
-                misses.append(model_key)
-                self.misses += 1
-            else:
-                predictions[model_key] = value
-                self.hits += 1
-        return predictions, misses
+    def get(self, key):
+        if key not in self.index:
+            self.misses += 1
+            return _MISS
+        entry = self.entries[self.index[key]]
+        entry.referenced, self.hits = True, self.hits + 1
+        return entry.value
 
-    def put(self, model_key, input_hash, value):
-        if self.clock is not None:
-            self.clock.put((model_key, input_hash), value)
+    def put(self, key, value):
+        if not self.capacity:
+            return
+        self.inserts += 1
+        if key in self.index:
+            entry = self.entries[self.index[key]]
+            entry.value, entry.referenced = value, True
+            return
+        if len(self.entries) < self.capacity:
+            slot = len(self.entries)
+            self.entries.append(None)
+        else:
+            while self.entries[self.hand] is not None and self.entries[self.hand].referenced:
+                self.entries[self.hand].referenced = False
+                self.hand = (self.hand + 1) % self.capacity
+            slot, self.hand = self.hand, (self.hand + 1) % self.capacity
+            if self.entries[slot] is not None:
+                del self.index[self.entries[slot].key]
+                self.evictions += 1
+        self.entries[slot], self.index[key] = self.Entry(key, value), slot
+
+    def drop(self, model_key):
+        for slot, entry in enumerate(self.entries):
+            if entry is not None and entry.key[0] == model_key:
+                del self.index[entry.key]
+                self.entries[slot] = None
+
+    def resident(self):
+        return [
+            (slot, *e.key, e.value) for slot, e in enumerate(self.entries) if e is not None
+        ]
+
+
+def resident(cache):
+    """``(slot, model key, digest, value)`` of every live slot, in slot order."""
+    table = zip(cache._models, cache._digests, cache._values)
+    return [(slot, m, d, v) for slot, (m, d, v) in enumerate(table) if m is not None]
 
 
 # Nine keys over at most four slots: hits, misses and evictions all common.
@@ -131,33 +184,46 @@ _MODEL_KEYS = st.sampled_from(["a:1", "b:1", "c:1"])
 _HASHES = st.sampled_from(["h0", "h1", "h2"])
 _OPERATIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), _MODEL_KEYS, _HASHES),
+        # a batch fill: several digests, duplicates and resident keys among them
+        st.tuples(st.just("put"), _MODEL_KEYS, st.lists(_HASHES, max_size=6)),
         st.tuples(st.just("fetch"), st.lists(_MODEL_KEYS, max_size=5), _HASHES),
+        st.tuples(st.just("drop"), _MODEL_KEYS, st.just(None)),
     ),
     max_size=60,
 )
 
 
 class TestOnePassProbeContract:
-    """One ``fetch_by_hash(keys, h)`` leaves what ``len(keys)`` single
-    probes leave: the values, the misses in order, the stats, and the
-    reference bits that pick the victims of the puts that follow."""
+    """The flat table is held to :class:`ReferenceClock`: one
+    ``fetch_by_hash(keys, h)`` leaves what ``len(keys)`` single gets leave,
+    one ``put_by_hash`` what one put per entry leaves, one ``drop`` what
+    dropping each entry leaves.  After every step the answers, the stats and
+    the live slots (which pick the victims of the puts that follow) agree."""
 
     @given(st.integers(min_value=0, max_value=4), _OPERATIONS)
     def test_one_pass_equals_one_probe_per_key(self, capacity, operations):
-        cache, reference = PredictionCache(capacity=capacity), SingleProbes(capacity)
-        for step, (kind, keys, input_hash) in enumerate(operations):
+        cache, reference = PredictionCache(capacity=capacity), ReferenceClock(capacity)
+        for step, (kind, keys, hashes) in enumerate(operations):
             if kind == "put":  # ``keys`` is one model key here
-                cache.put_by_hash(keys, [input_hash], [step])
-                reference.put(keys, input_hash, step)
-                if capacity:
-                    # Same resident entries in the same slots: same victims.
-                    assert cache._cache.keys() == reference.clock.keys()
-                continue
-            predictions, misses = cache.fetch_by_hash(keys, input_hash)
-            assert (predictions, misses) == reference.fetch(keys, input_hash)
-            assert (cache.stats.hits, cache.stats.misses) == (reference.hits, reference.misses)
-        assert len(cache) == (len(reference.clock) if capacity else 0)
+                outputs = [(step, i) for i in range(len(hashes))]
+                cache.put_by_hash(keys, hashes, outputs)
+                for input_hash, output in zip(hashes, outputs):
+                    reference.put((keys, input_hash), output)
+            elif kind == "drop":
+                cache.drop(keys)
+                reference.drop(keys)
+            else:
+                answers = [(key, reference.get((key, hashes))) for key in keys]
+                assert cache.fetch_by_hash(keys, hashes) == (
+                    {key: value for key, value in answers if value is not _MISS},
+                    [key for key, value in answers if value is _MISS],
+                )
+            stats = cache.stats
+            assert (stats.hits, stats.misses, stats.inserts, stats.evictions) == (
+                reference.hits, reference.misses, reference.inserts, reference.evictions
+            )
+            assert resident(cache) == reference.resident()
+            assert len(cache) == len(reference.index)
 
     @pytest.mark.parametrize("capacity", [0, 4])
     def test_empty_key_list_is_a_no_op(self, capacity):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import threading
 import types
 from functools import partial
 from typing import Dict, List
@@ -225,6 +226,71 @@ class TestWhatLeavesTakesItsStateAlong:
                 assert [str(m) for m in clipper.deployed_models()] == ["m:1"]
             finally:
                 await mgmt.stop()
+
+        run_async(scenario())
+
+
+class TestARedeployedKeyStartsWithAnEmptyCache:
+    """An undeployed version's cached answers leave with it: a new version
+    under the same key is never served its predecessor's outputs."""
+
+    def test_a_redeployed_version_answers_for_itself(self):
+        async def scenario():
+            clipper = make_clipper()
+            clipper.deploy_model(deployment(1, partial(NoOpContainer, 1)))
+            await clipper.start()
+            try:
+                x = Query(app_name=APP, input=np.zeros(2))
+                assert (await clipper.predict(x)).output == 1
+                await clipper.deploy_model_async(
+                    deployment(2, partial(NoOpContainer, 2)), activate=True
+                )
+                await clipper.undeploy_model("m:1")
+                await clipper.deploy_model_async(
+                    deployment(1, partial(NoOpContainer, 3)), activate=True
+                )
+                again = await clipper.predict(Query(app_name=APP, input=np.zeros(2)))
+                assert (again.output, again.from_cache) == (3, False)
+                fresh = await clipper.predict(Query(app_name=APP, input=np.ones(2)))
+                assert fresh.output == 3
+            finally:
+                await clipper.stop()
+
+        run_async(scenario())
+
+    def test_an_answer_drained_after_the_undeploy_is_not_cached(self):
+        gate = threading.Event()
+
+        class Gated(NoOpContainer):
+            def predict_batch(self, inputs):
+                gate.wait(5.0)
+                return super().predict_batch(inputs)
+
+        async def scenario():
+            clipper = make_clipper()
+            clipper.deploy_model(deployment(1, partial(Gated, 1)))
+            clipper.deploy_model(deployment(2, partial(NoOpContainer, 2)))
+            await clipper.start()
+            try:
+                held = asyncio.ensure_future(
+                    clipper.predict(Query(app_name=APP, input=np.zeros(2)))
+                )
+                await asyncio.sleep(0.05)  # m:1 is evaluating it
+                clipper.routing.activate("m", "m:2")
+                undeploy = asyncio.ensure_future(clipper.undeploy_model("m:1"))
+                await asyncio.sleep(0.05)  # retired, draining
+                gate.set()
+                assert (await held).output == 1
+                await undeploy
+                assert len(clipper.cache) == 0
+                await clipper.deploy_model_async(
+                    deployment(1, partial(NoOpContainer, 3)), activate=True
+                )
+                again = await clipper.predict(Query(app_name=APP, input=np.zeros(2)))
+                assert (again.output, again.from_cache) == (3, False)
+            finally:
+                gate.set()
+                await clipper.stop()
 
         run_async(scenario())
 
