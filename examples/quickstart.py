@@ -29,7 +29,7 @@ import asyncio
 # -- server-side imports: the serving engine ----------------------------------
 from paperkit.datasets.images import load_mnist_like
 from paperkit.mlkit.linear import LinearSVM, LogisticRegression
-from repro import Clipper, ClipperConfig, ManagementFrontend, ModelDeployment, QueryFrontend
+from repro import Clipper, ClipperConfig, ManagementFrontend, ModelDeployment
 from repro.api.http import create_server
 from repro.containers.adapters import ClassifierContainer
 from repro.core.config import BatchingConfig
@@ -72,13 +72,11 @@ def build_server():
         )
     )
 
-    query = QueryFrontend()
-    query.register_application(clipper)
-    # The server starts/stops the management frontend too, so health
-    # monitoring and canary control run for as long as the API serves.
-    admin = ManagementFrontend()
-    admin.register_application(clipper)
-    server = create_server(query=query, admin=admin)
+    # One frontend serves both verb sets.  The server starts and stops it,
+    # so health monitoring and canary control run while the API serves.
+    frontend = ManagementFrontend()
+    frontend.register_application(clipper)
+    server = create_server(frontend)
 
     # Hand the client plain Python data — it has no numpy/dataset imports.
     samples = [

@@ -3,15 +3,18 @@
 
 Starts the stdlib HTTP server with one no-op application, drives a handful
 of predictions through the REST edge so the registries hold live samples,
-then fetches ``GET /api/v1/metrics?format=prometheus`` over a raw socket
-and checks the
-response with the minimal exposition parser/validator in
+then fetches ``GET /api/v1/metrics?format=prometheus`` over a raw socket,
+twice with more traffic in between, and checks each response with the
+minimal exposition parser/validator in
 :mod:`repro.observability.prometheus`:
 
 - the Content-Type is the Prometheus text format (version 0.0.4),
 - every sample line parses (names, labels, float values),
 - every exposed family has HELP/TYPE lines,
 - histogram bucket counts are cumulative and end with ``+Inf == _count``,
+- no histogram series (``_bucket``, ``_sum``, ``_count``) falls from the
+  first scrape to the second: the buckets count the histogram's lifetime,
+- ``clipper_predict_latency_ms_count`` equals ``clipper_predict_count_total``,
 - the core predict counters, the shed counters (registered for every
   application, overload control configured or not) and the dispatcher's
   pipeline-depth gauges are present.
@@ -72,6 +75,32 @@ async def _raw_get(host: str, port: int, target: str) -> "tuple[int, dict, str]"
     return status, headers, body.decode("utf-8")
 
 
+async def _scrape(port: int) -> "tuple[dict, str]":
+    """The validated families of one Prometheus scrape, and its text."""
+    status, headers, body = await _raw_get(
+        "127.0.0.1", port, "/api/v1/metrics?format=prometheus"
+    )
+    if status != 200:
+        raise SystemExit(f"metrics endpoint returned HTTP {status}")
+    content_type = headers.get("content-type", "")
+    if content_type != PROMETHEUS_CONTENT_TYPE:
+        raise SystemExit(
+            f"unexpected Content-Type {content_type!r} "
+            f"(want {PROMETHEUS_CONTENT_TYPE!r})"
+        )
+    return validate(body), body
+
+
+def _histogram_series(families: dict) -> dict:
+    """Every histogram sample by (name, labels): its value."""
+    return {
+        (sample["name"], tuple(sorted(sample["labels"].items()))): sample["value"]
+        for info in families.values()
+        if info.get("type") == "histogram"
+        for sample in info["samples"]
+    }
+
+
 async def main() -> int:
     clipper = Clipper(
         ClipperConfig(
@@ -91,26 +120,21 @@ async def main() -> int:
     )
     frontend = QueryFrontend()
     frontend.register_application(clipper)
-    server = create_server(query=frontend)
+    server = create_server(frontend)
     await server.start()
     try:
+        scrapes = []
         async with AsyncClipperClient("127.0.0.1", server.port) as client:
-            x = [float(i) for i in range(NUM_FEATURES)]
-            for _ in range(5):
-                await client.predict("smoke", x)
-
-        status, headers, body = await _raw_get(
-            "127.0.0.1", server.port, "/api/v1/metrics?format=prometheus"
-        )
-        if status != 200:
-            raise SystemExit(f"metrics endpoint returned HTTP {status}")
-        content_type = headers.get("content-type", "")
-        if content_type != PROMETHEUS_CONTENT_TYPE:
-            raise SystemExit(
-                f"unexpected Content-Type {content_type!r} "
-                f"(want {PROMETHEUS_CONTENT_TYPE!r})"
-            )
-        families = validate(body)
+            for offset in (0.0, 1.0):
+                x = [float(i) + offset for i in range(NUM_FEATURES)]
+                for _ in range(5):
+                    await client.predict("smoke", x)
+                scrapes.append(await _scrape(server.port))
+        first, (families, body) = scrapes[0][0], scrapes[1]
+        before, after = _histogram_series(first), _histogram_series(families)
+        for key, value in before.items():
+            if after.get(key, -1.0) < value:
+                raise SystemExit(f"histogram series {key} fell from {value} to {after.get(key)}")
         names = {
             sample["name"]
             for info in families.values()
@@ -127,6 +151,16 @@ async def main() -> int:
         ):
             if required not in names:
                 raise SystemExit(f"required metric {required} missing from exposition")
+        for scrape, _ in scrapes:
+            (answered,) = scrape["clipper_predict_count_total"]["samples"]
+            count = _histogram_series(scrape)[
+                ("clipper_predict_latency_ms_count", tuple(answered["labels"].items()))
+            ]
+            if count != answered["value"]:
+                raise SystemExit(
+                    f"clipper_predict_latency_ms_count {count} != "
+                    f"clipper_predict_count_total {answered['value']}"
+                )
         num_samples = sum(len(info.get("samples", [])) for info in families.values())
         print(
             f"metrics smoke OK: {len(families)} families, {num_samples} samples, "

@@ -21,8 +21,9 @@ Layers, bottom to top:
     frontend call and response, read by the handlers and the client SDK;
     also the ``/api/v1`` prefix every route lives under.
 ``repro.api.handlers``
-    Builds the route table over a :class:`~repro.core.frontend.QueryFrontend`
-    and a :class:`~repro.management.frontend.ManagementFrontend`.
+    Builds the route table over one :class:`~repro.core.frontend.QueryFrontend`,
+    with the operator verbs when it is a
+    :class:`~repro.management.frontend.ManagementFrontend`.
 ``repro.api.http``
     The stdlib asyncio HTTP/1.1 binding hosting the route table.
 

@@ -1,12 +1,14 @@
-"""Handler objects binding the route table onto the two frontends.
+"""Handler objects binding the route table onto one frontend.
 
-:func:`build_route_table` registers the full external surface of the paper's
-Figure 2 over a :class:`~repro.core.frontend.QueryFrontend` (the application
-verbs ``predict`` and ``update``) and a
-:class:`~repro.management.frontend.ManagementFrontend` (the operator verbs).
+:func:`build_route_table` registers the external surface of the paper's
+Figure 2 over one frontend: a :class:`~repro.core.frontend.QueryFrontend`
+gets the application verbs ``predict`` and ``update`` with the listings,
+metrics and trace routes over the applications it hosts, and a
+:class:`~repro.management.frontend.ManagementFrontend` — a query frontend
+too — gets the operator verbs as well, over the same applications.
 Handlers do only transport work — decode the JSON body, resolve wire
 representations (base64 bytes, factory names), shape the response — and
-delegate every check to the frontends, so in-process callers invoking the
+delegate every check to the frontend, so in-process callers invoking the
 same frontend methods cross the identical validation and error path.
 
 The operator verbs are not written here: :mod:`repro.api.verbs` states each
@@ -141,26 +143,23 @@ def _verb_handler(verb: verbs.Verb, admin: ManagementFrontend, call: Callable):
 
 
 def build_route_table(
-    query: Optional[QueryFrontend] = None,
-    admin: Optional[ManagementFrontend] = None,
+    query: QueryFrontend,
     factories: Optional[Mapping[str, Callable[[], object]]] = None,
 ) -> RouteTable:
-    """Build the versioned route table over the given frontends.
+    """Build the versioned route table over one frontend.
 
-    Either frontend may be omitted to expose only half the surface (e.g. a
-    query-only ingress tier).  ``factories`` names the container factories
-    the admin ``deploy`` verb may reference.
+    The operator verbs are added when ``query`` is a
+    :class:`ManagementFrontend`; ``factories`` names the container
+    factories their ``deploy`` verb may reference.
     """
-    if query is None and admin is None:
-        raise ValueError("build_route_table needs a query and/or admin frontend")
+    admin = query if isinstance(query, ManagementFrontend) else None
     table = RouteTable()
     factories = dict(factories or {})
 
     # -- server-level introspection -------------------------------------------
 
     async def get_health(params: Dict[str, str], body: Any) -> ApiResponse:
-        hosts = query if query is not None else admin
-        payload = {"status": "ok", "applications": hosts.applications()}
+        payload = {"status": "ok", "applications": query.applications()}
         if admin is not None:
             # Cold-start restores report what came back (and what could not),
             # so operators see a recovered process for what it is.
@@ -181,10 +180,8 @@ def build_route_table(
     # ``trace``/``traces``/``metrics`` segments win over the wildcard at the
     # same segment count (first match in registration order).
 
-    hosts = query if query is not None else admin
-
     def _hosted_clippers() -> Dict[str, Any]:
-        return {name: hosts.application(name) for name in hosts.applications()}
+        return {name: query.application(name) for name in query.applications()}
 
     async def get_metrics(params: Dict[str, str], body: Any) -> ApiResponse:
         registries = {
@@ -218,65 +215,55 @@ def build_route_table(
 
     # -- application verbs (Figure 2: predict / update) -------------------------
 
-    if query is not None:
+    async def list_applications(params: Dict[str, str], body: Any) -> ApiResponse:
+        schemas = [query.schema(name).to_dict() for name in query.applications()]
+        return ApiResponse(200, {"applications": schemas})
 
-        async def list_applications(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(
-                200,
-                {
-                    "applications": [
-                        query.schema(name).to_dict() for name in query.applications()
-                    ]
-                },
-            )
+    async def get_schema(params: Dict[str, str], body: Any) -> ApiResponse:
+        return ApiResponse(200, query.schema(params["app"]).to_dict())
 
-        async def get_schema(params: Dict[str, str], body: Any) -> ApiResponse:
-            return ApiResponse(200, query.schema(params["app"]).to_dict())
-
-        async def post_predict(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            app_name = params["app"]
-            # Resolve the application first so an unknown name is a 404 even
-            # when the body is also malformed.
-            schema = query.schema(app_name)
-            raw = require_field(payload, "input")
-            # Binary fast path: a columnar body lands here with the input
-            # already a typed ndarray (a zero-copy view into the received
-            # frame) — skip the JSON wire codec and hand it to the frontend,
-            # whose validation coerces conforming arrays without a copy.
-            x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
-            prediction = await query.predict(
-                app_name,
-                x,
-                user_id=_optional(payload, _USER_ID),
-                latency_slo_ms=_optional(payload, _LATENCY_SLO_MS),
-                trace_id=params.get("_trace_id"),
-            )
-            headers = (
-                {"X-Clipper-Trace-Id": prediction.trace_id}
-                if prediction.trace_id
-                else {}
-            )
-            return ApiResponse(200, prediction_payload(prediction), headers=headers)
-
-        async def post_update(params: Dict[str, str], body: Any) -> ApiResponse:
-            payload = require_object(body)
-            app_name = params["app"]
-            schema = query.schema(app_name)
-            raw = require_field(payload, "input")
-            x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
-            label = require_field(payload, "label")
-            await query.update(
-                app_name, x, label, user_id=_optional(payload, _USER_ID)
-            )
-            return ApiResponse(200, {"ok": True, "app_name": app_name})
-
-        table.add(
-            "GET", f"{API_PREFIX}/applications", "applications", list_applications
+    async def post_predict(params: Dict[str, str], body: Any) -> ApiResponse:
+        payload = require_object(body)
+        app_name = params["app"]
+        # Resolve the application first so an unknown name is a 404 even
+        # when the body is also malformed.
+        schema = query.schema(app_name)
+        raw = require_field(payload, "input")
+        # Binary fast path: a columnar body lands here with the input
+        # already a typed ndarray (a zero-copy view into the received
+        # frame) — skip the JSON wire codec and hand it to the frontend,
+        # whose validation coerces conforming arrays without a copy.
+        x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+        prediction = await query.predict(
+            app_name,
+            x,
+            user_id=_optional(payload, _USER_ID),
+            latency_slo_ms=_optional(payload, _LATENCY_SLO_MS),
+            trace_id=params.get("_trace_id"),
         )
-        table.add("GET", f"{API_PREFIX}/{{app}}/schema", "schema", get_schema)
-        table.add("POST", f"{API_PREFIX}/{{app}}/predict", "predict", post_predict)
-        table.add("POST", f"{API_PREFIX}/{{app}}/update", "update", post_update)
+        headers = (
+            {"X-Clipper-Trace-Id": prediction.trace_id}
+            if prediction.trace_id
+            else {}
+        )
+        return ApiResponse(200, prediction_payload(prediction), headers=headers)
+
+    async def post_update(params: Dict[str, str], body: Any) -> ApiResponse:
+        payload = require_object(body)
+        app_name = params["app"]
+        schema = query.schema(app_name)
+        raw = require_field(payload, "input")
+        x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+        label = require_field(payload, "label")
+        await query.update(
+            app_name, x, label, user_id=_optional(payload, _USER_ID)
+        )
+        return ApiResponse(200, {"ok": True, "app_name": app_name})
+
+    table.add("GET", f"{API_PREFIX}/applications", "applications", list_applications)
+    table.add("GET", f"{API_PREFIX}/{{app}}/schema", "schema", get_schema)
+    table.add("POST", f"{API_PREFIX}/{{app}}/predict", "predict", post_predict)
+    table.add("POST", f"{API_PREFIX}/{{app}}/update", "update", post_update)
 
     # -- operator verbs (the management REST API) -------------------------------
 

@@ -33,17 +33,17 @@ surface needs:
 * the structured error model: every failure — framing, routing, validation,
   serving — renders as ``{"error": {code, status, message, detail}}``.
 
-Application lifecycle belongs to the frontends the server was built over:
-each is started (all-or-nothing, idempotent) *before* the listening socket
-binds, so a partial start never leaves a listener accepting traffic it
-cannot serve, and stopped in reverse order after the listener closes.
+Application lifecycle belongs to the one frontend the server was built
+over: it is started (all-or-nothing, idempotent) *before* the listening
+socket binds, so a partial start never leaves a listener accepting traffic
+it cannot serve, and stopped after the listener closes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 from urllib.parse import parse_qsl
 
 from repro.api import columnar
@@ -134,16 +134,15 @@ class HttpApiServer:
         routes: RouteTable,
         host: str = "127.0.0.1",
         port: int = 0,
-        lifecycle: Sequence[Any] = (),
+        frontend: Optional[Any] = None,
     ) -> None:
         self.routes = routes
         self.host = host
         self._requested_port = port
-        # Lifecycle owners — the frontends, whose start() brings up their
-        # applications (and a ManagementFrontend's health monitors and canary
-        # controllers) — started in order and stopped in reverse.  Their
-        # start/stop must be all-or-nothing and idempotent.
-        self._lifecycle: Tuple[Any, ...] = tuple(lifecycle)
+        # The frontend whose start() brings up its applications (and a
+        # ManagementFrontend's health and canary sweeps); its start/stop
+        # must be all-or-nothing and idempotent.  None: routes only.
+        self._frontend = frontend
         self._server: Optional[asyncio.base_events.Server] = None
         # Every open connection.
         self._connections: Set[Http1Connection] = set()
@@ -189,13 +188,12 @@ class HttpApiServer:
         return self._server is not None and self._server.is_serving()
 
     async def start(self) -> None:
-        """Start the lifecycle owners in order, then bind the socket.
+        """Start the frontend, then bind the socket.
 
-        All-or-nothing like the frontends: each owner's own start stops what
-        it brought up when it fails, and a failure here — a later owner, or
-        the bind — stops the owners already started, so **no listener is
-        ever bound** to backends that cannot serve and nothing is left
-        running behind a failed start.
+        All-or-nothing like the frontend: its own start stops what it brought
+        up when it fails, and a failed bind stops the frontend, so **no
+        listener is ever bound** to backends that cannot serve and nothing
+        is left running behind a failed start.
         """
         if self._server is not None:
             return
@@ -203,23 +201,23 @@ class HttpApiServer:
         # multiple servers in one process) never stack duplicate handlers.
         configure_logging()
         try:
-            for owner in self._lifecycle:
-                await owner.start()
+            if self._frontend is not None:
+                await self._frontend.start()
             self._server = await asyncio.get_running_loop().create_server(
                 lambda: Http1Connection(MAX_BODY_BYTES, connected=self._on_connection),
                 host=self.host,
                 port=self._requested_port,
             )
         except BaseException:
-            # Stopping an owner that never started is a no-op.  Should a stop
-            # fail too, its error propagates chained to this one.
-            await self._stop_lifecycle()
+            # Stopping a frontend that never started is a no-op.  Should the
+            # stop fail too, its error propagates chained to this one.
+            await self._stop_frontend()
             raise
         logger.info("http server started", extra={"host": self.host, "port": self.port})
 
-    async def _stop_lifecycle(self) -> None:
-        for owner in reversed(self._lifecycle):
-            await owner.stop()
+    async def _stop_frontend(self) -> None:
+        if self._frontend is not None:
+            await self._frontend.stop()
 
     async def drain(self, timeout_s: float = 5.0) -> None:
         """Graceful SIGTERM path: stop accepting, finish in-flight, stop.
@@ -244,7 +242,7 @@ class HttpApiServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener and connections, then stop the lifecycle owners."""
+        """Close the listener and connections, then stop the frontend."""
         if self._server is None:
             return
         self._server.close()
@@ -255,7 +253,7 @@ class HttpApiServer:
         finally:
             self._server = None
         logger.info("http server stopped", extra={"host": self.host})
-        await self._stop_lifecycle()
+        await self._stop_frontend()
 
     async def __aenter__(self) -> "HttpApiServer":
         await self.start()
@@ -513,25 +511,23 @@ class HttpApiServer:
 
 
 def create_server(
-    query=None,
-    admin=None,
+    query,
     factories: Optional[Mapping[str, Callable[[], object]]] = None,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> HttpApiServer:
-    """Build the route table over the frontends and wrap it in a server.
+    """Build the route table over one frontend and wrap it in a server.
 
-    The frontends are the server's lifecycle owners, query frontend first:
-    :meth:`HttpApiServer.start` starts each (all-or-nothing) before binding
-    — whatever applications they host at that moment, including ones
-    registered after this call, and an ``admin`` frontend's health monitors
-    and canary controllers — and :meth:`HttpApiServer.stop` stops them in
-    reverse.  Both calls are idempotent on a frontend the operator already
-    started, and on applications both frontends host.
+    The operator verbs are served when ``query`` is a
+    :class:`~repro.management.frontend.ManagementFrontend`.  The frontend is
+    the server's lifecycle owner: :meth:`HttpApiServer.start` starts it
+    (all-or-nothing) before binding — whatever applications it hosts at
+    that moment, including ones registered after this call, and a
+    management frontend's health and canary sweeps — and
+    :meth:`HttpApiServer.stop` stops it.  Both calls are idempotent on a
+    frontend the operator already started.
     """
     from repro.api.handlers import build_route_table
 
-    routes = build_route_table(query=query, admin=admin, factories=factories)
-    return HttpApiServer(
-        routes, host=host, port=port, lifecycle=[f for f in (query, admin) if f is not None]
-    )
+    routes = build_route_table(query, factories)
+    return HttpApiServer(routes, host=host, port=port, frontend=query)

@@ -1,7 +1,7 @@
 """The ingress tier: HTTP edge + Clipper over remote worker replicas.
 
 The ingress is an ordinary single-application serving stack — ``Clipper``
-behind the query/management frontends behind ``HttpApiServer`` — whose
+behind one management frontend behind ``HttpApiServer`` — whose
 ``Clipper`` is constructed with the cluster's placement callable,
 :meth:`~repro.cluster.remote.WorkerPlacer.replica_builder`: every
 deployment carrying a ``factory_name`` gets its replicas built as
@@ -31,7 +31,6 @@ from repro.cluster.remote import WorkerPlacer
 from repro.cluster.worker import DRAIN_TIMEOUT_S, serve_until_signalled
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig
-from repro.core.frontend import QueryFrontend
 from repro.management.frontend import ManagementFrontend
 from repro.rpc.shm import start_resource_tracker
 
@@ -52,17 +51,11 @@ class IngressTier:
         self.placer = WorkerPlacer(self.registry)
         self.config = config or ClipperConfig(app_name=app_name, allow_empty_start=True)
         self.clipper = Clipper(self.config, placement=self.placer.replica_builder)
-        self.query = QueryFrontend()
-        self.query.register_application(self.clipper)
-        self.admin = ManagementFrontend()
-        self.admin.register_application(self.clipper)
+        self.frontend = ManagementFrontend()
+        self.frontend.register_application(self.clipper)
         self._factories = dict(factories) if factories is not None else default_factories()
         self.server: HttpApiServer = create_server(
-            query=self.query,
-            admin=self.admin,
-            factories=self._factories,
-            host=host,
-            port=port,
+            self.frontend, factories=self._factories, host=host, port=port
         )
 
     @property

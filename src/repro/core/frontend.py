@@ -11,15 +11,17 @@ same object through the versioned route table, so in-process and HTTP
 callers cross one validation and error path — the REST API of the paper,
 with or without the HTTP framing.
 
-Both frontends share :class:`ApplicationHost` (the name→instance registry
-plus per-application :class:`~repro.api.schema.ApplicationSchema`) and the
-module-level :func:`start_applications`/:func:`stop_applications` lifecycle
-helpers; the HTTP server starts and stops the frontends themselves.
+It is the one application host: the operator interface,
+:class:`~repro.management.frontend.ManagementFrontend`, is a subclass, so an
+application it registers, back-fills or restores is served by the same
+object — predict and update, listings, metrics and traces.  Its
+:meth:`QueryFrontend.start` / :meth:`QueryFrontend.stop` bring every hosted
+application up all-or-nothing and down again, in name order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.api.schema import ApplicationSchema
 from repro.core import clock
@@ -35,68 +37,21 @@ from repro.observability.logging import get_logger
 logger = get_logger("core.frontend")
 
 
-async def start_applications(applications: Mapping[str, Clipper]) -> None:
-    """Start a collection of applications all-or-nothing, in name order.
-
-    Applications start in sorted-name order (deterministic whatever mapping
-    they arrive in).  If one fails to start, the ones already brought up are
-    stopped again in reverse order before the error propagates, so a failed
-    start never leaks running replicas.  Shared by the query and management
-    frontends and the HTTP server's startup.
-    """
-    started = []
-    try:
-        for app_name in sorted(applications):
-            await applications[app_name].start()
-            started.append(app_name)
-    except BaseException:
-        for app_name in reversed(started):
-            try:
-                await applications[app_name].stop()
-            except Exception:
-                # The start failure is the error to surface; only this line
-                # says an application may have been left running.
-                logger.warning(
-                    "stopping an application after a failed start also failed",
-                    exc_info=True,
-                    extra={"app": app_name},
-                )
-        raise
-
-
-async def stop_applications(applications: Mapping[str, Clipper]) -> None:
-    """Stop every application in reverse name order, collecting errors.
-
-    The mirror image of :func:`start_applications` — same signature, same
-    deterministic ordering, reversed.  One application failing to stop does
-    not strand the others; the collected errors are re-raised together as
-    one :class:`ClipperError`.
-    """
-    errors = []
-    for app_name in sorted(applications, reverse=True):
-        try:
-            await applications[app_name].stop()
-        except Exception as exc:
-            errors.append(f"{app_name}: {exc}")
-    if errors:
-        raise ClipperError("failed to stop application(s): " + "; ".join(errors))
-
-
-class ApplicationHost:
-    """Shared application registry behind the query and management frontends.
+class QueryFrontend:
+    """Routes prediction and feedback requests to registered applications.
 
     Owns the name→:class:`Clipper` mapping and the per-application
-    :class:`ApplicationSchema` derived at registration, so both frontends —
-    and through them both transports — resolve applications and validate
-    inputs identically.
+    :class:`ApplicationSchema` derived at registration, so every caller —
+    in-process or over HTTP, query or operator — resolves applications and
+    validates inputs identically.
     """
 
     def __init__(self) -> None:
         self._applications: Dict[str, Clipper] = {}
         self._schemas: Dict[str, ApplicationSchema] = {}
 
-    def _host_application(self, clipper: Clipper) -> str:
-        """Add an application to the host; duplicate names are rejected."""
+    def register_application(self, clipper: Clipper) -> str:
+        """Register an application; the name comes from the Clipper config."""
         app_name = clipper.config.app_name
         if app_name in self._applications:
             raise DuplicateApplicationError(
@@ -106,7 +61,7 @@ class ApplicationHost:
         self._schemas[app_name] = ApplicationSchema.from_config(clipper.config)
         return app_name
 
-    def _unhost_application(self, app_name: str) -> None:
+    def _unregister(self, app_name: str) -> None:
         self._applications.pop(app_name, None)
         self._schemas.pop(app_name, None)
 
@@ -132,21 +87,46 @@ class ApplicationHost:
             )
         return clipper
 
-
-class QueryFrontend(ApplicationHost):
-    """Routes prediction and feedback requests to registered applications."""
-
-    def register_application(self, clipper: Clipper) -> str:
-        """Register an application; the name comes from the Clipper config."""
-        return self._host_application(clipper)
-
     async def start(self) -> None:
-        """Start every registered application (all-or-nothing, name order)."""
-        await start_applications(self._applications)
+        """Start every registered application, all-or-nothing, in name order.
+
+        If one fails to start, the ones already brought up are stopped again
+        in reverse order before the error propagates, so a failed start
+        never leaks running replicas.  Idempotent for running applications.
+        """
+        started = []
+        try:
+            for app_name in sorted(self._applications):
+                await self._applications[app_name].start()
+                started.append(app_name)
+        except BaseException:
+            for app_name in reversed(started):
+                try:
+                    await self._applications[app_name].stop()
+                except Exception:
+                    # The start failure is the error to surface; only this
+                    # line says an application may have been left running.
+                    logger.warning(
+                        "stopping an application after a failed start also failed",
+                        exc_info=True,
+                        extra={"app": app_name},
+                    )
+            raise
 
     async def stop(self) -> None:
-        """Stop every registered application, collecting per-app errors."""
-        await stop_applications(self._applications)
+        """Stop every application in reverse name order, collecting errors.
+
+        One application failing to stop does not strand the others; the
+        collected errors are re-raised together as one :class:`ClipperError`.
+        """
+        errors = []
+        for app_name in sorted(self._applications, reverse=True):
+            try:
+                await self._applications[app_name].stop()
+            except Exception as exc:
+                errors.append(f"{app_name}: {exc}")
+        if errors:
+            raise ClipperError("failed to stop application(s): " + "; ".join(errors))
 
     async def predict(
         self,

@@ -3,7 +3,8 @@
 Clipper reports throughput and latency distributions (mean, P99) for every
 experiment in the paper.  This module provides the metric primitives
 needed to regenerate those numbers — :class:`Counter`, :class:`Histogram`
-(reservoir of recent observations with quantile queries) and :class:`Gauge`
+(lifetime bucket counts and sum over :data:`DEFAULT_BUCKETS_MS`, plus a
+window of recent observations for quantile queries) and :class:`Gauge`
 (point-in-time values such as queue saturation) — plus a
 :class:`MetricsRegistry` that names and aggregates them.  A rate is the
 reader's derivative of a counter (Prometheus' ``rate()`` over ``_total``),
@@ -14,12 +15,23 @@ this module and registered by name.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
+
+#: Latency bucket upper bounds in milliseconds — spans the sub-ms in-process
+#: hot path through the HTTP edge and slow containers.  An observation counts
+#: in the first bucket whose bound is not below it, or past the last.
+DEFAULT_BUCKETS_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+                      250.0, 500.0, 1000.0, 2500.0, 5000.0)
+
+#: How many recent observations a histogram keeps for its quantiles (read
+#: when one is built).
+WINDOW_SIZE = 16384
 
 
 class Counter:
@@ -41,22 +53,26 @@ class Counter:
 
 
 class Histogram:
-    """Sliding-window reservoir of observations supporting quantile queries.
+    """Lifetime bucket counts and sum, and a window for quantile queries.
 
-    The lifetime number of observations is the :class:`Counter` ``counted``
-    (its own, or one registered beside it: see :class:`AnsweredMetrics`);
-    the window keeps only the most recent ``window_size`` of them.
+    Every observation adds one to its bucket of :data:`DEFAULT_BUCKETS_MS`
+    (the last bucket: past every bound) and its value to the sum, for the
+    histogram's lifetime.  The lifetime number of observations is the
+    :class:`Counter` ``counted`` (its own, or one registered beside it: see
+    :class:`AnsweredMetrics`); the window keeps only the most recent
+    :data:`WINDOW_SIZE` of them, for the quantiles.
     """
 
     def __init__(
         self,
         name: str,
-        window_size: int = 16384,
         lock: Optional[threading.Lock] = None,
         counted: Optional[Counter] = None,
     ) -> None:
         self.name = name
-        self._window: Deque[float] = deque(maxlen=window_size)
+        self._window: Deque[float] = deque(maxlen=WINDOW_SIZE)
+        self._buckets = [0] * (len(DEFAULT_BUCKETS_MS) + 1)
+        self._sum = 0.0
         self._lock = lock or threading.Lock()
         self.counted = counted or Counter(name, self._lock)
 
@@ -67,11 +83,18 @@ class Histogram:
             return
         with self._lock:
             self._window.append(value)
+            self._buckets[bisect_left(DEFAULT_BUCKETS_MS, value)] += 1
+            self._sum += value
             self.counted._value += 1
 
     @property
     def count(self) -> int:
         return self.counted._value
+
+    def lifetime(self) -> Tuple[List[int], float, int]:
+        """Per-bucket counts (not cumulative), sum and count, read at once."""
+        with self._lock:
+            return list(self._buckets), self._sum, self.counted._value
 
     def values(self) -> List[float]:
         with self._lock:
@@ -219,8 +242,11 @@ class AnsweredMetrics:
 
     def record(self, latency_ms: float) -> None:
         """One answered query: a latency sample and a count."""
+        latency = self.latency
         with self._lock:
-            self.latency._window.append(latency_ms)
+            latency._window.append(latency_ms)
+            latency._buckets[bisect_left(DEFAULT_BUCKETS_MS, latency_ms)] += 1
+            latency._sum += latency_ms
             self.count._value += 1
 
 
@@ -240,15 +266,14 @@ class MetricFamily:
 
     __slots__ = ("name", "label", "_children", "_create")
 
-    def __init__(self, registry: "MetricsRegistry", name: str, label: str, kind: str, **kwargs) -> None:
+    def __init__(self, registry: "MetricsRegistry", name: str, label: str, kind: str) -> None:
         self.name = name
         self.label = label
         self._children: Dict[str, object] = {}
         if kind == "counter":
             self._create = registry.counter
         elif kind == "histogram":
-            window_size = kwargs.get("window_size", 16384)
-            self._create = lambda n: registry.histogram(n, window_size)
+            self._create = registry.histogram
         else:
             raise ValueError(f"unknown metric family kind: {kind!r}")
 
@@ -300,12 +325,10 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         return counter or self._register(self._counters, name, Counter, name)
 
-    def histogram(self, name: str, window_size: int = 16384) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Return (creating if needed) the histogram with ``name``."""
         histogram = self._histograms.get(name)
-        return histogram or self._register(
-            self._histograms, name, Histogram, name, window_size
-        )
+        return histogram or self._register(self._histograms, name, Histogram, name)
 
     def gauge(self, name: str, fn=None) -> Gauge:
         """Return (creating if needed) the gauge with ``name``.
@@ -320,22 +343,20 @@ class MetricsRegistry:
         """Resolve the request/error/latency handle bundle for one arm."""
         return ArmMetrics(self, f"{ARM_METRIC_PREFIX}.{model_key}")
 
-    def _family(self, kind: str, name: str, label: str, **kwargs) -> MetricFamily:
+    def _family(self, kind: str, name: str, label: str) -> MetricFamily:
         key = (kind, name, label)
         family = self._families.get(key)
         return family or self._register(
-            self._families, key, partial(MetricFamily, self, name, label, kind, **kwargs)
+            self._families, key, partial(MetricFamily, self, name, label, kind)
         )
 
     def counter_family(self, name: str, label: str = "stage") -> MetricFamily:
         """A ``labels()``-addressed counter family under ``name``."""
         return self._family("counter", name, label)
 
-    def histogram_family(
-        self, name: str, label: str = "stage", window_size: int = 16384
-    ) -> MetricFamily:
+    def histogram_family(self, name: str, label: str = "stage") -> MetricFamily:
         """A ``labels()``-addressed histogram family under ``name``."""
-        return self._family("histogram", name, label, window_size=window_size)
+        return self._family("histogram", name, label)
 
     def _tables(self) -> tuple:
         return self._counters, self._histograms, self._gauges
@@ -376,10 +397,8 @@ class MetricScope(MetricsRegistry):
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, self._registry.counter(name))
 
-    def histogram(self, name: str, window_size: int = 16384) -> Histogram:
-        return self._histograms.setdefault(
-            name, self._registry.histogram(name, window_size)
-        )
+    def histogram(self, name: str) -> Histogram:
+        return self._histograms.setdefault(name, self._registry.histogram(name))
 
     def gauge(self, name: str, fn=None) -> Gauge:
         return self._gauges.setdefault(name, self._registry.gauge(name, fn))

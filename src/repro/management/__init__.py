@@ -11,7 +11,7 @@ half of Clipper's architecture that mutates a running serving deployment:
   quarantines unhealthy ones out of dispatch, and restarts them with
   backoff.
 * :class:`~repro.management.frontend.ManagementFrontend` — the operator
-  surface mirroring the query frontend: deploy/undeploy, replica scaling,
+  surface, a query frontend that also serves: deploy/undeploy, replica scaling,
   rollout/rollback, weighted canary rollouts (start/adjust/promote/abort);
   each verb is precheck, one live change, then a projection of the live
   routing into the registry; health and registry introspection per

@@ -5,17 +5,20 @@ call for predictions, and a management frontend operators call to mutate the
 serving configuration — deploy models and versions, scale replicas, roll
 out and roll back — with the state persisted in Redis.  The
 :class:`ManagementFrontend` is that second interface for the reproduction,
-mirroring :class:`~repro.core.frontend.QueryFrontend`: it hosts the same
-applications (each a :class:`~repro.core.clipper.Clipper`), validates and
-routes management operations by application name, records every operation in
-the :class:`~repro.management.registry.ModelRegistry`, and runs each
-application's control sweeps.
+a subclass of :class:`~repro.core.frontend.QueryFrontend`: one object hosts
+the applications (each a :class:`~repro.core.clipper.Clipper`), serves their
+queries and feedback, validates and routes management operations by
+application name, records every operation in the
+:class:`~repro.management.registry.ModelRegistry`, and runs each
+application's control sweeps.  What it registers, back-fills or restores is
+what it serves: ``create_server(mgmt)`` offers both verb sets over it.
 
 It is the single public surface for examples and tests::
 
     mgmt = ManagementFrontend()
     mgmt.register_application(clipper)
     await mgmt.start()                       # serving + health + canary control up
+    await mgmt.predict("app", x)             # the query verbs are its own
     await mgmt.deploy_model("app", ModelDeployment("svm", factory, version=2))
     await mgmt.start_canary("app", "svm", 2, weight=0.1)   # 10% of keys on v2
     await mgmt.adjust_canary("app", "svm", weight=0.5)     # ramp to 50%
@@ -58,11 +61,7 @@ from repro.core.clipper import Clipper
 from repro.core.config import ModelDeployment
 from repro.core.deployed import cancel_until_gone
 from repro.core.exceptions import DeploymentError, ManagementError
-from repro.core.frontend import (
-    ApplicationHost,
-    start_applications,
-    stop_applications,
-)
+from repro.core.frontend import QueryFrontend
 from repro.core.types import ModelId, ReplicaHealth
 from repro.management.health import HealthMonitor
 from repro.management.recovery import RecoveryReport
@@ -93,8 +92,9 @@ async def sweep(
         await asyncio.sleep(interval_s)
 
 
-class ManagementFrontend(ApplicationHost):
-    """Routes lifecycle operations to applications and records them durably."""
+class ManagementFrontend(QueryFrontend):
+    """Serves its applications, routes lifecycle operations to them and records
+    those durably."""
 
     def __init__(
         self,
@@ -127,7 +127,7 @@ class ManagementFrontend(ApplicationHost):
         :meth:`start` again afterwards — it is idempotent for running
         applications and brings up the new application and its sweeps.
         """
-        app_name = self._host_application(clipper)
+        app_name = super().register_application(clipper)
         try:
             self.registry.register_application(
                 app_name, metadata=self._schemas[app_name].to_dict()
@@ -136,7 +136,7 @@ class ManagementFrontend(ApplicationHost):
             # The durable record refused the application (e.g. a previous
             # frontend on the same store already registered the name): undo
             # the in-memory hosting so the two never disagree.
-            self._unhost_application(app_name)
+            self._unregister(app_name)
             raise
         self._attach(app_name, clipper)
         for record in clipper.model_records():
@@ -228,7 +228,8 @@ class ManagementFrontend(ApplicationHost):
         in flight (which the canary controller then resumes ramping).
 
         The application must already be in the registry; it is hosted
-        in-memory *without* re-registering.  Versions whose factory is
+        in-memory *without* re-registering, and served by this frontend as
+        soon as it is started.  Versions whose factory is
         missing are reported in the returned :class:`RecoveryReport`
         (also surfaced via :meth:`recovery_status` and the health API)
         rather than failing the whole restore.
@@ -244,7 +245,7 @@ class ManagementFrontend(ApplicationHost):
         store_recovery = getattr(self.registry.store, "recovery", None)
         if store_recovery is not None:
             report.store = store_recovery.to_dict()
-        self._host_application(clipper)
+        super().register_application(clipper)
         try:
             factories = dict(factories or {})
             for model_name, model in sorted(self.registry.models(app_name).items()):
@@ -275,7 +276,7 @@ class ManagementFrontend(ApplicationHost):
                 if model["routing"] is not None:
                     self._restore_routes(clipper, model_name, model["routing"], report)
         except BaseException:
-            self._unhost_application(app_name)
+            self._unregister(app_name)
             raise
         self._attach(app_name, clipper)
         self._recoveries[app_name] = report
@@ -313,23 +314,19 @@ class ManagementFrontend(ApplicationHost):
         """Per-application recovery reports (empty for cold-started frontends)."""
         return {name: report.to_dict() for name, report in self._recoveries.items()}
 
-    # ``applications()`` / ``application()`` / ``schema()`` / ``_lookup`` are
-    # inherited from :class:`ApplicationHost` — the same registry and error
-    # path the query frontend uses.
-
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
         """Start every managed application, then each one's sweeps.
 
-        Shares the query frontend's all-or-nothing start: a failure stops
+        The query frontend's all-or-nothing start: a failure stops
         the applications already brought up, ends the sweeps of every
         application left stopped, and propagates.  Idempotent for
         already-running applications and sweeps, so it can be called again
         after :meth:`register_application` on a live frontend.
         """
         try:
-            await start_applications(self._applications)
+            await super().start()
         except BaseException:
             stopped = [name for name, app in self._applications.items() if not app.is_started]
             await self._stop_sweeps(stopped)
@@ -350,7 +347,7 @@ class ManagementFrontend(ApplicationHost):
     async def stop(self) -> None:
         """Stop the sweeps and replica recoveries, then the applications."""
         await self._stop_sweeps(list(self._applications))
-        await stop_applications(self._applications)
+        await super().stop()
 
     async def _stop_sweeps(self, app_names: Sequence[str]) -> None:
         """End these applications' sweeps (canary first), then their recoveries."""

@@ -11,9 +11,11 @@ Mapping:
   is the scraper's ``rate()`` over it).
 * ``Gauge``   → ``gauge`` (point-in-time value, no suffix).
 * ``Histogram`` → ``histogram`` with cumulative ``_bucket{le=...}`` lines
-  plus ``_sum``/``_count`` — all computed over the *sliding window* of
-  retained observations (the reservoir drops old samples, so these are
-  window-consistent rather than lifetime-cumulative; HELP says so).
+  plus ``_sum``/``_count``, all over the histogram's lifetime: running sums
+  of its bucket counts, its sum, and ``_count`` read from its counter (for
+  ``predict.latency_ms`` the one registered as ``predict.count``), so every
+  series only grows and ``rate()`` over any of them means what it says.
+  The render is a pass over the buckets, not over observations.
 
 A minimal parser/validator (:func:`parse_exposition`, :func:`validate`)
 lives here too, shared by the CI smoke script and the tests, so the
@@ -25,34 +27,13 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import accumulate
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import DEFAULT_BUCKETS_MS, MetricsRegistry
 
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Latency bucket upper bounds in milliseconds — spans the sub-ms in-process
-#: hot path through the HTTP edge and slow containers.
-DEFAULT_BUCKETS_MS = (
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1000.0,
-    2500.0,
-    5000.0,
-)
 
 _NAME_SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
 _INLINE_LABEL = re.compile(r'^(?P<base>[^{]+)\{(?P<label>[^=]+)="(?P<value>.*)"\}$')
@@ -88,6 +69,10 @@ def _format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+#: The ``le`` label of each bucket, the overflow bucket's last.
+_BOUNDS = [*map(_format_value, DEFAULT_BUCKETS_MS), "+Inf"]
 
 
 def _render_labels(labels: Dict[str, str]) -> str:
@@ -141,24 +126,14 @@ def render_prometheus(registries: Mapping[str, MetricsRegistry]) -> str:
                 )
         for raw, histogram in tables[2].items():
             samples, name, labels = samples_of(
-                app, raw, "histogram",
-                "Sliding-window distribution of {} "
-                "(buckets cover retained observations only).",
+                app, raw, "histogram", "Distribution of {} since it was registered."
             )
-            values = np.asarray(histogram.values(), dtype=float)
-            for bound in DEFAULT_BUCKETS_MS:
-                # One vectorised pass per bound (a scrape must not stall the
-                # event loop walking every retained observation in Python).
-                bucket_labels = {**labels, "le": _format_value(bound)}
-                samples.append(
-                    f"{name}_bucket{_render_labels(bucket_labels)} "
-                    f"{np.count_nonzero(values <= bound)}"
-                )
-            inf_labels = {**labels, "le": "+Inf"}
-            samples.append(f"{name}_bucket{_render_labels(inf_labels)} {len(values)}")
-            total = float(values.sum())
+            buckets, total, count = histogram.lifetime()
+            for le, running in zip(_BOUNDS, accumulate(buckets)):
+                bucket_labels = {**labels, "le": le}
+                samples.append(f"{name}_bucket{_render_labels(bucket_labels)} {running}")
             samples.append(f"{name}_sum{_render_labels(labels)} {_format_value(total)}")
-            samples.append(f"{name}_count{_render_labels(labels)} {len(values)}")
+            samples.append(f"{name}_count{_render_labels(labels)} {count}")
 
     lines: List[str] = []
     for name, (kind, help_text, samples) in sorted(families.items()):

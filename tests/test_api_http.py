@@ -55,10 +55,12 @@ def make_app(name="demo", output=1, **config_kwargs):
     return clipper
 
 
-def make_server(clipper, admin=None, factories=None):
-    query = QueryFrontend()
-    query.register_application(clipper)
-    return create_server(query=query, admin=admin, factories=factories)
+def make_server(clipper, frontend=None, factories=None):
+    """A server over ``frontend`` (a bare QueryFrontend by default), which
+    hosts ``clipper``: one registration serves every verb it offers."""
+    frontend = QueryFrontend() if frontend is None else frontend
+    frontend.register_application(clipper)
+    return create_server(frontend, factories=factories)
 
 
 async def raw_request(port, data: bytes) -> bytes:
@@ -107,22 +109,18 @@ class TestErrorPathsOverHttp:
         run_async(scenario())
 
     def test_duplicate_registration_is_conflict_on_both_surfaces(self):
-        # In-process: the shared host raises the typed 409 error...
-        frontend = QueryFrontend()
-        frontend.register_application(make_app())
-        with pytest.raises(DuplicateApplicationError) as excinfo:
+        # In-process: both frontends raise the typed 409 error...
+        for frontend in (QueryFrontend(), ManagementFrontend(monitor_health=False)):
             frontend.register_application(make_app())
-        assert excinfo.value.http_status == 409
+            with pytest.raises(DuplicateApplicationError) as excinfo:
+                frontend.register_application(make_app())
+            assert excinfo.value.http_status == 409
 
         # ... and over HTTP the same conflict discipline applies to a
         # duplicate model-version deployment through the admin API.
         async def scenario():
-            clipper = make_app()
             admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
-            admin.register_application(clipper)
-            server = make_server(
-                clipper, admin=admin, factories={"noop": NoOpContainer}
-            )
+            server = make_server(make_app(), admin, factories={"noop": NoOpContainer})
             async with server:
                 async with AsyncAdminClient("127.0.0.1", server.port) as adm:
                     with pytest.raises(ManagementConflict) as excinfo:
@@ -460,14 +458,12 @@ class TestServingOverHttp:
 class TestAdminOverHttp:
     def test_full_operator_lifecycle(self):
         async def scenario():
-            clipper = make_app(output=1)
             admin_frontend = ManagementFrontend(
                 monitor_health=False, manage_canaries=False
             )
-            admin_frontend.register_application(clipper)
             server = make_server(
-                clipper,
-                admin=admin_frontend,
+                make_app(output=1),
+                admin_frontend,
                 factories={"noop-v2": lambda: NoOpContainer(output=2)},
             )
             async with server:
@@ -511,12 +507,10 @@ class TestAdminOverHttp:
 
     def test_unknown_factory_is_400(self):
         async def scenario():
-            clipper = make_app()
             admin_frontend = ManagementFrontend(
                 monitor_health=False, manage_canaries=False
             )
-            admin_frontend.register_application(clipper)
-            server = make_server(clipper, admin=admin_frontend, factories={})
+            server = make_server(make_app(), admin_frontend, factories={})
             async with server:
                 async with AsyncAdminClient("127.0.0.1", server.port) as adm:
                     with pytest.raises(MalformedRequest) as excinfo:
@@ -532,10 +526,8 @@ class TestMetricsOverHttp:
         gauges (the dispatcher's pipeline depth, the queue's depth) too."""
 
         async def scenario():
-            clipper = make_app()
             admin_frontend = ManagementFrontend(monitor_health=False, manage_canaries=False)
-            admin_frontend.register_application(clipper)
-            server = make_server(clipper, admin=admin_frontend)
+            server = make_server(make_app(), admin_frontend)
             async with server:
                 async with AsyncClipperClient("127.0.0.1", server.port) as client:
                     await client.predict("demo", [1.0, 2.0])
@@ -587,9 +579,9 @@ class TestServerLifecycle:
         run_async(scenario())
 
     def test_server_lifecycle_runs_management_monitors(self):
-        # create_server registers the admin frontend as a lifecycle
-        # manager: the health and canary sweeps run exactly while the server
-        # serves (no silent monitoring gap), and nothing of them outlives it.
+        # A server over a management frontend owns its lifecycle: the health
+        # and canary sweeps run exactly while the server serves (no silent
+        # monitoring gap), and nothing of them outlives it.
         def sweeps_and_recoveries():
             return [
                 task
@@ -602,7 +594,7 @@ class TestServerLifecycle:
             clipper = make_app()
             admin = ManagementFrontend()  # monitoring + canary control on
             admin.register_application(clipper)
-            server = create_server(admin=admin)
+            server = create_server(admin)
             assert sweeps_and_recoveries() == []
             await server.start()
             try:

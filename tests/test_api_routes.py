@@ -166,11 +166,9 @@ class TestRouteMemo:
         from repro.api.routes import Route
 
         clipper = Clipper(ClipperConfig(app_name="demo", selection_policy="single"))
-        query = QueryFrontend()
-        query.register_application(clipper)
         admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
         admin.register_application(clipper)
-        table = build_route_table(query=query, admin=admin)
+        table = build_route_table(admin)
         assert len(table.routes()) > 20
         table.match("POST", f"{API_PREFIX}/demo/predict")
         tried = []
@@ -190,20 +188,19 @@ def _tuples(items, n):
 
 
 class TestBuiltSurface:
-    def make_frontends(self):
+    def make_frontend(self, frontend):
         clipper = Clipper(ClipperConfig(app_name="demo", selection_policy="single"))
         clipper.deploy_model(
             ModelDeployment(name="noop", container_factory=NoOpContainer)
         )
-        query = QueryFrontend()
-        query.register_application(clipper)
-        admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
-        admin.register_application(clipper)
-        return query, admin
+        frontend.register_application(clipper)
+        return frontend
 
     def test_full_verb_set_registered(self):
-        query, admin = self.make_frontends()
-        table = build_route_table(query=query, admin=admin)
+        admin = self.make_frontend(
+            ManagementFrontend(monitor_health=False, manage_canaries=False)
+        )
+        table = build_route_table(admin)
         names = {route.name for route in table.routes()}
         assert {
             "health",
@@ -232,16 +229,10 @@ class TestBuiltSurface:
         assert all(route.pattern.startswith(API_PREFIX) for route in table.routes())
 
     def test_query_only_table_has_no_admin_routes(self):
-        query, _ = self.make_frontends()
-        table = build_route_table(query=query)
+        table = build_route_table(self.make_frontend(QueryFrontend()))
         assert not any(r.name.startswith("admin.") for r in table.routes())
 
-    def test_table_requires_a_frontend(self):
-        with pytest.raises(ValueError):
-            build_route_table()
-
     def test_describe_lists_method_path_name(self):
-        query, _ = self.make_frontends()
-        table = build_route_table(query=query)
+        table = build_route_table(self.make_frontend(QueryFrontend()))
         listing = table.describe()
         assert {"method": "POST", "path": f"{API_PREFIX}/{{app}}/predict", "name": "predict"} in listing

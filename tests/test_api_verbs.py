@@ -50,7 +50,7 @@ class TestParity:
     def test_every_admin_route_has_an_sdk_verb_and_the_reverse(self):
         async def scenario():
             admin = make_admin()
-            async with create_server(admin=admin) as server:
+            async with create_server(admin) as server:
                 async with AsyncAdminClient("127.0.0.1", server.port) as sdk:
                     status, payload = await sdk._conn.request("GET", "/api/v1/routes")
                     assert await sdk.applications() == ["demo"]
@@ -127,14 +127,14 @@ class TestOneHandlerOverEveryRow:
         ids=lambda verb: verb.name,
     )
     def test_unknown_application_is_404_before_the_body_is_parsed(self, verb):
-        table = build_route_table(admin=make_admin())
+        table = build_route_table(make_admin())
         path = verb.pattern.format(app="ghost", model="noop")
         with pytest.raises(UnknownApplicationError):
             run_async(table.dispatch(verb.method, path, "not even an object"))
 
     @pytest.mark.parametrize("verb", POSTS, ids=lambda verb: verb.name)
     def test_a_body_that_is_no_object_is_400(self, verb):
-        table = build_route_table(admin=make_admin())
+        table = build_route_table(make_admin())
         for body in (None, [1, 2], "text"):
             with pytest.raises(BadRequestError):
                 run_async(table.dispatch("POST", verb.pattern.format(app="demo"), body))
@@ -145,7 +145,7 @@ class TestOneHandlerOverEveryRow:
         ids=lambda value: value.name,
     )
     def test_missing_or_mistyped_field_is_400_naming_it(self, verb, field):
-        table = build_route_table(admin=make_admin(), factories={"noop": NoOpContainer})
+        table = build_route_table(make_admin(), factories={"noop": NoOpContainer})
         path = verb.pattern.format(app="demo")
         bodies = [{**body_of(verb), field.name: WRONG[field.kind]}]
         if field.required:
@@ -163,7 +163,7 @@ class TestOneHandlerOverEveryRow:
     def test_an_optional_field_sent_as_null_is_absent(self):
         async def scenario():
             admin = make_admin()
-            table = build_route_table(admin=admin, factories={"noop": NoOpContainer})
+            table = build_route_table(admin, factories={"noop": NoOpContainer})
             body = {"model_name": "noop", "factory": "noop", "version": 2, "activate": None}
             response = await table.dispatch("POST", "/api/v1/admin/demo/deploy", body)
             return response.body
@@ -175,7 +175,7 @@ class TestDeployForwardsAnySpecField:
     def test_retries_and_breaker_round_trip_into_the_stored_spec(self):
         async def scenario():
             admin = make_admin()
-            server = create_server(admin=admin, factories={"noop": NoOpContainer})
+            server = create_server(admin, factories={"noop": NoOpContainer})
             async with server:
                 async with AsyncAdminClient("127.0.0.1", server.port) as sdk:
                     deployed = await sdk.deploy(
@@ -220,7 +220,7 @@ class TestAddingAVerbIsOneRowPlusOneFrontendMethod:
         bind_verbs(Sdk, rows)
 
         async def scenario():
-            async with create_server(admin=make_admin(Frontend)) as server:
+            async with create_server(make_admin(Frontend)) as server:
                 async with Sdk("127.0.0.1", server.port) as sdk:
                     assert Sdk.ping.__doc__ == "Echo, for the test."
                     assert await sdk.ping("demo", 2, note="hi") == ["demo", "hi"] * 2

@@ -13,7 +13,7 @@ from repro.core.exceptions import (
     UnknownApplicationError,
     ValidationError,
 )
-from repro.core.frontend import QueryFrontend, start_applications, stop_applications
+from repro.core.frontend import QueryFrontend
 
 
 def make_app(name, output=1):
@@ -144,11 +144,11 @@ class TestPartialStartAndStop:
         run_async(scenario())
 
 
-class TestLifecycleHelpers:
-    def test_start_and_stop_share_signature_and_deterministic_order(self):
+class TestLifecycleOrder:
+    def test_start_and_stop_run_in_deterministic_order(self):
         async def scenario():
             order = []
-            apps = {}
+            frontend = QueryFrontend()
             for name in ("zebra", "alpha", "mango"):
                 clipper = make_app(name)
                 original_start, original_stop = clipper.start, clipper.stop
@@ -162,10 +162,10 @@ class TestLifecycleHelpers:
 
                 clipper.start = record("start", original_start)
                 clipper.stop = record("stop", original_stop)
-                apps[name] = clipper
-            # Both helpers take the same name→instance mapping.
-            await start_applications(apps)
-            await stop_applications(apps)
+                frontend.register_application(clipper)
+            # Name order up, its reverse down, whatever the registration order.
+            await frontend.start()
+            await frontend.stop()
             return order
 
         order = run_async(scenario())

@@ -420,12 +420,14 @@ class TestCachedPassBudget:
     @pytest.mark.parametrize(
         "num_models, budget",
         [
-            # parent: 33 (budget 34), the cache's probe a call of its own
-            # with a dict.get per model; 47 before that
-            (1, 32),
-            # parent: 42 (budget 43); 49 while the cache was probed once per
-            # model; 86 before that, about 45 of them inside Exp4Policy.combine
-            (4, 38),
+            # 32 before the answered latency's lifetime bucket (one
+            # bisect_left); 33 (budget 34) while the cache's probe was a
+            # call of its own with a dict.get per model; 47 before that
+            (1, 33),
+            # 38 before the lifetime bucket; 42 (budget 43) before the flat
+            # cache table; 49 while the cache was probed once per model; 86
+            # before that, about 45 of them inside Exp4Policy.combine
+            (4, 39),
         ],
     )
     def test_cached_predict_is_one_bounded_synchronous_pass(self, num_models, budget):
@@ -447,6 +449,7 @@ class TestCachedPassBudget:
             assert profile.python["fetch_by_hash"] == 1  # was one per model
             assert profile.python["input_hash"] == 1
             assert profile.python["hash_input"] == 1
+            assert profile.native["bisect_left"] == 1  # the answered latency's bucket
             assert store_lock.acquired == 0
             assert profile.total <= budget
             await clipper.stop()
@@ -548,11 +551,13 @@ class TestMissedPassBudget:
             # One wake-up of the parked dispatcher: _wake_next, the waiter's
             # set_result and the call_soon behind it, ten calls in all.
             assert profile.python["_wake_next"] == 1
-            # The query's own: 58; the parent: 59, the cache's probe a call
-            # of its own (budget 60).  75 while every miss carried a shadow
+            # The query's own: 59, one of them the answered latency's
+            # lifetime bucket (58 before it; 59 while the cache's probe was
+            # a call of its own).  75 while every miss carried a shadow
             # context and put its own output in the cache; 82 before that,
             # twelve of them a per-tick timer shared within a millisecond.
-            assert profile.total <= 58 + 10
+            assert profile.native["bisect_left"] == 1
+            assert profile.total <= 59 + 10
             await clipper.stop()
 
         run_async(scenario())

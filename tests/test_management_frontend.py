@@ -128,17 +128,15 @@ class TestOperations:
 
 
 class TestCoexistenceWithQueryFrontend:
-    def test_both_frontends_share_the_same_applications(self):
+    def test_one_registration_serves_both_verb_sets(self):
         async def scenario():
             clipper = make_app("vision", output=7)
-            query = QueryFrontend()
-            query.register_application(clipper)
             mgmt = ManagementFrontend(monitor_health=False)
             mgmt.register_application(clipper)
+            assert isinstance(mgmt, QueryFrontend)
 
-            await query.start()
-            await mgmt.start()  # idempotent: the app is already running
-            prediction = await query.predict("vision", np.zeros(1))
+            await mgmt.start()
+            prediction = await mgmt.predict("vision", np.zeros(1))
             assert prediction.output == 7
 
             await mgmt.deploy_model(
@@ -150,9 +148,12 @@ class TestCoexistenceWithQueryFrontend:
                 ),
             )
             await mgmt.rollout("vision", "noop", 2)
-            prediction = await query.predict("vision", np.ones(1))
+            prediction = await mgmt.predict("vision", np.ones(1))
             assert prediction.output == 8
+            await mgmt.update("vision", np.ones(1), 8)
+            assert clipper.metrics.counter("feedback.count").value == 1
             await mgmt.stop()
+            assert not clipper.is_started
 
         run_async(scenario())
 

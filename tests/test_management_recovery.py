@@ -280,16 +280,60 @@ class TestRestoreApplication:
         async def scenario():
             await run_lifecycle(make_store(tmp_path))
             mgmt, _, _ = await restore(make_store(tmp_path))
-            table = build_route_table(admin=mgmt, factories=FACTORIES)
+            table = build_route_table(mgmt, factories=FACTORIES)
             response = await table.dispatch("GET", "/api/v1/health")
             return response
 
         response = run_async(scenario())
         assert response.status == 200
+        assert response.body["applications"] == ["app"]
         recovery = response.body["recovery"]["app"]
         assert recovery["complete"] is True
         assert recovery["versions_restored"] == 2
         assert recovery["store"]["clean"] is True
+
+    def test_a_restored_application_is_served_by_the_frontend_that_restored_it(
+        self, tmp_path
+    ):
+        """Restore once, serve at once: no second registration anywhere."""
+        factories = {"one": lambda: NoOpContainer(output=1), "two": lambda: NoOpContainer(output=2)}
+
+        async def scenario():
+            mgmt = make_frontend(make_store(tmp_path))
+            mgmt.register_application(Clipper(make_config()))
+            for version, factory in ((1, "one"), (2, "two")):
+                deployment = ModelDeployment(
+                    "m", factories[factory], version=version, factory_name=factory
+                )
+                await mgmt.deploy_model("app", deployment)
+            await mgmt.rollout("app", "m", 2)
+            # The store is never closed: a crash.
+            mgmt = make_frontend(make_store(tmp_path))
+            report = await mgmt.restore_application(Clipper(make_config()), factories)
+            table = build_route_table(mgmt, factories)
+            await mgmt.start()
+            try:
+                answers = [
+                    await table.dispatch(method, path, body)
+                    for method, path, body in (
+                        ("POST", "/api/v1/app/predict", {"input": [1.0, 2.0]}),
+                        ("GET", "/api/v1/metrics", None),
+                        ("GET", "/api/v1/health", None),
+                        ("GET", "/api/v1/applications", None),
+                    )
+                ]
+            finally:
+                await mgmt.stop()
+            return report, answers
+
+        report, (predicted, metrics, health, listed) = run_async(scenario())
+        assert report.complete and report.versions_restored == 2
+        assert predicted.status == 200
+        assert predicted.body["output"] == 2 and predicted.body["models_used"] == ["m:2"]
+        assert metrics.body["applications"]["app"]["counters"]["predict.count"] == 1
+        assert health.body["applications"] == ["app"]
+        assert health.body["recovery"]["app"]["versions_restored"] == 2
+        assert [app["app_name"] for app in listed.body["applications"]] == ["app"]
 
     def test_rest_deploy_spec_round_trips(self, tmp_path):
         """A version deployed over REST restores via the same factory name."""
@@ -303,7 +347,7 @@ class TestRestoreApplication:
             )
             mgmt.register_application(clipper)
             await mgmt.start()
-            table = build_route_table(admin=mgmt, factories=FACTORIES)
+            table = build_route_table(mgmt, factories=FACTORIES)
             response = await table.dispatch(
                 "POST",
                 "/api/v1/admin/app/deploy",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import metrics
 from repro.core.metrics import (
     Counter,
     Histogram,
@@ -32,8 +33,9 @@ class TestHistogram:
         assert hist.max() == 100.0
         assert hist.count == 100
 
-    def test_window_bounds_memory(self):
-        hist = Histogram("h", window_size=10)
+    def test_window_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(metrics, "WINDOW_SIZE", 10)
+        hist = Histogram("h")
         for value in range(100):
             hist.observe(float(value))
         assert len(hist.values()) == 10
@@ -97,8 +99,10 @@ class TestRegistry:
     def test_a_snapshot_reads_what_the_histogram_methods_read(self, values, window):
         """One read of the window gives each reading the methods give alone,
         to the bit, with the lifetime count beside the window's quantiles."""
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", window_size=window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "WINDOW_SIZE", window)
+            registry = MetricsRegistry()
+            histogram = registry.histogram("h")
         for value in values:
             histogram.observe(value)
         summary = registry.snapshot().histograms["h"]

@@ -18,6 +18,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import SimulatedLatencyContainer, run_async
 from repro.api.http import create_server
@@ -25,11 +27,11 @@ from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
 from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.frontend import QueryFrontend
-from repro.core.metrics import MetricsRegistry
+from repro.core import metrics
+from repro.core.metrics import DEFAULT_BUCKETS_MS, WINDOW_SIZE, AnsweredMetrics, MetricsRegistry
 from repro.core.types import Query
 from repro.observability.logging import configure_logging, get_logger
 from repro.observability.prometheus import (
-    DEFAULT_BUCKETS_MS,
     parse_exposition,
     render_prometheus,
     validate,
@@ -304,10 +306,12 @@ class TestPrometheusExposition:
         validate(text)
 
     def test_vectorised_buckets_match_the_per_observation_loop(self):
-        """Golden test: the renderer's numpy bucket counts against the loop
-        it replaced (kept here as the reference), on values that sit on
-        bucket bounds, above every bound, below the first, and on a full
-        16,384-sample window.  ``_sum`` may differ by float rounding only."""
+        """Golden test: the rendered bucket counts against a per-observation
+        loop (kept here as the reference), on values that sit on bucket
+        bounds, above every bound, below the first, and on more values than
+        the quantile window keeps: the exposition counts every observation
+        of the histogram's lifetime.  ``_sum`` may differ by float rounding
+        only."""
 
         def reference(values, buckets):
             counts, total = [0] * len(buckets), 0.0
@@ -327,7 +331,7 @@ class TestPrometheusExposition:
         cases = {
             "empty": [],
             "edges": [*DEFAULT_BUCKETS_MS, 0.0, -1.0, 1e9, float("inf"), 0.1, 5000.0],
-            "full": [rng.expovariate(0.05) for _ in range(16384)],
+            "full": [rng.expovariate(0.05) for _ in range(20000)],
         }
         registry = MetricsRegistry()
         for name, values in cases.items():
@@ -345,6 +349,71 @@ class TestPrometheusExposition:
             (rendered_sum,) = [s["value"] for s in samples if s["name"].endswith("_sum")]
             assert count == len(values)
             assert rendered_sum == pytest.approx(total, rel=1e-9)
+
+    @given(
+        steps=st.lists(
+            st.one_of(st.floats(0.0, 1e4), st.integers(0, 1)), min_size=1, max_size=60
+        )
+    )
+    def test_every_histogram_series_only_grows(self, steps):
+        """Observations (floats) interleaved with renders (0) and answered
+        queries (1), past a window of 4: between two renders no ``_bucket``,
+        ``_sum`` or ``_count`` series falls, and the answered latency's
+        ``_count`` is the answered count's ``_total``."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "WINDOW_SIZE", 4)
+            registry = MetricsRegistry()
+            answered = AnsweredMetrics(registry, "predict")
+            stage = registry.histogram_family("predict.stage_ms").labels("queue")
+        previous = {}
+        for step in [*steps, 0]:
+            if isinstance(step, float):
+                stage.observe(step)
+                answered.record(step)
+            elif step:
+                answered.record(0.3)
+            else:
+                families = validate(render_prometheus({"demo": registry}))
+                series = {
+                    (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
+                    for name in ("clipper_predict_latency_ms", "clipper_predict_stage_ms")
+                    for s in families[name]["samples"]
+                }
+                assert all(series[key] >= value for key, value in previous.items())
+                previous = series
+                (total,) = families["clipper_predict_count_total"]["samples"]
+                assert series[("clipper_predict_latency_ms_count", (("app", "demo"),))] == (
+                    total["value"]
+                )
+
+    def test_the_exposition_outlives_the_window(self):
+        """A full window of 4.0 answers, then 3,616 of 1.0: ``_count`` and
+        ``+Inf`` read the answered total and ``_sum`` every value's sum,
+        never below an earlier scrape's."""
+        registry = MetricsRegistry()
+        answered = AnsweredMetrics(registry, "predict")
+        for _ in range(WINDOW_SIZE):
+            answered.record(4.0)
+        before = validate(render_prometheus({"demo": registry}))
+        for _ in range(3616):
+            answered.record(1.0)
+        after = validate(render_prometheus({"demo": registry}))
+
+        def reading(families, name, le=None):
+            (value,) = [
+                s["value"]
+                for s in families["clipper_predict_latency_ms"]["samples"]
+                if s["name"] == name and s["labels"].get("le") == le
+            ]
+            return value
+
+        total = WINDOW_SIZE + 3616
+        assert after["clipper_predict_count_total"]["samples"][0]["value"] == total
+        assert reading(after, "clipper_predict_latency_ms_count") == total
+        assert reading(after, "clipper_predict_latency_ms_bucket", "+Inf") == total
+        assert reading(after, "clipper_predict_latency_ms_bucket", "1") == 3616
+        assert reading(after, "clipper_predict_latency_ms_sum") == 4.0 * WINDOW_SIZE + 3616
+        assert reading(before, "clipper_predict_latency_ms_sum") == 4.0 * WINDOW_SIZE
 
     def test_scrape_of_full_histograms_does_not_stall_the_loop(self):
         """Five full windows rendered in a few ms (the per-observation

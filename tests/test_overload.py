@@ -1107,7 +1107,7 @@ class TestOverloadOverHttp:
             )
             admin = ManagementFrontend(monitor_health=False, manage_canaries=False)
             admin.register_application(clipper)
-            server = create_server(admin=admin)
+            server = create_server(admin)
             async with server:
                 outcomes = await asyncio.gather(
                     *(clipper.predict(Query(app_name="demo", input=[float(i)]))
