@@ -6,7 +6,7 @@ gets the application verbs ``predict`` and ``update`` with the listings,
 metrics and trace routes over the applications it hosts, and a
 :class:`~repro.management.frontend.ManagementFrontend` — a query frontend
 too — gets the operator verbs as well, over the same applications.
-Handlers do only transport work — decode the JSON body, resolve wire
+Handlers do only transport work — decode the body, resolve wire
 representations (base64 bytes, factory names), shape the response — and
 delegate every check to the frontend, so in-process callers invoking the
 same frontend methods cross the identical validation and error path.
@@ -32,7 +32,7 @@ import numpy as np
 from repro.api import verbs
 from repro.api.errors import RouteNotFoundError
 from repro.api.routes import ApiResponse, RouteTable
-from repro.api.schema import require_field, require_object
+from repro.api.schema import VECTOR_TYPES, require_field, require_object
 from repro.api.verbs import API_PREFIX
 from repro.core.config import ModelDeployment
 from repro.core.exceptions import (
@@ -222,48 +222,40 @@ def build_route_table(
     async def get_schema(params: Dict[str, str], body: Any) -> ApiResponse:
         return ApiResponse(200, query.schema(params["app"]).to_dict())
 
-    async def post_predict(params: Dict[str, str], body: Any) -> ApiResponse:
+    def input_vector(params: Dict[str, str]) -> Optional[str]:
+        # A floats/doubles app's JSON input is decoded as a vector (404 first).
+        return "input" if query.schema(params["app"]).input_type in VECTOR_TYPES else None
+
+    def read_input(app_name: str, body: Any) -> Any:
+        """The body object and its ``input``, as validation takes it."""
         payload = require_object(body)
-        app_name = params["app"]
-        # Resolve the application first so an unknown name is a 404 even
-        # when the body is also malformed.
-        schema = query.schema(app_name)
+        schema = query.schema(app_name)  # an unknown name is a 404 first
         raw = require_field(payload, "input")
-        # Binary fast path: a columnar body lands here with the input
-        # already a typed ndarray (a zero-copy view into the received
-        # frame) — skip the JSON wire codec and hand it to the frontend,
-        # whose validation coerces conforming arrays without a copy.
-        x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+        # A columnar input is a typed ndarray (a view into the received frame)
+        # and so is a JSON vector: validation coerces either without a copy.
+        return payload, raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+
+    async def post_predict(params: Dict[str, str], body: Any) -> ApiResponse:
+        app_name = params["app"]
+        payload, x = read_input(app_name, body)
         prediction = await query.predict(
-            app_name,
-            x,
-            user_id=_optional(payload, _USER_ID),
-            latency_slo_ms=_optional(payload, _LATENCY_SLO_MS),
-            trace_id=params.get("_trace_id"),
+            app_name, x, user_id=_optional(payload, _USER_ID),
+            latency_slo_ms=_optional(payload, _LATENCY_SLO_MS), trace_id=params.get("_trace_id"),
         )
-        headers = (
-            {"X-Clipper-Trace-Id": prediction.trace_id}
-            if prediction.trace_id
-            else {}
-        )
+        headers = {"X-Clipper-Trace-Id": prediction.trace_id} if prediction.trace_id else {}
         return ApiResponse(200, prediction_payload(prediction), headers=headers)
 
     async def post_update(params: Dict[str, str], body: Any) -> ApiResponse:
-        payload = require_object(body)
         app_name = params["app"]
-        schema = query.schema(app_name)
-        raw = require_field(payload, "input")
-        x = raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+        payload, x = read_input(app_name, body)
         label = require_field(payload, "label")
-        await query.update(
-            app_name, x, label, user_id=_optional(payload, _USER_ID)
-        )
+        await query.update(app_name, x, label, user_id=_optional(payload, _USER_ID))
         return ApiResponse(200, {"ok": True, "app_name": app_name})
 
     table.add("GET", f"{API_PREFIX}/applications", "applications", list_applications)
     table.add("GET", f"{API_PREFIX}/{{app}}/schema", "schema", get_schema)
-    table.add("POST", f"{API_PREFIX}/{{app}}/predict", "predict", post_predict)
-    table.add("POST", f"{API_PREFIX}/{{app}}/update", "update", post_update)
+    table.add("POST", f"{API_PREFIX}/{{app}}/predict", "predict", post_predict, input_vector)
+    table.add("POST", f"{API_PREFIX}/{{app}}/update", "update", post_update, input_vector)
 
     # -- operator verbs (the management REST API) -------------------------------
 

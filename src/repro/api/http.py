@@ -104,11 +104,14 @@ def _head(status: int, keep_alive: bool, content_type: str) -> bytes:
 
 
 def _encode_json(body: Any) -> bytes:
-    return json.dumps(json_safe(body))
+    return json.dumps(json_safe(body), True)  # one walk: json_safe's output is checked
 
 
-def _decode_json(data: bytes) -> Any:
-    return json.loads(data)
+def _decode_json(data: bytes, field: Optional[str] = None) -> Any:
+    try:
+        return json.loads(data, field)
+    except (ValueError, RecursionError):  # invalid UTF-8 or JSON, or nested too deep
+        raise BadRequestError(f"request body is not valid {JSON_CONTENT_TYPE}") from None
 
 
 def _request_line(request_line: str, connection: Optional[str]) -> Tuple[str, str, str, bool]:
@@ -341,12 +344,10 @@ class HttpApiServer:
         default; a header that explicitly rules out both encoders is a 406
         :class:`NotAcceptableError`.
         """
-        if header is None:
-            return JSON_CONTENT_TYPE
         best: Optional[str] = None
         best_q = 0.0
         saw_range = False
-        for item in header.split(","):
+        for item in (header or "").split(","):
             fields = item.split(";")
             media = fields[0].strip().lower()
             if not media:
@@ -360,15 +361,9 @@ class HttpApiServer:
                         q = float(value)
                     except ValueError:
                         q = 0.0
-            if q <= 0.0:
-                continue  # q=0 means "never send me this"
-            if media in ("*/*", "application/*"):
-                candidate = JSON_CONTENT_TYPE
-            elif media in self._encoders:
-                candidate = media
-            else:
-                continue
-            if q > best_q:
+            # q=0 means "never send me this"; "anything" is answered with JSON.
+            candidate = JSON_CONTENT_TYPE if media in ("*/*", "application/*") else media
+            if q > best_q and candidate in self._encoders:
                 best, best_q = candidate, q
         if best is not None:
             return best
@@ -406,25 +401,20 @@ class HttpApiServer:
             accept, content_type, decoder = self._codecs.get(key) or remember(
                 self._codecs, key, self._negotiate(*key)
             )
-            body: Any = None
+            body, decode = body_bytes or None, None
             if body_bytes:
                 if decoder is None:
                     raise UnsupportedMediaTypeError(
                         f"no decoder for content type '{content_type}'",
                         detail={"supported": sorted(self._decoders)},
                     )
-                try:
-                    body = decoder(body_bytes)
-                except (ValueError, RecursionError):
-                    # Invalid UTF-8 or JSON, or nesting past the parser's
-                    # stack.  The columnar decoder raises its own structured
-                    # 400, which passes through as every ClipperError does.
-                    raise BadRequestError(
-                        f"request body is not valid {content_type}"
-                    ) from None
+                if decoder is _decode_json:
+                    decode = decoder  # once the route is known: it may read a vector
+                else:
+                    body = decoder(body_bytes)  # raises its own structured 400
             query = dict(parse_qsl(query_string)) if query_string else None
             response = await self.routes.dispatch(
-                method, path, body, query=query, headers=headers
+                method, path, body, query=query, headers=headers, decode=decode
             )
             return response.status, response.body, accept, response.headers or {}
         except Exception as exc:  # noqa: BLE001 — the edge maps everything

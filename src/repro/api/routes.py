@@ -3,11 +3,9 @@
 One registry owns the entire external surface: the application verbs
 (``/api/v1/<app>/predict``, ``/api/v1/<app>/update``) and the admin verb set
 (deploy, undeploy, scale, rollout, rollback, the canary verbs, models,
-health, metrics, routing).  The table is transport-agnostic — a handler is
-just an async callable ``handler(params, body) -> ApiResponse`` — so the
-same routes serve the stdlib HTTP binding (:mod:`repro.api.http`), tests
-calling :meth:`RouteTable.dispatch` directly, and any future binding (e.g. a
-binary columnar transport) without re-registering anything.
+health, metrics, routing).  A handler is an async callable ``handler(params,
+body) -> ApiResponse``: the same routes serve the HTTP binding
+(:mod:`repro.api.http`) and tests calling :meth:`RouteTable.dispatch`.
 
 Patterns use ``{name}`` placeholders matched per path segment::
 
@@ -51,6 +49,8 @@ class Route:
     handler: Handler
     #: Pre-split pattern segments; ``{x}`` segments capture into params.
     segments: Tuple[str, ...] = ()
+    #: Path params -> the body field decoded as a vector (None: none).
+    vector: Optional[Callable[[Dict[str, str]], Optional[str]]] = None
 
     def match_path(self, parts: Tuple[str, ...]) -> Optional[Dict[str, str]]:
         """Path params when ``parts`` matches this route's pattern, else None."""
@@ -91,18 +91,18 @@ class RouteTable:
         # removed.
         self._matched: Dict[Tuple[str, str], Tuple[Route, Dict[str, str]]] = {}
 
-    def add(self, method: str, pattern: str, name: str, handler: Handler) -> Route:
+    def add(self, method: str, pattern: str, name: str, handler: Handler, vector=None) -> Route:
         """Register a route; duplicate (method, pattern) pairs are rejected.
 
         Two patterns that differ only in parameter names match the same
-        requests, so they are duplicates too.
+        requests, so they are duplicates too.  See :attr:`Route.vector`.
         """
         method = method.upper()
         segments = _split_path(pattern)
         shape = _shape(segments)
         if any(r.method == method and _shape(r.segments) == shape for r in self._routes):
             raise ValueError(f"route {method} {pattern} is already registered")
-        route = Route(method, pattern, name, handler, segments)
+        route = Route(method, pattern, name, handler, segments, vector)
         self._routes.append(route)
         return route
 
@@ -147,6 +147,7 @@ class RouteTable:
         body: Any = None,
         query: Optional[Dict[str, str]] = None,
         headers: Optional[Dict[str, str]] = None,
+        decode: Optional[Callable[[bytes, Optional[str]], Any]] = None,
     ) -> ApiResponse:
         """Resolve and invoke a handler in-process (no HTTP framing).
 
@@ -155,9 +156,12 @@ class RouteTable:
         parameters) merges into the handler params with path parameters
         winning on collision; a caller-supplied ``X-Clipper-Trace-Id``
         header surfaces as the reserved ``_trace_id`` param so handlers can
-        force-sample the query's trace.
+        force-sample the query's trace.  With ``decode``, ``body`` is bytes
+        that ``decode(body, field)`` reads, ``field`` the route's vector.
         """
         route, params = self.match(method, path)
+        if decode is not None:
+            body = decode(body, route.vector(params) if route.vector else None)
         if query:
             merged = dict(query)
             merged.update(params)

@@ -21,13 +21,17 @@ The module also owns the wire codec for inputs and outputs: JSON arrays for
 the numeric types, plain strings for ``strings``, and base64 text for
 ``bytes`` (JSON has no binary type), plus :func:`json_safe` which renders
 arbitrary prediction outputs (numpy scalars, arrays, bytes) as JSON values.
+
+Where each JSON value is checked: a :data:`VECTOR_TYPES` application's
+``input`` list by the pass that builds its vector (``jsonwire.vector``, asked
+for by the predict and update routes), the rest by ``jsonwire.loads``, and a
+response once, by :func:`json_safe`, whose output ``jsonwire.dumps`` trusts.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -38,6 +42,7 @@ from repro.core.exceptions import (
     ConfigurationError,
     ValidationError,
 )
+from repro.rpc.jsonwire import vector
 
 #: The paper's application input types mapped onto numpy dtypes (``bytes``
 #: and ``strings`` stay native Python values).
@@ -48,6 +53,9 @@ INPUT_TYPES: Dict[str, Optional[np.dtype]] = {
     "bytes": None,
     "strings": None,
 }
+
+#: Types whose input list is read as a float64 ``vector`` (validation's result, cast).
+VECTOR_TYPES = ("floats", "doubles")
 
 #: The least double that rounds to infinity as a float32 (half an ulp past
 #: its largest value; the tie rounds to even, away from it).
@@ -227,9 +235,10 @@ class ApplicationSchema:
         as base64 text (JSON has no binary type) and are decoded here; the
         binary columnar encoding carries bytes natively, so ``bytes``-like
         values pass straight through.  Every other type's wire value is
-        already the in-process representation, or (:func:`_float_vector`)
-        the array validation would build from it.  Full validation happens
-        afterwards in :meth:`validate_input`, shared with in-process callers.
+        already the in-process representation, or a :data:`VECTOR_TYPES`
+        list's ``vector`` (a sum guards a list that holds arrays: a row's sum
+        is no float).  Full validation happens afterwards in
+        :meth:`validate_input`, shared with in-process callers.
         """
         if self.input_type == "bytes":
             if isinstance(raw, (bytes, bytearray, memoryview)):
@@ -247,8 +256,13 @@ class ApplicationSchema:
                     f"input for application '{self.app_name}' is not valid base64",
                     detail={"expected": "base64 string"},
                 ) from None
-        if type(raw) is list and self.input_type in ("floats", "doubles"):
-            return _float_vector(raw)
+        if type(raw) is list and self.input_type in VECTOR_TYPES:
+            try:
+                with np.errstate(all="ignore"):  # arrays that overflow sum to no float either
+                    built = vector(raw) if type(sum(raw, 0.0)) is float else None
+            except (TypeError, ValueError, OverflowError):  # ValueError: rows of two shapes
+                built = None
+            return raw if built is None else built
         return raw
 
     def to_dict(self) -> Dict[str, Any]:
@@ -264,27 +278,13 @@ class ApplicationSchema:
         }
 
 
-def _float_vector(raw: list) -> Any:
-    """``raw`` as the float64 array ``np.asarray(raw)`` would build, only where
-    that is sure: Python numbers alone (an array row's sum is no float), not
-    all bools (a bool array is refused), each finite and below ``2**53`` (an
-    int list past it may round twice to float32, or be no int64 array)."""
-    try:
-        if not raw or type(raw[0]) is bool or type(sum(raw, 0.0)) is not float:
-            return raw
-    except (TypeError, ValueError, OverflowError):  # ValueError: rows of two shapes
-        return raw
-    vector = np.empty(len(raw))
-    struct.pack_into(f"{len(raw)}d", vector, 0, *raw)  # struct caches the format
-    return vector if abs(vector).max() < 2.0**53 else raw  # NaN is not
-
-
 def json_safe(value: Any) -> Any:
     """Render an arbitrary library value as a JSON-serializable one.
 
     Prediction outputs and metric snapshots carry numpy scalars/arrays and
     raw bytes, which JSON lacks.  Containers recurse, bytes become base64 and
-    anything unknown ``str``; exact types skip the ``isinstance`` chain.
+    anything unknown ``str``; exact types skip the ``isinstance`` chain.  Its
+    dicts have str keys, and its floats are finite: ``jsonwire.dumps`` trusts it.
     """
     kind = type(value)
     if kind is str or kind is int or kind is bool or value is None:

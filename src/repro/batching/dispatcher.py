@@ -73,7 +73,7 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.replica import Replica
 from repro.core import clock
 from repro.core.exceptions import ContainerError, RpcError
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import BATCH_SIZE_BUCKETS, MetricsRegistry
 from repro.core.types import ReplicaHealth
 from repro.observability.logging import get_logger
 from repro.observability.tracing import TRACE_RETRIED, BatchSpans, TraceContext
@@ -170,7 +170,7 @@ class ReplicaDispatcher:
         # lock on every call, which adds up at high batch rates.
         prefix = f"model.{replica.model_id}"
         self._batch_latency_hist = self.metrics.histogram(f"{prefix}.batch_latency_ms")
-        self._batch_size_hist = self.metrics.histogram(f"{prefix}.batch_size")
+        self._batch_size_hist = self.metrics.histogram(f"{prefix}.batch_size", BATCH_SIZE_BUCKETS)
         self._throughput_counter = self.metrics.counter(f"{prefix}.throughput")
         # Per-stage latency attribution uses the labels() family fast path:
         # the child names are hashed here, once, and each batch costs two

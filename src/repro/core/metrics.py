@@ -3,8 +3,8 @@
 Clipper reports throughput and latency distributions (mean, P99) for every
 experiment in the paper.  This module provides the metric primitives
 needed to regenerate those numbers — :class:`Counter`, :class:`Histogram`
-(lifetime bucket counts and sum over :data:`DEFAULT_BUCKETS_MS`, plus a
-window of recent observations for quantile queries) and :class:`Gauge`
+(lifetime bucket counts and sum over the bounds it is registered with, plus
+a window of recent observations for quantile queries) and :class:`Gauge`
 (point-in-time values such as queue saturation) — plus a
 :class:`MetricsRegistry` that names and aggregates them.  A rate is the
 reader's derivative of a counter (Prometheus' ``rate()`` over ``_total``),
@@ -28,6 +28,8 @@ import numpy as np
 #: in the first bucket whose bound is not below it, or past the last.
 DEFAULT_BUCKETS_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
                       250.0, 500.0, 1000.0, 2500.0, 5000.0)
+#: Batch-size bucket upper bounds: the powers of two up to the largest batch.
+BATCH_SIZE_BUCKETS = tuple(2**k for k in range(13))
 
 #: How many recent observations a histogram keeps for its quantiles (read
 #: when one is built).
@@ -55,8 +57,8 @@ class Counter:
 class Histogram:
     """Lifetime bucket counts and sum, and a window for quantile queries.
 
-    Every observation adds one to its bucket of :data:`DEFAULT_BUCKETS_MS`
-    (the last bucket: past every bound) and its value to the sum, for the
+    Every observation adds one to its bucket of ``bounds`` (the last bucket:
+    past every bound) and its value to the sum, for the
     histogram's lifetime.  The lifetime number of observations is the
     :class:`Counter` ``counted`` (its own, or one registered beside it: see
     :class:`AnsweredMetrics`); the window keeps only the most recent
@@ -68,10 +70,12 @@ class Histogram:
         name: str,
         lock: Optional[threading.Lock] = None,
         counted: Optional[Counter] = None,
+        bounds: Tuple[float, ...] = DEFAULT_BUCKETS_MS,
     ) -> None:
         self.name = name
+        self.bounds = bounds
         self._window: Deque[float] = deque(maxlen=WINDOW_SIZE)
-        self._buckets = [0] * (len(DEFAULT_BUCKETS_MS) + 1)
+        self._buckets = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._lock = lock or threading.Lock()
         self.counted = counted or Counter(name, self._lock)
@@ -83,7 +87,7 @@ class Histogram:
             return
         with self._lock:
             self._window.append(value)
-            self._buckets[bisect_left(DEFAULT_BUCKETS_MS, value)] += 1
+            self._buckets[bisect_left(self.bounds, value)] += 1
             self._sum += value
             self.counted._value += 1
 
@@ -116,16 +120,12 @@ class Histogram:
 
     def mean(self) -> float:
         values = self.values()
-        if not values:
-            return float("nan")
-        return float(np.mean(values))
+        return float(np.mean(values)) if values else float("nan")
 
     def percentile(self, q: float) -> float:
         """Return the ``q``-th percentile (0-100) of the windowed observations."""
         values = self.values()
-        if not values:
-            return float("nan")
-        return float(np.percentile(values, q))
+        return float(np.percentile(values, q)) if values else float("nan")
 
     def p50(self) -> float:
         return self.percentile(50)
@@ -245,7 +245,7 @@ class AnsweredMetrics:
         latency = self.latency
         with self._lock:
             latency._window.append(latency_ms)
-            latency._buckets[bisect_left(DEFAULT_BUCKETS_MS, latency_ms)] += 1
+            latency._buckets[bisect_left(latency.bounds, latency_ms)] += 1
             latency._sum += latency_ms
             self.count._value += 1
 
@@ -325,10 +325,10 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         return counter or self._register(self._counters, name, Counter, name)
 
-    def histogram(self, name: str) -> Histogram:
-        """Return (creating if needed) the histogram with ``name``."""
-        histogram = self._histograms.get(name)
-        return histogram or self._register(self._histograms, name, Histogram, name)
+    def histogram(self, name: str, bounds: Tuple[float, ...] = DEFAULT_BUCKETS_MS) -> Histogram:
+        """Return (creating if needed) the histogram with ``name`` on ``bounds``."""
+        found = self._histograms.get(name)
+        return found or self._register(self._histograms, name, Histogram, name, None, None, bounds)
 
     def gauge(self, name: str, fn=None) -> Gauge:
         """Return (creating if needed) the gauge with ``name``.
@@ -397,8 +397,8 @@ class MetricScope(MetricsRegistry):
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, self._registry.counter(name))
 
-    def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, self._registry.histogram(name))
+    def histogram(self, name: str, bounds: Tuple[float, ...] = DEFAULT_BUCKETS_MS) -> Histogram:
+        return self._histograms.setdefault(name, self._registry.histogram(name, bounds))
 
     def gauge(self, name: str, fn=None) -> Gauge:
         return self._gauges.setdefault(name, self._registry.gauge(name, fn))

@@ -10,8 +10,8 @@ Mapping:
 * ``Counter`` → ``counter`` with the conventional ``_total`` suffix (a rate
   is the scraper's ``rate()`` over it).
 * ``Gauge``   → ``gauge`` (point-in-time value, no suffix).
-* ``Histogram`` → ``histogram`` with cumulative ``_bucket{le=...}`` lines
-  plus ``_sum``/``_count``, all over the histogram's lifetime: running sums
+* ``Histogram`` → ``histogram`` with cumulative ``_bucket{le=...}`` lines on
+  its own bounds plus ``_sum``/``_count``, over its lifetime: running sums
   of its bucket counts, its sum, and ``_count`` read from its counter (for
   ``predict.latency_ms`` the one registered as ``predict.count``), so every
   series only grows and ``rate()`` over any of them means what it says.
@@ -30,7 +30,7 @@ import re
 from itertools import accumulate
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.metrics import DEFAULT_BUCKETS_MS, MetricsRegistry
+from repro.core.metrics import MetricsRegistry
 
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -69,10 +69,6 @@ def _format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-#: The ``le`` label of each bucket, the overflow bucket's last.
-_BOUNDS = [*map(_format_value, DEFAULT_BUCKETS_MS), "+Inf"]
 
 
 def _render_labels(labels: Dict[str, str]) -> str:
@@ -129,7 +125,8 @@ def render_prometheus(registries: Mapping[str, MetricsRegistry]) -> str:
                 app, raw, "histogram", "Distribution of {} since it was registered."
             )
             buckets, total, count = histogram.lifetime()
-            for le, running in zip(_BOUNDS, accumulate(buckets)):
+            bounds = [*map(_format_value, histogram.bounds), "+Inf"]
+            for le, running in zip(bounds, accumulate(buckets)):
                 bucket_labels = {**labels, "le": le}
                 samples.append(f"{name}_bucket{_render_labels(bucket_labels)} {running}")
             samples.append(f"{name}_sum{_render_labels(labels)} {_format_value(total)}")

@@ -29,17 +29,24 @@ surrogates, non-``str`` keys, integers past 64 bits, numpy scalars), is the
 stdlib's, at its cost plus orjson's attempt: 784 doubles with one of them
 ``1e20`` read in ~1.15x the stdlib's time and write in ~1.03x.
 
+Each value is checked once: ``loads(data, field)`` reads the object's list
+``field`` as its :func:`vector`, whose building is that list's check, and
+``dumps(value, True)`` trusts ``value`` to be ``json_safe``'s output
+(:mod:`repro.api.schema`), which orjson writes as the stdlib does or refuses.
+
 ``BACKEND`` names the library in use; nothing else chooses it.
 ``tests/test_jsonwire.py`` holds both backends to the stdlib over generated
-values and bytes.
+values and bytes, ``tests/test_api_json_body.py`` the vector to the edge's
+reference decode.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from itertools import repeat
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -70,12 +77,12 @@ def _tolist(value: Any) -> Any:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _std_dumps(value: Any) -> bytes:
+def _std_dumps(value: Any, checked: bool = False) -> bytes:  # the stdlib checks as it writes
     return json.dumps(value, separators=(",", ":"), default=_tolist).encode("utf-8")
 
 
-def _std_loads(data: bytes) -> Any:
-    return json.loads(data.decode("utf-8"))
+def _std_loads(data: bytes, field: Optional[str] = None) -> Any:
+    return _vectored(json.loads(data.decode("utf-8")), field)
 
 
 def _shallow(data: bytes) -> bool:
@@ -95,10 +102,11 @@ def _shallow(data: bytes) -> bool:
     return True
 
 
-def _plain(value: Any, unsure: list) -> bool:
+def _plain(value: Any, unsure: Optional[list]) -> bool:
     """Whether ``value`` is JSON's own types and ndarrays, each float finite and
     below ``_BOUND``; ``unsure`` gets what orjson's numpy writer may write unlike
-    the stdlib: other arrays, and lists not read entry by entry (numpy scalars)."""
+    the stdlib: other arrays, and lists not read entry by entry (numpy scalars);
+    None from ``loads``, whose only arrays are vectors it built."""
     kind = type(value)
     if kind in _ATOMS:
         return True
@@ -106,7 +114,8 @@ def _plain(value: Any, unsure: list) -> bool:
         return -_BOUND < value < _BOUND
     if kind is list or kind is tuple:
         if len(value) > 8:
-            unsure.append(value)
+            if unsure is not None:
+                unsure.append(value)
             try:
                 # One C pass over a vector of numbers: its norm bounds every
                 # entry and is NaN or infinite when one of them is.
@@ -122,12 +131,37 @@ def _plain(value: Any, unsure: list) -> bool:
     if kind is np.ndarray:
         # Native int64, or float64 below ``_BOUND`` (NaN is not); the numpy
         # writer hands 0-d and strided ones to ``default``.
-        if value.dtype is not _INT64 and (
+        if unsure is not None and value.dtype is not _INT64 and (
             value.dtype is not _FLOAT64 or not abs(value).max(initial=0.0) < _BOUND
         ):
             unsure.append(value)
         return True
     return False
+
+
+def vector(value: Any) -> Optional[np.ndarray]:
+    """The list ``value`` of Python numbers (``struct`` refuses any other
+    entry) as a float64 array, where each is below ``2**53`` in magnitude (NaN
+    is not): there every integer is a float64, so the array holds the values
+    ``np.asarray`` reads, and rounds to float32 once.  None for anything else:
+    an empty list, one led by a bool (all bools are a bool array).  Packing is
+    one C pass and the bound another, also :func:`loads`' check of the list."""
+    if type(value) is not list or not value or type(value[0]) is bool:
+        return None
+    built = np.empty(len(value))
+    try:
+        struct.pack_into(f"{len(value)}d", built, 0, *value)  # struct caches the format
+    except struct.error:
+        return None
+    return built if abs(built).max() < 2.0**53 else None
+
+
+def _vectored(value: Any, field: Optional[str]) -> Any:
+    """``value``, its list ``field`` read as its :func:`vector` where it has one."""
+    built = vector(value.get(field)) if field is not None and type(value) is dict else None
+    if built is not None:
+        value[field] = built
+    return value
 
 
 def _listed(value: Any) -> Any:
@@ -138,10 +172,10 @@ def _listed(value: Any) -> Any:
     raise TypeError("not written by orjson")
 
 
-def _orjson_dumps(value: Any) -> bytes:
+def _orjson_dumps(value: Any, checked: bool = False) -> bytes:
     unsure: list = []
     try:
-        if _plain(value, unsure):
+        if checked or _plain(value, unsure):
             option = 0 if unsure else orjson.OPT_SERIALIZE_NUMPY
             return orjson.dumps(value, default=_listed, option=option)
     except (TypeError, RecursionError):  # orjson.JSONEncodeError is a TypeError
@@ -149,15 +183,15 @@ def _orjson_dumps(value: Any) -> bytes:
     return _std_dumps(value)
 
 
-def _orjson_loads(data: bytes) -> Any:
+def _orjson_loads(data: bytes, field: Optional[str] = None) -> Any:
     if _shallow(data):
         try:
-            value = orjson.loads(data)
-            if _plain(value, []):
+            value = _vectored(orjson.loads(data), field)
+            if _plain(value, None):
                 return value
         except (orjson.JSONDecodeError, RecursionError):
             pass
-    return _std_loads(data)
+    return _std_loads(data, field)
 
 
 #: ``(dumps, loads)`` by backend name; tests call each directly.

@@ -73,26 +73,14 @@ def frame_length(buffer: Any, offset: int = 0) -> int:
 
 
 class Transport:
-    """Abstract bidirectional message transport (one endpoint)."""
-
-    async def send(self, payload: dict) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    async def recv(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
+    """One endpoint of a bidirectional message transport: each kind has ``async
+    send(payload)``, ``async recv() -> dict``, ``async close()`` and ``closed``."""
 
     async def recv_stamped(self) -> Tuple[dict, float]:
         """The next message, and when it arrived by ``clock.now()`` (here: when
         it is handed over; the shm rings never see a frame arrive)."""
         payload = await self.recv()
         return payload, clock.now()
-
-    async def close(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    @property
-    def closed(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 class StreamProtocol(asyncio.Protocol):
@@ -238,21 +226,12 @@ class TcpTransport(StreamProtocol, Transport):
             await self.drain()
 
     async def recv(self) -> dict:
-        if self._closed or not self._arrivals:
-            await self._arrival()
-        self._arrivals.popleft()
-        return deserialize(self._cut())
+        return (await self.recv_stamped())[0]
 
     async def recv_stamped(self) -> Tuple[dict, float]:
-        if self._closed or not self._arrivals:
-            await self._arrival()
-        return deserialize(self._cut()), self._arrivals.popleft()
-
-    async def _arrival(self) -> None:
-        """Wait for a complete frame; raise when none will come."""
-        while not self._closed:
-            if self._arrivals:
-                return
+        while self._closed or not self._arrivals:  # raise when no frame will come
+            if self._closed:
+                raise RpcError("transport is closed")
             if self.eof:
                 self._hang_up()
                 where = "inside a frame" if self._buffer else "by peer"
@@ -261,7 +240,7 @@ class TcpTransport(StreamProtocol, Transport):
                 await self._park()
             finally:
                 self._reader = None
-        raise RpcError("transport is closed")
+        return deserialize(self._cut()), self._arrivals.popleft()
 
     def _cut(self) -> bytes:
         """The body of the frame at the buffer's head, taken off it."""

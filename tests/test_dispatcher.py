@@ -21,6 +21,7 @@ from repro.containers.replica import ContainerReplica
 from repro.core import clock
 from repro.core.exceptions import ContainerError
 from repro.core.types import ModelId
+from repro.observability.prometheus import render_prometheus, validate
 
 
 def build_dispatcher(container, controller=None, batch_wait_timeout_ms=0.0):
@@ -47,6 +48,27 @@ def make_item(value, deadline=None, query_id=None):
 
 
 class TestDispatchBatch:
+    def test_batch_sizes_render_on_powers_of_two(self):
+        """64 queries in batches of 8: the batch-size histogram counts them on
+        its own bounds, not on the latency buckets (where 6 and 10 share one)."""
+        async def scenario():
+            replica, queue, dispatcher = build_dispatcher(NoOpContainer(output=4))
+            await replica.start()
+            for _ in range(8):
+                await dispatcher.dispatch_batch([make_item(np.zeros(1)) for _ in range(8)])
+            await replica.stop()
+            return validate(render_prometheus({"demo": dispatcher.metrics}))
+
+        families = run_async(scenario())
+        samples = families["clipper_model_model:1_batch_size"]["samples"]
+        buckets = {s["labels"]["le"]: s["value"] for s in samples if "le" in s["labels"]}
+        assert list(buckets) == [*map(str, (2**k for k in range(13))), "+Inf"]
+        assert buckets["4"] == 0 and buckets["8"] == 8 and buckets["+Inf"] == 8
+        (count,) = [s["value"] for s in samples if s["name"].endswith("_count")]
+        assert count == 8
+        latency = families["clipper_model_model:1_batch_latency_ms"]["samples"]
+        assert [s["labels"]["le"] for s in latency if "le" in s["labels"]][:2] == ["0.1", "0.25"]
+
     def test_resolves_futures_with_outputs(self):
         async def scenario():
             replica, queue, dispatcher = build_dispatcher(NoOpContainer(output=4))

@@ -885,16 +885,36 @@ class TestJsonVectorBudget:
         assert profile.total <= budget
 
     def test_the_edge_builds_the_array_in_one_call(self):
+        """The JSON decoder reads the input as its vector; validation takes it."""
         schema = ApplicationSchema("app", input_type="doubles", input_shape=(784,))
         x = np.random.default_rng(0).standard_normal(784)
-        raw = jsonwire.loads(jsonwire.dumps({"input": x.tolist()}))["input"]
+        body = jsonwire.dumps({"input": x.tolist()})
+        profile, validated = profiled(
+            lambda: schema.validate_input(jsonwire.loads(body, "input")["input"])
+        )
+        assert validated.tobytes() == x.tobytes()
+        assert profile.native["pack_into"] == 1 and profile.native["hypot"] == 0
+        assert sum(profile.python.values()) <= 9
+        # At the parent, decode_wire_input + validate_input of the decoded list
+        # alone made 16 calls (the sum, then pack_into), after loads' hypot.
+        assert profile.total <= {"json": 28, "orjson": 27}[jsonwire.BACKEND]
+
+    def test_a_columnar_list_is_packed_in_one_call(self):
+        """A list that is not JSON's (the columnar decoder's, or one the JSON
+        decoder declined) is read by ``decode_wire_input``: its sum is the
+        guard against rows of arrays, under ``np.errstate`` (a sum of arrays
+        may overflow or meet NaN, which no float sum would warn of)."""
+        schema = ApplicationSchema("app", input_type="doubles", input_shape=(784,))
+        x = np.random.default_rng(0).standard_normal(784)
+        raw = x.tolist()
         profile, validated = profiled(
             lambda: schema.validate_input(schema.decode_wire_input(raw))
         )
         assert validated.tobytes() == x.tobytes()
         assert profile.native["pack_into"] == 1
-        assert sum(profile.python.values()) <= 5  # parent: 3 (np.asarray read the list)
-        assert profile.total <= 16  # parent: 6
+        # parent: 5 and 16, the same pass with no errstate to enter and exit.
+        assert sum(profile.python.values()) <= 8
+        assert profile.total <= 22
 
     def test_a_predict_response_takes_the_type_dispatch(self):
         payload = prediction_payload(Prediction(
@@ -949,24 +969,25 @@ class TestInlineEdgeBudget:
             b"Content-Length: %d\r\n\r\n%b" % (len(body), body)
         )
 
-    def test_a_cached_predict_is_answered_in_the_callback_that_completes_it(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def exchange(monkeypatch, request: bytes, x, **config):
+        """One cached predict over a keep-alive connection, under the profile:
+        the profile, the response's head and body, and the tasks, futures
+        and callbacks the loop was asked for.  ``x`` is in the cache, and two
+        requests before it filled the memos and learned layouts."""
+
         async def scenario():
             loop = asyncio.get_running_loop()
-            clipper = make_clipper(input_type="floats", input_shape=(256,))
             frontend = QueryFrontend()
-            frontend.register_application(clipper)
+            frontend.register_application(make_clipper(**config))
             server = create_server(query=frontend)
             await server.start()
             try:
-                x = np.arange(256, dtype=np.float32)
-                await frontend.predict(self.APP, x)  # fills the cache
+                await frontend.predict(TestInlineEdgeBudget.APP, x)  # fills the cache
                 wire = _Wire()
                 conn = Http1Connection(MAX_BODY_BYTES, connected=server._on_connection)
                 conn.connection_made(wire)
-                request = self.request(x)
-                for _ in range(2):  # memos and learned layouts filled
+                for _ in range(2):
                     conn.data_received(request)
                 made = Counter()
 
@@ -982,27 +1003,70 @@ class TestInlineEdgeBudget:
                 before = len(wire.written)
                 profile, _ = profiled(lambda: conn.data_received(request))
                 monkeypatch.undo()
-                # Answered before data_received returned, without a task, a
-                # future or a callback scheduled to wake one.
                 head, _, body = bytes(wire.written[before:]).partition(b"\r\n\r\n")
-                assert head.startswith(b"HTTP/1.1 200 OK\r\n")
-                assert deserialize(body)["from_cache"] is True
-                assert made == Counter()
-                # The repeated head's request line, keep-alive and codec pair
-                # were interpreted on the first request only.
-                assert profile.native["split"] == profile.native["partition"] == 0
-                assert profile.native["lower"] == 0
-                assert profile.python["_negotiate_accept"] == profile.python["media_type"] == 0
-                # Read, route, the cached predict, encode and write: 61 of
-                # them Python calls.  The parent wrote no response here; a
-                # task step did, after a future's wake-up.
-                assert profile.total <= 112
                 conn.connection_lost(None)
                 assert not server._connections
+                return profile, head, body, made
             finally:
                 await server.stop()
 
-        run_async(scenario())
+        return run_async(scenario())
+
+    def test_a_cached_predict_is_answered_in_the_callback_that_completes_it(
+        self, monkeypatch
+    ):
+        x = np.arange(256, dtype=np.float32)
+        profile, head, body, made = self.exchange(
+            monkeypatch, self.request(x), x, input_type="floats", input_shape=(256,)
+        )
+        # Answered before data_received returned, without a task, a future
+        # or a callback scheduled to wake one.
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert deserialize(body)["from_cache"] is True
+        assert made == Counter()
+        # The repeated head's request line, keep-alive and codec pair were
+        # interpreted on the first request only.
+        assert profile.native["split"] == profile.native["partition"] == 0
+        assert profile.native["lower"] == 0
+        assert profile.python["_negotiate_accept"] == profile.python["media_type"] == 0
+        # Read, route, the cached predict, encode and write: 61 of them
+        # Python calls.  The parent wrote no response here; a task step did,
+        # after a future's wake-up.
+        assert profile.total <= 112
+
+    @pytest.mark.parametrize(
+        "backend, budget",
+        [
+            ("json", 152),  # parent: 147 (sum and pack_into, but no route hook)
+            ("orjson", 144),  # parent: 160 (hypot, then sum and pack_into)
+        ],
+    )
+    def test_a_cached_json_predict_checks_its_vector_once(self, monkeypatch, backend, budget):
+        """The edge's JSON body, 784 doubles, as ``http_json_hit`` sends it:
+        the pass that packs the vector is the list's only check."""
+        if backend == "orjson":
+            pytest.importorskip("orjson")
+        dumps, loads = jsonwire._BACKENDS[backend]
+        monkeypatch.setattr(jsonwire, "dumps", dumps)
+        monkeypatch.setattr(jsonwire, "loads", loads)
+        x = np.random.default_rng(0).standard_normal(784)
+        body = jsonwire.dumps({"input": x.tolist()})
+        request = (
+            b"POST /api/v1/hotpath-test/predict HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%b" % (len(body), body)
+        )
+        profile, head, response, made = self.exchange(
+            monkeypatch, request, x, input_type="doubles", input_shape=(784,)
+        )
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert jsonwire.loads(response)["from_cache"] is True
+        assert made == Counter()
+        # One pass packs and bounds the vector; the one sum is the response's length.
+        assert profile.native["hypot"] == 0 and profile.native["sum"] == 1
+        assert profile.native["pack_into"] == 1
+        # Read, route, decode, the cached predict, json_safe and write.
+        assert profile.total <= budget
 
     def test_a_repeated_head_is_interpreted_once(self, monkeypatch):
         import repro.api.http as http_module
