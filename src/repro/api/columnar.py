@@ -27,7 +27,7 @@ every endpoint — not just predict — can answer a columnar ``Accept``.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
 
 from repro.api.schema import json_safe
 from repro.core.exceptions import BadRequestError, SerializationError
@@ -49,8 +49,8 @@ def encode_columnar(body: Any) -> List[Any]:
         return serialize_buffers(json_safe(body))
 
 
-def decode_columnar(data: bytes) -> Any:
-    """Decode a columnar request body; malformed frames are a structured 400."""
+def decode_columnar(data: bytes, field: Optional[str] = None) -> Any:
+    """Decode a columnar request body (typed: ``field`` is unused); a malformed one is a 400."""
     try:
         return deserialize(data)
     except SerializationError as exc:

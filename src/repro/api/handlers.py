@@ -229,27 +229,36 @@ def build_route_table(
     def read_input(app_name: str, body: Any) -> Any:
         """The body object and its ``input``, as validation takes it."""
         payload = require_object(body)
-        schema = query.schema(app_name)  # an unknown name is a 404 first
         raw = require_field(payload, "input")
         # A columnar input is a typed ndarray (a view into the received frame)
         # and so is a JSON vector: validation coerces either without a copy.
-        return payload, raw if isinstance(raw, np.ndarray) else schema.decode_wire_input(raw)
+        x = raw if isinstance(raw, np.ndarray) else query.schema(app_name).decode_wire_input(raw)
+        return payload, x
 
     async def post_predict(params: Dict[str, str], body: Any) -> ApiResponse:
         app_name = params["app"]
         payload, x = read_input(app_name, body)
         prediction = await query.predict(
-            app_name, x, user_id=_optional(payload, _USER_ID),
-            latency_slo_ms=_optional(payload, _LATENCY_SLO_MS), trace_id=params.get("_trace_id"),
+            app_name,
+            x,
+            user_id=_optional(payload, _USER_ID),
+            latency_slo_ms=_optional(payload, _LATENCY_SLO_MS),
+            trace_id=params.get("_trace_id"),
         )
-        headers = {"X-Clipper-Trace-Id": prediction.trace_id} if prediction.trace_id else {}
+        headers = (
+            {"X-Clipper-Trace-Id": prediction.trace_id}
+            if prediction.trace_id
+            else {}
+        )
         return ApiResponse(200, prediction_payload(prediction), headers=headers)
 
     async def post_update(params: Dict[str, str], body: Any) -> ApiResponse:
         app_name = params["app"]
         payload, x = read_input(app_name, body)
         label = require_field(payload, "label")
-        await query.update(app_name, x, label, user_id=_optional(payload, _USER_ID))
+        await query.update(
+            app_name, x, label, user_id=_optional(payload, _USER_ID)
+        )
         return ApiResponse(200, {"ok": True, "app_name": app_name})
 
     table.add("GET", f"{API_PREFIX}/applications", "applications", list_applications)

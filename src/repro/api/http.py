@@ -164,7 +164,7 @@ class HttpApiServer:
             JSON_CONTENT_TYPE: _encode_json,
             columnar.COLUMNAR_CONTENT_TYPE: columnar.encode_columnar,
         }
-        self._decoders: Dict[str, Callable[[bytes], Any]] = {
+        self._decoders: Dict[str, Callable[[bytes, Optional[str]], Any]] = {
             JSON_CONTENT_TYPE: _decode_json,
             columnar.COLUMNAR_CONTENT_TYPE: columnar.decode_columnar,
         }
@@ -344,10 +344,12 @@ class HttpApiServer:
         default; a header that explicitly rules out both encoders is a 406
         :class:`NotAcceptableError`.
         """
+        if header is None:
+            return JSON_CONTENT_TYPE
         best: Optional[str] = None
         best_q = 0.0
         saw_range = False
-        for item in (header or "").split(","):
+        for item in header.split(","):
             fields = item.split(";")
             media = fields[0].strip().lower()
             if not media:
@@ -361,9 +363,15 @@ class HttpApiServer:
                         q = float(value)
                     except ValueError:
                         q = 0.0
-            # q=0 means "never send me this"; "anything" is answered with JSON.
-            candidate = JSON_CONTENT_TYPE if media in ("*/*", "application/*") else media
-            if q > best_q and candidate in self._encoders:
+            if q <= 0.0:
+                continue  # q=0 means "never send me this"
+            if media in ("*/*", "application/*"):
+                candidate = JSON_CONTENT_TYPE
+            elif media in self._encoders:
+                candidate = media
+            else:
+                continue
+            if q > best_q:
                 best, best_q = candidate, q
         if best is not None:
             return best
@@ -376,7 +384,7 @@ class HttpApiServer:
 
     def _negotiate(
         self, accept: Optional[str], content_type: Optional[str]
-    ) -> Tuple[str, str, Optional[Callable[[bytes], Any]]]:
+    ) -> Tuple[str, str, Optional[Callable[[bytes, Optional[str]], Any]]]:
         """Response type, request type and its decoder (or None) of a pair."""
         media = media_type(content_type or JSON_CONTENT_TYPE)
         return self._negotiate_accept(accept), media, self._decoders.get(media)
@@ -401,20 +409,14 @@ class HttpApiServer:
             accept, content_type, decoder = self._codecs.get(key) or remember(
                 self._codecs, key, self._negotiate(*key)
             )
-            body, decode = body_bytes or None, None
-            if body_bytes:
-                if decoder is None:
-                    raise UnsupportedMediaTypeError(
-                        f"no decoder for content type '{content_type}'",
-                        detail={"supported": sorted(self._decoders)},
-                    )
-                if decoder is _decode_json:
-                    decode = decoder  # once the route is known: it may read a vector
-                else:
-                    body = decoder(body_bytes)  # raises its own structured 400
+            if body_bytes and decoder is None:
+                raise UnsupportedMediaTypeError(
+                    f"no decoder for content type '{content_type}'",
+                    detail={"supported": sorted(self._decoders)},
+                )
             query = dict(parse_qsl(query_string)) if query_string else None
             response = await self.routes.dispatch(
-                method, path, body, query=query, headers=headers, decode=decode
+                method, path, body_bytes or None, query=query, headers=headers, decode=decoder
             )
             return response.status, response.body, accept, response.headers or {}
         except Exception as exc:  # noqa: BLE001 — the edge maps everything

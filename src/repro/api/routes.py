@@ -156,11 +156,11 @@ class RouteTable:
         parameters) merges into the handler params with path parameters
         winning on collision; a caller-supplied ``X-Clipper-Trace-Id``
         header surfaces as the reserved ``_trace_id`` param so handlers can
-        force-sample the query's trace.  With ``decode``, ``body`` is bytes
-        that ``decode(body, field)`` reads, ``field`` the route's vector.
+        force-sample the query's trace.  With ``decode``, a ``body`` given is
+        bytes that ``decode(body, field)`` reads, ``field`` the route's vector.
         """
         route, params = self.match(method, path)
-        if decode is not None:
+        if decode is not None and body is not None:
             body = decode(body, route.vector(params) if route.vector else None)
         if query:
             merged = dict(query)

@@ -22,10 +22,9 @@ the numeric types, plain strings for ``strings``, and base64 text for
 ``bytes`` (JSON has no binary type), plus :func:`json_safe` which renders
 arbitrary prediction outputs (numpy scalars, arrays, bytes) as JSON values.
 
-Where each JSON value is checked: a :data:`VECTOR_TYPES` application's
-``input`` list by the pass that builds its vector (``jsonwire.vector``, asked
-for by the predict and update routes), the rest by ``jsonwire.loads``, and a
-response once, by :func:`json_safe`, whose output ``jsonwire.dumps`` trusts.
+Each JSON value is checked once: a :data:`VECTOR_TYPES` app's ``input`` list by
+building its ``jsonwire.vector`` (the predict and update routes ask for it), the
+rest by ``jsonwire.loads``, and a response by :func:`json_safe` (``dumps`` trusts it).
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ INPUT_TYPES: Dict[str, Optional[np.dtype]] = {
 
 #: Types whose input list is read as a float64 ``vector`` (validation's result, cast).
 VECTOR_TYPES = ("floats", "doubles")
+_NUMBERS = frozenset({int, float, bool})  # what a list decode_wire_input packs may hold
 
 #: The least double that rounds to infinity as a float32 (half an ulp past
 #: its largest value; the tie rounds to even, away from it).
@@ -235,10 +235,9 @@ class ApplicationSchema:
         as base64 text (JSON has no binary type) and are decoded here; the
         binary columnar encoding carries bytes natively, so ``bytes``-like
         values pass straight through.  Every other type's wire value is
-        already the in-process representation, or a :data:`VECTOR_TYPES`
-        list's ``vector`` (a sum guards a list that holds arrays: a row's sum
-        is no float).  Full validation happens afterwards in
-        :meth:`validate_input`, shared with in-process callers.
+        already the in-process representation, or a :data:`VECTOR_TYPES` list's
+        ``vector`` if it holds Python numbers alone (a columnar list may hold
+        arrays).  Full validation follows in :meth:`validate_input`.
         """
         if self.input_type == "bytes":
             if isinstance(raw, (bytes, bytearray, memoryview)):
@@ -257,11 +256,7 @@ class ApplicationSchema:
                     detail={"expected": "base64 string"},
                 ) from None
         if type(raw) is list and self.input_type in VECTOR_TYPES:
-            try:
-                with np.errstate(all="ignore"):  # arrays that overflow sum to no float either
-                    built = vector(raw) if type(sum(raw, 0.0)) is float else None
-            except (TypeError, ValueError, OverflowError):  # ValueError: rows of two shapes
-                built = None
+            built = vector(raw) if _NUMBERS.issuperset(map(type, raw)) else None
             return raw if built is None else built
         return raw
 

@@ -75,8 +75,8 @@ class QueryFrontend:
 
     def schema(self, app_name: str) -> ApplicationSchema:
         """The declared serving contract of one application."""
-        self._lookup(app_name)
-        return self._schemas[app_name]
+        schema = self._schemas.get(app_name)
+        return schema or self._lookup(app_name)  # one probe; an unknown name raises
 
     def _lookup(self, app_name: str) -> Clipper:
         clipper = self._applications.get(app_name)

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,11 +58,10 @@ class Histogram:
     """Lifetime bucket counts and sum, and a window for quantile queries.
 
     Every observation adds one to its bucket of ``bounds`` (the last bucket:
-    past every bound) and its value to the sum, for the
-    histogram's lifetime.  The lifetime number of observations is the
-    :class:`Counter` ``counted`` (its own, or one registered beside it: see
-    :class:`AnsweredMetrics`); the window keeps only the most recent
-    :data:`WINDOW_SIZE` of them, for the quantiles.
+    past every bound) and its value to the sum, for the histogram's lifetime.
+    The lifetime number of observations is the :class:`Counter` ``counted``
+    (its own, or one registered beside it: see :class:`AnsweredMetrics`); the
+    window keeps only the most recent :data:`WINDOW_SIZE`, for the quantiles.
     """
 
     def __init__(
@@ -120,12 +119,16 @@ class Histogram:
 
     def mean(self) -> float:
         values = self.values()
-        return float(np.mean(values)) if values else float("nan")
+        if not values:
+            return float("nan")
+        return float(np.mean(values))
 
     def percentile(self, q: float) -> float:
         """Return the ``q``-th percentile (0-100) of the windowed observations."""
         values = self.values()
-        return float(np.percentile(values, q)) if values else float("nan")
+        if not values:
+            return float("nan")
+        return float(np.percentile(values, q))
 
     def p50(self) -> float:
         return self.percentile(50)
@@ -266,16 +269,11 @@ class MetricFamily:
 
     __slots__ = ("name", "label", "_children", "_create")
 
-    def __init__(self, registry: "MetricsRegistry", name: str, label: str, kind: str) -> None:
+    def __init__(self, name: str, label: str, create: Callable[[str], Any]) -> None:
         self.name = name
         self.label = label
         self._children: Dict[str, object] = {}
-        if kind == "counter":
-            self._create = registry.counter
-        elif kind == "histogram":
-            self._create = registry.histogram
-        else:
-            raise ValueError(f"unknown metric family kind: {kind!r}")
+        self._create = create  # the owning registry's ``counter`` or ``histogram``
 
     def labels(self, value: str):
         """The child metric for one label value (created and cached on first use)."""
@@ -347,7 +345,7 @@ class MetricsRegistry:
         key = (kind, name, label)
         family = self._families.get(key)
         return family or self._register(
-            self._families, key, partial(MetricFamily, self, name, label, kind)
+            self._families, key, partial(MetricFamily, name, label, getattr(self, kind))
         )
 
     def counter_family(self, name: str, label: str = "stage") -> MetricFamily:

@@ -31,8 +31,7 @@ stdlib's, at its cost plus orjson's attempt: 784 doubles with one of them
 
 Each value is checked once: ``loads(data, field)`` reads the object's list
 ``field`` as its :func:`vector`, whose building is that list's check, and
-``dumps(value, True)`` trusts ``value`` to be ``json_safe``'s output
-(:mod:`repro.api.schema`), which orjson writes as the stdlib does or refuses.
+``dumps(value, True)`` trusts ``value`` to be :mod:`repro.api.schema`'s ``json_safe`` output.
 
 ``BACKEND`` names the library in use; nothing else chooses it.
 ``tests/test_jsonwire.py`` holds both backends to the stdlib over generated
@@ -140,12 +139,11 @@ def _plain(value: Any, unsure: Optional[list]) -> bool:
 
 
 def vector(value: Any) -> Optional[np.ndarray]:
-    """The list ``value`` of Python numbers (``struct`` refuses any other
-    entry) as a float64 array, where each is below ``2**53`` in magnitude (NaN
-    is not): there every integer is a float64, so the array holds the values
-    ``np.asarray`` reads, and rounds to float32 once.  None for anything else:
-    an empty list, one led by a bool (all bools are a bool array).  Packing is
-    one C pass and the bound another, also :func:`loads`' check of the list."""
+    """The list ``value`` of Python numbers (``struct`` refuses any other entry)
+    as a float64 array, each below ``2**53`` (NaN is not): there every int is a
+    float64, so it holds what ``np.asarray`` reads and rounds to float32 once.
+    None for anything else, an empty list, or one led by a bool (all bools are
+    a bool array).  Packing is one C pass, the bound another: the list's check."""
     if type(value) is not list or not value or type(value[0]) is bool:
         return None
     built = np.empty(len(value))

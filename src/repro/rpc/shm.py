@@ -209,9 +209,9 @@ class ShmRingTransport(Transport, asyncio.BufferedProtocol):
     The instance is also the protocol of its doorbell connection: the
     callbacks below wake the parked sender or receiver.  Bells are read into
     a small buffer of its own: a plain ``Protocol`` receives each into a
-    fresh 256 KiB ``bytes``: 10-18 µs a bell more on a 2-vCPU x86 VM while
-    glibc maps each such block, ~1 µs once the process has freed one block
-    past glibc's mmap threshold, as a serving process has (CHANGES.md).
+    fresh 256 KiB ``bytes``: 10-18 µs a bell more on a 2-vCPU x86 VM, ~1 µs once
+    the process has freed a block past glibc's mmap threshold (whether a worker
+    or the ingress has, by the time it serves, is unmeasured: CHANGES.md).
     """
 
     def __init__(self, out_ring: _Ring, in_ring: _Ring, release_cb) -> None:
