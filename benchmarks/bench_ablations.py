@@ -24,7 +24,7 @@ import pytest
 
 from conftest import record_result
 from paperkit.reporting import format_table
-from repro.batching.aimd import AIMDController
+from repro.batching.controllers import AIMDController
 from repro.cache.prediction_cache import PredictionCache
 from repro.containers.noop import NoOpContainer
 from repro.core.clipper import Clipper
@@ -43,7 +43,8 @@ def test_ablation_aimd_backoff_constant(benchmark):
         rows = []
         for backoff in (0.5, 0.75, 0.9):
             controller = AIMDController(
-                slo_ms=20.0, initial_batch_size=1, additive_increase=2, backoff_fraction=backoff
+                BatchingConfig(initial_batch_size=1, additive_increase=2, backoff_fraction=backoff),
+                slo_ms=20.0,
             )
             sizes = []
             for _ in range(600):

@@ -16,7 +16,7 @@ import pytest
 from conftest import SLO_MS, record_result
 from paperkit.profiles import max_batch_under_slo, measure_latency_profile
 from paperkit.reporting import format_table
-from repro.batching.quantile import fit_quantile_line
+from repro.batching.controllers import fit_quantile_line
 
 #: Batch sizes swept for the cheap containers; the expensive kernel SVM uses
 #: the smaller sweep, mirroring the paper's per-container x-axis ranges.

@@ -151,6 +151,16 @@ class BatchingQueue:
         self._removed()
         return victim
 
+    def fail_all(self, error: Exception) -> None:
+        """Close the queue and fail every entry still in it, oldest first."""
+        self.close()
+        items = self._items
+        while items:
+            future = items.popleft().future
+            if not future.done():
+                future.set_exception(error)
+        self._removed()
+
     # -- consumer side ---------------------------------------------------------
 
     async def get_batch(

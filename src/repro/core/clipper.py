@@ -210,7 +210,7 @@ class Clipper:
                     self.routing.restore(record.model_id.name, *routing_before)
                 await self._layer.retire(key)
                 # Whatever queued up while the version looked deployed fails now.
-                record.fail_queued(
+                record.queue.fail_all(
                     DeploymentError(f"model '{key}' failed to start: {error}")
                 )
                 raise

@@ -89,9 +89,11 @@ class BatchingConfig:
         Starting maximum batch size for the adaptive controllers, and the
         static size for the ``"fixed"`` policy.
     additive_increase:
-        AIMD additive increment applied while batches complete under the SLO.
+        Additive increment applied while batches complete under the SLO, by
+        AIMD and by the ``"quantile"`` policy while it explores.
     backoff_fraction:
-        AIMD multiplicative backoff (paper: reduce by 10% → 0.9).
+        Multiplicative backoff on an SLO miss (paper: 10% → 0.9), by AIMD and
+        by the ``"quantile"`` policy while it explores.
     max_batch_size:
         Hard upper bound on the batch size regardless of the controller.
     batch_wait_timeout_ms:

@@ -136,13 +136,6 @@ class DeployedModel:
             await dispatcher.stop()
         await self._stop_replicas()
 
-    def fail_queued(self, error: Exception) -> None:
-        """Close the queue and fail everything still waiting in it."""
-        self.queue.close()
-        while (item := self.queue.evict_expiring()) is not None:
-            if not item.future.done():
-                item.future.set_exception(error)
-
     async def scale_to(self, num_replicas: int, running: bool) -> int:
         """Grow or shrink the live version; returns the new replica count.
 

@@ -30,6 +30,7 @@ from repro.core.exceptions import (
     ClipperError,
     DuplicateApplicationError,
     UnknownApplicationError,
+    ValidationError,
 )
 from repro.core.types import Feedback, Prediction, Query
 from repro.observability.logging import get_logger
@@ -140,7 +141,8 @@ class QueryFrontend:
 
         The input is validated (and coerced) against the application's
         declared schema before a :class:`Query` is built — the single
-        validation path shared with HTTP callers.  A caller-supplied
+        validation path shared with HTTP callers — and a per-query
+        ``latency_slo_ms`` must be positive.  A caller-supplied
         ``trace_id`` (the ``X-Clipper-Trace-Id`` header) force-samples the
         query's trace; the frontend stamps the validation stage so sampled
         trace trees start at the edge, not inside the engine.
@@ -150,6 +152,8 @@ class QueryFrontend:
         # admission gate refuses the request before any validation work
         # (non-consuming peek; the engine still makes the real decision).
         clipper.overload.precheck()
+        if latency_slo_ms is not None and not latency_slo_ms > 0:  # NaN too
+            raise ValidationError(f"latency_slo_ms must be positive, got {latency_slo_ms!r}")
         pre_spans = None
         if clipper.tracer.active:
             t0 = clock.now()

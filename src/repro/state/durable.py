@@ -158,7 +158,6 @@ class DurableKeyValueStore(KeyValueStore):
         self._wal_path = os.path.join(directory, WAL_FILE)
         self.recovery = self._load()
         self.wal = WalWriter(self._wal_path, fsync=fsync)
-        self._replaying = False
 
     # -- recovery --------------------------------------------------------------
 

@@ -386,6 +386,18 @@ class TestServingOverHttp:
 
         run_async(scenario())
 
+    def test_a_nonpositive_slo_is_422(self):
+        async def scenario():
+            server = make_server(make_app())
+            async with server:
+                async with AsyncClipperClient("127.0.0.1", server.port) as client:
+                    for slo in (-5.0, 0.0):
+                        with pytest.raises(InvalidInput, match="latency_slo_ms") as excinfo:
+                            await client.predict("demo", [0.0], latency_slo_ms=slo)
+                        assert excinfo.value.status == 422
+
+        run_async(scenario())
+
     def test_wrong_label_type_is_422(self):
         async def scenario():
             server = make_server(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.batching.quantile import fit_quantile_line
+from repro.batching.controllers import fit_quantile_line
 
 
 def pinball_loss(x, y, intercept, slope, quantile):

@@ -240,6 +240,39 @@ class TestEvictExpiring:
         run_async(scenario())
 
 
+class TestFailAll:
+    def test_fails_every_entry_oldest_first_without_a_deadline_search(self):
+        comparisons = 0
+
+        class Deadline(float):
+            def __lt__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return float.__lt__(self, other)
+
+        async def scenario():
+            queue = BatchingQueue()
+            failed, items = [], []
+            # The latest entry has the earliest deadline.
+            for index in range(1000):
+                item = make_item(index, deadline=Deadline(1e4 - index))
+                item.future.add_done_callback(lambda _, index=index: failed.append(index))
+                queue.put_nowait(item)
+                items.append(item)
+            emptied = asyncio.ensure_future(queue.wait_empty())
+            await asyncio.sleep(0)
+            error = RuntimeError("model 'm:1' failed to start")
+            queue.fail_all(error)
+            assert queue.closed and queue.qsize() == 0
+            assert comparisons <= len(items)
+            assert await asyncio.wait_for(emptied, timeout=1.0)
+            # Done callbacks run in the order the futures were failed.
+            assert all(item.future.exception() is error for item in items)
+            assert failed == list(range(1000))
+
+        run_async(scenario())
+
+
 class TestSaturation:
     def test_unbounded_queue_reports_zero(self):
         async def scenario():

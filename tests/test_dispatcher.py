@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import run_async
-from repro.batching.aimd import AIMDController
 from repro.batching import dispatcher as dispatcher_module
-from repro.batching.controllers import FixedBatchSizeController
+from repro.batching.controllers import AIMDController, FixedBatchSizeController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
@@ -19,6 +18,7 @@ from repro.containers.base import ModelContainer
 from repro.containers.noop import NoOpContainer
 from repro.containers.replica import ContainerReplica
 from repro.core import clock
+from repro.core.config import BatchingConfig
 from repro.core.exceptions import ContainerError
 from repro.core.types import ModelId
 from repro.observability.prometheus import render_prometheus, validate
@@ -27,7 +27,7 @@ from repro.observability.prometheus import render_prometheus, validate
 def build_dispatcher(container, controller=None, batch_wait_timeout_ms=0.0):
     replica = ContainerReplica(ModelId("model"), 0, container)
     queue = BatchingQueue()
-    controller = controller or FixedBatchSizeController(batch_size=8)
+    controller = controller or FixedBatchSizeController(BatchingConfig(initial_batch_size=8))
     dispatcher = ReplicaDispatcher(
         replica, queue, controller, batch_wait_timeout_ms=batch_wait_timeout_ms
     )
@@ -91,7 +91,10 @@ class TestDispatchBatch:
             replica = ContainerReplica(ModelId("model"), 0, Rows(), transport="tcp")
             cache = PredictionCache(capacity=16)
             dispatcher = ReplicaDispatcher(
-                replica, BatchingQueue(), FixedBatchSizeController(batch_size=8), cache=cache
+                replica,
+                BatchingQueue(),
+                FixedBatchSizeController(BatchingConfig(initial_batch_size=8)),
+                cache=cache,
             )
             await replica.start()
             try:
@@ -115,7 +118,7 @@ class TestDispatchBatch:
 
     def test_controller_observes_latency(self):
         async def scenario():
-            controller = AIMDController(slo_ms=1000.0, initial_batch_size=1)
+            controller = AIMDController(BatchingConfig(initial_batch_size=1), slo_ms=1000.0)
             replica, queue, dispatcher = build_dispatcher(NoOpContainer(), controller)
             await replica.start()
             await dispatcher.dispatch_batch([make_item(np.zeros(1))])
@@ -194,7 +197,7 @@ class TestDispatchLoop:
 
     def test_batches_respect_controller_size(self):
         async def scenario():
-            controller = FixedBatchSizeController(batch_size=4)
+            controller = FixedBatchSizeController(BatchingConfig(initial_batch_size=4))
             replica, queue, dispatcher = build_dispatcher(NoOpContainer(), controller)
             await replica.start()
             dispatcher.start()
@@ -235,7 +238,10 @@ class TestFailureRequeue:
             replica = ContainerReplica(ModelId("model"), 0, Exploding())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica, queue, FixedBatchSizeController(batch_size=8), max_retries=2
+                replica,
+                queue,
+                FixedBatchSizeController(BatchingConfig(initial_batch_size=8)),
+                max_retries=2,
             )
             await replica.start()
             item = make_item(np.zeros(1))
@@ -266,10 +272,13 @@ class TestFailureRequeue:
             sick = ContainerReplica(ModelId("model"), 0, Exploding())
             healthy = ContainerReplica(ModelId("model"), 1, NoOpContainer(output=6))
             sick_dispatcher = ReplicaDispatcher(
-                sick, queue, FixedBatchSizeController(batch_size=8), max_retries=2
+                sick,
+                queue,
+                FixedBatchSizeController(BatchingConfig(initial_batch_size=8)),
+                max_retries=2,
             )
             healthy_dispatcher = ReplicaDispatcher(
-                healthy, queue, FixedBatchSizeController(batch_size=8)
+                healthy, queue, FixedBatchSizeController(BatchingConfig(initial_batch_size=8))
             )
             await sick.start()
             await healthy.start()

@@ -44,10 +44,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import run_async
-from repro.batching.aimd import AIMDController
+from repro.batching.controllers import AIMDController
 from repro.batching.deadline import DEADLINE_MISS
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
+from repro.core.config import BatchingConfig
 from repro.core.exceptions import ContainerError, RpcError
 from repro.core.types import ModelId
 from repro.observability.tracing import (
@@ -156,7 +157,7 @@ async def run_world(case: dict, hand: ManualClock) -> dict:
     dispatcher = ReplicaDispatcher(
         replica=replica,
         queue=queue,
-        controller=AIMDController(slo_ms=50.0),
+        controller=AIMDController(BatchingConfig(), slo_ms=50.0),
         max_retries=case["max_retries"],
         cache=cache,
         tracer=tracer,

@@ -94,7 +94,7 @@ class Rig:
         self.dispatcher = ReplicaDispatcher(
             self.replica,
             self.queue,
-            controller or FixedBatchSizeController(batch_size=4),
+            controller or FixedBatchSizeController(BatchingConfig(initial_batch_size=4)),
             **kwargs,
         )
         self.dispatcher.start()
@@ -214,7 +214,9 @@ class TestQueriesBindAtTheLastMoment:
         rig = Rig()
         sibling_replica = GatedReplica()
         sibling = ReplicaDispatcher(
-            sibling_replica, rig.queue, FixedBatchSizeController(batch_size=4)
+            sibling_replica,
+            rig.queue,
+            FixedBatchSizeController(BatchingConfig(initial_batch_size=4)),
         )
         sibling.start()
         rig.put(1)

@@ -10,6 +10,7 @@ from repro.core.config import ClipperConfig, ModelDeployment
 from repro.core.exceptions import (
     ClipperError,
     DuplicateApplicationError,
+    PredictionTimeoutError,
     UnknownApplicationError,
     ValidationError,
 )
@@ -95,6 +96,25 @@ class TestRouting:
             prediction = await frontend.predict("vision", np.zeros(1), latency_slo_ms=500.0)
             await frontend.stop()
             assert prediction.output == 1
+
+        run_async(scenario())
+
+    def test_a_per_query_slo_must_be_positive(self):
+        async def scenario():
+            frontend = QueryFrontend()
+            frontend.register_application(make_app("vision"))
+            await frontend.start()
+            try:
+                # Neither a deadline already missed nor "no SLO given".
+                for slo in (-5.0, 0.0, float("nan")):
+                    with pytest.raises(ValidationError, match="latency_slo_ms") as excinfo:
+                        await frontend.predict("vision", np.zeros(1), latency_slo_ms=slo)
+                    assert excinfo.value.http_status == 422
+                # A tiny one is accepted, and missed.
+                with pytest.raises(PredictionTimeoutError):
+                    await frontend.predict("vision", np.zeros(1), latency_slo_ms=1e-3)
+            finally:
+                await frontend.stop()
 
         run_async(scenario())
 

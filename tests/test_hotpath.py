@@ -47,7 +47,7 @@ from repro.api.handlers import prediction_payload
 from repro.api.http import MAX_BODY_BYTES, HttpApiServer, create_server
 from repro.api.routes import ApiResponse, RouteTable
 from repro.api.schema import ApplicationSchema, json_safe
-from repro.batching.aimd import AIMDController
+from repro.batching.controllers import AIMDController
 from repro.batching.dispatcher import ReplicaDispatcher
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.cache.prediction_cache import PredictionCache
@@ -58,6 +58,7 @@ from repro.containers.replica import ContainerReplica
 from repro.core import clock
 from repro.core.clipper import Clipper
 from repro.core.config import (
+    BatchingConfig,
     CircuitBreakerConfig,
     ClipperConfig,
     ModelDeployment,
@@ -614,8 +615,8 @@ class TestMissedPassBudget:
             tracer = Tracer()
             cache = PredictionCache(capacity=64)
             dispatcher = ReplicaDispatcher(
-                Replica(), BatchingQueue(), AIMDController(slo_ms=50.0), tracer=tracer,
-                cache=cache,
+                Replica(), BatchingQueue(), AIMDController(BatchingConfig(), slo_ms=50.0),
+                tracer=tracer, cache=cache,
             )
             now = time.monotonic()
             batch = [

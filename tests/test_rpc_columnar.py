@@ -16,6 +16,7 @@ from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.containers.base import FunctionContainer, ModelContainer
 from repro.containers.replica import ContainerReplica
 from repro.core import clock
+from repro.core.config import BatchingConfig
 from repro.core.exceptions import ContainerError, SerializationError
 from repro.core.types import ModelId
 from repro.batching.controllers import FixedBatchSizeController
@@ -325,7 +326,7 @@ class TestPipelinedDispatcher:
             replica = ContainerReplica(ModelId("echo"), 0, EchoFirst())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica, queue, FixedBatchSizeController(batch_size=3)
+                replica, queue, FixedBatchSizeController(BatchingConfig(initial_batch_size=3))
             )
             await replica.start()
             dispatcher.start()
@@ -363,7 +364,7 @@ class TestPipelinedDispatcher:
             dispatcher = ReplicaDispatcher(
                 replica,
                 queue,
-                FixedBatchSizeController(batch_size=4),
+                FixedBatchSizeController(BatchingConfig(initial_batch_size=4)),
                 max_retries=3,
             )
             await replica.start()
@@ -394,7 +395,7 @@ class TestPipelinedDispatcher:
             dispatcher = ReplicaDispatcher(
                 replica,
                 queue,
-                FixedBatchSizeController(batch_size=4),
+                FixedBatchSizeController(BatchingConfig(initial_batch_size=4)),
                 max_retries=1,
             )
             await replica.start()
@@ -427,7 +428,7 @@ class TestPipelinedDispatcher:
             replica = ContainerReplica(ModelId("rec"), 0, Recorder())
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica, queue, FixedBatchSizeController(batch_size=8)
+                replica, queue, FixedBatchSizeController(BatchingConfig(initial_batch_size=8))
             )
             await replica.start()
             dispatcher.start()
@@ -453,7 +454,7 @@ class TestPipelinedDispatcher:
             )
             queue = BatchingQueue()
             dispatcher = ReplicaDispatcher(
-                replica, queue, FixedBatchSizeController(batch_size=8)
+                replica, queue, FixedBatchSizeController(BatchingConfig(initial_batch_size=8))
             )
             await replica.start()
             dispatcher.start()

@@ -6,10 +6,11 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from helpers import run_async
-from repro.batching.aimd import AIMDController
+from repro.batching.controllers import AIMDController
 from repro.batching.queue import BatchingQueue, PendingQuery
 from repro.cache.prediction_cache import PredictionCache
 from repro.core import clock
+from repro.core.config import BatchingConfig
 from repro.core.types import ModelId
 from repro.selection.exp3 import Exp3Policy
 from repro.selection.exp4 import Exp4Policy
@@ -71,7 +72,9 @@ class TestControllerProperties:
     )
     def test_aimd_steady_state_respects_slo_capacity(self, per_item_ms, slo_ms):
         """After convergence the chosen batch never wildly exceeds capacity."""
-        controller = AIMDController(slo_ms=slo_ms, initial_batch_size=1, additive_increase=2)
+        controller = AIMDController(
+            BatchingConfig(initial_batch_size=1, additive_increase=2), slo_ms=slo_ms
+        )
         capacity = slo_ms / per_item_ms
         for _ in range(400):
             batch = controller.current_batch_size()
