@@ -184,13 +184,13 @@ class QuantileRegressionController(AIMDController):
     def _refit(self, latency_ms: float) -> None:
         sizes, latencies = np.array(self._observations, dtype=float).T
         intercept, slope = fit_quantile_line(sizes, latencies, self.quantile)
-        current = self.current_batch_size()
         if slope <= 1e-9:
             # Latency is flat in batch size within the window: allow growth
             # one step beyond the largest size we have tried so far.
             candidate = sizes.max() + self.additive_increase
         else:
             candidate = np.floor((self.slo_ms - intercept) / slope)
+            current = self.current_batch_size()
             if candidate <= current and latency_ms <= self.slo_ms:
                 # The regression can be pessimistic when the window only
                 # contains a narrow range of (noisy) small batch sizes; as
