@@ -21,25 +21,27 @@ key, digest and value, a ``bytearray`` of reference bits, and an index by
 model key, then digest, so a full cache holds no Python object per entry
 and no key tuple is built per probe or per fill.
 
-Hot-path API
-------------
-The serving engine hashes each query input **once**
-(:meth:`repro.core.types.Query.input_hash`) and uses the by-hash entry
-points: :meth:`PredictionCache.fetch_by_hash` probes every selected model in
-one locked pass (one hash, one lock acquisition, no call per model);
+On the hot path the serving engine hashes each query input **once**
+(``query.input_hash(cache.digest)``, outside the lock) and uses the by-hash
+entry points: :meth:`PredictionCache.fetch_by_hash` probes every selected
+model in one locked pass (one hash, one lock acquisition, no call per model);
 :meth:`PredictionCache.put_by_hash` fills one model's outputs for a batch of
 inputs in one locked pass with no call per entry.  :meth:`fetch` and
-:meth:`put` hash and delegate.  Hashing happens outside the lock.
+:meth:`put` hash and delegate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.exceptions import CacheError
-from repro.core.types import ModelId, hash_input
+from repro.core.types import ModelId, _tagged, hash_input
+
+#: Bound on the bytes of the digest memo's keys, per cache.
+DIGEST_MEMO_BYTES = 32 << 20
 
 
 @dataclass
@@ -57,13 +59,18 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
+        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class PredictionCache:
     """Per-model prediction cache with CLOCK eviction.
+
+    A recurring input's SHA-1 is most of a hit's cost, so :meth:`digest`
+    memoises it: a dict from a copy of the bytes ``hash_input`` digests to
+    their digest, admitting an input once its digest is resident in the
+    table (it recurred; unique inputs never build a key), its keys' bytes
+    bounded by :data:`DIGEST_MEMO_BYTES` (read at construction) and cleared
+    when the next key would pass the bound.
 
     Parameters
     ----------
@@ -87,12 +94,39 @@ class PredictionCache:
         #: Slot by digest, by model key.
         self._index: Dict[str, Dict[str, int]] = {}
         self._hand = 0
+        #: Digest by the bytes it digests, for inputs that recurred.
+        self._memo: Dict[bytes, str] = {}
+        self._memo_bytes = 0
+        self._memo_bound = DIGEST_MEMO_BYTES
+
+    def digest(self, x: Any) -> str:
+        """``hash_input(x)``, read from the memo when it holds ``x``.  The
+        memo is read without the lock; the residency probe and admission
+        hold it, so a concurrent ``put_by_hash`` cannot change the index
+        under the probe, and a key maps to its own digest, so an input
+        changed during the call cannot poison the memo."""
+        memo = self._memo
+        if memo:
+            digest = memo.get(_tagged(x))
+            if digest is not None:
+                return digest
+        digest = hash_input(x)
+        with self._lock:
+            for slots in self._index.values():
+                if digest in slots:  # x recurred: admit it
+                    key = _tagged(x)
+                    size, bound = len(key), self._memo_bound
+                    if size <= bound:
+                        if self._memo_bytes + size > bound:
+                            memo.clear()
+                            self._memo_bytes = 0
+                        memo[key] = hashlib.sha1(key).hexdigest()
+                        self._memo_bytes += size
+                    break
+        return digest
 
     def fetch(self, model_id: Union[ModelId, str], x: Any) -> Optional[Any]:
-        """Return the cached prediction or ``None``; counts a hit or miss.
-
-        Hashes ``x`` and calls :meth:`fetch_by_hash` with one key.
-        """
+        """The cached prediction or ``None``: one :meth:`fetch_by_hash` key."""
         model_key = str(model_id)
         predictions, _ = self.fetch_by_hash((model_key,), hash_input(x))
         return predictions.get(model_key)

@@ -77,6 +77,7 @@ from repro.core.exceptions import (
     DeploymentError,
     OverloadError,
     PredictionTimeoutError,
+    ValidationError,
 )
 from repro.core.metrics import AnsweredMetrics, MetricsRegistry
 from repro.core.types import Feedback, ModelId, Prediction, Query
@@ -360,7 +361,8 @@ class Clipper:
 
         The request flows routing → selection → cache → batching queues →
         containers → combine, with the straggler-mitigation deadline derived
-        from the query's (or application's) latency SLO.  The routing plan
+        from the query's (or application's) latency SLO; a query's own SLO
+        must be positive (``ValidationError``).  The routing plan
         pins the query's arm per split (keyed by user id, falling back to
         the input hash) and carries the per-arm metric handles used to
         attribute the outcome while a canary is in flight.
@@ -368,7 +370,11 @@ class Clipper:
         if not self._started:
             raise ClipperError("Clipper is not started")
         start = clock.now()
-        slo_ms = query.latency_slo_ms or self.config.latency_slo_ms
+        slo_ms = query.latency_slo_ms
+        if slo_ms is None:
+            slo_ms = self.config.latency_slo_ms  # validated positive
+        elif not slo_ms > 0:  # NaN too
+            raise ValidationError(f"latency_slo_ms must be positive, got {slo_ms!r}")
 
         # Tracing: ``begin`` returns a context only for head-sampled (or
         # caller-forced) queries, so the cache-hit fast path pays exactly one
@@ -386,10 +392,10 @@ class Clipper:
                 sampled.spans.extend(pre)
                 sampled.start = pre[0][1]
 
-        # The input is hashed exactly once per query; the digest is reused
-        # for the routing key, every per-model cache fetch, and the queue
+        # One digest per query (memoised by the cache for a recurring input)
+        # serves the routing key, every per-model cache fetch, and the queue
         # entries the dispatchers fill the cache under.
-        input_hash = query.input_hash()
+        input_hash = query.input_hash(self.cache.digest)
         plan = self.routing.plan_for(query.user_id or input_hash)
         selection = self._selection_manager_for(plan)
         selected, selection_state = selection.select_with_state(
@@ -517,7 +523,7 @@ class Clipper:
         """
         if not self._started:
             raise ClipperError("Clipper is not started")
-        input_hash = feedback.input_hash()
+        input_hash = feedback.input_hash(self.cache.digest)
         # Snapshot the routing plan: live management ops may swap the table
         # while this coroutine awaits, and staged/retired versions should
         # not be evaluated for feedback.
@@ -528,7 +534,5 @@ class Clipper:
             predictions, _, _ = await self._layer.evaluate(
                 misses, predictions, feedback, input_hash, UNGUARDED
             )
-        selection.observe(
-            feedback.input, feedback.label, predictions, context=feedback.user_id
-        )
+        selection.observe(feedback.input, feedback.label, predictions, context=feedback.user_id)
         self._feedback_counter.increment()

@@ -10,13 +10,25 @@ SLO, selection policy, cache sizing, straggler mitigation).
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, get_args, get_type_hints
+from typing import Any, Callable, Collection, Dict, Mapping, Optional, get_args, get_type_hints
 
 from repro.core.exceptions import ConfigurationError, ManagementError
 
 #: Default application latency service-level objective in milliseconds.  The
 #: paper uses a 20 ms SLO for most microbenchmarks.
 DEFAULT_SLO_MS = 20.0
+
+
+def _require(*checks: tuple[bool, str]) -> None:
+    """Refuse a configuration with the message of its first failed check (a
+    NaN fails every comparison, so it is refused wherever one is made)."""
+    for holds, message in checks:
+        if not holds:
+            raise ConfigurationError(message)
+
+
+def _one_of(what: str, value: Any, valid: Collection[str]) -> tuple[bool, str]:
+    return value in valid, f"unknown {what} '{value}', expected one of {sorted(valid)}"
 
 
 def _spec_fields(cls: Any) -> list:
@@ -60,9 +72,7 @@ def _from_spec(cls: type, spec: Any, **extra: Any) -> Any:
         elif hint in (int, float, str, bool):
             # JSON has one number type; a bool is never a number.
             accepted = (int, float) if hint is float else hint
-            if isinstance(value, bool) != (hint is bool) or not isinstance(
-                value, accepted
-            ):
+            if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
                 raise ConfigurationError(
                     f"{cls.__name__} parameter '{name}' must be of type "
                     f"{hint.__name__}, got {value!r}"
@@ -118,25 +128,19 @@ class BatchingConfig:
     max_queue_depth: int = 0
 
     def __post_init__(self) -> None:
-        valid = {"aimd", "quantile", "fixed", "none"}
-        if self.policy not in valid:
-            raise ConfigurationError(
-                f"unknown batching policy '{self.policy}', expected one of {sorted(valid)}"
-            )
-        if self.initial_batch_size < 1:
-            raise ConfigurationError("initial_batch_size must be >= 1")
-        if self.additive_increase < 1:
-            raise ConfigurationError("additive_increase must be >= 1")
-        if not 0.0 < self.backoff_fraction < 1.0:
-            raise ConfigurationError("backoff_fraction must be in (0, 1)")
-        if self.max_batch_size < self.initial_batch_size:
-            raise ConfigurationError("max_batch_size must be >= initial_batch_size")
-        if self.batch_wait_timeout_ms < 0:
-            raise ConfigurationError("batch_wait_timeout_ms must be non-negative")
-        if not 0.0 < self.quantile < 1.0:
-            raise ConfigurationError("quantile must be in (0, 1)")
-        if self.max_queue_depth < 0:
-            raise ConfigurationError("max_queue_depth must be non-negative")
+        _require(
+            _one_of("batching policy", self.policy, {"aimd", "quantile", "fixed", "none"}),
+            (self.initial_batch_size >= 1, "initial_batch_size must be >= 1"),
+            (self.additive_increase >= 1, "additive_increase must be >= 1"),
+            (0.0 < self.backoff_fraction < 1.0, "backoff_fraction must be in (0, 1)"),
+            (
+                self.max_batch_size >= self.initial_batch_size,
+                "max_batch_size must be >= initial_batch_size",
+            ),
+            (self.batch_wait_timeout_ms >= 0, "batch_wait_timeout_ms must be non-negative"),
+            (0.0 < self.quantile < 1.0, "quantile must be in (0, 1)"),
+            (self.max_queue_depth >= 0, "max_queue_depth must be non-negative"),
+        )
 
 
 @dataclass
@@ -176,20 +180,13 @@ class OverloadConfig:
     retry_after_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate_limit_qps < 0:
-            raise ConfigurationError("rate_limit_qps must be non-negative")
-        if self.burst < 0:
-            raise ConfigurationError("burst must be non-negative")
-        if self.max_concurrency < 0:
-            raise ConfigurationError("max_concurrency must be non-negative")
-        valid = {"reject", "degrade", "drop-oldest"}
-        if self.shed_policy not in valid:
-            raise ConfigurationError(
-                f"unknown shed_policy '{self.shed_policy}', "
-                f"expected one of {sorted(valid)}"
-            )
-        if self.retry_after_s <= 0:
-            raise ConfigurationError("retry_after_s must be positive")
+        _require(
+            (self.rate_limit_qps >= 0, "rate_limit_qps must be non-negative"),
+            (self.burst >= 0, "burst must be non-negative"),
+            (self.max_concurrency >= 0, "max_concurrency must be non-negative"),
+            _one_of("shed_policy", self.shed_policy, {"reject", "degrade", "drop-oldest"}),
+            (self.retry_after_s > 0, "retry_after_s must be positive"),
+        )
 
 
 @dataclass
@@ -213,18 +210,14 @@ class CircuitBreakerConfig:
     half_open_probes: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.error_rate_threshold <= 1.0:
-            raise ConfigurationError("error_rate_threshold must be in (0, 1]")
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
-        if self.min_samples < 1:
-            raise ConfigurationError("min_samples must be >= 1")
-        if self.consecutive_timeouts < 1:
-            raise ConfigurationError("consecutive_timeouts must be >= 1")
-        if self.open_duration_s <= 0:
-            raise ConfigurationError("open_duration_s must be positive")
-        if self.half_open_probes < 1:
-            raise ConfigurationError("half_open_probes must be >= 1")
+        _require(
+            (0.0 < self.error_rate_threshold <= 1.0, "error_rate_threshold must be in (0, 1]"),
+            (self.window >= 1, "window must be >= 1"),
+            (self.min_samples >= 1, "min_samples must be >= 1"),
+            (self.consecutive_timeouts >= 1, "consecutive_timeouts must be >= 1"),
+            (self.open_duration_s > 0, "open_duration_s must be positive"),
+            (self.half_open_probes >= 1, "half_open_probes must be >= 1"),
+        )
 
 
 @dataclass
@@ -284,18 +277,12 @@ class ModelDeployment:
     circuit_breaker: Optional[CircuitBreakerConfig] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("model deployment requires a non-empty name")
-        if self.num_replicas < 1:
-            raise ConfigurationError("num_replicas must be >= 1")
-        if self.max_batch_retries < 0:
-            raise ConfigurationError("max_batch_retries must be non-negative")
-        valid_transports = {"inprocess", "shm", "tcp"}
-        if self.transport not in valid_transports:
-            raise ConfigurationError(
-                f"unknown transport '{self.transport}', "
-                f"expected one of {sorted(valid_transports)}"
-            )
+        _require(
+            (bool(self.name), "model deployment requires a non-empty name"),
+            (self.num_replicas >= 1, "num_replicas must be >= 1"),
+            (self.max_batch_retries >= 0, "max_batch_retries must be non-negative"),
+            _one_of("transport", self.transport, {"inprocess", "shm", "tcp"}),
+        )
 
     def to_spec(self) -> Dict[str, Any]:
         """Everything about this deployment that can be stored or sent.
@@ -396,40 +383,28 @@ class ClipperConfig:
     allow_empty_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.latency_slo_ms <= 0:
-            raise ConfigurationError("latency_slo_ms must be positive")
-        if self.cache_size < 0:
-            raise ConfigurationError("cache_size must be non-negative")
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ConfigurationError("confidence_threshold must be in [0, 1]")
+        _require(
+            (self.latency_slo_ms > 0, "latency_slo_ms must be positive"),
+            (self.cache_size >= 0, "cache_size must be non-negative"),
+            (0.0 <= self.confidence_threshold <= 1.0, "confidence_threshold must be in [0, 1]"),
+        )
         # The typed-schema vocabulary lives in the API layer; the import is
         # deferred to construction time to keep the core free of import
         # cycles (repro.api builds on repro.core).
-        from repro.api.schema import check_output_value, check_type_name
+        from repro.api.schema import INPUT_TYPES, check_output_value
 
-        if self.input_type is not None:
-            check_type_name(self.input_type)
-        if self.output_type is not None:
-            check_type_name(self.output_type)
+        declared = [name for name in (self.input_type, self.output_type) if name is not None]
+        _require(*[_one_of("input type", name, INPUT_TYPES) for name in declared])
         if self.input_shape is not None:
-            shape = tuple(self.input_shape)
-            if not shape or not all(
-                isinstance(dim, int) and not isinstance(dim, bool) and dim > 0
-                for dim in shape
-            ):
-                raise ConfigurationError(
-                    "input_shape must be a non-empty tuple of positive ints"
-                )
-            self.input_shape = shape
-            if self.input_type is None:
-                raise ConfigurationError(
-                    "input_shape requires a declared input_type"
-                )
-            if self.input_type in {"bytes", "strings"}:
-                raise ConfigurationError(
-                    f"input_shape does not apply to input_type '{self.input_type}'"
-                )
-        if self.default_output is not None and self.output_type is not None:
-            check_output_value(
-                self.output_type, self.default_output, what="default_output"
+            self.input_shape = shape = tuple(self.input_shape)
+            dims = [isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape]
+            _require(
+                (dims and all(dims), "input_shape must be a non-empty tuple of positive ints"),
+                (self.input_type is not None, "input_shape requires a declared input_type"),
+                (
+                    self.input_type not in {"bytes", "strings"},
+                    f"input_shape does not apply to input_type '{self.input_type}'",
+                ),
             )
+        if self.default_output is not None and self.output_type is not None:
+            check_output_value(self.output_type, self.default_output, what="default_output")

@@ -30,7 +30,6 @@ from repro.core.exceptions import (
     ClipperError,
     DuplicateApplicationError,
     UnknownApplicationError,
-    ValidationError,
 )
 from repro.core.types import Feedback, Prediction, Query
 from repro.observability.logging import get_logger
@@ -55,9 +54,7 @@ class QueryFrontend:
         """Register an application; the name comes from the Clipper config."""
         app_name = clipper.config.app_name
         if app_name in self._applications:
-            raise DuplicateApplicationError(
-                f"application '{app_name}' is already registered"
-            )
+            raise DuplicateApplicationError(f"application '{app_name}' is already registered")
         self._applications[app_name] = clipper
         self._schemas[app_name] = ApplicationSchema.from_config(clipper.config)
         return app_name
@@ -141,8 +138,7 @@ class QueryFrontend:
 
         The input is validated (and coerced) against the application's
         declared schema before a :class:`Query` is built — the single
-        validation path shared with HTTP callers — and a per-query
-        ``latency_slo_ms`` must be positive.  A caller-supplied
+        validation path shared with HTTP callers.  A caller-supplied
         ``trace_id`` (the ``X-Clipper-Trace-Id`` header) force-samples the
         query's trace; the frontend stamps the validation stage so sampled
         trace trees start at the edge, not inside the engine.
@@ -152,8 +148,6 @@ class QueryFrontend:
         # admission gate refuses the request before any validation work
         # (non-consuming peek; the engine still makes the real decision).
         clipper.overload.precheck()
-        if latency_slo_ms is not None and not latency_slo_ms > 0:  # NaN too
-            raise ValidationError(f"latency_slo_ms must be positive, got {latency_slo_ms!r}")
         pre_spans = None
         if clipper.tracer.active:
             t0 = clock.now()
@@ -188,6 +182,4 @@ class QueryFrontend:
         schema = self._schemas[app_name]
         x = schema.validate_input(x)
         label = schema.validate_label(label)
-        await clipper.feedback(
-            Feedback(app_name=app_name, input=x, label=label, user_id=user_id)
-        )
+        await clipper.feedback(Feedback(app_name=app_name, input=x, label=label, user_id=user_id))

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def _tagged(x: Any) -> bytes:
         return b"r" + repr(x).encode()
     if isinstance(x, np.ndarray):
         head = _array_head(x.shape, x.dtype)
-        if head:
-            return head + x.tobytes()
+        if head:  # joined from the buffer itself: no numpy call when C-contiguous
+            return b"".join((head, x.data if x.flags.c_contiguous else x.tobytes()))
     elif isinstance(x, np.generic):
         if not x.dtype.hasobject:
             return _sized(b"n", str(x.dtype).encode()) + x.tobytes()
@@ -112,6 +112,8 @@ def _tagged(x: Any) -> bytes:
         return _items(b"l", x)
     elif isinstance(x, dict):
         return _items(b"d", itertools.chain.from_iterable(x.items()))
+    elif isinstance(x, (set, frozenset)):  # items in the order of their bytes
+        return _items(b"S", sorted(x, key=_tagged))
     elif isinstance(x, memoryview):
         return _sized(b"m", f"{x.shape}{x.format}".encode()) + x.tobytes()
     try:
@@ -132,17 +134,17 @@ def hash_input(x: Any) -> str:
     (:func:`_tagged`): numpy arrays, numpy scalars and memoryviews over their
     layout and raw bytes; strings and bytes over their content; lists, tuples
     and dicts (keys and values, in insertion order) over each length-prefixed
-    item; ``int``, ``float``, ``bool`` and ``None`` over their ``repr``, which
-    is their value; anything else, object arrays included, over its pickle
+    item, sets and frozensets (one kind) with their items in byte order;
+    ``int``, ``float``, ``bool`` and ``None`` over their ``repr``, which is
+    their value; anything else, object arrays included, over its pickle
     (protocol 5).  An input that does not pickle is refused with
     :class:`~repro.core.exceptions.ValidationError`.  Equal inputs may still
     hash apart (a dict in another order), which costs a miss, never a wrong
-    answer; all but pickles hash alike across processes.
+    answer; all but pickles hash alike across processes and hash seeds.
 
-    This sits on the serving hot path — :meth:`Query.input_hash` is computed
-    once per query and reused for the query's one cache probe — so an array
-    costs one memoised head and one pass of SHA-1 over its buffer, without a
-    ``tobytes`` copy when it is C-contiguous.
+    ``PredictionCache.digest``, the serving path's memoising twin, returns
+    exactly this.  An array costs one memoised head and one pass of SHA-1
+    over its buffer, without a copy when it is C-contiguous.
     """
     if isinstance(x, np.ndarray):
         head = _array_head(x.shape, x.dtype)
@@ -151,6 +153,17 @@ def hash_input(x: Any) -> str:
             hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
             return hasher.hexdigest()
     return hashlib.sha1(_tagged(x)).hexdigest()
+
+
+def _input_hash_once(self, digest: Optional[Callable[[Any], str]] = None) -> str:
+    """``input_hash`` of :class:`Query` and :class:`Feedback`: the input's
+    cache key, ``digest(input)`` (default :func:`hash_input`; the engine
+    passes its cache's memoising ``digest``), computed on the first call and
+    memoised.  The input must not be mutated after the first call."""
+    value = self._input_hash
+    if value is None:
+        value = self._input_hash = (digest or hash_input)(self.input)
+    return value
 
 
 @dataclass
@@ -184,18 +197,7 @@ class Query:
     trace_id: Optional[str] = None
     _input_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    def input_hash(self) -> str:
-        """Content hash of the query input, used for prediction caching.
-
-        Computed lazily on first call and memoised: the serving engine hashes
-        each query exactly once and reuses the digest for every per-model
-        cache fetch, insert and straggler late-completion.  The input must
-        not be mutated after the first call.
-        """
-        digest = self._input_hash
-        if digest is None:
-            digest = self._input_hash = hash_input(self.input)
-        return digest
+    input_hash = _input_hash_once
 
 
 @dataclass(slots=True)
@@ -225,15 +227,7 @@ class Feedback:
     query_id: Optional[int] = None
     _input_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    def input_hash(self) -> str:
-        """Content hash of the feedback input, used to join with cached predictions.
-
-        Memoised like :meth:`Query.input_hash`; computed at most once.
-        """
-        digest = self._input_hash
-        if digest is None:
-            digest = self._input_hash = hash_input(self.input)
-        return digest
+    input_hash = _input_hash_once
 
 
 #: Health states of one container replica.

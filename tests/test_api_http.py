@@ -535,11 +535,15 @@ class TestAdminOverHttp:
 class TestMetricsOverHttp:
     def test_json_metrics_carry_the_gauges(self):
         """Both expositions carry the same instruments: the JSON one has the
-        gauges (the dispatcher's pipeline depth, the queue's depth) too."""
+        gauges (the dispatcher's pipeline depth, the queue's depth) too.
+
+        The depth is measured (``1 + rpc_overhead_ms // eval_ms``, capped),
+        so the oracle is the dispatcher's own attribute, not a constant."""
 
         async def scenario():
             admin_frontend = ManagementFrontend(monitor_health=False, manage_canaries=False)
-            server = make_server(make_app(), admin_frontend)
+            clipper = make_app()
+            server = make_server(clipper, admin_frontend)
             async with server:
                 async with AsyncClipperClient("127.0.0.1", server.port) as client:
                     await client.predict("demo", [1.0, 2.0])
@@ -549,13 +553,16 @@ class TestMetricsOverHttp:
                     server.port,
                     b"GET /api/v1/metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
                 )
+                (dispatcher,) = clipper.model_record("noop:1").dispatchers
+                depth = dispatcher.pipeline_depth
             served = json.loads(response.split(b"\r\n\r\n", 1)[1])
-            return metrics, served["applications"]["demo"]
+            return metrics, served["applications"]["demo"], depth
 
-        metrics, server_wide = run_async(scenario())
+        metrics, server_wide, depth = run_async(scenario())
         assert set(metrics) == set(server_wide) == {"counters", "histograms", "gauges"}
+        assert depth >= 1
         for exposition in (metrics, server_wide):
-            assert exposition["gauges"]["model.noop:1.pipeline_depth"] == 1.0
+            assert exposition["gauges"]["model.noop:1.pipeline_depth"] == float(depth)
             assert exposition["gauges"]['queue.depth{model="noop:1"}'] == 0.0
             assert exposition["counters"]["predict.count"] == 1
             assert exposition["counters"]["model.noop:1.throughput"] == 1

@@ -329,6 +329,21 @@ class TestClipperConfig:
         with pytest.raises(ConfigurationError):
             ClipperConfig(latency_slo_ms=0)
 
+    @pytest.mark.parametrize(
+        "config, kwargs",
+        [
+            (ClipperConfig, {"latency_slo_ms": float("nan")}),
+            (BatchingConfig, {"batch_wait_timeout_ms": float("nan")}),
+            (OverloadConfig, {"retry_after_s": float("nan")}),
+            (CircuitBreakerConfig, {"open_duration_s": float("nan")}),
+        ],
+    )
+    def test_a_nan_fails_every_check(self, config, kwargs):
+        """The engine reads the application's SLO as validated positive:
+        a NaN, which no comparison passes, is refused like any other."""
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            config(**kwargs)
+
     def test_rejects_negative_cache(self):
         with pytest.raises(ConfigurationError):
             ClipperConfig(cache_size=-1)

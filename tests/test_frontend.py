@@ -15,6 +15,7 @@ from repro.core.exceptions import (
     ValidationError,
 )
 from repro.core.frontend import QueryFrontend
+from repro.core.types import Query
 
 
 def make_app(name, output=1):
@@ -115,6 +116,27 @@ class TestRouting:
                     await frontend.predict("vision", np.zeros(1), latency_slo_ms=1e-3)
             finally:
                 await frontend.stop()
+
+        run_async(scenario())
+
+    def test_a_direct_engine_predict_refuses_the_same_slos(self):
+        """The check lives in ``Clipper.predict``, so a caller that builds
+        its own ``Query`` gets the frontend's refusal, before any work."""
+
+        async def scenario():
+            clipper = make_app("vision")
+            await clipper.start()
+            try:
+                for slo in (0.0, float("nan"), -5.0):
+                    query = Query(app_name="vision", input=np.zeros(1), latency_slo_ms=slo)
+                    with pytest.raises(ValidationError, match="latency_slo_ms") as excinfo:
+                        await clipper.predict(query)
+                    assert excinfo.value.http_status == 422
+                assert clipper.cache.stats.lookups == 0
+                query = Query(app_name="vision", input=np.zeros(1), latency_slo_ms=500.0)
+                assert (await clipper.predict(query)).output == 1
+            finally:
+                await clipper.stop()
 
         run_async(scenario())
 

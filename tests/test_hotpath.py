@@ -448,8 +448,11 @@ class TestCachedPassBudget:
             assert len(prediction.models_used) == num_models
             assert profile.coroutines == {Clipper.predict.__code__}
             assert profile.python["fetch_by_hash"] == 1  # was one per model
-            assert profile.python["input_hash"] == 1
-            assert profile.python["hash_input"] == 1
+            assert profile.python["_input_hash_once"] == 1
+            # The second fill admitted x to the digest memo: the third read
+            # is a memo hit (hash_input was 1 and one openssl_sha1 before it).
+            assert profile.python["digest"] == 1 and profile.python["hash_input"] == 0
+            assert profile.native["openssl_sha1"] == 0
             assert profile.native["bisect_left"] == 1  # the answered latency's bucket
             assert store_lock.acquired == 0
             assert profile.total <= budget
@@ -463,19 +466,26 @@ class TestCachedPassBudget:
             await clipper.start()
             x = np.arange(16.0)
             await clipper.predict(Query(app_name="hotpath-test", input=x))
-            feedback = Feedback(app_name="hotpath-test", input=x, label=1)
-            profile, _ = step_profiled(clipper.feedback(feedback))
-            assert profile.coroutines == {Clipper.feedback.__code__}
-            assert profile.python["fetch_by_hash"] == 1  # was 4, one per model
-            # parent: 63, the cache's probe a call of its own; 64 while a
-            # rate meter marked each feedback beside its counter; 71 while
-            # the cache was probed once per model; 130 before that, 64 of
-            # them inside numpy (np.clip)
-            assert profile.total <= 59
-            # Scalar numpy math (np.clip -> fromnumeric._wrapfunc -> ...) shows
-            # up as calls into the package; a bare ufunc call raises no profile
-            # event, which is why CI also greps the selection path for np.exp.
-            assert "numpy" not in profile.packages
+            # The first feedback sees x again and admits it to the digest
+            # memo (10 calls: digest, the residency probe, the key's build
+            # and the key's own digest); the second is a memo hit.
+            for budget, sha1_calls in ((69, 2), (59, 0)):
+                feedback = Feedback(app_name="hotpath-test", input=x, label=1)
+                profile, _ = step_profiled(clipper.feedback(feedback))
+                assert profile.coroutines == {Clipper.feedback.__code__}
+                assert profile.python["fetch_by_hash"] == 1  # was 4, one per model
+                assert profile.native["openssl_sha1"] == sha1_calls
+                # 59 for both before the memo; parent of that: 63, the
+                # cache's probe a call of its own; 64 while a rate meter
+                # marked each feedback beside its counter; 71 while the
+                # cache was probed once per model; 130 before that, 64 of
+                # them inside numpy (np.clip)
+                assert profile.total <= budget
+                # Scalar numpy math (np.clip -> fromnumeric._wrapfunc -> ...)
+                # shows up as calls into the package; a bare ufunc call raises
+                # no profile event, which is why CI also greps the selection
+                # path for np.exp.  The memo's key is joined from x.data.
+                assert "numpy" not in profile.packages
             await clipper.stop()
 
         run_async(scenario())
@@ -552,13 +562,18 @@ class TestMissedPassBudget:
             # One wake-up of the parked dispatcher: _wake_next, the waiter's
             # set_result and the call_soon behind it, ten calls in all.
             assert profile.python["_wake_next"] == 1
-            # The query's own: 59, one of them the answered latency's
-            # lifetime bucket (58 before it; 59 while the cache's probe was
-            # a call of its own).  75 while every miss carried a shadow
-            # context and put its own output in the cache; 82 before that,
-            # twelve of them a per-tick timer shared within a millisecond.
+            # Nothing recurred, so the digest memo is empty: no key is built.
+            assert profile.python["_tagged"] == 0
+            assert profile.native["join"] == profile.native["tobytes"] == 0
+            # The query's own: 61, two of them the cache's digest and its
+            # residency probe's values() (59 before the digest memo), one
+            # the answered latency's lifetime bucket (58 before it; 59
+            # while the cache's probe was a call of its own).  75 while
+            # every miss carried a shadow context and put its own output in
+            # the cache; 82 before that, twelve of them a per-tick timer
+            # shared within a millisecond.
             assert profile.native["bisect_left"] == 1
-            assert profile.total <= 59 + 10
+            assert profile.total <= 61 + 10
             await clipper.stop()
 
         run_async(scenario())

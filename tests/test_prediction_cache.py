@@ -1,11 +1,15 @@
 """Tests for the Clipper prediction cache (paper §4.2)."""
 
 import gc
+import hashlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.cache import prediction_cache as cache_module
 from repro.cache.prediction_cache import PredictionCache
 from repro.core.exceptions import CacheError
 from repro.core.types import ModelId, hash_input
@@ -252,3 +256,165 @@ class TestOnePassProbeContract:
         with pytest.raises(CacheError):
             cache.put_by_hash("a", "h", [2])
         assert cache.stats.lookups == 0 and cache.stats.inserts == 1
+
+
+def _layouts(a):
+    """``a`` and arrays over its bytes in other layouts: non-contiguous,
+    Fortran-ordered, byte-swapped, reshaped and reinterpreted.  The last two
+    share ``a``'s buffer bytes exactly, so only the layout head tells them
+    apart."""
+    out = [a, np.asfortranarray(a), a.astype(a.dtype.newbyteorder())]
+    if a.ndim:
+        out.append(a[::-1] if a.ndim == 1 else a.T)
+        out.append(a[::2])
+    if a.size:
+        out.append(a.reshape(-1))
+        out.append(a.reshape(-1).view(np.uint8))
+    return out
+
+
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.int8, np.bool_, ">f8", ">i4"]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+).map(_layouts)
+_SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=8),
+    st.binary(max_size=8),
+)
+_OTHERS = st.lists(
+    st.one_of(
+        _SCALARS,
+        st.lists(_SCALARS, max_size=4),
+        st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3),
+        st.sets(st.integers(-3, 3)),
+        st.frozensets(st.text(max_size=3), max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+#: (input index, operation) pairs over a small pool, so inputs recur.
+_STEPS = st.lists(
+    st.tuples(st.integers(0, 63), st.sampled_from(["digest", "put", "copy", "mutate"])),
+    min_size=10,
+    max_size=80,
+)
+
+
+def _mutate(x):
+    """Change ``x`` in place, if it can be changed."""
+    if isinstance(x, np.ndarray):
+        if x.size:
+            first = (0,) * x.ndim
+            x[first] = 0 if x[first] else 1
+    elif isinstance(x, list):
+        x.append(len(x))
+    elif isinstance(x, (dict, set)):
+        x.update({len(x) + 100: None} if isinstance(x, dict) else {len(x) + 100})
+
+
+def _copy(x):
+    return x.copy() if hasattr(x, "copy") else x
+
+
+def assert_the_memo_keeps_its_contract(cache):
+    """Every resident key digests to the digest it maps to (a key that is
+    not a copy of the digested bytes, or lacks their layout head, cannot),
+    and the keys' bytes are counted exactly and within the bound."""
+    for key, digest in cache._memo.items():
+        assert hashlib.sha1(key).hexdigest() == digest
+    assert cache._memo_bytes == sum(map(len, cache._memo)) <= cache._memo_bound
+
+
+class TestDigestIsHashInput:
+    """``PredictionCache.digest`` is held to :func:`hash_input`, its
+    reference twin, on every call, with ``put_by_hash`` interleaved so that
+    inputs become resident and the memo admits and serves them; a bound of
+    64 bytes makes it overflow and clear."""
+
+    @given(_ARRAYS, _OTHERS, _STEPS)
+    def test_every_digest_is_hash_input(self, arrays, others, steps):
+        pool = arrays + others
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cache_module, "DIGEST_MEMO_BYTES", 64)
+            cache = PredictionCache(capacity=8)
+        for index, operation in steps:
+            x = pool[index % len(pool)]
+            if operation == "put":
+                cache.put_by_hash("m:1", [hash_input(x)], [index])
+            elif operation == "copy":
+                x = _copy(x)
+            elif operation == "mutate":
+                _mutate(x)
+            for _ in range(2):  # a resident input is admitted, then served
+                assert cache.digest(x) == hash_input(x)
+                assert_the_memo_keeps_its_contract(cache)
+
+    def test_a_recurring_input_is_digested_from_the_memo(self, monkeypatch):
+        digested = []
+        monkeypatch.setattr(
+            cache_module, "hash_input", lambda x: digested.append(x) or hash_input(x)
+        )
+        cache = PredictionCache(capacity=8)
+        x = np.arange(784.0)
+        digest = cache.digest(x)  # not resident: computed, not admitted
+        assert cache._memo == {}
+        cache.put_by_hash("m:1", [digest], [1])
+        assert cache.digest(x.copy()) == digest  # resident: admitted
+        assert list(cache._memo.values()) == [digest] and len(digested) == 2
+        for y in (x, x.copy()):
+            assert cache.digest(y) == digest
+        assert len(digested) == 2  # served without digesting again
+        x[0] = -1.0  # mutated in place after it was admitted
+        assert cache.digest(x) == hash_input(x) != digest
+
+    def test_an_input_changed_during_admission_cannot_poison_the_memo(self, monkeypatch):
+        def then_changed(x):
+            digest = hash_input(x)
+            x[0] += 1.0  # as another thread might, between digest and key
+            return digest
+
+        cache = PredictionCache(capacity=8)
+        x = np.arange(8.0)
+        cache.put_by_hash("m:1", [hash_input(x)], [1])
+        monkeypatch.setattr(cache_module, "hash_input", then_changed)
+        cache.digest(x)  # admits x's bytes as they are after the change
+        monkeypatch.undo()
+        assert_the_memo_keeps_its_contract(cache)
+        assert cache.digest(x) == hash_input(x)
+
+    def test_the_memo_holds_no_reference_to_an_input(self):
+        """A key is a copy: admitting a row keeps neither it nor the
+        matrix it views alive, so the bound counts all the memo holds."""
+        cache = PredictionCache(capacity=8)
+        matrix = np.random.default_rng(0).random((8, 8))  # owns its buffer
+        row = matrix[3]
+        cache.put_by_hash("m:1", [hash_input(row)], [1])
+        for _ in range(3):  # computed, admitted, served
+            assert cache.digest(row) == hash_input(row)
+        assert len(cache._memo) == 1
+        gone = weakref.ref(matrix)
+        del matrix, row
+        assert gone() is None
+
+    def test_an_input_that_never_recurs_builds_no_key(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_tagged", None)  # would fail if called
+        cache = PredictionCache(capacity=8)
+        for i in range(20):
+            digest = cache.digest(np.full(16, float(i)))
+            cache.put_by_hash("m:1", [digest], [i])
+        assert cache._memo == {}
+
+    def test_the_keys_bytes_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "DIGEST_MEMO_BYTES", 1000)
+        cache = PredictionCache(capacity=64)
+        sizes = [10, 40, 100, 7, 60, 125, 3, 90, 200] * 3
+        inputs = [np.zeros(size, np.float64) + i for i, size in enumerate(sizes)]
+        inputs.append(np.zeros(126))  # its key is over the bound: never admitted
+        for x in inputs:
+            cache.put_by_hash("m:1", [hash_input(x)], [0])
+            before = dict(cache._memo)
+            assert cache.digest(x) == hash_input(x)
+            assert_the_memo_keeps_its_contract(cache)
+            if x.nbytes > 1000:
+                assert cache._memo == before
+        assert 0 < cache._memo_bytes <= 1000
