@@ -185,8 +185,8 @@ class ArmMetrics:
     The routing layer resolves one of these per traffic-split arm when a
     split is installed, so the per-query attribution on the hot path is two
     counter increments and one histogram observation against pre-resolved
-    handles — no registry lookups.  The derived readings (:meth:`error_rate`,
-    :meth:`p99`) are what the canary controller compares between arms.
+    handles — no registry lookups.  The canary controller compares arms by
+    what each observed since a :meth:`mark` (:meth:`since`).
     """
 
     __slots__ = ("requests", "errors", "latency")
@@ -211,9 +211,20 @@ class ArmMetrics:
             return 0.0
         return self.errors.value / total
 
-    def p99(self) -> float:
-        """P99 latency of the arm's successful queries (NaN when unobserved)."""
-        return self.latency.p99()
+    def mark(self) -> Tuple[int, int, int]:
+        """The arm's lifetime counts now: requests, errors, latency samples."""
+        return self.requests.value, self.errors.value, self.latency.count
+
+    def since(self, mark: Tuple[int, int, int]) -> Tuple[int, int, float]:
+        """Requests, errors and p99 latency (NaN without a sample) of the
+        queries attributed after :meth:`mark` returned ``mark``; the p99 reads
+        the window's newest samples, those observed since."""
+        requests, errors, samples = mark
+        seen = self.latency.count - samples  # read first: the window may grow
+        window = self.latency.values()
+        fresh = window[max(len(window) - seen, 0) :]
+        p99 = float(np.percentile(fresh, 99)) if fresh else float("nan")
+        return self.requests.value - requests, self.errors.value - errors, p99
 
 
 class AnsweredMetrics:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.exceptions import ValidationError
+from repro.core.exceptions import SerializationError, ValidationError
+from repro.rpc.serialization import ARRAY_KINDS, serialize_buffers
 
 #: Monotonically increasing query id generator shared process-wide.
 _QUERY_COUNTER = itertools.count()
@@ -58,16 +58,17 @@ class ModelId:
 _ARRAY_HEADS: Dict[Any, bytes] = {}
 _ARRAY_HEADS_LIMIT = 1024
 
-#: The builtins whose ``repr`` is their value (a subclass's may be anything).
-_BY_REPR = frozenset({int, float, bool, type(None)})
+#: The builtins besides ``int`` whose ``repr`` is their value (a subclass's
+#: may be anything); a NaN's is not, it drops the payload the wire carries.
+_BY_REPR = frozenset({float, bool, type(None)})
 
 
 def _array_head(shape: tuple, dtype: Any) -> bytes:
     """``b"a"``, then the length-prefixed ``str(shape) + str(dtype)``; empty
-    for a dtype holding objects, whose buffer is addresses, not content."""
+    for a kind the wire refuses (:data:`~repro.rpc.serialization.ARRAY_KINDS`)."""
     head = _ARRAY_HEADS.get((shape, dtype))
     if head is None:
-        head = b"" if dtype.hasobject else _sized(b"a", f"{shape}{dtype}".encode())
+        head = _sized(b"a", f"{shape}{dtype}".encode()) if dtype.kind in ARRAY_KINDS else b""
         if len(_ARRAY_HEADS) < _ARRAY_HEADS_LIMIT:
             _ARRAY_HEADS[shape, dtype] = head
     return head
@@ -77,70 +78,52 @@ def _sized(tag: bytes, layout: bytes) -> bytes:
     return tag + len(layout).to_bytes(4, "big") + layout
 
 
-def _items(tag: bytes, items: Iterable[Any]) -> bytes:
-    """``tag``, then each item's :func:`_tagged` bytes behind their length."""
-    parts = [tag]
-    for item in items:
-        body = _tagged(item)
-        parts.append(len(body).to_bytes(8, "big"))
-        parts.append(body)
-    return b"".join(parts)
-
-
 def _tagged(x: Any) -> bytes:
-    """The bytes :func:`hash_input` digests: a tag naming ``x``'s kind, then ``x``.
+    """The bytes :func:`hash_input` digests: ``x`` as the wire carries it.
 
-    The tag keeps values of different kinds apart (``"ab"`` / ``b"ab"``,
-    ``1`` / ``"1"``); the length in front of every item keeps
-    ``["ab", "c"]`` apart from ``["a", "bc"]`` and a one-item list apart from
-    its item.  Lists and tuples share a tag: JSON has one sequence type.
+    The kinds the serving path sees most are keyed by encodings of their
+    own, behind a tag byte naming the kind: an ndarray of a carried kind by
+    its layout and buffer, ``str`` and ``bytes``/``bytearray`` by their
+    content, an ``int`` inside int64, a ``float`` (not NaN), a ``bool`` or
+    ``None`` by its ``repr``.  Any other value is keyed by the bytes the RPC
+    codec's generic encoder writes for it, behind ``b"w"``; a value the
+    codec refuses is refused here, as
+    :class:`~repro.core.exceptions.ValidationError`.
     """
-    if type(x) in _BY_REPR:
-        return b"r" + repr(x).encode()
     if isinstance(x, np.ndarray):
         head = _array_head(x.shape, x.dtype)
         if head:  # joined from the buffer itself: no numpy call when C-contiguous
             return b"".join((head, x.data if x.flags.c_contiguous else x.tobytes()))
-    elif isinstance(x, np.generic):
-        if not x.dtype.hasobject:
-            return _sized(b"n", str(x.dtype).encode()) + x.tobytes()
     elif isinstance(x, (bytes, bytearray)):
         return b"b" + x
     elif isinstance(x, str):
         return b"s" + x.encode()
-    elif isinstance(x, (list, tuple)):
-        return _items(b"l", x)
-    elif isinstance(x, dict):
-        return _items(b"d", itertools.chain.from_iterable(x.items()))
-    elif isinstance(x, (set, frozenset)):  # items in the order of their bytes
-        return _items(b"S", sorted(x, key=_tagged))
-    elif isinstance(x, memoryview):
-        return _sized(b"m", f"{x.shape}{x.format}".encode()) + x.tobytes()
+    elif (type(x) is int and -(1 << 63) <= x < 1 << 63) or (type(x) in _BY_REPR and x == x):
+        return b"r" + repr(x).encode()
     try:
-        return b"p" + pickle.dumps(x, protocol=5)
-    except (pickle.PicklingError, TypeError, AttributeError) as error:
+        return b"".join([b"w", *serialize_buffers(x, layouts=False)])
+    except SerializationError as error:
         raise ValidationError(
-            f"cannot key the prediction cache by a {type(x).__name__} input: "
-            f"it has no content encoding and does not pickle ({error})"
+            f"cannot key the prediction cache by an input of type {type(x).__name__}: {error}"
         ) from error
 
 
 def hash_input(x: Any) -> str:
     """Return a stable content hash of a query input.
 
-    The contract is *equal hash ⇒ equal input, kind included*: the digest is
-    the prediction-cache key, so two inputs that hash alike are served each
-    other's predictions.  Each kind is digested behind a tag byte naming it
-    (:func:`_tagged`): numpy arrays, numpy scalars and memoryviews over their
-    layout and raw bytes; strings and bytes over their content; lists, tuples
-    and dicts (keys and values, in insertion order) over each length-prefixed
-    item, sets and frozensets (one kind) with their items in byte order;
-    ``int``, ``float``, ``bool`` and ``None`` over their ``repr``, which is
-    their value; anything else, object arrays included, over its pickle
-    (protocol 5).  An input that does not pickle is refused with
-    :class:`~repro.core.exceptions.ValidationError`.  Equal inputs may still
-    hash apart (a dict in another order), which costs a miss, never a wrong
-    answer; all but pickles hash alike across processes and hash seeds.
+    The contract is *equal hash ⇒ every container is sent equal bytes*: the
+    digest is the prediction-cache key, so two inputs that hash alike are
+    served each other's predictions.  The bytes digested are
+    :func:`_tagged`'s: an encoding of its own for the common kinds, the RPC
+    codec's bytes for the rest.  So ``np.float32(1.5)`` and
+    ``np.float64(1.5)``, which both arrive as the float 1.5, are one input,
+    and an input the codec would refuse (a set, an object, an int past
+    int64, a datetime array, nesting past 32 levels) is refused here with
+    :class:`~repro.core.exceptions.ValidationError`, before any queue holds
+    it.  Inputs the wire delivers alike may still hash apart (a dict in
+    another order, ``1.5`` and ``np.float64(1.5)``), which costs a miss,
+    never a wrong answer; every digest is the same across processes and
+    hash seeds.
 
     ``PredictionCache.digest``, the serving path's memoising twin, returns
     exactly this.  An array costs one memoised head and one pass of SHA-1

@@ -24,7 +24,7 @@ on its sweep every ``check_interval_s``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.core.deployed import quarantines_for, statuses_for
 from repro.core.exceptions import RoutingError
@@ -48,17 +48,16 @@ DECISION_ABORT = "abort"
 class _CanaryWatch:
     """Per-rollout bookkeeping: metric baselines and consecutive clean checks.
 
-    Arm counters are cumulative across rollouts of the same version key, so
-    every judgement works on deltas against the values captured when the
-    watch began.
+    Arm metrics are cumulative across rollouts of the same version key, so
+    every judgement reads each arm since its mark (``ArmMetrics.mark``):
+    the requests, errors and latency samples after the watch began or after
+    the last clean check.
     """
 
     canary_key: str
     stable_key: str
-    base_canary_requests: int = 0
-    base_canary_errors: int = 0
-    base_stable_requests: int = 0
-    base_stable_errors: int = 0
+    canary_mark: Tuple[int, int, int] = (0, 0, 0)
+    stable_mark: Tuple[int, int, int] = (0, 0, 0)
     base_quarantines: int = 0
     healthy_checks: int = 0
 
@@ -148,15 +147,12 @@ class CanaryController:
         return decisions
 
     def _begin_watch(self, split: TrafficSplit) -> _CanaryWatch:
-        canary_arm = self.clipper.routing.arm_metrics(split.canary)
-        stable_arm = self.clipper.routing.arm_metrics(split.stable)
+        arm_metrics = self.clipper.routing.arm_metrics
         return _CanaryWatch(
             canary_key=split.canary,
             stable_key=split.stable,
-            base_canary_requests=canary_arm.requests.value,
-            base_canary_errors=canary_arm.errors.value,
-            base_stable_requests=stable_arm.requests.value,
-            base_stable_errors=stable_arm.errors.value,
+            canary_mark=arm_metrics(split.canary).mark(),
+            stable_mark=arm_metrics(split.stable).mark(),
             base_quarantines=quarantines_for(self.clipper.model_records(), split.canary),
         )
 
@@ -171,13 +167,11 @@ class CanaryController:
 
         canary_arm = self.clipper.routing.arm_metrics(watch.canary_key)
         stable_arm = self.clipper.routing.arm_metrics(watch.stable_key)
-        canary_requests = canary_arm.requests.value - watch.base_canary_requests
+        canary_requests, canary_errors, canary_p99 = canary_arm.since(watch.canary_mark)
         if canary_requests < self.min_requests:
             return None  # not enough evidence yet
-        canary_errors = canary_arm.errors.value - watch.base_canary_errors
         canary_error_rate = canary_errors / canary_requests
-        stable_requests = stable_arm.requests.value - watch.base_stable_requests
-        stable_errors = stable_arm.errors.value - watch.base_stable_errors
+        stable_requests, stable_errors, stable_p99 = stable_arm.since(watch.stable_mark)
         stable_error_rate = stable_errors / stable_requests if stable_requests else 0.0
 
         if canary_error_rate > stable_error_rate + MAX_ERROR_RATE_DELTA:
@@ -191,8 +185,6 @@ class CanaryController:
                 stable_error_rate=stable_error_rate,
             )
 
-        canary_p99 = canary_arm.p99()
-        stable_p99 = stable_arm.p99()
         if (
             canary_p99 == canary_p99  # not NaN: the arm has latency samples
             and stable_p99 == stable_p99
@@ -220,10 +212,7 @@ class CanaryController:
             )
         # Reset the baselines so the next check requires fresh traffic: a
         # stalled canary must not be promoted on stale evidence.
-        watch.base_canary_requests = canary_arm.requests.value
-        watch.base_canary_errors = canary_arm.errors.value
-        watch.base_stable_requests = stable_arm.requests.value
-        watch.base_stable_errors = stable_arm.errors.value
+        watch.canary_mark, watch.stable_mark = canary_arm.mark(), stable_arm.mark()
         return None
 
     def _canary_health_violation(self, watch: _CanaryWatch) -> Optional[str]:

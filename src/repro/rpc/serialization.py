@@ -109,6 +109,12 @@ _TAG_F64_COLUMN = 11
 
 _MAX_DEPTH = 32
 
+#: The ``dtype.kind`` of every array the wire carries, written and read:
+#: bools, numbers, bytes and text.  Objects (addresses, not content),
+#: datetimes and timedeltas (no buffer), and structured or void records
+#: (fields the wire does not name) are refused at both ends.
+ARRAY_KINDS = "biufcSU"
+
 #: Payloads smaller than this are copied inline into the control buffer;
 #: larger ones are emitted as standalone zero-copy segments.  Tiny segments
 #: would make writev-style sends slower than one small copy.
@@ -120,16 +126,20 @@ def serialize(value: Any) -> bytes:
     return b"".join(serialize_buffers(value))
 
 
-def serialize_buffers(value: Any) -> List[Any]:
+def serialize_buffers(value: Any, layouts: bool = True) -> List[Any]:
     """Encode ``value`` as a list of buffer segments (writev-style).
 
     Joining the segments yields exactly :func:`serialize`'s output, but a
     gather-capable transport can write them without ever materialising the
     frame.  Large ndarray/bytes payload segments are read-only views of the
-    caller's data — consume them before mutating the originals.
+    caller's data — consume them before mutating the originals.  With
+    ``layouts=False`` the generic encoder writes the same bytes and no
+    writer layout is read or learned: the prediction cache keys an input by
+    them, so hashing distinct inputs never evicts the RPC lanes' writers,
+    and a :class:`SerializationError` there is the refusal the wire gives.
     """
     key = layout = None
-    if type(value) is dict and len(value) <= _WRITER_KEYS_MAX:
+    if layouts and type(value) is dict and len(value) <= _WRITER_KEYS_MAX:
         key = (*value,)
         layout = _WRITERS.get(key)
         if layout is not None:
@@ -161,8 +171,11 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
     frame: a private copy in which every ndarray is fresh, C-ordered and
     read-only (a homogeneous batch: rows of one stacked array, as decoded),
     numpy scalars are Python scalars, tuples lists and bytearrays bytes.
-    The encoder is chosen as :func:`serialize` chooses it, so a value the
-    codec refuses raises the same :class:`SerializationError`.
+    The encoder is chosen as :func:`serialize` chooses it and the same rules
+    hold (an array of a kind outside :data:`ARRAY_KINDS`, an int past int64,
+    a key that is not a ``str``, nesting past 32 levels), so ``wire_copy(x)``
+    equals ``deserialize(serialize(x))``, or both raise
+    :class:`SerializationError`.
     """
     encode = _ENCODERS.get(type(value)) or _encoder_for(value)
     if encode is _encode_dict:
@@ -194,8 +207,8 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
             raise SerializationError("value nesting exceeds maximum depth")
         return [wire_copy(item, _depth + 1) for item in value]
     if encode is _encode_ndarray:
-        if value.dtype.hasobject:
-            raise SerializationError("object-dtype arrays are not serializable")
+        if value.dtype.kind not in ARRAY_KINDS:
+            raise SerializationError(f"{value.dtype} arrays are not serializable")
         # ndmin=1: the encoder's np.ascontiguousarray sends a 0-d array as (1,).
         return _read_only(np.array(value, order="C", ndmin=1))
     return bytes(value) if encode is _encode_bytes else value  # or None, a bool
@@ -359,8 +372,8 @@ def _encode_dict(value, scratch, segments, depth) -> None:
 
 
 def _encode_ndarray(array, scratch, segments, depth) -> None:
-    if array.dtype.hasobject:
-        raise SerializationError("object-dtype arrays are not serializable")
+    if array.dtype.kind not in ARRAY_KINDS:
+        raise SerializationError(f"{array.dtype} arrays are not serializable")
     contiguous = np.ascontiguousarray(array)
     _ndarray_header(_TAG_NDARRAY, contiguous.dtype, contiguous.shape, scratch)
     scratch += _pack_nbytes(contiguous.nbytes)
@@ -441,13 +454,13 @@ def _homogeneous_batch_shape(items) -> Optional[Tuple[Any, tuple]]:
 
     Eligible means: at least two elements, every element an ndarray of one
     dtype and one shape, ``ndim >= 1`` (0-d arrays keep their per-element
-    tagged round-trip) and not an object dtype.  Anything else returns None
-    and falls back to the tagged LIST encoding.
+    tagged round-trip) and of a kind the wire carries.  Anything else returns
+    None and falls back to the tagged LIST encoding.
     """
     if len(items) < 2:
         return None
     first = items[0]
-    if not isinstance(first, np.ndarray) or first.ndim == 0 or first.dtype.hasobject:
+    if not (isinstance(first, np.ndarray) and first.ndim and first.dtype.kind in ARRAY_KINDS):
         return None
     dtype = first.dtype
     shape = first.shape
@@ -470,8 +483,7 @@ def _ndarray_header(tag: int, dtype: np.dtype, shape: tuple, scratch: bytearray)
 def _encode_ndarray_batch(arrays, scratch, segments) -> None:
     first = arrays[0]
     _ndarray_header(_TAG_NDARRAY_BATCH, first.dtype, first.shape, scratch)
-    elem_nbytes = first.dtype.itemsize * first.size
-    scratch += _pack_count_nbytes(len(arrays), elem_nbytes * len(arrays))
+    scratch += _pack_count_nbytes(len(arrays), first.nbytes * len(arrays))
     try:
         rows = b"".join(arrays)
     except TypeError:  # a strided row: joined from C-ordered copies
@@ -574,9 +586,9 @@ _SCALARS = {_TAG_BOOL: struct.Struct("<?"), _TAG_INT: struct.Struct("<q"),
             _TAG_FLOAT: struct.Struct("<d")}
 _unpack_u32 = struct.Struct("<I").unpack_from
 _unpack_u64 = struct.Struct("<Q").unpack_from
-#: What ``dtype.str`` looks like (byte order, kind, item size, datetime unit):
-#: any other name would reach numpy's dtype-string parser.
-_DTYPE_NAME = re.compile(rb"[<>|][biufcmMSUV]\d+(\[\w+\])?")
+#: What ``dtype.str`` of a carried array looks like (byte order, kind, item
+#: size): any other name would reach numpy's dtype-string parser.
+_DTYPE_NAME = re.compile(rb"[<>|][%b]\d+" % ARRAY_KINDS.encode())
 
 # -- layouts ---------------------------------------------------------------------
 #

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.cache import prediction_cache as cache_module
 from repro.cache.prediction_cache import PredictionCache
-from repro.core.exceptions import CacheError
+from repro.core.exceptions import CacheError, ValidationError
 from repro.core.types import ModelId, hash_input
 
 
@@ -325,14 +325,21 @@ def assert_the_memo_keeps_its_contract(cache):
     assert cache._memo_bytes == sum(map(len, cache._memo)) <= cache._memo_bound
 
 
+def _digest_or_refusal(digest, x):
+    try:
+        return digest(x)
+    except ValidationError:
+        return ValidationError
+
+
 class TestDigestIsHashInput:
     """``PredictionCache.digest`` is held to :func:`hash_input`, its
-    reference twin, on every call, with ``put_by_hash`` interleaved so that
-    inputs become resident and the memo admits and serves them; a bound of
-    64 bytes makes it overflow and clear."""
+    reference twin, on every call: equal, or both refuse.  ``put_by_hash``
+    is interleaved so that inputs become resident and the memo admits and
+    serves them; a bound of 64 bytes makes it overflow and clear."""
 
     @given(_ARRAYS, _OTHERS, _STEPS)
-    def test_every_digest_is_hash_input(self, arrays, others, steps):
+    def test_every_digest_is_hash_input_or_both_refuse(self, arrays, others, steps):
         pool = arrays + others
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cache_module, "DIGEST_MEMO_BYTES", 64)
@@ -340,13 +347,15 @@ class TestDigestIsHashInput:
         for index, operation in steps:
             x = pool[index % len(pool)]
             if operation == "put":
-                cache.put_by_hash("m:1", [hash_input(x)], [index])
+                digest = _digest_or_refusal(hash_input, x)
+                if digest is not ValidationError:
+                    cache.put_by_hash("m:1", [digest], [index])
             elif operation == "copy":
                 x = _copy(x)
             elif operation == "mutate":
                 _mutate(x)
             for _ in range(2):  # a resident input is admitted, then served
-                assert cache.digest(x) == hash_input(x)
+                assert _digest_or_refusal(cache.digest, x) == _digest_or_refusal(hash_input, x)
                 assert_the_memo_keeps_its_contract(cache)
 
     def test_a_recurring_input_is_digested_from_the_memo(self, monkeypatch):

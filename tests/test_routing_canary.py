@@ -136,7 +136,7 @@ class TestClipperCanaryVerbs:
             assert stable.requests.value > 0
             assert stable.errors.value == canary.errors.value == 0
             assert canary.latency.count > 0
-            assert canary.p99() == canary.p99()  # not NaN
+            assert canary.latency.p99() == canary.latency.p99()  # not NaN
             await clipper.stop()
 
         run_async(scenario())
@@ -424,6 +424,34 @@ class TestCanaryControllerJudgement:
             assert decision.action == "abort"
             assert decision.reason == f"replica '{status.replica_name}' is quarantined"
             assert clipper.routing.active_key("m") == "m:1"
+
+        run_async(scenario())
+
+    def test_a_rollout_is_judged_on_the_latencies_it_observed(self):
+        # The arm's latency window outlives a rollout of the same version
+        # key: a second canary of m:2 must not inherit the first one's tail.
+        async def scenario():
+            clipper = self.make_canary_clipper()
+            controller = CanaryController(clipper, **direct_verbs(clipper))
+            stable = clipper.routing.arm_metrics("m:1")
+            canary = clipper.routing.arm_metrics("m:2")
+
+            async def check(canary_ms):
+                for _ in range(60):
+                    stable.observe(1.0)
+                    canary.observe(canary_ms)
+                return await controller.evaluate_once()
+
+            await controller.evaluate_once()
+            (decision,) = await check(500.0)
+            assert decision.action == "abort" and "p99 500.000 ms" in decision.reason
+            clipper.routing.start_canary("m", "m:2", weight=0.5)
+            await controller.evaluate_once()  # a new watch
+            assert await check(1.0) == [] and clipper.routing.canaries() != {}
+            assert await check(1.0) == []
+            (decision,) = await check(1.0)
+            assert decision.action == "promote"
+            assert decision.extra["canary_p99"] == 1.0
 
         run_async(scenario())
 

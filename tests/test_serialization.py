@@ -18,7 +18,8 @@ stated here over the current code alone:
 * **The refusal set** (:func:`refused`): a value is refused with
   :class:`SerializationError`, and nothing else, exactly when it holds an
   unsupported type, a non-``str`` dict key, nesting beyond 32 levels, an int
-  outside int64 or an object-dtype array.
+  outside int64 or an array of a kind outside bools, numbers, bytes and text
+  (objects, datetimes, timedeltas, records).
 * The nesting limit sits where it sits, the ``str``-frame cache is bounded,
   and no cached frame aliases what a caller holds.
 * The decoder refuses truncated, trailing, unknown-tag and empty input, and
@@ -119,13 +120,18 @@ def str_frame(text: str) -> str:
 
 def is_batch(items) -> bool:
     """The NDARRAY_BATCH rule: two or more arrays of one dtype and one shape,
-    at least 1-d and not of object dtype."""
+    at least 1-d and of a kind the wire carries."""
     first = items[0] if len(items) >= 2 else None
     return (
-        isinstance(first, np.ndarray) and first.ndim >= 1 and not first.dtype.hasobject
+        isinstance(first, np.ndarray) and first.ndim >= 1 and first.dtype.kind in CARRIED_KINDS
         and all(isinstance(item, np.ndarray) and item.dtype == first.dtype
                 and item.shape == first.shape for item in items)
     )
+
+
+#: The array kinds the wire carries: bools, numbers, bytes and text; never
+#: objects, datetimes, timedeltas or records.
+CARRIED_KINDS = "biufcSU"
 
 
 def refused(value, depth: int = 0) -> bool:
@@ -135,7 +141,7 @@ def refused(value, depth: int = 0) -> bool:
     if isinstance(value, (int, np.integer)):
         return not -(2**63) <= int(value) < 2**63
     if isinstance(value, np.ndarray):
-        return value.dtype.hasobject
+        return value.dtype.kind not in CARRIED_KINDS
     if isinstance(value, (list, tuple)) and is_batch(value):
         return False
     if isinstance(value, (list, tuple, dict)):
@@ -277,16 +283,19 @@ _scalars = (
     | st.text(max_size=4).map(np.str_)
     | st.binary(max_size=4).map(np.bytes_)
     # Refused: numpy bools and complex numbers, unknown classes, sets,
-    # object arrays.
+    # object, datetime, timedelta, structured and void arrays.
     | st.sampled_from([np.bool_(True), np.complex128(1j), 1j, object(), {1, 2}, range(2)])
     | st.sampled_from([np.array([object()]), np.array([1, "a"], dtype=object)])
+    | st.sampled_from(["<M8[D]", ">m8[s]", "<M8[ns]", [("a", "<f8"), ("b", "|u1")], "|V4"]).map(
+        lambda dtype: np.zeros(2, dtype)
+    )
     | _arrays
     | _batches
     | _columns
 )
 _keys = st.text(max_size=6) | st.text(max_size=3).map(_Text) | st.integers(0, 2) | st.none()
-#: Lone surrogates and datetime arrays are left out: the codec fails on them
-#: with a bare ``UnicodeEncodeError`` / ``ValueError`` instead of refusing them.
+#: Lone surrogates are left out: the codec fails on them with a bare
+#: ``UnicodeEncodeError`` instead of refusing them.
 wire_values = st.recursive(
     _scalars,
     lambda children: st.lists(children, max_size=4)

@@ -85,9 +85,13 @@ class TestCopyIsTheRoundTrip:
             2**63,
             -(2**63) - 1,
             np.uint64(2**64 - 1),
+            np.array(["2026-01-01"], dtype="datetime64[D]"),
+            [np.zeros(2, "m8[s]"), np.zeros(2, "m8[s]")],
+            np.zeros(2, dtype=[("a", "<f8"), ("b", "<i4")]),
         ],
         ids=["object_array", "object_batch", "int_key", "nested_none_key", "object",
-             "set", "numpy_bool", "column_past_int64", "past_int64", "below_int64", "uint64_max"],
+             "set", "numpy_bool", "column_past_int64", "past_int64", "below_int64", "uint64_max",
+             "datetime_array", "timedelta_batch", "structured_array"],
     )
     def test_both_refuse_with_serialization_error(self, value):
         with pytest.raises(SerializationError):
