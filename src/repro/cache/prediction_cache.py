@@ -101,13 +101,14 @@ class PredictionCache:
 
     def digest(self, x: Any) -> str:
         """``hash_input(x)``, read from the memo when it holds ``x``: the
-        digest of ``x`` as the wire carries it, so equal digests mean every
-        container is sent equal bytes, and an input the wire would refuse
-        raises :class:`~repro.core.exceptions.ValidationError` here, memo
-        warm or cold.  The memo is read without the lock; the residency
-        probe and admission hold it, so a concurrent ``put_by_hash`` cannot
-        change the index under the probe, and a key maps to its own digest,
-        so an input changed during the call cannot poison the memo."""
+        SHA-1 of the frame the wire carries for ``x`` (the memo's keys are
+        those frames), so equal digests mean every container is sent equal
+        bytes, and an input a predict request could not carry raises
+        :class:`~repro.core.exceptions.ValidationError` here, memo warm or
+        cold.  The memo is read without the lock; the residency probe and
+        admission hold it, so a concurrent ``put_by_hash`` cannot change the
+        index under the probe, and a key maps to its own digest, so an input
+        changed during the call cannot poison the memo."""
         memo = self._memo
         if memo:
             digest = memo.get(_tagged(x))

@@ -15,12 +15,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.core.exceptions import SerializationError, ValidationError
-from repro.rpc.serialization import ARRAY_KINDS, serialize_buffers
+from repro.rpc.serialization import ARRAY_KINDS, array_head, serialize_buffers
 
 #: Monotonically increasing query id generator shared process-wide.
 _QUERY_COUNTER = itertools.count()
@@ -50,58 +50,26 @@ class ModelId:
         return ModelId(text, 1)
 
 
-#: Memoised head of an array's hash per ``(shape, dtype)``: rendering a numpy
-#: dtype as a string walks numpy's type hierarchy and would dominate the
-#: hashing cost for small arrays.  A serving process sees a handful of
-#: layouts; the bound keeps an untyped application with free-form shapes from
-#: growing the table without limit.
-_ARRAY_HEADS: Dict[Any, bytes] = {}
-_ARRAY_HEADS_LIMIT = 1024
-
-#: The builtins besides ``int`` whose ``repr`` is their value (a subclass's
-#: may be anything); a NaN's is not, it drops the payload the wire carries.
-_BY_REPR = frozenset({float, bool, type(None)})
-
-
-def _array_head(shape: tuple, dtype: Any) -> bytes:
-    """``b"a"``, then the length-prefixed ``str(shape) + str(dtype)``; empty
-    for a kind the wire refuses (:data:`~repro.rpc.serialization.ARRAY_KINDS`)."""
-    head = _ARRAY_HEADS.get((shape, dtype))
-    if head is None:
-        head = _sized(b"a", f"{shape}{dtype}".encode()) if dtype.kind in ARRAY_KINDS else b""
-        if len(_ARRAY_HEADS) < _ARRAY_HEADS_LIMIT:
-            _ARRAY_HEADS[shape, dtype] = head
-    return head
-
-
-def _sized(tag: bytes, layout: bytes) -> bytes:
-    return tag + len(layout).to_bytes(4, "big") + layout
+#: Where a predict request carries an input, in ``{"inputs": [x, ...]}``
+#: (:func:`~repro.rpc.protocol.predict_request`): the key judges it there.
+REQUEST_DEPTH = 2
 
 
 def _tagged(x: Any) -> bytes:
-    """The bytes :func:`hash_input` digests: ``x`` as the wire carries it.
+    """The bytes :func:`hash_input` digests: exactly ``serialize(x)``.
 
-    The kinds the serving path sees most are keyed by encodings of their
-    own, behind a tag byte naming the kind: an ndarray of a carried kind by
-    its layout and buffer, ``str`` and ``bytes``/``bytearray`` by their
-    content, an ``int`` inside int64, a ``float`` (not NaN), a ``bool`` or
-    ``None`` by its ``repr``.  Any other value is keyed by the bytes the RPC
-    codec's generic encoder writes for it, behind ``b"w"``; a value the
-    codec refuses is refused here, as
-    :class:`~repro.core.exceptions.ValidationError`.
+    An ndarray of a carried kind with ``ndim >= 1`` is the codec's memoised
+    head (:func:`~repro.rpc.serialization.array_head`) joined to its buffer
+    (a 0-d array is sent with shape (1,), so it is not one); any other value
+    is ``serialize_buffers(x, layouts=False)`` judged at
+    :data:`REQUEST_DEPTH`, and a value the codec refuses there is refused
+    here, as :class:`~repro.core.exceptions.ValidationError`.
     """
-    if isinstance(x, np.ndarray):
-        head = _array_head(x.shape, x.dtype)
-        if head:  # joined from the buffer itself: no numpy call when C-contiguous
-            return b"".join((head, x.data if x.flags.c_contiguous else x.tobytes()))
-    elif isinstance(x, (bytes, bytearray)):
-        return b"b" + x
-    elif isinstance(x, str):
-        return b"s" + x.encode()
-    elif (type(x) is int and -(1 << 63) <= x < 1 << 63) or (type(x) in _BY_REPR and x == x):
-        return b"r" + repr(x).encode()
+    if isinstance(x, np.ndarray) and x.ndim and x.dtype.kind in ARRAY_KINDS:
+        # Joined from the buffer itself: no numpy call when C-contiguous.
+        return b"".join((array_head(x), x.data if x.flags.c_contiguous else x.tobytes()))
     try:
-        return b"".join([b"w", *serialize_buffers(x, layouts=False)])
+        return b"".join(serialize_buffers(x, layouts=False, depth=REQUEST_DEPTH))
     except SerializationError as error:
         raise ValidationError(
             f"cannot key the prediction cache by an input of type {type(x).__name__}: {error}"
@@ -111,30 +79,27 @@ def _tagged(x: Any) -> bytes:
 def hash_input(x: Any) -> str:
     """Return a stable content hash of a query input.
 
-    The contract is *equal hash ⇒ every container is sent equal bytes*: the
-    digest is the prediction-cache key, so two inputs that hash alike are
-    served each other's predictions.  The bytes digested are
-    :func:`_tagged`'s: an encoding of its own for the common kinds, the RPC
-    codec's bytes for the rest.  So ``np.float32(1.5)`` and
-    ``np.float64(1.5)``, which both arrive as the float 1.5, are one input,
-    and an input the codec would refuse (a set, an object, an int past
-    int64, a datetime array, nesting past 32 levels) is refused here with
-    :class:`~repro.core.exceptions.ValidationError`, before any queue holds
-    it.  Inputs the wire delivers alike may still hash apart (a dict in
-    another order, ``1.5`` and ``np.float64(1.5)``), which costs a miss,
-    never a wrong answer; every digest is the same across processes and
-    hash seeds.
+    The digest is the prediction-cache key, and it is the SHA-1 of the wire
+    frame: ``hashlib.sha1(serialize(x)).hexdigest()``, the bytes a container
+    is sent for ``x``, so two inputs served each other's predictions are two
+    inputs every container is sent alike, and inputs the wire delivers alike
+    are one key (``1.5`` and ``np.float64(1.5)``, ``3`` and ``np.int64(3)``).
+    An input the codec refuses where a predict request carries it
+    (:data:`REQUEST_DEPTH`: a set, an object, an int past int64, a
+    datetime, a lone surrogate, nesting past 30 levels) is refused here
+    with :class:`~repro.core.exceptions.ValidationError`, before any queue
+    holds it.  A dict in another key order is another frame, so another key:
+    a miss, never a wrong answer.  Every digest is the same across processes
+    and hash seeds.
 
     ``PredictionCache.digest``, the serving path's memoising twin, returns
     exactly this.  An array costs one memoised head and one pass of SHA-1
     over its buffer, without a copy when it is C-contiguous.
     """
-    if isinstance(x, np.ndarray):
-        head = _array_head(x.shape, x.dtype)
-        if head:
-            hasher = hashlib.sha1(head)
-            hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
-            return hasher.hexdigest()
+    if isinstance(x, np.ndarray) and x.ndim and x.dtype.kind in ARRAY_KINDS:
+        hasher = hashlib.sha1(array_head(x))
+        hasher.update(x.data if x.flags.c_contiguous else np.ascontiguousarray(x).data)
+        return hasher.hexdigest()
     return hashlib.sha1(_tagged(x)).hexdigest()
 
 

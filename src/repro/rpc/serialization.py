@@ -126,7 +126,7 @@ def serialize(value: Any) -> bytes:
     return b"".join(serialize_buffers(value))
 
 
-def serialize_buffers(value: Any, layouts: bool = True) -> List[Any]:
+def serialize_buffers(value: Any, layouts: bool = True, depth: int = 0) -> List[Any]:
     """Encode ``value`` as a list of buffer segments (writev-style).
 
     Joining the segments yields exactly :func:`serialize`'s output, but a
@@ -135,8 +135,8 @@ def serialize_buffers(value: Any, layouts: bool = True) -> List[Any]:
     caller's data — consume them before mutating the originals.  With
     ``layouts=False`` the generic encoder writes the same bytes and no
     writer layout is read or learned: the prediction cache keys an input by
-    them, so hashing distinct inputs never evicts the RPC lanes' writers,
-    and a :class:`SerializationError` there is the refusal the wire gives.
+    them, so hashing distinct inputs never evicts the RPC lanes' writers.
+    ``value`` is judged as an item ``depth`` containers down in a frame.
     """
     key = layout = None
     if layouts and type(value) is dict and len(value) <= _WRITER_KEYS_MAX:
@@ -154,9 +154,9 @@ def serialize_buffers(value: Any, layouts: bool = True) -> List[Any]:
     # zero-copy view of the caller's data.
     scratch = bytearray()
     try:
-        (_ENCODERS.get(type(value)) or _encoder_for(value))(value, scratch, segments, 0)
-    except struct.error as exc:  # an int or a length past its field's range
-        raise SerializationError(f"value out of range: {exc}") from exc
+        (_ENCODERS.get(type(value)) or _encoder_for(value))(value, scratch, segments, depth)
+    except (struct.error, UnicodeEncodeError) as exc:  # past a field's range; a surrogate
+        raise SerializationError(f"value not encodable: {exc}") from exc
     if scratch:
         segments.append(scratch)
     if key is not None and layout in (None, _seen_once):
@@ -172,23 +172,23 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
     read-only (a homogeneous batch: rows of one stacked array, as decoded),
     numpy scalars are Python scalars, tuples lists and bytearrays bytes.
     The encoder is chosen as :func:`serialize` chooses it and the same rules
-    hold (an array of a kind outside :data:`ARRAY_KINDS`, an int past int64,
-    a key that is not a ``str``, nesting past 32 levels), so ``wire_copy(x)``
-    equals ``deserialize(serialize(x))``, or both raise
-    :class:`SerializationError`.
+    hold (an array or a numpy scalar of a kind outside :data:`ARRAY_KINDS`,
+    an int past int64, a ``str`` that is not UTF-8, a key that is not a
+    ``str``, nesting past 32 levels), so ``wire_copy(x)`` equals
+    ``deserialize(serialize(x))``, or both raise :class:`SerializationError`.
     """
+    if _depth > _MAX_DEPTH:  # an item of a non-empty container at the limit
+        raise SerializationError("value nesting exceeds maximum depth")
     encode = _ENCODERS.get(type(value)) or _encoder_for(value)
     if encode is _encode_dict:
-        if value and _depth >= _MAX_DEPTH:
-            raise SerializationError("value nesting exceeds maximum depth")
         copy = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise SerializationError("dict keys must be strings")
-            copy[str.__str__(key)] = wire_copy(item, _depth + 1)
+            copy[_text(key)] = wire_copy(item, _depth + 1)
         return copy
     if encode is _encode_str:
-        return str.__str__(value)
+        return _text(value)
     if encode is _encode_int:
         number = int(value)
         if not -(1 << 63) <= number < 1 << 63:
@@ -203,8 +203,6 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
         batch = _homogeneous_batch_shape(value)
         if batch is not None:
             return list(_read_only(np.array(value, dtype=batch[0])))
-        if value and _depth >= _MAX_DEPTH:
-            raise SerializationError("value nesting exceeds maximum depth")
         return [wire_copy(item, _depth + 1) for item in value]
     if encode is _encode_ndarray:
         if value.dtype.kind not in ARRAY_KINDS:
@@ -212,6 +210,16 @@ def wire_copy(value: Any, _depth: int = 0) -> Any:
         # ndmin=1: the encoder's np.ascontiguousarray sends a 0-d array as (1,).
         return _read_only(np.array(value, order="C", ndmin=1))
     return bytes(value) if encode is _encode_bytes else value  # or None, a bool
+
+
+def _text(text: str) -> str:
+    """``text`` as a frame carries it (a subclass's ``encode()`` included),
+    or refused as the encoder refuses a ``str`` that is not UTF-8 (one
+    holding a surrogate)."""
+    try:  # exact ASCII text is its own frame's text; ``isascii()`` reads a flag
+        return text if type(text) is str and text.isascii() else str(text.encode("utf-8"), "utf-8")
+    except UnicodeEncodeError as exc:
+        raise SerializationError(f"value not encodable: {exc}") from exc
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -265,8 +273,6 @@ def deserialize(data) -> Any:
 _pack_int = struct.Struct("<Bq").pack
 _pack_float = struct.Struct("<Bd").pack
 _pack_len = struct.Struct("<BI").pack  # tag + u32 length or count
-_pack_dim = struct.Struct("<q").pack
-_pack_nbytes = struct.Struct("<Q").pack
 _pack_count_nbytes = struct.Struct("<IQ").pack
 
 #: ``str`` -> its whole frame (tag, length, utf-8).  Dict keys and short
@@ -275,6 +281,9 @@ _pack_count_nbytes = struct.Struct("<IQ").pack
 _STR_FRAMES: dict = {}
 _STR_FRAMES_MAX = 1024
 _CACHED_STR_MAX = 64
+#: ``(shape, dtype)`` -> an array frame's head, bounded alike: rendering a
+#: dtype's name costs more than the rest of a small array's frame.
+_ARRAY_HEADS: dict = {}
 
 
 def _payload(buffer, scratch: bytearray, segments: List[Any]) -> None:
@@ -372,12 +381,26 @@ def _encode_dict(value, scratch, segments, depth) -> None:
 
 
 def _encode_ndarray(array, scratch, segments, depth) -> None:
-    if array.dtype.kind not in ARRAY_KINDS:
-        raise SerializationError(f"{array.dtype} arrays are not serializable")
     contiguous = np.ascontiguousarray(array)
-    _ndarray_header(_TAG_NDARRAY, contiguous.dtype, contiguous.shape, scratch)
-    scratch += _pack_nbytes(contiguous.nbytes)
+    scratch += array_head(contiguous)
     _payload(contiguous, scratch, segments)
+
+
+def array_head(array: np.ndarray) -> bytes:
+    """What the frame of a (1-d or more) ``array`` holds before its C-ordered
+    buffer: tag, dtype, shape and payload size, memoised per layout in
+    ``_ARRAY_HEADS``.  The prediction cache's key joins it to the buffer too."""
+    head = _ARRAY_HEADS.get((array.shape, array.dtype))
+    if head is None:
+        if array.dtype.kind not in ARRAY_KINDS:
+            raise SerializationError(f"{array.dtype} arrays are not serializable")
+        name, ndim = array.dtype.str.encode("ascii"), array.ndim
+        fmt = f"<BB{len(name)}sB{ndim}qQ"  # tag, dtype name, shape, payload size
+        head = struct.pack(fmt, _TAG_NDARRAY, len(name), name, ndim, *array.shape, array.nbytes)
+        if len(_ARRAY_HEADS) >= _STR_FRAMES_MAX:
+            _ARRAY_HEADS.clear()
+        _ARRAY_HEADS[array.shape, array.dtype] = head
+    return head
 
 
 #: The ``isinstance`` chain, in the order that decides ties: ``bool`` before
@@ -395,10 +418,13 @@ _FALLBACK_ENCODERS = (
 
 
 def _encoder_for(value: Any):
-    """The encoder of a value whose exact type is not in ``_ENCODERS``."""
-    for types, encoder in _FALLBACK_ENCODERS:
-        if isinstance(value, types):
-            return encoder
+    """The encoder of a value whose exact type is not in ``_ENCODERS``.  A
+    numpy scalar is carried only when an array of its kind would be: numpy
+    makes ``timedelta64`` an integer, whose unit an int frame would drop."""
+    if not isinstance(value, np.generic) or value.dtype.kind in ARRAY_KINDS:
+        for types, encoder in _FALLBACK_ENCODERS:
+            if isinstance(value, types):
+                return encoder
     raise SerializationError(f"cannot serialize value of type {type(value).__name__}")
 
 
@@ -470,19 +496,10 @@ def _homogeneous_batch_shape(items) -> Optional[Tuple[Any, tuple]]:
     return dtype, shape
 
 
-def _ndarray_header(tag: int, dtype: np.dtype, shape: tuple, scratch: bytearray) -> None:
-    dtype_name = dtype.str.encode("ascii")
-    scratch.append(tag)
-    scratch.append(len(dtype_name))
-    scratch += dtype_name
-    scratch.append(len(shape))
-    for dim in shape:
-        scratch += _pack_dim(dim)
-
-
 def _encode_ndarray_batch(arrays, scratch, segments) -> None:
     first = arrays[0]
-    _ndarray_header(_TAG_NDARRAY_BATCH, first.dtype, first.shape, scratch)
+    scratch.append(_TAG_NDARRAY_BATCH)
+    scratch += array_head(first)[1:-8]  # the dtype and shape an array frame writes
     scratch += _pack_count_nbytes(len(arrays), first.nbytes * len(arrays))
     try:
         rows = b"".join(arrays)
@@ -503,9 +520,14 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
     scalar = _SCALARS.get(tag)
     if scalar:  # ``?`` reads any non-zero byte as True
         return scalar.unpack_from(view, offset)[0], offset + scalar.size
+    if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
+        dtype, shape, offset, end = _ndarray_span(view, offset, tag)
+        array = _ndarray_view(view[offset:end], dtype, shape)
+        # A batch is the rows of one (count, *shape) view: each aliases the frame.
+        return (list(array) if tag == _TAG_NDARRAY_BATCH else array), end
+    (length,) = _unpack_u32(view, offset)  # any other tag: a length, or a count of items
+    offset += 4
     if tag == _TAG_STR or tag == _TAG_BYTES:
-        (length,) = _unpack_u32(view, offset)
-        offset += 4
         end = offset + length
         if end > len(view):
             raise SerializationError("truncated str or bytes payload")
@@ -513,16 +535,12 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
         payload = view[offset:end]
         return (str(payload, "utf-8") if tag == _TAG_STR else bytes(payload)), end
     if tag == _TAG_LIST:
-        (length,) = _unpack_u32(view, offset)
-        offset += 4
         items = []
         for _ in range(length):
             item, offset = _decode(view, offset, depth + 1)
             items.append(item)
         return items, offset
     if tag == _TAG_DICT:
-        (length,) = _unpack_u32(view, offset)
-        offset += 4
         result = {}
         for _ in range(length):
             if offset < len(view) and view[offset] != _TAG_STR:
@@ -531,18 +549,12 @@ def _decode(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
             value, offset = _decode(view, offset, depth + 1)
             result[key] = value
         return result, offset
-    if tag == _TAG_NDARRAY or tag == _TAG_NDARRAY_BATCH:
-        dtype, shape, offset, end = _ndarray_span(view, offset, tag)
-        array = _ndarray_view(view[offset:end], dtype, shape)
-        # A batch is the rows of one (count, *shape) view: each aliases the frame.
-        return (list(array) if tag == _TAG_NDARRAY_BATCH else array), end
     code = _COLUMN_CODES_BY_TAG.get(tag)
     if code:
-        (count,) = _unpack_u32(view, offset)
-        end = offset + 4 + 8 * count
-        if count < 2 or end > len(view):
-            raise SerializationError(f"column of {count} values is short or truncated")
-        return _column_values(view[offset + 4 : end], code), end
+        end = offset + 8 * length
+        if length < 2 or end > len(view):
+            raise SerializationError(f"column of {length} values is short or truncated")
+        return _column_values(view[offset:end], code), end
     raise SerializationError(f"unknown type tag {tag}")
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from helpers import run_async  # noqa: F401  (re-exported for convenience)
+from repro.rpc import jsonwire
 
 settings.register_profile("tier1", max_examples=50, deadline=None)
 settings.register_profile("deep", max_examples=800, deadline=None)
@@ -124,3 +125,14 @@ def trained_logreg(mnist_like_small):
 def rng():
     """A deterministic numpy Generator for per-test randomness."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["json", "orjson"])
+def json_backend(request, monkeypatch):
+    """Every JSON call at the edge and in the SDK made by the named backend."""
+    if request.param == "orjson":
+        pytest.importorskip("orjson")
+    dumps, loads = jsonwire._BACKENDS[request.param]
+    monkeypatch.setattr(jsonwire, "dumps", dumps)
+    monkeypatch.setattr(jsonwire, "loads", loads)
+    return request.param

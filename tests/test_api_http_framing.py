@@ -131,17 +131,6 @@ async def read_response(reader):
     return split_responses(head + body)[0]
 
 
-@pytest.fixture(params=["json", "orjson"])
-def json_backend(request, monkeypatch):
-    """Every JSON call at the edge and in the SDK made by the named backend."""
-    if request.param == "orjson":
-        pytest.importorskip("orjson")
-    dumps, loads = jsonwire._BACKENDS[request.param]
-    monkeypatch.setattr(jsonwire, "dumps", dumps)
-    monkeypatch.setattr(jsonwire, "loads", loads)
-    return request.param
-
-
 def assert_refused(raw: bytes, calls, fragment: str = "") -> None:
     """One structured 400, ``Connection: close``, nothing dispatched."""
     responses = split_responses(raw)

@@ -1,19 +1,22 @@
 """A value the wire cannot carry fails alone, before any queue holds it.
 
-The prediction cache keys an input by what the RPC codec would send
-(:func:`repro.core.types.hash_input`), so an input the codec refuses — a
-set, an int past int64, nesting past 32 levels — is refused with
-``ValidationError`` (a 422 at the edge) when it is keyed, and the queries
-that would have shared its batch are answered.  Keyed and queued, it used
-to fail that batch: every query in it timed out (504) and the dispatcher's
-passive failure signal quarantined a healthy replica.  A reply the codec
-refuses fails its own batch on every lane alike, and the tcp server goes on.
+The prediction cache keys an input by the frame the RPC codec sends
+(:func:`repro.core.types.hash_input`), judged where a predict request
+carries it, so an input the request could not carry — a set, an int past
+int64, a timedelta scalar, a lone surrogate, nesting past 30 levels (two
+more wrap it in the request) — is refused with ``ValidationError`` (a 422
+at the edge) when it is keyed, and the queries that would have shared its
+batch are answered.  Keyed and queued, it used to fail that batch: every
+query in it failed and the dispatcher's passive failure signal quarantined
+a healthy replica.  A reply the codec refuses fails its own batch on every
+lane alike, and the tcp server goes on.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -33,12 +36,16 @@ from test_serialization import _nested
 #: Generous: the subject is which queries fail, not deadlines (a failed
 #: batch's queries used to time out at any SLO).
 SLO_MS = 1000.0
-DEEP = _nested(40, 0, lambda v: [v])
+#: Past the codec's 32 levels on their own, and past them inside a request.
+DEEP = {n: _nested(n, 0, lambda v: [v]) for n in (31, 32, 40)}
 
 
-def _clipper(container=NoOpContainer, transport="tcp") -> Clipper:
+def _clipper(container=NoOpContainer, transport="tcp", input_type=None) -> Clipper:
     clipper = Clipper(
-        ClipperConfig(app_name="app", selection_policy="single", latency_slo_ms=SLO_MS)
+        ClipperConfig(
+            app_name="app", selection_policy="single", latency_slo_ms=SLO_MS,
+            input_type=input_type,
+        )
     )
     clipper.deploy_model(
         ModelDeployment(
@@ -58,10 +65,17 @@ async def _wave(clipper: Clipper, bad, seed: int = 0) -> list:
 
 
 class TestOneBadInputInAWave:
-    @pytest.mark.parametrize("bad", [{1, 2}, 2**70, DEEP], ids=["set", "past_int64", "40_deep"])
-    def test_the_bad_input_is_refused_and_its_batch_mates_are_answered(self, bad):
+    @pytest.mark.parametrize("transport", ["tcp", "inprocess"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{1, 2}, 2**70, DEEP[31], DEEP[32], DEEP[40], np.timedelta64(3, "ns"),
+         np.timedelta64(3, "s"), "\ud800"],
+        ids=["set", "past_int64", "31_deep", "32_deep", "40_deep", "timedelta_ns", "timedelta_s",
+             "lone_surrogate"],
+    )
+    def test_the_bad_input_is_refused_and_its_batch_mates_are_answered(self, bad, transport):
         async def scenario():
-            clipper = _clipper()
+            clipper = _clipper(transport=transport)
             await clipper.start()
             try:
                 results = await _wave(clipper, bad)
@@ -105,19 +119,40 @@ async def _post(port: int, body: bytes) -> int:
     return int(response.split(b" ", 2)[1])
 
 
-class TestAnUntypedApplicationOverHttp:
-    @pytest.mark.parametrize("bad", [2**70, DEEP], ids=["past_int64", "40_deep"])
-    def test_the_bad_body_is_a_422_and_its_batch_mates_are_200(self, bad):
-        async def scenario():
-            frontend = QueryFrontend()
-            frontend.register_application(_clipper())
-            bodies = [json.dumps({"input": [float(i), 1.0]}).encode() for i in range(7)]
-            bodies.insert(3, json.dumps({"input": bad}).encode())
-            async with create_server(frontend) as server:
-                statuses = await asyncio.gather(*(_post(server.port, body) for body in bodies))
-            assert statuses == [200] * 3 + [422] + [200] * 4
+#: A legal JSON escape that decodes to a ``str`` no UTF-8 frame can hold.
+SURROGATE = b'{"input": "\\ud800"}'
 
-        run_async(scenario())
+
+async def _http_wave(clipper: Clipper, bad: bytes, good) -> list:
+    """Eight concurrent JSON predicts over HTTP, the fourth with body ``bad``."""
+    frontend = QueryFrontend()
+    frontend.register_application(clipper)
+    bodies = [json.dumps({"input": good(i)}).encode() for i in range(7)]
+    bodies.insert(3, bad)
+    async with create_server(frontend) as server:
+        return await asyncio.gather(*(_post(server.port, body) for body in bodies))
+
+
+class TestAnUntypedApplicationOverHttp:
+    @pytest.mark.parametrize(
+        "bad", [2**70, DEEP[31], DEEP[32], DEEP[40]],
+        ids=["past_int64", "31_deep", "32_deep", "40_deep"],
+    )
+    def test_the_bad_body_is_a_422_and_its_batch_mates_are_200(self, bad):
+        bad = json.dumps({"input": bad}).encode()
+        statuses = run_async(_http_wave(_clipper(), bad, lambda i: [float(i), 1.0]))
+        assert statuses == [200] * 3 + [422] + [200] * 4
+
+    def test_a_lone_surrogate_is_a_422_and_logs_no_error(self, json_backend, caplog):
+        with caplog.at_level(logging.WARNING):
+            statuses = run_async(_http_wave(_clipper(), SURROGATE, lambda i: [float(i), 1.0]))
+        assert statuses == [200] * 3 + [422] + [200] * 4
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_a_strings_application_refuses_it_too(self, json_backend):
+        clipper = _clipper(input_type="strings")
+        statuses = run_async(_http_wave(clipper, SURROGATE, lambda i: f"text {i}"))
+        assert statuses == [200] * 3 + [422] + [200] * 4
 
 
 def _dates(inputs):

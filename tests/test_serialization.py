@@ -17,9 +17,10 @@ stated here over the current code alone:
   ``dict`` subclasses as the base type).
 * **The refusal set** (:func:`refused`): a value is refused with
   :class:`SerializationError`, and nothing else, exactly when it holds an
-  unsupported type, a non-``str`` dict key, nesting beyond 32 levels, an int
-  outside int64 or an array of a kind outside bools, numbers, bytes and text
-  (objects, datetimes, timedeltas, records).
+  unsupported type, a non-``str`` dict key, a ``str`` that is not UTF-8 (a
+  surrogate), nesting beyond 32 levels, an int outside int64, or an array or
+  numpy scalar of a kind outside bools, numbers, bytes and text (objects,
+  datetimes, timedeltas, records).
 * The nesting limit sits where it sits, the ``str``-frame cache is bounded,
   and no cached frame aliases what a caller holds.
 * The decoder refuses truncated, trailing, unknown-tag and empty input, and
@@ -134,9 +135,17 @@ def is_batch(items) -> bool:
 CARRIED_KINDS = "biufcSU"
 
 
+def _utf8(text: str) -> bool:
+    return not any(0xD800 <= ord(char) <= 0xDFFF for char in text)  # no surrogate
+
+
 def refused(value, depth: int = 0) -> bool:
     """Whether the format refuses ``value`` (see the module docstring)."""
-    if value is None or isinstance(value, (bool, float, np.floating, str, bytes, bytearray)):
+    if isinstance(value, np.generic) and value.dtype.kind not in CARRIED_KINDS:
+        return True  # a timedelta64 scalar too, which numpy makes an integer
+    if isinstance(value, str):
+        return not _utf8(value)
+    if value is None or isinstance(value, (bool, float, np.floating, bytes, bytearray)):
         return False
     if isinstance(value, (int, np.integer)):
         return not -(2**63) <= int(value) < 2**63
@@ -148,7 +157,8 @@ def refused(value, depth: int = 0) -> bool:
         items = value.values() if isinstance(value, dict) else value
         return (
             (len(value) > 0 and depth >= 32)
-            or (isinstance(value, dict) and not all(isinstance(key, str) for key in value))
+            or (isinstance(value, dict)
+                and not all(isinstance(key, str) and _utf8(key) for key in value))
             or any(refused(item, depth + 1) for item in items)
         )
     return True
@@ -262,6 +272,8 @@ _columns = st.builds(
     st.sampled_from([[], [], [], [True], [None], [1], [0.5], [2**63], [np.float16(1)]]),
     st.sampled_from([list, list, tuple]),
 )
+#: A surrogate code point: alone or beside another, no UTF-8 text holds one.
+_SURROGATE = st.characters(categories=["Cs"])
 _scalars = (
     st.none()
     | st.booleans()
@@ -270,6 +282,7 @@ _scalars = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.floats().map(_Float)
     | st.text(max_size=20)
+    | st.text(st.characters() | _SURROGATE, min_size=1, max_size=4)
     | st.text(min_size=500, max_size=520)
     | st.text(max_size=6).map(_Text)
     | st.binary(max_size=20)
@@ -282,9 +295,10 @@ _scalars = (
     | st.floats().map(np.float64)
     | st.text(max_size=4).map(np.str_)
     | st.binary(max_size=4).map(np.bytes_)
-    # Refused: numpy bools and complex numbers, unknown classes, sets,
-    # object, datetime, timedelta, structured and void arrays.
+    # Refused: numpy bools, complex numbers and timedeltas, unknown classes,
+    # sets, object, datetime, timedelta, structured and void arrays.
     | st.sampled_from([np.bool_(True), np.complex128(1j), 1j, object(), {1, 2}, range(2)])
+    | st.sampled_from([np.timedelta64(3, "ns"), np.timedelta64(3, "s")])
     | st.sampled_from([np.array([object()]), np.array([1, "a"], dtype=object)])
     | st.sampled_from(["<M8[D]", ">m8[s]", "<M8[ns]", [("a", "<f8"), ("b", "|u1")], "|V4"]).map(
         lambda dtype: np.zeros(2, dtype)
@@ -293,9 +307,9 @@ _scalars = (
     | _batches
     | _columns
 )
-_keys = st.text(max_size=6) | st.text(max_size=3).map(_Text) | st.integers(0, 2) | st.none()
-#: Lone surrogates are left out: the codec fails on them with a bare
-#: ``UnicodeEncodeError`` instead of refusing them.
+_keys = (
+    st.text(max_size=6) | st.text(max_size=3).map(_Text) | _SURROGATE | st.integers(0, 2) | st.none()
+)
 wire_values = st.recursive(
     _scalars,
     lambda children: st.lists(children, max_size=4)
@@ -344,10 +358,11 @@ class TestEncoderContract:
         "value",
         [object(), {1, 2}, 1j, np.bool_(True), {1: "a"}, {"ok": {None: 1}}, 2**63,
          -(2**63) - 1, np.uint64(2**64 - 1), np.array([object()]),
-         [np.array([1, 2], dtype=object)] * 2, _nested(33, 0, lambda v: [v])],
+         [np.array([1, 2], dtype=object)] * 2, _nested(33, 0, lambda v: [v]), "\ud800",
+         {"\udfff": 1}, np.timedelta64(3, "ns"), np.timedelta64(3, "s")],
         ids=["object", "set", "complex", "numpy_bool", "int_key", "nested_none_key",
              "past_int64", "below_int64", "uint64_max", "object_array", "object_batch",
-             "nested_33"],
+             "nested_33", "lone_surrogate", "surrogate_key", "timedelta_ns", "timedelta_s"],
     )
     def test_the_refusal_set_by_example(self, value):
         assert refused(value)
@@ -417,6 +432,13 @@ class TestEncoderContract:
         else:
             assert serialize(value).hex() == prefix * depth + serialize(leaf).hex()
             assert _same(wire_copy(value), value)
+
+    def test_array_head_cache_is_bounded(self):
+        for n in range(3 * serialization._STR_FRAMES_MAX):
+            frame = serialize(np.zeros((n, 0), dtype="<f4"))
+            shape = "02" + struct.pack("<qq", n, 0).hex()
+            assert frame.hex() == "08" "03" + b"<f4".hex() + shape + "00" * 8
+            assert len(serialization._ARRAY_HEADS) <= serialization._STR_FRAMES_MAX
 
     def test_key_cache_is_bounded(self):
         for i in range(5 * serialization._STR_FRAMES_MAX):

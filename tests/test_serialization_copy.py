@@ -22,7 +22,7 @@ from hypothesis import given
 
 from repro.core.exceptions import SerializationError
 from repro.rpc.serialization import deserialize, serialize, wire_copy
-from test_serialization import _columns, wire_values
+from test_serialization import _columns, _Loud, wire_values
 
 
 def _outcome(transform, value):
@@ -98,6 +98,14 @@ class TestCopyIsTheRoundTrip:
             serialize(value)
         with pytest.raises(SerializationError):
             wire_copy(value)
+
+    @pytest.mark.parametrize(
+        "value", [_Loud("ab"), _Loud("é"), {_Loud("k"): [_Loud("ab")]}],
+        ids=["ascii", "non_ascii", "key_and_item"],
+    )
+    def test_a_str_subclass_is_copied_as_its_frame_carries_it(self, value):
+        # ``_Loud`` encodes as its upper case: the frame carries what encode() wrote.
+        assert_same(wire_copy(value), deserialize(serialize(value)))
 
     @pytest.mark.parametrize("depth", [31, 32, 33, 34])
     @pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"k": v}], ids=["list", "dict"])

@@ -20,7 +20,8 @@ from repro.core.types import (
     Query,
     hash_input,
 )
-from repro.rpc.serialization import serialize
+from repro.rpc.protocol import predict_request
+from repro.rpc.serialization import array_head, serialize
 from test_serialization import _nested
 
 
@@ -97,8 +98,7 @@ class TestHashInput:
 
     def test_array_does_not_collide_with_the_bytes_it_is_hashed_over(self):
         x = np.arange(4, dtype=np.float64)
-        layout = f"{x.shape}{x.dtype}".encode()
-        for head in (b"", layout, b"a" + len(layout).to_bytes(4, "big") + layout):
+        for head in (b"", array_head(x)):  # bare, and behind the codec's own head
             assert hash_input(x) != hash_input(head + x.tobytes())
         assert hash_input([x]) != hash_input(x)
 
@@ -141,47 +141,59 @@ _DICTS_OF_ARRAYS = st.dictionaries(
 
 
 class TestHashInputKeepsItsContract:
-    """Equal hash ⇒ every container is sent equal bytes: the natively keyed
-    kinds keep their digests, every other input is keyed by its wire bytes,
-    and what the wire refuses is refused before it is keyed."""
+    """The key is the wire frame: ``hash_input(x)`` is the SHA-1 of
+    ``serialize(x)``, so equal hash ⇒ every container is sent equal bytes,
+    and what a predict request could not carry is refused before it is
+    keyed."""
 
-    #: The kinds keyed by encodings of their own (arrays, text, bytes and
-    #: the scalars whose ``repr`` is their value): their digests are the
-    #: ones they had before the wire's bytes became the key of the rest.
+    #: The kinds the serving path sees most: an array (its codec head and
+    #: buffer), text, bytes and the scalars.
     PINNED = [
-        (np.arange(12, dtype=np.float32).reshape(3, 4), "470c863d7ee1c1c10b0d6730da9c671c1690667d"),
-        ("clipper", "2dd6a58c7a5047222001dc847de937a29183c150"),
-        (b"clipper", "b0d1a8e73b6cecc9ef64d814980da5cf14880ecd"),
-        (0.1, "e088e99397c428ef8cd2e80fa3d3ec217c00240e"),
-        (True, "9eb7a2fae4eb61cf9ddc367dca6615f731c5b6ab"),
-        (None, "73f9efed9dad2f9b12220e63b0c8d0078ec41abc"),
+        (np.arange(12, dtype=np.float32).reshape(3, 4), "31dd5d13960de29b30f059f119a55dd42d491cda"),
+        ("clipper", "f44351da24289f2169ac165b558c785c621974e2"),
+        (b"clipper", "0efa878780fb990be4b9374550d65f18f8151197"),
+        (0.1, "a2bc8372d8c27eaa8a6a1d32cd3ef810705d358a"),
+        (True, "f70af62ee4cd5ae2b0ba027eb472ca7c56eacd2e"),
+        (None, "5ba93c9db0cff93f52b521d7420e43f6eda2784f"),
     ]
 
-    #: The kinds keyed by the codec's bytes, behind ``b"w"``, each under
-    #: every ``PYTHONHASHSEED``.
+    #: Containers and numpy scalars, each under every ``PYTHONHASHSEED``.
     CONTENT_PINNED = [
         (
             [[1, 2.5], ["a", b"b"], (None, True), np.arange(3.0)],
-            "bf310c1a3aacab18e814986f4a52da54bfd96f80",
+            "da1328a91c18e2239f728bec6b05cfa68226f378",
         ),
-        ({"x": np.arange(3.0), "y": [1, "a"]}, "fa05d4ae181b643a66a3f70ce365a241f6571460"),
-        (np.float32(1.5), "7d8a6d718329d49c5697e671bb62102187aac9ff"),
-        (np.int64(-7), "b3fcdb910f8e82c99229aa0395e0c728f736b731"),
-        ((1, "a", b"b"), "347597bdf12f4582cbfeecbd5e5c3f99acbf3e51"),
+        ({"x": np.arange(3.0), "y": [1, "a"]}, "a719ea6691a24f53931496427722e36da665f3f5"),
+        (np.float32(1.5), "5ac240cee51cfb4fde87ded00b60402df9feeb1f"),
+        (np.int64(-7), "ad5e9532da8fb7a48f924f37d4c73511e981db7c"),
+        ((1, "a", b"b"), "d8044f75cc91ca9a7f61582c0e668390444a61dd"),
     ]
 
     @pytest.mark.parametrize("x, digest", PINNED)
-    def test_unchanged_kinds_keep_their_digests(self, x, digest):
+    def test_common_kinds_keep_their_digests(self, x, digest):
         assert hash_input(x) == digest
 
     @pytest.mark.parametrize("x, digest", CONTENT_PINNED)
     def test_content_encoded_kinds_keep_their_digests(self, x, digest):
         assert hash_input(x) == digest
 
-    @pytest.mark.parametrize("x", [x for x, _ in CONTENT_PINNED] + [float("nan"), [1.5, 2]])
-    def test_every_other_kind_is_keyed_by_its_wire_bytes(self, x):
-        wire = hashlib.sha1(b"w" + serialize(x)).hexdigest()
-        assert hash_input(x) == wire
+    #: Arrays off the fast path's common case: a byte order, text, a
+    #: Fortran order, a stride, no rows and a 0-d array (sent as shape (1,)).
+    ARRAYS = [
+        np.arange(784.0),
+        np.arange(5, dtype=">f8"),
+        np.array(["ab", "c"], dtype="<U2"),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(20.0)[::3],
+        np.zeros((0, 3)),
+        np.array(1.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "x", [x for x, _ in PINNED + CONTENT_PINNED] + ARRAYS + [float("nan"), [1.5, 2]]
+    )
+    def test_every_kind_is_keyed_by_its_wire_frame(self, x):
+        assert hash_input(x) == hashlib.sha1(serialize(x)).hexdigest()
 
     def test_dict_of_a_long_array_hashes_its_content(self):
         # numpy elides the middle of an array over 1,000 elements in repr.
@@ -215,6 +227,8 @@ class TestHashInputKeepsItsContract:
         "a, b",
         [
             (np.float64(1.5), np.float32(1.5)),  # both arrive as the float 1.5
+            (1.5, np.float64(1.5)),
+            (3, np.int64(3)),  # both arrive as the int 3
             (np.str_("ab"), "ab"),  # both arrive as the str "ab"
             ([np.int64(2), 3], (2, np.int32(3))),  # both one int64 column
         ],
@@ -238,6 +252,11 @@ class TestHashInputKeepsItsContract:
             1j,
             np.bool_(True),
             np.datetime64("2026-01-01"),
+            np.timedelta64(3, "ns"),
+            np.timedelta64(3, "s"),
+            "\ud800",
+            ["a", "b\udfff"],
+            {"\ud83d\ude00": 1},
             2**70,
             -(2**63) - 1,
             np.uint64(2**64 - 1),
@@ -250,15 +269,30 @@ class TestHashInputKeepsItsContract:
             _nested(40, 0, lambda v: [v]),
         ],
         ids=["set", "frozenset", "memoryview", "plain_object", "lock", "complex", "numpy_bool",
-             "numpy_datetime", "past_int64", "below_int64", "uint64_max", "object_array",
-             "datetime_array", "timedelta_array", "structured_array", "int_key", "nested_set",
-             "40_deep"],
+             "numpy_datetime", "timedelta_ns", "timedelta_s", "lone_surrogate",
+             "surrogate_in_a_list", "surrogate_pair_key", "past_int64", "below_int64",
+             "uint64_max", "object_array", "datetime_array", "timedelta_array",
+             "structured_array", "int_key", "nested_set", "40_deep"],
     )
     def test_what_the_wire_refuses_is_refused_before_it_is_keyed(self, x):
-        with pytest.raises(SerializationError):
-            serialize(x)
+        with pytest.raises(SerializationError):  # where the request carries it
+            serialize(predict_request(0, [x, x]))
         with pytest.raises(ValidationError, match="cannot key the prediction cache"):
             hash_input(x)
+
+    @pytest.mark.parametrize("depth", range(28, 35))
+    @pytest.mark.parametrize(
+        "wrap", [lambda v: [v], lambda v: (v,), lambda v: {"k": v}], ids=["list", "tuple", "dict"]
+    )
+    def test_the_key_refuses_nesting_exactly_where_the_request_does(self, depth, wrap):
+        x = _nested(depth, 0, wrap)
+        try:
+            serialize(predict_request(0, [x, x]))
+        except SerializationError:
+            with pytest.raises(ValidationError):
+                hash_input(x)
+        else:
+            assert hash_input(x) == hashlib.sha1(serialize(x)).hexdigest()
 
 
 #: Run in a fresh interpreter: every pinned input's digest from
